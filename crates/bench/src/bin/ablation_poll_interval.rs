@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use bench::{save_csv, RunSpec};
-use hammer_core::deploy::ChainSpec;
+use hammer_core::deploy::{BackendOptions, BackendRegistry};
 use hammer_core::driver::TestingMode;
 use hammer_store::report::{render_table, to_csv};
 
@@ -30,16 +30,18 @@ fn main() {
     for interval in intervals {
         let mut latencies = Vec::new();
         for mode in [TestingMode::TaskProcessing, TestingMode::BatchBaseline] {
-            let mut spec = RunSpec::peak(ChainSpec::fabric_default(), 150, 30);
+            let mut spec = RunSpec::peak("fabric-sim", 150, 30);
             spec.mode = mode;
             spec.accounts = 20_000;
             spec.speedup = 100.0;
-            let deployment = hammer_core::deploy::Deployment::up(spec.chain.clone(), spec.speedup);
+            let deployment = BackendRegistry::builtin()
+                .deploy(&spec.chain, &BackendOptions::default(), spec.speedup)
+                .expect("registered backend");
             let workload = hammer_workload::WorkloadConfig {
                 accounts: spec.accounts,
                 clients: spec.clients,
                 threads_per_client: spec.threads_per_client,
-                chain_name: spec.chain.name().to_owned(),
+                chain_name: spec.chain.clone(),
                 ..hammer_workload::WorkloadConfig::default()
             };
             let control = hammer_workload::ControlSequence::constant(

@@ -14,10 +14,10 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use hammer_chain::types::TxStatus;
-use hammer_core::deploy::{ChainSpec, Deployment};
+use hammer_core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer_core::driver::{EvalConfig, Evaluation};
 use hammer_core::machine::ClientMachine;
-use hammer_fabric::FabricConfig;
+use hammer_fabric::{FabricConfig, FabricSim};
 use hammer_workload::{ControlSequence, WorkloadConfig};
 
 fn main() {
@@ -34,14 +34,19 @@ fn main() {
     // The audit is about *accounting*, not peak throughput: configure the
     // Fabric sim so 600 TPS flows without backlog (validation 1 ms/tx =>
     // ~1000 TPS ceiling), exactly as the paper's correctness run assumes.
-    let deployment = Deployment::up(
-        ChainSpec::Fabric(FabricConfig {
+    let mut registry = BackendRegistry::builtin();
+    registry.register("fabric-sim", |_, clock, net| {
+        let config = FabricConfig {
             validate_cost: Duration::from_millis(1),
             inbox_capacity: 50_000,
             ..FabricConfig::default()
-        }),
-        200.0,
-    );
+        };
+        let chain = FabricSim::start(config, clock.clone(), net.clone());
+        Deployment::from_chain(chain, clock, net)
+    });
+    let deployment = registry
+        .deploy("fabric-sim", &BackendOptions::default(), 200.0)
+        .expect("registered above");
     let workload = WorkloadConfig {
         accounts: 10_000,
         clients: 4,

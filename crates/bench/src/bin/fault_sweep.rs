@@ -23,11 +23,11 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use hammer_core::deploy::{ChainSpec, Deployment};
+use hammer_core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer_core::driver::{EvalConfig, EvalReport, Evaluation};
 use hammer_core::machine::ClientMachine;
 use hammer_core::retry::RetryPolicy;
-use hammer_ethereum::EthereumConfig;
+use hammer_ethereum::{EthereumConfig, EthereumSim};
 use hammer_net::{FaultPlan, LinkConfig, SimClock, SimNetwork};
 use hammer_store::report::render_table;
 use hammer_workload::{ControlSequence, WorkloadConfig};
@@ -70,16 +70,24 @@ fn plan_for(chain: &dyn hammer_chain::kernel::SimChain, scenario: &str) -> Optio
 /// targets from the chain's reported roles, install the plan (the window
 /// opens at 3 s of simulated time, long after installation), and run
 /// SmallBank with the standard retry policy.
-fn run_one(chain: &ChainSpec, scenario: &str, rate: u32, speedup: f64) -> EvalReport {
+fn run_one(
+    registry: &BackendRegistry,
+    chain: &str,
+    scenario: &str,
+    rate: u32,
+    speedup: f64,
+) -> EvalReport {
     let clock = SimClock::with_speedup(speedup);
     let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-    let deployment = Deployment::up_on(chain.clone(), clock, net.clone());
+    let deployment = registry
+        .deploy_on(chain, &BackendOptions::default(), clock, net.clone())
+        .expect("registered backend");
     if let Some(plan) = plan_for(&**deployment.chain(), scenario) {
         net.install_faults(plan);
     }
     let workload = WorkloadConfig {
         accounts: 10_000,
-        chain_name: chain.name().to_owned(),
+        chain_name: chain.to_owned(),
         ..WorkloadConfig::default()
     };
     let control = ControlSequence::constant(rate, RUN_SECONDS, Duration::from_secs(1));
@@ -115,19 +123,24 @@ fn main() {
 
     // Private-net Ethereum with short blocks, as in the Fig. 6 testbed —
     // the 15 s PoW default would give the 2 s window nothing to degrade.
-    let ethereum = ChainSpec::Ethereum(EthereumConfig {
-        block_interval: Duration::from_secs(1),
-        block_gas_limit: 2_000_000,
-        ..EthereumConfig::default()
+    let mut registry = BackendRegistry::builtin();
+    registry.register("ethereum-sim", |_, clock, net| {
+        let config = EthereumConfig {
+            block_interval: Duration::from_secs(1),
+            block_gas_limit: 2_000_000,
+            ..EthereumConfig::default()
+        };
+        let chain = EthereumSim::start(config, clock.clone(), net.clone());
+        Deployment::from_chain(chain, clock, net)
     });
 
-    // (spec, rate tx/s, speedup) — moderate rates well under capacity so
-    // the fault, not saturation, is what shapes the numbers.
-    let targets = vec![
-        (ethereum, 40u32, 100.0f64),
-        (ChainSpec::fabric_default(), 150, 100.0),
-        (ChainSpec::meepo_default(), 300, 50.0),
-        (ChainSpec::neuchain_default(), 500, 100.0),
+    // (backend, rate tx/s, speedup) — moderate rates well under capacity
+    // so the fault, not saturation, is what shapes the numbers.
+    let targets = [
+        ("ethereum-sim", 40u32, 100.0f64),
+        ("fabric-sim", 150, 100.0),
+        ("meepo-sim", 300, 50.0),
+        ("neuchain-sim", 500, 100.0),
     ];
 
     let mut rows = Vec::new();
@@ -142,11 +155,8 @@ fn main() {
 
     for (chain, rate, speedup) in targets {
         for scenario in SCENARIOS {
-            eprintln!(
-                "running {} / {scenario} at {rate} tx/s ({speedup}x)...",
-                chain.name()
-            );
-            let report = run_one(&chain, scenario, rate, speedup);
+            eprintln!("running {chain} / {scenario} at {rate} tx/s ({speedup}x)...");
+            let report = run_one(&registry, chain, scenario, rate, speedup);
             rows.push(vec![
                 report.chain.clone(),
                 scenario.to_owned(),

@@ -14,10 +14,10 @@
 //! budget is far above the machine capacity), exactly like a peak test.
 
 use bench::save_csv;
-use hammer_core::deploy::{ChainSpec, Deployment};
+use hammer_core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer_core::driver::{EvalConfig, EvalReport, Evaluation};
 use hammer_core::machine::ClientMachine;
-use hammer_fabric::FabricConfig;
+use hammer_fabric::{FabricConfig, FabricSim};
 use hammer_store::report::{render_table, to_csv};
 use hammer_workload::{AccessDistribution, ControlSequence, WorkloadConfig};
 use std::time::Duration;
@@ -37,7 +37,14 @@ fn run(fabric: FabricConfig, clients: u32, threads: u32, workload: WorkloadConfi
     // Moderate speed-up: the sweep compares 4-11 concurrent driver threads
     // on a 1-core host, so give every modelled delay enough wall time to
     // be scheduled accurately.
-    let deployment = Deployment::up(ChainSpec::Fabric(fabric), 30.0);
+    let mut registry = BackendRegistry::builtin();
+    registry.register("fabric-sim", move |_, clock, net| {
+        let chain = FabricSim::start(fabric.clone(), clock.clone(), net.clone());
+        Deployment::from_chain(chain, clock, net)
+    });
+    let deployment = registry
+        .deploy("fabric-sim", &BackendOptions::default(), 30.0)
+        .expect("registered above");
     let workload = WorkloadConfig {
         clients,
         threads_per_client: threads,

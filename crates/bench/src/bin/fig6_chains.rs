@@ -15,8 +15,8 @@
 use std::time::Duration;
 
 use bench::{save_csv, summary_header, summary_row, RunSpec};
-use hammer_core::deploy::ChainSpec;
-use hammer_ethereum::EthereumConfig;
+use hammer_core::deploy::{BackendRegistry, Deployment};
+use hammer_ethereum::{EthereumConfig, EthereumSim};
 use hammer_store::report::{render_bars, render_table, to_csv};
 
 fn main() {
@@ -24,43 +24,46 @@ fn main() {
 
     // Private-net Ethereum (the paper's testbed): 5 s PoW blocks,
     // 2 M gas => ~95 txs/block => ~19 TPS ceiling.
-    let ethereum = ChainSpec::Ethereum(EthereumConfig {
-        block_interval: Duration::from_secs(5),
-        block_gas_limit: 2_000_000,
-        ..EthereumConfig::default()
+    let mut registry = BackendRegistry::builtin();
+    registry.register("ethereum-sim", |_, clock, net| {
+        let config = EthereumConfig {
+            block_interval: Duration::from_secs(5),
+            block_gas_limit: 2_000_000,
+            ..EthereumConfig::default()
+        };
+        let chain = EthereumSim::start(config, clock.clone(), net.clone());
+        Deployment::from_chain(chain, clock, net)
     });
 
-    // (spec, rate tx/s, seconds, speedup): rates ~10% above each system's
-    // capacity; Ethereum gets a long window to average over PoW blocks.
-    // The other three run at their registry defaults, selected by name.
-    let by_name = |name| ChainSpec::by_name(name).expect("registered backend");
-    let runs = vec![
-        (ethereum, 17u32, 240usize, 400.0),
-        (by_name("fabric-sim"), 245, 60, 100.0),
-        (by_name("meepo-sim"), 3_300, 30, 10.0),
-        (by_name("neuchain-sim"), 9_000, 20, 5.0),
+    // (backend, rate tx/s, seconds, speedup): rates ~10% above each
+    // system's capacity; Ethereum gets a long window to average over PoW
+    // blocks. The other three run at their registry defaults.
+    let runs = [
+        ("ethereum-sim", 17u32, 240usize, 400.0),
+        ("fabric-sim", 245, 60, 100.0),
+        ("meepo-sim", 3_300, 30, 10.0),
+        ("neuchain-sim", 9_000, 20, 5.0),
     ];
 
     let mut rows = Vec::new();
     let mut tps_points = Vec::new();
     let mut lat_points = Vec::new();
-    for (chain, rate, seconds, speedup) in runs {
-        let name = chain.name().to_owned();
+    for (name, rate, seconds, speedup) in runs {
         eprintln!("running {name} at {rate} tx/s for {seconds}s (sim, {speedup}x)...");
-        let mut spec = RunSpec::peak(chain, rate, seconds);
+        let mut spec = RunSpec::peak(name, rate, seconds);
         spec.speedup = speedup;
         // A realistically sized SmallBank pool keeps incidental MVCC
         // conflicts on Fabric at the few-percent level seen in practice.
         spec.accounts = 30_000;
-        let report = spec.run();
+        let report = spec.run(&registry);
         if report.per_shard_committed.len() > 1 {
             eprintln!(
                 "  shard-aware load report: {:?}",
                 report.per_shard_committed
             );
         }
-        tps_points.push((name.clone(), report.overall_tps));
-        lat_points.push((name.clone(), report.latency.mean_s));
+        tps_points.push((name.to_owned(), report.overall_tps));
+        lat_points.push((name.to_owned(), report.latency.mean_s));
         rows.push(summary_row(&report));
     }
 

@@ -9,6 +9,7 @@
 //! indistinguishable (the chain is the bottleneck at 18.6 TPS).
 
 use bench::{save_csv, RunSpec};
+use hammer_core::deploy::BackendRegistry;
 use hammer_core::driver::TestingMode;
 use hammer_core::machine::ClientMachine;
 use hammer_store::report::{render_bars, render_table, to_csv};
@@ -36,7 +37,7 @@ fn main() {
     {
         for mode in modes {
             eprintln!("measuring {chain_name} with {}...", mode_label(mode));
-            let mut spec = RunSpec::peak_named(chain_name, rate, seconds);
+            let mut spec = RunSpec::peak(chain_name, rate, seconds);
             spec.mode = mode;
             // The measuring client is the paper's 2-vCPU machine:
             // submission is comfortably within its budget, but Caliper's
@@ -59,7 +60,7 @@ fn main() {
             } else {
                 100.0
             };
-            let report = spec.run();
+            let report = spec.run(&BackendRegistry::builtin());
             let label = format!("{}/{}", chain_name, mode_label(mode));
             chart.push((label, report.overall_tps));
             rows.push(vec![

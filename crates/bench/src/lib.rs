@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use hammer_core::deploy::{ChainSpec, Deployment};
+use hammer_core::deploy::{BackendOptions, BackendRegistry};
 use hammer_core::driver::{EvalConfig, EvalReport, Evaluation, TestingMode};
 use hammer_core::machine::ClientMachine;
 use hammer_workload::{ControlSequence, WorkloadConfig};
@@ -15,8 +15,8 @@ use hammer_workload::{ControlSequence, WorkloadConfig};
 /// Everything one evaluation run needs.
 #[derive(Clone, Debug)]
 pub struct RunSpec {
-    /// The system under test.
-    pub chain: ChainSpec,
+    /// The system under test, by registry name (`"fabric-sim"`, ...).
+    pub chain: String,
     /// Testing mode (Hammer / Blockbench / Caliper).
     pub mode: TestingMode,
     /// Target submission rate, transactions per simulated second.
@@ -42,24 +42,11 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// [`RunSpec::peak`] with the chain selected by registry name
-    /// (`"fabric-sim"`, `"neuchain-sim"`, ...) at its paper-default
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the name is not a registered backend.
-    pub fn peak_named(name: &str, rate: u32, seconds: usize) -> Self {
-        let chain = ChainSpec::by_name(name)
-            .unwrap_or_else(|| panic!("unknown backend {name:?}; see BackendRegistry::builtin()"));
-        Self::peak(chain, rate, seconds)
-    }
-
     /// A sensible default shape: peak measurement with an unconstrained
     /// client (isolates the chain side).
-    pub fn peak(chain: ChainSpec, rate: u32, seconds: usize) -> Self {
+    pub fn peak(chain: &str, rate: u32, seconds: usize) -> Self {
         RunSpec {
-            chain,
+            chain: chain.to_owned(),
             mode: TestingMode::TaskProcessing,
             rate,
             seconds,
@@ -74,14 +61,21 @@ impl RunSpec {
         }
     }
 
-    /// Executes the run and returns the report.
-    pub fn run(&self) -> EvalReport {
-        let deployment = Deployment::up(self.chain.clone(), self.speedup);
+    /// Deploys the chain from `registry`, executes the run and returns
+    /// the report.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the chain is not a registered backend.
+    pub fn run(&self, registry: &BackendRegistry) -> EvalReport {
+        let deployment = registry
+            .deploy(&self.chain, &BackendOptions::default(), self.speedup)
+            .unwrap_or_else(|e| panic!("{e}"));
         let workload = WorkloadConfig {
             accounts: self.accounts,
             clients: self.clients,
             threads_per_client: self.threads_per_client,
-            chain_name: self.chain.name().to_owned(),
+            chain_name: self.chain.clone(),
             ..WorkloadConfig::default()
         };
         let control = ControlSequence::constant(self.rate, self.seconds, Duration::from_secs(1));
@@ -156,19 +150,19 @@ mod tests {
 
     #[test]
     fn peak_runspec_runs_quickly_on_neuchain() {
-        let mut spec = RunSpec::peak(ChainSpec::neuchain_default(), 200, 2);
+        let mut spec = RunSpec::peak("neuchain-sim", 200, 2);
         spec.speedup = 1000.0;
         spec.accounts = 100;
-        let report = spec.run();
+        let report = spec.run(&BackendRegistry::builtin());
         assert!(report.committed > 100, "committed = {}", report.committed);
     }
 
     #[test]
     fn summary_row_matches_header_len() {
-        let mut spec = RunSpec::peak(ChainSpec::neuchain_default(), 100, 2);
+        let mut spec = RunSpec::peak("neuchain-sim", 100, 2);
         spec.speedup = 1000.0;
         spec.accounts = 50;
-        let report = spec.run();
+        let report = spec.run(&BackendRegistry::builtin());
         assert_eq!(summary_row(&report).len(), summary_header().len());
     }
 }

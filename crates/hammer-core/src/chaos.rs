@@ -31,6 +31,7 @@ use hammer_net::{
     ChaosConfig, ChaosSchedule, ChaosTargets, FaultPlan, LinkConfig, SimClock, SimNetwork,
 };
 use hammer_obs::{EventKind, JournalEvent, Obs};
+use hammer_rpc::json::Value;
 use hammer_workload::{ControlSequence, WorkloadConfig};
 
 use crate::deploy::{BackendOptions, BackendRegistry};
@@ -49,6 +50,15 @@ pub struct InvariantCheck {
 }
 
 impl InvariantCheck {
+    /// The check as a JSON object (verdict serialisers embed it).
+    pub(crate) fn to_value(&self) -> Value {
+        Value::object([
+            ("name", Value::from(self.name)),
+            ("passed", Value::from(self.passed)),
+            ("detail", Value::from(self.detail.as_str())),
+        ])
+    }
+
     /// A passing check (crate-internal: the chaos oracle and the scenario
     /// expectation layer are the only factories of evidence rows).
     pub(crate) fn pass(name: &'static str, detail: impl Into<String>) -> Self {
@@ -96,40 +106,15 @@ impl ChaosVerdict {
 
     /// Serialises the verdict as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"backend\":\"");
-        escape_into(&mut out, &self.backend);
-        out.push_str(&format!(
-            "\",\"seed\":{},\"stalled\":{},\"passed\":{},\"checks\":[",
-            self.seed,
-            self.stalled,
-            self.passed()
-        ));
-        for (i, check) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"passed\":{},\"detail\":\"",
-                check.name, check.passed
-            ));
-            escape_into(&mut out, &check.detail);
-            out.push_str("\"}");
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn escape_into(out: &mut String, value: &str) {
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+        let checks = self.checks.iter().map(InvariantCheck::to_value);
+        Value::object([
+            ("backend", Value::from(self.backend.as_str())),
+            ("seed", Value::from(self.seed)),
+            ("stalled", Value::from(self.stalled)),
+            ("passed", Value::from(self.passed())),
+            ("checks", Value::Array(checks.collect())),
+        ])
+        .to_json()
     }
 }
 

@@ -49,7 +49,8 @@ pub struct RecoveryConfig {
     /// Namespaces the checkpoint key: two runs under different ids never
     /// see each other's snapshots.
     pub run_id: String,
-    /// Simulated time between periodic snapshots.
+    /// Simulated time between periodic snapshots (the first is taken as
+    /// soon as the monitor starts).
     pub interval: Duration,
     /// Cooperative kill switch: when the monitor's clock passes this
     /// simulated time, the run aborts with [`crate::driver::EvalError::Killed`]

@@ -4,17 +4,16 @@
 //! "We utilize the Ansible component to develop automated deployment
 //! scripts, simplifying the deployment and configuration processes of the
 //! blockchain environment. Currently, automated deployment scripts are
-//! available for four typical blockchain systems." — [`Deployment::up`]
-//! is the programmatic equivalent: it builds the simulated cluster
-//! (clock, network, nodes) for any of the four chains from a
-//! [`ChainSpec`] and hands back a ready [`BlockchainClient`].
-//!
-//! The [`BackendRegistry`] goes one step further: backends are selected
-//! *by name* (from config files, CLI flags, or conformance sweeps), so
-//! the driver, `multi`, and the bench binaries never hard-code a
-//! constructor. Registering a new backend is one
-//! [`BackendRegistry::register`] call with a builder closure — see
-//! `DESIGN.md` §5.
+//! available for four typical blockchain systems." — the
+//! [`BackendRegistry`] is the programmatic equivalent, and the one way to
+//! deploy: backends are selected *by name* (from config files, CLI flags,
+//! or conformance sweeps), so the driver, `multi`, and the bench binaries
+//! never hard-code a constructor. [`BackendRegistry::deploy`] builds the
+//! simulated cluster (clock, network, nodes) and hands back a
+//! [`Deployment`] with a ready [`BlockchainClient`]. A chain with a
+//! non-default configuration, or a new backend, is one
+//! [`BackendRegistry::register`] call with a builder closure over
+//! [`Deployment::from_chain`] — see `DESIGN.md` §5.
 
 use std::io::BufRead;
 use std::net::SocketAddr;
@@ -42,75 +41,6 @@ use hammer_rpc::json::Value;
 use parking_lot::Mutex;
 
 use crate::retry::RetryPolicy;
-
-/// Which system to deploy, with its full configuration.
-#[derive(Clone, Debug)]
-pub enum ChainSpec {
-    /// PoW Ethereum simulator.
-    Ethereum(EthereumConfig),
-    /// Execute-order-validate Fabric simulator.
-    Fabric(FabricConfig),
-    /// Deterministic-ordering Neuchain simulator.
-    Neuchain(NeuchainConfig),
-    /// Sharded Meepo simulator.
-    Meepo(MeepoConfig),
-}
-
-impl ChainSpec {
-    /// Ethereum with the paper's deployment defaults (5 workers, 15 s PoW
-    /// blocks).
-    pub fn ethereum_default() -> Self {
-        ChainSpec::Ethereum(EthereumConfig::default())
-    }
-
-    /// Fabric with the paper's deployment defaults (1 orderer + 4 peers).
-    pub fn fabric_default() -> Self {
-        ChainSpec::Fabric(FabricConfig::default())
-    }
-
-    /// Neuchain with the paper's deployment defaults (epoch server +
-    /// client proxy + 3 block servers).
-    pub fn neuchain_default() -> Self {
-        ChainSpec::Neuchain(NeuchainConfig::default())
-    }
-
-    /// Meepo with the paper's deployment defaults (2 shards × 3 nodes).
-    pub fn meepo_default() -> Self {
-        ChainSpec::Meepo(MeepoConfig::default())
-    }
-
-    /// The chain's display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ChainSpec::Ethereum(_) => "ethereum-sim",
-            ChainSpec::Fabric(_) => "fabric-sim",
-            ChainSpec::Neuchain(_) => "neuchain-sim",
-            ChainSpec::Meepo(_) => "meepo-sim",
-        }
-    }
-
-    /// Looks a default spec up by its display name (config files and CLI
-    /// flags select backends this way).
-    pub fn by_name(name: &str) -> Option<ChainSpec> {
-        match name {
-            "ethereum-sim" => Some(Self::ethereum_default()),
-            "fabric-sim" => Some(Self::fabric_default()),
-            "neuchain-sim" => Some(Self::neuchain_default()),
-            "meepo-sim" => Some(Self::meepo_default()),
-            _ => None,
-        }
-    }
-
-    /// Default specs for all four systems, in the paper's Fig. 6 order.
-    pub fn all_defaults() -> Vec<ChainSpec> {
-        vec![
-            Self::ethereum_default(),
-            Self::fabric_default(),
-            Self::meepo_default(),
-            Self::neuchain_default(),
-        ]
-    }
-}
 
 /// Backend-agnostic knobs a registry builder applies to whatever config
 /// the chain uses internally (conformance suites tighten capacity and
@@ -837,13 +767,17 @@ impl BackendRegistry {
         clock: SimClock,
         net: SimNetwork,
     ) -> Result<Deployment, UnknownBackend> {
-        match self.builders.iter().find(|(n, _)| n == name) {
-            Some((_, builder)) => Ok(builder(opts, clock, net)),
-            None => Err(UnknownBackend {
+        Ok(self.builder(name)?(opts, clock, net))
+    }
+
+    fn builder(&self, name: &str) -> Result<&BackendBuilder, UnknownBackend> {
+        let found = self.builders.iter().find(|(n, _)| n == name);
+        found
+            .map(|(_, builder)| builder)
+            .ok_or_else(|| UnknownBackend {
                 name: name.to_owned(),
                 known: self.names().iter().map(|s| s.to_string()).collect(),
-            }),
-        }
+            })
     }
 
     /// Deploys `name` as its own `node-host` OS process behind real TCP,
@@ -863,12 +797,7 @@ impl BackendRegistry {
         supervisor_config: SupervisorConfig,
         reconnect: ReconnectPolicy,
     ) -> Result<Deployment, DeployError> {
-        if !self.builders.iter().any(|(n, _)| n == name) {
-            return Err(DeployError::Unknown(UnknownBackend {
-                name: name.to_owned(),
-                known: self.names().iter().map(|s| s.to_string()).collect(),
-            }));
-        }
+        self.builder(name)?;
         let supervisor = Supervisor::launch(name, opts, clock.clone(), supervisor_config)?;
         let inner =
             TcpChainClient::connect(supervisor.addr(), TcpClientConfig::default(), reconnect)
@@ -918,41 +847,6 @@ impl std::fmt::Debug for Deployment {
 }
 
 impl Deployment {
-    /// Deploys the SUT on a fresh simulated network whose clock runs
-    /// `speedup`× faster than wall time (1.0 = real time). Links follow
-    /// the paper's ~100 Mbps testbed.
-    pub fn up(spec: ChainSpec, speedup: f64) -> Self {
-        let clock = SimClock::with_speedup(speedup);
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-        Self::up_on(spec, clock, net)
-    }
-
-    /// Deploys on an existing clock/network (shared-infrastructure runs).
-    pub fn up_on(spec: ChainSpec, clock: SimClock, net: SimNetwork) -> Self {
-        match spec {
-            ChainSpec::Ethereum(config) => Self::from_chain(
-                EthereumSim::start(config, clock.clone(), net.clone()),
-                clock,
-                net,
-            ),
-            ChainSpec::Fabric(config) => Self::from_chain(
-                FabricSim::start(config, clock.clone(), net.clone()),
-                clock,
-                net,
-            ),
-            ChainSpec::Neuchain(config) => Self::from_chain(
-                NeuchainSim::start(config, clock.clone(), net.clone()),
-                clock,
-                net,
-            ),
-            ChainSpec::Meepo(config) => Self::from_chain(
-                MeepoSim::start(config, clock.clone(), net.clone()),
-                clock,
-                net,
-            ),
-        }
-    }
-
     /// Wraps any started [`SimChain`] (built-in or custom policy) as a
     /// deployment.
     pub fn from_chain<T: SimChain + 'static>(
@@ -1039,35 +933,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_four_chains_deploy() {
-        for spec in ChainSpec::all_defaults() {
-            let name = spec.name();
-            let deployment = Deployment::up(spec, 1000.0);
-            assert_eq!(deployment.client().chain_name(), name);
-            assert_eq!(deployment.client().latest_height(0).unwrap(), 0);
-            deployment.down();
-        }
-    }
-
-    #[test]
     fn seeding_reaches_the_chain() {
-        let deployment = Deployment::up(ChainSpec::fabric_default(), 1000.0);
+        let deployment = BackendRegistry::builtin()
+            .deploy("fabric-sim", &BackendOptions::default(), 1000.0)
+            .unwrap();
         let account = Address::from_name("seeded");
         deployment.seed_account(account, 123, 456);
         assert_eq!(deployment.chain().account(account).unwrap().checking, 123);
         assert_eq!(deployment.client().pending_txs().unwrap(), 0);
-    }
-
-    #[test]
-    fn spec_names() {
-        assert_eq!(ChainSpec::ethereum_default().name(), "ethereum-sim");
-        assert_eq!(ChainSpec::fabric_default().name(), "fabric-sim");
-        assert_eq!(ChainSpec::neuchain_default().name(), "neuchain-sim");
-        assert_eq!(ChainSpec::meepo_default().name(), "meepo-sim");
-        for spec in ChainSpec::all_defaults() {
-            assert_eq!(ChainSpec::by_name(spec.name()).unwrap().name(), spec.name());
-        }
-        assert!(ChainSpec::by_name("nonexistent").is_none());
     }
 
     #[test]
@@ -1082,6 +955,7 @@ mod tests {
                 .deploy(name, &BackendOptions::default(), 1000.0)
                 .unwrap();
             assert_eq!(deployment.client().chain_name(), name);
+            assert_eq!(deployment.client().latest_height(0).unwrap(), 0);
             deployment.down();
         }
     }

@@ -27,12 +27,12 @@
 //!
 //! ```
 //! use std::time::Duration;
-//! use hammer_core::deploy::{ChainSpec, Deployment};
+//! use hammer_core::deploy::{BackendOptions, BackendRegistry};
 //! use hammer_core::driver::{EvalConfig, Evaluation};
 //! use hammer_workload::{ControlSequence, WorkloadConfig};
 //!
 //! // 1. Deploy a simulated SUT (1000x accelerated clock).
-//! let deployment = Deployment::up(ChainSpec::neuchain_default(), 1000.0);
+//! let deployment = BackendRegistry::builtin().deploy("neuchain-sim", &BackendOptions::default(), 1000.0).unwrap();
 //! // 2. Describe the workload and control sequence.
 //! let workload = WorkloadConfig {
 //!     accounts: 100,
@@ -71,8 +71,8 @@ pub use bloom::BloomFilter;
 pub use chaos::{ChaosCase, ChaosVerdict, InvariantCheck};
 pub use checkpoint::{DriverCheckpoint, RecoveryConfig};
 pub use deploy::{
-    BackendOptions, BackendRegistry, ChainSpec, DeployError, DeployMode, Deployment,
-    ProcessFaultStats, Supervisor, SupervisorConfig, UnknownBackend,
+    BackendOptions, BackendRegistry, DeployError, DeployMode, Deployment, ProcessFaultStats,
+    Supervisor, SupervisorConfig, UnknownBackend,
 };
 pub use driver::{
     EvalConfig, EvalConfigBuilder, EvalReport, Evaluation, FaultWindowStats, TestingMode,

@@ -107,7 +107,7 @@ pub fn run_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deploy::ChainSpec;
+    use crate::deploy::{BackendOptions, BackendRegistry};
     use crate::driver::TestingMode;
     use crate::machine::ClientMachine;
     use std::time::Duration;
@@ -160,7 +160,9 @@ mod tests {
 
     #[test]
     fn zero_drivers_rejected() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 500.0);
+        let deployment = BackendRegistry::builtin()
+            .deploy("neuchain-sim", &BackendOptions::default(), 500.0)
+            .unwrap();
         let workload = WorkloadConfig::default();
         let control = ControlSequence::constant(10, 1, Duration::from_secs(1));
         assert!(matches!(
@@ -171,7 +173,9 @@ mod tests {
 
     #[test]
     fn batch_baseline_drivers_have_no_index_stats() {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 500.0);
+        let deployment = BackendRegistry::builtin()
+            .deploy("neuchain-sim", &BackendOptions::default(), 500.0)
+            .unwrap();
         let workload = WorkloadConfig {
             accounts: 50,
             chain_name: "neuchain-sim".to_owned(),

@@ -1572,17 +1572,7 @@ impl Verdict {
     /// Serialises the verdict (checks + the record-free report) as one
     /// JSON object.
     pub fn to_json(&self) -> String {
-        let checks: Vec<Value> = self
-            .checks
-            .iter()
-            .map(|c| {
-                Value::object([
-                    ("name", Value::from(c.name)),
-                    ("passed", Value::from(c.passed)),
-                    ("detail", Value::from(c.detail.as_str())),
-                ])
-            })
-            .collect();
+        let checks = self.checks.iter().map(InvariantCheck::to_value);
         let mut fields = vec![
             ("scenario", Value::from(self.scenario.as_str())),
             ("backend", Value::from(self.backend.as_str())),
@@ -1598,16 +1588,9 @@ impl Verdict {
                 ]),
             ));
         }
-        fields.push(("checks", Value::Array(checks)));
-        let head = Value::object(fields);
-        let head = head.to_json();
-        // Splice the report in as a sibling field (it already serialises
-        // itself).
-        format!(
-            "{},\"report\":{}}}",
-            &head[..head.len() - 1],
-            self.report.to_json()
-        )
+        fields.push(("checks", Value::Array(checks.collect())));
+        fields.push(("report", self.report.to_value()));
+        Value::object(fields).to_json()
     }
 }
 

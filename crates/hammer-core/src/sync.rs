@@ -12,6 +12,7 @@
 //! * [`run_merger`] — the Redis→MySQL half: a background thread `LTAKE`s
 //!   every status list on a period and inserts the decoded rows into the
 //!   Performance table.
+//! * `LiveSync` — the two halves wired up for one evaluation run.
 //!
 //! Records use a fixed-width binary encoding (44 bytes) so the KV store
 //! carries realistic payloads rather than references.
@@ -20,8 +21,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use hammer_chain::types::TxStatus;
 use hammer_store::table::{PerfRow, RowOutcome};
 use hammer_store::{KvStore, TableStore};
+
+use crate::index::TxRecord;
 
 /// One completed (or finally-failed) transaction status record.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -86,6 +90,28 @@ impl StatusRecord {
     }
 }
 
+impl From<&TxRecord> for StatusRecord {
+    /// A finished tracker record as a publishable status. `Pending` is
+    /// defensively mapped to `TimedOut`: the report settles every pending
+    /// record before rows are built.
+    fn from(record: &TxRecord) -> Self {
+        StatusRecord {
+            tx_fingerprint: record.tx_id.fingerprint(),
+            client_id: record.client_id,
+            server_id: record.server_id,
+            start_ns: record.start.as_nanos() as u64,
+            end_ns: record.end.map_or(u64::MAX, |e| e.as_nanos() as u64),
+            outcome: match record.status {
+                TxStatus::Committed => RowOutcome::Committed,
+                TxStatus::Failed => RowOutcome::Failed,
+                TxStatus::Dropped => RowOutcome::Dropped,
+                TxStatus::Expired => RowOutcome::Expired,
+                TxStatus::TimedOut | TxStatus::Pending => RowOutcome::TimedOut,
+            },
+        }
+    }
+}
+
 /// The per-server list key.
 pub fn list_key(server_id: u32) -> String {
     format!("hammer:status:{server_id}")
@@ -142,6 +168,65 @@ pub fn run_merger(
             return transferred;
         }
         std::thread::sleep(period);
+    }
+}
+
+/// The pipeline wired up for one evaluation run (the driver builds it
+/// only when live sync is on): statuses published through
+/// [`LiveSync::syncer`] flow into a Performance table via a background
+/// merger thread.
+pub(crate) struct LiveSync {
+    syncer: StatusSyncer,
+    table: Arc<TableStore>,
+    stop: Arc<AtomicBool>,
+    merger: std::thread::JoinHandle<usize>,
+}
+
+impl LiveSync {
+    pub(crate) fn start(chain_name: &str, servers: u32) -> Self {
+        let kv = Arc::new(KvStore::new());
+        let table = Arc::new(TableStore::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let server_ids: Vec<u32> = (0..servers.max(1)).collect();
+        let merger = {
+            let (kv, table, stop) = (Arc::clone(&kv), Arc::clone(&table), Arc::clone(&stop));
+            let name = chain_name.to_owned();
+            let period = Duration::from_millis(5);
+            std::thread::Builder::new()
+                .name("hammer-merger".to_owned())
+                .spawn(move || run_merger(&kv, &table, &name, &server_ids, period, &stop))
+                .expect("spawn merger")
+        };
+        LiveSync {
+            syncer: StatusSyncer::new(kv, 0),
+            table,
+            stop,
+            merger,
+        }
+    }
+
+    /// The publisher completions are pushed through while the run lasts.
+    pub(crate) fn syncer(&self) -> StatusSyncer {
+        self.syncer.clone()
+    }
+
+    /// Flushes `stragglers` (records that never produced a completion
+    /// event) through the same pipeline, stops the merger once the lists
+    /// are empty, and returns its table with the number of rows that
+    /// travelled the pipeline.
+    pub(crate) fn finish<'r>(
+        self,
+        stragglers: impl IntoIterator<Item = &'r TxRecord>,
+    ) -> (TableStore, usize) {
+        for record in stragglers {
+            self.syncer.publish(&record.into());
+        }
+        self.stop.store(true, Ordering::Release);
+        let synced_rows = self.merger.join().expect("merger panicked");
+        // The merger has exited, so its clone of the table is gone.
+        let table = Arc::try_unwrap(self.table)
+            .unwrap_or_else(|arc| TableStore::new_from_rows(arc.all_rows()));
+        (table, synced_rows)
     }
 }
 

@@ -35,6 +35,8 @@ pub enum EventKind {
     /// The driver's stall watchdog detected a no-progress interval and
     /// aborted the run gracefully.
     Stalled,
+    /// The driver's monitor hit a fatal chain error and aborted the run.
+    MonitorFailed,
 }
 
 impl EventKind {
@@ -47,6 +49,7 @@ impl EventKind {
             EventKind::RetryExhausted => "retry_exhausted",
             EventKind::BlockSeal => "block_seal",
             EventKind::Stalled => "stalled",
+            EventKind::MonitorFailed => "monitor_failed",
         }
     }
 }
@@ -200,6 +203,18 @@ impl Journal {
             node: node.to_owned(),
             detail: format!("budget_s={:.3}", budget.as_secs_f64()),
             value: pending,
+        });
+    }
+
+    /// Record the monitor aborting the run on a fatal chain error
+    /// (`detail` is the error's text).
+    pub fn monitor_failed(&self, at: Duration, node: &str, detail: &str) {
+        self.push(JournalEvent {
+            at,
+            kind: EventKind::MonitorFailed,
+            node: node.to_owned(),
+            detail: detail.to_owned(),
+            value: 0,
         });
     }
 

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::store::report::render_table;
@@ -21,15 +21,17 @@ fn main() {
     let seconds = 10usize;
 
     let mut rows = Vec::new();
-    for spec in ChainSpec::all_defaults() {
-        let name = spec.name().to_owned();
+    let registry = BackendRegistry::builtin();
+    for name in registry.names() {
         eprintln!("evaluating {name}...");
-        let deployment = Deployment::up(spec, 200.0);
+        let deployment = registry
+            .deploy(name, &BackendOptions::default(), 200.0)
+            .expect("listed by the registry");
         let workload = WorkloadConfig {
             accounts: 2_000,
             clients: 2,
             threads_per_client: 2,
-            chain_name: name.clone(),
+            chain_name: name.to_owned(),
             ..WorkloadConfig::default()
         };
         let control = ControlSequence::constant(rate, seconds, Duration::from_secs(1));
@@ -42,7 +44,7 @@ fn main() {
             .run(&deployment, &workload, &control)
             .expect("evaluation failed");
         rows.push(vec![
-            name,
+            name.to_owned(),
             format!("{:.1}", report.overall_tps),
             format!("{:.3}", report.latency.mean_s),
             format!("{:.3}", report.latency.p95_s),

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::core::sync::StatusRecord;
@@ -19,7 +19,9 @@ use hammer::workload::{ControlSequence, WorkloadConfig};
 
 fn main() {
     // Run a short evaluation on the Fabric simulator.
-    let deployment = Deployment::up(ChainSpec::fabric_default(), 200.0);
+    let deployment = BackendRegistry::builtin()
+        .deploy("fabric-sim", &BackendOptions::default(), 200.0)
+        .expect("registered backend");
     let workload = WorkloadConfig {
         accounts: 2_000,
         chain_name: "fabric-sim".to_owned(),

@@ -11,10 +11,10 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use hammer::chain::types::TxStatus;
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
-use hammer::fabric::FabricConfig;
+use hammer::fabric::{FabricConfig, FabricSim};
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
 #[test]
@@ -22,14 +22,19 @@ fn driver_statistics_match_node_logs() {
     // Same configuration as the full-size correctness_check binary: the
     // audit is about accounting, so give the chain headroom for 600 TPS
     // (validation 1 ms/tx => ~1000 TPS ceiling).
-    let deployment = Deployment::up(
-        ChainSpec::Fabric(FabricConfig {
+    let mut registry = BackendRegistry::builtin();
+    registry.register("fabric-sim", |_, clock, net| {
+        let config = FabricConfig {
             validate_cost: Duration::from_millis(1),
             inbox_capacity: 50_000,
             ..FabricConfig::default()
-        }),
-        400.0,
-    );
+        };
+        let chain = FabricSim::start(config, clock.clone(), net.clone());
+        Deployment::from_chain(chain, clock, net)
+    });
+    let deployment = registry
+        .deploy("fabric-sim", &BackendOptions::default(), 400.0)
+        .unwrap();
     let workload = WorkloadConfig {
         accounts: 5_000,
         clients: 4,

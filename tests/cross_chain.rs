@@ -4,22 +4,29 @@
 
 use std::time::Duration;
 
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer::core::driver::{EvalConfig, EvalReport, Evaluation};
 use hammer::core::machine::ClientMachine;
-use hammer::ethereum::EthereumConfig;
+use hammer::ethereum::{EthereumConfig, EthereumSim};
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
 mod common;
 
-fn run_chain(spec: ChainSpec, rate: u32, seconds: usize, speedup: f64) -> EvalReport {
-    let name = spec.name().to_owned();
-    let deployment = Deployment::up(spec, speedup);
+fn run_chain(
+    registry: &BackendRegistry,
+    name: &str,
+    rate: u32,
+    seconds: usize,
+    speedup: f64,
+) -> EvalReport {
+    let deployment = registry
+        .deploy(name, &BackendOptions::default(), speedup)
+        .unwrap();
     let workload = WorkloadConfig {
         accounts: 1_000,
         clients: 2,
         threads_per_client: 2,
-        chain_name: name,
+        chain_name: name.to_owned(),
         ..WorkloadConfig::default()
     };
     let control = ControlSequence::constant(rate, seconds, Duration::from_secs(1));
@@ -60,7 +67,7 @@ fn fabric_completes_the_common_workload() {
     // the observed floor — a real sealing or validation regression
     // commits far less. Full derivation and measurement history: "fabric
     // commit band" in tests/common/mod.rs.
-    let report = run_chain(ChainSpec::fabric_default(), 100, 6, 400.0);
+    let report = run_chain(&BackendRegistry::builtin(), "fabric-sim", 100, 6, 400.0);
     assert_consistent(&report, 600);
     // Printed so re-measuring the band (see tests/common/mod.rs, "fabric
     // commit band") is a grep over `--nocapture` runs, not a code edit.
@@ -71,7 +78,7 @@ fn fabric_completes_the_common_workload() {
 #[test]
 fn neuchain_completes_the_common_workload() {
     let _guard = common::serial_guard();
-    let report = run_chain(ChainSpec::neuchain_default(), 100, 6, 400.0);
+    let report = run_chain(&BackendRegistry::builtin(), "neuchain-sim", 100, 6, 400.0);
     assert_consistent(&report, 600);
     assert!(report.committed > 550, "committed = {}", report.committed);
     // Deterministic ordering commits within roughly an epoch.
@@ -85,7 +92,7 @@ fn neuchain_completes_the_common_workload() {
 #[test]
 fn meepo_completes_the_common_workload_across_shards() {
     let _guard = common::serial_guard();
-    let report = run_chain(ChainSpec::meepo_default(), 100, 6, 400.0);
+    let report = run_chain(&BackendRegistry::builtin(), "meepo-sim", 100, 6, 400.0);
     assert_consistent(&report, 600);
     assert!(report.committed > 550, "committed = {}", report.committed);
 }
@@ -94,11 +101,16 @@ fn meepo_completes_the_common_workload_across_shards() {
 fn ethereum_commits_with_short_private_blocks() {
     let _guard = common::serial_guard();
     // A short-block private net so the test stays fast.
-    let spec = ChainSpec::Ethereum(EthereumConfig {
-        block_interval: Duration::from_secs(2),
-        ..EthereumConfig::default()
+    let mut registry = BackendRegistry::builtin();
+    registry.register("ethereum-sim", |_, clock, net| {
+        let config = EthereumConfig {
+            block_interval: Duration::from_secs(2),
+            ..EthereumConfig::default()
+        };
+        let chain = EthereumSim::start(config, clock.clone(), net.clone());
+        Deployment::from_chain(chain, clock, net)
     });
-    let report = run_chain(spec, 15, 8, 400.0);
+    let report = run_chain(&registry, "ethereum-sim", 15, 8, 400.0);
     assert_consistent(&report, 120);
     assert!(report.committed > 100, "committed = {}", report.committed);
 }
@@ -108,8 +120,8 @@ fn relative_latency_ordering_holds() {
     let _guard = common::serial_guard();
     // The paper's headline shape at miniature scale: Neuchain commits
     // faster than Meepo (epoch 0.1s vs 0.8s block time).
-    let neuchain = run_chain(ChainSpec::neuchain_default(), 80, 5, 400.0);
-    let meepo = run_chain(ChainSpec::meepo_default(), 80, 5, 400.0);
+    let neuchain = run_chain(&BackendRegistry::builtin(), "neuchain-sim", 80, 5, 400.0);
+    let meepo = run_chain(&BackendRegistry::builtin(), "meepo-sim", 80, 5, 400.0);
     assert!(
         neuchain.latency.mean_s < meepo.latency.mean_s,
         "neuchain {:.3}s !< meepo {:.3}s",

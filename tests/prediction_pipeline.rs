@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::predict::generate::generate_denormalized;
@@ -65,7 +65,9 @@ fn trace_to_evaluation_pipeline() {
     let total = control.total();
     assert!((total as i64 - 2_000).abs() <= 30, "total = {total}");
 
-    let deployment = Deployment::up(ChainSpec::neuchain_default(), 400.0);
+    let deployment = BackendRegistry::builtin()
+        .deploy("neuchain-sim", &BackendOptions::default(), 400.0)
+        .unwrap();
     let workload = WorkloadConfig {
         accounts: 500,
         chain_name: "neuchain-sim".to_owned(),

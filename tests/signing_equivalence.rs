@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use hammer::chain::types::Transaction;
-use hammer::core::deploy::{ChainSpec, Deployment};
+use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation, SigningStrategy};
 use hammer::core::machine::ClientMachine;
 use hammer::core::signer::{sign_async, sign_pipelined, sign_serial};
@@ -54,7 +54,9 @@ fn evaluations_commit_the_same_set_under_every_strategy() {
         SigningStrategy::Async,
         SigningStrategy::Pipelined,
     ] {
-        let deployment = Deployment::up(ChainSpec::neuchain_default(), 400.0);
+        let deployment = BackendRegistry::builtin()
+            .deploy("neuchain-sim", &BackendOptions::default(), 400.0)
+            .unwrap();
         let workload = WorkloadConfig {
             accounts: 300,
             chain_name: "neuchain-sim".to_owned(),
