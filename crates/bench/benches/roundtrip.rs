@@ -4,14 +4,19 @@
 //! per-signature verification, and buffer-reusing vs. allocating codecs.
 //!
 //! `scripts/bench_snapshot.sh` runs this group with `CRITERION_JSON` set
-//! and checks the fixed-base speedup against its ≥3× floor.
+//! and checks the fixed-base speedup against its ≥3× floor and the SHA-256
+//! kernel against the portable rounds.
+
+use std::io::Write as _;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hammer_chain::codec;
 use hammer_chain::smallbank::Op;
 use hammer_chain::types::{verify_signed_batch, SignedTransaction, Transaction};
+use hammer_crypto::merkle::merkle_root;
+use hammer_crypto::sha256::{compress, compress_portable, hardware_accelerated, sha256_pair};
 use hammer_crypto::sig::{pow_g, pow_mod, SigParams, G, GROUP_ORDER};
-use hammer_crypto::Keypair;
+use hammer_crypto::{sha256, Keypair};
 use hammer_rpc::json::Value;
 use hammer_rpc::transport::RpcServer;
 
@@ -34,6 +39,27 @@ fn signed_burst(n: u64, keypair: &Keypair, params: &SigParams) -> Vec<SignedTran
     (0..n)
         .map(|i| sample_tx(i).sign_with_buf(keypair, params, &mut buf))
         .collect()
+}
+
+/// First line of the snapshot: the host facts its numbers depend on.
+/// `scripts/bench_snapshot.sh` reads `sha_extensions` back to choose the
+/// compress-ratio gate.
+fn record_host(_: &mut Criterion) {
+    let path = std::env::var("CRITERION_JSON").unwrap_or_default();
+    if path.is_empty() {
+        return;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let line = format!(
+        "{{\"id\":\"roundtrip/_host\",\"host_cores\":{cores},\"sha_extensions\":{}}}\n",
+        hardware_accelerated()
+    );
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut file| file.write_all(line.as_bytes()))
+        .expect("append the host line to CRITERION_JSON");
 }
 
 /// Fixed-base vs. generic modexp — the primitive behind the signing
@@ -61,6 +87,40 @@ fn bench_modexp(c: &mut Criterion) {
             }
             acc
         });
+    });
+    group.finish();
+}
+
+/// The `crypto` layer's hash kernel: one compression through the
+/// dispatch point (SHA extensions where the CPU has them) against the
+/// portable rounds — `scripts/bench_snapshot.sh` gates on the ratio — and
+/// the two shapes the seal path is made of, the Merkle inner node and a
+/// whole root over a block's worth of 32-byte ids.
+fn bench_sha256(c: &mut Criterion) {
+    let mut group = c.benchmark_group("roundtrip");
+    let block = [[0x5au8; 64]];
+    group.bench_function("sha256_compress", |b| {
+        let mut state = [0u32; 8];
+        b.iter(|| {
+            compress(&mut state, black_box(&block));
+            state[0]
+        });
+    });
+    group.bench_function("sha256_compress_portable", |b| {
+        let mut state = [0u32; 8];
+        b.iter(|| {
+            compress_portable(&mut state, black_box(&block));
+            state[0]
+        });
+    });
+    let (left, right) = (sha256(b"left"), sha256(b"right"));
+    group.bench_function("sha256_pair", |b| {
+        b.iter(|| sha256_pair(black_box(&left), black_box(&right)));
+    });
+    let ids: Vec<[u8; 32]> = (0..4096u32).map(|i| sha256(&i.to_be_bytes())).collect();
+    group.throughput(Throughput::Elements(ids.len() as u64));
+    group.bench_function("merkle_root_4096", |b| {
+        b.iter(|| merkle_root(black_box(&ids)));
     });
     group.finish();
 }
@@ -145,7 +205,9 @@ fn bench_rpc_call(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    record_host,
     bench_modexp,
+    bench_sha256,
     bench_stages,
     bench_verify_burst,
     bench_rpc_call

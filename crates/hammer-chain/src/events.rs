@@ -36,8 +36,17 @@ impl CommitBus {
     }
 
     /// Publishes a batch (one lock acquisition for the whole block).
-    pub fn publish_all(&self, events: &[CommitEvent]) {
+    ///
+    /// `events` is called only when someone is subscribed, so a block
+    /// nobody listens to costs no per-transaction event. "Nobody" is
+    /// decided under the same lock that `subscribe` takes: a subscriber
+    /// arriving during the call gets the whole batch or none of it.
+    pub fn publish_all(&self, events: impl FnOnce() -> Vec<CommitEvent>) {
         let mut subs = self.subscribers.lock();
+        if subs.is_empty() {
+            return;
+        }
+        let events = events();
         subs.retain(|s| events.iter().all(|e| s.send(e.clone()).is_ok()));
     }
 
@@ -100,10 +109,20 @@ mod tests {
         let bus = CommitBus::new();
         let rx = bus.subscribe();
         let events: Vec<CommitEvent> = (0..5).map(event).collect();
-        bus.publish_all(&events);
+        bus.publish_all(|| events.clone());
         for e in &events {
             assert_eq!(rx.try_recv().unwrap().tx_id, e.tx_id);
         }
+    }
+
+    #[test]
+    fn publish_all_builds_nothing_for_nobody() {
+        let bus = CommitBus::new();
+        bus.publish_all(|| panic!("events built with no subscriber"));
+        // The same once the only subscriber is gone and pruned.
+        drop(bus.subscribe());
+        bus.publish(&event(1));
+        bus.publish_all(|| panic!("events built with no subscriber"));
     }
 
     #[test]

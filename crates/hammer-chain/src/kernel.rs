@@ -286,16 +286,6 @@ impl Kernel {
         };
         self.gossip(&proposer, &gossip_to, block.len());
 
-        let events: Vec<CommitEvent> = block
-            .entries()
-            .map(|(tx_id, success)| CommitEvent {
-                tx_id,
-                success,
-                block_height: block.header.height,
-                shard: shard_id,
-                committed_at: timestamp,
-            })
-            .collect();
         let height = block.header.height;
         let sealed_txs = block.len();
         let ok = block.valid.iter().filter(|v| **v).count() as u64;
@@ -330,7 +320,22 @@ impl Kernel {
             obs.journal()
                 .block_seal(timestamp, &proposer, height, sealed_txs);
         }
-        self.bus.publish_all(&events);
+        // Events are built from the appended block, and only for a bus
+        // someone is subscribed to.
+        self.bus.publish_all(|| {
+            let ledger = shard.ledger.read();
+            let block = ledger.block_at(height).expect("appended above");
+            block
+                .entries()
+                .map(|(tx_id, success)| CommitEvent {
+                    tx_id,
+                    success,
+                    block_height: height,
+                    shard: shard_id,
+                    committed_at: timestamp,
+                })
+                .collect()
+        });
     }
 }
 
@@ -972,6 +977,38 @@ mod tests {
         assert!(event.success);
         assert_eq!(chain.stats().committed, 1);
         chain.verify_ledgers().unwrap();
+        chain.shutdown();
+    }
+
+    #[test]
+    fn seal_block_publishes_in_block_order_to_subscribers_only() {
+        let chain = start_fifo();
+        let valid = vec![true, false, true, true, false, true, true];
+        let round = |first_nonce: u64| Round {
+            proposer: "fifo-node-0".to_owned(),
+            tx_ids: (first_nonce..first_nonce + 7)
+                .map(|n| signed(n).id)
+                .collect(),
+            valid: valid.clone(),
+            gossip_to: Vec::new(),
+            mempool_depth: None,
+        };
+        // Sealed with nobody subscribed: committed all the same, and (the
+        // bus's own tests pin this) without building an event.
+        chain.kernel().seal_block(0, round(0));
+        assert_eq!(chain.stats().committed + chain.stats().failed, 7);
+        let rx = chain.subscribe_commits();
+        assert!(rx.try_recv().is_err(), "a late subscriber missed block 1");
+
+        let second = round(100);
+        let expect: Vec<(TxId, bool)> = second.tx_ids.iter().copied().zip(valid.clone()).collect();
+        chain.kernel().seal_block(0, second);
+        let got: Vec<CommitEvent> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        assert_eq!(
+            got.iter().map(|e| (e.tx_id, e.success)).collect::<Vec<_>>(),
+            expect
+        );
+        assert!(got.iter().all(|e| e.block_height == 2 && e.shard == 0));
         chain.shutdown();
     }
 

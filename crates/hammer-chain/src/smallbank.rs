@@ -130,6 +130,21 @@ impl Op {
         }
     }
 
+    /// Length of what [`Op::encode_into`] appends: the tag and one
+    /// 8-byte word per field.
+    pub fn encoded_len(&self) -> usize {
+        let words = match self {
+            Op::CreateAccount { .. } | Op::SendPayment { .. } => 3,
+            Op::DepositChecking { .. }
+            | Op::WriteCheck { .. }
+            | Op::TransactSavings { .. }
+            | Op::Amalgamate { .. }
+            | Op::KvPut { .. } => 2,
+            Op::Balance { .. } | Op::KvGet { .. } => 1,
+        };
+        1 + 8 * words
+    }
+
     /// Appends the canonical byte encoding (used for hashing/signing).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(self.tag());

@@ -6,7 +6,10 @@
 //! primitives the simulated chains and the evaluation driver need, from
 //! scratch:
 //!
-//! * [`mod@sha256`] — the FIPS 180-4 SHA-256 hash function.
+//! * [`mod@sha256`] — the FIPS 180-4 SHA-256 hash function. Its compression
+//!   function runs on the x86-64 SHA extensions when the CPU reports them
+//!   and on portable rounds otherwise; the choice is the CPU's alone (see
+//!   [`sha256::hardware_accelerated`]) and the output is bit-identical.
 //! * [`hmac`] — HMAC-SHA-256 message authentication.
 //! * [`merkle`] — binary Merkle trees with inclusion proofs, used by the
 //!   chain simulators to commit to block transaction lists.
@@ -29,7 +32,10 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Safe Rust, except the private `sha256::x86` module: hardware
+// instructions safe code has no operation for, behind a run-time check.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod hmac;
 pub mod keys;

@@ -116,22 +116,44 @@ impl MerkleProof {
     }
 }
 
-/// Computes just the Merkle root over items without materialising the tree.
+/// Computes just the Merkle root over items without materialising the tree
+/// or anything else: one pass, no allocation.
+///
+/// `pending[k]` is the root of a finished `2^k`-leaf subtree waiting for its
+/// right sibling, occupied exactly when bit `k` of the number of leaves
+/// seen so far is set (a binary counter whose carries are pair hashes).
+/// The right edge is closed last: a node without a sibling pairs with
+/// itself, which is the duplicate-the-odd-node rule of [`MerkleTree`].
 pub fn merkle_root<T: AsRef<[u8]>>(items: &[T]) -> Hash32 {
-    if items.is_empty() {
+    let mut pending = [[0u8; 32]; usize::BITS as usize];
+    for (seen, item) in items.iter().enumerate() {
+        let mut node = crate::sha256(item.as_ref());
+        let mut level = 0;
+        while (seen >> level) & 1 == 1 {
+            node = sha256_pair(&pending[level], &node);
+            level += 1;
+        }
+        pending[level] = node;
+    }
+    let n = items.len();
+    if n == 0 {
         return [0u8; 32];
     }
-    let mut level: Vec<Digest> = items.iter().map(|i| crate::sha256(i.as_ref())).collect();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            let left = &pair[0];
-            let right = pair.get(1).unwrap_or(left);
-            next.push(sha256_pair(left, right));
-        }
-        level = next;
+    // Climb from the lowest finished subtree (the rightmost node of its
+    // level) to the root at level ceil(log2 n).
+    let mut level = n.trailing_zeros();
+    let mut node = pending[level as usize];
+    let waiting = n & (n - 1);
+    let root_level = usize::BITS - (n - 1).leading_zeros();
+    while level < root_level {
+        node = if (waiting >> level) & 1 == 1 {
+            sha256_pair(&pending[level as usize], &node)
+        } else {
+            sha256_pair(&node, &node)
+        };
+        level += 1;
     }
-    level[0]
+    node
 }
 
 #[cfg(test)]
@@ -206,9 +228,55 @@ mod tests {
 
     #[test]
     fn merkle_root_matches_tree() {
-        let items: Vec<String> = (0..13).map(|i| format!("tx-{i}")).collect();
-        let tree = MerkleTree::from_items(&items);
-        assert_eq!(merkle_root(&items), tree.root());
+        // Every shape of right edge: odd nodes duplicated on one level,
+        // on several, on none.
+        for n in 0..=65 {
+            let items: Vec<String> = (0..n).map(|i| format!("tx-{i}")).collect();
+            let tree = MerkleTree::from_items(&items);
+            assert_eq!(merkle_root(&items), tree.root(), "n={n}");
+        }
+    }
+
+    /// Roots over 32-byte ids (the block case), as the parent commit
+    /// computed them level by level.
+    #[test]
+    fn merkle_root_golden_vectors() {
+        const GOLDEN: [(usize, &str); 7] = [
+            (
+                0,
+                "0000000000000000000000000000000000000000000000000000000000000000",
+            ),
+            (
+                1,
+                "fb299ccfc2b39f540ce126db1cca17d91484a167e8fb376ca1d1dd2c8c3a74b7",
+            ),
+            (
+                2,
+                "25450df18522dda1eea999d580dc723706ca05e8c683262020d23c1e106f72f4",
+            ),
+            (
+                3,
+                "e6d1ae3dfc242a8bcf078c41bc2aa47c45bb2d3e90967038e1f8d5d5666dd4a5",
+            ),
+            (
+                5,
+                "fcb5cab78bfef8bee8b104ccca8c8fa81fdb131229df91d66de76b8c736c3ae4",
+            ),
+            (
+                8,
+                "9b57d1e67d986b8e487b6027b1b8bae4dc39d907b95ba320bc306ecfbeded0a3",
+            ),
+            (
+                1000,
+                "6e287c67af939bb4425414330fac349981e0599567f4743a0497bd5658845adc",
+            ),
+        ];
+        for (n, root) in GOLDEN {
+            let ids: Vec<Digest> = (0..n)
+                .map(|i| sha256(format!("tx-{i}").as_bytes()))
+                .collect();
+            assert_eq!(crate::to_hex(&merkle_root(&ids)), root, "n={n}");
+        }
     }
 
     proptest! {

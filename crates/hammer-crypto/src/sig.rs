@@ -32,8 +32,8 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use crate::hmac::hmac_sha256;
-use crate::sha256::Sha256;
+use crate::hmac::HmacSha256;
+use crate::sha256::{sha256_digest, Sha256};
 
 /// The Mersenne prime modulus `2^61 - 1`.
 pub const P: u64 = (1u64 << 61) - 1;
@@ -250,7 +250,7 @@ fn challenge(r: u64, msg: &[u8], y: u64, params: &SigParams) -> u64 {
     h.update(&y.to_be_bytes());
     let mut digest = h.finalize();
     for _ in 1..params.cost_factor.max(1) {
-        digest = crate::sha256(&digest);
+        digest = sha256_digest(&digest);
     }
     let e = u64::from_be_bytes(digest[..8].try_into().expect("8 bytes"));
     e % GROUP_ORDER
@@ -262,10 +262,10 @@ fn derive_nonce(secret: u64, msg: &[u8]) -> u64 {
     let key = secret.to_be_bytes();
     let mut counter: u32 = 0;
     loop {
-        let mut input = Vec::with_capacity(msg.len() + 4);
-        input.extend_from_slice(msg);
-        input.extend_from_slice(&counter.to_be_bytes());
-        let mac = hmac_sha256(&key, &input);
+        let mut ctx = HmacSha256::new(&key);
+        ctx.update(msg);
+        ctx.update(&counter.to_be_bytes());
+        let mac = ctx.finalize();
         let k = u64::from_be_bytes(mac[..8].try_into().expect("8 bytes")) % GROUP_ORDER;
         if k != 0 {
             return k;
@@ -461,6 +461,41 @@ mod tests {
         let params = SigParams::fast();
         assert_eq!(sign(7, b"same", &params), sign(7, b"same", &params));
         assert_ne!(sign(7, b"same", &params), sign(7, b"diff", &params));
+    }
+
+    /// `(r, s)` as the parent commit produced them: the nonce HMAC and the
+    /// hardened challenge must stay bit-identical under any hash kernel.
+    #[test]
+    fn sign_golden_vectors() {
+        let long = b"a message that is longer than one sha-256 block so the nonce hmac \
+and the challenge both span blocks";
+        let golden: [(u64, &[u8], u32, u64, u64); 3] = [
+            (
+                0x1234_5678_9abc,
+                b"hello",
+                1,
+                0x1ee8_24fe_72f1_b7b3,
+                0x0449_1abc_280d_019b,
+            ),
+            (
+                42,
+                b"transfer 10 from alice to bob",
+                5,
+                0x0460_9c06_9db5_6a33,
+                0x1ef4_9334_0dec_744f,
+            ),
+            (
+                0x0dea_dbee_f123_4567,
+                long,
+                200,
+                0x08f0_f81d_688b_c765,
+                0x1abe_6f30_731e_0ec3,
+            ),
+        ];
+        for (x, msg, cost, r, s) in golden {
+            let sig = sign(x, msg, &SigParams::with_cost(cost));
+            assert_eq!(sig, Signature { r, s }, "x={x:#x} cost={cost}");
+        }
     }
 
     #[test]

@@ -7,6 +7,10 @@
 # if
 #   * the windowed fixed-base modexp does not hold its >=3x speedup over
 #     generic square-and-multiply, or
+#   * one SHA-256 compression through the dispatch point costs more than
+#     0.5x the portable rounds on a CPU whose SHA extensions the bench
+#     detected, or more than 1.1x on one without (the dispatch itself
+#     must be free), or
 #   * signing through a *disabled* observability context costs more than
 #     5% over the plain path (the near-zero-when-off guarantee), or
 #   * a loopback-TCP RPC call costs more than 50x the in-process
@@ -50,7 +54,39 @@ awk -v g="$generic" -v f="$fixed" 'BEGIN {
         exit 1
     }
 }'
+# The first line of the snapshot is the host (cores, SHA extensions as
+# the program detected them); the compress gate depends on it.
+sha_ext=$(awk -F'"sha_extensions":' '/"roundtrip\/_host"/ { split($2, a, "}"); print a[1] }' "$OUT_ABS")
+dispatched=$(awk -F'"mean_ns":' '/"roundtrip\/sha256_compress"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
+portable=$(awk -F'"mean_ns":' '/"roundtrip\/sha256_compress_portable"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
+if [ -z "$sha_ext" ] || [ -z "$dispatched" ] || [ -z "$portable" ]; then
+    echo "bench_snapshot: sha256_compress results or host line missing from $OUT" >&2
+    exit 1
+fi
+awk -v e="$sha_ext" -v d="$dispatched" -v p="$portable" 'BEGIN {
+    r = d / p
+    limit = (e == "true") ? 0.5 : 1.1
+    printf "sha256 compress, dispatched / portable: %.2fx (%.0f ns / %.0f ns; SHA extensions detected: %s, limit %.1fx)\n", r, d, p, e, limit
+    if (r > limit) {
+        print "bench_snapshot: dispatched sha256 compress above its limit against the portable rounds" > "/dev/stderr"
+        exit 1
+    }
+}'
 echo "snapshot written to $OUT"
+
+# Before/after: a snapshot of the previous state of the code, taken on
+# this host, sits beside the live one.
+BEFORE="${OUT_ABS%.json}.before.json"
+if [ -f "$BEFORE" ]; then
+    echo "before ($(basename "$BEFORE")) -> after ($(basename "$OUT_ABS")), mean ns:"
+    awk -F'"' '
+        function mean(line,   a) { split(line, a, "\"mean_ns\":"); split(a[2], a, ","); return a[1] }
+        /"mean_ns"/ && FNR == NR { before[$4] = mean($0); next }
+        /"mean_ns"/ {
+            if ($4 in before) printf "  %-36s %10.1f -> %10.1f  (%.2fx)\n", $4, before[$4], mean($0), mean($0) / before[$4]
+            else printf "  %-36s %10s -> %10.1f\n", $4, "-", mean($0)
+        }' "$BEFORE" "$OUT_ABS"
+fi
 
 : > "$OBS_OUT_ABS"
 CRITERION_JSON="$OBS_OUT_ABS" cargo bench --offline -p bench --bench obs_overhead

@@ -13,7 +13,8 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (-D warnings)"
 # The driver module also opts into clippy::too_many_lines (threshold 150,
-# clippy.toml), so no stage function can grow back into a monolith.
+# clippy.toml), so no stage function can grow back into a monolith, and
+# hammer-crypto into clippy::undocumented_unsafe_blocks (its lib.rs).
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc (-D warnings)"
@@ -27,6 +28,27 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet \
 echo "==> tier-1: cargo build --release && cargo test"
 cargo build --workspace --release --offline
 cargo test --workspace --release --offline -q
+
+echo "==> hammer-crypto under both profiles"
+# The crate holds the repo's one unsafe block and a page of wrapping
+# arithmetic: the dev profile (opt-level 3 for this crate) keeps overflow
+# checks and std's debug precondition checks on, release is what ships.
+cargo test --offline -q -p hammer-crypto
+cargo test --release --offline -q -p hammer-crypto
+
+echo "==> grep gate: unsafe lives in one file"
+# First-party code is safe Rust except the SHA-extension kernel in
+# hammer-crypto's private sha256::x86 module (the benchmark package under
+# driver_e2e is its own crate with its own rules). `-w` keeps lint names
+# such as unsafe_code out of it.
+violations=$(grep -rnw 'unsafe' --include='*.rs' crates src examples tests 2>/dev/null \
+    | grep -v '^crates/bench/src/bin/driver_e2e/' \
+    | grep -v '^crates/hammer-crypto/src/sha256.rs:' || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: unsafe outside crates/hammer-crypto/src/sha256.rs:" >&2
+    echo "$violations" >&2
+    exit 1
+fi
 
 echo "==> grep gate: ChainError variants stay inside hammer-chain"
 # `ChainError::constructor(...)` helpers (lowercase) are the public API;
