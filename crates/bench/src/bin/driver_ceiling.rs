@@ -31,8 +31,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::save_result;
 use hammer_chain::types::{TxId, TxStatus};
 use hammer_core::shard::ShardedTxTable;
+use hammer_rpc::json::Value;
 
 /// splitmix64: cheap, well-mixed 64-bit ids. The fingerprint (the first
 /// 8 bytes, big-endian) drives both shard selection and the per-shard
@@ -293,45 +295,34 @@ fn main() {
         }
     }
 
-    // JSON results for bench_snapshot.sh. Hand-rolled like
-    // EvalReport::to_json — no serde in the workspace.
-    let mut json = String::from("{\"bench\":\"driver_ceiling\",");
-    json.push_str(&format!(
-        "\"inflight\":{},\"clients\":{},\"blocks\":{},\"block_size\":{},\"host_cores\":{},",
-        args.inflight,
-        args.clients,
-        args.blocks,
-        args.block_size,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    ));
-    json.push_str("\"points\":[");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"shards\":{},\"fill_tps\":{:.0},\"match_tps\":{:.0},\
-             \"match_ns_per_tx\":{:.1},\"inserted\":{},\"matched\":{},\
-             \"rejected\":{},\"pending\":{}}}",
-            r.shards,
-            r.fill_tps,
-            r.match_tps,
-            r.match_ns_per_tx,
-            r.inserted,
-            r.matched,
-            r.rejected,
-            r.pending,
-        ));
-    }
-    json.push_str("]}");
-    let dir = std::path::Path::new("target/bench-results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("driver_ceiling.json");
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("\n[saved {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
-        }
-    }
+    // JSON results for bench_snapshot.sh: rates as whole tx/s, the
+    // per-tx cost to a tenth of a nanosecond.
+    let points = results.iter().map(|r| {
+        Value::object([
+            ("shards", Value::from(r.shards)),
+            ("fill_tps", Value::from(r.fill_tps.round() as u64)),
+            ("match_tps", Value::from(r.match_tps.round() as u64)),
+            (
+                "match_ns_per_tx",
+                Value::from((r.match_ns_per_tx * 10.0).round() / 10.0),
+            ),
+            ("inserted", Value::from(r.inserted)),
+            ("matched", Value::from(r.matched)),
+            ("rejected", Value::from(r.rejected)),
+            ("pending", Value::from(r.pending)),
+        ])
+    });
+    let json = Value::object([
+        ("bench", Value::from("driver_ceiling")),
+        ("inflight", Value::from(args.inflight)),
+        ("clients", Value::from(args.clients)),
+        ("blocks", Value::from(args.blocks)),
+        ("block_size", Value::from(args.block_size)),
+        (
+            "host_cores",
+            Value::from(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        ),
+        ("points", Value::Array(points.collect())),
+    ]);
+    save_result("driver_ceiling.json", &json.to_json());
 }

@@ -13,11 +13,12 @@
 //! Both sweeps drive each client thread in a near-closed loop (the control
 //! budget is far above the machine capacity), exactly like a peak test.
 
-use bench::save_csv;
+use bench::{save_csv, save_result};
 use hammer_core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer_core::driver::{EvalConfig, EvalReport, Evaluation};
 use hammer_core::machine::ClientMachine;
 use hammer_fabric::{FabricConfig, FabricSim};
+use hammer_rpc::json::Value;
 use hammer_store::report::{render_table, to_csv};
 use hammer_workload::{AccessDistribution, ControlSequence, WorkloadConfig};
 use std::time::Duration;
@@ -64,9 +65,19 @@ fn run(fabric: FabricConfig, clients: u32, threads: u32, workload: WorkloadConfi
         .expect("run failed")
 }
 
+/// One run of a sweep as a JSON object: which sweep, the swept value,
+/// the record-free report.
+fn sweep_point(sweep: &str, value: u32, report: &EvalReport) -> Value {
+    Value::object([
+        ("sweep", Value::from(sweep)),
+        ("value", Value::from(u64::from(value))),
+        ("report", report.to_value()),
+    ])
+}
+
 fn main() {
     println!("=== Fig. 10: Fabric vs client threads and client count ===\n");
-    let mut json_runs: Vec<String> = Vec::new();
+    let mut json_runs: Vec<Value> = Vec::new();
 
     // Sweep 1: one client, 1..6 threads. Uniform access over a large pool
     // keeps conflicts out of the picture; the client machine dominates.
@@ -90,10 +101,7 @@ fn main() {
             out.failed.to_string(),
             out.rejected.to_string(),
         ]);
-        json_runs.push(format!(
-            "    {{\"sweep\": \"threads\", \"value\": {threads}, \"report\": {}}}",
-            out.to_json()
-        ));
+        json_runs.push(sweep_point("threads", threads, &out));
     }
     let header = ["threads", "tps", "mean_lat_s", "conflicts", "rejected"];
     println!("--- thread sweep (1 client, 2 vCPUs) ---");
@@ -131,10 +139,7 @@ fn main() {
             out.failed.to_string(),
             out.rejected.to_string(),
         ]);
-        json_runs.push(format!(
-            "    {{\"sweep\": \"clients\", \"value\": {clients}, \"report\": {}}}",
-            out.to_json()
-        ));
+        json_runs.push(sweep_point("clients", clients, &out));
     }
     let header = ["clients", "tps", "mean_lat_s", "conflicts", "rejected"];
     println!("--- client sweep (2 threads per client) ---");
@@ -142,17 +147,10 @@ fn main() {
     save_csv("fig10_clients", &to_csv(&header, &rows));
 
     // Full machine-readable reports alongside the CSVs.
-    let json = format!("{{\n  \"runs\": [\n{}\n  ]\n}}\n", json_runs.join(",\n"));
-    let dir = std::path::Path::new("target/bench-results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {dir:?}: {e}");
-    } else {
-        let path = dir.join("fig10_scaling.json");
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("[saved {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
-        }
-    }
+    save_result(
+        "fig10_scaling.json",
+        &Value::object([("runs", Value::Array(json_runs))]).to_json(),
+    );
 
     println!("Paper reference: best at 2 threads / 2 clients; more threads add");
     println!("scheduling overhead; more clients add conflicts, then node-side");

@@ -1,49 +1,39 @@
-//! **Scenario sweep** — the shipped scenario corpus, retargeted across
-//! every registered backend and graded by its own expectations.
+//! **Scenario sweep** — the one sweep: scenarios retargeted across every
+//! registered backend, each cell graded by its own expectations plus the
+//! leak probes.
 //!
-//! Each cell loads a named corpus scenario (`hammer_core::scenario::corpus`),
-//! retargets it to the backend's calibrated operating point (same
-//! window shape, average rate scaled to the backend's moderate
-//! under-capacity rate), runs it through the unmodified driver, and
-//! prints the per-expectation verdict. `crash-during-drain` cells
-//! exercise the checkpoint/kill/resume path on every backend.
+//! By default the cells are the shipped corpus
+//! (`hammer_core::scenario::corpus`, scripted faults and checkpoint/
+//! kill/resume included); `--seeds N` runs N seeded-chaos scenarios
+//! (`bench::seeded_chaos`) in their place. Every scenario is retargeted
+//! to each backend's operating point (same window shape, average rate
+//! scaled to the backend's moderate under-capacity rate) and run through
+//! the unmodified driver by `bench::run_cells`.
 //!
 //! ```text
-//! cargo run --release --bin scenario_sweep -- [--smoke] [--list]
-//!     [--scenario NAME] [--backend NAME] [--deploy-mode in|multi]
-//!     [--crash-smoke]
+//! cargo run --release --bin scenario_sweep -- [--seeds N] [--smoke]
+//!     [--list] [--scenario NAME] [--backend NAME]
+//!     [--deploy-mode in|multi] [--crash-smoke]
 //! ```
 //!
 //! `--deploy-mode multi` reruns the selected cells with each backend as
 //! a supervised `node-host` OS process behind loopback TCP (build the
 //! binary first: `cargo build --release --bin node-host`).
 //! `--crash-smoke` runs one scripted multi-process scenario whose crash
-//! window SIGKILLs the real node process mid-run and asserts the
-//! supervisor restarted it with the accounting identity intact.
+//! window SIGKILLs the real node process mid-run and additionally
+//! requires that the supervisor delivered the kill and restarted it.
 //!
 //! Emits a JSON verdict matrix to
 //! `target/bench-results/scenario_sweep.json` and a final summary line
-//! (`scenario sweep: R runs, V expectation violations`) that CI greps
-//! for `0 expectation violations`.
+//! (`scenario sweep: R cells, V violations`) that CI greps for
+//! `, 0 violations`; exits non-zero on any violation or run error.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
-use hammer_core::chaos::live_threads;
+use bench::{run_cells, seeded_chaos, OPERATING_POINTS};
 use hammer_core::deploy::DeployMode;
 use hammer_core::retry::RetryPolicy;
 use hammer_core::scenario::{corpus, FaultSpec, NodeRef, Scenario, Verdict};
-use hammer_store::report::render_table;
-
-/// (backend, average rate tx/s, speedup) — the chaos-sweep operating
-/// points: moderate rates well under capacity so the scenario's own
-/// shape and faults, not saturation, decide the verdict.
-const OPERATING_POINTS: [(&str, u32, f64); 4] = [
-    ("ethereum-sim", 40, 100.0),
-    ("fabric-sim", 150, 100.0),
-    ("meepo-sim", 300, 50.0),
-    ("neuchain-sim", 500, 100.0),
-];
 
 /// The smoke gate: two fast scenarios on the two fastest backends.
 const SMOKE_SCENARIOS: [&str; 2] = ["nft-flash-crowd-mint", "partition-then-heal"];
@@ -51,13 +41,14 @@ const SMOKE_BACKENDS: [&str; 2] = ["fabric-sim", "neuchain-sim"];
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenario_sweep [--smoke] [--list] [--scenario NAME] [--backend NAME] \
-         [--deploy-mode in|multi] [--crash-smoke]"
+        "usage: scenario_sweep [--seeds N] [--smoke] [--list] [--scenario NAME] \
+         [--backend NAME] [--deploy-mode in|multi] [--crash-smoke]"
     );
     std::process::exit(2);
 }
 
 struct Args {
+    seeds: Option<u64>,
     smoke: bool,
     scenario: Option<String>,
     backend: Option<String>,
@@ -67,6 +58,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut parsed = Args {
+        seeds: None,
         smoke: false,
         scenario: None,
         backend: None,
@@ -77,6 +69,10 @@ fn parse_args() -> Args {
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
+            "--seeds" => match value().parse() {
+                Ok(n) if n > 0 => parsed.seeds = Some(n),
+                _ => usage(),
+            },
             "--smoke" => parsed.smoke = true,
             "--list" => {
                 for name in corpus::names() {
@@ -101,9 +97,8 @@ fn parse_args() -> Args {
 /// window SIGKILLs the real `node-host` process. Passing means the
 /// supervisor delivered the kill AND restarted the node AND the run
 /// still completed with the accounting identity intact.
-fn crash_smoke() -> ! {
-    println!("=== Multi-process crash smoke: neuchain-sim behind loopback TCP ===");
-    let scenario = Scenario::builder("multi-process-crash-smoke")
+fn crash_smoke() -> Scenario {
+    Scenario::builder("multi-process-crash-smoke")
         .describe("crash window SIGKILLs the node-host process; the supervisor restarts it")
         .backend("neuchain-sim")
         .speedup(10.0)
@@ -119,169 +114,70 @@ fn crash_smoke() -> ! {
         .expect_accounting_identity()
         .expect_no_stall()
         .build()
-        .expect("the crash smoke scenario is statically valid");
-    let verdict = scenario.run().unwrap_or_else(|e| {
-        eprintln!("RUN FAILED: {e}");
-        std::process::exit(1);
-    });
-    for check in &verdict.checks {
-        println!(
-            "  [{}] {}: {}",
-            if check.passed { "pass" } else { "FAIL" },
-            check.name,
-            check.detail
-        );
-    }
-    let stats = verdict.process_faults.unwrap_or_default();
-    println!(
-        "process faults: {} sigkills delivered, {} restarts",
-        stats.kills, stats.restarts
-    );
-    let ok = verdict.passed() && stats.kills >= 1 && stats.restarts >= 1;
-    println!(
-        "crash smoke: accounting identity {}, {} violations, kills={} restarts={}",
-        if verdict.passed() {
-            "holds"
-        } else {
-            "VIOLATED"
-        },
-        verdict.violations().len(),
-        stats.kills,
-        stats.restarts
-    );
-    std::process::exit(if ok { 0 } else { 1 });
+        .expect("the crash smoke scenario is statically valid")
 }
 
-fn main() {
-    let args = parse_args();
-    if args.crash_smoke {
-        crash_smoke();
-    }
-    let scenarios: Vec<&str> = corpus::names()
-        .into_iter()
-        .filter(|n| {
-            args.scenario.as_deref().is_none_or(|only| only == *n)
-                && (!args.smoke || SMOKE_SCENARIOS.contains(n))
-        })
-        .collect();
-    let backends: Vec<(&str, u32, f64)> = OPERATING_POINTS
-        .into_iter()
-        .filter(|(b, _, _)| {
-            args.backend.as_deref().is_none_or(|only| only == *b)
-                && (!args.smoke || SMOKE_BACKENDS.contains(b))
-        })
-        .collect();
-    if scenarios.is_empty() || backends.is_empty() {
-        eprintln!("nothing to run (unknown scenario or backend filter?)");
-        usage();
-    }
-    println!(
-        "=== Scenario sweep: {} scenarios x {} backends ===\n",
-        scenarios.len(),
-        backends.len()
-    );
-
-    // Scenario teardown is deterministic: `run_on` shuts the deployment
-    // down and *joins* the network scheduler thread before returning, so
-    // nothing from a previous cell can contend with the next one (at
-    // 100x speedup, stray wall-clock contention amplifies into simulated
-    // block gaps big enough to trip the stall watchdog). The probe is
-    // therefore an immediate assertion, not a timed wait — a leftover
-    // thread here is a real leak.
-    let thread_baseline = live_threads();
-    let probe = |label: &str| {
-        let leftover = live_threads();
-        if leftover > thread_baseline {
-            eprintln!(
-                "  warning: {leftover} threads still live after {label} (baseline {thread_baseline})"
-            );
-        }
+/// The selected scenarios, each retargeted to every selected operating
+/// point.
+fn sweep_cells(args: &Args) -> Vec<Scenario> {
+    let authored: Vec<Scenario> = match args.seeds {
+        Some(seeds) => (1..=seeds).map(seeded_chaos).collect(),
+        None => corpus::names()
+            .into_iter()
+            .map(|name| corpus::load(name).expect("corpus scenario must parse"))
+            .collect(),
     };
-
-    let mut rows = Vec::new();
-    let mut verdicts: Vec<Verdict> = Vec::new();
-    for name in &scenarios {
-        let authored = corpus::load(name).expect("corpus scenario must parse");
+    let selected = |only: &Option<String>, smoke: &[&str], name: &str| {
+        only.as_deref().is_none_or(|only| only == name) && (!args.smoke || smoke.contains(&name))
+    };
+    let mut cells = Vec::new();
+    for scenario in &authored {
+        if !selected(&args.scenario, &SMOKE_SCENARIOS, scenario.name()) {
+            continue;
+        }
         let native_rate =
-            authored.control().total() as f64 / authored.control().duration().as_secs_f64();
-        for (backend, rate, speedup) in &backends {
-            let scale = f64::from(*rate) / native_rate;
-            eprintln!("running {name} on {backend} at ~{rate} tx/s ({speedup}x)...");
-            let mut scenario = authored
-                .retarget(backend, *speedup, scale)
-                .expect("retargeting a corpus scenario must validate");
+            scenario.control().total() as f64 / scenario.control().duration().as_secs_f64();
+        for (backend, rate, speedup) in OPERATING_POINTS {
+            if !selected(&args.backend, &SMOKE_BACKENDS, backend) {
+                continue;
+            }
+            let mut cell = scenario
+                .retarget(backend, speedup, f64::from(rate) / native_rate)
+                .expect("retargeting a valid scenario must validate");
             if let Some(mode) = args.deploy_mode {
-                scenario = scenario
+                cell = cell
                     .to_builder()
                     .deploy_mode(mode)
                     .build()
                     .expect("a validated scenario stays valid under a deploy-mode change");
             }
-            let verdict = scenario.run().unwrap_or_else(|e| {
-                eprintln!("  RUN FAILED: {e}");
-                std::process::exit(1);
-            });
-            rows.push(vec![
-                (*name).to_owned(),
-                (*backend).to_owned(),
-                verdict.report.committed.to_string(),
-                if verdict.stalled { "yes" } else { "no" }.to_owned(),
-                if verdict.passed() { "pass" } else { "FAIL" }.to_owned(),
-                verdict
-                    .violations()
-                    .iter()
-                    .map(|c| c.name)
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ]);
-            for violation in verdict.violations() {
-                eprintln!("  VIOLATION {}: {}", violation.name, violation.detail);
-            }
-            verdicts.push(verdict);
-            probe(name);
+            cells.push(cell);
         }
     }
+    cells
+}
 
-    println!(
-        "\n{}",
-        render_table(
-            &[
-                "scenario",
-                "backend",
-                "committed",
-                "stalled",
-                "verdict",
-                "violations"
-            ],
-            &rows
-        )
-    );
-
-    let mut json = String::from("{\n  \"runs\": [\n");
-    for (i, verdict) in verdicts.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(json, "    {}", verdict.to_json());
-    }
-    json.push_str("\n  ]\n}\n");
-    let dir = std::path::Path::new("target/bench-results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {dir:?}: {e}");
+fn main() {
+    let args = parse_args();
+    let cells = if args.crash_smoke {
+        vec![crash_smoke()]
     } else {
-        let path = dir.join("scenario_sweep.json");
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("[saved {}]", path.display()),
-            Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
-        }
+        sweep_cells(&args)
+    };
+    if cells.is_empty() {
+        eprintln!("nothing to run (unknown scenario or backend filter?)");
+        usage();
     }
-
-    let violations: usize = verdicts.iter().map(|v| v.violations().len()).sum();
-    println!(
-        "scenario sweep: {} runs, {violations} expectation violations",
-        verdicts.len()
-    );
-    if violations > 0 {
-        std::process::exit(1);
+    println!("=== Scenario sweep: {} cells ===\n", cells.len());
+    let verdicts = run_cells(&cells);
+    let mut ok = verdicts.iter().all(Verdict::passed);
+    if args.crash_smoke {
+        let stats = verdicts[0].process_faults.unwrap_or_default();
+        println!(
+            "process faults: {} sigkills delivered, {} restarts",
+            stats.kills, stats.restarts
+        );
+        ok &= stats.kills >= 1 && stats.restarts >= 1;
     }
+    std::process::exit(if ok { 0 } else { 1 });
 }

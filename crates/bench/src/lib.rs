@@ -3,13 +3,20 @@
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see DESIGN.md §4 for the full index). This library holds the
 //! pieces they share: a one-call peak-throughput evaluation, result
-//! formatting, and CSV output next to the binary's name.
+//! formatting, the one writer of `target/bench-results/` files, and the
+//! scenario sweep's cell loop.
 
 use std::time::Duration;
 
+use hammer_core::chaos::LeakProbe;
 use hammer_core::deploy::{BackendOptions, BackendRegistry};
 use hammer_core::driver::{EvalConfig, EvalReport, Evaluation, TestingMode};
 use hammer_core::machine::ClientMachine;
+use hammer_core::retry::RetryPolicy;
+use hammer_core::scenario::{Scenario, Verdict};
+use hammer_net::chaos::ChaosConfig;
+use hammer_rpc::json::Value;
+use hammer_store::report::render_table;
 use hammer_workload::{ControlSequence, WorkloadConfig};
 
 /// Everything one evaluation run needs.
@@ -123,20 +130,142 @@ pub fn summary_header() -> [&'static str; 8] {
     ]
 }
 
-/// Writes CSV text under `target/bench-results/<name>.csv`, creating the
+/// Writes `text` to `target/bench-results/<file_name>`, creating the
 /// directory. Prints the path. Failures are reported, not fatal — the
 /// numbers are already on stdout.
-pub fn save_csv(name: &str, csv: &str) {
+pub fn save_result(file_name: &str, text: &str) {
     let dir = std::path::Path::new("target/bench-results");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {dir:?}: {e}");
         return;
     }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, csv) {
+    let path = dir.join(file_name);
+    match std::fs::write(&path, text) {
         Ok(()) => println!("\n[saved {}]", path.display()),
         Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
     }
+}
+
+/// Writes CSV text as `target/bench-results/<name>.csv`.
+pub fn save_csv(name: &str, csv: &str) {
+    save_result(&format!("{name}.csv"), csv);
+}
+
+/// (backend, average rate tx/s, speedup) — the sweep's operating points:
+/// moderate rates well under capacity so a scenario's own shape and
+/// faults, not saturation, decide the verdict. The registry's Ethereum
+/// keeps its 15 s PoW blocks; the 30 s stall budget clears that.
+pub const OPERATING_POINTS: [(&str, u32, f64); 4] = [
+    ("ethereum-sim", 40, 100.0),
+    ("fabric-sim", 150, 100.0),
+    ("meepo-sim", 300, 50.0),
+    ("neuchain-sim", 500, 100.0),
+];
+
+/// A seeded-chaos cell as an ordinary scenario: twenty one-second slices
+/// under a fault schedule generated from `seed` over the deployed
+/// chain's own ingress/sealer topology, SmallBank from the same seed
+/// through the resilient submission path, graded by the report oracle
+/// and the stall watchdog. Authored at 100 tx/s; the sweep retargets it
+/// to each operating point like any corpus scenario.
+pub fn seeded_chaos(seed: u64) -> Scenario {
+    Scenario::builder(&format!("seeded-chaos-{seed}"))
+        .describe("seeded randomized fault schedule, judged by the invariant oracle")
+        .constant_load(100, 20)
+        .workload_with(|w| w.seed = seed)
+        .chaos_seeded(
+            seed,
+            ChaosConfig {
+                // Zero: the schedule spans the run window.
+                horizon: Duration::ZERO,
+                ..ChaosConfig::default()
+            },
+        )
+        .retry(RetryPolicy::standard())
+        .expect_accounting_identity()
+        .expect_no_stall()
+        .build()
+        .expect("the seeded-chaos scenario is statically valid")
+}
+
+/// Runs every cell in order, each between a [`LeakProbe`]'s start and
+/// finish so a leaked thread or node process fails the cell it leaked
+/// from (cells are sequential and `Scenario::run` joins everything it
+/// started, which is what makes the whole-process probe sound here).
+/// Prints per-fault-window throughput and violations as they happen,
+/// then the verdict table and the summary line CI greps (`scenario
+/// sweep: R cells, V violations`), and writes the verdict matrix to
+/// `target/bench-results/scenario_sweep.json`. A cell whose run errors
+/// ends the process with status 1.
+pub fn run_cells(cells: &[Scenario]) -> Vec<Verdict> {
+    let mut rows = Vec::new();
+    let mut verdicts: Vec<Verdict> = Vec::new();
+    for cell in cells {
+        let (name, backend) = (cell.name(), cell.backend());
+        let rate = cell.control().total() as f64 / cell.control().duration().as_secs_f64();
+        eprintln!(
+            "running {name} on {backend} at ~{rate:.0} tx/s ({}x)...",
+            cell.speedup()
+        );
+        let probe = LeakProbe::start();
+        let run = cell.run();
+        let leaks = probe.finish();
+        let mut verdict = run.unwrap_or_else(|e| {
+            eprintln!("  RUN FAILED: {e}");
+            std::process::exit(1);
+        });
+        verdict.checks.extend(leaks);
+        for w in &verdict.report.fault_windows {
+            println!(
+                "  {backend} / {name} [{:.1}s-{:.1}s] {}: {} committed ({:.1} TPS)",
+                w.start.as_secs_f64(),
+                w.end.as_secs_f64(),
+                w.label,
+                w.committed,
+                w.tps
+            );
+        }
+        let violations = verdict.violations();
+        for violation in &violations {
+            eprintln!("  VIOLATION {}: {}", violation.name, violation.detail);
+        }
+        let violated: Vec<&str> = violations.iter().map(|c| c.name).collect();
+        rows.push(vec![
+            name.to_owned(),
+            backend.to_owned(),
+            verdict.report.committed.to_string(),
+            if verdict.stalled { "yes" } else { "no" }.to_owned(),
+            if violations.is_empty() {
+                "pass"
+            } else {
+                "FAIL"
+            }
+            .to_owned(),
+            violated.join(","),
+        ]);
+        verdicts.push(verdict);
+    }
+
+    let header = [
+        "scenario",
+        "backend",
+        "committed",
+        "stalled",
+        "verdict",
+        "violations",
+    ];
+    println!("\n{}", render_table(&header, &rows));
+    let runs = verdicts.iter().map(Verdict::to_value).collect();
+    save_result(
+        "scenario_sweep.json",
+        &Value::object([("runs", Value::Array(runs))]).to_json(),
+    );
+    let violations: usize = verdicts.iter().map(|v| v.violations().len()).sum();
+    println!(
+        "scenario sweep: {} cells, {violations} violations",
+        verdicts.len()
+    );
+    verdicts
 }
 
 /// Formats a duration of wall time as seconds with millisecond precision.

@@ -1,6 +1,4 @@
-//! Chaos harness: run a backend under a seeded randomized fault schedule
-//! ([`hammer_net::ChaosSchedule`]) and check a run-level invariant oracle
-//! over the resulting report.
+//! The run-level invariant oracle and the leak probes that wrap a run.
 //!
 //! The oracle ([`check_report`], [`check_journal`]) verifies properties
 //! that must hold for *every* run, whatever faults were injected:
@@ -15,28 +13,24 @@
 //!    entries plus the `nominal` entry cover each commit exactly once.
 //! 3. **Journal monotonicity** — per-node block-seal timestamps and the
 //!    fault enter/exit stream never run backwards on the simulated clock.
-//! 4. **No stall, no thread leak** — the run finished without tripping
-//!    the stall watchdog, and tearing the deployment down returns the
-//!    process to its baseline thread count.
 //!
-//! [`run_chaos_case`] packages the whole drill — deploy, discover fault
-//! targets, generate and install a schedule, evaluate, judge — and is
-//! shared by the `chaos_sweep` bench bin and the integration tests.
+//! This module is not a runner: a fault drill is a
+//! [`Scenario`](crate::scenario::Scenario), whose verdict grades 1 and 2
+//! through `expect_accounting_identity`, carries 3 on every run, and
+//! grades the stall watchdog through `expect_no_stall`. What a scenario
+//! cannot see from the inside — whether tearing the deployment down
+//! returned the process to its thread and child-process baseline — is
+//! [`LeakProbe`], which a sweep or a test puts around each cell.
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hammer_chain::types::TxStatus;
-use hammer_net::{
-    ChaosConfig, ChaosSchedule, ChaosTargets, FaultPlan, LinkConfig, SimClock, SimNetwork,
-};
-use hammer_obs::{EventKind, JournalEvent, Obs};
+use hammer_net::FaultPlan;
+use hammer_obs::{EventKind, JournalEvent};
 use hammer_rpc::json::Value;
-use hammer_workload::{ControlSequence, WorkloadConfig};
 
-use crate::deploy::{BackendOptions, BackendRegistry};
-use crate::driver::{EvalConfig, EvalReport, Evaluation};
-use crate::retry::RetryPolicy;
+use crate::driver::EvalReport;
 
 /// One invariant's verdict for a run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -76,45 +70,6 @@ impl InvariantCheck {
             passed: false,
             detail: detail.into(),
         }
-    }
-}
-
-/// The oracle's verdict over one chaos case: which backend and seed ran,
-/// whether the watchdog fired, and every invariant's outcome.
-#[derive(Clone, Debug)]
-pub struct ChaosVerdict {
-    /// The backend evaluated (registry name).
-    pub backend: String,
-    /// The schedule seed.
-    pub seed: u64,
-    /// Whether the stall watchdog aborted the run.
-    pub stalled: bool,
-    /// Every invariant checked, in check order.
-    pub checks: Vec<InvariantCheck>,
-}
-
-impl ChaosVerdict {
-    /// Whether every invariant held.
-    pub fn passed(&self) -> bool {
-        self.checks.iter().all(|c| c.passed)
-    }
-
-    /// The invariants that failed.
-    pub fn violations(&self) -> Vec<&InvariantCheck> {
-        self.checks.iter().filter(|c| !c.passed).collect()
-    }
-
-    /// Serialises the verdict as one JSON object.
-    pub fn to_json(&self) -> String {
-        let checks = self.checks.iter().map(InvariantCheck::to_value);
-        Value::object([
-            ("backend", Value::from(self.backend.as_str())),
-            ("seed", Value::from(self.seed)),
-            ("stalled", Value::from(self.stalled)),
-            ("passed", Value::from(self.passed())),
-            ("checks", Value::Array(checks.collect())),
-        ])
-        .to_json()
     }
 }
 
@@ -293,7 +248,7 @@ pub fn check_journal(events: &[JournalEvent]) -> InvariantCheck {
     )
 }
 
-/// Live threads in this process (via procfs, like the conformance suite).
+/// Live threads in this process (via procfs).
 pub fn live_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .map(|dir| dir.count())
@@ -324,160 +279,53 @@ pub fn live_children() -> usize {
     .count()
 }
 
-/// One chaos drill: which backend to deploy, which seed drives both the
-/// fault schedule and the workload, and how hard to push.
-#[derive(Clone, Debug)]
-pub struct ChaosCase {
-    /// Registry name of the backend ([`BackendRegistry::builtin`]).
-    pub backend: String,
-    /// Seed for the fault schedule and the workload generator.
-    pub seed: u64,
-    /// Control-sequence length in one-second slices.
-    pub slices: usize,
-    /// Transactions per slice.
-    pub rate: u32,
-    /// Simulated-clock speedup.
-    pub speedup: f64,
-    /// Stall-watchdog budget (simulated). Must comfortably exceed the
-    /// backend's block interval and the longest generated fault window.
-    pub stall_budget: Duration,
+/// Thread and child-process counts taken before a cell deploys, compared
+/// with the counts after it has torn down. It wraps a cell from outside
+/// because it must see the process before deploy and after teardown, and
+/// it counts the whole process, so it is only sound when nothing else in
+/// the process starts or stops threads meanwhile: a sweep's sequential
+/// cells are, a test binary's other test threads can mask or fake a
+/// leak.
+#[derive(Debug)]
+pub struct LeakProbe {
+    threads: usize,
+    children: usize,
 }
 
-impl ChaosCase {
-    /// A case with sweep-friendly defaults: 10 slices at 100 tx/s, 100×
-    /// speedup, and a 30-second stall budget (clear of Ethereum's
-    /// 15-second blocks and the generator's 3-second window cap).
-    pub fn new(backend: impl Into<String>, seed: u64) -> Self {
-        ChaosCase {
-            backend: backend.into(),
-            seed,
-            slices: 10,
-            rate: 100,
-            speedup: 100.0,
-            stall_budget: Duration::from_secs(30),
+impl LeakProbe {
+    /// Records the baseline; call before the cell deploys anything.
+    pub fn start() -> Self {
+        LeakProbe {
+            threads: live_threads(),
+            children: live_children(),
         }
     }
-}
 
-/// Runs one chaos case end-to-end and returns the oracle's verdict:
-/// deploy the backend fresh, discover its fault targets, generate and
-/// install the seeded schedule, evaluate under the resilient submission
-/// path with the stall watchdog armed, then check every invariant and
-/// tear the deployment down (probing for leaked threads).
-pub fn run_chaos_case(case: &ChaosCase) -> ChaosVerdict {
-    let threads_before = live_threads();
-    let children_before = live_children();
-    let registry = BackendRegistry::builtin();
-    let clock = SimClock::with_speedup(case.speedup);
-    let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
-    net.install_obs(Obs::new());
-    let deployment = registry
-        .deploy_on(
-            &case.backend,
-            &BackendOptions::default(),
-            clock,
-            net.clone(),
-        )
-        .expect("chaos cases target registered backends");
-
-    let targets = ChaosTargets::new(
-        deployment.chain().ingress_nodes(),
-        deployment.chain().sealer_nodes(),
-    );
-    let slice = Duration::from_secs(1);
-    let chaos_config = ChaosConfig {
-        horizon: slice * case.slices as u32,
-        ..ChaosConfig::default()
-    };
-    let schedule = ChaosSchedule::generate(case.seed, &targets, &chaos_config);
-    net.try_install_faults(schedule.into_plan())
-        .expect("generated schedules always validate against their topology");
-
-    let control = ControlSequence::constant(case.rate, case.slices, slice);
-    let workload = WorkloadConfig {
-        accounts: 200,
-        seed: case.seed,
-        ..WorkloadConfig::default()
-    };
-    let evaluation = Evaluation::new(
-        EvalConfig::builder()
-            .poll_interval(Duration::from_millis(50))
-            .drain_timeout(Duration::from_secs(60))
-            .retry(RetryPolicy::standard())
-            .stall_budget(case.stall_budget)
-            .build()
-            .expect("the chaos harness configuration is statically valid"),
-    );
-
-    let outcome = evaluation.run(&deployment, &workload, &control);
-
-    let plan = net.fault_plan();
-    let events = net.obs().journal().events();
-    let mut stalled = false;
-    let mut checks = Vec::new();
-    match outcome {
-        Ok(report) => {
-            stalled = report.stalled;
-            checks.extend(check_report(&report, plan.as_deref()));
-            checks.push(check_journal(&events));
-            checks.push(if report.stalled {
-                InvariantCheck::fail(
-                    "no_stall",
-                    format!("watchdog aborted with {} pending", report.timed_out),
-                )
-            } else {
-                InvariantCheck::pass("no_stall", "run completed without a watchdog abort")
-            });
+    /// Compares against the baseline after the cell's teardown and
+    /// returns the `no_thread_leak` and `no_child_leak` rows.
+    ///
+    /// [`Scenario::run_on`](crate::scenario::Scenario::run_on) joins every
+    /// framework thread before it returns; the five-second grace loop
+    /// only covers unrelated process threads still unwinding underneath
+    /// the probe. Children get no grace: the supervisor must have killed
+    /// *and reaped* everything it spawned by the time it is dropped.
+    pub fn finish(self) -> [InvariantCheck; 2] {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut threads = live_threads();
+        while threads > self.threads && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+            threads = live_threads();
         }
-        Err(e) => checks.push(InvariantCheck::fail("run_completes", e.to_string())),
-    }
-
-    drop(deployment);
-    // Deployment teardown joins node threads synchronously, and joining
-    // the scheduler makes the teardown point *deterministic* — after
-    // this line every framework thread is gone, no settling wait needed.
-    net.shutdown_and_join();
-    drop(net);
-    // A short grace loop still covers unrelated process threads (e.g. a
-    // just-finished parallel test) unwinding underneath the probe.
-    let probe_deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let mut threads_after = live_threads();
-    while threads_after > threads_before && std::time::Instant::now() < probe_deadline {
-        std::thread::sleep(Duration::from_millis(20));
-        threads_after = live_threads();
-    }
-    checks.push(if threads_after <= threads_before {
-        InvariantCheck::pass(
-            "no_thread_leak",
-            format!("before={threads_before} after={threads_after}"),
-        )
-    } else {
-        InvariantCheck::fail(
-            "no_thread_leak",
-            format!("before={threads_before} after={threads_after}"),
-        )
-    });
-    // Orphan probe: everything the case spawned (nothing, for in-process
-    // backends; node-host processes once supervisors are in play) must
-    // be dead *and reaped* by now.
-    let children_after = live_children();
-    checks.push(if children_after <= children_before {
-        InvariantCheck::pass(
-            "no_child_leak",
-            format!("before={children_before} after={children_after}"),
-        )
-    } else {
-        InvariantCheck::fail(
-            "no_child_leak",
-            format!("before={children_before} after={children_after}"),
-        )
-    });
-
-    ChaosVerdict {
-        backend: case.backend.clone(),
-        seed: case.seed,
-        stalled,
-        checks,
+        let children = live_children();
+        let row = |name, before: usize, after: usize| InvariantCheck {
+            name,
+            passed: after <= before,
+            detail: format!("before={before} after={after}"),
+        };
+        [
+            row("no_thread_leak", self.threads, threads),
+            row("no_child_leak", self.children, children),
+        ]
     }
 }
 
@@ -611,14 +459,16 @@ mod tests {
 
     #[test]
     fn verdict_json_is_well_formed() {
-        let verdict = ChaosVerdict {
+        let verdict = crate::scenario::Verdict {
+            scenario: "seeded-chaos-7".to_owned(),
             backend: "neuchain-sim".to_owned(),
-            seed: 7,
             stalled: false,
+            process_faults: None,
             checks: vec![
                 InvariantCheck::pass("accounting_identity", "all accounted"),
                 InvariantCheck::fail("no_stall", "aborted with 3 \"pending\""),
             ],
+            report: report(vec![record(1, Some(10), TxStatus::Committed)]),
         };
         assert!(!verdict.passed());
         assert_eq!(verdict.violations().len(), 1);
@@ -626,6 +476,6 @@ mod tests {
         assert!(json.contains("\"backend\":\"neuchain-sim\""), "{json}");
         assert!(json.contains("\"passed\":false"), "{json}");
         assert!(json.contains("\\\"pending\\\""), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert!(Value::parse(&json).is_ok(), "{json}");
     }
 }

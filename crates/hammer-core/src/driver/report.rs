@@ -113,7 +113,7 @@ impl EvalReport {
 
     /// The record-free report as a JSON value (what [`EvalReport::to_json`]
     /// serialises; a verdict embeds it as a field).
-    pub(crate) fn to_value(&self) -> Value {
+    pub fn to_value(&self) -> Value {
         let latency = Value::object([
             ("count", Value::from(self.latency.count)),
             ("mean_s", float(self.latency.mean_s)),

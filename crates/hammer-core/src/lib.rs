@@ -68,7 +68,7 @@ pub mod sync;
 
 pub use baseline::BatchQueue;
 pub use bloom::BloomFilter;
-pub use chaos::{ChaosCase, ChaosVerdict, InvariantCheck};
+pub use chaos::{InvariantCheck, LeakProbe};
 pub use checkpoint::{DriverCheckpoint, RecoveryConfig};
 pub use deploy::{
     BackendOptions, BackendRegistry, DeployError, DeployMode, Deployment, ProcessFaultStats,

@@ -17,7 +17,7 @@
 //! and grades the report into a [`Verdict`] with per-expectation
 //! pass/fail evidence.
 //!
-//! The shipped corpus ([`corpus`]) is data, not code: six JSON specs
+//! The shipped corpus ([`corpus`]) is data, not code: eight JSON specs
 //! under `scenarios/` at the repository root, each runnable by name
 //! (`scenario_sweep` bench bin, `examples/scenarios.rs`).
 //!
@@ -52,7 +52,7 @@ use hammer_workload::{
     AccessDistribution, ControlSequence, TraceKind, TraceSpec, WorkloadConfig, WorkloadKind,
 };
 
-use crate::chaos::{check_report, InvariantCheck};
+use crate::chaos::{check_journal, check_report, InvariantCheck};
 use crate::checkpoint::RecoveryConfig;
 use crate::deploy::{
     reconnect_policy_for, BackendOptions, BackendRegistry, DeployMode, Deployment,
@@ -329,7 +329,22 @@ impl ChaosSpec {
             ChaosSpec::Scripted(specs) => {
                 let mut plan = FaultPlan::new();
                 for spec in specs {
-                    plan = spec.apply(plan, targets, endpoints)?;
+                    let applied = spec.apply(plan.clone(), targets, endpoints)?;
+                    // Two placeholders may name one node (ethereum's only
+                    // node is both `ingress:0` and `sealer:0`): the same
+                    // crash or blackhole over the same interval on the
+                    // same node is one window, not a contradictory
+                    // overlap. Windows that merely overlap still reach
+                    // `validate` and fail there.
+                    let aliased =
+                        matches!(spec, FaultSpec::Crash { .. } | FaultSpec::Blackhole { .. })
+                            && applied
+                                .windows()
+                                .split_last()
+                                .is_some_and(|(last, earlier)| earlier.contains(last));
+                    if !aliased {
+                        plan = applied;
+                    }
                 }
                 plan.validate()
                     .map_err(|e: FaultPlanError| ScenarioError::Chaos(e.to_string()))?;
@@ -1015,6 +1030,8 @@ impl Scenario {
                 &mut checks,
             );
         }
+        // A property of any run, not an expectation a spec opts into.
+        checks.push(check_journal(&obs.journal().events()));
         Ok((report, checks))
     }
 
@@ -1552,7 +1569,8 @@ pub struct Verdict {
     /// windows, supervisor restarts); `None` for in-process runs.
     pub process_faults: Option<ProcessFaultStats>,
     /// One evidence row per graded expectation (the oracle-backed
-    /// expectations contribute several).
+    /// expectations contribute several), then the `journal_monotonicity`
+    /// row every run carries.
     pub checks: Vec<InvariantCheck>,
     /// The driver report the grades were read from.
     pub report: EvalReport,
@@ -1572,6 +1590,12 @@ impl Verdict {
     /// Serialises the verdict (checks + the record-free report) as one
     /// JSON object.
     pub fn to_json(&self) -> String {
+        self.to_value().to_json()
+    }
+
+    /// The verdict as a JSON value (what [`Verdict::to_json`] serialises;
+    /// a sweep embeds it in its results matrix).
+    pub fn to_value(&self) -> Value {
         let checks = self.checks.iter().map(InvariantCheck::to_value);
         let mut fields = vec![
             ("scenario", Value::from(self.scenario.as_str())),
@@ -1590,11 +1614,11 @@ impl Verdict {
         }
         fields.push(("checks", Value::Array(checks.collect())));
         fields.push(("report", self.report.to_value()));
-        Value::object(fields).to_json()
+        Value::object(fields)
     }
 }
 
-/// The shipped scenario corpus — six JSON specs under `scenarios/` at
+/// The shipped scenario corpus — eight JSON specs under `scenarios/` at
 /// the repository root, embedded as data and runnable by name.
 pub mod corpus {
     use super::{Scenario, ScenarioError};
@@ -1625,6 +1649,14 @@ pub mod corpus {
             "crash-during-drain",
             include_str!("../../../scenarios/crash_during_drain.json"),
         ),
+        (
+            "ingress-blackhole",
+            include_str!("../../../scenarios/ingress_blackhole.json"),
+        ),
+        (
+            "crash-restart",
+            include_str!("../../../scenarios/crash_restart.json"),
+        ),
     ];
 
     /// Every corpus scenario name, in ship order.
@@ -1646,5 +1678,61 @@ pub mod corpus {
             ))
         })?;
         Scenario::from_json(spec)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `ingress:0` and `sealer:0` are two nodes on most chains and one on
+    /// a single-node chain; a spec that crashes both over one interval
+    /// must compile to a valid plan either way.
+    #[test]
+    fn aliased_placeholders_compile_to_one_window() {
+        let registry = BackendRegistry::builtin();
+        let authored = corpus::load("crash-restart").expect("corpus scenario");
+        let mut aliased_backends = 0;
+        for backend in registry.names() {
+            let scenario = authored.retarget(backend, 1000.0, 1.0).expect("retarget");
+            let deployment = registry
+                .deploy(backend, &BackendOptions::default(), 1000.0)
+                .expect("registered backend");
+            let targets = ChaosTargets::new(
+                deployment.chain().ingress_nodes(),
+                deployment.chain().sealer_nodes(),
+            );
+            let chaos = scenario.spec.chaos.as_ref().expect("scripted faults");
+            let plan = chaos
+                .to_plan(
+                    &targets,
+                    &deployment.net().endpoint_names(),
+                    scenario.control.duration(),
+                )
+                .unwrap_or_else(|e| panic!("{backend}: {e}"));
+            let aliased = targets.ingress[0] == targets.sealers[0];
+            aliased_backends += usize::from(aliased);
+            assert_eq!(
+                plan.windows().len(),
+                if aliased { 1 } else { 2 },
+                "{backend}"
+            );
+        }
+        assert!(
+            aliased_backends > 0,
+            "no builtin backend aliases the placeholders"
+        );
+
+        // Different intervals on one node are still a contradiction.
+        let crash = |start, end| FaultSpec::Crash {
+            node: NodeRef::Named("n".to_owned()),
+            start: Duration::from_secs(start),
+            end: Duration::from_secs(end),
+        };
+        let overlapping = ChaosSpec::Scripted(vec![crash(3, 5), crash(4, 6)]);
+        let err = overlapping
+            .to_plan(&ChaosTargets::new(vec![], vec![]), &[], Duration::ZERO)
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::Chaos(_)), "got {err:?}");
     }
 }

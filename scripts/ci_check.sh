@@ -119,26 +119,25 @@ if ! echo "$ceiling_out" | grep -q 'accounting identity holds'; then
 fi
 
 echo "==> chaos smoke: seeded schedules x all backends, invariant oracle"
-# Fixed small matrix (3 seeds, 20 one-second slices) so the gate stays
-# well under a minute on a 1-core host; the full acceptance matrix is
-# `chaos_sweep --seeds 10`. The binary exits non-zero on any violation;
-# the grep is a belt-and-suspenders check on its summary line.
-chaos_out=$(cargo run --release --offline -p bench --bin chaos_sweep -- \
-    --seeds 3 --slices 20)
+# Fixed small matrix (3 seeds x 4 backends, 20 one-second slices) so the
+# gate stays well under a minute on a 1-core host; the full acceptance
+# matrix is `scenario_sweep --seeds 10`. Every sweep gate below runs the
+# one bin: it exits non-zero on any violation or run error, and the grep
+# is a belt-and-suspenders check on its one summary line.
+chaos_out=$(cargo run --release --offline -p bench --bin scenario_sweep -- --seeds 3)
 echo "$chaos_out" | tail -n 1
-if ! echo "$chaos_out" | grep -q ', 0 invariant violations'; then
-    echo "ci_check: chaos sweep reported invariant violations" >&2
+if ! echo "$chaos_out" | grep -q '^scenario sweep: 12 cells, 0 violations$'; then
+    echo "ci_check: seeded-chaos sweep reported invariant violations" >&2
     exit 1
 fi
 
 echo "==> scenario smoke: corpus scenarios graded by their expectations"
 # Two fast corpus scenarios x two fast backends through the scenario
 # DSL (retarget + run + expectation grading); the full matrix is the
-# bare `scenario_sweep` (6 scenarios x 4 backends). The binary exits
-# non-zero on any expectation violation; the grep pins the summary.
+# bare `scenario_sweep` (8 scenarios x 4 backends).
 scenario_out=$(cargo run --release --offline -p bench --bin scenario_sweep -- --smoke)
 echo "$scenario_out" | tail -n 1
-if ! echo "$scenario_out" | grep -q ', 0 expectation violations'; then
+if ! echo "$scenario_out" | grep -q '^scenario sweep: 4 cells, 0 violations$'; then
     echo "ci_check: scenario sweep reported expectation violations" >&2
     exit 1
 fi
@@ -147,13 +146,13 @@ echo "==> multi-process smoke: crash window SIGKILLs a real node-host"
 # One backend behind loopback TCP: the supervisor spawns node-host as
 # its own OS process, the crash-fault window kills it with SIGKILL, the
 # supervisor restarts it, and the run must complete with the accounting
-# identity intact. The binary exits non-zero if the kill or the restart
-# never happened; the grep pins the identity line.
+# identity intact and no node process left behind. The binary exits
+# non-zero if the kill or the restart never happened.
 cargo build --release --offline --bin node-host
 smoke_out=$(cargo run --release --offline -p bench --bin scenario_sweep -- --crash-smoke)
 echo "$smoke_out" | tail -n 2
-if ! echo "$smoke_out" | grep -q 'accounting identity holds'; then
-    echo "ci_check: multi-process crash smoke lost the accounting identity" >&2
+if ! echo "$smoke_out" | grep -q '^scenario sweep: 1 cells, 0 violations$'; then
+    echo "ci_check: multi-process crash smoke reported violations" >&2
     exit 1
 fi
 
@@ -177,6 +176,18 @@ echo "==> grep gate: one way to deploy (the registry)"
 violations=$(grep -rnE 'ChainSpec|Deployment::up(_on)?\b' crates src examples tests 2>/dev/null || true)
 if [ -n "$violations" ]; then
     echo "ci_check: the ChainSpec deploy path is back (use BackendRegistry):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
+echo "==> grep gate: one fault-drill runner, one sweep"
+# Chaos and fault drills are scenario cells: Scenario::run_on is the
+# runner (LeakProbe wraps it from outside) and scenario_sweep the sweep.
+violations=$(grep -rnIE 'run_chaos_case|ChaosCase|ChaosVerdict|chaos_sweep|fault_sweep' \
+    crates src tests examples scripts 2>/dev/null \
+    | grep -v '^scripts/ci_check.sh:' || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a second chaos runner or sweep bin is back (use Scenario + scenario_sweep):" >&2
     echo "$violations" >&2
     exit 1
 fi

@@ -28,6 +28,7 @@ use std::time::Duration;
 use hammer::chain::client::ErrorKind;
 use hammer::chain::smallbank::Op;
 use hammer::chain::types::{Address, SignedTransaction, Transaction};
+use hammer::core::chaos::live_threads;
 use hammer::core::deploy::{
     reconnect_policy_for, BackendOptions, BackendRegistry, DeployMode, Deployment, SupervisorConfig,
 };
@@ -293,12 +294,6 @@ fn bounded_ingress_overflows_to_backpressure() {
             net.shutdown_and_join();
         }
     }
-}
-
-fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("procfs is available on the test hosts")
-        .count()
 }
 
 #[test]

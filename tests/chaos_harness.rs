@@ -6,35 +6,65 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hammer::core::chaos::{run_chaos_case, ChaosCase};
+use hammer::core::chaos::LeakProbe;
 use hammer::core::checkpoint::RecoveryConfig;
 use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, EvalError, EvalReport, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::core::retry::RetryPolicy;
+use hammer::core::scenario::Scenario;
+use hammer::net::chaos::ChaosConfig;
 use hammer::obs::EventKind;
 use hammer::store::kv::KvStore;
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
 mod common;
 
-/// A CI-scaled version of the `chaos_sweep` acceptance run: every
+/// A CI-scaled version of the seeded-chaos acceptance run: every
 /// registered backend under two seeded schedules, zero invariant
-/// violations expected. (`chaos_sweep --seeds 10` is the full matrix.)
+/// violations expected. (`scenario_sweep --seeds 10` is the full matrix.)
 #[test]
 fn oracle_passes_under_seeded_chaos_on_every_backend() {
     let _guard = common::serial_guard();
     for backend in ["ethereum-sim", "fabric-sim", "meepo-sim", "neuchain-sim"] {
         for seed in [7u64, 1312] {
-            let case = ChaosCase {
-                rate: 50,
-                ..ChaosCase::new(backend, seed)
-            };
-            let verdict = run_chaos_case(&case);
+            let scenario = Scenario::builder("seeded-chaos")
+                .backend(backend)
+                .speedup(100.0)
+                .constant_load(50, 10)
+                .workload_with(|w| w.seed = seed)
+                .chaos_seeded(
+                    seed,
+                    ChaosConfig {
+                        horizon: Duration::from_secs(10),
+                        ..ChaosConfig::default()
+                    },
+                )
+                .retry(RetryPolicy::standard())
+                .expect_accounting_identity()
+                .expect_no_stall()
+                .build()
+                .expect("the seeded-chaos scenario is statically valid");
+            let probe = LeakProbe::start();
+            let mut verdict = scenario.run().expect("run must complete");
+            verdict.checks.extend(probe.finish());
             assert!(
                 verdict.passed(),
                 "{backend} seed {seed}: {:?}",
                 verdict.violations()
+            );
+            // Every row the chaos oracle graded is still graded.
+            let graded: Vec<&str> = verdict.checks.iter().map(|c| c.name).collect();
+            assert_eq!(
+                graded,
+                [
+                    "accounting_identity",
+                    "fault_window_attribution",
+                    "no_stall",
+                    "journal_monotonicity",
+                    "no_thread_leak",
+                    "no_child_leak",
+                ]
             );
         }
     }

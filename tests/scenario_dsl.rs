@@ -43,6 +43,11 @@ fn built_scenario_runs_deterministically() {
     let second = scenario.run().expect("run must complete");
 
     assert!(first.passed(), "violations: {:?}", first.violations());
+    // Journal monotonicity is graded on every run, asked for or not.
+    assert!(first
+        .checks
+        .iter()
+        .any(|c| c.name == "journal_monotonicity"));
     let grade = |v: &hammer::core::scenario::Verdict| {
         v.checks
             .iter()
@@ -80,7 +85,7 @@ fn compilation_is_deterministic() {
 #[test]
 fn corpus_round_trips_through_json() {
     let names = corpus::names();
-    assert_eq!(names.len(), 6, "the shipped corpus has six scenarios");
+    assert_eq!(names.len(), 8, "the shipped corpus has eight scenarios");
     for name in names {
         let spec = corpus::spec(name).expect("listed scenarios have specs");
         let first = Scenario::from_json(spec).expect("corpus spec must parse");
