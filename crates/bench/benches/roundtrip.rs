@@ -4,15 +4,16 @@
 //! per-signature verification, and buffer-reusing vs. allocating codecs.
 //!
 //! `scripts/bench_snapshot.sh` runs this group with `CRITERION_JSON` set
-//! and checks the fixed-base speedup against its ≥3× floor and the SHA-256
-//! kernel against the portable rounds.
+//! and checks the fixed-base speedup against its ≥3× floor, the SHA-256
+//! kernel against the portable rounds, and pipelined against serial signing.
 
 use std::io::Write as _;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use hammer_chain::codec;
 use hammer_chain::smallbank::Op;
 use hammer_chain::types::{verify_signed_batch, SignedTransaction, Transaction};
+use hammer_core::signer::{sign_pipelined, sign_serial};
 use hammer_crypto::merkle::merkle_root;
 use hammer_crypto::sha256::{compress, compress_portable, hardware_accelerated, sha256_pair};
 use hammer_crypto::sig::{pow_g, pow_mod, SigParams, G, GROUP_ORDER};
@@ -187,6 +188,42 @@ fn bench_verify_burst(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `signer` layer: a 4096-transaction batch signed on the calling
+/// thread against the same batch signed by `min(host cores, 4)` pipelined
+/// signers and drained by one consumer — the shape `driver_e2e` reports as
+/// `signer.*`. The difference between `threads ×` and the measured ratio is
+/// what the hand-off costs; `scripts/bench_snapshot.sh` gates on the ratio
+/// when the host has a second core.
+fn bench_signer(c: &mut Criterion) {
+    let mut group = c.benchmark_group("roundtrip");
+    let params = SigParams::fast();
+    let keypair = Keypair::from_seed(1);
+    let batch: Vec<Transaction> = (0..4096).map(sample_tx).collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+    group.throughput(Throughput::Elements(batch.len() as u64));
+    // The unsigned batch is cloned outside the timed region on both rows.
+    group.bench_function("sign_serial_4096", |b| {
+        b.iter_batched(
+            || batch.clone(),
+            |txs| sign_serial(txs, &keypair, &params).len(),
+            BatchSize::LargeInput,
+        );
+    });
+    let pipelined = |txs| sign_pipelined(txs, keypair, params, threads).iter().count();
+    // Everything before this row ran on one thread, and after an idle gap
+    // this class of host takes about a second to give a process its other
+    // cores (`driver_e2e` warms up the same way): without the warm-up the
+    // 0.2 s of samples would time the ramp, not the signers.
+    let warm_up = std::time::Instant::now();
+    while warm_up.elapsed() < std::time::Duration::from_secs(1) {
+        black_box(pipelined(batch.clone()));
+    }
+    group.bench_function("sign_pipelined_4096", |b| {
+        b.iter_batched(|| batch.clone(), pipelined, BatchSize::LargeInput);
+    });
+    group.finish();
+}
+
 /// A full JSON-RPC call through the thread-local wire buffers.
 fn bench_rpc_call(c: &mut Criterion) {
     let mut group = c.benchmark_group("roundtrip");
@@ -210,6 +247,7 @@ criterion_group!(
     bench_sha256,
     bench_stages,
     bench_verify_burst,
+    bench_signer,
     bench_rpc_call
 );
 criterion_main!(benches);

@@ -29,7 +29,9 @@
 //! The code is cut along the same lines: one submodule per stage
 //! (`prepare`, `submit` — pacer and workers —, `monitor`, `report`), each
 //! owning its state, all borrowing one `RunState`, joined by bounded
-//! channels. `DESIGN.md` §5 has the stage table.
+//! hand-offs that move work in chunks: a token counter from pacer to
+//! workers, a chunked signed stream from signers to workers. `DESIGN.md`
+//! §5 has the stage table.
 
 #![warn(clippy::too_many_lines)]
 
@@ -37,7 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::bounded;
 use hammer_chain::client::ChainError;
 use hammer_workload::{ControlSequence, WorkloadConfig};
 
@@ -58,7 +59,7 @@ pub use report::{outcome_of, EvalReport, FaultWindowStats};
 
 use monitor::Monitor;
 use report::Finished;
-use submit::Submitter;
+use submit::{Submitter, Tokens};
 use tracker::{BatchTracker, Tracker};
 
 /// How commitment is observed.
@@ -471,8 +472,9 @@ impl Evaluation {
             .then(|| LiveSync::start(chain.chain_name(), workload.threads_per_client));
         let syncer = live.as_ref().map(LiveSync::syncer);
         let monitor = Monitor::new(&state, config, &inputs, active_threads, syncer, progress);
-        // Per-slice budget tokens.
-        let (token_tx, tokens) = bounded::<()>((control.peak() as usize).max(1) * 2 + 16);
+        // Per-slice budget tokens; the pacer may run this far ahead of the
+        // workers.
+        let tokens = Tokens::new(u64::from(control.peak()) * 2 + 16);
         let submitter = Submitter {
             state: &state,
             chain: Arc::clone(&chain),
@@ -480,7 +482,7 @@ impl Evaluation {
             submitted_total: obs.registry().counter("hammer_driver_submitted_total"),
             retried_total: obs.registry().counter("hammer_driver_retried_total"),
             obs,
-            tokens,
+            tokens: tokens.taker(),
             signed,
             submit_delay: config.machine.submit_delay(active_threads),
             retry: config.retry,
@@ -491,14 +493,15 @@ impl Evaluation {
         };
 
         let monitored = std::thread::scope(|scope| {
-            scope.spawn(|| submit::pace(control, &clock, &state, token_tx));
+            scope.spawn(|| submit::pace(control, &clock, &state, &tokens));
             let worker_handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let worker = submitter.clone();
                     scope.spawn(move || worker.run())
                 })
                 .collect();
-            // Only the workers hold the streams' receivers from here on.
+            // Only the workers hold a token taker and the signed stream from
+            // here on.
             drop(submitter);
             let monitor = scope.spawn(move || monitor.run());
             for handle in worker_handles {
@@ -861,27 +864,64 @@ mod tests {
         assert!(!json.contains(",}") && !json.contains(",]"), "{json}");
     }
 
-    /// Accepts every submission and announces a block, but cannot serve it.
-    struct UnreadableChain;
+    /// Accepts every submission and seals whatever is pooled each time the
+    /// monitor asks for the height: every transaction commits, one poll
+    /// after it was submitted.
+    #[derive(Default)]
+    struct StubChain {
+        pool: std::sync::Mutex<Vec<TxId>>,
+        blocks: std::sync::Mutex<Vec<Block>>,
+        /// Announces its blocks but cannot serve them.
+        unreadable: bool,
+        /// Called at the start of every `submit`.
+        on_submit: Option<Box<dyn Fn() + Send + Sync>>,
+    }
 
-    impl hammer_chain::client::BlockchainClient for UnreadableChain {
+    impl hammer_chain::client::BlockchainClient for StubChain {
         fn chain_name(&self) -> &str {
-            "unreadable"
+            "stub"
         }
         fn architecture(&self) -> hammer_chain::client::Architecture {
             hammer_chain::client::Architecture::NonSharded
         }
         fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError> {
+            if let Some(hook) = &self.on_submit {
+                hook();
+            }
+            self.pool.lock().unwrap().push(tx.id);
             Ok(tx.id)
         }
         fn latest_height(&self, _shard: u32) -> Result<u64, ChainError> {
-            Ok(1)
+            let ids = std::mem::take(&mut *self.pool.lock().unwrap());
+            let mut blocks = self.blocks.lock().unwrap();
+            if !ids.is_empty() {
+                let height = blocks.len() as u64 + 1;
+                let valid = vec![true; ids.len()];
+                blocks.push(Block::new(
+                    height,
+                    [0; 32],
+                    Duration::ZERO,
+                    "stub",
+                    0,
+                    ids,
+                    valid,
+                ));
+            }
+            Ok(blocks.len() as u64)
         }
-        fn block_at(&self, _shard: u32, _height: u64) -> Result<Option<Block>, ChainError> {
-            Err(ChainError::shutdown())
+        fn block_at(&self, _shard: u32, height: u64) -> Result<Option<Block>, ChainError> {
+            if self.unreadable {
+                return Err(ChainError::shutdown());
+            }
+            Ok(self
+                .blocks
+                .lock()
+                .unwrap()
+                .get(height as usize - 1)
+                .cloned())
         }
         fn pending_txs(&self) -> Result<usize, ChainError> {
-            Ok(0)
+            Ok(self.pool.lock().unwrap().len())
         }
         fn subscribe_commits(&self) -> crossbeam::channel::Receiver<CommitEvent> {
             crossbeam::channel::unbounded().1
@@ -889,7 +929,7 @@ mod tests {
         fn shutdown(&self) {}
     }
 
-    impl hammer_chain::kernel::SimChain for UnreadableChain {
+    impl hammer_chain::kernel::SimChain for StubChain {
         fn seed_account(&self, _account: Address, _checking: u64, _savings: u64) {}
         fn account(&self, _account: Address) -> Option<hammer_chain::state::AccountState> {
             None
@@ -905,12 +945,113 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fatal_chain_read_fails_the_run_instead_of_timing_everything_out() {
+    fn deploy_stub(chain: StubChain) -> Deployment {
         let clock = hammer_net::SimClock::with_speedup(1000.0);
         let net = hammer_net::SimNetwork::new(clock.clone(), hammer_net::LinkConfig::lan());
-        net.install_obs(Obs::new());
-        let deployment = Deployment::from_chain(Arc::new(UnreadableChain), clock, net);
+        Deployment::from_chain(Arc::new(chain), clock, net)
+    }
+
+    #[test]
+    fn every_transaction_of_a_ragged_total_is_submitted() {
+        // One past a whole number of chunks, released in one slice: the
+        // tail is a lone transaction in one worker's hands. A worker that
+        // took its token before its transaction would strand that token at
+        // the end of the stream and the run would finish one short.
+        for workers in [1, 2, 4] {
+            let workload = WorkloadConfig {
+                clients: 1,
+                threads_per_client: workers,
+                ..small_workload(0)
+            };
+            for repetition in 0..50u64 {
+                let total = 128 * (1 + repetition % 3) + 1;
+                let control = ControlSequence::constant(total as u32, 1, Duration::from_secs(1));
+                let report = Evaluation::new(fast_config())
+                    .run(&deploy_stub(StubChain::default()), &workload, &control)
+                    .unwrap();
+                assert_eq!(
+                    (report.submitted, report.committed as u64),
+                    (total, total),
+                    "{workers} workers, repetition {repetition}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_resumed_run_with_tokens_to_spare_releases_a_pacer_parked_at_the_bound() {
+        use crate::checkpoint::DriverCheckpoint;
+        use crate::index::TxRecord;
+        use hammer_chain::types::TxStatus;
+
+        // 40 slices of 50: the pacer may run 116 tokens ahead, and parks in
+        // the third slice unless workers take them.
+        let control = ControlSequence::constant(50, 40, Duration::from_secs(1));
+        let workload = small_workload(2000);
+        // The checkpoint owns every transaction but the last five.
+        let mut generation = workload.clone();
+        generation.total_txs = control.total() as usize;
+        let ids: Vec<TxId> = hammer_workload::SmallBankGenerator::new(generation)
+            .generate_all()
+            .iter()
+            .map(|tx| tx.id())
+            .collect();
+        let store = Arc::new(hammer_store::KvStore::new());
+        DriverCheckpoint {
+            workload_seed: workload.seed,
+            total: control.total(),
+            retried: 0,
+            last_seen: vec![0],
+            shard_commits: vec![(0, ids.len() as u64 - 5)],
+            rejected_ids: Vec::new(),
+            records: ids[..ids.len() - 5]
+                .iter()
+                .map(|id| TxRecord {
+                    tx_id: *id,
+                    client_id: 0,
+                    server_id: 0,
+                    start: Duration::ZERO,
+                    end: Some(Duration::from_millis(1)),
+                    status: TxStatus::Committed,
+                })
+                .collect(),
+        }
+        .save(&store, "resumed");
+
+        // Every submission waits for the tenth slice, so the workers are
+        // still alive when the pacer reaches the bound; once the five are
+        // in they leave 1995 tokens behind.
+        let clock = hammer_net::SimClock::with_speedup(1000.0);
+        let net = hammer_net::SimNetwork::new(clock.clone(), hammer_net::LinkConfig::lan());
+        let submit_clock = clock.clone();
+        let chain = StubChain {
+            on_submit: Some(Box::new(move || {
+                submit_clock.sleep_until(Duration::from_secs(10));
+            })),
+            ..StubChain::default()
+        };
+        let deployment = Deployment::from_chain(Arc::new(chain), clock, net);
+        let recovery = RecoveryConfig::new(store, "resumed", Duration::from_secs(5));
+        let report = Evaluation::new(fast_config())
+            .run_recoverable(&deployment, &workload, &control, &recovery)
+            .unwrap();
+        assert_eq!(report.submitted, 2000);
+        assert_eq!(report.committed, 2000);
+        // The pacer was let go; it did not sit out the remaining slices.
+        assert!(
+            deployment.clock().now() < Duration::from_secs(30),
+            "run ended at {:?}",
+            deployment.clock().now()
+        );
+    }
+
+    #[test]
+    fn fatal_chain_read_fails_the_run_instead_of_timing_everything_out() {
+        let deployment = deploy_stub(StubChain {
+            unreadable: true,
+            ..StubChain::default()
+        });
+        deployment.net().install_obs(Obs::new());
         // Half an hour of budget: a run that ignored the dead monitor
         // would keep submitting through all of it.
         let control = ControlSequence::from_budgets(vec![1; 1800], Duration::from_secs(1));

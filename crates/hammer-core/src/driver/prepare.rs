@@ -4,8 +4,8 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 
-use crossbeam::channel::{bounded, Receiver};
-use hammer_chain::types::{SignedTransaction, Transaction, TxId, TxStatus};
+use crossbeam::channel::bounded;
+use hammer_chain::types::{Transaction, TxId, TxStatus};
 use hammer_crypto::sig::SigParams;
 use hammer_crypto::Keypair;
 use hammer_obs::{Obs, Stage};
@@ -14,7 +14,7 @@ use hammer_workload::{SmallBankGenerator, WorkloadKind, YcsbGenerator};
 use super::monitor::Progress;
 use super::{invalid, EvalConfig, EvalError, Inputs, RunState, SigningStrategy};
 use crate::checkpoint::DriverCheckpoint;
-use crate::signer;
+use crate::signer::{self, SignedStream};
 
 impl Inputs<'_> {
     /// The checks that need the workload and the control sequence;
@@ -103,7 +103,7 @@ fn start_signer(
     unsigned: Vec<Transaction>,
     keypair: Keypair,
     sign_obs: signer::SignObs,
-) -> Receiver<SignedTransaction> {
+) -> SignedStream {
     // The SUT verifies with these parameters, so they are not a knob.
     let params = SigParams::fast();
     let threads = config.signer_threads;
@@ -116,11 +116,7 @@ fn start_signer(
             signer::sign_async_obs(unsigned, &keypair, &params, threads, &sign_obs)
         }
     };
-    let (tx_side, rx) = bounded(signed.len().max(1));
-    for tx in signed {
-        tx_side.send(tx).expect("channel sized for batch");
-    }
-    rx
+    SignedStream::from_batch(signed)
 }
 
 /// Resume: replays the checkpointed records into the fresh tracker and
@@ -169,22 +165,22 @@ pub(super) fn restore(state: &RunState, cp: &DriverCheckpoint) -> HashSet<TxId> 
 
 /// Transactions the checkpoint already owns are filtered out of the
 /// signed stream so the resumed workers only process the rest.
-fn without(
-    upstream: Receiver<SignedTransaction>,
-    known: HashSet<TxId>,
-) -> Receiver<SignedTransaction> {
-    let (filtered_tx, filtered_rx) = bounded(1024);
+fn without(upstream: SignedStream, known: HashSet<TxId>) -> SignedStream {
+    // At most as many chunks as the upstream buffers; a filtered chunk is
+    // no larger than it arrived.
+    let (filtered_tx, filtered) = bounded(signer::STREAM_BOUND / signer::CHUNK);
     std::thread::Builder::new()
         .name("hammer-resume-filter".to_owned())
         .spawn(move || {
-            for tx in upstream.iter().filter(|tx| !known.contains(&tx.id)) {
-                if filtered_tx.send(tx).is_err() {
+            for mut chunk in upstream.into_chunks() {
+                chunk.retain(|tx| !known.contains(&tx.id));
+                if !chunk.is_empty() && filtered_tx.send(chunk).is_err() {
                     return;
                 }
             }
         })
         .expect("spawn resume filter");
-    filtered_rx
+    SignedStream::from_chunks(filtered)
 }
 
 /// Runs the stage; returns the signed-transaction stream (minus anything a
@@ -196,7 +192,7 @@ pub(super) fn prepare(
     inputs: &Inputs<'_>,
     state: &RunState,
     obs: &Obs,
-) -> Result<(Receiver<SignedTransaction>, Progress), EvalError> {
+) -> Result<(SignedStream, Progress), EvalError> {
     let shards = inputs.deployment.client().architecture().shard_count() as usize;
     let checkpoint = inputs.load_checkpoint(shards)?;
     let unsigned = inputs.generate(obs);

@@ -11,6 +11,10 @@
 #     0.5x the portable rounds on a CPU whose SHA extensions the bench
 #     detected, or more than 1.1x on one without (the dispatch itself
 #     must be free), or
+#   * on a host with at least two cores, signing a 4096-transaction batch
+#     through the pipelined signers costs more than 0.75x signing it on
+#     one thread (the chunked hand-off must leave the second core its
+#     gain; on one core the ratio is printed, not gated), or
 #   * signing through a *disabled* observability context costs more than
 #     5% over the plain path (the near-zero-when-off guarantee), or
 #   * a loopback-TCP RPC call costs more than 50x the in-process
@@ -69,6 +73,27 @@ awk -v e="$sha_ext" -v d="$dispatched" -v p="$portable" 'BEGIN {
     printf "sha256 compress, dispatched / portable: %.2fx (%.0f ns / %.0f ns; SHA extensions detected: %s, limit %.1fx)\n", r, d, p, e, limit
     if (r > limit) {
         print "bench_snapshot: dispatched sha256 compress above its limit against the portable rounds" > "/dev/stderr"
+        exit 1
+    }
+}'
+# The signer ratio is taken between the best samples, not the means: a
+# sample is a few 2 ms bursts of freshly spawned threads, and whether the
+# host's scheduler spreads a burst over both cores varies sample to sample
+# (the mean of the pipelined row wanders between 0.6x and 1.0x of serial on
+# the same code). The best sample is the one where it did; a per-item
+# hand-off costs more than serial signing even there (parent: 0.98-1.18x).
+cores=$(awk -F'"host_cores":' '/"roundtrip\/_host"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
+serial=$(awk -F'"min_ns":' '/"roundtrip\/sign_serial_4096"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
+pipelined=$(awk -F'"min_ns":' '/"roundtrip\/sign_pipelined_4096"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
+if [ -z "$cores" ] || [ -z "$serial" ] || [ -z "$pipelined" ]; then
+    echo "bench_snapshot: sign_serial_4096 / sign_pipelined_4096 results or host line missing from $OUT" >&2
+    exit 1
+fi
+awk -v c="$cores" -v s="$serial" -v p="$pipelined" 'BEGIN {
+    r = p / s
+    printf "signing 4096 tx, pipelined / serial (best samples): %.2fx (%.0f ns / %.0f ns; host cores: %d, limit %s)\n", r, p, s, c, (c >= 2) ? "0.75x" : "none on one core"
+    if (c >= 2 && r > 0.75) {
+        print "bench_snapshot: pipelined signing above 0.75x of serial on a multi-core host" > "/dev/stderr"
         exit 1
     }
 }'

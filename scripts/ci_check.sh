@@ -28,6 +28,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet \
 echo "==> tier-1: cargo build --release && cargo test"
 cargo build --workspace --release --offline
 cargo test --workspace --release --offline -q
+# The vendored channel carries logic the driver's liveness depends on (it
+# wakes a peer only when one is parked). `vendor/*` are workspace members,
+# so the line above already ran its tests; naming the package keeps them
+# from being dropped with a narrower test line.
+cargo test --offline -q -p crossbeam
 
 echo "==> hammer-crypto under both profiles"
 # The crate holds the repo's one unsafe block and a page of wrapping
@@ -188,6 +193,19 @@ violations=$(grep -rnIE 'run_chaos_case|ChaosCase|ChaosVerdict|chaos_sweep|fault
     | grep -v '^scripts/ci_check.sh:' || true)
 if [ -n "$violations" ]; then
     echo "ci_check: a second chaos runner or sweep bin is back (use Scenario + scenario_sweep):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
+echo "==> grep gate: the driver hands work over in chunks"
+# Budget tokens are a counter (submit::Tokens) and signed transactions
+# travel as Vec chunks (signer::SignedStream); a channel of `()` or of
+# single transactions puts a lock hand-off and a wake-up back on every
+# transaction.
+violations=$(grep -rnE 'Sender<\(\)>|Receiver<\(\)>|Receiver<SignedTransaction>' \
+    crates/hammer-core/src/driver crates/hammer-core/src/signer.rs 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a per-item hand-off is back in the driver:" >&2
     echo "$violations" >&2
     exit 1
 fi
