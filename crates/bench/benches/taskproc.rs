@@ -1,5 +1,8 @@
 //! Criterion microbench behind Fig. 9: block matching against a large
-//! in-flight set, Hammer task processing vs the batch-testing baseline.
+//! in-flight set, Hammer task processing vs the batch-testing baseline,
+//! plus the Bloom pre-filter probe in front of the table. With
+//! `taskproc_compaction` this is the tracker layer's ledger
+//! (`BENCH_tracker.json`, written by `scripts/bench_snapshot.sh`).
 
 use std::time::Duration;
 
@@ -7,6 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hammer_chain::smallbank::Op;
 use hammer_chain::types::{Transaction, TxId};
 use hammer_core::baseline::BatchQueue;
+use hammer_core::bloom::BloomFilter;
 use hammer_core::index::TxTable;
 
 fn tx_ids(n: usize) -> Vec<TxId> {
@@ -102,5 +106,29 @@ fn bench_insert(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matching, bench_insert);
+fn bench_bloom(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bloom");
+    let mut bloom = BloomFilter::new(100_000, 0.01);
+    for i in 0..100_000u64 {
+        bloom.insert(i);
+    }
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("contains_hit", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 1) % 100_000;
+            bloom.contains(i)
+        });
+    });
+    group.bench_function("contains_miss", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            bloom.contains(1_000_000 + i)
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_matching, bench_insert, bench_bloom);
 criterion_main!(benches);

@@ -17,7 +17,7 @@
 //!   they are produced (Fig. 4c).
 //!
 //! Real-crypto wall-clock numbers (host-core dependent) live in the
-//! Criterion bench: `cargo bench -p bench --bench signing`.
+//! `roundtrip` Criterion group (`sign_serial_4096`, `sign_pipelined_4096`).
 
 use std::time::Duration;
 

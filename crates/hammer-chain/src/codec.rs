@@ -262,6 +262,16 @@ pub fn decode_block_bytes(bytes: &[u8]) -> Result<Block, CodecError> {
     decode_block(&v)
 }
 
+/// Decodes a transaction id from its 64-hex-digit wire form.
+pub fn decode_tx_id(v: &Value) -> Result<TxId, CodecError> {
+    let bytes = v.as_str().and_then(from_hex);
+    let bytes = bytes.ok_or_else(|| CodecError("bad tx id hex".to_owned()))?;
+    let bytes = <[u8; 32]>::try_from(bytes);
+    bytes
+        .map(TxId)
+        .map_err(|_| CodecError("tx id must be 32 bytes".to_owned()))
+}
+
 /// Decodes a block and verifies its Merkle root.
 pub fn decode_block(v: &Value) -> Result<Block, CodecError> {
     let parse_hash = |key: &str| -> Result<[u8; 32], CodecError> {
@@ -275,16 +285,7 @@ pub fn decode_block(v: &Value) -> Result<Block, CodecError> {
         .as_array()
         .ok_or_else(|| CodecError("'tx_ids' is not an array".to_owned()))?
         .iter()
-        .map(|item| {
-            let bytes = item
-                .as_str()
-                .and_then(from_hex)
-                .ok_or_else(|| CodecError("bad tx id hex".to_owned()))?;
-            let arr: [u8; 32] = bytes
-                .try_into()
-                .map_err(|_| CodecError("tx id must be 32 bytes".to_owned()))?;
-            Ok(TxId(arr))
-        })
+        .map(decode_tx_id)
         .collect();
     let tx_ids = tx_ids?;
     let valid: Result<Vec<bool>, CodecError> = field(v, "valid")?
@@ -309,7 +310,8 @@ pub fn decode_block(v: &Value) -> Result<Block, CodecError> {
             merkle_root: parse_hash("merkle_root")?,
             timestamp: Duration::from_nanos(u64_field(v, "timestamp_ns")?),
             proposer: str_field(v, "proposer")?.to_owned(),
-            shard: u64_field(v, "shard")? as u32,
+            shard: u32::try_from(u64_field(v, "shard")?)
+                .map_err(|_| CodecError("field 'shard' is not a u32".to_owned()))?,
         },
         tx_ids,
         valid,

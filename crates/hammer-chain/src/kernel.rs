@@ -20,8 +20,8 @@
 //!   the activity counters, emits the per-block observability (sealed
 //!   counters, mempool-depth gauge, journal `block_seal`) and publishes
 //!   the commit events.
-//! * **RPC wiring** — [`ChainNode::serve_rpc`] exposes any kernel-hosted
-//!   chain over the JSON-RPC adapter.
+//! * **RPC wiring** — [`ChainNode::serve_rpc_sim`] exposes any
+//!   kernel-hosted chain over the JSON-RPC adapter.
 //!
 //! What remains per chain is a [`ConsensusPolicy`]: when to seal, how to
 //! order/validate/endorse a round, and how accounts map onto shards. A
@@ -615,11 +615,6 @@ impl<P: ConsensusPolicy> ChainNode<P> {
         self.kernel.stats()
     }
 
-    /// Serves this chain over the JSON-RPC adapter.
-    pub fn serve_rpc(self: &Arc<Self>) -> hammer_rpc::transport::RpcServer {
-        rpc_adapter::serve(Arc::clone(self) as Arc<dyn BlockchainClient>)
-    }
-
     /// Serves this chain over the JSON-RPC adapter *including* the
     /// [`SimChain`] method set (account seeding, ledger verification,
     /// fault-target discovery) — the surface a `node-host` process
@@ -629,19 +624,6 @@ impl<P: ConsensusPolicy> ChainNode<P> {
         P: 'static,
     {
         rpc_adapter::serve_sim(Arc::clone(self) as Arc<dyn SimChain>)
-    }
-
-    /// Serves the full [`SimChain`] RPC surface on a real TCP listener at
-    /// `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
-    pub fn serve_rpc_tcp(
-        self: &Arc<Self>,
-        addr: &str,
-        config: hammer_net::TcpServerConfig,
-    ) -> std::io::Result<hammer_net::TcpRpcServer>
-    where
-        P: 'static,
-    {
-        rpc_adapter::serve_tcp(self.serve_rpc_sim(), addr, config)
     }
 
     /// Requests shutdown and joins every kernel-spawned thread.

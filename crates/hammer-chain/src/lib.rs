@@ -19,12 +19,13 @@
 //!   facade program against, plus commit-event subscriptions used by
 //!   Caliper-style interactive testing.
 //! * [`codec`] — JSON encodings of the wire types.
-//! * [`rpc_adapter`] — exposes any `BlockchainClient` over JSON-RPC and
-//!   re-imports it as a client, proving language/architecture neutrality.
-//! * [`remote`] — [`remote::TcpChainClient`], the same generic interface
-//!   spoken over real TCP to a `node-host` process (multi-process deploy
-//!   mode), with restart-aware height virtualisation and graceful
-//!   degradation during fault windows.
+//! * [`rpc_adapter`] — the wire table: one entry per JSON-RPC method of
+//!   the generic interface, from which both the server handler and the
+//!   client call are derived.
+//! * [`remote`] — [`remote::RemoteChain`], the generic interface
+//!   re-imported over either transport (in-process, or real TCP to a
+//!   `node-host` process), with restart-aware height virtualisation and
+//!   graceful degradation during fault windows.
 //! * [`kernel`] — the chain-node runtime: thread lifecycle with joined
 //!   shutdown, fault-gated mempool ingress, sealed-block accounting and
 //!   observability, and gossip fan-out — everything chain-agnostic, so a
@@ -54,7 +55,7 @@ pub use kernel::{
 };
 pub use ledger::Ledger;
 pub use mempool::Mempool;
-pub use remote::TcpChainClient;
+pub use remote::RemoteChain;
 pub use smallbank::{ExecError, Op, OpOutput};
 pub use state::{RwSet, VersionedState};
 pub use types::{

@@ -1,10 +1,13 @@
-//! A chain client that talks to a node process over real TCP.
+//! The one chain client that speaks RPC.
 //!
-//! [`TcpChainClient`] is the driver's handle onto a `node-host` process:
-//! it implements [`BlockchainClient`] and [`SimChain`] by issuing the
-//! same JSON-RPC methods the in-process adapter serves, carried over
-//! `hammer-net`'s length-prefixed TCP transport. Three things make it
-//! more than a dumb proxy:
+//! [`RemoteChain`] implements [`BlockchainClient`] and [`SimChain`] by
+//! issuing the [`rpc_adapter`](crate::rpc_adapter) wire-table calls over
+//! any [`Transport`]:
+//! the in-process `hammer_rpc::transport::RpcClient`, or
+//! `hammer_net::TcpRpcClient` to a `node-host` process. Three things make
+//! it more than a dumb proxy; each is a no-op over a transport that never
+//! fails and a peer that never restarts, so both transports run the same
+//! code:
 //!
 //! * **Graceful degradation.** The evaluation driver's polling monitor
 //!   treats an `Err` from `latest_height`/`block_at` as terminal, which
@@ -23,35 +26,26 @@
 //!   so the monitor's cursor never runs backwards and never re-matches a
 //!   block it already processed.
 //! * **Commit events by polling.** Push subscriptions need a streaming
-//!   connection; over this request/response transport the client
+//!   connection; over a request/response transport the client
 //!   synthesizes [`CommitEvent`]s from sealed blocks with a background
 //!   poll thread (one per client, lazily started, joined on drop).
 
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hammer_net::{ReconnectPolicy, TcpClientConfig, TcpError, TcpRpcClient};
-use hammer_rpc::json::Value;
 use parking_lot::Mutex;
 
 use crate::client::{Architecture, BlockchainClient, ChainError, CommitEvent, ErrorKind};
-use crate::codec;
 use crate::kernel::SimChain;
 use crate::ledger::LedgerError;
-use crate::rpc_adapter::{decode_ledger_error, rpc_error_to_chain};
+use crate::rpc_adapter::{self as wire, Transport};
 use crate::state::AccountState;
 use crate::types::{Address, Block, SignedTransaction, TxId};
 
-fn tcp_to_chain(err: TcpError) -> ChainError {
-    if err.is_protocol() {
-        ChainError::protocol(err.to_string())
-    } else {
-        ChainError::transport(err.to_string())
-    }
-}
+/// Wall-clock interval of the commit-event poll thread.
+const EVENT_POLL: Duration = Duration::from_millis(10);
 
 /// Per-shard height-virtualization state.
 #[derive(Clone, Copy, Debug, Default)]
@@ -63,104 +57,44 @@ struct ShardCursor {
     last_remote: u64,
 }
 
-struct SubState {
-    poller: Option<std::thread::JoinHandle<()>>,
-    senders: Arc<Mutex<Vec<Sender<CommitEvent>>>>,
-}
-
-/// A [`BlockchainClient`] + [`SimChain`] over a TCP connection to a
-/// `node-host` process. See the module docs for the failure semantics.
-pub struct TcpChainClient {
-    rpc: TcpRpcClient,
+/// A [`BlockchainClient`] + [`SimChain`] over an RPC [`Transport`]. See
+/// the module docs for the failure semantics.
+pub struct RemoteChain<C: Transport> {
+    rpc: Arc<C>,
     name: String,
     architecture: Architecture,
     cursors: Mutex<Vec<ShardCursor>>,
-    subs: Mutex<SubState>,
+    subscribers: Arc<Mutex<Vec<Sender<CommitEvent>>>>,
+    poller: Mutex<Option<std::thread::JoinHandle<()>>>,
     stop: Arc<AtomicBool>,
-    /// Wall-clock interval of the commit-event poll thread.
-    event_poll: Duration,
 }
 
-impl std::fmt::Debug for TcpChainClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpChainClient")
-            .field("name", &self.name)
-            .field("addr", &self.rpc.addr())
-            .finish()
-    }
-}
-
-impl TcpChainClient {
-    /// Connects to a served chain at `addr`, fetching its name and
-    /// architecture. `policy` governs in-call reconnection (a node being
-    /// restarted by a supervisor surfaces as transient errors, not a
-    /// dead client).
-    pub fn connect(
-        addr: SocketAddr,
-        config: TcpClientConfig,
-        policy: ReconnectPolicy,
-    ) -> Result<Arc<Self>, ChainError> {
-        let rpc = TcpRpcClient::new(addr, config, policy);
-        let name = rpc
-            .call("chain_name", Value::Null)
-            .map_err(tcp_to_chain)?
-            .map_err(rpc_error_to_chain)?
-            .as_str()
-            .unwrap_or("unknown")
-            .to_owned();
-        let arch_value = rpc
-            .call("architecture", Value::Null)
-            .map_err(tcp_to_chain)?
-            .map_err(rpc_error_to_chain)?;
-        let architecture = match arch_value.get("type").and_then(Value::as_str) {
-            Some("sharded") => Architecture::Sharded {
-                shards: arch_value
-                    .get("shards")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(1) as u32,
-            },
-            _ => Architecture::NonSharded,
-        };
-        Ok(Arc::new(TcpChainClient {
-            rpc,
+impl<C: Transport> RemoteChain<C> {
+    /// Connects to a served chain, fetching its name and architecture.
+    /// A TCP transport's reconnect policy governs in-call reconnection (a
+    /// node being restarted by a supervisor surfaces as transient errors,
+    /// not a dead client).
+    pub fn connect(transport: C) -> Result<Arc<Self>, ChainError> {
+        let name = wire::CHAIN_NAME.call(&transport, &())?;
+        let architecture = wire::ARCHITECTURE.call(&transport, &())?;
+        Ok(Arc::new(RemoteChain {
+            rpc: Arc::new(transport),
             name,
             architecture,
             cursors: Mutex::new(vec![
                 ShardCursor::default();
                 architecture.shard_count() as usize
             ]),
-            subs: Mutex::new(SubState {
-                poller: None,
-                senders: Arc::new(Mutex::new(Vec::new())),
-            }),
-            stop: Arc::new(AtomicBool::new(false)),
-            event_poll: Duration::from_millis(10),
+            subscribers: Arc::default(),
+            poller: Mutex::new(None),
+            stop: Arc::default(),
         }))
-    }
-
-    /// The raw RPC client (e.g. for health checks or fault forwarding).
-    pub fn rpc(&self) -> &TcpRpcClient {
-        &self.rpc
-    }
-
-    /// One RPC call with both error layers flattened into [`ChainError`].
-    fn call(&self, method: &str, params: Value) -> Result<Value, ChainError> {
-        self.rpc
-            .call(method, params)
-            .map_err(tcp_to_chain)?
-            .map_err(rpc_error_to_chain)
     }
 
     /// Fetches the remote height and folds it into the virtual cursor,
     /// detecting restarts (remote height regression).
     fn virtual_height(&self, shard: u32) -> Result<u64, ChainError> {
-        let remote = self
-            .call(
-                "latest_height",
-                Value::object([("shard", Value::from(shard as u64))]),
-            )?
-            .as_u64()
-            .ok_or_else(|| ChainError::protocol("latest_height: non-numeric"))?;
+        let remote = wire::LATEST_HEIGHT.call(&*self.rpc, &shard)?;
         let mut cursors = self.cursors.lock();
         let cursor = cursors
             .get_mut(shard as usize)
@@ -174,29 +108,18 @@ impl TcpChainClient {
         Ok(cursor.base + remote)
     }
 
-    fn spawn_poller_locked(&self, subs: &mut SubState) {
-        if subs.poller.is_some() {
-            return;
-        }
-        let rpc = self.rpc.clone();
-        let architecture = self.architecture;
-        let stop = self.stop.clone();
-        let senders = Arc::clone(&subs.senders);
-        let interval = self.event_poll;
-        let handle = std::thread::Builder::new()
-            .name("tcp-chain-events".to_owned())
-            .spawn(move || {
-                event_poll_loop(rpc, architecture, stop, senders, interval);
-            })
-            .expect("failed to spawn commit-event poller");
-        subs.poller = Some(handle);
+    fn cursor(&self, shard: u32) -> Result<ShardCursor, ChainError> {
+        let cursors = self.cursors.lock();
+        cursors
+            .get(shard as usize)
+            .copied()
+            .ok_or(ChainError::UnknownShard(shard))
     }
 
-    /// Stops the commit-event poller and joins it. Called by `Drop`; safe
-    /// to call repeatedly.
-    pub fn stop_poller(&self) {
+    /// Stops the commit-event poller and joins it. Idempotent.
+    fn stop_poller(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        let handle = self.subs.lock().poller.take();
+        let handle = self.poller.lock().take();
         if let Some(handle) = handle {
             if handle.thread().id() != std::thread::current().id() {
                 let _ = handle.join();
@@ -205,7 +128,7 @@ impl TcpChainClient {
     }
 }
 
-impl Drop for TcpChainClient {
+impl<C: Transport> Drop for RemoteChain<C> {
     fn drop(&mut self) {
         self.stop_poller();
     }
@@ -215,25 +138,18 @@ impl Drop for TcpChainClient {
 /// subscriber. Runs on its own remote cursor (independent of the batch
 /// monitor's) with local restart detection, so interactive and batch
 /// observation modes cannot disturb each other.
-fn event_poll_loop(
-    rpc: TcpRpcClient,
-    architecture: Architecture,
-    stop: Arc<AtomicBool>,
-    senders: Arc<Mutex<Vec<Sender<CommitEvent>>>>,
-    interval: Duration,
+fn event_poll_loop<C: Transport>(
+    rpc: &C,
+    shards: u32,
+    stop: &AtomicBool,
+    subscribers: &Mutex<Vec<Sender<CommitEvent>>>,
 ) {
-    let shards = architecture.shard_count() as usize;
-    let mut last_remote = vec![0u64; shards];
+    let mut last_remote = vec![0u64; shards as usize];
     while !stop.load(Ordering::SeqCst) {
-        for shard in 0..shards as u32 {
-            let Ok(Ok(h)) = rpc.call(
-                "latest_height",
-                Value::object([("shard", Value::from(shard as u64))]),
-            ) else {
+        for (shard, cursor) in (0..shards).zip(&mut last_remote) {
+            let Ok(remote) = wire::LATEST_HEIGHT.call(rpc, &shard) else {
                 continue; // node down: try again next tick
             };
-            let Some(remote) = h.as_u64() else { continue };
-            let cursor = &mut last_remote[shard as usize];
             if remote < *cursor {
                 *cursor = 0; // restart: the fresh ledger starts over
             }
@@ -241,26 +157,16 @@ fn event_poll_loop(
                 if stop.load(Ordering::SeqCst) {
                     return;
                 }
-                let next = *cursor + 1;
-                let Ok(Ok(v)) = rpc.call(
-                    "get_block",
-                    Value::object([
-                        ("shard", Value::from(shard as u64)),
-                        ("height", Value::from(next)),
-                    ]),
-                ) else {
-                    break; // transient: re-poll this height next tick
+                let block = match wire::GET_BLOCK.call(rpc, &(shard, *cursor + 1)) {
+                    Ok(block) => block,
+                    // Transient: re-poll this height next tick.
+                    Err(e) if e.kind() == ErrorKind::Transient => break,
+                    Err(_) => None, // undecodable: skip it
                 };
-                *cursor = next;
-                if v.is_null() {
-                    continue;
-                }
-                let Ok(block) = codec::decode_block(&v) else {
-                    continue;
-                };
-                let mut subs = senders.lock();
-                subs.retain(|tx| {
-                    for (i, id) in block.tx_ids.iter().enumerate() {
+                *cursor += 1;
+                let Some(block) = block else { continue };
+                subscribers.lock().retain(|tx| {
+                    block.tx_ids.iter().enumerate().all(|(i, id)| {
                         let event = CommitEvent {
                             tx_id: *id,
                             success: block.valid.get(i).copied().unwrap_or(false),
@@ -268,19 +174,16 @@ fn event_poll_loop(
                             shard,
                             committed_at: block.header.timestamp,
                         };
-                        if tx.send(event).is_err() {
-                            return false; // subscriber gone
-                        }
-                    }
-                    true
+                        tx.send(event).is_ok() // else: subscriber gone
+                    })
                 });
             }
         }
-        std::thread::sleep(interval);
+        std::thread::sleep(EVENT_POLL);
     }
 }
 
-impl BlockchainClient for TcpChainClient {
+impl<C: Transport> BlockchainClient for RemoteChain<C> {
     fn chain_name(&self) -> &str {
         &self.name
     }
@@ -290,78 +193,64 @@ impl BlockchainClient for TcpChainClient {
     }
 
     fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError> {
-        let id = tx.id;
-        self.call("submit_transaction", codec::encode_signed_tx(&tx))?;
-        Ok(id)
+        wire::SUBMIT_TRANSACTION.call(&*self.rpc, &tx)
     }
 
     fn latest_height(&self, shard: u32) -> Result<u64, ChainError> {
         match self.virtual_height(shard) {
-            Ok(h) => Ok(h),
             // A dead or restarting node must not kill the monitor:
             // answer the last virtual height we saw and let the next
             // poll catch up.
             Err(e) if e.kind() == ErrorKind::Transient => {
-                let cursors = self.cursors.lock();
-                let cursor = cursors
-                    .get(shard as usize)
-                    .ok_or(ChainError::UnknownShard(shard))?;
+                let cursor = self.cursor(shard)?;
                 Ok(cursor.base + cursor.last_remote)
             }
-            Err(e) => Err(e),
+            other => other,
         }
     }
 
     fn block_at(&self, shard: u32, height: u64) -> Result<Option<Block>, ChainError> {
-        let base = {
-            let cursors = self.cursors.lock();
-            cursors
-                .get(shard as usize)
-                .ok_or(ChainError::UnknownShard(shard))?
-                .base
-        };
+        let base = self.cursor(shard)?.base;
         if height <= base {
             // The block died, unread, with an earlier process
             // incarnation; its transactions will drain as timed out.
             return Ok(None);
         }
-        let remote_height = height - base;
-        let v = match self.call(
-            "get_block",
-            Value::object([
-                ("shard", Value::from(shard as u64)),
-                ("height", Value::from(remote_height)),
-            ]),
-        ) {
-            Ok(v) => v,
+        match wire::GET_BLOCK.call(&*self.rpc, &(shard, height - base)) {
+            Ok(block) => Ok(block.map(|mut block| {
+                // Surface the *virtual* height so the monitor's cursor
+                // arithmetic holds across restarts.
+                block.header.height = height;
+                block
+            })),
             // Transient outage: report the block as currently missing so
             // the monitor survives; the cursor has already moved on,
             // which matches what a restart does to unread blocks anyway.
-            Err(e) if e.kind() == ErrorKind::Transient => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        if v.is_null() {
-            return Ok(None);
+            Err(e) if e.kind() == ErrorKind::Transient => Ok(None),
+            Err(e) => Err(e),
         }
-        let mut block = codec::decode_block(&v).map_err(|e| ChainError::protocol(e.to_string()))?;
-        // Surface the *virtual* height so the monitor's cursor arithmetic
-        // holds across restarts.
-        block.header.height = height;
-        Ok(Some(block))
     }
 
     fn pending_txs(&self) -> Result<usize, ChainError> {
-        let v = self.call("pending_txs", Value::Null)?;
-        v.as_u64()
-            .map(|n| n as usize)
-            .ok_or_else(|| ChainError::protocol("pending_txs: non-numeric"))
+        let pending = wire::PENDING_TXS.call(&*self.rpc, &())?;
+        usize::try_from(pending).map_err(|_| ChainError::protocol("pending_txs: out of range"))
     }
 
     fn subscribe_commits(&self) -> Receiver<CommitEvent> {
         let (tx, rx) = unbounded();
-        let mut subs = self.subs.lock();
-        subs.senders.lock().push(tx);
-        self.spawn_poller_locked(&mut subs);
+        self.subscribers.lock().push(tx);
+        let mut poller = self.poller.lock();
+        if poller.is_none() {
+            let rpc = Arc::clone(&self.rpc);
+            let shards = self.architecture.shard_count();
+            let stop = Arc::clone(&self.stop);
+            let subscribers = Arc::clone(&self.subscribers);
+            let handle = std::thread::Builder::new()
+                .name("remote-chain-events".to_owned())
+                .spawn(move || event_poll_loop(&*rpc, shards, &stop, &subscribers))
+                .expect("failed to spawn commit-event poller");
+            *poller = Some(handle);
+        }
         rx
     }
 
@@ -369,217 +258,65 @@ impl BlockchainClient for TcpChainClient {
         self.stop_poller();
         // Best effort: the node may already be gone (killed by its
         // supervisor), which is fine — process teardown is authoritative.
-        let _ = self.rpc.call("shutdown_chain", Value::Null);
+        let _ = wire::SHUTDOWN_CHAIN.call(&*self.rpc, &());
     }
 }
 
-impl SimChain for TcpChainClient {
+impl<C: Transport> SimChain for RemoteChain<C> {
     fn seed_account(&self, account: Address, checking: u64, savings: u64) {
         // Seeding happens before the run, with the node healthy; a
         // failure here means the deployment is broken, which the driver
         // discovers immediately through every later call. Best effort by
         // signature (the trait returns nothing).
-        let _ = self.call(
-            "seed_account",
-            Value::object([
-                ("account", Value::from(account.0.to_string())),
-                ("checking", Value::from(checking)),
-                ("savings", Value::from(savings)),
-            ]),
-        );
+        let _ = wire::SEED_ACCOUNT.call(&*self.rpc, &(account, checking, savings));
     }
 
     fn account(&self, account: Address) -> Option<AccountState> {
-        let v = self
-            .call(
-                "get_account",
-                Value::object([("account", Value::from(account.0.to_string()))]),
-            )
-            .ok()?;
-        if v.is_null() {
-            return None;
-        }
-        Some(AccountState {
-            checking: v.get("checking").and_then(Value::as_u64)?,
-            savings: v.get("savings").and_then(Value::as_u64)?,
-            version: v.get("version").and_then(Value::as_u64)?,
-        })
+        wire::GET_ACCOUNT.call(&*self.rpc, &account).ok()?
     }
 
     fn ingress_nodes(&self) -> Vec<String> {
-        string_list(self.call("ingress_nodes", Value::Null))
+        wire::INGRESS_NODES
+            .call(&*self.rpc, &())
+            .unwrap_or_default()
     }
 
     fn sealer_nodes(&self) -> Vec<String> {
-        string_list(self.call("sealer_nodes", Value::Null))
+        wire::SEALER_NODES.call(&*self.rpc, &()).unwrap_or_default()
     }
 
     fn verify_ledgers(&self) -> Result<(), LedgerError> {
-        let Ok(v) = self.call("verify_ledgers", Value::Null) else {
-            // An unreachable node cannot prove its ledger broken; the
-            // supervisor's health checks own liveness.
-            return Ok(());
-        };
-        if v.get("ok").and_then(Value::as_bool) == Some(true) {
-            return Ok(());
-        }
-        Err(v
-            .get("error")
-            .and_then(decode_ledger_error)
-            .unwrap_or(LedgerError::BrokenHashChain))
+        // An unreachable node cannot prove its ledger broken; the
+        // supervisor's health checks own liveness.
+        wire::VERIFY_LEDGERS.call(&*self.rpc, &()).unwrap_or(Ok(()))
     }
 
     fn progress_mark(&self) -> u64 {
-        self.call("progress_mark", Value::Null)
-            .ok()
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0)
+        wire::PROGRESS_MARK.call(&*self.rpc, &()).unwrap_or(0)
     }
-}
-
-fn string_list(result: Result<Value, ChainError>) -> Vec<String> {
-    result
-        .ok()
-        .and_then(|v| {
-            v.as_array().map(|items| {
-                items
-                    .iter()
-                    .filter_map(|i| i.as_str().map(str::to_owned))
-                    .collect()
-            })
-        })
-        .unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc_adapter::{serve_sim, serve_tcp};
-    use crate::smallbank::Op;
-    use crate::types::Transaction;
-    use hammer_crypto::sig::SigParams;
-    use hammer_crypto::Keypair;
-    use hammer_net::TcpServerConfig;
-
-    /// A small in-memory SimChain for loopback tests.
-    struct MiniChain {
-        blocks: Mutex<Vec<Block>>,
-        accounts: Mutex<std::collections::HashMap<Address, AccountState>>,
-    }
-
-    impl MiniChain {
-        fn new() -> Arc<Self> {
-            Arc::new(MiniChain {
-                blocks: Mutex::new(Vec::new()),
-                accounts: Mutex::new(std::collections::HashMap::new()),
-            })
-        }
-    }
-
-    impl BlockchainClient for MiniChain {
-        fn chain_name(&self) -> &str {
-            "mini"
-        }
-        fn architecture(&self) -> Architecture {
-            Architecture::NonSharded
-        }
-        fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError> {
-            let id = tx.id;
-            let mut blocks = self.blocks.lock();
-            let height = blocks.len() as u64 + 1;
-            let prev = blocks.last().map(|b| b.header.hash()).unwrap_or([0; 32]);
-            blocks.push(Block::new(
-                height,
-                prev,
-                Duration::from_millis(height),
-                "mini-node",
-                0,
-                vec![id],
-                vec![true],
-            ));
-            Ok(id)
-        }
-        fn latest_height(&self, _shard: u32) -> Result<u64, ChainError> {
-            Ok(self.blocks.lock().len() as u64)
-        }
-        fn block_at(&self, _shard: u32, height: u64) -> Result<Option<Block>, ChainError> {
-            if height == 0 {
-                return Ok(None);
-            }
-            Ok(self.blocks.lock().get(height as usize - 1).cloned())
-        }
-        fn pending_txs(&self) -> Result<usize, ChainError> {
-            Ok(0)
-        }
-        fn subscribe_commits(&self) -> Receiver<CommitEvent> {
-            unbounded().1
-        }
-        fn shutdown(&self) {}
-    }
-
-    impl SimChain for MiniChain {
-        fn seed_account(&self, account: Address, checking: u64, savings: u64) {
-            self.accounts.lock().insert(
-                account,
-                AccountState {
-                    checking,
-                    savings,
-                    version: 1,
-                },
-            );
-        }
-        fn account(&self, account: Address) -> Option<AccountState> {
-            self.accounts.lock().get(&account).copied()
-        }
-        fn ingress_nodes(&self) -> Vec<String> {
-            vec!["mini-node".to_owned()]
-        }
-        fn sealer_nodes(&self) -> Vec<String> {
-            vec!["mini-node".to_owned()]
-        }
-        fn verify_ledgers(&self) -> Result<(), LedgerError> {
-            Ok(())
-        }
-        fn progress_mark(&self) -> u64 {
-            self.blocks.lock().len() as u64
-        }
-    }
-
-    fn signed_tx(nonce: u64) -> SignedTransaction {
-        Transaction {
-            client_id: 1,
-            server_id: 1,
-            nonce,
-            op: Op::KvPut {
-                key: nonce,
-                value: 7,
-            },
-            chain_name: "mini".to_owned(),
-            contract_name: "kv".to_owned(),
-        }
-        .sign(&Keypair::from_seed(3), &SigParams::fast())
-    }
-
-    fn serve_mini(chain: Arc<MiniChain>, addr: &str) -> (hammer_net::TcpRpcServer, SocketAddr) {
-        let server = serve_tcp(
-            serve_sim(chain as Arc<dyn SimChain>),
-            addr,
-            TcpServerConfig::default(),
-        )
-        .unwrap();
-        let addr = server.local_addr();
-        (server, addr)
-    }
+    use crate::rpc_adapter::serve_tcp;
+    use crate::rpc_adapter::tests::{serve_mock, signed_tx};
+    use hammer_net::{ReconnectPolicy, TcpClientConfig, TcpRpcClient, TcpServerConfig};
+    use hammer_rpc::json::Value;
+    use hammer_rpc::transport::RpcClient;
 
     #[test]
     fn loopback_simchain_roundtrip() {
-        let chain = MiniChain::new();
-        let (_server, addr) = serve_mini(Arc::clone(&chain), "127.0.0.1:0");
-        let client =
-            TcpChainClient::connect(addr, TcpClientConfig::default(), ReconnectPolicy::none())
-                .unwrap();
-        assert_eq!(client.chain_name(), "mini");
-        assert_eq!(client.architecture(), Architecture::NonSharded);
+        let (_chain, rpc) = serve_mock();
+        let server = serve_tcp(rpc, "127.0.0.1:0", TcpServerConfig::default()).unwrap();
+        let client = RemoteChain::connect(TcpRpcClient::new(
+            server.local_addr(),
+            TcpClientConfig::default(),
+            ReconnectPolicy::none(),
+        ))
+        .unwrap();
+        assert_eq!(client.chain_name(), "mock-chain");
+        assert_eq!(client.architecture(), Architecture::Sharded { shards: 2 });
 
         client.seed_account(Address(42), 100, 200);
         let acct = client.account(Address(42)).unwrap();
@@ -591,9 +328,13 @@ mod tests {
         let block = client.block_at(0, 1).unwrap().unwrap();
         assert_eq!(block.tx_ids, vec![id]);
         assert!(client.block_at(0, 9).unwrap().is_none());
+        assert_eq!(
+            client.latest_height(5).unwrap_err(),
+            ChainError::UnknownShard(5)
+        );
 
-        assert_eq!(client.ingress_nodes(), vec!["mini-node"]);
-        assert_eq!(client.sealer_nodes(), vec!["mini-node"]);
+        assert_eq!(client.ingress_nodes(), vec!["mock-node"]);
+        assert_eq!(client.sealer_nodes(), vec!["mock-node"]);
         assert!(client.verify_ledgers().is_ok());
         assert_eq!(client.progress_mark(), 1);
         assert_eq!(client.pending_txs().unwrap(), 0);
@@ -601,48 +342,58 @@ mod tests {
 
     #[test]
     fn commit_events_synthesized_from_blocks() {
-        let chain = MiniChain::new();
-        let (_server, addr) = serve_mini(Arc::clone(&chain), "127.0.0.1:0");
-        let client =
-            TcpChainClient::connect(addr, TcpClientConfig::default(), ReconnectPolicy::none())
-                .unwrap();
+        let (_chain, server) = serve_mock();
+        let client = RemoteChain::connect(server.client()).unwrap();
         let events = client.subscribe_commits();
-        let mut expected = Vec::new();
-        for nonce in 0..5 {
-            expected.push(client.submit(signed_tx(nonce)).unwrap());
-        }
-        for _ in 0..5 {
+        let expected: Vec<TxId> = (0..5)
+            .map(|nonce| client.submit(signed_tx(nonce)).unwrap())
+            .collect();
+        // Both shards of the mock read the one ledger.
+        for _ in 0..10 {
             let ev = events.recv_timeout(Duration::from_secs(10)).unwrap();
             assert!(expected.contains(&ev.tx_id));
             assert!(ev.success);
         }
-        client.stop_poller();
+    }
+
+    /// An in-memory node that dies and restarts on command: while down
+    /// every call fails the way a refused connection does, and a restart
+    /// comes back with an empty ledger.
+    #[derive(Clone, Default)]
+    struct Node(Arc<Mutex<Option<RpcClient>>>);
+
+    impl Node {
+        fn start() -> Self {
+            let node = Node::default();
+            node.restart();
+            node
+        }
+        fn kill(&self) {
+            *self.0.lock() = None;
+        }
+        fn restart(&self) {
+            *self.0.lock() = Some(serve_mock().1.client());
+        }
+    }
+
+    impl Transport for Node {
+        fn call(&self, method: &str, params: Value) -> Result<Value, ChainError> {
+            match &*self.0.lock() {
+                Some(rpc) => Transport::call(rpc, method, params),
+                None => Err(ChainError::transport("connection refused")),
+            }
+        }
     }
 
     #[test]
     fn transient_outage_degrades_instead_of_erroring() {
-        let chain = MiniChain::new();
-        let (server, addr) = serve_mini(Arc::clone(&chain), "127.0.0.1:0");
-        let client = TcpChainClient::connect(
-            addr,
-            TcpClientConfig {
-                connect_timeout: Duration::from_millis(200),
-                ..TcpClientConfig::default()
-            },
-            ReconnectPolicy {
-                max_attempts: 2,
-                base_backoff: Duration::from_millis(1),
-                multiplier: 1.0,
-                max_backoff: Duration::from_millis(1),
-            },
-        )
-        .unwrap();
+        let node = Node::start();
+        let client = RemoteChain::connect(node.clone()).unwrap();
         client.submit(signed_tx(1)).unwrap();
         assert_eq!(client.latest_height(0).unwrap(), 1);
 
         // Kill the node: the monitor-facing reads degrade, never error.
-        server.shutdown_and_join();
-        drop(server);
+        node.kill();
         assert_eq!(client.latest_height(0).unwrap(), 1);
         assert!(client.block_at(0, 1).unwrap().is_none());
         // Submission errors DO propagate, as transient.
@@ -652,22 +403,8 @@ mod tests {
 
     #[test]
     fn restart_virtualizes_heights() {
-        let chain = MiniChain::new();
-        let (server, addr) = serve_mini(Arc::clone(&chain), "127.0.0.1:0");
-        let client = TcpChainClient::connect(
-            addr,
-            TcpClientConfig {
-                connect_timeout: Duration::from_millis(500),
-                ..TcpClientConfig::default()
-            },
-            ReconnectPolicy {
-                max_attempts: 10,
-                base_backoff: Duration::from_millis(5),
-                multiplier: 2.0,
-                max_backoff: Duration::from_millis(50),
-            },
-        )
-        .unwrap();
+        let node = Node::start();
+        let client = RemoteChain::connect(node.clone()).unwrap();
         // First incarnation seals 3 blocks.
         for nonce in 0..3 {
             client.submit(signed_tx(nonce)).unwrap();
@@ -675,11 +412,9 @@ mod tests {
         assert_eq!(client.latest_height(0).unwrap(), 3);
         assert!(client.block_at(0, 2).unwrap().is_some());
 
-        // "Crash" and restart with a fresh (empty) chain on the same port.
-        server.shutdown_and_join();
-        drop(server);
-        let fresh = MiniChain::new();
-        let (_server2, _addr2) = serve_mini(Arc::clone(&fresh), &addr.to_string());
+        // Crash, and restart with a fresh (empty) chain.
+        node.kill();
+        node.restart();
 
         // The fresh node is at remote height 0 → virtual height stays 3.
         assert_eq!(client.latest_height(0).unwrap(), 3);
@@ -690,5 +425,7 @@ mod tests {
         let b = client.block_at(0, 4).unwrap().unwrap();
         assert_eq!(b.header.height, 4);
         assert!(client.block_at(0, 2).unwrap().is_none());
+        // The other shard has its own cursor and has not seen the restart.
+        assert_eq!(client.latest_height(1).unwrap(), 1);
     }
 }

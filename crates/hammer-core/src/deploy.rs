@@ -23,12 +23,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hammer_chain::client::{Architecture, BlockchainClient, ChainError, CommitEvent};
+use hammer_chain::client::BlockchainClient;
 use hammer_chain::kernel::SimChain;
-use hammer_chain::ledger::LedgerError;
-use hammer_chain::remote::TcpChainClient;
-use hammer_chain::state::AccountState;
-use hammer_chain::types::{Address, Block, SignedTransaction, TxId};
+use hammer_chain::remote::RemoteChain;
+use hammer_chain::rpc_adapter::{self, Transport};
+use hammer_chain::types::Address;
 use hammer_ethereum::{EthereumConfig, EthereumSim};
 use hammer_fabric::{FabricConfig, FabricSim};
 use hammer_meepo::{MeepoConfig, MeepoSim};
@@ -37,7 +36,6 @@ use hammer_net::{
     TcpRpcClient,
 };
 use hammer_neuchain::{NeuchainConfig, NeuchainSim};
-use hammer_rpc::json::Value;
 use parking_lot::Mutex;
 
 use crate::retry::RetryPolicy;
@@ -224,7 +222,7 @@ struct SupervisorShared {
     config: SupervisorConfig,
     child: Mutex<Option<Child>>,
     /// Genesis allocations to replay into a fresh process incarnation.
-    seeds: Mutex<Vec<(u64, u64, u64)>>,
+    seeds: Mutex<Vec<(Address, u64, u64)>>,
     plan: Mutex<Option<FaultPlan>>,
     /// Crash windows extracted from the plan (the supervisor realises
     /// these as SIGKILL; other fault kinds are the node's own business).
@@ -302,28 +300,18 @@ impl SupervisorShared {
     fn replay_state(&self) -> Result<(), DeployError> {
         let seeds = self.seeds.lock().clone();
         for (account, checking, savings) in seeds {
-            self.call_checked(
-                "seed_account",
-                Value::object([
-                    ("account", Value::from(account.to_string())),
-                    ("checking", Value::from(checking)),
-                    ("savings", Value::from(savings)),
-                ]),
-            )?;
+            rpc_adapter::SEED_ACCOUNT
+                .call(&self.rpc, &(account, checking, savings))
+                .map_err(|e| DeployError::Spawn(format!("replay seed: {e}")))?;
         }
         let plan = self.plan.lock().clone();
-        if let Some(plan) = plan {
-            self.call_checked("install_faults", plan.to_value())?;
-        }
-        Ok(())
+        plan.map_or(Ok(()), |plan| self.install_faults(&plan))
     }
 
-    fn call_checked(&self, method: &str, params: Value) -> Result<(), DeployError> {
-        self.rpc
-            .call(method, params)
-            .map_err(|e| DeployError::Spawn(format!("{method}: {e}")))?
-            .map_err(|e| DeployError::Spawn(format!("{method}: {e}")))?;
-        Ok(())
+    fn install_faults(&self, plan: &FaultPlan) -> Result<(), DeployError> {
+        Transport::call(&self.rpc, "install_faults", plan.to_value())
+            .map(drop)
+            .map_err(|e| DeployError::Spawn(format!("install_faults: {e}")))
     }
 
     /// Whether the child is currently running (reaps a just-exited one).
@@ -434,8 +422,8 @@ impl Supervisor {
         // deployment is handed to the driver.
         let deadline = Instant::now() + shared.config.health_timeout;
         loop {
-            match shared.rpc.call("chain_name", Value::Null) {
-                Ok(Ok(_)) => break,
+            match rpc_adapter::CHAIN_NAME.call(&shared.rpc, &()) {
+                Ok(_) => break,
                 _ if Instant::now() >= deadline => {
                     shared.kill_child();
                     return Err(DeployError::Spawn(format!(
@@ -462,15 +450,6 @@ impl Supervisor {
         self.shared.addr
     }
 
-    /// Records a genesis allocation for replay into restarted
-    /// incarnations (the deployment forwards the live call itself).
-    pub fn record_seed(&self, account: Address, checking: u64, savings: u64) {
-        self.shared
-            .seeds
-            .lock()
-            .push((account.0, checking, savings));
-    }
-
     /// Stores the fault plan, forwards it to the node (blackhole /
     /// partition / latency windows act on the node's own simulated
     /// network), and arms the crash windows this supervisor realises as
@@ -482,8 +461,7 @@ impl Supervisor {
             .filter(|w| matches!(w.fault, Fault::Crash { .. }))
             .map(|w| (w.start, w.end))
             .collect();
-        self.shared
-            .call_checked("install_faults", plan.to_value())?;
+        self.shared.install_faults(&plan)?;
         *self.shared.plan.lock() = Some(plan);
         *self.shared.crash_windows.lock() = crashes;
         Ok(())
@@ -552,63 +530,6 @@ fn supervise_loop(shared: Arc<SupervisorShared>) {
             }
         }
         std::thread::sleep(shared.config.tick);
-    }
-}
-
-/// The driver-facing handle of a multi-process deployment: a
-/// [`TcpChainClient`] that additionally records genesis seeds into the
-/// supervisor so restarts can replay them.
-struct SupervisedChain {
-    inner: Arc<TcpChainClient>,
-    supervisor: Arc<Supervisor>,
-}
-
-impl BlockchainClient for SupervisedChain {
-    fn chain_name(&self) -> &str {
-        self.inner.chain_name()
-    }
-    fn architecture(&self) -> Architecture {
-        self.inner.architecture()
-    }
-    fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError> {
-        self.inner.submit(tx)
-    }
-    fn latest_height(&self, shard: u32) -> Result<u64, ChainError> {
-        self.inner.latest_height(shard)
-    }
-    fn block_at(&self, shard: u32, height: u64) -> Result<Option<Block>, ChainError> {
-        self.inner.block_at(shard, height)
-    }
-    fn pending_txs(&self) -> Result<usize, ChainError> {
-        self.inner.pending_txs()
-    }
-    fn subscribe_commits(&self) -> crossbeam::channel::Receiver<CommitEvent> {
-        self.inner.subscribe_commits()
-    }
-    fn shutdown(&self) {
-        self.inner.shutdown()
-    }
-}
-
-impl SimChain for SupervisedChain {
-    fn seed_account(&self, account: Address, checking: u64, savings: u64) {
-        self.supervisor.record_seed(account, checking, savings);
-        self.inner.seed_account(account, checking, savings);
-    }
-    fn account(&self, account: Address) -> Option<AccountState> {
-        self.inner.account(account)
-    }
-    fn ingress_nodes(&self) -> Vec<String> {
-        self.inner.ingress_nodes()
-    }
-    fn sealer_nodes(&self) -> Vec<String> {
-        self.inner.sealer_nodes()
-    }
-    fn verify_ledgers(&self) -> Result<(), LedgerError> {
-        self.inner.verify_ledgers()
-    }
-    fn progress_mark(&self) -> u64 {
-        self.inner.progress_mark()
     }
 }
 
@@ -799,16 +720,15 @@ impl BackendRegistry {
     ) -> Result<Deployment, DeployError> {
         self.builder(name)?;
         let supervisor = Supervisor::launch(name, opts, clock.clone(), supervisor_config)?;
-        let inner =
-            TcpChainClient::connect(supervisor.addr(), TcpClientConfig::default(), reconnect)
-                .map_err(|e| {
-                    supervisor.shutdown();
-                    DeployError::Spawn(format!("connect to node: {e}"))
-                })?;
-        let chain = Arc::new(SupervisedChain {
-            inner,
-            supervisor: Arc::clone(&supervisor),
-        });
+        let chain = RemoteChain::connect(TcpRpcClient::new(
+            supervisor.addr(),
+            TcpClientConfig::default(),
+            reconnect,
+        ))
+        .map_err(|e| {
+            supervisor.shutdown();
+            DeployError::Spawn(format!("connect to node: {e}"))
+        })?;
         // Mirror the remote node names onto the local network so
         // ChaosTargets placeholders resolve and try_install_faults
         // validates against the real topology. Endpoint registration
@@ -875,8 +795,17 @@ impl Deployment {
     }
 
     /// Seeds an account with initial balances (genesis allocation — the
-    /// preparation-phase fixture the paper's client installs).
+    /// preparation-phase fixture the paper's client installs). A
+    /// supervised deployment also records the seed, so a restarted node
+    /// process gets it replayed.
     pub fn seed_account(&self, account: Address, checking: u64, savings: u64) {
+        if let Some(supervisor) = &self.supervisor {
+            supervisor
+                .shared
+                .seeds
+                .lock()
+                .push((account, checking, savings));
+        }
         self.chain.seed_account(account, checking, savings);
     }
 

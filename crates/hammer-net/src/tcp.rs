@@ -453,11 +453,6 @@ impl TcpRpcClient {
         }
     }
 
-    /// The server address this client targets.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// Calls `method` with `params`, reconnecting with backoff on
     /// connection-level failures. Returns the RPC-level outcome
     /// (`Ok`/`Err(RpcError)`) or a [`TcpError`] when the transport gave
@@ -490,11 +485,6 @@ impl TcpRpcClient {
             }
         }
         Err(last_err.unwrap_or_else(|| TcpError::Io(io::Error::other("no attempts made"))))
-    }
-
-    /// Drops any cached connection, forcing the next call to redial.
-    pub fn disconnect(&self) {
-        self.inner.lock().conn = None;
     }
 
     fn try_call_on_conn(

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use hammer_rpc::json::write_json_string;
 use parking_lot::Mutex;
 
 /// Default ring capacity, sized for a full evaluation run's seals and
@@ -274,14 +275,14 @@ impl Journal {
         for e in events.iter() {
             let _ = write!(
                 out,
-                "{{\"at_s\":{:.6},\"kind\":\"{}\",\"node\":\"",
+                "{{\"at_s\":{:.6},\"kind\":\"{}\",\"node\":",
                 e.at.as_secs_f64(),
                 e.kind.as_str()
             );
-            escape_into(&mut out, &e.node);
-            out.push_str("\",\"detail\":\"");
-            escape_into(&mut out, &e.detail);
-            let _ = writeln!(out, "\",\"value\":{}}}", e.value);
+            write_json_string(&e.node, &mut out);
+            out.push_str(",\"detail\":");
+            write_json_string(&e.detail, &mut out);
+            let _ = writeln!(out, ",\"value\":{}}}", e.value);
         }
         out
     }
@@ -295,23 +296,6 @@ impl Journal {
 impl Default for Journal {
     fn default() -> Self {
         Journal::new()
-    }
-}
-
-/// Minimal JSON string escaping for labels and details.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -327,7 +327,9 @@ fn itoa(v: i64, buf: &mut [u8; 20]) -> &str {
     std::str::from_utf8(&buf[pos..]).expect("decimal digits are ASCII")
 }
 
-fn write_json_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted, escaped JSON string — the writer
+/// [`Value::to_json_into`] uses, for emitters that build a line by hand.
+pub fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     // Copy maximal runs of bytes that need no escaping in one push_str;
     // every byte that does need escaping is ASCII, so slicing at those

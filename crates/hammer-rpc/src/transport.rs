@@ -180,11 +180,6 @@ impl RpcClient {
         debug_assert_eq!(resp.id, id, "transport must echo the request id");
         resp.outcome
     }
-
-    /// The server this client talks to.
-    pub fn server_name(&self) -> &str {
-        self.server.name()
-    }
 }
 
 #[cfg(test)]

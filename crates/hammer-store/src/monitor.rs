@@ -16,11 +16,9 @@
 //! exposition and the dashboard alongside every other metric; otherwise it
 //! runs on a private registry and behaves as before.
 //!
-//! Scraping follows **simulated** time by default: the requested period is
+//! Scraping follows **simulated** time: the requested period is
 //! interpreted on the network's [`hammer_net::SimClock`], so samples stay
-//! aligned with fault windows and block intervals at any speedup. The old
-//! wall-clock behaviour remains available via
-//! [`ResourceMonitor::start_scraping_wall`].
+//! aligned with fault windows and block intervals at any speedup.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -181,27 +179,6 @@ impl ResourceMonitor {
         }
     }
 
-    /// Starts a background scraper with a **wall-clock** period (the
-    /// pre-observability behaviour): samples drift relative to simulated
-    /// time as the speedup grows. Opt-in for callers that genuinely want
-    /// wall cadence, e.g. when watching a live run interactively.
-    pub fn start_scraping_wall(&self, period: Duration) -> ScrapeHandle {
-        let monitor = self.clone();
-        let handle = std::thread::Builder::new()
-            .name("resource-monitor".to_owned())
-            .spawn(move || {
-                while !monitor.inner.stop.load(Ordering::Relaxed) {
-                    monitor.scrape();
-                    std::thread::sleep(period);
-                }
-            })
-            .expect("spawn monitor");
-        ScrapeHandle {
-            inner: Arc::clone(&self.inner),
-            thread: Some(handle),
-        }
-    }
-
     /// All samples collected so far.
     pub fn samples(&self) -> Vec<ResourceSample> {
         self.inner.samples.lock().clone()
@@ -325,16 +302,6 @@ mod tests {
                 "samples only {delta:?} of sim time apart"
             );
         }
-    }
-
-    #[test]
-    fn wall_scraper_remains_available() {
-        let monitor = ResourceMonitor::new(net());
-        {
-            let _handle = monitor.start_scraping_wall(Duration::from_millis(5));
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        assert!(monitor.samples().len() >= 2);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Runs the `roundtrip`, `obs_overhead`, and `rpc_loopback` Criterion
-# groups and the `driver_ceiling` sweep, snapshotting machine-readable
-# results (one JSON object per line, appended by the harness via
-# CRITERION_JSON) to BENCH_roundtrip.json, BENCH_obs_overhead.json,
-# BENCH_rpc_loopback.json, and BENCH_driver_ceiling.json. Exits non-zero
-# if
+# Runs the `roundtrip`, `obs_overhead`, `rpc_loopback`, and tracker
+# (`taskproc` + `taskproc_compaction`) Criterion groups and the
+# `driver_ceiling` sweep, snapshotting machine-readable results (one JSON
+# object per line, appended by the harness via CRITERION_JSON) to
+# BENCH_roundtrip.json, BENCH_obs_overhead.json, BENCH_rpc_loopback.json,
+# BENCH_tracker.json, and BENCH_driver_ceiling.json. Exits non-zero if
 #   * the windowed fixed-base modexp does not hold its >=3x speedup over
 #     generic square-and-multiply, or
 #   * one SHA-256 compression through the dispatch point costs more than
@@ -20,10 +20,13 @@
 #   * a loopback-TCP RPC call costs more than 50x the in-process
 #     dispatch (the distributed mode's transport stays in the same
 #     order of magnitude as the work it wraps), or
+#   * matching a 1000-tx block against 100k in-flight records through the
+#     task-processing table is not at least 100x cheaper than through the
+#     batch-testing baseline (Fig. 9's claim; ~3000x here), or
 #   * the driver_ceiling sweep fails its accounting identity or cannot
 #     sustain the million-record in-flight depth.
 #
-# Usage: scripts/bench_snapshot.sh [roundtrip.json] [obs_overhead.json] [driver_ceiling.json] [rpc_loopback.json]
+# Usage: scripts/bench_snapshot.sh [roundtrip.json] [obs_overhead.json] [driver_ceiling.json] [rpc_loopback.json] [tracker.json]
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -31,6 +34,7 @@ OUT="${1:-BENCH_roundtrip.json}"
 OBS_OUT="${2:-BENCH_obs_overhead.json}"
 CEILING_OUT="${3:-BENCH_driver_ceiling.json}"
 RPC_OUT="${4:-BENCH_rpc_loopback.json}"
+TRACKER_OUT="${5:-BENCH_tracker.json}"
 abspath() {
     case "$1" in
         /*) printf '%s\n' "$1" ;;
@@ -153,6 +157,28 @@ awk -v i="$inproc" -v t="$tcp" 'BEGIN {
     }
 }'
 echo "snapshot written to $RPC_OUT"
+
+TRACKER_OUT_ABS="$(abspath "$TRACKER_OUT")"
+: > "$TRACKER_OUT_ABS"
+CRITERION_JSON="$TRACKER_OUT_ABS" cargo bench --offline -p bench --bench taskproc
+CRITERION_JSON="$TRACKER_OUT_ABS" cargo bench --offline -p bench --bench taskproc_compaction
+
+baseline=$(awk -F'"mean_ns":' '/"block_matching\/batch_baseline\/100000"/ { split($2, a, ","); print a[1] }' "$TRACKER_OUT_ABS")
+taskproc=$(awk -F'"mean_ns":' '/"block_matching\/hammer_taskproc\/100000"/ { split($2, a, ","); print a[1] }' "$TRACKER_OUT_ABS")
+if [ -z "$baseline" ] || [ -z "$taskproc" ]; then
+    echo "bench_snapshot: block_matching results missing from $TRACKER_OUT" >&2
+    exit 1
+fi
+
+awk -v b="$baseline" -v t="$taskproc" 'BEGIN {
+    r = b / t
+    printf "block matching at 100k in flight, batch baseline / task processing: %.0fx (%.0f ns / %.0f ns per 1000-tx block)\n", r, b, t
+    if (r < 100.0) {
+        print "bench_snapshot: task-processing matching below the 100x floor over the batch baseline" > "/dev/stderr"
+        exit 1
+    }
+}'
+echo "snapshot written to $TRACKER_OUT"
 
 CEILING_OUT_ABS="$(abspath "$CEILING_OUT")"
 # Full sweep: 1M sustained in-flight records, single-lock (shards=1)

@@ -210,6 +210,31 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: one chain-over-RPC client, one wire table"
+# RemoteChain over a Transport is the client for both deploy modes, and
+# rpc_adapter.rs is the only first-party file that spells a wire method
+# name (everything else goes through its `Method` constants; the frozen
+# driver_e2e benchmark package is its own crate).
+violations=$(grep -rnIE 'RpcChainClient|TcpChainClient|SupervisedChain' \
+    crates src tests examples 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a second chain-over-RPC client is back (use RemoteChain):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+wire_methods='submit_transaction|latest_height|get_block|pending_txs|seed_account|get_account|verify_ledgers|progress_mark|shutdown_chain'
+violations=$(grep -rnIE "\"($wire_methods)\"" crates src tests examples 2>/dev/null \
+    | grep -v '^crates/hammer-chain/src/rpc_adapter.rs:' \
+    | grep -v '^crates/bench/src/bin/driver_e2e/' || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a wire method name is spelled outside the wire table (rpc_adapter.rs):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
+echo "==> non-test lines of code (scripts/loc.sh)"
+scripts/loc.sh
+
 echo "==> driver_e2e smoke: the benchmark's tests and every workload at 1/50 size"
 crates/bench/src/bin/driver_e2e/ci_smoke.sh
 

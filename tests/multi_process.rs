@@ -18,7 +18,7 @@ use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::retry::RetryPolicy;
 use hammer::core::scenario::Scenario;
 use hammer::net::{FaultPlan, LinkConfig, SimClock, SimNetwork};
-use hammer::workload::{ControlSequence, WorkloadConfig};
+use hammer::workload::{ControlSequence, SmallBankGenerator, WorkloadConfig};
 
 /// The probes below count this process's children, so supervisor tests
 /// must not overlap; the harness runs same-binary tests in parallel.
@@ -147,6 +147,19 @@ fn crash_window_sigkills_and_restarts_the_node_process() {
         supervisor.node_alive(),
         "node should be healthy again after the window"
     );
+    // The restarted process got every recorded seed replayed: its fresh
+    // ledger knows each genesis account (an unseeded one reads as `None`),
+    // holding the seeded balances or their committed successors.
+    let workload = workload(backend);
+    let mut funds = 0;
+    for account in SmallBankGenerator::account_pool(workload.accounts, workload.seed) {
+        let state = deployment
+            .chain()
+            .account(account)
+            .expect("seeded account is known after the restart");
+        funds += state.checking + state.savings;
+    }
+    assert!(funds >= workload.accounts as u64 * workload.initial_checking);
 
     // Completeness under real process death: the accounting identity and
     // the per-window attribution still hold, and the watchdog did not

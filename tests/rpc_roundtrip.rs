@@ -5,7 +5,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hammer::chain::client::{Architecture, BlockchainClient};
-use hammer::chain::rpc_adapter::{serve, RpcChainClient};
+use hammer::chain::kernel::SimChain;
+use hammer::chain::remote::RemoteChain;
+use hammer::chain::rpc_adapter::{serve, serve_sim, SUBMIT_TRANSACTION};
 use hammer::chain::smallbank::Op;
 use hammer::chain::types::{Address, Transaction};
 use hammer::crypto::sig::SigParams;
@@ -31,9 +33,8 @@ fn evaluation_through_json_rpc_matches_direct_access() {
     let chain = NeuchainSim::start(NeuchainConfig::default(), clock, net);
     chain.seed_account(Address::from_name("acct"), 1_000_000, 0);
 
-    let server = serve(chain.clone() as Arc<dyn BlockchainClient>);
-    let rpc = RpcChainClient::connect(&server, chain.clone() as Arc<dyn BlockchainClient>)
-        .expect("connect");
+    let server = serve_sim(chain.clone() as Arc<dyn SimChain>);
+    let rpc = RemoteChain::connect(server.client()).expect("connect");
 
     assert_eq!(rpc.chain_name(), "neuchain-sim");
     assert_eq!(rpc.architecture(), Architecture::NonSharded);
@@ -100,7 +101,7 @@ fn rpc_rejects_malformed_submissions() {
     // Garbage params must produce InvalidParams, not a crash.
     let err = raw
         .call(
-            "submit_transaction",
+            SUBMIT_TRANSACTION.name,
             hammer::rpc::json::Value::object([("nope", hammer::rpc::json::Value::from(1))]),
         )
         .unwrap_err();
