@@ -17,7 +17,7 @@ use hammer_chain::types::TxStatus;
 use hammer_core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer_core::driver::{EvalConfig, Evaluation};
 use hammer_core::machine::ClientMachine;
-use hammer_fabric::{FabricConfig, FabricSim};
+use hammer_fabric::FabricConfig;
 use hammer_workload::{ControlSequence, WorkloadConfig};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
             inbox_capacity: 50_000,
             ..FabricConfig::default()
         };
-        let chain = FabricSim::start(config, clock.clone(), net.clone());
+        let chain = hammer_fabric::start(config, clock.clone(), net.clone());
         Deployment::from_chain(chain, clock, net)
     });
     let deployment = registry

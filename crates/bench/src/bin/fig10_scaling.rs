@@ -17,7 +17,7 @@ use bench::{save_csv, save_result};
 use hammer_core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer_core::driver::{EvalConfig, EvalReport, Evaluation};
 use hammer_core::machine::ClientMachine;
-use hammer_fabric::{FabricConfig, FabricSim};
+use hammer_fabric::FabricConfig;
 use hammer_rpc::json::Value;
 use hammer_store::report::{render_table, to_csv};
 use hammer_workload::{AccessDistribution, ControlSequence, WorkloadConfig};
@@ -40,7 +40,7 @@ fn run(fabric: FabricConfig, clients: u32, threads: u32, workload: WorkloadConfi
     // be scheduled accurately.
     let mut registry = BackendRegistry::builtin();
     registry.register("fabric-sim", move |_, clock, net| {
-        let chain = FabricSim::start(fabric.clone(), clock.clone(), net.clone());
+        let chain = hammer_fabric::start(fabric.clone(), clock.clone(), net.clone());
         Deployment::from_chain(chain, clock, net)
     });
     let deployment = registry

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use bench::{save_csv, summary_header, summary_row, RunSpec};
 use hammer_core::deploy::{BackendRegistry, Deployment};
-use hammer_ethereum::{EthereumConfig, EthereumSim};
+use hammer_ethereum::EthereumConfig;
 use hammer_store::report::{render_bars, render_table, to_csv};
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
             block_gas_limit: 2_000_000,
             ..EthereumConfig::default()
         };
-        let chain = EthereumSim::start(config, clock.clone(), net.clone());
+        let chain = hammer_ethereum::start(config, clock.clone(), net.clone());
         Deployment::from_chain(chain, clock, net)
     });
 

@@ -268,11 +268,6 @@ pub fn run_cells(cells: &[Scenario]) -> Vec<Verdict> {
     verdicts
 }
 
-/// Formats a duration of wall time as seconds with millisecond precision.
-pub fn fmt_secs(d: Duration) -> String {
-    format!("{:.3}s", d.as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,12 +49,6 @@ impl CommitBus {
         let events = events();
         subs.retain(|s| events.iter().all(|e| s.send(e.clone()).is_ok()));
     }
-
-    /// Number of live subscribers (dead ones may be counted until the next
-    /// publish).
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -98,9 +92,9 @@ mod tests {
         {
             let _rx2 = bus.subscribe();
         } // rx2 dropped
-        assert_eq!(bus.subscriber_count(), 2);
+        assert_eq!(bus.subscribers.lock().len(), 2);
         bus.publish(&event(1));
-        assert_eq!(bus.subscriber_count(), 1);
+        assert_eq!(bus.subscribers.lock().len(), 1);
         assert!(rx1.try_recv().is_ok());
     }
 

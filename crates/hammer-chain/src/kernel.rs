@@ -708,7 +708,7 @@ impl<P: ConsensusPolicy> BlockchainClient for ChainNode<P> {
 /// The deployment-facing surface of a simulated chain, over and above
 /// [`BlockchainClient`]: genesis seeding, state reads, fault-target
 /// discovery, and ledger audits. Implemented generically for every
-/// [`ChainNode`]; the sim crates' wrapper handles delegate to it.
+/// [`ChainNode`].
 pub trait SimChain: BlockchainClient {
     /// Seeds an account's balances directly into world state on its home
     /// shard (genesis allocation).
@@ -779,102 +779,6 @@ impl<P: ConsensusPolicy> SimChain for ChainNode<P> {
     fn progress_mark(&self) -> u64 {
         self.kernel.stats().blocks
     }
-}
-
-/// Implements the boilerplate of a sim crate's public handle type — a
-/// struct with a `node: Arc<ChainNode<..>>` field — by delegating
-/// [`BlockchainClient`], [`SimChain`], `Debug`, and a joining `Drop` to
-/// the node. Keeps each sim's facade to its chain-specific extras.
-#[macro_export]
-macro_rules! impl_sim_handle {
-    ($sim:ty) => {
-        impl $crate::client::BlockchainClient for $sim {
-            fn chain_name(&self) -> &str {
-                $crate::client::BlockchainClient::chain_name(&*self.node)
-            }
-
-            fn architecture(&self) -> $crate::client::Architecture {
-                $crate::client::BlockchainClient::architecture(&*self.node)
-            }
-
-            fn submit(
-                &self,
-                tx: $crate::types::SignedTransaction,
-            ) -> Result<$crate::types::TxId, $crate::client::ChainError> {
-                $crate::client::BlockchainClient::submit(&*self.node, tx)
-            }
-
-            fn latest_height(&self, shard: u32) -> Result<u64, $crate::client::ChainError> {
-                $crate::client::BlockchainClient::latest_height(&*self.node, shard)
-            }
-
-            fn block_at(
-                &self,
-                shard: u32,
-                height: u64,
-            ) -> Result<Option<$crate::types::Block>, $crate::client::ChainError> {
-                $crate::client::BlockchainClient::block_at(&*self.node, shard, height)
-            }
-
-            fn pending_txs(&self) -> Result<usize, $crate::client::ChainError> {
-                $crate::client::BlockchainClient::pending_txs(&*self.node)
-            }
-
-            fn subscribe_commits(
-                &self,
-            ) -> crossbeam::channel::Receiver<$crate::client::CommitEvent> {
-                $crate::client::BlockchainClient::subscribe_commits(&*self.node)
-            }
-
-            fn shutdown(&self) {
-                $crate::client::BlockchainClient::shutdown(&*self.node)
-            }
-        }
-
-        impl $crate::kernel::SimChain for $sim {
-            fn seed_account(&self, account: $crate::types::Address, checking: u64, savings: u64) {
-                $crate::kernel::SimChain::seed_account(&*self.node, account, checking, savings)
-            }
-
-            fn account(
-                &self,
-                account: $crate::types::Address,
-            ) -> Option<$crate::state::AccountState> {
-                $crate::kernel::SimChain::account(&*self.node, account)
-            }
-
-            fn ingress_nodes(&self) -> Vec<String> {
-                $crate::kernel::SimChain::ingress_nodes(&*self.node)
-            }
-
-            fn sealer_nodes(&self) -> Vec<String> {
-                $crate::kernel::SimChain::sealer_nodes(&*self.node)
-            }
-
-            fn verify_ledgers(&self) -> Result<(), $crate::ledger::LedgerError> {
-                $crate::kernel::SimChain::verify_ledgers(&*self.node)
-            }
-
-            fn progress_mark(&self) -> u64 {
-                $crate::kernel::SimChain::progress_mark(&*self.node)
-            }
-        }
-
-        impl std::fmt::Debug for $sim {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_struct(stringify!($sim))
-                    .field("chain", &self.node.kernel().chain_name())
-                    .field("stats", &self.node.stats())
-                    .finish()
-            }
-        }
-
-        impl Drop for $sim {
-            fn drop(&mut self) {
-                self.node.shutdown_and_join();
-            }
-        }
-    };
 }
 
 #[cfg(test)]

@@ -103,12 +103,6 @@ impl Ledger {
         self.blocks.get(height as usize - 1)
     }
 
-    /// Blocks in the half-open height range `(after, to]`.
-    pub fn blocks_after(&self, after: u64) -> &[Block] {
-        let start = (after as usize).min(self.blocks.len());
-        &self.blocks[start..]
-    }
-
     /// Looks up the block height and in-block index of a transaction.
     pub fn find_tx(&self, tx_id: &TxId) -> Option<(u64, u32)> {
         self.tx_index.get(tx_id).copied()
@@ -247,20 +241,6 @@ mod tests {
             ledger.append(b).unwrap();
         }
         ledger.verify_chain().unwrap();
-    }
-
-    #[test]
-    fn blocks_after_returns_suffix() {
-        let mut ledger = Ledger::new();
-        for _ in 0..4 {
-            let b = make_block(&ledger, 1);
-            ledger.append(b).unwrap();
-        }
-        assert_eq!(ledger.blocks_after(0).len(), 4);
-        assert_eq!(ledger.blocks_after(2).len(), 2);
-        assert_eq!(ledger.blocks_after(4).len(), 0);
-        assert_eq!(ledger.blocks_after(99).len(), 0);
-        assert_eq!(ledger.blocks_after(2)[0].header.height, 3);
     }
 
     #[test]

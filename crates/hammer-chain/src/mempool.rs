@@ -4,9 +4,7 @@ use std::collections::{HashSet, VecDeque};
 
 use parking_lot::Mutex;
 
-use hammer_crypto::sig::SigParams;
-
-use crate::types::{verify_signed_batch, SignedTransaction, TxId};
+use crate::types::{SignedTransaction, TxId};
 
 /// Why a submission was rejected.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,63 +106,6 @@ impl Mempool {
         Ok(())
     }
 
-    /// Adds a burst of transactions under a single lock acquisition,
-    /// returning one result per input in order.
-    pub fn push_batch(
-        &self,
-        txs: impl IntoIterator<Item = SignedTransaction>,
-    ) -> Vec<Result<(), MempoolError>> {
-        let mut inner = self.inner.lock();
-        txs.into_iter()
-            .map(|tx| {
-                if inner.queue.len() >= self.capacity {
-                    inner.rejected_full += 1;
-                    return Err(MempoolError::Full);
-                }
-                if !inner.ids.insert(tx.id) {
-                    inner.rejected_dup += 1;
-                    return Err(MempoolError::Duplicate);
-                }
-                inner.queue.push_back(tx);
-                inner.accepted += 1;
-                Ok(())
-            })
-            .collect()
-    }
-
-    /// Batch admission with signature checking: the whole burst goes
-    /// through [`verify_signed_batch`] (amortising per-key precomputation
-    /// across a block-sized group of signatures), then the valid
-    /// transactions are admitted under one lock. Returns one result per
-    /// input transaction, in order.
-    pub fn push_verified_batch(
-        &self,
-        txs: Vec<SignedTransaction>,
-        params: &SigParams,
-    ) -> Vec<Result<(), MempoolError>> {
-        let verdicts = verify_signed_batch(&txs, params);
-        let mut inner = self.inner.lock();
-        txs.into_iter()
-            .zip(verdicts)
-            .map(|(tx, sig_ok)| {
-                if !sig_ok {
-                    return Err(MempoolError::BadSignature);
-                }
-                if inner.queue.len() >= self.capacity {
-                    inner.rejected_full += 1;
-                    return Err(MempoolError::Full);
-                }
-                if !inner.ids.insert(tx.id) {
-                    inner.rejected_dup += 1;
-                    return Err(MempoolError::Duplicate);
-                }
-                inner.queue.push_back(tx);
-                inner.accepted += 1;
-                Ok(())
-            })
-            .collect()
-    }
-
     /// Removes and returns up to `max` transactions in FIFO order.
     pub fn drain(&self, max: usize) -> Vec<SignedTransaction> {
         let mut inner = self.inner.lock();
@@ -176,11 +117,6 @@ impl Mempool {
             out.push(tx);
         }
         out
-    }
-
-    /// Drains every pooled transaction.
-    pub fn drain_all(&self) -> Vec<SignedTransaction> {
-        self.drain(usize::MAX)
     }
 
     /// `(accepted, rejected_full, rejected_duplicate)` counters.
@@ -251,7 +187,7 @@ mod tests {
     fn drained_tx_can_be_resubmitted() {
         let pool = Mempool::new(10);
         pool.push(signed(1)).unwrap();
-        pool.drain_all();
+        pool.drain(10);
         // Once drained, the id is free again (e.g. a retry after timeout).
         pool.push(signed(1)).unwrap();
     }
@@ -263,39 +199,6 @@ mod tests {
         assert_eq!(pool.drain(100).len(), 1);
         assert!(pool.is_empty());
         assert_eq!(pool.drain(100).len(), 0);
-    }
-
-    #[test]
-    fn push_batch_single_lock_burst() {
-        let pool = Mempool::new(3);
-        let results = pool.push_batch(vec![signed(1), signed(2), signed(2), signed(3), signed(4)]);
-        assert_eq!(
-            results,
-            vec![
-                Ok(()),
-                Ok(()),
-                Err(MempoolError::Duplicate),
-                Ok(()),
-                Err(MempoolError::Full),
-            ]
-        );
-        assert_eq!(pool.len(), 3);
-    }
-
-    #[test]
-    fn push_verified_batch_rejects_bad_signatures() {
-        let pool = Mempool::new(10);
-        let mut bad = signed(2);
-        bad.signature.s ^= 1;
-        let results = pool.push_verified_batch(vec![signed(1), bad, signed(3)], &SigParams::fast());
-        assert_eq!(
-            results,
-            vec![Ok(()), Err(MempoolError::BadSignature), Ok(())]
-        );
-        assert_eq!(pool.len(), 2);
-        let drained = pool.drain_all();
-        assert_eq!(drained[0].tx.nonce, 1);
-        assert_eq!(drained[1].tx.nonce, 3);
     }
 
     #[test]

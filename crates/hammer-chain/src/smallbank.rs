@@ -110,11 +110,6 @@ impl Op {
         }
     }
 
-    /// Whether the operation only reads state.
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, Op::Balance { .. } | Op::KvGet { .. })
-    }
-
     /// The accounts this operation touches (used by sharded chains to
     /// route, and by conflict estimators).
     pub fn touched_accounts(&self) -> Vec<Address> {
@@ -128,21 +123,6 @@ impl Op {
             Op::KvPut { key, .. } => vec![Address(*key)],
             Op::KvGet { key } => vec![Address(*key)],
         }
-    }
-
-    /// Length of what [`Op::encode_into`] appends: the tag and one
-    /// 8-byte word per field.
-    pub fn encoded_len(&self) -> usize {
-        let words = match self {
-            Op::CreateAccount { .. } | Op::SendPayment { .. } => 3,
-            Op::DepositChecking { .. }
-            | Op::WriteCheck { .. }
-            | Op::TransactSavings { .. }
-            | Op::Amalgamate { .. }
-            | Op::KvPut { .. } => 2,
-            Op::Balance { .. } | Op::KvGet { .. } => 1,
-        };
-        1 + 8 * words
     }
 
     /// Appends the canonical byte encoding (used for hashing/signing).
@@ -301,18 +281,6 @@ mod tests {
         }
         .encode_into(&mut b);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn read_only_classification() {
-        assert!(Op::Balance { account: addr("a") }.is_read_only());
-        assert!(Op::KvGet { key: 3 }.is_read_only());
-        assert!(!Op::DepositChecking {
-            account: addr("a"),
-            amount: 1
-        }
-        .is_read_only());
-        assert!(!Op::KvPut { key: 3, value: 4 }.is_read_only());
     }
 
     #[test]

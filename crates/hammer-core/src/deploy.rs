@@ -28,14 +28,14 @@ use hammer_chain::kernel::SimChain;
 use hammer_chain::remote::RemoteChain;
 use hammer_chain::rpc_adapter::{self, Transport};
 use hammer_chain::types::Address;
-use hammer_ethereum::{EthereumConfig, EthereumSim};
-use hammer_fabric::{FabricConfig, FabricSim};
-use hammer_meepo::{MeepoConfig, MeepoSim};
+use hammer_ethereum::EthereumConfig;
+use hammer_fabric::FabricConfig;
+use hammer_meepo::MeepoConfig;
 use hammer_net::{
     Fault, FaultPlan, LinkConfig, ReconnectPolicy, SimClock, SimNetwork, TcpClientConfig,
     TcpRpcClient,
 };
-use hammer_neuchain::{NeuchainConfig, NeuchainSim};
+use hammer_neuchain::NeuchainConfig;
 use parking_lot::Mutex;
 
 use crate::retry::RetryPolicy;
@@ -597,11 +597,7 @@ impl BackendRegistry {
             if opts.stall_sealing {
                 config.block_interval = STALL_INTERVAL;
             }
-            Deployment::from_chain(
-                EthereumSim::start(config, clock.clone(), net.clone()),
-                clock,
-                net,
-            )
+            Deployment::start(hammer_ethereum::start, config, clock, net)
         });
         registry.register("fabric-sim", |opts, clock, net| {
             let mut config = FabricConfig::default();
@@ -613,11 +609,7 @@ impl BackendRegistry {
                 // endorsers keeps it full.
                 config.endorse_cost = STALL_INTERVAL;
             }
-            Deployment::from_chain(
-                FabricSim::start(config, clock.clone(), net.clone()),
-                clock,
-                net,
-            )
+            Deployment::start(hammer_fabric::start, config, clock, net)
         });
         registry.register("meepo-sim", |opts, clock, net| {
             let mut config = MeepoConfig::default();
@@ -627,11 +619,7 @@ impl BackendRegistry {
             if opts.stall_sealing {
                 config.epoch_interval = STALL_INTERVAL;
             }
-            Deployment::from_chain(
-                MeepoSim::start(config, clock.clone(), net.clone()),
-                clock,
-                net,
-            )
+            Deployment::start(hammer_meepo::start, config, clock, net)
         });
         registry.register("neuchain-sim", |opts, clock, net| {
             let mut config = NeuchainConfig::default();
@@ -641,11 +629,7 @@ impl BackendRegistry {
             if opts.stall_sealing {
                 config.epoch_interval = STALL_INTERVAL;
             }
-            Deployment::from_chain(
-                NeuchainSim::start(config, clock.clone(), net.clone()),
-                clock,
-                net,
-            )
+            Deployment::start(hammer_neuchain::start, config, clock, net)
         });
         registry
     }
@@ -783,6 +767,16 @@ impl Deployment {
         }
     }
 
+    /// Starts a chain with its crate's `start` and wraps it.
+    fn start<C, T: SimChain + 'static>(
+        start: fn(C, SimClock, SimNetwork) -> Arc<T>,
+        config: C,
+        clock: SimClock,
+        net: SimNetwork,
+    ) -> Self {
+        Self::from_chain(start(config, clock.clone(), net.clone()), clock, net)
+    }
+
     /// The generic client handle the driver programs against.
     pub fn client(&self) -> Arc<dyn BlockchainClient> {
         Arc::clone(&self.client)
@@ -814,7 +808,7 @@ impl Deployment {
         &self.clock
     }
 
-    /// The simulated network (resource monitoring reads its counters).
+    /// The simulated network.
     pub fn net(&self) -> &SimNetwork {
         &self.net
     }

@@ -68,14 +68,6 @@ impl ClientMachine {
         self.submit_cost.mul_f64(share * overhead)
     }
 
-    /// Ideal submissions/second the whole machine sustains with
-    /// `active_threads` threads — the analytic curve behind Fig. 10's
-    /// thread sweep.
-    pub fn max_submission_rate(&self, active_threads: u32) -> f64 {
-        let per_thread = 1.0 / self.submit_delay(active_threads).as_secs_f64();
-        per_thread * active_threads.max(1) as f64
-    }
-
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
         if self.vcpus == 0 {
@@ -117,7 +109,9 @@ mod tests {
         // The analytic reproduction of Fig. 10's thread sweep: rate rises
         // to 2 threads, then declines.
         let m = ClientMachine::paper_client();
-        let rates: Vec<f64> = (1..=6).map(|t| m.max_submission_rate(t)).collect();
+        let rates: Vec<f64> = (1..=6)
+            .map(|t| t as f64 / m.submit_delay(t).as_secs_f64())
+            .collect();
         assert!(rates[1] > rates[0], "2 threads beat 1");
         let peak = rates
             .iter()

@@ -15,6 +15,8 @@
 
 use std::time::Duration;
 
+use crate::bloom::splitmix64;
+
 /// Outcome of one retry-policy consultation after a transient failure.
 /// [`RetryPolicy::decide`] is the single decision point the submission
 /// workers use, so its semantics can be property-tested without a chain.
@@ -165,16 +167,6 @@ impl RetryPolicy {
         }
         RetryDecision::Retry(pause)
     }
-}
-
-/// The splitmix64 mixer (public-domain; the same finaliser the seeded
-/// network RNG family uses). Full-period and cheap, which is all jitter
-/// needs.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

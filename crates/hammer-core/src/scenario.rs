@@ -48,9 +48,7 @@ use hammer_net::{LinkConfig, SimClock, SimNetwork};
 use hammer_obs::{EventKind, Obs, Stage};
 use hammer_rpc::json::Value;
 use hammer_store::KvStore;
-use hammer_workload::{
-    AccessDistribution, ControlSequence, TraceKind, TraceSpec, WorkloadConfig, WorkloadKind,
-};
+use hammer_workload::{ControlSequence, TraceKind, TraceSpec, WorkloadConfig};
 
 use crate::chaos::{check_journal, check_report, InvariantCheck};
 use crate::checkpoint::RecoveryConfig;
@@ -436,7 +434,6 @@ pub struct ScenarioBuilder {
     backend: String,
     speedup: f64,
     deploy_mode: DeployMode,
-    options: BackendOptions,
     workload: WorkloadConfig,
     control: Option<ControlSequence>,
     chaos: Option<ChaosSpec>,
@@ -457,7 +454,6 @@ impl ScenarioBuilder {
             backend: "neuchain-sim".to_owned(),
             speedup: 100.0,
             deploy_mode: DeployMode::default(),
-            options: BackendOptions::default(),
             workload: WorkloadConfig {
                 accounts: 200,
                 ..WorkloadConfig::default()
@@ -502,12 +498,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Backend topology knobs (mempool capacity, stalled sealing).
-    pub fn backend_options(mut self, options: BackendOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Replaces the workload profile wholesale.
     pub fn workload(mut self, workload: WorkloadConfig) -> Self {
         self.workload = workload;
@@ -532,18 +522,6 @@ impl ScenarioBuilder {
         self.control(ControlSequence::constant(
             rate,
             slices,
-            Duration::from_secs(1),
-        ))
-    }
-
-    /// Shorthand: a paper-trace-shaped window (NFT/DeFi/Sandbox),
-    /// resampled to `slices` one-second slices and scaled to `total`
-    /// transactions.
-    pub fn trace_load(self, kind: TraceKind, seed: u64, total: usize, slices: usize) -> Self {
-        let shape = resample(&TraceSpec::paper(kind, seed).generate(), slices);
-        self.control(ControlSequence::from_trace(
-            &shape,
-            total,
             Duration::from_secs(1),
         ))
     }
@@ -953,7 +931,12 @@ impl Scenario {
         net.install_obs(Obs::new());
         let deployment = match self.spec.deploy_mode {
             DeployMode::InProcess => registry
-                .deploy_on(&self.spec.backend, &self.spec.options, clock, net.clone())
+                .deploy_on(
+                    &self.spec.backend,
+                    &BackendOptions::default(),
+                    clock,
+                    net.clone(),
+                )
                 .map_err(|e| ScenarioError::UnknownBackend {
                     name: e.name,
                     known: e.known,
@@ -961,7 +944,7 @@ impl Scenario {
             DeployMode::MultiProcess => registry
                 .deploy_multi(
                     &self.spec.backend,
-                    &self.spec.options,
+                    &BackendOptions::default(),
                     clock.clone(),
                     net.clone(),
                     SupervisorConfig::default(),
@@ -1164,28 +1147,44 @@ impl Scenario {
         Self::builder_from_json(spec)?.build()
     }
 
-    /// Parses the JSON spec into a builder without validating — callers
-    /// can tweak (retarget, rescale) before `build()`.
+    /// Parses the JSON spec into a builder without validating the
+    /// composition — callers can tweak (retarget, rescale) before
+    /// `build()`. The spec itself is outside input and is read strictly:
+    /// a key the format does not define, or a value that does not fit its
+    /// field, is [`ScenarioError::Spec`], never a silent default.
     pub fn builder_from_json(spec: &str) -> Result<ScenarioBuilder, ScenarioError> {
         let value =
             Value::parse(spec).map_err(|e| ScenarioError::Spec(format!("bad JSON: {e:?}")))?;
-        let name = value
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ScenarioError::Spec("missing \"name\"".to_owned()))?;
-        let mut builder = Scenario::builder(name);
-        if let Some(d) = value.get("description").and_then(Value::as_str) {
+        known_keys(
+            &value,
+            "the scenario",
+            &[
+                "name",
+                "description",
+                "backend",
+                "speedup",
+                "deploy_mode",
+                "workload",
+                "control",
+                "retry",
+                "stall_budget_s",
+                "drain_timeout_s",
+                "poll_interval_ms",
+                "tracker_shards",
+                "chaos",
+                "recovery",
+                "expectations",
+            ],
+        )?;
+        let mut builder = Scenario::builder(req(&value, "name", Value::as_str)?);
+        if let Some(d) = opt(&value, "description", Value::as_str)? {
             builder = builder.describe(d);
         }
-        let backend = value
-            .get("backend")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ScenarioError::Spec("missing \"backend\"".to_owned()))?;
-        builder = builder.backend(backend);
-        if let Some(s) = value.get("speedup").and_then(Value::as_f64) {
+        builder = builder.backend(req(&value, "backend", Value::as_str)?);
+        if let Some(s) = opt(&value, "speedup", Value::as_f64)? {
             builder = builder.speedup(s);
         }
-        if let Some(m) = value.get("deploy_mode").and_then(Value::as_str) {
+        if let Some(m) = opt(&value, "deploy_mode", Value::as_str)? {
             let mode = DeployMode::parse(m).ok_or_else(|| {
                 ScenarioError::Spec(format!(
                     "unknown deploy_mode {m:?} (want \"in_process\" or \"multi_process\")"
@@ -1194,162 +1193,142 @@ impl Scenario {
             builder = builder.deploy_mode(mode);
         }
         if let Some(w) = value.get("workload") {
-            builder = builder.workload(parse_workload(w)?);
+            builder.workload = WorkloadConfig::from_json(w, builder.workload)
+                .map_err(|e| ScenarioError::Spec(e.to_string()))?;
         }
-        let control = value
-            .get("control")
-            .ok_or_else(|| ScenarioError::Spec("missing \"control\"".to_owned()))?;
-        builder = builder.control(parse_control(control)?);
+        builder = builder.control(parse_control(req(&value, "control", Some)?)?);
         if let Some(r) = value.get("retry") {
             builder = builder.retry(parse_retry(r)?);
         }
-        if let Some(s) = value.get("stall_budget_s").and_then(Value::as_f64) {
-            builder = builder.stall_budget(Duration::from_secs_f64(s));
+        if let Some(budget) = opt(&value, "stall_budget_s", secs)? {
+            builder = builder.stall_budget(budget);
         }
-        if let Some(s) = value.get("drain_timeout_s").and_then(Value::as_f64) {
-            builder = builder.drain_timeout(Duration::from_secs_f64(s));
+        if let Some(timeout) = opt(&value, "drain_timeout_s", secs)? {
+            builder = builder.drain_timeout(timeout);
         }
-        if let Some(ms) = value.get("poll_interval_ms").and_then(Value::as_u64) {
-            builder = builder.poll_interval(Duration::from_millis(ms));
+        if let Some(interval) = opt(&value, "poll_interval_ms", millis)? {
+            builder = builder.poll_interval(interval);
         }
-        if let Some(n) = value.get("tracker_shards").and_then(Value::as_u64) {
-            builder = builder.tracker_shards(n as usize);
+        if let Some(n) = opt(&value, "tracker_shards", uint)? {
+            builder = builder.tracker_shards(n);
         }
         if let Some(c) = value.get("chaos") {
             builder.chaos = Some(parse_chaos(c)?);
         }
         if let Some(r) = value.get("recovery") {
-            let interval = r
-                .get("interval_ms")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ScenarioError::Spec("recovery needs interval_ms".to_owned()))?;
-            let kill_at = r
-                .get("kill_at_ms")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ScenarioError::Spec("recovery needs kill_at_ms".to_owned()))?;
+            known_keys(r, "recovery", &["interval_ms", "kill_at_ms"])?;
             builder = builder.recover(
-                Duration::from_millis(interval),
-                Duration::from_millis(kill_at),
+                req(r, "interval_ms", millis)?,
+                req(r, "kill_at_ms", millis)?,
             );
         }
-        if let Some(list) = value.get("expectations").and_then(Value::as_array) {
-            for e in list {
-                builder = builder.expect(parse_expectation(e)?);
-            }
+        for e in opt(&value, "expectations", Value::as_array)?.unwrap_or_default() {
+            builder = builder.expect(parse_expectation(e)?);
         }
         Ok(builder)
     }
 }
 
-fn parse_workload(value: &Value) -> Result<WorkloadConfig, ScenarioError> {
-    let mut workload = WorkloadConfig {
-        accounts: 200,
-        ..WorkloadConfig::default()
+/// Rejects a key of the object `value` that the format does not define:
+/// a typo (`stall_budget` for `stall_budget_s`) must not run with the
+/// default and pass its gate vacuously.
+fn known_keys(value: &Value, at: &str, keys: &[&str]) -> Result<(), ScenarioError> {
+    let Value::Object(pairs) = value else {
+        return Err(ScenarioError::Spec(format!("{at} must be an object")));
     };
-    if let Some(kind) = value.get("kind").and_then(Value::as_str) {
-        workload.kind = match kind {
-            "smallbank" => WorkloadKind::SmallBank,
-            "ycsb" => WorkloadKind::Ycsb,
-            other => {
-                return Err(ScenarioError::Spec(format!(
-                    "unknown workload kind {other:?}"
-                )));
-            }
-        };
+    match pairs.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+        Some((key, _)) => Err(ScenarioError::Spec(format!("unknown key {key:?} in {at}"))),
+        None => Ok(()),
     }
-    if let Some(n) = value.get("accounts").and_then(Value::as_u64) {
-        workload.accounts = n as usize;
-    }
-    if let Some(r) = value.get("read_ratio").and_then(Value::as_f64) {
-        workload.read_ratio = r;
-    }
-    if let Some(n) = value.get("clients").and_then(Value::as_u64) {
-        workload.clients = n as u32;
-    }
-    if let Some(n) = value.get("threads_per_client").and_then(Value::as_u64) {
-        workload.threads_per_client = n as u32;
-    }
-    if let Some(n) = value.get("seed").and_then(Value::as_u64) {
-        workload.seed = n;
-    }
-    if let Some(d) = value.get("distribution") {
-        workload.distribution = match d.get("type").and_then(Value::as_str) {
-            Some("uniform") => AccessDistribution::Uniform,
-            Some("zipfian") => AccessDistribution::Zipfian {
-                theta: d.get("theta").and_then(Value::as_f64).unwrap_or(0.99),
-            },
-            other => {
-                return Err(ScenarioError::Spec(format!(
-                    "unknown access distribution {other:?}"
-                )));
-            }
-        };
-    }
-    Ok(workload)
+}
+
+/// Reads `key` if present; a value `read` refuses is an error.
+fn opt<'a, T>(
+    value: &'a Value,
+    key: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+) -> Result<Option<T>, ScenarioError> {
+    let bad = |f: &Value| ScenarioError::Spec(format!("bad {key:?}: {}", f.to_json()));
+    value
+        .get(key)
+        .map(|f| read(f).ok_or_else(|| bad(f)))
+        .transpose()
+}
+
+/// [`opt`] for a key the format requires.
+fn req<'a, T>(
+    value: &'a Value,
+    key: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+) -> Result<T, ScenarioError> {
+    opt(value, key, read)?.ok_or_else(|| ScenarioError::Spec(format!("missing {key:?}")))
+}
+
+/// A non-negative integer that fits `T`.
+fn uint<T: TryFrom<u64>>(f: &Value) -> Option<T> {
+    T::try_from(f.as_u64()?).ok()
+}
+
+fn millis(f: &Value) -> Option<Duration> {
+    f.as_u64().map(Duration::from_millis)
+}
+
+fn secs(f: &Value) -> Option<Duration> {
+    Duration::try_from_secs_f64(f.as_f64()?).ok()
 }
 
 fn parse_control(value: &Value) -> Result<ControlSequence, ScenarioError> {
-    let slice = Duration::from_millis(
-        value
-            .get("slice_ms")
-            .and_then(Value::as_u64)
-            .unwrap_or(1000),
-    );
+    known_keys(
+        value,
+        "control",
+        &[
+            "shape", "slices", "slice_ms", "rate", "from", "to", "trace", "total", "seed",
+            "budgets",
+        ],
+    )?;
+    let slice = opt(value, "slice_ms", millis)?.unwrap_or(Duration::from_secs(1));
     if slice.is_zero() {
         return Err(ScenarioError::Spec("slice_ms must be positive".to_owned()));
     }
-    let shape = value
-        .get("shape")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ScenarioError::Spec("control needs a \"shape\"".to_owned()))?;
-    let slices = value.get("slices").and_then(Value::as_u64).unwrap_or(10) as usize;
-    match shape {
-        "constant" => {
-            let rate = value
-                .get("rate")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ScenarioError::Spec("constant control needs a rate".to_owned()))?;
-            Ok(ControlSequence::constant(rate as u32, slices, slice))
-        }
+    let slices: usize = opt(value, "slices", uint)?.unwrap_or(10);
+    match req(value, "shape", Value::as_str)? {
+        "constant" => Ok(ControlSequence::constant(
+            req(value, "rate", uint)?,
+            slices,
+            slice,
+        )),
         "ramp" => {
-            let from = value.get("from").and_then(Value::as_u64).unwrap_or(0) as u32;
-            let to = value
-                .get("to")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ScenarioError::Spec("ramp control needs \"to\"".to_owned()))?;
             if slices == 0 {
                 return Err(ScenarioError::Spec(
                     "ramp needs at least one slice".to_owned(),
                 ));
             }
-            Ok(ControlSequence::ramp(from, to as u32, slices, slice))
+            let from = opt(value, "from", uint)?.unwrap_or(0);
+            Ok(ControlSequence::ramp(
+                from,
+                req(value, "to", uint)?,
+                slices,
+                slice,
+            ))
         }
         "trace" => {
-            let kind = match value.get("trace").and_then(Value::as_str) {
-                Some("defi") => TraceKind::DeFi,
-                Some("nft") => TraceKind::Nft,
-                Some("sandbox") => TraceKind::Sandbox,
+            let kind = match req(value, "trace", Value::as_str)? {
+                "defi" => TraceKind::DeFi,
+                "nft" => TraceKind::Nft,
+                "sandbox" => TraceKind::Sandbox,
                 other => {
                     return Err(ScenarioError::Spec(format!("unknown trace {other:?}")));
                 }
             };
-            let total = value
-                .get("total")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ScenarioError::Spec("trace control needs a total".to_owned()))?;
-            let seed = value.get("seed").and_then(Value::as_u64).unwrap_or(7);
+            let total = req(value, "total", uint)?;
+            let seed = opt(value, "seed", uint)?.unwrap_or(7);
             let shape = resample(&TraceSpec::paper(kind, seed).generate(), slices);
-            Ok(ControlSequence::from_trace(&shape, total as usize, slice))
+            Ok(ControlSequence::from_trace(&shape, total, slice))
         }
         "budgets" => {
-            let budgets = value
-                .get("budgets")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ScenarioError::Spec("budgets control needs a list".to_owned()))?
-                .iter()
-                .map(|v| v.as_u64().map(|b| b as u32))
-                .collect::<Option<Vec<u32>>>()
-                .ok_or_else(|| ScenarioError::Spec("budgets must be integers".to_owned()))?;
+            let budgets = req(value, "budgets", |list| {
+                list.as_array()?.iter().map(uint).collect()
+            })?;
             Ok(ControlSequence::from_budgets(budgets, slice))
         }
         other => Err(ScenarioError::Spec(format!(
@@ -1359,12 +1338,13 @@ fn parse_control(value: &Value) -> Result<ControlSequence, ScenarioError> {
 }
 
 fn parse_retry(value: &Value) -> Result<RetryPolicy, ScenarioError> {
-    let preset = value
-        .as_str()
-        .or_else(|| value.get("preset").and_then(Value::as_str))
-        .ok_or_else(|| {
-            ScenarioError::Spec("retry must be \"standard\" or \"disabled\"".to_owned())
-        })?;
+    let preset = match value.as_str() {
+        Some(preset) => preset,
+        None => {
+            known_keys(value, "retry", &["preset"])?;
+            req(value, "preset", Value::as_str)?
+        }
+    };
     match preset {
         "standard" => Ok(RetryPolicy::standard()),
         "disabled" => Ok(RetryPolicy::disabled()),
@@ -1375,114 +1355,80 @@ fn parse_retry(value: &Value) -> Result<RetryPolicy, ScenarioError> {
 }
 
 fn parse_chaos(value: &Value) -> Result<ChaosSpec, ScenarioError> {
-    if let Some(faults) = value.get("faults").and_then(Value::as_array) {
-        let mut specs = Vec::with_capacity(faults.len());
-        for f in faults {
-            specs.push(parse_fault(f)?);
-        }
-        return Ok(ChaosSpec::Scripted(specs));
+    if let Some(faults) = opt(value, "faults", Value::as_array)? {
+        known_keys(value, "scripted chaos", &["faults"])?;
+        return faults
+            .iter()
+            .map(parse_fault)
+            .collect::<Result<_, _>>()
+            .map(ChaosSpec::Scripted);
     }
-    let seed = value
-        .get("seed")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ScenarioError::Spec("chaos needs a seed or a faults list".to_owned()))?;
-    let mut config = ChaosConfig::default();
-    if let Some(s) = value.get("horizon_s").and_then(Value::as_f64) {
-        config.horizon = Duration::from_secs_f64(s);
-    } else {
-        // Defaulted at deploy time to the run window.
-        config.horizon = Duration::ZERO;
-    }
-    if let Some(n) = value.get("max_windows").and_then(Value::as_u64) {
-        config.max_windows = n as usize;
-    }
-    if let Some(ms) = value.get("min_window_ms").and_then(Value::as_u64) {
-        config.min_window = Duration::from_millis(ms);
-    }
-    if let Some(ms) = value.get("max_window_ms").and_then(Value::as_u64) {
-        config.max_window = Duration::from_millis(ms);
-    }
-    if let Some(ms) = value.get("lead_in_ms").and_then(Value::as_u64) {
-        config.lead_in = Duration::from_millis(ms);
-    }
-    if let Some(f) = value.get("settle_fraction").and_then(Value::as_f64) {
-        config.settle_fraction = f;
-    }
-    if let Some(b) = value.get("allow_partitions").and_then(Value::as_bool) {
-        config.allow_partitions = b;
-    }
-    if let Some(ms) = value.get("max_spike_ms").and_then(Value::as_u64) {
-        config.max_spike = Duration::from_millis(ms);
-    }
+    known_keys(
+        value,
+        "seeded chaos",
+        &[
+            "seed",
+            "horizon_s",
+            "max_windows",
+            "min_window_ms",
+            "max_window_ms",
+            "lead_in_ms",
+            "settle_fraction",
+            "allow_partitions",
+            "max_spike_ms",
+        ],
+    )?;
+    let seed = req(value, "seed", uint)?;
+    let defaults = ChaosConfig::default();
+    let config = ChaosConfig {
+        // Zero is defaulted at deploy time to the run window.
+        horizon: opt(value, "horizon_s", secs)?.unwrap_or(Duration::ZERO),
+        max_windows: opt(value, "max_windows", uint)?.unwrap_or(defaults.max_windows),
+        min_window: opt(value, "min_window_ms", millis)?.unwrap_or(defaults.min_window),
+        max_window: opt(value, "max_window_ms", millis)?.unwrap_or(defaults.max_window),
+        lead_in: opt(value, "lead_in_ms", millis)?.unwrap_or(defaults.lead_in),
+        settle_fraction: opt(value, "settle_fraction", Value::as_f64)?
+            .unwrap_or(defaults.settle_fraction),
+        allow_partitions: opt(value, "allow_partitions", Value::as_bool)?
+            .unwrap_or(defaults.allow_partitions),
+        max_spike: opt(value, "max_spike_ms", millis)?.unwrap_or(defaults.max_spike),
+    };
     Ok(ChaosSpec::Seeded { seed, config })
 }
 
 fn parse_fault(value: &Value) -> Result<FaultSpec, ScenarioError> {
-    let kind = value
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ScenarioError::Spec("fault needs a kind".to_owned()))?;
-    let window = |v: &Value| -> Result<(Duration, Duration), ScenarioError> {
-        let start = v
-            .get("start_ms")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ScenarioError::Spec("fault needs start_ms".to_owned()))?;
-        let end = v
-            .get("end_ms")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ScenarioError::Spec("fault needs end_ms".to_owned()))?;
-        Ok((Duration::from_millis(start), Duration::from_millis(end)))
-    };
-    let node = |v: &Value| -> Result<NodeRef, ScenarioError> {
-        v.get("node")
-            .and_then(Value::as_str)
-            .map(NodeRef::parse)
-            .ok_or_else(|| ScenarioError::Spec(format!("{kind} fault needs a node")))
-    };
-    let (start, end) = window(value)?;
-    match kind {
+    known_keys(
+        value,
+        "a fault",
+        &["kind", "node", "start_ms", "end_ms", "extra_ms", "groups"],
+    )?;
+    let node_ref = |f: &Value| f.as_str().map(NodeRef::parse);
+    let start = req(value, "start_ms", millis)?;
+    let end = req(value, "end_ms", millis)?;
+    match req(value, "kind", Value::as_str)? {
         "crash" => Ok(FaultSpec::Crash {
-            node: node(value)?,
+            node: req(value, "node", node_ref)?,
             start,
             end,
         }),
         "blackhole" => Ok(FaultSpec::Blackhole {
-            node: node(value)?,
+            node: req(value, "node", node_ref)?,
             start,
             end,
         }),
-        "latency_spike" => {
-            let extra = value
-                .get("extra_ms")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ScenarioError::Spec("latency_spike needs extra_ms".to_owned()))?;
-            Ok(FaultSpec::LatencySpike {
-                node: value
-                    .get("node")
-                    .and_then(Value::as_str)
-                    .map(NodeRef::parse),
-                extra: Duration::from_millis(extra),
-                start,
-                end,
-            })
-        }
+        "latency_spike" => Ok(FaultSpec::LatencySpike {
+            node: opt(value, "node", node_ref)?,
+            extra: req(value, "extra_ms", millis)?,
+            start,
+            end,
+        }),
         "partition" => {
-            let groups = value
-                .get("groups")
-                .and_then(Value::as_array)
-                .ok_or_else(|| ScenarioError::Spec("partition needs groups".to_owned()))?
-                .iter()
-                .map(|g| {
-                    g.as_array().map(|members| {
-                        members
-                            .iter()
-                            .filter_map(Value::as_str)
-                            .map(NodeRef::parse)
-                            .collect::<Vec<NodeRef>>()
-                    })
-                })
-                .collect::<Option<Vec<Vec<NodeRef>>>>()
-                .ok_or_else(|| ScenarioError::Spec("partition groups must be lists".to_owned()))?;
+            // Every group a list, every member a string: a dropped member
+            // would silently widen "rest".
+            let group = |g: &Value| g.as_array()?.iter().map(node_ref).collect();
+            let groups = req(value, "groups", |list| {
+                list.as_array()?.iter().map(group).collect()
+            })?;
             Ok(FaultSpec::Partition { groups, start, end })
         }
         other => Err(ScenarioError::Spec(format!("unknown fault kind {other:?}"))),
@@ -1490,41 +1436,31 @@ fn parse_fault(value: &Value) -> Result<FaultSpec, ScenarioError> {
 }
 
 fn parse_expectation(value: &Value) -> Result<Expectation, ScenarioError> {
-    let kind = value
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| ScenarioError::Spec("expectation needs a kind".to_owned()))?;
-    match kind {
+    known_keys(
+        value,
+        "an expectation",
+        &[
+            "kind",
+            "min_blocks",
+            "ratio",
+            "quantile",
+            "max_ms",
+            "overrides",
+        ],
+    )?;
+    match req(value, "kind", Value::as_str)? {
         "consensus_liveness" => Ok(Expectation::ConsensusLiveness {
-            min_blocks: value.get("min_blocks").and_then(Value::as_u64).unwrap_or(1),
+            min_blocks: opt(value, "min_blocks", uint)?.unwrap_or(1),
         }),
-        "min_inclusion" => {
-            let ratio = value
-                .get("ratio")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ScenarioError::Spec("min_inclusion needs a ratio".to_owned()))?;
-            let overrides = parse_overrides(value, Value::as_f64)?;
-            Ok(Expectation::MinInclusionRatio { ratio, overrides })
-        }
-        "latency_slo" => {
-            let quantile = value
-                .get("quantile")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| ScenarioError::Spec("latency_slo needs a quantile".to_owned()))?;
-            let bound = value
-                .get("max_ms")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| ScenarioError::Spec("latency_slo needs max_ms".to_owned()))?;
-            let overrides = parse_overrides(value, Value::as_u64)?
-                .into_iter()
-                .map(|(b, ms)| (b, Duration::from_millis(ms)))
-                .collect();
-            Ok(Expectation::LatencySlo {
-                quantile,
-                bound: Duration::from_millis(bound),
-                overrides,
-            })
-        }
+        "min_inclusion" => Ok(Expectation::MinInclusionRatio {
+            ratio: req(value, "ratio", Value::as_f64)?,
+            overrides: parse_overrides(value, Value::as_f64)?,
+        }),
+        "latency_slo" => Ok(Expectation::LatencySlo {
+            quantile: req(value, "quantile", Value::as_f64)?,
+            bound: req(value, "max_ms", millis)?,
+            overrides: parse_overrides(value, millis)?,
+        }),
         "accounting_identity" => Ok(Expectation::AccountingIdentity),
         "no_stall" => Ok(Expectation::NoStall),
         other => Err(ScenarioError::Spec(format!(

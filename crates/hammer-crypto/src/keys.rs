@@ -29,16 +29,6 @@ pub struct Keypair {
 }
 
 impl SecretKey {
-    /// Builds a secret key from a raw scalar. Returns `None` when the scalar
-    /// is 0 or out of range.
-    pub fn from_scalar(x: u64) -> Option<Self> {
-        if x == 0 || x >= GROUP_ORDER {
-            None
-        } else {
-            Some(SecretKey(x))
-        }
-    }
-
     /// Derives the matching public key.
     pub fn public(&self) -> PublicKey {
         PublicKey(sig::pow_g(self.0))
@@ -136,13 +126,6 @@ mod tests {
             Keypair::from_seed(7).public(),
             Keypair::from_seed(8).public()
         );
-    }
-
-    #[test]
-    fn secret_key_validation() {
-        assert!(SecretKey::from_scalar(0).is_none());
-        assert!(SecretKey::from_scalar(GROUP_ORDER).is_none());
-        assert!(SecretKey::from_scalar(1).is_some());
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl MerkleTree {
         MerkleTree { levels }
     }
 
-    /// Builds a tree by hashing each item with SHA-256 first.
-    pub fn from_items<T: AsRef<[u8]>>(items: &[T]) -> Self {
-        Self::from_leaves(items.iter().map(|i| crate::sha256(i.as_ref())).collect())
-    }
-
     /// The Merkle root; all-zero for the empty tree.
     pub fn root(&self) -> Hash32 {
         self.levels.last().map(|l| l[0]).unwrap_or([0u8; 32])
@@ -232,7 +227,8 @@ mod tests {
         // on several, on none.
         for n in 0..=65 {
             let items: Vec<String> = (0..n).map(|i| format!("tx-{i}")).collect();
-            let tree = MerkleTree::from_items(&items);
+            let leaves = items.iter().map(|i| crate::sha256(i.as_bytes())).collect();
+            let tree = MerkleTree::from_leaves(leaves);
             assert_eq!(merkle_root(&items), tree.root(), "n={n}");
         }
     }

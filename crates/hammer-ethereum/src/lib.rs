@@ -20,16 +20,17 @@
 //!
 //! Node scaffolding (threads, ingress gating, sealing, observability)
 //! comes from the [`hammer_chain::kernel`]; this crate only contributes
-//! the PoW [`ConsensusPolicy`].
+//! the PoW [`ConsensusPolicy`], and [`start`] returns the running
+//! [`ChainNode`] itself.
 //!
 //! ```no_run
 //! use hammer_chain::client::BlockchainClient;
-//! use hammer_ethereum::{EthereumConfig, EthereumSim};
+//! use hammer_ethereum::EthereumConfig;
 //! use hammer_net::{LinkConfig, SimClock, SimNetwork};
 //!
 //! let clock = SimClock::with_speedup(100.0);
 //! let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-//! let chain = EthereumSim::start(EthereumConfig::default(), clock, net);
+//! let chain = hammer_ethereum::start(EthereumConfig::default(), clock, net);
 //! // ... submit transactions through the BlockchainClient trait ...
 //! chain.shutdown();
 //! ```
@@ -40,10 +41,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hammer_chain::impl_sim_handle;
-use hammer_chain::kernel::{
-    ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round, SimChain,
-};
+use hammer_chain::kernel::{ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round};
 use hammer_crypto::sig::SigParams;
 use hammer_net::{SimClock, SimNetwork};
 use parking_lot::Mutex;
@@ -98,19 +96,6 @@ impl EthereumConfig {
     pub fn max_txs_per_block(&self) -> usize {
         (self.block_gas_limit / self.tx_gas.max(1)) as usize
     }
-}
-
-/// Counters describing chain activity.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EthereumStats {
-    /// Blocks sealed.
-    pub blocks: u64,
-    /// Transactions committed successfully.
-    pub committed: u64,
-    /// Transactions included but failed execution.
-    pub failed: u64,
-    /// Transactions dropped for bad signatures.
-    pub bad_sig: u64,
 }
 
 fn node_name(i: usize) -> String {
@@ -191,59 +176,22 @@ impl ConsensusPolicy for EthereumPolicy {
     }
 }
 
-/// Handle to a running PoW chain simulation.
-pub struct EthereumSim {
-    node: Arc<ChainNode<EthereumPolicy>>,
-}
-
-impl_sim_handle!(EthereumSim);
-
-impl EthereumSim {
-    /// Starts the chain on the kernel runtime: registers node endpoints
-    /// with gossip sinks and spawns the miner (sealer) thread.
-    pub fn start(config: EthereumConfig, clock: SimClock, net: SimNetwork) -> Arc<Self> {
-        assert!(config.nodes >= 1, "need at least one node");
-        let mut builder = NodeKernelBuilder::new(clock, net)
-            .mempool_capacity(config.mempool_capacity)
-            .gossip_sizing(200, 110);
-        for i in 0..config.nodes {
-            builder = builder.sink_endpoint(&node_name(i));
-        }
-        let rng = Mutex::new(StdRng::seed_from_u64(config.seed));
-        let node = builder.start(EthereumPolicy { config, rng });
-        Arc::new(EthereumSim { node })
+/// Starts the chain on the kernel runtime: registers node endpoints
+/// with gossip sinks and spawns the miner (sealer) thread.
+pub fn start(
+    config: EthereumConfig,
+    clock: SimClock,
+    net: SimNetwork,
+) -> Arc<ChainNode<EthereumPolicy>> {
+    assert!(config.nodes >= 1, "need at least one node");
+    let mut builder = NodeKernelBuilder::new(clock, net)
+        .mempool_capacity(config.mempool_capacity)
+        .gossip_sizing(200, 110);
+    for i in 0..config.nodes {
+        builder = builder.sink_endpoint(&node_name(i));
     }
-
-    /// Directly seeds an account into the world state (test fixtures /
-    /// SmallBank account pre-population, which real deployments do with a
-    /// genesis allocation).
-    pub fn seed_account(&self, account: hammer_chain::types::Address, checking: u64, savings: u64) {
-        SimChain::seed_account(&*self.node, account, checking, savings);
-    }
-
-    /// Snapshot of activity counters.
-    pub fn stats(&self) -> EthereumStats {
-        let stats = self.node.stats();
-        EthereumStats {
-            blocks: stats.blocks,
-            committed: stats.committed,
-            failed: stats.failed,
-            bad_sig: stats.bad_sig,
-        }
-    }
-
-    /// Reads an account's state.
-    pub fn account(
-        &self,
-        account: hammer_chain::types::Address,
-    ) -> Option<hammer_chain::state::AccountState> {
-        SimChain::account(&*self.node, account)
-    }
-
-    /// Verifies the internal hash chain.
-    pub fn verify_ledger(&self) -> Result<(), hammer_chain::ledger::LedgerError> {
-        self.node.verify_ledgers()
-    }
+    let rng = Mutex::new(StdRng::seed_from_u64(config.seed));
+    builder.start(EthereumPolicy { config, rng })
 }
 
 /// Samples an exponential distribution with the given mean.
@@ -256,15 +204,16 @@ fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
 mod tests {
     use super::*;
     use hammer_chain::client::BlockchainClient;
+    use hammer_chain::kernel::SimChain;
     use hammer_chain::smallbank::Op;
     use hammer_chain::types::{Address, SignedTransaction, Transaction};
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
 
-    fn fast_chain(config: EthereumConfig) -> (Arc<EthereumSim>, SimClock) {
+    fn fast_chain(config: EthereumConfig) -> (Arc<ChainNode<EthereumPolicy>>, SimClock) {
         let clock = SimClock::with_speedup(2000.0);
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-        (EthereumSim::start(config, clock.clone(), net), clock)
+        (start(config, clock.clone(), net), clock)
     }
 
     fn signed(nonce: u64, op: Op) -> SignedTransaction {
@@ -279,7 +228,7 @@ mod tests {
         .sign(&Keypair::from_seed(1), &SigParams::fast())
     }
 
-    fn wait_for_height(chain: &EthereumSim, h: u64, wall_ms: u64) -> bool {
+    fn wait_for_height(chain: &ChainNode<EthereumPolicy>, h: u64, wall_ms: u64) -> bool {
         let deadline = std::time::Instant::now() + Duration::from_millis(wall_ms);
         while std::time::Instant::now() < deadline {
             if chain.latest_height(0).unwrap() >= h {
@@ -440,7 +389,7 @@ mod tests {
         use hammer_chain::client::ErrorKind;
         use hammer_net::FaultPlan;
         let (chain, _clock) = fast_chain(EthereumConfig::default());
-        chain.node.net().install_faults(FaultPlan::new().blackhole(
+        chain.net().install_faults(FaultPlan::new().blackhole(
             "eth-node-0",
             Duration::ZERO,
             Duration::from_secs(3600),
@@ -469,7 +418,7 @@ mod tests {
         }
         assert!(wait_for_height(&chain, 3, 8000));
         chain.shutdown();
-        chain.verify_ledger().unwrap();
+        chain.verify_ledgers().unwrap();
     }
 
     #[test]

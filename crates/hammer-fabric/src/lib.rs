@@ -24,7 +24,8 @@
 //! kernel's sealer loop: the endorse → order → validate pipeline runs as
 //! policy workers, and the committer seals through
 //! [`hammer_chain::kernel::Kernel::seal_block`] when a validated batch is
-//! ready.
+//! ready. [`start`] returns the running [`ChainNode`] itself; the policy's
+//! own counters are read through `node.policy()`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,10 +37,7 @@ use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use hammer_chain::client::ChainError;
-use hammer_chain::impl_sim_handle;
-use hammer_chain::kernel::{
-    ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round, SimChain, Worker,
-};
+use hammer_chain::kernel::{ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round, Worker};
 use hammer_chain::mempool::MempoolError;
 use hammer_chain::state::RwSet;
 use hammer_chain::types::{SignedTransaction, TxId};
@@ -96,23 +94,6 @@ impl Default for FabricConfig {
     }
 }
 
-/// Activity counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FabricStats {
-    /// Blocks committed.
-    pub blocks: u64,
-    /// Transactions committed successfully.
-    pub committed: u64,
-    /// Transactions invalidated by MVCC conflicts.
-    pub mvcc_conflicts: u64,
-    /// Transactions that failed endorsement (execution error).
-    pub endorse_failures: u64,
-    /// Transactions dropped for bad signatures.
-    pub bad_sig: u64,
-    /// Submissions rejected because the inbox was full.
-    pub rejected_overload: u64,
-}
-
 /// An endorsed transaction waiting for ordering.
 struct Endorsed {
     tx_id: TxId,
@@ -137,6 +118,23 @@ pub struct FabricPolicy {
     mvcc_conflicts: AtomicU64,
     endorse_failures: AtomicU64,
     rejected_overload: AtomicU64,
+}
+
+impl FabricPolicy {
+    /// Transactions invalidated by MVCC conflicts.
+    pub fn mvcc_conflicts(&self) -> u64 {
+        self.mvcc_conflicts.load(Ordering::Relaxed)
+    }
+
+    /// Transactions that failed endorsement (execution error).
+    pub fn endorse_failures(&self) -> u64 {
+        self.endorse_failures.load(Ordering::Relaxed)
+    }
+
+    /// Submissions rejected because the inbox was full.
+    pub fn rejected_overload(&self) -> u64 {
+        self.rejected_overload.load(Ordering::Relaxed)
+    }
 }
 
 impl ConsensusPolicy for FabricPolicy {
@@ -410,84 +408,47 @@ fn committer_loop(policy: Arc<FabricPolicy>, kernel: Arc<Kernel>, rx: Receiver<V
     }
 }
 
-/// Handle to a running Fabric simulation.
-pub struct FabricSim {
-    node: Arc<ChainNode<FabricPolicy>>,
-}
-
-impl_sim_handle!(FabricSim);
-
-impl FabricSim {
-    /// Starts the network: endorser pool, orderer, committer, peers.
-    pub fn start(config: FabricConfig, clock: SimClock, net: SimNetwork) -> Arc<Self> {
-        assert!(config.peers >= 1 && config.endorser_threads >= 1);
-        let (endorse_tx, endorse_rx) = bounded::<SignedTransaction>(config.inbox_capacity);
-        let mut builder = NodeKernelBuilder::new(clock, net)
-            .gossip_sizing(200, 150)
-            .endpoint("fabric-orderer");
-        for i in 0..config.peers {
-            builder = builder.sink_endpoint(&peer_name(i));
-        }
-        let node = builder.start(FabricPolicy {
-            config,
-            endorse_tx,
-            endorse_rx,
-            pending_ids: Mutex::new(HashSet::new()),
-            reject_debt: AtomicU64::new(0),
-            mvcc_conflicts: AtomicU64::new(0),
-            endorse_failures: AtomicU64::new(0),
-            rejected_overload: AtomicU64::new(0),
-        });
-        Arc::new(FabricSim { node })
+/// Starts the network: endorser pool, orderer, committer, peers.
+pub fn start(
+    config: FabricConfig,
+    clock: SimClock,
+    net: SimNetwork,
+) -> Arc<ChainNode<FabricPolicy>> {
+    assert!(config.peers >= 1 && config.endorser_threads >= 1);
+    let (endorse_tx, endorse_rx) = bounded::<SignedTransaction>(config.inbox_capacity);
+    let mut builder = NodeKernelBuilder::new(clock, net)
+        .gossip_sizing(200, 150)
+        .endpoint("fabric-orderer");
+    for i in 0..config.peers {
+        builder = builder.sink_endpoint(&peer_name(i));
     }
-
-    /// Seeds an account directly into world state (genesis allocation).
-    pub fn seed_account(&self, account: hammer_chain::types::Address, checking: u64, savings: u64) {
-        SimChain::seed_account(&*self.node, account, checking, savings);
-    }
-
-    /// Reads an account's state.
-    pub fn account(
-        &self,
-        account: hammer_chain::types::Address,
-    ) -> Option<hammer_chain::state::AccountState> {
-        SimChain::account(&*self.node, account)
-    }
-
-    /// Snapshot of the activity counters.
-    pub fn stats(&self) -> FabricStats {
-        let stats = self.node.stats();
-        let policy = self.node.policy();
-        FabricStats {
-            blocks: stats.blocks,
-            committed: stats.committed,
-            mvcc_conflicts: policy.mvcc_conflicts.load(Ordering::Relaxed),
-            endorse_failures: policy.endorse_failures.load(Ordering::Relaxed),
-            bad_sig: stats.bad_sig,
-            rejected_overload: policy.rejected_overload.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Verifies the internal hash chain (used by correctness audits).
-    pub fn verify_ledger(&self) -> Result<(), hammer_chain::ledger::LedgerError> {
-        SimChain::verify_ledgers(&*self.node)
-    }
+    builder.start(FabricPolicy {
+        config,
+        endorse_tx,
+        endorse_rx,
+        pending_ids: Mutex::new(HashSet::new()),
+        reject_debt: AtomicU64::new(0),
+        mvcc_conflicts: AtomicU64::new(0),
+        endorse_failures: AtomicU64::new(0),
+        rejected_overload: AtomicU64::new(0),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hammer_chain::client::BlockchainClient;
+    use hammer_chain::kernel::SimChain;
     use hammer_chain::smallbank::Op;
     use hammer_chain::types::{Address, Transaction};
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
 
-    fn fast_chain(mut config: FabricConfig) -> Arc<FabricSim> {
+    fn fast_chain(mut config: FabricConfig) -> Arc<ChainNode<FabricPolicy>> {
         let clock = SimClock::with_speedup(1000.0);
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         config.batch_timeout = Duration::from_millis(200);
-        FabricSim::start(config, clock, net)
+        start(config, clock, net)
     }
 
     fn signed(nonce: u64, op: Op) -> SignedTransaction {
@@ -566,15 +527,12 @@ mod tests {
                 .unwrap();
         }
         assert!(wait_until(
-            || {
-                let s = chain.stats();
-                s.committed + s.mvcc_conflicts >= 5
-            },
+            || chain.stats().committed + chain.policy().mvcc_conflicts() >= 5,
             8000
         ));
-        let s = chain.stats();
-        assert!(s.mvcc_conflicts >= 1, "expected conflicts, got {s:?}");
-        assert!(s.committed >= 1);
+        let conflicts = chain.policy().mvcc_conflicts();
+        assert!(conflicts >= 1, "expected conflicts, got {conflicts}");
+        assert!(chain.stats().committed >= 1);
         chain.shutdown();
     }
 
@@ -590,7 +548,7 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.stats().endorse_failures == 1, 5000));
+        assert!(wait_until(|| chain.policy().endorse_failures() == 1, 5000));
         assert!(wait_until(|| chain.latest_height(0).unwrap() >= 1, 5000));
         let b = chain.block_at(0, 1).unwrap().unwrap();
         let pos = b.tx_ids.iter().position(|t| *t == id).unwrap();
@@ -622,7 +580,7 @@ mod tests {
             }
         }
         assert!(rejected > 0, "expected overload rejections");
-        assert_eq!(chain.stats().rejected_overload, rejected);
+        assert_eq!(chain.policy().rejected_overload(), rejected);
         chain.shutdown();
     }
 
@@ -681,7 +639,7 @@ mod tests {
             ));
         }
         assert!(wait_until(|| chain.stats().committed >= 40, 8000));
-        chain.verify_ledger().unwrap();
+        chain.verify_ledgers().unwrap();
         chain.shutdown();
     }
 

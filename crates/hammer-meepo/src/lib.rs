@@ -23,7 +23,8 @@
 //! Node scaffolding (per-shard sealer loops, ingress gating, sealed-block
 //! accounting, gossip) comes from the [`hammer_chain::kernel`]; this
 //! crate contributes the sharded-routing [`ConsensusPolicy`] and the
-//! cross-epoch relay.
+//! cross-epoch relay, and [`start`] returns the running [`ChainNode`]
+//! itself.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,10 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hammer_chain::client::Architecture;
-use hammer_chain::impl_sim_handle;
-use hammer_chain::kernel::{
-    ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round, SimChain,
-};
+use hammer_chain::kernel::{ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round};
 use hammer_chain::smallbank::Op;
 use hammer_chain::state::VersionedState;
 use hammer_chain::types::{Address, SignedTransaction};
@@ -81,21 +79,6 @@ impl Default for MeepoConfig {
     }
 }
 
-/// Activity counters (aggregated across shards).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MeepoStats {
-    /// Blocks cut across all shards.
-    pub blocks: u64,
-    /// Transactions committed successfully.
-    pub committed: u64,
-    /// Transactions included but failed execution.
-    pub failed: u64,
-    /// Cross-shard transactions settled.
-    pub cross_shard: u64,
-    /// Transactions dropped for bad signatures.
-    pub bad_sig: u64,
-}
-
 /// A pending cross-shard credit: `(account, amount)` to apply to checking.
 #[derive(Clone, Copy, Debug)]
 struct Credit {
@@ -114,12 +97,6 @@ pub struct MeepoPolicy {
     /// Inbound cross-epoch credits, one inbox per shard.
     relay_in: Vec<Mutex<Vec<Credit>>>,
     cross_shard: AtomicU64,
-}
-
-impl MeepoPolicy {
-    fn shard_of(&self, account: Address) -> u32 {
-        (account.as_u64() % self.config.shards as u64) as u32
-    }
 }
 
 impl ConsensusPolicy for MeepoPolicy {
@@ -146,12 +123,12 @@ impl ConsensusPolicy for MeepoPolicy {
             .op
             .touched_accounts()
             .first()
-            .map(|a| self.shard_of(*a))
+            .map(|a| self.home_shard(*a))
             .unwrap_or(0)
     }
 
     fn home_shard(&self, account: Address) -> u32 {
-        self.shard_of(account)
+        (account.as_u64() % self.config.shards as u64) as u32
     }
 
     fn seal_wait(&self, _shard: u32) -> Duration {
@@ -237,10 +214,15 @@ enum ExecOutcome {
 }
 
 impl MeepoPolicy {
+    /// Cross-shard transactions settled.
+    pub fn cross_shard(&self) -> u64 {
+        self.cross_shard.load(Ordering::Relaxed)
+    }
+
     /// Executes `op` on its source shard; cross-shard transfers debit
     /// locally and emit a relay credit.
     fn execute_on_shard(&self, state: &mut VersionedState, op: &Op, shard_id: u32) -> ExecOutcome {
-        let home = |a: &Address| self.shard_of(*a);
+        let home = |a: &Address| self.home_shard(*a);
         match op {
             Op::SendPayment { from, to, amount } => {
                 debug_assert_eq!(home(from), shard_id, "router sent tx to wrong shard");
@@ -296,100 +278,45 @@ impl MeepoPolicy {
     }
 }
 
-/// Handle to a running Meepo simulation.
-pub struct MeepoSim {
-    node: Arc<ChainNode<MeepoPolicy>>,
-}
-
-impl_sim_handle!(MeepoSim);
-
-impl MeepoSim {
-    /// Starts the deployment: per-shard sealer threads and node endpoints
-    /// on the kernel runtime.
-    pub fn start(config: MeepoConfig, clock: SimClock, net: SimNetwork) -> Arc<Self> {
-        assert!(config.shards >= 1 && config.nodes_per_shard >= 1);
-        let mut builder = NodeKernelBuilder::new(clock, net)
-            .mempool_capacity(config.mempool_capacity)
-            .gossip_sizing(200, 110);
-        for shard in 0..config.shards {
-            for i in 0..config.nodes_per_shard {
-                builder = builder.sink_endpoint(&node_name(shard, i));
-            }
-        }
-        let relay_in = (0..config.shards).map(|_| Mutex::new(Vec::new())).collect();
-        let node = builder.start(MeepoPolicy {
-            config,
-            relay_in,
-            cross_shard: AtomicU64::new(0),
-        });
-        Arc::new(MeepoSim { node })
-    }
-
-    /// The shard an account lives on.
-    pub fn shard_of(&self, account: Address) -> u32 {
-        self.node.policy().shard_of(account)
-    }
-
-    /// Seeds an account on its home shard.
-    pub fn seed_account(&self, account: Address, checking: u64, savings: u64) {
-        SimChain::seed_account(&*self.node, account, checking, savings);
-    }
-
-    /// Reads an account from its home shard.
-    pub fn account(&self, account: Address) -> Option<hammer_chain::state::AccountState> {
-        SimChain::account(&*self.node, account)
-    }
-
-    /// Snapshot of the activity counters.
-    pub fn stats(&self) -> MeepoStats {
-        let stats = self.node.stats();
-        MeepoStats {
-            blocks: stats.blocks,
-            committed: stats.committed,
-            failed: stats.failed,
-            cross_shard: self.node.policy().cross_shard.load(Ordering::Relaxed),
-            bad_sig: stats.bad_sig,
+/// Starts the deployment: per-shard sealer threads and node endpoints
+/// on the kernel runtime.
+pub fn start(config: MeepoConfig, clock: SimClock, net: SimNetwork) -> Arc<ChainNode<MeepoPolicy>> {
+    assert!(config.shards >= 1 && config.nodes_per_shard >= 1);
+    let mut builder = NodeKernelBuilder::new(clock, net)
+        .mempool_capacity(config.mempool_capacity)
+        .gossip_sizing(200, 110);
+    for shard in 0..config.shards {
+        for i in 0..config.nodes_per_shard {
+            builder = builder.sink_endpoint(&node_name(shard, i));
         }
     }
-
-    /// Sum of funds across every shard (conservation audits).
-    pub fn total_funds(&self) -> u128 {
-        self.node
-            .kernel()
-            .shards()
-            .iter()
-            .map(|s| s.state.lock().total_funds())
-            .sum()
-    }
-
-    /// Per-shard committed block counts (shard-aware load reporting).
-    pub fn shard_heights(&self) -> Vec<u64> {
-        self.node
-            .kernel()
-            .shards()
-            .iter()
-            .map(|s| s.ledger.read().height())
-            .collect()
-    }
-
-    /// Verifies every shard's hash chain.
-    pub fn verify_ledgers(&self) -> Result<(), hammer_chain::ledger::LedgerError> {
-        SimChain::verify_ledgers(&*self.node)
-    }
+    let relay_in = (0..config.shards).map(|_| Mutex::new(Vec::new())).collect();
+    builder.start(MeepoPolicy {
+        config,
+        relay_in,
+        cross_shard: AtomicU64::new(0),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hammer_chain::client::BlockchainClient;
+    use hammer_chain::kernel::SimChain;
     use hammer_chain::types::Transaction;
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
 
-    fn fast_chain(config: MeepoConfig) -> Arc<MeepoSim> {
+    fn fast_chain(config: MeepoConfig) -> Arc<ChainNode<MeepoPolicy>> {
         let clock = SimClock::with_speedup(1000.0);
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-        MeepoSim::start(config, clock, net)
+        start(config, clock, net)
+    }
+
+    /// Sum of funds across every shard (conservation audits).
+    fn total_funds(chain: &ChainNode<MeepoPolicy>) -> u128 {
+        let shards = chain.kernel().shards().iter();
+        shards.map(|s| s.state.lock().total_funds()).sum()
     }
 
     fn signed(nonce: u64, op: Op) -> SignedTransaction {
@@ -448,7 +375,7 @@ mod tests {
         assert!(wait_until(|| chain.stats().committed == 1, 8000));
         assert_eq!(chain.account(a).unwrap().checking, 70);
         assert_eq!(chain.account(b).unwrap().checking, 30);
-        assert_eq!(chain.stats().cross_shard, 0);
+        assert_eq!(chain.policy().cross_shard(), 0);
         chain.shutdown();
     }
 
@@ -459,7 +386,7 @@ mod tests {
         let b = addr_on_shard(1, 200);
         chain.seed_account(a, 100, 0);
         chain.seed_account(b, 5, 0);
-        let before = chain.total_funds();
+        let before = total_funds(&chain);
         chain
             .submit(signed(
                 1,
@@ -470,7 +397,7 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.stats().cross_shard == 1, 8000));
+        assert!(wait_until(|| chain.policy().cross_shard() == 1, 8000));
         // Debit is immediate; the credit lands at the destination's next
         // epoch.
         assert_eq!(chain.account(a).unwrap().checking, 60);
@@ -478,7 +405,7 @@ mod tests {
             || chain.account(b).unwrap().checking == 45,
             8000
         ));
-        assert_eq!(chain.total_funds(), before);
+        assert_eq!(total_funds(&chain), before);
         chain.shutdown();
     }
 
@@ -492,7 +419,7 @@ mod tests {
         chain
             .submit(signed(1, Op::Amalgamate { from: a, to: b }))
             .unwrap();
-        assert!(wait_until(|| chain.stats().cross_shard == 1, 8000));
+        assert!(wait_until(|| chain.policy().cross_shard() == 1, 8000));
         assert_eq!(chain.account(a).unwrap().savings, 0);
         assert!(wait_until(
             || chain.account(b).unwrap().checking == 71,
@@ -519,7 +446,7 @@ mod tests {
             ))
             .unwrap();
         assert!(wait_until(|| chain.stats().failed == 1, 8000));
-        assert_eq!(chain.stats().cross_shard, 0);
+        assert_eq!(chain.policy().cross_shard(), 0);
         assert_eq!(chain.account(a).unwrap().checking, 10);
         chain.shutdown();
     }
@@ -573,7 +500,7 @@ mod tests {
             epoch_interval: Duration::from_millis(200),
             ..MeepoConfig::default()
         });
-        chain.node.net().install_faults(FaultPlan::new().crash(
+        chain.net().install_faults(FaultPlan::new().crash(
             "meepo-s0-node-0",
             Duration::ZERO,
             Duration::from_secs(3600),
@@ -625,7 +552,7 @@ mod tests {
         for a in &accounts {
             chain.seed_account(*a, 1000, 500);
         }
-        let before = chain.total_funds();
+        let before = total_funds(&chain);
         let mut n = 0;
         for i in 0..40u64 {
             let from = accounts[(i % 10) as usize];
@@ -653,7 +580,7 @@ mod tests {
             10_000
         ));
         // Let relays settle: wait until funds balance again.
-        assert!(wait_until(|| chain.total_funds() == before, 10_000));
+        assert!(wait_until(|| total_funds(&chain) == before, 10_000));
         chain.verify_ledgers().unwrap();
         chain.shutdown();
     }
@@ -661,7 +588,7 @@ mod tests {
     #[test]
     fn per_shard_heights_reported() {
         let chain = fast_chain(MeepoConfig::default());
-        assert_eq!(chain.shard_heights().len(), 2);
+        assert_eq!(chain.kernel().shards().len(), 2);
         chain.shutdown();
     }
 

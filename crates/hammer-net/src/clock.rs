@@ -90,11 +90,6 @@ impl SimClock {
         self.inner.base + wall.mul_f64(self.inner.speedup)
     }
 
-    /// Simulated time as fractional seconds since the epoch.
-    pub fn now_secs(&self) -> f64 {
-        self.now().as_secs_f64()
-    }
-
     /// Blocks the current thread for `sim_duration` of simulated time
     /// (i.e. `sim_duration / speedup` of wall time).
     ///

@@ -20,9 +20,8 @@
 //!   traffic is silently dropped (the classic "switch ate my port"
 //!   failure). Ingress to a blackholed node times out at the RPC layer.
 //! * [`Fault::Partition`] — endpoints listed in different groups cannot
-//!   exchange messages; unlisted endpoints talk to everyone (the same
-//!   semantics as [`crate::SimNetwork::partition`], but windowed and
-//!   scripted instead of imperative).
+//!   exchange messages for the window; unlisted endpoints talk to
+//!   everyone.
 //! * [`Fault::LatencySpike`] — every delivery involving the target (or
 //!   every delivery, if no target is named) takes `extra` longer.
 

@@ -26,7 +26,7 @@
 //! The network also carries the run's observability bundle
 //! ([`SimNetwork::install_obs`]): per-link byte and drop counters are
 //! recorded on every send, and every component holding the network
-//! (chain simulators, driver, resource monitor) fetches the same
+//! (chain simulators, driver) fetches the same
 //! [`hammer_obs::Obs`] from it, so instrumentation needs no extra
 //! plumbing. [`network::FaultObserver`] turns fault-plan window
 //! transitions into journal events.

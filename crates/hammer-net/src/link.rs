@@ -39,16 +39,6 @@ impl LinkConfig {
         }
     }
 
-    /// A wide-area link: 40 ms ± 10 ms, 50 Mbps, 0.1% loss.
-    pub fn wan() -> Self {
-        LinkConfig {
-            base_latency: Duration::from_millis(40),
-            jitter: Duration::from_millis(10),
-            bandwidth_bps: Some(6_250_000),
-            loss_probability: 0.001,
-        }
-    }
-
     /// An ideal link with zero delay and no loss, for pure-logic tests.
     pub fn ideal() -> Self {
         LinkConfig {
@@ -111,7 +101,6 @@ mod tests {
         for cfg in [
             LinkConfig::lan(),
             LinkConfig::cloud_100mbps(),
-            LinkConfig::wan(),
             LinkConfig::ideal(),
         ] {
             cfg.validate().unwrap();

@@ -2,8 +2,8 @@
 //!
 //! Messages sent through [`SimNetwork::send`] are delivered to the
 //! destination endpoint's channel after the link's sampled delay (scaled by
-//! the shared [`SimClock`]), unless the link drops them or a partition
-//! separates the two endpoints. A background scheduler thread owns a
+//! the shared [`SimClock`]), unless the link drops them or an installed
+//! fault window severs the pair. A background scheduler thread owns a
 //! min-heap of pending deliveries.
 
 use std::cmp::Reverse;
@@ -24,7 +24,7 @@ use crate::link::LinkConfig;
 
 /// Default RNG seed for delay/loss sampling. One fixed seed (rather than
 /// per-call-site entropy) keeps probabilistic loss reproducible; override
-/// it per run with [`SimNetwork::with_seed`] or [`SimNetwork::reseed`].
+/// it per run with [`SimNetwork::with_seed`].
 pub const DEFAULT_NET_SEED: u64 = 0xbeef_cafe;
 
 /// A message in flight or delivered.
@@ -130,10 +130,6 @@ struct Shared {
     clock: SimClock,
     default_link: LinkConfig,
     endpoints: Mutex<HashMap<String, Sender<Message>>>,
-    links: Mutex<HashMap<(String, String), LinkConfig>>,
-    /// Partition group of each endpoint; endpoints in different groups
-    /// cannot communicate. Empty map means no partition.
-    partition: Mutex<HashMap<String, usize>>,
     /// Scripted fault schedule, consulted against the clock on every send.
     faults: Mutex<Option<Arc<FaultPlan>>>,
     sched: Mutex<SchedulerState>,
@@ -157,7 +153,6 @@ struct ObsState {
     obs: Obs,
     link_bytes: HashMap<(String, String), Counter>,
     drop_lost: Counter,
-    drop_partitioned: Counter,
     drop_faulted: Counter,
 }
 
@@ -166,8 +161,6 @@ impl ObsState {
         let reg = obs.registry();
         ObsState {
             drop_lost: reg.counter_with("hammer_net_dropped_total", &[("reason", "loss")]),
-            drop_partitioned: reg
-                .counter_with("hammer_net_dropped_total", &[("reason", "partition")]),
             drop_faulted: reg.counter_with("hammer_net_dropped_total", &[("reason", "fault")]),
             link_bytes: HashMap::new(),
             obs,
@@ -184,8 +177,6 @@ pub struct NetStats {
     pub delivered: u64,
     /// Messages dropped by link loss.
     pub lost: u64,
-    /// Messages dropped because a partition separated the pair.
-    pub partitioned: u64,
     /// Messages dropped by an active fault window (crash, blackhole, or
     /// scripted partition).
     pub faulted: u64,
@@ -226,8 +217,6 @@ impl SimNetwork {
             clock,
             default_link,
             endpoints: Mutex::new(HashMap::new()),
-            links: Mutex::new(HashMap::new()),
-            partition: Mutex::new(HashMap::new()),
             faults: Mutex::new(None),
             sched: Mutex::new(SchedulerState::default()),
             sched_cv: Condvar::new(),
@@ -252,11 +241,6 @@ impl SimNetwork {
         Self::new(SimClock::realtime(), LinkConfig::ideal())
     }
 
-    /// Re-seeds the internal RNG for reproducible delay/loss sampling.
-    pub fn reseed(&self, seed: u64) {
-        *self.shared.rng.lock() = StdRng::seed_from_u64(seed);
-    }
-
     /// Registers a named endpoint and returns its receiving half.
     ///
     /// # Panics
@@ -274,37 +258,6 @@ impl SimNetwork {
             name: name.to_owned(),
             rx,
         }
-    }
-
-    /// Removes an endpoint; later sends to it fail with `UnknownEndpoint`.
-    pub fn deregister(&self, name: &str) {
-        self.shared.endpoints.lock().remove(name);
-    }
-
-    /// Overrides link quality for the directed pair `(from, to)`.
-    pub fn set_link(&self, from: &str, to: &str, cfg: LinkConfig) {
-        cfg.validate().expect("link configuration must be valid");
-        self.shared
-            .links
-            .lock()
-            .insert((from.to_owned(), to.to_owned()), cfg);
-    }
-
-    /// Imposes a partition: endpoints listed in different groups cannot
-    /// exchange messages. Unlisted endpoints can talk to everyone.
-    pub fn partition(&self, groups: &[&[&str]]) {
-        let mut map = self.shared.partition.lock();
-        map.clear();
-        for (gid, group) in groups.iter().enumerate() {
-            for name in *group {
-                map.insert((*name).to_owned(), gid);
-            }
-        }
-    }
-
-    /// Removes any partition.
-    pub fn heal(&self) {
-        self.shared.partition.lock().clear();
     }
 
     /// Installs a scripted fault schedule. Windows are evaluated against
@@ -342,11 +295,6 @@ impl SimNetwork {
         Ok(())
     }
 
-    /// Removes any installed fault schedule.
-    pub fn clear_faults(&self) {
-        *self.shared.faults.lock() = None;
-    }
-
     /// The currently installed fault schedule, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.shared.faults.lock().clone()
@@ -366,9 +314,9 @@ impl SimNetwork {
     }
 
     /// Installs an observability bundle. Every component holding this
-    /// network (chain simulators, the evaluation driver, the resource
-    /// monitor) records into the installed bundle; without one, the
-    /// default disabled bundle makes all instrumentation a no-op.
+    /// network (chain simulators, the evaluation driver) records into the
+    /// installed bundle; without one, the default disabled bundle makes
+    /// all instrumentation a no-op.
     pub fn install_obs(&self, obs: Obs) {
         self.shared
             .obs_enabled
@@ -420,19 +368,6 @@ impl SimNetwork {
         if obs_on {
             self.record_link_bytes(from, to, payload.len() as u64);
         }
-        // Partition check.
-        {
-            let part = self.shared.partition.lock();
-            if let (Some(a), Some(b)) = (part.get(from), part.get(to)) {
-                if a != b {
-                    self.shared.stats.lock().partitioned += 1;
-                    if obs_on {
-                        self.shared.obs.lock().drop_partitioned.inc();
-                    }
-                    return Ok(()); // silently dropped, like a real partition
-                }
-            }
-        }
         // Scripted fault check: severed links drop silently (like a real
         // partition), active latency spikes stretch the delivery below.
         let fault_extra = {
@@ -452,13 +387,7 @@ impl SimNetwork {
                 None => Duration::ZERO,
             }
         };
-        let link = self
-            .shared
-            .links
-            .lock()
-            .get(&(from.to_owned(), to.to_owned()))
-            .copied()
-            .unwrap_or(self.shared.default_link);
+        let link = self.shared.default_link;
         let (lost, sim_delay) = {
             let mut rng = self.shared.rng.lock();
             (
@@ -497,20 +426,6 @@ impl SimNetwork {
         drop(sched);
         self.shared.sched_cv.notify_one();
         Ok(())
-    }
-
-    /// Broadcasts `payload` from `from` to every other registered endpoint.
-    pub fn broadcast(&self, from: &str, payload: &[u8]) -> Result<usize, NetError> {
-        let targets: Vec<String> = {
-            let eps = self.shared.endpoints.lock();
-            eps.keys().filter(|k| k.as_str() != from).cloned().collect()
-        };
-        let mut count = 0;
-        for t in targets {
-            self.send(from, &t, payload.to_vec())?;
-            count += 1;
-        }
-        Ok(count)
     }
 
     /// A snapshot of the network counters.
@@ -734,32 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_blocks_and_heal_restores() {
-        let net = fast_net();
-        let _a = net.register("a");
-        let b = net.register("b");
-        net.partition(&[&["a"], &["b"]]);
-        net.send("a", "b", b"blocked".to_vec()).unwrap();
-        assert!(b.recv_timeout(Duration::from_millis(100)).is_err());
-        assert_eq!(net.stats().partitioned, 1);
-        net.heal();
-        net.send("a", "b", b"through".to_vec()).unwrap();
-        let msg = b.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(msg.payload, b"through");
-    }
-
-    #[test]
-    fn same_group_can_communicate_under_partition() {
-        let net = fast_net();
-        let _a = net.register("a");
-        let b = net.register("b");
-        let _c = net.register("c");
-        net.partition(&[&["a", "b"], &["c"]]);
-        net.send("a", "b", b"ok".to_vec()).unwrap();
-        assert!(b.recv_timeout(Duration::from_secs(2)).is_ok());
-    }
-
-    #[test]
     fn lossy_link_drops_some() {
         let clock = SimClock::with_speedup(1000.0);
         let cfg = LinkConfig {
@@ -768,8 +657,7 @@ mod tests {
             bandwidth_bps: None,
             loss_probability: 0.5,
         };
-        let net = SimNetwork::new(clock, cfg);
-        net.reseed(123);
+        let net = SimNetwork::with_seed(clock, cfg, 123);
         let _a = net.register("a");
         let b = net.register("b");
         for _ in 0..200 {
@@ -785,18 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_all_others() {
-        let net = fast_net();
-        let _a = net.register("a");
-        let b = net.register("b");
-        let c = net.register("c");
-        let n = net.broadcast("a", b"hi").unwrap();
-        assert_eq!(n, 2);
-        assert!(b.recv_timeout(Duration::from_secs(2)).is_ok());
-        assert!(c.recv_timeout(Duration::from_secs(2)).is_ok());
-    }
-
-    #[test]
     fn stats_count_bytes() {
         let net = fast_net();
         let _a = net.register("a");
@@ -806,35 +682,6 @@ mod tests {
         let stats = net.stats();
         assert_eq!(stats.sent, 2);
         assert_eq!(stats.bytes_sent, 150);
-    }
-
-    #[test]
-    fn per_link_override_applies() {
-        let clock = SimClock::with_speedup(1000.0);
-        let slow = LinkConfig {
-            base_latency: Duration::from_secs(3600), // absurdly slow default
-            jitter: Duration::ZERO,
-            bandwidth_bps: None,
-            loss_probability: 0.0,
-        };
-        let net = SimNetwork::new(clock, slow);
-        let _a = net.register("a");
-        let b = net.register("b");
-        net.set_link("a", "b", LinkConfig::ideal());
-        net.send("a", "b", b"fast".to_vec()).unwrap();
-        assert!(b.recv_timeout(Duration::from_secs(2)).is_ok());
-    }
-
-    #[test]
-    fn deregistered_endpoint_unreachable() {
-        let net = fast_net();
-        let _a = net.register("a");
-        let _b = net.register("b");
-        net.deregister("b");
-        assert!(matches!(
-            net.send("a", "b", vec![]),
-            Err(NetError::UnknownEndpoint(_))
-        ));
     }
 
     #[test]
@@ -850,7 +697,7 @@ mod tests {
         assert_eq!(net.stats().faulted, 1);
         assert!(net.node_crashed("b"));
         assert!(!net.node_crashed("a"));
-        net.clear_faults();
+        net.install_faults(FaultPlan::new());
         net.send("a", "b", b"through".to_vec()).unwrap();
         assert!(b.recv_timeout(Duration::from_secs(2)).is_ok());
     }

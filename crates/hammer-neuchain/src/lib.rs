@@ -13,7 +13,8 @@
 //!
 //! Node scaffolding (threads, ingress gating, sealing, observability)
 //! comes from the [`hammer_chain::kernel`]; this crate only contributes
-//! the epoch-cut [`ConsensusPolicy`].
+//! the epoch-cut [`ConsensusPolicy`], and [`start`] returns the running
+//! [`ChainNode`] itself.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -21,10 +22,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hammer_chain::impl_sim_handle;
-use hammer_chain::kernel::{
-    ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round, SimChain,
-};
+use hammer_chain::kernel::{ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round};
 use hammer_crypto::sig::SigParams;
 use hammer_net::{SimClock, SimNetwork};
 
@@ -60,19 +58,6 @@ impl Default for NeuchainConfig {
             sig_params: SigParams::fast(),
         }
     }
-}
-
-/// Activity counters.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NeuchainStats {
-    /// Epochs (blocks) cut.
-    pub epochs: u64,
-    /// Transactions committed successfully.
-    pub committed: u64,
-    /// Transactions included but failed execution.
-    pub failed: u64,
-    /// Transactions dropped for bad signatures.
-    pub bad_sig: u64,
 }
 
 /// The epoch-cut consensus core: drain the pool every epoch, order
@@ -143,72 +128,38 @@ impl ConsensusPolicy for NeuchainPolicy {
     }
 }
 
-/// Handle to a running Neuchain simulation.
-pub struct NeuchainSim {
-    node: Arc<ChainNode<NeuchainPolicy>>,
-}
-
-impl_sim_handle!(NeuchainSim);
-
-impl NeuchainSim {
-    /// Starts the deployment: epoch server, client proxy, and
-    /// block-server endpoints on the kernel runtime.
-    pub fn start(config: NeuchainConfig, clock: SimClock, net: SimNetwork) -> Arc<Self> {
-        assert!(config.block_servers >= 1);
-        let mut builder = NodeKernelBuilder::new(clock, net)
-            .mempool_capacity(config.mempool_capacity)
-            .endpoint("neuchain-epoch-server")
-            .endpoint("neuchain-client-proxy");
-        for i in 0..config.block_servers {
-            builder = builder.sink_endpoint(&server_name(i));
-        }
-        let node = builder.start(NeuchainPolicy { config });
-        Arc::new(NeuchainSim { node })
+/// Starts the deployment: epoch server, client proxy, and block-server
+/// endpoints on the kernel runtime.
+pub fn start(
+    config: NeuchainConfig,
+    clock: SimClock,
+    net: SimNetwork,
+) -> Arc<ChainNode<NeuchainPolicy>> {
+    assert!(config.block_servers >= 1);
+    let mut builder = NodeKernelBuilder::new(clock, net)
+        .mempool_capacity(config.mempool_capacity)
+        .endpoint("neuchain-epoch-server")
+        .endpoint("neuchain-client-proxy");
+    for i in 0..config.block_servers {
+        builder = builder.sink_endpoint(&server_name(i));
     }
-
-    /// Seeds an account directly into world state (genesis allocation).
-    pub fn seed_account(&self, account: hammer_chain::types::Address, checking: u64, savings: u64) {
-        SimChain::seed_account(&*self.node, account, checking, savings);
-    }
-
-    /// Reads an account's state.
-    pub fn account(
-        &self,
-        account: hammer_chain::types::Address,
-    ) -> Option<hammer_chain::state::AccountState> {
-        SimChain::account(&*self.node, account)
-    }
-
-    /// Snapshot of the activity counters.
-    pub fn stats(&self) -> NeuchainStats {
-        let stats = self.node.stats();
-        NeuchainStats {
-            epochs: stats.blocks,
-            committed: stats.committed,
-            failed: stats.failed,
-            bad_sig: stats.bad_sig,
-        }
-    }
-
-    /// Verifies the internal hash chain.
-    pub fn verify_ledger(&self) -> Result<(), hammer_chain::ledger::LedgerError> {
-        self.node.verify_ledgers()
-    }
+    builder.start(NeuchainPolicy { config })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hammer_chain::client::{Architecture, BlockchainClient};
+    use hammer_chain::kernel::SimChain;
     use hammer_chain::smallbank::Op;
     use hammer_chain::types::{Address, SignedTransaction, Transaction, TxId};
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
 
-    fn fast_chain(config: NeuchainConfig) -> Arc<NeuchainSim> {
+    fn fast_chain(config: NeuchainConfig) -> Arc<ChainNode<NeuchainPolicy>> {
         let clock = SimClock::with_speedup(1000.0);
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-        NeuchainSim::start(config, clock, net)
+        start(config, clock, net)
     }
 
     fn signed(nonce: u64, op: Op) -> SignedTransaction {
@@ -354,7 +305,7 @@ mod tests {
                 .unwrap();
         }
         assert!(wait_until(|| chain.stats().committed >= 2000, 10_000));
-        chain.verify_ledger().unwrap();
+        chain.verify_ledgers().unwrap();
         chain.shutdown();
     }
 
@@ -363,7 +314,7 @@ mod tests {
         use hammer_net::FaultPlan;
         let clock = SimClock::with_speedup(1000.0);
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-        let chain = NeuchainSim::start(NeuchainConfig::default(), clock.clone(), net.clone());
+        let chain = start(NeuchainConfig::default(), clock.clone(), net.clone());
         chain.seed_account(Address::from_name("a"), 10_000, 0);
         // Crash both roles from the epoch start; restart at 2s (simulated).
         net.install_faults(

@@ -19,10 +19,10 @@
 //!
 //! The whole layer hangs together in an [`Obs`] bundle that the
 //! network substrate carries (`SimNetwork::install_obs`), so every
-//! component — driver, signer pool, chain sims, resource monitor —
-//! reaches the same registry without plumbing changes. A disabled
-//! bundle (the default) turns every record into one predictable
-//! branch, keeping instrumentation near-zero-cost when off.
+//! component — driver, signer pool, chain sims — reaches the same
+//! registry without plumbing changes. A disabled bundle (the default)
+//! turns every record into one predictable branch, keeping
+//! instrumentation near-zero-cost when off.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

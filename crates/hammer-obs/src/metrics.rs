@@ -129,12 +129,6 @@ impl Gauge {
         Gauge::new(false)
     }
 
-    /// Standalone live gauge, not attached to any registry. Kept for
-    /// callers (like the resource monitor) that mint gauges directly.
-    pub fn standalone() -> Self {
-        Gauge::new(true)
-    }
-
     /// Overwrite the value.
     #[inline]
     pub fn set(&self, v: u64) {

@@ -2,10 +2,9 @@
 //!
 //! The paper's driver keeps per-server transaction-status vector lists in
 //! Redis and periodically merges them (Fig. 2, step ④/⑥). This store
-//! offers the operations that flow needs: binary values, atomic counters,
-//! list append/range, prefix scans, and a merge-friendly `getset` —
-//! all behind sharded locks so driver threads don't serialise on one
-//! mutex.
+//! offers the operations that flow needs: binary values, list
+//! append/range, and a merge-friendly `getset` — all behind sharded locks
+//! so driver threads don't serialise on one mutex.
 
 use std::collections::HashMap;
 
@@ -18,8 +17,6 @@ const SHARDS: usize = 16;
 pub enum KvValue {
     /// An opaque byte blob.
     Bytes(Vec<u8>),
-    /// A 64-bit signed counter.
-    Counter(i64),
     /// An append-only list of blobs.
     List(Vec<Vec<u8>>),
 }
@@ -89,31 +86,6 @@ impl KvStore {
         self.shard(key).write().remove(key).is_some()
     }
 
-    /// Atomically adds `delta` to the counter at `key` (initialising to 0)
-    /// and returns the new value. Overwrites non-counter values.
-    pub fn incr(&self, key: &str, delta: i64) -> i64 {
-        let mut shard = self.shard(key).write();
-        let entry = shard.entry(key.to_owned()).or_insert(KvValue::Counter(0));
-        match entry {
-            KvValue::Counter(v) => {
-                *v += delta;
-                *v
-            }
-            other => {
-                *other = KvValue::Counter(delta);
-                delta
-            }
-        }
-    }
-
-    /// Reads a counter (0 when missing).
-    pub fn counter(&self, key: &str) -> i64 {
-        match self.shard(key).read().get(key) {
-            Some(KvValue::Counter(v)) => *v,
-            _ => 0,
-        }
-    }
-
     /// Appends an item to the list at `key` (creating it), returning the
     /// new length. Overwrites non-list values.
     pub fn rpush(&self, key: &str, item: Vec<u8>) -> usize {
@@ -152,20 +124,6 @@ impl KvStore {
             Some(KvValue::List(items)) => std::mem::take(items),
             _ => Vec::new(),
         }
-    }
-
-    /// All keys starting with `prefix`, sorted.
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            for key in shard.read().keys() {
-                if key.starts_with(prefix) {
-                    out.push(key.clone());
-                }
-            }
-        }
-        out.sort();
-        out
     }
 
     /// Number of keys across all shards.
@@ -210,23 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn counters() {
-        let kv = KvStore::new();
-        assert_eq!(kv.incr("c", 5), 5);
-        assert_eq!(kv.incr("c", -2), 3);
-        assert_eq!(kv.counter("c"), 3);
-        assert_eq!(kv.counter("missing"), 0);
-    }
-
-    #[test]
-    fn incr_overwrites_bytes() {
-        let kv = KvStore::new();
-        kv.set("k", b"text".to_vec());
-        assert_eq!(kv.incr("k", 7), 7);
-        assert_eq!(kv.get("k"), None); // no longer bytes
-    }
-
-    #[test]
     fn lists() {
         let kv = KvStore::new();
         assert_eq!(kv.rpush("l", b"a".to_vec()), 1);
@@ -238,15 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_scan_sorted() {
-        let kv = KvStore::new();
-        kv.set("status:2", vec![]);
-        kv.set("status:1", vec![]);
-        kv.set("other", vec![]);
-        assert_eq!(kv.keys_with_prefix("status:"), vec!["status:1", "status:2"]);
-    }
-
-    #[test]
     fn len_and_clear() {
         let kv = KvStore::new();
         for i in 0..100 {
@@ -255,24 +187,6 @@ mod tests {
         assert_eq!(kv.len(), 100);
         kv.clear();
         assert!(kv.is_empty());
-    }
-
-    #[test]
-    fn concurrent_counters_are_exact() {
-        let kv = Arc::new(KvStore::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let kv = Arc::clone(&kv);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    kv.incr("shared", 1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(kv.counter("shared"), 8000);
     }
 
     #[test]

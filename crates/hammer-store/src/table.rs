@@ -272,24 +272,6 @@ impl TableStore {
         }
     }
 
-    /// `(committed, failed, pending)` counts.
-    pub fn status_counts(&self) -> (usize, usize, usize) {
-        let rows = self.rows.read();
-        let mut committed = 0;
-        let mut failed = 0;
-        let mut pending = 0;
-        for r in rows.iter() {
-            if r.status_ok() {
-                committed += 1;
-            } else if r.end_time.is_some() {
-                failed += 1;
-            } else {
-                pending += 1;
-            }
-        }
-        (committed, failed, pending)
-    }
-
     /// Per-client committed counts, sorted by client id (load monitoring,
     /// one of the two roles `c_id` plays in Algorithm 1).
     pub fn per_client_committed(&self) -> Vec<(u32, usize)> {
@@ -399,15 +381,6 @@ mod tests {
     fn latency_summary_empty() {
         let t = TableStore::new();
         assert_eq!(t.latency_summary(), LatencySummary::default());
-    }
-
-    #[test]
-    fn status_counts_classify() {
-        let t = TableStore::new();
-        t.insert(row(1, 0, Some(1), true));
-        t.insert(row(2, 0, Some(1), false));
-        t.insert(row(3, 0, None, false));
-        assert_eq!(t.status_counts(), (1, 1, 1));
     }
 
     #[test]

@@ -118,7 +118,7 @@ impl WorkloadConfig {
         };
         Value::object([
             (
-                "workload",
+                "kind",
                 Value::from(match self.kind {
                     WorkloadKind::SmallBank => "smallbank",
                     WorkloadKind::Ycsb => "ycsb",
@@ -141,75 +141,112 @@ impl WorkloadConfig {
         ])
     }
 
-    /// Parses the JSON profile format (missing fields take defaults).
-    pub fn from_json(v: &Value) -> Result<Self, ConfigError> {
-        let defaults = Self::default();
-        let kind = match v.get("workload").and_then(Value::as_str) {
-            Some("smallbank") | None => WorkloadKind::SmallBank,
-            Some("ycsb") => WorkloadKind::Ycsb,
-            Some(other) => return Err(ConfigError(format!("unknown workload '{other}'"))),
-        };
-        let distribution = match v.get("distribution") {
-            None => defaults.distribution,
-            Some(d) => match d.get("type").and_then(Value::as_str) {
-                Some("uniform") | None => AccessDistribution::Uniform,
+    /// Reads the JSON profile format onto `base`: a missing field keeps
+    /// `base`'s value; a key the format does not define, or a value that
+    /// does not fit its field (a negative, fractional or too-large
+    /// integer, a wrong type), is an error — a profile is outside input
+    /// and a typo must not run with the default. Validates the result.
+    pub fn from_json(v: &Value, base: WorkloadConfig) -> Result<Self, ConfigError> {
+        known_keys(
+            v,
+            "workload",
+            &[
+                "kind",
+                "chain_name",
+                "contract_name",
+                "accounts",
+                "read_ratio",
+                "distribution",
+                "total_txs",
+                "clients",
+                "threads_per_client",
+                "initial_checking",
+                "initial_savings",
+                "seed",
+            ],
+        )?;
+        let mut config = base;
+        let string = |f: &Value| f.as_str().map(str::to_owned);
+        set(&mut config.chain_name, v, "chain_name", string)?;
+        set(&mut config.contract_name, v, "contract_name", string)?;
+        set(&mut config.accounts, v, "accounts", uint)?;
+        set(&mut config.read_ratio, v, "read_ratio", Value::as_f64)?;
+        set(&mut config.total_txs, v, "total_txs", uint)?;
+        set(&mut config.clients, v, "clients", uint)?;
+        set(
+            &mut config.threads_per_client,
+            v,
+            "threads_per_client",
+            uint,
+        )?;
+        set(&mut config.initial_checking, v, "initial_checking", uint)?;
+        set(&mut config.initial_savings, v, "initial_savings", uint)?;
+        set(&mut config.seed, v, "seed", uint)?;
+        if let Some(kind) = field(v, "kind", Value::as_str)? {
+            config.kind = match kind {
+                "smallbank" => WorkloadKind::SmallBank,
+                "ycsb" => WorkloadKind::Ycsb,
+                other => return Err(ConfigError(format!("unknown workload kind '{other}'"))),
+            };
+        }
+        if let Some(d) = v.get("distribution") {
+            known_keys(d, "distribution", &["type", "theta"])?;
+            config.distribution = match field(d, "type", Value::as_str)? {
+                Some("uniform") => AccessDistribution::Uniform,
                 Some("zipfian") => AccessDistribution::Zipfian {
-                    theta: d.get("theta").and_then(Value::as_f64).unwrap_or(0.99),
+                    theta: field(d, "theta", Value::as_f64)?.unwrap_or(0.99),
                 },
-                Some(other) => return Err(ConfigError(format!("unknown distribution '{other}'"))),
-            },
-        };
-        let get_u64 =
-            |key: &str, default: u64| v.get(key).and_then(Value::as_u64).unwrap_or(default);
-        let config = WorkloadConfig {
-            kind,
-            chain_name: v
-                .get("chain_name")
-                .and_then(Value::as_str)
-                .unwrap_or(&defaults.chain_name)
-                .to_owned(),
-            contract_name: v
-                .get("contract_name")
-                .and_then(Value::as_str)
-                .unwrap_or(&defaults.contract_name)
-                .to_owned(),
-            accounts: get_u64("accounts", defaults.accounts as u64) as usize,
-            read_ratio: v
-                .get("read_ratio")
-                .and_then(Value::as_f64)
-                .unwrap_or(defaults.read_ratio),
-            distribution,
-            total_txs: get_u64("total_txs", defaults.total_txs as u64) as usize,
-            clients: get_u64("clients", defaults.clients as u64) as u32,
-            threads_per_client: get_u64("threads_per_client", defaults.threads_per_client as u64)
-                as u32,
-            initial_checking: get_u64("initial_checking", defaults.initial_checking),
-            initial_savings: get_u64("initial_savings", defaults.initial_savings),
-            seed: get_u64("seed", defaults.seed),
-        };
+                other => return Err(ConfigError(format!("unknown distribution {other:?}"))),
+            };
+        }
         config.validate()?;
         Ok(config)
     }
 
-    /// Parses from JSON text.
+    /// Parses from JSON text, over [`WorkloadConfig::default`].
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
         let v = Value::parse(text).map_err(|e| ConfigError(e.to_string()))?;
-        Self::from_json(&v)
+        Self::from_json(&v, Self::default())
     }
+}
 
-    /// Persists the profile to a JSON file (the paper's client writes the
-    /// generated workload profile to disk and ships it to the server).
-    pub fn save_to(&self, path: impl AsRef<std::path::Path>) -> Result<(), ConfigError> {
-        std::fs::write(path.as_ref(), self.to_json().to_json())
-            .map_err(|e| ConfigError(format!("cannot write profile: {e}")))
+/// Rejects a key of the object `v` that the format does not define.
+fn known_keys(v: &Value, at: &str, keys: &[&str]) -> Result<(), ConfigError> {
+    let Value::Object(pairs) = v else {
+        return Err(ConfigError(format!("{at} must be an object")));
+    };
+    match pairs.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+        Some((key, _)) => Err(ConfigError(format!("unknown key {key:?} in {at}"))),
+        None => Ok(()),
     }
+}
 
-    /// Loads a profile from a JSON file.
-    pub fn load_from(path: impl AsRef<std::path::Path>) -> Result<Self, ConfigError> {
-        let text = std::fs::read_to_string(path.as_ref())
-            .map_err(|e| ConfigError(format!("cannot read profile: {e}")))?;
-        Self::parse(&text)
+/// Reads `key` if present; a value `read` refuses is an error.
+fn field<'a, T>(
+    v: &'a Value,
+    key: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+) -> Result<Option<T>, ConfigError> {
+    let read_one = |f| read(f).ok_or_else(|| ConfigError(format!("bad {key:?}: {}", f.to_json())));
+    v.get(key).map(read_one).transpose()
+}
+
+/// Overwrites `slot` with `key`'s value if the profile carries one.
+fn set<'a, T>(
+    slot: &mut T,
+    v: &'a Value,
+    key: &str,
+    read: impl Fn(&'a Value) -> Option<T>,
+) -> Result<(), ConfigError> {
+    if let Some(value) = field(v, key, read)? {
+        *slot = value;
     }
+    Ok(())
+}
+
+/// A non-negative integer that fits `T`.
+fn uint<T: TryFrom<u64>>(f: &Value) -> Option<T> {
+    T::try_from(f.as_u64()?).ok()
 }
 
 #[cfg(test)]
@@ -236,13 +273,13 @@ mod tests {
 
     #[test]
     fn missing_fields_take_defaults() {
-        let parsed = WorkloadConfig::parse(r#"{"workload": "smallbank"}"#).unwrap();
+        let parsed = WorkloadConfig::parse(r#"{"kind": "smallbank"}"#).unwrap();
         assert_eq!(parsed, WorkloadConfig::default());
     }
 
     #[test]
     fn rejects_unknown_workload() {
-        assert!(WorkloadConfig::parse(r#"{"workload": "tpcc"}"#).is_err());
+        assert!(WorkloadConfig::parse(r#"{"kind": "tpcc"}"#).is_err());
     }
 
     #[test]
@@ -278,25 +315,22 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
-        let config = WorkloadConfig {
-            kind: WorkloadKind::Ycsb,
-            read_ratio: 0.95,
-            seed: 777,
-            ..WorkloadConfig::default()
-        };
-        let dir = std::env::temp_dir().join("hammer-config-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile.json");
-        config.save_to(&path).unwrap();
-        let loaded = WorkloadConfig::load_from(&path).unwrap();
-        assert_eq!(loaded, config);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_from_missing_file_errors() {
-        assert!(WorkloadConfig::load_from("/definitely/not/here.json").is_err());
+    fn hostile_profiles_are_rejected_not_truncated() {
+        for (profile, names) in [
+            (r#"{"clients": 4294967298}"#, "clients"),
+            (r#"{"accounts": -1}"#, "accounts"),
+            (r#"{"threads_per_client": 1.5}"#, "threads_per_client"),
+            (r#"{"chain_name": 7}"#, "chain_name"),
+            (r#"{"workload": "ycsb"}"#, "workload"),
+            (
+                r#"{"distribution": {"type": "zipfian", "skew": 1}}"#,
+                "skew",
+            ),
+            (r#"[]"#, "object"),
+        ] {
+            let err = WorkloadConfig::parse(profile).unwrap_err();
+            assert!(err.0.contains(names), "{profile}: {err}");
+        }
     }
 
     #[test]

@@ -147,18 +147,6 @@ impl SmallBankGenerator {
             })
             .collect()
     }
-
-    /// The `CreateAccount` fixture operations that seed the pool.
-    pub fn seed_ops(&self) -> Vec<Op> {
-        self.accounts
-            .iter()
-            .map(|a| Op::CreateAccount {
-                account: *a,
-                checking: self.config.initial_checking,
-                savings: self.config.initial_savings,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -269,14 +257,6 @@ mod tests {
         let hot = counts.get(&pool[0]).copied().unwrap_or(0);
         let cold = counts.get(&pool[pool.len() - 1]).copied().unwrap_or(0);
         assert!(hot > cold * 3, "hot={hot} cold={cold}");
-    }
-
-    #[test]
-    fn seed_ops_cover_pool() {
-        let generator = SmallBankGenerator::new(config(10));
-        let ops = generator.seed_ops();
-        assert_eq!(ops.len(), 50);
-        assert!(ops.iter().all(|o| matches!(o, Op::CreateAccount { .. })));
     }
 
     #[test]

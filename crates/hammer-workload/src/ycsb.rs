@@ -106,23 +106,6 @@ impl YcsbGenerator {
             ..WorkloadConfig::default()
         }
     }
-
-    /// The classic YCSB-B profile (95% reads, zipfian keys).
-    pub fn workload_b(keys: usize, seed: u64) -> WorkloadConfig {
-        WorkloadConfig {
-            read_ratio: 0.95,
-            distribution: AccessDistribution::Zipfian { theta: 0.99 },
-            ..Self::workload_a(keys, seed)
-        }
-    }
-
-    /// The classic YCSB-C profile (read only).
-    pub fn workload_c(keys: usize, seed: u64) -> WorkloadConfig {
-        WorkloadConfig {
-            read_ratio: 1.0,
-            ..Self::workload_a(keys, seed)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -141,13 +124,20 @@ mod tests {
 
     #[test]
     fn workload_c_is_read_only() {
-        let mut generator = YcsbGenerator::new(YcsbGenerator::workload_c(100, 1));
+        let mut generator = YcsbGenerator::new(WorkloadConfig {
+            read_ratio: 1.0,
+            ..YcsbGenerator::workload_a(100, 1)
+        });
         assert!((0..5_000).all(|_| matches!(generator.next_op(), Op::KvGet { .. })));
     }
 
     #[test]
     fn workload_b_mostly_reads_and_skewed() {
-        let mut generator = YcsbGenerator::new(YcsbGenerator::workload_b(100, 1));
+        let mut generator = YcsbGenerator::new(WorkloadConfig {
+            read_ratio: 0.95,
+            distribution: AccessDistribution::Zipfian { theta: 0.99 },
+            ..YcsbGenerator::workload_a(100, 1)
+        });
         let mut reads = 0;
         let mut key_counts = std::collections::HashMap::new();
         for _ in 0..20_000 {

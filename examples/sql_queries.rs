@@ -45,22 +45,8 @@ fn main() {
     // Rebuild the Performance table from the report's records (the same
     // rows the pipeline produced) and query it with Table II's SQL.
     let table = TableStore::new();
-    for r in &report.records {
-        table.insert(
-            StatusRecord {
-                tx_fingerprint: r.tx_id.fingerprint(),
-                client_id: r.client_id,
-                server_id: r.server_id,
-                start_ns: r.start.as_nanos() as u64,
-                end_ns: r.end.map(|e| e.as_nanos() as u64).unwrap_or(u64::MAX),
-                outcome: if r.status == hammer::chain::types::TxStatus::Committed {
-                    hammer::store::RowOutcome::Committed
-                } else {
-                    hammer::store::RowOutcome::Failed
-                },
-            }
-            .into_row("fabric-sim"),
-        );
+    for record in &report.records {
+        table.insert(StatusRecord::from(record).into_row(&report.chain));
     }
 
     // The paper's TPS statement, verbatim.

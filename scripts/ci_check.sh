@@ -88,6 +88,19 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: one node handle"
+# A running in-process chain is a ChainNode<P>: a backend crate exports
+# its config, its ConsensusPolicy and `start`, never a wrapper that
+# forwards to the node; the Prometheus role is hammer-obs, not a second
+# sampler in hammer-store.
+violations=$(grep -rnIE 'impl_sim_handle|(Ethereum|Fabric|Meepo|Neuchain)Sim\b|ResourceMonitor' \
+    crates src tests examples 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a per-chain facade or the resource monitor is back (use ChainNode / hammer-obs):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
 echo "==> obs-overhead smoke: disabled registry must not tax the hot path"
 # Short samples (the vendored criterion has no CLI filter, so the whole
 # group runs): the sign_obs_disabled/sign_plain ratio must stay within

@@ -14,7 +14,7 @@ use hammer::chain::types::TxStatus;
 use hammer::core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
-use hammer::fabric::{FabricConfig, FabricSim};
+use hammer::fabric::FabricConfig;
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
 #[test]
@@ -29,7 +29,7 @@ fn driver_statistics_match_node_logs() {
             inbox_capacity: 50_000,
             ..FabricConfig::default()
         };
-        let chain = FabricSim::start(config, clock.clone(), net.clone());
+        let chain = hammer::fabric::start(config, clock.clone(), net.clone());
         Deployment::from_chain(chain, clock, net)
     });
     let deployment = registry

@@ -7,7 +7,7 @@ use std::time::Duration;
 use hammer::core::deploy::{BackendOptions, BackendRegistry, Deployment};
 use hammer::core::driver::{EvalConfig, EvalReport, Evaluation};
 use hammer::core::machine::ClientMachine;
-use hammer::ethereum::{EthereumConfig, EthereumSim};
+use hammer::ethereum::EthereumConfig;
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
 mod common;
@@ -107,7 +107,7 @@ fn ethereum_commits_with_short_private_blocks() {
             block_interval: Duration::from_secs(2),
             ..EthereumConfig::default()
         };
-        let chain = EthereumSim::start(config, clock.clone(), net.clone());
+        let chain = hammer::ethereum::start(config, clock.clone(), net.clone());
         Deployment::from_chain(chain, clock, net)
     });
     let report = run_chain(&registry, "ethereum-sim", 15, 8, 400.0);

@@ -13,7 +13,7 @@ use hammer::chain::types::{Address, Transaction};
 use hammer::crypto::sig::SigParams;
 use hammer::crypto::Keypair;
 use hammer::net::{LinkConfig, SimClock, SimNetwork};
-use hammer::neuchain::{NeuchainConfig, NeuchainSim};
+use hammer::neuchain::NeuchainConfig;
 
 fn wait_until(pred: impl Fn() -> bool, wall_ms: u64) -> bool {
     let deadline = std::time::Instant::now() + Duration::from_millis(wall_ms);
@@ -30,7 +30,7 @@ fn wait_until(pred: impl Fn() -> bool, wall_ms: u64) -> bool {
 fn evaluation_through_json_rpc_matches_direct_access() {
     let clock = SimClock::with_speedup(500.0);
     let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-    let chain = NeuchainSim::start(NeuchainConfig::default(), clock, net);
+    let chain = hammer::neuchain::start(NeuchainConfig::default(), clock, net);
     chain.seed_account(Address::from_name("acct"), 1_000_000, 0);
 
     let server = serve_sim(chain.clone() as Arc<dyn SimChain>);
@@ -94,7 +94,7 @@ fn evaluation_through_json_rpc_matches_direct_access() {
 fn rpc_rejects_malformed_submissions() {
     let clock = SimClock::with_speedup(500.0);
     let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-    let chain = NeuchainSim::start(NeuchainConfig::default(), clock, net);
+    let chain = hammer::neuchain::start(NeuchainConfig::default(), clock, net);
     let server = serve(chain.clone() as Arc<dyn BlockchainClient>);
     let raw = server.client();
 

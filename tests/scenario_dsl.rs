@@ -236,6 +236,54 @@ fn bad_json_spec_is_a_typed_error() {
 
     let err = corpus::load("no-such-scenario").unwrap_err();
     assert!(matches!(err, ScenarioError::Spec(_)), "got {err:?}");
+
+    // A spec is outside input: a value that does not fit its field, a
+    // non-string group member or a misspelt key is refused by name, never
+    // narrowed, dropped or left to run with the default.
+    const VALID: &str = r#"{"name": "hostile", "backend": "neuchain-sim",
+        "workload": {"accounts": 100},
+        "control": {"shape": "constant", "rate": 10, "slices": 2},
+        "chaos": {"faults": [{"kind": "partition", "start_ms": 0, "end_ms": 1000,
+            "groups": [["sealer:0"], ["rest"]]}]}}"#;
+    Scenario::from_json(VALID).expect("the unmodified spec loads");
+    // (fragment of VALID, its hostile replacement, the key the error names)
+    let hostile = [
+        (r#""rate": 10"#, r#""rate": 4294967301"#, "rate"), // paced at 5 tx/s
+        (r#""rate": 10"#, r#""rate": 10, "rat": 3"#, "rat"),
+        (r#""slices": 2"#, r#""slices": -1"#, "slices"),
+        (r#""slices": 2"#, r#""slices": 2.5"#, "slices"),
+        (r#""accounts": 100"#, r#""clients": 4294967298"#, "clients"), // ran as 2
+        (
+            r#""accounts": 100"#,
+            r#""threads_per_client": -1"#,
+            "threads_per_client",
+        ),
+        (r#""accounts": 100"#, r#""workload": "ycsb""#, "workload"),
+        (
+            r#""name""#,
+            r#""tracker_shards": 2.5, "name""#,
+            "tracker_shards",
+        ),
+        (
+            r#""name""#,
+            r#""stall_budget_s": -1, "name""#,
+            "stall_budget_s",
+        ),
+        (r#""name""#, r#""stall_budget": 5, "name""#, "stall_budget"),
+        (r#""end_ms": 1000"#, r#""end_ms": 1000, "nod": "x""#, "nod"),
+        (r#""sealer:0""#, r#""sealer:0", 7"#, "groups"),
+    ];
+    for (fragment, replacement, names) in hostile {
+        let spec = VALID.replacen(fragment, replacement, 1);
+        assert_ne!(spec, VALID, "{fragment} is not part of the valid spec");
+        match Scenario::from_json(&spec) {
+            Err(ScenarioError::Spec(msg)) => assert!(msg.contains(names), "{names}: {msg}"),
+            other => panic!("{replacement}: expected a Spec error, got {other:?}"),
+        }
+    }
+    for name in corpus::names() {
+        corpus::load(name).unwrap_or_else(|e| panic!("corpus {name} must still load: {e}"));
+    }
 }
 
 #[test]
