@@ -4,20 +4,20 @@
 //! generic driver, and the simulators for those designs used to duplicate
 //! all of the chain-*agnostic* node scaffolding: named-thread spawn loops,
 //! mempool ingress with fault gating, sealed-block accounting and
-//! observability, and gossip fan-out over the simulated network. The
-//! kernel owns that scaffolding once:
+//! observability, and replication-traffic accounting on the simulated
+//! network. The kernel owns that scaffolding once:
 //!
 //! * **Lifecycle** — [`NodeKernelBuilder::start`] spawns every node
-//!   thread (gossip sinks, the per-shard sealer loop, policy workers) and
-//!   records the join handles; [`ChainNode::shutdown_and_join`] stops
+//!   thread (the per-shard sealer loop, policy workers) and records the
+//!   join handles; [`ChainNode::shutdown_and_join`] stops
 //!   *and joins* them, so dropping a chain never leaks a live thread.
 //! * **Ingress** — [`BlockchainClient::submit`] is implemented once:
 //!   shutdown check, [`check_node_ingress`] fault gating on the policy's
 //!   ingress node, then policy-controlled admission (bounded mempool by
 //!   default, so overload surfaces as [`ErrorKind::Backpressure`]).
 //! * **Sealing** — [`Kernel::seal_block`] builds the block against the
-//!   shard ledger, fans the gossip payload out over `hammer-net`, updates
-//!   the activity counters, emits the per-block observability (sealed
+//!   shard ledger, accounts its replication traffic on `hammer-net`,
+//!   updates the activity counters, emits the per-block observability (sealed
 //!   counters, mempool-depth gauge, journal `block_seal`) and publishes
 //!   the commit events.
 //! * **RPC wiring** — [`ChainNode::serve_rpc_sim`] exposes any
@@ -34,9 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::Receiver;
 use hammer_crypto::sig::SigParams;
-use hammer_net::{Endpoint, SimClock, SimNetwork};
+use hammer_net::{SimClock, SimNetwork};
 use parking_lot::{Mutex, RwLock};
 
 use crate::client::{check_node_ingress, Architecture, BlockchainClient, ChainError, CommitEvent};
@@ -46,9 +46,6 @@ use crate::mempool::Mempool;
 use crate::rpc_adapter;
 use crate::state::{AccountState, VersionedState};
 use crate::types::{verify_signed_batch, Address, Block, SignedTransaction, TxId};
-
-/// Gossip payloads are capped at 1 MiB regardless of block size.
-const MAX_GOSSIP_PAYLOAD: usize = 1 << 20;
 
 /// Wall-clock granularity at which kernel sleeps re-check the shutdown
 /// flag. Small enough that joining a chain mid-interval is prompt, large
@@ -103,7 +100,8 @@ pub struct Round {
     pub tx_ids: Vec<TxId>,
     /// Per-transaction validity flags (`valid[i]` belongs to `tx_ids[i]`).
     pub valid: Vec<bool>,
-    /// Endpoints to fan the sealed block out to.
+    /// Endpoints the sealed block is replicated to (accounted on the
+    /// network, one message each).
     pub gossip_to: Vec<String>,
     /// Pending-depth reported to the mempool gauge; `None` uses the
     /// shard's kernel mempool length (policies with their own pending set
@@ -248,17 +246,18 @@ impl Kernel {
         });
     }
 
-    /// Fans a sealed-block payload out from `from` to every endpoint in
-    /// `to`, approximating the wire size from the transaction count.
+    /// Accounts a sealed block's replication from `from` to every
+    /// endpoint in `to`, approximating the wire size from the transaction
+    /// count.
     pub fn gossip(&self, from: &str, to: &[String], txs: usize) {
-        let approx = (self.gossip_base + txs * self.gossip_per_tx).min(MAX_GOSSIP_PAYLOAD);
+        let approx = self.gossip_base + txs * self.gossip_per_tx;
         for target in to {
-            let _ = self.net.send(from, target, vec![0u8; approx]);
+            let _ = self.net.send(from, target, approx);
         }
     }
 
     /// Seals one round into a block on `shard`: builds the block against
-    /// the shard ledger, gossips it, appends it, updates the counters,
+    /// the shard ledger, accounts its gossip, appends it, updates the counters,
     /// emits the per-block observability, and publishes the commit
     /// events. One obs-bundle fetch per sealed block, never per tx.
     pub fn seal_block(&self, shard_id: u32, round: Round) {
@@ -429,16 +428,15 @@ pub trait ConsensusPolicy: Send + Sync + 'static {
     }
 }
 
-/// Builds and starts a [`ChainNode`]: endpoints, gossip sinks, sealers,
-/// and policy workers in one call.
+/// Builds and starts a [`ChainNode`]: endpoints, sealers, and policy
+/// workers in one call.
 pub struct NodeKernelBuilder {
     clock: SimClock,
     net: SimNetwork,
     mempool_capacity: usize,
     gossip_base: usize,
     gossip_per_tx: usize,
-    sink_endpoints: Vec<String>,
-    plain_endpoints: Vec<String>,
+    endpoints: Vec<String>,
 }
 
 impl NodeKernelBuilder {
@@ -450,8 +448,7 @@ impl NodeKernelBuilder {
             mempool_capacity: 10_000,
             gossip_base: 200,
             gossip_per_tx: 110,
-            sink_endpoints: Vec::new(),
-            plain_endpoints: Vec::new(),
+            endpoints: Vec::new(),
         }
     }
 
@@ -468,22 +465,15 @@ impl NodeKernelBuilder {
         self
     }
 
-    /// Registers a network endpoint with a sink thread consuming its
-    /// inbound traffic (replica nodes receiving block gossip).
-    pub fn sink_endpoint(mut self, name: &str) -> Self {
-        self.sink_endpoints.push(name.to_owned());
-        self
-    }
-
-    /// Registers a network endpoint without a consumer thread (roles
-    /// that only ever send, or that exist for fault targeting).
+    /// Registers a network endpoint: a node name gossip can be addressed
+    /// to and a fault plan can target.
     pub fn endpoint(mut self, name: &str) -> Self {
-        self.plain_endpoints.push(name.to_owned());
+        self.endpoints.push(name.to_owned());
         self
     }
 
-    /// Starts the node: registers endpoints, spawns sinks, sealers, and
-    /// policy workers, and returns the running chain handle.
+    /// Starts the node: registers endpoints, spawns sealers and policy
+    /// workers, and returns the running chain handle.
     pub fn start<P: ConsensusPolicy>(self, policy: P) -> Arc<ChainNode<P>> {
         let policy = Arc::new(policy);
         let shard_count = policy.architecture().shard_count().max(1);
@@ -505,20 +495,10 @@ impl NodeKernelBuilder {
             bad_sig: AtomicU64::new(0),
         });
 
-        let mut threads = Vec::new();
-        for name in &self.plain_endpoints {
+        for name in &self.endpoints {
             kernel.net.register(name);
         }
-        for name in &self.sink_endpoints {
-            let endpoint = kernel.net.register(name);
-            let sink_kernel = Arc::clone(&kernel);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(name.clone())
-                    .spawn(move || sink_loop(sink_kernel, endpoint))
-                    .expect("spawn gossip sink"),
-            );
-        }
+        let mut threads = Vec::new();
         for worker in policy.workers(&kernel) {
             threads.push(
                 std::thread::Builder::new()
@@ -544,22 +524,6 @@ impl NodeKernelBuilder {
             policy,
             threads: Mutex::new(threads),
         })
-    }
-}
-
-/// Consumes inbound gossip on one endpoint until shutdown (replication
-/// traffic is accounted by the network; the payload itself is discarded).
-fn sink_loop(kernel: Arc<Kernel>, endpoint: Endpoint) {
-    loop {
-        match endpoint.recv_timeout(Duration::from_millis(100)) {
-            Ok(_replicated) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                if kernel.is_shutdown() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
     }
 }
 
@@ -831,7 +795,7 @@ mod tests {
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         NodeKernelBuilder::new(clock, net)
             .mempool_capacity(100)
-            .sink_endpoint("fifo-node-0")
+            .endpoint("fifo-node-0")
             .start(FifoPolicy)
     }
 
@@ -899,6 +863,85 @@ mod tests {
     }
 
     #[test]
+    fn a_started_node_owns_exactly_its_sealers_and_workers() {
+        /// Two shards on kernel-driven sealers plus one policy worker.
+        struct TwoShardPolicy;
+
+        impl ConsensusPolicy for TwoShardPolicy {
+            fn chain_name(&self) -> &'static str {
+                "two-shard-sim"
+            }
+
+            fn architecture(&self) -> Architecture {
+                Architecture::Sharded { shards: 2 }
+            }
+
+            fn ingress_node(&self, shard: u32) -> String {
+                format!("two-shard-node-{shard}")
+            }
+
+            fn workers(self: &Arc<Self>, kernel: &Arc<Kernel>) -> Vec<Worker> {
+                let kernel = Arc::clone(kernel);
+                vec![Worker::new("two-shard-worker", move || {
+                    while kernel.sleep_interruptible(Duration::from_secs(1)) {}
+                })]
+            }
+        }
+
+        let clock = SimClock::with_speedup(1000.0);
+        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        // Endpoints are names, not threads: five of them add none.
+        let chain = NodeKernelBuilder::new(clock, net)
+            .endpoint("two-shard-node-0")
+            .endpoint("two-shard-node-1")
+            .endpoint("two-shard-replica-0")
+            .endpoint("two-shard-replica-1")
+            .endpoint("two-shard-replica-2")
+            .start(TwoShardPolicy);
+        assert_eq!(chain.threads.lock().len(), 3);
+        chain.shutdown();
+    }
+
+    #[test]
+    fn sealing_accounts_one_gossip_message_per_follower() {
+        use hammer_net::FaultPlan;
+        let clock = SimClock::with_speedup(1000.0);
+        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let chain = NodeKernelBuilder::new(clock, net.clone())
+            .gossip_sizing(40, 7)
+            .endpoint("fifo-node-0")
+            .endpoint("fifo-node-1")
+            .endpoint("fifo-node-2")
+            .start(FifoPolicy);
+        let round = |first_nonce: u64| Round {
+            proposer: "fifo-node-0".to_owned(),
+            tx_ids: (first_nonce..first_nonce + 5)
+                .map(|n| signed(n).id)
+                .collect(),
+            valid: vec![true; 5],
+            gossip_to: vec!["fifo-node-1".to_owned(), "fifo-node-2".to_owned()],
+            mempool_depth: None,
+        };
+        chain.kernel().seal_block(0, round(0));
+        let stats = net.stats();
+        assert_eq!((stats.sent, stats.bytes_sent), (2, 2 * (40 + 7 * 5)));
+        assert_eq!(stats.faulted + stats.lost, 0);
+
+        // Cut the proposer off from one follower: both messages are
+        // still accepted, one is booked as dropped by the fault.
+        net.install_faults(FaultPlan::new().partition(
+            &[&["fifo-node-0", "fifo-node-1"], &["fifo-node-2"]],
+            Duration::ZERO,
+            Duration::from_secs(3600),
+        ));
+        chain.kernel().seal_block(0, round(100));
+        let stats = net.stats();
+        assert_eq!((stats.sent, stats.bytes_sent), (4, 4 * (40 + 7 * 5)));
+        assert_eq!((stats.faulted, stats.lost), (1, 0));
+        chain.shutdown();
+    }
+
+    #[test]
     fn shutdown_joins_all_threads() {
         let chain = start_fifo();
         chain.submit(signed(1)).unwrap();
@@ -934,7 +977,7 @@ mod tests {
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         let chain = NodeKernelBuilder::new(clock, net)
             .mempool_capacity(2)
-            .sink_endpoint("fifo-node-0")
+            .endpoint("fifo-node-0")
             .start(FifoPolicy);
         // Stall-free window is tiny; submit fast enough to overflow.
         let mut saw_backpressure = false;

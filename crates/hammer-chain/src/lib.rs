@@ -28,7 +28,7 @@
 //!   graceful degradation during fault windows.
 //! * [`kernel`] — the chain-node runtime: thread lifecycle with joined
 //!   shutdown, fault-gated mempool ingress, sealed-block accounting and
-//!   observability, and gossip fan-out — everything chain-agnostic, so a
+//!   observability, and gossip accounting — everything chain-agnostic, so a
 //!   simulator reduces to a [`kernel::ConsensusPolicy`].
 
 #![warn(missing_docs)]

@@ -450,10 +450,10 @@ impl Supervisor {
         self.shared.addr
     }
 
-    /// Stores the fault plan, forwards it to the node (blackhole /
-    /// partition / latency windows act on the node's own simulated
-    /// network), and arms the crash windows this supervisor realises as
-    /// SIGKILL + restart.
+    /// Stores the fault plan, forwards it to the node (blackhole windows
+    /// gate its ingress; partition / latency windows only move its
+    /// traffic accounting), and arms the crash windows this supervisor
+    /// realises as SIGKILL + restart.
     pub fn install_plan(&self, plan: FaultPlan) -> Result<(), DeployError> {
         let crashes: Vec<(Duration, Duration)> = plan
             .windows()
@@ -715,15 +715,14 @@ impl BackendRegistry {
         })?;
         // Mirror the remote node names onto the local network so
         // ChaosTargets placeholders resolve and try_install_faults
-        // validates against the real topology. Endpoint registration
-        // persists after the handles drop.
+        // validates against the real topology.
         let mut names: Vec<String> = chain.ingress_nodes();
         names.extend(chain.sealer_nodes());
         names.sort();
         names.dedup();
         for node in names {
             if !net.endpoint_names().contains(&node) {
-                let _ = net.register(&node);
+                net.register(&node);
             }
         }
         let mut deployment = Deployment::from_chain(chain, clock, net);

@@ -921,10 +921,9 @@ impl Scenario {
     /// variant when a recovery spec is set — including the kill and the
     /// resume), and grades the expectations into a [`Verdict`].
     ///
-    /// Teardown is deterministic: the deployment comes down and the
-    /// simulated network's scheduler thread is joined before this
-    /// returns, so callers can probe for leaked threads/processes
-    /// immediately.
+    /// Teardown is deterministic: the deployment comes down, every node
+    /// thread joined, before this returns, so callers can probe for
+    /// leaked threads/processes immediately.
     pub fn run_on(&self, registry: &BackendRegistry) -> Result<Verdict, ScenarioError> {
         let clock = SimClock::with_speedup(self.spec.speedup);
         let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
@@ -961,9 +960,8 @@ impl Scenario {
         let run = self.run_deployed(&deployment, &net);
         let process_faults = deployment.supervisor().map(|s| s.stats());
         // Deterministic teardown, success or error: Drop shuts the SUT
-        // (and any node process) down, then the scheduler thread joins.
+        // (and any node process) down and joins its threads.
         drop(deployment);
-        net.shutdown_and_join();
         let (report, checks) = run?;
         Ok(Verdict {
             scenario: self.spec.name.clone(),

@@ -14,7 +14,7 @@
 //!   Performance table.
 //! * `LiveSync` — the two halves wired up for one evaluation run.
 //!
-//! Records use a fixed-width binary encoding (44 bytes) so the KV store
+//! Records use a fixed-width binary encoding (33 bytes) so the KV store
 //! carries realistic payloads rather than references.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -6,8 +6,11 @@
 //!
 //! * **PoW mining** — blocks are produced at exponentially distributed
 //!   intervals (mean [`EthereumConfig::block_interval`], the classic 15 s);
-//!   a configurable amount of real hash work is performed per block so CPU
-//!   monitoring sees the miner burn cycles.
+//!   a configurable amount of real hash work
+//!   ([`EthereumConfig::pow_hashes_per_block`]) is performed per block.
+//!   Nothing reads that burn since the resource monitor was deleted; it
+//!   stays until the next Fig. 6 re-measure because removing it shifts
+//!   the seeded block-interval sequence (ROADMAP, correctness).
 //! * **Gas-limited blocks** — each block packs transactions until
 //!   [`EthereumConfig::block_gas_limit`] is reached, capping throughput at
 //!   roughly `gas_limit / tx_gas / interval` TPS (~19 TPS with defaults,
@@ -15,8 +18,8 @@
 //! * **Order-execute** — transactions execute in block order against the
 //!   world state; failed executions are included with `valid = false`
 //!   (they still consumed gas).
-//! * **Block gossip** — every sealed block is broadcast to the other
-//!   worker nodes over the simulated network.
+//! * **Block gossip** — every sealed block's replication to the other
+//!   worker nodes is accounted on the simulated network.
 //!
 //! Node scaffolding (threads, ingress gating, sealing, observability)
 //! comes from the [`hammer_chain::kernel`]; this crate only contributes
@@ -177,18 +180,16 @@ impl ConsensusPolicy for EthereumPolicy {
 }
 
 /// Starts the chain on the kernel runtime: registers node endpoints
-/// with gossip sinks and spawns the miner (sealer) thread.
+/// and spawns the miner (sealer) thread.
 pub fn start(
     config: EthereumConfig,
     clock: SimClock,
     net: SimNetwork,
 ) -> Arc<ChainNode<EthereumPolicy>> {
     assert!(config.nodes >= 1, "need at least one node");
-    let mut builder = NodeKernelBuilder::new(clock, net)
-        .mempool_capacity(config.mempool_capacity)
-        .gossip_sizing(200, 110);
+    let mut builder = NodeKernelBuilder::new(clock, net).mempool_capacity(config.mempool_capacity);
     for i in 0..config.nodes {
-        builder = builder.sink_endpoint(&node_name(i));
+        builder = builder.endpoint(&node_name(i));
     }
     let rng = Mutex::new(StdRng::seed_from_u64(config.seed));
     builder.start(EthereumPolicy { config, rng })

@@ -15,8 +15,8 @@
 //!   they are visible on the ledger). Conflicts grow with client
 //!   concurrency on hot accounts, which is exactly the effect behind the
 //!   paper's Fig. 10.
-//! * **Block distribution** — sealed blocks are pushed from the orderer to
-//!   the peer endpoints over the simulated network.
+//! * **Block distribution** — the push of each sealed block from the
+//!   orderer to the peer endpoints is accounted on the simulated network.
 //!
 //! Node scaffolding (thread lifecycle, ingress gating, sealed-block
 //! accounting) comes from the [`hammer_chain::kernel`]. Unlike the
@@ -420,7 +420,7 @@ pub fn start(
         .gossip_sizing(200, 150)
         .endpoint("fabric-orderer");
     for i in 0..config.peers {
-        builder = builder.sink_endpoint(&peer_name(i));
+        builder = builder.endpoint(&peer_name(i));
     }
     builder.start(FabricPolicy {
         config,

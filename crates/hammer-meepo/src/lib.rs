@@ -21,7 +21,7 @@
 //! latency from the long consortium epochs — the shape Fig. 6 shows.
 //!
 //! Node scaffolding (per-shard sealer loops, ingress gating, sealed-block
-//! accounting, gossip) comes from the [`hammer_chain::kernel`]; this
+//! and gossip accounting) comes from the [`hammer_chain::kernel`]; this
 //! crate contributes the sharded-routing [`ConsensusPolicy`] and the
 //! cross-epoch relay, and [`start`] returns the running [`ChainNode`]
 //! itself.
@@ -176,11 +176,9 @@ impl ConsensusPolicy for MeepoPolicy {
                         self.relay_in[dest as usize].lock().push(credit);
                         // Cross-epoch relay traffic to one node of the
                         // destination shard.
-                        let _ = kernel.net().send(
-                            &node_name(shard_id, 0),
-                            &node_name(dest, 0),
-                            vec![0u8; 96],
-                        );
+                        let _ = kernel
+                            .net()
+                            .send(&node_name(shard_id, 0), &node_name(dest, 0), 96);
                         true
                     }
                     ExecOutcome::Failed => false,
@@ -282,12 +280,10 @@ impl MeepoPolicy {
 /// on the kernel runtime.
 pub fn start(config: MeepoConfig, clock: SimClock, net: SimNetwork) -> Arc<ChainNode<MeepoPolicy>> {
     assert!(config.shards >= 1 && config.nodes_per_shard >= 1);
-    let mut builder = NodeKernelBuilder::new(clock, net)
-        .mempool_capacity(config.mempool_capacity)
-        .gossip_sizing(200, 110);
+    let mut builder = NodeKernelBuilder::new(clock, net).mempool_capacity(config.mempool_capacity);
     for shard in 0..config.shards {
         for i in 0..config.nodes_per_shard {
-            builder = builder.sink_endpoint(&node_name(shard, i));
+            builder = builder.endpoint(&node_name(shard, i));
         }
     }
     let relay_in = (0..config.shards).map(|_| Mutex::new(Vec::new())).collect();

@@ -1,4 +1,9 @@
 //! Link quality configuration: latency, jitter, bandwidth, loss.
+//!
+//! Only [`LinkConfig::loss_probability`] is simulated: the network
+//! delivers nothing, so nothing waits out a delay. The delay fields
+//! *describe* the testbed's links and stay because the frozen benchmark
+//! package passes a preset to `SimNetwork::new`.
 
 use std::time::Duration;
 
@@ -7,13 +12,14 @@ use rand::Rng;
 /// Describes the quality of a network link in *simulated* time.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkConfig {
-    /// Base one-way propagation delay.
+    /// Base one-way propagation delay (descriptive; see the module docs).
     pub base_latency: Duration,
-    /// Maximum uniform jitter added on top of the base latency.
+    /// Maximum uniform jitter on top of the base latency (descriptive).
     pub jitter: Duration,
-    /// Link bandwidth in bytes per simulated second; `None` means infinite.
+    /// Link bandwidth in bytes per simulated second; `None` means
+    /// infinite (descriptive).
     pub bandwidth_bps: Option<u64>,
-    /// Probability in `[0, 1]` that a message is silently dropped.
+    /// Probability in `[0, 1]` that a message is booked as lost.
     pub loss_probability: f64,
 }
 
@@ -64,21 +70,6 @@ impl LinkConfig {
         Ok(())
     }
 
-    /// Samples the total transfer delay for a message of `size` bytes:
-    /// propagation (base + jitter) plus serialisation (size / bandwidth).
-    pub fn sample_delay<R: Rng + ?Sized>(&self, size: usize, rng: &mut R) -> Duration {
-        let jitter = if self.jitter.is_zero() {
-            Duration::ZERO
-        } else {
-            self.jitter.mul_f64(rng.gen::<f64>())
-        };
-        let serialization = match self.bandwidth_bps {
-            Some(bps) => Duration::from_secs_f64(size as f64 / bps as f64),
-            None => Duration::ZERO,
-        };
-        self.base_latency + jitter + serialization
-    }
-
     /// Samples whether this message is lost.
     pub fn sample_loss<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.loss_probability > 0.0 && rng.gen::<f64>() < self.loss_probability
@@ -123,44 +114,6 @@ mod tests {
             ..LinkConfig::lan()
         };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn delay_includes_serialization() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let cfg = LinkConfig {
-            base_latency: Duration::ZERO,
-            jitter: Duration::ZERO,
-            bandwidth_bps: Some(1_000_000), // 1 MB/s
-            loss_probability: 0.0,
-        };
-        let d = cfg.sample_delay(500_000, &mut rng); // 0.5 MB -> 0.5 s
-        assert!((d.as_secs_f64() - 0.5).abs() < 1e-9, "d = {d:?}");
-    }
-
-    #[test]
-    fn delay_bounded_by_jitter() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let cfg = LinkConfig {
-            base_latency: Duration::from_millis(10),
-            jitter: Duration::from_millis(5),
-            bandwidth_bps: None,
-            loss_probability: 0.0,
-        };
-        for _ in 0..100 {
-            let d = cfg.sample_delay(100, &mut rng);
-            assert!(d >= Duration::from_millis(10));
-            assert!(d <= Duration::from_millis(15));
-        }
-    }
-
-    #[test]
-    fn ideal_link_has_zero_delay() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        assert_eq!(
-            LinkConfig::ideal().sample_delay(1 << 20, &mut rng),
-            Duration::ZERO
-        );
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! Roles, mirroring the paper's deployment (§V *Environment*): one **epoch
 //! server** cutting epochs, one **client proxy** accepting submissions, and
-//! the remaining nodes as **block servers** replicating blocks.
+//! the remaining nodes as **block servers** replicating blocks (the
+//! replication traffic is accounted on the simulated network).
 //!
 //! Node scaffolding (threads, ingress gating, sealing, observability)
 //! comes from the [`hammer_chain::kernel`]; this crate only contributes
@@ -141,7 +142,7 @@ pub fn start(
         .endpoint("neuchain-epoch-server")
         .endpoint("neuchain-client-proxy");
     for i in 0..config.block_servers {
-        builder = builder.sink_endpoint(&server_name(i));
+        builder = builder.endpoint(&server_name(i));
     }
     builder.start(NeuchainPolicy { config })
 }

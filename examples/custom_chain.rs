@@ -66,7 +66,7 @@ fn main() {
     let mut registry = BackendRegistry::builtin();
     registry.register("instant-chain", |_opts, clock, net| {
         let node = NodeKernelBuilder::new(clock.clone(), net.clone())
-            .sink_endpoint("sequencer")
+            .endpoint("sequencer")
             .start(InstantPolicy);
         Deployment::from_chain(node, clock, net)
     });

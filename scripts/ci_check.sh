@@ -245,6 +245,23 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: the network delivers nothing"
+# SimNetwork accounts traffic (counters, per-link bytes, fault and loss
+# drops) and owns no thread: no node reads replicated blocks, so there is
+# no inbox, no delivery scheduler and no sink thread to carry or drop
+# them. The frozen driver_e2e package is included — it uses none of these.
+violations=$({
+    grep -rnIE 'sink_endpoint|sink_loop|scheduler_loop|sim-net-scheduler|sample_delay|extra_latency' \
+        crates src tests examples
+    grep -rnIE 'hammer_net::\{?[^;]*\b(Message|Endpoint)\b' crates src tests examples
+    grep -n 'thread::' crates/hammer-net/src/network.rs
+} 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: the message bus is back (SimNetwork::send accounts, nothing receives):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
 echo "==> non-test lines of code (scripts/loc.sh)"
 scripts/loc.sh
 

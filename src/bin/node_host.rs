@@ -24,10 +24,12 @@
 //!
 //! Beyond the chain RPC surface (`hammer_chain::rpc_adapter::serve_sim`),
 //! the host registers `install_faults`: the driver forwards its
-//! [`FaultPlan`] here so blackhole/partition/latency windows act on this
-//! process's own simulated network (crash windows are realised by the
-//! supervisor as SIGKILL; forwarding them too keeps ingress-refusal
-//! attribution during the instants before the kill lands).
+//! [`FaultPlan`] here so blackhole windows gate this node's ingress
+//! (crash windows are realised by the supervisor as SIGKILL; forwarding
+//! them too keeps ingress-refusal attribution during the instants before
+//! the kill lands). Partition and latency windows arrive with the plan
+//! but move only this process's traffic accounting — nothing a run
+//! measures reads them today (`hammer_net::fault` module docs).
 
 use std::io::{Read, Write};
 use std::process::ExitCode;

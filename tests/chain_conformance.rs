@@ -55,17 +55,17 @@ fn deploy_in_mode(
     opts: &BackendOptions,
     speedup: f64,
     mode: DeployMode,
-) -> (Deployment, SimNetwork) {
+) -> Deployment {
     let clock = SimClock::with_speedup(speedup);
     let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-    let deployment = match mode {
-        DeployMode::InProcess => registry.deploy_on(name, opts, clock, net.clone()).unwrap(),
+    match mode {
+        DeployMode::InProcess => registry.deploy_on(name, opts, clock, net).unwrap(),
         DeployMode::MultiProcess => registry
             .deploy_multi(
                 name,
                 opts,
                 clock.clone(),
-                net.clone(),
+                net,
                 SupervisorConfig {
                     node_host: Some(env!("CARGO_BIN_EXE_node-host").into()),
                     ..SupervisorConfig::default()
@@ -73,8 +73,7 @@ fn deploy_in_mode(
                 reconnect_policy_for(&RetryPolicy::standard(), &clock),
             )
             .unwrap_or_else(|e| panic!("{name} ({}): {e}", mode.name())),
-    };
-    (deployment, net)
+    }
 }
 
 /// A correctly signed deposit to a per-nonce account. Distinct accounts
@@ -105,7 +104,7 @@ fn every_backend_seals_submissions_into_matching_commit_events() {
     let registry = BackendRegistry::builtin();
     for mode in BOTH_MODES {
         for name in registry.names() {
-            let (deployment, net) =
+            let deployment =
                 deploy_in_mode(&registry, name, &BackendOptions::default(), 1000.0, mode);
             const TOTAL: u64 = 40;
             for nonce in 0..TOTAL {
@@ -157,7 +156,6 @@ fn every_backend_seals_submissions_into_matching_commit_events() {
                 .unwrap_or_else(|e| panic!("{name} ({}): ledger audit failed: {e}", mode.name()));
             deployment.down();
             drop(deployment);
-            net.shutdown_and_join();
         }
     }
 }
@@ -175,7 +173,7 @@ fn accounting_identity_holds_for_every_backend() {
             DeployMode::MultiProcess => 100.0,
         };
         for name in registry.names() {
-            let (deployment, net) =
+            let deployment =
                 deploy_in_mode(&registry, name, &BackendOptions::default(), speedup, mode);
             let workload = WorkloadConfig {
                 accounts: 1_000,
@@ -220,7 +218,6 @@ fn accounting_identity_holds_for_every_backend() {
             );
             deployment.down();
             drop(deployment);
-            net.shutdown_and_join();
         }
     }
 }
@@ -231,7 +228,7 @@ fn blackholed_ingress_rejects_with_a_transient_error() {
     let registry = BackendRegistry::builtin();
     for mode in BOTH_MODES {
         for name in registry.names() {
-            let (deployment, net) =
+            let deployment =
                 deploy_in_mode(&registry, name, &BackendOptions::default(), 1000.0, mode);
             // Blackhole every ingress endpoint the chain reports (sharded
             // chains report one per shard) for the whole run. In multi
@@ -254,7 +251,6 @@ fn blackholed_ingress_rejects_with_a_transient_error() {
             );
             deployment.down();
             drop(deployment);
-            net.shutdown_and_join();
         }
     }
 }
@@ -274,7 +270,7 @@ fn bounded_ingress_overflows_to_backpressure() {
     };
     for mode in BOTH_MODES {
         for name in registry.names() {
-            let (deployment, net) = deploy_in_mode(&registry, name, &opts, 1000.0, mode);
+            let deployment = deploy_in_mode(&registry, name, &opts, 1000.0, mode);
             let overflow =
                 (0..64u64).find_map(|nonce| deployment.client().submit(deposit(name, nonce)).err());
             let err = overflow.unwrap_or_else(|| {
@@ -291,7 +287,6 @@ fn bounded_ingress_overflows_to_backpressure() {
             );
             deployment.down();
             drop(deployment);
-            net.shutdown_and_join();
         }
     }
 }

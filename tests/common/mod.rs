@@ -1,5 +1,6 @@
 //! Shared helpers for the integration-test binaries.
 
+use hammer::core::chaos::live_threads;
 use parking_lot::{Mutex, MutexGuard};
 
 /// Chain simulations are timing-sensitive; on small CI hosts running them
@@ -16,8 +17,25 @@ static GUARD: Mutex<()> = Mutex::new(());
 /// ```ignore
 /// let _guard = common::serial_guard();
 /// ```
+///
+/// The guard is handed over once the harness has finished changing
+/// tests: the previous holder's thread is still exiting when it releases
+/// the lock, and libtest spawns the next test (which then parks on this
+/// guard) only after that. A process-wide thread baseline
+/// (`LeakProbe::start`, `live_threads`) taken inside that hand-over is
+/// off by one for the rest of the test, so this waits until two reads
+/// of the thread count 20 ms apart agree.
 pub fn serial_guard() -> MutexGuard<'static, ()> {
-    GUARD.lock()
+    let guard = GUARD.lock();
+    let mut threads = live_threads();
+    loop {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let now = live_threads();
+        if now == threads {
+            return guard;
+        }
+        threads = now;
+    }
 }
 
 // # Fabric commit band (referenced by tests/cross_chain.rs)

@@ -93,7 +93,6 @@ fn supervised_run_completes_with_accounting_identity() {
 
     deployment.down();
     drop(deployment);
-    net.shutdown_and_join();
     assert!(
         live_children() <= children_before,
         "node-host process leaked past teardown"
@@ -175,7 +174,6 @@ fn crash_window_sigkills_and_restarts_the_node_process() {
 
     deployment.down();
     drop(deployment);
-    net.shutdown_and_join();
     assert!(
         live_children() <= children_before,
         "node-host process leaked past teardown"
