@@ -5,9 +5,11 @@
 //!
 //! `scripts/bench_snapshot.sh` runs this group with `CRITERION_JSON` set
 //! and checks the fixed-base speedup against its ≥3× floor, the SHA-256
-//! kernel against the portable rounds, and pipelined against serial signing.
+//! kernel against the portable rounds, pipelined against serial signing,
+//! and the report's one-pass fold against the table queries it replaced.
 
 use std::io::Write as _;
+use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use hammer_chain::codec;
@@ -20,6 +22,7 @@ use hammer_crypto::sig::{pow_g, pow_mod, SigParams, G, GROUP_ORDER};
 use hammer_crypto::{sha256, Keypair};
 use hammer_rpc::json::Value;
 use hammer_rpc::transport::RpcServer;
+use hammer_store::table::{summarize, PerfRow, RowOutcome, TableStore};
 
 fn sample_tx(nonce: u64) -> Transaction {
     Transaction {
@@ -215,11 +218,51 @@ fn bench_signer(c: &mut Criterion) {
     // cores (`driver_e2e` warms up the same way): without the warm-up the
     // 0.2 s of samples would time the ramp, not the signers.
     let warm_up = std::time::Instant::now();
-    while warm_up.elapsed() < std::time::Duration::from_secs(1) {
+    while warm_up.elapsed() < Duration::from_secs(1) {
         black_box(pipelined(batch.clone()));
     }
     group.bench_function("sign_pipelined_4096", |b| {
         b.iter_batched(|| batch.clone(), pipelined, BatchSize::LargeInput);
+    });
+    group.finish();
+}
+
+/// The `store` layer under the report, over 100 k committed rows: filling
+/// a Performance table and asking it the four aggregate queries (what the
+/// report did before, and `driver_e2e`'s `store.report_ns_per_row` still
+/// times) against the one fold; `scripts/bench_snapshot.sh` gates the ratio.
+fn bench_store(c: &mut Criterion) {
+    let mut group = c.benchmark_group("roundtrip");
+    let second = Duration::from_secs(1);
+    // Latencies of 1 to 51 ms, in no order.
+    let end_us = |i: u64| i * 10 + 1_000 + i.wrapping_mul(7919) % 50_000;
+    let row = |i: u64| PerfRow {
+        tx_id: i,
+        client_id: (i % 4) as u32,
+        server_id: 0,
+        chain: "bench".to_owned(),
+        start_time: Duration::from_micros(i * 10),
+        end_time: Some(Duration::from_micros(end_us(i))),
+        outcome: RowOutcome::Committed,
+    };
+    let rows: Vec<PerfRow> = (0..100_000).map(row).collect();
+    group.throughput(Throughput::Elements(rows.len() as u64));
+    group.bench_function("store_table_queries_100k", |b| {
+        let queries = |rows| {
+            let table = TableStore::new();
+            table.insert_batch(rows);
+            let (tps, latency) = (table.overall_tps(), table.latency_summary());
+            (
+                tps,
+                latency,
+                table.tps_series(second),
+                table.per_client_committed(),
+            )
+        };
+        b.iter_batched(|| rows.clone(), queries, BatchSize::LargeInput);
+    });
+    group.bench_function("store_summary_100k", |b| {
+        b.iter(|| summarize(black_box(&rows).iter().map(PerfRow::view), second));
     });
     group.finish();
 }
@@ -248,6 +291,7 @@ criterion_group!(
     bench_stages,
     bench_verify_burst,
     bench_signer,
+    bench_store,
     bench_rpc_call
 );
 criterion_main!(benches);

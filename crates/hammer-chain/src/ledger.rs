@@ -1,11 +1,8 @@
-//! An append-only block store with hash-chain verification and a
-//! transaction index.
-
-use std::collections::HashMap;
+//! An append-only block store with hash-chain verification.
 
 use hammer_crypto::Hash32;
 
-use crate::types::{Block, Receipt, TxId, TxStatus};
+use crate::types::Block;
 
 /// Errors from ledger operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,8 +41,6 @@ impl std::error::Error for LedgerError {}
 #[derive(Clone, Debug, Default)]
 pub struct Ledger {
     blocks: Vec<Block>,
-    /// tx id -> (block height, index within the block)
-    tx_index: HashMap<TxId, (u64, u32)>,
 }
 
 impl Ledger {
@@ -67,11 +62,6 @@ impl Ledger {
             .unwrap_or([0u8; 32])
     }
 
-    /// Total transactions across all blocks.
-    pub fn total_txs(&self) -> usize {
-        self.tx_index.len()
-    }
-
     /// Appends a block after validating height, hash chain, and Merkle root.
     pub fn append(&mut self, block: Block) -> Result<(), LedgerError> {
         let expected = self.height() + 1;
@@ -87,10 +77,6 @@ impl Ledger {
         if !block.verify_merkle_root() {
             return Err(LedgerError::BadMerkleRoot);
         }
-        for (i, tx_id) in block.tx_ids.iter().enumerate() {
-            self.tx_index
-                .insert(*tx_id, (block.header.height, i as u32));
-        }
         self.blocks.push(block);
         Ok(())
     }
@@ -101,28 +87,6 @@ impl Ledger {
             return None;
         }
         self.blocks.get(height as usize - 1)
-    }
-
-    /// Looks up the block height and in-block index of a transaction.
-    pub fn find_tx(&self, tx_id: &TxId) -> Option<(u64, u32)> {
-        self.tx_index.get(tx_id).copied()
-    }
-
-    /// Builds a commit receipt for a transaction, if it is on the ledger.
-    pub fn receipt(&self, tx_id: &TxId) -> Option<Receipt> {
-        let (height, idx) = self.find_tx(tx_id)?;
-        let block = self.block_at(height)?;
-        let success = *block.valid.get(idx as usize)?;
-        Some(Receipt {
-            tx_id: *tx_id,
-            status: if success {
-                TxStatus::Committed
-            } else {
-                TxStatus::Failed
-            },
-            block_height: height,
-            committed_at: block.header.timestamp,
-        })
     }
 
     /// Verifies the whole chain: heights, hash links, Merkle roots.
@@ -157,7 +121,7 @@ impl Ledger {
 mod tests {
     use super::*;
     use crate::smallbank::Op;
-    use crate::types::{Address, Transaction};
+    use crate::types::{Address, Transaction, TxId};
     use std::time::Duration;
 
     fn tx_id(nonce: u64) -> TxId {
@@ -176,7 +140,7 @@ mod tests {
     }
 
     fn make_block(ledger: &Ledger, n_txs: u64) -> Block {
-        let base = ledger.total_txs() as u64 * 1000;
+        let base = ledger.height() * 1000;
         let ids: Vec<TxId> = (0..n_txs).map(|i| tx_id(base + i)).collect();
         let valid = vec![true; ids.len()];
         Block::new(
@@ -197,9 +161,7 @@ mod tests {
         let first_tx = b1.tx_ids[0];
         ledger.append(b1).unwrap();
         assert_eq!(ledger.height(), 1);
-        assert_eq!(ledger.total_txs(), 3);
-        assert_eq!(ledger.find_tx(&first_tx), Some((1, 0)));
-        assert!(ledger.find_tx(&tx_id(999_999)).is_none());
+        assert_eq!(ledger.block_at(1).unwrap().tx_ids[0], first_tx);
     }
 
     #[test]
@@ -266,13 +228,12 @@ mod tests {
             vec![true, false],
         );
         ledger.append(block).unwrap();
-        let ok = ledger.receipt(&ids[0]).unwrap();
-        assert_eq!(ok.status, crate::types::TxStatus::Committed);
-        assert_eq!(ok.block_height, 1);
-        assert_eq!(ok.committed_at, Duration::from_secs(7));
-        let bad = ledger.receipt(&ids[1]).unwrap();
-        assert_eq!(bad.status, crate::types::TxStatus::Failed);
-        assert!(ledger.receipt(&tx_id(999)).is_none());
+        let stored = ledger.block_at(1).unwrap();
+        assert_eq!(
+            stored.entries().collect::<Vec<_>>(),
+            [(ids[0], true), (ids[1], false)]
+        );
+        assert_eq!(stored.header.timestamp, Duration::from_secs(7));
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! ordering) and Meepo (sharded consortium) — through one generic driver.
 //! This crate provides everything those simulators share:
 //!
-//! * [`types`] — addresses, transaction ids, transactions, blocks, receipts.
+//! * [`types`] — addresses, transaction ids, transactions, blocks.
 //! * [`smallbank`] — the SmallBank contract operations (the paper's
 //!   workload) plus a YCSB-style KV extension.
 //! * [`state`] — a versioned world state with read/write-set tracking
 //!   (Fabric-style MVCC validation needs versions).
-//! * [`ledger`] — an append-only block store with hash-chain verification
-//!   and a transaction index.
+//! * [`ledger`] — an append-only block store with hash-chain verification.
 //! * [`mempool`] — a bounded transaction pool with de-duplication.
 //! * [`client`] — the [`client::BlockchainClient`] trait, the *generic
 //!   interface* of the paper (§III-A2), which both the driver and the RPC
@@ -58,6 +57,4 @@ pub use mempool::Mempool;
 pub use remote::RemoteChain;
 pub use smallbank::{ExecError, Op, OpOutput};
 pub use state::{RwSet, VersionedState};
-pub use types::{
-    Address, Block, BlockHeader, Receipt, SignedTransaction, Transaction, TxId, TxStatus,
-};
+pub use types::{Address, Block, BlockHeader, SignedTransaction, Transaction, TxId, TxStatus};

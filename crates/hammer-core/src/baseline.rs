@@ -124,6 +124,11 @@ impl BatchQueue {
     pub fn records(&self) -> &[TxRecord] {
         &self.done
     }
+
+    /// Gives up the completed/timed-out records (end-of-run hand-over).
+    pub fn into_records(self) -> Vec<TxRecord> {
+        self.done
+    }
 }
 
 #[cfg(test)]

@@ -3,10 +3,12 @@
 //! [`Evaluation::run`] takes a deployed SUT, a workload profile, and a
 //! temporal control sequence, and produces an [`EvalReport`]:
 //!
-//! 1. **Preparation** — seed the account fixtures, generate the unsigned
-//!    transactions, and sign them with the configured strategy
-//!    ([`SigningStrategy`]). With [`SigningStrategy::Pipelined`] the
-//!    execution phase starts while signing is still running (§III-D2).
+//! 1. **Preparation** — seed the account fixtures, then generate the
+//!    unsigned transactions and sign them with the configured strategy
+//!    ([`SigningStrategy`]). Generation streams: a thread keeps a few
+//!    32 Ki-transaction segments ahead of the signers, so with
+//!    [`SigningStrategy::Pipelined`] the execution phase starts while
+//!    generation and signing are still running (§III-D2).
 //! 2. **Execution** — `clients × threads` submission workers drain the
 //!    signed-transaction stream under the control sequence's per-slice
 //!    budgets, each paying the modelled client-machine cost per
@@ -23,15 +25,19 @@
 //!      per-transaction commit events; every event costs listener CPU on
 //!      the client machine (the resource drain the paper blames for
 //!      Caliper's lower reported TPS in Fig. 7).
-//! 3. **Report** — statuses flush into the Performance table
-//!    ([`hammer_store::TableStore`]) and aggregate into an [`EvalReport`].
+//! 3. **Report** — the [`EvalReport`]'s aggregates are folded straight
+//!    from the tracker's records ([`hammer_store::table::summarize`]). The
+//!    Performance table ([`hammer_store::TableStore`]) is written by the
+//!    [`EvalConfigBuilder::live_sync`] pipeline (and is then what the fold
+//!    reads); `examples/sql_queries.rs` rebuilds it from
+//!    [`EvalReport::records`] for ad-hoc SQL.
 //!
 //! The code is cut along the same lines: one submodule per stage
 //! (`prepare`, `submit` — pacer and workers —, `monitor`, `report`), each
 //! owning its state, all borrowing one `RunState`, joined by bounded
-//! hand-offs that move work in chunks: a token counter from pacer to
-//! workers, a chunked signed stream from signers to workers. `DESIGN.md`
-//! §5 has the stage table.
+//! hand-offs that move work in chunks: unsigned segments from generator to
+//! signers, a chunked signed stream from signers to workers, a token counter
+//! from pacer to workers. `DESIGN.md` §5 has the stage table.
 
 #![warn(clippy::too_many_lines)]
 

@@ -1,10 +1,10 @@
-//! The **Prepare** stage (Fig. 3, steps 1-3): validate, generate and seed,
-//! start the signer, and on a resumed run restore the checkpoint.
+//! The **Prepare** stage (Fig. 3, steps 1-3): validate, seed, start the
+//! generator and the signer, and on a resumed run restore the checkpoint.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, Receiver};
 use hammer_chain::types::{Transaction, TxId, TxStatus};
 use hammer_crypto::sig::SigParams;
 use hammer_crypto::Keypair;
@@ -62,15 +62,15 @@ impl Inputs<'_> {
         Ok(Some(cp))
     }
 
-    /// Generates the unsigned workload, seeding the SmallBank account
-    /// fixtures on the way.
-    fn generate(&self, obs: &Obs) -> Vec<Transaction> {
-        let clock = self.deployment.clock();
+    /// Seeds the SmallBank account fixtures on this thread, then starts the
+    /// generator thread; returns the queue of unsigned segments it fills.
+    fn generate(&self, threads: usize, obs: &Obs) -> Receiver<Vec<Transaction>> {
         let workload = self.workload;
+        let total = self.control.total() as usize;
         let mut generation_config = workload.clone();
-        generation_config.total_txs = self.control.total() as usize;
-        let gen_start = clock.now();
-        let unsigned = match workload.kind {
+        generation_config.total_txs = total;
+        let mut next_segment: Box<dyn FnMut(usize) -> Vec<Transaction> + Send> = match workload.kind
+        {
             WorkloadKind::SmallBank => {
                 let mut generator = SmallBankGenerator::new(generation_config);
                 for account in generator.accounts() {
@@ -80,40 +80,50 @@ impl Inputs<'_> {
                         workload.initial_savings,
                     );
                 }
-                generator.generate_all()
+                Box::new(move |len| generator.next_segment(len))
             }
-            WorkloadKind::Ycsb => YcsbGenerator::new(generation_config).generate_all(),
+            WorkloadKind::Ycsb => {
+                let mut generator = YcsbGenerator::new(generation_config);
+                Box::new(move |len| generator.next_segment(len))
+            }
         };
-        if obs.enabled() && !unsigned.is_empty() {
-            // Generation is a batch phase; attribute its cost evenly so the
-            // span count matches the transaction count.
-            let per_tx = clock.now().saturating_sub(gen_start) / unsigned.len() as u32;
-            for _ in 0..unsigned.len() {
-                obs.spans().record(Stage::Generated, per_tx);
+        let (obs, clock) = (obs.clone(), self.deployment.clock().clone());
+        signer::generate_segments(total, threads, move |len| {
+            let start = clock.now();
+            let unsigned = next_segment(len);
+            if obs.enabled() && !unsigned.is_empty() {
+                // A segment is generated as a batch; attribute its cost
+                // evenly so the span count matches the transaction count.
+                let per_tx = clock.now().saturating_sub(start) / unsigned.len() as u32;
+                for _ in 0..unsigned.len() {
+                    obs.spans().record(Stage::Generated, per_tx);
+                }
             }
-        }
-        unsigned
+            unsigned
+        })
     }
 }
 
-/// Starts the configured signing strategy; the batch strategies finish
-/// before returning, the pipelined one streams while execution runs.
+/// Starts the configured signing strategy on the generator's segments: the
+/// pipelined one streams while execution runs, the batch strategies collect
+/// the whole workload and finish before returning.
 fn start_signer(
     config: &EvalConfig,
-    unsigned: Vec<Transaction>,
+    segments: Receiver<Vec<Transaction>>,
     keypair: Keypair,
     sign_obs: signer::SignObs,
 ) -> SignedStream {
     // The SUT verifies with these parameters, so they are not a knob.
     let params = SigParams::fast();
     let threads = config.signer_threads;
+    let batch = || segments.iter().flatten().collect();
     let signed = match config.signing {
         SigningStrategy::Pipelined => {
-            return signer::sign_pipelined_obs(unsigned, keypair, params, threads, sign_obs)
+            return signer::sign_segments(segments, threads, keypair, params, sign_obs)
         }
-        SigningStrategy::Serial => signer::sign_serial_obs(unsigned, &keypair, &params, &sign_obs),
+        SigningStrategy::Serial => signer::sign_serial_obs(batch(), &keypair, &params, &sign_obs),
         SigningStrategy::Async => {
-            signer::sign_async_obs(unsigned, &keypair, &params, threads, &sign_obs)
+            signer::sign_async_obs(batch(), &keypair, &params, threads, &sign_obs)
         }
     };
     SignedStream::from_batch(signed)
@@ -195,10 +205,10 @@ pub(super) fn prepare(
 ) -> Result<(SignedStream, Progress), EvalError> {
     let shards = inputs.deployment.client().architecture().shard_count() as usize;
     let checkpoint = inputs.load_checkpoint(shards)?;
-    let unsigned = inputs.generate(obs);
+    let segments = inputs.generate(config.signer_threads, obs);
     let keypair = Keypair::from_seed(inputs.workload.seed);
     let sign_obs = signer::SignObs::new(obs, inputs.deployment.clock());
-    let signed = start_signer(config, unsigned, keypair, sign_obs);
+    let signed = start_signer(config, segments, keypair, sign_obs);
     let Some(cp) = checkpoint else {
         let from_genesis = Progress {
             last_seen: vec![0; shards],

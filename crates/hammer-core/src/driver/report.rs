@@ -1,6 +1,7 @@
 //! The **Report** stage (Fig. 3, step 7): drained tracker records plus the
-//! run's counters become an [`EvalReport`]. [`build`] touches no chain,
-//! clock or tracker, so it is testable over hand-built records.
+//! run's counters become an [`EvalReport`], its aggregates folded straight
+//! from the records ([`hammer_store::table::summarize`]). [`build`] touches
+//! no chain, clock or tracker, so it is testable over hand-built records.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -10,10 +11,10 @@ use hammer_chain::client::{ChainError, ErrorKind};
 use hammer_chain::types::{TxId, TxStatus};
 use hammer_net::FaultPlan;
 use hammer_rpc::json::Value;
-use hammer_store::table::{LatencySummary, RowOutcome, TableStore};
+use hammer_store::table::{summarize, LatencySummary, RowOutcome};
 
 use crate::index::{IndexStats, TxRecord};
-use crate::sync::{LiveSync, StatusRecord};
+use crate::sync::LiveSync;
 
 /// Per-fault-window committed-throughput breakdown (plus one `nominal`
 /// entry covering the run time outside every window). Lets a fault sweep
@@ -188,8 +189,8 @@ pub(super) struct Finished {
 
 /// Builds the report. One pass over the records settles the stragglers
 /// (anything still pending after the drain deadline timed out), tallies
-/// the statuses and finds the run span; rejected ids count under
-/// `rejected`, not `failed`, and get no Performance-table row.
+/// the statuses and finds the run span, a second folds the aggregates;
+/// rejected ids count under `rejected`, not `failed`, and get no row.
 pub(super) fn build(run: Finished) -> EvalReport {
     let mut records = run.records;
     let rejected_ids = run.rejected_ids;
@@ -215,22 +216,24 @@ pub(super) fn build(run: Finished) -> EvalReport {
     let last_end = last_end.unwrap_or(first_start);
 
     let rows = rows(&records, &rejected_ids);
-    let (table, synced_rows) = match run.live {
-        // Timed-out and abandoned records never produced a completion
-        // event: flush them through the pipeline before adopting its table.
-        Some(live) => live.finish(rows.filter(|r| {
-            matches!(
-                r.status,
-                TxStatus::TimedOut | TxStatus::Dropped | TxStatus::Expired
-            )
-        })),
+    let second = Duration::from_secs(1);
+    let (summary, synced_rows) = match run.live {
+        // The pipeline's table is the product: records that never produced
+        // a completion event (timed out, abandoned) are flushed through it
+        // first, and the aggregates are read from what arrived.
+        Some(live) => {
+            let (table, synced_rows) = live.finish(rows.filter(|r| {
+                matches!(
+                    r.status,
+                    TxStatus::TimedOut | TxStatus::Dropped | TxStatus::Expired
+                )
+            }));
+            (table.summary(second), synced_rows)
+        }
         None => {
-            let table = TableStore::new();
-            table.insert_batch(
-                rows.map(|r| StatusRecord::from(r).into_row(&run.chain))
-                    .collect(),
-            );
-            (table, 0)
+            let view =
+                |r: &TxRecord| (r.client_id, r.start, r.end, r.status == TxStatus::Committed);
+            (summarize(rows.map(view), second), 0)
         }
     };
 
@@ -243,10 +246,10 @@ pub(super) fn build(run: Finished) -> EvalReport {
         committed,
         failed,
         timed_out,
-        overall_tps: table.overall_tps(),
-        latency: table.latency_summary(),
-        tps_series: table.tps_series(Duration::from_secs(1)),
-        per_client_committed: table.per_client_committed(),
+        overall_tps: summary.overall_tps,
+        latency: summary.latency,
+        tps_series: summary.tps_series,
+        per_client_committed: summary.per_client_committed,
         per_shard_committed: run.shard_commits.into_iter().collect(),
         sim_duration: last_end.saturating_sub(first_start),
         wall_time: run.wall_start.elapsed(),
@@ -433,6 +436,62 @@ mod tests {
         assert_eq!(report.sim_duration, Duration::from_millis(8_900));
         assert_eq!(report.synced_rows, 0);
         assert!(report.fault_windows.is_empty() && !report.stalled);
+    }
+
+    #[test]
+    fn aggregates_skip_the_refused_and_the_timed_out_among_the_committed() {
+        // Latencies of 400, 900 and 2 000 ms around a refusal (the earliest
+        // start of all, but it has no row) and a straggler.
+        let at = |start_ms: u64, record: TxRecord| TxRecord {
+            start: Duration::from_millis(start_ms),
+            ..record
+        };
+        let records = vec![
+            at(200, rec(1, 600, TxStatus::Committed)),
+            at(50, rec(2, 50, TxStatus::Failed)), // the refused one
+            at(300, rec(3, 1_200, TxStatus::Committed)),
+            at(400, rec(4, 0, TxStatus::Pending)),
+            at(500, rec(5, 2_500, TxStatus::Committed)),
+        ];
+        let report = build(Finished {
+            chain: "stub".to_owned(),
+            records: records.clone(),
+            rejected_ids: [TxId([2; 32])].into(),
+            index_stats: None,
+            submitted: 5,
+            rejected: 1,
+            retried: 0,
+            stalled: false,
+            shard_commits: [(0, 3)].into(),
+            fault_plan: None,
+            live: None,
+            wall_start: Instant::now(),
+        });
+        assert_eq!(
+            (report.committed, report.failed, report.timed_out),
+            (3, 0, 1)
+        );
+        assert_eq!(
+            report.latency,
+            LatencySummary {
+                count: 3,
+                mean_s: 1.1,
+                p50_s: 0.9,
+                p95_s: 2.0,
+                p99_s: 2.0,
+                max_s: 2.0,
+            }
+        );
+        assert_eq!(report.tps_series, vec![1, 1, 1]);
+        assert_eq!(report.per_client_committed, vec![(1, 3)]);
+        // Three commits between the first row's start (0.2 s) and 2.5 s;
+        // the run itself spans from the refusal at 0.05 s.
+        assert_eq!(report.overall_tps, 3.0 / 2.3);
+        assert_eq!(report.sim_duration, Duration::from_millis(2_450));
+        // The records come back in order, the straggler settled.
+        let mut settled = records;
+        settled[3].status = TxStatus::TimedOut;
+        assert_eq!(report.records, settled);
     }
 
     #[test]

@@ -142,10 +142,10 @@ impl Tracker for BatchTracker {
         self.rejected.lock().extend(ids.iter().copied());
     }
     fn finish(&self) -> (Vec<TxRecord>, HashSet<TxId>) {
-        let mut queue = self.queue.lock();
+        let mut queue = std::mem::take(&mut *self.queue.lock());
         queue.timeout_pending();
         (
-            queue.records().to_vec(),
+            queue.into_records(),
             std::mem::take(&mut self.rejected.lock()),
         )
     }

@@ -306,9 +306,14 @@ impl TxTable {
         self.find(tx_id).map(|idx| &self.records[idx])
     }
 
-    /// All records (the final flush into the Performance table).
+    /// All records (checkpoint snapshots).
     pub fn records(&self) -> &[TxRecord] {
         &self.records
+    }
+
+    /// Gives up the vector list (the hand-over to the report at end of run).
+    pub fn into_records(self) -> Vec<TxRecord> {
+        self.records
     }
 
     /// The future-work compaction: drops completed records and rebuilds

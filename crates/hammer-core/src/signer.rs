@@ -17,10 +17,12 @@
 //!
 //! The overlap is chunk-wise, not item-wise. Signers claim the unsigned
 //! workload from one shared queue in segments of 32 Ki transactions
-//! (hand-off from generation), sign, and send 128 signed transactions per
-//! message on a [`SignedStream`] (hand-off to submission): a channel
-//! operation costs a lock hand-off and, when the peer is parked, a syscall,
-//! so it is paid once per 128 transactions instead of once each.
+//! (hand-off from generation: a generator thread keeps the bounded queue
+//! filled while they drain it, so generating overlaps with signing), sign,
+//! and send 128 signed transactions per message on a [`SignedStream`]
+//! (hand-off to submission): a channel operation costs a lock hand-off and,
+//! when the peer is parked, a syscall, so it is paid once per 128
+//! transactions instead of once each.
 
 use std::cell::RefCell;
 use std::time::Duration;
@@ -188,6 +190,20 @@ pub(crate) const STREAM_BOUND: usize = 4096;
 /// allocator fragments, +0.3 µs of CPU per transaction.)
 const SEGMENT: usize = 32 * 1024;
 
+/// Unsigned segments the generator may queue per signer before it waits: a
+/// bound on memory, not a buffer to tune. Generating costs a fifth of
+/// signing, so the queue is full all run whatever its length; these, one in
+/// each signer's hands and one in the generator's are all that is unsigned.
+const SEGMENTS_AHEAD: usize = 2;
+
+/// Segments of at most [`SEGMENT`], equal in size and a whole number per
+/// thread: when every signer gets its share of the cores they finish
+/// together (a small batch is simply split evenly).
+fn segment_len(n: usize, threads: usize) -> usize {
+    let count = n.div_ceil(SEGMENT).next_multiple_of(threads);
+    n.div_ceil(count.max(1)).max(1)
+}
+
 /// Cuts `items` into consecutive vectors of `size` (the last may be
 /// shorter). The source allocation is freed when the last piece is cut.
 fn cut<T>(items: Vec<T>, size: usize) -> impl Iterator<Item = Vec<T>> {
@@ -312,21 +328,48 @@ pub fn sign_pipelined_obs(
     threads: usize,
     obs: SignObs,
 ) -> SignedStream {
+    // A batch is a workload whose generator cuts it: one path for both.
+    let (n, threads) = (txs.len(), threads.max(1));
+    let mut rest = txs.into_iter();
+    let segments = generate_segments(n, threads, move |len| rest.by_ref().take(len).collect());
+    let signers = threads.min(n.div_ceil(segment_len(n, threads)));
+    sign_segments(segments, signers, keypair, params, obs)
+}
+
+/// Starts the generator thread of a run of `n` transactions and `threads`
+/// signers: it queues what `next_segment(len)` returns, [`SEGMENTS_AHEAD`]
+/// per signer at most, until that is empty or every receiver is gone.
+pub(crate) fn generate_segments(
+    n: usize,
+    threads: usize,
+    mut next_segment: impl FnMut(usize) -> Vec<Transaction> + Send + 'static,
+) -> Receiver<Vec<Transaction>> {
     let threads = threads.max(1);
-    // Segments of at most `SEGMENT`, equal in size and a whole number per
-    // thread: when every signer gets its share of the cores they finish
-    // together (a small batch is simply split evenly).
-    let n = txs.len();
-    let count = n.div_ceil(SEGMENT).next_multiple_of(threads);
-    let segment = n.div_ceil(count.max(1)).max(1);
-    let (queue, segments) = unbounded();
-    for unsigned in cut(txs, segment) {
-        queue.send(unsigned).expect("the receiver is held here");
-    }
-    // Dropping the sender lets the signers run the queue dry and leave.
-    drop(queue);
+    let len = segment_len(n, threads);
+    let (queue, segments) = bounded(SEGMENTS_AHEAD * threads);
+    std::thread::Builder::new()
+        .name("hammer-generator".to_owned())
+        .spawn(move || loop {
+            let unsigned = next_segment(len);
+            if unsigned.is_empty() || queue.send(unsigned).is_err() {
+                return;
+            }
+        })
+        .expect("spawn generator");
+    segments
+}
+
+/// The one pipelined signing path: `signers` threads claim segments from
+/// the queue until it disconnects, and stream what they sign.
+pub(crate) fn sign_segments(
+    segments: Receiver<Vec<Transaction>>,
+    signers: usize,
+    keypair: Keypair,
+    params: SigParams,
+    obs: SignObs,
+) -> SignedStream {
     let (out, chunks) = bounded::<Vec<SignedTransaction>>(STREAM_BOUND / CHUNK);
-    for _ in 0..threads.min(n.div_ceil(segment)) {
+    for _ in 0..signers {
         let segments = segments.clone();
         let out = out.clone();
         let obs = obs.clone();
@@ -459,6 +502,61 @@ mod tests {
         let first = rx.recv_timeout(std::time::Duration::from_secs(5));
         assert!(first.is_ok(), "no streamed result");
         drop(rx); // consumer leaves; workers must exit quietly
+    }
+
+    #[test]
+    fn the_generator_waits_at_the_queue_bound() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        // Fifty one-transaction segments, nobody consuming: the generator
+        // queues `bound` of them and parks holding one more.
+        let (threads, total) = (2, 50);
+        let bound = SEGMENTS_AHEAD * threads;
+        let produced = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&produced);
+        let segments = generate_segments(total, threads, move |_len| {
+            if counter.fetch_add(1, Ordering::SeqCst) < total {
+                batch(1)
+            } else {
+                Vec::new()
+            }
+        });
+        let ahead_of = |consumed: usize| {
+            while produced.load(Ordering::SeqCst) < consumed + bound + 1 {
+                std::thread::yield_now();
+            }
+            // Time for a generator that ignored the bound to show itself.
+            std::thread::sleep(Duration::from_millis(5));
+            produced.load(Ordering::SeqCst) - consumed
+        };
+        for consumed in 0..10 {
+            assert_eq!(ahead_of(consumed), bound + 1, "after {consumed}");
+            assert_eq!(segments.recv().unwrap().len(), 1);
+        }
+        assert_eq!(segments.iter().count(), total - 10);
+    }
+
+    #[test]
+    fn dropping_every_consumer_sends_generator_and_signers_home() {
+        use std::sync::Arc;
+        // A workload without end: the generator can only leave because
+        // every signer has dropped its end of the segment queue, and it
+        // drops `held` on its way out.
+        let alive = Arc::new(());
+        let held = Arc::clone(&alive);
+        let segments = generate_segments(usize::MAX, 2, move |len| {
+            let _ = &held;
+            batch(len.min(3 * CHUNK) as u64)
+        });
+        let params = SigParams::fast();
+        let kp = Keypair::from_seed(1);
+        let stream = sign_segments(segments, 2, kp, params, SignObs::disabled());
+        let second = stream.clone();
+        assert!(stream.recv().is_ok() && second.recv().is_ok());
+        drop((stream, second));
+        while Arc::strong_count(&alive) > 1 {
+            std::thread::yield_now();
+        }
     }
 
     #[test]

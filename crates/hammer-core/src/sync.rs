@@ -217,16 +217,13 @@ impl LiveSync {
     pub(crate) fn finish<'r>(
         self,
         stragglers: impl IntoIterator<Item = &'r TxRecord>,
-    ) -> (TableStore, usize) {
+    ) -> (Arc<TableStore>, usize) {
         for record in stragglers {
             self.syncer.publish(&record.into());
         }
         self.stop.store(true, Ordering::Release);
         let synced_rows = self.merger.join().expect("merger panicked");
-        // The merger has exited, so its clone of the table is gone.
-        let table = Arc::try_unwrap(self.table)
-            .unwrap_or_else(|arc| TableStore::new_from_rows(arc.all_rows()));
-        (table, synced_rows)
+        (self.table, synced_rows)
     }
 }
 

@@ -6,6 +6,7 @@
 //! the aggregations the figures need (per-second TPS series, latency
 //! percentiles).
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use parking_lot::RwLock;
@@ -100,7 +101,17 @@ impl PerfRow {
     pub fn status_ok(&self) -> bool {
         self.outcome == RowOutcome::Committed
     }
+
+    /// What the aggregate queries read of this row.
+    pub fn view(&self) -> RowView {
+        let ok = self.status_ok();
+        (self.client_id, self.start_time, self.end_time, ok)
+    }
 }
+
+/// What the aggregate queries read of a row: `(client_id, start, end,
+/// committed)`. Anything that has these can be summarised without a table.
+pub type RowView = (u32, Duration, Option<Duration>, bool);
 
 /// An append-mostly analytic table with the paper's queries.
 #[derive(Debug, Default)]
@@ -125,17 +136,99 @@ pub struct LatencySummary {
     pub max_s: f64,
 }
 
+/// The aggregates of the `Performance` table, computed together.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Summary {
+    /// What [`TableStore::overall_tps`] returns.
+    pub overall_tps: f64,
+    /// What [`TableStore::latency_summary`] returns.
+    pub latency: LatencySummary,
+    /// What [`TableStore::tps_series`] returns.
+    pub tps_series: Vec<usize>,
+    /// What [`TableStore::per_client_committed`] returns.
+    pub per_client_committed: Vec<(u32, usize)>,
+}
+
+/// Folds `rows` into every aggregate in one pass, with a `bucket`-wide
+/// series (panics on a zero `bucket`). All arithmetic on timestamps is in
+/// integer nanoseconds, so the result does not depend on the row order.
+pub fn summarize(rows: impl IntoIterator<Item = RowView>, bucket: Duration) -> Summary {
+    assert!(!bucket.is_zero(), "bucket must be positive");
+    let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+    let bucket_ns = nanos(bucket);
+    let mut committed = 0usize;
+    let mut first_start = Duration::MAX;
+    let mut last_commit = Duration::ZERO;
+    let mut latencies_ns: Vec<u64> = Vec::new();
+    let mut latency_sum_ns = 0u128;
+    let mut tps_series: Vec<usize> = Vec::new();
+    let mut per_client: BTreeMap<u32, usize> = BTreeMap::new();
+    for (client_id, start, end, ok) in rows {
+        first_start = first_start.min(start);
+        if !ok {
+            continue;
+        }
+        committed += 1;
+        *per_client.entry(client_id).or_default() += 1;
+        let Some(end) = end else {
+            continue;
+        };
+        last_commit = last_commit.max(end);
+        let latency_ns = nanos(end.saturating_sub(start));
+        latency_sum_ns += u128::from(latency_ns);
+        latencies_ns.push(latency_ns);
+        let bucket = (nanos(end) / bucket_ns) as usize;
+        if bucket >= tps_series.len() {
+            tps_series.resize(bucket + 1, 0);
+        }
+        tps_series[bucket] += 1;
+    }
+    if last_commit.is_zero() {
+        tps_series.clear();
+    }
+    let mut span = last_commit.saturating_sub(first_start);
+    if span.is_zero() {
+        span = Duration::from_secs(1); // a run without a span counts as a second long
+    }
+    Summary {
+        overall_tps: committed as f64 / span.as_secs_f64(),
+        latency: latency_summary(latencies_ns, latency_sum_ns),
+        tps_series,
+        per_client_committed: per_client.into_iter().collect(),
+    }
+}
+
+/// Percentiles at rank `((n − 1)·p).round()` of the ascending order, by
+/// selection; each one only orders what the one before left above it.
+fn latency_summary(mut latencies_ns: Vec<u64>, sum_ns: u128) -> LatencySummary {
+    let count = latencies_ns.len();
+    if count == 0 {
+        return LatencySummary::default();
+    }
+    let secs = |ns: u64| Duration::from_nanos(ns).as_secs_f64();
+    let mut settled = 0;
+    let mut pct = |p: f64| -> f64 {
+        let rank = ((count as f64 - 1.0) * p).round() as usize;
+        let (_, &mut value, _) = latencies_ns[settled..].select_nth_unstable(rank - settled);
+        settled = rank;
+        secs(value)
+    };
+    let (p50_s, p95_s, p99_s) = (pct(0.50), pct(0.95), pct(0.99));
+    let max_ns = latencies_ns[settled..].iter().max().expect("nonempty");
+    LatencySummary {
+        count,
+        mean_s: sum_ns as f64 / (count as f64 * 1e9),
+        p50_s,
+        p95_s,
+        p99_s,
+        max_s: secs(*max_ns),
+    }
+}
+
 impl TableStore {
     /// An empty table.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A table pre-populated with rows.
-    pub fn new_from_rows(rows: Vec<PerfRow>) -> Self {
-        TableStore {
-            rows: RwLock::new(rows),
-        }
     }
 
     /// Appends one row.
@@ -198,89 +291,34 @@ impl TableStore {
             .collect()
     }
 
+    /// [`summarize`] over the rows; each query below is one field of it.
+    pub fn summary(&self, bucket: Duration) -> Summary {
+        summarize(self.rows.read().iter().map(PerfRow::view), bucket)
+    }
+
     /// Committed-transaction count per `bucket` of *commit* time — the TPS
-    /// time series a Grafana panel plots. Buckets span `[0, horizon)` where
+    /// time series a Grafana panel plots. Buckets span `[0, horizon]` where
     /// `horizon` is the max end time seen; empty buckets are included.
     pub fn tps_series(&self, bucket: Duration) -> Vec<usize> {
-        assert!(!bucket.is_zero(), "bucket must be positive");
-        let rows = self.rows.read();
-        let horizon = rows
-            .iter()
-            .filter(|r| r.status_ok())
-            .filter_map(|r| r.end_time)
-            .max()
-            .unwrap_or(Duration::ZERO);
-        if horizon.is_zero() {
-            return Vec::new();
-        }
-        let n_buckets = (horizon.as_secs_f64() / bucket.as_secs_f64()).floor() as usize + 1;
-        let mut series = vec![0usize; n_buckets];
-        for row in rows.iter().filter(|r| r.status_ok()) {
-            if let Some(end) = row.end_time {
-                let idx = (end.as_secs_f64() / bucket.as_secs_f64()).floor() as usize;
-                series[idx.min(n_buckets - 1)] += 1;
-            }
-        }
-        series
+        self.summary(bucket).tps_series
     }
 
     /// Overall committed throughput: committed transactions divided by the
     /// span from first submission to last commit.
     pub fn overall_tps(&self) -> f64 {
-        let rows = self.rows.read();
-        let committed: Vec<&PerfRow> = rows.iter().filter(|r| r.status_ok()).collect();
-        if committed.is_empty() {
-            return 0.0;
-        }
-        let first = rows.iter().map(|r| r.start_time).min().unwrap_or_default();
-        let last = committed
-            .iter()
-            .filter_map(|r| r.end_time)
-            .max()
-            .unwrap_or_default();
-        let span = last.saturating_sub(first).as_secs_f64();
-        if span <= 0.0 {
-            return committed.len() as f64;
-        }
-        committed.len() as f64 / span
+        // One bucket for everything: nobody reads this summary's series.
+        self.summary(Duration::MAX).overall_tps
     }
 
     /// Latency summary over committed transactions.
     pub fn latency_summary(&self) -> LatencySummary {
-        let rows = self.rows.read();
-        let mut lats: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.status_ok())
-            .filter_map(|r| r.latency())
-            .map(|l| l.as_secs_f64())
-            .collect();
-        if lats.is_empty() {
-            return LatencySummary::default();
-        }
-        lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let pct = |p: f64| -> f64 {
-            let idx = ((lats.len() as f64 - 1.0) * p).round() as usize;
-            lats[idx]
-        };
-        LatencySummary {
-            count: lats.len(),
-            mean_s: lats.iter().sum::<f64>() / lats.len() as f64,
-            p50_s: pct(0.50),
-            p95_s: pct(0.95),
-            p99_s: pct(0.99),
-            max_s: *lats.last().expect("nonempty"),
-        }
+        self.summary(Duration::MAX).latency
     }
 
     /// Per-client committed counts, sorted by client id (load monitoring,
     /// one of the two roles `c_id` plays in Algorithm 1).
     pub fn per_client_committed(&self) -> Vec<(u32, usize)> {
-        use std::collections::BTreeMap;
-        let mut map: BTreeMap<u32, usize> = BTreeMap::new();
-        for r in self.rows.read().iter().filter(|r| r.status_ok()) {
-            *map.entry(r.client_id).or_default() += 1;
-        }
-        map.into_iter().collect()
+        self.summary(Duration::MAX).per_client_committed
     }
 
     /// Removes every row.
@@ -342,6 +380,18 @@ mod tests {
     }
 
     #[test]
+    fn tps_series_buckets_in_integer_nanoseconds() {
+        // 0.3 / 0.1 is 2.9999999999999996 in floating point, and 0.6 and
+        // 0.7 fall short the same way.
+        let t = TableStore::new();
+        for (tx, end_ms) in [100, 300, 600, 700, 999].into_iter().enumerate() {
+            t.insert(row(tx as u64, 0, Some(end_ms), true));
+        }
+        let series = t.tps_series(Duration::from_millis(100));
+        assert_eq!(series, vec![0, 1, 0, 1, 0, 0, 1, 1, 0, 1]);
+    }
+
+    #[test]
     fn tps_series_empty_table() {
         let t = TableStore::new();
         assert!(t.tps_series(Duration::from_secs(1)).is_empty());
@@ -399,5 +449,129 @@ mod tests {
         assert_eq!(t.len(), 50);
         t.clear();
         assert!(t.is_empty());
+    }
+
+    /// The four queries as they were before [`summarize`]: one pass (or
+    /// two) each, latencies sorted as `f64` seconds. Only the series differs
+    /// from what it replaced, in that it buckets in integer nanoseconds.
+    mod reference {
+        use super::*;
+
+        pub fn overall_tps(rows: &[PerfRow]) -> f64 {
+            let committed: Vec<&PerfRow> = rows.iter().filter(|r| r.status_ok()).collect();
+            if committed.is_empty() {
+                return 0.0;
+            }
+            let first = rows.iter().map(|r| r.start_time).min().unwrap_or_default();
+            let last = committed.iter().filter_map(|r| r.end_time).max();
+            let span = last.unwrap_or_default().saturating_sub(first).as_secs_f64();
+            if span <= 0.0 {
+                return committed.len() as f64;
+            }
+            committed.len() as f64 / span
+        }
+
+        pub fn latency_summary(rows: &[PerfRow]) -> LatencySummary {
+            let mut lats: Vec<f64> = rows
+                .iter()
+                .filter(|r| r.status_ok())
+                .filter_map(|r| r.latency())
+                .map(|l| l.as_secs_f64())
+                .collect();
+            if lats.is_empty() {
+                return LatencySummary::default();
+            }
+            lats.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+            let pct = |p: f64| lats[((lats.len() as f64 - 1.0) * p).round() as usize];
+            LatencySummary {
+                count: lats.len(),
+                mean_s: lats.iter().sum::<f64>() / lats.len() as f64,
+                p50_s: pct(0.50),
+                p95_s: pct(0.95),
+                p99_s: pct(0.99),
+                max_s: *lats.last().expect("nonempty"),
+            }
+        }
+
+        pub fn tps_series(rows: &[PerfRow], bucket: Duration) -> Vec<usize> {
+            let commits = || {
+                rows.iter()
+                    .filter(|r| r.status_ok())
+                    .filter_map(|r| r.end_time)
+            };
+            let horizon = commits().max().unwrap_or_default();
+            if horizon.is_zero() {
+                return Vec::new();
+            }
+            let index = |end: Duration| (end.as_nanos() / bucket.as_nanos()) as usize;
+            let mut series = vec![0usize; index(horizon) + 1];
+            for end in commits() {
+                series[index(end)] += 1;
+            }
+            series
+        }
+
+        pub fn per_client_committed(rows: &[PerfRow]) -> Vec<(u32, usize)> {
+            let mut map: BTreeMap<u32, usize> = BTreeMap::new();
+            for r in rows.iter().filter(|r| r.status_ok()) {
+                *map.entry(r.client_id).or_default() += 1;
+            }
+            map.into_iter().collect()
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// Timestamps on a coarse grid with a nanosecond or two of offset, so
+    /// that equal timestamps, exact bucket edges and ends before starts all
+    /// occur.
+    fn timestamp() -> impl Strategy<Value = Duration> {
+        (0u64..60, 0u64..3).prop_map(|(steps, ns)| Duration::from_nanos(steps * 50_000_000 + ns))
+    }
+
+    fn arbitrary_row() -> impl Strategy<Value = PerfRow> {
+        (0u32..4, timestamp(), timestamp(), any::<bool>(), 0u8..=4).prop_map(
+            |(client_id, start_time, end, ended, code)| PerfRow {
+                tx_id: 0,
+                client_id,
+                server_id: 0,
+                chain: "test".to_owned(),
+                start_time,
+                end_time: ended.then_some(end),
+                outcome: RowOutcome::from_code(code).expect("codes 0..=4 are defined"),
+            },
+        )
+    }
+
+    proptest! {
+        /// The fold, the table's four queries and the queries it replaced
+        /// agree on every field — exactly, except that the mean is now the
+        /// integer nanosecond sum divided once.
+        #[test]
+        fn prop_fold_matches_the_four_queries(
+            rows in proptest::collection::vec(arbitrary_row(), 0..120),
+            fine in any::<bool>(),
+        ) {
+            let bucket = Duration::from_millis(if fine { 100 } else { 1000 });
+            let folded = summarize(rows.iter().map(PerfRow::view), bucket);
+            let table = TableStore::new();
+            table.insert_batch(rows.clone());
+            prop_assert_eq!(&folded, &table.summary(bucket));
+            prop_assert_eq!(folded.overall_tps, table.overall_tps());
+            prop_assert_eq!(folded.latency, table.latency_summary());
+            prop_assert_eq!(&folded.tps_series, &table.tps_series(bucket));
+            prop_assert_eq!(&folded.per_client_committed, &table.per_client_committed());
+
+            prop_assert_eq!(folded.overall_tps, reference::overall_tps(&rows));
+            prop_assert_eq!(&folded.tps_series, &reference::tps_series(&rows, bucket));
+            prop_assert_eq!(&folded.per_client_committed, &reference::per_client_committed(&rows));
+            let sorted = reference::latency_summary(&rows);
+            let mean_error = (folded.latency.mean_s - sorted.mean_s).abs();
+            prop_assert!(mean_error <= 1e-9 * sorted.mean_s, "{folded:?} vs {sorted:?}");
+            prop_assert_eq!(
+                LatencySummary { mean_s: sorted.mean_s, ..folded.latency },
+                sorted
+            );
+        }
     }
 }

@@ -134,18 +134,23 @@ impl SmallBankGenerator {
         }
     }
 
-    /// Generates a full batch of `total_txs` transactions, round-robining
-    /// the configured clients/servers.
-    pub fn generate_all(&mut self) -> Vec<Transaction> {
-        let clients = self.config.clients;
-        let total = self.config.total_txs;
-        (0..total)
-            .map(|i| {
-                let client = (i as u32) % clients;
-                let server = client % self.config.threads_per_client.max(1);
-                self.next_tx(client, server)
+    /// Generates the next at most `max` transactions of the configured
+    /// batch (the nonces below `total_txs`; empty once it is complete),
+    /// round-robining the configured clients/servers by nonce: however the
+    /// batch is cut, it is the same transactions in the same order.
+    pub fn next_segment(&mut self, max: usize) -> Vec<Transaction> {
+        let left = (self.config.total_txs as u64).saturating_sub(self.next_nonce);
+        (0..left.min(max as u64))
+            .map(|_| {
+                let client = (self.next_nonce as u32) % self.config.clients;
+                self.next_tx(client, client % self.config.threads_per_client.max(1))
             })
             .collect()
+    }
+
+    /// Generates the full batch of `total_txs` transactions.
+    pub fn generate_all(&mut self) -> Vec<Transaction> {
+        self.next_segment(usize::MAX)
     }
 }
 
@@ -268,6 +273,34 @@ mod tests {
         .generate_all();
         let ids: Vec<u32> = txs.iter().map(|t| t.client_id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn segments_concatenate_to_generate_all() {
+        const SEGMENT: usize = 32 * 1024;
+        for n in [0, 1, SEGMENT - 1, SEGMENT, 2 * SEGMENT + 129] {
+            let config = WorkloadConfig {
+                clients: 3,
+                threads_per_client: 2,
+                ..config(n)
+            };
+            let whole = SmallBankGenerator::new(config.clone()).generate_all();
+            assert_eq!(whole.len(), n);
+            for size in [7, 128, SEGMENT - 1, SEGMENT, n + 5] {
+                let mut generator = SmallBankGenerator::new(config.clone());
+                let mut pieces = Vec::new();
+                loop {
+                    let piece = generator.next_segment(size);
+                    if piece.is_empty() {
+                        break;
+                    }
+                    assert!(piece.len() <= size);
+                    pieces.extend(piece);
+                }
+                assert!(pieces == whole, "n = {n}, segments of {size}");
+                assert!(generator.next_segment(size).is_empty(), "stays exhausted");
+            }
+        }
     }
 
     #[test]

@@ -86,12 +86,20 @@ impl YcsbGenerator {
         }
     }
 
+    /// Generates the next at most `max` transactions of the configured
+    /// batch (the nonces below `total_txs`; empty once it is complete),
+    /// round-robining the configured clients by nonce: however the batch
+    /// is cut, it is the same transactions in the same order.
+    pub fn next_segment(&mut self, max: usize) -> Vec<Transaction> {
+        let left = (self.config.total_txs as u64).saturating_sub(self.next_nonce);
+        (0..left.min(max as u64))
+            .map(|_| self.next_tx((self.next_nonce as u32) % self.config.clients, 0))
+            .collect()
+    }
+
     /// Generates the configured batch.
     pub fn generate_all(&mut self) -> Vec<Transaction> {
-        let clients = self.config.clients;
-        (0..self.config.total_txs)
-            .map(|i| self.next_tx((i as u32) % clients, 0))
-            .collect()
+        self.next_segment(usize::MAX)
     }
 
     /// The classic YCSB-A profile (50/50 read/update, uniform keys).
@@ -163,6 +171,34 @@ mod tests {
         let a = YcsbGenerator::new(YcsbGenerator::workload_a(100, 9)).generate_all();
         let b = YcsbGenerator::new(YcsbGenerator::workload_a(100, 9)).generate_all();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn segments_concatenate_to_generate_all() {
+        const SEGMENT: usize = 32 * 1024;
+        for n in [0, 1, SEGMENT - 1, SEGMENT, 2 * SEGMENT + 129] {
+            let config = WorkloadConfig {
+                clients: 3,
+                total_txs: n,
+                ..YcsbGenerator::workload_a(100, 9)
+            };
+            let whole = YcsbGenerator::new(config.clone()).generate_all();
+            assert_eq!(whole.len(), n);
+            for size in [7, 128, SEGMENT - 1, SEGMENT, n + 5] {
+                let mut generator = YcsbGenerator::new(config.clone());
+                let mut pieces = Vec::new();
+                loop {
+                    let piece = generator.next_segment(size);
+                    if piece.is_empty() {
+                        break;
+                    }
+                    assert!(piece.len() <= size);
+                    pieces.extend(piece);
+                }
+                assert!(pieces == whole, "n = {n}, segments of {size}");
+                assert!(generator.next_segment(size).is_empty(), "stays exhausted");
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,9 @@
 #     through the pipelined signers costs more than 0.75x signing it on
 #     one thread (the chunked hand-off must leave the second core its
 #     gain; on one core the ratio is printed, not gated), or
+#   * folding the report's aggregates from 100k rows in one pass costs more
+#     than 0.5x filling a Performance table with them and asking it the
+#     four queries (what the report stage did before; ~0.15x here), or
 #   * signing through a *disabled* observability context costs more than
 #     5% over the plain path (the near-zero-when-off guarantee), or
 #   * a loopback-TCP RPC call costs more than 50x the in-process
@@ -98,6 +101,20 @@ awk -v c="$cores" -v s="$serial" -v p="$pipelined" 'BEGIN {
     printf "signing 4096 tx, pipelined / serial (best samples): %.2fx (%.0f ns / %.0f ns; host cores: %d, limit %s)\n", r, p, s, c, (c >= 2) ? "0.75x" : "none on one core"
     if (c >= 2 && r > 0.75) {
         print "bench_snapshot: pipelined signing above 0.75x of serial on a multi-core host" > "/dev/stderr"
+        exit 1
+    }
+}'
+queries=$(awk -F'"mean_ns":' '/"roundtrip\/store_table_queries_100k"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
+summary=$(awk -F'"mean_ns":' '/"roundtrip\/store_summary_100k"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
+if [ -z "$queries" ] || [ -z "$summary" ]; then
+    echo "bench_snapshot: store_table_queries_100k / store_summary_100k results missing from $OUT" >&2
+    exit 1
+fi
+awk -v q="$queries" -v s="$summary" 'BEGIN {
+    r = s / q
+    printf "report aggregates over 100k rows, one-pass fold / table + four queries: %.2fx (%.0f ns / %.0f ns)\n", r, s, q
+    if (r > 0.5) {
+        print "bench_snapshot: the one-pass summary above 0.5x of the table queries it replaced" > "/dev/stderr"
         exit 1
     }
 }'

@@ -262,6 +262,24 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: the head and tail stay off the run"
+# Generation streams from a thread of its own (prepare never builds the
+# whole workload), the report folds its aggregates from the records (no
+# throwaway Performance table; `live_sync` owns the only one), and the
+# ledger keeps no per-transaction index for the sealer to fill under its
+# write lock. Rust sources only: the frozen driver_e2e README describes
+# the parent in prose.
+violations=$({
+    grep -n 'generate_all' crates/hammer-core/src/driver/prepare.rs
+    grep -nE 'insert_batch|TableStore::new' crates/hammer-core/src/driver/report.rs
+    grep -rnE --include='*.rs' 'tx_index|find_tx' crates src tests examples
+} 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a serial head or tail is back on the run path:" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
 echo "==> non-test lines of code (scripts/loc.sh)"
 scripts/loc.sh
 
