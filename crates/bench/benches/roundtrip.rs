@@ -8,7 +8,6 @@
 //! kernel against the portable rounds, pipelined against serial signing,
 //! and the report's one-pass fold against the table queries it replaced.
 
-use std::io::Write as _;
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -17,7 +16,7 @@ use hammer_chain::smallbank::Op;
 use hammer_chain::types::{verify_signed_batch, SignedTransaction, Transaction};
 use hammer_core::signer::{sign_pipelined, sign_serial};
 use hammer_crypto::merkle::merkle_root;
-use hammer_crypto::sha256::{compress, compress_portable, hardware_accelerated, sha256_pair};
+use hammer_crypto::sha256::{compress, compress_portable, sha256_pair};
 use hammer_crypto::sig::{pow_g, pow_mod, SigParams, G, GROUP_ORDER};
 use hammer_crypto::{sha256, Keypair};
 use hammer_rpc::json::Value;
@@ -45,30 +44,10 @@ fn signed_burst(n: u64, keypair: &Keypair, params: &SigParams) -> Vec<SignedTran
         .collect()
 }
 
-/// First line of the snapshot: the host facts its numbers depend on.
-/// `scripts/bench_snapshot.sh` reads `sha_extensions` back to choose the
-/// compress-ratio gate.
-fn record_host(_: &mut Criterion) {
-    let path = std::env::var("CRITERION_JSON").unwrap_or_default();
-    if path.is_empty() {
-        return;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let line = format!(
-        "{{\"id\":\"roundtrip/_host\",\"host_cores\":{cores},\"sha_extensions\":{}}}\n",
-        hardware_accelerated()
-    );
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut file| file.write_all(line.as_bytes()))
-        .expect("append the host line to CRITERION_JSON");
-}
-
 /// Fixed-base vs. generic modexp — the primitive behind the signing
 /// speedup. Both sides run the same exponent set.
 fn bench_modexp(c: &mut Criterion) {
+    bench::record_host("roundtrip");
     let mut group = c.benchmark_group("roundtrip");
     let exps: Vec<u64> = (1..=64u64)
         .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % GROUP_ORDER)
@@ -285,7 +264,6 @@ fn bench_rpc_call(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    record_host,
     bench_modexp,
     bench_sha256,
     bench_stages,

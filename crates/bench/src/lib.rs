@@ -146,6 +146,29 @@ pub fn save_result(file_name: &str, text: &str) {
     }
 }
 
+/// First line of a `BENCH_<layer>.json` snapshot: the host facts its
+/// numbers depend on, appended to `CRITERION_JSON` when that is set.
+/// `scripts/bench_snapshot.sh` reads `sha_extensions` back to choose the
+/// compress-ratio gate.
+pub fn record_host(layer: &str) {
+    use std::io::Write as _;
+    let path = std::env::var("CRITERION_JSON").unwrap_or_default();
+    if path.is_empty() {
+        return;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let line = format!(
+        "{{\"id\":\"{layer}/_host\",\"host_cores\":{cores},\"sha_extensions\":{}}}\n",
+        hammer_crypto::sha256::hardware_accelerated()
+    );
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut file| file.write_all(line.as_bytes()))
+        .expect("append the host line to CRITERION_JSON");
+}
+
 /// Writes CSV text as `target/bench-results/<name>.csv`.
 pub fn save_csv(name: &str, csv: &str) {
     save_result(&format!("{name}.csv"), csv);

@@ -12,9 +12,11 @@
 //!   join handles; [`ChainNode::shutdown_and_join`] stops
 //!   *and joins* them, so dropping a chain never leaks a live thread.
 //! * **Ingress** — [`BlockchainClient::submit`] is implemented once:
-//!   shutdown check, [`check_node_ingress`] fault gating on the policy's
-//!   ingress node, then policy-controlled admission (bounded mempool by
-//!   default, so overload surfaces as [`ErrorKind::Backpressure`]).
+//!   shutdown check, [`check_node_ingress`] fault gating on the shard's
+//!   ingress node (names asked of the policy once, at start; no lock taken
+//!   until a fault plan is installed, the locked path from then on), then
+//!   policy-controlled admission (bounded mempool by default, so overload
+//!   surfaces as [`ErrorKind::Backpressure`]).
 //! * **Sealing** — [`Kernel::seal_block`] builds the block against the
 //!   shard ledger, accounts its replication traffic on `hammer-net`,
 //!   updates the activity counters, emits the per-block observability (sealed
@@ -498,6 +500,9 @@ impl NodeKernelBuilder {
         for name in &self.endpoints {
             kernel.net.register(name);
         }
+        // Asked once, not per submission or sealer tick: a name is a `String`.
+        let ingress: Vec<String> = (0..shard_count).map(|s| policy.ingress_node(s)).collect();
+        let sealers: Vec<String> = (0..shard_count).map(|s| policy.sealer_node(s)).collect();
         let mut threads = Vec::new();
         for worker in policy.workers(&kernel) {
             threads.push(
@@ -511,10 +516,11 @@ impl NodeKernelBuilder {
             for shard in 0..shard_count {
                 let sealer_kernel = Arc::clone(&kernel);
                 let sealer_policy = Arc::clone(&policy);
+                let node = sealers[shard as usize].clone();
                 threads.push(
                     std::thread::Builder::new()
                         .name(format!("{}-sealer-{shard}", kernel.chain_name))
-                        .spawn(move || sealer_loop(sealer_kernel, sealer_policy, shard))
+                        .spawn(move || sealer_loop(sealer_kernel, sealer_policy, shard, &node))
                         .expect("spawn sealer"),
                 );
             }
@@ -522,6 +528,8 @@ impl NodeKernelBuilder {
         Arc::new(ChainNode {
             kernel,
             policy,
+            ingress,
+            sealers,
             threads: Mutex::new(threads),
         })
     }
@@ -529,14 +537,14 @@ impl NodeKernelBuilder {
 
 /// The kernel-driven sealer: wait → crash-gate on the sealer node →
 /// policy round → seal.
-fn sealer_loop<P: ConsensusPolicy>(kernel: Arc<Kernel>, policy: Arc<P>, shard: u32) {
+fn sealer_loop<P: ConsensusPolicy>(kernel: Arc<Kernel>, policy: Arc<P>, shard: u32, node: &str) {
     loop {
         if !kernel.sleep_interruptible(policy.seal_wait(shard)) {
             return;
         }
         // A crashed sealer seals nothing this round; pooled transactions
         // wait out the fault window.
-        if kernel.net.node_crashed(&policy.sealer_node(shard)) {
+        if kernel.net.node_crashed(node) {
             continue;
         }
         if let Some(round) = policy.build_round(&kernel, shard) {
@@ -550,6 +558,9 @@ fn sealer_loop<P: ConsensusPolicy>(kernel: Arc<Kernel>, policy: Arc<P>, shard: u
 pub struct ChainNode<P: ConsensusPolicy> {
     kernel: Arc<Kernel>,
     policy: Arc<P>,
+    /// Per shard, the policy's ingress and sealer endpoint names.
+    ingress: Vec<String>,
+    sealers: Vec<String>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -634,7 +645,7 @@ impl<P: ConsensusPolicy> BlockchainClient for ChainNode<P> {
             return Err(ChainError::shutdown());
         }
         let shard = self.policy.route(&tx);
-        check_node_ingress(&self.kernel.net, &self.policy.ingress_node(shard))?;
+        check_node_ingress(&self.kernel.net, &self.ingress[shard as usize])?;
         self.policy.admit(&self.kernel, shard, tx)
     }
 
@@ -718,17 +729,13 @@ impl<P: ConsensusPolicy> SimChain for ChainNode<P> {
     }
 
     fn ingress_nodes(&self) -> Vec<String> {
-        let mut nodes: Vec<String> = (0..self.kernel.shards.len() as u32)
-            .map(|s| self.policy.ingress_node(s))
-            .collect();
+        let mut nodes = self.ingress.clone();
         nodes.dedup();
         nodes
     }
 
     fn sealer_nodes(&self) -> Vec<String> {
-        let mut nodes: Vec<String> = (0..self.kernel.shards.len() as u32)
-            .map(|s| self.policy.sealer_node(s))
-            .collect();
+        let mut nodes = self.sealers.clone();
         nodes.dedup();
         nodes
     }
@@ -938,6 +945,30 @@ mod tests {
         let stats = net.stats();
         assert_eq!((stats.sent, stats.bytes_sent), (4, 4 * (40 + 7 * 5)));
         assert_eq!((stats.faulted, stats.lost), (1, 0));
+        chain.shutdown();
+    }
+
+    #[test]
+    fn a_plan_installed_while_serving_gates_the_next_submission() {
+        use hammer_net::FaultPlan;
+        let chain = start_fifo();
+        let rx = chain.subscribe_commits();
+        let committed = || rx.recv_timeout(Duration::from_secs(5)).unwrap().tx_id;
+        // No plan was ever installed: the gate answers from its flag.
+        assert_eq!(chain.submit(signed(1)).unwrap(), committed());
+        let forever = Duration::from_secs(1 << 40);
+        chain
+            .net()
+            .install_faults(FaultPlan::new().crash("fifo-node-0", Duration::ZERO, forever));
+        // A thread that starts after the install returned must see it.
+        let refused =
+            std::thread::scope(|scope| scope.spawn(|| chain.submit(signed(2))).join().unwrap());
+        assert!(refused.unwrap_err().is_unavailable());
+        // An empty plan in its place: served again, and sealed again.
+        chain.net().install_faults(FaultPlan::new());
+        assert_eq!(chain.submit(signed(3)).unwrap(), committed());
+        assert_eq!(chain.ingress_nodes(), ["fifo-node-0"]);
+        assert_eq!(chain.sealer_nodes(), ["fifo-node-0"]);
         chain.shutdown();
     }
 

@@ -110,11 +110,6 @@ impl Ledger {
         }
         Ok(())
     }
-
-    /// Iterates over all blocks in order.
-    pub fn iter(&self) -> std::slice::Iter<'_, Block> {
-        self.blocks.iter()
-    }
 }
 
 #[cfg(test)]

@@ -242,10 +242,8 @@ impl<'a> Monitor<'a> {
         // so blocks committed during the final poll window still match
         // before the stragglers are declared timed out.
         let mut final_pass = false;
-        // Reused per-block scratch: the block's entries, and the records
-        // that completed against them.
+        // Reused per-block scratch: the block's entries.
         let mut entries: Vec<(TxId, bool)> = Vec::new();
-        let mut matched: Vec<TxRecord> = Vec::new();
         loop {
             for shard in 0..self.progress.last_seen.len() {
                 let height = chain.latest_height(shard as u32)?;
@@ -262,19 +260,18 @@ impl<'a> Monitor<'a> {
                     };
                     // Batched fan-out: collect the block's entries once,
                     // let the tracker group them by shard and take each
-                    // shard lock once per block, then post-process the
-                    // completed records without holding any tracker lock.
+                    // shard lock once per block, and post-process every
+                    // completed record where it lies, under that lock
+                    // (`on_matched` takes at most the KV list's lock; the
+                    // merger takes only that one, never a shard's).
                     entries.clear();
                     entries.extend(block.entries());
-                    matched.clear();
-                    self.state
-                        .tracker
-                        .complete_block(&entries, end, &mut matched);
                     let mut committed = 0usize;
-                    for record in &matched {
+                    let tracker = &self.state.tracker;
+                    tracker.complete_block_with(&entries, end, &mut |record| {
                         committed += usize::from(record.status == TxStatus::Committed);
                         self.on_matched(record, end);
-                    }
+                    });
                     if committed > 0 {
                         *self.progress.shard_commits.entry(shard as u32).or_insert(0) += committed;
                     }

@@ -244,9 +244,10 @@ impl Submitter<'_> {
             if !self.tokens.take() {
                 return; // control sequence exhausted
             }
-            self.clock.sleep_until(next_allowed);
-            next_allowed = self.clock.now().max(next_allowed) + self.submit_delay;
-            let start = self.clock.now();
+            // One clock reading per transaction: the one that ended the
+            // pacing wait is the submission time and the next wait's base.
+            let start = self.clock.sleep_until(next_allowed);
+            next_allowed = start + self.submit_delay;
             // Register before submitting so a fast commit can never race
             // past the tracker.
             self.state

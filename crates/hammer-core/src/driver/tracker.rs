@@ -7,23 +7,24 @@ use hammer_chain::types::{TxId, TxStatus};
 use parking_lot::Mutex;
 
 use crate::baseline::BatchQueue;
-use crate::index::{IndexStats, TxRecord};
+use crate::index::{IndexStats, TxRecord, Visit};
 use crate::shard::ShardedTxTable;
 
 /// Internal: one interface over the two status-tracking structures.
 /// Locking is *internal* to the implementation — the sharded task tracker
 /// takes one shard lock per call (and one per shard per block for
-/// [`Tracker::complete_block`]) while the batch baseline keeps its single
+/// [`Tracker::complete_block_with`]) while the batch baseline keeps its single
 /// queue lock — so callers never serialise on a global tracker mutex.
 /// `complete` returns the finished record so callers (the live-sync
 /// pipeline) can publish it without a second lookup.
 pub(super) trait Tracker: Send + Sync {
     fn insert(&self, id: TxId, client: u32, server: u32, start: Duration);
     fn complete(&self, id: &TxId, end: Duration, ok: bool) -> Option<TxRecord>;
-    /// Matches a whole sealed block, appending every record that
-    /// completed to `out`. The sharded tracker groups the entries by
-    /// shard and locks each shard once per block.
-    fn complete_block(&self, entries: &[(TxId, bool)], end: Duration, out: &mut Vec<TxRecord>);
+    /// Matches a whole sealed block, showing `visit` every record that
+    /// completed, in place and under the tracker's lock. The sharded
+    /// tracker groups the entries by shard and locks each shard once per
+    /// block.
+    fn complete_block_with(&self, entries: &[(TxId, bool)], end: Duration, visit: &mut Visit<'_>);
     /// Submission-side abandonment: the retry loop gave up on a
     /// transaction ([`TxStatus::Dropped`] / [`TxStatus::Expired`]) that
     /// therefore never reached the chain.
@@ -55,8 +56,8 @@ impl Tracker for ShardedTxTable {
     fn complete(&self, id: &TxId, end: Duration, ok: bool) -> Option<TxRecord> {
         ShardedTxTable::complete(self, id, end, ok)
     }
-    fn complete_block(&self, entries: &[(TxId, bool)], end: Duration, out: &mut Vec<TxRecord>) {
-        ShardedTxTable::complete_block(self, entries, end, out);
+    fn complete_block_with(&self, entries: &[(TxId, bool)], end: Duration, visit: &mut Visit<'_>) {
+        ShardedTxTable::complete_block_with(self, entries, end, visit);
     }
     fn abandon(&self, id: &TxId, end: Duration, status: TxStatus) -> bool {
         ShardedTxTable::abandon(self, id, end, status)
@@ -110,11 +111,11 @@ impl Tracker for BatchTracker {
             None
         }
     }
-    fn complete_block(&self, entries: &[(TxId, bool)], end: Duration, out: &mut Vec<TxRecord>) {
+    fn complete_block_with(&self, entries: &[(TxId, bool)], end: Duration, visit: &mut Visit<'_>) {
         let mut queue = self.queue.lock();
         for (id, ok) in entries {
             if queue.complete(id, end, *ok) {
-                out.extend(queue.records().last().cloned());
+                queue.records().last().into_iter().for_each(&mut *visit);
             }
         }
     }

@@ -7,7 +7,9 @@
 //! to vector position. A Bloom filter sits in front of the index to
 //! exclude foreign transactions cheaply. On hash-table pressure the table
 //! *expands its length* to keep collisions rare, so both insert and match
-//! stay O(1).
+//! stay O(1). The slot count is a power of two — home slot and probe step
+//! are a mask of the fingerprint's low bits — and a slot carries the high 32
+//! bits as a tag, so a probe reads a record only where the tag matches.
 //!
 //! The paper's stated limitation — the table only ever grows, inflating
 //! storage on long runs — is addressed by [`TxTable::compact`]
@@ -37,6 +39,9 @@ pub struct TxRecord {
     /// Lifecycle status.
     pub status: TxStatus,
 }
+
+/// What a block match shows every record it completed, in place.
+pub type Visit<'a> = dyn FnMut(&TxRecord) + 'a;
 
 /// Counters describing index behaviour (for the Fig. 9 analysis).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,11 +75,38 @@ impl IndexStats {
 
 const EMPTY: u64 = u64::MAX;
 
+/// The tag half of a slot: the fingerprint's high 32 bits, kept in place.
+const TAG: u64 = !0 << 32;
+
+/// Walks the probe chain from `fingerprint`'s home slot to the first free
+/// slot and puts record `idx` there; returns the steps walked.
+#[inline]
+fn place(slots: &mut [u64], fingerprint: u64, idx: usize) -> u64 {
+    let mask = slots.len() - 1;
+    let mut slot = fingerprint as usize & mask;
+    let mut steps = 0;
+    while slots[slot] != EMPTY {
+        steps += 1;
+        slot = (slot + 1) & mask;
+    }
+    slots[slot] = fingerprint & TAG | idx as u64;
+    steps
+}
+
+/// The filter for a table expecting `expected` records, with an eighth of
+/// headroom: ids hashed over N shards always leave one shard above
+/// `total / N`, and a filter sized for exactly that rotates at the end of
+/// every run. The eighth bounds the overshoot a shard has before it rotates.
+fn bloom_for(expected: usize) -> BloomFilter {
+    BloomFilter::new((expected + expected / 8).max(1024), 0.01)
+}
+
 /// The vector list with its dynamic hash index and Bloom filter.
 #[derive(Clone, Debug)]
 pub struct TxTable {
     records: Vec<TxRecord>,
-    /// Open-addressing slots holding indices into `records` (EMPTY = free).
+    /// Open-addressing slots: the fingerprint's tag over a `u32` index into
+    /// `records` (EMPTY = free; no index is `u32::MAX`, so no entry is it).
     slots: Vec<u64>,
     bloom: BloomFilter,
     /// Consult the Bloom filter before the hash index (Algorithm 1's
@@ -99,7 +131,7 @@ impl TxTable {
         TxTable {
             records: Vec::with_capacity(expected),
             slots: vec![EMPTY; slot_count],
-            bloom: BloomFilter::new(expected.max(1024), 0.01),
+            bloom: bloom_for(expected),
             use_bloom,
             stats: IndexStats::default(),
             live: 0,
@@ -131,26 +163,28 @@ impl TxTable {
         self.slots.len()
     }
 
-    #[inline]
-    fn home_slot(&self, tx_id: &TxId) -> usize {
-        (tx_id.fingerprint() % self.slots.len() as u64) as usize
-    }
-
     /// Algorithm 1, lines 4–8: records a sent transaction and indexes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics at `u32::MAX` records (340 GB): a slot's index half never wraps.
     pub fn insert(&mut self, tx_id: TxId, client_id: u32, server_id: u32, start: Duration) {
         // Expand before the load factor hurts ("we attempt to minimize the
         // occurrence of hash collisions by expanding the length of the
         // hash table").
         if (self.records.len() + 1) * 10 > self.slots.len() * 7 {
-            self.expand();
+            self.reindex((self.slots.len() * 2).max(32));
+            self.stats.expansions += 1;
         }
         // Rotate a saturated Bloom filter: past its design capacity the
         // false-positive rate degrades silently, so rebuild it over the
-        // current records with doubled headroom.
+        // current records with doubled headroom. A table that stays within
+        // an eighth of its expectation never gets here.
         if self.bloom.len() >= self.bloom.capacity() {
-            self.rotate_bloom();
+            self.rebuild_bloom(BloomFilter::new(self.records.len().max(512) * 2, 0.01));
         }
-        let idx = self.records.len() as u64;
+        let idx = self.records.len();
+        assert!(idx < u32::MAX as usize, "a slot's index half is 32 bits");
         self.records.push(TxRecord {
             tx_id,
             client_id,
@@ -160,72 +194,57 @@ impl TxTable {
             status: TxStatus::Pending,
         });
         self.live += 1;
-        self.bloom.insert(tx_id.fingerprint());
-        let mut slot = self.home_slot(&tx_id);
-        loop {
-            if self.slots[slot] == EMPTY {
-                self.slots[slot] = idx;
-                return;
-            }
-            self.stats.probe_steps += 1;
-            slot = (slot + 1) % self.slots.len();
-        }
+        let fingerprint = tx_id.fingerprint();
+        self.bloom.insert(fingerprint);
+        self.stats.probe_steps += place(&mut self.slots, fingerprint, idx);
     }
 
-    fn expand(&mut self) {
-        let new_len = (self.slots.len() * 2).max(32);
-        self.slots = vec![EMPTY; new_len];
-        self.stats.expansions += 1;
+    /// Rebuilds the index over the current records in `slot_count` slots
+    /// (a power of two).
+    fn reindex(&mut self, slot_count: usize) {
+        self.slots = vec![EMPTY; slot_count];
         for (idx, record) in self.records.iter().enumerate() {
-            let mut slot = (record.tx_id.fingerprint() % new_len as u64) as usize;
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) % new_len;
-            }
-            self.slots[slot] = idx as u64;
+            place(&mut self.slots, record.tx_id.fingerprint(), idx);
         }
     }
 
-    /// Rebuilds the Bloom filter over every current record (completed
-    /// ones included — duplicate block sightings must still pass the
-    /// filter and resolve through the index) with capacity doubled, so
-    /// the false-positive rate returns to the design point.
-    fn rotate_bloom(&mut self) {
-        self.bloom = BloomFilter::new(self.records.len().max(512) * 2, 0.01);
+    /// Refills `bloom` from every current record (completed ones included
+    /// — duplicate block sightings must still pass the filter and resolve
+    /// through the index) and installs it, so the false-positive rate
+    /// returns to the design point.
+    fn rebuild_bloom(&mut self, mut bloom: BloomFilter) {
         for record in &self.records {
-            self.bloom.insert(record.tx_id.fingerprint());
+            bloom.insert(record.tx_id.fingerprint());
         }
+        self.bloom = bloom;
         self.stats.bloom_rebuilds += 1;
     }
 
     /// Looks up a record index by id (Bloom filter first, then the hash
     /// index; collisions walk the probe chain — Algorithm 1 lines 14–19).
     fn find(&mut self, tx_id: &TxId) -> Option<usize> {
-        if self.use_bloom && !self.bloom.contains(tx_id.fingerprint()) {
+        let fingerprint = tx_id.fingerprint();
+        if self.use_bloom && !self.bloom.contains(fingerprint) {
             self.stats.bloom_rejections += 1;
             return None;
         }
-        let mut slot = self.home_slot(tx_id);
-        let mut walked = 0usize;
-        loop {
-            match self.slots[slot] {
-                s if s == EMPTY => {
-                    self.stats.misses += 1;
-                    return None;
-                }
-                s => {
-                    if self.records[s as usize].tx_id == *tx_id {
-                        return Some(s as usize);
-                    }
-                    self.stats.probe_steps += 1;
-                }
+        let mask = self.slots.len() - 1;
+        let mut slot = fingerprint as usize & mask;
+        // A full walk of a table without a free slot ends as a miss too.
+        for _ in 0..self.slots.len() {
+            let entry = self.slots[slot];
+            if entry == EMPTY {
+                break;
             }
-            walked += 1;
-            if walked >= self.slots.len() {
-                self.stats.misses += 1;
-                return None;
+            let idx = entry as u32 as usize;
+            if entry & TAG == fingerprint & TAG && self.records[idx].tx_id == *tx_id {
+                return Some(idx);
             }
-            slot = (slot + 1) % self.slots.len();
+            self.stats.probe_steps += 1;
+            slot = (slot + 1) & mask;
         }
+        self.stats.misses += 1;
+        None
     }
 
     /// Algorithm 1, lines 10–19: marks a transaction complete with the
@@ -245,23 +264,26 @@ impl TxTable {
         end: Duration,
         success: bool,
     ) -> Option<&TxRecord> {
-        match self.find(tx_id) {
-            Some(idx) => {
-                let record = &mut self.records[idx];
-                if record.status != TxStatus::Pending {
-                    return None; // duplicate block sighting
-                }
-                record.end = Some(end);
-                record.status = if success {
-                    TxStatus::Committed
-                } else {
-                    TxStatus::Failed
-                };
-                self.live -= 1;
-                Some(&self.records[idx])
-            }
-            None => None,
+        let status = if success {
+            TxStatus::Committed
+        } else {
+            TxStatus::Failed
+        };
+        self.settle(tx_id, end, status)
+    }
+
+    /// Moves a pending record to `status`; `None` when it is not pending
+    /// here (foreign, unknown, or a duplicate block sighting).
+    fn settle(&mut self, tx_id: &TxId, end: Duration, status: TxStatus) -> Option<&TxRecord> {
+        let idx = self.find(tx_id)?;
+        let record = &mut self.records[idx];
+        if record.status != TxStatus::Pending {
+            return None;
         }
+        record.end = Some(end);
+        record.status = status;
+        self.live -= 1;
+        Some(record)
     }
 
     /// Marks a still-pending transaction as abandoned by the submission
@@ -273,19 +295,7 @@ impl TxTable {
             matches!(status, TxStatus::Dropped | TxStatus::Expired),
             "abandon is for submission-side terminal statuses"
         );
-        match self.find(tx_id) {
-            Some(idx) => {
-                let record = &mut self.records[idx];
-                if record.status != TxStatus::Pending {
-                    return false;
-                }
-                record.end = Some(end);
-                record.status = status;
-                self.live -= 1;
-                true
-            }
-            None => false,
-        }
+        self.settle(tx_id, end, status).is_some()
     }
 
     /// Marks every still-pending transaction as timed out.
@@ -327,18 +337,8 @@ impl TxTable {
             return 0;
         }
         // Rebuild slots and Bloom filter over the survivors.
-        let slot_count = (self.records.len().max(16) * 2).next_power_of_two();
-        self.slots = vec![EMPTY; slot_count];
-        self.bloom = BloomFilter::new(self.records.len().max(1024), 0.01);
-        self.stats.bloom_rebuilds += 1;
-        for (idx, record) in self.records.iter().enumerate() {
-            self.bloom.insert(record.tx_id.fingerprint());
-            let mut slot = (record.tx_id.fingerprint() % slot_count as u64) as usize;
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) % slot_count;
-            }
-            self.slots[slot] = idx as u64;
-        }
+        self.reindex((self.records.len().max(16) * 2).next_power_of_two());
+        self.rebuild_bloom(bloom_for(self.records.len()));
         dropped
     }
 }
@@ -349,6 +349,7 @@ mod tests {
     use hammer_chain::smallbank::Op;
     use hammer_chain::types::Transaction;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn tx_id(n: u64) -> TxId {
         Transaction {
@@ -547,7 +548,156 @@ mod tests {
         assert!(table.stats().misses >= 1);
     }
 
+    #[test]
+    fn probe_counters_match_the_divide_and_compare_index() {
+        // Taken from the index as it was before slots carried a tag and
+        // were masked: same home slot, same probe order, same counts.
+        for (use_bloom, expect) in [(true, (24_037, 3, 0)), (false, (26_664, 3, 1_000))] {
+            let mut table = TxTable::with_capacity_and_bloom(1024, use_bloom);
+            for i in 0..10_000 {
+                table.insert(tx_id(i), 0, 0, Duration::ZERO);
+            }
+            assert_eq!(table.stats().probe_steps, 16_326);
+            for i in 0..10_000 {
+                assert!(table.complete(&tx_id(i), Duration::from_secs(1), true));
+            }
+            // Foreign ids walk the chain only where no filter stops them.
+            for i in (20_000..21_000).filter(|_| !use_bloom) {
+                assert!(!table.complete(&tx_id(i), Duration::from_secs(1), true));
+            }
+            let stats = table.stats();
+            assert_eq!((stats.probe_steps, stats.expansions, stats.misses), expect);
+        }
+    }
+
+    /// 96 ids built to collide: low fingerprint bits that share a home slot
+    /// in a small table and part in a larger one, under four tags (the
+    /// all-ones tag included), and four ids per fingerprint that differ
+    /// only from byte 8 on.
+    fn colliding_id(k: usize) -> TxId {
+        let low = [0u64, 1, 32, 64, 96, 5][k % 6];
+        let high = [0u64, 1, 0x8000_0000, 0xffff_ffff][k / 6 % 4];
+        let mut bytes = [0u8; 32];
+        bytes[..8].copy_from_slice(&(high << 32 | low).to_be_bytes());
+        bytes[8] = (k / 24) as u8;
+        TxId(bytes)
+    }
+
+    #[derive(Clone, Debug)]
+    enum TableOp {
+        Insert(usize),
+        Complete(usize, bool),
+        Abandon(usize),
+        Get(usize),
+        TimeoutPending,
+        Compact,
+    }
+
+    fn table_ops() -> impl Strategy<Value = Vec<TableOp>> {
+        let op = prop_oneof![
+            (0usize..96).prop_map(TableOp::Insert),
+            (0usize..96).prop_map(TableOp::Insert),
+            ((0usize..96), any::<bool>()).prop_map(|(k, ok)| TableOp::Complete(k, ok)),
+            (0usize..96).prop_map(TableOp::Abandon),
+            (0usize..96).prop_map(TableOp::Get),
+            (0usize..8).prop_map(|n| if n == 0 {
+                TableOp::TimeoutPending
+            } else {
+                TableOp::Get(n)
+            }),
+            (0usize..4).prop_map(|n| if n == 0 {
+                TableOp::Compact
+            } else {
+                TableOp::Insert(n)
+            }),
+        ];
+        proptest::collection::vec(op, 0..200)
+    }
+
+    /// Applies `op` to the table and to a `HashMap` model of it, comparing
+    /// every answer.
+    fn apply(table: &mut TxTable, model: &mut HashMap<TxId, TxRecord>, op: &TableOp) {
+        let end = Duration::from_secs(1);
+        let pending = |r: &TxRecord| r.status == TxStatus::Pending;
+        match *op {
+            TableOp::Insert(k) => {
+                let id = colliding_id(k);
+                // Ids are unique per run: only an id the table does not
+                // hold (never seen, or compacted away) is inserted.
+                model.entry(id).or_insert_with(|| {
+                    table.insert(id, k as u32, 0, Duration::from_millis(k as u64));
+                    table.records().last().unwrap().clone()
+                });
+            }
+            TableOp::Complete(k, ok) => {
+                let id = colliding_id(k);
+                let expect = model.get_mut(&id).filter(|r| pending(r)).map(|r| {
+                    r.end = Some(end);
+                    r.status = if ok {
+                        TxStatus::Committed
+                    } else {
+                        TxStatus::Failed
+                    };
+                    r.clone()
+                });
+                assert_eq!(table.complete_record(&id, end, ok).cloned(), expect);
+            }
+            TableOp::Abandon(k) => {
+                let id = colliding_id(k);
+                let expect = model.get_mut(&id).filter(|r| pending(r)).map(|r| {
+                    r.end = Some(end);
+                    r.status = TxStatus::Dropped;
+                });
+                assert_eq!(table.abandon(&id, end, TxStatus::Dropped), expect.is_some());
+            }
+            TableOp::Get(k) => {
+                let id = colliding_id(k);
+                assert_eq!(table.get(&id), model.get(&id));
+            }
+            TableOp::TimeoutPending => {
+                let expect = model.values_mut().filter(|r| pending(r)).map(|r| {
+                    r.status = TxStatus::TimedOut;
+                });
+                assert_eq!(table.timeout_pending(), expect.count());
+            }
+            TableOp::Compact => {
+                let before = model.len();
+                model.retain(|_, r| pending(r));
+                assert_eq!(table.compact(), before - model.len());
+            }
+        }
+        assert_eq!(table.len(), model.len());
+        assert_eq!(
+            table.pending(),
+            model.values().filter(|r| pending(r)).count()
+        );
+    }
+
     proptest! {
+        /// Any operation sequence over colliding ids answers as a map from
+        /// id to record does, through at least two expansions.
+        #[test]
+        fn prop_table_matches_a_map_model(before in table_ops(), after in table_ops()) {
+            let mut table = TxTable::with_capacity(8);
+            let mut model = HashMap::new();
+            // Whatever `before` left out is inserted in between, so the
+            // table holds all 96 ids at once: 32 slots cannot.
+            let fill: Vec<TableOp> = (0..96).map(TableOp::Insert).collect();
+            for op in before.iter().chain(&fill) {
+                apply(&mut table, &mut model, op);
+            }
+            prop_assert_eq!(table.len(), 96);
+            prop_assert!(table.stats().expansions >= 2, "{:?}", table.stats());
+            for op in after.iter().chain((0..96).map(TableOp::Get).collect::<Vec<_>>().iter()) {
+                apply(&mut table, &mut model, op);
+            }
+            let mut records = table.records().to_vec();
+            records.sort_by_key(|r| r.tx_id);
+            let mut expect: Vec<TxRecord> = model.into_values().collect();
+            expect.sort_by_key(|r| r.tx_id);
+            prop_assert_eq!(records, expect);
+        }
+
         /// Inserting any set of ids and completing a subset leaves exactly
         /// the complement pending.
         #[test]

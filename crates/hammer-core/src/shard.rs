@@ -6,14 +6,15 @@
 //! * **Fingerprint → shard mapping.** A transaction lands in shard
 //!   `(fingerprint × φ64) >> 33 & (N−1)` — a multiply-shift over the
 //!   64-bit id fingerprint. The mapping deliberately consumes *different*
-//!   bits than [`TxTable`]'s home-slot computation (`fingerprint mod
-//!   slot_count`, the low bits): deriving both from the same bits would
-//!   leave each shard's slot array systematically underpopulated.
-//! * **Batched block fan-out.** [`ShardedTxTable::complete_block`] groups
-//!   a sealed block's transaction ids by shard first and then takes each
-//!   shard's lock exactly once per block — not once per transaction — so
-//!   a 10k-transaction block costs N lock acquisitions, and blocks
-//!   touching disjoint shards match fully in parallel.
+//!   bits than [`TxTable`]'s home-slot computation (`fingerprint &
+//!   (slot_count − 1)`, the low bits): deriving both from the same bits
+//!   would leave each shard's slot array systematically underpopulated.
+//! * **Batched block fan-out.** [`ShardedTxTable::complete_block_with`]
+//!   groups a sealed block's transaction ids by shard first and then takes
+//!   each shard's lock exactly once per block — not once per transaction —
+//!   so a 10k-transaction block costs N lock acquisitions, and blocks
+//!   touching disjoint shards match fully in parallel. Completed records
+//!   are shown to a visitor in place, not copied out.
 //! * **Per-shard rejection state.** Each shard also owns its slice of the
 //!   rejected-id set, so a terminal rejection updates the record *and*
 //!   the set under one shard lock (the old driver took two global locks).
@@ -32,7 +33,7 @@ use std::time::Duration;
 use hammer_chain::types::{TxId, TxStatus};
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::index::{IndexStats, TxRecord, TxTable};
+use crate::index::{IndexStats, TxRecord, TxTable, Visit};
 
 /// One shard: a vector-list segment with its own hash index and Bloom
 /// filter, plus this shard's slice of the rejected-id set.
@@ -82,7 +83,7 @@ impl ShardedTxTable {
     pub fn shard_of(&self, tx_id: &TxId) -> usize {
         // Multiply-shift over the fingerprint: bits 33.. of fp·φ64 are
         // well mixed and independent of the low bits the per-shard home
-        // slot consumes (fingerprint mod slot_count).
+        // slot consumes (fingerprint & (slot_count - 1)).
         ((tx_id.fingerprint().wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33) as usize) & self.mask
     }
 
@@ -109,36 +110,39 @@ impl ShardedTxTable {
     }
 
     /// Matches a whole sealed block: groups the entries by shard, takes
-    /// each touched shard's lock exactly once, and appends every record
-    /// that completed (transitioned out of `Pending`) to `out`.
-    pub fn complete_block(&self, entries: &[(TxId, bool)], end: Duration, out: &mut Vec<TxRecord>) {
-        if self.shards.len() == 1 {
-            let mut shard = self.shards[0].lock();
-            for (tx_id, ok) in entries {
-                if let Some(record) = shard.table.complete_record(tx_id, end, *ok) {
-                    out.push(record.clone());
-                }
-            }
-            return;
-        }
+    /// each touched shard's lock exactly once, and shows `visit` every
+    /// record that completed (transitioned out of `Pending`) where it lies,
+    /// under its shard's lock — `visit` must not call back into the tracker.
+    pub fn complete_block_with(
+        &self,
+        entries: &[(TxId, bool)],
+        end: Duration,
+        visit: &mut Visit<'_>,
+    ) {
         // Group-by-shard scratch: one pass to bucket the entry indices,
         // then one lock acquisition per touched shard.
         let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, (tx_id, _)) in entries.iter().enumerate() {
             buckets[self.shard_of(tx_id)].push(i);
         }
-        for (shard_idx, bucket) in buckets.iter().enumerate() {
+        for (shard, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
                 continue;
             }
-            let mut shard = self.shards[shard_idx].lock();
+            let mut shard = self.shards[shard].lock();
             for &i in bucket {
                 let (tx_id, ok) = &entries[i];
                 if let Some(record) = shard.table.complete_record(tx_id, end, *ok) {
-                    out.push(record.clone());
+                    visit(record);
                 }
             }
         }
+    }
+
+    /// [`ShardedTxTable::complete_block_with`], appending a copy of every
+    /// record that completed to `out`.
+    pub fn complete_block(&self, entries: &[(TxId, bool)], end: Duration, out: &mut Vec<TxRecord>) {
+        self.complete_block_with(entries, end, &mut |record| out.push(record.clone()));
     }
 
     /// Marks a still-pending transaction abandoned by the submission path
@@ -327,6 +331,36 @@ mod tests {
         matched.clear();
         table.complete_block(&entries, Duration::from_secs(4), &mut matched);
         assert!(matched.is_empty());
+    }
+
+    #[test]
+    fn the_visitor_sees_what_complete_block_returns_in_its_order() {
+        for shards in [1, 2, 8] {
+            let copied = ShardedTxTable::new(shards, 1024);
+            let visited = ShardedTxTable::new(shards, 1024);
+            for i in 0..3_000 {
+                copied.insert(tx_id(i), i as u32, 0, Duration::ZERO);
+                visited.insert(tx_id(i), i as u32, 0, Duration::ZERO);
+            }
+            let mut entries: Vec<(TxId, bool)> =
+                (0..1_000).map(|i| (tx_id(i), i % 3 != 0)).collect();
+            entries.push((tx_id(5), true)); // duplicate sighting
+            entries.extend((100_000..100_050).map(|i| (tx_id(i), true))); // foreign
+                                                                          // Shard by shard, and within a shard in block order.
+            let mut expect: Vec<TxId> = entries[..1_000].iter().map(|(id, _)| *id).collect();
+            expect.sort_by_key(|id| copied.shard_of(id));
+            // A second sighting of the whole block shows the visitor nothing.
+            for (end, expect) in [(1, expect), (2, Vec::new())] {
+                let end = Duration::from_secs(end);
+                let mut out = Vec::new();
+                copied.complete_block(&entries, end, &mut out);
+                let mut seen = Vec::new();
+                visited.complete_block_with(&entries, end, &mut |r| seen.push(r.clone()));
+                assert_eq!(seen, out, "{shards} shards");
+                assert_eq!(seen.iter().map(|r| r.tx_id).collect::<Vec<_>>(), expect);
+                assert!(seen.iter().all(|r| r.end == Some(end)));
+            }
+        }
     }
 
     #[test]

@@ -115,16 +115,18 @@ impl SimClock {
         }
     }
 
-    /// Blocks until the simulated clock reaches `sim_deadline` (absolute).
+    /// Blocks until the simulated clock reaches `sim_deadline` (absolute)
+    /// and returns the reading that satisfied it, so a pacing loop needs no
+    /// second look at the clock.
     ///
     /// Unlike [`SimClock::sleep`], lateness does not accumulate: a thread
     /// that was descheduled past its deadline returns immediately, which
     /// keeps rate-pacing loops accurate on oversubscribed hosts.
-    pub fn sleep_until(&self, sim_deadline: Duration) {
+    pub fn sleep_until(&self, sim_deadline: Duration) -> Duration {
         loop {
             let now = self.now();
             if now >= sim_deadline {
-                return;
+                return now;
             }
             let remaining_wall = self.to_wall(sim_deadline - now);
             if remaining_wall > Duration::from_micros(500) {
@@ -233,6 +235,20 @@ mod spin_tests {
         let start = Instant::now();
         clock.sleep_until(Duration::ZERO);
         assert!(start.elapsed() < Duration::from_millis(5));
+    }
+
+    #[test]
+    fn sleep_until_returns_the_reading_that_satisfied_it() {
+        let clock = SimClock::with_speedup(1000.0);
+        for ahead in [Duration::ZERO, Duration::from_millis(300)] {
+            let before = clock.now();
+            let woke = clock.sleep_until(before + ahead);
+            assert!(woke >= before + ahead, "{woke:?} < {before:?} + {ahead:?}");
+            assert!(woke <= clock.now());
+        }
+        // A deadline already behind: the reading is a current one.
+        let before = clock.now();
+        assert!(clock.sleep_until(Duration::ZERO) >= before);
     }
 
     #[test]

@@ -49,6 +49,8 @@ struct Shared {
     endpoints: Mutex<BTreeSet<String>>,
     /// Scripted fault schedule, consulted against the clock on every send.
     faults: Mutex<Option<Arc<FaultPlan>>>,
+    /// A plan has been stored in `faults` (never cleared): see `node_fault`.
+    faults_installed: AtomicBool,
     rng: Mutex<StdRng>,
     stats: Mutex<NetStats>,
     /// Fast-path flag mirroring `obs` being an enabled bundle, so the
@@ -140,6 +142,7 @@ impl SimNetwork {
                 default_link,
                 endpoints: Mutex::new(BTreeSet::new()),
                 faults: Mutex::new(None),
+                faults_installed: AtomicBool::new(false),
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
                 stats: Mutex::new(NetStats::default()),
                 obs_enabled: AtomicBool::new(false),
@@ -198,6 +201,8 @@ impl SimNetwork {
     pub fn try_install_faults(&self, plan: FaultPlan) -> Result<(), FaultPlanError> {
         plan.validate_against(&self.endpoint_names())?;
         *self.shared.faults.lock() = Some(Arc::new(plan));
+        // Pairs with `node_fault`'s Acquire; the plan is read under the lock.
+        self.shared.faults_installed.store(true, Ordering::Release);
         Ok(())
     }
 
@@ -208,7 +213,14 @@ impl SimNetwork {
 
     /// How `name` is impaired right now (per the installed plan and this
     /// network's clock), if at all.
+    ///
+    /// Every submission and sealer tick asks, so until a plan is installed
+    /// one flag answers. With a plan, an empty one too, it costs the lock, an
+    /// `Arc` clone and a clock reading: drills are not measured traffic.
     pub fn node_fault(&self, name: &str) -> Option<NodeFault> {
+        if !self.shared.faults_installed.load(Ordering::Acquire) {
+            return None;
+        }
         let plan = self.shared.faults.lock().clone()?;
         plan.node_fault(name, self.shared.clock.now())
     }

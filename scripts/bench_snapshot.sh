@@ -26,6 +26,9 @@
 #   * matching a 1000-tx block against 100k in-flight records through the
 #     task-processing table is not at least 100x cheaper than through the
 #     batch-testing baseline (Fig. 9's claim; ~3000x here), or
+#   * inserting a key into the Bloom filter costs more than 1.4x looking
+#     one up (best samples; both touch one 64-byte block and allocate
+#     nothing: 0.9-1.2x here, 1.4-2.0x with a probe Vec per insert), or
 #   * the driver_ceiling sweep fails its accounting identity or cannot
 #     sustain the million-record in-flight depth.
 #
@@ -192,6 +195,20 @@ awk -v b="$baseline" -v t="$taskproc" 'BEGIN {
     printf "block matching at 100k in flight, batch baseline / task processing: %.0fx (%.0f ns / %.0f ns per 1000-tx block)\n", r, b, t
     if (r < 100.0) {
         print "bench_snapshot: task-processing matching below the 100x floor over the batch baseline" > "/dev/stderr"
+        exit 1
+    }
+}'
+bloom_insert=$(awk -F'"min_ns":' '/"bloom\/insert"/ { split($2, a, ","); print a[1] }' "$TRACKER_OUT_ABS")
+bloom_hit=$(awk -F'"min_ns":' '/"bloom\/contains_hit"/ { split($2, a, ","); print a[1] }' "$TRACKER_OUT_ABS")
+if [ -z "$bloom_insert" ] || [ -z "$bloom_hit" ]; then
+    echo "bench_snapshot: bloom/insert / bloom/contains_hit results missing from $TRACKER_OUT" >&2
+    exit 1
+fi
+awk -v i="$bloom_insert" -v h="$bloom_hit" 'BEGIN {
+    r = i / h
+    printf "bloom filter, insert / lookup hit (best samples): %.2fx (%.1f ns / %.1f ns)\n", r, i, h
+    if (r > 1.4) {
+        print "bench_snapshot: a Bloom insert above 1.4x of a lookup (is it allocating or dividing again?)" > "/dev/stderr"
         exit 1
     }
 }'

@@ -280,6 +280,26 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: a submission allocates nothing and takes no network-wide lock"
+# Tracking a submission touches one Bloom block (no probe Vec, no division:
+# block and slot counts are multiplied or masked) and the node asks its
+# policy for the ingress and sealer names once, at start, so the gate in
+# front of every submission and sealer tick compares a cached &str against
+# a flag. Non-test code only: up to each file's first #[cfg(test)].
+non_test() { awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$1"; }
+violations=$({
+    non_test crates/hammer-core/src/bloom.rs | grep -F 'collect()'
+    non_test crates/hammer-core/src/bloom.rs | grep -F ' % '
+    non_test crates/hammer-core/src/index.rs | grep -F ' % '
+    non_test crates/hammer-chain/src/kernel.rs \
+        | grep -E 'policy\.(ingress|sealer)_node\(' | grep -vE 'let (ingress|sealers): Vec<String> ='
+} 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: an allocation, a division or a per-call name lookup is back on the submit path:" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
 echo "==> non-test lines of code (scripts/loc.sh)"
 scripts/loc.sh
 

@@ -3,7 +3,9 @@
 //! exactly the transactions `generate_all` yields for the seed; and an
 //! aborted run leaves nothing parked on the segment queue.
 //!
-//! Both tests are heavy (two segments and more per run) and the second
+//! Nor does a run of exactly its declared total rotate or expand the tracker.
+//!
+//! The tests are heavy (thousands of transactions per run) and the last
 //! counts the process's threads, so they take the binary's serial guard.
 
 mod common;
@@ -130,6 +132,39 @@ fn every_strategy_submits_exactly_the_generated_workload() {
             (report.submitted, report.timed_out),
             (total as u64, total),
             "{signing:?} with {signer_threads} signers"
+        );
+    }
+}
+
+#[test]
+fn a_run_of_exactly_its_total_neither_rotates_nor_expands_the_tracker() {
+    let _guard = common::serial_guard();
+    // Hashing the total over N shards always leaves one shard above
+    // total / N: a filter sized for exactly its share rebuilt itself once,
+    // in the last milliseconds of every run.
+    let total = 12_000;
+    let workload = WorkloadConfig {
+        accounts: 50,
+        total_txs: total,
+        ..WorkloadConfig::default()
+    };
+    let control = ControlSequence::constant(total as u32, 1, Duration::from_secs(1));
+    for shards in [1, 2, 8] {
+        let config = EvalConfig::builder()
+            .tracker_shards(shards)
+            .poll_interval(Duration::from_millis(20))
+            .drain_timeout(Duration::from_secs(1))
+            .build()
+            .unwrap();
+        let report = Evaluation::new(config)
+            .run(&deploy(&Arc::default(), 1000.0), &workload, &control)
+            .unwrap();
+        assert_eq!(report.submitted, total as u64);
+        let stats = report.index_stats.expect("task processing keeps an index");
+        assert_eq!(
+            (stats.bloom_rebuilds, stats.expansions),
+            (0, 0),
+            "{shards} shards: {stats:?}"
         );
     }
 }
