@@ -377,7 +377,6 @@ mod tests {
             per_shard_committed: vec![],
             sim_duration: Duration::ZERO,
             wall_time: Duration::ZERO,
-            synced_rows: 0,
             index_stats: None,
             fault_windows: vec![],
             stalled: false,

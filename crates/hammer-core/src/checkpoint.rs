@@ -367,4 +367,123 @@ mod tests {
         };
         assert_eq!(DriverCheckpoint::from_bytes(&cp.to_bytes()).unwrap(), cp);
     }
+
+    use proptest::prelude::*;
+
+    fn arbitrary_id() -> impl Strategy<Value = TxId> {
+        proptest::collection::vec(any::<u8>(), 32)
+            .prop_map(|bytes| TxId(bytes.try_into().expect("32 bytes")))
+    }
+
+    /// Every status; an end of `u64::MAX` ns is the codec's "no end"
+    /// sentinel, so ends stop one short of it.
+    fn arbitrary_record() -> impl Strategy<Value = TxRecord> {
+        const STATUSES: [TxStatus; 6] = [
+            TxStatus::Pending,
+            TxStatus::Committed,
+            TxStatus::Failed,
+            TxStatus::TimedOut,
+            TxStatus::Dropped,
+            TxStatus::Expired,
+        ];
+        let end = (any::<bool>(), 0..NO_END).prop_map(|(ended, ns)| ended.then_some(ns));
+        (
+            arbitrary_id(),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u64>(),
+            end,
+            0usize..6,
+        )
+            .prop_map(
+                |(tx_id, client_id, server_id, start_ns, end_ns, status)| TxRecord {
+                    tx_id,
+                    client_id,
+                    server_id,
+                    start: Duration::from_nanos(start_ns),
+                    end: end_ns.map(Duration::from_nanos),
+                    status: STATUSES[status],
+                },
+            )
+    }
+
+    /// Empty and non-empty vectors in every section.
+    fn arbitrary_checkpoint() -> impl Strategy<Value = DriverCheckpoint> {
+        use proptest::collection::vec;
+        (
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            vec(any::<u64>(), 0..4),
+            vec((any::<u32>(), any::<u64>()), 0..4),
+            vec(arbitrary_id(), 0..4),
+            vec(arbitrary_record(), 0..6),
+        )
+            .prop_map(
+                |(
+                    (workload_seed, total, retried),
+                    last_seen,
+                    shard_commits,
+                    rejected_ids,
+                    records,
+                )| {
+                    DriverCheckpoint {
+                        workload_seed,
+                        total,
+                        retried,
+                        last_seen,
+                        shard_commits,
+                        rejected_ids,
+                        records,
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        /// A checkpoint read back from a store is outside input: whatever
+        /// the bytes, decoding returns. Half the cases carry a valid header,
+        /// and zero and small bytes are common enough for length prefixes to
+        /// read as small counts, so every section decoder sees the garbage.
+        #[test]
+        fn prop_from_bytes_never_panics(
+            mut bytes in proptest::collection::vec(
+                prop_oneof![Just(0u8), 0u8..4, any::<u8>()],
+                0..512,
+            ),
+            stamped in any::<bool>(),
+        ) {
+            if stamped && bytes.len() >= 6 {
+                bytes[..4].copy_from_slice(MAGIC);
+                bytes[4..6].copy_from_slice(&VERSION.to_le_bytes());
+            }
+            if let Some(decoded) = DriverCheckpoint::from_bytes(&bytes) {
+                prop_assert_eq!(decoded.to_bytes(), bytes);
+            }
+        }
+
+        #[test]
+        fn prop_any_checkpoint_round_trips(cp in arbitrary_checkpoint()) {
+            prop_assert_eq!(DriverCheckpoint::from_bytes(&cp.to_bytes()), Some(cp));
+        }
+
+        /// No strict prefix of an encoding decodes, and a byte changed
+        /// anywhere is either refused or is the encoding of what it decodes
+        /// to: the codec never reads a damaged snapshot as something else.
+        #[test]
+        fn prop_damage_is_refused_or_faithful(cp in arbitrary_checkpoint(), flip in 1u8..=255) {
+            let bytes = cp.to_bytes();
+            for cut in 0..bytes.len() {
+                prop_assert!(
+                    DriverCheckpoint::from_bytes(&bytes[..cut]).is_none(),
+                    "prefix of {cut} of {} bytes decoded", bytes.len()
+                );
+            }
+            for at in 0..bytes.len() {
+                let mut damaged = bytes.clone();
+                damaged[at] ^= flip;
+                if let Some(decoded) = DriverCheckpoint::from_bytes(&damaged) {
+                    prop_assert!(decoded.to_bytes() == damaged, "byte {at} ^ {flip:#04x} decoded");
+                }
+            }
+        }
+    }
 }

@@ -26,11 +26,11 @@
 //!      the client machine (the resource drain the paper blames for
 //!      Caliper's lower reported TPS in Fig. 7).
 //! 3. **Report** — the [`EvalReport`]'s aggregates are folded straight
-//!    from the tracker's records ([`hammer_store::table::summarize`]). The
-//!    Performance table ([`hammer_store::TableStore`]) is written by the
-//!    [`EvalConfigBuilder::live_sync`] pipeline (and is then what the fold
-//!    reads); `examples/sql_queries.rs` rebuilds it from
-//!    [`EvalReport::records`] for ad-hoc SQL.
+//!    from the tracker's records ([`hammer_store::table::summarize`]): the
+//!    records *are* the run's Performance table. [`perf_row`] turns one
+//!    into a [`hammer_store::PerfRow`]; `examples/performance_table.rs`
+//!    rebuilds the table from [`EvalReport::records`] that way and asks it
+//!    Table II's two statements.
 //!
 //! The code is cut along the same lines: one submodule per stage
 //! (`prepare`, `submit` — pacer and workers —, `monitor`, `report`), each
@@ -53,7 +53,6 @@ use crate::deploy::Deployment;
 use crate::machine::ClientMachine;
 use crate::retry::RetryPolicy;
 use crate::shard::ShardedTxTable;
-use crate::sync::LiveSync;
 
 mod monitor;
 mod prepare;
@@ -61,7 +60,7 @@ mod report;
 mod submit;
 mod tracker;
 
-pub use report::{outcome_of, EvalReport, FaultWindowStats};
+pub use report::{perf_row, EvalReport, FaultWindowStats};
 
 use monitor::Monitor;
 use report::Finished;
@@ -121,10 +120,6 @@ pub struct EvalConfig {
     /// SDK buffers before the transport drops them (the paper's "loss of
     /// response information ... under heavy load").
     pub(crate) event_buffer: usize,
-    /// Route statuses through the Fig. 2 Redis→MySQL pipeline
-    /// ([`crate::sync`]) instead of writing the Performance table
-    /// directly at the end of the run.
-    pub(crate) live_sync: bool,
     /// Resilient-submission policy: how workers retry transient failures
     /// (crashed/blackholed nodes, mempool backpressure). The default is
     /// [`RetryPolicy::disabled`], which reproduces the pre-fault driver
@@ -153,7 +148,6 @@ impl Default for EvalConfig {
             drain_timeout: Duration::from_secs(60),
             listen_cost: Duration::from_micros(400),
             event_buffer: 1_000,
-            live_sync: false,
             retry: RetryPolicy::disabled(),
             stall_budget: None,
             tracker_shards: None,
@@ -251,12 +245,6 @@ impl EvalConfigBuilder {
     /// Interactive mode: SDK event-buffer depth.
     pub fn event_buffer(mut self, depth: usize) -> Self {
         self.config.event_buffer = depth;
-        self
-    }
-
-    /// Route statuses through the Fig. 2 KV→table pipeline.
-    pub fn live_sync(mut self, enabled: bool) -> Self {
-        self.config.live_sync = enabled;
         self
     }
 
@@ -418,10 +406,9 @@ impl Evaluation {
     /// report accounts for every transaction exactly once. The checkpoint
     /// is deleted when the run completes.
     ///
-    /// Restricted to [`TestingMode::TaskProcessing`] without live sync:
-    /// the batch baseline's unconfirmed queue and the interactive mode's
-    /// event subscription are not snapshot-able, and the KV→table
-    /// pipeline would double-publish restored rows.
+    /// Restricted to [`TestingMode::TaskProcessing`]: the batch baseline's
+    /// unconfirmed queue and the interactive mode's event subscription are
+    /// not snapshot-able.
     pub fn run_recoverable(
         &self,
         deployment: &Deployment,
@@ -431,9 +418,6 @@ impl Evaluation {
     ) -> Result<EvalReport, EvalError> {
         if self.config.mode != TestingMode::TaskProcessing {
             return invalid("recoverable runs require TestingMode::TaskProcessing");
-        }
-        if self.config.live_sync {
-            return invalid("recoverable runs cannot use live_sync");
         }
         if recovery.interval.is_zero() {
             return invalid("checkpoint interval must be positive");
@@ -473,11 +457,7 @@ impl Evaluation {
         // listener in every client process, adding one contender.
         let interactive = config.mode == TestingMode::Interactive;
         let active_threads = workload.threads_per_client + u32::from(interactive);
-        let live = config
-            .live_sync
-            .then(|| LiveSync::start(chain.chain_name(), workload.threads_per_client));
-        let syncer = live.as_ref().map(LiveSync::syncer);
-        let monitor = Monitor::new(&state, config, &inputs, active_threads, syncer, progress);
+        let monitor = Monitor::new(&state, config, &inputs, active_threads, progress);
         // Per-slice budget tokens; the pacer may run this far ahead of the
         // workers.
         let tokens = Tokens::new(u64::from(control.peak()) * 2 + 16);
@@ -525,15 +505,7 @@ impl Evaluation {
             // stays in the store for the next run_recoverable call.
             return Err(EvalError::Killed);
         }
-        let shard_commits = match monitored {
-            Ok(shard_commits) => shard_commits,
-            Err(e) => {
-                if let Some(live) = live {
-                    live.finish([]);
-                }
-                return Err(EvalError::Chain(e));
-            }
-        };
+        let shard_commits = monitored.map_err(EvalError::Chain)?;
         let index_stats = state.tracker.index_stats();
         let (records, rejected_ids) = state.tracker.finish();
         let report = report::build(Finished {
@@ -547,7 +519,6 @@ impl Evaluation {
             stalled: state.stalled.load(Ordering::Acquire),
             shard_commits,
             fault_plan: deployment.net().fault_plan(),
-            live,
             wall_start,
         });
         // A recoverable run that reached its report is finished: a later
@@ -790,37 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn live_sync_pipeline_matches_direct_path() {
-        let control = ControlSequence::constant(60, 3, Duration::from_secs(1));
-        let run = |live_sync: bool| {
-            let deployment = BackendRegistry::builtin()
-                .deploy("neuchain-sim", &BackendOptions::default(), 500.0)
-                .unwrap();
-            Evaluation::new(fast_builder().live_sync(live_sync).build().unwrap())
-                .run(&deployment, &small_workload(180), &control)
-                .unwrap()
-        };
-        let direct = run(false);
-        let synced = run(true);
-        assert_eq!(direct.synced_rows, 0);
-        // Every non-rejected record travelled the KV pipeline.
-        assert_eq!(
-            synced.synced_rows as u64,
-            180 - synced.rejected,
-            "pipeline dropped rows"
-        );
-        // Both paths agree on the totals (timing-sensitive metrics like
-        // TPS are compared loosely; the runs are separate executions).
-        assert_eq!(
-            direct.committed + direct.failed + direct.timed_out,
-            synced.committed + synced.failed + synced.timed_out
-        );
-        assert!(synced.committed > 150, "committed = {}", synced.committed);
-        assert!(synced.overall_tps > 0.0);
-        assert!(synced.latency.count > 0);
-    }
-
-    #[test]
     fn ycsb_workload_runs() {
         let deployment = BackendRegistry::builtin()
             .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
@@ -868,6 +808,8 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(!json.contains(",}") && !json.contains(",]"), "{json}");
+        // The aggregates have one source, the records: no pipeline row count.
+        assert!(!json.contains("synced"), "{json}");
     }
 
     /// Accepts every submission and seals whatever is pooled each time the

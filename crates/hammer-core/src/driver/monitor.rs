@@ -18,7 +18,6 @@ use hammer_store::KvStore;
 use super::{EvalConfig, Inputs, RunState, TestingMode};
 use crate::checkpoint::{checkpoint_key, DriverCheckpoint};
 use crate::index::TxRecord;
-use crate::sync::StatusSyncer;
 
 /// How far the monitor has got: what a checkpoint records of it and a
 /// resumed run starts from.
@@ -137,8 +136,8 @@ enum Next {
 }
 
 /// The Monitor stage. Owns everything only the monitor thread touches:
-/// its scan progress, the live-sync publisher, the fault-transition
-/// journaling, the watchdog and the checkpointer.
+/// its scan progress, the fault-transition journaling, the watchdog and
+/// the checkpointer.
 pub(super) struct Monitor<'a> {
     state: &'a RunState,
     config: &'a EvalConfig,
@@ -151,7 +150,6 @@ pub(super) struct Monitor<'a> {
     /// CPU each event costs (the listener time-shares the client machine
     /// with the submitters).
     events: Option<(Receiver<CommitEvent>, Duration)>,
-    syncer: Option<StatusSyncer>,
     /// Journals fault-plan enter/exit edges, polled once per cycle.
     fault_observer: Option<FaultObserver>,
     watchdog: Option<StallWatchdog>,
@@ -167,7 +165,6 @@ impl<'a> Monitor<'a> {
         config: &'a EvalConfig,
         inputs: &Inputs<'_>,
         active_threads: u32,
-        syncer: Option<StatusSyncer>,
         progress: Progress,
     ) -> Self {
         let deployment = inputs.deployment;
@@ -182,7 +179,6 @@ impl<'a> Monitor<'a> {
                 let per_event = config.listen_cost.mul_f64(share.max(1.0));
                 (chain.subscribe_commits(), per_event)
             }),
-            syncer,
             fault_observer: obs.enabled().then(|| FaultObserver::new(deployment.net())),
             watchdog: config.stall_budget.map(|budget| StallWatchdog {
                 budget,
@@ -262,8 +258,7 @@ impl<'a> Monitor<'a> {
                     // let the tracker group them by shard and take each
                     // shard lock once per block, and post-process every
                     // completed record where it lies, under that lock
-                    // (`on_matched` takes at most the KV list's lock; the
-                    // merger takes only that one, never a shard's).
+                    // (`on_matched` takes no lock of its own).
                     entries.clear();
                     entries.extend(block.entries());
                     let mut committed = 0usize;
@@ -322,22 +317,14 @@ impl<'a> Monitor<'a> {
         }
     }
 
-    /// Per-record post-processing of a completed match: lifecycle spans
-    /// and the live-sync publication. One predictable branch each when
-    /// observability and live sync are off.
+    /// Per-record post-processing of a completed match: the lifecycle
+    /// spans. One predictable branch when observability is off.
     #[inline]
     fn on_matched(&self, record: &TxRecord, end: Duration) {
-        let spans = self.obs.spans();
         if self.obs.enabled() {
+            let spans = self.obs.spans();
             spans.record(Stage::InBlock, end.saturating_sub(record.start));
             spans.record(Stage::Matched, self.clock.now().saturating_sub(end));
-        }
-        if let Some(syncer) = &self.syncer {
-            syncer.publish(&record.into());
-            if self.obs.enabled() {
-                let since_start = self.clock.now().saturating_sub(record.start);
-                spans.record(Stage::Recorded, since_start);
-            }
         }
     }
 

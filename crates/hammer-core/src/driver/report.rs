@@ -7,14 +7,12 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hammer_chain::client::{ChainError, ErrorKind};
 use hammer_chain::types::{TxId, TxStatus};
 use hammer_net::FaultPlan;
 use hammer_rpc::json::Value;
-use hammer_store::table::{summarize, LatencySummary, RowOutcome};
+use hammer_store::table::{summarize, LatencySummary, PerfRow, RowOutcome};
 
 use crate::index::{IndexStats, TxRecord};
-use crate::sync::LiveSync;
 
 /// Per-fault-window committed-throughput breakdown (plus one `nominal`
 /// entry covering the run time outside every window). Lets a fault sweep
@@ -76,9 +74,6 @@ pub struct EvalReport {
     pub sim_duration: Duration,
     /// Wall-clock duration of the run.
     pub wall_time: Duration,
-    /// Rows that travelled the Fig. 2 KV→table pipeline (0 unless
-    /// [`super::EvalConfigBuilder::live_sync`] is on).
-    pub synced_rows: usize,
     /// Task-processing index statistics (Bloom rejections, probe steps);
     /// `None` for the batch baseline.
     pub index_stats: Option<IndexStats>,
@@ -158,7 +153,6 @@ impl EvalReport {
             ("per_shard_committed", pairs(&self.per_shard_committed)),
             ("sim_duration_s", float(self.sim_duration.as_secs_f64())),
             ("wall_time_s", float(self.wall_time.as_secs_f64())),
-            ("synced_rows", Value::from(self.synced_rows)),
             ("index_stats", Value::from(index_stats)),
             (
                 "fault_windows",
@@ -182,8 +176,6 @@ pub(super) struct Finished {
     pub stalled: bool,
     pub shard_commits: BTreeMap<u32, usize>,
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// The running KV→table pipeline, when live sync is on.
-    pub live: Option<LiveSync>,
     pub wall_start: Instant,
 }
 
@@ -215,27 +207,11 @@ pub(super) fn build(run: Finished) -> EvalReport {
     let first_start = first_start.unwrap_or_default();
     let last_end = last_end.unwrap_or(first_start);
 
-    let rows = rows(&records, &rejected_ids);
-    let second = Duration::from_secs(1);
-    let (summary, synced_rows) = match run.live {
-        // The pipeline's table is the product: records that never produced
-        // a completion event (timed out, abandoned) are flushed through it
-        // first, and the aggregates are read from what arrived.
-        Some(live) => {
-            let (table, synced_rows) = live.finish(rows.filter(|r| {
-                matches!(
-                    r.status,
-                    TxStatus::TimedOut | TxStatus::Dropped | TxStatus::Expired
-                )
-            }));
-            (table.summary(second), synced_rows)
-        }
-        None => {
-            let view =
-                |r: &TxRecord| (r.client_id, r.start, r.end, r.status == TxStatus::Committed);
-            (summarize(rows.map(view), second), 0)
-        }
-    };
+    let view = |r: &TxRecord| (r.client_id, r.start, r.end, r.status == TxStatus::Committed);
+    let summary = summarize(
+        rows(&records, &rejected_ids).map(view),
+        Duration::from_secs(1),
+    );
 
     EvalReport {
         submitted: run.submitted,
@@ -253,7 +229,6 @@ pub(super) fn build(run: Finished) -> EvalReport {
         per_shard_committed: run.shard_commits.into_iter().collect(),
         sim_duration: last_end.saturating_sub(first_start),
         wall_time: run.wall_start.elapsed(),
-        synced_rows,
         index_stats: run.index_stats,
         fault_windows: fault_window_stats(
             run.fault_plan.as_deref(),
@@ -275,27 +250,26 @@ fn rows<'r>(
     records.iter().filter(|r| !rejected_ids.contains(&r.tx_id))
 }
 
-/// Canonical mapping from the submission-error taxonomy to the terminal
-/// row outcome the driver records for a transaction the SUT refused.
-///
-/// This is the one place a [`ChainError`] becomes a [`RowOutcome`]: the
-/// Submit stage's rejection site routes through it, and scenario-layer
-/// evidence strings use it to label refusals. The match is exhaustive
-/// over [`ErrorKind`] so a new kind forces a mapping decision here
-/// instead of at scattered call sites.
-pub fn outcome_of(err: &ChainError) -> RowOutcome {
-    match err.kind() {
-        // The SUT says the transaction can never succeed (bad signature,
-        // duplicate, unknown shard): an invalid-transaction failure.
-        ErrorKind::Fatal => RowOutcome::Failed,
-        // Retryable kinds reach a terminal mapping only when no retry
-        // budget applies (retries disabled, or the policy already spent
-        // its attempts); the refusal is recorded as a failure, not a
-        // timeout — the SUT answered, it just said no.
-        ErrorKind::Transient | ErrorKind::Backpressure => RowOutcome::Failed,
-        // `ErrorKind` is non-exhaustive: unknown future kinds fall back
-        // to the failure row rather than silently vanishing.
-        _ => RowOutcome::Failed,
+/// The Performance-table row of one of a report's records on `chain`: the
+/// one place a [`TxStatus`] becomes a [`RowOutcome`]. Each status maps to
+/// the outcome of the same name; `Pending` — which the Report stage has
+/// already settled in every record an [`EvalReport`] carries — reads as
+/// `TimedOut`.
+pub fn perf_row(record: &TxRecord, chain: &str) -> PerfRow {
+    PerfRow {
+        tx_id: record.tx_id.fingerprint(),
+        client_id: record.client_id,
+        server_id: record.server_id,
+        chain: chain.to_owned(),
+        start_time: record.start,
+        end_time: record.end,
+        outcome: match record.status {
+            TxStatus::Committed => RowOutcome::Committed,
+            TxStatus::Failed => RowOutcome::Failed,
+            TxStatus::Dropped => RowOutcome::Dropped,
+            TxStatus::Expired => RowOutcome::Expired,
+            TxStatus::TimedOut | TxStatus::Pending => RowOutcome::TimedOut,
+        },
     }
 }
 
@@ -372,6 +346,7 @@ fn fault_window_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hammer_store::TableStore;
 
     fn rec(i: u8, end_ms: u64, status: TxStatus) -> TxRecord {
         TxRecord {
@@ -381,6 +356,14 @@ mod tests {
             start: Duration::from_millis(100),
             end: (status != TxStatus::Pending).then(|| Duration::from_millis(end_ms)),
             status,
+        }
+    }
+
+    /// `record`, submitted at `start_ms` instead.
+    fn at(start_ms: u64, record: TxRecord) -> TxRecord {
+        TxRecord {
+            start: Duration::from_millis(start_ms),
+            ..record
         }
     }
 
@@ -412,7 +395,6 @@ mod tests {
             stalled: false,
             shard_commits: [(0, 2)].into(),
             fault_plan: None,
-            live: None,
             wall_start: Instant::now(),
         });
         assert_eq!(
@@ -434,7 +416,6 @@ mod tests {
         assert_eq!(report.per_shard_committed, vec![(0, 2)]);
         // First submission at 0.1 s, last end at 9 s.
         assert_eq!(report.sim_duration, Duration::from_millis(8_900));
-        assert_eq!(report.synced_rows, 0);
         assert!(report.fault_windows.is_empty() && !report.stalled);
     }
 
@@ -442,10 +423,6 @@ mod tests {
     fn aggregates_skip_the_refused_and_the_timed_out_among_the_committed() {
         // Latencies of 400, 900 and 2 000 ms around a refusal (the earliest
         // start of all, but it has no row) and a straggler.
-        let at = |start_ms: u64, record: TxRecord| TxRecord {
-            start: Duration::from_millis(start_ms),
-            ..record
-        };
         let records = vec![
             at(200, rec(1, 600, TxStatus::Committed)),
             at(50, rec(2, 50, TxStatus::Failed)), // the refused one
@@ -464,7 +441,6 @@ mod tests {
             stalled: false,
             shard_commits: [(0, 3)].into(),
             fault_plan: None,
-            live: None,
             wall_start: Instant::now(),
         });
         assert_eq!(
@@ -492,6 +468,80 @@ mod tests {
         let mut settled = records;
         settled[3].status = TxStatus::TimedOut;
         assert_eq!(report.records, settled);
+    }
+
+    #[test]
+    fn a_table_filled_from_the_records_answers_what_the_report_folded() {
+        // Two clients, every status, commits in three different seconds with
+        // latencies on both sides of one second, a refusal that gets no row.
+        let records = vec![
+            at(200, rec(1, 600, TxStatus::Committed)),
+            at(50, rec(2, 50, TxStatus::Failed)), // the refused one
+            at(300, rec(3, 1_200, TxStatus::Committed)),
+            at(350, rec(4, 1_900, TxStatus::Committed)),
+            at(400, rec(5, 0, TxStatus::Pending)),
+            at(450, rec(6, 900, TxStatus::Failed)),
+            at(500, rec(7, 2_500, TxStatus::Committed)),
+            at(550, rec(8, 700, TxStatus::Dropped)),
+            at(600, rec(9, 1_600, TxStatus::Expired)),
+            at(650, rec(10, 9_000, TxStatus::TimedOut)),
+        ];
+        let rejected_ids: HashSet<TxId> = [TxId([2; 32])].into();
+        let table = TableStore::new();
+        for record in rows(&records, &rejected_ids) {
+            table.insert(perf_row(record, "stub"));
+        }
+        let report = build(Finished {
+            chain: "stub".to_owned(),
+            records,
+            rejected_ids,
+            index_stats: None,
+            submitted: 10,
+            rejected: 1,
+            retried: 0,
+            stalled: false,
+            shard_commits: [(0, 4)].into(),
+            fault_plan: None,
+            wall_start: Instant::now(),
+        });
+        let summary = table.summary(Duration::from_secs(1));
+        assert_eq!(summary.overall_tps, report.overall_tps);
+        assert_eq!(summary.latency, report.latency);
+        assert_eq!(summary.tps_series, report.tps_series);
+        assert_eq!(summary.per_client_committed, report.per_client_committed);
+        // ... and it is not the empty answer, nor Table II's: the 1.55 s and
+        // 2 s commits are in the aggregates and outside the TPS statement.
+        assert_eq!((table.len(), report.latency.count), (9, 4));
+        assert_eq!(report.tps_series, vec![1, 2, 1]);
+        assert_eq!(report.per_client_committed, vec![(0, 1), (1, 3)]);
+        assert_eq!(table.tps_query(), 2);
+    }
+
+    #[test]
+    fn perf_row_maps_each_status_to_its_namesake_outcome() {
+        for status in [
+            TxStatus::Committed,
+            TxStatus::Failed,
+            TxStatus::TimedOut,
+            TxStatus::Dropped,
+            TxStatus::Expired,
+        ] {
+            let outcome = perf_row(&rec(1, 1_100, status), "stub").outcome;
+            assert_eq!(format!("{outcome:?}"), format!("{status:?}"));
+        }
+        let record = rec(7, 0, TxStatus::Pending);
+        assert_eq!(
+            perf_row(&record, "stub"),
+            PerfRow {
+                tx_id: record.tx_id.fingerprint(),
+                client_id: 1,
+                server_id: 0,
+                chain: "stub".to_owned(),
+                start_time: Duration::from_millis(100),
+                end_time: None,
+                outcome: RowOutcome::TimedOut,
+            }
+        );
     }
 
     #[test]

@@ -10,10 +10,8 @@ use hammer_chain::client::{BlockchainClient, ErrorKind};
 use hammer_chain::types::{SignedTransaction, TxStatus};
 use hammer_net::SimClock;
 use hammer_obs::{Obs, Stage};
-use hammer_store::table::RowOutcome;
 use hammer_workload::ControlSequence;
 
-use super::report::outcome_of;
 use super::RunState;
 use crate::retry::{RetryDecision, RetryPolicy};
 use crate::signer::SignedStream;
@@ -296,15 +294,8 @@ impl Submitter<'_> {
             };
             if !(self.retry.enabled() && err.is_retryable()) {
                 // The single terminal-rejection site. `Tracker::reject`
-                // completes the record as a failed row and retires the id
-                // in one shard-lock acquisition — exactly what `outcome_of`
-                // prescribes today. Extend the tracker before extending
-                // the mapping.
-                debug_assert!(
-                    matches!(outcome_of(&err), RowOutcome::Failed),
-                    "Tracker::reject records Failed; outcome_of now maps {:?} elsewhere",
-                    err.kind()
-                );
+                // completes the record as failed and retires the id under
+                // one shard lock.
                 self.state.rejected.fetch_add(1, Ordering::Relaxed);
                 self.state.tracker.reject(&id, start);
                 return true;

@@ -15,8 +15,8 @@ use crate::shard::ShardedTxTable;
 /// takes one shard lock per call (and one per shard per block for
 /// [`Tracker::complete_block_with`]) while the batch baseline keeps its single
 /// queue lock — so callers never serialise on a global tracker mutex.
-/// `complete` returns the finished record so callers (the live-sync
-/// pipeline) can publish it without a second lookup.
+/// `complete` returns the finished record so the interactive listener can
+/// record its spans without a second lookup.
 pub(super) trait Tracker: Send + Sync {
     fn insert(&self, id: TxId, client: u32, server: u32, start: Duration);
     fn complete(&self, id: &TxId, end: Duration, ok: bool) -> Option<TxRecord>;

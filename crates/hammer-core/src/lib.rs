@@ -18,7 +18,9 @@
 //!
 //! The [`driver`] module orchestrates a full evaluation — preparation,
 //! execution, and reporting (Fig. 3) — against any
-//! [`hammer_chain::client::BlockchainClient`]. [`deploy`] brings up a
+//! [`hammer_chain::client::BlockchainClient`]; the report is folded from
+//! the matched records, which are the run's Performance table
+//! ([`driver::perf_row`] makes a row of one). [`deploy`] brings up a
 //! simulated system under test with one call (the paper's Ansible role),
 //! and [`machine`] models the evaluation client's limited vCPUs, which is
 //! what makes thread/client scaling behave like the paper's Fig. 10.
@@ -64,7 +66,6 @@ pub mod retry;
 pub mod scenario;
 pub mod shard;
 pub mod signer;
-pub mod sync;
 
 pub use baseline::BatchQueue;
 pub use bloom::BloomFilter;

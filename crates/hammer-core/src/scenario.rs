@@ -59,6 +59,15 @@ use crate::deploy::{
 use crate::driver::{EvalConfig, EvalError, EvalReport, Evaluation};
 use crate::retry::RetryPolicy;
 
+/// The most slices a spec's `"slices"` may ask for: the count sizes the
+/// budget vector at parse time, and a million one-second slices is already
+/// an eleven-day run window.
+const MAX_SLICES: usize = 1_000_000;
+
+/// The most transactions a run window may carry: what one tracker shard
+/// can index (`TxTable::insert` asserts its slot indices stay 32-bit).
+const MAX_TOTAL: u64 = u32::MAX as u64;
+
 /// What a scenario demands of its run. Each expectation grades into one
 /// (or, for the oracle-backed ones, a few) [`InvariantCheck`] evidence
 /// rows in the [`Verdict`].
@@ -655,6 +664,12 @@ impl ScenarioBuilder {
             return Err(ScenarioError::RunWindow(
                 "control sequence carries no transactions".to_owned(),
             ));
+        }
+        if control.total() > MAX_TOTAL {
+            return Err(ScenarioError::Spec(format!(
+                "control total {} exceeds the {MAX_TOTAL} transactions a run can track",
+                control.total()
+            )));
         }
         if let Some(deadline) = self.retry.deadline {
             if deadline > control.slice_duration() {
@@ -1289,6 +1304,11 @@ fn parse_control(value: &Value) -> Result<ControlSequence, ScenarioError> {
         return Err(ScenarioError::Spec("slice_ms must be positive".to_owned()));
     }
     let slices: usize = opt(value, "slices", uint)?.unwrap_or(10);
+    if slices > MAX_SLICES {
+        return Err(ScenarioError::Spec(format!(
+            "slices {slices} exceeds the {MAX_SLICES} a run window may have"
+        )));
+    }
     match req(value, "shape", Value::as_str)? {
         "constant" => Ok(ControlSequence::constant(
             req(value, "rate", uint)?,

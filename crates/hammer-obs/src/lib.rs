@@ -8,8 +8,8 @@
 //!   and lock-free log-bucketed latency [`Histogram`]s (mergeable,
 //!   p50/p95/p99/max).
 //! * [`span`] — transaction-lifecycle stage histograms
-//!   (generated → signed → submitted → retried → in-block → matched →
-//!   recorded), all on simulation time.
+//!   (generated → signed → submitted → retried → in-block → matched),
+//!   all on simulation time.
 //! * [`journal`] — a bounded ring buffer of discrete run events
 //!   (fault transitions, backpressure, retry exhaustion, block seals)
 //!   with a JSONL sink.

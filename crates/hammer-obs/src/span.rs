@@ -3,7 +3,7 @@
 //! A transaction moves through a fixed pipeline:
 //!
 //! ```text
-//! generated → signed → submitted → retried{n} → in-block → matched → recorded
+//! generated → signed → submitted → retried{n} → in-block → matched
 //! ```
 //!
 //! Rather than keeping one allocation per in-flight transaction, the
@@ -36,21 +36,17 @@ pub enum Stage {
     /// Block-inclusion timestamp → the moment the async matcher
     /// observed the commit (the paper's task-processing lag ξ).
     Matched,
-    /// Block-inclusion timestamp → status record published to the
-    /// live-sync pipeline. Only measured when live sync is on.
-    Recorded,
 }
 
 impl Stage {
     /// All stages in pipeline order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 6] = [
         Stage::Generated,
         Stage::Signed,
         Stage::Submitted,
         Stage::Retried,
         Stage::InBlock,
         Stage::Matched,
-        Stage::Recorded,
     ];
 
     /// Stable lowercase label used in metric names.
@@ -62,7 +58,6 @@ impl Stage {
             Stage::Retried => "retried",
             Stage::InBlock => "in_block",
             Stage::Matched => "matched",
-            Stage::Recorded => "recorded",
         }
     }
 
@@ -74,7 +69,6 @@ impl Stage {
             Stage::Retried => 3,
             Stage::InBlock => 4,
             Stage::Matched => 5,
-            Stage::Recorded => 6,
         }
     }
 }
@@ -87,7 +81,7 @@ pub const SPAN_METRIC: &str = "hammer_span_stage_ns";
 /// [`Registry`]. Cloning shares the underlying histograms.
 #[derive(Clone)]
 pub struct LifecycleSpans {
-    stages: [Histogram; 7],
+    stages: [Histogram; 6],
     enabled: bool,
 }
 

@@ -6,8 +6,8 @@
 //!
 //! | Paper | Module | Role |
 //! |---|---|---|
-//! | Redis | [`kv`] | fast shared store the driver flushes vector-list transaction statuses into |
-//! | MySQL | [`table`] + [`sql`] | durable `Performance` table and the SQL engine the visualisation layer queries (Table II) |
+//! | Redis | [`kv`] | shared store a recoverable run keeps its driver checkpoint in |
+//! | MySQL | [`table`] | the `Performance` table with Table II's two statements and the figures' aggregates as typed queries |
 //! | Grafana | [`report`] | human-readable tables and line charts, plus CSV export |
 
 #![warn(missing_docs)]
@@ -15,10 +15,8 @@
 
 pub mod kv;
 pub mod report;
-pub mod sql;
 pub mod table;
 
 pub use kv::KvStore;
 pub use report::{render_series, render_table};
-pub use sql::{query, ResultSet, SqlError};
 pub use table::{PerfRow, RowOutcome, TableStore};

@@ -2,8 +2,9 @@
 //!
 //! Rows mirror the paper's schema (Table II and §III-B3): one row per
 //! transaction with start/end timestamps and a success flag. Query methods
-//! implement the exact semantics of the paper's two SQL statements plus
-//! the aggregations the figures need (per-second TPS series, latency
+//! are the one implementation of the paper's two SQL statements
+//! ([`TableStore::tps_query`], [`TableStore::latency_query`]) plus the
+//! aggregations the figures need (per-second TPS series, latency
 //! percentiles).
 
 use std::collections::BTreeMap;
@@ -28,48 +29,6 @@ pub enum RowOutcome {
     Dropped,
     /// Abandoned after the per-slice retry deadline passed.
     Expired,
-}
-
-impl RowOutcome {
-    /// Stable lowercase label (CSV/SQL rendering).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RowOutcome::Committed => "committed",
-            RowOutcome::Failed => "failed",
-            RowOutcome::TimedOut => "timed_out",
-            RowOutcome::Dropped => "dropped",
-            RowOutcome::Expired => "expired",
-        }
-    }
-
-    /// Stable one-byte wire code (the Fig. 2 status pipeline).
-    pub fn code(&self) -> u8 {
-        match self {
-            RowOutcome::Committed => 1,
-            RowOutcome::Failed => 0,
-            RowOutcome::TimedOut => 2,
-            RowOutcome::Dropped => 3,
-            RowOutcome::Expired => 4,
-        }
-    }
-
-    /// Inverse of [`RowOutcome::code`]; `None` on an unknown byte.
-    pub fn from_code(code: u8) -> Option<RowOutcome> {
-        match code {
-            1 => Some(RowOutcome::Committed),
-            0 => Some(RowOutcome::Failed),
-            2 => Some(RowOutcome::TimedOut),
-            3 => Some(RowOutcome::Dropped),
-            4 => Some(RowOutcome::Expired),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for RowOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// One row of the `Performance` table.
@@ -251,11 +210,6 @@ impl TableStore {
         self.len() == 0
     }
 
-    /// Clones out every row (test/diagnostic use).
-    pub fn all_rows(&self) -> Vec<PerfRow> {
-        self.rows.read().clone()
-    }
-
     /// The paper's TPS statement:
     ///
     /// ```sql
@@ -264,6 +218,9 @@ impl TableStore {
     /// ```
     ///
     /// i.e. committed transactions whose latency is at most one second.
+    /// MySQL's `TIMESTAMPDIFF(SECOND, …)` truncates to whole seconds and
+    /// would admit a 1.5 s transaction; this method compares the exact
+    /// durations and does not.
     pub fn tps_query(&self) -> usize {
         self.rows
             .read()
@@ -319,11 +276,6 @@ impl TableStore {
     /// one of the two roles `c_id` plays in Algorithm 1).
     pub fn per_client_committed(&self) -> Vec<(u32, usize)> {
         self.summary(Duration::MAX).per_client_committed
-    }
-
-    /// Removes every row.
-    pub fn clear(&self) {
-        self.rows.write().clear();
     }
 }
 
@@ -447,8 +399,7 @@ mod tests {
         let t = TableStore::new();
         t.insert_batch((0..50).map(|i| row(i, 0, Some(1), true)).collect());
         assert_eq!(t.len(), 50);
-        t.clear();
-        assert!(t.is_empty());
+        assert!(!t.is_empty());
     }
 
     /// The four queries as they were before [`summarize`]: one pass (or
@@ -530,15 +481,22 @@ mod tests {
     }
 
     fn arbitrary_row() -> impl Strategy<Value = PerfRow> {
-        (0u32..4, timestamp(), timestamp(), any::<bool>(), 0u8..=4).prop_map(
-            |(client_id, start_time, end, ended, code)| PerfRow {
+        const OUTCOMES: [RowOutcome; 5] = [
+            RowOutcome::Committed,
+            RowOutcome::Failed,
+            RowOutcome::TimedOut,
+            RowOutcome::Dropped,
+            RowOutcome::Expired,
+        ];
+        (0u32..4, timestamp(), timestamp(), any::<bool>(), 0usize..5).prop_map(
+            |(client_id, start_time, end, ended, outcome)| PerfRow {
                 tx_id: 0,
                 client_id,
                 server_id: 0,
                 chain: "test".to_owned(),
                 start_time,
                 end_time: ended.then_some(end),
-                outcome: RowOutcome::from_code(code).expect("codes 0..=4 are defined"),
+                outcome: OUTCOMES[outcome],
             },
         )
     }

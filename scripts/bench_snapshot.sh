@@ -17,7 +17,9 @@
 #     gain; on one core the ratio is printed, not gated), or
 #   * folding the report's aggregates from 100k rows in one pass costs more
 #     than 0.5x filling a Performance table with them and asking it the
-#     four queries (what the report stage did before; ~0.15x here), or
+#     four queries (what the report stage did before PR 19 and the frozen
+#     driver_e2e's store.report_ns_per_row still times; nothing on the run
+#     path fills a table any more; ~0.15x here), or
 #   * signing through a *disabled* observability context costs more than
 #     5% over the plain path (the near-zero-when-off guarantee), or
 #   * a loopback-TCP RPC call costs more than 50x the in-process

@@ -265,13 +265,15 @@ fi
 echo "==> grep gate: the head and tail stay off the run"
 # Generation streams from a thread of its own (prepare never builds the
 # whole workload), the report folds its aggregates from the records (no
-# throwaway Performance table; `live_sync` owns the only one), and the
-# ledger keeps no per-transaction index for the sealer to fill under its
-# write lock. Rust sources only: the frozen driver_e2e README describes
-# the parent in prose.
+# throwaway Performance table; only report.rs's tests fill one, to check
+# the fold against it), and the ledger keeps no per-transaction index for
+# the sealer to fill under its write lock. Rust sources only: the frozen
+# driver_e2e README describes the parent in prose.
+# Non-test code of a file: up to its first #[cfg(test)].
+non_test() { awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$1"; }
 violations=$({
     grep -n 'generate_all' crates/hammer-core/src/driver/prepare.rs
-    grep -nE 'insert_batch|TableStore::new' crates/hammer-core/src/driver/report.rs
+    non_test crates/hammer-core/src/driver/report.rs | grep -E 'insert_batch|TableStore'
     grep -rnE --include='*.rs' 'tx_index|find_tx' crates src tests examples
 } 2>/dev/null || true)
 if [ -n "$violations" ]; then
@@ -285,8 +287,7 @@ echo "==> grep gate: a submission allocates nothing and takes no network-wide lo
 # block and slot counts are multiplied or masked) and the node asks its
 # policy for the ingress and sealer names once, at start, so the gate in
 # front of every submission and sealer tick compares a cached &str against
-# a flag. Non-test code only: up to each file's first #[cfg(test)].
-non_test() { awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$1"; }
+# a flag. Non-test code only (`non_test`, above).
 violations=$({
     non_test crates/hammer-core/src/bloom.rs | grep -F 'collect()'
     non_test crates/hammer-core/src/bloom.rs | grep -F ' % '
@@ -296,6 +297,20 @@ violations=$({
 } 2>/dev/null || true)
 if [ -n "$violations" ]; then
     echo "ci_check: an allocation, a division or a per-call name lookup is back on the submit path:" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
+echo "==> grep gate: one path from a record to the report"
+# A finished transaction is a TxRecord; report::build folds the records and
+# report::perf_row is the only way one becomes a Performance-table row.
+# No status pipeline through the KV store (no list operations there, no
+# merger thread, no second record encoding, no option that selects it) and
+# no SQL interpreter beside TableStore::{tps_query, latency_query}.
+violations=$(grep -rnE 'live_sync|LiveSync|StatusSyncer|StatusRecord|run_merger|synced_rows|outcome_of|store::sql|sql::query|rpush|ltake' \
+    crates src tests examples 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: the status pipeline or the SQL front end is back (records -> report::build / report::perf_row):" >&2
     echo "$violations" >&2
     exit 1
 fi

@@ -252,6 +252,24 @@ fn bad_json_spec_is_a_typed_error() {
         (r#""rate": 10"#, r#""rate": 10, "rat": 3"#, "rat"),
         (r#""slices": 2"#, r#""slices": -1"#, "slices"),
         (r#""slices": 2"#, r#""slices": 2.5"#, "slices"),
+        // `slices` sizes the budget vector: a capacity overflow, or terabytes.
+        (
+            r#""slices": 2"#,
+            r#""slices": 9223372036854775807"#,
+            "slices",
+        ),
+        (r#""slices": 2"#, r#""slices": 1000000000000"#, "slices"),
+        // More than one tracker shard can index (2^32 - 1).
+        (
+            r#""rate": 10, "slices": 2"#,
+            r#""rate": 4294967295, "slices": 2"#,
+            "control total",
+        ),
+        (
+            r#""shape": "constant", "rate": 10, "slices": 2"#,
+            r#""shape": "budgets", "budgets": [4294967295, 1]"#,
+            "control total",
+        ),
         (r#""accounts": 100"#, r#""clients": 4294967298"#, "clients"), // ran as 2
         (
             r#""accounts": 100"#,
