@@ -33,7 +33,8 @@ use std::time::Duration;
 use bench::{run_cells, seeded_chaos, OPERATING_POINTS};
 use hammer_core::deploy::DeployMode;
 use hammer_core::retry::RetryPolicy;
-use hammer_core::scenario::{corpus, FaultSpec, NodeRef, Scenario, Verdict};
+use hammer_core::scenario::{corpus, Scenario, Verdict};
+use hammer_net::FaultPlan;
 
 /// The smoke gate: two fast scenarios on the two fastest backends.
 const SMOKE_SCENARIOS: [&str; 2] = ["nft-flash-crowd-mint", "partition-then-heal"];
@@ -106,11 +107,7 @@ fn crash_smoke() -> Scenario {
         .workload_with(|w| w.accounts = 100)
         .constant_load(30, 8)
         .retry(RetryPolicy::standard())
-        .fault(FaultSpec::Crash {
-            node: NodeRef::Ingress(0),
-            start: Duration::from_secs(2),
-            end: Duration::from_secs(4),
-        })
+        .faults(FaultPlan::new().crash("ingress:0", Duration::from_secs(2), Duration::from_secs(4)))
         .expect_accounting_identity()
         .expect_no_stall()
         .build()

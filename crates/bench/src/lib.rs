@@ -14,7 +14,6 @@ use hammer_core::driver::{EvalConfig, EvalReport, Evaluation, TestingMode};
 use hammer_core::machine::ClientMachine;
 use hammer_core::retry::RetryPolicy;
 use hammer_core::scenario::{Scenario, Verdict};
-use hammer_net::chaos::ChaosConfig;
 use hammer_rpc::json::Value;
 use hammer_store::report::render_table;
 use hammer_workload::{ControlSequence, WorkloadConfig};
@@ -196,14 +195,7 @@ pub fn seeded_chaos(seed: u64) -> Scenario {
         .describe("seeded randomized fault schedule, judged by the invariant oracle")
         .constant_load(100, 20)
         .workload_with(|w| w.seed = seed)
-        .chaos_seeded(
-            seed,
-            ChaosConfig {
-                // Zero: the schedule spans the run window.
-                horizon: Duration::ZERO,
-                ..ChaosConfig::default()
-            },
-        )
+        .chaos_seeded(seed)
         .retry(RetryPolicy::standard())
         .expect_accounting_identity()
         .expect_no_stall()

@@ -6,7 +6,8 @@
 //! handler that decodes the params and encodes the result, and
 //! [`Method::call`] encodes the params and decodes the result — so the
 //! two sides cannot disagree, and nothing else in the workspace spells a
-//! method name or a field of these messages.
+//! method name or a field of these messages (a fault plan's fields live
+//! with its type, in `hammer_net::fault`).
 //! [`crate::remote::RemoteChain`] is the one [`BlockchainClient`] built on
 //! the client half, over either transport.
 //!
@@ -17,7 +18,7 @@
 
 use std::sync::Arc;
 
-use hammer_net::TcpRpcClient;
+use hammer_net::{FaultPlan, TcpRpcClient};
 use hammer_rpc::json::Value;
 use hammer_rpc::jsonrpc::RpcError;
 use hammer_rpc::transport::{RpcClient, RpcServer};
@@ -277,6 +278,11 @@ const NODES: Codec<Vec<String>> = Codec {
         nodes.ok_or_else(|| "a node name is not a string".to_owned())
     },
 };
+/// A fault plan in its one JSON form (`hammer_net::fault`), read strictly.
+const FAULT_PLAN: Codec<FaultPlan> = Codec {
+    encode: FaultPlan::to_value,
+    decode: FaultPlan::from_value,
+};
 /// `null` when every ledger verifies, else why one does not.
 const LEDGER_CHECK: Codec<Result<(), LedgerError>> = Codec {
     encode: |check| match check {
@@ -325,9 +331,10 @@ impl<P: 'static, R: 'static> Method<P, R> {
     }
 
     /// The server half: registers a handler that decodes the params (or
-    /// answers `invalid params`), runs `handler` on `chain`, and encodes
-    /// what it returns.
-    fn serve<T: ?Sized + Send + Sync + 'static>(
+    /// answers `invalid params`), runs `handler` on `chain` — the chain, or
+    /// for [`INSTALL_FAULTS`] the network it runs on — and encodes what it
+    /// returns.
+    pub fn serve<T: ?Sized + Send + Sync + 'static>(
         &self,
         server: &RpcServer,
         chain: &Arc<T>,
@@ -381,6 +388,10 @@ pub const PROGRESS_MARK: Method<(), u64> = method("progress_mark", NONE, COUNT);
 /// `shutdown`) so a typo'd method list can never confuse stopping the
 /// chain with closing a connection.
 pub const SHUTDOWN_CHAIN: Method<(), ()> = method("shutdown_chain", NONE, NONE);
+/// Installs a resolved fault plan on the network the peer's chain runs on.
+/// Not part of [`serve_sim`]: a chain does not own its network, so whoever
+/// hosts both (`node-host`) serves it.
+pub const INSTALL_FAULTS: Method<FaultPlan, ()> = method("install_faults", FAULT_PLAN, NONE);
 
 /// Exposes `chain` over JSON-RPC with the generic method set:
 /// `chain_name`, `architecture`, `submit_transaction`, `latest_height`,
@@ -447,6 +458,7 @@ pub(crate) mod tests {
     use crossbeam::channel::{unbounded, Receiver};
     use hammer_crypto::sig::SigParams;
     use hammer_crypto::Keypair;
+    use hammer_net::SimNetwork;
     use parking_lot::Mutex;
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -535,6 +547,18 @@ pub(crate) mod tests {
         let chain = Arc::new(MockChain::default());
         let server = serve_sim(Arc::clone(&chain) as Arc<dyn SimChain>);
         (chain, server)
+    }
+
+    /// Serves [`INSTALL_FAULTS`] beside the mock chain, the way `node-host`
+    /// does: on the network the chain's one node is registered on.
+    fn serve_faults(server: &RpcServer) -> Arc<SimNetwork> {
+        let net = Arc::new(SimNetwork::ideal());
+        net.register("mock-node");
+        INSTALL_FAULTS.serve(server, &net, |net, plan| {
+            let installed = net.try_install_faults(plan);
+            installed.map_err(|e| ChainError::protocol(e.to_string()))
+        });
+        net
     }
 
     pub(crate) fn signed_tx(nonce: u64) -> SignedTransaction {
@@ -688,7 +712,8 @@ pub(crate) mod tests {
                 .prop_map(Value::String),
         ];
         let key = "(shard|shards|height|account|checking|savings|version|type|ok|error|kind\
-                   |expected|got|id|tx|op|header|tx_ids|valid|signature|nonce)";
+                   |expected|got|id|tx|op|header|tx_ids|valid|signature|nonce|faults|node\
+                   |start_ms|end_ms)";
         leaf.prop_recursive(2, 16, 5, move |inner| {
             prop_oneof![
                 proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
@@ -701,11 +726,12 @@ pub(crate) mod tests {
         #[test]
         fn prop_server_decoders_never_panic(params in arb_wire_value()) {
             let (_chain, server) = serve_mock();
+            serve_faults(&server);
             let raw = server.client();
             for method in server.method_names() {
                 let _ = raw.call(&method, params.clone());
             }
-            prop_assert_eq!(server.method_names().len(), 13);
+            prop_assert_eq!(server.method_names().len(), 14);
         }
 
         #[test]
@@ -724,6 +750,7 @@ pub(crate) mod tests {
             let _ = VERIFY_LEDGERS.call(&peer, &());
             let _ = PROGRESS_MARK.call(&peer, &());
             let _ = SHUTDOWN_CHAIN.call(&peer, &());
+            let _ = INSTALL_FAULTS.call(&peer, &FaultPlan::new());
             let _ = rpc_error_to_chain(RpcError {
                 data: Some(peer.0.clone()),
                 ..RpcError::application(codes::UNKNOWN_SHARD, "")
@@ -763,6 +790,16 @@ pub(crate) mod tests {
             prop_assert_eq!(remote.sealer_nodes(), chain.sealer_nodes());
             prop_assert_eq!(remote.verify_ledgers(), chain.verify_ledgers());
             prop_assert_eq!(remote.progress_mark(), chain.progress_mark());
+            // The one method served on the network rather than the chain.
+            let net = serve_faults(&server);
+            let (start, end) = (Duration::from_millis(height), Duration::from_millis(height + 1));
+            let plan = FaultPlan::new()
+                .crash("mock-node", start, end)
+                .latency_spike(Duration::from_millis(u64::from(shard)), start, end);
+            prop_assert_eq!(INSTALL_FAULTS.call(&server.client(), &plan), Ok(()));
+            prop_assert_eq!(net.fault_plan(), Some(Arc::new(plan)));
+            let unresolved = FaultPlan::new().crash("ingress:0", start, end);
+            prop_assert!(INSTALL_FAULTS.call(&server.client(), &unresolved).is_err());
         }
     }
 }

@@ -26,14 +26,13 @@ use std::time::{Duration, Instant};
 use hammer_chain::client::BlockchainClient;
 use hammer_chain::kernel::SimChain;
 use hammer_chain::remote::RemoteChain;
-use hammer_chain::rpc_adapter::{self, Transport};
+use hammer_chain::rpc_adapter;
 use hammer_chain::types::Address;
 use hammer_ethereum::EthereumConfig;
 use hammer_fabric::FabricConfig;
 use hammer_meepo::MeepoConfig;
 use hammer_net::{
-    Fault, FaultPlan, LinkConfig, ReconnectPolicy, SimClock, SimNetwork, TcpClientConfig,
-    TcpRpcClient,
+    FaultPlan, LinkConfig, ReconnectPolicy, SimClock, SimNetwork, TcpClientConfig, TcpRpcClient,
 };
 use hammer_neuchain::NeuchainConfig;
 use parking_lot::Mutex;
@@ -309,9 +308,8 @@ impl SupervisorShared {
     }
 
     fn install_faults(&self, plan: &FaultPlan) -> Result<(), DeployError> {
-        Transport::call(&self.rpc, "install_faults", plan.to_value())
-            .map(drop)
-            .map_err(|e| DeployError::Spawn(format!("install_faults: {e}")))
+        let installed = rpc_adapter::INSTALL_FAULTS.call(&self.rpc, plan);
+        installed.map_err(|e| DeployError::Spawn(format!("forward fault plan: {e}")))
     }
 
     /// Whether the child is currently running (reaps a just-exited one).
@@ -455,12 +453,7 @@ impl Supervisor {
     /// traffic accounting), and arms the crash windows this supervisor
     /// realises as SIGKILL + restart.
     pub fn install_plan(&self, plan: FaultPlan) -> Result<(), DeployError> {
-        let crashes: Vec<(Duration, Duration)> = plan
-            .windows()
-            .iter()
-            .filter(|w| matches!(w.fault, Fault::Crash { .. }))
-            .map(|w| (w.start, w.end))
-            .collect();
+        let crashes = plan.crash_windows();
         self.shared.install_faults(&plan)?;
         *self.shared.plan.lock() = Some(plan);
         *self.shared.crash_windows.lock() = crashes;

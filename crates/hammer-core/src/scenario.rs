@@ -2,8 +2,8 @@
 //! → verdict.
 //!
 //! Everything PRs 2–6 built — the [`EvalConfig`] builder, scripted
-//! [`FaultPlan`]s and seeded [`ChaosSchedule`]s, [`RetryPolicy`], the
-//! crash-recoverable driver, and the invariant oracle — composes here
+//! [`FaultPlan`]s and seeded ones ([`chaos::generate`]), [`RetryPolicy`],
+//! the crash-recoverable driver, and the invariant oracle — composes here
 //! behind one fluent [`ScenarioBuilder`] (modeled on
 //! logos-blockchain-testing's build/deploy/capture/execute/evaluate
 //! lifecycle). A scenario names its backend, shapes its workload and run
@@ -12,10 +12,17 @@
 //! latency SLO quantiles read from the hammer-obs lifecycle histograms,
 //! the accounting identity, and no-stall. `build()` validates the whole
 //! composition up front (typed [`ScenarioError`], no panics) and
-//! compiles it down to the existing `EvalConfig` / `ChaosSchedule` /
+//! compiles it down to the existing `EvalConfig` / `FaultPlan` /
 //! [`RecoveryConfig`] machinery; `run()` drives the unmodified driver
 //! and grades the report into a [`Verdict`] with per-expectation
 //! pass/fail evidence.
+//!
+//! A scenario's faults are a seed or a [`FaultPlan`] as its author wrote
+//! it — `hammer_net::fault` owns the fault kinds, their JSON form (a
+//! spec's `"chaos"` object) and the `ingress:N` / `sealer:N` / `rest`
+//! placeholders, which [`FaultPlan::resolve`] turns into the deployed
+//! chain's node names at install time, so corpus scenarios stay
+//! backend-agnostic data.
 //!
 //! The shipped corpus ([`corpus`]) is data, not code: eight JSON specs
 //! under `scenarios/` at the repository root, each runnable by name
@@ -43,8 +50,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hammer_net::chaos::{ChaosConfig, ChaosSchedule, ChaosTargets, FaultPlan, FaultPlanError};
-use hammer_net::{LinkConfig, SimClock, SimNetwork};
+use hammer_net::{chaos, ChaosTargets, FaultPlan, LinkConfig, SimClock, SimNetwork};
 use hammer_obs::{EventKind, Obs, Stage};
 use hammer_rpc::json::Value;
 use hammer_store::KvStore;
@@ -111,254 +117,14 @@ pub enum Expectation {
     NoStall,
 }
 
-/// A node reference inside a scripted fault spec, resolved against the
-/// deployed chain's discovered fault targets at install time — so corpus
-/// scenarios stay backend-agnostic data.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NodeRef {
-    /// The i-th ingress endpoint (`SimChain::ingress_nodes`).
-    Ingress(usize),
-    /// The i-th sealer endpoint (`SimChain::sealer_nodes`).
-    Sealer(usize),
-    /// A literal endpoint name (backend-specific).
-    Named(String),
-    /// Inside a partition group only: every discovered target not named
-    /// by any other group.
-    Rest,
-}
-
-impl NodeRef {
-    /// Parses the spec syntax: `ingress:N`, `sealer:N`, `rest`, or a
-    /// literal endpoint name.
-    pub fn parse(s: &str) -> NodeRef {
-        if s == "rest" {
-            return NodeRef::Rest;
-        }
-        if let Some(i) = s.strip_prefix("ingress:").and_then(|n| n.parse().ok()) {
-            return NodeRef::Ingress(i);
-        }
-        if let Some(i) = s.strip_prefix("sealer:").and_then(|n| n.parse().ok()) {
-            return NodeRef::Sealer(i);
-        }
-        NodeRef::Named(s.to_owned())
-    }
-
-    fn resolve(&self, targets: &ChaosTargets) -> Result<String, ScenarioError> {
-        match self {
-            NodeRef::Ingress(i) => targets.ingress.get(*i).cloned().ok_or_else(|| {
-                ScenarioError::Chaos(format!(
-                    "ingress:{i} out of range (chain exposes {} ingress nodes)",
-                    targets.ingress.len()
-                ))
-            }),
-            NodeRef::Sealer(i) => targets.sealers.get(*i).cloned().ok_or_else(|| {
-                ScenarioError::Chaos(format!(
-                    "sealer:{i} out of range (chain exposes {} sealer nodes)",
-                    targets.sealers.len()
-                ))
-            }),
-            NodeRef::Named(n) => Ok(n.clone()),
-            NodeRef::Rest => Err(ScenarioError::Chaos(
-                "`rest` is only meaningful inside a partition group".to_owned(),
-            )),
-        }
-    }
-}
-
-/// One scripted fault window, with placeholder node references.
+/// The fault side of a scenario.
 #[derive(Clone, Debug, PartialEq)]
-pub enum FaultSpec {
-    /// The node's process is down during the window.
-    Crash {
-        /// Which node.
-        node: NodeRef,
-        /// Window start (simulated time).
-        start: Duration,
-        /// Window end (exclusive).
-        end: Duration,
-    },
-    /// The node runs but its traffic is dropped.
-    Blackhole {
-        /// Which node.
-        node: NodeRef,
-        /// Window start.
-        start: Duration,
-        /// Window end.
-        end: Duration,
-    },
-    /// Extra latency on every link (or just links touching `node`).
-    LatencySpike {
-        /// Scoped to one node's links when set; global otherwise.
-        node: Option<NodeRef>,
-        /// Added one-way latency.
-        extra: Duration,
-        /// Window start.
-        start: Duration,
-        /// Window end.
-        end: Duration,
-    },
-    /// Links between different groups are cut; `NodeRef::Rest` in a
-    /// group soaks up every unnamed target.
-    Partition {
-        /// The groups (each a set of node references).
-        groups: Vec<Vec<NodeRef>>,
-        /// Window start.
-        start: Duration,
-        /// Window end.
-        end: Duration,
-    },
-}
-
-impl FaultSpec {
-    fn window(&self) -> (Duration, Duration) {
-        match self {
-            FaultSpec::Crash { start, end, .. }
-            | FaultSpec::Blackhole { start, end, .. }
-            | FaultSpec::LatencySpike { start, end, .. }
-            | FaultSpec::Partition { start, end, .. } => (*start, *end),
-        }
-    }
-
-    fn apply(
-        &self,
-        plan: FaultPlan,
-        targets: &ChaosTargets,
-        endpoints: &[String],
-    ) -> Result<FaultPlan, ScenarioError> {
-        Ok(match self {
-            FaultSpec::Crash { node, start, end } => {
-                plan.crash(&node.resolve(targets)?, *start, *end)
-            }
-            FaultSpec::Blackhole { node, start, end } => {
-                plan.blackhole(&node.resolve(targets)?, *start, *end)
-            }
-            FaultSpec::LatencySpike {
-                node: None,
-                extra,
-                start,
-                end,
-            } => plan.latency_spike(*extra, *start, *end),
-            FaultSpec::LatencySpike {
-                node: Some(node),
-                extra,
-                start,
-                end,
-            } => plan.latency_spike_on(&node.resolve(targets)?, *extra, *start, *end),
-            FaultSpec::Partition { groups, start, end } => {
-                let resolved = resolve_partition(groups, targets, endpoints)?;
-                let borrowed: Vec<Vec<&str>> = resolved
-                    .iter()
-                    .map(|g| g.iter().map(String::as_str).collect())
-                    .collect();
-                let slices: Vec<&[&str]> = borrowed.iter().map(Vec::as_slice).collect();
-                plan.partition(&slices, *start, *end)
-            }
-        })
-    }
-}
-
-fn resolve_partition(
-    groups: &[Vec<NodeRef>],
-    targets: &ChaosTargets,
-    endpoints: &[String],
-) -> Result<Vec<Vec<String>>, ScenarioError> {
-    let mut named: Vec<String> = Vec::new();
-    for group in groups {
-        for node in group {
-            if *node != NodeRef::Rest {
-                named.push(node.resolve(targets)?);
-            }
-        }
-    }
-    let mut resolved = Vec::with_capacity(groups.len());
-    for group in groups {
-        let mut out = Vec::new();
-        for node in group {
-            if *node == NodeRef::Rest {
-                // Every registered endpoint no other group claimed —
-                // the full topology, not just the discovered fault
-                // targets, so "isolate the sealer from the rest of the
-                // network" is expressible even on chains whose only
-                // discovered target is the sealer itself.
-                for t in endpoints {
-                    if !named.contains(t) && !out.contains(t) {
-                        out.push(t.clone());
-                    }
-                }
-                if out.is_empty() {
-                    return Err(ScenarioError::Chaos(
-                        "partition `rest` group resolved to no nodes".to_owned(),
-                    ));
-                }
-            } else {
-                let name = node.resolve(targets)?;
-                if !out.contains(&name) {
-                    out.push(name);
-                }
-            }
-        }
-        resolved.push(out);
-    }
-    Ok(resolved)
-}
-
-/// The fault side of a scenario: either a seeded generated schedule or a
-/// scripted list of windows.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ChaosSpec {
-    /// Generate a [`ChaosSchedule`] from `(seed, discovered targets,
-    /// config)`. A zero `config.horizon` defaults to the run window.
-    Seeded {
-        /// The schedule seed.
-        seed: u64,
-        /// Generator knobs.
-        config: ChaosConfig,
-    },
-    /// Hand-scripted windows with placeholder node references.
-    Scripted(Vec<FaultSpec>),
-}
-
-impl ChaosSpec {
-    fn to_plan(
-        &self,
-        targets: &ChaosTargets,
-        endpoints: &[String],
-        run_window: Duration,
-    ) -> Result<FaultPlan, ScenarioError> {
-        match self {
-            ChaosSpec::Seeded { seed, config } => {
-                let mut config = config.clone();
-                if config.horizon.is_zero() {
-                    config.horizon = run_window;
-                }
-                Ok(ChaosSchedule::generate(*seed, targets, &config).into_plan())
-            }
-            ChaosSpec::Scripted(specs) => {
-                let mut plan = FaultPlan::new();
-                for spec in specs {
-                    let applied = spec.apply(plan.clone(), targets, endpoints)?;
-                    // Two placeholders may name one node (ethereum's only
-                    // node is both `ingress:0` and `sealer:0`): the same
-                    // crash or blackhole over the same interval on the
-                    // same node is one window, not a contradictory
-                    // overlap. Windows that merely overlap still reach
-                    // `validate` and fail there.
-                    let aliased =
-                        matches!(spec, FaultSpec::Crash { .. } | FaultSpec::Blackhole { .. })
-                            && applied
-                                .windows()
-                                .split_last()
-                                .is_some_and(|(last, earlier)| earlier.contains(last));
-                    if !aliased {
-                        plan = applied;
-                    }
-                }
-                plan.validate()
-                    .map_err(|e: FaultPlanError| ScenarioError::Chaos(e.to_string()))?;
-                Ok(plan)
-            }
-        }
-    }
+enum Chaos {
+    /// Generate the schedule from `(seed, discovered targets, run window)`
+    /// at deploy time ([`chaos::generate`]).
+    Seeded(u64),
+    /// A plan as written; placeholders resolve at deploy time.
+    Scripted(FaultPlan),
 }
 
 /// Crash-during-drain knobs: run through the checkpointing driver, kill
@@ -445,7 +211,7 @@ pub struct ScenarioBuilder {
     deploy_mode: DeployMode,
     workload: WorkloadConfig,
     control: Option<ControlSequence>,
-    chaos: Option<ChaosSpec>,
+    chaos: Option<Chaos>,
     retry: RetryPolicy,
     stall_budget: Duration,
     drain_timeout: Duration,
@@ -536,19 +302,17 @@ impl ScenarioBuilder {
     }
 
     /// Seeded chaos: generate the fault schedule from `(seed, discovered
-    /// targets, config)` at deploy time.
-    pub fn chaos_seeded(mut self, seed: u64, config: ChaosConfig) -> Self {
-        self.chaos = Some(ChaosSpec::Seeded { seed, config });
+    /// targets, run window)` at deploy time.
+    pub fn chaos_seeded(mut self, seed: u64) -> Self {
+        self.chaos = Some(Chaos::Seeded(seed));
         self
     }
 
-    /// Appends one scripted fault window (placeholder node references
-    /// resolve against the deployed topology).
-    pub fn fault(mut self, spec: FaultSpec) -> Self {
-        match &mut self.chaos {
-            Some(ChaosSpec::Scripted(specs)) => specs.push(spec),
-            _ => self.chaos = Some(ChaosSpec::Scripted(vec![spec])),
-        }
+    /// Scripted faults: the plan's node names may be placeholders
+    /// (`ingress:0`, `sealer:0`, `rest` in a partition group), resolved
+    /// against the deployed topology.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.chaos = Some(Chaos::Scripted(plan));
         self
     }
 
@@ -679,8 +443,14 @@ impl ScenarioBuilder {
                 )));
             }
         }
-        if let Some(chaos) = &self.chaos {
-            validate_chaos(chaos)?;
+        if let Some(Chaos::Scripted(plan)) = &self.chaos {
+            if plan.is_empty() {
+                return Err(ScenarioError::Chaos(
+                    "scripted chaos with no fault windows".to_owned(),
+                ));
+            }
+            plan.validate()
+                .map_err(|e| ScenarioError::Chaos(e.to_string()))?;
         }
         if let Some(recovery) = &self.recovery {
             if recovery.interval.is_zero() {
@@ -706,58 +476,6 @@ impl ScenarioBuilder {
             workload,
             control,
         })
-    }
-}
-
-fn validate_chaos(chaos: &ChaosSpec) -> Result<(), ScenarioError> {
-    match chaos {
-        ChaosSpec::Seeded { config, .. } => {
-            if config.max_windows == 0 {
-                return Err(ScenarioError::Chaos(
-                    "seeded chaos with max_windows = 0 generates nothing".to_owned(),
-                ));
-            }
-            if config.min_window > config.max_window || config.max_window.is_zero() {
-                return Err(ScenarioError::Chaos(format!(
-                    "window bounds inverted: min {:?} > max {:?}",
-                    config.min_window, config.max_window
-                )));
-            }
-            Ok(())
-        }
-        ChaosSpec::Scripted(specs) => {
-            if specs.is_empty() {
-                return Err(ScenarioError::Chaos(
-                    "scripted chaos with no fault windows".to_owned(),
-                ));
-            }
-            for spec in specs {
-                let (start, end) = spec.window();
-                if start >= end {
-                    return Err(ScenarioError::Chaos(format!(
-                        "empty fault window [{start:?}, {end:?})"
-                    )));
-                }
-                if let FaultSpec::Partition { groups, .. } = spec {
-                    if groups.len() < 2 {
-                        return Err(ScenarioError::Chaos(
-                            "a partition needs at least two groups".to_owned(),
-                        ));
-                    }
-                    let rests = groups
-                        .iter()
-                        .flatten()
-                        .filter(|n| **n == NodeRef::Rest)
-                        .count();
-                    if rests > 1 {
-                        return Err(ScenarioError::Chaos(
-                            "`rest` may appear in at most one partition group".to_owned(),
-                        ));
-                    }
-                }
-            }
-            Ok(())
-        }
     }
 }
 
@@ -1000,16 +718,21 @@ impl Scenario {
             deployment.chain().sealer_nodes(),
         );
         let plan = match &self.spec.chaos {
-            Some(chaos) => {
-                let plan =
-                    chaos.to_plan(&targets, &net.endpoint_names(), self.control.duration())?;
-                deployment
-                    .install_faults(plan.clone())
-                    .map_err(ScenarioError::Chaos)?;
-                Some(plan)
-            }
             None => None,
+            Some(Chaos::Seeded(seed)) => {
+                Some(chaos::generate(*seed, &targets, self.control.duration()))
+            }
+            Some(Chaos::Scripted(written)) => Some(
+                written
+                    .resolve(&targets, &net.endpoint_names())
+                    .map_err(|e| ScenarioError::Chaos(e.to_string()))?,
+            ),
         };
+        if let Some(plan) = &plan {
+            deployment
+                .install_faults(plan.clone())
+                .map_err(ScenarioError::Chaos)?;
+        }
 
         let report = self.drive(deployment)?;
 
@@ -1372,85 +1095,13 @@ fn parse_retry(value: &Value) -> Result<RetryPolicy, ScenarioError> {
     }
 }
 
-fn parse_chaos(value: &Value) -> Result<ChaosSpec, ScenarioError> {
-    if let Some(faults) = opt(value, "faults", Value::as_array)? {
-        known_keys(value, "scripted chaos", &["faults"])?;
-        return faults
-            .iter()
-            .map(parse_fault)
-            .collect::<Result<_, _>>()
-            .map(ChaosSpec::Scripted);
+fn parse_chaos(value: &Value) -> Result<Chaos, ScenarioError> {
+    if value.get("faults").is_some() {
+        let plan = FaultPlan::from_value(value).map_err(ScenarioError::Spec)?;
+        return Ok(Chaos::Scripted(plan));
     }
-    known_keys(
-        value,
-        "seeded chaos",
-        &[
-            "seed",
-            "horizon_s",
-            "max_windows",
-            "min_window_ms",
-            "max_window_ms",
-            "lead_in_ms",
-            "settle_fraction",
-            "allow_partitions",
-            "max_spike_ms",
-        ],
-    )?;
-    let seed = req(value, "seed", uint)?;
-    let defaults = ChaosConfig::default();
-    let config = ChaosConfig {
-        // Zero is defaulted at deploy time to the run window.
-        horizon: opt(value, "horizon_s", secs)?.unwrap_or(Duration::ZERO),
-        max_windows: opt(value, "max_windows", uint)?.unwrap_or(defaults.max_windows),
-        min_window: opt(value, "min_window_ms", millis)?.unwrap_or(defaults.min_window),
-        max_window: opt(value, "max_window_ms", millis)?.unwrap_or(defaults.max_window),
-        lead_in: opt(value, "lead_in_ms", millis)?.unwrap_or(defaults.lead_in),
-        settle_fraction: opt(value, "settle_fraction", Value::as_f64)?
-            .unwrap_or(defaults.settle_fraction),
-        allow_partitions: opt(value, "allow_partitions", Value::as_bool)?
-            .unwrap_or(defaults.allow_partitions),
-        max_spike: opt(value, "max_spike_ms", millis)?.unwrap_or(defaults.max_spike),
-    };
-    Ok(ChaosSpec::Seeded { seed, config })
-}
-
-fn parse_fault(value: &Value) -> Result<FaultSpec, ScenarioError> {
-    known_keys(
-        value,
-        "a fault",
-        &["kind", "node", "start_ms", "end_ms", "extra_ms", "groups"],
-    )?;
-    let node_ref = |f: &Value| f.as_str().map(NodeRef::parse);
-    let start = req(value, "start_ms", millis)?;
-    let end = req(value, "end_ms", millis)?;
-    match req(value, "kind", Value::as_str)? {
-        "crash" => Ok(FaultSpec::Crash {
-            node: req(value, "node", node_ref)?,
-            start,
-            end,
-        }),
-        "blackhole" => Ok(FaultSpec::Blackhole {
-            node: req(value, "node", node_ref)?,
-            start,
-            end,
-        }),
-        "latency_spike" => Ok(FaultSpec::LatencySpike {
-            node: opt(value, "node", node_ref)?,
-            extra: req(value, "extra_ms", millis)?,
-            start,
-            end,
-        }),
-        "partition" => {
-            // Every group a list, every member a string: a dropped member
-            // would silently widen "rest".
-            let group = |g: &Value| g.as_array()?.iter().map(node_ref).collect();
-            let groups = req(value, "groups", |list| {
-                list.as_array()?.iter().map(group).collect()
-            })?;
-            Ok(FaultSpec::Partition { groups, start, end })
-        }
-        other => Err(ScenarioError::Spec(format!("unknown fault kind {other:?}"))),
-    }
+    known_keys(value, "seeded chaos", &["seed"])?;
+    Ok(Chaos::Seeded(req(value, "seed", uint)?))
 }
 
 fn parse_expectation(value: &Value) -> Result<Expectation, ScenarioError> {
@@ -1639,16 +1290,95 @@ pub mod corpus {
 mod tests {
     use super::*;
 
-    /// `ingress:0` and `sealer:0` are two nodes on most chains and one on
-    /// a single-node chain; a spec that crashes both over one interval
-    /// must compile to a valid plan either way.
+    /// Each corpus scenario that scripts faults resolves, on each builtin
+    /// backend, to the windows the scenario layer's own resolver compiled
+    /// at PR 21 (label, start, end, fault — captured on that commit,
+    /// before `FaultPlan::resolve` replaced it): placeholders are
+    /// backend-agnostic, `rest` is the whole registered topology, and
+    /// `ingress:0` and `sealer:0` — two nodes on most chains, one on a
+    /// single-node chain — crashed over one interval are one window there.
     #[test]
-    fn aliased_placeholders_compile_to_one_window() {
+    fn corpus_faults_resolve_the_same_on_every_backend() {
+        let (from, to) = (Duration::from_secs(3), Duration::from_secs(5));
+        let spike = Duration::from_millis(500);
+        // (backend, ingress:0, sealer:0, every other endpoint)
+        let chains: [(&str, &str, &str, &[&str]); 4] = [
+            (
+                "ethereum-sim",
+                "eth-node-0",
+                "eth-node-0",
+                &["eth-node-1", "eth-node-2", "eth-node-3", "eth-node-4"],
+            ),
+            (
+                "fabric-sim",
+                "fabric-peer-0",
+                "fabric-orderer",
+                &["fabric-peer-1", "fabric-peer-2", "fabric-peer-3"],
+            ),
+            (
+                "meepo-sim",
+                "meepo-s0-node-0",
+                "meepo-s0-node-0",
+                &[
+                    "meepo-s0-node-1",
+                    "meepo-s0-node-2",
+                    "meepo-s1-node-0",
+                    "meepo-s1-node-1",
+                    "meepo-s1-node-2",
+                ],
+            ),
+            (
+                "neuchain-sim",
+                "neuchain-client-proxy",
+                "neuchain-epoch-server",
+                &[
+                    "neuchain-block-server-0",
+                    "neuchain-block-server-1",
+                    "neuchain-block-server-2",
+                ],
+            ),
+        ];
         let registry = BackendRegistry::builtin();
-        let authored = corpus::load("crash-restart").expect("corpus scenario");
-        let mut aliased_backends = 0;
-        for backend in registry.names() {
-            let scenario = authored.retarget(backend, 1000.0, 1.0).expect("retarget");
+        assert_eq!(registry.names(), chains.map(|c| c.0));
+        for (backend, ingress, sealer, others) in chains {
+            // What `rest` is once `sealer:0` is named, in endpoint order.
+            let mut rest: Vec<&str> = others.to_vec();
+            if ingress != sealer {
+                rest.push(ingress);
+                rest.sort_unstable();
+            }
+            let crashes = FaultPlan::new().crash(ingress, from, to);
+            let golden = [
+                (
+                    "crash-restart",
+                    if ingress == sealer {
+                        crashes
+                    } else {
+                        crashes.crash(sealer, from, to)
+                    },
+                ),
+                (
+                    "ingress-blackhole",
+                    FaultPlan::new().blackhole(ingress, from, to),
+                ),
+                (
+                    "partition-then-heal",
+                    FaultPlan::new().partition(
+                        &[&[sealer], &rest],
+                        Duration::from_secs(3),
+                        Duration::from_secs(6),
+                    ),
+                ),
+                (
+                    "slow-loris-ingress",
+                    FaultPlan::new().latency_spike_on(
+                        ingress,
+                        spike,
+                        Duration::from_secs(2),
+                        Duration::from_secs(8),
+                    ),
+                ),
+            ];
             let deployment = registry
                 .deploy(backend, &BackendOptions::default(), 1000.0)
                 .expect("registered backend");
@@ -1656,37 +1386,39 @@ mod tests {
                 deployment.chain().ingress_nodes(),
                 deployment.chain().sealer_nodes(),
             );
-            let chaos = scenario.spec.chaos.as_ref().expect("scripted faults");
-            let plan = chaos
-                .to_plan(
-                    &targets,
-                    &deployment.net().endpoint_names(),
-                    scenario.control.duration(),
-                )
-                .unwrap_or_else(|e| panic!("{backend}: {e}"));
-            let aliased = targets.ingress[0] == targets.sealers[0];
-            aliased_backends += usize::from(aliased);
-            assert_eq!(
-                plan.windows().len(),
-                if aliased { 1 } else { 2 },
-                "{backend}"
-            );
+            for (name, expected) in golden {
+                let authored = corpus::load(name).expect("corpus scenario");
+                let scenario = authored.retarget(backend, 1000.0, 1.0).expect("retarget");
+                let Some(Chaos::Scripted(written)) = &scenario.spec.chaos else {
+                    panic!("{name} scripts its faults");
+                };
+                let plan = written
+                    .resolve(&targets, &deployment.net().endpoint_names())
+                    .unwrap_or_else(|e| panic!("{name} on {backend}: {e}"));
+                assert_eq!(plan, expected, "{name} on {backend}");
+                deployment
+                    .install_faults(plan)
+                    .unwrap_or_else(|e| panic!("{name} on {backend}: {e}"));
+            }
         }
-        assert!(
-            aliased_backends > 0,
-            "no builtin backend aliases the placeholders"
-        );
+    }
 
-        // Different intervals on one node are still a contradiction.
-        let crash = |start, end| FaultSpec::Crash {
-            node: NodeRef::Named("n".to_owned()),
-            start: Duration::from_secs(start),
-            end: Duration::from_secs(end),
+    /// The seeded form carries a seed and nothing else: the generator has
+    /// no options for a spec to set.
+    #[test]
+    fn seeded_chaos_spec_is_a_seed() {
+        let spec = |chaos: &str| {
+            format!(
+                r#"{{"name": "seeded", "backend": "neuchain-sim",
+                    "control": {{"shape": "constant", "rate": 10, "slices": 2}},
+                    "chaos": {chaos}}}"#
+            )
         };
-        let overlapping = ChaosSpec::Scripted(vec![crash(3, 5), crash(4, 6)]);
-        let err = overlapping
-            .to_plan(&ChaosTargets::new(vec![], vec![]), &[], Duration::ZERO)
-            .unwrap_err();
-        assert!(matches!(err, ScenarioError::Chaos(_)), "got {err:?}");
+        let scenario = Scenario::from_json(&spec(r#"{"seed": 7}"#)).expect("loads");
+        assert_eq!(scenario.spec.chaos, Some(Chaos::Seeded(7)));
+        for refused in [r#"{"seed": 7, "max_windows": 2}"#, r#"{"seed": -1}"#, "{}"] {
+            let err = Scenario::from_json(&spec(refused)).unwrap_err();
+            assert!(matches!(err, ScenarioError::Spec(_)), "{refused}: {err:?}");
+        }
     }
 }

@@ -64,8 +64,6 @@ pub struct EthereumConfig {
     pub tx_gas: u64,
     /// Mempool capacity (pending transaction pool).
     pub mempool_capacity: usize,
-    /// Whether nodes verify client signatures at inclusion time.
-    pub verify_signatures: bool,
     /// Signature scheme parameters (must match the submitting clients).
     pub sig_params: SigParams,
     /// SHA-256 evaluations of real hash work per sealed block (models the
@@ -85,7 +83,6 @@ impl Default for EthereumConfig {
             block_gas_limit: 6_000_000,
             tx_gas: 21_000,
             mempool_capacity: 20_000,
-            verify_signatures: true,
             sig_params: SigParams::fast(),
             pow_hashes_per_block: 5_000,
             exec_cost_per_tx: Duration::from_micros(300),
@@ -145,9 +142,7 @@ impl ConsensusPolicy for EthereumPolicy {
         // Verify the whole candidate set in one batch before touching the
         // state lock: repeated sender keys share a precomputed table, and
         // the lock is never held across signature checks.
-        if self.config.verify_signatures {
-            kernel.verify_retain(&mut txs, &self.config.sig_params);
-        }
+        kernel.verify_retain(&mut txs, &self.config.sig_params);
         // Model aggregate EVM execution time.
         if !txs.is_empty() {
             kernel

@@ -68,8 +68,6 @@ pub struct FabricConfig {
     /// rejection traffic eats into endorsement capacity, which is what
     /// makes throughput *decline* past the saturation point in Fig. 10.
     pub reject_handling_cost: Duration,
-    /// Whether endorsers verify client signatures.
-    pub verify_signatures: bool,
     /// Signature scheme parameters.
     pub sig_params: SigParams,
 }
@@ -88,7 +86,6 @@ impl Default for FabricConfig {
             validate_cost: Duration::from_millis(4),
             inbox_capacity: 10_000,
             reject_handling_cost: Duration::from_millis(1),
-            verify_signatures: true,
             sig_params: SigParams::fast(),
         }
     }
@@ -262,11 +259,9 @@ fn endorser_loop(
                 Err(_) => break,
             }
         }
-        if config.verify_signatures {
-            kernel.verify_retain_with(&mut burst, &config.sig_params, |tx| {
-                policy.pending_ids.lock().remove(&tx.id);
-            });
-        }
+        kernel.verify_retain_with(&mut burst, &config.sig_params, |tx| {
+            policy.pending_ids.lock().remove(&tx.id);
+        });
         // Per-burst (not per-tx) observability.
         let obs = kernel.net().obs();
         if obs.enabled() {

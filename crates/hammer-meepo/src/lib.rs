@@ -58,8 +58,6 @@ pub struct MeepoConfig {
     pub exec_cost_per_tx: Duration,
     /// Per-shard mempool capacity.
     pub mempool_capacity: usize,
-    /// Whether to verify client signatures at epoch cut.
-    pub verify_signatures: bool,
     /// Signature scheme parameters.
     pub sig_params: SigParams,
 }
@@ -73,7 +71,6 @@ impl Default for MeepoConfig {
             max_block_txs: 1_200,
             exec_cost_per_tx: Duration::from_micros(60),
             mempool_capacity: 30_000,
-            verify_signatures: true,
             sig_params: SigParams::fast(),
         }
     }
@@ -156,9 +153,7 @@ impl ConsensusPolicy for MeepoPolicy {
         if txs.is_empty() && credits.is_empty() {
             return None;
         }
-        if self.config.verify_signatures {
-            kernel.verify_retain(&mut txs, &self.config.sig_params);
-        }
+        kernel.verify_retain(&mut txs, &self.config.sig_params);
         kernel
             .clock()
             .sleep(self.config.exec_cost_per_tx * txs.len() as u32);

@@ -1,32 +1,30 @@
 //! Seeded randomized fault-schedule generation ("chaos") and schedule
 //! shrinking.
 //!
-//! PR 2's [`crate::FaultPlan`] windows are hand-written: they only probe
-//! the handful of schedules someone thought to script. This module
-//! *generates* schedules instead: [`ChaosSchedule::generate`] composes
-//! randomized crash / blackhole / partition / latency-spike windows over
-//! a set of discovered fault targets (a chain's ingress and sealer
-//! nodes), under overlap rules that guarantee the result passes
-//! [`crate::FaultPlan::validate`] — every generated plan is installable
-//! and every run under it is reproducible from `(seed, targets, config)`
-//! alone.
+//! Hand-written [`FaultPlan`]s only probe the handful of schedules someone
+//! thought to script. This module *generates* them instead: [`generate`]
+//! composes randomized crash / blackhole / partition / latency-spike
+//! windows over a set of discovered fault targets (a chain's ingress and
+//! sealer nodes), under overlap rules that guarantee the result passes
+//! [`FaultPlan::validate`] — every generated plan is installable and every
+//! run under it is reproducible from `(seed, targets, horizon)` alone.
+//! The generator has no options: its bounds are the constants below.
 //!
 //! When a generated schedule makes a run violate an invariant, the
-//! schedule itself is the repro — but a 6-window schedule is a poor bug
-//! report. [`ChaosSchedule::shrink_to_failing_prefix`] re-runs the
-//! failing predicate on successively longer prefixes (windows ordered by
-//! start time) and returns the shortest one that still fails, the
-//! property-testing shrink idiom applied to fault schedules.
+//! schedule itself is the repro — but a 4-window schedule is a poor bug
+//! report. [`shrink_to_failing_prefix`] re-runs the failing predicate on
+//! successively longer prefixes (windows ordered by start time) and
+//! returns the shortest one that still fails, the property-testing shrink
+//! idiom applied to fault schedules.
 
 use std::time::Duration;
 
-// One-stop prelude: a scenario layer composing generated schedules with
-// scripted windows imports `hammer_net::chaos` alone — the underlying
-// fault-plan vocabulary is re-exported here next to the generator.
-pub use crate::fault::{Fault, FaultPlan, FaultPlanError, FaultWindow, NodeFault};
+use crate::fault::FaultPlan;
 
 /// Fault targets discovered from a deployed chain: the nodes that accept
-/// client traffic and the nodes that drive block/epoch production.
+/// client traffic and the nodes that drive block/epoch production. Also
+/// what a written plan's `ingress:N` / `sealer:N` placeholders index
+/// ([`FaultPlan::resolve`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChaosTargets {
     /// Endpoints accepting client submissions (`SimChain::ingress_nodes`).
@@ -58,180 +56,119 @@ impl ChaosTargets {
     }
 }
 
-/// Bounds for schedule generation.
+/// Window starts and lengths fall on this grid.
+const GRID_MS: u64 = 100;
+/// A schedule has one to this many windows.
+const MAX_WINDOWS: usize = 4;
+/// Shortest and longest window.
+const MIN_WINDOW_MS: u64 = 500;
+const MAX_WINDOW_MS: u64 = 3_000;
+/// Quiet lead-in: no window starts before this, so the run establishes a
+/// fault-free baseline.
+const LEAD_IN_MS: u64 = 1_000;
+/// Fraction of the horizon's tail kept fault-free, so in-flight
+/// transactions always get a recovery tail to commit in — without it,
+/// every schedule ending in a crash would "violate" the accounting
+/// identity with timeouts that are really just truncation.
+const SETTLE_FRACTION: f64 = 0.25;
+/// Largest extra delay a latency-spike window adds.
+const MAX_SPIKE_MS: u64 = 200;
+
+/// Generates a schedule from `seed` over the discovered `targets`, for a
+/// run of length `horizon`.
 ///
-/// The defaults describe a 20-second-horizon run: up to four windows of
-/// 0.5–3 s each, none starting before 1 s (so the run establishes a
-/// fault-free baseline) and none extending past 75 % of the horizon (so
-/// in-flight transactions always get a recovery tail to commit in —
-/// without it, every schedule ending in a crash would "violate" the
-/// accounting identity with timeouts that are really just truncation).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChaosConfig {
-    /// Total scheduled run length the plan must fit inside.
-    pub horizon: Duration,
-    /// Upper bound on the number of generated windows (at least one is
-    /// always attempted).
-    pub max_windows: usize,
-    /// Shortest window the generator may emit.
-    pub min_window: Duration,
-    /// Longest window the generator may emit.
-    pub max_window: Duration,
-    /// Quiet lead-in: no window starts before this.
-    pub lead_in: Duration,
-    /// Fraction of the horizon tail kept fault-free for recovery.
-    pub settle_fraction: f64,
-    /// Whether partition windows may be generated (needs ≥ 2 targets).
-    pub allow_partitions: bool,
-    /// Largest extra delay a latency-spike window may add.
-    pub max_spike: Duration,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            horizon: Duration::from_secs(20),
-            max_windows: 4,
-            min_window: Duration::from_millis(500),
-            max_window: Duration::from_secs(3),
-            lead_in: Duration::from_secs(1),
-            settle_fraction: 0.25,
-            allow_partitions: true,
-            max_spike: Duration::from_millis(200),
-        }
-    }
-}
-
-/// A generated, guaranteed-valid fault schedule plus its provenance.
-#[derive(Clone, Debug)]
-pub struct ChaosSchedule {
-    seed: u64,
-    plan: FaultPlan,
-}
-
-impl ChaosSchedule {
-    /// Generates a schedule from `seed` over the discovered `targets`.
-    ///
-    /// Composition rules keeping every output valid and meaningful:
-    ///
-    /// * windows are quantized to a 100 ms grid inside
-    ///   `[lead_in, horizon·(1−settle_fraction))`;
-    /// * no two same-kind state faults (crash/crash, blackhole/blackhole)
-    ///   ever overlap on one node — candidates violating this are
-    ///   re-drawn, so [`FaultPlan::validate`] holds by construction
-    ///   (cross-kind overlap and stacking latency spikes stay possible:
-    ///   they are defined behaviour worth probing);
-    /// * only discovered target names are referenced, so
-    ///   [`FaultPlan::validate_against`] the deployed topology holds too;
-    /// * windows are emitted sorted by start time, which is what makes
-    ///   prefix shrinking meaningful.
-    ///
-    /// With empty `targets` the schedule is empty (nothing to fault).
-    pub fn generate(seed: u64, targets: &ChaosTargets, config: &ChaosConfig) -> Self {
-        let mut rng = SplitMix64::new(seed);
-        let nodes = targets.all();
-        let mut windows: Vec<FaultWindow> = Vec::new();
-        if !nodes.is_empty() {
-            let fault_tail = config
-                .horizon
-                .mul_f64((1.0 - config.settle_fraction).max(0.0));
-            let count = 1 + (rng.next() as usize) % config.max_windows.max(1);
-            'windows: for _ in 0..count {
-                for _retry in 0..16 {
-                    let Some(candidate) = draw_window(&mut rng, &nodes, config, fault_tail) else {
-                        break 'windows; // horizon too tight for any window
-                    };
-                    if !conflicts(&candidate, &windows) {
-                        windows.push(candidate);
-                        break;
-                    }
+/// Composition rules keeping every output valid and meaningful:
+///
+/// * windows are quantized to a 100 ms grid inside
+///   `[LEAD_IN_MS, horizon·(1−SETTLE_FRACTION))`;
+/// * no two same-kind state faults (crash/crash, blackhole/blackhole)
+///   ever overlap on one node — a candidate [`FaultPlan::validate`]
+///   refuses is re-drawn, so the check holds by construction (cross-kind
+///   overlap, overlapping partitions and stacking latency spikes stay
+///   possible: they are defined behaviour worth probing);
+/// * only discovered target names are referenced, so
+///   [`FaultPlan::validate_against`] the deployed topology holds too;
+/// * windows are emitted sorted by start time, which is what makes
+///   prefix shrinking meaningful.
+///
+/// With empty `targets`, or a horizon too tight for any window, the plan
+/// is empty (nothing to fault).
+pub fn generate(seed: u64, targets: &ChaosTargets, horizon: Duration) -> FaultPlan {
+    let mut rng = SplitMix64::new(seed);
+    let nodes = targets.all();
+    let mut plan = FaultPlan::new();
+    if !nodes.is_empty() {
+        let tail_ms = horizon.mul_f64(1.0 - SETTLE_FRACTION).as_millis() as u64;
+        let count = 1 + (rng.next() as usize) % MAX_WINDOWS;
+        'windows: for _ in 0..count {
+            for _retry in 0..16 {
+                let Some(candidate) = draw_window(&mut rng, &nodes, tail_ms, &plan) else {
+                    break 'windows; // horizon too tight for any window
+                };
+                if candidate.validate().is_ok() {
+                    plan = candidate;
+                    break;
                 }
             }
         }
-        windows.sort_by_key(|w| w.start);
-        let mut plan = FaultPlan::new();
-        for w in windows {
-            plan = plan.with_window(w);
-        }
-        debug_assert!(plan.validate().is_ok());
-        ChaosSchedule { seed, plan }
     }
-
-    /// The seed the schedule was generated from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The generated plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Consumes the schedule, yielding the plan for installation.
-    pub fn into_plan(self) -> FaultPlan {
-        self.plan
-    }
-
-    /// Minimizes a failing schedule: returns the shortest prefix of
-    /// `plan`'s windows (in order, so sorted-by-start for generated
-    /// plans) on which `fails` still returns `true`, re-running the
-    /// predicate once per prefix length from the empty plan upward.
-    /// Returns `None` when not even the full plan fails — the original
-    /// failure did not reproduce.
-    ///
-    /// The predicate typically re-runs a whole evaluation under the
-    /// candidate plan and re-checks the violated invariant, so expect
-    /// one evaluation per window plus one for the empty plan.
-    pub fn shrink_to_failing_prefix(
-        plan: &FaultPlan,
-        mut fails: impl FnMut(&FaultPlan) -> bool,
-    ) -> Option<FaultPlan> {
-        for len in 0..=plan.windows().len() {
-            let mut prefix = FaultPlan::new();
-            for w in &plan.windows()[..len] {
-                prefix = prefix.with_window(w.clone());
-            }
-            if fails(&prefix) {
-                return Some(prefix);
-            }
-        }
-        None
-    }
+    plan.windows.sort_by_key(|w| w.start);
+    plan
 }
 
-/// Draws one candidate window; `None` when the horizon leaves no room.
+/// Minimizes a failing schedule: returns the shortest prefix of `plan`'s
+/// windows (in order, so sorted-by-start for generated plans) on which
+/// `fails` still returns `true`, re-running the predicate once per prefix
+/// length from the empty plan upward. Returns `None` when not even the
+/// full plan fails — the original failure did not reproduce.
+///
+/// The predicate typically re-runs a whole evaluation under the candidate
+/// plan and re-checks the violated invariant, so expect one evaluation
+/// per window plus one for the empty plan.
+pub fn shrink_to_failing_prefix(
+    plan: &FaultPlan,
+    mut fails: impl FnMut(&FaultPlan) -> bool,
+) -> Option<FaultPlan> {
+    (0..=plan.windows.len())
+        .map(|len| FaultPlan {
+            windows: plan.windows[..len].to_vec(),
+        })
+        .find(|prefix| fails(prefix))
+}
+
+/// `plan` with one more drawn window; `None` when the horizon leaves no
+/// room for any.
 fn draw_window(
     rng: &mut SplitMix64,
     nodes: &[String],
-    config: &ChaosConfig,
-    fault_tail: Duration,
-) -> Option<FaultWindow> {
-    const GRID_MS: u64 = 100;
-    let min_ms = config.min_window.as_millis().max(1) as u64;
-    let max_ms = (config.max_window.as_millis() as u64).max(min_ms);
-    let lead_ms = config.lead_in.as_millis() as u64;
-    let tail_ms = fault_tail.as_millis() as u64;
-    let duration_ms = quantize(min_ms + rng.next() % (max_ms - min_ms + 1), GRID_MS).max(GRID_MS);
+    tail_ms: u64,
+    plan: &FaultPlan,
+) -> Option<FaultPlan> {
+    let span = MAX_WINDOW_MS - MIN_WINDOW_MS + 1;
+    let duration_ms = quantize(MIN_WINDOW_MS + rng.next() % span, GRID_MS).max(GRID_MS);
     let latest_start = tail_ms.checked_sub(duration_ms)?;
-    if latest_start < lead_ms {
+    if latest_start < LEAD_IN_MS {
         return None;
     }
-    let start_ms = quantize(lead_ms + rng.next() % (latest_start - lead_ms + 1), GRID_MS);
-    let start = Duration::from_millis(start_ms.max(lead_ms));
+    let start_ms = quantize(
+        LEAD_IN_MS + rng.next() % (latest_start - LEAD_IN_MS + 1),
+        GRID_MS,
+    );
+    let start = Duration::from_millis(start_ms.max(LEAD_IN_MS));
     let end = start + Duration::from_millis(duration_ms);
-    let node = nodes[(rng.next() as usize) % nodes.len()].clone();
-    let partitions_possible = config.allow_partitions && nodes.len() >= 2;
-    let shapes = if partitions_possible { 4 } else { 3 };
-    let plan = match rng.next() % shapes {
-        0 => FaultPlan::new().crash(&node, start, end),
-        1 => FaultPlan::new().blackhole(&node, start, end),
+    let node = nodes[(rng.next() as usize) % nodes.len()].as_str();
+    let plan = plan.clone();
+    // Four shapes; a partition needs two nodes to separate.
+    let shapes = if nodes.len() >= 2 { 4 } else { 3 };
+    Some(match rng.next() % shapes {
+        0 => plan.crash(node, start, end),
+        1 => plan.blackhole(node, start, end),
         2 => {
-            let spike_ms = (config.max_spike.as_millis() as u64).max(1);
-            let extra = Duration::from_millis(1 + rng.next() % spike_ms);
+            let extra = Duration::from_millis(1 + rng.next() % MAX_SPIKE_MS);
             if rng.next().is_multiple_of(2) {
-                FaultPlan::new().latency_spike_on(&node, extra, start, end)
+                plan.latency_spike_on(node, extra, start, end)
             } else {
-                FaultPlan::new().latency_spike(extra, start, end)
+                plan.latency_spike(extra, start, end)
             }
         }
         _ => {
@@ -242,28 +179,8 @@ fn draw_window(
             }
             let cut = 1 + (rng.next() as usize) % (shuffled.len() - 1);
             let (left, right) = shuffled.split_at(cut);
-            FaultPlan::new().partition(&[left, right], start, end)
+            plan.partition(&[left, right], start, end)
         }
-    };
-    plan.windows().first().cloned()
-}
-
-/// Whether `candidate` breaks the same-kind/same-node overlap rule
-/// against the already-accepted windows — the mirror of
-/// [`FaultPlan::validate`]'s `ContradictoryOverlap` check.
-fn conflicts(candidate: &FaultWindow, accepted: &[FaultWindow]) -> bool {
-    let state_target = |fault: &Fault| match fault {
-        Fault::Crash { node } => Some((0u8, node.clone())),
-        Fault::Blackhole { node } => Some((1u8, node.clone())),
-        _ => None,
-    };
-    let Some(key) = state_target(&candidate.fault) else {
-        return false;
-    };
-    accepted.iter().any(|w| {
-        state_target(&w.fault) == Some(key.clone())
-            && candidate.start < w.end
-            && w.start < candidate.end
     })
 }
 
@@ -295,6 +212,10 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Fault;
+    use hammer_rpc::json::Value;
+
+    const HORIZON: Duration = Duration::from_secs(20);
 
     fn targets() -> ChaosTargets {
         ChaosTargets::new(
@@ -314,63 +235,153 @@ mod tests {
     #[test]
     fn generated_schedules_are_always_valid() {
         let t = targets();
-        let cfg = ChaosConfig::default();
         let topology = t.all();
         for seed in 0..200u64 {
-            let schedule = ChaosSchedule::generate(seed, &t, &cfg);
-            let plan = schedule.plan();
+            let plan = generate(seed, &t, HORIZON);
             plan.validate()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             plan.validate_against(&topology)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert!(!plan.is_empty(), "seed {seed} generated no windows");
+            assert!(plan.windows().len() <= MAX_WINDOWS);
             // Windows honour the lead-in and the recovery tail.
-            let tail = cfg.horizon.mul_f64(1.0 - cfg.settle_fraction);
+            let tail = HORIZON.mul_f64(1.0 - SETTLE_FRACTION);
             for w in plan.windows() {
-                assert!(w.start >= cfg.lead_in, "seed {seed}: {w:?}");
+                assert!(
+                    w.start >= Duration::from_millis(LEAD_IN_MS),
+                    "seed {seed}: {w:?}"
+                );
                 assert!(w.end <= tail, "seed {seed}: {w:?}");
-                assert!(w.duration() >= Duration::from_millis(100));
+                assert!(w.duration() >= Duration::from_millis(GRID_MS));
             }
             // Sorted by start: prefix shrinking is chronological.
             let starts: Vec<_> = plan.windows().iter().map(|w| w.start).collect();
             let mut sorted = starts.clone();
             sorted.sort();
             assert_eq!(starts, sorted);
+            // The wire form (text included) carries it exactly.
+            let text = plan.to_value().to_json();
+            let back = FaultPlan::from_value(&Value::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, plan, "seed {seed}");
         }
+    }
+
+    /// Schedules taken from the generator as it stood at PR 21, before it
+    /// lost its options (its defaults, with the horizon set): the same
+    /// seed, targets and horizon must keep giving the same plan, window
+    /// for window.
+    #[test]
+    fn golden_schedules_are_pinned() {
+        let ms = Duration::from_millis;
+        let golden = [
+            (
+                7,
+                20,
+                FaultPlan::new()
+                    .latency_spike_on("ingress-0", ms(106), ms(2300), ms(3000))
+                    .partition(
+                        &[&["ingress-1", "ingress-0"], &["sealer-0"]],
+                        ms(7200),
+                        ms(8700),
+                    )
+                    .partition(
+                        &[&["sealer-0"], &["ingress-0", "ingress-1"]],
+                        ms(7800),
+                        ms(9800),
+                    )
+                    .crash("ingress-1", ms(8400), ms(9600)),
+            ),
+            (
+                42,
+                20,
+                FaultPlan::new()
+                    .partition(
+                        &[&["sealer-0", "ingress-0"], &["ingress-1"]],
+                        ms(1000),
+                        ms(3200),
+                    )
+                    .latency_spike(ms(63), ms(11200), ms(12000)),
+            ),
+            (
+                1312,
+                20,
+                FaultPlan::new()
+                    .partition(
+                        &[&["sealer-0", "ingress-1"], &["ingress-0"]],
+                        ms(2700),
+                        ms(4500),
+                    )
+                    .partition(
+                        &[&["sealer-0"], &["ingress-1", "ingress-0"]],
+                        ms(7200),
+                        ms(9100),
+                    )
+                    .partition(
+                        &[&["ingress-0", "ingress-1"], &["sealer-0"]],
+                        ms(7600),
+                        ms(8700),
+                    )
+                    .crash("sealer-0", ms(11600), ms(12100)),
+            ),
+            (
+                // The horizon `tests/chaos_harness.rs` runs seed 7 at.
+                7,
+                10,
+                FaultPlan::new()
+                    .crash("ingress-1", ms(1700), ms(2900))
+                    .latency_spike_on("ingress-0", ms(106), ms(3500), ms(4200))
+                    .partition(
+                        &[&["ingress-1", "ingress-0"], &["sealer-0"]],
+                        ms(4000),
+                        ms(5500),
+                    )
+                    .partition(
+                        &[&["sealer-0"], &["ingress-0", "ingress-1"]],
+                        ms(5200),
+                        ms(7200),
+                    ),
+            ),
+        ];
+        for (seed, horizon, expected) in &golden {
+            let plan = generate(*seed, &targets(), Duration::from_secs(*horizon));
+            assert_eq!(&plan, expected, "seed {seed} at {horizon} s");
+        }
+        let labels: Vec<&str> = golden[0].2.windows().iter().map(|w| &*w.label).collect();
+        assert_eq!(
+            labels,
+            [
+                "latency:ingress-0:+106ms",
+                "partition",
+                "partition",
+                "crash:ingress-1"
+            ]
+        );
     }
 
     #[test]
     fn same_seed_same_schedule_different_seed_diverges() {
         let t = targets();
-        let cfg = ChaosConfig::default();
-        let a = ChaosSchedule::generate(42, &t, &cfg);
-        let b = ChaosSchedule::generate(42, &t, &cfg);
-        assert_eq!(a.plan(), b.plan());
-        assert_eq!(a.seed(), 42);
+        let a = generate(42, &t, HORIZON);
+        assert_eq!(a, generate(42, &t, HORIZON));
         // At least one of a handful of other seeds must differ (the
         // space of schedules is large; all-equal means a broken RNG).
         assert!(
-            (43..48u64).any(|s| ChaosSchedule::generate(s, &t, &cfg).plan() != a.plan()),
+            (43..48u64).any(|s| generate(s, &t, HORIZON) != a),
             "every seed produced the identical schedule"
         );
     }
 
     #[test]
     fn empty_targets_generate_empty_plans() {
-        let schedule =
-            ChaosSchedule::generate(7, &ChaosTargets::default(), &ChaosConfig::default());
-        assert!(schedule.plan().is_empty());
+        assert!(generate(7, &ChaosTargets::default(), HORIZON).is_empty());
     }
 
     #[test]
     fn tight_horizon_generates_nothing_rather_than_invalid_windows() {
-        let cfg = ChaosConfig {
-            horizon: Duration::from_secs(1),
-            ..ChaosConfig::default()
-        };
         for seed in 0..20u64 {
-            let schedule = ChaosSchedule::generate(seed, &targets(), &cfg);
-            schedule.plan().validate().unwrap();
+            let plan = generate(seed, &targets(), Duration::from_secs(1));
+            plan.validate().unwrap();
+            assert!(plan.is_empty());
         }
     }
 
@@ -388,7 +399,7 @@ mod tests {
         // "Fails" whenever the plan contains the second crash on `a` —
         // the minimal failing prefix is the first three windows.
         let mut evaluations = 0usize;
-        let shrunk = ChaosSchedule::shrink_to_failing_prefix(&plan, |p| {
+        let shrunk = shrink_to_failing_prefix(&plan, |p| {
             evaluations += 1;
             p.windows()
                 .iter()
@@ -401,10 +412,10 @@ mod tests {
         assert_eq!(evaluations, 4, "prefixes 0..=3 evaluated once each");
 
         // A predicate that never fails yields None.
-        assert!(ChaosSchedule::shrink_to_failing_prefix(&plan, |_| false).is_none());
+        assert!(shrink_to_failing_prefix(&plan, |_| false).is_none());
 
         // A failure independent of the plan shrinks to the empty plan.
-        let empty = ChaosSchedule::shrink_to_failing_prefix(&plan, |_| true).unwrap();
+        let empty = shrink_to_failing_prefix(&plan, |_| true).unwrap();
         assert!(empty.is_empty());
     }
 }

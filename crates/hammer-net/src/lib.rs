@@ -21,9 +21,13 @@
 //!   crash/restart, blackhole, partition, latency spike) for robustness
 //!   evaluations. Crash and blackhole gate ingress and sealing; partition
 //!   and latency spike move only the accounting today (see [`fault`]).
-//! * [`chaos::ChaosSchedule`] — a seeded generator of valid randomized
-//!   fault plans over discovered fault targets, plus a shrinker that
-//!   reduces a failing schedule to its smallest failing prefix.
+//!   [`fault`] is the one place the four kinds are enumerated: the one
+//!   window type, its one JSON form, and the one resolver of `ingress:N` /
+//!   `sealer:N` / `rest` placeholders against a deployed chain.
+//! * [`chaos::generate`] — a seeded generator of valid randomized fault
+//!   plans over discovered fault targets, with no options, plus
+//!   [`chaos::shrink_to_failing_prefix`], which reduces a failing schedule
+//!   to its smallest failing prefix.
 //! * [`tcp`] — the one *real* transport: length-prefixed JSON-RPC over
 //!   TCP ([`tcp::TcpRpcServer`] / [`tcp::TcpRpcClient`]), used by the
 //!   multi-process deploy mode where each chain node runs as its own OS
@@ -62,7 +66,7 @@ pub mod link;
 pub mod network;
 pub mod tcp;
 
-pub use chaos::{ChaosConfig, ChaosSchedule, ChaosTargets};
+pub use chaos::ChaosTargets;
 pub use clock::SimClock;
 pub use fault::{Fault, FaultPlan, FaultPlanError, FaultWindow, NodeFault};
 pub use link::LinkConfig;

@@ -41,8 +41,6 @@ pub struct NeuchainConfig {
     pub exec_cost_per_tx: Duration,
     /// Client-proxy pool capacity.
     pub mempool_capacity: usize,
-    /// Whether to verify client signatures at epoch cut.
-    pub verify_signatures: bool,
     /// Signature scheme parameters.
     pub sig_params: SigParams,
 }
@@ -55,7 +53,6 @@ impl Default for NeuchainConfig {
             max_block_txs: 2_000,
             exec_cost_per_tx: Duration::from_micros(8),
             mempool_capacity: 50_000,
-            verify_signatures: true,
             sig_params: SigParams::fast(),
         }
     }
@@ -100,9 +97,7 @@ impl ConsensusPolicy for NeuchainPolicy {
         // derives the same order with no communication.
         txs.sort_by_key(|t| t.id);
 
-        if self.config.verify_signatures {
-            kernel.verify_retain(&mut txs, &self.config.sig_params);
-        }
+        kernel.verify_retain(&mut txs, &self.config.sig_params);
 
         // Deterministic execution cost.
         kernel

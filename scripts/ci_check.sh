@@ -235,7 +235,7 @@ if [ -n "$violations" ]; then
     echo "$violations" >&2
     exit 1
 fi
-wire_methods='submit_transaction|latest_height|get_block|pending_txs|seed_account|get_account|verify_ledgers|progress_mark|shutdown_chain'
+wire_methods='submit_transaction|latest_height|get_block|pending_txs|seed_account|get_account|verify_ledgers|progress_mark|shutdown_chain|install_faults'
 violations=$(grep -rnIE "\"($wire_methods)\"" crates src tests examples 2>/dev/null \
     | grep -v '^crates/hammer-chain/src/rpc_adapter.rs:' \
     | grep -v '^crates/bench/src/bin/driver_e2e/' || true)
@@ -311,6 +311,29 @@ violations=$(grep -rnE 'live_sync|LiveSync|StatusSyncer|StatusRecord|run_merger|
     crates src tests examples 2>/dev/null || true)
 if [ -n "$violations" ]; then
     echo "ci_check: the status pipeline or the SQL front end is back (records -> report::build / report::perf_row):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
+echo "==> grep gate: fault kinds are spelled in one file"
+# hammer_net::fault owns the four kinds: the one window type, its one JSON
+# form and the one placeholder resolver. Non-test code elsewhere matches on
+# no Fault variant and spells no kind (it asks the plan: crash_windows,
+# node_fault, to_value / from_value), and the second vocabulary — the
+# scenario layer's fault and node-reference enums, the generator's config
+# and schedule wrappers, the microsecond wire keys — stays gone everywhere
+# (the frozen driver_e2e package included: it uses none of them).
+violations=$({
+    find crates src examples -name '*.rs' -not -path '*/driver_e2e/*' -not -path '*/target/*' \
+        -not -path 'crates/hammer-net/src/fault.rs' | while read -r file; do
+        non_test "$file" \
+            | grep -E '\bFault::(Crash|Blackhole|Partition|LatencySpike)\b|"(crash|blackhole|partition|latency_spike)"'
+    done
+    grep -rnIE 'FaultSpec|ChaosSpec|ChaosConfig|ChaosSchedule|NodeRef|start_us|extra_us' \
+        crates src tests examples
+} 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a fault kind is enumerated outside crates/hammer-net/src/fault.rs, or the second fault vocabulary is back:" >&2
     echo "$violations" >&2
     exit 1
 fi

@@ -23,23 +23,25 @@
 //!   never got to send a kill. No orphans.
 //!
 //! Beyond the chain RPC surface (`hammer_chain::rpc_adapter::serve_sim`),
-//! the host registers `install_faults`: the driver forwards its
-//! [`FaultPlan`] here so blackhole windows gate this node's ingress
-//! (crash windows are realised by the supervisor as SIGKILL; forwarding
-//! them too keeps ingress-refusal attribution during the instants before
-//! the kill lands). Partition and latency windows arrive with the plan
-//! but move only this process's traffic accounting — nothing a run
-//! measures reads them today (`hammer_net::fault` module docs).
+//! the host serves the wire table's `INSTALL_FAULTS` on its own network:
+//! the driver forwards its resolved fault plan here — in the one JSON
+//! form, decoded as strictly as a spec file — so blackhole windows gate
+//! this node's ingress (crash windows are realised by the supervisor as
+//! SIGKILL; forwarding them too keeps ingress-refusal attribution during
+//! the instants before the kill lands). Partition and latency windows
+//! arrive with the plan but move only this process's traffic accounting —
+//! nothing a run measures reads them today (`hammer_net::fault` module
+//! docs).
 
 use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use hammer_chain::client::ChainError;
+use hammer_chain::rpc_adapter;
 use hammer_core::deploy::{BackendOptions, BackendRegistry};
-use hammer_net::{FaultPlan, LinkConfig, SimClock, SimNetwork, TcpServerConfig};
-use hammer_rpc::json::Value;
-use hammer_rpc::jsonrpc::RpcError;
+use hammer_net::{LinkConfig, SimClock, SimNetwork, TcpServerConfig};
 
 struct Args {
     backend: String,
@@ -127,17 +129,14 @@ fn main() -> ExitCode {
         }
     };
 
-    let rpc = hammer_chain::rpc_adapter::serve_sim(Arc::clone(deployment.chain()));
-    rpc.register("install_faults", move |params| {
-        let plan = FaultPlan::from_value(&params).map_err(RpcError::invalid_params)?;
-        net.try_install_faults(plan)
-            .map_err(|e| RpcError::invalid_params(e.to_string()))?;
-        Ok(Value::object([("ok", Value::from(true))]))
+    let rpc = rpc_adapter::serve_sim(Arc::clone(deployment.chain()));
+    rpc_adapter::INSTALL_FAULTS.serve(&rpc, &Arc::new(net), |net, plan| {
+        let installed = net.try_install_faults(plan);
+        installed.map_err(|e| ChainError::protocol(e.to_string()))
     });
 
     let addr = format!("127.0.0.1:{}", args.port);
-    let server = match hammer_chain::rpc_adapter::serve_tcp(rpc, &addr, TcpServerConfig::default())
-    {
+    let server = match rpc_adapter::serve_tcp(rpc, &addr, TcpServerConfig::default()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("node-host: bind {addr}: {e}");

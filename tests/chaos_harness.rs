@@ -13,7 +13,6 @@ use hammer::core::driver::{EvalConfig, EvalError, EvalReport, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::core::retry::RetryPolicy;
 use hammer::core::scenario::Scenario;
-use hammer::net::chaos::ChaosConfig;
 use hammer::obs::EventKind;
 use hammer::store::kv::KvStore;
 use hammer::workload::{ControlSequence, WorkloadConfig};
@@ -33,13 +32,7 @@ fn oracle_passes_under_seeded_chaos_on_every_backend() {
                 .speedup(100.0)
                 .constant_load(50, 10)
                 .workload_with(|w| w.seed = seed)
-                .chaos_seeded(
-                    seed,
-                    ChaosConfig {
-                        horizon: Duration::from_secs(10),
-                        ..ChaosConfig::default()
-                    },
-                )
+                .chaos_seeded(seed)
                 .retry(RetryPolicy::standard())
                 .expect_accounting_identity()
                 .expect_no_stall()

@@ -7,8 +7,8 @@
 use std::time::Duration;
 
 use hammer::core::retry::RetryPolicy;
-use hammer::core::scenario::{corpus, FaultSpec, NodeRef, Scenario, ScenarioError};
-use hammer::net::chaos::ChaosConfig;
+use hammer::core::scenario::{corpus, Scenario, ScenarioError};
+use hammer::net::FaultPlan;
 
 mod common;
 
@@ -173,36 +173,20 @@ fn missing_or_inconsistent_run_window_is_a_typed_error() {
 #[test]
 fn malformed_chaos_is_a_typed_error() {
     // Empty window: start == end.
+    let instant = Duration::from_secs(2);
     let err = base()
-        .fault(FaultSpec::Crash {
-            node: NodeRef::Ingress(0),
-            start: Duration::from_secs(2),
-            end: Duration::from_secs(2),
-        })
-        .build()
-        .unwrap_err();
-    assert!(matches!(err, ScenarioError::Chaos(_)), "got {err:?}");
-
-    // A seeded schedule that can generate nothing.
-    let err = base()
-        .chaos_seeded(
-            7,
-            ChaosConfig {
-                max_windows: 0,
-                ..ChaosConfig::default()
-            },
-        )
+        .faults(FaultPlan::new().crash("ingress:0", instant, instant))
         .build()
         .unwrap_err();
     assert!(matches!(err, ScenarioError::Chaos(_)), "got {err:?}");
 
     // A one-group "partition".
     let err = base()
-        .fault(FaultSpec::Partition {
-            groups: vec![vec![NodeRef::Rest]],
-            start: Duration::from_secs(1),
-            end: Duration::from_secs(2),
-        })
+        .faults(FaultPlan::new().partition(
+            &[&["rest"]],
+            Duration::from_secs(1),
+            Duration::from_secs(2),
+        ))
         .build()
         .unwrap_err();
     assert!(matches!(err, ScenarioError::Chaos(_)), "got {err:?}");
