@@ -23,6 +23,7 @@ fn batch(n: usize) -> Vec<Transaction> {
 }
 
 fn bench_primitives(c: &mut Criterion) {
+    bench::record_host("obs_overhead");
     let mut group = c.benchmark_group("obs_overhead");
 
     let hist = Histogram::new();

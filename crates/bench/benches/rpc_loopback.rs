@@ -46,6 +46,7 @@ fn submission_payload() -> Value {
 
 /// In-process dispatch vs. loopback TCP, same method, same payload.
 fn bench_rpc_loopback(c: &mut Criterion) {
+    bench::record_host("rpc_loopback");
     let mut group = c.benchmark_group("rpc_loopback");
     group.throughput(Throughput::Elements(1));
     let payload = submission_payload();

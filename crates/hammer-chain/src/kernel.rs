@@ -11,6 +11,8 @@
 //!   thread (the per-shard sealer loop, policy workers) and records the
 //!   join handles; [`ChainNode::shutdown_and_join`] stops
 //!   *and joins* them, so dropping a chain never leaks a live thread.
+//!   They wait for simulated time in one way,
+//!   [`Kernel::sleep_interruptible`], which shutdown ends by a wake.
 //! * **Ingress** — [`BlockchainClient::submit`] is implemented once:
 //!   shutdown check, [`check_node_ingress`] fault gating on the shard's
 //!   ingress node (names asked of the policy once, at start; no lock taken
@@ -32,13 +34,13 @@
 //!
 //! [`ErrorKind::Backpressure`]: crate::client::ErrorKind::Backpressure
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::Receiver;
 use hammer_crypto::sig::SigParams;
-use hammer_net::{SimClock, SimNetwork};
+use hammer_net::{SimClock, SimNetwork, StopSignal};
 use parking_lot::{Mutex, RwLock};
 
 use crate::client::{check_node_ingress, Architecture, BlockchainClient, ChainError, CommitEvent};
@@ -48,14 +50,6 @@ use crate::mempool::Mempool;
 use crate::rpc_adapter;
 use crate::state::{AccountState, VersionedState};
 use crate::types::{verify_signed_batch, Address, Block, SignedTransaction, TxId};
-
-/// Wall-clock granularity at which kernel sleeps re-check the shutdown
-/// flag. Small enough that joining a chain mid-interval is prompt, large
-/// enough that long simulated waits cost no measurable CPU.
-const SLEEP_CHUNK: Duration = Duration::from_millis(5);
-
-/// Spin-wait tail mirroring [`SimClock::sleep`]'s precision strategy.
-const SLEEP_SPIN: Duration = Duration::from_micros(200);
 
 /// Per-shard storage: mempool, ledger, and world state.
 ///
@@ -114,7 +108,9 @@ pub struct Round {
 /// A named background thread a policy asks the kernel to run (endorser
 /// pools, orderers, committers, ...). The kernel spawns it and joins it
 /// at shutdown; the closure must exit promptly once
-/// [`Kernel::is_shutdown`] turns true.
+/// [`Kernel::is_shutdown`] turns true: it waits only through
+/// [`Kernel::sleep_interruptible`] and on channels that
+/// [`ConsensusPolicy::stop`] disconnects.
 pub struct Worker {
     name: String,
     run: Box<dyn FnOnce() + Send + 'static>,
@@ -131,7 +127,7 @@ impl Worker {
 }
 
 /// The chain-agnostic node runtime: clock, network, per-shard storage,
-/// commit bus, shutdown flag, and activity counters.
+/// commit bus, stop signal, and activity counters.
 pub struct Kernel {
     chain_name: String,
     architecture: Architecture,
@@ -139,7 +135,7 @@ pub struct Kernel {
     net: SimNetwork,
     shards: Vec<ShardCtx>,
     bus: CommitBus,
-    shutdown: AtomicBool,
+    shutdown: StopSignal,
     gossip_base: usize,
     gossip_per_tx: usize,
     blocks: AtomicU64,
@@ -177,7 +173,7 @@ impl Kernel {
 
     /// Whether shutdown has been requested.
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.is_raised()
     }
 
     /// Snapshot of the activity counters.
@@ -190,34 +186,12 @@ impl Kernel {
         }
     }
 
-    /// Sleeps for `sim` of simulated time, waking early if shutdown is
-    /// requested. Returns `false` when the sleep was cut short (the
-    /// caller's loop should exit). Long waits are chunked so that joining
-    /// a chain parked on a multi-second block interval stays prompt;
-    /// short waits keep [`SimClock::sleep`]'s sub-millisecond precision.
+    /// Sleeps for `sim` of simulated time, woken early by shutdown: how
+    /// every sealer, policy worker and modelled cost waits. Returns `false`
+    /// when the sleep was cut short (the caller's loop should exit). Both
+    /// the precision and the wake are [`SimClock::sleep_unless`]'s.
     pub fn sleep_interruptible(&self, sim: Duration) -> bool {
-        let deadline = Instant::now() + self.clock.to_wall(sim);
-        loop {
-            if self.is_shutdown() {
-                return false;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            let remaining = deadline - now;
-            if remaining > SLEEP_CHUNK {
-                std::thread::sleep(SLEEP_CHUNK);
-            } else {
-                if remaining > SLEEP_SPIN {
-                    std::thread::sleep(remaining - SLEEP_SPIN);
-                }
-                while Instant::now() < deadline {
-                    std::thread::yield_now();
-                }
-                return !self.is_shutdown();
-            }
-        }
+        self.clock.sleep_unless(sim, &self.shutdown)
     }
 
     /// Batch-verifies `txs` in place, dropping (and counting) the ones
@@ -428,6 +402,11 @@ pub trait ConsensusPolicy: Send + Sync + 'static {
     {
         Vec::new()
     }
+
+    /// Called at shutdown, before the workers are joined: a policy whose
+    /// workers block on channels it owns drops the sending ends here, so
+    /// they leave by disconnection.
+    fn stop(&self) {}
 }
 
 /// Builds and starts a [`ChainNode`]: endpoints, sealers, and policy
@@ -488,7 +467,7 @@ impl NodeKernelBuilder {
                 .map(|_| ShardCtx::new(self.mempool_capacity))
                 .collect(),
             bus: CommitBus::new(),
-            shutdown: AtomicBool::new(false),
+            shutdown: StopSignal::default(),
             gossip_base: self.gossip_base,
             gossip_per_tx: self.gossip_per_tx,
             blocks: AtomicU64::new(0),
@@ -601,11 +580,13 @@ impl<P: ConsensusPolicy> ChainNode<P> {
         rpc_adapter::serve_sim(Arc::clone(self) as Arc<dyn SimChain>)
     }
 
-    /// Requests shutdown and joins every kernel-spawned thread.
-    /// Idempotent; never joins the calling thread (a policy worker may
-    /// itself trigger shutdown).
+    /// Requests shutdown (waking every thread in
+    /// [`Kernel::sleep_interruptible`]) and joins every kernel-spawned
+    /// thread. Idempotent; never joins the calling thread (a policy worker
+    /// may itself trigger shutdown).
     pub fn shutdown_and_join(&self) {
-        self.kernel.shutdown.store(true, Ordering::Relaxed);
+        self.kernel.shutdown.raise();
+        self.policy.stop();
         let me = std::thread::current().id();
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         for handle in handles {
@@ -756,6 +737,7 @@ impl<P: ConsensusPolicy> SimChain for ChainNode<P> {
 mod tests {
     use super::*;
     use hammer_net::LinkConfig;
+    use std::time::Instant;
 
     /// A minimal policy: one node, fixed 20 ms epochs, FIFO order.
     struct FifoPolicy;
@@ -984,11 +966,57 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_that_shuts_its_own_node_down_is_not_self_joined() {
+        use crossbeam::channel::{bounded, Sender};
+
+        /// One sealer plus a worker that is handed its own node and shuts
+        /// it down from inside.
+        struct SelfStopPolicy {
+            node: Receiver<Arc<ChainNode<SelfStopPolicy>>>,
+            done: Sender<()>,
+        }
+
+        impl ConsensusPolicy for SelfStopPolicy {
+            fn chain_name(&self) -> &'static str {
+                "self-stop-sim"
+            }
+
+            fn ingress_node(&self, _shard: u32) -> String {
+                "self-stop-node-0".to_owned()
+            }
+
+            fn workers(self: &Arc<Self>, _kernel: &Arc<Kernel>) -> Vec<Worker> {
+                let policy = Arc::clone(self);
+                vec![Worker::new("self-stop-worker", move || {
+                    let node = policy.node.recv().expect("the test hands the node over");
+                    node.shutdown_and_join(); // joins the sealer, skips itself
+                    let _ = policy.done.send(());
+                })]
+            }
+        }
+
+        let (node_tx, node) = bounded(1);
+        let (done, done_rx) = bounded(1);
+        let clock = SimClock::with_speedup(1000.0);
+        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let chain = NodeKernelBuilder::new(clock, net)
+            .endpoint("self-stop-node-0")
+            .start(SelfStopPolicy { node, done });
+        assert_eq!(chain.threads.lock().len(), 2);
+        node_tx.send(Arc::clone(&chain)).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a self-join would have parked the worker on its own handle");
+        assert!(chain.kernel().is_shutdown());
+        assert!(chain.threads.lock().is_empty());
+    }
+
+    #[test]
     fn interruptible_sleep_cut_short_by_shutdown() {
         let chain = start_fifo();
         let kernel = Arc::clone(chain.kernel());
         // 1 hour of simulated time at 1000× is 3.6 s of wall time; the
-        // shutdown below must cut it to roughly a chunk.
+        // shutdown below must cut it to the 30 ms it waited before.
         let waiter = std::thread::spawn(move || {
             let started = Instant::now();
             let completed = kernel.sleep_interruptible(Duration::from_secs(3600));
@@ -998,7 +1026,7 @@ mod tests {
         chain.shutdown();
         let (completed, elapsed) = waiter.join().unwrap();
         assert!(!completed, "sleep should have been interrupted");
-        assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+        assert!(elapsed < Duration::from_millis(250), "took {elapsed:?}");
     }
 
     #[test]

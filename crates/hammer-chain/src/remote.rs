@@ -30,11 +30,11 @@
 //!   synthesizes [`CommitEvent`]s from sealed blocks with a background
 //!   poll thread (one per client, lazily started, joined on drop).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use hammer_net::StopSignal;
 use parking_lot::Mutex;
 
 use crate::client::{Architecture, BlockchainClient, ChainError, CommitEvent, ErrorKind};
@@ -66,7 +66,7 @@ pub struct RemoteChain<C: Transport> {
     cursors: Mutex<Vec<ShardCursor>>,
     subscribers: Arc<Mutex<Vec<Sender<CommitEvent>>>>,
     poller: Mutex<Option<std::thread::JoinHandle<()>>>,
-    stop: Arc<AtomicBool>,
+    stop: Arc<StopSignal>,
 }
 
 impl<C: Transport> RemoteChain<C> {
@@ -118,7 +118,7 @@ impl<C: Transport> RemoteChain<C> {
 
     /// Stops the commit-event poller and joins it. Idempotent.
     fn stop_poller(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stop.raise();
         let handle = self.poller.lock().take();
         if let Some(handle) = handle {
             if handle.thread().id() != std::thread::current().id() {
@@ -141,11 +141,11 @@ impl<C: Transport> Drop for RemoteChain<C> {
 fn event_poll_loop<C: Transport>(
     rpc: &C,
     shards: u32,
-    stop: &AtomicBool,
+    stop: &StopSignal,
     subscribers: &Mutex<Vec<Sender<CommitEvent>>>,
 ) {
     let mut last_remote = vec![0u64; shards as usize];
-    while !stop.load(Ordering::SeqCst) {
+    while !stop.is_raised() {
         for (shard, cursor) in (0..shards).zip(&mut last_remote) {
             let Ok(remote) = wire::LATEST_HEIGHT.call(rpc, &shard) else {
                 continue; // node down: try again next tick
@@ -154,7 +154,7 @@ fn event_poll_loop<C: Transport>(
                 *cursor = 0; // restart: the fresh ledger starts over
             }
             while *cursor < remote {
-                if stop.load(Ordering::SeqCst) {
+                if stop.is_raised() {
                     return;
                 }
                 let block = match wire::GET_BLOCK.call(rpc, &(shard, *cursor + 1)) {
@@ -179,7 +179,7 @@ fn event_poll_loop<C: Transport>(
                 });
             }
         }
-        std::thread::sleep(EVENT_POLL);
+        stop.wait(EVENT_POLL);
     }
 }
 

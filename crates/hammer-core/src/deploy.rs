@@ -19,7 +19,7 @@ use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,7 +32,8 @@ use hammer_ethereum::EthereumConfig;
 use hammer_fabric::FabricConfig;
 use hammer_meepo::MeepoConfig;
 use hammer_net::{
-    FaultPlan, LinkConfig, ReconnectPolicy, SimClock, SimNetwork, TcpClientConfig, TcpRpcClient,
+    FaultPlan, LinkConfig, ReconnectPolicy, SimClock, SimNetwork, StopSignal, TcpClientConfig,
+    TcpRpcClient,
 };
 use hammer_neuchain::NeuchainConfig;
 use parking_lot::Mutex;
@@ -227,7 +228,7 @@ struct SupervisorShared {
     /// these as SIGKILL; other fault kinds are the node's own business).
     crash_windows: Mutex<Vec<(Duration, Duration)>>,
     rpc: TcpRpcClient,
-    stop: AtomicBool,
+    stop: StopSignal,
     kills: AtomicU64,
     restarts: AtomicU64,
 }
@@ -411,7 +412,7 @@ impl Supervisor {
             plan: Mutex::new(None),
             crash_windows: Mutex::new(Vec::new()),
             rpc,
-            stop: AtomicBool::new(false),
+            stop: StopSignal::default(),
             kills: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
         });
@@ -477,7 +478,7 @@ impl Supervisor {
     /// called by `Drop` (panic-safe: an unwinding test still reaps its
     /// children).
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.raise();
         let handle = self.thread.lock().take();
         if let Some(handle) = handle {
             if handle.thread().id() != std::thread::current().id() {
@@ -499,7 +500,7 @@ impl Drop for Supervisor {
 fn supervise_loop(shared: Arc<SupervisorShared>) {
     let mut backoff = shared.config.restart_backoff;
     let mut next_restart = Instant::now();
-    while !shared.stop.load(Ordering::SeqCst) {
+    while !shared.stop.is_raised() {
         let now = shared.clock.now();
         let crashed = in_crash_window(&shared.crash_windows.lock(), now);
         if crashed {
@@ -522,7 +523,7 @@ fn supervise_loop(shared: Arc<SupervisorShared>) {
                 }
             }
         }
-        std::thread::sleep(shared.config.tick);
+        shared.stop.wait(shared.config.tick);
     }
 }
 

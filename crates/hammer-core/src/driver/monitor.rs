@@ -1,6 +1,9 @@
 //! The **Monitor/Match** stage (Fig. 3, step 6): observes commitment by
 //! polling blocks or by listening to commit events. Both variants share
-//! the per-record `on_matched` step and the per-cycle `end_cycle` tail.
+//! the per-record `on_matched` step and the per-cycle `end_cycle` tail, and
+//! both tick on `poll_interval` of *simulated* time (the poller sleeps it,
+//! the listener waits at most that long for an event), so the watchdog and
+//! the kill switch run at one cadence in every mode and at every speed-up.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -283,8 +286,10 @@ impl<'a> Monitor<'a> {
 
     /// Caliper-style per-event listener.
     fn listen(&mut self, events: &Receiver<CommitEvent>, per_event: Duration) {
+        // An idle listener still runs the per-cycle tail once per interval.
+        let idle_tick = self.clock.to_wall(self.config.poll_interval);
         loop {
-            match events.recv_timeout(Duration::from_millis(20)) {
+            match events.recv_timeout(idle_tick) {
                 // A listener that has fallen behind by more than the SDK
                 // buffer loses responses — transactions that actually
                 // committed never get counted, which is exactly why

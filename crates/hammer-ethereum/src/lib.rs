@@ -143,11 +143,10 @@ impl ConsensusPolicy for EthereumPolicy {
         // state lock: repeated sender keys share a precomputed table, and
         // the lock is never held across signature checks.
         kernel.verify_retain(&mut txs, &self.config.sig_params);
-        // Model aggregate EVM execution time.
-        if !txs.is_empty() {
-            kernel
-                .clock()
-                .sleep(self.config.exec_cost_per_tx * txs.len() as u32);
+        // Model aggregate EVM execution time; cut short by shutdown, the
+        // round is abandoned (nothing reads the ledger afterwards).
+        if !kernel.sleep_interruptible(self.config.exec_cost_per_tx * txs.len() as u32) {
+            return None;
         }
 
         let mut tx_ids = Vec::with_capacity(txs.len());

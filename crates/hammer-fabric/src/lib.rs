@@ -24,8 +24,14 @@
 //! kernel's sealer loop: the endorse → order → validate pipeline runs as
 //! policy workers, and the committer seals through
 //! [`hammer_chain::kernel::Kernel::seal_block`] when a validated batch is
-//! ready. [`start`] returns the running [`ChainNode`] itself; the policy's
-//! own counters are read through `node.policy()`.
+//! ready. The workers pay every modelled cost through
+//! `Kernel::sleep_interruptible` and block otherwise in a plain `recv`
+//! (the orderer's open batch has the one timed receive, its deadline kept
+//! in simulated time), so shutdown is a cascade of disconnections, not a
+//! polled flag: [`ConsensusPolicy::stop`] drops the inbox sender, the
+//! endorsers' exit disconnects the orderer, and the orderer's the
+//! committer. [`start`] returns the running [`ChainNode`] itself; the
+//! policy's own counters are read through `node.policy()`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -98,6 +104,15 @@ struct Endorsed {
     rwset: Option<RwSet>,
 }
 
+/// The admission side of the endorsement inbox, under the one lock `admit`
+/// takes.
+struct Inbox {
+    pending_ids: HashSet<TxId>,
+    /// Set when the workers are made; `None` again once the node stops,
+    /// which is what releases endorsers blocked on an empty inbox.
+    endorse_tx: Option<Sender<SignedTransaction>>,
+}
+
 fn peer_name(i: usize) -> String {
     format!("fabric-peer-{i}")
 }
@@ -107,9 +122,7 @@ fn peer_name(i: usize) -> String {
 /// kernel workers.
 pub struct FabricPolicy {
     config: FabricConfig,
-    endorse_tx: Sender<SignedTransaction>,
-    endorse_rx: Receiver<SignedTransaction>,
-    pending_ids: Mutex<HashSet<TxId>>,
+    inbox: Mutex<Inbox>,
     /// Rejected requests whose handling cost the endorser pool still owes.
     reject_debt: AtomicU64,
     mvcc_conflicts: AtomicU64,
@@ -158,16 +171,19 @@ impl ConsensusPolicy for FabricPolicy {
         tx: SignedTransaction,
     ) -> Result<TxId, ChainError> {
         let id = tx.id;
-        {
-            let mut pending = self.pending_ids.lock();
-            if !pending.insert(id) {
-                return Err(ChainError::rejected(MempoolError::Duplicate));
-            }
+        let mut inbox = self.inbox.lock();
+        let Some(endorse_tx) = &inbox.endorse_tx else {
+            return Err(ChainError::shutdown());
+        };
+        if inbox.pending_ids.contains(&id) {
+            return Err(ChainError::rejected(MempoolError::Duplicate));
         }
-        match self.endorse_tx.try_send(tx) {
-            Ok(()) => Ok(id),
+        match endorse_tx.try_send(tx) {
+            Ok(()) => {
+                inbox.pending_ids.insert(id);
+                Ok(id)
+            }
             Err(_) => {
-                self.pending_ids.lock().remove(&id);
                 self.rejected_overload.fetch_add(1, Ordering::Relaxed);
                 self.reject_debt.fetch_add(1, Ordering::Relaxed);
                 // Backpressure, not a verdict on the transaction: the
@@ -178,7 +194,7 @@ impl ConsensusPolicy for FabricPolicy {
     }
 
     fn pending(&self, _kernel: &Kernel) -> usize {
-        self.pending_ids.lock().len()
+        self.inbox.lock().pending_ids.len()
     }
 
     /// Blocks are cut by the committer worker, not a kernel sealer loop.
@@ -189,11 +205,13 @@ impl ConsensusPolicy for FabricPolicy {
     fn workers(self: &Arc<Self>, kernel: &Arc<Kernel>) -> Vec<Worker> {
         let (ordered_tx, ordered_rx) = bounded::<Endorsed>(self.config.inbox_capacity.max(1024));
         let (block_tx, block_rx) = bounded::<Vec<Endorsed>>(64);
+        let (endorse_tx, endorse_rx) = bounded(self.config.inbox_capacity);
+        self.inbox.lock().endorse_tx = Some(endorse_tx);
         let mut workers = Vec::new();
         for t in 0..self.config.endorser_threads {
             let policy = Arc::clone(self);
             let kernel = Arc::clone(kernel);
-            let rx = self.endorse_rx.clone();
+            let rx = endorse_rx.clone();
             let out = ordered_tx.clone();
             workers.push(Worker::new(format!("fabric-endorser-{t}"), move || {
                 endorser_loop(policy, kernel, rx, out)
@@ -216,6 +234,11 @@ impl ConsensusPolicy for FabricPolicy {
         }
         workers
     }
+
+    /// Closes the inbox; the pipeline drains out behind it.
+    fn stop(&self) {
+        self.inbox.lock().endorse_tx = None;
+    }
 }
 
 fn endorser_loop(
@@ -234,15 +257,8 @@ fn endorser_loop(
         {
             return;
         }
-        let first = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(tx) => tx,
-            Err(RecvTimeoutError::Timeout) => {
-                if kernel.is_shutdown() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
+        let Ok(first) = rx.recv() else {
+            return; // inbox closed and drained
         };
         // Greedily drain whatever burst is already queued so signature
         // checks run through the batch verifier (shared per-key tables)
@@ -260,7 +276,7 @@ fn endorser_loop(
             }
         }
         kernel.verify_retain_with(&mut burst, &config.sig_params, |tx| {
-            policy.pending_ids.lock().remove(&tx.id);
+            policy.inbox.lock().pending_ids.remove(&tx.id);
         });
         // Per-burst (not per-tx) observability.
         let obs = kernel.net().obs();
@@ -270,10 +286,7 @@ fn endorser_loop(
                 .add(burst.len() as u64);
         }
         for tx in burst {
-            // Endorsement = simulated execution cost + rwset. The sleep is
-            // interruptible so a shutdown mid-burst (or under an hour-long
-            // conformance stall) joins promptly instead of serving out the
-            // remaining endorsements.
+            // Endorsement = simulated execution cost + rwset.
             if !kernel.sleep_interruptible(config.endorse_cost) {
                 return;
             }
@@ -301,49 +314,41 @@ fn orderer_loop(
     out: Sender<Vec<Endorsed>>,
 ) {
     let config = &policy.config;
+    let clock = kernel.clock();
     let peers: Vec<String> = (0..config.peers).map(peer_name).collect();
-    let mut batch: Vec<Endorsed> = Vec::new();
-    let mut batch_deadline: Option<std::time::Instant> = None;
     loop {
-        if kernel.is_shutdown() {
-            return;
-        }
-        let wall_timeout = match batch_deadline {
-            Some(deadline) => deadline
-                .saturating_duration_since(std::time::Instant::now())
-                .min(Duration::from_millis(100)),
-            None => Duration::from_millis(100),
+        // The first transaction opens a batch and sets its deadline, in
+        // simulated time; until then there is nothing to time out.
+        let Ok(first) = rx.recv() else {
+            return; // every endorser is gone
         };
-        match rx.recv_timeout(wall_timeout) {
-            Ok(endorsed) => {
-                if batch.is_empty() {
-                    batch_deadline = Some(
-                        std::time::Instant::now() + kernel.clock().to_wall(config.batch_timeout),
-                    );
-                }
-                batch.push(endorsed);
+        let deadline = clock.now() + config.batch_timeout;
+        let mut batch = vec![first];
+        while batch.len() < config.max_batch {
+            let left = deadline.saturating_sub(clock.now());
+            match rx.recv_timeout(clock.to_wall(left)) {
+                Ok(endorsed) => batch.push(endorsed),
+                Err(RecvTimeoutError::Timeout) => break,
+                Err(RecvTimeoutError::Disconnected) => return,
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(_) => return,
         }
-        let timed_out = batch_deadline
-            .map(|d| std::time::Instant::now() >= d)
-            .unwrap_or(false);
         // A crashed orderer cuts no blocks; endorsed transactions pile up
-        // in the batch until the restart.
-        if kernel.net().node_crashed("fabric-orderer") {
-            continue;
-        }
-        if batch.len() >= config.max_batch || (timed_out && !batch.is_empty()) {
-            let full = std::mem::take(&mut batch);
-            batch_deadline = None;
-            // Block distribution traffic: orderer -> every peer, sent at
-            // ordering time (before validation), as Fabric delivers raw
-            // blocks to peers for local validation.
-            kernel.gossip("fabric-orderer", &peers, full.len());
-            if out.send(full).is_err() {
+        // in the batch until the restart. It looks again once per
+        // `batch_timeout`, as a crashed sealer does once per `seal_wait`.
+        while kernel.net().node_crashed("fabric-orderer") {
+            if !kernel.sleep_interruptible(config.batch_timeout) {
                 return;
             }
+            while let Ok(endorsed) = rx.try_recv() {
+                batch.push(endorsed);
+            }
+        }
+        // Block distribution traffic: orderer -> every peer, sent at
+        // ordering time (before validation), as Fabric delivers raw
+        // blocks to peers for local validation.
+        kernel.gossip("fabric-orderer", &peers, batch.len());
+        if out.send(batch).is_err() {
+            return;
         }
     }
 }
@@ -351,20 +356,14 @@ fn orderer_loop(
 fn committer_loop(policy: Arc<FabricPolicy>, kernel: Arc<Kernel>, rx: Receiver<Vec<Endorsed>>) {
     let config = &policy.config;
     loop {
-        let batch = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(b) => b,
-            Err(RecvTimeoutError::Timeout) => {
-                if kernel.is_shutdown() {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
+        let Ok(batch) = rx.recv() else {
+            return; // the orderer is gone
         };
-        // Validation cost for the whole block.
-        kernel
-            .clock()
-            .sleep(config.validate_cost * batch.len() as u32);
+        // Validation cost for the whole block; cut short by shutdown, the
+        // block is abandoned (nothing reads the ledger afterwards).
+        if !kernel.sleep_interruptible(config.validate_cost * batch.len() as u32) {
+            return;
+        }
         let mut tx_ids = Vec::with_capacity(batch.len());
         let mut valid = Vec::with_capacity(batch.len());
         {
@@ -382,11 +381,11 @@ fn committer_loop(policy: Arc<FabricPolicy>, kernel: Arc<Kernel>, rx: Receiver<V
             }
         }
         let depth = {
-            let mut pending = policy.pending_ids.lock();
+            let mut inbox = policy.inbox.lock();
             for id in &tx_ids {
-                pending.remove(id);
+                inbox.pending_ids.remove(id);
             }
-            pending.len()
+            inbox.pending_ids.len()
         };
         // Distribution already happened at ordering time; in-flight
         // endorsement depth stands in for a mempool on this EOV pipeline.
@@ -410,7 +409,6 @@ pub fn start(
     net: SimNetwork,
 ) -> Arc<ChainNode<FabricPolicy>> {
     assert!(config.peers >= 1 && config.endorser_threads >= 1);
-    let (endorse_tx, endorse_rx) = bounded::<SignedTransaction>(config.inbox_capacity);
     let mut builder = NodeKernelBuilder::new(clock, net)
         .gossip_sizing(200, 150)
         .endpoint("fabric-orderer");
@@ -419,9 +417,10 @@ pub fn start(
     }
     builder.start(FabricPolicy {
         config,
-        endorse_tx,
-        endorse_rx,
-        pending_ids: Mutex::new(HashSet::new()),
+        inbox: Mutex::new(Inbox {
+            pending_ids: HashSet::new(),
+            endorse_tx: None,
+        }),
         reject_debt: AtomicU64::new(0),
         mvcc_conflicts: AtomicU64::new(0),
         endorse_failures: AtomicU64::new(0),
@@ -439,11 +438,15 @@ mod tests {
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
 
-    fn fast_chain(mut config: FabricConfig) -> Arc<ChainNode<FabricPolicy>> {
-        let clock = SimClock::with_speedup(1000.0);
+    fn chain_at(speedup: f64, config: FabricConfig) -> Arc<ChainNode<FabricPolicy>> {
+        let clock = SimClock::with_speedup(speedup);
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-        config.batch_timeout = Duration::from_millis(200);
         start(config, clock, net)
+    }
+
+    fn fast_chain(mut config: FabricConfig) -> Arc<ChainNode<FabricPolicy>> {
+        config.batch_timeout = Duration::from_millis(200);
+        chain_at(1000.0, config)
     }
 
     fn signed(nonce: u64, op: Op) -> SignedTransaction {
@@ -680,6 +683,119 @@ mod tests {
             ));
         }
         assert!(wait_until(|| chain.pending_txs().unwrap() == 0, 8000));
+        chain.shutdown();
+    }
+
+    /// `n` signed deposits, each to a seeded account of its own.
+    fn deposits(chain: &ChainNode<FabricPolicy>, n: u64) -> Vec<SignedTransaction> {
+        let signed_deposit = |i| {
+            let account = Address::from_name(&format!("d{i}"));
+            chain.seed_account(account, 100, 0);
+            signed(i, Op::DepositChecking { account, amount: 1 })
+        };
+        (0..n).map(signed_deposit).collect()
+    }
+
+    #[test]
+    fn dropping_the_node_takes_no_poll_to_come_down() {
+        let timed_drop = |chain: Arc<ChainNode<FabricPolicy>>| {
+            let start = std::time::Instant::now();
+            drop(chain);
+            start.elapsed()
+        };
+        // Idle: every worker is blocked on an empty channel.
+        let idle = timed_drop(fast_chain(FabricConfig::default()));
+        assert!(idle < Duration::from_millis(20), "idle drop took {idle:?}");
+
+        // Busy: at 100× a burst of 300 is 12 ms of validation alone, so the
+        // drop finds endorsers mid-burst, an open batch at the orderer and
+        // the committer inside its validation wait.
+        let chain = chain_at(100.0, FabricConfig::default());
+        for tx in deposits(&chain, 300) {
+            chain.submit(tx).unwrap();
+        }
+        assert!(chain.pending_txs().unwrap() > 0, "the burst is in flight");
+        let busy = timed_drop(chain);
+        assert!(busy < Duration::from_millis(20), "busy drop took {busy:?}");
+    }
+
+    #[test]
+    fn a_partial_batch_is_cut_at_the_timeout_in_simulated_time() {
+        let batch_timeout = Duration::from_secs(20);
+        for speedup in [100.0, 1000.0] {
+            let config = FabricConfig {
+                batch_timeout,
+                ..FabricConfig::default()
+            };
+            let chain = chain_at(speedup, config);
+            let commits = chain.subscribe_commits();
+            let submitted_at = chain.clock().now();
+            for tx in deposits(&chain, 3) {
+                chain.submit(tx).unwrap();
+            }
+            let event = commits.recv_timeout(Duration::from_secs(5)).expect("event");
+            // The block's timestamp is simulated time: the timeout plus a
+            // few milliseconds of endorsement and validation, at any
+            // speed-up. The slack is 20 ms of wall time at 1000×.
+            let waited = event.committed_at - submitted_at;
+            assert!(waited >= batch_timeout, "{speedup}×: cut after {waited:?}");
+            assert!(
+                waited < batch_timeout * 2,
+                "{speedup}×: cut after {waited:?}"
+            );
+            assert_eq!(chain.latest_height(0).unwrap(), 1, "one block of three");
+            chain.shutdown();
+        }
+    }
+
+    /// CPU time (user + system, in 10 ms ticks) of every live thread named
+    /// `fabric-orderer`; `None` where `/proc` does not say.
+    fn orderer_cpu_ticks() -> Option<u64> {
+        let mut ticks = 0;
+        for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
+            let read = |file| std::fs::read_to_string(task.path().join(file));
+            if read("comm").is_ok_and(|name| name.trim() == "fabric-orderer") {
+                // Fields 14 and 15; the thread name in field 2 has no space.
+                let stat = read("stat").ok()?;
+                let mut fields = stat.split(' ').skip(13);
+                ticks += fields.next()?.parse::<u64>().ok()?;
+                ticks += fields.next()?.parse::<u64>().ok()?;
+            }
+        }
+        Some(ticks)
+    }
+
+    #[test]
+    fn a_crashed_orderer_neither_spins_nor_loses_its_open_batch() {
+        use hammer_net::FaultPlan;
+        // The crash window is 400 ms of wall time, eighty batch timeouts.
+        let window_end = Duration::from_secs(40);
+        let chain = chain_at(100.0, FabricConfig::default());
+        chain.net().install_faults(FaultPlan::new().crash(
+            "fabric-orderer",
+            Duration::ZERO,
+            window_end,
+        ));
+        for tx in deposits(&chain, 3) {
+            chain.submit(tx).unwrap();
+        }
+        let cpu_before = orderer_cpu_ticks();
+        // Well inside the window the batch's deadline is long past, and
+        // nothing has been cut.
+        chain
+            .clock()
+            .sleep_until(window_end - Duration::from_secs(5));
+        assert_eq!(chain.latest_height(0).unwrap(), 0);
+        assert_eq!(chain.pending_txs().unwrap(), 3);
+        if let (Some(before), Some(after)) = (cpu_before, orderer_cpu_ticks()) {
+            // One look per batch timeout costs the orderer a few percent of
+            // a core; holding an expired deadline in a loop, all 35 ticks.
+            let spent = after.saturating_sub(before);
+            assert!(spent <= 10, "the crashed orderer burnt {spent} ticks");
+        }
+        // The window ends; the batch it held is cut whole.
+        assert!(wait_until(|| chain.stats().committed == 3, 5000));
+        assert_eq!(chain.latest_height(0).unwrap(), 1);
         chain.shutdown();
     }
 

@@ -154,9 +154,10 @@ impl ConsensusPolicy for MeepoPolicy {
             return None;
         }
         kernel.verify_retain(&mut txs, &self.config.sig_params);
-        kernel
-            .clock()
-            .sleep(self.config.exec_cost_per_tx * txs.len() as u32);
+        // Cut short by shutdown, the round is abandoned.
+        if !kernel.sleep_interruptible(self.config.exec_cost_per_tx * txs.len() as u32) {
+            return None;
+        }
 
         let mut tx_ids = Vec::with_capacity(txs.len());
         let mut valid = Vec::with_capacity(txs.len());

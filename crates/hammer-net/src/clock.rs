@@ -1,4 +1,4 @@
-//! A scalable simulation clock.
+//! A scalable simulation clock, and the one place the simulation waits.
 //!
 //! All chain simulators express their timing (block intervals, consensus
 //! rounds, network RTTs) in *simulated* durations. The [`SimClock`] maps a
@@ -6,9 +6,21 @@
 //! same configuration can run in real time (speed-up 1) for demos or 1000×
 //! accelerated for tests and benchmarks while preserving every ratio between
 //! the systems under test.
+//!
+//! Every timed wait of simulated code ends in one private function,
+//! `SimClock::wait_until` (DESIGN.md §6); a scheduler that owns simulated
+//! time replaces that one function. [`StopSignal`] is how teardown ends a
+//! wait by a wake instead of a poll.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The one pair of wait thresholds, in wall time: a wait blocks in the OS
+/// only while more than `OS_WAIT_ABOVE` remains, and wakes `YIELD_TAIL`
+/// before its deadline to yield through the rest.
+const OS_WAIT_ABOVE: Duration = Duration::from_micros(500);
+const YIELD_TAIL: Duration = Duration::from_micros(200);
 
 /// A shared, cloneable simulation clock.
 ///
@@ -91,28 +103,10 @@ impl SimClock {
     }
 
     /// Blocks the current thread for `sim_duration` of simulated time
-    /// (i.e. `sim_duration / speedup` of wall time).
-    ///
-    /// OS sleep has a ~50 µs+ floor, which would grossly distort
-    /// fine-grained cost models under high speed-ups, so short waits spin:
-    /// waits under 1 ms sleep for all but the last ~200 µs and busy-wait
-    /// the remainder against a deadline.
+    /// (i.e. `sim_duration / speedup` of wall time). The deadline is fixed
+    /// at entry.
     pub fn sleep(&self, sim_duration: Duration) {
-        let wall = self.to_wall(sim_duration);
-        if wall.is_zero() {
-            return;
-        }
-        let deadline = Instant::now() + wall;
-        const SPIN_THRESHOLD: Duration = Duration::from_micros(200);
-        if wall > SPIN_THRESHOLD {
-            std::thread::sleep(wall - SPIN_THRESHOLD);
-        }
-        // Yield rather than spin for the tail: on a single-core host a
-        // pure spin loop starves every other simulation thread for its
-        // whole quantum.
-        while Instant::now() < deadline {
-            std::thread::yield_now();
-        }
+        self.wait_until(self.now() + sim_duration, None);
     }
 
     /// Blocks until the simulated clock reaches `sim_deadline` (absolute)
@@ -123,16 +117,35 @@ impl SimClock {
     /// that was descheduled past its deadline returns immediately, which
     /// keeps rate-pacing loops accurate on oversubscribed hosts.
     pub fn sleep_until(&self, sim_deadline: Duration) -> Duration {
+        self.wait_until(sim_deadline, None)
+    }
+
+    /// [`SimClock::sleep`], cut short by `stop`: `false` as soon as the
+    /// signal is raised (at once if it already is), `true` when served out.
+    pub fn sleep_unless(&self, sim_duration: Duration, stop: &StopSignal) -> bool {
+        self.wait_until(self.now() + sim_duration, Some(stop));
+        !stop.is_raised()
+    }
+
+    /// The one precision wait. An OS wait overshoots by ~50–150 µs, which
+    /// would grossly distort fine-grained cost models under high
+    /// speed-ups, so the tail is yielded through — yielded, not spun: on a
+    /// small host a spin loop starves every other simulation thread for its
+    /// whole quantum. Returns the reading that ended the wait: at or past
+    /// `sim_deadline`, or earlier if `stop` was raised.
+    fn wait_until(&self, sim_deadline: Duration, stop: Option<&StopSignal>) -> Duration {
         loop {
             let now = self.now();
-            if now >= sim_deadline {
+            if now >= sim_deadline || stop.is_some_and(StopSignal::is_raised) {
                 return now;
             }
             let remaining_wall = self.to_wall(sim_deadline - now);
-            if remaining_wall > Duration::from_micros(500) {
-                std::thread::sleep(remaining_wall - Duration::from_micros(200));
-            } else {
+            if remaining_wall <= OS_WAIT_ABOVE {
                 std::thread::yield_now();
+            } else if let Some(stop) = stop {
+                stop.wait(remaining_wall - YIELD_TAIL);
+            } else {
+                std::thread::sleep(remaining_wall - YIELD_TAIL);
             }
         }
     }
@@ -145,6 +158,46 @@ impl SimClock {
     /// Converts a wall duration to the simulated duration it represents.
     pub fn to_sim(&self, wall_duration: Duration) -> Duration {
         wall_duration.mul_f64(self.inner.speedup)
+    }
+}
+
+/// A one-way stop flag that threads can block on: reading it is one atomic
+/// load, raising it wakes every thread in [`StopSignal::wait`] or
+/// [`SimClock::sleep_unless`]. Teardown paths raise it before they join,
+/// so a thread parked on a long interval is released by the wake itself.
+#[derive(Debug, Default)]
+pub struct StopSignal {
+    /// Publishes nothing but itself: `raise` stores with `Release`,
+    /// `is_raised` loads with `Acquire`.
+    raised: AtomicBool,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl StopSignal {
+    /// Whether the signal has been raised.
+    pub fn is_raised(&self) -> bool {
+        self.raised.load(Ordering::Acquire)
+    }
+
+    /// Raises the signal and wakes every waiter. Idempotent.
+    pub fn raise(&self) {
+        self.raised.store(true, Ordering::Release);
+        // Through the lock, a waiter that saw the flag down either sees it
+        // up now or is parked by the time the notify is sent.
+        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        self.wake.notify_all();
+    }
+
+    /// Blocks for `wall` of wall-clock time (loops that face real sockets
+    /// and processes tick on it) or until the signal is raised.
+    pub fn wait(&self, wall: Duration) {
+        // The lock guards no data, so a poisoned one is as good as new.
+        let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        drop(
+            self.wake
+                .wait_timeout_while(guard, wall, |()| !self.is_raised()),
+        );
     }
 }
 
@@ -254,14 +307,55 @@ mod spin_tests {
     #[test]
     fn short_sleeps_are_accurate() {
         // 50 µs wall sleeps must land within ~60 µs, not the ~1 ms an OS
-        // sleep would give.
+        // sleep would give — through each of the three entries, which
+        // share one loop and one pair of thresholds.
         let clock = SimClock::with_speedup(1000.0);
-        let start = Instant::now();
-        for _ in 0..20 {
-            clock.sleep(Duration::from_millis(50)); // 50 µs wall each
+        let step = Duration::from_millis(50); // 50 µs wall each
+        let never = StopSignal::default();
+        let entries: [(&str, &dyn Fn()); 3] = [
+            ("sleep", &|| clock.sleep(step)),
+            ("sleep_until", &|| {
+                clock.sleep_until(clock.now() + step);
+            }),
+            (
+                "sleep_unless",
+                &|| assert!(clock.sleep_unless(step, &never)),
+            ),
+        ];
+        for (entry, wait) in entries {
+            let start = Instant::now();
+            for _ in 0..20 {
+                wait();
+            }
+            let elapsed = start.elapsed();
+            assert!(elapsed >= Duration::from_millis(1), "{entry}: {elapsed:?}");
+            assert!(elapsed < Duration::from_millis(5), "{entry}: {elapsed:?}");
         }
-        let elapsed = start.elapsed();
-        assert!(elapsed >= Duration::from_millis(1), "{elapsed:?}");
-        assert!(elapsed < Duration::from_millis(5), "{elapsed:?}");
+    }
+
+    #[test]
+    fn a_raised_signal_ends_the_wait_by_a_wake() {
+        let clock = SimClock::with_speedup(1000.0);
+        let stop = StopSignal::default();
+        // An hour of simulated time is 3.6 s of wall time at 1000×.
+        let hour = Duration::from_secs(3600);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| (clock.sleep_unless(hour, &stop), Instant::now()));
+            std::thread::sleep(Duration::from_millis(30));
+            let raised_at = Instant::now();
+            stop.raise();
+            let (served, woke_at) = waiter.join().unwrap();
+            assert!(!served, "the wait should have been cut short");
+            let lag = woke_at.saturating_duration_since(raised_at);
+            assert!(
+                lag < Duration::from_millis(20),
+                "woke {lag:?} after the raise"
+            );
+        });
+        // Already raised: both waits return at once.
+        let start = Instant::now();
+        assert!(!clock.sleep_unless(hour, &stop));
+        stop.wait(hour);
+        assert!(start.elapsed() < Duration::from_millis(20));
     }
 }

@@ -9,6 +9,8 @@
 //!   in *simulated* time (e.g. Ethereum's 15-second block interval) and the
 //!   clock maps them onto wall time with a configurable speed-up, so a full
 //!   evaluation runs in seconds while inter-system *ratios* are preserved.
+//!   Its module holds the simulation's only timed-wait loop and
+//!   [`clock::StopSignal`], which teardown raises to wake what waits.
 //! * [`link::LinkConfig`] — the testbed's link quality. Only
 //!   `loss_probability` is simulated; latency, jitter and bandwidth
 //!   describe the links and delay nothing.
@@ -67,7 +69,7 @@ pub mod network;
 pub mod tcp;
 
 pub use chaos::ChaosTargets;
-pub use clock::SimClock;
+pub use clock::{SimClock, StopSignal};
 pub use fault::{Fault, FaultPlan, FaultPlanError, FaultWindow, NodeFault};
 pub use link::LinkConfig;
 pub use network::{FaultObserver, NetError, SimNetwork, DEFAULT_NET_SEED};

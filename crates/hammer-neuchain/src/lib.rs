@@ -99,10 +99,11 @@ impl ConsensusPolicy for NeuchainPolicy {
 
         kernel.verify_retain(&mut txs, &self.config.sig_params);
 
-        // Deterministic execution cost.
-        kernel
-            .clock()
-            .sleep(self.config.exec_cost_per_tx * txs.len() as u32);
+        // Deterministic execution cost; cut short by shutdown, the round
+        // is abandoned (nothing reads the ledger afterwards).
+        if !kernel.sleep_interruptible(self.config.exec_cost_per_tx * txs.len() as u32) {
+            return None;
+        }
 
         let mut tx_ids = Vec::with_capacity(txs.len());
         let mut valid = Vec::with_capacity(txs.len());

@@ -338,6 +338,34 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: the simulation waits in one place"
+# Simulated code blocks on a timer in one function, SimClock::wait_until
+# (hammer-net/src/clock.rs), and is stopped by one signal type raised at
+# teardown. So the node kernel, the four backend crates and the driver
+# (non-test code, `non_test` above) contain no OS wait, no yield loop, no
+# wall-clock receive timeout and no wall-clock read — but for the driver's
+# `wall_start`, a measurement and not a wait; a backend models a cost
+# through Kernel::sleep_interruptible, never through the clock's own
+# entries (the driver's `clock.sleep` / `sleep_until` are those entries and
+# stay); and the kernel's chunked copy of the loop stays gone.
+violations=$({
+    find crates/hammer-chain/src/kernel.rs $sim_crates crates/hammer-core/src/driver \
+        -name '*.rs' | while read -r file; do
+        non_test "$file" \
+            | grep -E 'thread::sleep|yield_now|park_timeout|recv_timeout\(Duration::from|Instant::now' \
+            | grep -vE '^crates/hammer-core/src/driver/mod\.rs:[0-9]+: +let wall_start = Instant::now\(\);$'
+    done
+    find $sim_crates -name '*.rs' | while read -r file; do
+        non_test "$file" | grep -E '\.sleep\(|\.sleep_until\('
+    done
+    grep -rnE 'SLEEP_CHUNK|SLEEP_SPIN' crates src tests examples
+} 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a wait or a wall-clock read outside SimClock (use Kernel::sleep_interruptible / StopSignal):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
 echo "==> non-test lines of code (scripts/loc.sh)"
 scripts/loc.sh
 

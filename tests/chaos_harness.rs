@@ -9,7 +9,7 @@ use std::time::Duration;
 use hammer::core::chaos::LeakProbe;
 use hammer::core::checkpoint::RecoveryConfig;
 use hammer::core::deploy::{BackendOptions, BackendRegistry};
-use hammer::core::driver::{EvalConfig, EvalError, EvalReport, Evaluation};
+use hammer::core::driver::{EvalConfig, EvalError, EvalReport, Evaluation, TestingMode};
 use hammer::core::machine::ClientMachine;
 use hammer::core::retry::RetryPolicy;
 use hammer::core::scenario::Scenario;
@@ -114,6 +114,57 @@ fn watchdog_aborts_a_stalled_run_with_a_complete_report() {
     assert!(
         obs.journal().count_of(EventKind::Stalled) >= 1,
         "the stall is journaled"
+    );
+}
+
+/// The interactive listener's idle tick is `poll_interval` of *simulated*
+/// time, as the pollers' is: with nothing committing, the watchdog still
+/// fires within its budget plus a few poll intervals at 1000×, where a
+/// tick of 20 ms of wall time was 20 simulated seconds.
+#[test]
+fn interactive_watchdog_fires_within_its_budget_at_high_speedup() {
+    let _guard = common::serial_guard();
+    let clock = hammer::net::SimClock::with_speedup(1000.0);
+    let net = hammer::net::SimNetwork::new(clock.clone(), hammer::net::LinkConfig::lan());
+    net.install_obs(hammer::obs::Obs::new());
+    let options = BackendOptions {
+        stall_sealing: true,
+        ..BackendOptions::default()
+    };
+    let deployment = BackendRegistry::builtin()
+        .deploy_on("neuchain-sim", &options, clock, net)
+        .unwrap();
+    let workload = WorkloadConfig {
+        accounts: 200,
+        ..WorkloadConfig::default()
+    };
+    let control = ControlSequence::constant(20, 1, Duration::from_secs(1));
+    let config = EvalConfig::builder()
+        .mode(TestingMode::Interactive)
+        .machine(ClientMachine::unconstrained())
+        .poll_interval(Duration::from_millis(100))
+        .drain_timeout(Duration::from_secs(600))
+        .stall_budget(Duration::from_secs(5))
+        .build()
+        .unwrap();
+    let report = Evaluation::new(config)
+        .run(&deployment, &workload, &control)
+        .expect("a stalled run still reports");
+
+    assert!(report.stalled, "watchdog should have fired");
+    let journal = deployment.net().obs().journal().events();
+    let stalled_at = journal
+        .iter()
+        .find(|event| event.kind == EventKind::Stalled)
+        .expect("the stall is journaled")
+        .at;
+    // One second of submission and five of budget on a clock that started
+    // at deploy: 7.4–8.0 s here. The bound leaves 7 ms of wall time for
+    // the host (a millisecond is a simulated second) and is still under
+    // the 20 s at which a wall-clock tick first looked.
+    assert!(
+        stalled_at < Duration::from_secs(15),
+        "stalled at {stalled_at:?} of simulated time"
     );
 }
 
