@@ -437,15 +437,16 @@ pub fn serve_sim(chain: Arc<dyn SimChain>) -> RpcServer {
 /// hands each length-prefixed frame to
 /// [`RpcServer::handle_bytes_into`] — the identical entry point the
 /// in-process transport uses, so both deploy modes execute the same
-/// dispatch and codec code on byte-identical JSON.
+/// dispatch and codec code on byte-identical JSON. The third parameter has
+/// nothing in it; the frozen `driver_e2e` package passes it (ROADMAP 6b).
 pub fn serve_tcp(
     server: RpcServer,
     addr: &str,
-    config: hammer_net::TcpServerConfig,
+    _config: hammer_net::TcpServerConfig,
 ) -> std::io::Result<hammer_net::TcpRpcServer> {
     let handler: hammer_net::RawHandler =
         Arc::new(move |req: &[u8], out: &mut String| server.handle_bytes_into(req, out));
-    hammer_net::TcpRpcServer::bind(addr, handler, config)
+    hammer_net::TcpRpcServer::bind(addr, handler)
 }
 
 #[cfg(test)]

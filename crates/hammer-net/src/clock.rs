@@ -9,18 +9,36 @@
 //!
 //! Every timed wait of simulated code ends in one private function,
 //! `SimClock::wait_until` (DESIGN.md §6); a scheduler that owns simulated
-//! time replaces that one function. [`StopSignal`] is how teardown ends a
-//! wait by a wake instead of a poll.
+//! time replaces that one function. Its mode follows from the speed-up
+//! alone: in *wall mode* (≤ 1) a wait is one block in the OS to its
+//! deadline, so an idle instrument burns no CPU; in *scaled mode* (> 1) it
+//! wakes early and yields through the tail, because there an OS wake-up's
+//! lateness is multiplied into simulated time. [`StopSignal`] is how
+//! teardown ends a wait by a wake instead of a poll.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The one pair of wait thresholds, in wall time: a wait blocks in the OS
-/// only while more than `OS_WAIT_ABOVE` remains, and wakes `YIELD_TAIL`
-/// before its deadline to yield through the rest.
+/// only while more than `OS_WAIT_ABOVE` remains, and in scaled mode wakes
+/// `YIELD_TAIL` before its deadline to yield through the rest.
 const OS_WAIT_ABOVE: Duration = Duration::from_micros(500);
 const YIELD_TAIL: Duration = Duration::from_micros(200);
+
+/// How long the next step of a wait blocks in the OS, or `None` to yield —
+/// the whole decision of `SimClock::wait_until`: yield at or under
+/// `OS_WAIT_ABOVE` (a modelled sub-500 µs cost stays exact); above it block
+/// to the deadline at speed-up ≤ 1 and `YIELD_TAIL` short of it above 1.
+fn os_wait(remaining_wall: Duration, speedup: f64) -> Option<Duration> {
+    if remaining_wall <= OS_WAIT_ABOVE {
+        None
+    } else if speedup > 1.0 {
+        Some(remaining_wall - YIELD_TAIL)
+    } else {
+        Some(remaining_wall)
+    }
+}
 
 /// A shared, cloneable simulation clock.
 ///
@@ -127,12 +145,15 @@ impl SimClock {
         !stop.is_raised()
     }
 
-    /// The one precision wait. An OS wait overshoots by ~50–150 µs, which
-    /// would grossly distort fine-grained cost models under high
-    /// speed-ups, so the tail is yielded through — yielded, not spun: on a
-    /// small host a spin loop starves every other simulation thread for its
-    /// whole quantum. Returns the reading that ended the wait: at or past
-    /// `sim_deadline`, or earlier if `stop` was raised.
+    /// The one wait, in steps chosen by `os_wait`. An OS wait overshoots
+    /// by ~50–150 µs, which would grossly distort fine-grained cost models
+    /// under high speed-ups, so in scaled mode the tail is yielded through
+    /// — yielded, not spun: on a small host a spin loop starves every other
+    /// simulation thread for its whole quantum. Wall mode accepts the
+    /// overshoot (~0.1 ms of simulated time there): on an idle host the
+    /// tail is a busy loop with nobody to yield to.
+    /// Returns the reading that ended the wait: at or past `sim_deadline`,
+    /// or earlier if `stop` was raised.
     fn wait_until(&self, sim_deadline: Duration, stop: Option<&StopSignal>) -> Duration {
         loop {
             let now = self.now();
@@ -140,12 +161,10 @@ impl SimClock {
                 return now;
             }
             let remaining_wall = self.to_wall(sim_deadline - now);
-            if remaining_wall <= OS_WAIT_ABOVE {
-                std::thread::yield_now();
-            } else if let Some(stop) = stop {
-                stop.wait(remaining_wall - YIELD_TAIL);
-            } else {
-                std::thread::sleep(remaining_wall - YIELD_TAIL);
+            match (os_wait(remaining_wall, self.inner.speedup), stop) {
+                (None, _) => std::thread::yield_now(),
+                (Some(wall), Some(stop)) => stop.wait(wall),
+                (Some(wall), None) => std::thread::sleep(wall),
             }
         }
     }
@@ -331,6 +350,48 @@ mod spin_tests {
             assert!(elapsed >= Duration::from_millis(1), "{entry}: {elapsed:?}");
             assert!(elapsed < Duration::from_millis(5), "{entry}: {elapsed:?}");
         }
+    }
+
+    #[test]
+    fn a_wait_blocks_to_its_deadline_in_wall_mode_and_short_of_it_when_scaled() {
+        let us = Duration::from_micros;
+        let table = [
+            (us(2000), 1.0, Some(us(2000))),
+            (us(2000), 0.5, Some(us(2000))),
+            (us(2000), 1000.0, Some(us(1800))),
+            (us(501), 1000.0, Some(us(301))),
+            (us(501), 1.0, Some(us(501))),
+            (us(500), 1.0, None),
+            (us(500), 1000.0, None),
+            (us(50), 0.5, None),
+            (us(50), 1000.0, None),
+        ];
+        for (remaining, speedup, step) in table {
+            assert_eq!(
+                os_wait(remaining, speedup),
+                step,
+                "{remaining:?} at {speedup}×"
+            );
+        }
+    }
+
+    #[test]
+    fn wall_mode_waits_reach_their_deadline_and_are_cut_short_by_a_wake() {
+        // No wall-clock bound: what a whole-remainder block must still give
+        // is a reading at or past the deadline, and an end at the raise.
+        let clock = SimClock::realtime();
+        for _ in 0..20 {
+            let deadline = clock.now() + Duration::from_millis(2);
+            let woke = clock.sleep_until(deadline);
+            assert!(woke >= deadline, "{woke:?} < {deadline:?}");
+        }
+        let stop = StopSignal::default();
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| clock.sleep_unless(Duration::from_secs(3600), &stop));
+            std::thread::sleep(Duration::from_millis(30));
+            stop.raise();
+            assert!(!waiter.join().unwrap(), "the raise should end the hour");
+        });
     }
 
     #[test]

@@ -22,9 +22,17 @@
 //! The server is deliberately chain-agnostic: it serves an opaque
 //! `Fn(&[u8], &mut String)` handler, so this crate needs no knowledge of
 //! chains or RPC method tables.
+//!
+//! No server thread polls: `tcp-rpc-accept` blocks in `accept()` and each
+//! `tcp-rpc-conn` thread in `read` with no timeout, so an idle server
+//! costs nothing. [`TcpRpcServer::shutdown_and_join`] wakes them, in this
+//! order: raise the flag; connect to the server's own port, which returns
+//! the acceptor to the flag, and join it — the connection list is final
+//! from here; `shutdown(Both)` every connection, which ends its thread's
+//! `read` with EOF; join them.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -86,33 +94,25 @@ impl From<FrameError> for TcpError {
     }
 }
 
-/// Per-connection deadlines for the server side.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpServerConfig {
-    /// Poll quantum for idle reads: how long a connection thread blocks
-    /// in `read` before re-checking the shutdown flag. Not a call
-    /// deadline — server connections legitimately idle between calls.
-    pub read_poll: Duration,
-    /// Deadline for writing one response frame; a peer that stops
-    /// draining its socket for this long gets disconnected.
-    pub write_timeout: Duration,
-}
+/// Deadline for writing one frame, on either side: a peer that stops
+/// draining its socket for this long gets disconnected.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-impl Default for TcpServerConfig {
-    fn default() -> Self {
-        TcpServerConfig {
-            read_poll: Duration::from_millis(100),
-            write_timeout: Duration::from_secs(5),
-        }
-    }
-}
+/// Pause after a failed `accept` or wake-up connection (EMFILE persists),
+/// so that neither retries in a hot loop; also the patience of one wake-up.
+const ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Nothing to set: the type and `rpc_adapter::serve_tcp`'s parameter for it
+/// remain only because the frozen `driver_e2e` package names them (ROADMAP 6b).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TcpServerConfig {}
 
 /// A TCP listener serving length-prefixed JSON-RPC frames.
 ///
 /// One OS thread accepts connections; each connection gets its own
 /// thread running a read-decode-dispatch-respond loop against the
 /// supplied handler. Dropping the server (or calling
-/// [`TcpRpcServer::shutdown_and_join`]) closes the listener, shuts every
+/// [`TcpRpcServer::shutdown_and_join`]) stops the acceptor, shuts every
 /// connection socket, and joins all threads — the same
 /// shutdown-AND-join guarantee the in-process kernel gives.
 pub struct TcpRpcServer {
@@ -132,7 +132,7 @@ struct ConnSlot {
 impl TcpRpcServer {
     /// Binds to `addr` (use port 0 for an ephemeral port, then read
     /// [`TcpRpcServer::local_addr`]) and starts serving `handler`.
-    pub fn bind(addr: &str, handler: RawHandler, config: TcpServerConfig) -> io::Result<Self> {
+    pub fn bind(addr: &str, handler: RawHandler) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -140,22 +140,12 @@ impl TcpRpcServer {
         let served = Arc::new(AtomicU64::new(0));
 
         let accept_listener = listener.try_clone()?;
-        accept_listener.set_nonblocking(true)?;
         let t_shutdown = shutdown.clone();
         let t_conns = conns.clone();
         let t_served = served.clone();
         let accept_thread = std::thread::Builder::new()
             .name("tcp-rpc-accept".to_owned())
-            .spawn(move || {
-                accept_loop(
-                    accept_listener,
-                    handler,
-                    config,
-                    t_shutdown,
-                    t_conns,
-                    t_served,
-                )
-            })?;
+            .spawn(move || accept_loop(accept_listener, handler, t_shutdown, t_conns, t_served))?;
 
         Ok(TcpRpcServer {
             local_addr,
@@ -181,15 +171,32 @@ impl TcpRpcServer {
     /// server threads. Idempotent.
     pub fn shutdown_and_join(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake connection threads blocked in read immediately.
-        for slot in self.conns.lock().iter() {
-            let _ = slot.stream.shutdown(Shutdown::Both);
-        }
+        // The acceptor first: a connection it listed after the severing pass
+        // would leave its thread in `read` for good.
         let accept = self.accept_thread.lock().take();
         if let Some(handle) = accept {
+            // Any connection returns it from `accept` to the flag; a listener
+            // on an unspecified address is reached through loopback.
+            let mut wake_addr = self.local_addr;
+            if wake_addr.ip().is_unspecified() {
+                wake_addr.set_ip(match wake_addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // A full backlog refuses the wake-up, but then nobody is blocked.
+            while !handle.is_finished()
+                && TcpStream::connect_timeout(&wake_addr, ERROR_BACKOFF).is_err()
+            {
+                std::thread::sleep(ERROR_BACKOFF);
+            }
             let _ = handle.join();
         }
         let mut conns = std::mem::take(&mut *self.conns.lock());
+        // Ends each connection thread's blocking read with EOF.
+        for slot in &conns {
+            let _ = slot.stream.shutdown(Shutdown::Both);
+        }
         for slot in &mut conns {
             if let Some(handle) = slot.handle.take() {
                 let _ = handle.join();
@@ -219,24 +226,27 @@ impl std::fmt::Debug for TcpRpcServer {
 fn accept_loop(
     listener: TcpListener,
     handler: RawHandler,
-    config: TcpServerConfig,
     shutdown: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<ConnSlot>>>,
     served: Arc<AtomicU64>,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Once the flag is up, what arrives is the wake-up or a late client.
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let conn_stream = match stream.try_clone() {
                     Ok(s) => s,
                     Err(_) => continue,
                 };
                 let h = handler.clone();
-                let s = shutdown.clone();
                 let n = served.clone();
                 let handle = std::thread::Builder::new()
                     .name("tcp-rpc-conn".to_owned())
-                    .spawn(move || conn_loop(stream, h, config, s, n));
+                    .spawn(move || conn_loop(stream, h, n));
                 match handle {
                     Ok(handle) => {
                         let mut guard = conns.lock();
@@ -259,42 +269,24 @@ fn accept_loop(
                     Err(_) => drop(conn_stream),
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => std::thread::sleep(ERROR_BACKOFF),
         }
     }
 }
 
-fn conn_loop(
-    stream: TcpStream,
-    handler: RawHandler,
-    config: TcpServerConfig,
-    shutdown: Arc<AtomicBool>,
-    served: Arc<AtomicU64>,
-) {
+fn conn_loop(mut stream: TcpStream, handler: RawHandler, served: Arc<AtomicU64>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.read_poll));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let mut stream = stream;
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut decoder = FrameDecoder::new();
     let mut read_buf = vec![0u8; 64 * 1024];
     let mut resp_buf = String::new();
     let mut wire_buf: Vec<u8> = Vec::new();
     loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
+        // Blocks while the connection idles. EOF is the peer's close or the
+        // server's `shutdown(Both)`; an error is a reset.
         let n = match stream.read(&mut read_buf) {
-            Ok(0) => return, // peer closed
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // idle poll tick; re-check shutdown
-            }
-            Err(_) => return, // reset or otherwise dead
+            Ok(n) if n > 0 => n,
+            _ => return,
         };
         decoder.extend(&read_buf[..n]);
         loop {
@@ -393,7 +385,7 @@ impl Default for TcpClientConfig {
         TcpClientConfig {
             connect_timeout: Duration::from_secs(2),
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
+            write_timeout: WRITE_TIMEOUT,
         }
     }
 }
@@ -555,8 +547,7 @@ mod tests {
             Ok(Value::from(a + b))
         });
         let handler: RawHandler = Arc::new(move |req, out| rpc.handle_bytes_into(req, out));
-        let server =
-            TcpRpcServer::bind("127.0.0.1:0", handler, TcpServerConfig::default()).unwrap();
+        let server = TcpRpcServer::bind("127.0.0.1:0", handler).unwrap();
         let addr = server.local_addr();
         (server, addr)
     }
@@ -662,8 +653,7 @@ mod tests {
         let rpc = RpcServer::new("echo2");
         rpc.register("echo", Ok);
         let handler: RawHandler = Arc::new(move |req, out| rpc.handle_bytes_into(req, out));
-        let _server2 =
-            TcpRpcServer::bind(&addr.to_string(), handler, TcpServerConfig::default()).unwrap();
+        let _server2 = TcpRpcServer::bind(&addr.to_string(), handler).unwrap();
         // The reconnecting client rides out the restart.
         let got = client.call("echo", Value::from(2)).unwrap().unwrap();
         assert_eq!(got, Value::Int(2));
@@ -699,6 +689,55 @@ mod tests {
         // The port is released: a fresh bind succeeds.
         let l = TcpListener::bind(addr);
         assert!(l.is_ok(), "port not released after shutdown");
+    }
+
+    #[test]
+    fn shutdown_severs_connections_accepted_while_it_runs() {
+        for round in 0..10 {
+            let (server, addr) = echo_server();
+            let done = AtomicBool::new(false);
+            let server = std::thread::scope(|scope| {
+                // Connects without pause and keeps every stream open, so a
+                // connection thread the shutdown missed would stay in `read`.
+                let client = scope.spawn(|| {
+                    let mut open = Vec::new();
+                    while !done.load(Ordering::SeqCst) {
+                        open.extend(TcpStream::connect_timeout(&addr, Duration::from_millis(50)));
+                    }
+                    open
+                });
+                while server.conns.lock().is_empty() {
+                    std::thread::yield_now();
+                }
+                // It joins what it holds, so coming back is the proof.
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    server.shutdown_and_join();
+                    let _ = tx.send(server);
+                });
+                let stopped = rx.recv_timeout(Duration::from_secs(1));
+                done.store(true, Ordering::SeqCst);
+                let open = client.join().unwrap().len();
+                stopped.unwrap_or_else(|_| {
+                    panic!("round {round}: a connection thread outlived shutdown, {open} open")
+                })
+            });
+            assert!(server.conns.lock().is_empty());
+            drop(server);
+            assert!(TcpListener::bind(addr).is_ok(), "round {round}: port held");
+        }
+    }
+
+    #[test]
+    fn a_listener_on_an_unspecified_address_is_woken_through_loopback() {
+        for addr in ["0.0.0.0:0", "[::]:0"] {
+            let handler: RawHandler = Arc::new(|_, _| {});
+            let Ok(server) = TcpRpcServer::bind(addr, handler) else {
+                continue; // no such family on this host
+            };
+            // Joins the acceptor: returning is the proof that it was woken.
+            server.shutdown_and_join();
+        }
     }
 
     #[test]

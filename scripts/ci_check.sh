@@ -347,7 +347,10 @@ echo "==> grep gate: the simulation waits in one place"
 # `wall_start`, a measurement and not a wait; a backend models a cost
 # through Kernel::sleep_interruptible, never through the clock's own
 # entries (the driver's `clock.sleep` / `sleep_until` are those entries and
-# stay); and the kernel's chunked copy of the loop stays gone.
+# stay); and the kernel's chunked copy of the loop stays gone. The socket
+# side follows the same rule: the RPC server's threads block in accept and
+# read and are woken at shutdown (a self-connect, a shutdown(Both)), so
+# tcp.rs has no non-blocking listener, no would-block arm and no read poll.
 violations=$({
     find crates/hammer-chain/src/kernel.rs $sim_crates crates/hammer-core/src/driver \
         -name '*.rs' | while read -r file; do
@@ -359,9 +362,10 @@ violations=$({
         non_test "$file" | grep -E '\.sleep\(|\.sleep_until\('
     done
     grep -rnE 'SLEEP_CHUNK|SLEEP_SPIN' crates src tests examples
+    non_test crates/hammer-net/src/tcp.rs | grep -E 'set_nonblocking|WouldBlock|read_poll'
 } 2>/dev/null || true)
 if [ -n "$violations" ]; then
-    echo "ci_check: a wait or a wall-clock read outside SimClock (use Kernel::sleep_interruptible / StopSignal):" >&2
+    echo "ci_check: a wait or a wall-clock read outside SimClock (use Kernel::sleep_interruptible / StopSignal), or a poll in the RPC server:" >&2
     echo "$violations" >&2
     exit 1
 fi
@@ -371,5 +375,32 @@ scripts/loc.sh
 
 echo "==> driver_e2e smoke: the benchmark's tests and every workload at 1/50 size"
 crates/bench/src/bin/driver_e2e/ci_smoke.sh
+
+echo "==> idle-CPU gate: a paced run costs at most 2.2x a saturated run's CPU per transaction"
+# inproc_paced drives at 7 % of capacity, so what it spends beyond
+# inproc_saturate's CPU per transaction is what the instrument burns while
+# it waits (3.4x with a yield tail on every wall-mode wait, 1.5x without).
+# A ratio of two readings of one binary minutes apart: the host's slow days
+# cancel.
+cpu_us_per_tx() {
+    cargo run --release --offline --quiet \
+        --manifest-path crates/bench/src/bin/driver_e2e/Cargo.toml -- \
+        --workload "$1" --seconds 10 --trace 0 2>/dev/null | tail -n 1 \
+        | sed -n 's/.*"cpu_us_per_tx":{"value":\([0-9.eE+-]*\).*/\1/p'
+}
+paced=$(cpu_us_per_tx inproc_paced)
+saturate=$(cpu_us_per_tx inproc_saturate)
+if [ -z "$paced" ] || [ -z "$saturate" ]; then
+    echo "ci_check: driver_e2e printed no cpu_us_per_tx" >&2
+    exit 1
+fi
+awk -v p="$paced" -v s="$saturate" 'BEGIN {
+    r = p / s
+    printf "cpu_us_per_tx: inproc_paced %.2f / inproc_saturate %.2f = %.2fx\n", p, s, r
+    if (r > 2.2) {
+        print "ci_check: an idle driver is burning CPU (a yield or poll loop on a wall-mode wait?)" > "/dev/stderr"
+        exit 1
+    }
+}'
 
 echo "ci_check: all gates passed"
