@@ -287,7 +287,7 @@ impl<C: Transport> SimChain for RemoteChain<C> {
 
     fn verify_ledgers(&self) -> Result<(), LedgerError> {
         // An unreachable node cannot prove its ledger broken; the
-        // supervisor's health checks own liveness.
+        // supervisor owns liveness.
         wire::VERIFY_LEDGERS.call(&*self.rpc, &()).unwrap_or(Ok(()))
     }
 

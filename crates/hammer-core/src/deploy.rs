@@ -15,14 +15,17 @@
 //! [`BackendRegistry::register`] call with a builder closure over
 //! [`Deployment::from_chain`] — see `DESIGN.md` §5.
 
+use std::collections::VecDeque;
 use std::io::BufRead;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use hammer_chain::client::BlockchainClient;
 use hammer_chain::kernel::SimChain;
 use hammer_chain::remote::RemoteChain;
@@ -32,8 +35,7 @@ use hammer_ethereum::EthereumConfig;
 use hammer_fabric::FabricConfig;
 use hammer_meepo::MeepoConfig;
 use hammer_net::{
-    FaultPlan, LinkConfig, ReconnectPolicy, SimClock, SimNetwork, StopSignal, TcpClientConfig,
-    TcpRpcClient,
+    FaultPlan, LinkConfig, ReconnectPolicy, SimClock, SimNetwork, TcpClientConfig, TcpRpcClient,
 };
 use hammer_neuchain::NeuchainConfig;
 use parking_lot::Mutex;
@@ -120,7 +122,7 @@ impl DeployMode {
 pub enum DeployError {
     /// The backend name is not registered.
     Unknown(UnknownBackend),
-    /// Spawning or health-checking the node process failed.
+    /// Spawning the node process, or its handshake or first call, failed.
     Spawn(String),
 }
 
@@ -141,37 +143,23 @@ impl From<UnknownBackend> for DeployError {
     }
 }
 
-/// Wall-clock knobs for the node-process [`Supervisor`].
-#[derive(Clone, Debug)]
+/// Where the node-process [`Supervisor`] finds its binary.
+#[derive(Clone, Debug, Default)]
 pub struct SupervisorConfig {
     /// Explicit path to the `node-host` binary. `None` resolves via the
     /// `HAMMER_NODE_HOST` environment variable, then next to the current
     /// executable (and its parent directory, covering test binaries in
     /// `target/<profile>/deps/`).
     pub node_host: Option<PathBuf>,
-    /// How long to wait for the `LISTENING` handshake plus the first
-    /// successful health check.
-    pub health_timeout: Duration,
-    /// Supervision loop cadence (crash-window edges land within a tick).
-    pub tick: Duration,
-    /// Base restart backoff after a failed respawn; doubles per
-    /// consecutive failure.
-    pub restart_backoff: Duration,
-    /// Upper clamp on the restart backoff.
-    pub max_restart_backoff: Duration,
 }
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            node_host: None,
-            health_timeout: Duration::from_secs(30),
-            tick: Duration::from_millis(10),
-            restart_backoff: Duration::from_millis(50),
-            max_restart_backoff: Duration::from_secs(1),
-        }
-    }
-}
+/// How long a spawned node has to print its `LISTENING <port>` line.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Wall-time back-off after a failed respawn, doubling per consecutive
+/// failure up to `MAX_RESTART_BACKOFF`.
+const RESTART_BACKOFF: Duration = Duration::from_millis(50);
+const MAX_RESTART_BACKOFF: Duration = Duration::from_secs(1);
 
 /// Finds the `node-host` binary per [`SupervisorConfig::node_host`].
 fn resolve_node_host(explicit: Option<&PathBuf>) -> Result<PathBuf, DeployError> {
@@ -212,39 +200,31 @@ pub struct ProcessFaultStats {
     pub restarts: u64,
 }
 
-struct SupervisorShared {
+/// A `node-host` command line but for the per-incarnation port and epoch.
+struct NodeCommand {
     binary: PathBuf,
     backend: String,
     options: BackendOptions,
-    speedup: f64,
     clock: SimClock,
-    addr: SocketAddr,
-    config: SupervisorConfig,
-    child: Mutex<Option<Child>>,
-    /// Genesis allocations to replay into a fresh process incarnation.
-    seeds: Mutex<Vec<(Address, u64, u64)>>,
-    plan: Mutex<Option<FaultPlan>>,
-    /// Crash windows extracted from the plan (the supervisor realises
-    /// these as SIGKILL; other fault kinds are the node's own business).
-    crash_windows: Mutex<Vec<(Duration, Duration)>>,
-    rpc: TcpRpcClient,
-    stop: StopSignal,
-    kills: AtomicU64,
-    restarts: AtomicU64,
 }
 
-impl SupervisorShared {
-    /// Spawns a fresh node process on the supervisor's fixed port and
-    /// waits for the `LISTENING` handshake. The caller must hold no
-    /// `child` lock.
-    fn spawn_process(&self) -> Result<(), DeployError> {
+impl NodeCommand {
+    /// Spawns incarnation `id` on `port` (0: a free one) and returns it with
+    /// the port its `LISTENING <port>` line announced — the host prints it
+    /// once its RPC server is bound and every handler registered.
+    fn spawn(
+        &self,
+        id: u64,
+        port: u16,
+        events: &Sender<Event>,
+    ) -> Result<(Incarnation, u16), DeployError> {
         let mut cmd = Command::new(&self.binary);
         cmd.arg("--backend")
             .arg(&self.backend)
             .arg("--port")
-            .arg(self.addr.port().to_string())
+            .arg(port.to_string())
             .arg("--speedup")
-            .arg(self.speedup.to_string())
+            .arg(self.clock.speedup().to_string())
             .arg("--epoch-offset-ms")
             .arg(self.clock.now().as_millis().to_string());
         if let Some(capacity) = self.options.mempool_capacity {
@@ -253,111 +233,126 @@ impl SupervisorShared {
         if self.options.stall_sealing {
             cmd.arg("--stall-sealing");
         }
-        // stdin stays piped so our death closes it and the node exits
-        // (the node-host's own orphan guard); stdout carries the
-        // handshake; stderr flows through for diagnostics.
+        // stdin stays piped so our death closes it and the node exits (its
+        // orphan guard); stdout carries the handshake, then EOF at exit.
         let mut child = cmd
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
             .map_err(|e| DeployError::Spawn(format!("spawn {:?}: {e}", self.binary)))?;
-
-        let stdout = child
-            .stdout
-            .take()
-            .expect("stdout was requested piped above");
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        std::thread::Builder::new()
-            .name("node-host-handshake".to_owned())
+        let stdout = child.stdout.take().expect("stdout is piped");
+        let (hello_tx, hello) = crossbeam::channel::bounded(1);
+        let exited = events.clone();
+        let reader = std::thread::Builder::new()
+            .name("node-host-stdout".to_owned())
             .spawn(move || {
+                let mut stdout = std::io::BufReader::new(stdout);
                 let mut line = String::new();
-                let mut reader = std::io::BufReader::new(stdout);
-                let _ = reader.read_line(&mut line);
-                let _ = tx.send(line);
+                let _ = stdout.read_line(&mut line);
+                let _ = hello_tx.send(line);
+                // The host prints nothing more: EOF is its exit.
+                let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+                let _ = exited.send(Event::Exited(id));
             })
-            .expect("failed to spawn handshake reader");
-        match rx.recv_timeout(self.config.health_timeout) {
-            Ok(line) if line.trim().starts_with("LISTENING") => {}
-            other => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(DeployError::Spawn(match other {
-                    Ok(line) => format!("bad handshake line {line:?}"),
-                    Err(_) => format!(
-                        "no LISTENING handshake within {:?}",
-                        self.config.health_timeout
-                    ),
-                }));
-            }
-        }
-        *self.child.lock() = Some(child);
-        Ok(())
+            .expect("failed to spawn the node-host stdout reader");
+        let node = Incarnation {
+            id,
+            child,
+            reader: Some(reader),
+        };
+        let line = hello.recv_timeout(HANDSHAKE_TIMEOUT).unwrap_or_default();
+        // A node that never became ready is dropped: killed and reaped.
+        let port = parse_listening(&line).map_err(DeployError::Spawn)?;
+        Ok((node, port))
     }
+}
 
-    /// Replays recorded genesis seeds and the fault plan into a freshly
-    /// spawned process.
-    fn replay_state(&self) -> Result<(), DeployError> {
+/// The port of a `LISTENING <port>` line; anything else is an error naming it.
+fn parse_listening(line: &str) -> Result<u16, String> {
+    let port = line.strip_suffix('\n').unwrap_or(line);
+    let port = port.strip_prefix("LISTENING ").and_then(|p| p.parse().ok());
+    port.ok_or_else(|| {
+        format!("no LISTENING <port> handshake within {HANDSHAKE_TIMEOUT:?}: got {line:?}")
+    })
+}
+
+/// One `node-host` process and the thread reading its stdout to EOF.
+/// Dropping it SIGKILLs the process (a no-op once it has exited), reaps it
+/// and joins the reader — on every path, unwinding included.
+struct Incarnation {
+    id: u64,
+    child: Child,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Drop for Incarnation {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// What the supervision loop wakes for, besides a deadline.
+enum Event {
+    /// Incarnation `n`'s stdout reached EOF: the process is gone.
+    Exited(u64),
+    /// A plan was installed: the union of its crash windows.
+    Windows(Vec<(Duration, Duration)>),
+    /// `shutdown`: end the node and return.
+    Stop,
+}
+
+struct SupervisorShared {
+    command: NodeCommand,
+    addr: SocketAddr,
+    /// The loop's inbox, for readers, `install_plan` and `shutdown`.
+    events: Sender<Event>,
+    /// Genesis allocations to replay into a fresh process incarnation.
+    seeds: Mutex<Vec<(Address, u64, u64)>>,
+    plan: Mutex<Option<FaultPlan>>,
+    rpc: TcpRpcClient,
+    alive: AtomicBool,
+    kills: AtomicU64,
+    restarts: AtomicU64,
+}
+
+impl SupervisorShared {
+    /// Spawns incarnation `id` on the node's port and replays the recorded
+    /// genesis seeds and fault plan into it.
+    fn respawn(&self, id: u64) -> Result<Incarnation, DeployError> {
+        let (node, _) = self.command.spawn(id, self.addr.port(), &self.events)?;
         let seeds = self.seeds.lock().clone();
-        for (account, checking, savings) in seeds {
-            rpc_adapter::SEED_ACCOUNT
-                .call(&self.rpc, &(account, checking, savings))
-                .map_err(|e| DeployError::Spawn(format!("replay seed: {e}")))?;
+        for seed in seeds {
+            let seeded = rpc_adapter::SEED_ACCOUNT.call(&self.rpc, &seed);
+            seeded.map_err(|e| DeployError::Spawn(format!("replay seed: {e}")))?;
         }
         let plan = self.plan.lock().clone();
-        plan.map_or(Ok(()), |plan| self.install_faults(&plan))
+        plan.map_or(Ok(()), |plan| self.install_faults(&plan))?;
+        Ok(node)
     }
 
     fn install_faults(&self, plan: &FaultPlan) -> Result<(), DeployError> {
         let installed = rpc_adapter::INSTALL_FAULTS.call(&self.rpc, plan);
         installed.map_err(|e| DeployError::Spawn(format!("forward fault plan: {e}")))
     }
-
-    /// Whether the child is currently running (reaps a just-exited one).
-    fn child_alive(&self) -> bool {
-        let mut guard = self.child.lock();
-        match guard.as_mut() {
-            None => false,
-            Some(child) => match child.try_wait() {
-                Ok(None) => true,
-                // Exited (status available) or unprobeable: treat as dead
-                // and drop the handle so the wait() above reaped it.
-                _ => {
-                    *guard = None;
-                    false
-                }
-            },
-        }
-    }
-
-    /// SIGKILLs the child, reaping it. Idempotent.
-    fn kill_child(&self) {
-        let child = self.child.lock().take();
-        if let Some(mut child) = child {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
 }
 
-/// The crash window (if any) covering `now`.
-fn in_crash_window(windows: &[(Duration, Duration)], now: Duration) -> bool {
-    windows.iter().any(|(s, e)| now >= *s && now < *e)
-}
-
-/// Owns one `node-host` process: deploy → capture (handshake + health
-/// check) → execute (the run, with crash windows realised as SIGKILL and
-/// restart-with-backoff) → cleanup (kill + reap on shutdown or drop, so
-/// no child outlives the driver, panics included).
+/// Owns one `node-host` process: deploy (spawn + handshake) → execute (crash
+/// windows realised as SIGKILL and restart-with-backoff) → cleanup (kill +
+/// reap on shutdown or drop, so no child outlives the driver, panics included).
 pub struct Supervisor {
     shared: Arc<SupervisorShared>,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Supervisor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
-            .field("backend", &self.shared.backend)
+            .field("backend", &self.shared.command.backend)
             .field("addr", &self.shared.addr)
             .field("stats", &self.stats())
             .finish()
@@ -365,78 +360,41 @@ impl std::fmt::Debug for Supervisor {
 }
 
 impl Supervisor {
-    /// Spawns and health-checks a `node-host` for `backend`, then starts
-    /// the supervision loop.
+    /// Spawns a `node-host` for `backend`, waits for its handshake, then
+    /// starts the supervision loop.
     pub fn launch(
         backend: &str,
         options: &BackendOptions,
         clock: SimClock,
         config: SupervisorConfig,
     ) -> Result<Arc<Supervisor>, DeployError> {
-        let binary = resolve_node_host(config.node_host.as_ref())?;
-        // A fixed port keeps the driver's client address stable across
-        // restarts: probe a free one, release it, tell the node to bind
-        // it. (Loopback-local; the tiny bind race is acceptable here.)
-        let probe = std::net::TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| DeployError::Spawn(format!("port probe: {e}")))?;
-        let addr = probe
-            .local_addr()
-            .map_err(|e| DeployError::Spawn(format!("port probe: {e}")))?;
-        drop(probe);
-
-        let rpc = TcpRpcClient::new(
-            addr,
-            TcpClientConfig {
-                connect_timeout: Duration::from_millis(500),
-                ..TcpClientConfig::default()
-            },
-            // The supervisor's control channel rides out restarts it
-            // causes itself.
-            ReconnectPolicy {
-                max_attempts: 20,
-                base_backoff: Duration::from_millis(10),
-                multiplier: 1.5,
-                max_backoff: Duration::from_millis(200),
-            },
-        );
-        let shared = Arc::new(SupervisorShared {
-            binary,
+        let command = NodeCommand {
+            binary: resolve_node_host(config.node_host.as_ref())?,
             backend: backend.to_owned(),
             options: *options,
-            speedup: clock.speedup(),
             clock,
+        };
+        let (events, inbox) = crossbeam::channel::unbounded();
+        // The first incarnation picks a free port; restarts reuse it.
+        let (node, port) = command.spawn(0, 0, &events)?;
+        let addr = SocketAddr::from(([127, 0, 0, 1], port));
+        // Its first call after a restart finds the old connection dead.
+        let rpc = TcpRpcClient::new(addr, TcpClientConfig::default(), ReconnectPolicy::default());
+        let shared = Arc::new(SupervisorShared {
+            command,
             addr,
-            config,
-            child: Mutex::new(None),
+            events,
             seeds: Mutex::new(Vec::new()),
             plan: Mutex::new(None),
-            crash_windows: Mutex::new(Vec::new()),
             rpc,
-            stop: StopSignal::default(),
+            alive: AtomicBool::new(true),
             kills: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
         });
-        shared.spawn_process()?;
-        // First health check: the chain must answer before the
-        // deployment is handed to the driver.
-        let deadline = Instant::now() + shared.config.health_timeout;
-        loop {
-            match rpc_adapter::CHAIN_NAME.call(&shared.rpc, &()) {
-                Ok(_) => break,
-                _ if Instant::now() >= deadline => {
-                    shared.kill_child();
-                    return Err(DeployError::Spawn(format!(
-                        "node on {} never answered a health check",
-                        shared.addr
-                    )));
-                }
-                _ => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
         let loop_shared = Arc::clone(&shared);
         let thread = std::thread::Builder::new()
             .name("node-supervisor".to_owned())
-            .spawn(move || supervise_loop(loop_shared))
+            .spawn(move || supervise(&loop_shared, Some(node), &inbox))
             .expect("failed to spawn supervisor thread");
         Ok(Arc::new(Supervisor {
             shared,
@@ -457,7 +415,7 @@ impl Supervisor {
         let crashes = plan.crash_windows();
         self.shared.install_faults(&plan)?;
         *self.shared.plan.lock() = Some(plan);
-        *self.shared.crash_windows.lock() = crashes;
+        let _ = self.shared.events.send(Event::Windows(crashes));
         Ok(())
     }
 
@@ -469,23 +427,19 @@ impl Supervisor {
         }
     }
 
-    /// Whether the node process is currently alive.
+    /// Whether the node process is alive, as of the loop's last event.
     pub fn node_alive(&self) -> bool {
-        self.shared.child_alive()
+        self.shared.alive.load(Ordering::Relaxed)
     }
 
-    /// Stops the supervision loop and reaps the node process. Idempotent;
-    /// called by `Drop` (panic-safe: an unwinding test still reaps its
-    /// children).
+    /// Stops the supervision loop, which kills and reaps the node process
+    /// and joins its reader. Idempotent; called by `Drop` (panic-safe: an
+    /// unwinding test still reaps its children).
     pub fn shutdown(&self) {
-        self.shared.stop.raise();
-        let handle = self.thread.lock().take();
-        if let Some(handle) = handle {
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
-            }
+        let _ = self.shared.events.send(Event::Stop);
+        if let Some(handle) = self.thread.lock().take() {
+            let _ = handle.join();
         }
-        self.shared.kill_child();
     }
 }
 
@@ -495,36 +449,70 @@ impl Drop for Supervisor {
     }
 }
 
-/// The supervision loop: SIGKILL inside crash windows, restart (with
-/// seed/plan replay and exponential backoff) outside them.
-fn supervise_loop(shared: Arc<SupervisorShared>) {
-    let mut backoff = shared.config.restart_backoff;
-    let mut next_restart = Instant::now();
-    while !shared.stop.is_raised() {
-        let now = shared.clock.now();
-        let crashed = in_crash_window(&shared.crash_windows.lock(), now);
-        if crashed {
-            if shared.child_alive() {
-                shared.kill_child();
+/// The supervision loop, one rule evaluated at events: while a crash
+/// window is open the node is dead (SIGKILL at its start edge), while none
+/// is open it runs (spawn + replay, backing off after a failure — which
+/// also restarts a node that exited unplanned). Every deadline it keeps is
+/// simulated: the next window edge and the next restart attempt; between
+/// them it blocks in the channel, as the Fabric orderer does.
+fn supervise(shared: &SupervisorShared, mut node: Option<Incarnation>, inbox: &Receiver<Event>) {
+    let clock = &shared.command.clock;
+    let mut next_id = 1;
+    // The window edges still ahead: a start, its end, the next start, ...
+    let mut edges = VecDeque::new();
+    let mut open = false;
+    let mut backoff = RESTART_BACKOFF;
+    let mut retry_at = Duration::ZERO;
+    loop {
+        let now = clock.now();
+        // Every edge the clock has passed, in order: a window shorter than
+        // a wake-up's lateness still kills once and restarts once.
+        while edges.front().is_some_and(|&edge| edge <= now) {
+            edges.pop_front();
+            open = !open;
+            // A start edge: dropping the node kills it.
+            if node.take_if(|_| open).is_some() {
                 shared.kills.fetch_add(1, Ordering::Relaxed);
             }
-        } else if !shared.child_alive() && Instant::now() >= next_restart {
-            match shared.spawn_process().and_then(|()| shared.replay_state()) {
-                Ok(()) => {
+        }
+        let down = node.is_none() && !open;
+        if down && now >= retry_at {
+            match shared.respawn(next_id) {
+                Ok(fresh) => {
+                    node = Some(fresh);
                     shared.restarts.fetch_add(1, Ordering::Relaxed);
-                    backoff = shared.config.restart_backoff;
+                    backoff = RESTART_BACKOFF;
                 }
                 Err(_) => {
-                    // The port may linger in TIME_WAIT or the machine may
-                    // be briefly out of resources: back off and retry.
-                    shared.kill_child();
-                    next_restart = Instant::now() + backoff;
-                    backoff = (backoff * 2).min(shared.config.max_restart_backoff);
+                    // A port in TIME_WAIT, a busy host: back off, retry.
+                    retry_at = clock.now() + clock.to_sim(backoff);
+                    backoff = (backoff * 2).min(MAX_RESTART_BACKOFF);
                 }
             }
+            next_id += 1;
+            continue; // a spawn takes wall time: read the clock again
         }
-        shared.stop.wait(shared.config.tick);
+        shared.alive.store(node.is_some(), Ordering::Relaxed);
+        let retry = down.then_some(retry_at);
+        let event = match edges.front().copied().into_iter().chain(retry).min() {
+            Some(at) => inbox.recv_timeout(clock.to_wall(at.saturating_sub(now))),
+            None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match event {
+            Ok(Event::Exited(id)) => drop(node.take_if(|n| n.id == id)),
+            // Windows already over when the plan arrives are history.
+            Ok(Event::Windows(union)) => {
+                let now = clock.now();
+                let ahead = union.into_iter().filter(|&(_, end)| end > now);
+                edges = ahead.flat_map(|(start, end)| [start, end]).collect();
+                open = false;
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(Event::Stop) | Err(RecvTimeoutError::Disconnected) => break,
+        }
     }
+    drop(node);
+    shared.alive.store(false, Ordering::Relaxed);
 }
 
 /// The driver-side reconnect policy for a multi-process deployment,
@@ -958,20 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_window_membership_is_half_open() {
-        let windows = vec![
-            (Duration::from_secs(1), Duration::from_secs(2)),
-            (Duration::from_secs(5), Duration::from_secs(6)),
-        ];
-        assert!(!in_crash_window(&windows, Duration::from_millis(999)));
-        assert!(in_crash_window(&windows, Duration::from_secs(1)));
-        assert!(in_crash_window(&windows, Duration::from_millis(1999)));
-        assert!(!in_crash_window(&windows, Duration::from_secs(2)));
-        assert!(in_crash_window(&windows, Duration::from_millis(5500)));
-        assert!(!in_crash_window(&windows, Duration::from_secs(7)));
-    }
-
-    #[test]
     fn deploy_multi_rejects_unknown_backend_without_spawning() {
         let clock = SimClock::with_speedup(1000.0);
         let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
@@ -988,19 +962,66 @@ mod tests {
         assert!(matches!(err, DeployError::Unknown(_)), "{err}");
     }
 
-    #[test]
-    fn missing_node_host_binary_is_a_spawn_error() {
-        let config = SupervisorConfig {
-            node_host: Some(PathBuf::from("/nonexistent/node-host")),
-            ..SupervisorConfig::default()
-        };
-        let err = Supervisor::launch(
+    fn launch_host(node_host: PathBuf) -> DeployError {
+        Supervisor::launch(
             "neuchain-sim",
             &BackendOptions::default(),
             SimClock::with_speedup(1000.0),
-            config,
+            SupervisorConfig {
+                node_host: Some(node_host),
+            },
         )
-        .unwrap_err();
+        .unwrap_err()
+    }
+
+    #[test]
+    fn missing_node_host_binary_is_a_spawn_error() {
+        let err = launch_host(PathBuf::from("/nonexistent/node-host"));
         assert!(matches!(err, DeployError::Spawn(_)), "{err}");
+    }
+
+    /// The handshake is the readiness check, read strictly: a host that
+    /// announces no port, or exits without a word, is a spawn error naming
+    /// what it printed.
+    #[test]
+    fn a_host_without_a_listening_port_is_a_spawn_error() {
+        use std::os::unix::fs::PermissionsExt;
+        for (name, script, printed) in [
+            (
+                "notaport",
+                "echo 'LISTENING notaport'",
+                "\"LISTENING notaport\\n\"",
+            ),
+            ("silent", "exit 0", "\"\""),
+        ] {
+            let host = std::env::temp_dir().join(format!(
+                "hammer-fake-node-host-{}-{name}",
+                std::process::id()
+            ));
+            std::fs::write(&host, format!("#!/bin/sh\n{script}\n")).unwrap();
+            std::fs::set_permissions(&host, std::fs::Permissions::from_mode(0o755)).unwrap();
+            let err = launch_host(host.clone());
+            let _ = std::fs::remove_file(&host);
+            match err {
+                DeployError::Spawn(msg) => assert!(msg.contains(printed), "{name}: {msg}"),
+                other => panic!("{name}: {other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn only_a_listening_line_with_a_port_is_a_handshake() {
+        assert_eq!(parse_listening("LISTENING 4242\n"), Ok(4242));
+        assert_eq!(parse_listening("LISTENING 0"), Ok(0));
+        for bad in [
+            "",
+            "LISTENING\n",
+            "LISTENING 70000\n",
+            " LISTENING 1\n",
+            "READY 1\n",
+        ] {
+            let err = parse_listening(bad).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 }

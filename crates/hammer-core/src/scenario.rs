@@ -163,8 +163,8 @@ pub enum ScenarioError {
     Expectation(String),
     /// The recovery spec is malformed.
     Recovery(String),
-    /// A multi-process deployment failed (spawn, handshake, health
-    /// check, or fault-plan forwarding).
+    /// A multi-process deployment failed (spawn, handshake, first call,
+    /// or fault-plan forwarding).
     Deploy(String),
     /// A JSON scenario spec failed to parse.
     Spec(String),
@@ -537,17 +537,19 @@ fn compile_eval(spec: &ScenarioBuilder) -> Result<EvalConfig, ScenarioError> {
     builder.build().map_err(ScenarioError::Config)
 }
 
-/// Chunk-averages a long trace shape into `slices` buckets, preserving
-/// the shape's relative mass per bucket.
-fn resample(shape: &[f64], slices: usize) -> Vec<f64> {
-    if shape.is_empty() || slices == 0 {
-        return Vec::new();
+/// Averages a trace shape into exactly `slices` buckets, bucket `i` holding
+/// points `i·len/slices .. (i+1)·len/slices` — so at least one each.
+fn resample(shape: &[f64], slices: usize) -> Result<Vec<f64>, ScenarioError> {
+    if slices > shape.len() {
+        return Err(ScenarioError::Spec(format!(
+            "slices {slices} exceeds the {} points of a trace shape",
+            shape.len()
+        )));
     }
-    let chunk = shape.len().div_ceil(slices);
-    shape
-        .chunks(chunk)
-        .map(|c| c.iter().sum::<f64>() / c.len() as f64)
-        .collect()
+    let cut = |i: usize| i * shape.len() / slices;
+    let bucket = |i: usize| &shape[cut(i)..cut(i + 1)];
+    let mean = |b: &[f64]| b.iter().sum::<f64>() / b.len() as f64;
+    Ok((0..slices).map(|i| mean(bucket(i))).collect())
 }
 
 /// A validated, compiled scenario — build one with [`Scenario::builder`]
@@ -1063,7 +1065,7 @@ fn parse_control(value: &Value) -> Result<ControlSequence, ScenarioError> {
             };
             let total = req(value, "total", uint)?;
             let seed = opt(value, "seed", uint)?.unwrap_or(7);
-            let shape = resample(&TraceSpec::paper(kind, seed).generate(), slices);
+            let shape = resample(&TraceSpec::paper(kind, seed).generate(), slices)?;
             Ok(ControlSequence::from_trace(&shape, total, slice))
         }
         "budgets" => {
@@ -1400,6 +1402,56 @@ mod tests {
                     .install_faults(plan)
                     .unwrap_or_else(|e| panic!("{name} on {backend}: {e}"));
             }
+        }
+    }
+
+    /// A trace-shaped run window has the slices its spec asks for (the
+    /// ceil-sized chunks gave 23 / 40 / 70 / 120 → 22 / 38 / 60 / 100),
+    /// every trace point counted once, and more slices than points is an
+    /// error rather than padding.
+    #[test]
+    fn trace_resampling_keeps_every_slice_and_the_mass() {
+        let shape = TraceSpec::paper(TraceKind::Nft, 11).generate();
+        assert_eq!(shape.len(), 300);
+        let mass: f64 = shape.iter().sum();
+        for n in 1..=shape.len() {
+            let buckets = resample(&shape, n).unwrap();
+            assert_eq!(buckets.len(), n);
+            let weighted: f64 = (0..n)
+                .map(|i| buckets[i] * ((i + 1) * 300 / n - i * 300 / n) as f64)
+                .sum();
+            assert!(
+                (weighted - mass).abs() < 1e-9 * mass,
+                "{n}: {weighted} != {mass}"
+            );
+        }
+        let err = resample(&shape, 301).unwrap_err();
+        assert!(err.to_string().contains("300 points"), "{err}");
+        let spec = r#"{"name": "t", "backend": "neuchain-sim",
+            "control": {"shape": "trace", "trace": "nft", "total": 10, "slices": 500}}"#;
+        assert!(matches!(
+            Scenario::from_json(spec),
+            Err(ScenarioError::Spec(_))
+        ));
+    }
+
+    /// 10 and 12 slices divide 300, so the corpus's two trace scenarios run
+    /// the budgets they ran before the cut moved (captured on PR 24).
+    #[test]
+    fn corpus_trace_budgets_are_unchanged() {
+        let golden: [(&str, &[u32]); 2] = [
+            (
+                "nft-flash-crowd-mint",
+                &[391, 425, 597, 378, 332, 330, 509, 416, 434, 406, 350, 431],
+            ),
+            (
+                "defi-liquidation-cascade",
+                &[155, 134, 149, 166, 151, 147, 163, 137, 134, 164],
+            ),
+        ];
+        for (name, budgets) in golden {
+            let scenario = corpus::load(name).expect("corpus scenario");
+            assert_eq!(scenario.control().budgets(), budgets, "{name}");
         }
     }
 

@@ -208,8 +208,8 @@ impl StopSignal {
         self.wake.notify_all();
     }
 
-    /// Blocks for `wall` of wall-clock time (loops that face real sockets
-    /// and processes tick on it) or until the signal is raised.
+    /// Blocks for `wall` of wall-clock time (`RemoteChain`'s event poller
+    /// ticks on it) or until the signal is raised.
     pub fn wait(&self, wall: Duration) {
         // The lock guards no data, so a poisoned one is as good as new.
         let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);

@@ -340,14 +340,25 @@ impl FaultPlan {
         self.windows.is_empty()
     }
 
-    /// The `[start, end)` of every crash window — what a supervisor that
-    /// realises crashes as process kills arms itself with.
+    /// The union of the crash windows as sorted, disjoint `[start, end)`
+    /// intervals (overlapping or touching windows merged) — the edges a
+    /// supervisor that realises crashes as process kills acts at.
     pub fn crash_windows(&self) -> Vec<(Duration, Duration)> {
         let crashes = self
             .windows
             .iter()
             .filter(|w| matches!(w.fault, Fault::Crash { .. }));
-        crashes.map(|w| (w.start, w.end)).collect()
+        let mut union: Vec<_> = crashes.map(|w| (w.start, w.end)).collect();
+        union.sort_unstable();
+        // Folds each window into the one before it when they meet.
+        union.dedup_by(|next, kept| {
+            let meets = next.0 <= kept.1;
+            if meets {
+                kept.1 = kept.1.max(next.1);
+            }
+            meets
+        });
+        union
     }
 
     /// The plan with every placeholder replaced by the endpoint it stands
@@ -761,8 +772,58 @@ mod tests {
         assert_eq!(plan.node_fault("n", secs(1)), Some(NodeFault::Unreachable));
         assert_eq!(plan.node_fault("n", secs(2)), Some(NodeFault::Crashed));
         assert_eq!(plan.node_fault("n", secs(4)), Some(NodeFault::Unreachable));
-        // Only the crash is the supervisor's business.
-        assert_eq!(plan.crash_windows(), [(secs(2), secs(3))]);
+    }
+
+    /// The supervisor walks the edges of this union, so its half-open
+    /// membership is the plan's: `[1,2) + [2,3)` is one outage, `[1,3)`.
+    #[test]
+    fn crash_windows_are_the_sorted_union_of_the_crashes() {
+        let table = [
+            ("none", FaultPlan::new(), vec![]),
+            (
+                "disjoint",
+                FaultPlan::new()
+                    .crash("a", secs(1), secs(2))
+                    .crash("b", secs(5), secs(6)),
+                vec![(1, 2), (5, 6)],
+            ),
+            (
+                "overlapping",
+                FaultPlan::new()
+                    .crash("a", secs(1), secs(4))
+                    .crash("b", secs(2), secs(3)),
+                vec![(1, 4)],
+            ),
+            (
+                "touching",
+                FaultPlan::new()
+                    .crash("a", secs(1), secs(2))
+                    .crash("b", secs(2), secs(3)),
+                vec![(1, 3)],
+            ),
+            (
+                "unsorted",
+                FaultPlan::new()
+                    .crash("a", secs(7), secs(8))
+                    .crash("b", secs(1), secs(2))
+                    .crash("c", secs(3), secs(5))
+                    .crash("d", secs(4), secs(6)),
+                vec![(1, 2), (3, 6), (7, 8)],
+            ),
+            (
+                "non-crash windows ignored",
+                FaultPlan::new()
+                    .blackhole("n", secs(0), secs(5))
+                    .crash("n", secs(2), secs(3))
+                    .partition(&[&["a"], &["b"]], secs(3), secs(4))
+                    .latency_spike(Duration::from_millis(10), secs(1), secs(9)),
+                vec![(2, 3)],
+            ),
+        ];
+        for (case, plan, union) in table {
+            let expected: Vec<_> = union.iter().map(|&(s, e)| (secs(s), secs(e))).collect();
+            assert_eq!(plan.crash_windows(), expected, "{case}");
+        }
     }
 
     #[test]

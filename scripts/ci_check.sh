@@ -351,6 +351,9 @@ echo "==> grep gate: the simulation waits in one place"
 # side follows the same rule: the RPC server's threads block in accept and
 # read and are woken at shutdown (a self-connect, a shutdown(Both)), so
 # tcp.rs has no non-blocking listener, no would-block arm and no read poll.
+# And the process supervisor (deploy.rs) waits in one channel for a window
+# edge, a restart deadline (both simulated), an exit or a stop: no sleep,
+# yield, wall-clock read or StopSignal tick.
 violations=$({
     find crates/hammer-chain/src/kernel.rs $sim_crates crates/hammer-core/src/driver \
         -name '*.rs' | while read -r file; do
@@ -363,9 +366,10 @@ violations=$({
     done
     grep -rnE 'SLEEP_CHUNK|SLEEP_SPIN' crates src tests examples
     non_test crates/hammer-net/src/tcp.rs | grep -E 'set_nonblocking|WouldBlock|read_poll'
+    non_test crates/hammer-core/src/deploy.rs | grep -E 'thread::sleep|yield_now|Instant::now|stop\.wait\('
 } 2>/dev/null || true)
 if [ -n "$violations" ]; then
-    echo "ci_check: a wait or a wall-clock read outside SimClock (use Kernel::sleep_interruptible / StopSignal), or a poll in the RPC server:" >&2
+    echo "ci_check: a wait or a wall-clock read outside SimClock (use Kernel::sleep_interruptible / StopSignal), a poll in the RPC server, or a tick in the supervisor:" >&2
     echo "$violations" >&2
     exit 1
 fi

@@ -13,8 +13,10 @@
 //!           [--epoch-offset-ms 0] [--mempool-capacity N] [--stall-sealing]
 //! ```
 //!
-//! * `--port 0` binds an ephemeral loopback port; the actual port is
-//!   announced via the handshake line.
+//! * The handshake is printed once the RPC server is bound and every
+//!   handler registered: the supervisor's one readiness check. Nothing
+//!   else goes to stdout, whose EOF the supervisor reads as our exit.
+//! * `--port 0` binds an ephemeral port; restarts are given that port.
 //! * `--epoch-offset-ms` seeds the simulation clock at a given *simulated*
 //!   time, so a restarted node rejoins the run's timeline instead of
 //!   restarting it at zero.
@@ -144,7 +146,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // Handshake: the supervisor reads this line to learn the real port.
+    // Handshake and readiness: bound, every handler registered.
     println!("LISTENING {}", server.local_addr().port());
     let _ = std::io::stdout().flush();
 

@@ -68,7 +68,6 @@ fn deploy_in_mode(
                 net,
                 SupervisorConfig {
                     node_host: Some(env!("CARGO_BIN_EXE_node-host").into()),
-                    ..SupervisorConfig::default()
                 },
                 reconnect_policy_for(&RetryPolicy::standard(), &clock),
             )

@@ -8,11 +8,12 @@
 //! and teardown must leave no orphaned children behind.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hammer::core::chaos::{check_report, live_children};
 use hammer::core::deploy::{
-    reconnect_policy_for, BackendOptions, BackendRegistry, DeployMode, SupervisorConfig,
+    reconnect_policy_for, BackendOptions, BackendRegistry, DeployMode, Deployment,
+    ProcessFaultStats, SupervisorConfig,
 };
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::retry::RetryPolicy;
@@ -34,8 +35,34 @@ fn serial() -> MutexGuard<'static, ()> {
 fn supervisor_config() -> SupervisorConfig {
     SupervisorConfig {
         node_host: Some(env!("CARGO_BIN_EXE_node-host").into()),
-        ..SupervisorConfig::default()
     }
+}
+
+/// A supervised `neuchain-sim` node on `clock`.
+fn deploy(clock: &SimClock) -> Deployment {
+    let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
+    BackendRegistry::builtin()
+        .deploy_multi(
+            "neuchain-sim",
+            &BackendOptions::default(),
+            clock.clone(),
+            net,
+            supervisor_config(),
+            reconnect_policy_for(&RetryPolicy::standard(), clock),
+        )
+        .expect("multi-process deploy")
+}
+
+/// Waits up to `wall` for `done`, re-checking every 5 ms.
+fn within(wall: Duration, done: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + wall;
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    true
 }
 
 fn workload(backend: &str) -> WorkloadConfig {
@@ -227,4 +254,100 @@ fn scenario_dsl_drives_multi_process_crash_runs() {
         live_children() <= children_before,
         "node-host process leaked past teardown"
     );
+}
+
+/// A crash window shorter than a wake-up's lateness is still an outage:
+/// the supervisor acts at the window's edges, so 5 ms at 10× — 0.5 ms of
+/// wall time, opening 300 ms of wall time after the clock's epoch — kills
+/// the node exactly once and restarts it exactly once. (Sampled every
+/// 10 ms of wall time, the window is seen about one time in twenty.)
+#[test]
+fn a_crash_window_shorter_than_a_millisecond_of_wall_time_kills_and_restarts_once() {
+    let _guard = serial();
+    let children_before = live_children();
+    let clock = SimClock::with_speedup(10.0);
+    let deployment = deploy(&clock);
+    let supervisor = deployment.supervisor().expect("multi mode").clone();
+    let victim = deployment.chain().ingress_nodes()[0].clone();
+    let (start, end) = (Duration::from_millis(3000), Duration::from_millis(3005));
+    let plan = FaultPlan::new().crash(&victim, start, end);
+    deployment.install_faults(plan).expect("install faults");
+    assert!(clock.now() < start, "armed too late: {:?}", clock.now());
+
+    let restarted = within(Duration::from_secs(10), || {
+        clock.now() >= end && supervisor.stats().restarts >= 1 && supervisor.node_alive()
+    });
+    // Nothing follows the edge pair.
+    std::thread::sleep(Duration::from_millis(200));
+    let stats = supervisor.stats();
+    assert!(restarted, "no restart within 10 s: {stats:?}");
+    assert_eq!(
+        stats,
+        ProcessFaultStats {
+            kills: 1,
+            restarts: 1
+        }
+    );
+    assert!(supervisor.node_alive());
+
+    drop(supervisor);
+    drop(deployment);
+    assert!(
+        live_children() <= children_before,
+        "node-host process leaked past teardown"
+    );
+}
+
+/// An exit nobody planned is seen as its stdout's EOF and restarted: with
+/// no window open, SIGKILL the node-host from outside.
+#[test]
+fn a_node_killed_from_outside_is_restarted() {
+    let _guard = serial();
+    let children_before = live_children();
+    let clock = SimClock::with_speedup(10.0);
+    let deployment = deploy(&clock);
+    let supervisor = deployment.supervisor().expect("multi mode").clone();
+    let pid = node_host_pid().expect("the node-host is a live child");
+    let killed = std::process::Command::new("kill")
+        .args(["-KILL", &pid.to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success(), "kill -KILL {pid}: {killed}");
+
+    let restarted = within(Duration::from_secs(10), || {
+        supervisor.stats().restarts >= 1 && supervisor.node_alive()
+    });
+    assert!(
+        restarted,
+        "no restart within 10 s: {:?}",
+        supervisor.stats()
+    );
+    assert_eq!(supervisor.stats().kills, 0, "no window asked for a kill");
+    assert!(node_host_pid().is_some_and(|fresh| fresh != pid));
+
+    drop(supervisor);
+    drop(deployment);
+    assert!(
+        live_children() <= children_before,
+        "node-host process leaked past teardown"
+    );
+}
+
+/// The pid of this process's live `node-host` child, read from `/proc`
+/// the way `live_children` counts children.
+fn node_host_pid() -> Option<u32> {
+    let own = std::process::id();
+    let procs = std::fs::read_dir("/proc").ok()?;
+    procs
+        .filter_map(|entry| {
+            let pid: u32 = entry.ok()?.file_name().to_str()?.parse().ok()?;
+            let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+            // `pid (comm) state ppid ...`; comm may hold spaces and parens.
+            let (head, tail) = stat.rsplit_once(')')?;
+            let mut fields = tail.split_whitespace();
+            let (state, ppid) = (fields.next()?, fields.next()?.parse::<u32>().ok()?);
+            let host = head.ends_with("(node-host") && state != "Z" && ppid == own;
+            host.then_some(pid)
+        })
+        .next()
 }
