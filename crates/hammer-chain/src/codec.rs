@@ -8,50 +8,30 @@ use std::time::Duration;
 
 use hammer_crypto::sig::Signature;
 use hammer_crypto::{from_hex, to_hex, PublicKey};
-use hammer_rpc::json::Value;
+use hammer_rpc::json::{boolean, list, string, uint, Fields, ReadError, Value};
 
 use crate::smallbank::Op;
 use crate::types::{Address, Block, SignedTransaction, Transaction, TxId};
 
-/// Codec failure: a field was missing or had the wrong shape.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CodecError(pub String);
-
-impl std::fmt::Display for CodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "codec error: {}", self.0)
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, CodecError> {
-    v.get(key)
-        .ok_or_else(|| CodecError(format!("missing field '{key}'")))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, CodecError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| CodecError(format!("field '{key}' is not a u64")))
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str, CodecError> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| CodecError(format!("field '{key}' is not a string")))
-}
-
-/// 64-bit ids (addresses, keys, public keys) are encoded as decimal strings:
-/// JSON numbers lose precision beyond 2^53.
-fn encode_u64s(v: u64) -> Value {
+/// 64-bit ids (addresses, keys, public keys) travel as decimal strings, so
+/// a peer whose JSON numbers are doubles keeps them exact.
+pub(crate) fn encode_u64s(v: u64) -> Value {
     Value::from(v.to_string())
 }
 
-fn u64s_field(v: &Value, key: &str) -> Result<u64, CodecError> {
-    str_field(v, key)?
-        .parse::<u64>()
-        .map_err(|_| CodecError(format!("field '{key}' is not a u64 string")))
+/// Reads [`encode_u64s`]'s form.
+pub(crate) fn decode_u64s(v: &Value) -> Result<u64, ReadError> {
+    let n = v.as_str().and_then(|s| s.parse().ok());
+    n.ok_or_else(|| ReadError::want("a u64 as a decimal string", v))
+}
+
+/// Fixed-size bytes (ids, hashes, signatures) from their hex text.
+fn hex<const N: usize>(v: &Value) -> Result<[u8; N], ReadError> {
+    let bytes = v
+        .as_str()
+        .and_then(from_hex)
+        .and_then(|b| b.try_into().ok());
+    bytes.ok_or_else(|| ReadError::want(&format!("{N} bytes as hex"), v))
 }
 
 /// Encodes an operation.
@@ -109,46 +89,47 @@ pub fn encode_op(op: &Op) -> Value {
 }
 
 /// Decodes an operation.
-pub fn decode_op(v: &Value) -> Result<Op, CodecError> {
-    let ty = str_field(v, "type")?;
-    let op = match ty {
+pub fn decode_op(v: &Value) -> Result<Op, ReadError> {
+    let f = Fields::of(v);
+    let address = |key| f.req(key, decode_u64s).map(Address);
+    let op = match f.req("type", string)? {
         "create_account" => Op::CreateAccount {
-            account: Address(u64s_field(v, "account")?),
-            checking: u64_field(v, "checking")?,
-            savings: u64_field(v, "savings")?,
+            account: address("account")?,
+            checking: f.req("checking", uint)?,
+            savings: f.req("savings", uint)?,
         },
         "deposit" => Op::DepositChecking {
-            account: Address(u64s_field(v, "account")?),
-            amount: u64_field(v, "amount")?,
+            account: address("account")?,
+            amount: f.req("amount", uint)?,
         },
         "withdraw" => Op::WriteCheck {
-            account: Address(u64s_field(v, "account")?),
-            amount: u64_field(v, "amount")?,
+            account: address("account")?,
+            amount: f.req("amount", uint)?,
         },
         "transfer" => Op::SendPayment {
-            from: Address(u64s_field(v, "from")?),
-            to: Address(u64s_field(v, "to")?),
-            amount: u64_field(v, "amount")?,
+            from: address("from")?,
+            to: address("to")?,
+            amount: f.req("amount", uint)?,
         },
         "amalgamate" => Op::Amalgamate {
-            from: Address(u64s_field(v, "from")?),
-            to: Address(u64s_field(v, "to")?),
+            from: address("from")?,
+            to: address("to")?,
         },
         "transact_savings" => Op::TransactSavings {
-            account: Address(u64s_field(v, "account")?),
-            amount: u64_field(v, "amount")?,
+            account: address("account")?,
+            amount: f.req("amount", uint)?,
         },
         "balance" => Op::Balance {
-            account: Address(u64s_field(v, "account")?),
+            account: address("account")?,
         },
         "kv_put" => Op::KvPut {
-            key: u64s_field(v, "key")?,
-            value: u64_field(v, "value")?,
+            key: f.req("key", decode_u64s)?,
+            value: f.req("value", uint)?,
         },
         "kv_get" => Op::KvGet {
-            key: u64s_field(v, "key")?,
+            key: f.req("key", decode_u64s)?,
         },
-        other => return Err(CodecError(format!("unknown op type '{other}'"))),
+        other => return Err(ReadError::new(format!("unknown op type {other:?}"))),
     };
     Ok(op)
 }
@@ -170,33 +151,29 @@ pub fn encode_signed_tx(tx: &SignedTransaction) -> Value {
 
 /// Decodes a signed transaction, re-checking that the embedded id matches
 /// the body.
-pub fn decode_signed_tx(v: &Value) -> Result<SignedTransaction, CodecError> {
+pub fn decode_signed_tx(v: &Value) -> Result<SignedTransaction, ReadError> {
+    let f = Fields::of(v);
+    let owned = |s| string(s).map(str::to_owned);
     let tx = Transaction {
-        client_id: u64_field(v, "client_id")? as u32,
-        server_id: u64_field(v, "server_id")? as u32,
-        nonce: u64_field(v, "nonce")?,
-        op: decode_op(field(v, "op")?)?,
-        chain_name: str_field(v, "chain_name")?.to_owned(),
-        contract_name: str_field(v, "contract_name")?.to_owned(),
+        client_id: f.req("client_id", uint)?,
+        server_id: f.req("server_id", uint)?,
+        nonce: f.req("nonce", uint)?,
+        op: f.req("op", decode_op)?,
+        chain_name: f.req("chain_name", owned)?,
+        contract_name: f.req("contract_name", owned)?,
     };
-    let id_bytes =
-        from_hex(str_field(v, "id")?).ok_or_else(|| CodecError("bad hex in 'id'".to_owned()))?;
-    let id_arr: [u8; 32] = id_bytes
-        .try_into()
-        .map_err(|_| CodecError("'id' must be 32 bytes".to_owned()))?;
-    let id = TxId(id_arr);
+    let id = f.req("id", hex).map(TxId)?;
     if tx.id() != id {
-        return Err(CodecError("transaction id does not match body".to_owned()));
+        return Err(ReadError::new("transaction id does not match body"));
     }
-    let sig_bytes =
-        from_hex(str_field(v, "sig")?).ok_or_else(|| CodecError("bad hex in 'sig'".to_owned()))?;
-    let sig_arr: [u8; 16] = sig_bytes
-        .try_into()
-        .map_err(|_| CodecError("'sig' must be 16 bytes".to_owned()))?;
-    let signature = Signature::from_bytes(&sig_arr)
-        .ok_or_else(|| CodecError("signature components out of range".to_owned()))?;
-    let public_key = PublicKey::from_u64(u64s_field(v, "pk")?)
-        .ok_or_else(|| CodecError("public key out of range".to_owned()))?;
+    let signature = f.req("sig", |sig| {
+        Signature::from_bytes(&hex(sig)?)
+            .ok_or_else(|| ReadError::new("signature components out of range"))
+    })?;
+    let public_key = f.req("pk", |pk| {
+        PublicKey::from_u64(decode_u64s(pk)?)
+            .ok_or_else(|| ReadError::new("public key out of range"))
+    })?;
     Ok(SignedTransaction {
         tx,
         id,
@@ -214,9 +191,8 @@ pub fn encode_signed_tx_into(tx: &SignedTransaction, out: &mut String) {
 
 /// Decodes a signed transaction from raw JSON bytes (e.g. a reused
 /// transport receive buffer).
-pub fn decode_signed_tx_bytes(bytes: &[u8]) -> Result<SignedTransaction, CodecError> {
-    let v = Value::parse_bytes(bytes).map_err(|e| CodecError(format!("bad JSON: {e}")))?;
-    decode_signed_tx(&v)
+pub fn decode_signed_tx_bytes(bytes: &[u8]) -> Result<SignedTransaction, ReadError> {
+    decode_signed_tx(&Value::parse_bytes(bytes)?)
 }
 
 /// Encodes a block (ids + validity + header).
@@ -257,67 +233,37 @@ pub fn encode_block_into(block: &Block, out: &mut String) {
 }
 
 /// Decodes a block from raw JSON bytes and verifies its Merkle root.
-pub fn decode_block_bytes(bytes: &[u8]) -> Result<Block, CodecError> {
-    let v = Value::parse_bytes(bytes).map_err(|e| CodecError(format!("bad JSON: {e}")))?;
-    decode_block(&v)
+pub fn decode_block_bytes(bytes: &[u8]) -> Result<Block, ReadError> {
+    decode_block(&Value::parse_bytes(bytes)?)
 }
 
 /// Decodes a transaction id from its 64-hex-digit wire form.
-pub fn decode_tx_id(v: &Value) -> Result<TxId, CodecError> {
-    let bytes = v.as_str().and_then(from_hex);
-    let bytes = bytes.ok_or_else(|| CodecError("bad tx id hex".to_owned()))?;
-    let bytes = <[u8; 32]>::try_from(bytes);
-    bytes
-        .map(TxId)
-        .map_err(|_| CodecError("tx id must be 32 bytes".to_owned()))
+pub fn decode_tx_id(v: &Value) -> Result<TxId, ReadError> {
+    hex(v).map(TxId)
 }
 
 /// Decodes a block and verifies its Merkle root.
-pub fn decode_block(v: &Value) -> Result<Block, CodecError> {
-    let parse_hash = |key: &str| -> Result<[u8; 32], CodecError> {
-        let bytes = from_hex(str_field(v, key)?)
-            .ok_or_else(|| CodecError(format!("bad hex in '{key}'")))?;
-        bytes
-            .try_into()
-            .map_err(|_| CodecError(format!("'{key}' must be 32 bytes")))
-    };
-    let tx_ids: Result<Vec<TxId>, CodecError> = field(v, "tx_ids")?
-        .as_array()
-        .ok_or_else(|| CodecError("'tx_ids' is not an array".to_owned()))?
-        .iter()
-        .map(decode_tx_id)
-        .collect();
-    let tx_ids = tx_ids?;
-    let valid: Result<Vec<bool>, CodecError> = field(v, "valid")?
-        .as_array()
-        .ok_or_else(|| CodecError("'valid' is not an array".to_owned()))?
-        .iter()
-        .map(|item| {
-            item.as_bool()
-                .ok_or_else(|| CodecError("'valid' entries must be bools".to_owned()))
-        })
-        .collect();
-    let valid = valid?;
+pub fn decode_block(v: &Value) -> Result<Block, ReadError> {
+    let f = Fields::of(v);
+    let tx_ids = f.req("tx_ids", list(decode_tx_id))?;
+    let valid = f.req("valid", list(boolean))?;
     if valid.len() != tx_ids.len() {
-        return Err(CodecError(
-            "'valid' and 'tx_ids' length mismatch".to_owned(),
-        ));
+        return Err(ReadError::new("'valid' and 'tx_ids' length mismatch"));
     }
     let block = Block {
         header: crate::types::BlockHeader {
-            height: u64_field(v, "height")?,
-            prev_hash: parse_hash("prev_hash")?,
-            merkle_root: parse_hash("merkle_root")?,
-            timestamp: Duration::from_nanos(u64_field(v, "timestamp_ns")?),
-            proposer: str_field(v, "proposer")?.to_owned(),
-            shard: u32::try_from(u64_field(v, "shard")?)
-                .map_err(|_| CodecError("field 'shard' is not a u32".to_owned()))?,
+            height: f.req("height", uint)?,
+            prev_hash: f.req("prev_hash", hex)?,
+            merkle_root: f.req("merkle_root", hex)?,
+            timestamp: Duration::from_nanos(f.req("timestamp_ns", uint)?),
+            proposer: f.req("proposer", string)?.to_owned(),
+            shard: f.req("shard", uint)?,
         },
         tx_ids,
         valid,
     };
     if !block.verify_merkle_root() {
-        return Err(CodecError("merkle root mismatch".to_owned()));
+        return Err(ReadError::new("merkle root mismatch"));
     }
     Ok(block)
 }
@@ -455,6 +401,35 @@ mod tests {
             }
         }
         assert!(decode_signed_tx(&encoded).is_err());
+    }
+
+    /// A 32-bit id read as a u64 and cast back hashed the truncated body,
+    /// so the id check passed: `client_id + 2^32` decoded as the original.
+    #[test]
+    fn signed_tx_decode_refuses_ids_wider_than_u32() {
+        let tx = Transaction {
+            client_id: 3,
+            server_id: 1,
+            nonce: 42,
+            op: Op::KvGet { key: 1 },
+            chain_name: "c".to_owned(),
+            contract_name: "k".to_owned(),
+        };
+        let signed = tx.sign(&Keypair::from_seed(9), &SigParams::fast());
+        for (key, id) in [("client_id", 3u64), ("server_id", 1)] {
+            let wide = id + (1 << 32);
+            let mut encoded = encode_signed_tx(&signed);
+            if let Value::Object(pairs) = &mut encoded {
+                for (k, v) in pairs.iter_mut() {
+                    if k == key {
+                        *v = Value::from(wide);
+                    }
+                }
+            }
+            let err = decode_signed_tx(&encoded).unwrap_err();
+            let want = format!("{key}: want an integer that fits u32, got {wide}");
+            assert_eq!(err.to_string(), want);
+        }
     }
 
     #[test]

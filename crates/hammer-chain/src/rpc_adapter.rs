@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use hammer_net::{FaultPlan, TcpRpcClient};
-use hammer_rpc::json::Value;
+use hammer_rpc::json::{list, string, uint, Fields, ReadError, Value};
 use hammer_rpc::jsonrpc::RpcError;
 use hammer_rpc::transport::{RpcClient, RpcServer};
 
@@ -113,7 +113,7 @@ fn rpc_error_to_chain(err: RpcError) -> ChainError {
         codes::REJECTED_DUP => ChainError::rejected(MempoolError::Duplicate),
         codes::REJECTED_BAD_SIGNATURE => ChainError::rejected(MempoolError::BadSignature),
         codes::BAD_SIGNATURE => ChainError::bad_signature(),
-        codes::UNKNOWN_SHARD => match data("shard").and_then(as_u32) {
+        codes::UNKNOWN_SHARD => match data("shard").and_then(|shard| uint(shard).ok()) {
             Some(shard) => ChainError::unknown_shard(shard),
             None => ChainError::protocol("unknown-shard error without a shard"),
         },
@@ -133,33 +133,11 @@ fn rpc_error_to_chain(err: RpcError) -> ChainError {
 // ---- codecs: how one Rust value travels as JSON ------------------------
 
 /// Used for a method's params in one direction and its result in the
-/// other; `decode` says why when the value is malformed.
+/// other; `decode` says why, at which JSON path, when the value is
+/// malformed.
 struct Codec<T> {
     encode: fn(&T) -> Value,
-    decode: fn(&Value) -> Result<T, String>,
-}
-
-fn as_u32(v: &Value) -> Option<u32> {
-    v.as_u64().and_then(|n| u32::try_from(n).ok())
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    let field = v.get(key).and_then(Value::as_u64);
-    field.ok_or_else(|| format!("missing '{key}' (u64)"))
-}
-
-/// `shard`, defaulting to 0 when absent (non-sharded callers may omit it).
-fn shard_field(v: &Value) -> Result<u32, String> {
-    match v.get("shard") {
-        None => Ok(0),
-        Some(shard) => as_u32(shard).ok_or_else(|| "'shard' is not a u32".to_owned()),
-    }
-}
-
-fn account_field(v: &Value) -> Result<Address, String> {
-    let account = v.get("account").and_then(Value::as_str);
-    let account = account.and_then(|s| s.parse().ok()).map(Address);
-    account.ok_or_else(|| "missing 'account' (u64 string)".to_owned())
+    decode: fn(&Value) -> Result<T, ReadError>,
 }
 
 /// More shards than any deployment has; bounds what a peer's
@@ -170,9 +148,10 @@ const NONE: Codec<()> = Codec {
     encode: |()| Value::Null,
     decode: |_| Ok(()),
 };
+/// `shard`, 0 when absent (non-sharded callers may omit it).
 const SHARD: Codec<u32> = Codec {
     encode: |shard| Value::object([("shard", Value::from(u64::from(*shard)))]),
-    decode: shard_field,
+    decode: |v| Ok(Fields::of(v).opt("shard", uint)?.unwrap_or(0)),
 };
 const SHARD_HEIGHT: Codec<(u32, u64)> = Codec {
     encode: |(shard, height)| {
@@ -181,38 +160,37 @@ const SHARD_HEIGHT: Codec<(u32, u64)> = Codec {
             ("height", Value::from(*height)),
         ])
     },
-    decode: |v| Ok((shard_field(v)?, u64_field(v, "height")?)),
+    decode: |v| Ok(((SHARD.decode)(v)?, Fields::of(v).req("height", uint)?)),
 };
 const SIGNED_TX: Codec<SignedTransaction> = Codec {
     encode: codec::encode_signed_tx,
-    decode: |v| codec::decode_signed_tx(v).map_err(|e| e.to_string()),
+    decode: codec::decode_signed_tx,
 };
 const ACCOUNT: Codec<Address> = Codec {
-    encode: |account| Value::object([("account", Value::from(account.0.to_string()))]),
-    decode: account_field,
+    encode: |account| Value::object([("account", codec::encode_u64s(account.0))]),
+    decode: |v| {
+        Fields::of(v)
+            .req("account", codec::decode_u64s)
+            .map(Address)
+    },
 };
 const SEED: Codec<(Address, u64, u64)> = Codec {
     encode: |(account, checking, savings)| {
         Value::object([
-            ("account", Value::from(account.0.to_string())),
+            ("account", codec::encode_u64s(account.0)),
             ("checking", Value::from(*checking)),
             ("savings", Value::from(*savings)),
         ])
     },
     decode: |v| {
-        Ok((
-            account_field(v)?,
-            u64_field(v, "checking")?,
-            u64_field(v, "savings")?,
-        ))
+        let f = Fields::of(v);
+        let account = (ACCOUNT.decode)(v)?;
+        Ok((account, f.req("checking", uint)?, f.req("savings", uint)?))
     },
 };
 const NAME: Codec<String> = Codec {
     encode: |name| Value::from(name.as_str()),
-    decode: |v| {
-        let name = v.as_str().map(str::to_owned);
-        name.ok_or_else(|| "not a string".to_owned())
-    },
+    decode: |v| string(v).map(str::to_owned),
 };
 const ARCHITECTURE_SHAPE: Codec<Architecture> = Codec {
     encode: |architecture| match architecture {
@@ -222,33 +200,31 @@ const ARCHITECTURE_SHAPE: Codec<Architecture> = Codec {
             ("shards", Value::from(u64::from(*shards))),
         ]),
     },
-    decode: |v| match v.get("type").and_then(Value::as_str) {
-        Some("non_sharded") => Ok(Architecture::NonSharded),
-        Some("sharded") => {
-            let shards = v.get("shards").and_then(as_u32);
-            let shards = shards.filter(|shards| *shards <= MAX_SHARDS);
-            shards
-                .map(|shards| Architecture::Sharded { shards })
-                .ok_or_else(|| "'shards' missing or out of range".to_owned())
+    decode: |v| {
+        let f = Fields::of(v);
+        match f.req("type", string)? {
+            "non_sharded" => Ok(Architecture::NonSharded),
+            "sharded" => f.req("shards", |n| match uint(n)? {
+                shards if shards <= MAX_SHARDS => Ok(Architecture::Sharded { shards }),
+                _ => Err(ReadError::want(&format!("at most {MAX_SHARDS} shards"), n)),
+            }),
+            other => Err(ReadError::new(format!("unknown architecture {other:?}"))),
         }
-        _ => Err("unknown 'type'".to_owned()),
     },
 };
 const TX_ID: Codec<TxId> = Codec {
     encode: |id| Value::from(hammer_crypto::to_hex(id.as_bytes())),
-    decode: |v| codec::decode_tx_id(v).map_err(|e| e.to_string()),
+    decode: codec::decode_tx_id,
 };
 const COUNT: Codec<u64> = Codec {
     encode: |n| Value::from(*n),
-    decode: |v| v.as_u64().ok_or_else(|| "non-numeric result".to_owned()),
+    decode: uint,
 };
 const BLOCK: Codec<Option<Block>> = Codec {
     encode: |block| block.as_ref().map_or(Value::Null, codec::encode_block),
     decode: |v| match v {
         Value::Null => Ok(None),
-        block => codec::decode_block(block)
-            .map(Some)
-            .map_err(|e| e.to_string()),
+        block => codec::decode_block(block).map(Some),
     },
 };
 const ACCOUNT_STATE: Codec<Option<AccountState>> = Codec {
@@ -262,26 +238,24 @@ const ACCOUNT_STATE: Codec<Option<AccountState>> = Codec {
     },
     decode: |v| match v {
         Value::Null => Ok(None),
-        state => Ok(Some(AccountState {
-            checking: u64_field(state, "checking")?,
-            savings: u64_field(state, "savings")?,
-            version: u64_field(state, "version")?,
-        })),
+        state => {
+            let f = Fields::of(state);
+            Ok(Some(AccountState {
+                checking: f.req("checking", uint)?,
+                savings: f.req("savings", uint)?,
+                version: f.req("version", uint)?,
+            }))
+        }
     },
 };
 const NODES: Codec<Vec<String>> = Codec {
     encode: |nodes| Value::Array(nodes.iter().map(|n| Value::from(n.as_str())).collect()),
-    decode: |v| {
-        let nodes = v.as_array().ok_or("not an array")?.iter();
-        let nodes = nodes.map(|n| n.as_str().map(str::to_owned));
-        let nodes: Option<_> = nodes.collect();
-        nodes.ok_or_else(|| "a node name is not a string".to_owned())
-    },
+    decode: |v| list(|n| string(n).map(str::to_owned))(v),
 };
 /// A fault plan in its one JSON form (`hammer_net::fault`), read strictly.
 const FAULT_PLAN: Codec<FaultPlan> = Codec {
     encode: FaultPlan::to_value,
-    decode: FaultPlan::from_value,
+    decode: FaultPlan::read,
 };
 /// `null` when every ledger verifies, else why one does not.
 const LEDGER_CHECK: Codec<Result<(), LedgerError>> = Codec {
@@ -299,15 +273,20 @@ const LEDGER_CHECK: Codec<Result<(), LedgerError>> = Codec {
             Value::object([("kind", Value::from("bad_merkle_root"))])
         }
     },
-    decode: |v| match v.get("kind").and_then(Value::as_str) {
-        None if v.is_null() => Ok(Ok(())),
-        Some("height_mismatch") => Ok(Err(LedgerError::HeightMismatch {
-            expected: u64_field(v, "expected")?,
-            got: u64_field(v, "got")?,
-        })),
-        Some("broken_hash_chain") => Ok(Err(LedgerError::BrokenHashChain)),
-        Some("bad_merkle_root") => Ok(Err(LedgerError::BadMerkleRoot)),
-        _ => Err("unknown ledger-check answer".to_owned()),
+    decode: |v| {
+        if v.is_null() {
+            return Ok(Ok(()));
+        }
+        let f = Fields::of(v);
+        match f.req("kind", string)? {
+            "height_mismatch" => Ok(Err(LedgerError::HeightMismatch {
+                expected: f.req("expected", uint)?,
+                got: f.req("got", uint)?,
+            })),
+            "broken_hash_chain" => Ok(Err(LedgerError::BrokenHashChain)),
+            "bad_merkle_root" => Ok(Err(LedgerError::BadMerkleRoot)),
+            other => Err(ReadError::new(format!("unknown ledger check {other:?}"))),
+        }
     },
 };
 
@@ -768,8 +747,8 @@ pub(crate) mod tests {
             shard in 0u32..4,
             height in 0u64..6,
             account in any::<u64>(),
-            checking in 0u64..=i64::MAX as u64,
-            savings in 0u64..=i64::MAX as u64,
+            checking in any::<u64>(),
+            savings in any::<u64>(),
         ) {
             let (chain, server) = serve_mock();
             let remote = RemoteChain::connect(server.client()).unwrap();

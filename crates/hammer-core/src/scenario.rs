@@ -52,7 +52,9 @@ use std::time::Duration;
 
 use hammer_net::{chaos, ChaosTargets, FaultPlan, LinkConfig, SimClock, SimNetwork};
 use hammer_obs::{EventKind, Obs, Stage};
-use hammer_rpc::json::Value;
+use hammer_rpc::json::{
+    entries, float, list, millis, secs, string, uint, Fields, ReadError, Value,
+};
 use hammer_store::KvStore;
 use hammer_workload::{ControlSequence, TraceKind, TraceSpec, WorkloadConfig};
 
@@ -539,9 +541,9 @@ fn compile_eval(spec: &ScenarioBuilder) -> Result<EvalConfig, ScenarioError> {
 
 /// Averages a trace shape into exactly `slices` buckets, bucket `i` holding
 /// points `i·len/slices .. (i+1)·len/slices` — so at least one each.
-fn resample(shape: &[f64], slices: usize) -> Result<Vec<f64>, ScenarioError> {
+fn resample(shape: &[f64], slices: usize) -> Result<Vec<f64>, ReadError> {
     if slices > shape.len() {
-        return Err(ScenarioError::Spec(format!(
+        return Err(ReadError::new(format!(
             "slices {slices} exceeds the {} points of a trace shape",
             shape.len()
         )));
@@ -889,13 +891,13 @@ impl Scenario {
     /// composition — callers can tweak (retarget, rescale) before
     /// `build()`. The spec itself is outside input and is read strictly:
     /// a key the format does not define, or a value that does not fit its
-    /// field, is [`ScenarioError::Spec`], never a silent default.
+    /// field, is [`ScenarioError::Spec`] naming its JSON path, never a
+    /// silent default.
     pub fn builder_from_json(spec: &str) -> Result<ScenarioBuilder, ScenarioError> {
-        let value =
-            Value::parse(spec).map_err(|e| ScenarioError::Spec(format!("bad JSON: {e:?}")))?;
-        known_keys(
+        let value = Value::parse(spec).map_err(ReadError::from)?;
+        let f = Fields::known_keys(
             &value,
-            "the scenario",
+            "a scenario",
             &[
                 "name",
                 "description",
@@ -914,200 +916,128 @@ impl Scenario {
                 "expectations",
             ],
         )?;
-        let mut builder = Scenario::builder(req(&value, "name", Value::as_str)?);
-        if let Some(d) = opt(&value, "description", Value::as_str)? {
-            builder = builder.describe(d);
-        }
-        builder = builder.backend(req(&value, "backend", Value::as_str)?);
-        if let Some(s) = opt(&value, "speedup", Value::as_f64)? {
-            builder = builder.speedup(s);
-        }
-        if let Some(m) = opt(&value, "deploy_mode", Value::as_str)? {
-            let mode = DeployMode::parse(m).ok_or_else(|| {
-                ScenarioError::Spec(format!(
-                    "unknown deploy_mode {m:?} (want \"in_process\" or \"multi_process\")"
-                ))
-            })?;
-            builder = builder.deploy_mode(mode);
-        }
-        if let Some(w) = value.get("workload") {
-            builder.workload = WorkloadConfig::from_json(w, builder.workload)
-                .map_err(|e| ScenarioError::Spec(e.to_string()))?;
-        }
-        builder = builder.control(parse_control(req(&value, "control", Some)?)?);
-        if let Some(r) = value.get("retry") {
-            builder = builder.retry(parse_retry(r)?);
-        }
-        if let Some(budget) = opt(&value, "stall_budget_s", secs)? {
-            builder = builder.stall_budget(budget);
-        }
-        if let Some(timeout) = opt(&value, "drain_timeout_s", secs)? {
-            builder = builder.drain_timeout(timeout);
-        }
-        if let Some(interval) = opt(&value, "poll_interval_ms", millis)? {
-            builder = builder.poll_interval(interval);
-        }
-        if let Some(n) = opt(&value, "tracker_shards", uint)? {
-            builder = builder.tracker_shards(n);
-        }
-        if let Some(c) = value.get("chaos") {
-            builder.chaos = Some(parse_chaos(c)?);
-        }
-        if let Some(r) = value.get("recovery") {
-            known_keys(r, "recovery", &["interval_ms", "kill_at_ms"])?;
-            builder = builder.recover(
-                req(r, "interval_ms", millis)?,
-                req(r, "kill_at_ms", millis)?,
-            );
-        }
-        for e in opt(&value, "expectations", Value::as_array)?.unwrap_or_default() {
-            builder = builder.expect(parse_expectation(e)?);
-        }
-        Ok(builder)
+        let mut b = Scenario::builder(f.req("name", string)?);
+        f.set(&mut b.description, "description", |d| {
+            string(d).map(str::to_owned)
+        })?;
+        b.backend = f.req("backend", string)?.to_owned();
+        f.set(&mut b.speedup, "speedup", float)?;
+        f.set(&mut b.deploy_mode, "deploy_mode", |m| {
+            DeployMode::parse(string(m)?)
+                .ok_or_else(|| ReadError::want("\"in_process\" or \"multi_process\"", m))
+        })?;
+        let workload = b.workload.clone();
+        f.set(&mut b.workload, "workload", |w| {
+            WorkloadConfig::from_json(w, workload)
+        })?;
+        b.control = Some(f.req("control", read_control)?);
+        f.set(&mut b.retry, "retry", read_retry)?;
+        f.set(&mut b.stall_budget, "stall_budget_s", secs)?;
+        f.set(&mut b.drain_timeout, "drain_timeout_s", secs)?;
+        f.set(&mut b.poll_interval, "poll_interval_ms", millis)?;
+        b.tracker_shards = f.opt("tracker_shards", uint)?;
+        b.chaos = f.opt("chaos", read_chaos)?;
+        b.recovery = f.opt("recovery", |r| {
+            let r = Fields::known_keys(r, "a recovery spec", &["interval_ms", "kill_at_ms"])?;
+            Ok(RecoverySpec {
+                interval: r.req("interval_ms", millis)?,
+                kill_at: r.req("kill_at_ms", millis)?,
+            })
+        })?;
+        f.set(&mut b.expectations, "expectations", list(read_expectation))?;
+        Ok(b)
     }
 }
 
-/// Rejects a key of the object `value` that the format does not define:
-/// a typo (`stall_budget` for `stall_budget_s`) must not run with the
-/// default and pass its gate vacuously.
-fn known_keys(value: &Value, at: &str, keys: &[&str]) -> Result<(), ScenarioError> {
-    let Value::Object(pairs) = value else {
-        return Err(ScenarioError::Spec(format!("{at} must be an object")));
-    };
-    match pairs.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
-        Some((key, _)) => Err(ScenarioError::Spec(format!("unknown key {key:?} in {at}"))),
-        None => Ok(()),
+impl From<ReadError> for ScenarioError {
+    fn from(e: ReadError) -> Self {
+        ScenarioError::Spec(e.to_string())
     }
 }
 
-/// Reads `key` if present; a value `read` refuses is an error.
-fn opt<'a, T>(
-    value: &'a Value,
-    key: &str,
-    read: impl Fn(&'a Value) -> Option<T>,
-) -> Result<Option<T>, ScenarioError> {
-    let bad = |f: &Value| ScenarioError::Spec(format!("bad {key:?}: {}", f.to_json()));
-    value
-        .get(key)
-        .map(|f| read(f).ok_or_else(|| bad(f)))
-        .transpose()
-}
-
-/// [`opt`] for a key the format requires.
-fn req<'a, T>(
-    value: &'a Value,
-    key: &str,
-    read: impl Fn(&'a Value) -> Option<T>,
-) -> Result<T, ScenarioError> {
-    opt(value, key, read)?.ok_or_else(|| ScenarioError::Spec(format!("missing {key:?}")))
-}
-
-/// A non-negative integer that fits `T`.
-fn uint<T: TryFrom<u64>>(f: &Value) -> Option<T> {
-    T::try_from(f.as_u64()?).ok()
-}
-
-fn millis(f: &Value) -> Option<Duration> {
-    f.as_u64().map(Duration::from_millis)
-}
-
-fn secs(f: &Value) -> Option<Duration> {
-    Duration::try_from_secs_f64(f.as_f64()?).ok()
-}
-
-fn parse_control(value: &Value) -> Result<ControlSequence, ScenarioError> {
-    known_keys(
+fn read_control(value: &Value) -> Result<ControlSequence, ReadError> {
+    let f = Fields::known_keys(
         value,
-        "control",
+        "a control sequence",
         &[
             "shape", "slices", "slice_ms", "rate", "from", "to", "trace", "total", "seed",
             "budgets",
         ],
     )?;
-    let slice = opt(value, "slice_ms", millis)?.unwrap_or(Duration::from_secs(1));
+    let slice = f.opt("slice_ms", millis)?.unwrap_or(Duration::from_secs(1));
     if slice.is_zero() {
-        return Err(ScenarioError::Spec("slice_ms must be positive".to_owned()));
+        return Err(ReadError::new("slice_ms must be positive"));
     }
-    let slices: usize = opt(value, "slices", uint)?.unwrap_or(10);
-    if slices > MAX_SLICES {
-        return Err(ScenarioError::Spec(format!(
-            "slices {slices} exceeds the {MAX_SLICES} a run window may have"
-        )));
-    }
-    match req(value, "shape", Value::as_str)? {
+    let slices = f
+        .opt("slices", |n| match uint(n)? {
+            slices if slices > MAX_SLICES => Err(ReadError::new(format!(
+                "{slices} exceeds the {MAX_SLICES} slices a run window may have"
+            ))),
+            slices => Ok(slices),
+        })?
+        .unwrap_or(10);
+    match f.req("shape", string)? {
         "constant" => Ok(ControlSequence::constant(
-            req(value, "rate", uint)?,
+            f.req("rate", uint)?,
             slices,
             slice,
         )),
         "ramp" => {
             if slices == 0 {
-                return Err(ScenarioError::Spec(
-                    "ramp needs at least one slice".to_owned(),
-                ));
+                return Err(ReadError::new("ramp needs at least one slice"));
             }
-            let from = opt(value, "from", uint)?.unwrap_or(0);
+            let from = f.opt("from", uint)?.unwrap_or(0);
             Ok(ControlSequence::ramp(
                 from,
-                req(value, "to", uint)?,
+                f.req("to", uint)?,
                 slices,
                 slice,
             ))
         }
         "trace" => {
-            let kind = match req(value, "trace", Value::as_str)? {
-                "defi" => TraceKind::DeFi,
-                "nft" => TraceKind::Nft,
-                "sandbox" => TraceKind::Sandbox,
-                other => {
-                    return Err(ScenarioError::Spec(format!("unknown trace {other:?}")));
-                }
-            };
-            let total = req(value, "total", uint)?;
-            let seed = opt(value, "seed", uint)?.unwrap_or(7);
+            let kind = f.req("trace", |t| match string(t)? {
+                "defi" => Ok(TraceKind::DeFi),
+                "nft" => Ok(TraceKind::Nft),
+                "sandbox" => Ok(TraceKind::Sandbox),
+                other => Err(ReadError::new(format!("unknown trace {other:?}"))),
+            })?;
+            let total = f.req("total", uint)?;
+            let seed = f.opt("seed", uint)?.unwrap_or(7);
             let shape = resample(&TraceSpec::paper(kind, seed).generate(), slices)?;
             Ok(ControlSequence::from_trace(&shape, total, slice))
         }
-        "budgets" => {
-            let budgets = req(value, "budgets", |list| {
-                list.as_array()?.iter().map(uint).collect()
-            })?;
-            Ok(ControlSequence::from_budgets(budgets, slice))
-        }
-        other => Err(ScenarioError::Spec(format!(
-            "unknown control shape {other:?}"
-        ))),
+        "budgets" => Ok(ControlSequence::from_budgets(
+            f.req("budgets", list(uint))?,
+            slice,
+        )),
+        other => Err(ReadError::new(format!("unknown control shape {other:?}"))),
     }
 }
 
-fn parse_retry(value: &Value) -> Result<RetryPolicy, ScenarioError> {
-    let preset = match value.as_str() {
-        Some(preset) => preset,
-        None => {
-            known_keys(value, "retry", &["preset"])?;
-            req(value, "preset", Value::as_str)?
+fn read_retry(value: &Value) -> Result<RetryPolicy, ReadError> {
+    let preset = match value {
+        Value::String(preset) => preset,
+        object => {
+            Fields::known_keys(object, "a retry policy", &["preset"])?.req("preset", string)?
         }
     };
     match preset {
         "standard" => Ok(RetryPolicy::standard()),
         "disabled" => Ok(RetryPolicy::disabled()),
-        other => Err(ScenarioError::Spec(format!(
-            "unknown retry preset {other:?}"
-        ))),
+        other => Err(ReadError::new(format!("unknown retry preset {other:?}"))),
     }
 }
 
-fn parse_chaos(value: &Value) -> Result<Chaos, ScenarioError> {
+fn read_chaos(value: &Value) -> Result<Chaos, ReadError> {
     if value.get("faults").is_some() {
-        let plan = FaultPlan::from_value(value).map_err(ScenarioError::Spec)?;
-        return Ok(Chaos::Scripted(plan));
+        return FaultPlan::read(value).map(Chaos::Scripted);
     }
-    known_keys(value, "seeded chaos", &["seed"])?;
-    Ok(Chaos::Seeded(req(value, "seed", uint)?))
+    let f = Fields::known_keys(value, "seeded chaos", &["seed"])?;
+    Ok(Chaos::Seeded(f.req("seed", uint)?))
 }
 
-fn parse_expectation(value: &Value) -> Result<Expectation, ScenarioError> {
-    known_keys(
+fn read_expectation(value: &Value) -> Result<Expectation, ReadError> {
+    let f = Fields::known_keys(
         value,
         "an expectation",
         &[
@@ -1119,47 +1049,25 @@ fn parse_expectation(value: &Value) -> Result<Expectation, ScenarioError> {
             "overrides",
         ],
     )?;
-    match req(value, "kind", Value::as_str)? {
+    match f.req("kind", string)? {
         "consensus_liveness" => Ok(Expectation::ConsensusLiveness {
-            min_blocks: opt(value, "min_blocks", uint)?.unwrap_or(1),
+            min_blocks: f.opt("min_blocks", uint)?.unwrap_or(1),
         }),
         "min_inclusion" => Ok(Expectation::MinInclusionRatio {
-            ratio: req(value, "ratio", Value::as_f64)?,
-            overrides: parse_overrides(value, Value::as_f64)?,
+            ratio: f.req("ratio", float)?,
+            overrides: f.opt("overrides", entries(float))?.unwrap_or_default(),
         }),
         "latency_slo" => Ok(Expectation::LatencySlo {
-            quantile: req(value, "quantile", Value::as_f64)?,
-            bound: req(value, "max_ms", millis)?,
-            overrides: parse_overrides(value, millis)?,
+            quantile: f.req("quantile", float)?,
+            bound: f.req("max_ms", millis)?,
+            overrides: f.opt("overrides", entries(millis))?.unwrap_or_default(),
         }),
         "accounting_identity" => Ok(Expectation::AccountingIdentity),
         "no_stall" => Ok(Expectation::NoStall),
-        other => Err(ScenarioError::Spec(format!(
+        other => Err(ReadError::new(format!(
             "unknown expectation kind {other:?}"
         ))),
     }
-}
-
-fn parse_overrides<T>(
-    value: &Value,
-    read: impl Fn(&Value) -> Option<T>,
-) -> Result<Vec<(String, T)>, ScenarioError> {
-    let Some(overrides) = value.get("overrides") else {
-        return Ok(Vec::new());
-    };
-    let Value::Object(pairs) = overrides else {
-        return Err(ScenarioError::Spec(
-            "overrides must map backend names to values".to_owned(),
-        ));
-    };
-    pairs
-        .iter()
-        .map(|(backend, v)| {
-            read(v)
-                .map(|t| (backend.clone(), t))
-                .ok_or_else(|| ScenarioError::Spec(format!("bad override value for {backend:?}")))
-        })
-        .collect()
 }
 
 /// The graded outcome of one scenario run: per-expectation pass/fail
@@ -1452,6 +1360,71 @@ mod tests {
         for (name, budgets) in golden {
             let scenario = corpus::load(name).expect("corpus scenario");
             assert_eq!(scenario.control().budgets(), budgets, "{name}");
+        }
+    }
+
+    /// A refusal names its JSON path through every decoder a spec nests:
+    /// its own fields, the workload profile, the fault plan and an
+    /// expectation's per-backend overrides.
+    #[test]
+    fn spec_errors_name_their_json_path() {
+        const VALID: &str = r#"{"name": "paths", "backend": "neuchain-sim",
+            "workload": {"accounts": 100},
+            "control": {"shape": "constant", "rate": 10, "slices": 2},
+            "chaos": {"faults": [
+                {"kind": "crash", "node": "ingress:0", "start_ms": 0, "end_ms": 1000},
+                {"kind": "partition", "start_ms": 0, "end_ms": 1000,
+                 "groups": [["sealer:0"], ["rest"]]}]},
+            "recovery": {"interval_ms": 500, "kill_at_ms": 1500},
+            "expectations": [{"kind": "no_stall"},
+                {"kind": "min_inclusion", "ratio": 0.5, "overrides": {"fabric-sim": 0.4}}]}"#;
+        Scenario::from_json(VALID).expect("the unmodified spec loads");
+        // (fragment of VALID, its hostile replacement, the whole message)
+        let table = [
+            (
+                r#""slices": 2"#,
+                r#""slices": 2.5"#,
+                "control.slices: want an integer that fits usize, got 2.5",
+            ),
+            (
+                r#""accounts": 100"#,
+                r#""clients": 4294967298"#,
+                "workload.clients: want an integer that fits u32, got 4294967298",
+            ),
+            (
+                r#""accounts": 100"#,
+                r#""distribution": {"type": "zipf"}"#,
+                r#"workload.distribution: unknown distribution "zipf""#,
+            ),
+            (
+                r#""node": "ingress:0""#,
+                r#""nod": "ingress:0""#,
+                r#"chaos.faults[0]: unknown key "nod""#,
+            ),
+            (
+                r#"["rest"]"#,
+                r#"["rest", 7]"#,
+                "chaos.faults[1].groups[1][1]: want a string, got 7",
+            ),
+            (
+                r#""kill_at_ms": 1500"#,
+                r#""kill_at": 1500"#,
+                r#"recovery: unknown key "kill_at""#,
+            ),
+            (
+                r#""fabric-sim": 0.4"#,
+                r#""fabric-sim": "high""#,
+                r#"expectations[1].overrides."fabric-sim": want a number, got "high""#,
+            ),
+            (r#""ratio": 0.5, "#, "", "expectations[1].ratio: missing"),
+        ];
+        for (fragment, replacement, want) in table {
+            let spec = VALID.replacen(fragment, replacement, 1);
+            assert_ne!(spec, VALID, "{fragment} is not part of the valid spec");
+            match Scenario::builder_from_json(&spec) {
+                Err(ScenarioError::Spec(msg)) => assert_eq!(msg, want),
+                other => panic!("{replacement}: expected a Spec error, got {other:?}"),
+            }
         }
     }
 

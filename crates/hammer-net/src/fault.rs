@@ -19,7 +19,7 @@
 //! the placeholders into the deployed chain's endpoint names; a plan that
 //! skipped it is refused at [`crate::SimNetwork::try_install_faults`] by
 //! the topology check (`UnknownNode("ingress:0")`), so no second type keeps
-//! the two apart. [`FaultPlan::to_value`] / [`FaultPlan::from_value`] are
+//! the two apart. [`FaultPlan::to_value`] / [`FaultPlan::read`] are
 //! the one JSON form — a scenario spec's `"chaos"` object and the
 //! `install_faults` wire params alike — and a plan that validates
 //! round-trips through it exactly.
@@ -58,7 +58,7 @@
 
 use std::time::Duration;
 
-use hammer_rpc::json::Value;
+use hammer_rpc::json::{list, millis, string, Fields, ReadError, Value};
 
 use crate::chaos::ChaosTargets;
 
@@ -586,48 +586,54 @@ impl FaultPlan {
     /// Reads the form [`FaultPlan::to_value`] writes. The value is outside
     /// input — a spec file or a socket — and is read strictly: an unknown
     /// key, an unknown kind, a value that does not fit its field or a group
-    /// member that is not a string is refused by name, never dropped or
-    /// defaulted. Shape validation ([`FaultPlan::validate`]) is still the
-    /// caller's job, exactly as for a locally built plan.
-    pub fn from_value(value: &Value) -> Result<FaultPlan, String> {
-        known_keys(value, "a fault plan", &["faults"])?;
-        let name = |v: &Value| v.as_str().map(str::to_owned);
-        let millis = |v: &Value| v.as_u64().map(Duration::from_millis);
+    /// member that is not a string is refused at its JSON path, never
+    /// dropped or defaulted. Shape validation ([`FaultPlan::validate`]) is
+    /// still the caller's job, exactly as for a locally built plan.
+    pub fn read(value: &Value) -> Result<FaultPlan, ReadError> {
+        let f = Fields::known_keys(value, "a fault plan", &["faults"])?;
         let mut plan = FaultPlan::new();
-        for f in required(value, "faults", Value::as_array)? {
-            known_keys(
-                f,
-                "a fault",
-                &["kind", "node", "start_ms", "end_ms", "extra_ms", "groups"],
-            )?;
-            let start = required(f, "start_ms", millis)?;
-            let end = required(f, "end_ms", millis)?;
-            let fault = match required(f, "kind", Value::as_str)? {
-                "crash" => Fault::Crash {
-                    node: required(f, "node", name)?,
-                },
-                "blackhole" => Fault::Blackhole {
-                    node: required(f, "node", name)?,
-                },
-                "latency_spike" => Fault::LatencySpike {
-                    extra: required(f, "extra_ms", millis)?,
-                    node: optional(f, "node", name)?,
-                },
-                "partition" => {
-                    // Every group a list, every member a string: a dropped
-                    // member would silently widen "rest".
-                    let group = |g: &Value| g.as_array()?.iter().map(name).collect();
-                    let groups = |list: &Value| list.as_array()?.iter().map(group).collect();
-                    Fault::Partition {
-                        groups: required(f, "groups", groups)?,
-                    }
-                }
-                other => return Err(format!("unknown fault kind {other:?}")),
-            };
+        for (fault, start, end) in f.req("faults", list(read_window))? {
             plan = plan.with(fault, start, end);
         }
         Ok(plan)
     }
+
+    /// [`FaultPlan::read`] for callers that hand the refusal on as text
+    /// (an RPC `invalid params` answer).
+    pub fn from_value(value: &Value) -> Result<FaultPlan, String> {
+        FaultPlan::read(value).map_err(String::from)
+    }
+}
+
+/// One window of [`FaultPlan::to_value`]'s form.
+fn read_window(value: &Value) -> Result<(Fault, Duration, Duration), ReadError> {
+    let f = Fields::known_keys(
+        value,
+        "a fault",
+        &["kind", "node", "start_ms", "end_ms", "extra_ms", "groups"],
+    )?;
+    let start = f.req("start_ms", millis)?;
+    let end = f.req("end_ms", millis)?;
+    let name = |v| string(v).map(str::to_owned);
+    let fault = match f.req("kind", string)? {
+        "crash" => Fault::Crash {
+            node: f.req("node", name)?,
+        },
+        "blackhole" => Fault::Blackhole {
+            node: f.req("node", name)?,
+        },
+        "latency_spike" => Fault::LatencySpike {
+            extra: f.req("extra_ms", millis)?,
+            node: f.opt("node", name)?,
+        },
+        // Every group a list, every member a string: a dropped member
+        // would silently widen "rest".
+        "partition" => Fault::Partition {
+            groups: f.req("groups", list(list(name)))?,
+        },
+        other => return Err(ReadError::new(format!("unknown fault kind {other:?}"))),
+    };
+    Ok((fault, start, end))
 }
 
 /// The endpoint a node name as written stands for: `ingress:N` / `sealer:N`
@@ -689,36 +695,6 @@ fn resolve_partition(
         resolved.push(out);
     }
     Ok(resolved)
-}
-
-/// Rejects a key of the object `value` that the format does not define.
-fn known_keys(value: &Value, at: &str, keys: &[&str]) -> Result<(), String> {
-    let Value::Object(pairs) = value else {
-        return Err(format!("{at} must be an object"));
-    };
-    match pairs.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
-        Some((key, _)) => Err(format!("unknown key {key:?} in {at}")),
-        None => Ok(()),
-    }
-}
-
-/// Reads `key` if present; a value `read` refuses is an error.
-fn optional<'a, T>(
-    value: &'a Value,
-    key: &str,
-    read: impl Fn(&'a Value) -> Option<T>,
-) -> Result<Option<T>, String> {
-    let read_one = |f| read(f).ok_or_else(|| format!("bad {key:?}: {}", f.to_json()));
-    value.get(key).map(read_one).transpose()
-}
-
-/// [`optional`] for a key the format requires.
-fn required<'a, T>(
-    value: &'a Value,
-    key: &str,
-    read: impl Fn(&'a Value) -> Option<T>,
-) -> Result<T, String> {
-    optional(value, key, read)?.ok_or_else(|| format!("missing {key:?}"))
 }
 
 #[cfg(test)]

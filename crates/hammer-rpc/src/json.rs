@@ -2,10 +2,16 @@
 //!
 //! Object keys preserve insertion order (a `Vec` of pairs) so serialised
 //! payloads are deterministic, which matters for signing.
+//!
+//! Outside input — a spec file, a workload profile, a wire message — is
+//! read through [`Fields`] and the readers beside it ([`uint`], [`millis`],
+//! …): one strict reader whose every refusal is a [`ReadError`] naming its
+//! JSON path.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// Maximum nesting depth [`Value::parse`] accepts before returning a
 /// [`JsonError`]. Bounds stack use on adversarial inputs like `[[[[…]]]]`.
@@ -20,6 +26,10 @@ pub enum Value {
     Bool(bool),
     /// Integral number that fits in `i64` (kept exact).
     Int(i64),
+    /// Integral number above `i64::MAX` that fits in `u64` (kept exact).
+    /// Smaller integers are always [`Value::Int`], so equal numbers compare
+    /// equal.
+    UInt(u64),
     /// Any other number.
     Float(f64),
     /// A string.
@@ -64,11 +74,7 @@ impl From<i64> for Value {
 }
 impl From<u64> for Value {
     fn from(v: u64) -> Self {
-        if v <= i64::MAX as u64 {
-            Value::Int(v as i64)
-        } else {
-            Value::Float(v as f64)
-        }
+        i64::try_from(v).map_or(Value::UInt(v), Value::Int)
     }
 }
 impl From<i32> for Value {
@@ -149,13 +155,17 @@ impl Value {
 
     /// The value as `u64` if it is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|v| u64::try_from(v).ok())
+        match self {
+            Value::UInt(v) => Some(*v),
+            _ => self.as_i64().and_then(|v| u64::try_from(v).ok()),
+        }
     }
 
     /// The value as `f64` if it is any number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(v) => Some(*v as f64),
+            Value::UInt(v) => Some(*v as f64),
             Value::Float(f) => Some(*f),
             _ => None,
         }
@@ -206,6 +216,7 @@ impl Value {
                 let mut buf = itoa_buf();
                 out.push_str(itoa(*v, &mut buf));
             }
+            Value::UInt(v) => write!(out, "{v}").expect("writing to String cannot fail"),
             Value::Float(f) => {
                 if f.is_finite() {
                     // Ensure floats round-trip as floats. Formatting goes
@@ -299,6 +310,206 @@ impl Value {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_json())
+    }
+}
+
+/// Why outside input was refused: what is wrong, at which JSON path
+/// (`chaos.faults[0]: unknown key "nod"`). The readers that descend —
+/// [`Fields`], [`list`], [`entries`] — add one step each as the error
+/// travels up, so nothing is formatted unless something was refused.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReadError {
+    /// Innermost step first, each as written: `.key`, `."odd key"`, `[3]`.
+    path: Vec<String>,
+    what: String,
+}
+
+impl ReadError {
+    /// A refusal of the value at hand; the readers above it name the path.
+    pub fn new(what: impl Into<String>) -> Self {
+        ReadError {
+            path: Vec::new(),
+            what: what.into(),
+        }
+    }
+
+    /// `want {what}, got {value}`.
+    pub fn want(what: &str, got: &Value) -> Self {
+        ReadError::new(format!("want {what}, got {}", shown(got)))
+    }
+
+    fn in_key(mut self, key: &str) -> Self {
+        let bare = key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
+        let step = if bare && !key.is_empty() {
+            format!(".{key}")
+        } else {
+            format!(".{key:?}")
+        };
+        self.path.push(step);
+        self
+    }
+
+    fn in_item(mut self, index: usize) -> Self {
+        self.path.push(format!("[{index}]"));
+        self
+    }
+}
+
+/// `v` as JSON, cut short: a refused value is quoted, not echoed whole.
+fn shown(v: &Value) -> String {
+    let mut text = v.to_json();
+    if let Some((cut, _)) = text.char_indices().nth(48) {
+        text.truncate(cut);
+        text.push('…');
+    }
+    text
+}
+
+impl fmt::Display for ReadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let path: String = self.path.iter().rev().map(String::as_str).collect();
+        match path.strip_prefix('.').unwrap_or(&path) {
+            "" => f.write_str(&self.what),
+            path => write!(f, "{path}: {}", self.what),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+impl From<ReadError> for String {
+    fn from(e: ReadError) -> String {
+        e.to_string()
+    }
+}
+
+impl From<JsonError> for ReadError {
+    fn from(e: JsonError) -> Self {
+        ReadError::new(e.to_string())
+    }
+}
+
+/// The fields of one object of outside input, read key by key: a value a
+/// reader refuses is an error at that key's path, never a default.
+#[derive(Clone, Copy, Debug)]
+pub struct Fields<'a>(&'a Value);
+
+impl<'a> Fields<'a> {
+    /// A wire message's fields. Keys nobody reads are ignored (the peer may
+    /// be newer), and a value that is not an object has none: JSON-RPC's
+    /// omitted `params` is `null`.
+    pub fn of(value: &'a Value) -> Self {
+        Fields(value)
+    }
+
+    /// A file format's object: `value` must be an object (`what` names it)
+    /// and every key one of `keys` — a typo (`stall_budget` for
+    /// `stall_budget_s`) must not run with the default and pass its gate
+    /// vacuously.
+    pub fn known_keys(value: &'a Value, what: &str, keys: &[&str]) -> Result<Self, ReadError> {
+        let Value::Object(pairs) = value else {
+            let what = format!("{what} must be an object, got {}", shown(value));
+            return Err(ReadError::new(what));
+        };
+        match pairs.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
+            Some((key, _)) => Err(ReadError::new(format!("unknown key {key:?}"))),
+            None => Ok(Fields(value)),
+        }
+    }
+
+    /// Reads `key` if present.
+    pub fn opt<T>(
+        self,
+        key: &str,
+        read: impl FnOnce(&'a Value) -> Result<T, ReadError>,
+    ) -> Result<Option<T>, ReadError> {
+        let field = self.0.get(key).map(read).transpose();
+        field.map_err(|e| e.in_key(key))
+    }
+
+    /// Reads `key`, which must be present.
+    pub fn req<T>(
+        self,
+        key: &str,
+        read: impl FnOnce(&'a Value) -> Result<T, ReadError>,
+    ) -> Result<T, ReadError> {
+        let missing = || ReadError::new("missing").in_key(key);
+        self.opt(key, read)?.ok_or_else(missing)
+    }
+
+    /// Overwrites `slot` with `key`'s value if the object carries one.
+    pub fn set<T>(
+        self,
+        slot: &mut T,
+        key: &str,
+        read: impl FnOnce(&'a Value) -> Result<T, ReadError>,
+    ) -> Result<(), ReadError> {
+        if let Some(value) = self.opt(key, read)? {
+            *slot = value;
+        }
+        Ok(())
+    }
+}
+
+/// A non-negative integer that fits `T`: never narrowed, never rounded.
+pub fn uint<T: TryFrom<u64>>(v: &Value) -> Result<T, ReadError> {
+    let fits = v.as_u64().and_then(|n| T::try_from(n).ok());
+    let what = || format!("an integer that fits {}", std::any::type_name::<T>());
+    fits.ok_or_else(|| ReadError::want(&what(), v))
+}
+
+/// Any number.
+pub fn float(v: &Value) -> Result<f64, ReadError> {
+    v.as_f64().ok_or_else(|| ReadError::want("a number", v))
+}
+
+/// A boolean.
+pub fn boolean(v: &Value) -> Result<bool, ReadError> {
+    v.as_bool().ok_or_else(|| ReadError::want("a boolean", v))
+}
+
+/// A string.
+pub fn string(v: &Value) -> Result<&str, ReadError> {
+    v.as_str().ok_or_else(|| ReadError::want("a string", v))
+}
+
+/// A duration in whole milliseconds.
+pub fn millis(v: &Value) -> Result<Duration, ReadError> {
+    let ms = v.as_u64().map(Duration::from_millis);
+    ms.ok_or_else(|| ReadError::want("whole milliseconds", v))
+}
+
+/// A duration in seconds, fractions allowed.
+pub fn secs(v: &Value) -> Result<Duration, ReadError> {
+    let s = v.as_f64().and_then(|s| Duration::try_from_secs_f64(s).ok());
+    s.ok_or_else(|| ReadError::want("non-negative seconds", v))
+}
+
+/// An array, each item read by `read` (an error names the item's index).
+pub fn list<'a, T>(
+    read: impl Fn(&'a Value) -> Result<T, ReadError>,
+) -> impl Fn(&'a Value) -> Result<Vec<T>, ReadError> {
+    move |v| {
+        let items = v.as_array().ok_or_else(|| ReadError::want("an array", v))?;
+        let item = |(i, item)| read(item).map_err(|e: ReadError| e.in_item(i));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+/// An object of free-form keys, each value read by `read` (an error names
+/// the key).
+pub fn entries<'a, T>(
+    read: impl Fn(&'a Value) -> Result<T, ReadError>,
+) -> impl Fn(&'a Value) -> Result<Vec<(String, T)>, ReadError> {
+    move |v| {
+        let Value::Object(pairs) = v else {
+            return Err(ReadError::want("an object", v));
+        };
+        let entry = |(key, value): &'a (String, Value)| match read(value) {
+            Ok(t) => Ok((key.clone(), t)),
+            Err(e) => Err(e.in_key(key)),
+        };
+        pairs.iter().map(entry).collect()
     }
 }
 
@@ -459,6 +670,9 @@ impl<'a> Parser<'a> {
         if !is_float {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Value::Int(v));
+            }
+            if let Ok(v) = text.parse::<u64>() {
+                return Ok(Value::UInt(v));
             }
         }
         text.parse::<f64>()
@@ -704,7 +918,12 @@ mod tests {
     fn big_integers_stay_exact() {
         let v = Value::parse("9223372036854775807").unwrap();
         assert_eq!(v, Value::Int(i64::MAX));
-        // Larger than i64: becomes float.
+        // Above i64 but within u64: still exact.
+        let v = Value::parse("18446744073709551615").unwrap();
+        assert_eq!(v, Value::UInt(u64::MAX));
+        assert_eq!(v.as_u64(), Some(u64::MAX));
+        assert_eq!(v.as_i64(), None);
+        // Larger than u64: becomes float.
         let v = Value::parse("92233720368547758080").unwrap();
         assert!(matches!(v, Value::Float(_)));
     }
@@ -806,7 +1025,8 @@ mod tests {
         );
         assert_eq!(Value::from(None::<i64>), Value::Null);
         assert_eq!(Value::from(Some(3i64)), Value::Int(3));
-        assert_eq!(Value::from(u64::MAX), Value::Float(u64::MAX as f64));
+        assert_eq!(Value::from(u64::MAX), Value::UInt(u64::MAX));
+        assert_eq!(Value::from(i64::MAX as u64), Value::Int(i64::MAX));
     }
 
     fn arb_value() -> impl Strategy<Value = Value> {
@@ -814,6 +1034,7 @@ mod tests {
             Just(Value::Null),
             any::<bool>().prop_map(Value::Bool),
             any::<i64>().prop_map(Value::Int),
+            any::<u64>().prop_map(Value::from),
             (-1e15f64..1e15f64).prop_map(Value::Float),
             "[a-zA-Z0-9 _\\\\\"\n\t\u{e9}\u{1F600}]{0,12}".prop_map(Value::String),
         ];
@@ -853,5 +1074,105 @@ mod tests {
             let c2 = c1.canonicalize();
             prop_assert_eq!(c1.to_json(), c2.to_json());
         }
+
+        #[test]
+        fn prop_every_u64_and_i64_is_exact_through_text(u in any::<u64>(), i in any::<i64>()) {
+            let u_back = Value::parse(&Value::from(u).to_json()).unwrap();
+            prop_assert_eq!(u_back.as_u64(), Some(u));
+            prop_assert_eq!(u_back, Value::from(u));
+            let i_back = Value::parse(&Value::from(i).to_json()).unwrap();
+            prop_assert_eq!(i_back.as_i64(), Some(i));
+        }
+
+        /// Whatever arrives is read or refused at a path under the key it
+        /// was read from, through every reader, and nothing panics.
+        #[test]
+        fn prop_reader_refuses_at_a_path(doc in arb_doc()) {
+            let root = Value::object([("doc", doc)]);
+            if let Err(e) = Fields::of(&root).req("doc", read_doc) {
+                let text = e.to_string();
+                let (path, what) = text.split_once(": ").expect("a path");
+                prop_assert!(path.starts_with("doc"), "{}", text);
+                prop_assert!(!what.is_empty(), "{}", text);
+            }
+        }
+    }
+
+    /// A document touching every reader, nested through `inner`.
+    fn read_doc(v: &Value) -> Result<(), ReadError> {
+        let keys = ["n", "ms", "s", "names", "map", "flag", "inner"];
+        let f = Fields::known_keys(v, "a document", &keys)?;
+        f.opt("n", uint::<u8>)?;
+        f.opt("ms", millis)?;
+        f.opt("s", secs)?;
+        f.opt("names", list(list(string)))?;
+        f.opt("map", entries(float))?;
+        f.opt("flag", boolean)?;
+        f.opt("inner", read_doc)?;
+        Ok(())
+    }
+
+    /// Values shaped like [`read_doc`]'s documents, holding anything.
+    fn arb_doc() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Int),
+            (0i64..300).prop_map(Value::Int),
+            any::<u64>().prop_map(Value::from),
+            (-1e19f64..1e19f64).prop_map(Value::Float),
+            "[a-z-]{0,4}".prop_map(Value::String),
+        ];
+        let key = "(n|ms|s|names|map|flag|inner|fabric-sim|)";
+        leaf.prop_recursive(4, 32, 5, move |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+                proptest::collection::vec((key, inner), 0..5).prop_map(Value::Object),
+            ]
+        })
+    }
+
+    #[test]
+    fn read_errors_name_their_path() {
+        let table = [
+            (
+                r#"{"n": 256}"#,
+                "doc.n: want an integer that fits u8, got 256",
+            ),
+            (
+                r#"{"n": -1}"#,
+                "doc.n: want an integer that fits u8, got -1",
+            ),
+            (r#"{"ms": 0.5}"#, "doc.ms: want whole milliseconds, got 0.5"),
+            (r#"{"s": -1}"#, "doc.s: want non-negative seconds, got -1"),
+            (r#"{"nod": 1}"#, r#"doc: unknown key "nod""#),
+            ("[]", "doc: a document must be an object, got []"),
+            (
+                r#"{"inner": {"names": [["a"], ["b", 7]]}}"#,
+                "doc.inner.names[1][1]: want a string, got 7",
+            ),
+            (
+                r#"{"map": {"fabric-sim": "x"}}"#,
+                r#"doc.map."fabric-sim": want a number, got "x""#,
+            ),
+            (
+                r#"{"flag": "a string longer than the forty-eight characters shown"}"#,
+                r#"doc.flag: want a boolean, got "a string longer than the forty-eight characters…"#,
+            ),
+        ];
+        for (doc, want) in table {
+            let root = Value::object([("doc", Value::parse(doc).unwrap())]);
+            let err = Fields::of(&root).req("doc", read_doc).unwrap_err();
+            assert_eq!(err.to_string(), want, "{doc}");
+        }
+        // At the root there is no path to name; a missing key is named.
+        let root = Value::parse(r#"{"x": 1}"#).unwrap();
+        let err = read_doc(&root).unwrap_err();
+        assert_eq!(err.to_string(), r#"unknown key "x""#);
+        let err = Fields::of(&root).req("y", boolean).unwrap_err();
+        assert_eq!(err.to_string(), "y: missing");
+        // A wire message ignores keys nobody reads; `null` has no fields.
+        assert_eq!(Fields::of(&root).opt("y", boolean), Ok(None));
+        assert_eq!(Fields::of(&Value::Null).opt("y", boolean), Ok(None));
     }
 }

@@ -1,7 +1,7 @@
 //! The JSON workload profile the client parses in the preparation phase
 //! (paper §III-B1, step ①).
 
-use hammer_rpc::json::Value;
+use hammer_rpc::json::{float, string, uint, Fields, ReadError, Value};
 
 /// Which generator produces the payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,10 +146,10 @@ impl WorkloadConfig {
     /// does not fit its field (a negative, fractional or too-large
     /// integer, a wrong type), is an error — a profile is outside input
     /// and a typo must not run with the default. Validates the result.
-    pub fn from_json(v: &Value, base: WorkloadConfig) -> Result<Self, ConfigError> {
-        known_keys(
+    pub fn from_json(v: &Value, base: WorkloadConfig) -> Result<Self, ReadError> {
+        let f = Fields::known_keys(
             v,
-            "workload",
+            "a workload profile",
             &[
                 "kind",
                 "chain_name",
@@ -166,87 +166,41 @@ impl WorkloadConfig {
             ],
         )?;
         let mut config = base;
-        let string = |f: &Value| f.as_str().map(str::to_owned);
-        set(&mut config.chain_name, v, "chain_name", string)?;
-        set(&mut config.contract_name, v, "contract_name", string)?;
-        set(&mut config.accounts, v, "accounts", uint)?;
-        set(&mut config.read_ratio, v, "read_ratio", Value::as_f64)?;
-        set(&mut config.total_txs, v, "total_txs", uint)?;
-        set(&mut config.clients, v, "clients", uint)?;
-        set(
-            &mut config.threads_per_client,
-            v,
-            "threads_per_client",
-            uint,
-        )?;
-        set(&mut config.initial_checking, v, "initial_checking", uint)?;
-        set(&mut config.initial_savings, v, "initial_savings", uint)?;
-        set(&mut config.seed, v, "seed", uint)?;
-        if let Some(kind) = field(v, "kind", Value::as_str)? {
-            config.kind = match kind {
-                "smallbank" => WorkloadKind::SmallBank,
-                "ycsb" => WorkloadKind::Ycsb,
-                other => return Err(ConfigError(format!("unknown workload kind '{other}'"))),
-            };
-        }
-        if let Some(d) = v.get("distribution") {
-            known_keys(d, "distribution", &["type", "theta"])?;
-            config.distribution = match field(d, "type", Value::as_str)? {
-                Some("uniform") => AccessDistribution::Uniform,
-                Some("zipfian") => AccessDistribution::Zipfian {
-                    theta: field(d, "theta", Value::as_f64)?.unwrap_or(0.99),
-                },
-                other => return Err(ConfigError(format!("unknown distribution {other:?}"))),
-            };
-        }
-        config.validate()?;
+        let owned = |v| string(v).map(str::to_owned);
+        f.set(&mut config.chain_name, "chain_name", owned)?;
+        f.set(&mut config.contract_name, "contract_name", owned)?;
+        f.set(&mut config.accounts, "accounts", uint)?;
+        f.set(&mut config.read_ratio, "read_ratio", float)?;
+        f.set(&mut config.total_txs, "total_txs", uint)?;
+        f.set(&mut config.clients, "clients", uint)?;
+        f.set(&mut config.threads_per_client, "threads_per_client", uint)?;
+        f.set(&mut config.initial_checking, "initial_checking", uint)?;
+        f.set(&mut config.initial_savings, "initial_savings", uint)?;
+        f.set(&mut config.seed, "seed", uint)?;
+        f.set(&mut config.kind, "kind", |k| match string(k)? {
+            "smallbank" => Ok(WorkloadKind::SmallBank),
+            "ycsb" => Ok(WorkloadKind::Ycsb),
+            other => Err(ReadError::new(format!("unknown workload kind {other:?}"))),
+        })?;
+        f.set(&mut config.distribution, "distribution", |d| {
+            let d = Fields::known_keys(d, "a distribution", &["type", "theta"])?;
+            match d.req("type", string)? {
+                "uniform" => Ok(AccessDistribution::Uniform),
+                "zipfian" => Ok(AccessDistribution::Zipfian {
+                    theta: d.opt("theta", float)?.unwrap_or(0.99),
+                }),
+                other => Err(ReadError::new(format!("unknown distribution {other:?}"))),
+            }
+        })?;
+        config.validate().map_err(|e| ReadError::new(e.0))?;
         Ok(config)
     }
 
     /// Parses from JSON text, over [`WorkloadConfig::default`].
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
-        let v = Value::parse(text).map_err(|e| ConfigError(e.to_string()))?;
-        Self::from_json(&v, Self::default())
+        let read = |text| Self::from_json(&Value::parse(text)?, Self::default());
+        read(text).map_err(|e| ConfigError(e.to_string()))
     }
-}
-
-/// Rejects a key of the object `v` that the format does not define.
-fn known_keys(v: &Value, at: &str, keys: &[&str]) -> Result<(), ConfigError> {
-    let Value::Object(pairs) = v else {
-        return Err(ConfigError(format!("{at} must be an object")));
-    };
-    match pairs.iter().find(|(k, _)| !keys.contains(&k.as_str())) {
-        Some((key, _)) => Err(ConfigError(format!("unknown key {key:?} in {at}"))),
-        None => Ok(()),
-    }
-}
-
-/// Reads `key` if present; a value `read` refuses is an error.
-fn field<'a, T>(
-    v: &'a Value,
-    key: &str,
-    read: impl Fn(&'a Value) -> Option<T>,
-) -> Result<Option<T>, ConfigError> {
-    let read_one = |f| read(f).ok_or_else(|| ConfigError(format!("bad {key:?}: {}", f.to_json())));
-    v.get(key).map(read_one).transpose()
-}
-
-/// Overwrites `slot` with `key`'s value if the profile carries one.
-fn set<'a, T>(
-    slot: &mut T,
-    v: &'a Value,
-    key: &str,
-    read: impl Fn(&'a Value) -> Option<T>,
-) -> Result<(), ConfigError> {
-    if let Some(value) = field(v, key, read)? {
-        *slot = value;
-    }
-    Ok(())
-}
-
-/// A non-negative integer that fits `T`.
-fn uint<T: TryFrom<u64>>(f: &Value) -> Option<T> {
-    T::try_from(f.as_u64()?).ok()
 }
 
 #[cfg(test)]
@@ -264,6 +218,7 @@ mod tests {
             kind: WorkloadKind::Ycsb,
             read_ratio: 0.5,
             distribution: AccessDistribution::Zipfian { theta: 0.99 },
+            seed: u64::MAX,
             ..WorkloadConfig::default()
         };
         let text = config.to_json().to_json();

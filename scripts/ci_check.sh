@@ -338,6 +338,29 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: outside input is read in one place"
+# hammer_rpc::json holds the one strict reader: Fields (known_keys, req,
+# opt, set), uint / millis / secs / list / entries, and ReadError, which
+# names the JSON path. The five decoders of outside input — the scenario
+# spec, the fault plan, the workload profile, the wire codec and the RPC
+# method table — read through it and define no field or integer helper of
+# their own.
+decoders="crates/hammer-core/src/scenario.rs crates/hammer-net/src/fault.rs
+    crates/hammer-workload/src/config.rs crates/hammer-chain/src/codec.rs
+    crates/hammer-chain/src/rpc_adapter.rs"
+known_keys=$(grep -rnE --include='*.rs' '\bfn known_keys\b' crates src tests examples 2>/dev/null || true)
+violations=$({
+    if [ "$(echo "$known_keys" | grep -c .)" -ne 1 ]; then echo "$known_keys"; fi
+    echo "$known_keys" | grep -v '^crates/hammer-rpc/src/json.rs:'
+    # shellcheck disable=SC2086
+    grep -nE '\bfn (req|opt|required|optional|field|set|uint|u64_field|u64s_field|str_field|shard_field|account_field|as_u32)\b' $decoders
+} 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a second known-keys check or a decoder's private field reader is back (use hammer_rpc::json::Fields):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
 echo "==> grep gate: the simulation waits in one place"
 # Simulated code blocks on a timer in one function, SimClock::wait_until
 # (hammer-net/src/clock.rs), and is stopped by one signal type raised at
