@@ -8,69 +8,10 @@
 //! so the contribution of every stage is measurable rather than asserted.
 
 use bench::save_csv;
-use hammer_nn::layer::Linear;
-use hammer_nn::{BiGru, MultiHeadAttention, Sequential, TcnBlock};
-use hammer_predict::models::{HammerModel, SeriesModel, TrainConfig};
+use hammer_predict::models::{ablation_variants, ours, Model, TrainConfig};
 use hammer_predict::{evaluate, Dataset};
 use hammer_store::report::{render_table, to_csv};
 use hammer_workload::traces::{TraceKind, TraceSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// A reduced variant built from the same blocks and trained with the same
-/// recipe as the full model.
-struct Variant {
-    name: &'static str,
-    trainer: hammer_predict::models::SeqTrainerHandle,
-}
-
-fn variants(config: &TrainConfig) -> Vec<Variant> {
-    use hammer_predict::models::SeqTrainerHandle;
-    let channels = 8;
-    let gru_hidden = 6;
-    let attn_dim = 2 * gru_hidden;
-    let mut out = Vec::new();
-
-    // No TCN: BiGRU -> attention.
-    {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let body = Sequential::new()
-            .push(BiGru::new(1, gru_hidden, &mut rng))
-            .push(MultiHeadAttention::new(attn_dim, 2, &mut rng));
-        let head = Linear::new(attn_dim + 1, 1, &mut rng);
-        out.push(Variant {
-            name: "no-TCN",
-            trainer: SeqTrainerHandle::tuned(Box::new(body), head, config.lr * 0.2, config.window),
-        });
-    }
-    // No BiGRU: TCN -> attention.
-    {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let body = Sequential::new()
-            .push(TcnBlock::new(1, channels, 3, 1, &mut rng))
-            .push(TcnBlock::new(channels, channels, 3, 2, &mut rng))
-            .push(MultiHeadAttention::new(channels, 2, &mut rng));
-        let head = Linear::new(channels + 1, 1, &mut rng);
-        out.push(Variant {
-            name: "no-BiGRU",
-            trainer: SeqTrainerHandle::tuned(Box::new(body), head, config.lr * 0.2, config.window),
-        });
-    }
-    // No attention: TCN -> BiGRU.
-    {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let body = Sequential::new()
-            .push(TcnBlock::new(1, channels, 3, 1, &mut rng))
-            .push(TcnBlock::new(channels, channels, 3, 2, &mut rng))
-            .push(BiGru::new(channels, gru_hidden, &mut rng));
-        let head = Linear::new(attn_dim + 1, 1, &mut rng);
-        out.push(Variant {
-            name: "no-attention",
-            trainer: SeqTrainerHandle::tuned(Box::new(body), head, config.lr * 0.2, config.window),
-        });
-    }
-    out
-}
 
 fn main() {
     println!("=== Ablation: contribution of each Fig. 5 component ===\n");
@@ -79,31 +20,26 @@ fn main() {
 
     for kind in TraceKind::all() {
         let series = TraceSpec::paper(kind, 1).generate();
-        let dataset = Dataset::new(&series, config.window, 0.8);
+        let dataset = Dataset::new(&series, 0.8);
         let samples = dataset.test_samples();
         let targets: Vec<f64> = samples.iter().map(|s| s.1).collect();
+        let test_mae = |model: &mut Model| {
+            eprintln!("{}: {}...", kind.name(), model.name);
+            model.fit(&dataset.train, &config);
+            let predictions: Vec<f64> =
+                samples.iter().map(|(w, _)| model.predict_next(w)).collect();
+            evaluate(&predictions, &targets).mae
+        };
 
-        // Full model.
-        eprintln!("{}: full model...", kind.name());
-        let mut full = HammerModel::new(&config);
-        full.fit(&dataset.train, &config);
-        let predictions: Vec<f64> = samples.iter().map(|(w, _)| full.predict_next(w)).collect();
-        let full_mae = evaluate(&predictions, &targets).mae;
+        let full_mae = test_mae(&mut ours(&config));
         rows.push(vec![
             kind.name().to_owned(),
             "full (Ours)".to_owned(),
             format!("{full_mae:.3}"),
             "-".to_owned(),
         ]);
-
-        for mut variant in variants(&config) {
-            eprintln!("{}: {}...", kind.name(), variant.name);
-            variant.trainer.fit(&dataset.train, &config);
-            let predictions: Vec<f64> = samples
-                .iter()
-                .map(|(w, _)| variant.trainer.predict_next(w))
-                .collect();
-            let mae = evaluate(&predictions, &targets).mae;
+        for mut variant in ablation_variants(&config) {
+            let mae = test_mae(&mut variant);
             let delta = (mae - full_mae) / full_mae * 100.0;
             rows.push(vec![
                 kind.name().to_owned(),
@@ -117,6 +53,6 @@ fn main() {
     let header = ["dataset", "variant", "test MAE", "vs full"];
     println!("{}", render_table(&header, &rows));
     save_csv("ablation_model", &to_csv(&header, &rows));
-    println!("Positive 'vs full' = removing the component hurt. Note: single");
-    println!("networks (not ensembles) per variant; run-to-run noise is a few %.");
+    println!("Positive 'vs full' = removing the component hurt. Each variant is");
+    println!("one network, the full model a 3-member ensemble of the same recipe.");
 }

@@ -7,8 +7,8 @@
 
 use bench::save_csv;
 use hammer_predict::generate::generate_denormalized;
-use hammer_predict::models::HammerModel;
-use hammer_predict::{Dataset, SeriesModel, TrainConfig};
+use hammer_predict::models::ours;
+use hammer_predict::{Dataset, TrainConfig, WINDOW};
 use hammer_store::report::{render_series, to_csv};
 use hammer_workload::traces::{TraceKind, TraceSpec};
 
@@ -20,12 +20,12 @@ fn main() {
     for kind in TraceKind::all() {
         eprintln!("training on {}...", kind.name());
         let series = TraceSpec::paper(kind, 1).generate();
-        let dataset = Dataset::new(&series, config.window, 0.8);
-        let mut model = HammerModel::new(&config);
+        let dataset = Dataset::new(&series, 0.8);
+        let mut model = ours(&config);
         model.fit(&dataset.train, &config);
 
         // Seed with the last training window, then generate the test span.
-        let seed: Vec<f64> = dataset.train[dataset.train.len() - config.window..].to_vec();
+        let seed: Vec<f64> = dataset.train[dataset.train.len() - WINDOW..].to_vec();
         let horizon = series.len() - dataset.train.len();
         let generated = generate_denormalized(&mut model, &seed, horizon, &dataset.normalizer);
         let real = &series[dataset.train.len()..];

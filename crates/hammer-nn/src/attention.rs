@@ -69,11 +69,6 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Number of heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     fn head_dim(&self) -> usize {
         self.dim / self.heads
     }
@@ -184,7 +179,7 @@ impl Layer for MultiHeadAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{grad_check_input, grad_check_param};
+    use crate::layer::grad_check::{grad_check_input, grad_check_param};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

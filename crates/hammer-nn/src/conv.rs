@@ -19,7 +19,6 @@ use crate::mat::Mat;
 #[derive(Clone, Debug)]
 pub struct CausalConv1d {
     in_channels: usize,
-    out_channels: usize,
     kernel: usize,
     dilation: usize,
     /// Weight as a `(kernel * in_channels) × out_channels` matrix.
@@ -48,7 +47,6 @@ impl CausalConv1d {
         );
         CausalConv1d {
             in_channels,
-            out_channels,
             kernel,
             dilation,
             w: Param::new(Mat::xavier(kernel * in_channels, out_channels, rng)),
@@ -56,21 +54,6 @@ impl CausalConv1d {
             cached_im2row: None,
             cached_t: 0,
         }
-    }
-
-    /// The receptive field in time steps: `(kernel - 1) * dilation + 1`.
-    pub fn receptive_field(&self) -> usize {
-        (self.kernel - 1) * self.dilation + 1
-    }
-
-    /// Input channel count.
-    pub fn in_channels(&self) -> usize {
-        self.in_channels
-    }
-
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
     }
 
     fn im2row(&self, x: &Mat) -> Mat {
@@ -167,11 +150,6 @@ impl TcnBlock {
             relu_out: Relu::new(),
         }
     }
-
-    /// The block's receptive field.
-    pub fn receptive_field(&self) -> usize {
-        self.conv1.receptive_field() + self.conv2.receptive_field() - 1
-    }
 }
 
 impl Layer for TcnBlock {
@@ -213,7 +191,7 @@ impl Layer for TcnBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{grad_check_input, grad_check_param};
+    use crate::layer::grad_check::{grad_check_input, grad_check_param};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -248,13 +226,6 @@ mod tests {
             assert_eq!(y1.get(t, 0), y2.get(t, 0), "leak at t={t}");
         }
         assert_ne!(y1.get(9, 0), y2.get(9, 0));
-    }
-
-    #[test]
-    fn conv_receptive_field() {
-        let mut r = rng();
-        let conv = CausalConv1d::new(1, 1, 3, 4, &mut r);
-        assert_eq!(conv.receptive_field(), 9);
     }
 
     #[test]
@@ -305,14 +276,6 @@ mod tests {
                 "param {p}"
             );
         }
-    }
-
-    #[test]
-    fn tcn_block_receptive_field() {
-        let mut r = rng();
-        let block = TcnBlock::new(1, 1, 3, 2, &mut r);
-        // Each conv: (3-1)*2+1 = 5; block: 5 + 5 - 1 = 9.
-        assert_eq!(block.receptive_field(), 9);
     }
 
     #[test]

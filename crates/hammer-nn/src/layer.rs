@@ -39,19 +39,6 @@ pub trait Layer {
     fn backward(&mut self, grad_out: &Mat) -> Mat;
     /// All trainable parameters.
     fn params_mut(&mut self) -> Vec<&mut Param>;
-    /// Zeroes every parameter gradient.
-    fn zero_grads(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
-    }
-    /// Total number of scalar parameters.
-    fn param_count(&mut self) -> usize {
-        self.params_mut()
-            .iter()
-            .map(|p| p.value.rows() * p.value.cols())
-            .sum()
-    }
 }
 
 /// A dense layer: `y = x W + b`, applied row-wise over the sequence.
@@ -70,11 +57,6 @@ impl Linear {
             b: Param::new(Mat::zeros(1, out_dim)),
             cached_x: None,
         }
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.w.value.cols()
     }
 }
 
@@ -126,148 +108,10 @@ impl Layer for Relu {
     }
 }
 
-/// Tanh activation.
-#[derive(Clone, Debug, Default)]
-pub struct Tanh {
-    cached_y: Option<Mat>,
-}
-
-impl Tanh {
-    /// A new Tanh.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, x: &Mat) -> Mat {
-        let y = x.map(f32::tanh);
-        self.cached_y = Some(y.clone());
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Mat) -> Mat {
-        let y = self.cached_y.as_ref().expect("forward before backward");
-        let dydx = y.map(|v| 1.0 - v * v);
-        grad_out.hadamard(&dydx)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-}
-
-/// Layer normalisation over each row (time step): normalises the channel
-/// vector to zero mean / unit variance, then applies a learned affine
-/// `gamma ⊙ x̂ + beta`. Stabilises attention stacks on small data.
-#[derive(Clone, Debug)]
-pub struct LayerNorm {
-    gamma: Param,
-    beta: Param,
-    eps: f32,
-    cache: Option<LnCache>,
-}
-
-#[derive(Clone, Debug)]
-struct LnCache {
-    /// Normalised activations x̂ (pre-affine).
-    normalized: Mat,
-    /// Per-row 1/std.
-    inv_std: Vec<f32>,
-}
-
-impl LayerNorm {
-    /// A layer over `dim` channels with identity initialisation.
-    pub fn new(dim: usize) -> Self {
-        LayerNorm {
-            gamma: Param::new(Mat::from_vec(1, dim, vec![1.0; dim])),
-            beta: Param::new(Mat::zeros(1, dim)),
-            eps: 1e-5,
-            cache: None,
-        }
-    }
-}
-
-impl Layer for LayerNorm {
-    fn forward(&mut self, x: &Mat) -> Mat {
-        let dim = x.cols();
-        let mut normalized = Mat::zeros(x.rows(), dim);
-        let mut inv_std = Vec::with_capacity(x.rows());
-        for r in 0..x.rows() {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / dim as f32;
-            let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / dim as f32;
-            let is = 1.0 / (var + self.eps).sqrt();
-            inv_std.push(is);
-            for (c, v) in row.iter().enumerate() {
-                normalized.set(r, c, (v - mean) * is);
-            }
-        }
-        let mut out = Mat::zeros(x.rows(), dim);
-        for r in 0..x.rows() {
-            for c in 0..dim {
-                out.set(
-                    r,
-                    c,
-                    normalized.get(r, c) * self.gamma.value.get(0, c) + self.beta.value.get(0, c),
-                );
-            }
-        }
-        self.cache = Some(LnCache {
-            normalized,
-            inv_std,
-        });
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Mat) -> Mat {
-        let cache = self.cache.as_ref().expect("forward before backward");
-        let dim = grad_out.cols();
-        let n = dim as f32;
-        let mut dx = Mat::zeros(grad_out.rows(), dim);
-        for r in 0..grad_out.rows() {
-            // Accumulate parameter grads.
-            for c in 0..dim {
-                let g = grad_out.get(r, c);
-                let gcur = self.gamma.grad.get(0, c) + g * cache.normalized.get(r, c);
-                self.gamma.grad.set(0, c, gcur);
-                let bcur = self.beta.grad.get(0, c) + g;
-                self.beta.grad.set(0, c, bcur);
-            }
-            // dxhat = dy * gamma
-            let dxhat: Vec<f32> = (0..dim)
-                .map(|c| grad_out.get(r, c) * self.gamma.value.get(0, c))
-                .collect();
-            let sum_dxhat: f32 = dxhat.iter().sum();
-            let sum_dxhat_xhat: f32 = dxhat
-                .iter()
-                .enumerate()
-                .map(|(c, d)| d * cache.normalized.get(r, c))
-                .sum();
-            let is = cache.inv_std[r];
-            for (c, &dh) in dxhat.iter().enumerate() {
-                let xhat = cache.normalized.get(r, c);
-                dx.set(r, c, is / n * (n * dh - sum_dxhat - xhat * sum_dxhat_xhat));
-            }
-        }
-        dx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-}
-
 /// A stack of layers applied in order.
 #[derive(Default)]
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-}
-
-impl std::fmt::Debug for Sequential {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Sequential({} layers)", self.layers.len())
-    }
 }
 
 impl Sequential {
@@ -280,16 +124,6 @@ impl Sequential {
     pub fn push(mut self, layer: impl Layer + 'static) -> Self {
         self.layers.push(Box::new(layer));
         self
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the stack is empty.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
     }
 }
 
@@ -318,107 +152,121 @@ impl Layer for Sequential {
     }
 }
 
-/// Numerical-vs-analytic gradient check utility (used across the crate's
-/// tests; exposed for downstream model tests).
-///
-/// Returns the maximum relative error between the analytic input gradient
-/// and a central-difference estimate for a scalar loss `L = sum(output)`.
-///
-/// Two measures make the check robust to the f32 forward pass:
-///
-/// * Probe losses accumulate in `f64`, so the difference quotient is not
-///   dominated by `f32` summation error (the loss sums ~`O(10)` while the
-///   perturbation moves it by ~`eps`).
-/// * The relative error uses an absolute floor (`GRAD_ATOL_FLOOR`):
-///   gradient entries below the finite-difference noise floor are compared
-///   in absolute terms (PyTorch-gradcheck-style `atol`), because their
-///   relative error is pure noise.
-/// * Coordinates where the two one-sided differences disagree are skipped:
-///   the perturbation crossed a ReLU kink, so no derivative exists there
-///   and the central difference is meaningless. A wrong analytic gradient
-///   cannot hide behind this filter — away from kinks the loss is smooth,
-///   the one-sided slopes agree, and the coordinate is checked.
-pub fn grad_check_input<L: Layer>(layer: &mut L, x: &Mat, eps: f32) -> f32 {
-    // Analytic.
-    let y = layer.forward(x);
-    let ones = Mat::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-    let analytic = layer.backward(&ones);
-    let l0 = loss(&layer.forward(x));
-    // Numerical.
-    let mut max_err = 0.0f32;
-    for i in 0..x.rows() * x.cols() {
-        let mut xp = x.clone();
-        xp.data_mut()[i] += eps;
-        let lp = loss(&layer.forward(&xp));
-        let mut xm = x.clone();
-        xm.data_mut()[i] -= eps;
-        let lm = loss(&layer.forward(&xm));
-        if crosses_kink(lp, l0, lm, eps) {
-            continue;
+#[cfg(test)]
+pub(crate) mod grad_check {
+    use super::Layer;
+    use crate::mat::Mat;
+
+    /// Numerical-vs-analytic gradient check (used across the crate's tests).
+    ///
+    /// Returns the maximum relative error between the analytic input gradient
+    /// and a central-difference estimate for a scalar loss `L = sum(output)`.
+    ///
+    /// Two measures make the check robust to the f32 forward pass:
+    ///
+    /// * Probe losses accumulate in `f64`, so the difference quotient is not
+    ///   dominated by `f32` summation error (the loss sums ~`O(10)` while the
+    ///   perturbation moves it by ~`eps`).
+    /// * The relative error uses an absolute floor (`GRAD_ATOL_FLOOR`):
+    ///   gradient entries below the finite-difference noise floor are compared
+    ///   in absolute terms (PyTorch-gradcheck-style `atol`), because their
+    ///   relative error is pure noise.
+    /// * Coordinates where the two one-sided differences disagree are skipped:
+    ///   the perturbation crossed a ReLU kink, so no derivative exists there
+    ///   and the central difference is meaningless. A wrong analytic gradient
+    ///   cannot hide behind this filter — away from kinks the loss is smooth,
+    ///   the one-sided slopes agree, and the coordinate is checked.
+    pub(crate) fn grad_check_input<L: Layer>(layer: &mut L, x: &Mat, eps: f32) -> f32 {
+        // Analytic.
+        let y = layer.forward(x);
+        let ones = Mat::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
+        let analytic = layer.backward(&ones);
+        let l0 = loss(&layer.forward(x));
+        // Numerical.
+        let mut max_err = 0.0f32;
+        for i in 0..x.rows() * x.cols() {
+            let mut xp = x.clone();
+            xp.data_mut()[i] += eps;
+            let lp = loss(&layer.forward(&xp));
+            let mut xm = x.clone();
+            xm.data_mut()[i] -= eps;
+            let lm = loss(&layer.forward(&xm));
+            if crosses_kink(lp, l0, lm, eps) {
+                continue;
+            }
+            let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
+            let a = analytic.data()[i];
+            let denom = a.abs().max(numeric.abs()).max(GRAD_ATOL_FLOOR);
+            max_err = max_err.max((a - numeric).abs() / denom);
         }
-        let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
-        let a = analytic.data()[i];
-        let denom = a.abs().max(numeric.abs()).max(GRAD_ATOL_FLOOR);
-        max_err = max_err.max((a - numeric).abs() / denom);
+        max_err
     }
-    max_err
-}
 
-/// Like [`grad_check_input`] but for one named parameter (index into
-/// `params_mut()`), with loss `L = sum(output)`.
-pub fn grad_check_param<L: Layer>(layer: &mut L, x: &Mat, param_idx: usize, eps: f32) -> f32 {
-    layer.zero_grads();
-    let y = layer.forward(x);
-    let ones = Mat::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-    let _ = layer.backward(&ones);
-    let analytic = layer.params_mut()[param_idx].grad.clone();
-    let l0 = loss(&layer.forward(x));
-    let n = analytic.rows() * analytic.cols();
-    let mut max_err = 0.0f32;
-    for i in 0..n {
-        let orig = layer.params_mut()[param_idx].value.data()[i];
-        layer.params_mut()[param_idx].value.data_mut()[i] = orig + eps;
-        let lp = loss(&layer.forward(x));
-        layer.params_mut()[param_idx].value.data_mut()[i] = orig - eps;
-        let lm = loss(&layer.forward(x));
-        layer.params_mut()[param_idx].value.data_mut()[i] = orig;
-        if crosses_kink(lp, l0, lm, eps) {
-            continue;
+    /// Like [`grad_check_input`] but for one named parameter (index into
+    /// `params_mut()`), with loss `L = sum(output)`.
+    pub(crate) fn grad_check_param<L: Layer>(
+        layer: &mut L,
+        x: &Mat,
+        param_idx: usize,
+        eps: f32,
+    ) -> f32 {
+        for p in layer.params_mut() {
+            p.zero_grad();
         }
-        let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
-        let a = analytic.data()[i];
-        let denom = a.abs().max(numeric.abs()).max(GRAD_ATOL_FLOOR);
-        max_err = max_err.max((a - numeric).abs() / denom);
+        let y = layer.forward(x);
+        let ones = Mat::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
+        let _ = layer.backward(&ones);
+        let analytic = layer.params_mut()[param_idx].grad.clone();
+        let l0 = loss(&layer.forward(x));
+        let n = analytic.rows() * analytic.cols();
+        let mut max_err = 0.0f32;
+        for i in 0..n {
+            let orig = layer.params_mut()[param_idx].value.data()[i];
+            layer.params_mut()[param_idx].value.data_mut()[i] = orig + eps;
+            let lp = loss(&layer.forward(x));
+            layer.params_mut()[param_idx].value.data_mut()[i] = orig - eps;
+            let lm = loss(&layer.forward(x));
+            layer.params_mut()[param_idx].value.data_mut()[i] = orig;
+            if crosses_kink(lp, l0, lm, eps) {
+                continue;
+            }
+            let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
+            let a = analytic.data()[i];
+            let denom = a.abs().max(numeric.abs()).max(GRAD_ATOL_FLOOR);
+            max_err = max_err.max((a - numeric).abs() / denom);
+        }
+        max_err
     }
-    max_err
-}
 
-/// Gradient entries below this magnitude are compared in absolute rather
-/// than relative terms: the `f32` forward pass puts a noise floor of about
-/// `1e-4` on the difference quotient (per-output rounding ÷ `2·eps`), so
-/// relative errors against smaller denominators measure nothing.
-const GRAD_ATOL_FLOOR: f32 = 5e-2;
+    /// Gradient entries below this magnitude are compared in absolute rather
+    /// than relative terms: the `f32` forward pass puts a noise floor of about
+    /// `1e-4` on the difference quotient (per-output rounding ÷ `2·eps`), so
+    /// relative errors against smaller denominators measure nothing.
+    const GRAD_ATOL_FLOOR: f32 = 5e-2;
 
-/// Scalar probe loss `L = sum(output)`, accumulated in `f64` so the sum
-/// itself does not add `f32` cancellation error to the difference quotient.
-fn loss(y: &Mat) -> f64 {
-    y.data().iter().map(|&v| v as f64).sum()
-}
+    /// Scalar probe loss `L = sum(output)`, accumulated in `f64` so the sum
+    /// itself does not add `f32` cancellation error to the difference quotient.
+    fn loss(y: &Mat) -> f64 {
+        y.data().iter().map(|&v| v as f64).sum()
+    }
 
-/// Detects a non-smooth point between the two perturbed evaluations by
-/// comparing the forward and backward one-sided difference quotients. On a
-/// smooth loss they differ by `O(eps · L'')`; across a ReLU kink the slope
-/// jumps by `O(1)`.
-fn crosses_kink(lp: f64, l0: f64, lm: f64, eps: f32) -> bool {
-    let eps = eps as f64;
-    let d_plus = (lp - l0) / eps;
-    let d_minus = (l0 - lm) / eps;
-    let scale = d_plus.abs().max(d_minus.abs()).max(1.0);
-    (d_plus - d_minus).abs() > 0.05 * scale
+    /// Detects a non-smooth point between the two perturbed evaluations by
+    /// comparing the forward and backward one-sided difference quotients. On a
+    /// smooth loss they differ by `O(eps · L'')`; across a ReLU kink the slope
+    /// jumps by `O(1)`.
+    fn crosses_kink(lp: f64, l0: f64, lm: f64, eps: f32) -> bool {
+        let eps = eps as f64;
+        let d_plus = (lp - l0) / eps;
+        let d_minus = (l0 - lm) / eps;
+        let scale = d_plus.abs().max(d_minus.abs()).max(1.0);
+        (d_plus - d_minus).abs() > 0.05 * scale
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::grad_check::grad_check_input;
+    use super::grad_check::grad_check_param;
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -463,90 +311,14 @@ mod tests {
     }
 
     #[test]
-    fn tanh_grad_check() {
-        let mut layer = Tanh::new();
-        let x = sample_input(5, 3);
-        assert!(grad_check_input(&mut layer, &x, 1e-3) < 0.01);
-    }
-
-    #[test]
-    fn layernorm_normalizes_rows() {
-        let mut ln = LayerNorm::new(4);
-        let x = Mat::from_vec(2, 4, vec![1.0, 2.0, 3.0, 4.0, -2.0, 0.0, 2.0, 8.0]);
-        let y = ln.forward(&x);
-        for r in 0..2 {
-            let mean: f32 = y.row(r).iter().sum::<f32>() / 4.0;
-            let var: f32 = y.row(r).iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 4.0;
-            assert!(mean.abs() < 1e-5, "row {r} mean {mean}");
-            assert!((var - 1.0).abs() < 1e-3, "row {r} var {var}");
-        }
-    }
-
-    #[test]
-    fn layernorm_grad_check() {
-        let mut ln = LayerNorm::new(5);
-        // Perturb affine params away from identity so their grads are
-        // exercised non-trivially.
-        let mut r = rng();
-        ln.params_mut()[0].value = Mat::xavier(1, 5, &mut r).map(|v| 1.0 + v);
-        ln.params_mut()[1].value = Mat::xavier(1, 5, &mut r);
-        let x = sample_input(4, 5);
-        // Normalisation cancels most of a uniform perturbation, so some
-        // true input gradients are near zero and the generic *relative*
-        // check is meaningless there; compare absolutely instead.
-        let y = ln.forward(&x);
-        let ones = Mat::from_vec(y.rows(), y.cols(), vec![1.0; y.rows() * y.cols()]);
-        let analytic = ln.backward(&ones);
-        let eps = 1e-3f32;
-        for i in 0..x.rows() * x.cols() {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let lp: f32 = ln.forward(&xp).data().iter().sum();
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= eps;
-            let lm: f32 = ln.forward(&xm).data().iter().sum();
-            let numeric = (lp - lm) / (2.0 * eps);
-            let a = analytic.data()[i];
-            assert!(
-                (a - numeric).abs() < 2e-2 * a.abs().max(1.0),
-                "element {i}: analytic {a} vs numeric {numeric}"
-            );
-        }
-        assert!(grad_check_param(&mut ln, &x, 0, 1e-2) < 0.02); // gamma
-        assert!(grad_check_param(&mut ln, &x, 1, 1e-2) < 0.02); // beta
-    }
-
-    #[test]
     fn sequential_grad_check() {
         let mut r = rng();
         let mut model = Sequential::new()
             .push(Linear::new(3, 8, &mut r))
             .push(Relu::new())
-            .push(Linear::new(8, 2, &mut r))
-            .push(Tanh::new());
+            .push(Linear::new(8, 2, &mut r));
         let x = sample_input(4, 3);
         assert!(grad_check_input(&mut model, &x, 1e-3) < 0.02);
-    }
-
-    #[test]
-    fn zero_grads_clears() {
-        let mut r = rng();
-        let mut layer = Linear::new(3, 2, &mut r);
-        let x = sample_input(4, 3);
-        let y = layer.forward(&x);
-        let ones = Mat::from_vec(4, 2, vec![1.0; 8]);
-        let _ = layer.backward(&ones);
-        assert!(layer.params_mut()[0].grad.norm() > 0.0);
-        layer.zero_grads();
-        assert_eq!(layer.params_mut()[0].grad.norm(), 0.0);
-        let _ = y;
-    }
-
-    #[test]
-    fn param_count() {
-        let mut r = rng();
-        let mut layer = Linear::new(3, 2, &mut r);
-        assert_eq!(layer.param_count(), 3 * 2 + 2);
     }
 
     #[test]

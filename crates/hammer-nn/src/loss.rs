@@ -1,4 +1,4 @@
-//! Loss functions with gradients: MAE (paper Eq. 8) and MSE.
+//! The training loss with its gradient: MAE (paper Eq. 8).
 
 use crate::mat::Mat;
 
@@ -29,24 +29,6 @@ pub fn mae_loss(prediction: &Mat, target: &Mat) -> (f32, Mat) {
     (loss / n, grad)
 }
 
-/// Mean squared error and its gradient w.r.t. the prediction.
-pub fn mse_loss(prediction: &Mat, target: &Mat) -> (f32, Mat) {
-    assert_eq!(
-        (prediction.rows(), prediction.cols()),
-        (target.rows(), target.cols()),
-        "shape mismatch"
-    );
-    let n = (prediction.rows() * prediction.cols()) as f32;
-    let mut loss = 0.0;
-    let mut grad = Mat::zeros(prediction.rows(), prediction.cols());
-    for i in 0..prediction.data().len() {
-        let diff = prediction.data()[i] - target.data()[i];
-        loss += diff * diff;
-        grad.data_mut()[i] = 2.0 * diff / n;
-    }
-    (loss / n, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,42 +43,12 @@ mod tests {
     }
 
     #[test]
-    fn mse_value_and_grad() {
-        let p = Mat::from_vec(1, 2, vec![3.0, 1.0]);
-        let t = Mat::from_vec(1, 2, vec![1.0, 2.0]);
-        let (loss, grad) = mse_loss(&p, &t);
-        assert!((loss - 2.5).abs() < 1e-6); // (4 + 1)/2
-        assert_eq!(grad.data(), &[2.0, -1.0]);
-    }
-
-    #[test]
     fn perfect_prediction_zero_loss() {
         let p = Mat::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let (mae, g1) = mae_loss(&p, &p);
-        let (mse, g2) = mse_loss(&p, &p);
+        let (mae, grad) = mae_loss(&p, &p);
         assert_eq!(mae, 0.0);
-        assert_eq!(mse, 0.0);
-        assert_eq!(g2.norm(), 0.0);
-        let _ = g1; // MAE grad at zero uses signum(0) = 0
-        assert_eq!(g1.norm(), 0.0);
-    }
-
-    #[test]
-    fn mse_grad_is_numerically_correct() {
-        let p = Mat::from_vec(1, 3, vec![0.5, -1.0, 2.0]);
-        let t = Mat::from_vec(1, 3, vec![0.0, 0.0, 0.0]);
-        let (_, grad) = mse_loss(&p, &t);
-        let eps = 1e-3;
-        for i in 0..3 {
-            let mut pp = p.clone();
-            pp.data_mut()[i] += eps;
-            let (lp, _) = mse_loss(&pp, &t);
-            let mut pm = p.clone();
-            pm.data_mut()[i] -= eps;
-            let (lm, _) = mse_loss(&pm, &t);
-            let numeric = (lp - lm) / (2.0 * eps);
-            assert!((grad.data()[i] - numeric).abs() < 1e-3, "i={i}");
-        }
+        // The subgradient at zero is 0, not signum(0) = 1.
+        assert_eq!(grad.norm(), 0.0);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl Mat {
         Mat { rows, cols, data }
     }
 
-    /// A column vector from a slice.
-    pub fn column(values: &[f32]) -> Self {
-        Mat::from_vec(values.len(), 1, values.to_vec())
-    }
-
     /// Xavier/Glorot-uniform initialisation for a `rows × cols` weight.
     pub fn xavier<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Self {
         let bound = (6.0 / (rows + cols) as f32).sqrt();

@@ -24,18 +24,15 @@ pub struct VanillaRnn {
     u: Param,
     b: Param,
     hidden: usize,
-    cache: Vec<StepCache>,
+    cache: Vec<RnnStep>,
 }
 
+/// What the vanilla RNN's backward pass needs of one forward step.
 #[derive(Clone, Debug)]
-struct StepCache {
+struct RnnStep {
     x: Mat,
     h_prev: Mat,
     h: Mat,
-    // GRU-only gate caches (unused by the vanilla RNN).
-    z: Mat,
-    r: Mat,
-    h_tilde: Mat,
 }
 
 impl VanillaRnn {
@@ -65,13 +62,10 @@ impl Layer for VanillaRnn {
                 .add_row_broadcast(&self.b.value);
             let h = pre.map(f32::tanh);
             out.row_mut(t).copy_from_slice(h.row(0));
-            self.cache.push(StepCache {
+            self.cache.push(RnnStep {
                 x: x_t,
                 h_prev: h_prev.clone(),
                 h: h.clone(),
-                z: Mat::zeros(1, 0),
-                r: Mat::zeros(1, 0),
-                h_tilde: Mat::zeros(1, 0),
             });
             h_prev = h;
         }
@@ -125,7 +119,18 @@ pub struct Gru {
     uh: Param,
     bh: Param,
     hidden: usize,
-    cache: Vec<StepCache>,
+    cache: Vec<GruStep>,
+}
+
+/// What the GRU's backward pass needs of one forward step: the input, the
+/// previous state and the three gate activations.
+#[derive(Clone, Debug)]
+struct GruStep {
+    x: Mat,
+    h_prev: Mat,
+    z: Mat,
+    r: Mat,
+    h_tilde: Mat,
 }
 
 impl Gru {
@@ -144,11 +149,6 @@ impl Gru {
             hidden,
             cache: Vec::new(),
         }
-    }
-
-    /// Hidden width.
-    pub fn hidden(&self) -> usize {
-        self.hidden
     }
 }
 
@@ -181,10 +181,9 @@ impl Layer for Gru {
                 .hadamard(&z.map(|v| 1.0 - v))
                 .add(&z.hadamard(&h_tilde));
             out.row_mut(t).copy_from_slice(h.row(0));
-            self.cache.push(StepCache {
+            self.cache.push(GruStep {
                 x: x_t,
                 h_prev: h_prev.clone(),
-                h: h.clone(),
                 z,
                 r,
                 h_tilde,
@@ -280,11 +279,6 @@ impl BiGru {
             backward_gru: Gru::new(input, hidden, rng),
         }
     }
-
-    /// Per-direction hidden width.
-    pub fn hidden(&self) -> usize {
-        self.forward_gru.hidden()
-    }
 }
 
 impl Layer for BiGru {
@@ -295,7 +289,7 @@ impl Layer for BiGru {
     }
 
     fn backward(&mut self, grad_out: &Mat) -> Mat {
-        let hidden = self.hidden();
+        let hidden = self.forward_gru.hidden;
         let d_fwd = grad_out.col_slice(0, hidden);
         let d_bwd = grad_out.col_slice(hidden, 2 * hidden);
         let dx_fwd = self.forward_gru.backward(&d_fwd);
@@ -316,7 +310,7 @@ impl Layer for BiGru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{grad_check_input, grad_check_param};
+    use crate::layer::grad_check::{grad_check_input, grad_check_param};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -421,13 +415,19 @@ mod tests {
         assert!(grad_check_param(&mut bigru, &x, 9, 1e-3) < 0.03); // bwd Wz
     }
 
+    fn param_count(layer: &mut impl Layer) -> usize {
+        layer
+            .params_mut()
+            .iter()
+            .map(|p| p.value.rows() * p.value.cols())
+            .sum()
+    }
+
     #[test]
     fn param_counts() {
         let mut r = rng();
-        let mut gru = Gru::new(2, 3, &mut r);
         // 3*(2*3 + 3*3 + 3) = 54
-        assert_eq!(gru.param_count(), 54);
-        let mut bigru = BiGru::new(2, 3, &mut r);
-        assert_eq!(bigru.param_count(), 108);
+        assert_eq!(param_count(&mut Gru::new(2, 3, &mut r)), 54);
+        assert_eq!(param_count(&mut BiGru::new(2, 3, &mut r)), 108);
     }
 }

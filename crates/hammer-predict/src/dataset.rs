@@ -6,6 +6,9 @@
 //! `hammer-workload`'s trace generators) and is normalised and windowed
 //! for supervised next-step prediction.
 
+/// Input window length every model takes: 24 = one day of hourly buckets.
+pub const WINDOW: usize = 24;
+
 /// Z-score normalisation fitted on training data only.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Normalizer {
@@ -52,8 +55,6 @@ pub struct Dataset {
     pub test: Vec<f64>,
     /// The fitted normaliser (from the training split only).
     pub normalizer: Normalizer,
-    /// Window length fed to the models.
-    pub window: usize,
 }
 
 impl Dataset {
@@ -62,19 +63,17 @@ impl Dataset {
     ///
     /// # Panics
     ///
-    /// Panics when the window is zero, the fraction is outside `(0, 1)`,
-    /// or the series is too short to produce at least one training and
-    /// one test sample.
-    pub fn new(series: &[f64], window: usize, train_fraction: f64) -> Self {
-        assert!(window > 0, "window must be positive");
+    /// Panics when the fraction is outside `(0, 1)`, or the series is too
+    /// short to produce at least one training and one test sample.
+    pub fn new(series: &[f64], train_fraction: f64) -> Self {
         assert!(
             train_fraction > 0.0 && train_fraction < 1.0,
             "train_fraction must be in (0, 1)"
         );
         let split = (series.len() as f64 * train_fraction).round() as usize;
         assert!(
-            split > window && series.len() - split > window,
-            "series too short: len {} window {window} split {split}",
+            split > WINDOW && series.len() - split > WINDOW,
+            "series too short: len {} window {WINDOW} split {split}",
             series.len()
         );
         let normalizer = Normalizer::fit(&series[..split]);
@@ -83,8 +82,8 @@ impl Dataset {
             .map(|v| normalizer.normalize(*v))
             .collect();
         // Test windows may reach back into the train tail for context, so
-        // keep `window` values of overlap.
-        let test = series[split - window..]
+        // keep `WINDOW` values of overlap.
+        let test = series[split - WINDOW..]
             .iter()
             .map(|v| normalizer.normalize(*v))
             .collect();
@@ -92,18 +91,12 @@ impl Dataset {
             train,
             test,
             normalizer,
-            window,
         }
-    }
-
-    /// `(window, target)` samples over the training split.
-    pub fn train_samples(&self) -> Vec<(&[f64], f64)> {
-        windows(&self.train, self.window)
     }
 
     /// `(window, target)` samples over the test split.
     pub fn test_samples(&self) -> Vec<(&[f64], f64)> {
-        windows(&self.test, self.window)
+        windows(&self.test, WINDOW)
     }
 }
 
@@ -171,27 +164,28 @@ mod tests {
 
     #[test]
     fn dataset_split_is_chronological_with_context_overlap() {
-        let s = series(100);
-        let ds = Dataset::new(&s, 5, 0.8);
-        assert_eq!(ds.train.len(), 80);
-        assert_eq!(ds.test.len(), 25); // 20 + window overlap
-                                       // First test target must be the value at index 80 of the source.
+        let s = series(200);
+        let ds = Dataset::new(&s, 0.8);
+        assert_eq!(ds.train.len(), 160);
+        // The test split keeps `WINDOW` values of overlap with the train tail.
+        assert_eq!(ds.test.len(), 40 + WINDOW);
+        // First test target must be the value at index 160 of the source.
         let first_target = ds.test_samples()[0].1;
-        let expected = ds.normalizer.normalize(s[80]);
+        let expected = ds.normalizer.normalize(s[160]);
         assert!((first_target - expected).abs() < 1e-9);
     }
 
     #[test]
     fn sample_counts() {
-        let s = series(100);
-        let ds = Dataset::new(&s, 5, 0.8);
-        assert_eq!(ds.train_samples().len(), 75);
-        assert_eq!(ds.test_samples().len(), 20);
+        let s = series(200);
+        let ds = Dataset::new(&s, 0.8);
+        assert_eq!(windows(&ds.train, WINDOW).len(), 160 - WINDOW);
+        assert_eq!(ds.test_samples().len(), 40);
     }
 
     #[test]
     #[should_panic(expected = "series too short")]
     fn too_short_panics() {
-        let _ = Dataset::new(&series(10), 8, 0.8);
+        let _ = Dataset::new(&series(40), 0.8);
     }
 }

@@ -8,7 +8,7 @@
 //! character.
 
 use crate::dataset::Normalizer;
-use crate::models::SeriesModel;
+use crate::models::Model;
 
 /// Rolls `model` forward `steps` times from `seed_window` (normalised
 /// values). Returns the generated normalised values.
@@ -16,11 +16,7 @@ use crate::models::SeriesModel;
 /// # Panics
 ///
 /// Panics when the seed window is empty.
-pub fn generate_sequence(
-    model: &mut dyn SeriesModel,
-    seed_window: &[f64],
-    steps: usize,
-) -> Vec<f64> {
+pub fn generate_sequence(model: &mut Model, seed_window: &[f64], steps: usize) -> Vec<f64> {
     assert!(!seed_window.is_empty(), "seed window must not be empty");
     let mut window = seed_window.to_vec();
     let mut out = Vec::with_capacity(steps);
@@ -37,7 +33,7 @@ pub fn generate_sequence(
 /// transaction counts (floored at zero — negative workloads do not
 /// exist).
 pub fn generate_denormalized(
-    model: &mut dyn SeriesModel,
+    model: &mut Model,
     seed_window: &[f64],
     steps: usize,
     normalizer: &Normalizer,
@@ -51,25 +47,26 @@ pub fn generate_denormalized(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{LinearModel, TrainConfig};
+    use crate::dataset::WINDOW;
+    use crate::models::{linear, TrainConfig};
 
+    /// A sine with a period of one window.
     fn sine(n: usize) -> Vec<f64> {
         (0..n)
-            .map(|i| (i as f64 * 2.0 * std::f64::consts::PI / 12.0).sin())
+            .map(|i| (i as f64 * 2.0 * std::f64::consts::PI / WINDOW as f64).sin())
             .collect()
     }
 
     #[test]
     fn generates_requested_length() {
         let config = TrainConfig {
-            window: 12,
             epochs: 10,
             ..TrainConfig::default()
         };
-        let mut model = LinearModel::new(&config);
-        let series = sine(120);
+        let mut model = linear(&config);
+        let series = sine(240);
         model.fit(&series, &config);
-        let out = generate_sequence(&mut model, &series[..12], 40);
+        let out = generate_sequence(&mut model, &series[..WINDOW], 40);
         assert_eq!(out.len(), 40);
         assert!(out.iter().all(|v| v.is_finite()));
     }
@@ -79,15 +76,13 @@ mod tests {
         // A trained linear AR model on a clean sine must keep oscillating
         // rather than collapse to a constant.
         let config = TrainConfig {
-            window: 12,
             epochs: 60,
-            lr: 1e-2,
             ..TrainConfig::default()
         };
-        let mut model = LinearModel::new(&config);
-        let series = sine(240);
+        let mut model = linear(&config);
+        let series = sine(480);
         model.fit(&series, &config);
-        let out = generate_sequence(&mut model, &series[..12], 48);
+        let out = generate_sequence(&mut model, &series[..WINDOW], 96);
         let max = out.iter().copied().fold(f64::MIN, f64::max);
         let min = out.iter().copied().fold(f64::MAX, f64::min);
         assert!(max > 0.3 && min < -0.3, "collapsed: [{min}, {max}]");
@@ -96,26 +91,24 @@ mod tests {
     #[test]
     fn denormalized_output_non_negative() {
         let config = TrainConfig {
-            window: 6,
             epochs: 3,
             ..TrainConfig::default()
         };
-        let mut model = LinearModel::new(&config);
-        let series = sine(60);
+        let mut model = linear(&config);
+        let series = sine(120);
         model.fit(&series, &config);
         let norm = Normalizer {
             mean: 1.0,
             std: 10.0,
         };
-        let out = generate_denormalized(&mut model, &series[..6], 30, &norm);
+        let out = generate_denormalized(&mut model, &series[..WINDOW], 30, &norm);
         assert!(out.iter().all(|v| *v >= 0.0));
     }
 
     #[test]
     #[should_panic(expected = "seed window must not be empty")]
     fn empty_seed_panics() {
-        let config = TrainConfig::default();
-        let mut model = LinearModel::new(&config);
+        let mut model = linear(&TrainConfig::default());
         let _ = generate_sequence(&mut model, &[], 5);
     }
 }

@@ -8,10 +8,11 @@
 //! * [`dataset`] — windowing, z-score normalisation, chronological
 //!   train/test splitting of hourly transaction-count series.
 //! * [`metrics`] — MAE / MSE / RMSE / R² (Table III's columns).
-//! * [`models`] — the [`models::SeriesModel`] trait and five
-//!   implementations: `Linear`, `RNN`, `TCN`, `Transformer`, and the
-//!   paper's `Ours` (TCN → BiGRU → multi-head attention, Fig. 5),
-//!   all trained with MAE loss (Eq. 8) and Adam.
+//! * [`models`] — one [`models::Model`] type (the mean of one or more
+//!   members on one training loop) and a constructor per Table III row:
+//!   `Linear`, `RNN`, `TCN`, `Transformer`, and the paper's `Ours`
+//!   (TCN → BiGRU → multi-head attention, Fig. 5), plus the ablation's
+//!   reduced variants, all trained with MAE loss (Eq. 8) and Adam.
 //! * [`generate`] — autoregressive rollout to produce the "generated
 //!   sequence" of Fig. 11 and arbitrarily long control sequences.
 
@@ -23,9 +24,7 @@ pub mod generate;
 pub mod metrics;
 pub mod models;
 
-pub use dataset::{Dataset, Normalizer};
+pub use dataset::{Dataset, Normalizer, WINDOW};
 pub use generate::generate_sequence;
 pub use metrics::{evaluate, Metrics};
-pub use models::{
-    HammerModel, LinearModel, RnnModel, SeriesModel, TcnModel, TrainConfig, TransformerModel,
-};
+pub use models::{Model, TrainConfig};

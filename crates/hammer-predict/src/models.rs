@@ -1,8 +1,12 @@
-//! The prediction models of Table III.
+//! The prediction models of Table III and the ablation's reduced variants.
 //!
-//! All five operate on *normalised* series (see [`crate::dataset`]), take
-//! a window of `TrainConfig::window` past values, and predict the next
-//! value. All are trained with MAE loss (paper Eq. 8) and Adam.
+//! Every model is a [`Model`]: one or more members, each a sequence body
+//! from [`hammer_nn`] blocks with a scalar head, trained by the one
+//! training loop under one of two recipes. A model's prediction is the
+//! mean over its members. All operate on *normalised* series (see
+//! [`crate::dataset`]), take a window of [`WINDOW`] past values, and
+//! predict the next value. All are trained with MAE loss (paper Eq. 8)
+//! and Adam.
 
 use hammer_nn::layer::{Layer, Linear, Param};
 use hammer_nn::{Adam, BiGru, Mat, MultiHeadAttention, Relu, Sequential, TcnBlock, VanillaRnn};
@@ -10,95 +14,118 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Training hyperparameters shared by every model.
+use crate::dataset::{windows, WINDOW};
+
+/// Adam learning rate of the vanilla recipe; the tuned recipe trains at a
+/// fifth of it.
+const LR: f32 = 5e-3;
+
+/// Training stops when the epoch-mean loss (vanilla) or the validation MAE
+/// (tuned) improves by less than this ("the training process concludes
+/// when the model's loss converges").
+const CONVERGENCE_TOL: f32 = 1e-5;
+
+/// What a training run chooses.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrainConfig {
-    /// Input window length (24 = one day of hourly buckets).
-    pub window: usize,
     /// Maximum training epochs.
     pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// RNG seed for weight init and sample shuffling.
     pub seed: u64,
-    /// Stop when the epoch-mean loss improves less than this
-    /// ("the training process concludes when the model's loss converges").
-    pub convergence_tol: f32,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
-            window: 24,
             epochs: 120,
-            lr: 5e-3,
             seed: 7,
-            convergence_tol: 1e-5,
         }
     }
 }
 
-/// A next-step time-series predictor.
-pub trait SeriesModel {
-    /// Display name (matches Table III's Method column).
-    fn name(&self) -> &'static str;
-    /// Trains on a normalised series; returns the final epoch-mean MAE.
-    fn fit(&mut self, train: &[f64], config: &TrainConfig) -> f32;
-    /// Predicts the next normalised value from a window of
-    /// `config.window` normalised values.
-    fn predict_next(&mut self, window: &[f64]) -> f64;
+/// How a member is trained.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Recipe {
+    /// The paper's baselines: the body's last step alone feeds the head;
+    /// train until the training loss converges.
+    Vanilla,
+    /// The proposed model: a last-value skip connection into the head,
+    /// Adam at a fifth of the learning rate, and early stopping on a
+    /// chronological validation tail with best-weight restore.
+    Tuned,
+}
+
+/// A next-step time-series predictor: the mean of its members.
+pub struct Model {
+    /// Display name (Table III's Method column, or the ablation variant).
+    pub name: &'static str,
+    members: Vec<SeqTrainer>,
+}
+
+impl Model {
+    /// A one-member model on the vanilla recipe (the baselines).
+    fn baseline(name: &'static str, body: impl Layer + 'static, head: Linear) -> Self {
+        Model {
+            name,
+            members: vec![SeqTrainer::new(Box::new(body), head, Recipe::Vanilla)],
+        }
+    }
+
+    /// Trains every member on a normalised series; returns the last
+    /// member's final epoch-mean MAE.
+    pub fn fit(&mut self, train: &[f64], config: &TrainConfig) -> f32 {
+        let mut last = f32::NAN;
+        for member in &mut self.members {
+            last = member.fit(train, config);
+        }
+        last
+    }
+
+    /// Predicts the next normalised value from a window of [`WINDOW`]
+    /// normalised values.
+    pub fn predict_next(&mut self, window: &[f64]) -> f64 {
+        let n = self.members.len() as f64;
+        self.members
+            .iter_mut()
+            .map(|m| m.forward_scalar(window) as f64)
+            .sum::<f64>()
+            / n
+    }
 }
 
 fn window_to_mat(window: &[f64]) -> Mat {
     Mat::from_vec(window.len(), 1, window.iter().map(|v| *v as f32).collect())
 }
 
-/// Shared training loop for sequence-body + scalar-head models.
+/// One member: a sequence body, a scalar head and the one training loop.
 struct SeqTrainer {
     body: Box<dyn Layer>,
     head: Linear,
     adam: Adam,
-    window: usize,
-    /// Feed the raw last observation to the head (skip connection).
-    use_skip: bool,
-    /// Validation-based early stopping with best-weight restore.
-    early_stop: bool,
+    recipe: Recipe,
 }
 
 impl SeqTrainer {
-    /// The vanilla training recipe the paper's baselines use: no skip
-    /// connection, plain train-until-converged.
-    fn vanilla(body: Box<dyn Layer>, head: Linear, lr: f32, window: usize) -> Self {
+    fn new(body: Box<dyn Layer>, head: Linear, recipe: Recipe) -> Self {
+        let lr = match recipe {
+            Recipe::Vanilla => LR,
+            Recipe::Tuned => LR * 0.2,
+        };
         SeqTrainer {
             body,
             head,
             adam: Adam::new(lr),
-            window,
-            use_skip: false,
-            early_stop: false,
+            recipe,
         }
     }
 
-    /// The full recipe of the proposed model: last-value skip connection
-    /// plus validation early stopping.
-    fn tuned(body: Box<dyn Layer>, head: Linear, lr: f32, window: usize) -> Self {
-        SeqTrainer {
-            body,
-            head,
-            adam: Adam::new(lr),
-            window,
-            use_skip: true,
-            early_stop: true,
-        }
-    }
-
-    /// Head input: the body's last-step features, plus — with `use_skip` —
-    /// the raw last observation (a skip connection: short-term dependence
-    /// flows straight to the output, so the learned stack only has to
-    /// model the *change*).
+    /// Head input: the body's last-step features, plus — tuned — the raw
+    /// last observation (a skip connection: short-term dependence flows
+    /// straight to the output, so the learned stack only has to model the
+    /// *change*).
     fn head_input(&self, window: &[f64], seq: &Mat) -> Mat {
         let mut features = seq.row(seq.rows() - 1).to_vec();
-        if self.use_skip {
+        if self.recipe == Recipe::Tuned {
             features.push(*window.last().expect("nonempty window") as f32);
         }
         Mat::from_vec(1, features.len(), features)
@@ -159,31 +186,25 @@ impl SeqTrainer {
         for (w, t) in samples {
             total += (self.forward_scalar(w) as f64 - t).abs() as f32;
         }
-        total / samples.len().max(1) as f32
+        total / samples.len() as f32
     }
 
-    /// Trains until the loss converges; with `early_stop`, holds out a
+    /// Trains until the loss converges. Tuned, it holds out a
     /// chronological validation tail (last 15% of windows) and restores
     /// the best-validation weights, which keeps larger models from
     /// memorising the small datasets.
     fn fit(&mut self, train: &[f64], config: &TrainConfig) -> f32 {
-        let samples = crate::dataset::windows(train, self.window);
+        let samples = windows(train, WINDOW);
         if samples.is_empty() {
             return f32::NAN;
         }
-        let split = if self.early_stop {
-            (samples.len() * 85 / 100).max(1).min(samples.len() - 1)
-        } else {
-            samples.len() - 1
-        };
-        let (train_samples, val_samples) = if samples.len() >= 8 && self.early_stop {
-            samples.split_at(split)
-        } else {
-            (&samples[..], &samples[..samples.len().min(1)])
+        let (train_samples, val_samples) = match self.recipe {
+            Recipe::Tuned if samples.len() >= 8 => samples.split_at(samples.len() * 85 / 100),
+            _ => (&samples[..], &samples[..1]),
         };
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0xfeed);
         let mut order: Vec<usize> = (0..train_samples.len()).collect();
-        let mut best_val = f32::MAX;
+        let mut best = f32::MAX;
         let mut best_snapshot = self.snapshot();
         let mut patience = 10u32;
         let mut final_loss = f32::NAN;
@@ -195,37 +216,56 @@ impl SeqTrainer {
                 total += self.train_step(w, t);
             }
             final_loss = total / train_samples.len() as f32;
-            if self.early_stop {
-                let val = self.validation_mae(val_samples);
-                if val + config.convergence_tol < best_val {
-                    best_val = val;
-                    best_snapshot = self.snapshot();
-                    patience = 10;
-                } else {
-                    patience -= 1;
-                    if patience == 0 {
-                        break;
+            let converged = match self.recipe {
+                Recipe::Tuned => {
+                    let val = self.validation_mae(val_samples);
+                    if val + CONVERGENCE_TOL < best {
+                        best = val;
+                        best_snapshot = self.snapshot();
+                        patience = 10;
+                    } else {
+                        patience -= 1;
                     }
+                    patience == 0
                 }
-            } else {
-                // Vanilla convergence criterion on the training loss.
-                if (best_val - final_loss).abs() < config.convergence_tol {
-                    break;
+                Recipe::Vanilla => {
+                    let converged = (best - final_loss).abs() < CONVERGENCE_TOL;
+                    best = final_loss;
+                    converged
                 }
-                best_val = final_loss;
+            };
+            if converged {
+                break;
             }
         }
-        if self.early_stop {
+        if self.recipe == Recipe::Tuned {
             self.restore(&best_snapshot);
         }
         final_loss
     }
 }
 
+/// Reshapes a `T × 1` window into one `1 × T` row, so the head sees the
+/// whole window at once: Linear autoregression as a body.
+struct Flatten;
+
+impl Layer for Flatten {
+    fn forward(&mut self, x: &Mat) -> Mat {
+        Mat::from_vec(1, x.rows() * x.cols(), x.data().to_vec())
+    }
+
+    fn backward(&mut self, grad_out: &Mat) -> Mat {
+        Mat::from_vec(grad_out.cols(), 1, grad_out.data().to_vec())
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        Vec::new()
+    }
+}
+
 /// Positional encoding: adds fixed sinusoids to the sequence (identity in
 /// the backward pass). Needed by the Transformer baseline, which has no
 /// recurrence or convolution to perceive order.
-#[derive(Clone, Debug, Default)]
 struct PositionalEncoding;
 
 impl Layer for PositionalEncoding {
@@ -253,266 +293,131 @@ impl Layer for PositionalEncoding {
 }
 
 /// Linear autoregression: the flattened window through one dense layer.
-pub struct LinearModel {
-    net: Linear,
-    adam: Adam,
-    window: usize,
-}
-
-impl LinearModel {
-    /// Builds the model for the config's window length.
-    pub fn new(config: &TrainConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        LinearModel {
-            net: Linear::new(config.window, 1, &mut rng),
-            adam: Adam::new(config.lr),
-            window: config.window,
-        }
-    }
-}
-
-impl SeriesModel for LinearModel {
-    fn name(&self) -> &'static str {
-        "Linear"
-    }
-
-    fn fit(&mut self, train: &[f64], config: &TrainConfig) -> f32 {
-        let samples = crate::dataset::windows(train, self.window);
-        if samples.is_empty() {
-            return f32::NAN;
-        }
-        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xfeed);
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut prev_loss = f32::MAX;
-        let mut final_loss = f32::NAN;
-        for _ in 0..config.epochs {
-            order.shuffle(&mut rng);
-            let mut total = 0.0;
-            for &i in &order {
-                let (w, t) = samples[i];
-                let x = Mat::from_vec(1, self.window, w.iter().map(|v| *v as f32).collect());
-                let pred = self.net.forward(&x);
-                let target = Mat::from_vec(1, 1, vec![t as f32]);
-                let (loss, dpred) = hammer_nn::mae_loss(&pred, &target);
-                total += loss;
-                let _ = self.net.backward(&dpred);
-                self.adam.step(self.net.params_mut());
-            }
-            final_loss = total / samples.len() as f32;
-            if (prev_loss - final_loss).abs() < config.convergence_tol {
-                break;
-            }
-            prev_loss = final_loss;
-        }
-        final_loss
-    }
-
-    fn predict_next(&mut self, window: &[f64]) -> f64 {
-        let x = Mat::from_vec(1, self.window, window.iter().map(|v| *v as f32).collect());
-        self.net.forward(&x).get(0, 0) as f64
-    }
+pub fn linear(config: &TrainConfig) -> Model {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let head = Linear::new(WINDOW, 1, &mut rng);
+    Model::baseline("Linear", Flatten, head)
 }
 
 /// The vanilla-RNN baseline.
-pub struct RnnModel {
-    trainer: SeqTrainer,
+pub fn rnn(config: &TrainConfig) -> Model {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let hidden = 24;
+    let body = VanillaRnn::new(1, hidden, &mut rng);
+    let head = Linear::new(hidden, 1, &mut rng);
+    Model::baseline("RNN", body, head)
 }
 
-impl RnnModel {
-    /// Builds the model.
-    pub fn new(config: &TrainConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let hidden = 24;
-        let body = VanillaRnn::new(1, hidden, &mut rng);
-        let head = Linear::new(hidden, 1, &mut rng);
-        RnnModel {
-            trainer: SeqTrainer::vanilla(Box::new(body), head, config.lr, config.window),
-        }
-    }
-}
-
-impl SeriesModel for RnnModel {
-    fn name(&self) -> &'static str {
-        "RNN"
-    }
-    fn fit(&mut self, train: &[f64], config: &TrainConfig) -> f32 {
-        self.trainer.fit(train, config)
-    }
-    fn predict_next(&mut self, window: &[f64]) -> f64 {
-        self.trainer.forward_scalar(window) as f64
-    }
-}
-
-/// The TCN-only baseline (two residual blocks, dilations 1 and 2).
-pub struct TcnModel {
-    trainer: SeqTrainer,
-}
-
-impl TcnModel {
-    /// Builds the model.
-    pub fn new(config: &TrainConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let channels = 16;
-        let body = Sequential::new()
-            .push(TcnBlock::new(1, channels, 3, 1, &mut rng))
-            .push(TcnBlock::new(channels, channels, 3, 2, &mut rng))
-            .push(TcnBlock::new(channels, channels, 3, 4, &mut rng));
-        let head = Linear::new(channels, 1, &mut rng);
-        TcnModel {
-            trainer: SeqTrainer::vanilla(Box::new(body), head, config.lr, config.window),
-        }
-    }
-}
-
-impl SeriesModel for TcnModel {
-    fn name(&self) -> &'static str {
-        "TCN"
-    }
-    fn fit(&mut self, train: &[f64], config: &TrainConfig) -> f32 {
-        self.trainer.fit(train, config)
-    }
-    fn predict_next(&mut self, window: &[f64]) -> f64 {
-        self.trainer.forward_scalar(window) as f64
-    }
+/// The TCN-only baseline (three residual blocks, dilations 1, 2 and 4).
+pub fn tcn(config: &TrainConfig) -> Model {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let channels = 16;
+    let body = Sequential::new()
+        .push(TcnBlock::new(1, channels, 3, 1, &mut rng))
+        .push(TcnBlock::new(channels, channels, 3, 2, &mut rng))
+        .push(TcnBlock::new(channels, channels, 3, 4, &mut rng));
+    let head = Linear::new(channels, 1, &mut rng);
+    Model::baseline("TCN", body, head)
 }
 
 /// The Transformer baseline: embedding + positional encoding + one
 /// self-attention encoder block with a feed-forward tail.
-pub struct TransformerModel {
-    trainer: SeqTrainer,
+pub fn transformer(config: &TrainConfig) -> Model {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let d = 16;
+    let body = Sequential::new()
+        .push(Linear::new(1, d, &mut rng))
+        .push(PositionalEncoding)
+        .push(MultiHeadAttention::new(d, 4, &mut rng))
+        .push(Linear::new(d, 2 * d, &mut rng))
+        .push(Relu::new())
+        .push(Linear::new(2 * d, d, &mut rng));
+    let head = Linear::new(d, 1, &mut rng);
+    Model::baseline("Transformer", body, head)
 }
 
-impl TransformerModel {
-    /// Builds the model.
-    pub fn new(config: &TrainConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let d = 16;
-        let body = Sequential::new()
-            .push(Linear::new(1, d, &mut rng))
-            .push(PositionalEncoding)
-            .push(MultiHeadAttention::new(d, 4, &mut rng))
-            .push(Linear::new(d, 2 * d, &mut rng))
-            .push(Relu::new())
-            .push(Linear::new(2 * d, d, &mut rng));
-        let head = Linear::new(d, 1, &mut rng);
-        TransformerModel {
-            trainer: SeqTrainer::vanilla(Box::new(body), head, config.lr, config.window),
-        }
-    }
+/// A stage of the paper's Fig. 5 stack.
+enum Stage {
+    Tcn,
+    BiGru,
+    Attention,
 }
 
-impl SeriesModel for TransformerModel {
-    fn name(&self) -> &'static str {
-        "Transformer"
+/// One tuned member of the Fig. 5 stack with the given stages, in order.
+/// Each network is deliberately small: the paper's datasets yield only
+/// ~200 training windows.
+fn fig5_member(seed: u64, stages: &[Stage]) -> SeqTrainer {
+    let channels = 8;
+    let gru_hidden = 6; // BiGRU output = 12
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut body = Sequential::new();
+    let mut width = 1;
+    for stage in stages {
+        body = match stage {
+            Stage::Tcn => {
+                let dilated_1 = TcnBlock::new(width, channels, 3, 1, &mut rng);
+                let dilated_2 = TcnBlock::new(channels, channels, 3, 2, &mut rng);
+                width = channels;
+                body.push(dilated_1).push(dilated_2)
+            }
+            Stage::BiGru => {
+                let layer = BiGru::new(width, gru_hidden, &mut rng);
+                width = 2 * gru_hidden;
+                body.push(layer)
+            }
+            Stage::Attention => body.push(MultiHeadAttention::new(width, 2, &mut rng)),
+        };
     }
-    fn fit(&mut self, train: &[f64], config: &TrainConfig) -> f32 {
-        self.trainer.fit(train, config)
-    }
-    fn predict_next(&mut self, window: &[f64]) -> f64 {
-        self.trainer.forward_scalar(window) as f64
-    }
+    // The head also takes the skip connection's raw last value.
+    let head = Linear::new(width + 1, 1, &mut rng);
+    SeqTrainer::new(Box::new(body), head, Recipe::Tuned)
 }
 
 /// The paper's model (Fig. 5): **TCN → BiGRU → multi-head attention**.
 ///
 /// The TCN captures long-range structure (periodicity), the BiGRU models
 /// short-range dependencies in both directions, and the attention stage
-/// catches sudden bursts. Because the paper's datasets yield only ~200
-/// training windows, each member network is deliberately small and the
-/// model is a 3-member deep ensemble (different initialisations, averaged
-/// predictions) — the standard variance-reduction recipe at this data
-/// scale (see EXPERIMENTS.md).
-pub struct HammerModel {
-    members: Vec<SeqTrainer>,
-}
-
-impl HammerModel {
-    /// Builds the ensemble.
-    pub fn new(config: &TrainConfig) -> Self {
-        let members = (0..3u64)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i * 7919));
-                let channels = 8;
-                let gru_hidden = 6; // BiGRU output = 12
-                let attn_dim = 2 * gru_hidden;
-                let body = Sequential::new()
-                    .push(TcnBlock::new(1, channels, 3, 1, &mut rng))
-                    .push(TcnBlock::new(channels, channels, 3, 2, &mut rng))
-                    .push(BiGru::new(channels, gru_hidden, &mut rng))
-                    .push(MultiHeadAttention::new(attn_dim, 2, &mut rng));
-                let head = Linear::new(attn_dim + 1, 1, &mut rng);
-                SeqTrainer::tuned(Box::new(body), head, config.lr * 0.2, config.window)
-            })
-            .collect();
-        HammerModel { members }
+/// catches sudden bursts. At the paper's data scale the model is a
+/// 3-member deep ensemble (different initialisations, averaged
+/// predictions) — the standard variance-reduction recipe (see
+/// EXPERIMENTS.md).
+pub fn ours(config: &TrainConfig) -> Model {
+    use Stage::*;
+    let members = (0..3u64)
+        .map(|i| fig5_member(config.seed.wrapping_add(i * 7919), &[Tcn, BiGru, Attention]))
+        .collect();
+    Model {
+        name: "Ours",
+        members,
     }
 }
 
-impl SeriesModel for HammerModel {
-    fn name(&self) -> &'static str {
-        "Ours"
-    }
-    fn fit(&mut self, train: &[f64], config: &TrainConfig) -> f32 {
-        let mut last = f32::NAN;
-        for member in &mut self.members {
-            last = member.fit(train, config);
-        }
-        last
-    }
-    fn predict_next(&mut self, window: &[f64]) -> f64 {
-        let n = self.members.len().max(1) as f64;
-        self.members
-            .iter_mut()
-            .map(|m| m.forward_scalar(window) as f64)
-            .sum::<f64>()
-            / n
-    }
-}
-
-/// A public handle to the shared sequence trainer, for ablation studies
-/// that assemble custom bodies from [`hammer_nn`] blocks and train them
-/// with exactly the recipes the Table III models use.
-pub struct SeqTrainerHandle {
-    inner: SeqTrainer,
-}
-
-impl SeqTrainerHandle {
-    /// The vanilla recipe (the baselines' protocol): no skip connection,
-    /// train until the loss converges.
-    pub fn vanilla(body: Box<dyn Layer>, head: Linear, lr: f32, window: usize) -> Self {
-        SeqTrainerHandle {
-            inner: SeqTrainer::vanilla(body, head, lr, window),
-        }
-    }
-
-    /// The proposed model's full recipe: last-value skip connection plus
-    /// validation early stopping with best-weight restore.
-    pub fn tuned(body: Box<dyn Layer>, head: Linear, lr: f32, window: usize) -> Self {
-        SeqTrainerHandle {
-            inner: SeqTrainer::tuned(body, head, lr, window),
-        }
-    }
-
-    /// Trains on a normalised series; returns the final epoch-mean MAE.
-    pub fn fit(&mut self, train: &[f64], config: &TrainConfig) -> f32 {
-        self.inner.fit(train, config)
-    }
-
-    /// Predicts the next normalised value.
-    pub fn predict_next(&mut self, window: &[f64]) -> f64 {
-        self.inner.forward_scalar(window) as f64
-    }
-}
-
-/// Builds all five Table III models in the paper's row order.
-pub fn all_models(config: &TrainConfig) -> Vec<Box<dyn SeriesModel>> {
+/// All five Table III models in the paper's row order.
+pub fn all_models(config: &TrainConfig) -> Vec<Model> {
     vec![
-        Box::new(LinearModel::new(config)),
-        Box::new(RnnModel::new(config)),
-        Box::new(TcnModel::new(config)),
-        Box::new(TransformerModel::new(config)),
-        Box::new(HammerModel::new(config)),
+        linear(config),
+        rnn(config),
+        tcn(config),
+        transformer(config),
+        ours(config),
     ]
+}
+
+/// The ablation's reduced variants: the first member of [`ours`] with one
+/// Fig. 5 stage removed each, trained with the same recipe.
+pub fn ablation_variants(config: &TrainConfig) -> Vec<Model> {
+    use Stage::*;
+    [
+        ("no-TCN", [BiGru, Attention]),
+        ("no-BiGRU", [Tcn, Attention]),
+        ("no-attention", [Tcn, BiGru]),
+    ]
+    .into_iter()
+    .map(|(name, stages)| Model {
+        name,
+        members: vec![fig5_member(config.seed, &stages)],
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -527,21 +432,18 @@ mod tests {
 
     fn quick_config() -> TrainConfig {
         TrainConfig {
-            window: 12,
             epochs: 15,
-            lr: 1e-2,
             seed: 3,
-            convergence_tol: 1e-7,
         }
     }
 
-    fn check_learns(model: &mut dyn SeriesModel, tolerance: f64) {
+    fn check_learns(mut model: Model, tolerance: f64) {
         let config = quick_config();
         let series = sine_series(200);
         let loss = model.fit(&series[..160], &config);
-        assert!(loss.is_finite(), "{}: loss diverged", model.name());
+        assert!(loss.is_finite(), "{}: loss diverged", model.name);
         // Evaluate one-step predictions on the tail.
-        let samples = crate::dataset::windows(&series[148..], config.window);
+        let samples = windows(&series[160 - WINDOW..], WINDOW);
         let mut total_err = 0.0;
         for (w, t) in &samples {
             total_err += (model.predict_next(w) - t).abs();
@@ -550,54 +452,77 @@ mod tests {
         assert!(
             mae < tolerance,
             "{}: test MAE {mae} above {tolerance}",
-            model.name()
+            model.name
         );
     }
 
     #[test]
     fn linear_learns_sine() {
-        check_learns(&mut LinearModel::new(&quick_config()), 0.3);
+        check_learns(linear(&quick_config()), 0.3);
     }
 
     #[test]
     fn rnn_learns_sine() {
-        check_learns(&mut RnnModel::new(&quick_config()), 0.35);
+        check_learns(rnn(&quick_config()), 0.35);
     }
 
     #[test]
     fn tcn_learns_sine() {
-        check_learns(&mut TcnModel::new(&quick_config()), 0.35);
+        check_learns(tcn(&quick_config()), 0.35);
     }
 
     #[test]
     fn transformer_learns_sine() {
-        check_learns(&mut TransformerModel::new(&quick_config()), 0.5);
+        check_learns(transformer(&quick_config()), 0.5);
     }
 
     #[test]
     fn hammer_model_learns_sine() {
-        check_learns(&mut HammerModel::new(&quick_config()), 0.3);
+        check_learns(ours(&quick_config()), 0.3);
     }
 
     #[test]
-    fn all_models_have_unique_names() {
+    fn model_names_are_the_table_rows_and_the_variants() {
         let config = quick_config();
-        let models = all_models(&config);
-        let names: Vec<&str> = models.iter().map(|m| m.name()).collect();
-        assert_eq!(names, vec!["Linear", "RNN", "TCN", "Transformer", "Ours"]);
+        let names: Vec<&str> = all_models(&config)
+            .into_iter()
+            .chain(ablation_variants(&config))
+            .map(|m| m.name)
+            .collect();
+        assert_eq!(
+            names,
+            vec![
+                "Linear",
+                "RNN",
+                "TCN",
+                "Transformer",
+                "Ours",
+                "no-TCN",
+                "no-BiGRU",
+                "no-attention"
+            ]
+        );
     }
 
     #[test]
     fn training_is_deterministic_per_seed() {
         let config = quick_config();
         let series = sine_series(100);
-        let mut a = HammerModel::new(&config);
-        let mut b = HammerModel::new(&config);
+        let mut a = ours(&config);
+        let mut b = ours(&config);
         let la = a.fit(&series, &config);
         let lb = b.fit(&series, &config);
         assert_eq!(la, lb);
-        let w = &series[..config.window];
+        let w = &series[..WINDOW];
         assert_eq!(a.predict_next(w), b.predict_next(w));
+    }
+
+    #[test]
+    fn flatten_turns_the_window_into_one_row_and_back() {
+        let x = Mat::from_vec(3, 1, vec![1.0, 2.0, 3.0]);
+        let y = Flatten.forward(&x);
+        assert_eq!((y.rows(), y.cols()), (1, 3));
+        assert_eq!(Flatten.backward(&y), x);
     }
 
     #[test]
@@ -614,7 +539,6 @@ mod tests {
     #[test]
     fn fit_on_too_short_series_returns_nan() {
         let config = quick_config();
-        let mut model = LinearModel::new(&config);
-        assert!(model.fit(&[1.0, 2.0], &config).is_nan());
+        assert!(linear(&config).fit(&[1.0, 2.0], &config).is_nan());
     }
 }

@@ -12,8 +12,8 @@ use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::predict::generate::generate_denormalized;
-use hammer::predict::models::HammerModel;
-use hammer::predict::{Dataset, SeriesModel, TrainConfig};
+use hammer::predict::models::ours;
+use hammer::predict::{Dataset, TrainConfig, WINDOW};
 use hammer::store::report::render_series;
 use hammer::workload::traces::{TraceKind, TraceSpec};
 use hammer::workload::{ControlSequence, WorkloadConfig};
@@ -31,14 +31,14 @@ fn main() {
         epochs: 40, // quick demo; the Table III bench uses the full budget
         ..TrainConfig::default()
     };
-    let dataset = Dataset::new(&series, config.window, 0.8);
-    let mut model = HammerModel::new(&config);
+    let dataset = Dataset::new(&series, 0.8);
+    let mut model = ours(&config);
     eprintln!("training (a minute or so)...");
     let train_loss = model.fit(&dataset.train, &config);
     println!("training converged at MAE {train_loss:.4} (normalised scale)\n");
 
     // 3. Extend: generate 48 future hours the real trace does not have.
-    let seed_window: Vec<f64> = dataset.train[dataset.train.len() - config.window..].to_vec();
+    let seed_window: Vec<f64> = dataset.train[dataset.train.len() - WINDOW..].to_vec();
     let generated = generate_denormalized(&mut model, &seed_window, 48, &dataset.normalizer);
     println!(
         "{}",

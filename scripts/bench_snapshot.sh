@@ -1,10 +1,13 @@
 #!/usr/bin/env sh
-# Runs the `roundtrip`, `obs_overhead`, `rpc_loopback`, and tracker
-# (`taskproc` + `taskproc_compaction`) Criterion groups and the
-# `driver_ceiling` sweep, snapshotting machine-readable results (one JSON
-# object per line, appended by the harness via CRITERION_JSON) to
+# Runs the `roundtrip`, `obs_overhead`, `rpc_loopback`, tracker
+# (`taskproc` + `taskproc_compaction`) and `predict` Criterion groups and
+# the `driver_ceiling` sweep, snapshotting machine-readable results (one
+# JSON object per line, appended by the harness via CRITERION_JSON) to
 # BENCH_roundtrip.json, BENCH_obs_overhead.json, BENCH_rpc_loopback.json,
-# BENCH_tracker.json, and BENCH_driver_ceiling.json. Exits non-zero if
+# BENCH_tracker.json, BENCH_predict.json, and BENCH_driver_ceiling.json.
+# The predictor's file (one training epoch per Table III model, one rollout
+# step) has no ratio gate yet: its run-to-run spread is not known. Exits
+# non-zero if
 #   * the windowed fixed-base modexp does not hold its >=3x speedup over
 #     generic square-and-multiply, or
 #   * one SHA-256 compression through the dispatch point costs more than
@@ -34,7 +37,7 @@
 #   * the driver_ceiling sweep fails its accounting identity or cannot
 #     sustain the million-record in-flight depth.
 #
-# Usage: scripts/bench_snapshot.sh [roundtrip.json] [obs_overhead.json] [driver_ceiling.json] [rpc_loopback.json] [tracker.json]
+# Usage: scripts/bench_snapshot.sh [roundtrip.json] [obs_overhead.json] [driver_ceiling.json] [rpc_loopback.json] [tracker.json] [predict.json]
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -43,6 +46,7 @@ OBS_OUT="${2:-BENCH_obs_overhead.json}"
 CEILING_OUT="${3:-BENCH_driver_ceiling.json}"
 RPC_OUT="${4:-BENCH_rpc_loopback.json}"
 TRACKER_OUT="${5:-BENCH_tracker.json}"
+PREDICT_OUT="${6:-BENCH_predict.json}"
 abspath() {
     case "$1" in
         /*) printf '%s\n' "$1" ;;
@@ -215,6 +219,11 @@ awk -v i="$bloom_insert" -v h="$bloom_hit" 'BEGIN {
     }
 }'
 echo "snapshot written to $TRACKER_OUT"
+
+PREDICT_OUT_ABS="$(abspath "$PREDICT_OUT")"
+: > "$PREDICT_OUT_ABS"
+CRITERION_JSON="$PREDICT_OUT_ABS" cargo bench --offline -p bench --bench predict
+echo "snapshot written to $PREDICT_OUT"
 
 CEILING_OUT_ABS="$(abspath "$CEILING_OUT")"
 # Full sweep: 1M sustained in-flight records, single-lock (shards=1)

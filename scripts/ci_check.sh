@@ -397,6 +397,42 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: one model type, one training loop"
+# A predictor is a hammer_predict::models::Model, the mean of its members,
+# each a body and a head trained by the one SeqTrainer loop under the
+# vanilla or the tuned recipe. The five model structs, their trait, the
+# public trainer handle, and the layer, optimiser and loss of hammer-nn that
+# no model reached stay gone; hammer-predict's non-test code has one epoch
+# loop (`non_test` above).
+violations=$({
+    grep -rnwE 'LayerNorm|Sgd|mse_loss|SeqTrainerHandle|SeriesModel|LinearModel|RnnModel|TcnModel|TransformerModel|HammerModel' \
+        crates src tests examples
+    epoch_loops=$(find crates/hammer-predict/src -name '*.rs' | while read -r file; do
+        non_test "$file"
+    done | grep -cE 'for .* in 0\.\.[a-z_.]*epochs\b')
+    if [ "$epoch_loops" -ne 1 ]; then
+        echo "crates/hammer-predict/src: $epoch_loops epoch loops in non-test code, not 1"
+    fi
+} 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a second model type, training loop or unreached hammer-nn layer is back (use models::Model):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
+echo "==> Table III shape: the predictor's checked claims hold at full epochs"
+# table3_models trains the five Table III models on the three paper traces
+# (one thread per trace: ~40 s on two cores) and exits non-zero unless
+# "Ours" is the only model with R2 > 0 on all three datasets and has the
+# lowest MAE on DeFi and Sandbox. The bit-for-bit pin at 5 epochs is
+# hammer-predict's tests/golden.rs, which the tier-1 line runs.
+table3_out=$(cargo run --release --offline -p bench --bin table3_models)
+echo "$table3_out" | tail -n 2
+if ! echo "$table3_out" | grep -q '^shape holds: '; then
+    echo "ci_check: table3_models printed no shape verdict" >&2
+    exit 1
+fi
+
 echo "==> non-test lines of code (scripts/loc.sh)"
 scripts/loc.sh
 

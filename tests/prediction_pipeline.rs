@@ -7,8 +7,8 @@ use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::predict::generate::generate_denormalized;
-use hammer::predict::models::LinearModel;
-use hammer::predict::{evaluate, Dataset, SeriesModel, TrainConfig};
+use hammer::predict::models::linear;
+use hammer::predict::{evaluate, Dataset, TrainConfig, WINDOW};
 use hammer::workload::traces::{TraceKind, TraceSpec};
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
@@ -21,12 +21,11 @@ fn trace_to_evaluation_pipeline() {
     // 2. Dataset + quick model (Linear keeps the test fast; Table III
     //    compares the full model zoo).
     let config = TrainConfig {
-        window: 24,
         epochs: 25,
         ..TrainConfig::default()
     };
-    let dataset = Dataset::new(&series, config.window, 0.8);
-    let mut model = LinearModel::new(&config);
+    let dataset = Dataset::new(&series, 0.8);
+    let mut model = linear(&config);
     let loss = model.fit(&dataset.train, &config);
     assert!(loss.is_finite());
 
@@ -50,7 +49,7 @@ fn trace_to_evaluation_pipeline() {
 
     // 4. Generate a 30-hour continuation; it must be finite, non-negative,
     //    and in a plausible range of the training data.
-    let seed: Vec<f64> = dataset.train[dataset.train.len() - config.window..].to_vec();
+    let seed: Vec<f64> = dataset.train[dataset.train.len() - WINDOW..].to_vec();
     let generated = generate_denormalized(&mut model, &seed, 30, &dataset.normalizer);
     assert_eq!(generated.len(), 30);
     let train_max = series.iter().copied().fold(0.0f64, f64::max);
