@@ -7,6 +7,8 @@
 //! over JSON-RPC, mirroring how the real framework bridges SDKs written in
 //! different languages.
 
+use std::ops::RangeInclusive;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::Receiver;
@@ -237,7 +239,7 @@ pub trait BlockchainClient: Send + Sync {
     /// Submits a signed transaction; returns its id on acceptance.
     ///
     /// Acceptance means *queued*, not committed — commitment is observed
-    /// later via [`BlockchainClient::block_at`] polling (batch testing) or
+    /// later via [`BlockchainClient::blocks`] polling (batch testing) or
     /// [`BlockchainClient::subscribe_commits`] (interactive testing).
     fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError>;
 
@@ -246,6 +248,22 @@ pub trait BlockchainClient: Send + Sync {
 
     /// The committed block at `height` on `shard`, if any.
     fn block_at(&self, shard: u32, height: u64) -> Result<Option<Block>, ChainError>;
+
+    /// The committed blocks at `heights` on `shard` that exist, in height
+    /// order: how the polling monitor reads. The default asks
+    /// [`BlockchainClient::block_at`] once per height and moves each owned
+    /// block into its `Arc`; a chain that stores `Arc<Block>` answers with
+    /// pointer copies.
+    fn blocks(
+        &self,
+        shard: u32,
+        heights: RangeInclusive<u64>,
+    ) -> Result<Vec<Arc<Block>>, ChainError> {
+        heights
+            .filter_map(|height| self.block_at(shard, height).transpose())
+            .map(|block| block.map(Arc::new))
+            .collect()
+    }
 
     /// Number of transactions waiting in the mempool(s).
     fn pending_txs(&self) -> Result<usize, ChainError>;

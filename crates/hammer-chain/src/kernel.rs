@@ -19,8 +19,9 @@
 //!   until a fault plan is installed, the locked path from then on), then
 //!   policy-controlled admission (bounded mempool by default, so overload
 //!   surfaces as [`ErrorKind::Backpressure`]).
-//! * **Sealing** — [`Kernel::seal_block`] builds the block against the
-//!   shard ledger, accounts its replication traffic on `hammer-net`,
+//! * **Sealing** — [`Kernel::seal_block`] builds and verifies the block
+//!   against the shard ledger's tip with no lock held, appends it under the
+//!   write lock (a push), accounts its replication traffic on `hammer-net`,
 //!   updates the activity counters, emits the per-block observability (sealed
 //!   counters, mempool-depth gauge, journal `block_seal`) and publishes
 //!   the commit events.
@@ -34,6 +35,7 @@
 //!
 //! [`ErrorKind::Backpressure`]: crate::client::ErrorKind::Backpressure
 
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,7 +47,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::client::{check_node_ingress, Architecture, BlockchainClient, ChainError, CommitEvent};
 use crate::events::CommitBus;
-use crate::ledger::{Ledger, LedgerError};
+use crate::ledger::{Ledger, LedgerError, Verified};
 use crate::mempool::Mempool;
 use crate::rpc_adapter;
 use crate::state::{AccountState, VersionedState};
@@ -232,10 +234,12 @@ impl Kernel {
         }
     }
 
-    /// Seals one round into a block on `shard`: builds the block against
-    /// the shard ledger, accounts its gossip, appends it, updates the counters,
-    /// emits the per-block observability, and publishes the commit
-    /// events. One obs-bundle fetch per sealed block, never per tx.
+    /// Seals one round into a block on `shard`: builds and verifies the
+    /// block against the shard ledger's tip, accounts its gossip, appends
+    /// it, updates the counters, emits the per-block observability, and
+    /// publishes the commit events. One obs-bundle fetch per sealed block,
+    /// never per tx. Both Merkle passes (the root, its check) run before
+    /// the write lock, which is held for a push.
     pub fn seal_block(&self, shard_id: u32, round: Round) {
         let Round {
             proposer,
@@ -247,27 +251,23 @@ impl Kernel {
         debug_assert_eq!(tx_ids.len(), valid.len());
         let shard = &self.shards[shard_id as usize];
         let timestamp = self.clock.now();
-        let block = {
+        let (height, tip) = {
             let ledger = shard.ledger.read();
-            Block::new(
-                ledger.height() + 1,
-                ledger.tip_hash(),
-                timestamp,
-                &proposer,
-                shard_id,
-                tx_ids,
-                valid,
-            )
+            (ledger.height() + 1, ledger.tip_hash())
         };
+        let verified = Verified::new(Block::new(
+            height, tip, timestamp, &proposer, shard_id, tx_ids, valid,
+        ))
+        .expect("Block::new computed the root it is checked against");
+        let block = Arc::clone(verified.block());
         self.gossip(&proposer, &gossip_to, block.len());
 
-        let height = block.header.height;
         let sealed_txs = block.len();
         let ok = block.valid.iter().filter(|v| **v).count() as u64;
         shard
             .ledger
             .write()
-            .append(block)
+            .append(verified)
             .expect("the kernel seals sequential blocks per shard");
         self.blocks.fetch_add(1, Ordering::Relaxed);
         self.committed.fetch_add(ok, Ordering::Relaxed);
@@ -298,8 +298,6 @@ impl Kernel {
         // Events are built from the appended block, and only for a bus
         // someone is subscribed to.
         self.bus.publish_all(|| {
-            let ledger = shard.ledger.read();
-            let block = ledger.block_at(height).expect("appended above");
             block
                 .entries()
                 .map(|(tx_id, success)| CommitEvent {
@@ -569,6 +567,15 @@ impl<P: ConsensusPolicy> ChainNode<P> {
         self.kernel.stats()
     }
 
+    /// Storage for `shard`, or the client-facing error for a shard the
+    /// chain does not have.
+    fn shard_ctx(&self, shard: u32) -> Result<&ShardCtx, ChainError> {
+        self.kernel
+            .shards
+            .get(shard as usize)
+            .ok_or(ChainError::unknown_shard(shard))
+    }
+
     /// Serves this chain over the JSON-RPC adapter *including* the
     /// [`SimChain`] method set (account seeding, ledger verification,
     /// fault-target discovery) — the surface a `node-host` process
@@ -631,21 +638,31 @@ impl<P: ConsensusPolicy> BlockchainClient for ChainNode<P> {
     }
 
     fn latest_height(&self, shard: u32) -> Result<u64, ChainError> {
-        let ctx = self
-            .kernel
-            .shards
-            .get(shard as usize)
-            .ok_or(ChainError::unknown_shard(shard))?;
-        Ok(ctx.ledger.read().height())
+        Ok(self.shard_ctx(shard)?.ledger.read().height())
     }
 
     fn block_at(&self, shard: u32, height: u64) -> Result<Option<Block>, ChainError> {
-        let ctx = self
-            .kernel
-            .shards
-            .get(shard as usize)
-            .ok_or(ChainError::unknown_shard(shard))?;
-        Ok(ctx.ledger.read().block_at(height).cloned())
+        let block = self
+            .shard_ctx(shard)?
+            .ledger
+            .read()
+            .block_at(height)
+            .cloned();
+        // The copy is taken after the read guard is gone.
+        Ok(block.map(|block| Block::clone(&block)))
+    }
+
+    fn blocks(
+        &self,
+        shard: u32,
+        heights: RangeInclusive<u64>,
+    ) -> Result<Vec<Arc<Block>>, ChainError> {
+        Ok(self
+            .shard_ctx(shard)?
+            .ledger
+            .read()
+            .blocks(heights)
+            .to_vec())
     }
 
     fn pending_txs(&self) -> Result<usize, ChainError> {
@@ -848,6 +865,42 @@ mod tests {
             expect
         );
         assert!(got.iter().all(|e| e.block_height == 2 && e.shard == 0));
+        chain.shutdown();
+    }
+
+    #[test]
+    fn a_shared_read_is_a_pointer_copy_and_an_owned_read_an_equal_block() {
+        let chain = start_fifo();
+        for first_nonce in [0, 100] {
+            chain.kernel().seal_block(
+                0,
+                Round {
+                    proposer: "fifo-node-0".to_owned(),
+                    tx_ids: (first_nonce..first_nonce + 3)
+                        .map(|n| signed(n).id)
+                        .collect(),
+                    valid: vec![true, false, true],
+                    gossip_to: Vec::new(),
+                    mempool_depth: None,
+                },
+            );
+        }
+        let h = chain.latest_height(0).unwrap();
+        assert_eq!(h, 2);
+        let (first, second) = (
+            chain.blocks(0, h..=h).unwrap(),
+            chain.blocks(0, h..=h).unwrap(),
+        );
+        assert_eq!((first.len(), second.len()), (1, 1));
+        assert!(Arc::ptr_eq(&first[0], &second[0]));
+        assert_eq!(chain.block_at(0, h).unwrap().as_ref(), Some(&*first[0]));
+        let all = chain.blocks(0, 0..=h + 5).unwrap();
+        assert_eq!(
+            all.iter().map(|b| b.header.height).collect::<Vec<_>>(),
+            [1, 2]
+        );
+        assert_eq!(chain.blocks(7, 1..=1).unwrap_err().shard(), Some(7));
+        chain.verify_ledgers().unwrap();
         chain.shutdown();
     }
 

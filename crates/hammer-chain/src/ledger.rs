@@ -1,4 +1,14 @@
 //! An append-only block store with hash-chain verification.
+//!
+//! A block is checked in two halves. [`Verified::new`] recomputes the Merkle
+//! root and hashes the header — every hash the check costs — before any
+//! lock is taken; [`Ledger::append`] compares the height and `prev_hash`
+//! against its cached tip and pushes a pointer.
+//! Blocks are stored as `Arc<Block>`, so a reader takes a pointer copy, not
+//! the block.
+
+use std::ops::RangeInclusive;
+use std::sync::Arc;
 
 use hammer_crypto::Hash32;
 
@@ -34,13 +44,44 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
+/// A block whose Merkle root matches its transactions, with its header
+/// hash computed: the only thing [`Ledger::append`] accepts, so no block
+/// reaches a ledger unchecked. Built with no lock held.
+#[derive(Debug)]
+pub struct Verified {
+    block: Arc<Block>,
+    hash: Hash32,
+}
+
+impl Verified {
+    /// Recomputes `block`'s Merkle root and refuses the block when it does
+    /// not match the header.
+    pub fn new(block: Block) -> Result<Self, LedgerError> {
+        if !block.verify_merkle_root() {
+            return Err(LedgerError::BadMerkleRoot);
+        }
+        let hash = block.header.hash();
+        Ok(Verified {
+            block: Arc::new(block),
+            hash,
+        })
+    }
+
+    /// The checked block, shared with the ledger once appended.
+    pub fn block(&self) -> &Arc<Block> {
+        &self.block
+    }
+}
+
 /// An append-only chain of blocks (one shard's ledger).
 ///
 /// Heights start at 1; "height 0" denotes the implicit genesis whose hash
 /// is all zeroes.
 #[derive(Clone, Debug, Default)]
 pub struct Ledger {
-    blocks: Vec<Block>,
+    blocks: Vec<Arc<Block>>,
+    /// Hash of the newest block header, cached at append.
+    tip_hash: Hash32,
 }
 
 impl Ledger {
@@ -56,37 +97,41 @@ impl Ledger {
 
     /// Hash of the newest block header (all-zero when empty).
     pub fn tip_hash(&self) -> Hash32 {
-        self.blocks
-            .last()
-            .map(|b| b.header.hash())
-            .unwrap_or([0u8; 32])
+        self.tip_hash
     }
 
-    /// Appends a block after validating height, hash chain, and Merkle root.
-    pub fn append(&mut self, block: Block) -> Result<(), LedgerError> {
+    /// Appends a verified block after checking its height and hash link
+    /// against the tip: two comparisons and a push.
+    pub fn append(&mut self, block: Verified) -> Result<(), LedgerError> {
         let expected = self.height() + 1;
-        if block.header.height != expected {
+        if block.block.header.height != expected {
             return Err(LedgerError::HeightMismatch {
                 expected,
-                got: block.header.height,
+                got: block.block.header.height,
             });
         }
-        if block.header.prev_hash != self.tip_hash() {
+        if block.block.header.prev_hash != self.tip_hash {
             return Err(LedgerError::BrokenHashChain);
         }
-        if !block.verify_merkle_root() {
-            return Err(LedgerError::BadMerkleRoot);
-        }
-        self.blocks.push(block);
+        self.tip_hash = block.hash;
+        self.blocks.push(block.block);
         Ok(())
     }
 
     /// The block at `height` (1-based), if present.
-    pub fn block_at(&self, height: u64) -> Option<&Block> {
-        if height == 0 {
-            return None;
+    pub fn block_at(&self, height: u64) -> Option<&Arc<Block>> {
+        let index = height.checked_sub(1)?;
+        self.blocks.get(usize::try_from(index).ok()?)
+    }
+
+    /// The blocks at `heights` that exist, in height order.
+    pub fn blocks(&self, heights: RangeInclusive<u64>) -> &[Arc<Block>] {
+        let first = (*heights.start()).max(1);
+        let last = (*heights.end()).min(self.height());
+        if first > last {
+            return &[];
         }
-        self.blocks.get(height as usize - 1)
+        &self.blocks[first as usize - 1..last as usize]
     }
 
     /// Verifies the whole chain: heights, hash links, Merkle roots.
@@ -116,7 +161,7 @@ impl Ledger {
 mod tests {
     use super::*;
     use crate::smallbank::Op;
-    use crate::types::{Address, Transaction, TxId};
+    use crate::types::{Transaction, TxId};
     use std::time::Duration;
 
     fn tx_id(nonce: u64) -> TxId {
@@ -149,12 +194,18 @@ mod tests {
         )
     }
 
+    /// Verifies and appends the next block, of `n_txs` transactions.
+    fn append_next(ledger: &mut Ledger, n_txs: u64) {
+        let block = make_block(ledger, n_txs);
+        ledger.append(Verified::new(block).unwrap()).unwrap();
+    }
+
     #[test]
     fn append_and_lookup() {
         let mut ledger = Ledger::new();
         let b1 = make_block(&ledger, 3);
         let first_tx = b1.tx_ids[0];
-        ledger.append(b1).unwrap();
+        ledger.append(Verified::new(b1).unwrap()).unwrap();
         assert_eq!(ledger.height(), 1);
         assert_eq!(ledger.block_at(1).unwrap().tx_ids[0], first_tx);
     }
@@ -164,38 +215,54 @@ mod tests {
         let mut ledger = Ledger::new();
         let mut b = make_block(&ledger, 1);
         b.header.height = 5;
-        assert!(matches!(
-            ledger.append(b),
+        // The height is not part of the root: the block verifies, and the
+        // ledger turns it away.
+        let verified = Verified::new(b).unwrap();
+        assert_eq!(
+            ledger.append(verified),
             Err(LedgerError::HeightMismatch {
                 expected: 1,
                 got: 5
             })
-        ));
+        );
+        assert_eq!(ledger.height(), 0);
     }
 
     #[test]
     fn rejects_broken_hash_chain() {
         let mut ledger = Ledger::new();
-        ledger.append(make_block(&ledger, 1)).unwrap();
+        append_next(&mut ledger, 1);
+        let tip = ledger.tip_hash();
         let mut b = make_block(&ledger, 1);
         b.header.prev_hash = [9u8; 32];
-        assert_eq!(ledger.append(b), Err(LedgerError::BrokenHashChain));
+        let verified = Verified::new(b).unwrap();
+        assert_eq!(ledger.append(verified), Err(LedgerError::BrokenHashChain));
+        assert_eq!((ledger.height(), ledger.tip_hash()), (1, tip));
     }
 
     #[test]
     fn rejects_bad_merkle_root() {
-        let mut ledger = Ledger::new();
-        let mut b = make_block(&ledger, 2);
+        let mut b = make_block(&Ledger::new(), 2);
         b.tx_ids[0] = tx_id(123_456);
-        assert_eq!(ledger.append(b), Err(LedgerError::BadMerkleRoot));
+        assert_eq!(Verified::new(b).unwrap_err(), LedgerError::BadMerkleRoot);
+    }
+
+    #[test]
+    fn the_cached_tip_is_the_newest_header_hash() {
+        let mut ledger = Ledger::new();
+        assert_eq!(ledger.tip_hash(), [0u8; 32]);
+        for n in 1..=6u64 {
+            append_next(&mut ledger, n % 3);
+            assert_eq!(ledger.tip_hash(), ledger.block_at(n).unwrap().header.hash());
+        }
+        ledger.verify_chain().unwrap();
     }
 
     #[test]
     fn verify_chain_passes_for_valid_chain() {
         let mut ledger = Ledger::new();
         for _ in 0..5 {
-            let b = make_block(&ledger, 2);
-            ledger.append(b).unwrap();
+            append_next(&mut ledger, 2);
         }
         ledger.verify_chain().unwrap();
     }
@@ -203,10 +270,35 @@ mod tests {
     #[test]
     fn block_at_bounds() {
         let mut ledger = Ledger::new();
-        ledger.append(make_block(&ledger, 1)).unwrap();
+        append_next(&mut ledger, 1);
         assert!(ledger.block_at(0).is_none());
         assert!(ledger.block_at(1).is_some());
         assert!(ledger.block_at(2).is_none());
+        assert!(ledger.block_at(u64::MAX).is_none());
+    }
+
+    #[test]
+    fn a_range_read_is_the_blocks_that_exist() {
+        let mut ledger = Ledger::new();
+        for _ in 0..4 {
+            append_next(&mut ledger, 1);
+        }
+        let heights = |range| {
+            ledger
+                .blocks(range)
+                .iter()
+                .map(|b| b.header.height)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(heights(1..=4), [1, 2, 3, 4]);
+        assert_eq!(heights(0..=2), [1, 2]);
+        assert_eq!(heights(3..=9), [3, 4]);
+        assert_eq!(heights(RangeInclusive::new(3, 2)), [0u64; 0]);
+        assert_eq!(heights(5..=u64::MAX), [0u64; 0]);
+        assert!(Arc::ptr_eq(
+            &ledger.blocks(2..=2)[0],
+            ledger.block_at(2).unwrap()
+        ));
     }
 
     #[test]
@@ -222,7 +314,7 @@ mod tests {
             ids.clone(),
             vec![true, false],
         );
-        ledger.append(block).unwrap();
+        ledger.append(Verified::new(block).unwrap()).unwrap();
         let stored = ledger.block_at(1).unwrap();
         assert_eq!(
             stored.entries().collect::<Vec<_>>(),
@@ -236,12 +328,8 @@ mod tests {
         let mut ledger = Ledger::new();
         let b = make_block(&ledger, 0);
         assert!(b.is_empty());
-        ledger.append(b).unwrap();
+        ledger.append(Verified::new(b).unwrap()).unwrap();
         assert_eq!(ledger.height(), 1);
         ledger.verify_chain().unwrap();
     }
-
-    // Unused import silencer: Address is used in other test modules.
-    #[allow(dead_code)]
-    fn _touch(_a: Address) {}
 }

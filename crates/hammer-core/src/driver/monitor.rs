@@ -13,7 +13,7 @@ use std::time::Duration;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use hammer_chain::client::{BlockchainClient, ChainError, CommitEvent};
 use hammer_chain::kernel::SimChain;
-use hammer_chain::types::{TxId, TxStatus};
+use hammer_chain::types::TxStatus;
 use hammer_net::{FaultObserver, SimClock};
 use hammer_obs::{Obs, Stage};
 use hammer_store::KvStore;
@@ -241,32 +241,31 @@ impl<'a> Monitor<'a> {
         // so blocks committed during the final poll window still match
         // before the stragglers are declared timed out.
         let mut final_pass = false;
-        // Reused per-block scratch: the block's entries.
-        let mut entries: Vec<(TxId, bool)> = Vec::new();
         loop {
             for shard in 0..self.progress.last_seen.len() {
                 let height = chain.latest_height(shard as u32)?;
-                while self.progress.last_seen[shard] < height {
-                    self.progress.last_seen[shard] += 1;
-                    let next = self.progress.last_seen[shard];
-                    let Some(block) = chain.block_at(shard as u32, next)? else {
-                        continue;
-                    };
+                let seen = self.progress.last_seen[shard];
+                if seen >= height {
+                    continue;
+                }
+                // One read for every new height; a height the chain cannot
+                // serve (a block lost with a restarted node) is passed over.
+                let blocks = chain.blocks(shard as u32, seen + 1..=height)?;
+                self.progress.last_seen[shard] = height;
+                for block in blocks {
                     let end = if end_is_block_time {
                         block.header.timestamp
                     } else {
                         self.clock.now()
                     };
-                    // Batched fan-out: collect the block's entries once,
-                    // let the tracker group them by shard and take each
-                    // shard lock once per block, and post-process every
+                    // Batched fan-out: the tracker reads the block's two
+                    // columns where they lie, groups them by shard, takes
+                    // each shard lock once per block, and shows every
                     // completed record where it lies, under that lock
                     // (`on_matched` takes no lock of its own).
-                    entries.clear();
-                    entries.extend(block.entries());
                     let mut committed = 0usize;
                     let tracker = &self.state.tracker;
-                    tracker.complete_block_with(&entries, end, &mut |record| {
+                    tracker.complete_block_with(&block.tx_ids, &block.valid, end, &mut |record| {
                         committed += usize::from(record.status == TxStatus::Committed);
                         self.on_matched(record, end);
                     });

@@ -20,11 +20,18 @@ use crate::shard::ShardedTxTable;
 pub(super) trait Tracker: Send + Sync {
     fn insert(&self, id: TxId, client: u32, server: u32, start: Duration);
     fn complete(&self, id: &TxId, end: Duration, ok: bool) -> Option<TxRecord>;
-    /// Matches a whole sealed block, showing `visit` every record that
-    /// completed, in place and under the tracker's lock. The sharded
+    /// Matches a whole sealed block, read from its two columns
+    /// (`valid[i]` belongs to `tx_ids[i]`), showing `visit` every record
+    /// that completed, in place and under the tracker's lock. The sharded
     /// tracker groups the entries by shard and locks each shard once per
     /// block.
-    fn complete_block_with(&self, entries: &[(TxId, bool)], end: Duration, visit: &mut Visit<'_>);
+    fn complete_block_with(
+        &self,
+        tx_ids: &[TxId],
+        valid: &[bool],
+        end: Duration,
+        visit: &mut Visit<'_>,
+    );
     /// Submission-side abandonment: the retry loop gave up on a
     /// transaction ([`TxStatus::Dropped`] / [`TxStatus::Expired`]) that
     /// therefore never reached the chain.
@@ -56,8 +63,14 @@ impl Tracker for ShardedTxTable {
     fn complete(&self, id: &TxId, end: Duration, ok: bool) -> Option<TxRecord> {
         ShardedTxTable::complete(self, id, end, ok)
     }
-    fn complete_block_with(&self, entries: &[(TxId, bool)], end: Duration, visit: &mut Visit<'_>) {
-        ShardedTxTable::complete_block_with(self, entries, end, visit);
+    fn complete_block_with(
+        &self,
+        tx_ids: &[TxId],
+        valid: &[bool],
+        end: Duration,
+        visit: &mut Visit<'_>,
+    ) {
+        ShardedTxTable::complete_block_with(self, tx_ids, valid, end, visit);
     }
     fn abandon(&self, id: &TxId, end: Duration, status: TxStatus) -> bool {
         ShardedTxTable::abandon(self, id, end, status)
@@ -111,9 +124,15 @@ impl Tracker for BatchTracker {
             None
         }
     }
-    fn complete_block_with(&self, entries: &[(TxId, bool)], end: Duration, visit: &mut Visit<'_>) {
+    fn complete_block_with(
+        &self,
+        tx_ids: &[TxId],
+        valid: &[bool],
+        end: Duration,
+        visit: &mut Visit<'_>,
+    ) {
         let mut queue = self.queue.lock();
-        for (id, ok) in entries {
+        for (id, ok) in tx_ids.iter().zip(valid) {
             if queue.complete(id, end, *ok) {
                 queue.records().last().into_iter().for_each(&mut *visit);
             }

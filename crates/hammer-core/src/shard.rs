@@ -109,21 +109,47 @@ impl ShardedTxTable {
             .cloned()
     }
 
-    /// Matches a whole sealed block: groups the entries by shard, takes
-    /// each touched shard's lock exactly once, and shows `visit` every
+    /// Matches a whole sealed block, read straight from its two columns
+    /// (`valid[i]` belongs to `tx_ids[i]`): groups the entries by shard,
+    /// takes each touched shard's lock exactly once, and shows `visit` every
     /// record that completed (transitioned out of `Pending`) where it lies,
     /// under its shard's lock — `visit` must not call back into the tracker.
     pub fn complete_block_with(
         &self,
-        entries: &[(TxId, bool)],
+        tx_ids: &[TxId],
+        valid: &[bool],
         end: Duration,
         visit: &mut Visit<'_>,
     ) {
-        // Group-by-shard scratch: one pass to bucket the entry indices,
-        // then one lock acquisition per touched shard.
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (tx_id, _)) in entries.iter().enumerate() {
-            buckets[self.shard_of(tx_id)].push(i);
+        assert_eq!(tx_ids.len(), valid.len(), "a block's two columns align");
+        self.match_grouped(tx_ids.len(), |i| (&tx_ids[i], valid[i]), end, visit);
+    }
+
+    /// [`ShardedTxTable::complete_block_with`] over `(id, valid)` pairs,
+    /// appending a copy of every record that completed to `out`.
+    pub fn complete_block(&self, entries: &[(TxId, bool)], end: Duration, out: &mut Vec<TxRecord>) {
+        self.match_grouped(
+            entries.len(),
+            |i| (&entries[i].0, entries[i].1),
+            end,
+            &mut |record| out.push(record.clone()),
+        );
+    }
+
+    /// The one block-matching loop, over `len` entries read by `entry`:
+    /// one pass buckets the entry indices by shard, then each touched
+    /// shard is locked once and its entries completed in block order.
+    fn match_grouped<'e>(
+        &self,
+        len: usize,
+        entry: impl Fn(usize) -> (&'e TxId, bool),
+        end: Duration,
+        visit: &mut Visit<'_>,
+    ) {
+        let len = u32::try_from(len).expect("a block holds fewer than 2^32 transactions");
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
+        for i in 0..len {
+            buckets[self.shard_of(entry(i as usize).0)].push(i);
         }
         for (shard, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
@@ -131,18 +157,12 @@ impl ShardedTxTable {
             }
             let mut shard = self.shards[shard].lock();
             for &i in bucket {
-                let (tx_id, ok) = &entries[i];
-                if let Some(record) = shard.table.complete_record(tx_id, end, *ok) {
+                let (tx_id, ok) = entry(i as usize);
+                if let Some(record) = shard.table.complete_record(tx_id, end, ok) {
                     visit(record);
                 }
             }
         }
-    }
-
-    /// [`ShardedTxTable::complete_block_with`], appending a copy of every
-    /// record that completed to `out`.
-    pub fn complete_block(&self, entries: &[(TxId, bool)], end: Duration, out: &mut Vec<TxRecord>) {
-        self.complete_block_with(entries, end, &mut |record| out.push(record.clone()));
     }
 
     /// Marks a still-pending transaction abandoned by the submission path
@@ -333,32 +353,46 @@ mod tests {
         assert!(matched.is_empty());
     }
 
-    #[test]
-    fn the_visitor_sees_what_complete_block_returns_in_its_order() {
-        for shards in [1, 2, 8] {
-            let copied = ShardedTxTable::new(shards, 1024);
-            let visited = ShardedTxTable::new(shards, 1024);
-            for i in 0..3_000 {
+    proptest! {
+        /// The two entry points are one loop: over any block — pending ids,
+        /// duplicate sightings, foreign ids, either outcome — the
+        /// two-column `complete_block_with` shows its visitor exactly the
+        /// records the pair-slice `complete_block` returns, in its order
+        /// (shard by shard, block order within a shard), and leaves equal
+        /// `IndexStats`; a second sighting of the whole block completes
+        /// nothing.
+        #[test]
+        fn the_visitor_sees_what_complete_block_returns_in_its_order(
+            block in proptest::collection::vec(((0u64..400), any::<bool>()), 0..300),
+            inserted in 0u64..300,
+            shards in 1usize..16,
+        ) {
+            let copied = ShardedTxTable::new(shards, 64);
+            let visited = ShardedTxTable::new(shards, 64);
+            for i in 0..inserted {
                 copied.insert(tx_id(i), i as u32, 0, Duration::ZERO);
                 visited.insert(tx_id(i), i as u32, 0, Duration::ZERO);
             }
-            let mut entries: Vec<(TxId, bool)> =
-                (0..1_000).map(|i| (tx_id(i), i % 3 != 0)).collect();
-            entries.push((tx_id(5), true)); // duplicate sighting
-            entries.extend((100_000..100_050).map(|i| (tx_id(i), true))); // foreign
-                                                                          // Shard by shard, and within a shard in block order.
-            let mut expect: Vec<TxId> = entries[..1_000].iter().map(|(id, _)| *id).collect();
+            let entries: Vec<(TxId, bool)> = block.iter().map(|&(n, ok)| (tx_id(n), ok)).collect();
+            let (tx_ids, valid): (Vec<TxId>, Vec<bool>) = entries.iter().copied().unzip();
+            // A pending id completes at its first sighting only.
+            let mut sighted = HashSet::new();
+            let mut expect: Vec<TxId> = block
+                .iter()
+                .filter(|&&(n, _)| n < inserted && sighted.insert(n))
+                .map(|&(n, _)| tx_id(n))
+                .collect();
             expect.sort_by_key(|id| copied.shard_of(id));
-            // A second sighting of the whole block shows the visitor nothing.
             for (end, expect) in [(1, expect), (2, Vec::new())] {
                 let end = Duration::from_secs(end);
                 let mut out = Vec::new();
                 copied.complete_block(&entries, end, &mut out);
                 let mut seen = Vec::new();
-                visited.complete_block_with(&entries, end, &mut |r| seen.push(r.clone()));
-                assert_eq!(seen, out, "{shards} shards");
-                assert_eq!(seen.iter().map(|r| r.tx_id).collect::<Vec<_>>(), expect);
-                assert!(seen.iter().all(|r| r.end == Some(end)));
+                visited.complete_block_with(&tx_ids, &valid, end, &mut |r| seen.push(r.clone()));
+                prop_assert_eq!(&seen, &out);
+                prop_assert_eq!(seen.iter().map(|r| r.tx_id).collect::<Vec<_>>(), expect);
+                prop_assert!(seen.iter().all(|r| r.end == Some(end)));
+                prop_assert_eq!(copied.stats(), visited.stats());
             }
         }
     }

@@ -282,6 +282,34 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: a committed block is shared, never copied"
+# A shard's ledger stores Arc<Block>. The monitor reads each poll's new
+# blocks through BlockchainClient::blocks (pointer copies in process) and
+# matches them from their two columns where they lie: no `.block_at(` call
+# under the driver. Verified::new checks the Merkle root and hashes the
+# header before any lock, so the write guard is taken in one place,
+# Kernel::seal_block, for the push. Each file is read with its newlines
+# folded, so a `.ledger` / `.write()` / `.append(` chain that rustfmt split
+# over lines is seen too.
+violations=$({
+    grep -rn '\.block_at(' crates/hammer-core/src/driver
+    writes=$(find crates src examples tests -name '*.rs' -not -path '*/driver_e2e/*' \
+        -not -path '*/target/*' | while read -r file; do
+        tr '\n' ' ' <"$file" \
+            | grep -oE 'ledger[[:space:]]*\.write\(\)([[:space:]]*\.append\()?' \
+            | sed "s|^|$file: |"
+    done)
+    if [ "$(echo "$writes" | grep -c .)" -ne 1 ] \
+        || ! echo "$writes" | grep -qE '^crates/hammer-chain/src/kernel\.rs: .*\.append\($'; then
+        echo "ledger write guards (want one, kernel.rs's append): ${writes:-none}"
+    fi
+} 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: the monitor copies blocks again, or the ledger's write lock is taken beside seal_block's push:" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
 echo "==> grep gate: a submission allocates nothing and takes no network-wide lock"
 # Tracking a submission touches one Bloom block (no probe Vec, no division:
 # block and slot counts are multiplied or masked) and the node asks its

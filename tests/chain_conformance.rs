@@ -7,7 +7,8 @@
 //!
 //! 1. Submissions are sealed, and every accepted transaction surfaces as
 //!    exactly one commit event carrying its id (and the ledgers audit
-//!    clean afterwards).
+//!    clean afterwards, and the range read `blocks` returns what
+//!    `block_at` does).
 //! 2. The driver's accounting identity holds:
 //!    `committed + failed + timed_out + rejected + dropped + expired ==
 //!    submitted`.
@@ -27,7 +28,7 @@ use std::time::Duration;
 
 use hammer::chain::client::ErrorKind;
 use hammer::chain::smallbank::Op;
-use hammer::chain::types::{Address, SignedTransaction, Transaction};
+use hammer::chain::types::{Address, Block, SignedTransaction, Transaction};
 use hammer::core::chaos::live_threads;
 use hammer::core::deploy::{
     reconnect_policy_for, BackendOptions, BackendRegistry, DeployMode, Deployment, SupervisorConfig,
@@ -153,6 +154,33 @@ fn every_backend_seals_submissions_into_matching_commit_events() {
                 .chain()
                 .verify_ledgers()
                 .unwrap_or_else(|e| panic!("{name} ({}): ledger audit failed: {e}", mode.name()));
+            // The range read the monitor polls through (the node's shared
+            // read in process, the trait's per-height default over TCP)
+            // returns the blocks `block_at` does, in height order.
+            let client = deployment.client();
+            for shard in 0..client.architecture().shard_count() {
+                let h = client.latest_height(shard).unwrap();
+                let shared: Vec<Block> = client
+                    .blocks(shard, 1..=h)
+                    .unwrap()
+                    .iter()
+                    .map(|block| Block::clone(block))
+                    .collect();
+                let owned: Vec<Block> = (1..=h)
+                    .filter_map(|height| client.block_at(shard, height).unwrap())
+                    .collect();
+                assert!(
+                    !owned.is_empty(),
+                    "{name} ({}): shard {shard} sealed nothing",
+                    mode.name()
+                );
+                assert_eq!(
+                    shared,
+                    owned,
+                    "{name} ({}): shard {shard}: blocks(1..={h}) differs from block_at",
+                    mode.name()
+                );
+            }
             deployment.down();
             drop(deployment);
         }
