@@ -508,6 +508,22 @@ mod tests {
         assert!(verdicts[0] && verdicts[6]);
     }
 
+    /// A signature whose `s` is re-encoded as `s + GROUP_ORDER` still
+    /// satisfies the verification equation; neither check accepts it.
+    #[test]
+    fn second_encoding_of_a_signature_is_refused() {
+        let params = SigParams::fast();
+        let signer = Keypair::from_seed(5);
+        let mut txs: Vec<SignedTransaction> = (0..5)
+            .map(|i| sample_tx(i).sign(&signer, &params))
+            .collect();
+        txs[1].signature.s += hammer_crypto::sig::GROUP_ORDER;
+        assert_eq!(
+            (txs[1].verify(&params), verify_signed_batch(&txs, &params)),
+            (false, vec![true, false, true, true, true])
+        );
+    }
+
     #[test]
     fn verify_signed_batch_empty() {
         assert!(verify_signed_batch(&[], &SigParams::fast()).is_empty());

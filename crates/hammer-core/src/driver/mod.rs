@@ -479,17 +479,26 @@ impl Evaluation {
         };
 
         let monitored = std::thread::scope(|scope| {
-            scope.spawn(|| submit::pace(control, &clock, &state, &tokens));
+            // Named like the generator, signer and sealer threads, so a
+            // per-thread CPU reading tells every role apart.
+            let named = |name: &str| std::thread::Builder::new().name(name.to_owned());
+            named("hammer-pacer")
+                .spawn_scoped(scope, || submit::pace(control, &clock, &state, &tokens))
+                .expect("spawn pacer");
             let worker_handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let worker = submitter.clone();
-                    scope.spawn(move || worker.run())
+                    named("hammer-submit")
+                        .spawn_scoped(scope, move || worker.run())
+                        .expect("spawn submission worker")
                 })
                 .collect();
             // Only the workers hold a token taker and the signed stream from
             // here on.
             drop(submitter);
-            let monitor = scope.spawn(move || monitor.run());
+            let monitor = named("hammer-monitor")
+                .spawn_scoped(scope, move || monitor.run())
+                .expect("spawn monitor");
             for handle in worker_handles {
                 handle.join().expect("submission worker panicked");
             }
@@ -823,6 +832,17 @@ mod tests {
         unreadable: bool,
         /// Called at the start of every `submit`.
         on_submit: Option<Box<dyn Fn() + Send + Sync>>,
+        /// `("submit" | "height", name of the calling thread)` of every
+        /// `submit` and `latest_height` call.
+        callers: std::sync::Mutex<std::collections::BTreeSet<(&'static str, String)>>,
+    }
+
+    impl StubChain {
+        fn record_caller(&self, method: &'static str) {
+            let thread = std::thread::current();
+            let name = thread.name().unwrap_or("<unnamed>").to_owned();
+            self.callers.lock().unwrap().insert((method, name));
+        }
     }
 
     impl hammer_chain::client::BlockchainClient for StubChain {
@@ -833,6 +853,7 @@ mod tests {
             hammer_chain::client::Architecture::NonSharded
         }
         fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError> {
+            self.record_caller("submit");
             if let Some(hook) = &self.on_submit {
                 hook();
             }
@@ -840,6 +861,7 @@ mod tests {
             Ok(tx.id)
         }
         fn latest_height(&self, _shard: u32) -> Result<u64, ChainError> {
+            self.record_caller("height");
             let ids = std::mem::take(&mut *self.pool.lock().unwrap());
             let mut blocks = self.blocks.lock().unwrap();
             if !ids.is_empty() {
@@ -991,6 +1013,25 @@ mod tests {
             "run ended at {:?}",
             deployment.clock().now()
         );
+    }
+
+    #[test]
+    fn driver_threads_carry_their_role_names() {
+        let chain = Arc::new(StubChain::default());
+        let clock = hammer_net::SimClock::with_speedup(1000.0);
+        let net = hammer_net::SimNetwork::new(clock.clone(), hammer_net::LinkConfig::lan());
+        let deployment = Deployment::from_chain(Arc::clone(&chain) as _, clock, net);
+        let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
+        let report = Evaluation::new(fast_config())
+            .run(&deployment, &small_workload(100), &control)
+            .unwrap();
+        assert_eq!(report.committed, 100);
+        let callers = chain.callers.lock().unwrap().clone();
+        let expect = [
+            ("height", "hammer-monitor".to_owned()),
+            ("submit", "hammer-submit".to_owned()),
+        ];
+        assert_eq!(callers, expect.into_iter().collect(), "{callers:?}");
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! HMAC-SHA-256 (RFC 2104) built on the crate's own [`Sha256`].
+//! HMAC-SHA-256 (RFC 2104) built on the crate's own SHA-256.
 //!
-//! Used for deterministic nonce derivation in the signature scheme and for
-//! keyed workload-payload checksums.
+//! Used for deterministic nonce derivation in the signature scheme. A
+//! key's two pad blocks are compressed once, when its `HmacKey` is made;
+//! a MAC then costs only the blocks of the message and of the outer digest.
 
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{compress, finish, Digest, H0};
 
 const BLOCK_LEN: usize = 64;
 
@@ -19,21 +20,20 @@ const BLOCK_LEN: usize = 64;
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut ctx = HmacSha256::new(key);
-    ctx.update(message);
-    ctx.finalize()
+    HmacKey::new(key).mac(&[message])
 }
 
-/// An incremental HMAC-SHA-256 context for multi-part messages.
-#[derive(Clone, Debug)]
-pub struct HmacSha256 {
-    inner: Sha256,
-    opad: [u8; BLOCK_LEN],
+/// An HMAC key as the hash states after its inner (`0x36`) and outer
+/// (`0x5c`) pad blocks: what every MAC under the key starts from.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
 }
 
-impl HmacSha256 {
-    /// Creates a context keyed with `key`.
-    pub fn new(key: &[u8]) -> Self {
+impl HmacKey {
+    /// Compresses `key`'s two pad blocks.
+    pub(crate) fn new(key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
             let digest = crate::sha256(key);
@@ -41,29 +41,23 @@ impl HmacSha256 {
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0x36u8; BLOCK_LEN];
-        let mut opad = [0x5cu8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] ^= key_block[i];
-            opad[i] ^= key_block[i];
+        let midstate = |pad: u8| {
+            let block = key_block.map(|byte| byte ^ pad);
+            let mut state = H0;
+            compress(&mut state, &[block]);
+            state
+        };
+        HmacKey {
+            inner: midstate(0x36),
+            outer: midstate(0x5c),
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 { inner, opad }
     }
 
-    /// Feeds more message bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        self.inner.update(data);
-    }
-
-    /// Finishes and returns the MAC.
-    pub fn finalize(self) -> Digest {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad);
-        outer.update(&inner_digest);
-        outer.finalize()
+    /// The MAC of the concatenation of `parts`: one kernel call for the
+    /// message, one for the outer digest.
+    pub(crate) fn mac(&self, parts: &[&[u8]]) -> Digest {
+        let inner = finish(self.inner, BLOCK_LEN, parts);
+        finish(self.outer, BLOCK_LEN, &[&inner])
     }
 }
 
@@ -107,16 +101,40 @@ mod tests {
         );
     }
 
+    /// RFC 2104 spelled out over one-shot hashes of whole buffers.
+    fn hmac_by_the_book(key: &[u8], message: &[u8]) -> Digest {
+        let mut key_block = if key.len() > BLOCK_LEN {
+            crate::sha256(key).to_vec()
+        } else {
+            key.to_vec()
+        };
+        key_block.resize(BLOCK_LEN, 0);
+        let pad = |byte: u8| key_block.iter().map(|k| k ^ byte).collect::<Vec<u8>>();
+        let inner = crate::sha256(&[pad(0x36), message.to_vec()].concat());
+        crate::sha256(&[pad(0x5c), inner.to_vec()].concat())
+    }
+
+    /// The keyed path the nonce takes — a message and a 4-byte counter
+    /// as two parts — for every key shape: empty, the signer's 8 bytes,
+    /// exactly one block, one byte over (hashed first), RFC 4231's 131;
+    /// and messages that pad to one, two, four and more stack blocks.
     #[test]
-    fn incremental_matches_oneshot() {
-        let key = b"secret key material";
-        let msg: Vec<u8> = (0..500u16).map(|i| (i % 256) as u8).collect();
-        let expect = hmac_sha256(key, &msg);
-        let mut ctx = HmacSha256::new(key);
-        for chunk in msg.chunks(7) {
-            ctx.update(chunk);
+    fn keyed_mac_matches_hmac_sha256() {
+        for key_len in [0usize, 8, 64, 65, 131] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 31 % 256) as u8).collect();
+            let hmac_key = HmacKey::new(&key);
+            for msg_len in [0usize, 20, 51, 52, 60, 70, 119, 120, 243, 244, 300] {
+                let msg: Vec<u8> = (0..msg_len).map(|i| (i % 251) as u8).collect();
+                let counter = 7u32.to_be_bytes();
+                let expect = hmac_by_the_book(&key, &[msg.as_slice(), &counter].concat());
+                assert_eq!(
+                    hmac_key.mac(&[&msg, &counter]),
+                    expect,
+                    "key {key_len} msg {msg_len}"
+                );
+                assert_eq!(hmac_sha256(&key, &msg), hmac_by_the_book(&key, &msg));
+            }
         }
-        assert_eq!(ctx.finalize(), expect);
     }
 
     #[test]

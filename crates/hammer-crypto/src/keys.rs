@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use crate::hmac::HmacKey;
 use crate::sig::{self, SigParams, Signature, GROUP_ORDER};
 
 /// A secret signing key (a scalar in `[1, GROUP_ORDER)`).
@@ -9,7 +10,12 @@ use crate::sig::{self, SigParams, Signature, GROUP_ORDER};
 /// Deliberately does not implement `Display`; `Debug` redacts the scalar so
 /// keys never leak through logs.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey(u64);
+pub struct SecretKey {
+    x: u64,
+    /// The nonce HMAC's key with its pad blocks compressed, so a
+    /// signature hashes only the message's blocks.
+    nonce_key: HmacKey,
+}
 
 impl std::fmt::Debug for SecretKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -29,14 +35,21 @@ pub struct Keypair {
 }
 
 impl SecretKey {
+    fn new(x: u64) -> Self {
+        SecretKey {
+            x,
+            nonce_key: sig::nonce_key(x),
+        }
+    }
+
     /// Derives the matching public key.
     pub fn public(&self) -> PublicKey {
-        PublicKey(sig::pow_g(self.0))
+        PublicKey(sig::pow_g(self.x))
     }
 
     /// Signs a message.
     pub fn sign(&self, msg: &[u8], params: &SigParams) -> Signature {
-        sig::sign(self.0, msg, params)
+        sig::sign_with_key(self.x, &self.nonce_key, self.public().0, msg, params)
     }
 }
 
@@ -65,8 +78,7 @@ impl PublicKey {
 impl Keypair {
     /// Generates a fresh random keypair.
     pub fn generate<R: Rng + ?Sized>(_params: &SigParams, rng: &mut R) -> Self {
-        let x = rng.gen_range(1..GROUP_ORDER);
-        let secret = SecretKey(x);
+        let secret = SecretKey::new(rng.gen_range(1..GROUP_ORDER));
         let public = secret.public();
         Keypair { secret, public }
     }
@@ -82,7 +94,7 @@ impl Keypair {
         if x == 0 {
             x = 1;
         }
-        let secret = SecretKey(x);
+        let secret = SecretKey::new(x);
         let public = secret.public();
         Keypair { secret, public }
     }
@@ -98,9 +110,11 @@ impl Keypair {
     }
 
     /// Signs a message with the secret key, reusing the cached public
-    /// key — the keypair signing hot path never re-derives `g^x`.
+    /// key and nonce-key midstates — the keypair signing hot path never
+    /// re-derives `g^x` or re-hashes a key pad.
     pub fn sign(&self, msg: &[u8], params: &SigParams) -> Signature {
-        sig::sign_with_key(self.secret.0, self.public.0, msg, params)
+        let secret = &self.secret;
+        sig::sign_with_key(secret.x, &secret.nonce_key, self.public.0, msg, params)
     }
 }
 
@@ -133,6 +147,17 @@ mod tests {
         assert!(PublicKey::from_u64(0).is_none());
         assert!(PublicKey::from_u64(sig::P).is_none());
         assert!(PublicKey::from_u64(12345).is_some());
+    }
+
+    #[test]
+    fn keypair_signs_as_the_scalar_does() {
+        let params = SigParams::with_cost(3);
+        let kp = Keypair::from_seed(11);
+        for msg in [b"".as_slice(), b"short", &[0x5a; 200]] {
+            let expect = sig::sign(kp.secret().x, msg, &params);
+            assert_eq!(kp.sign(msg, &params), expect);
+            assert_eq!(kp.secret().sign(msg, &params), expect);
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A from-scratch implementation of the SHA-256 hash function (FIPS 180-4).
 //!
 //! Supports both one-shot hashing via [`sha256`] and incremental hashing via
-//! the [`Sha256`] streaming hasher.
+//! the [`Sha256`] streaming hasher. A one-shot message short enough to pad
+//! on the stack is folded in one kernel call.
 
 /// The SHA-256 digest length in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -20,7 +21,8 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+/// The state before any block is folded in.
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -35,10 +37,26 @@ const H0: [u32; 8] = [
 #[inline]
 pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     #[cfg(target_arch = "x86_64")]
-    if x86::compress(state, blocks) {
+    if x86::compress(std::array::from_mut(state), [blocks]) {
         return;
     }
     compress_portable(state, blocks);
+}
+
+/// [`compress`] for two independent messages of the same number of
+/// blocks. On the SHA extensions their rounds interleave in one kernel
+/// call, so one lane's round latency can hide behind the other's as far
+/// as the CPU's SHA unit pipelines; without them it is two portable calls.
+#[inline]
+pub(crate) fn compress_x2(states: &mut [[u32; 8]; 2], blocks: [&[[u8; 64]]; 2]) {
+    assert_eq!(blocks[0].len(), blocks[1].len(), "lanes of unequal length");
+    #[cfg(target_arch = "x86_64")]
+    if x86::compress(states, blocks) {
+        return;
+    }
+    for (state, blocks) in states.iter_mut().zip(blocks) {
+        compress_portable(state, blocks);
+    }
 }
 
 /// Whether [`sha256`] and everything built on it run on the CPU's SHA
@@ -114,87 +132,152 @@ mod x86 {
             && is_x86_feature_detected!("sse4.1")
     }
 
-    /// Folds `blocks` into `state` on the SHA extensions and returns
-    /// `true`, or returns `false` with `state` untouched when the running
-    /// CPU lacks them.
+    /// Folds `blocks[l]` into `states[l]` for each lane `l` on the SHA
+    /// extensions and returns `true`, or returns `false` with `states`
+    /// untouched when the running CPU lacks them. Every lane must hold
+    /// the same number of blocks.
     #[inline]
-    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool {
+    pub(super) fn compress<const LANES: usize>(
+        states: &mut [[u32; 8]; LANES],
+        blocks: [&[[u8; 64]]; LANES],
+    ) -> bool {
         if !detected() {
             return false;
         }
         // SAFETY: `detected()` just reported `sha`, `ssse3` and `sse4.1`
         // on the running CPU and `sse2` is part of the x86-64 baseline:
         // every feature `compress_sha_ni` is compiled with.
-        unsafe { compress_sha_ni(state, blocks) };
+        unsafe { compress_sha_ni(states, blocks) };
         true
     }
 
-    /// Folds `blocks` into `state` with `sha256rnds2`/`msg1`/`msg2`,
-    /// bit-identical to [`super::compress_portable`].
+    /// Folds `blocks[l]` into `states[l]` with `sha256rnds2`/`msg1`/`msg2`,
+    /// bit-identical to [`super::compress_portable`] on each lane. The
+    /// lanes' instructions interleave four rounds at a time; one lane is
+    /// the plain kernel.
     ///
     /// Only fixed-size references come in, so no length reaches the
     /// pointer casts: every load and store below covers 16 bytes at a
-    /// constant offset inside a 32-byte state or a 64-byte block.
+    /// constant offset inside a 32-byte state or a 64-byte block, and a
+    /// block is reached by checked indexing.
     ///
     /// # Safety
     ///
     /// The running CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    unsafe fn compress_sha_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    unsafe fn compress_sha_ni<const LANES: usize>(
+        states: &mut [[u32; 8]; LANES],
+        blocks: [&[[u8; 64]]; LANES],
+    ) {
+        let zero = _mm_setzero_si128();
         // The round instruction wants the state as (a,b,e,f) and (c,d,g,h).
-        let lo = _mm_loadu_si128(state.as_ptr().cast());
-        let hi = _mm_loadu_si128(state.as_ptr().add(4).cast());
-        let cdab = _mm_shuffle_epi32(lo, 0xB1);
-        let efgh = _mm_shuffle_epi32(hi, 0x1B);
-        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
-        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+        let (mut abef, mut cdgh) = ([zero; LANES], [zero; LANES]);
+        for (l, state) in states.iter().enumerate() {
+            let lo = _mm_loadu_si128(state.as_ptr().cast());
+            let hi = _mm_loadu_si128(state.as_ptr().add(4).cast());
+            let cdab = _mm_shuffle_epi32(lo, 0xB1);
+            let efgh = _mm_shuffle_epi32(hi, 0x1B);
+            abef[l] = _mm_alignr_epi8(cdab, efgh, 8);
+            cdgh[l] = _mm_blend_epi16(efgh, cdab, 0xF0);
+        }
         // Byte shuffle turning four big-endian words into lanes.
         let be = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0B, 0x0405_0607_0001_0203);
 
-        for block in blocks {
+        for i in 0..blocks[0].len() {
             let (abef_in, cdgh_in) = (abef, cdgh);
-            let words = block.as_ptr().cast::<__m128i>();
-            let mut w = [
-                _mm_shuffle_epi8(_mm_loadu_si128(words), be),
-                _mm_shuffle_epi8(_mm_loadu_si128(words.add(1)), be),
-                _mm_shuffle_epi8(_mm_loadu_si128(words.add(2)), be),
-                _mm_shuffle_epi8(_mm_loadu_si128(words.add(3)), be),
-            ];
-            // Sixteen groups of four rounds; `w` holds the last four
-            // groups of the message schedule, oldest at `g % 4`.
-            for g in 0..16 {
-                if g >= 4 {
-                    let older = _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]);
-                    let mid = _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4);
-                    w[g % 4] = _mm_sha256msg2_epu32(_mm_add_epi32(older, mid), w[(g + 3) % 4]);
+            let mut w = [[zero; 4]; LANES];
+            for (w, blocks) in w.iter_mut().zip(blocks) {
+                let words = blocks[i].as_ptr().cast::<__m128i>();
+                for (j, w) in w.iter_mut().enumerate() {
+                    *w = _mm_shuffle_epi8(_mm_loadu_si128(words.add(j)), be);
                 }
+            }
+            // Sixteen groups of four rounds; `w[l]` holds four groups of
+            // lane `l`'s message schedule, oldest first: the block's own
+            // words for the first four groups, then the last four.
+            for g in 0..16 {
                 let k = _mm_set_epi32(
                     K[4 * g + 3] as i32,
                     K[4 * g + 2] as i32,
                     K[4 * g + 1] as i32,
                     K[4 * g] as i32,
                 );
-                let wk = _mm_add_epi32(w[g % 4], k);
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+                for l in 0..LANES {
+                    let [w0, w1, w2, w3] = w[l];
+                    let now = if g < 4 {
+                        w0
+                    } else {
+                        let older = _mm_sha256msg1_epu32(w0, w1);
+                        let mid = _mm_alignr_epi8(w3, w2, 4);
+                        _mm_sha256msg2_epu32(_mm_add_epi32(older, mid), w3)
+                    };
+                    w[l] = [w1, w2, w3, now];
+                    let wk = _mm_add_epi32(now, k);
+                    cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
+                    abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32(wk, 0x0E));
+                }
             }
-            abef = _mm_add_epi32(abef, abef_in);
-            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+            for l in 0..LANES {
+                abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
+                cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
+            }
         }
 
-        let feba = _mm_shuffle_epi32(abef, 0x1B);
-        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
-        _mm_storeu_si128(
-            state.as_mut_ptr().add(4).cast(),
-            _mm_alignr_epi8(dchg, feba, 8),
-        );
+        for (l, state) in states.iter_mut().enumerate() {
+            let feba = _mm_shuffle_epi32(abef[l], 0x1B);
+            let dchg = _mm_shuffle_epi32(cdgh[l], 0xB1);
+            _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+            _mm_storeu_si128(
+                state.as_mut_ptr().add(4).cast(),
+                _mm_alignr_epi8(dchg, feba, 8),
+            );
+        }
     }
 }
 
-/// Padding is `0x80`, zeros, then the message's bit length big-endian in
-/// the last 8 bytes. The second half of the one block a 32-byte message
-/// (256 = 0x0100 bits) pads to:
+/// The most blocks a message padded on the stack may span: up to 247
+/// bytes after the last whole block already folded.
+const STACK_BLOCKS: usize = 4;
+
+/// Finishes a hash whose first `folded` bytes (whole blocks) are already
+/// in `state`: the rest of the message, the concatenation of `parts`, is
+/// copied onto the stack, padded and folded in one kernel call. A rest
+/// too long for the stack goes through the streaming hasher, which folds
+/// whole blocks where they lie.
+pub(crate) fn finish(mut state: [u32; 8], folded: usize, parts: &[&[u8]]) -> Digest {
+    debug_assert!(folded.is_multiple_of(64), "only whole blocks are folded");
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    let total_len = (folded + len) as u64;
+    // 0x80, zeros, then the message's bit length big-endian in the last
+    // 8 bytes of the last block.
+    let n = (len + 9).div_ceil(64);
+    if n > STACK_BLOCKS {
+        let mut hasher = Sha256 {
+            state,
+            buffer: [0u8; 64],
+            buffer_len: 0,
+            total_len: folded as u64,
+        };
+        for part in parts {
+            hasher.update(part);
+        }
+        return hasher.finalize();
+    }
+    let mut blocks = [[0u8; 64]; STACK_BLOCKS];
+    let bytes = blocks.as_flattened_mut();
+    let mut at = 0;
+    for part in parts {
+        bytes[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    bytes[at] = 0x80;
+    bytes[n * 64 - 8..n * 64].copy_from_slice(&total_len.wrapping_mul(8).to_be_bytes());
+    compress(&mut state, &blocks[..n]);
+    digest_bytes(&state)
+}
+
+/// The second half of the one block a 32-byte message (256 = 0x0100
+/// bits) pads to.
 const PAD_AFTER_32: [u8; 32] = {
     let mut pad = [0u8; 32];
     pad[0] = 0x80;
@@ -291,7 +374,8 @@ impl Sha256 {
     }
 }
 
-/// One-shot SHA-256.
+/// One-shot SHA-256: a message of up to 247 bytes is padded on the stack
+/// and folded in one kernel call.
 ///
 /// A 32-byte input — a digest being re-hashed: Merkle leaves over
 /// transaction ids, hash-hardening loops, proof-of-work burns — takes
@@ -308,30 +392,55 @@ pub fn sha256(data: &[u8]) -> Digest {
     if let Ok(digest) = <&Digest>::try_from(data) {
         return sha256_digest(digest);
     }
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    finish(H0, 0, &[data])
+}
+
+/// The one block a 32-byte message pads to.
+fn digest_block(input: &Digest) -> [[u8; 64]; 1] {
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(input);
+    block[32..].copy_from_slice(&PAD_AFTER_32);
+    [block]
+}
+
+/// The two blocks the 64-byte message `left ‖ right` pads to.
+fn pair_blocks(left: &Digest, right: &Digest) -> [[u8; 64]; 2] {
+    let mut blocks = [[0u8; 64], PAD_AFTER_64];
+    blocks[0][..32].copy_from_slice(left);
+    blocks[0][32..].copy_from_slice(right);
+    blocks
 }
 
 /// SHA-256 of a 32-byte value: one compression over the value and a
 /// constant padding half-block, with no hasher state to set up.
 pub fn sha256_digest(input: &Digest) -> Digest {
-    let mut block = [0u8; 64];
-    block[..32].copy_from_slice(input);
-    block[32..].copy_from_slice(&PAD_AFTER_32);
     let mut state = H0;
-    compress(&mut state, std::slice::from_ref(&block));
+    compress(&mut state, &digest_block(input));
     digest_bytes(&state)
 }
 
 /// Hashes the concatenation of two digests; the Merkle-tree inner-node rule.
 pub fn sha256_pair(left: &Digest, right: &Digest) -> Digest {
-    let mut blocks = [[0u8; 64], PAD_AFTER_64];
-    blocks[0][..32].copy_from_slice(left);
-    blocks[0][32..].copy_from_slice(right);
     let mut state = H0;
-    compress(&mut state, &blocks);
+    compress(&mut state, &pair_blocks(left, right));
     digest_bytes(&state)
+}
+
+/// [`sha256_digest`] of two values in one two-lane kernel call.
+pub(crate) fn sha256_digest_x2(inputs: [&Digest; 2]) -> [Digest; 2] {
+    let (a, b) = (digest_block(inputs[0]), digest_block(inputs[1]));
+    let mut states = [H0; 2];
+    compress_x2(&mut states, [&a, &b]);
+    [digest_bytes(&states[0]), digest_bytes(&states[1])]
+}
+
+/// [`sha256_pair`] of two pairs in one two-lane kernel call.
+pub(crate) fn sha256_pair_x2(pairs: [[&Digest; 2]; 2]) -> [Digest; 2] {
+    let [[a, b], [c, d]] = pairs;
+    let (ab, cd) = (pair_blocks(a, b), pair_blocks(c, d));
+    let mut states = [H0; 2];
+    compress_x2(&mut states, [&ab, &cd]);
+    [digest_bytes(&states[0]), digest_bytes(&states[1])]
 }
 
 #[cfg(test)]
@@ -395,7 +504,9 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     fn hardware_kernel(test: &str) -> Option<Kernel> {
         #[cfg(target_arch = "x86_64")]
         if hardware_accelerated() {
-            return Some(|state, blocks| assert!(x86::compress(state, blocks)));
+            return Some(|state, blocks| {
+                assert!(x86::compress(std::array::from_mut(state), [blocks]))
+            });
         }
         eprintln!("{test}: SKIPPED the hardware path, this CPU has no SHA extensions");
         None
@@ -475,6 +586,41 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
                 prop_assert_eq!(hardware, portable);
             }
         }
+
+        /// The two-lane entry, on whichever kernel this CPU takes,
+        /// against two portable calls.
+        #[test]
+        fn prop_two_lanes_match_portable(
+            states in proptest::collection::vec(any::<u32>(), 16),
+            bytes in proptest::collection::vec(any::<u8>(), 512),
+            n in 1usize..=4,
+        ) {
+            let (lanes, _) = bytes.as_chunks::<64>();
+            let blocks = [&lanes[..n], &lanes[4..4 + n]];
+            let mut two: [[u32; 8]; 2] = [
+                states[..8].try_into().expect("8 words"),
+                states[8..].try_into().expect("8 words"),
+            ];
+            let mut portable = two;
+            compress_x2(&mut two, blocks);
+            for (state, blocks) in portable.iter_mut().zip(blocks) {
+                compress_portable(state, blocks);
+            }
+            prop_assert_eq!(two, portable);
+        }
+    }
+
+    #[test]
+    fn two_lane_hashes_match_one_lane() {
+        let (a, b) = (sha256(b"a"), sha256(b"b"));
+        assert_eq!(
+            sha256_digest_x2([&a, &b]),
+            [sha256_digest(&a), sha256_digest(&b)]
+        );
+        assert_eq!(
+            sha256_pair_x2([[&a, &b], [&b, &b]]),
+            [sha256_pair(&a, &b), sha256_pair(&b, &b)]
+        );
     }
 
     #[test]

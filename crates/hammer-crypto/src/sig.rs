@@ -32,8 +32,8 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use crate::hmac::HmacSha256;
-use crate::sha256::{sha256_digest, Sha256};
+use crate::hmac::HmacKey;
+use crate::sha256::{finish, sha256_digest, H0};
 
 /// The Mersenne prime modulus `2^61 - 1`.
 pub const P: u64 = (1u64 << 61) - 1;
@@ -244,11 +244,7 @@ fn mul_mod_order(a: u64, b: u64) -> u64 {
 /// Derives the hardened challenge `e` for message `msg` under commitment `r`
 /// and public key `y`.
 fn challenge(r: u64, msg: &[u8], y: u64, params: &SigParams) -> u64 {
-    let mut h = Sha256::new();
-    h.update(&r.to_be_bytes());
-    h.update(msg);
-    h.update(&y.to_be_bytes());
-    let mut digest = h.finalize();
+    let mut digest = finish(H0, 0, &[&r.to_be_bytes(), msg, &y.to_be_bytes()]);
     for _ in 1..params.cost_factor.max(1) {
         digest = sha256_digest(&digest);
     }
@@ -256,16 +252,18 @@ fn challenge(r: u64, msg: &[u8], y: u64, params: &SigParams) -> u64 {
     e % GROUP_ORDER
 }
 
-/// Deterministic nonce derivation (RFC-6979 style): `k = HMAC(x, msg)`,
-/// re-derived with a counter until nonzero.
-fn derive_nonce(secret: u64, msg: &[u8]) -> u64 {
-    let key = secret.to_be_bytes();
+/// The nonce HMAC's key for secret scalar `x` (its 8 big-endian bytes),
+/// pad blocks compressed: [`crate::SecretKey`] keeps it beside `x`.
+pub(crate) fn nonce_key(x: u64) -> HmacKey {
+    HmacKey::new(&x.to_be_bytes())
+}
+
+/// Deterministic nonce derivation (RFC-6979 style): `k = HMAC(x, msg ‖
+/// ctr)`, the counter counting up from 0 until `k` is nonzero.
+fn derive_nonce(key: &HmacKey, msg: &[u8]) -> u64 {
     let mut counter: u32 = 0;
     loop {
-        let mut ctx = HmacSha256::new(&key);
-        ctx.update(msg);
-        ctx.update(&counter.to_be_bytes());
-        let mac = ctx.finalize();
+        let mac = key.mac(&[msg, &counter.to_be_bytes()]);
         let k = u64::from_be_bytes(mac[..8].try_into().expect("8 bytes")) % GROUP_ORDER;
         if k != 0 {
             return k;
@@ -276,29 +274,41 @@ fn derive_nonce(secret: u64, msg: &[u8]) -> u64 {
 
 /// Signs `msg` with secret scalar `x` (must be in `[1, GROUP_ORDER)`).
 ///
-/// Derives the public key on every call; hot paths that sign many
-/// messages under one key should use [`sign_with_key`] with a cached
-/// public key instead.
+/// Derives the public key and hashes the nonce key's pad blocks on every
+/// call; a [`crate::Keypair`] keeps both and signs without either.
 pub fn sign(x: u64, msg: &[u8], params: &SigParams) -> Signature {
-    sign_with_key(x, pow_g(x), msg, params)
+    sign_with_key(x, &nonce_key(x), pow_g(x), msg, params)
 }
 
-/// Signs `msg` with secret scalar `x` and its precomputed public key
-/// `y = g^x`. Identical output to [`sign`], minus the per-call
-/// public-key exponentiation.
-pub fn sign_with_key(x: u64, y: u64, msg: &[u8], params: &SigParams) -> Signature {
+/// Signs `msg` with secret scalar `x`, its nonce key ([`nonce_key`]`(x)`)
+/// and its public key `y = g^x`: identical output to [`sign`], minus the
+/// per-call exponentiation and pad-block hashing.
+pub(crate) fn sign_with_key(
+    x: u64,
+    nonce_key: &HmacKey,
+    y: u64,
+    msg: &[u8],
+    params: &SigParams,
+) -> Signature {
     debug_assert!((1..GROUP_ORDER).contains(&x));
     debug_assert_eq!(y, pow_g(x), "public key does not match secret");
-    let k = derive_nonce(x, msg);
+    let k = derive_nonce(nonce_key, msg);
     let r = pow_g(k);
     let e = challenge(r, msg, y, params);
     let s = add_mod_order(k, mul_mod_order(e, x));
     Signature { r, s }
 }
 
+/// Whether `y` and `sig` are in range: `r` and `y` group elements in
+/// `[1, P)`, `s` an exponent below `GROUP_ORDER`. An `s` at or above it
+/// would be a second encoding of `s - GROUP_ORDER`, since `g^(p-1) = 1`.
+fn in_range(y: u64, sig: &Signature) -> bool {
+    (1..P).contains(&sig.r) && (1..P).contains(&y) && sig.s < GROUP_ORDER
+}
+
 /// Verifies a signature over `msg` against public key `y`.
 pub fn verify(y: u64, msg: &[u8], sig: &Signature, params: &SigParams) -> bool {
-    if sig.r == 0 || sig.r >= P || y == 0 || y >= P {
+    if !in_range(y, sig) {
         return false;
     }
     let e = challenge(sig.r, msg, y, params);
@@ -341,7 +351,7 @@ pub fn verify_batch(items: &[VerifyItem<'_>], params: &SigParams) -> Vec<bool> {
         .iter()
         .map(|item| {
             let (y, sig) = (item.y, item.sig);
-            if sig.r == 0 || sig.r >= P || y == 0 || y >= P {
+            if !in_range(y, &sig) {
                 return false;
             }
             let e = challenge(sig.r, item.msg, y, params);
@@ -521,7 +531,7 @@ and the challenge both span blocks";
         let x = 0xdead_beef_u64;
         let y = pow_g(x);
         assert_eq!(
-            sign_with_key(x, y, b"msg", &params),
+            sign_with_key(x, &nonce_key(x), y, b"msg", &params),
             sign(x, b"msg", &params)
         );
     }
@@ -563,6 +573,44 @@ and the challenge both span blocks";
         }
         assert!(!batch[1] && !batch[6], "corrupted entries must fail");
         assert!(batch[0] && batch[2], "intact entries must pass");
+    }
+
+    /// `(r, s + GROUP_ORDER)` satisfies the verification equation wherever
+    /// `(r, s)` does (`g^(p-1) = 1`); both verifiers refuse it, as
+    /// `Signature::from_bytes` does.
+    #[test]
+    fn second_encoding_of_s_is_rejected() {
+        let params = SigParams::fast();
+        let (x, other) = (4242u64, 7u64);
+        let (y, y_other) = (pow_g(x), pow_g(other));
+        let sig = sign(x, b"m", &params);
+        let alias = Signature {
+            s: sig.s + GROUP_ORDER,
+            ..sig
+        };
+        assert_eq!(pow_g(alias.s), pow_g(sig.s));
+        assert_eq!(Signature::from_bytes(&alias.to_bytes()), None);
+        let scalar = [sig, alias].map(|sig| verify(y, b"m", &sig, &params));
+
+        let other_sig = sign(other, b"m", &params);
+        let other_alias = Signature {
+            s: other_sig.s + GROUP_ORDER,
+            ..other_sig
+        };
+        // Four uses of `y` build it a table; `y_other` takes the scalar power.
+        let items = [
+            (y, sig),
+            (y, alias),
+            (y, alias),
+            (y, alias),
+            (y_other, other_sig),
+            (y_other, other_alias),
+        ]
+        .map(|(y, sig)| VerifyItem { y, msg: b"m", sig });
+        assert_eq!(
+            (scalar, verify_batch(&items, &params)),
+            ([true, false], vec![true, false, false, false, true, false])
+        );
     }
 
     #[test]
