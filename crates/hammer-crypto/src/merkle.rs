@@ -7,7 +7,7 @@
 //! Odd levels duplicate the last node (the Bitcoin convention); the empty
 //! tree has the all-zero root.
 
-use crate::sha256::{sha256_digest_x2, sha256_pair, sha256_pair_x2, Digest};
+use crate::sha256::{sha256_pair, Digest};
 use crate::Hash32;
 
 /// A fully materialised binary Merkle tree over a list of leaf hashes.
@@ -111,36 +111,24 @@ impl MerkleProof {
     }
 }
 
-/// Leaves in one full subtree hashed two lanes at a time by
-/// [`merkle_root`]: `2^SUBTREE_LEVEL`.
-const SUBTREE_LEVEL: usize = 6;
-const SUBTREE: usize = 1 << SUBTREE_LEVEL;
-
 /// Computes just the Merkle root over items without materialising the tree
 /// or anything else: one pass, no allocation.
 ///
 /// `pending[k]` is the root of a finished `2^k`-leaf subtree waiting for its
 /// right sibling, occupied exactly when bit `k` of the number of leaves
 /// seen so far is set (a binary counter whose carries are pair hashes).
-/// Each full, aligned run of 64 leaves enters the counter as one
-/// subtree root, hashed through the two-lane kernel; the leaves after the
-/// last such run enter one at a time. The right edge is closed last: a
-/// node without a sibling pairs with itself, which is the
-/// duplicate-the-odd-node rule of [`MerkleTree`].
+/// The right edge is closed last: a node without a sibling pairs with
+/// itself, which is the duplicate-the-odd-node rule of [`MerkleTree`].
 pub fn merkle_root<T: AsRef<[u8]>>(items: &[T]) -> Hash32 {
     let mut pending = [[0u8; 32]; usize::BITS as usize];
-    let (subtrees, edge) = items.as_chunks::<SUBTREE>();
-    for (i, subtree) in subtrees.iter().enumerate() {
-        carry(
-            &mut pending,
-            i * SUBTREE,
-            SUBTREE_LEVEL,
-            subtree_root(subtree),
-        );
-    }
-    for (i, item) in edge.iter().enumerate() {
-        let seen = subtrees.len() * SUBTREE + i;
-        carry(&mut pending, seen, 0, crate::sha256(item.as_ref()));
+    for (seen, item) in items.iter().enumerate() {
+        let mut node = crate::sha256(item.as_ref());
+        let mut level = 0;
+        while (seen >> level) & 1 == 1 {
+            node = sha256_pair(&pending[level], &node);
+            level += 1;
+        }
+        pending[level] = node;
     }
     let n = items.len();
     if n == 0 {
@@ -161,45 +149,6 @@ pub fn merkle_root<T: AsRef<[u8]>>(items: &[T]) -> Hash32 {
         level += 1;
     }
     node
-}
-
-/// Adds `node`, the root of the `2^level` leaves after the first `seen`,
-/// to the counter: while a finished sibling waits on its left, the two
-/// become their parent one level up.
-fn carry(pending: &mut [Digest], seen: usize, mut level: usize, mut node: Digest) {
-    while (seen >> level) & 1 == 1 {
-        node = sha256_pair(&pending[level], &node);
-        level += 1;
-    }
-    pending[level] = node;
-}
-
-/// The root over one full subtree: its leaves two at a time, then each
-/// level two pairs at a time, down to the last pair.
-fn subtree_root<T: AsRef<[u8]>>(items: &[T; SUBTREE]) -> Digest {
-    let mut nodes = [[0u8; 32]; SUBTREE];
-    for (two, out) in items.chunks_exact(2).zip(nodes.chunks_exact_mut(2)) {
-        let (a, b) = (two[0].as_ref(), two[1].as_ref());
-        let leaves = match (<&Digest>::try_from(a), <&Digest>::try_from(b)) {
-            (Ok(a), Ok(b)) => sha256_digest_x2([a, b]),
-            _ => [crate::sha256(a), crate::sha256(b)],
-        };
-        out.copy_from_slice(&leaves);
-    }
-    // Level by level in place: parents 2i and 2i+1 come from nodes 4i..4i+4,
-    // which no earlier write has reached.
-    let mut width = SUBTREE;
-    while width > 2 {
-        for i in 0..width / 4 {
-            let [a, b, c, d] = &nodes[4 * i..4 * i + 4] else {
-                unreachable!("four nodes")
-            };
-            let parents = sha256_pair_x2([[a, b], [c, d]]);
-            nodes[2 * i..2 * i + 2].copy_from_slice(&parents);
-        }
-        width /= 2;
-    }
-    sha256_pair(&nodes[0], &nodes[1])
 }
 
 #[cfg(test)]
@@ -275,8 +224,8 @@ mod tests {
     #[test]
     fn merkle_root_matches_tree() {
         // Every shape of right edge: odd nodes duplicated on one level,
-        // on several, on none; no full subtree, one, several, with and
-        // without leaves after the last.
+        // on several, on none; small trees and trees on either side of a
+        // power of two.
         let sizes = (0..=300).chain([1023, 1024, 1025, 4095, 4096, 4097]);
         for n in sizes {
             let ids: Vec<Digest> = (0..n)
@@ -285,18 +234,6 @@ mod tests {
             let leaves = ids.iter().map(|id| sha256(id)).collect();
             let tree = MerkleTree::from_leaves(leaves);
             assert_eq!(merkle_root(&ids), tree.root(), "n={n}");
-        }
-    }
-
-    /// Leaves that are not 32 bytes long take one lane each inside a
-    /// full subtree.
-    #[test]
-    fn merkle_root_matches_tree_over_any_length() {
-        for n in [0, 1, 63, 64, 65, 130] {
-            let items: Vec<String> = (0..n).map(|i| format!("tx-{i}")).collect();
-            let leaves = items.iter().map(|i| sha256(i.as_bytes())).collect();
-            let tree = MerkleTree::from_leaves(leaves);
-            assert_eq!(merkle_root(&items), tree.root(), "n={n}");
         }
     }
 

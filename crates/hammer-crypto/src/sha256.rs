@@ -37,26 +37,10 @@ pub(crate) const H0: [u32; 8] = [
 #[inline]
 pub fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
     #[cfg(target_arch = "x86_64")]
-    if x86::compress(std::array::from_mut(state), [blocks]) {
+    if x86::compress(state, blocks) {
         return;
     }
     compress_portable(state, blocks);
-}
-
-/// [`compress`] for two independent messages of the same number of
-/// blocks. On the SHA extensions their rounds interleave in one kernel
-/// call, so one lane's round latency can hide behind the other's as far
-/// as the CPU's SHA unit pipelines; without them it is two portable calls.
-#[inline]
-pub(crate) fn compress_x2(states: &mut [[u32; 8]; 2], blocks: [&[[u8; 64]]; 2]) {
-    assert_eq!(blocks[0].len(), blocks[1].len(), "lanes of unequal length");
-    #[cfg(target_arch = "x86_64")]
-    if x86::compress(states, blocks) {
-        return;
-    }
-    for (state, blocks) in states.iter_mut().zip(blocks) {
-        compress_portable(state, blocks);
-    }
 }
 
 /// Whether [`sha256`] and everything built on it run on the CPU's SHA
@@ -132,106 +116,89 @@ mod x86 {
             && is_x86_feature_detected!("sse4.1")
     }
 
-    /// Folds `blocks[l]` into `states[l]` for each lane `l` on the SHA
-    /// extensions and returns `true`, or returns `false` with `states`
-    /// untouched when the running CPU lacks them. Every lane must hold
-    /// the same number of blocks.
+    /// Folds `blocks` into `state` on the SHA extensions and returns
+    /// `true`, or returns `false` with `state` untouched when the running
+    /// CPU lacks them.
     #[inline]
-    pub(super) fn compress<const LANES: usize>(
-        states: &mut [[u32; 8]; LANES],
-        blocks: [&[[u8; 64]]; LANES],
-    ) -> bool {
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool {
         if !detected() {
             return false;
         }
         // SAFETY: `detected()` just reported `sha`, `ssse3` and `sse4.1`
         // on the running CPU and `sse2` is part of the x86-64 baseline:
         // every feature `compress_sha_ni` is compiled with.
-        unsafe { compress_sha_ni(states, blocks) };
+        unsafe { compress_sha_ni(state, blocks) };
         true
     }
 
-    /// Folds `blocks[l]` into `states[l]` with `sha256rnds2`/`msg1`/`msg2`,
-    /// bit-identical to [`super::compress_portable`] on each lane. The
-    /// lanes' instructions interleave four rounds at a time; one lane is
-    /// the plain kernel.
+    /// Folds `blocks` into `state` with `sha256rnds2`/`msg1`/`msg2`,
+    /// bit-identical to [`super::compress_portable`].
     ///
     /// Only fixed-size references come in, so no length reaches the
     /// pointer casts: every load and store below covers 16 bytes at a
-    /// constant offset inside a 32-byte state or a 64-byte block, and a
-    /// block is reached by checked indexing.
+    /// constant offset inside a 32-byte state or a 64-byte block.
     ///
     /// # Safety
     ///
     /// The running CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    unsafe fn compress_sha_ni<const LANES: usize>(
-        states: &mut [[u32; 8]; LANES],
-        blocks: [&[[u8; 64]]; LANES],
-    ) {
-        let zero = _mm_setzero_si128();
+    unsafe fn compress_sha_ni(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
         // The round instruction wants the state as (a,b,e,f) and (c,d,g,h).
-        let (mut abef, mut cdgh) = ([zero; LANES], [zero; LANES]);
-        for (l, state) in states.iter().enumerate() {
-            let lo = _mm_loadu_si128(state.as_ptr().cast());
-            let hi = _mm_loadu_si128(state.as_ptr().add(4).cast());
-            let cdab = _mm_shuffle_epi32(lo, 0xB1);
-            let efgh = _mm_shuffle_epi32(hi, 0x1B);
-            abef[l] = _mm_alignr_epi8(cdab, efgh, 8);
-            cdgh[l] = _mm_blend_epi16(efgh, cdab, 0xF0);
-        }
+        let lo = _mm_loadu_si128(state.as_ptr().cast());
+        let hi = _mm_loadu_si128(state.as_ptr().add(4).cast());
+        let cdab = _mm_shuffle_epi32(lo, 0xB1);
+        let efgh = _mm_shuffle_epi32(hi, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
         // Byte shuffle turning four big-endian words into lanes.
         let be = _mm_set_epi64x(0x0C0D_0E0F_0809_0A0B, 0x0405_0607_0001_0203);
 
-        for i in 0..blocks[0].len() {
+        for block in blocks {
             let (abef_in, cdgh_in) = (abef, cdgh);
-            let mut w = [[zero; 4]; LANES];
-            for (w, blocks) in w.iter_mut().zip(blocks) {
-                let words = blocks[i].as_ptr().cast::<__m128i>();
-                for (j, w) in w.iter_mut().enumerate() {
-                    *w = _mm_shuffle_epi8(_mm_loadu_si128(words.add(j)), be);
-                }
-            }
-            // Sixteen groups of four rounds; `w[l]` holds four groups of
-            // lane `l`'s message schedule, oldest first: the block's own
-            // words for the first four groups, then the last four.
+            let words = block.as_ptr().cast::<__m128i>();
+            // Four groups of the message schedule, oldest first: the
+            // block's own words for the first four groups of four rounds,
+            // then the last four. Shifting the window by one per group
+            // keeps every index constant, so the compiler unrolls all
+            // sixteen groups into registers (indexed as `w[g % 4]`, the
+            // loop stayed rolled).
+            let mut w = [
+                _mm_shuffle_epi8(_mm_loadu_si128(words), be),
+                _mm_shuffle_epi8(_mm_loadu_si128(words.add(1)), be),
+                _mm_shuffle_epi8(_mm_loadu_si128(words.add(2)), be),
+                _mm_shuffle_epi8(_mm_loadu_si128(words.add(3)), be),
+            ];
             for g in 0..16 {
+                let [w0, w1, w2, w3] = w;
+                let now = if g < 4 {
+                    w0
+                } else {
+                    let older = _mm_sha256msg1_epu32(w0, w1);
+                    let mid = _mm_alignr_epi8(w3, w2, 4);
+                    _mm_sha256msg2_epu32(_mm_add_epi32(older, mid), w3)
+                };
+                w = [w1, w2, w3, now];
                 let k = _mm_set_epi32(
                     K[4 * g + 3] as i32,
                     K[4 * g + 2] as i32,
                     K[4 * g + 1] as i32,
                     K[4 * g] as i32,
                 );
-                for l in 0..LANES {
-                    let [w0, w1, w2, w3] = w[l];
-                    let now = if g < 4 {
-                        w0
-                    } else {
-                        let older = _mm_sha256msg1_epu32(w0, w1);
-                        let mid = _mm_alignr_epi8(w3, w2, 4);
-                        _mm_sha256msg2_epu32(_mm_add_epi32(older, mid), w3)
-                    };
-                    w[l] = [w1, w2, w3, now];
-                    let wk = _mm_add_epi32(now, k);
-                    cdgh[l] = _mm_sha256rnds2_epu32(cdgh[l], abef[l], wk);
-                    abef[l] = _mm_sha256rnds2_epu32(abef[l], cdgh[l], _mm_shuffle_epi32(wk, 0x0E));
-                }
+                let wk = _mm_add_epi32(now, k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
             }
-            for l in 0..LANES {
-                abef[l] = _mm_add_epi32(abef[l], abef_in[l]);
-                cdgh[l] = _mm_add_epi32(cdgh[l], cdgh_in[l]);
-            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
         }
 
-        for (l, state) in states.iter_mut().enumerate() {
-            let feba = _mm_shuffle_epi32(abef[l], 0x1B);
-            let dchg = _mm_shuffle_epi32(cdgh[l], 0xB1);
-            _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
-            _mm_storeu_si128(
-                state.as_mut_ptr().add(4).cast(),
-                _mm_alignr_epi8(dchg, feba, 8),
-            );
-        }
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        _mm_storeu_si128(state.as_mut_ptr().cast(), _mm_blend_epi16(feba, dchg, 0xF0));
+        _mm_storeu_si128(
+            state.as_mut_ptr().add(4).cast(),
+            _mm_alignr_epi8(dchg, feba, 8),
+        );
     }
 }
 
@@ -241,9 +208,10 @@ const STACK_BLOCKS: usize = 4;
 
 /// Finishes a hash whose first `folded` bytes (whole blocks) are already
 /// in `state`: the rest of the message, the concatenation of `parts`, is
-/// copied onto the stack, padded and folded in one kernel call. A rest
-/// too long for the stack goes through the streaming hasher, which folds
-/// whole blocks where they lie.
+/// copied onto the stack, padded and folded in one kernel call. This is
+/// the one place a message is padded. A rest too long for the stack goes
+/// through the streaming hasher, which folds whole blocks where they lie
+/// and comes back here with the last partial block.
 pub(crate) fn finish(mut state: [u32; 8], folded: usize, parts: &[&[u8]]) -> Digest {
     debug_assert!(folded.is_multiple_of(64), "only whole blocks are folded");
     let len: usize = parts.iter().map(|part| part.len()).sum();
@@ -358,19 +326,11 @@ impl Sha256 {
     }
 
     /// Consumes the hasher and returns the digest.
-    pub fn finalize(mut self) -> Digest {
-        // Padding: 0x80, zeros, 8-byte big-endian bit length — in this
-        // block when the length still fits, else in one more.
-        let bit_len = self.total_len.wrapping_mul(8).to_be_bytes();
-        self.buffer[self.buffer_len] = 0x80;
-        self.buffer[self.buffer_len + 1..].fill(0);
-        if self.buffer_len >= 56 {
-            compress(&mut self.state, std::slice::from_ref(&self.buffer));
-            self.buffer = [0u8; 64];
-        }
-        self.buffer[56..].copy_from_slice(&bit_len);
-        compress(&mut self.state, std::slice::from_ref(&self.buffer));
-        digest_bytes(&self.state)
+    pub fn finalize(self) -> Digest {
+        // The buffer holds under one block, which always pads on the
+        // stack, so this does not come back here.
+        let folded = self.total_len as usize - self.buffer_len;
+        finish(self.state, folded, &[&self.buffer[..self.buffer_len]])
     }
 }
 
@@ -395,52 +355,25 @@ pub fn sha256(data: &[u8]) -> Digest {
     finish(H0, 0, &[data])
 }
 
-/// The one block a 32-byte message pads to.
-fn digest_block(input: &Digest) -> [[u8; 64]; 1] {
-    let mut block = [0u8; 64];
-    block[..32].copy_from_slice(input);
-    block[32..].copy_from_slice(&PAD_AFTER_32);
-    [block]
-}
-
-/// The two blocks the 64-byte message `left ‖ right` pads to.
-fn pair_blocks(left: &Digest, right: &Digest) -> [[u8; 64]; 2] {
-    let mut blocks = [[0u8; 64], PAD_AFTER_64];
-    blocks[0][..32].copy_from_slice(left);
-    blocks[0][32..].copy_from_slice(right);
-    blocks
-}
-
 /// SHA-256 of a 32-byte value: one compression over the value and a
 /// constant padding half-block, with no hasher state to set up.
 pub fn sha256_digest(input: &Digest) -> Digest {
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(input);
+    block[32..].copy_from_slice(&PAD_AFTER_32);
     let mut state = H0;
-    compress(&mut state, &digest_block(input));
+    compress(&mut state, &[block]);
     digest_bytes(&state)
 }
 
 /// Hashes the concatenation of two digests; the Merkle-tree inner-node rule.
 pub fn sha256_pair(left: &Digest, right: &Digest) -> Digest {
+    let mut blocks = [[0u8; 64], PAD_AFTER_64];
+    blocks[0][..32].copy_from_slice(left);
+    blocks[0][32..].copy_from_slice(right);
     let mut state = H0;
-    compress(&mut state, &pair_blocks(left, right));
+    compress(&mut state, &blocks);
     digest_bytes(&state)
-}
-
-/// [`sha256_digest`] of two values in one two-lane kernel call.
-pub(crate) fn sha256_digest_x2(inputs: [&Digest; 2]) -> [Digest; 2] {
-    let (a, b) = (digest_block(inputs[0]), digest_block(inputs[1]));
-    let mut states = [H0; 2];
-    compress_x2(&mut states, [&a, &b]);
-    [digest_bytes(&states[0]), digest_bytes(&states[1])]
-}
-
-/// [`sha256_pair`] of two pairs in one two-lane kernel call.
-pub(crate) fn sha256_pair_x2(pairs: [[&Digest; 2]; 2]) -> [Digest; 2] {
-    let [[a, b], [c, d]] = pairs;
-    let (ab, cd) = (pair_blocks(a, b), pair_blocks(c, d));
-    let mut states = [H0; 2];
-    compress_x2(&mut states, [&ab, &cd]);
-    [digest_bytes(&states[0]), digest_bytes(&states[1])]
 }
 
 #[cfg(test)]
@@ -504,9 +437,7 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     fn hardware_kernel(test: &str) -> Option<Kernel> {
         #[cfg(target_arch = "x86_64")]
         if hardware_accelerated() {
-            return Some(|state, blocks| {
-                assert!(x86::compress(std::array::from_mut(state), [blocks]))
-            });
+            return Some(|state, blocks| assert!(x86::compress(state, blocks)));
         }
         eprintln!("{test}: SKIPPED the hardware path, this CPU has no SHA extensions");
         None
@@ -586,41 +517,6 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
                 prop_assert_eq!(hardware, portable);
             }
         }
-
-        /// The two-lane entry, on whichever kernel this CPU takes,
-        /// against two portable calls.
-        #[test]
-        fn prop_two_lanes_match_portable(
-            states in proptest::collection::vec(any::<u32>(), 16),
-            bytes in proptest::collection::vec(any::<u8>(), 512),
-            n in 1usize..=4,
-        ) {
-            let (lanes, _) = bytes.as_chunks::<64>();
-            let blocks = [&lanes[..n], &lanes[4..4 + n]];
-            let mut two: [[u32; 8]; 2] = [
-                states[..8].try_into().expect("8 words"),
-                states[8..].try_into().expect("8 words"),
-            ];
-            let mut portable = two;
-            compress_x2(&mut two, blocks);
-            for (state, blocks) in portable.iter_mut().zip(blocks) {
-                compress_portable(state, blocks);
-            }
-            prop_assert_eq!(two, portable);
-        }
-    }
-
-    #[test]
-    fn two_lane_hashes_match_one_lane() {
-        let (a, b) = (sha256(b"a"), sha256(b"b"));
-        assert_eq!(
-            sha256_digest_x2([&a, &b]),
-            [sha256_digest(&a), sha256_digest(&b)]
-        );
-        assert_eq!(
-            sha256_pair_x2([[&a, &b], [&b, &b]]),
-            [sha256_pair(&a, &b), sha256_pair(&b, &b)]
-        );
     }
 
     #[test]

@@ -14,13 +14,6 @@
 #     0.5x the portable rounds on a CPU whose SHA extensions the bench
 #     detected, or more than 1.1x on one without (the dispatch itself
 #     must be free), or
-#   * a 4096-leaf Merkle root costs more than 3.5 compressions (through
-#     the dispatch point) per leaf, or one signature more than 11: both
-#     are counted in the kernel's own time, so a slower host moves neither
-#     ratio, while a hash path that grows calls or copies around the
-#     kernel does (a root is three compressions a leaf, full subtrees two
-#     lanes at a time; a signature five from the key's pad states, plus
-#     two fixed-base exponentiations; 2.9-3.2x and 9.4-10.1x here), or
 #   * on a host with at least two cores, signing a 4096-transaction batch
 #     through the pipelined signers costs more than 0.75x signing it on
 #     one thread (the chunked hand-off must leave the second core its
@@ -61,8 +54,6 @@ abspath() {
     esac
 }
 OUT_ABS="$(abspath "$OUT")"
-MERKLE_LIMIT=3.5
-SIGN_LIMIT=11.0
 OBS_OUT_ABS="$(abspath "$OBS_OUT")"
 
 : > "$OUT_ABS"
@@ -100,28 +91,6 @@ awk -v e="$sha_ext" -v d="$dispatched" -v p="$portable" 'BEGIN {
         print "bench_snapshot: dispatched sha256 compress above its limit against the portable rounds" > "/dev/stderr"
         exit 1
     }
-}'
-merkle=$(awk -F'"mean_ns":' '/"roundtrip\/merkle_root_4096"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
-sign=$(awk -F'"mean_ns":' '/"roundtrip\/sign"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
-if [ -z "$merkle" ] || [ -z "$sign" ]; then
-    echo "bench_snapshot: merkle_root_4096 / sign results missing from $OUT" >&2
-    exit 1
-fi
-awk -v c="$dispatched" -v m="$merkle" -v s="$sign" -v ml="$MERKLE_LIMIT" -v sl="$SIGN_LIMIT" 'BEGIN {
-    leaf = m / 4096 / c
-    sig = s / c
-    printf "merkle_root_4096 per leaf / sha256_compress: %.2fx (%.1f ns / %.1f ns, limit %.1fx)\n", leaf, m / 4096, c, ml
-    printf "sign / sha256_compress: %.1fx (%.0f ns / %.1f ns, limit %.1fx)\n", sig, s, c, sl
-    failed = 0
-    if (leaf > ml) {
-        print "bench_snapshot: a Merkle root above its limit in compressions per leaf" > "/dev/stderr"
-        failed = 1
-    }
-    if (sig > sl) {
-        print "bench_snapshot: a signature above its limit in compressions" > "/dev/stderr"
-        failed = 1
-    }
-    exit failed
 }'
 # The signer ratio is taken between the best samples, not the means: a
 # sample is a few 2 ms bursts of freshly spawned threads, and whether the

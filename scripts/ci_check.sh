@@ -55,16 +55,6 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
-echo "==> grep gate: one compression kernel"
-# The SHA-extension kernel is one function generic over one or two
-# interleaved lanes: the two-lane Merkle path is that kernel, not a
-# second copy of the rounds with its own feature set.
-kernels=$(grep -c '#\[target_feature' crates/hammer-crypto/src/sha256.rs || true)
-if [ "$kernels" -ne 1 ]; then
-    echo "ci_check: crates/hammer-crypto/src/sha256.rs has $kernels #[target_feature functions, expected 1" >&2
-    exit 1
-fi
-
 echo "==> grep gate: ChainError variants stay inside hammer-chain"
 # `ChainError::constructor(...)` helpers (lowercase) are the public API;
 # only variant paths (uppercase after ::) are forbidden outside the
