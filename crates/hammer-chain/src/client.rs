@@ -209,8 +209,8 @@ impl std::fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
-/// A per-transaction commit notification, for interactive (Caliper-style)
-/// testing.
+/// A per-transaction commit notification: one entry of a sealed block, as
+/// the interactive (Caliper-style) listener holds it in its SDK buffer.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CommitEvent {
     /// The committed transaction.
@@ -239,8 +239,8 @@ pub trait BlockchainClient: Send + Sync {
     /// Submits a signed transaction; returns its id on acceptance.
     ///
     /// Acceptance means *queued*, not committed — commitment is observed
-    /// later via [`BlockchainClient::blocks`] polling (batch testing) or
-    /// [`BlockchainClient::subscribe_commits`] (interactive testing).
+    /// later by reading sealed blocks ([`BlockchainClient::latest_height`]
+    /// and [`BlockchainClient::blocks`]), in every testing mode.
     fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError>;
 
     /// Height of the newest committed block on `shard`.
@@ -268,8 +268,12 @@ pub trait BlockchainClient: Send + Sync {
     /// Number of transactions waiting in the mempool(s).
     fn pending_txs(&self) -> Result<usize, ChainError>;
 
-    /// Subscribes to per-transaction commit events (interactive testing).
-    fn subscribe_commits(&self) -> Receiver<CommitEvent>;
+    /// A commit subscription that pushes nothing (its sender is already
+    /// gone): every testing mode observes commits by reading sealed blocks.
+    /// Kept for wrappers that forward it; no backend overrides it.
+    fn subscribe_commits(&self) -> Receiver<CommitEvent> {
+        crossbeam::channel::unbounded().1
+    }
 
     /// Shuts the chain down, stopping block production.
     fn shutdown(&self);

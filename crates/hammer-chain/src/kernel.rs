@@ -23,8 +23,8 @@
 //!   against the shard ledger's tip with no lock held, appends it under the
 //!   write lock (a push), accounts its replication traffic on `hammer-net`,
 //!   updates the activity counters, emits the per-block observability (sealed
-//!   counters, mempool-depth gauge, journal `block_seal`) and publishes
-//!   the commit events.
+//!   counters, mempool-depth gauge, journal `block_seal`). Nothing is
+//!   pushed to the driver: it reads the sealed blocks.
 //! * **RPC wiring** — [`ChainNode::serve_rpc_sim`] exposes any
 //!   kernel-hosted chain over the JSON-RPC adapter.
 //!
@@ -40,13 +40,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::Receiver;
 use hammer_crypto::sig::SigParams;
 use hammer_net::{SimClock, SimNetwork, StopSignal};
 use parking_lot::{Mutex, RwLock};
 
-use crate::client::{check_node_ingress, Architecture, BlockchainClient, ChainError, CommitEvent};
-use crate::events::CommitBus;
+use crate::client::{check_node_ingress, Architecture, BlockchainClient, ChainError};
 use crate::ledger::{Ledger, LedgerError, Verified};
 use crate::mempool::Mempool;
 use crate::rpc_adapter;
@@ -129,14 +127,13 @@ impl Worker {
 }
 
 /// The chain-agnostic node runtime: clock, network, per-shard storage,
-/// commit bus, stop signal, and activity counters.
+/// stop signal, and activity counters.
 pub struct Kernel {
     chain_name: String,
     architecture: Architecture,
     clock: SimClock,
     net: SimNetwork,
     shards: Vec<ShardCtx>,
-    bus: CommitBus,
     shutdown: StopSignal,
     gossip_base: usize,
     gossip_per_tx: usize,
@@ -236,8 +233,8 @@ impl Kernel {
 
     /// Seals one round into a block on `shard`: builds and verifies the
     /// block against the shard ledger's tip, accounts its gossip, appends
-    /// it, updates the counters, emits the per-block observability, and
-    /// publishes the commit events. One obs-bundle fetch per sealed block,
+    /// it, updates the counters and emits the per-block observability. One
+    /// obs-bundle fetch per sealed block,
     /// never per tx. Both Merkle passes (the root, its check) run before
     /// the write lock, which is held for a push.
     pub fn seal_block(&self, shard_id: u32, round: Round) {
@@ -259,7 +256,7 @@ impl Kernel {
             height, tip, timestamp, &proposer, shard_id, tx_ids, valid,
         ))
         .expect("Block::new computed the root it is checked against");
-        let block = Arc::clone(verified.block());
+        let block = verified.block();
         self.gossip(&proposer, &gossip_to, block.len());
 
         let sealed_txs = block.len();
@@ -295,20 +292,6 @@ impl Kernel {
             obs.journal()
                 .block_seal(timestamp, &proposer, height, sealed_txs);
         }
-        // Events are built from the appended block, and only for a bus
-        // someone is subscribed to.
-        self.bus.publish_all(|| {
-            block
-                .entries()
-                .map(|(tx_id, success)| CommitEvent {
-                    tx_id,
-                    success,
-                    block_height: height,
-                    shard: shard_id,
-                    committed_at: timestamp,
-                })
-                .collect()
-        });
     }
 }
 
@@ -464,7 +447,6 @@ impl NodeKernelBuilder {
             shards: (0..shard_count)
                 .map(|_| ShardCtx::new(self.mempool_capacity))
                 .collect(),
-            bus: CommitBus::new(),
             shutdown: StopSignal::default(),
             gossip_base: self.gossip_base,
             gossip_per_tx: self.gossip_per_tx,
@@ -669,10 +651,6 @@ impl<P: ConsensusPolicy> BlockchainClient for ChainNode<P> {
         Ok(self.policy.pending(&self.kernel))
     }
 
-    fn subscribe_commits(&self) -> Receiver<CommitEvent> {
-        self.kernel.bus.subscribe()
-    }
-
     fn shutdown(&self) {
         self.shutdown_and_join();
     }
@@ -805,6 +783,24 @@ mod tests {
             .start(FifoPolicy)
     }
 
+    /// The `(id, valid)` entries of the blocks sealed on shard 0 above
+    /// `after`, waiting up to five seconds of wall time for the first.
+    fn sealed_after(chain: &ChainNode<FifoPolicy>, after: u64) -> Vec<(TxId, bool)> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let height = chain.latest_height(0).unwrap();
+            if height > after {
+                let blocks = chain.blocks(0, after + 1..=height).unwrap();
+                return blocks.iter().flat_map(|block| block.entries()).collect();
+            }
+            assert!(
+                Instant::now() < deadline,
+                "nothing sealed above height {after}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     fn signed(nonce: u64) -> SignedTransaction {
         use crate::smallbank::Op;
         use crate::types::Transaction;
@@ -826,18 +822,15 @@ mod tests {
     fn kernel_seals_submitted_txs() {
         let chain = start_fifo();
         chain.seed_account(Address::from_name("k"), 100, 0);
-        let rx = chain.subscribe_commits();
         let id = chain.submit(signed(1)).unwrap();
-        let event = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(event.tx_id, id);
-        assert!(event.success);
+        assert_eq!(sealed_after(&chain, 0), [(id, true)]);
         assert_eq!(chain.stats().committed, 1);
         chain.verify_ledgers().unwrap();
         chain.shutdown();
     }
 
     #[test]
-    fn seal_block_publishes_in_block_order_to_subscribers_only() {
+    fn seal_block_appends_the_round_in_order() {
         let chain = start_fifo();
         let valid = vec![true, false, true, true, false, true, true];
         let round = |first_nonce: u64| Round {
@@ -849,22 +842,15 @@ mod tests {
             gossip_to: Vec::new(),
             mempool_depth: None,
         };
-        // Sealed with nobody subscribed: committed all the same, and (the
-        // bus's own tests pin this) without building an event.
         chain.kernel().seal_block(0, round(0));
         assert_eq!(chain.stats().committed + chain.stats().failed, 7);
-        let rx = chain.subscribe_commits();
-        assert!(rx.try_recv().is_err(), "a late subscriber missed block 1");
 
         let second = round(100);
         let expect: Vec<(TxId, bool)> = second.tx_ids.iter().copied().zip(valid.clone()).collect();
         chain.kernel().seal_block(0, second);
-        let got: Vec<CommitEvent> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
-        assert_eq!(
-            got.iter().map(|e| (e.tx_id, e.success)).collect::<Vec<_>>(),
-            expect
-        );
-        assert!(got.iter().all(|e| e.block_height == 2 && e.shard == 0));
+        assert_eq!(sealed_after(&chain, 1), expect);
+        let block = chain.block_at(0, 2).unwrap().unwrap();
+        assert_eq!((block.header.height, block.header.shard), (2, 0));
         chain.shutdown();
     }
 
@@ -987,10 +973,16 @@ mod tests {
     fn a_plan_installed_while_serving_gates_the_next_submission() {
         use hammer_net::FaultPlan;
         let chain = start_fifo();
-        let rx = chain.subscribe_commits();
-        let committed = || rx.recv_timeout(Duration::from_secs(5)).unwrap().tx_id;
+        // The ids sealed above `height`.
+        let sealed = |height| -> Vec<TxId> {
+            sealed_after(&chain, height)
+                .into_iter()
+                .map(|(id, _)| id)
+                .collect()
+        };
         // No plan was ever installed: the gate answers from its flag.
-        assert_eq!(chain.submit(signed(1)).unwrap(), committed());
+        let first = chain.submit(signed(1)).unwrap();
+        assert_eq!(sealed(0), [first]);
         let forever = Duration::from_secs(1 << 40);
         chain
             .net()
@@ -1001,7 +993,8 @@ mod tests {
         assert!(refused.unwrap_err().is_unavailable());
         // An empty plan in its place: served again, and sealed again.
         chain.net().install_faults(FaultPlan::new());
-        assert_eq!(chain.submit(signed(3)).unwrap(), committed());
+        let third = chain.submit(signed(3)).unwrap();
+        assert_eq!(sealed(1), [third]);
         assert_eq!(chain.ingress_nodes(), ["fifo-node-0"]);
         assert_eq!(chain.sealer_nodes(), ["fifo-node-0"]);
         chain.shutdown();
@@ -1020,7 +1013,7 @@ mod tests {
 
     #[test]
     fn a_worker_that_shuts_its_own_node_down_is_not_self_joined() {
-        use crossbeam::channel::{bounded, Sender};
+        use crossbeam::channel::{bounded, Receiver, Sender};
 
         /// One sealer plus a worker that is handed its own node and shuts
         /// it down from inside.

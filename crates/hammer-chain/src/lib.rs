@@ -15,8 +15,8 @@
 //! * [`mempool`] — a bounded transaction pool with de-duplication.
 //! * [`client`] — the [`client::BlockchainClient`] trait, the *generic
 //!   interface* of the paper (§III-A2), which both the driver and the RPC
-//!   facade program against, plus commit-event subscriptions used by
-//!   Caliper-style interactive testing.
+//!   facade program against. Every testing mode observes commits the same
+//!   way, by reading sealed blocks.
 //! * [`codec`] — JSON encodings of the wire types.
 //! * [`rpc_adapter`] — the wire table: one entry per JSON-RPC method of
 //!   the generic interface, from which both the server handler and the
@@ -35,7 +35,6 @@
 
 pub mod client;
 pub mod codec;
-pub mod events;
 pub mod kernel;
 pub mod ledger;
 pub mod mempool;

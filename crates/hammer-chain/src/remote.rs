@@ -4,7 +4,7 @@
 //! issuing the [`rpc_adapter`](crate::rpc_adapter) wire-table calls over
 //! any [`Transport`]:
 //! the in-process `hammer_rpc::transport::RpcClient`, or
-//! `hammer_net::TcpRpcClient` to a `node-host` process. Three things make
+//! `hammer_net::TcpRpcClient` to a `node-host` process. Two things make
 //! it more than a dumb proxy; each is a no-op over a transport that never
 //! fails and a peer that never restarts, so both transports run the same
 //! code:
@@ -25,27 +25,20 @@
 //!   remote blocks surface at monotonically increasing virtual heights —
 //!   so the monitor's cursor never runs backwards and never re-matches a
 //!   block it already processed.
-//! * **Commit events by polling.** Push subscriptions need a streaming
-//!   connection; over a request/response transport the client
-//!   synthesizes [`CommitEvent`]s from sealed blocks with a background
-//!   poll thread (one per client, lazily started, joined on drop).
+//!
+//! The client starts no thread: the driver observes commits in every
+//! testing mode by reading blocks through these same calls.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use hammer_net::StopSignal;
 use parking_lot::Mutex;
 
-use crate::client::{Architecture, BlockchainClient, ChainError, CommitEvent, ErrorKind};
+use crate::client::{Architecture, BlockchainClient, ChainError, ErrorKind};
 use crate::kernel::SimChain;
 use crate::ledger::LedgerError;
 use crate::rpc_adapter::{self as wire, Transport};
 use crate::state::AccountState;
 use crate::types::{Address, Block, SignedTransaction, TxId};
-
-/// Wall-clock interval of the commit-event poll thread.
-const EVENT_POLL: Duration = Duration::from_millis(10);
 
 /// Per-shard height-virtualization state.
 #[derive(Clone, Copy, Debug, Default)]
@@ -60,13 +53,10 @@ struct ShardCursor {
 /// A [`BlockchainClient`] + [`SimChain`] over an RPC [`Transport`]. See
 /// the module docs for the failure semantics.
 pub struct RemoteChain<C: Transport> {
-    rpc: Arc<C>,
+    rpc: C,
     name: String,
     architecture: Architecture,
     cursors: Mutex<Vec<ShardCursor>>,
-    subscribers: Arc<Mutex<Vec<Sender<CommitEvent>>>>,
-    poller: Mutex<Option<std::thread::JoinHandle<()>>>,
-    stop: Arc<StopSignal>,
 }
 
 impl<C: Transport> RemoteChain<C> {
@@ -78,23 +68,20 @@ impl<C: Transport> RemoteChain<C> {
         let name = wire::CHAIN_NAME.call(&transport, &())?;
         let architecture = wire::ARCHITECTURE.call(&transport, &())?;
         Ok(Arc::new(RemoteChain {
-            rpc: Arc::new(transport),
+            rpc: transport,
             name,
             architecture,
             cursors: Mutex::new(vec![
                 ShardCursor::default();
                 architecture.shard_count() as usize
             ]),
-            subscribers: Arc::default(),
-            poller: Mutex::new(None),
-            stop: Arc::default(),
         }))
     }
 
     /// Fetches the remote height and folds it into the virtual cursor,
     /// detecting restarts (remote height regression).
     fn virtual_height(&self, shard: u32) -> Result<u64, ChainError> {
-        let remote = wire::LATEST_HEIGHT.call(&*self.rpc, &shard)?;
+        let remote = wire::LATEST_HEIGHT.call(&self.rpc, &shard)?;
         let mut cursors = self.cursors.lock();
         let cursor = cursors
             .get_mut(shard as usize)
@@ -115,72 +102,6 @@ impl<C: Transport> RemoteChain<C> {
             .copied()
             .ok_or(ChainError::UnknownShard(shard))
     }
-
-    /// Stops the commit-event poller and joins it. Idempotent.
-    fn stop_poller(&self) {
-        self.stop.raise();
-        let handle = self.poller.lock().take();
-        if let Some(handle) = handle {
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl<C: Transport> Drop for RemoteChain<C> {
-    fn drop(&mut self) {
-        self.stop_poller();
-    }
-}
-
-/// Polls sealed blocks and fans synthesized [`CommitEvent`]s out to every
-/// subscriber. Runs on its own remote cursor (independent of the batch
-/// monitor's) with local restart detection, so interactive and batch
-/// observation modes cannot disturb each other.
-fn event_poll_loop<C: Transport>(
-    rpc: &C,
-    shards: u32,
-    stop: &StopSignal,
-    subscribers: &Mutex<Vec<Sender<CommitEvent>>>,
-) {
-    let mut last_remote = vec![0u64; shards as usize];
-    while !stop.is_raised() {
-        for (shard, cursor) in (0..shards).zip(&mut last_remote) {
-            let Ok(remote) = wire::LATEST_HEIGHT.call(rpc, &shard) else {
-                continue; // node down: try again next tick
-            };
-            if remote < *cursor {
-                *cursor = 0; // restart: the fresh ledger starts over
-            }
-            while *cursor < remote {
-                if stop.is_raised() {
-                    return;
-                }
-                let block = match wire::GET_BLOCK.call(rpc, &(shard, *cursor + 1)) {
-                    Ok(block) => block,
-                    // Transient: re-poll this height next tick.
-                    Err(e) if e.kind() == ErrorKind::Transient => break,
-                    Err(_) => None, // undecodable: skip it
-                };
-                *cursor += 1;
-                let Some(block) = block else { continue };
-                subscribers.lock().retain(|tx| {
-                    block.tx_ids.iter().enumerate().all(|(i, id)| {
-                        let event = CommitEvent {
-                            tx_id: *id,
-                            success: block.valid.get(i).copied().unwrap_or(false),
-                            block_height: block.header.height,
-                            shard,
-                            committed_at: block.header.timestamp,
-                        };
-                        tx.send(event).is_ok() // else: subscriber gone
-                    })
-                });
-            }
-        }
-        stop.wait(EVENT_POLL);
-    }
 }
 
 impl<C: Transport> BlockchainClient for RemoteChain<C> {
@@ -193,7 +114,7 @@ impl<C: Transport> BlockchainClient for RemoteChain<C> {
     }
 
     fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError> {
-        wire::SUBMIT_TRANSACTION.call(&*self.rpc, &tx)
+        wire::SUBMIT_TRANSACTION.call(&self.rpc, &tx)
     }
 
     fn latest_height(&self, shard: u32) -> Result<u64, ChainError> {
@@ -216,7 +137,7 @@ impl<C: Transport> BlockchainClient for RemoteChain<C> {
             // incarnation; its transactions will drain as timed out.
             return Ok(None);
         }
-        match wire::GET_BLOCK.call(&*self.rpc, &(shard, height - base)) {
+        match wire::GET_BLOCK.call(&self.rpc, &(shard, height - base)) {
             Ok(block) => Ok(block.map(|mut block| {
                 // Surface the *virtual* height so the monitor's cursor
                 // arithmetic holds across restarts.
@@ -232,33 +153,14 @@ impl<C: Transport> BlockchainClient for RemoteChain<C> {
     }
 
     fn pending_txs(&self) -> Result<usize, ChainError> {
-        let pending = wire::PENDING_TXS.call(&*self.rpc, &())?;
+        let pending = wire::PENDING_TXS.call(&self.rpc, &())?;
         usize::try_from(pending).map_err(|_| ChainError::protocol("pending_txs: out of range"))
     }
 
-    fn subscribe_commits(&self) -> Receiver<CommitEvent> {
-        let (tx, rx) = unbounded();
-        self.subscribers.lock().push(tx);
-        let mut poller = self.poller.lock();
-        if poller.is_none() {
-            let rpc = Arc::clone(&self.rpc);
-            let shards = self.architecture.shard_count();
-            let stop = Arc::clone(&self.stop);
-            let subscribers = Arc::clone(&self.subscribers);
-            let handle = std::thread::Builder::new()
-                .name("remote-chain-events".to_owned())
-                .spawn(move || event_poll_loop(&*rpc, shards, &stop, &subscribers))
-                .expect("failed to spawn commit-event poller");
-            *poller = Some(handle);
-        }
-        rx
-    }
-
     fn shutdown(&self) {
-        self.stop_poller();
         // Best effort: the node may already be gone (killed by its
         // supervisor), which is fine — process teardown is authoritative.
-        let _ = wire::SHUTDOWN_CHAIN.call(&*self.rpc, &());
+        let _ = wire::SHUTDOWN_CHAIN.call(&self.rpc, &());
     }
 }
 
@@ -268,31 +170,29 @@ impl<C: Transport> SimChain for RemoteChain<C> {
         // failure here means the deployment is broken, which the driver
         // discovers immediately through every later call. Best effort by
         // signature (the trait returns nothing).
-        let _ = wire::SEED_ACCOUNT.call(&*self.rpc, &(account, checking, savings));
+        let _ = wire::SEED_ACCOUNT.call(&self.rpc, &(account, checking, savings));
     }
 
     fn account(&self, account: Address) -> Option<AccountState> {
-        wire::GET_ACCOUNT.call(&*self.rpc, &account).ok()?
+        wire::GET_ACCOUNT.call(&self.rpc, &account).ok()?
     }
 
     fn ingress_nodes(&self) -> Vec<String> {
-        wire::INGRESS_NODES
-            .call(&*self.rpc, &())
-            .unwrap_or_default()
+        wire::INGRESS_NODES.call(&self.rpc, &()).unwrap_or_default()
     }
 
     fn sealer_nodes(&self) -> Vec<String> {
-        wire::SEALER_NODES.call(&*self.rpc, &()).unwrap_or_default()
+        wire::SEALER_NODES.call(&self.rpc, &()).unwrap_or_default()
     }
 
     fn verify_ledgers(&self) -> Result<(), LedgerError> {
         // An unreachable node cannot prove its ledger broken; the
         // supervisor owns liveness.
-        wire::VERIFY_LEDGERS.call(&*self.rpc, &()).unwrap_or(Ok(()))
+        wire::VERIFY_LEDGERS.call(&self.rpc, &()).unwrap_or(Ok(()))
     }
 
     fn progress_mark(&self) -> u64 {
-        wire::PROGRESS_MARK.call(&*self.rpc, &()).unwrap_or(0)
+        wire::PROGRESS_MARK.call(&self.rpc, &()).unwrap_or(0)
     }
 }
 
@@ -338,22 +238,6 @@ mod tests {
         assert!(client.verify_ledgers().is_ok());
         assert_eq!(client.progress_mark(), 1);
         assert_eq!(client.pending_txs().unwrap(), 0);
-    }
-
-    #[test]
-    fn commit_events_synthesized_from_blocks() {
-        let (_chain, server) = serve_mock();
-        let client = RemoteChain::connect(server.client()).unwrap();
-        let events = client.subscribe_commits();
-        let expected: Vec<TxId> = (0..5)
-            .map(|nonce| client.submit(signed_tx(nonce)).unwrap())
-            .collect();
-        // Both shards of the mock read the one ledger.
-        for _ in 0..10 {
-            let ev = events.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert!(expected.contains(&ev.tx_id));
-            assert!(ev.success);
-        }
     }
 
     /// An in-memory node that dies and restarts on command: while down

@@ -431,11 +431,9 @@ pub fn serve_tcp(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::client::CommitEvent;
     use crate::remote::RemoteChain;
     use crate::smallbank::Op;
     use crate::types::{Transaction, TxId};
-    use crossbeam::channel::{unbounded, Receiver};
     use hammer_crypto::sig::SigParams;
     use hammer_crypto::Keypair;
     use hammer_net::SimNetwork;
@@ -489,9 +487,6 @@ pub(crate) mod tests {
         }
         fn pending_txs(&self) -> Result<usize, ChainError> {
             Ok(0)
-        }
-        fn subscribe_commits(&self) -> Receiver<CommitEvent> {
-            unbounded().1
         }
         fn shutdown(&self) {}
     }

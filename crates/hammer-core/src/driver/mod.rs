@@ -21,10 +21,12 @@
 //!      same polling, but the end time is the *poll* time (the latency
 //!      skew ξ1 of §II-C1) and matching linearly scans the unconfirmed
 //!      queue (O(n·m)).
-//!    * [`TestingMode::Interactive`] — Caliper-style: subscribe to
-//!      per-transaction commit events; every event costs listener CPU on
-//!      the client machine (the resource drain the paper blames for
-//!      Caliper's lower reported TPS in Fig. 7).
+//!    * [`TestingMode::Interactive`] — Caliper-style: the same block
+//!      reads, each block expanded into per-transaction commit events in
+//!      an SDK buffer; every event handled costs listener CPU on the client
+//!      machine, and a listener that falls more than the buffer behind
+//!      loses events (the resource drain and the lost responses the paper
+//!      blames for Caliper's lower reported TPS in Fig. 7).
 //! 3. **Report** — the [`EvalReport`]'s aggregates are folded straight
 //!    from the tracker's records ([`hammer_store::table::summarize`]): the
 //!    records *are* the run's Performance table. [`perf_row`] turns one
@@ -116,8 +118,8 @@ pub struct EvalConfig {
     pub(crate) drain_timeout: Duration,
     /// Interactive mode: listener CPU cost per commit event.
     pub(crate) listen_cost: Duration,
-    /// Interactive mode: how many undelivered commit events the client
-    /// SDK buffers before the transport drops them (the paper's "loss of
+    /// Interactive mode: how many unhandled commit events may stand behind
+    /// the one the listener takes before it is lost (the paper's "loss of
     /// response information ... under heavy load").
     pub(crate) event_buffer: usize,
     /// Resilient-submission policy: how workers retry transient failures
@@ -406,9 +408,10 @@ impl Evaluation {
     /// report accounts for every transaction exactly once. The checkpoint
     /// is deleted when the run completes.
     ///
-    /// Restricted to [`TestingMode::TaskProcessing`]: the batch baseline's
-    /// unconfirmed queue and the interactive mode's event subscription are
-    /// not snapshot-able.
+    /// Refused for [`TestingMode::BatchBaseline`], whose unconfirmed queue
+    /// is not snapshot-able. An interactive run's checkpoint records per
+    /// shard the last block whose events have all left the listener's
+    /// buffer, so a resumed run re-reads what the buffer held.
     pub fn run_recoverable(
         &self,
         deployment: &Deployment,
@@ -416,8 +419,8 @@ impl Evaluation {
         control: &ControlSequence,
         recovery: &RecoveryConfig,
     ) -> Result<EvalReport, EvalError> {
-        if self.config.mode != TestingMode::TaskProcessing {
-            return invalid("recoverable runs require TestingMode::TaskProcessing");
+        if self.config.mode == TestingMode::BatchBaseline {
+            return invalid("recoverable runs cannot use TestingMode::BatchBaseline");
         }
         if recovery.interval.is_zero() {
             return invalid("checkpoint interval must be positive");
@@ -543,7 +546,6 @@ impl Evaluation {
 mod tests {
     use super::*;
     use crate::deploy::{BackendOptions, BackendRegistry};
-    use hammer_chain::client::CommitEvent;
     use hammer_chain::types::{Address, Block, SignedTransaction, TxId};
     use hammer_obs::{Obs, Stage};
     use hammer_workload::WorkloadKind;
@@ -893,9 +895,6 @@ mod tests {
         fn pending_txs(&self) -> Result<usize, ChainError> {
             Ok(self.pool.lock().unwrap().len())
         }
-        fn subscribe_commits(&self) -> crossbeam::channel::Receiver<CommitEvent> {
-            crossbeam::channel::unbounded().1
-        }
         fn shutdown(&self) {}
     }
 
@@ -1027,7 +1026,14 @@ mod tests {
             .unwrap();
         assert_eq!(report.committed, 100);
         let callers = chain.callers.lock().unwrap().clone();
+        // The caller's thread reads the start heights, once, before any
+        // worker exists.
+        let caller = std::thread::current()
+            .name()
+            .unwrap_or("<unnamed>")
+            .to_owned();
         let expect = [
+            ("height", caller),
             ("height", "hammer-monitor".to_owned()),
             ("submit", "hammer-submit".to_owned()),
         ];

@@ -1,19 +1,22 @@
 //! The **Monitor/Match** stage (Fig. 3, step 6): observes commitment by
-//! polling blocks or by listening to commit events. Both variants share
-//! the per-record `on_matched` step and the per-cycle `end_cycle` tail, and
-//! both tick on `poll_interval` of *simulated* time (the poller sleeps it,
-//! the listener waits at most that long for an event), so the watchdog and
-//! the kill switch run at one cadence in every mode and at every speed-up.
+//! reading sealed blocks, in every testing mode. One scan loop reads each
+//! shard's new heights through `latest_height` and `blocks`; only the step
+//! applied to a block differs. Task processing and the batch baseline match
+//! it at once; the interactive (Caliper-style) listener expands it into
+//! [`CommitEvent`]s in its SDK buffer and handles them one at a time. Every
+//! mode shares the per-record `on_matched` step and the per-cycle
+//! `end_cycle` tail, and an idle monitor sleeps `poll_interval` of
+//! *simulated* time, so the watchdog and the kill switch run at one cadence
+//! in every mode and at every speed-up.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use hammer_chain::client::{BlockchainClient, ChainError, CommitEvent};
 use hammer_chain::kernel::SimChain;
-use hammer_chain::types::TxStatus;
+use hammer_chain::types::{Block, TxStatus};
 use hammer_net::{FaultObserver, SimClock};
 use hammer_obs::{Obs, Stage};
 use hammer_store::KvStore;
@@ -25,10 +28,25 @@ use crate::index::TxRecord;
 /// How far the monitor has got: what a checkpoint records of it and a
 /// resumed run starts from.
 pub(super) struct Progress {
-    /// Per-shard height of the last block scanned.
+    /// Per-shard height of the last block read.
     pub last_seen: Vec<u64>,
     /// Per-shard committed counts.
     pub shard_commits: BTreeMap<u32, usize>,
+}
+
+impl Progress {
+    /// The heights a resumed run reads on from: per shard, the last block
+    /// read, or, while the listener still holds some of its events, the
+    /// block before the first of them. So a resumed run re-reads what sat
+    /// in the SDK buffer at the kill.
+    fn resume_heights(&self, buffered: &VecDeque<CommitEvent>) -> Vec<u64> {
+        let mut heights = self.last_seen.clone();
+        for event in buffered {
+            let height = &mut heights[event.shard as usize];
+            *height = (*height).min(event.block_height.saturating_sub(1));
+        }
+        heights
+    }
 }
 
 /// The stall watchdog, consulted once per monitor cycle. A run is stalled
@@ -92,12 +110,18 @@ impl Checkpointer {
     /// already due is never lost to a kill seen in the same cycle, and the
     /// first cycle's is due at once, so a killed run always leaves a
     /// checkpoint however long the host took to schedule the monitor.
-    fn observe(&mut self, state: &RunState, now: Duration, progress: &Progress) -> bool {
+    fn observe(
+        &mut self,
+        state: &RunState,
+        now: Duration,
+        progress: &Progress,
+        buffered: &VecDeque<CommitEvent>,
+    ) -> bool {
         if now >= self.next_at {
             while self.next_at <= now {
                 self.next_at += self.interval;
             }
-            self.snapshot(state, progress);
+            self.snapshot(state, progress, buffered);
         }
         let killed = self.kill_at.is_some_and(|kill_at| now >= kill_at);
         if killed {
@@ -107,7 +131,7 @@ impl Checkpointer {
         killed
     }
 
-    fn snapshot(&self, state: &RunState, progress: &Progress) {
+    fn snapshot(&self, state: &RunState, progress: &Progress, buffered: &VecDeque<CommitEvent>) {
         // One call snapshots records *and* rejected ids: the tracker
         // updates both under the same shard lock on rejection and holds
         // every shard lock while copying, so the pair is consistent —
@@ -117,7 +141,7 @@ impl Checkpointer {
             workload_seed: self.workload_seed,
             total: self.total,
             retried: state.retried.load(Ordering::Relaxed),
-            last_seen: progress.last_seen.clone(),
+            last_seen: progress.resume_heights(buffered),
             shard_commits: progress
                 .shard_commits
                 .iter()
@@ -149,10 +173,13 @@ pub(super) struct Monitor<'a> {
     obs: Obs,
     /// The `hammer_driver_pending` gauge, refreshed once per cycle.
     pending: hammer_obs::Gauge,
-    /// Interactive mode: the commit-event subscription, and the listener
-    /// CPU each event costs (the listener time-shares the client machine
-    /// with the submitters).
-    events: Option<(Receiver<CommitEvent>, Duration)>,
+    /// Interactive mode's Caliper-style listener: its SDK buffer of the
+    /// events of the blocks read, the client CPU handling one costs (the
+    /// listener time-shares the client machine with the submitters), and
+    /// when the buffer is next topped up even if it has not emptied.
+    events: VecDeque<CommitEvent>,
+    per_event: Duration,
+    top_up_at: Duration,
     /// Journals fault-plan enter/exit edges, polled once per cycle.
     fault_observer: Option<FaultObserver>,
     watchdog: Option<StallWatchdog>,
@@ -161,8 +188,8 @@ pub(super) struct Monitor<'a> {
 }
 
 impl<'a> Monitor<'a> {
-    /// Built on the caller's thread before any worker exists, so an
-    /// interactive run's subscription precedes every commit.
+    /// Reads on from `progress.last_seen`: the chain's heights when the run
+    /// started, or a checkpoint's.
     pub(super) fn new(
         state: &'a RunState,
         config: &'a EvalConfig,
@@ -173,15 +200,13 @@ impl<'a> Monitor<'a> {
         let deployment = inputs.deployment;
         let (chain, clock) = (deployment.client(), deployment.clock().clone());
         let obs = deployment.net().obs();
-        let interactive = config.mode == TestingMode::Interactive;
+        let share = active_threads as f64 / config.machine.vcpus.max(1) as f64;
         Monitor {
             state,
             config,
-            events: interactive.then(|| {
-                let share = active_threads as f64 / config.machine.vcpus.max(1) as f64;
-                let per_event = config.listen_cost.mul_f64(share.max(1.0));
-                (chain.subscribe_commits(), per_event)
-            }),
+            events: VecDeque::new(),
+            per_event: config.listen_cost.mul_f64(share.max(1.0)),
+            top_up_at: Duration::ZERO,
             fault_observer: obs.enabled().then(|| FaultObserver::new(deployment.net())),
             watchdog: config.stall_budget.map(|budget| StallWatchdog {
                 budget,
@@ -213,13 +238,7 @@ impl<'a> Monitor<'a> {
     /// aborted, and the error is returned instead of letting every
     /// in-flight transaction silently time out.
     pub(super) fn run(mut self) -> Result<BTreeMap<u32, usize>, ChainError> {
-        let outcome = match self.events.take() {
-            Some((events, per_event)) => {
-                self.listen(&events, per_event);
-                Ok(())
-            }
-            None => self.poll_blocks(),
-        };
+        let outcome = self.scan();
         if let Err(e) = &outcome {
             let now = self.clock.now();
             self.obs
@@ -230,95 +249,118 @@ impl<'a> Monitor<'a> {
         outcome.map(|()| self.progress.shard_commits)
     }
 
-    /// Batch testing, shared by Hammer task processing and the Blockbench
-    /// baseline. The difference is the end-time source: Algorithm 1
-    /// records the *block* time; the baseline only knows the *poll* time
-    /// (the ξ1 skew).
-    fn poll_blocks(&mut self) -> Result<(), ChainError> {
-        let chain = Arc::clone(&self.chain);
-        let end_is_block_time = self.config.mode == TestingMode::TaskProcessing;
-        // Set once the drain deadline has passed: one last full scan runs
-        // so blocks committed during the final poll window still match
-        // before the stragglers are declared timed out.
+    /// The one scan loop. A cycle is one step, then the per-cycle tail; a
+    /// cycle with nothing to do ends in a `poll_interval` sleep.
+    fn scan(&mut self) -> Result<(), ChainError> {
+        // Set once the drain deadline has passed: one last step runs so
+        // blocks committed during the final poll window still match before
+        // the stragglers are declared timed out.
         let mut final_pass = false;
         loop {
-            for shard in 0..self.progress.last_seen.len() {
-                let height = chain.latest_height(shard as u32)?;
-                let seen = self.progress.last_seen[shard];
-                if seen >= height {
-                    continue;
-                }
-                // One read for every new height; a height the chain cannot
-                // serve (a block lost with a restarted node) is passed over.
-                let blocks = chain.blocks(shard as u32, seen + 1..=height)?;
-                self.progress.last_seen[shard] = height;
-                for block in blocks {
-                    let end = if end_is_block_time {
-                        block.header.timestamp
-                    } else {
-                        self.clock.now()
-                    };
-                    // Batched fan-out: the tracker reads the block's two
-                    // columns where they lie, groups them by shard, takes
-                    // each shard lock once per block, and shows every
-                    // completed record where it lies, under that lock
-                    // (`on_matched` takes no lock of its own).
-                    let mut committed = 0usize;
-                    let tracker = &self.state.tracker;
-                    tracker.complete_block_with(&block.tx_ids, &block.valid, end, &mut |record| {
-                        committed += usize::from(record.status == TxStatus::Committed);
-                        self.on_matched(record, end);
-                    });
-                    if committed > 0 {
-                        *self.progress.shard_commits.entry(shard as u32).or_insert(0) += committed;
+            let busy = match self.config.mode {
+                TestingMode::Interactive => self.listen()?,
+                _ => {
+                    for (shard, block) in self.read()? {
+                        self.match_block(shard, &block);
                     }
+                    false
                 }
-            }
+            };
             match self.end_cycle() {
                 Next::Exit => return Ok(()),
                 Next::Deadline if final_pass => return Ok(()),
                 Next::Deadline => final_pass = true,
+                Next::Continue if busy => {}
                 Next::Continue => self.clock.sleep(self.config.poll_interval),
             }
         }
     }
 
-    /// Caliper-style per-event listener.
-    fn listen(&mut self, events: &Receiver<CommitEvent>, per_event: Duration) {
-        // An idle listener still runs the per-cycle tail once per interval.
-        let idle_tick = self.clock.to_wall(self.config.poll_interval);
-        loop {
-            match events.recv_timeout(idle_tick) {
-                // A listener that has fallen behind by more than the SDK
-                // buffer loses responses — transactions that actually
-                // committed never get counted, which is exactly why
-                // interactive frameworks under-report under heavy load
-                // (paper §V-A).
-                Ok(_) if events.len() > self.config.event_buffer => continue,
-                Ok(event) => {
-                    // Parsing/handling the response costs client CPU —
-                    // the resource wastage the paper attributes to
-                    // interactive testing under heavy load.
-                    self.clock.sleep(per_event);
-                    let end = event.committed_at;
-                    let record = self
-                        .state
-                        .tracker
-                        .complete(&event.tx_id, end, event.success);
-                    if let Some(record) = record {
-                        if event.success {
-                            *self.progress.shard_commits.entry(event.shard).or_insert(0) += 1;
-                        }
-                        self.on_matched(&record, end);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-            if !matches!(self.end_cycle(), Next::Continue) {
-                return;
+    /// Every block sealed on each shard since the last read, with its
+    /// shard, in height order per shard: one `blocks` call per shard with
+    /// new heights. A height the chain cannot serve (a block lost with a
+    /// restarted node) is passed over.
+    fn read(&mut self) -> Result<Vec<(u32, Arc<Block>)>, ChainError> {
+        let mut read = Vec::new();
+        for (shard, seen) in (0u32..).zip(self.progress.last_seen.iter_mut()) {
+            let height = self.chain.latest_height(shard)?;
+            if *seen < height {
+                let blocks = self.chain.blocks(shard, *seen + 1..=height)?;
+                read.extend(blocks.into_iter().map(|block| (shard, block)));
+                *seen = height;
             }
         }
+        Ok(read)
+    }
+
+    /// Batch testing's step, shared by Hammer task processing and the
+    /// Blockbench baseline. The difference is the end-time source:
+    /// Algorithm 1 records the *block* time; the baseline only knows the
+    /// *poll* time (the ξ1 skew).
+    fn match_block(&mut self, shard: u32, block: &Block) {
+        let end = match self.config.mode {
+            TestingMode::TaskProcessing => block.header.timestamp,
+            _ => self.clock.now(),
+        };
+        // Batched fan-out: the tracker reads the block's two columns where
+        // they lie, groups them by shard, takes each shard lock once per
+        // block, and shows every completed record where it lies, under
+        // that lock (`on_matched` takes no lock of its own).
+        let mut committed = 0usize;
+        let tracker = &self.state.tracker;
+        tracker.complete_block_with(&block.tx_ids, &block.valid, end, &mut |record| {
+            committed += usize::from(record.status == TxStatus::Committed);
+            self.on_matched(record, end);
+        });
+        if committed > 0 {
+            *self.progress.shard_commits.entry(shard).or_insert(0) += committed;
+        }
+    }
+
+    /// Interactive testing's step: tops the SDK buffer up with the events
+    /// of the blocks sealed since the last read when it is empty or a poll
+    /// interval of listener time has passed, then handles one event.
+    /// Returns whether there was one.
+    fn listen(&mut self) -> Result<bool, ChainError> {
+        let now = self.clock.now();
+        if self.events.is_empty() || now >= self.top_up_at {
+            self.top_up_at = now + self.config.poll_interval;
+            for (shard, block) in self.read()? {
+                let (block_height, committed_at) = (block.header.height, block.header.timestamp);
+                let events = block.entries().map(|(tx_id, success)| CommitEvent {
+                    tx_id,
+                    success,
+                    block_height,
+                    shard,
+                    committed_at,
+                });
+                self.events.extend(events);
+            }
+        }
+        // A listener that has fallen behind by more than the SDK buffer
+        // loses responses: an event taken while more than `event_buffer`
+        // stand behind it is dropped unhandled, and the transaction that
+        // actually committed is never counted, which is exactly why
+        // interactive frameworks under-report under heavy load (paper §V-A).
+        let depth = self.config.event_buffer;
+        let lost = self.events.len().saturating_sub(depth + 1);
+        self.events.drain(..lost);
+        let Some(event) = self.events.pop_front() else {
+            return Ok(false);
+        };
+        // Parsing/handling the response costs client CPU — the resource
+        // wastage the paper attributes to interactive testing under heavy
+        // load.
+        self.clock.sleep(self.per_event);
+        let end = event.committed_at;
+        let tracker = &self.state.tracker;
+        if let Some(record) = tracker.complete(&event.tx_id, end, event.success) {
+            if event.success {
+                *self.progress.shard_commits.entry(event.shard).or_insert(0) += 1;
+            }
+            self.on_matched(&record, end);
+        }
+        Ok(true)
     }
 
     /// Per-record post-processing of a completed match: the lifecycle
@@ -332,7 +374,7 @@ impl<'a> Monitor<'a> {
         }
     }
 
-    /// The per-cycle tail shared by both variants.
+    /// The per-cycle tail shared by every mode.
     fn end_cycle(&mut self) -> Next {
         if let Some(observer) = self.fault_observer.as_mut() {
             observer.poll();
@@ -342,7 +384,7 @@ impl<'a> Monitor<'a> {
         }
         let now = self.clock.now();
         if let Some(checkpointer) = self.checkpointer.as_mut() {
-            if checkpointer.observe(self.state, now, &self.progress) {
+            if checkpointer.observe(self.state, now, &self.progress, &self.events) {
                 return Next::Exit; // killed: exit without a further snapshot
             }
         }

@@ -119,7 +119,8 @@ fn start_signer(
     let batch = || segments.iter().flatten().collect();
     let signed = match config.signing {
         SigningStrategy::Pipelined => {
-            return signer::sign_segments(segments, threads, keypair, params, sign_obs)
+            let next_segment = move || segments.recv().ok();
+            return signer::sign_segments(next_segment, threads, keypair, params, sign_obs);
         }
         SigningStrategy::Serial => signer::sign_serial_obs(batch(), &keypair, &params, &sign_obs),
         SigningStrategy::Async => {
@@ -196,30 +197,40 @@ fn without(upstream: SignedStream, known: HashSet<TxId>) -> SignedStream {
 /// Runs the stage; returns the signed-transaction stream (minus anything a
 /// checkpoint owns) and where the monitor starts. The checkpoint guard
 /// comes first so a refused resume costs nothing; signing is already under
-/// way while a checkpoint is replayed into `state`.
+/// way while a checkpoint is replayed into `state`. A fresh run starts at
+/// the chain's heights now, before any of its transactions is submitted:
+/// none of them can sit in an earlier block.
 pub(super) fn prepare(
     config: &EvalConfig,
     inputs: &Inputs<'_>,
     state: &RunState,
     obs: &Obs,
 ) -> Result<(SignedStream, Progress), EvalError> {
-    let shards = inputs.deployment.client().architecture().shard_count() as usize;
-    let checkpoint = inputs.load_checkpoint(shards)?;
+    let chain = inputs.deployment.client();
+    let shards = chain.architecture().shard_count();
+    let checkpoint = inputs.load_checkpoint(shards as usize)?;
+    let last_seen = match &checkpoint {
+        Some(cp) => cp.last_seen.clone(),
+        None => (0..shards)
+            .map(|shard| chain.latest_height(shard))
+            .collect::<Result<_, _>>()
+            .map_err(EvalError::Chain)?,
+    };
     let segments = inputs.generate(config.signer_threads, obs);
     let keypair = Keypair::from_seed(inputs.workload.seed);
     let sign_obs = signer::SignObs::new(obs, inputs.deployment.clock());
     let signed = start_signer(config, segments, keypair, sign_obs);
     let Some(cp) = checkpoint else {
-        let from_genesis = Progress {
-            last_seen: vec![0; shards],
+        let fresh = Progress {
+            last_seen,
             shard_commits: BTreeMap::new(),
         };
-        return Ok((signed, from_genesis));
+        return Ok((signed, fresh));
     };
     let signed = without(signed, restore(state, &cp));
     let shard_commits = cp.shard_commits.iter().map(|(s, n)| (*s, *n as usize));
     let resumed = Progress {
-        last_seen: cp.last_seen,
+        last_seen,
         shard_commits: shard_commits.collect(),
     };
     Ok((signed, resumed))

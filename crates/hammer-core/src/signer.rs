@@ -16,15 +16,17 @@
 //!   over serial on multi-core clients).
 //!
 //! The overlap is chunk-wise, not item-wise. Signers claim the unsigned
-//! workload from one shared queue in segments of 32 Ki transactions
-//! (hand-off from generation: a generator thread keeps the bounded queue
-//! filled while they drain it, so generating overlaps with signing), sign,
+//! workload in segments of 32 Ki transactions, from one shared source: the
+//! driver's generator thread keeps a bounded queue filled while they drain
+//! it, so generating overlaps with signing, and a batch already in memory
+//! is cut as they claim it, with no thread of its own. They sign,
 //! and send 128 signed transactions per message on a [`SignedStream`]
 //! (hand-off to submission): a channel operation costs a lock hand-off and,
 //! when the peer is parked, a syscall, so it is paid once per 128
 //! transactions instead of once each.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, RecvTimeoutError};
@@ -328,12 +330,16 @@ pub fn sign_pipelined_obs(
     threads: usize,
     obs: SignObs,
 ) -> SignedStream {
-    // A batch is a workload whose generator cuts it: one path for both.
+    // The signers claim their segments from the batch itself.
     let (n, threads) = (txs.len(), threads.max(1));
-    let mut rest = txs.into_iter();
-    let segments = generate_segments(n, threads, move |len| rest.by_ref().take(len).collect());
-    let signers = threads.min(n.div_ceil(segment_len(n, threads)));
-    sign_segments(segments, signers, keypair, params, obs)
+    let len = segment_len(n, threads);
+    let rest = parking_lot::Mutex::new(txs.into_iter());
+    let next_segment = move || {
+        let segment: Vec<Transaction> = rest.lock().by_ref().take(len).collect();
+        (!segment.is_empty()).then_some(segment)
+    };
+    let signers = threads.min(n.div_ceil(len));
+    sign_segments(next_segment, signers, keypair, params, obs)
 }
 
 /// Starts the generator thread of a run of `n` transactions and `threads`
@@ -360,17 +366,19 @@ pub(crate) fn generate_segments(
 }
 
 /// The one pipelined signing path: `signers` threads claim segments from
-/// the queue until it disconnects, and stream what they sign.
+/// `next_segment` until it answers `None`, and stream what they sign. The
+/// source is dropped, with whatever it holds, when the last signer leaves.
 pub(crate) fn sign_segments(
-    segments: Receiver<Vec<Transaction>>,
+    next_segment: impl Fn() -> Option<Vec<Transaction>> + Send + Sync + 'static,
     signers: usize,
     keypair: Keypair,
     params: SigParams,
     obs: SignObs,
 ) -> SignedStream {
     let (out, chunks) = bounded::<Vec<SignedTransaction>>(STREAM_BOUND / CHUNK);
+    let next_segment = Arc::new(next_segment);
     for _ in 0..signers {
-        let segments = segments.clone();
+        let next_segment = Arc::clone(&next_segment);
         let out = out.clone();
         let obs = obs.clone();
         std::thread::Builder::new()
@@ -378,7 +386,7 @@ pub(crate) fn sign_segments(
             .spawn(move || {
                 let mut buf = Vec::with_capacity(64);
                 let mut chunk = Vec::with_capacity(CHUNK);
-                for tx in segments.iter().flatten() {
+                for tx in std::iter::from_fn(|| next_segment()).flatten() {
                     chunk.push(obs.sign_one(tx, &keypair, &params, &mut buf));
                     if chunk.len() == CHUNK {
                         let full = std::mem::replace(&mut chunk, Vec::with_capacity(CHUNK));
@@ -550,7 +558,13 @@ mod tests {
         });
         let params = SigParams::fast();
         let kp = Keypair::from_seed(1);
-        let stream = sign_segments(segments, 2, kp, params, SignObs::disabled());
+        let stream = sign_segments(
+            move || segments.recv().ok(),
+            2,
+            kp,
+            params,
+            SignObs::disabled(),
+        );
         let second = stream.clone();
         assert!(stream.recv().is_ok() && second.recv().is_ok());
         drop((stream, second));

@@ -434,7 +434,7 @@ mod tests {
     use hammer_chain::client::BlockchainClient;
     use hammer_chain::kernel::SimChain;
     use hammer_chain::smallbank::Op;
-    use hammer_chain::types::{Address, Transaction};
+    use hammer_chain::types::{Address, Transaction, TxId};
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
 
@@ -597,26 +597,30 @@ mod tests {
     }
 
     #[test]
-    fn commit_events_fire_per_tx() {
+    fn every_submission_is_sealed_as_valid() {
         let chain = fast_chain(FabricConfig::default());
-        let rx = chain.subscribe_commits();
         chain.seed_account(Address::from_name("a"), 100, 50);
-        for i in 0..3 {
-            chain
-                .submit(signed(
-                    i,
-                    Op::Balance {
-                        account: Address::from_name("a"),
-                    },
-                ))
-                .unwrap();
-        }
-        let mut seen = 0;
-        while seen < 3 {
-            let event = rx.recv_timeout(Duration::from_secs(5)).expect("event");
-            assert!(event.success);
-            seen += 1;
-        }
+        let ids: Vec<TxId> = (0..3)
+            .map(|i| {
+                chain
+                    .submit(signed(
+                        i,
+                        Op::Balance {
+                            account: Address::from_name("a"),
+                        },
+                    ))
+                    .unwrap()
+            })
+            .collect();
+        let sealed = || -> Vec<(TxId, bool)> {
+            let height = chain.latest_height(0).unwrap();
+            let blocks = chain.blocks(0, 1..=height).unwrap();
+            blocks.iter().flat_map(|b| b.entries()).collect()
+        };
+        assert!(wait_until(|| sealed().len() >= ids.len(), 5000), "sealed");
+        let entries = sealed();
+        assert_eq!(entries.len(), ids.len(), "{entries:?}");
+        assert!(entries.iter().all(|(id, ok)| ids.contains(id) && *ok));
         chain.shutdown();
     }
 
@@ -728,16 +732,19 @@ mod tests {
                 ..FabricConfig::default()
             };
             let chain = chain_at(speedup, config);
-            let commits = chain.subscribe_commits();
             let submitted_at = chain.clock().now();
             for tx in deposits(&chain, 3) {
                 chain.submit(tx).unwrap();
             }
-            let event = commits.recv_timeout(Duration::from_secs(5)).expect("event");
+            assert!(
+                wait_until(|| chain.latest_height(0).unwrap() > 0, 5000),
+                "{speedup}×: nothing sealed"
+            );
+            let block = chain.block_at(0, 1).unwrap().unwrap();
             // The block's timestamp is simulated time: the timeout plus a
             // few milliseconds of endorsement and validation, at any
             // speed-up. The slack is 20 ms of wall time at 1000×.
-            let waited = event.committed_at - submitted_at;
+            let waited = block.header.timestamp - submitted_at;
             assert!(waited >= batch_timeout, "{speedup}×: cut after {waited:?}");
             assert!(
                 waited < batch_timeout * 2,

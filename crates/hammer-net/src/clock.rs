@@ -181,8 +181,7 @@ impl SimClock {
 }
 
 /// A one-way stop flag that threads can block on: reading it is one atomic
-/// load, raising it wakes every thread in [`StopSignal::wait`] or
-/// [`SimClock::sleep_unless`]. Teardown paths raise it before they join,
+/// load, raising it wakes every thread in [`SimClock::sleep_unless`]. Teardown paths raise it before they join,
 /// so a thread parked on a long interval is released by the wake itself.
 #[derive(Debug, Default)]
 pub struct StopSignal {
@@ -208,9 +207,9 @@ impl StopSignal {
         self.wake.notify_all();
     }
 
-    /// Blocks for `wall` of wall-clock time (`RemoteChain`'s event poller
-    /// ticks on it) or until the signal is raised.
-    pub fn wait(&self, wall: Duration) {
+    /// Blocks for `wall` of wall-clock time or until the signal is raised:
+    /// the OS wait of [`SimClock::sleep_unless`].
+    fn wait(&self, wall: Duration) {
         // The lock guards no data, so a poisoned one is as good as new.
         let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         drop(

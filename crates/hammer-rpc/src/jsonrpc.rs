@@ -109,7 +109,7 @@ pub struct RpcRequest {
 
 impl RpcRequest {
     /// Serialises to a JSON-RPC 2.0 wire object.
-    pub fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value {
         Value::object([
             ("jsonrpc", Value::from("2.0")),
             ("id", Value::from(self.id)),
@@ -119,7 +119,7 @@ impl RpcRequest {
     }
 
     /// Parses a wire object, validating the envelope.
-    pub fn from_value(v: &Value) -> Result<Self, RpcError> {
+    fn from_value(v: &Value) -> Result<Self, RpcError> {
         if v.get("jsonrpc").and_then(Value::as_str) != Some("2.0") {
             return Err(RpcError::new(
                 RpcErrorCode::InvalidRequest,
@@ -189,7 +189,7 @@ impl RpcResponse {
     }
 
     /// Serialises to a wire object.
-    pub fn to_value(&self) -> Value {
+    fn to_value(&self) -> Value {
         match &self.outcome {
             Ok(result) => Value::object([
                 ("jsonrpc", Value::from("2.0")),
@@ -214,7 +214,7 @@ impl RpcResponse {
     }
 
     /// Parses a wire object, validating the envelope.
-    pub fn from_value(v: &Value) -> Result<Self, RpcError> {
+    fn from_value(v: &Value) -> Result<Self, RpcError> {
         if v.get("jsonrpc").and_then(Value::as_str) != Some("2.0") {
             return Err(RpcError::new(
                 RpcErrorCode::InvalidRequest,
@@ -272,41 +272,6 @@ impl RpcResponse {
             .map_err(|e| RpcError::new(RpcErrorCode::ParseError, e.to_string()))?;
         Self::from_value(&v)
     }
-}
-
-/// A JSON-RPC 2.0 batch: several requests in one wire message
-/// (the spec's array form). Empty batches are invalid per the spec.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RpcBatch(pub Vec<RpcRequest>);
-
-impl RpcBatch {
-    /// Serialises to the wire array.
-    pub fn to_json(&self) -> String {
-        Value::Array(self.0.iter().map(RpcRequest::to_value).collect()).to_json()
-    }
-
-    /// Parses a wire array, validating every envelope.
-    pub fn parse(text: &str) -> Result<Self, RpcError> {
-        let v = Value::parse(text)
-            .map_err(|e| RpcError::new(RpcErrorCode::ParseError, e.to_string()))?;
-        let items = v
-            .as_array()
-            .ok_or_else(|| RpcError::new(RpcErrorCode::InvalidRequest, "batch must be an array"))?;
-        if items.is_empty() {
-            return Err(RpcError::new(
-                RpcErrorCode::InvalidRequest,
-                "batch must not be empty",
-            ));
-        }
-        let requests: Result<Vec<RpcRequest>, RpcError> =
-            items.iter().map(RpcRequest::from_value).collect();
-        Ok(RpcBatch(requests?))
-    }
-}
-
-/// Serialises a batch of responses to the wire array.
-pub fn batch_responses_to_json(responses: &[RpcResponse]) -> String {
-    Value::Array(responses.iter().map(RpcResponse::to_value).collect()).to_json()
 }
 
 #[cfg(test)]
@@ -376,41 +341,6 @@ mod tests {
     fn params_default_to_null() {
         let req = RpcRequest::parse(r#"{"jsonrpc":"2.0","id":1,"method":"ping"}"#).unwrap();
         assert!(req.params.is_null());
-    }
-
-    #[test]
-    fn batch_roundtrip() {
-        let batch = RpcBatch(vec![
-            RpcRequest {
-                id: 1,
-                method: "a".into(),
-                params: Value::Null,
-            },
-            RpcRequest {
-                id: 2,
-                method: "b".into(),
-                params: Value::from(7),
-            },
-        ]);
-        let parsed = RpcBatch::parse(&batch.to_json()).unwrap();
-        assert_eq!(parsed, batch);
-    }
-
-    #[test]
-    fn batch_rejects_empty_and_non_array() {
-        assert!(RpcBatch::parse("[]").is_err());
-        assert!(RpcBatch::parse("{}").is_err());
-        assert!(RpcBatch::parse(r#"[{"jsonrpc":"2.0","id":1}]"#).is_err());
-    }
-
-    #[test]
-    fn batch_response_serialisation() {
-        let out = batch_responses_to_json(&[
-            RpcResponse::success(1, Value::from(1)),
-            RpcResponse::error(2, RpcError::method_not_found("x")),
-        ]);
-        let v = Value::parse(&out).unwrap();
-        assert_eq!(v.as_array().unwrap().len(), 2);
     }
 
     #[test]

@@ -93,19 +93,6 @@ impl RpcServer {
         response.to_json_into(out);
     }
 
-    /// Handles a JSON-RPC 2.0 batch (array) of requests, returning the
-    /// array of responses in request order.
-    pub fn handle_batch_text(&self, text: &str) -> String {
-        match crate::jsonrpc::RpcBatch::parse(text) {
-            Ok(batch) => {
-                let responses: Vec<RpcResponse> =
-                    batch.0.into_iter().map(|req| self.handle(req)).collect();
-                crate::jsonrpc::batch_responses_to_json(&responses)
-            }
-            Err(err) => RpcResponse::error(0, err).to_json(),
-        }
-    }
-
     /// Handles a parsed request.
     pub fn handle(&self, req: RpcRequest) -> RpcResponse {
         let handlers = self.inner.handlers.read();
@@ -255,39 +242,6 @@ mod tests {
         h1.join().unwrap();
         h2.join().unwrap();
         assert_eq!(calls.load(Ordering::Relaxed), 200);
-    }
-
-    #[test]
-    fn batch_dispatch_preserves_order_and_isolation() {
-        let server = RpcServer::new("test");
-        server.register("double", |params| {
-            let v = params.as_i64().unwrap_or(0);
-            Ok(Value::from(v * 2))
-        });
-        let batch = crate::jsonrpc::RpcBatch(vec![
-            RpcRequest {
-                id: 1,
-                method: "double".into(),
-                params: Value::from(4),
-            },
-            RpcRequest {
-                id: 2,
-                method: "missing".into(),
-                params: Value::Null,
-            },
-            RpcRequest {
-                id: 3,
-                method: "double".into(),
-                params: Value::from(5),
-            },
-        ]);
-        let out = server.handle_batch_text(&batch.to_json());
-        let v = Value::parse(&out).unwrap();
-        let items = v.as_array().unwrap();
-        assert_eq!(items.len(), 3);
-        assert_eq!(items[0].get("result").unwrap().as_i64(), Some(8));
-        assert!(items[1].get("error").is_some());
-        assert_eq!(items[2].get("result").unwrap().as_i64(), Some(10));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use hammer::workload::{ControlSequence, WorkloadConfig};
 /// A toy chain: a centralised sequencer seals whatever is pooled every
 /// few milliseconds (think "instant-finality rollup demo"). Everything
 /// not written here — lifecycle, ingress gating, backpressure, obs,
-/// commit events — comes from the kernel.
+/// the sealed ledger the driver reads — comes from the kernel.
 struct InstantPolicy;
 
 impl ConsensusPolicy for InstantPolicy {

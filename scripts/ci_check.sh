@@ -425,6 +425,30 @@ if [ -n "$violations" ]; then
     exit 1
 fi
 
+echo "==> grep gate: a commit is observed by reading blocks"
+# Every testing mode learns of a commit one way: the monitor reads sealed
+# blocks (latest_height + blocks); the interactive listener expands them
+# into its SDK buffer itself. So there is no commit bus (and no
+# hammer-chain events.rs); BlockchainClient::subscribe_commits is a
+# provided method that pushes nothing, called nowhere but where client.rs
+# declares it and the frozen driver_e2e forwards it; RemoteChain's non-test
+# code starts no thread and holds no stop signal; and StopSignal's wall-time
+# wait is private to clock.rs (`non_test` above).
+violations=$({
+    grep -rnw 'CommitBus' crates src tests examples
+    ls crates/hammer-chain/src/events.rs
+    grep -rn 'subscribe_commits(' crates src tests examples \
+        | grep -v '^crates/hammer-chain/src/client.rs:' \
+        | grep -v '^crates/bench/src/bin/driver_e2e/'
+    non_test crates/hammer-chain/src/remote.rs | grep -E '\bspawn|thread::|StopSignal'
+    grep -nE 'pub(\([a-z]+\))? fn wait\b' crates/hammer-net/src/clock.rs
+} 2>/dev/null || true)
+if [ -n "$violations" ]; then
+    echo "ci_check: a second way to observe a commit is back (read blocks through latest_height / blocks):" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+
 echo "==> grep gate: one model type, one training loop"
 # A predictor is a hammer_predict::models::Model, the mean of its members,
 # each a body and a head trained by the one SeqTrainer loop under the

@@ -6,9 +6,10 @@
 //! The contract, per backend:
 //!
 //! 1. Submissions are sealed, and every accepted transaction surfaces as
-//!    exactly one commit event carrying its id (and the ledgers audit
-//!    clean afterwards, and the range read `blocks` returns what
-//!    `block_at` does).
+//!    exactly one commit event carrying its id, read from the sealed blocks
+//!    the way every driver mode reads them (and the ledgers audit clean
+//!    afterwards, and the range read `blocks` returns what `block_at`
+//!    does).
 //! 2. The driver's accounting identity holds:
 //!    `committed + failed + timed_out + rejected + dropped + expired ==
 //!    submitted`.
@@ -24,11 +25,11 @@
 //! interface promises identical behaviour either way.
 
 use std::collections::HashSet;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use hammer::chain::client::ErrorKind;
+use hammer::chain::client::{BlockchainClient, ErrorKind};
 use hammer::chain::smallbank::Op;
-use hammer::chain::types::{Address, Block, SignedTransaction, Transaction};
+use hammer::chain::types::{Address, Block, SignedTransaction, Transaction, TxId};
 use hammer::core::chaos::live_threads;
 use hammer::core::deploy::{
     reconnect_policy_for, BackendOptions, BackendRegistry, DeployMode, Deployment, SupervisorConfig,
@@ -98,6 +99,31 @@ fn conformance_account(nonce: u64) -> Address {
     Address::from_name(&format!("conf-{nonce}"))
 }
 
+/// The commit events of the blocks sealed on each shard above `cursor`,
+/// which it advances: `(id, success)` per transaction, in block order.
+/// Waits up to 30 s of wall time for the first; `None` if none came.
+fn next_events(client: &dyn BlockchainClient, cursor: &mut [u64]) -> Option<Vec<(TxId, bool)>> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let mut events = Vec::new();
+        for (shard, seen) in (0u32..).zip(cursor.iter_mut()) {
+            let height = client.latest_height(shard).unwrap();
+            if *seen < height {
+                let blocks = client.blocks(shard, *seen + 1..=height).unwrap();
+                events.extend(blocks.iter().flat_map(|block| block.entries()));
+                *seen = height;
+            }
+        }
+        if !events.is_empty() {
+            return Some(events);
+        }
+        if Instant::now() >= deadline {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn every_backend_seals_submissions_into_matching_commit_events() {
     let _guard = common::serial_guard();
@@ -110,7 +136,8 @@ fn every_backend_seals_submissions_into_matching_commit_events() {
             for nonce in 0..TOTAL {
                 deployment.seed_account(conformance_account(nonce), 1_000, 1_000);
             }
-            let events = deployment.client().subscribe_commits();
+            let client = deployment.client();
+            let mut cursor = vec![0; client.architecture().shard_count() as usize];
             let mut ids = HashSet::new();
             for nonce in 0..TOTAL {
                 ids.insert(
@@ -124,31 +151,31 @@ fn every_backend_seals_submissions_into_matching_commit_events() {
             }
             let mut seen = HashSet::new();
             while seen.len() < ids.len() {
-                let event = events
-                    .recv_timeout(Duration::from_secs(30))
-                    .unwrap_or_else(|_| {
-                        panic!(
-                            "{name} ({}): commit events dried up at {}/{}",
-                            mode.name(),
-                            seen.len(),
-                            ids.len()
-                        )
-                    });
-                assert!(
-                    ids.contains(&event.tx_id),
-                    "{name} ({}): commit event for a transaction never submitted",
-                    mode.name()
-                );
-                assert!(
-                    seen.insert(event.tx_id),
-                    "{name} ({}): transaction committed twice",
-                    mode.name()
-                );
-                assert!(
-                    event.success,
-                    "{name} ({}): conflict-free deposit reported as failed",
-                    mode.name()
-                );
+                let events = next_events(&*client, &mut cursor).unwrap_or_else(|| {
+                    panic!(
+                        "{name} ({}): commit events dried up at {}/{}",
+                        mode.name(),
+                        seen.len(),
+                        ids.len()
+                    )
+                });
+                for (tx_id, success) in events {
+                    assert!(
+                        ids.contains(&tx_id),
+                        "{name} ({}): commit event for a transaction never submitted",
+                        mode.name()
+                    );
+                    assert!(
+                        seen.insert(tx_id),
+                        "{name} ({}): transaction committed twice",
+                        mode.name()
+                    );
+                    assert!(
+                        success,
+                        "{name} ({}): conflict-free deposit reported as failed",
+                        mode.name()
+                    );
+                }
             }
             deployment
                 .chain()
@@ -157,7 +184,6 @@ fn every_backend_seals_submissions_into_matching_commit_events() {
             // The range read the monitor polls through (the node's shared
             // read in process, the trait's per-height default over TCP)
             // returns the blocks `block_at` does, in height order.
-            let client = deployment.client();
             for shard in 0..client.architecture().shard_count() {
                 let h = client.latest_height(shard).unwrap();
                 let shared: Vec<Block> = client
@@ -330,11 +356,8 @@ fn dropping_a_deployment_joins_every_node_thread() {
             .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
             .unwrap();
         warmup.seed_account(conformance_account(0), 1_000, 1_000);
-        let events = warmup.client().subscribe_commits();
         warmup.client().submit(deposit("neuchain-sim", 0)).unwrap();
-        events
-            .recv_timeout(Duration::from_secs(30))
-            .expect("warm-up commit");
+        next_events(&*warmup.client(), &mut [0]).expect("warm-up commit");
     }
     let baseline = live_threads();
     for name in registry.names() {

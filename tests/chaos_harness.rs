@@ -289,6 +289,52 @@ fn killed_driver_resumes_and_matches_the_uninterrupted_run() {
     );
 }
 
+/// Runs `config` uninterrupted on one fresh deployment, then killed at
+/// `kill_ms` and resumed on another, and asserts that the two reports'
+/// deterministic projections match field for field and that the completed
+/// run deleted its checkpoint.
+fn assert_resume_matches_uninterrupted(config: fn() -> EvalConfig, run_id: &str, kill_ms: u64) {
+    let registry = BackendRegistry::builtin();
+    let workload = recovery_workload();
+    let control = ControlSequence::constant(100, 4, Duration::from_secs(1));
+
+    let baseline_deploy = registry
+        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .unwrap();
+    let baseline = Evaluation::new(config())
+        .run(&baseline_deploy, &workload, &control)
+        .unwrap();
+    drop(baseline_deploy);
+    assert_eq!(baseline.committed, 400, "clean run commits everything");
+
+    let store = Arc::new(KvStore::new());
+    let recovery = || RecoveryConfig::new(Arc::clone(&store), run_id, Duration::from_millis(200));
+    let deployment = registry
+        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .unwrap();
+    let killed = Evaluation::new(config()).run_recoverable(
+        &deployment,
+        &workload,
+        &control,
+        &recovery().kill_at(Duration::from_millis(kill_ms)),
+    );
+    assert!(matches!(killed, Err(EvalError::Killed)), "{killed:?}");
+
+    let resumed = Evaluation::new(config())
+        .run_recoverable(&deployment, &workload, &control, &recovery())
+        .expect("resume completes");
+
+    assert_eq!(
+        projection(&resumed),
+        projection(&baseline),
+        "{run_id}: the resumed run must match the uninterrupted run"
+    );
+    assert!(
+        store.get(&format!("hammer/checkpoint/{run_id}")).is_none(),
+        "a completed run deletes its checkpoint"
+    );
+}
+
 /// The same kill/resume round trip with the tracker explicitly sharded:
 /// the HMCP checkpoint is written from the all-shards-locked aggregate
 /// snapshot and replayed back across shards on resume, so the resumed
@@ -297,9 +343,6 @@ fn killed_driver_resumes_and_matches_the_uninterrupted_run() {
 #[test]
 fn sharded_tracker_checkpoint_roundtrip_matches_uninterrupted_run() {
     let _guard = common::serial_guard();
-    let registry = BackendRegistry::builtin();
-    let workload = recovery_workload();
-    let control = ControlSequence::constant(100, 4, Duration::from_secs(1));
     let sharded_config = || {
         EvalConfig::builder()
             .machine(ClientMachine::unconstrained())
@@ -310,55 +353,29 @@ fn sharded_tracker_checkpoint_roundtrip_matches_uninterrupted_run() {
             .build()
             .unwrap()
     };
+    assert_resume_matches_uninterrupted(sharded_config, "sharded-resume", 1_700);
+}
 
-    let baseline_deploy = registry
-        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
-        .unwrap();
-    let baseline = Evaluation::new(sharded_config())
-        .run(&baseline_deploy, &workload, &control)
-        .unwrap();
-    drop(baseline_deploy);
-    assert_eq!(baseline.committed, 400, "clean run commits everything");
-
-    let store = Arc::new(KvStore::new());
-    let deployment = registry
-        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
-        .unwrap();
-    let killed = Evaluation::new(sharded_config()).run_recoverable(
-        &deployment,
-        &workload,
-        &control,
-        &RecoveryConfig::new(
-            Arc::clone(&store),
-            "sharded-resume",
-            Duration::from_millis(200),
-        )
-        .kill_at(Duration::from_millis(1_700)),
-    );
-    assert!(matches!(killed, Err(EvalError::Killed)), "{killed:?}");
-
-    let resumed = Evaluation::new(sharded_config())
-        .run_recoverable(
-            &deployment,
-            &workload,
-            &control,
-            &RecoveryConfig::new(
-                Arc::clone(&store),
-                "sharded-resume",
-                Duration::from_millis(200),
-            ),
-        )
-        .expect("resume completes");
-
-    assert_eq!(
-        projection(&resumed),
-        projection(&baseline),
-        "sharded resume must match the uninterrupted run"
-    );
-    assert!(
-        store.get("hammer/checkpoint/sharded-resume").is_none(),
-        "a completed run deletes its checkpoint"
-    );
+/// The kill/resume round trip in interactive mode: the checkpoint records
+/// per shard the last block whose events have all left the listener's SDK
+/// buffer, so the resumed listener re-reads what the buffer held at the
+/// kill. On an unconstrained machine with a buffer larger than the run no
+/// event is lost, and the resumed report matches an uninterrupted run.
+#[test]
+fn killed_interactive_run_resumes_and_matches_the_uninterrupted_run() {
+    let _guard = common::serial_guard();
+    let interactive_config = || {
+        EvalConfig::builder()
+            .mode(TestingMode::Interactive)
+            .machine(ClientMachine::unconstrained())
+            .event_buffer(1_000_000)
+            .poll_interval(Duration::from_millis(50))
+            .drain_timeout(Duration::from_secs(120))
+            .retry(RetryPolicy::standard())
+            .build()
+            .unwrap()
+    };
+    assert_resume_matches_uninterrupted(interactive_config, "interactive-resume", 1_700);
 }
 
 /// A checkpoint taken under one run must not silently resume a different

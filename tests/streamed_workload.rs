@@ -3,7 +3,9 @@
 //! exactly the transactions `generate_all` yields for the seed; and an
 //! aborted run leaves nothing parked on the segment queue.
 //!
-//! Nor does a run of exactly its declared total rotate or expand the tracker.
+//! Nor does a run of exactly its declared total rotate or expand the tracker,
+//! and pipelined signing of a batch already in memory starts no thread
+//! beside its signers.
 //!
 //! The tests are heavy (thousands of transactions per run) and the last
 //! counts the process's threads, so they take the binary's serial guard.
@@ -13,15 +15,18 @@ mod common;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hammer::chain::client::{Architecture, BlockchainClient, ChainError, CommitEvent};
+use hammer::chain::client::{Architecture, BlockchainClient, ChainError};
 use hammer::chain::kernel::SimChain;
 use hammer::chain::ledger::LedgerError;
 use hammer::chain::state::AccountState;
 use hammer::chain::types::{Address, Block, SignedTransaction, TxId};
-use hammer::core::chaos::LeakProbe;
+use hammer::core::chaos::{live_threads, LeakProbe};
 use hammer::core::checkpoint::RecoveryConfig;
 use hammer::core::deploy::Deployment;
 use hammer::core::driver::{EvalConfig, EvalError, Evaluation, SigningStrategy};
+use hammer::core::signer::sign_pipelined;
+use hammer::crypto::sig::SigParams;
+use hammer::crypto::Keypair;
 use hammer::net::{LinkConfig, SimClock, SimNetwork};
 use hammer::store::kv::KvStore;
 use hammer::workload::{ControlSequence, SmallBankGenerator, WorkloadConfig};
@@ -55,9 +60,6 @@ impl BlockchainClient for SilentChain {
     }
     fn pending_txs(&self) -> Result<usize, ChainError> {
         Ok(0)
-    }
-    fn subscribe_commits(&self) -> crossbeam::channel::Receiver<CommitEvent> {
-        crossbeam::channel::unbounded().1
     }
     fn shutdown(&self) {}
 }
@@ -219,4 +221,25 @@ fn aborted_runs_leave_nothing_parked_on_the_segment_queue() {
     );
     drop(deployment);
     no_thread_leak(probe, "failed monitor");
+}
+
+#[test]
+fn pipelined_signing_of_a_batch_starts_only_its_signers() {
+    let _guard = common::serial_guard();
+    // Ten segments for two signers and nobody draining the stream: a
+    // generator thread queueing them four ahead would still be parked on
+    // its queue when the threads are counted.
+    let batch = SmallBankGenerator::new(WorkloadConfig {
+        accounts: 50,
+        total_txs: 9 * 32 * 1024,
+        ..WorkloadConfig::default()
+    })
+    .generate_all();
+    let probe = LeakProbe::start();
+    let before = live_threads();
+    let stream = sign_pipelined(batch, Keypair::from_seed(1), SigParams::fast(), 2);
+    assert_eq!(live_threads() - before, 2, "threads beside the two signers");
+    assert!(stream.recv().is_ok());
+    drop(stream);
+    no_thread_leak(probe, "dropped stream");
 }
