@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 use bench::save_result;
 use hammer_chain::types::{TxId, TxStatus};
 use hammer_core::shard::ShardedTxTable;
+use hammer_net::thread;
 use hammer_rpc::json::Value;
 
 /// splitmix64: cheap, well-mixed 64-bit ids. The fingerprint (the first
@@ -151,7 +152,7 @@ fn run_point(shards: usize, args: &Args) -> CeilingResult {
             let next_id = &next_id;
             let inserted = &inserted;
             let rejected = &rejected;
-            scope.spawn(move || loop {
+            let fill = move || loop {
                 let i = next_id.fetch_add(1, Ordering::Relaxed);
                 if i >= args.inflight {
                     return;
@@ -163,7 +164,8 @@ fn run_point(shards: usize, args: &Args) -> CeilingResult {
                     tracker.reject(&id, Duration::from_millis(1));
                     rejected.fetch_add(1, Ordering::Relaxed);
                 }
-            });
+            };
+            thread::spawn_scoped(scope, "ceiling-client", fill).expect("spawn client");
         }
     });
     let fill_time = fill_start.elapsed();
@@ -183,7 +185,7 @@ fn run_point(shards: usize, args: &Args) -> CeilingResult {
             let rejected = &rejected;
             let stop = &stop;
             let ceiling = args.inflight + matched_target;
-            scope.spawn(move || {
+            let replace = move || {
                 while !stop.load(Ordering::Acquire) {
                     let i = next_id.fetch_add(1, Ordering::Relaxed);
                     if i >= ceiling {
@@ -197,7 +199,8 @@ fn run_point(shards: usize, args: &Args) -> CeilingResult {
                         rejected.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-            });
+            };
+            thread::spawn_scoped(scope, "ceiling-client", replace).expect("spawn client");
         }
 
         // The matcher runs in this thread: oldest-first blocks, skipping

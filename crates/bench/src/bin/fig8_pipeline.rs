@@ -26,7 +26,7 @@ use crossbeam::channel::bounded;
 use hammer_chain::types::{SignedTransaction, Transaction};
 use hammer_crypto::sig::SigParams;
 use hammer_crypto::Keypair;
-use hammer_net::SimClock;
+use hammer_net::{thread, SimClock};
 use hammer_store::report::{render_table, to_csv};
 use hammer_workload::{SmallBankGenerator, WorkloadConfig};
 
@@ -162,7 +162,7 @@ fn pipeline_makespan(
             let part: Vec<Transaction> = batch.drain(..take).collect();
             let out = out_tx.clone();
             let clock = clock.clone();
-            scope.spawn(move || {
+            let sign = move || {
                 let mut meter = CostMeter::new(&clock);
                 for tx in part {
                     let signed = sign_one(&mut meter, tx, kp, p);
@@ -171,7 +171,8 @@ fn pipeline_makespan(
                     }
                 }
                 meter.settle();
-            });
+            };
+            thread::spawn_scoped(scope, "fig8-signer", sign).expect("spawn signer");
         }
         drop(out_tx);
         let mut meter = CostMeter::new(clock);
@@ -201,7 +202,7 @@ fn pooled_sign(
             let take = chunk.min(batch.len());
             let part: Vec<Transaction> = batch.drain(..take).collect();
             let clock = clock.clone();
-            handles.push(scope.spawn(move || {
+            let sign = move || {
                 let mut meter = CostMeter::new(&clock);
                 let signed: Vec<SignedTransaction> = part
                     .into_iter()
@@ -209,7 +210,8 @@ fn pooled_sign(
                     .collect();
                 meter.settle();
                 signed
-            }));
+            };
+            handles.push(thread::spawn_scoped(scope, "fig8-signer", sign).expect("spawn signer"));
         }
         for h in handles {
             out.extend(h.join().expect("signer panicked"));

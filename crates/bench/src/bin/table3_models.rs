@@ -13,6 +13,7 @@
 //! checked claim fails.
 
 use bench::save_csv;
+use hammer_net::thread;
 use hammer_predict::models::all_models;
 use hammer_predict::{evaluate, Dataset, Metrics, TrainConfig, WINDOW};
 use hammer_store::report::{render_table, to_csv};
@@ -94,8 +95,10 @@ fn main() {
     // Each dataset trains on a thread of its own: the three are independent
     // and seeded, so the table does not depend on the schedule.
     let tables: Vec<(TraceKind, Vec<Row>)> = std::thread::scope(|scope| {
-        let handles =
-            TraceKind::all().map(|kind| scope.spawn(move || (kind, table_for(kind, &config))));
+        let handles = TraceKind::all().map(|kind| {
+            let train = move || (kind, table_for(kind, &config));
+            thread::spawn_scoped(scope, "table3-train", train).expect("spawn training thread")
+        });
         handles
             .into_iter()
             .map(|h| h.join().expect("a training thread panicked"))

@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hammer_crypto::sig::SigParams;
-use hammer_net::{SimClock, SimNetwork, StopSignal};
+use hammer_net::{thread, SimClock, SimNetwork, StopSignal};
 use parking_lot::{Mutex, RwLock};
 
 use crate::client::{check_node_ingress, Architecture, BlockchainClient, ChainError};
@@ -464,24 +464,16 @@ impl NodeKernelBuilder {
         let sealers: Vec<String> = (0..shard_count).map(|s| policy.sealer_node(s)).collect();
         let mut threads = Vec::new();
         for worker in policy.workers(&kernel) {
-            threads.push(
-                std::thread::Builder::new()
-                    .name(worker.name)
-                    .spawn(worker.run)
-                    .expect("spawn policy worker"),
-            );
+            threads.push(thread::spawn(worker.name, worker.run).expect("spawn policy worker"));
         }
         if policy.drives_sealer() {
             for shard in 0..shard_count {
                 let sealer_kernel = Arc::clone(&kernel);
                 let sealer_policy = Arc::clone(&policy);
                 let node = sealers[shard as usize].clone();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("{}-sealer-{shard}", kernel.chain_name))
-                        .spawn(move || sealer_loop(sealer_kernel, sealer_policy, shard, &node))
-                        .expect("spawn sealer"),
-                );
+                let name = format!("{}-sealer-{shard}", kernel.chain_name);
+                let sealer = move || sealer_loop(sealer_kernel, sealer_policy, shard, &node);
+                threads.push(thread::spawn(name, sealer).expect("spawn sealer"));
             }
         }
         Arc::new(ChainNode {
@@ -988,8 +980,11 @@ mod tests {
             .net()
             .install_faults(FaultPlan::new().crash("fifo-node-0", Duration::ZERO, forever));
         // A thread that starts after the install returned must see it.
-        let refused =
-            std::thread::scope(|scope| scope.spawn(|| chain.submit(signed(2))).join().unwrap());
+        let refused = std::thread::scope(|scope| {
+            let submit = || chain.submit(signed(2));
+            let handle = thread::spawn_scoped(scope, "kernel-test-submit", submit).unwrap();
+            handle.join().unwrap()
+        });
         assert!(refused.unwrap_err().is_unavailable());
         // An empty plan in its place: served again, and sealed again.
         chain.net().install_faults(FaultPlan::new());
@@ -1063,11 +1058,12 @@ mod tests {
         let kernel = Arc::clone(chain.kernel());
         // 1 hour of simulated time at 1000× is 3.6 s of wall time; the
         // shutdown below must cut it to the 30 ms it waited before.
-        let waiter = std::thread::spawn(move || {
+        let waiter = thread::spawn("kernel-test-sleeper", move || {
             let started = Instant::now();
             let completed = kernel.sleep_interruptible(Duration::from_secs(3600));
             (completed, started.elapsed())
-        });
+        })
+        .unwrap();
         std::thread::sleep(Duration::from_millis(30));
         chain.shutdown();
         let (completed, elapsed) = waiter.join().unwrap();

@@ -214,11 +214,12 @@ mod tests {
         let mut handles = Vec::new();
         for t in 0..4 {
             let pool = Arc::clone(&pool);
-            handles.push(std::thread::spawn(move || {
+            let push = move || {
                 for i in 0..50 {
                     let _ = pool.push(signed(t * 1000 + i));
                 }
-            }));
+            };
+            handles.push(hammer_net::thread::spawn("mempool-test-push", push).unwrap());
         }
         for h in handles {
             h.join().unwrap();

@@ -35,7 +35,8 @@ use hammer_ethereum::EthereumConfig;
 use hammer_fabric::FabricConfig;
 use hammer_meepo::MeepoConfig;
 use hammer_net::{
-    FaultPlan, LinkConfig, ReconnectPolicy, SimClock, SimNetwork, TcpClientConfig, TcpRpcClient,
+    thread, FaultPlan, LinkConfig, ReconnectPolicy, SimClock, SimNetwork, TcpClientConfig,
+    TcpRpcClient,
 };
 use hammer_neuchain::NeuchainConfig;
 use parking_lot::Mutex;
@@ -244,18 +245,16 @@ impl NodeCommand {
         let stdout = child.stdout.take().expect("stdout is piped");
         let (hello_tx, hello) = crossbeam::channel::bounded(1);
         let exited = events.clone();
-        let reader = std::thread::Builder::new()
-            .name("node-host-stdout".to_owned())
-            .spawn(move || {
-                let mut stdout = std::io::BufReader::new(stdout);
-                let mut line = String::new();
-                let _ = stdout.read_line(&mut line);
-                let _ = hello_tx.send(line);
-                // The host prints nothing more: EOF is its exit.
-                let _ = std::io::copy(&mut stdout, &mut std::io::sink());
-                let _ = exited.send(Event::Exited(id));
-            })
-            .expect("failed to spawn the node-host stdout reader");
+        let reader = thread::spawn("node-host-stdout", move || {
+            let mut stdout = std::io::BufReader::new(stdout);
+            let mut line = String::new();
+            let _ = stdout.read_line(&mut line);
+            let _ = hello_tx.send(line);
+            // The host prints nothing more: EOF is its exit.
+            let _ = std::io::copy(&mut stdout, &mut std::io::sink());
+            let _ = exited.send(Event::Exited(id));
+        })
+        .expect("failed to spawn the node-host stdout reader");
         let node = Incarnation {
             id,
             child,
@@ -392,13 +391,12 @@ impl Supervisor {
             restarts: AtomicU64::new(0),
         });
         let loop_shared = Arc::clone(&shared);
-        let thread = std::thread::Builder::new()
-            .name("node-supervisor".to_owned())
-            .spawn(move || supervise(&loop_shared, Some(node), &inbox))
+        let supervisor = move || supervise(&loop_shared, Some(node), &inbox);
+        let handle = thread::spawn("node-supervisor", supervisor)
             .expect("failed to spawn supervisor thread");
         Ok(Arc::new(Supervisor {
             shared,
-            thread: Mutex::new(Some(thread)),
+            thread: Mutex::new(Some(handle)),
         }))
     }
 

@@ -48,6 +48,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use hammer_chain::client::ChainError;
+use hammer_net::thread;
 use hammer_workload::{ControlSequence, WorkloadConfig};
 
 use crate::checkpoint::{checkpoint_key, RecoveryConfig};
@@ -482,25 +483,19 @@ impl Evaluation {
         };
 
         let monitored = std::thread::scope(|scope| {
-            // Named like the generator, signer and sealer threads, so a
-            // per-thread CPU reading tells every role apart.
-            let named = |name: &str| std::thread::Builder::new().name(name.to_owned());
-            named("hammer-pacer")
-                .spawn_scoped(scope, || submit::pace(control, &clock, &state, &tokens))
-                .expect("spawn pacer");
+            let pace = || submit::pace(control, &clock, &state, &tokens);
+            thread::spawn_scoped(scope, "hammer-pacer", pace).expect("spawn pacer");
             let worker_handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let worker = submitter.clone();
-                    named("hammer-submit")
-                        .spawn_scoped(scope, move || worker.run())
+                    thread::spawn_scoped(scope, "hammer-submit", move || worker.run())
                         .expect("spawn submission worker")
                 })
                 .collect();
             // Only the workers hold a token taker and the signed stream from
             // here on.
             drop(submitter);
-            let monitor = named("hammer-monitor")
-                .spawn_scoped(scope, move || monitor.run())
+            let monitor = thread::spawn_scoped(scope, "hammer-monitor", move || monitor.run())
                 .expect("spawn monitor");
             for handle in worker_handles {
                 handle.join().expect("submission worker panicked");
@@ -1000,12 +995,22 @@ mod tests {
             ..StubChain::default()
         };
         let deployment = Deployment::from_chain(Arc::new(chain), clock, net);
+        deployment.net().install_obs(Obs::new());
         let recovery = RecoveryConfig::new(store, "resumed", Duration::from_secs(5));
         let report = Evaluation::new(fast_config())
             .run_recoverable(&deployment, &workload, &control, &recovery)
             .unwrap();
         assert_eq!(report.submitted, 2000);
         assert_eq!(report.committed, 2000);
+        // What the checkpoint owns is dropped before it is signed, though
+        // it fills every segment but the last.
+        let signed = deployment
+            .net()
+            .obs()
+            .spans()
+            .histogram(Stage::Signed)
+            .count();
+        assert_eq!(signed, 5);
         // The pacer was let go; it did not sit out the remaining slices.
         assert!(
             deployment.clock().now() < Duration::from_secs(30),

@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::Receiver;
 use hammer_chain::types::{Transaction, TxId, TxStatus};
 use hammer_crypto::sig::SigParams;
 use hammer_crypto::Keypair;
@@ -64,7 +64,15 @@ impl Inputs<'_> {
 
     /// Seeds the SmallBank account fixtures on this thread, then starts the
     /// generator thread; returns the queue of unsigned segments it fills.
-    fn generate(&self, threads: usize, obs: &Obs) -> Receiver<Vec<Transaction>> {
+    /// Transactions whose id is in `owned` (a checkpoint's) are dropped
+    /// before they reach a signer: an id hashes the signable bytes, not the
+    /// signature.
+    fn generate(
+        &self,
+        threads: usize,
+        obs: &Obs,
+        owned: HashSet<TxId>,
+    ) -> Receiver<Vec<Transaction>> {
         let workload = self.workload;
         let total = self.control.total() as usize;
         let mut generation_config = workload.clone();
@@ -88,10 +96,14 @@ impl Inputs<'_> {
             }
         };
         let (obs, clock) = (obs.clone(), self.deployment.clock().clone());
-        signer::generate_segments(total, threads, move |len| {
+        // An empty segment ends the workload, so one the filter empties is
+        // followed by the next until a segment survives or the generator is
+        // dry.
+        signer::generate_segments(total, threads, move |len| loop {
             let start = clock.now();
-            let unsigned = next_segment(len);
-            if obs.enabled() && !unsigned.is_empty() {
+            let mut unsigned = next_segment(len);
+            let dry = unsigned.is_empty();
+            if obs.enabled() && !dry {
                 // A segment is generated as a batch; attribute its cost
                 // evenly so the span count matches the transaction count.
                 let per_tx = clock.now().saturating_sub(start) / unsigned.len() as u32;
@@ -99,7 +111,12 @@ impl Inputs<'_> {
                     obs.spans().record(Stage::Generated, per_tx);
                 }
             }
-            unsigned
+            if !owned.is_empty() {
+                unsigned.retain(|tx| !owned.contains(&tx.id()));
+            }
+            if dry || !unsigned.is_empty() {
+                return unsigned;
+            }
         })
     }
 }
@@ -131,15 +148,14 @@ fn start_signer(
 }
 
 /// Resume: replays the checkpointed records into the fresh tracker and
-/// restores the counters; returns the ids the checkpoint owns. Terminal
-/// records are settled as they were; pending ones stay pending — workers
-/// are never interrupted mid-transaction, so every checkpointed record was
-/// already handed to the chain, and the monitor's rescan (from the
-/// checkpointed heights) re-observes their commits. `submitted` is derived
-/// from the record count rather than checkpointed separately: the two are
-/// updated by workers without a common lock, so only the records are
-/// authoritative.
-pub(super) fn restore(state: &RunState, cp: &DriverCheckpoint) -> HashSet<TxId> {
+/// restores the counters. Terminal records are settled as they were;
+/// pending ones stay pending — workers are never interrupted
+/// mid-transaction, so every checkpointed record was already handed to the
+/// chain, and the monitor's rescan (from the checkpointed heights)
+/// re-observes their commits. `submitted` is derived from the record count
+/// rather than checkpointed separately: the two are updated by workers
+/// without a common lock, so only the records are authoritative.
+pub(super) fn restore(state: &RunState, cp: &DriverCheckpoint) {
     let tracker = &*state.tracker;
     let rejected: HashSet<TxId> = cp.rejected_ids.iter().copied().collect();
     for record in &cp.records {
@@ -171,33 +187,13 @@ pub(super) fn restore(state: &RunState, cp: &DriverCheckpoint) -> HashSet<TxId> 
         .rejected
         .store(cp.rejected_ids.len() as u64, Ordering::Relaxed);
     state.retried.store(cp.retried, Ordering::Relaxed);
-    cp.records.iter().map(|r| r.tx_id).collect()
-}
-
-/// Transactions the checkpoint already owns are filtered out of the
-/// signed stream so the resumed workers only process the rest.
-fn without(upstream: SignedStream, known: HashSet<TxId>) -> SignedStream {
-    // At most as many chunks as the upstream buffers; a filtered chunk is
-    // no larger than it arrived.
-    let (filtered_tx, filtered) = bounded(signer::STREAM_BOUND / signer::CHUNK);
-    std::thread::Builder::new()
-        .name("hammer-resume-filter".to_owned())
-        .spawn(move || {
-            for mut chunk in upstream.into_chunks() {
-                chunk.retain(|tx| !known.contains(&tx.id));
-                if !chunk.is_empty() && filtered_tx.send(chunk).is_err() {
-                    return;
-                }
-            }
-        })
-        .expect("spawn resume filter");
-    SignedStream::from_chunks(filtered)
 }
 
 /// Runs the stage; returns the signed-transaction stream (minus anything a
-/// checkpoint owns) and where the monitor starts. The checkpoint guard
-/// comes first so a refused resume costs nothing; signing is already under
-/// way while a checkpoint is replayed into `state`. A fresh run starts at
+/// checkpoint owns: it is never signed) and where the monitor starts. The
+/// checkpoint guard comes first so a refused resume costs nothing; only its
+/// id set is needed before generation starts, and signing is already under
+/// way while the checkpoint is replayed into `state`. A fresh run starts at
 /// the chain's heights now, before any of its transactions is submitted:
 /// none of them can sit in an earlier block.
 pub(super) fn prepare(
@@ -216,7 +212,8 @@ pub(super) fn prepare(
             .collect::<Result<_, _>>()
             .map_err(EvalError::Chain)?,
     };
-    let segments = inputs.generate(config.signer_threads, obs);
+    let owned = checkpoint.iter().flat_map(|cp| &cp.records);
+    let segments = inputs.generate(config.signer_threads, obs, owned.map(|r| r.tx_id).collect());
     let keypair = Keypair::from_seed(inputs.workload.seed);
     let sign_obs = signer::SignObs::new(obs, inputs.deployment.clock());
     let signed = start_signer(config, segments, keypair, sign_obs);
@@ -227,7 +224,7 @@ pub(super) fn prepare(
         };
         return Ok((signed, fresh));
     };
-    let signed = without(signed, restore(state, &cp));
+    restore(state, &cp);
     let shard_commits = cp.shard_commits.iter().map(|(s, n)| (*s, *n as usize));
     let resumed = Progress {
         last_seen,
@@ -281,8 +278,7 @@ mod tests {
         };
 
         let resumed = state();
-        let known = restore(&resumed, &cp);
-        assert_eq!(known, (0..8).map(id).collect::<HashSet<_>>());
+        restore(&resumed, &cp);
         assert_eq!(
             sorted_snapshot(&resumed),
             (cp.records.clone(), cp.rejected_ids.clone())

@@ -340,6 +340,7 @@ impl Submitter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hammer_net::thread;
 
     fn spin_until(condition: impl Fn() -> bool) {
         while !condition() {
@@ -361,13 +362,14 @@ mod tests {
             let takers: Vec<_> = (0..4)
                 .map(|_| {
                     let taker = first.clone();
-                    scope.spawn(move || {
+                    let take_all = move || {
                         let mut n = 0u64;
                         while taker.take() {
                             n += 1;
                         }
                         n
-                    })
+                    };
+                    thread::spawn_scoped(scope, "submit-test-taker", take_all).unwrap()
                 })
                 .collect();
             drop(first);
@@ -390,7 +392,9 @@ mod tests {
             let takers: Vec<_> = (0..4)
                 .map(|_| {
                     let taker = first.clone();
-                    scope.spawn(move || std::iter::from_fn(|| taker.take().then_some(())).count())
+                    let take_all =
+                        move || std::iter::from_fn(|| taker.take().then_some(())).count();
+                    thread::spawn_scoped(scope, "submit-test-taker", take_all).unwrap()
                 })
                 .collect();
             assert!(tokens.release(3));
@@ -410,7 +414,8 @@ mod tests {
         let tokens = Tokens::new(10);
         let taker = tokens.taker();
         std::thread::scope(|scope| {
-            let pacer = scope.spawn(|| tokens.release(25));
+            let pacer = thread::spawn_scoped(scope, "submit-test-pacer", || tokens.release(25));
+            let pacer = pacer.unwrap();
             let mut taken = 0;
             // 25 released through a bound of 10: the pacer parks with the
             // counter full, and every take lets exactly one more in.
@@ -431,7 +436,8 @@ mod tests {
         let taker = tokens.taker();
         let other = taker.clone();
         std::thread::scope(|scope| {
-            let pacer = scope.spawn(|| tokens.release(10));
+            let pacer = thread::spawn_scoped(scope, "submit-test-pacer", || tokens.release(10));
+            let pacer = pacer.unwrap();
             spin_until(|| parked_at_cap(&tokens));
             drop(other);
             // One taker is left: still parked.

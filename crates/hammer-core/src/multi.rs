@@ -12,6 +12,7 @@
 //! and reports per-driver plus combined results, including each driver's
 //! index statistics so the foreign-transaction handling is observable.
 
+use hammer_net::thread;
 use hammer_workload::{ControlSequence, WorkloadConfig};
 
 use crate::deploy::Deployment;
@@ -74,10 +75,10 @@ pub fn run_distributed(
             let mut driver_workload = workload.clone();
             driver_workload.seed = workload.seed.wrapping_add(d as u64);
             let evaluation = Evaluation::new(config.clone());
-            handles.push((
-                d,
-                scope.spawn(move || evaluation.run(deployment, &driver_workload, control)),
-            ));
+            let run = move || evaluation.run(deployment, &driver_workload, control);
+            let handle = thread::spawn_scoped(scope, format!("hammer-driver-{d}"), run)
+                .expect("spawn driver");
+            handles.push((d, handle));
         }
         for (d, handle) in handles {
             results[d as usize] = Some(handle.join().expect("driver thread panicked"));

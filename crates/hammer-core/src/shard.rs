@@ -255,6 +255,7 @@ mod tests {
     use super::*;
     use hammer_chain::smallbank::Op;
     use hammer_chain::types::Transaction;
+    use hammer_net::thread;
     use proptest::prelude::*;
 
     fn tx_id(n: u64) -> TxId {
@@ -445,7 +446,7 @@ mod tests {
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let table = std::sync::Arc::clone(&table);
-                scope.spawn(move || {
+                let submit = move || {
                     for i in 0..per_thread {
                         let id = tx_id(t * per_thread + i);
                         table.insert(id, t as u32, 0, Duration::ZERO);
@@ -453,7 +454,8 @@ mod tests {
                             table.reject(&id, Duration::from_millis(1));
                         }
                     }
-                });
+                };
+                thread::spawn_scoped(scope, "shard-test-submit", submit).unwrap();
             }
         });
         let inserted = 4 * per_thread as usize;
@@ -462,7 +464,7 @@ mod tests {
             let mut handles = Vec::new();
             for t in 0..4u64 {
                 let table = std::sync::Arc::clone(&table);
-                handles.push(scope.spawn(move || {
+                let matcher = move || {
                     let mut out = Vec::new();
                     let entries: Vec<(TxId, bool)> = (0..per_thread)
                         .map(|i| (tx_id(t * per_thread + i), true))
@@ -471,7 +473,8 @@ mod tests {
                         table.complete_block(chunk, Duration::from_secs(1), &mut out);
                     }
                     out.len()
-                }));
+                };
+                handles.push(thread::spawn_scoped(scope, "shard-test-match", matcher).unwrap());
             }
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });

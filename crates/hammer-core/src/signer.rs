@@ -33,7 +33,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, RecvTimeoutErr
 use hammer_chain::types::{SignedTransaction, Transaction};
 use hammer_crypto::sig::SigParams;
 use hammer_crypto::Keypair;
-use hammer_net::SimClock;
+use hammer_net::{thread, SimClock};
 use hammer_obs::{Histogram, Obs, Stage};
 
 /// Per-transaction timing context for the signing pool: records each
@@ -138,51 +138,33 @@ pub fn sign_async_obs(
     threads: usize,
     obs: &SignObs,
 ) -> Vec<SignedTransaction> {
-    let threads = threads.max(1);
-    if txs.is_empty() {
-        return Vec::new();
-    }
-    let n = txs.len();
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<SignedTransaction>> = Vec::new();
-    out.resize_with(n, || None);
+    let share = txs.len().div_ceil(threads.max(1)).max(1);
     std::thread::scope(|scope| {
-        let mut remaining: &mut [Option<SignedTransaction>] = &mut out;
-        let mut txs = txs;
-        let mut start = 0usize;
-        let mut handles = Vec::new();
-        while !txs.is_empty() {
-            let take = chunk.min(txs.len());
-            let batch: Vec<Transaction> = txs.drain(..take).collect();
-            let (slots, rest) = remaining.split_at_mut(take);
-            remaining = rest;
-            let kp = *keypair;
-            let p = *params;
-            let worker_obs = obs.clone();
-            handles.push(scope.spawn(move || {
+        let workers: Vec<_> = cut(txs, share)
+            .map(|batch| {
+                let (kp, p, obs) = (*keypair, *params, obs.clone());
                 let mut buf = Vec::with_capacity(64);
-                for (slot, tx) in slots.iter_mut().zip(batch) {
-                    *slot = Some(worker_obs.sign_one(tx, &kp, &p, &mut buf));
-                }
-            }));
-            start += take;
-        }
-        debug_assert_eq!(start, n);
-        for h in handles {
-            h.join().expect("signer thread panicked");
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("all slots filled"))
-        .collect()
+                let sign = move || -> Vec<_> {
+                    let sign_one = |tx| obs.sign_one(tx, &kp, &p, &mut buf);
+                    batch.into_iter().map(sign_one).collect()
+                };
+                thread::spawn_scoped(scope, "hammer-signer", sign).expect("spawn signer")
+            })
+            .collect();
+        // Joined in the order the batch was cut: the output keeps the input's.
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("signer thread panicked"))
+            .collect()
+    })
 }
 
 /// Signed transactions per message on a [`SignedStream`].
-pub(crate) const CHUNK: usize = 128;
+const CHUNK: usize = 128;
 
 /// Signed transactions a stream buffers before the signers wait (the
 /// back-pressure bound when execution is the bottleneck).
-pub(crate) const STREAM_BOUND: usize = 4096;
+const STREAM_BOUND: usize = 4096;
 
 /// Unsigned transactions a signer claims at a time. Coarse, so the queue is
 /// touched a few dozen times per million transactions; still far smaller
@@ -229,7 +211,7 @@ pub struct SignedStream {
 }
 
 impl SignedStream {
-    pub(crate) fn from_chunks(chunks: Receiver<Vec<SignedTransaction>>) -> Self {
+    fn from_chunks(chunks: Receiver<Vec<SignedTransaction>>) -> Self {
         SignedStream {
             chunks,
             current: RefCell::default(),
@@ -244,12 +226,6 @@ impl SignedStream {
             tx.send(chunk).expect("the receiver is held here");
         }
         Self::from_chunks(rx)
-    }
-
-    /// The chunks nobody has received yet; a chunk this consumer was
-    /// part-way through is dropped.
-    pub(crate) fn into_chunks(self) -> Receiver<Vec<SignedTransaction>> {
-        self.chunks
     }
 
     fn next_with<E>(
@@ -353,15 +329,13 @@ pub(crate) fn generate_segments(
     let threads = threads.max(1);
     let len = segment_len(n, threads);
     let (queue, segments) = bounded(SEGMENTS_AHEAD * threads);
-    std::thread::Builder::new()
-        .name("hammer-generator".to_owned())
-        .spawn(move || loop {
-            let unsigned = next_segment(len);
-            if unsigned.is_empty() || queue.send(unsigned).is_err() {
-                return;
-            }
-        })
-        .expect("spawn generator");
+    thread::spawn("hammer-generator", move || loop {
+        let unsigned = next_segment(len);
+        if unsigned.is_empty() || queue.send(unsigned).is_err() {
+            return;
+        }
+    })
+    .expect("spawn generator");
     segments
 }
 
@@ -381,25 +355,23 @@ pub(crate) fn sign_segments(
         let next_segment = Arc::clone(&next_segment);
         let out = out.clone();
         let obs = obs.clone();
-        std::thread::Builder::new()
-            .name("hammer-signer".to_owned())
-            .spawn(move || {
-                let mut buf = Vec::with_capacity(64);
-                let mut chunk = Vec::with_capacity(CHUNK);
-                for tx in std::iter::from_fn(|| next_segment()).flatten() {
-                    chunk.push(obs.sign_one(tx, &keypair, &params, &mut buf));
-                    if chunk.len() == CHUNK {
-                        let full = std::mem::replace(&mut chunk, Vec::with_capacity(CHUNK));
-                        if out.send(full).is_err() {
-                            return; // consumer gone
-                        }
+        thread::spawn("hammer-signer", move || {
+            let mut buf = Vec::with_capacity(64);
+            let mut chunk = Vec::with_capacity(CHUNK);
+            for tx in std::iter::from_fn(|| next_segment()).flatten() {
+                chunk.push(obs.sign_one(tx, &keypair, &params, &mut buf));
+                if chunk.len() == CHUNK {
+                    let full = std::mem::replace(&mut chunk, Vec::with_capacity(CHUNK));
+                    if out.send(full).is_err() {
+                        return; // consumer gone
                     }
                 }
-                if !chunk.is_empty() {
-                    let _ = out.send(chunk);
-                }
-            })
-            .expect("spawn signer");
+            }
+            if !chunk.is_empty() {
+                let _ = out.send(chunk);
+            }
+        })
+        .expect("spawn signer");
     }
     SignedStream::from_chunks(chunks)
 }
@@ -474,7 +446,8 @@ mod tests {
             let consumers: Vec<_> = (0..4)
                 .map(|_| {
                     let stream = stream.clone();
-                    std::thread::spawn(move || stream.iter().map(|s| s.tx.nonce).collect())
+                    let consume = move || stream.iter().map(|s| s.tx.nonce).collect();
+                    thread::spawn("signer-test-consumer", consume).unwrap()
                 })
                 .collect();
             drop(stream);

@@ -386,7 +386,8 @@ mod spin_tests {
         }
         let stop = StopSignal::default();
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| clock.sleep_unless(Duration::from_secs(3600), &stop));
+            let wait = || clock.sleep_unless(Duration::from_secs(3600), &stop);
+            let waiter = crate::thread::spawn_scoped(scope, "clock-test-waiter", wait).unwrap();
             std::thread::sleep(Duration::from_millis(30));
             stop.raise();
             assert!(!waiter.join().unwrap(), "the raise should end the hour");
@@ -400,7 +401,8 @@ mod spin_tests {
         // An hour of simulated time is 3.6 s of wall time at 1000×.
         let hour = Duration::from_secs(3600);
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| (clock.sleep_unless(hour, &stop), Instant::now()));
+            let wait = || (clock.sleep_unless(hour, &stop), Instant::now());
+            let waiter = crate::thread::spawn_scoped(scope, "clock-test-waiter", wait).unwrap();
             std::thread::sleep(Duration::from_millis(30));
             let raised_at = Instant::now();
             stop.raise();

@@ -34,6 +34,9 @@
 //!   TCP ([`tcp::TcpRpcServer`] / [`tcp::TcpRpcClient`]), used by the
 //!   multi-process deploy mode where each chain node runs as its own OS
 //!   process and faults kill real sockets.
+//! * [`thread`] — the one place a thread is started: [`thread::spawn`] and
+//!   [`thread::spawn_scoped`] name every thread of the workspace after its
+//!   role; `clippy.toml` disallows the std spawns everywhere else.
 //!
 //! The network also carries the run's observability bundle
 //! ([`SimNetwork::install_obs`]): per-link byte and drop counters are
@@ -67,6 +70,7 @@ pub mod fault;
 pub mod link;
 pub mod network;
 pub mod tcp;
+pub mod thread;
 
 pub use chaos::ChaosTargets;
 pub use clock::{SimClock, StopSignal};

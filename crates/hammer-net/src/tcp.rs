@@ -42,6 +42,8 @@ use hammer_rpc::json::Value;
 use hammer_rpc::jsonrpc::{RpcError, RpcRequest, RpcResponse};
 use parking_lot::Mutex;
 
+use crate::thread;
+
 /// A raw request handler: receives one request's JSON bytes, appends the
 /// response JSON to `out`. [`hammer_rpc::transport::RpcServer::handle_bytes_into`]
 /// has exactly this shape.
@@ -143,9 +145,9 @@ impl TcpRpcServer {
         let t_shutdown = shutdown.clone();
         let t_conns = conns.clone();
         let t_served = served.clone();
-        let accept_thread = std::thread::Builder::new()
-            .name("tcp-rpc-accept".to_owned())
-            .spawn(move || accept_loop(accept_listener, handler, t_shutdown, t_conns, t_served))?;
+        let accept_thread = thread::spawn("tcp-rpc-accept", move || {
+            accept_loop(accept_listener, handler, t_shutdown, t_conns, t_served)
+        })?;
 
         Ok(TcpRpcServer {
             local_addr,
@@ -244,9 +246,7 @@ fn accept_loop(
                 };
                 let h = handler.clone();
                 let n = served.clone();
-                let handle = std::thread::Builder::new()
-                    .name("tcp-rpc-conn".to_owned())
-                    .spawn(move || conn_loop(stream, h, n));
+                let handle = thread::spawn("tcp-rpc-conn", move || conn_loop(stream, h, n));
                 match handle {
                     Ok(handle) => {
                         let mut guard = conns.lock();
@@ -582,12 +582,13 @@ mod tests {
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let c = client.clone();
-                std::thread::spawn(move || {
+                thread::spawn("tcp-test-client", move || {
                     for i in 0..25i64 {
                         let v = c.call("echo", Value::from(t * 100 + i)).unwrap().unwrap();
                         assert_eq!(v, Value::Int(t * 100 + i));
                     }
                 })
+                .unwrap()
             })
             .collect();
         for t in threads {
@@ -685,22 +686,24 @@ mod tests {
             let server = std::thread::scope(|scope| {
                 // Connects without pause and keeps every stream open, so a
                 // connection thread the shutdown missed would stay in `read`.
-                let client = scope.spawn(|| {
+                let client = thread::spawn_scoped(scope, "tcp-test-client", || {
                     let mut open = Vec::new();
                     while !done.load(Ordering::SeqCst) {
                         open.extend(TcpStream::connect_timeout(&addr, Duration::from_millis(50)));
                     }
                     open
-                });
+                })
+                .unwrap();
                 while server.conns.lock().is_empty() {
                     std::thread::yield_now();
                 }
                 // It joins what it holds, so coming back is the proof.
                 let (tx, rx) = std::sync::mpsc::channel();
-                std::thread::spawn(move || {
+                thread::spawn("tcp-test-shutdown", move || {
                     server.shutdown_and_join();
                     let _ = tx.send(server);
-                });
+                })
+                .unwrap();
                 let stopped = rx.recv_timeout(Duration::from_secs(1));
                 done.store(true, Ordering::SeqCst);
                 let open = client.join().unwrap().len();

@@ -532,6 +532,8 @@ fn qualified(name: &str, labels: &[(&str, &str)]) -> String {
 }
 
 #[cfg(test)]
+// Below hammer-net in the dependency graph: hammer_net::thread is out of reach.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

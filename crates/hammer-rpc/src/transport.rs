@@ -161,6 +161,8 @@ impl RpcClient {
 }
 
 #[cfg(test)]
+// Below hammer-net in the dependency graph: hammer_net::thread is out of reach.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::jsonrpc::RpcErrorCode;

@@ -15,6 +15,10 @@ echo "==> cargo clippy (-D warnings)"
 # The driver module also opts into clippy::too_many_lines (threshold 150,
 # clippy.toml), so no stage function can grow back into a monolith, and
 # hammer-crypto into clippy::undocumented_unsafe_blocks (its lib.rs).
+# clippy.toml's disallowed-methods rejects the four std thread spawns
+# (std::thread::spawn, Builder::spawn, Builder::spawn_scoped,
+# Scope::spawn) in every target, tests included: a thread starts through
+# hammer_net::thread, which names it.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc (-D warnings)"
@@ -73,7 +77,10 @@ echo "==> grep gate: sim crates stay on the node kernel"
 # machinery, and block-seal instrumentation (sealed counters, mempool
 # gauge, block_seal journal) is emitted by Kernel::seal_block only.
 # Hand-rolled threads or duplicate instrumentation in a sim crate means
-# the kernel is being bypassed.
+# the kernel is being bypassed. The disallowed-methods lint (clippy step)
+# only says a thread starts through hammer_net::thread; this grep says a
+# sim crate starts none but its kernel Workers, and its pattern matches
+# hammer_net::thread::spawn{,_scoped} too.
 sim_crates="crates/hammer-ethereum crates/hammer-fabric crates/hammer-neuchain crates/hammer-meepo"
 violations=$(grep -rnE 'thread::Builder::new|thread::spawn' $sim_crates 2>/dev/null || true)
 if [ -n "$violations" ]; then

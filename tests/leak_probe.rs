@@ -4,6 +4,7 @@
 
 use hammer::core::chaos::LeakProbe;
 use hammer::core::InvariantCheck;
+use hammer::net::thread;
 
 fn thread_row(rows: [InvariantCheck; 2]) -> InvariantCheck {
     let [threads, children] = rows;
@@ -19,7 +20,7 @@ fn thread_row(rows: [InvariantCheck; 2]) -> InvariantCheck {
 fn leak_probe_sees_a_parked_thread() {
     let probe = LeakProbe::start();
     let (release, parked) = std::sync::mpsc::channel::<()>();
-    let handle = std::thread::spawn(move || parked.recv());
+    let handle = thread::spawn("leak-probe-test-parked", move || parked.recv()).unwrap();
     let leaked = thread_row(probe.finish());
     assert!(!leaked.passed, "{leaked:?}");
 
