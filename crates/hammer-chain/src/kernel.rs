@@ -57,8 +57,10 @@ use crate::types::{verify_signed_batch, Address, Block, SignedTransaction, TxId}
 pub struct ShardCtx {
     /// Pending-transaction pool (bounded, de-duplicating).
     pub mempool: Mempool,
-    /// Append-only block store with hash-chain verification.
-    pub ledger: RwLock<Ledger>,
+    /// Append-only block store with hash-chain verification. Private to
+    /// the kernel, so its one write guard is [`Kernel::seal_block`]'s
+    /// append; everything else reads it through the kernel's methods.
+    ledger: RwLock<Ledger>,
     /// Versioned world state.
     pub state: Mutex<VersionedState>,
 }

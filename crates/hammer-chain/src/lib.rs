@@ -31,7 +31,6 @@
 //!   simulator reduces to a [`kernel::ConsensusPolicy`].
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod codec;

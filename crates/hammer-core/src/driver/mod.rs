@@ -99,45 +99,45 @@ pub enum SigningStrategy {
 /// Construct with [`EvalConfig::builder`], the only way in: the builder
 /// validates as it builds, so an invalid combination fails at
 /// construction instead of deep inside [`Evaluation::run`]. The fields
-/// are crate-private — the deprecation cycle that kept them public for
-/// struct-literal construction is over.
+/// are private to the `driver` module, so a struct literal anywhere else,
+/// in this crate or outside it, does not compile.
 #[derive(Clone, Debug)]
 pub struct EvalConfig {
     /// Commitment-observation mode.
-    pub(crate) mode: TestingMode,
+    mode: TestingMode,
     /// Signing strategy.
-    pub(crate) signing: SigningStrategy,
+    signing: SigningStrategy,
     /// Signer thread-pool size for the async/pipelined strategies.
-    pub(crate) signer_threads: usize,
+    signer_threads: usize,
     /// The modelled client machine.
-    pub(crate) machine: ClientMachine,
+    machine: ClientMachine,
     /// Block-polling interval in simulated time (ξ1: large intervals skew
     /// batch-baseline latency; small intervals burn CPU).
-    pub(crate) poll_interval: Duration,
+    poll_interval: Duration,
     /// How long (simulated) to keep monitoring after the last submission
     /// before declaring the stragglers timed out.
-    pub(crate) drain_timeout: Duration,
+    drain_timeout: Duration,
     /// Interactive mode: listener CPU cost per commit event.
-    pub(crate) listen_cost: Duration,
+    listen_cost: Duration,
     /// Interactive mode: how many unhandled commit events may stand behind
     /// the one the listener takes before it is lost (the paper's "loss of
     /// response information ... under heavy load").
-    pub(crate) event_buffer: usize,
+    event_buffer: usize,
     /// Resilient-submission policy: how workers retry transient failures
     /// (crashed/blackholed nodes, mempool backpressure). The default is
     /// [`RetryPolicy::disabled`], which reproduces the pre-fault driver
     /// exactly: one attempt per transaction.
-    pub(crate) retry: RetryPolicy,
+    retry: RetryPolicy,
     /// Stall watchdog: abort the run gracefully when no progress (no
     /// submissions, retries, completions, or sealed blocks) is observed
     /// for this much simulated time while transactions are pending.
     /// `None` (the default) disables the watchdog.
-    pub(crate) stall_budget: Option<Duration>,
+    stall_budget: Option<Duration>,
     /// Shard count for the in-flight tracker (task-processing modes).
     /// `None` (the default) sizes it to the host's available parallelism;
     /// an explicit value is rounded up to a power of two. `1` reproduces
     /// the single-lock tracker exactly.
-    pub(crate) tracker_shards: Option<usize>,
+    tracker_shards: Option<usize>,
 }
 
 impl Default for EvalConfig {
@@ -719,7 +719,7 @@ mod tests {
             .unwrap();
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         // The builder is the only public entry and rejects this policy at
-        // build time; mutate a built config directly (pub(crate) fields)
+        // build time; mutate a built config directly (driver-private fields)
         // to prove the run path re-validates as a second line of defense.
         let mut config = fast_config();
         config.retry = RetryPolicy {

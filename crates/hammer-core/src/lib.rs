@@ -51,7 +51,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod bloom;

@@ -39,7 +39,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 use std::time::Duration;

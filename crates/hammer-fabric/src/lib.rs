@@ -34,7 +34,6 @@
 //! policy's own counters are read through `node.policy()`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -27,7 +27,6 @@
 //! itself.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -62,7 +62,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod clock;

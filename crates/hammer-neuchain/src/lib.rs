@@ -18,7 +18,6 @@
 //! [`ChainNode`] itself.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -23,7 +23,6 @@
 //! differentiation in the test suite.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod attention;
 pub mod conv;

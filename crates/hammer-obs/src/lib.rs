@@ -24,7 +24,6 @@
 //! turns every record into one predictable branch, keeping
 //! instrumentation near-zero-cost when off.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dash;

@@ -17,7 +17,6 @@
 //!   sequence" of Fig. 11 and arbitrarily long control sequences.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod generate;

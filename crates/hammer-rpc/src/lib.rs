@@ -33,7 +33,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod frame;
 pub mod json;

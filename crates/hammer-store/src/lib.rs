@@ -11,7 +11,6 @@
 //! | Grafana | [`report`] | human-readable tables and line charts, plus CSV export |
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod kv;
 pub mod report;

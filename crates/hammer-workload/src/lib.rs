@@ -20,7 +20,6 @@
 //!   train and evaluate the prediction model (Table III, Fig. 11).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod control;

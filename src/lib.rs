@@ -47,7 +47,6 @@
 //! | [`crypto`] | `hammer-crypto` | SHA-256, HMAC, Merkle, signatures |
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub use hammer_chain as chain;
 pub use hammer_core as core;
