@@ -5,20 +5,23 @@
 //!
 //! `scripts/bench_snapshot.sh` runs this group with `CRITERION_JSON` set
 //! and checks the fixed-base speedup against its ≥3× floor, the SHA-256
-//! kernel against the portable rounds, pipelined against serial signing,
-//! and the report's one-pass fold against the table queries it replaced.
+//! kernel against the portable rounds, a sealed block against one Merkle
+//! root, pipelined against serial signing, and the report's one-pass fold
+//! against the table queries it replaced.
 
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use hammer_chain::codec;
 use hammer_chain::smallbank::Op;
-use hammer_chain::types::{verify_signed_batch, SignedTransaction, Transaction};
+use hammer_chain::types::{verify_signed_batch, SignedTransaction, Transaction, TxId};
+use hammer_chain::{ConsensusPolicy, NodeKernelBuilder, Round};
 use hammer_core::signer::{sign_pipelined, sign_serial};
 use hammer_crypto::merkle::merkle_root;
 use hammer_crypto::sha256::{compress, compress_portable, sha256_pair};
 use hammer_crypto::sig::{pow_g, pow_mod, SigParams, G, GROUP_ORDER};
 use hammer_crypto::{sha256, Keypair};
+use hammer_net::{LinkConfig, SimClock, SimNetwork};
 use hammer_rpc::json::Value;
 use hammer_rpc::transport::RpcServer;
 use hammer_store::table::{summarize, PerfRow, RowOutcome, TableStore};
@@ -106,6 +109,59 @@ fn bench_sha256(c: &mut Criterion) {
         b.iter(|| merkle_root(black_box(&ids)));
     });
     group.finish();
+}
+
+/// A chain that seals only when told: no sealer loop, no workers.
+struct SealOnCall;
+
+impl ConsensusPolicy for SealOnCall {
+    fn chain_name(&self) -> &'static str {
+        "bench"
+    }
+
+    fn ingress_node(&self, _shard: u32) -> String {
+        "bench-node-0".to_owned()
+    }
+
+    fn drives_sealer(&self) -> bool {
+        false
+    }
+}
+
+/// The `chain` layer's sealer: a 4096-id round through
+/// `Kernel::seal_block` on a started chain with observability off — the
+/// block, its header hash, the ledger push and the counters. The round is
+/// built outside the timed region. `scripts/bench_snapshot.sh` gates this
+/// row against `merkle_root_4096` over the same ids: one Merkle pass reads
+/// about 1.0-1.1x, a second one about 2x. It runs last, so no other row
+/// runs on the heap its ledger grew.
+fn bench_seal(c: &mut Criterion) {
+    let mut group = c.benchmark_group("roundtrip");
+    let clock = SimClock::with_speedup(1000.0);
+    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let chain = NodeKernelBuilder::new(clock, net)
+        .endpoint("bench-node-0")
+        .start(SealOnCall);
+    let ids: Vec<TxId> = (0..4096u32)
+        .map(|i| TxId(sha256(&i.to_be_bytes())))
+        .collect();
+    let round = || Round {
+        proposer: "bench-node-0".to_owned(),
+        tx_ids: ids.clone(),
+        valid: vec![true; ids.len()],
+        gossip_to: Vec::new(),
+        mempool_depth: None,
+    };
+    group.throughput(Throughput::Elements(ids.len() as u64));
+    group.bench_function("seal_block_4096", |b| {
+        b.iter_batched(
+            round,
+            |round| chain.kernel().seal_block(0, round),
+            BatchSize::LargeInput,
+        );
+    });
+    group.finish();
+    chain.shutdown_and_join();
 }
 
 /// The four stages of the transaction round trip, each on the
@@ -270,6 +326,7 @@ criterion_group!(
     bench_verify_burst,
     bench_signer,
     bench_store,
-    bench_rpc_call
+    bench_rpc_call,
+    bench_seal
 );
 criterion_main!(benches);

@@ -19,12 +19,13 @@
 //!   until a fault plan is installed, the locked path from then on), then
 //!   policy-controlled admission (bounded mempool by default, so overload
 //!   surfaces as [`ErrorKind::Backpressure`]).
-//! * **Sealing** — [`Kernel::seal_block`] builds and verifies the block
-//!   against the shard ledger's tip with no lock held, appends it under the
-//!   write lock (a push), accounts its replication traffic on `hammer-net`,
-//!   updates the activity counters, emits the per-block observability (sealed
-//!   counters, mempool-depth gauge, journal `block_seal`). Nothing is
-//!   pushed to the driver: it reads the sealed blocks.
+//! * **Sealing** — [`Kernel::seal_block`] builds the block on the shard
+//!   ledger's tip with no lock held (one Merkle pass, one header hash),
+//!   appends it under the write lock (a push), accounts its replication
+//!   traffic on `hammer-net`, updates the activity counters, emits the
+//!   per-block observability (sealed counters, mempool-depth gauge,
+//!   journal `block_seal`). Nothing is pushed to the driver: it reads the
+//!   sealed blocks.
 //! * **RPC wiring** — [`ChainNode::serve_rpc_sim`] exposes any
 //!   kernel-hosted chain over the JSON-RPC adapter.
 //!
@@ -233,12 +234,13 @@ impl Kernel {
         }
     }
 
-    /// Seals one round into a block on `shard`: builds and verifies the
-    /// block against the shard ledger's tip, accounts its gossip, appends
-    /// it, updates the counters and emits the per-block observability. One
-    /// obs-bundle fetch per sealed block,
-    /// never per tx. Both Merkle passes (the root, its check) run before
-    /// the write lock, which is held for a push.
+    /// Seals one round into a block on `shard`: builds the block on the
+    /// shard ledger's tip, accounts its gossip, appends it, updates the
+    /// counters and emits the per-block observability. One obs-bundle
+    /// fetch per sealed block, never per tx. The block's one Merkle pass
+    /// and its header hash run before the write lock, which is held for a
+    /// push; the root is built from the round's ids, so nothing re-checks
+    /// it (a received block is checked where it is decoded).
     pub fn seal_block(&self, shard_id: u32, round: Round) {
         let Round {
             proposer,
@@ -254,10 +256,7 @@ impl Kernel {
             let ledger = shard.ledger.read();
             (ledger.height() + 1, ledger.tip_hash())
         };
-        let verified = Verified::new(Block::new(
-            height, tip, timestamp, &proposer, shard_id, tx_ids, valid,
-        ))
-        .expect("Block::new computed the root it is checked against");
+        let verified = Verified::seal(height, tip, timestamp, &proposer, shard_id, tx_ids, valid);
         let block = verified.block();
         self.gossip(&proposer, &gossip_to, block.len());
 

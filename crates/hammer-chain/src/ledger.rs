@@ -1,18 +1,22 @@
 //! An append-only block store with hash-chain verification.
 //!
-//! A block is checked in two halves. [`Verified::new`] recomputes the Merkle
-//! root and hashes the header — every hash the check costs — before any
-//! lock is taken; [`Ledger::append`] compares the height and `prev_hash`
-//! against its cached tip and pushes a pointer.
+//! A block reaches a ledger as a [`Verified`], made with no lock held in
+//! one of two ways. A block from outside goes through [`Verified::new`],
+//! which recomputes its Merkle root against the header; the kernel's
+//! sealer builds one from its ids with `Verified::seal`, which computes
+//! the root once and so has nothing to re-check. Either way the header is
+//! hashed there, and [`Ledger::append`] only compares the height and
+//! `prev_hash` against its cached tip and pushes a pointer.
 //! Blocks are stored as `Arc<Block>`, so a reader takes a pointer copy, not
 //! the block.
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
+use std::time::Duration;
 
 use hammer_crypto::Hash32;
 
-use crate::types::Block;
+use crate::types::{Block, TxId};
 
 /// Errors from ledger operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,9 +48,10 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-/// A block whose Merkle root matches its transactions, with its header
-/// hash computed: the only thing [`Ledger::append`] accepts, so no block
-/// reaches a ledger unchecked. Built with no lock held.
+/// A block whose Merkle root matches its transactions — checked against
+/// them, or computed from them — with its header hash computed: the only
+/// thing [`Ledger::append`] accepts, so no block reaches a ledger
+/// unchecked. Built with no lock held.
 #[derive(Debug)]
 pub struct Verified {
     block: Arc<Block>,
@@ -65,6 +70,28 @@ impl Verified {
             block: Arc::new(block),
             hash,
         })
+    }
+
+    /// Builds a block from its ids through [`Block::new`], which computes
+    /// the Merkle root, and hashes the header. The root is right by
+    /// construction, so it is not computed a second time: this is the
+    /// sealer's one Merkle pass. Crate-private, so a block built outside
+    /// `hammer-chain` still goes through [`Verified::new`].
+    pub(crate) fn seal(
+        height: u64,
+        prev_hash: Hash32,
+        timestamp: Duration,
+        proposer: &str,
+        shard: u32,
+        tx_ids: Vec<TxId>,
+        valid: Vec<bool>,
+    ) -> Self {
+        let block = Block::new(height, prev_hash, timestamp, proposer, shard, tx_ids, valid);
+        let hash = block.header.hash();
+        Verified {
+            block: Arc::new(block),
+            hash,
+        }
     }
 
     /// The checked block, shared with the ledger once appended.
@@ -161,8 +188,7 @@ impl Ledger {
 mod tests {
     use super::*;
     use crate::smallbank::Op;
-    use crate::types::{Transaction, TxId};
-    use std::time::Duration;
+    use crate::types::Transaction;
 
     fn tx_id(nonce: u64) -> TxId {
         Transaction {
@@ -245,6 +271,36 @@ mod tests {
         let mut b = make_block(&Ledger::new(), 2);
         b.tx_ids[0] = tx_id(123_456);
         assert_eq!(Verified::new(b).unwrap_err(), LedgerError::BadMerkleRoot);
+    }
+
+    /// The sealer's constructor builds the block `Block::new` builds and
+    /// the header hash the checking `Verified::new` computes, at sizes
+    /// around the Merkle tree's odd levels and a 4096-id block's edge, and
+    /// a chain of its blocks passes the full audit.
+    #[test]
+    fn seal_matches_the_checked_block() {
+        let mut ledger = Ledger::new();
+        for n in [0u64, 1, 2, 3, 7, 64, 4095, 4096, 4097] {
+            let ids: Vec<TxId> = (0..n).map(|i| tx_id(n * 10_000 + i)).collect();
+            let valid: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
+            let (height, tip) = (ledger.height() + 1, ledger.tip_hash());
+            let at = Duration::from_millis(n);
+            let block = Block::new(height, tip, at, "node-0", 1, ids.clone(), valid.clone());
+            let reference = Verified::new(block).unwrap();
+            let sealed = Verified::seal(height, tip, at, "node-0", 1, ids, valid);
+            assert_eq!(sealed.block(), reference.block(), "{n} ids");
+            assert_eq!(sealed.hash, reference.hash, "{n} ids");
+            ledger.append(sealed).unwrap();
+        }
+        assert_eq!(ledger.height(), 9);
+        ledger.verify_chain().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "tx_ids and valid must align")]
+    fn seal_refuses_misaligned_flags() {
+        let ids = vec![tx_id(1), tx_id(2)];
+        Verified::seal(1, [0u8; 32], Duration::ZERO, "n", 0, ids, vec![true]);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 #     0.5x the portable rounds on a CPU whose SHA extensions the bench
 #     detected, or more than 1.1x on one without (the dispatch itself
 #     must be free), or
+#   * sealing a 4096-id round through Kernel::seal_block costs more than
+#     1.3x one Merkle root over the same 4096 ids (best samples: the sealer
+#     makes one pass, ~1.0-1.1x here; a second pass reads ~2x), or
 #   * on a host with at least two cores, signing a 4096-transaction batch
 #     through the pipelined signers costs more than 0.75x signing it on
 #     one thread (the chunked hand-off must leave the second core its
@@ -89,6 +92,22 @@ awk -v e="$sha_ext" -v d="$dispatched" -v p="$portable" 'BEGIN {
     printf "sha256 compress, dispatched / portable: %.2fx (%.0f ns / %.0f ns; SHA extensions detected: %s, limit %.1fx)\n", r, d, p, e, limit
     if (r > limit) {
         print "bench_snapshot: dispatched sha256 compress above its limit against the portable rounds" > "/dev/stderr"
+        exit 1
+    }
+}'
+# The sealer builds a block's root once: a second Merkle pass on the seal
+# path doubles this ratio.
+root=$(awk -F'"min_ns":' '/"roundtrip\/merkle_root_4096"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
+seal=$(awk -F'"min_ns":' '/"roundtrip\/seal_block_4096"/ { split($2, a, ","); print a[1] }' "$OUT_ABS")
+if [ -z "$root" ] || [ -z "$seal" ]; then
+    echo "bench_snapshot: merkle_root_4096 / seal_block_4096 results missing from $OUT" >&2
+    exit 1
+fi
+awk -v r="$root" -v s="$seal" 'BEGIN {
+    q = s / r
+    printf "sealing a 4096-id block / one 4096-leaf Merkle root (best samples): %.2fx (%.0f ns / %.0f ns)\n", q, s, r
+    if (q > 1.3) {
+        print "bench_snapshot: a sealed block above 1.3x of one Merkle root (is the root computed twice?)" > "/dev/stderr"
         exit 1
     }
 }'
