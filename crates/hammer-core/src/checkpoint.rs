@@ -1,6 +1,6 @@
 //! Driver checkpoint/resume: a compact, versioned snapshot of the
-//! evaluation driver's mutable state, periodically written to a
-//! [`KvStore`] so a killed driver can resume mid-run
+//! evaluation driver's mutable state, periodically written to a file in
+//! the run's directory so a killed driver can resume mid-run
 //! ([`crate::driver::Evaluation::run_recoverable`]).
 //!
 //! The snapshot captures exactly the state a resumed driver needs to
@@ -12,26 +12,27 @@
 //! * the workload seed and control total, as a guard against resuming
 //!   into a different run.
 //!
-//! Workers are never interrupted mid-transaction (the abort flag is only
-//! polled between transactions), so every checkpointed record was already
-//! handed to the chain: terminal records are settled, and pending ones
-//! are re-observed by rescanning blocks from the checkpointed heights.
-//! Transactions *not* in the checkpoint — pulled after the snapshot, or
-//! never pulled — are simply reprocessed by the resumed run; the chain
-//! simulators tolerate the resulting duplicate submissions (a transaction
-//! sealed twice matches at most once in the tracker).
+//! A resumed run restores the settled records and rescans blocks from the
+//! checkpointed heights; everything else, pending records included (a
+//! process can die between a worker's tracker insert and its send), is
+//! offered again from the deterministic workload stream. The chain refuses
+//! a re-offer it still pools as a duplicate, which the worker counts as in
+//! flight, or seals it again; the tracker matches an id at most once.
 //!
-//! The format is a hand-rolled little-endian byte codec (no serde in the
-//! dependency tree): a `HMCP` magic, a version word, then length-prefixed
-//! sections. [`DriverCheckpoint::from_bytes`] returns `None` on any
-//! structural mismatch, which a resuming driver treats as "no checkpoint".
+//! The snapshot is one file, `<dir>/checkpoint`, replaced by rename (see
+//! [`DriverCheckpoint::save`]), in a hand-rolled little-endian codec (no
+//! serde in the dependency tree): a `HMCP` magic, a version word, then
+//! length-prefixed sections. What comes back from the file is outside
+//! input, refused with [`EvalError::Checkpoint`] unless it decodes.
 
-use std::sync::Arc;
+use std::fs::{self, File};
+use std::io::{ErrorKind, Write};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hammer_chain::types::{TxId, TxStatus};
-use hammer_store::KvStore;
 
+use crate::driver::EvalError;
 use crate::index::TxRecord;
 
 const MAGIC: &[u8; 4] = b"HMCP";
@@ -43,30 +44,25 @@ const NO_END: u64 = u64::MAX;
 /// when it should simulate a crash.
 #[derive(Clone, Debug)]
 pub struct RecoveryConfig {
-    /// Where checkpoints live. Share one store across the crash and the
-    /// resume, as a real deployment would share a Redis instance.
-    pub store: Arc<KvStore>,
-    /// Namespaces the checkpoint key: two runs under different ids never
-    /// see each other's snapshots.
-    pub run_id: String,
+    /// The run directory, created if missing: the snapshot is
+    /// `dir/checkpoint`, and a rerun given the same directory resumes.
+    pub dir: PathBuf,
     /// Simulated time between periodic snapshots (the first is taken as
     /// soon as the monitor starts).
     pub interval: Duration,
     /// Cooperative kill switch: when the monitor's clock passes this
-    /// simulated time, the run aborts with [`crate::driver::EvalError::Killed`]
-    /// *without* writing a final snapshot — state since the last periodic
-    /// checkpoint is lost, exactly as in a real crash. `None` runs to
-    /// completion.
+    /// simulated time, the run aborts with [`EvalError::Killed`] *without*
+    /// writing a final snapshot — state since the last periodic checkpoint
+    /// is lost, exactly as in a real crash. `None` runs to completion.
     pub kill_at: Option<Duration>,
 }
 
 impl RecoveryConfig {
-    /// A recovery setup that checkpoints every `interval` and never
-    /// kills.
-    pub fn new(store: Arc<KvStore>, run_id: impl Into<String>, interval: Duration) -> Self {
+    /// A recovery setup that checkpoints into `dir` every `interval` and
+    /// never kills.
+    pub fn new(dir: impl Into<PathBuf>, interval: Duration) -> Self {
         RecoveryConfig {
-            store,
-            run_id: run_id.into(),
+            dir: dir.into(),
             interval,
             kill_at: None,
         }
@@ -79,9 +75,9 @@ impl RecoveryConfig {
     }
 }
 
-/// The KV key a run's checkpoint lives under.
-pub fn checkpoint_key(run_id: &str) -> String {
-    format!("hammer/checkpoint/{run_id}")
+/// A failed checkpoint operation on `path`.
+pub(crate) fn refused(path: &Path, what: impl std::fmt::Display) -> EvalError {
+    EvalError::Checkpoint(format!("{}: {what}", path.display()))
 }
 
 /// One snapshot of the driver's mutable state (see the module docs for
@@ -200,16 +196,41 @@ impl DriverCheckpoint {
         })
     }
 
-    /// Writes the checkpoint into the store under the run's key.
-    pub fn save(&self, store: &KvStore, run_id: &str) {
-        store.set(&checkpoint_key(run_id), self.to_bytes());
+    /// Replaces `dir/checkpoint`: writes and fsyncs `dir/checkpoint.tmp`,
+    /// renames it over the last snapshot and fsyncs the directory. A
+    /// process killed at any instant leaves the old snapshot or this one.
+    pub fn save(&self, dir: &Path) -> Result<(), EvalError> {
+        let (tmp, path) = (dir.join("checkpoint.tmp"), dir.join("checkpoint"));
+        let write = || {
+            let mut file = File::create(&tmp)?;
+            file.write_all(&self.to_bytes())?;
+            file.sync_all()
+        };
+        write().map_err(|e| refused(&tmp, e))?;
+        fs::rename(&tmp, &path).map_err(|e| refused(&path, e))?;
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| refused(dir, e))
     }
 
-    /// Loads and decodes a run's checkpoint, if one exists and parses.
-    pub fn load(store: &KvStore, run_id: &str) -> Option<Self> {
-        store
-            .get(&checkpoint_key(run_id))
-            .and_then(|bytes| Self::from_bytes(&bytes))
+    /// Reads `dir/checkpoint`, `None` if there is none. A file that cannot
+    /// be read or does not decode is an error, never a fresh start: that
+    /// would report everything the killed run committed as timed out.
+    pub fn load(dir: &Path) -> Result<Option<Self>, EvalError> {
+        let path = dir.join("checkpoint");
+        match fs::read(&path) {
+            Ok(bytes) => Self::from_bytes(&bytes)
+                .map(Some)
+                .ok_or_else(|| refused(&path, "damaged snapshot: does not decode")),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(refused(&path, e)),
+        }
+    }
+
+    /// Removes `dir/checkpoint`: its run has finished.
+    pub(crate) fn remove(dir: &Path) -> Result<(), EvalError> {
+        let path = dir.join("checkpoint");
+        fs::remove_file(&path).map_err(|e| refused(&path, e))
     }
 }
 
@@ -279,7 +300,7 @@ impl<'a> Cursor<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample() -> DriverCheckpoint {
@@ -316,13 +337,62 @@ mod tests {
         assert_eq!(decoded, cp);
     }
 
+    /// A fresh directory under the system temp dir, removed on drop.
+    pub(crate) struct TestDir(pub(crate) PathBuf);
+
+    impl TestDir {
+        pub(crate) fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir()
+                .join(format!("hammer-core-test-{}-{name}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).expect("create a test directory");
+            TestDir(dir)
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
-    fn round_trips_through_a_store() {
-        let store = KvStore::new();
+    fn round_trips_through_a_directory() {
+        let dir = TestDir::new("round-trip");
+        assert_eq!(DriverCheckpoint::load(&dir.0), Ok(None));
         let cp = sample();
-        cp.save(&store, "run-7");
-        assert_eq!(DriverCheckpoint::load(&store, "run-7").unwrap(), cp);
-        assert!(DriverCheckpoint::load(&store, "other-run").is_none());
+        cp.save(&dir.0).unwrap();
+        assert_eq!(DriverCheckpoint::load(&dir.0).unwrap(), Some(cp.clone()));
+        // A save killed before its rename leaves a stray temporary file,
+        // which is never read.
+        fs::write(dir.0.join("checkpoint.tmp"), b"torn").unwrap();
+        assert_eq!(DriverCheckpoint::load(&dir.0).unwrap(), Some(cp.clone()));
+        let mut next = cp;
+        next.retried += 1;
+        next.save(&dir.0).unwrap();
+        assert_eq!(DriverCheckpoint::load(&dir.0).unwrap(), Some(next));
+        DriverCheckpoint::remove(&dir.0).unwrap();
+        assert_eq!(DriverCheckpoint::load(&dir.0), Ok(None));
+    }
+
+    #[test]
+    fn a_damaged_file_is_an_error_not_a_fresh_start() {
+        let dir = TestDir::new("damaged");
+        let bytes = sample().to_bytes();
+        fs::write(dir.0.join("checkpoint"), &bytes[..bytes.len() / 2]).unwrap();
+        let err = DriverCheckpoint::load(&dir.0).unwrap_err();
+        let path = dir.0.join("checkpoint").display().to_string();
+        assert!(
+            matches!(&err, EvalError::Checkpoint(msg) if msg.starts_with(&path)),
+            "{err:?}"
+        );
+        // A checkpoint that is a directory cannot be read.
+        fs::remove_file(dir.0.join("checkpoint")).unwrap();
+        fs::create_dir(dir.0.join("checkpoint")).unwrap();
+        assert!(matches!(
+            DriverCheckpoint::load(&dir.0),
+            Err(EvalError::Checkpoint(_))
+        ));
     }
 
     #[test]

@@ -51,7 +51,7 @@ use hammer_chain::client::ChainError;
 use hammer_net::thread;
 use hammer_workload::{ControlSequence, WorkloadConfig};
 
-use crate::checkpoint::{checkpoint_key, RecoveryConfig};
+use crate::checkpoint::{refused, DriverCheckpoint, RecoveryConfig};
 use crate::deploy::Deployment;
 use crate::machine::ClientMachine;
 use crate::retry::RetryPolicy;
@@ -292,10 +292,13 @@ pub enum EvalError {
     /// The SUT failed.
     Chain(ChainError),
     /// The driver was killed mid-run by [`RecoveryConfig::kill_at`]. The
-    /// last periodic checkpoint survives in the recovery store; calling
-    /// [`Evaluation::run_recoverable`] again with the same run id resumes
-    /// from it.
+    /// last periodic checkpoint survives in the run directory; calling
+    /// [`Evaluation::run_recoverable`] again with the same directory
+    /// resumes from it.
     Killed,
+    /// A recoverable run's directory or checkpoint file cannot be created,
+    /// read or written, or does not decode. The message names the path.
+    Checkpoint(String),
 }
 
 impl std::fmt::Display for EvalError {
@@ -304,6 +307,7 @@ impl std::fmt::Display for EvalError {
             EvalError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             EvalError::Chain(e) => write!(f, "chain error: {e}"),
             EvalError::Killed => write!(f, "driver killed mid-run (checkpoint retained)"),
+            EvalError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
         }
     }
 }
@@ -400,14 +404,15 @@ impl Evaluation {
 
     /// Runs like [`Evaluation::run`], but periodically snapshots the
     /// driver's state (tracker records, counters, monitor heights) into
-    /// `recovery.store`. If a checkpoint for `recovery.run_id` already
-    /// exists there, the run *resumes* from it instead of starting over:
-    /// checkpointed transactions are filtered out of the signed stream,
-    /// the tracker and counters are restored, and the monitor rescans the
+    /// `recovery.dir/checkpoint`. If that file already exists, the run
+    /// *resumes* from it instead of starting over:
+    /// transactions it settled are filtered out of the signed stream, the
+    /// tracker and counters are restored, and the monitor rescans the
     /// chain from the checkpointed block heights — so a driver killed
     /// mid-run picks up where its last snapshot left off and the final
     /// report accounts for every transaction exactly once. The checkpoint
-    /// is deleted when the run completes.
+    /// file is removed when the run completes. A file that fails to be
+    /// written or read, or to decode, is an [`EvalError::Checkpoint`].
     ///
     /// Refused for [`TestingMode::BatchBaseline`], whose unconfirmed queue
     /// is not snapshot-able. An interactive run's checkpoint records per
@@ -426,6 +431,7 @@ impl Evaluation {
         if recovery.interval.is_zero() {
             return invalid("checkpoint interval must be positive");
         }
+        std::fs::create_dir_all(&recovery.dir).map_err(|e| refused(&recovery.dir, e))?;
         self.execute(deployment, workload, control, Some(recovery))
     }
 
@@ -509,10 +515,10 @@ impl Evaluation {
 
         if state.killed.load(Ordering::Acquire) {
             // Simulated crash: no report. The last periodic checkpoint
-            // stays in the store for the next run_recoverable call.
+            // stays in the directory for the next run_recoverable call.
             return Err(EvalError::Killed);
         }
-        let shard_commits = monitored.map_err(EvalError::Chain)?;
+        let shard_commits = monitored?;
         let index_stats = state.tracker.index_stats();
         let (records, rejected_ids) = state.tracker.finish();
         let report = report::build(Finished {
@@ -529,9 +535,9 @@ impl Evaluation {
             wall_start,
         });
         // A recoverable run that reached its report is finished: a later
-        // run under the same id starts fresh.
+        // run in the same directory starts fresh.
         if let Some(r) = recovery {
-            r.store.del(&checkpoint_key(&r.run_id));
+            DriverCheckpoint::remove(&r.dir)?;
         }
         Ok(report)
     }
@@ -540,6 +546,7 @@ impl Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::TestDir;
     use crate::deploy::{BackendOptions, BackendRegistry};
     use hammer_chain::types::{Address, Block, SignedTransaction, TxId};
     use hammer_obs::{Obs, Stage};
@@ -944,7 +951,6 @@ mod tests {
 
     #[test]
     fn a_resumed_run_with_tokens_to_spare_releases_a_pacer_parked_at_the_bound() {
-        use crate::checkpoint::DriverCheckpoint;
         use crate::index::TxRecord;
         use hammer_chain::types::TxStatus;
 
@@ -960,7 +966,7 @@ mod tests {
             .iter()
             .map(|tx| tx.id())
             .collect();
-        let store = Arc::new(hammer_store::KvStore::new());
+        let dir = TestDir::new("resumed-pacer");
         DriverCheckpoint {
             workload_seed: workload.seed,
             total: control.total(),
@@ -980,7 +986,8 @@ mod tests {
                 })
                 .collect(),
         }
-        .save(&store, "resumed");
+        .save(&dir.0)
+        .unwrap();
 
         // Every submission waits for the tenth slice, so the workers are
         // still alive when the pacer reaches the bound; once the five are
@@ -996,7 +1003,7 @@ mod tests {
         };
         let deployment = Deployment::from_chain(Arc::new(chain), clock, net);
         deployment.net().install_obs(Obs::new());
-        let recovery = RecoveryConfig::new(store, "resumed", Duration::from_secs(5));
+        let recovery = RecoveryConfig::new(&dir.0, Duration::from_secs(5));
         let report = Evaluation::new(fast_config())
             .run_recoverable(&deployment, &workload, &control, &recovery)
             .unwrap();
@@ -1017,6 +1024,90 @@ mod tests {
             "run ended at {:?}",
             deployment.clock().now()
         );
+    }
+
+    #[test]
+    fn a_checkpoint_from_a_chain_with_another_shard_count_is_refused() {
+        let workload = small_workload(100);
+        let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
+        let dir = TestDir::new("shard-count");
+        DriverCheckpoint {
+            workload_seed: workload.seed,
+            total: control.total(),
+            retried: 0,
+            last_seen: vec![0, 0],
+            shard_commits: Vec::new(),
+            rejected_ids: Vec::new(),
+            records: Vec::new(),
+        }
+        .save(&dir.0)
+        .unwrap();
+        let recovery = RecoveryConfig::new(&dir.0, Duration::from_secs(1));
+        let err = Evaluation::new(fast_config())
+            .run_recoverable(
+                &deploy_stub(StubChain::default()),
+                &workload,
+                &control,
+                &recovery,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, EvalError::InvalidConfig(msg) if msg.contains("different shard count")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn a_run_directory_that_cannot_be_created_fails_before_the_run_starts() {
+        let parent = TestDir::new("not-a-directory");
+        let file = parent.0.join("file");
+        std::fs::write(&file, b"").unwrap();
+        let dir = file.join("run");
+        let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
+        let chain = Arc::new(StubChain::default());
+        let clock = hammer_net::SimClock::with_speedup(1000.0);
+        let net = hammer_net::SimNetwork::new(clock.clone(), hammer_net::LinkConfig::lan());
+        let deployment = Deployment::from_chain(Arc::clone(&chain) as _, clock, net);
+        let err = Evaluation::new(fast_config())
+            .run_recoverable(
+                &deployment,
+                &small_workload(100),
+                &control,
+                &RecoveryConfig::new(&dir, Duration::from_secs(1)),
+            )
+            .unwrap_err();
+        let path = dir.display().to_string();
+        assert!(
+            matches!(&err, EvalError::Checkpoint(msg) if msg.starts_with(&path)),
+            "{err:?}"
+        );
+        assert!(chain.callers.lock().unwrap().is_empty(), "the run started");
+    }
+
+    #[test]
+    fn a_snapshot_that_cannot_be_written_fails_the_run() {
+        // The first submission takes the run directory away, so the next
+        // periodic snapshot has nowhere to go.
+        let dir = TestDir::new("vanishing");
+        let path = dir.0.clone();
+        let deployment = deploy_stub(StubChain {
+            on_submit: Some(Box::new(move || {
+                let _ = std::fs::remove_dir_all(&path);
+            })),
+            ..StubChain::default()
+        });
+        let control = ControlSequence::constant(50, 20, Duration::from_secs(1));
+        let recovery = RecoveryConfig::new(&dir.0, Duration::from_millis(100));
+        let err = Evaluation::new(fast_config())
+            .run_recoverable(&deployment, &small_workload(1000), &control, &recovery)
+            .unwrap_err();
+        let path = dir.0.display().to_string();
+        assert!(
+            matches!(&err, EvalError::Checkpoint(msg) if msg.starts_with(&path)),
+            "{err:?}"
+        );
+        // The abort reached the pacer and the workers.
+        assert!(deployment.clock().now() < Duration::from_secs(20));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! in every mode and at every speed-up.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,10 +20,9 @@ use hammer_chain::kernel::SimChain;
 use hammer_chain::types::{Block, TxStatus};
 use hammer_net::{FaultObserver, SimClock};
 use hammer_obs::{Obs, Stage};
-use hammer_store::KvStore;
 
-use super::{EvalConfig, Inputs, RunState, TestingMode};
-use crate::checkpoint::{checkpoint_key, DriverCheckpoint};
+use super::{EvalConfig, EvalError, Inputs, RunState, TestingMode};
+use crate::checkpoint::DriverCheckpoint;
 use crate::index::TxRecord;
 
 /// How far the monitor has got: what a checkpoint records of it and a
@@ -93,8 +93,7 @@ impl StallWatchdog {
 /// Periodic checkpointing plus the cooperative kill switch of a
 /// recoverable run.
 struct Checkpointer {
-    store: Arc<KvStore>,
-    key: String,
+    dir: PathBuf,
     interval: Duration,
     next_at: Duration,
     kill_at: Option<Duration>,
@@ -104,53 +103,47 @@ struct Checkpointer {
 
 impl Checkpointer {
     /// Writes the periodic snapshot when one is due, then consults the kill
-    /// switch. Returns `true` when it fired: the monitor must exit
+    /// switch. Returns `Ok(true)` when it fired: the monitor must exit
     /// *without* writing a further checkpoint — everything after the last
     /// periodic snapshot is lost, exactly as in a real crash. A snapshot
     /// already due is never lost to a kill seen in the same cycle, and the
     /// first cycle's is due at once, so a killed run always leaves a
-    /// checkpoint however long the host took to schedule the monitor.
+    /// checkpoint however long the host took to schedule the monitor. A
+    /// snapshot that cannot be written is the run's error.
     fn observe(
         &mut self,
         state: &RunState,
         now: Duration,
         progress: &Progress,
         buffered: &VecDeque<CommitEvent>,
-    ) -> bool {
+    ) -> Result<bool, EvalError> {
         if now >= self.next_at {
             while self.next_at <= now {
                 self.next_at += self.interval;
             }
-            self.snapshot(state, progress, buffered);
+            // One call snapshots records *and* rejected ids: the tracker
+            // updates both under the same shard lock on rejection and holds
+            // every shard lock while copying, so the pair is consistent —
+            // a rejection visible in the records always has its id here.
+            let (records, rejected_ids) = state.tracker.snapshot();
+            let shard_commits = progress.shard_commits.iter();
+            DriverCheckpoint {
+                workload_seed: self.workload_seed,
+                total: self.total,
+                retried: state.retried.load(Ordering::Relaxed),
+                last_seen: progress.resume_heights(buffered),
+                shard_commits: shard_commits.map(|(s, n)| (*s, *n as u64)).collect(),
+                rejected_ids,
+                records,
+            }
+            .save(&self.dir)?;
         }
         let killed = self.kill_at.is_some_and(|kill_at| now >= kill_at);
         if killed {
             state.killed.store(true, Ordering::Release);
             state.abort.store(true, Ordering::Release);
         }
-        killed
-    }
-
-    fn snapshot(&self, state: &RunState, progress: &Progress, buffered: &VecDeque<CommitEvent>) {
-        // One call snapshots records *and* rejected ids: the tracker
-        // updates both under the same shard lock on rejection and holds
-        // every shard lock while copying, so the pair is consistent —
-        // a rejection visible in the records always has its id here.
-        let (records, rejected_ids) = state.tracker.snapshot();
-        let checkpoint = DriverCheckpoint {
-            workload_seed: self.workload_seed,
-            total: self.total,
-            retried: state.retried.load(Ordering::Relaxed),
-            last_seen: progress.resume_heights(buffered),
-            shard_commits: progress
-                .shard_commits
-                .iter()
-                .map(|(shard, n)| (*shard, *n as u64))
-                .collect(),
-            rejected_ids,
-            records,
-        };
-        self.store.set(&self.key, checkpoint.to_bytes());
+        Ok(killed)
     }
 }
 
@@ -215,8 +208,7 @@ impl<'a> Monitor<'a> {
                 last_change: clock.now(),
             }),
             checkpointer: inputs.recovery.map(|r| Checkpointer {
-                store: Arc::clone(&r.store),
-                key: checkpoint_key(&r.run_id),
+                dir: r.dir.clone(),
                 interval: r.interval,
                 next_at: clock.now(),
                 kill_at: r.kill_at,
@@ -234,10 +226,11 @@ impl<'a> Monitor<'a> {
     /// Runs until everything submitted is accounted for, the drain
     /// deadline passes, or the run aborts; returns the per-shard commit
     /// counts. A chain read that fails is fatal (transient outages are
-    /// absorbed below the client interface): it is journaled, the run is
-    /// aborted, and the error is returned instead of letting every
-    /// in-flight transaction silently time out.
-    pub(super) fn run(mut self) -> Result<BTreeMap<u32, usize>, ChainError> {
+    /// absorbed below the client interface), and so is a snapshot that
+    /// cannot be written: it is journaled, the run is aborted, and the
+    /// error is returned instead of letting every in-flight transaction
+    /// silently time out.
+    pub(super) fn run(mut self) -> Result<BTreeMap<u32, usize>, EvalError> {
         let outcome = self.scan();
         if let Err(e) = &outcome {
             let now = self.clock.now();
@@ -251,22 +244,22 @@ impl<'a> Monitor<'a> {
 
     /// The one scan loop. A cycle is one step, then the per-cycle tail; a
     /// cycle with nothing to do ends in a `poll_interval` sleep.
-    fn scan(&mut self) -> Result<(), ChainError> {
+    fn scan(&mut self) -> Result<(), EvalError> {
         // Set once the drain deadline has passed: one last step runs so
         // blocks committed during the final poll window still match before
         // the stragglers are declared timed out.
         let mut final_pass = false;
         loop {
             let busy = match self.config.mode {
-                TestingMode::Interactive => self.listen()?,
+                TestingMode::Interactive => self.listen().map_err(EvalError::Chain)?,
                 _ => {
-                    for (shard, block) in self.read()? {
+                    for (shard, block) in self.read().map_err(EvalError::Chain)? {
                         self.match_block(shard, &block);
                     }
                     false
                 }
             };
-            match self.end_cycle() {
+            match self.end_cycle()? {
                 Next::Exit => return Ok(()),
                 Next::Deadline if final_pass => return Ok(()),
                 Next::Deadline => final_pass = true,
@@ -375,7 +368,7 @@ impl<'a> Monitor<'a> {
     }
 
     /// The per-cycle tail shared by every mode.
-    fn end_cycle(&mut self) -> Next {
+    fn end_cycle(&mut self) -> Result<Next, EvalError> {
         if let Some(observer) = self.fault_observer.as_mut() {
             observer.poll();
         }
@@ -384,20 +377,20 @@ impl<'a> Monitor<'a> {
         }
         let now = self.clock.now();
         if let Some(checkpointer) = self.checkpointer.as_mut() {
-            if checkpointer.observe(self.state, now, &self.progress, &self.events) {
-                return Next::Exit; // killed: exit without a further snapshot
+            if checkpointer.observe(self.state, now, &self.progress, &self.events)? {
+                return Ok(Next::Exit); // killed: exit without a further snapshot
             }
         }
         if let Some(dog) = self.watchdog.as_mut() {
             if dog.check(self.state, now, self.obs.journal()) {
-                return Next::Exit; // stalled: the abort flag winds the run down
+                return Ok(Next::Exit); // stalled: the abort flag winds the run down
             }
         }
-        match self.state.drain_deadline.get() {
+        Ok(match self.state.drain_deadline.get() {
             None => Next::Continue,
             Some(_) if self.state.tracker.pending() == 0 => Next::Exit,
             Some(deadline) if self.clock.now() >= *deadline => Next::Deadline,
             Some(_) => Next::Continue,
-        }
+        })
     }
 }

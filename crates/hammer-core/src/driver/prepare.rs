@@ -38,14 +38,12 @@ impl Inputs<'_> {
         }
     }
 
-    /// Crash recovery: adopts any prior checkpoint for this run id. A
+    /// Crash recovery: adopts any prior checkpoint in the run directory. A
     /// checkpoint taken under a different workload, control sequence or
     /// shard layout would resume into a different run — refuse it.
     fn load_checkpoint(&self, shards: usize) -> Result<Option<DriverCheckpoint>, EvalError> {
-        let Some(cp) = self
-            .recovery
-            .and_then(|r| DriverCheckpoint::load(&r.store, &r.run_id))
-        else {
+        let loaded = self.recovery.map(|r| DriverCheckpoint::load(&r.dir));
+        let Some(cp) = loaded.transpose()?.flatten() else {
             return Ok(None);
         };
         let (seed, total) = (self.workload.seed, self.control.total());
@@ -64,9 +62,9 @@ impl Inputs<'_> {
 
     /// Seeds the SmallBank account fixtures on this thread, then starts the
     /// generator thread; returns the queue of unsigned segments it fills.
-    /// Transactions whose id is in `owned` (a checkpoint's) are dropped
-    /// before they reach a signer: an id hashes the signable bytes, not the
-    /// signature.
+    /// Transactions whose id is in `owned` (the ones a checkpoint settled)
+    /// are dropped before they reach a signer: an id hashes the signable
+    /// bytes, not the signature.
     fn generate(
         &self,
         threads: usize,
@@ -147,28 +145,36 @@ fn start_signer(
     SignedStream::from_batch(signed)
 }
 
-/// Resume: replays the checkpointed records into the fresh tracker and
-/// restores the counters. Terminal records are settled as they were;
-/// pending ones stay pending — workers are never interrupted
-/// mid-transaction, so every checkpointed record was already handed to the
-/// chain, and the monitor's rescan (from the checkpointed heights)
-/// re-observes their commits. `submitted` is derived from the record count
-/// rather than checkpointed separately: the two are updated by workers
-/// without a common lock, so only the records are authoritative.
+/// The ids a checkpoint has settled: every terminal record, and a pending
+/// one whose rejection reached the id set. The other pending ones are
+/// offered again: a process can die between a worker's insert and its send.
+fn settled(cp: &DriverCheckpoint) -> HashSet<TxId> {
+    let rejected: HashSet<TxId> = cp.rejected_ids.iter().copied().collect();
+    let settled = cp
+        .records
+        .iter()
+        .filter(|r| r.status != TxStatus::Pending || rejected.contains(&r.tx_id));
+    settled.map(|r| r.tx_id).collect()
+}
+
+/// Resume: replays the settled records into the fresh tracker and restores
+/// the counters. `submitted` is the settled record count rather than a
+/// checkpointed counter: the two are updated by workers without a common
+/// lock, so only the records are authoritative.
 pub(super) fn restore(state: &RunState, cp: &DriverCheckpoint) {
     let tracker = &*state.tracker;
-    let rejected: HashSet<TxId> = cp.rejected_ids.iter().copied().collect();
-    for record in &cp.records {
+    let settled = settled(cp);
+    let records = cp.records.iter().filter(|r| settled.contains(&r.tx_id));
+    for record in records.clone() {
         let id = &record.tx_id;
         tracker.insert(*id, record.client_id, record.server_id, record.start);
         let end = record.end.unwrap_or(record.start);
         match record.status {
-            TxStatus::Pending if rejected.contains(id) => {
+            TxStatus::Pending => {
                 // The rejection landed in the id set but its record
                 // completion was lost to the crash.
                 let _ = tracker.complete(id, record.start, false);
             }
-            TxStatus::Pending => {}
             TxStatus::Committed => {
                 let _ = tracker.complete(id, end, true);
             }
@@ -181,8 +187,9 @@ pub(super) fn restore(state: &RunState, cp: &DriverCheckpoint) {
         }
     }
     tracker.restore_rejected(&cp.rejected_ids);
-    let submitted = cp.records.len() as u64;
-    state.submitted.store(submitted, Ordering::Relaxed);
+    state
+        .submitted
+        .store(records.count() as u64, Ordering::Relaxed);
     state
         .rejected
         .store(cp.rejected_ids.len() as u64, Ordering::Relaxed);
@@ -190,10 +197,11 @@ pub(super) fn restore(state: &RunState, cp: &DriverCheckpoint) {
 }
 
 /// Runs the stage; returns the signed-transaction stream (minus anything a
-/// checkpoint owns: it is never signed) and where the monitor starts. The
-/// checkpoint guard comes first so a refused resume costs nothing; only its
-/// id set is needed before generation starts, and signing is already under
-/// way while the checkpoint is replayed into `state`. A fresh run starts at
+/// checkpoint has settled: it is never signed) and where the monitor
+/// starts. The checkpoint guard comes first so a refused resume costs
+/// nothing; only its settled id set is needed before generation starts,
+/// and signing is already under way while the checkpoint is replayed into
+/// `state`. A fresh run starts at
 /// the chain's heights now, before any of its transactions is submitted:
 /// none of them can sit in an earlier block.
 pub(super) fn prepare(
@@ -212,8 +220,8 @@ pub(super) fn prepare(
             .collect::<Result<_, _>>()
             .map_err(EvalError::Chain)?,
     };
-    let owned = checkpoint.iter().flat_map(|cp| &cp.records);
-    let segments = inputs.generate(config.signer_threads, obs, owned.map(|r| r.tx_id).collect());
+    let owned = checkpoint.as_ref().map(settled).unwrap_or_default();
+    let segments = inputs.generate(config.signer_threads, obs, owned);
     let keypair = Keypair::from_seed(inputs.workload.seed);
     let sign_obs = signer::SignObs::new(obs, inputs.deployment.clock());
     let signed = start_signer(config, segments, keypair, sign_obs);
@@ -277,16 +285,28 @@ mod tests {
             records,
         };
 
+        // The three pending records are not restored: the workload stream
+        // offers them again.
+        let settled: Vec<_> = cp
+            .records
+            .iter()
+            .filter(|r| r.status != TxStatus::Pending)
+            .cloned()
+            .collect();
         let resumed = state();
         restore(&resumed, &cp);
         assert_eq!(
             sorted_snapshot(&resumed),
-            (cp.records.clone(), cp.rejected_ids.clone())
+            (settled.clone(), cp.rejected_ids.clone())
         );
-        assert_eq!(resumed.tracker.pending(), 3);
-        assert_eq!(resumed.submitted.load(Ordering::Relaxed), 8);
+        assert_eq!(resumed.tracker.pending(), 0);
+        assert_eq!(resumed.submitted.load(Ordering::Relaxed), 5);
         assert_eq!(resumed.rejected.load(Ordering::Relaxed), 1);
         assert_eq!(resumed.retried.load(Ordering::Relaxed), 5);
+        let ids = |records: &[crate::index::TxRecord]| -> HashSet<TxId> {
+            records.iter().map(|r| r.tx_id).collect()
+        };
+        assert_eq!(super::settled(&cp), ids(&settled));
 
         // A crash between the two halves of a rejection: the id reached
         // the rejected set, the record's completion did not. The resumed
@@ -296,6 +316,6 @@ mod tests {
         (lost.status, lost.end) = (TxStatus::Pending, None);
         let resumed = state();
         restore(&resumed, &torn);
-        assert_eq!(sorted_snapshot(&resumed), (cp.records, cp.rejected_ids));
+        assert_eq!(sorted_snapshot(&resumed), (settled, cp.rejected_ids));
     }
 }

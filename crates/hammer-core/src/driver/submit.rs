@@ -7,6 +7,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use hammer_chain::client::{BlockchainClient, ErrorKind};
+use hammer_chain::mempool::MempoolError;
 use hammer_chain::types::{SignedTransaction, TxStatus};
 use hammer_net::SimClock;
 use hammer_obs::{Obs, Stage};
@@ -290,6 +291,8 @@ impl Submitter<'_> {
                     }
                     return true;
                 }
+                // Pooled already (a resume's re-offer): it is in flight.
+                Err(e) if e.rejection() == Some(MempoolError::Duplicate) => return true,
                 Err(e) => e,
             };
             if !(self.retry.enabled() && err.is_retryable()) {

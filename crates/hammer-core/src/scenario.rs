@@ -47,7 +47,7 @@
 //! assert!(verdict.passed(), "{:?}", verdict.violations());
 //! ```
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use hammer_net::{chaos, ChaosTargets, FaultPlan, LinkConfig, SimClock, SimNetwork};
@@ -55,7 +55,6 @@ use hammer_obs::{EventKind, Obs, Stage};
 use hammer_rpc::json::{
     entries, float, list, millis, secs, string, uint, Fields, ReadError, Value,
 };
-use hammer_store::KvStore;
 use hammer_workload::{ControlSequence, TraceKind, TraceSpec, WorkloadConfig};
 
 use crate::chaos::{check_journal, check_report, InvariantCheck};
@@ -131,7 +130,8 @@ enum Chaos {
 
 /// Crash-during-drain knobs: run through the checkpointing driver, kill
 /// cooperatively at `kill_at` (simulated time), then resume from the
-/// checkpoint store and let the resumed run finish the report.
+/// checkpoint in the drive's run directory and let the resumed run finish
+/// the report.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoverySpec {
     /// Checkpoint cadence (simulated time).
@@ -765,24 +765,26 @@ impl Scenario {
                 .run(deployment, &self.workload, &self.control)
                 .map_err(ScenarioError::Config),
             Some(spec) => {
-                let store = Arc::new(KvStore::new());
-                let run_id = format!("scenario-{}", self.spec.name);
-                let first = RecoveryConfig::new(Arc::clone(&store), &run_id, spec.interval)
-                    .kill_at(spec.kill_at);
-                match evaluation.run_recoverable(deployment, &self.workload, &self.control, &first)
-                {
-                    // The cooperative kill landed: resume from the
-                    // checkpoint and let the resumed run finish.
-                    Err(EvalError::Killed) => {
-                        let resume = RecoveryConfig::new(store, &run_id, spec.interval);
-                        evaluation
-                            .run_recoverable(deployment, &self.workload, &self.control, &resume)
-                            .map_err(ScenarioError::Config)
-                    }
-                    // `kill_at` can land after the run completed — still
-                    // a valid (un-killed) recoverable run.
-                    other => other.map_err(ScenarioError::Config),
-                }
+                // A fresh run directory per drive, unique across calls and
+                // processes: scenarios run concurrently.
+                static DRIVES: AtomicU64 = AtomicU64::new(0);
+                let n = DRIVES.fetch_add(1, Ordering::Relaxed);
+                let name = format!("hammer-scenario-{}-{n}", std::process::id());
+                let dir = std::env::temp_dir().join(name);
+                let _ = std::fs::remove_dir_all(&dir); // a dead process's
+                let recovery = RecoveryConfig::new(&dir, spec.interval);
+                let run = |recovery: &RecoveryConfig| {
+                    evaluation.run_recoverable(deployment, &self.workload, &self.control, recovery)
+                };
+                // The cooperative kill landed: resume from the checkpoint
+                // and let the resumed run finish. `kill_at` can also land
+                // after the run completed — still a valid recoverable run.
+                let driven = match run(&recovery.clone().kill_at(spec.kill_at)) {
+                    Err(EvalError::Killed) => run(&recovery),
+                    other => other,
+                };
+                let _ = std::fs::remove_dir_all(&dir);
+                driven.map_err(ScenarioError::Config)
             }
         }
     }

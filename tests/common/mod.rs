@@ -1,5 +1,8 @@
 //! Shared helpers for the integration-test binaries.
 
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use hammer::core::chaos::live_threads;
 use parking_lot::{Mutex, MutexGuard};
 
@@ -35,6 +38,36 @@ pub fn serial_guard() -> MutexGuard<'static, ()> {
             return guard;
         }
         threads = now;
+    }
+}
+
+/// A fresh directory under the system temp dir, unique to this process
+/// and call, removed with everything in it on drop: a recoverable run's
+/// directory. Not every test binary makes one.
+#[allow(dead_code)]
+pub struct TempDir(PathBuf);
+
+#[allow(dead_code)]
+impl TempDir {
+    pub fn new(label: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("hammer-test-{label}-{}-{n}", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        // One left by a dead process that had this id.
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).expect("create a test directory");
+        TempDir(path)
+    }
+
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 

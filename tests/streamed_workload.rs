@@ -28,7 +28,6 @@ use hammer::core::signer::sign_pipelined;
 use hammer::crypto::sig::SigParams;
 use hammer::crypto::Keypair;
 use hammer::net::{LinkConfig, SimClock, SimNetwork};
-use hammer::store::kv::KvStore;
 use hammer::workload::{ControlSequence, SmallBankGenerator, WorkloadConfig};
 
 /// Accepts and remembers every submission and seals nothing. From `dies_at`
@@ -201,8 +200,9 @@ fn aborted_runs_leave_nothing_parked_on_the_segment_queue() {
 
     let probe = LeakProbe::start();
     let deployment = deploy(&Arc::default(), 10.0);
-    let recovery = RecoveryConfig::new(Arc::new(KvStore::new()), "killed", Duration::from_secs(1))
-        .kill_at(Duration::from_secs(10));
+    let dir = common::TempDir::new("killed");
+    let recovery =
+        RecoveryConfig::new(dir.path(), Duration::from_secs(1)).kill_at(Duration::from_secs(10));
     let killed = evaluation.run_recoverable(&deployment, &workload, &control, &recovery);
     assert!(matches!(killed, Err(EvalError::Killed)), "{killed:?}");
     drop(deployment);
