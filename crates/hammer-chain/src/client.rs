@@ -243,6 +243,16 @@ pub trait BlockchainClient: Send + Sync {
     /// and [`BlockchainClient::blocks`]), in every testing mode.
     fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError>;
 
+    /// Submits `txs` in order and answers one result per transaction, in
+    /// the same order: each is what [`BlockchainClient::submit`] would
+    /// have answered for it at that point (an id seen earlier in the batch
+    /// is a duplicate; a mempool that fills mid-batch refuses the rest).
+    /// The default calls `submit` once per transaction; a client whose
+    /// calls cost a round trip sends the batch as one.
+    fn submit_batch(&self, txs: Vec<SignedTransaction>) -> Vec<Result<TxId, ChainError>> {
+        txs.into_iter().map(|tx| self.submit(tx)).collect()
+    }
+
     /// Height of the newest committed block on `shard`.
     fn latest_height(&self, shard: u32) -> Result<u64, ChainError>;
 

@@ -16,6 +16,7 @@
 //! wire is range-checked — a shard that does not fit `u32` is an
 //! `invalid params` error, never shard 0.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use hammer_net::{FaultPlan, TcpRpcClient};
@@ -144,6 +145,46 @@ struct Codec<T> {
 /// `architecture` answer can make the client allocate per shard.
 const MAX_SHARDS: u32 = 1 << 16;
 
+/// Transactions one [`SUBMIT_BATCH`] call carries at most: eight of the
+/// driver's 128-transaction chunks. A longer batch is split by the client
+/// and refused by the server.
+pub const MAX_SUBMIT_BATCH: usize = 1024;
+
+/// Heights one [`GET_BLOCKS`] call asks for at most. A longer range is
+/// split by the client and refused by the server.
+pub const MAX_BLOCKS_PER_CALL: u64 = 64;
+
+/// Bytes of encoded blocks one [`GET_BLOCKS`] answer carries at most, as
+/// `block_len_bound` counts them: half a frame, so the answer's envelope always
+/// fits. Blocks are not bounded in size, so the server answers the
+/// longest ascending prefix of the range that fits the budget (always at
+/// least one block) and the client asks again from the next height. At
+/// Neuchain's 2 000 transactions per block that is 28 blocks an answer.
+pub const MAX_BLOCKS_BYTES: usize = hammer_rpc::MAX_FRAME_LEN / 2;
+
+/// An upper bound on the length of `block`'s JSON: keys, punctuation,
+/// three numbers of at most 20 digits and two quoted 64-digit hashes fit
+/// in 512 bytes, a proposer's byte escapes to at most six, and a
+/// transaction is a quoted 64-digit id, a `false` and two commas.
+pub(crate) fn block_len_bound(block: &Block) -> usize {
+    512 + 6 * block.header.proposer.len() + 73 * block.tx_ids.len()
+}
+
+/// The longest prefix of `blocks` within [`MAX_BLOCKS_BYTES`], and at
+/// least the first block.
+fn within_budget(mut blocks: Vec<Arc<Block>>) -> Vec<Arc<Block>> {
+    let mut spent = 0;
+    let fit = blocks
+        .iter()
+        .take_while(|block| {
+            spent += block_len_bound(block);
+            spent <= MAX_BLOCKS_BYTES
+        })
+        .count();
+    blocks.truncate(fit.max(1));
+    blocks
+}
+
 const NONE: Codec<()> = Codec {
     encode: |()| Value::Null,
     decode: |_| Ok(()),
@@ -153,18 +194,38 @@ const SHARD: Codec<u32> = Codec {
     encode: |shard| Value::object([("shard", Value::from(u64::from(*shard)))]),
     decode: |v| Ok(Fields::of(v).opt("shard", uint)?.unwrap_or(0)),
 };
-const SHARD_HEIGHT: Codec<(u32, u64)> = Codec {
-    encode: |(shard, height)| {
+/// A range of heights on a shard: `from` and `to` inclusive, at most
+/// [`MAX_BLOCKS_PER_CALL`] of them.
+const SHARD_RANGE: Codec<(u32, RangeInclusive<u64>)> = Codec {
+    encode: |(shard, heights)| {
         Value::object([
             ("shard", Value::from(u64::from(*shard))),
-            ("height", Value::from(*height)),
+            ("from", Value::from(*heights.start())),
+            ("to", Value::from(*heights.end())),
         ])
     },
-    decode: |v| Ok(((SHARD.decode)(v)?, Fields::of(v).req("height", uint)?)),
+    decode: |v| {
+        let f = Fields::of(v);
+        let (from, to): (u64, u64) = (f.req("from", uint)?, f.req("to", uint)?);
+        match to.checked_sub(from) {
+            Some(span) if span < MAX_BLOCKS_PER_CALL => Ok(((SHARD.decode)(v)?, from..=to)),
+            _ => Err(ReadError::new(format!(
+                "a range of 1 to {MAX_BLOCKS_PER_CALL} heights, got {from}..={to}"
+            ))),
+        }
+    },
 };
-const SIGNED_TX: Codec<SignedTransaction> = Codec {
-    encode: codec::encode_signed_tx,
-    decode: codec::decode_signed_tx,
+/// A batch of at most [`MAX_SUBMIT_BATCH`] signed transactions, counted
+/// before any of them is decoded.
+const SIGNED_TXS: Codec<Vec<SignedTransaction>> = Codec {
+    encode: |txs| Value::Array(txs.iter().map(codec::encode_signed_tx).collect()),
+    decode: |v| match v.as_array() {
+        Some(items) if items.len() > MAX_SUBMIT_BATCH => Err(ReadError::new(format!(
+            "at most {MAX_SUBMIT_BATCH} transactions per call, got {}",
+            items.len()
+        ))),
+        _ => list(codec::decode_signed_tx)(v),
+    },
 };
 const ACCOUNT: Codec<Address> = Codec {
     encode: |account| Value::object([("account", codec::encode_u64s(account.0))]),
@@ -220,11 +281,35 @@ const COUNT: Codec<u64> = Codec {
     encode: |n| Value::from(*n),
     decode: uint,
 };
-const BLOCK: Codec<Option<Block>> = Codec {
-    encode: |block| block.as_ref().map_or(Value::Null, codec::encode_block),
-    decode: |v| match v {
-        Value::Null => Ok(None),
-        block => codec::decode_block(block).map(Some),
+const BLOCKS: Codec<Vec<Arc<Block>>> = Codec {
+    encode: |blocks| {
+        Value::Array(
+            blocks
+                .iter()
+                .map(|block| codec::encode_block(block))
+                .collect(),
+        )
+    },
+    decode: |v| list(|block| codec::decode_block(block).map(Arc::new))(v),
+};
+/// One answer per transaction, in order: its id (a hex string), or the
+/// error object a lone call would have answered.
+const SUBMIT_RESULTS: Codec<Vec<Result<TxId, ChainError>>> = Codec {
+    encode: |results| {
+        let item = |result: &Result<TxId, ChainError>| match result {
+            Ok(id) => (TX_ID.encode)(id),
+            Err(err) => chain_error_to_rpc(err.clone()).to_value(),
+        };
+        Value::Array(results.iter().map(item).collect())
+    },
+    decode: |v| {
+        list(|item| match item {
+            Value::String(_) => (TX_ID.decode)(item).map(Ok),
+            error => match RpcError::from_value(error) {
+                Some(err) => Ok(Err(rpc_error_to_chain(err))),
+                None => Err(ReadError::want("an id or an error object", error)),
+            },
+        })(v)
     },
 };
 const ACCOUNT_STATE: Codec<Option<AccountState>> = Codec {
@@ -340,13 +425,16 @@ const fn method<P, R>(name: &'static str, params: Codec<P>, result: Codec<R>) ->
 pub const CHAIN_NAME: Method<(), String> = method("chain_name", NONE, NAME);
 /// The chain's sharding model.
 pub const ARCHITECTURE: Method<(), Architecture> = method("architecture", NONE, ARCHITECTURE_SHAPE);
-/// Submits one signed transaction; answers its id.
-pub const SUBMIT_TRANSACTION: Method<SignedTransaction, TxId> =
-    method("submit_transaction", SIGNED_TX, TX_ID);
+/// Submits a batch of signed transactions in order; answers one result
+/// per transaction, in the same order. A lone submission is a batch of one.
+pub const SUBMIT_BATCH: Method<Vec<SignedTransaction>, Vec<Result<TxId, ChainError>>> =
+    method("submit_batch", SIGNED_TXS, SUBMIT_RESULTS);
 /// The height of the newest sealed block on a shard, as the peer counts.
 pub const LATEST_HEIGHT: Method<u32, u64> = method("latest_height", SHARD, COUNT);
-/// The block at `(shard, height)`, if the peer has one.
-pub const GET_BLOCK: Method<(u32, u64), Option<Block>> = method("get_block", SHARD_HEIGHT, BLOCK);
+/// The blocks the peer has at a range of heights on a shard, in height
+/// order, cut at [`MAX_BLOCKS_BYTES`].
+pub const GET_BLOCKS: Method<(u32, RangeInclusive<u64>), Vec<Arc<Block>>> =
+    method("get_blocks", SHARD_RANGE, BLOCKS);
 /// Transactions pooled but not yet sealed.
 pub const PENDING_TXS: Method<(), u64> = method("pending_txs", NONE, COUNT);
 /// Installs a genesis allocation `(account, checking, savings)`.
@@ -373,16 +461,16 @@ pub const SHUTDOWN_CHAIN: Method<(), ()> = method("shutdown_chain", NONE, NONE);
 pub const INSTALL_FAULTS: Method<FaultPlan, ()> = method("install_faults", FAULT_PLAN, NONE);
 
 /// Exposes `chain` over JSON-RPC with the generic method set:
-/// `chain_name`, `architecture`, `submit_transaction`, `latest_height`,
-/// `get_block`, `pending_txs`.
+/// `chain_name`, `architecture`, `submit_batch`, `latest_height`,
+/// `get_blocks`, `pending_txs`.
 pub fn serve(chain: Arc<dyn BlockchainClient>) -> RpcServer {
     let server = RpcServer::new(chain.chain_name());
     CHAIN_NAME.serve(&server, &chain, |c, ()| Ok(c.chain_name().to_owned()));
     ARCHITECTURE.serve(&server, &chain, |c, ()| Ok(c.architecture()));
-    SUBMIT_TRANSACTION.serve(&server, &chain, |c, tx| c.submit(tx));
+    SUBMIT_BATCH.serve(&server, &chain, |c, txs| Ok(c.submit_batch(txs)));
     LATEST_HEIGHT.serve(&server, &chain, |c, shard| c.latest_height(shard));
-    GET_BLOCK.serve(&server, &chain, |c, (shard, height)| {
-        c.block_at(shard, height)
+    GET_BLOCKS.serve(&server, &chain, |c, (shard, heights)| {
+        c.blocks(shard, heights).map(within_budget)
     });
     PENDING_TXS.serve(&server, &chain, |c, ()| Ok(c.pending_txs()? as u64));
     server
@@ -443,11 +531,24 @@ pub(crate) mod tests {
     use std::time::Duration;
 
     /// The one in-memory chain the wire tests serve: two shards sharing a
-    /// ledger that seals every submission into its own block.
+    /// ledger that seals every submission into its own block, refusing an
+    /// id it has sealed as a duplicate and, past `capacity` blocks, every
+    /// submission as backpressure.
     #[derive(Default)]
     pub(crate) struct MockChain {
         blocks: Mutex<Vec<Block>>,
         accounts: Mutex<HashMap<Address, AccountState>>,
+        capacity: Option<usize>,
+    }
+
+    impl MockChain {
+        /// A mock that seals at most `capacity` blocks.
+        pub(crate) fn holding(capacity: usize) -> Self {
+            MockChain {
+                capacity: Some(capacity),
+                ..MockChain::default()
+            }
+        }
     }
 
     impl BlockchainClient for MockChain {
@@ -459,6 +560,15 @@ pub(crate) mod tests {
         }
         fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError> {
             let mut blocks = self.blocks.lock();
+            if blocks.iter().any(|block| block.tx_ids.contains(&tx.id)) {
+                return Err(ChainError::rejected(MempoolError::Duplicate));
+            }
+            if self
+                .capacity
+                .is_some_and(|capacity| blocks.len() >= capacity)
+            {
+                return Err(ChainError::rejected(MempoolError::Full));
+            }
             let height = blocks.len() as u64 + 1;
             let prev = blocks.last().map(|b| b.header.hash()).unwrap_or([0; 32]);
             blocks.push(Block::new(
@@ -519,7 +629,12 @@ pub(crate) mod tests {
 
     /// A fresh [`MockChain`] behind the full method set.
     pub(crate) fn serve_mock() -> (Arc<MockChain>, RpcServer) {
-        let chain = Arc::new(MockChain::default());
+        serve_chain(MockChain::default())
+    }
+
+    /// `chain` behind the full method set.
+    pub(crate) fn serve_chain(chain: MockChain) -> (Arc<MockChain>, RpcServer) {
+        let chain = Arc::new(chain);
         let server = serve_sim(Arc::clone(&chain) as Arc<dyn SimChain>);
         (chain, server)
     }
@@ -611,11 +726,24 @@ pub(crate) mod tests {
             ("shard", Value::from(1u64 << 32)),
             ("height", Value::from(1)),
         ]);
-        invalid(LATEST_HEIGHT.name, wide.clone());
-        invalid(GET_BLOCK.name, wide);
+        invalid(LATEST_HEIGHT.name, wide);
+        let range = |shard: u64, from: u64, to: u64| {
+            Value::object([
+                ("shard", Value::from(shard)),
+                ("from", Value::from(from)),
+                ("to", Value::from(to)),
+            ])
+        };
+        invalid(GET_BLOCKS.name, range(1 << 32, 1, 1));
         let negative = Value::object([("shard", Value::from(-1))]);
         invalid(LATEST_HEIGHT.name, negative);
-        assert!(invalid(GET_BLOCK.name, Value::Null).contains("height"));
+        assert!(invalid(GET_BLOCKS.name, Value::Null).contains("from"));
+        // A range is 1 to MAX_BLOCKS_PER_CALL heights, ascending.
+        invalid(GET_BLOCKS.name, range(0, 2, 1));
+        invalid(GET_BLOCKS.name, range(0, 1, MAX_BLOCKS_PER_CALL + 1));
+        invalid(GET_BLOCKS.name, range(0, 0, u64::MAX));
+        let longest = raw.call(GET_BLOCKS.name, range(0, 1, MAX_BLOCKS_PER_CALL));
+        assert_eq!(longest.unwrap().as_array().map(<[Value]>::len), Some(1));
         let no_balances = Value::object([("account", Value::from("7"))]);
         invalid(SEED_ACCOUNT.name, no_balances);
         let numeric_account = Value::object([("account", Value::from(7))]);
@@ -623,6 +751,104 @@ pub(crate) mod tests {
         // An omitted shard is shard 0.
         let height = raw.call(LATEST_HEIGHT.name, Value::Null).unwrap();
         assert_eq!(height, Value::Int(1));
+    }
+
+    #[test]
+    fn a_hostile_batch_is_refused_whole() {
+        let (chain, server) = serve_mock();
+        let raw = server.client();
+        let tx = codec::encode_signed_tx(&signed_tx(1));
+        let refused = |params: Value| {
+            let err = raw.call(SUBMIT_BATCH.name, params).unwrap_err();
+            assert_eq!(err.code.code(), -32602, "{err}");
+            assert_eq!(chain.latest_height(0), Ok(0), "nothing is admitted");
+        };
+        refused(tx.clone());
+        refused(Value::Null);
+        refused(Value::Array(vec![tx.clone(), Value::from("garbage")]));
+        refused(Value::Array(vec![tx.clone(); MAX_SUBMIT_BATCH + 1]));
+        // At the bound every item is answered, in order, and the call
+        // fits a frame many times over.
+        let longest = Value::Array(vec![tx.clone(); MAX_SUBMIT_BATCH]).to_json();
+        assert!(
+            longest.len() < hammer_rpc::MAX_FRAME_LEN / 8,
+            "{}",
+            longest.len()
+        );
+        let answers = raw.call(SUBMIT_BATCH.name, Value::Array(vec![tx; MAX_SUBMIT_BATCH]));
+        let answers = (SUBMIT_RESULTS.decode)(&answers.unwrap()).unwrap();
+        assert_eq!(answers.len(), MAX_SUBMIT_BATCH);
+        assert_eq!(answers[0], Ok(signed_tx(1).id));
+        let duplicate = Err(ChainError::rejected(MempoolError::Duplicate));
+        assert!(answers[1..].iter().all(|answer| *answer == duplicate));
+    }
+
+    #[test]
+    fn a_block_is_never_longer_than_its_bound_and_an_answer_stops_at_the_budget() {
+        let ids: Vec<TxId> = (0..2_000).map(|n| signed_tx(n).id).collect();
+        let mut block = Block::new(
+            u64::MAX,
+            [0xff; 32],
+            Duration::from_nanos(u64::MAX),
+            "node \"0\"\n",
+            u32::MAX,
+            ids,
+            vec![false; 2_000],
+        );
+        let len = codec::encode_block(&block).to_json().len();
+        assert!(len <= block_len_bound(&block), "{len}");
+        block.tx_ids.clear();
+        block.valid.clear();
+        let len = codec::encode_block(&block).to_json().len();
+        assert!(len <= block_len_bound(&block), "{len}");
+
+        let sized = |txs: usize| {
+            let ids = (0..txs as u64).map(|n| signed_tx(n).id).collect();
+            Arc::new(Block::new(
+                1,
+                [0; 32],
+                Duration::ZERO,
+                "n",
+                0,
+                ids,
+                vec![true; txs],
+            ))
+        };
+        let (small, large) = (sized(1), sized(40));
+        let per_block = block_len_bound(&large);
+        let fit = MAX_BLOCKS_BYTES / per_block;
+        let answer = within_budget(vec![Arc::clone(&large); fit + 3]);
+        assert_eq!(answer.len(), fit);
+        // A lone block over the budget is still answered: nothing smaller
+        // can be.
+        let huge = Arc::new(Block {
+            tx_ids: vec![large.tx_ids[0]; MAX_BLOCKS_BYTES / 73],
+            valid: vec![true; MAX_BLOCKS_BYTES / 73],
+            ..Block::clone(&large)
+        });
+        assert_eq!(within_budget(vec![Arc::clone(&huge), small]).len(), 1);
+    }
+
+    #[test]
+    fn every_answer_of_a_batch_survives_the_wire() {
+        let answers = vec![
+            Ok(signed_tx(1).id),
+            Err(ChainError::rejected(MempoolError::Full)),
+            Err(ChainError::unknown_shard(7)),
+            Err(ChainError::unavailable("peer0")),
+            Err(ChainError::transport("reset")),
+            Ok(signed_tx(2).id),
+        ];
+        let wire = (SUBMIT_RESULTS.encode)(&answers);
+        assert_eq!((SUBMIT_RESULTS.decode)(&wire), Ok(answers));
+        // An item that is neither an id nor an error object is a protocol
+        // violation, not an answer.
+        for item in [
+            Value::from(7),
+            Value::object([("message", Value::from("?"))]),
+        ] {
+            assert!((SUBMIT_RESULTS.decode)(&Value::Array(vec![item])).is_err());
+        }
     }
 
     /// A transport whose peer answers every call with the same value.
@@ -650,7 +876,12 @@ pub(crate) mod tests {
         assert_eq!(arch(Answers(Value::from("sharded"))), Fatal);
         let text = Answers(Value::from("seven"));
         assert_eq!(LATEST_HEIGHT.call(&text, &0).unwrap_err().kind(), Fatal);
-        assert_eq!(GET_BLOCK.call(&text, &(0, 1)).unwrap_err().kind(), Fatal);
+        assert_eq!(
+            GET_BLOCKS.call(&text, &(0, 1..=1)).unwrap_err().kind(),
+            Fatal
+        );
+        let batch = SUBMIT_BATCH.call(&text, &vec![signed_tx(1)]);
+        assert_eq!(batch.unwrap_err().kind(), Fatal);
         let account = GET_ACCOUNT.call(&text, &Address(1));
         assert_eq!(account.unwrap_err().kind(), Fatal);
         // A ledger check that does not parse is not a passed check.
@@ -686,9 +917,9 @@ pub(crate) mod tests {
             "(sharded|non_sharded|height_mismatch|bad_merkle_root|kv_put|[a-f0-9]{64})"
                 .prop_map(Value::String),
         ];
-        let key = "(shard|shards|height|account|checking|savings|version|type|ok|error|kind\
-                   |expected|got|id|tx|op|header|tx_ids|valid|signature|nonce|faults|node\
-                   |start_ms|end_ms)";
+        let key = "(shard|shards|height|from|to|account|checking|savings|version|type|ok|error\
+                   |kind|code|message|data|expected|got|id|tx|op|header|tx_ids|valid|signature\
+                   |nonce|faults|node|start_ms|end_ms)";
         leaf.prop_recursive(2, 16, 5, move |inner| {
             prop_oneof![
                 proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
@@ -714,9 +945,9 @@ pub(crate) mod tests {
             let peer = Answers(answer);
             let _ = CHAIN_NAME.call(&peer, &());
             let _ = ARCHITECTURE.call(&peer, &());
-            let _ = SUBMIT_TRANSACTION.call(&peer, &signed_tx(1));
+            let _ = SUBMIT_BATCH.call(&peer, &vec![signed_tx(1)]);
             let _ = LATEST_HEIGHT.call(&peer, &0);
-            let _ = GET_BLOCK.call(&peer, &(0, 1));
+            let _ = GET_BLOCKS.call(&peer, &(0, 1..=2));
             let _ = PENDING_TXS.call(&peer, &());
             let _ = SEED_ACCOUNT.call(&peer, &(Address(1), 2, 3));
             let _ = GET_ACCOUNT.call(&peer, &Address(1));
@@ -738,7 +969,7 @@ pub(crate) mod tests {
 
         #[test]
         fn prop_well_formed_calls_round_trip(
-            nonces in proptest::collection::vec(0u64..1_000_000, 1..4),
+            nonces in proptest::collection::hash_set(0u64..1_000_000, 1..4),
             shard in 0u32..4,
             height in 0u64..6,
             account in any::<u64>(),
@@ -756,6 +987,10 @@ pub(crate) mod tests {
             // Shards 2 and 3 do not exist: the same error, shard included.
             prop_assert_eq!(remote.latest_height(shard), chain.latest_height(shard));
             prop_assert_eq!(remote.block_at(shard, height), chain.block_at(shard, height));
+            prop_assert_eq!(
+                remote.blocks(shard, height..=height + 2),
+                chain.blocks(shard, height..=height + 2)
+            );
             prop_assert_eq!(remote.pending_txs(), chain.pending_txs());
             remote.seed_account(Address(account), checking, savings);
             prop_assert!(chain.account(Address(account)).is_some());

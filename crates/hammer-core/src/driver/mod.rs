@@ -836,6 +836,14 @@ mod tests {
         unreadable: bool,
         /// Called at the start of every `submit`.
         on_submit: Option<Box<dyn Fn() + Send + Sync>>,
+        /// Refuses each transaction's first attempt with a transient error.
+        fail_first_attempts: bool,
+        /// Refuses every attempt with a transient error.
+        refuse_all: bool,
+        /// Transactions offered so far, for `fail_first_attempts`.
+        offered: std::sync::Mutex<std::collections::HashSet<TxId>>,
+        /// The length of every `submit_batch` call, in order.
+        batches: std::sync::Mutex<Vec<usize>>,
         /// `("submit" | "height", name of the calling thread)` of every
         /// `submit` and `latest_height` call.
         callers: std::sync::Mutex<std::collections::BTreeSet<(&'static str, String)>>,
@@ -861,8 +869,16 @@ mod tests {
             if let Some(hook) = &self.on_submit {
                 hook();
             }
+            let first = self.offered.lock().unwrap().insert(tx.id);
+            if self.refuse_all || (self.fail_first_attempts && first) {
+                return Err(ChainError::transport("first attempt refused"));
+            }
             self.pool.lock().unwrap().push(tx.id);
             Ok(tx.id)
+        }
+        fn submit_batch(&self, txs: Vec<SignedTransaction>) -> Vec<Result<TxId, ChainError>> {
+            self.batches.lock().unwrap().push(txs.len());
+            txs.into_iter().map(|tx| self.submit(tx)).collect()
         }
         fn latest_height(&self, _shard: u32) -> Result<u64, ChainError> {
             self.record_caller("height");
@@ -947,6 +963,100 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_paper_client_hands_the_chain_one_transaction_per_call() {
+        // At a fiftieth of wall speed a 900 µs slot is 45 ms of wall time:
+        // only a stall that long between two submissions of a worker could
+        // make two slots come due at once.
+        let clock = hammer_net::SimClock::with_speedup(0.02);
+        let net = hammer_net::SimNetwork::new(clock.clone(), hammer_net::LinkConfig::lan());
+        let chain = Arc::new(StubChain::default());
+        let deployment = Deployment::from_chain(Arc::clone(&chain) as _, clock, net);
+        let config = EvalConfig::builder()
+            .machine(ClientMachine::paper_client())
+            .poll_interval(Duration::from_millis(1))
+            .build()
+            .unwrap();
+        let control = ControlSequence::constant(40, 1, Duration::from_millis(1));
+        let report = Evaluation::new(config)
+            .run(&deployment, &small_workload(40), &control)
+            .unwrap();
+        assert_eq!(report.committed, 40);
+        let batches = chain.batches.lock().unwrap().clone();
+        assert_eq!(batches, vec![1; 40]);
+    }
+
+    #[test]
+    fn a_failed_first_attempt_of_each_item_is_retried_alone() {
+        let chain = StubChain {
+            fail_first_attempts: true,
+            ..StubChain::default()
+        };
+        let config = fast_builder()
+            .machine(ClientMachine::unconstrained())
+            .retry(RetryPolicy::standard())
+            .build()
+            .unwrap();
+        // Every item's deadline counts from its chunk's start: a slice of
+        // 10 s (10 ms of wall time) leaves room for a chunk's first call
+        // in an unoptimised build.
+        let control = ControlSequence::constant(300, 1, Duration::from_secs(10));
+        let report = Evaluation::new(config)
+            .run(&deploy_stub(chain), &small_workload(300), &control)
+            .unwrap();
+        assert_eq!(report.committed, 300);
+        assert_eq!(report.retried, 300);
+        assert_eq!((report.expired, report.dropped, report.rejected), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_chunks_retries_run_side_by_side_and_expire_within_the_deadline() {
+        // One worker, two chunks, a chain that refuses every attempt: each
+        // item waits out its own backoffs (10 ms doubling, ±20 %) from its
+        // piece's start and expires at the 2 s deadline after about seven
+        // retries. Retried one after another, the first item would use the
+        // deadline up and the rest of its piece would expire after a retry
+        // or two.
+        const N: usize = 256;
+        let deadline = Duration::from_secs(2);
+        let clock = hammer_net::SimClock::with_speedup(10.0);
+        let net = hammer_net::SimNetwork::new(clock.clone(), hammer_net::LinkConfig::lan());
+        let chain = StubChain {
+            refuse_all: true,
+            ..StubChain::default()
+        };
+        let deployment = Deployment::from_chain(Arc::new(chain), clock, net);
+        let config = fast_builder()
+            .machine(ClientMachine::unconstrained())
+            .retry(RetryPolicy {
+                deadline: Some(deadline),
+                ..RetryPolicy::standard()
+            })
+            .build()
+            .unwrap();
+        let workload = WorkloadConfig {
+            clients: 1,
+            threads_per_client: 1,
+            ..small_workload(N)
+        };
+        let control = ControlSequence::constant(N as u32, 1, deadline);
+        let report = Evaluation::new(config)
+            .run(&deployment, &workload, &control)
+            .unwrap();
+        assert_eq!(report.expired, N);
+        assert_eq!((report.committed, report.dropped), (0, 0));
+        assert_eq!(report.rejected, 0);
+        for record in &report.records {
+            let end = record.end.expect("an expired record has an end");
+            assert!(end - record.start <= deadline, "{record:?}");
+        }
+        assert!(
+            report.retried >= 5 * N as u64,
+            "{} retries for {N} transactions",
+            report.retried
+        );
     }
 
     #[test]

@@ -37,10 +37,11 @@ pub struct FaultWindowStats {
 pub struct EvalReport {
     /// The evaluated chain's name.
     pub chain: String,
-    /// Transactions attempted against the SUT (every transaction pulled
-    /// from the signed stream, whatever its eventual fate — so
-    /// `committed + failed + timed_out + dropped + expired + rejected`
-    /// accounts for all of them).
+    /// Transactions attempted against the SUT: every transaction a worker
+    /// took a token for, whatever its eventual fate — so `committed +
+    /// failed + timed_out + dropped + expired + rejected` accounts for all
+    /// of them. At an abort, the untaken rest of a worker's chunk is
+    /// neither submitted nor tracked.
     pub submitted: u64,
     /// Submissions the SUT terminally rejected (non-retryable errors, or
     /// any error when retrying is disabled).

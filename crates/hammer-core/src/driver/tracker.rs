@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use hammer_chain::types::{TxId, TxStatus};
+use hammer_chain::types::{SignedTransaction, TxId, TxStatus};
 use parking_lot::Mutex;
 
 use crate::baseline::BatchQueue;
@@ -12,13 +12,18 @@ use crate::shard::ShardedTxTable;
 
 /// Internal: one interface over the two status-tracking structures.
 /// Locking is *internal* to the implementation — the sharded task tracker
-/// takes one shard lock per call (and one per shard per block for
-/// [`Tracker::complete_block_with`]) while the batch baseline keeps its single
+/// takes one shard lock per call (and one per touched shard per chunk or
+/// block for [`Tracker::insert_chunk`] and [`Tracker::complete_block_with`])
+/// while the batch baseline keeps its single
 /// queue lock — so callers never serialise on a global tracker mutex.
 /// `complete` returns the finished record so the interactive listener can
 /// record its spans without a second lookup.
 pub(super) trait Tracker: Send + Sync {
     fn insert(&self, id: TxId, client: u32, server: u32, start: Duration);
+    /// Records a chunk of submissions that share `start`, before the chain
+    /// sees any of them. The sharded tracker locks each touched shard once
+    /// per 128 (a piece is at most 128).
+    fn insert_chunk(&self, chunk: &[SignedTransaction], start: Duration);
     fn complete(&self, id: &TxId, end: Duration, ok: bool) -> Option<TxRecord>;
     /// Matches a whole sealed block, read from its two columns
     /// (`valid[i]` belongs to `tx_ids[i]`), showing `visit` every record
@@ -59,6 +64,9 @@ pub(super) trait Tracker: Send + Sync {
 impl Tracker for ShardedTxTable {
     fn insert(&self, id: TxId, client: u32, server: u32, start: Duration) {
         ShardedTxTable::insert(self, id, client, server, start);
+    }
+    fn insert_chunk(&self, chunk: &[SignedTransaction], start: Duration) {
+        ShardedTxTable::insert_chunk(self, chunk, start);
     }
     fn complete(&self, id: &TxId, end: Duration, ok: bool) -> Option<TxRecord> {
         ShardedTxTable::complete(self, id, end, ok)
@@ -115,6 +123,13 @@ impl BatchTracker {
 impl Tracker for BatchTracker {
     fn insert(&self, id: TxId, client: u32, server: u32, start: Duration) {
         self.queue.lock().insert(id, client, server, start);
+    }
+    fn insert_chunk(&self, chunk: &[SignedTransaction], start: Duration) {
+        let mut queue = self.queue.lock();
+        for signed in chunk {
+            let tx = &signed.tx;
+            queue.insert(signed.id, tx.client_id, tx.server_id, start);
+        }
     }
     fn complete(&self, id: &TxId, end: Duration, ok: bool) -> Option<TxRecord> {
         let mut queue = self.queue.lock();

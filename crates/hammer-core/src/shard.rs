@@ -30,7 +30,7 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use hammer_chain::types::{TxId, TxStatus};
+use hammer_chain::types::{SignedTransaction, TxId, TxStatus};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::index::{IndexStats, TxRecord, TxTable, Visit};
@@ -98,6 +98,32 @@ impl ShardedTxTable {
         self.shard(&tx_id)
             .table
             .insert(tx_id, client_id, server_id, start);
+    }
+
+    /// Records a chunk of submissions that share `start`, locking each
+    /// touched shard once per 128 of them. The submit path's grouping is
+    /// sorted on the stack: it allocates nothing.
+    pub fn insert_chunk(&self, chunk: &[SignedTransaction], start: Duration) {
+        const WINDOW: usize = 128;
+        for window in chunk.chunks(WINDOW) {
+            // (shard, index): sorted, each shard's entries in chunk order.
+            let mut order = [(0u32, 0u8); WINDOW];
+            let order = &mut order[..window.len()];
+            for (i, (slot, signed)) in (0u8..).zip(order.iter_mut().zip(window)) {
+                *slot = (self.shard_of(&signed.id) as u32, i);
+            }
+            order.sort_unstable();
+            for run in order.chunk_by(|a, b| a.0 == b.0) {
+                let mut shard = self.shards[run[0].0 as usize].lock();
+                for &(_, i) in run {
+                    let signed = &window[usize::from(i)];
+                    let tx = &signed.tx;
+                    shard
+                        .table
+                        .insert(signed.id, tx.client_id, tx.server_id, start);
+                }
+            }
+        }
     }
 
     /// Completes a single transaction, returning the finished record when
@@ -434,6 +460,37 @@ mod tests {
                 assert_eq!((table.len(), table.pending()), (0, 0));
                 assert!(table.drain().0.is_empty(), "nothing is handed over twice");
             }
+        }
+    }
+
+    #[test]
+    fn a_chunk_is_recorded_as_its_inserts_one_by_one() {
+        use hammer_crypto::sig::SigParams;
+        use hammer_crypto::Keypair;
+        // Over two and a half windows of 128, so the grouping restarts.
+        let chunk: Vec<SignedTransaction> = (0..300u64)
+            .map(|n| {
+                Transaction {
+                    client_id: (n % 7) as u32,
+                    server_id: (n % 3) as u32,
+                    nonce: n,
+                    op: Op::KvGet { key: n },
+                    chain_name: "t".to_owned(),
+                    contract_name: "k".to_owned(),
+                }
+                .sign(&Keypair::from_seed(1), &SigParams::fast())
+            })
+            .collect();
+        let start = Duration::from_millis(9);
+        for shards in [1, 2, 8] {
+            let chunked = ShardedTxTable::new(shards, chunk.len());
+            chunked.insert_chunk(&chunk, start);
+            let single = ShardedTxTable::new(shards, chunk.len());
+            for signed in &chunk {
+                single.insert(signed.id, signed.tx.client_id, signed.tx.server_id, start);
+            }
+            // The same records in the same shards, each in chunk order.
+            assert_eq!(chunked.snapshot(), single.snapshot(), "{shards} shards");
         }
     }
 

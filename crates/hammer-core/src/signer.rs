@@ -23,13 +23,15 @@
 //! and send 128 signed transactions per message on a [`SignedStream`]
 //! (hand-off to submission): a channel operation costs a lock hand-off and,
 //! when the peer is parked, a syscall, so it is paid once per 128
-//! transactions instead of once each.
+//! transactions instead of once each. The chunk is also the submission
+//! unit: a submit worker takes it whole ([`SignedStream::recv_chunk`]) and
+//! hands the chain as much of it as has come due — one token take, one
+//! clock reading, one tracker pass and one `submit_batch` call each time.
 
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, RecvTimeoutError};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvError};
 use hammer_chain::types::{SignedTransaction, Transaction};
 use hammer_crypto::sig::SigParams;
 use hammer_crypto::Keypair;
@@ -228,28 +230,28 @@ impl SignedStream {
         Self::from_chunks(rx)
     }
 
-    fn next_with<E>(
-        &self,
-        refill: impl Fn(&Receiver<Vec<SignedTransaction>>) -> Result<Vec<SignedTransaction>, E>,
-    ) -> Result<SignedTransaction, E> {
+    /// The next signed transaction, blocking until one is ready; an error
+    /// once the workload is exhausted.
+    pub fn recv(&self) -> Result<SignedTransaction, RecvError> {
         let mut current = self.current.borrow_mut();
         loop {
             if let Some(tx) = current.next() {
                 return Ok(tx);
             }
-            *current = refill(&self.chunks)?.into_iter();
+            *current = self.chunks.recv()?.into_iter();
         }
     }
 
-    /// The next signed transaction, blocking until one is ready; an error
-    /// once the workload is exhausted.
-    pub fn recv(&self) -> Result<SignedTransaction, RecvError> {
-        self.next_with(Receiver::recv)
-    }
-
-    /// [`SignedStream::recv`], giving up after `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<SignedTransaction, RecvTimeoutError> {
-        self.next_with(|chunks| chunks.recv_timeout(timeout))
+    /// The rest of the chunk this consumer holds, or else the next chunk,
+    /// blocking until one is ready; an error once the workload is
+    /// exhausted. Never empty.
+    pub fn recv_chunk(&self) -> Result<Vec<SignedTransaction>, RecvError> {
+        let rest: Vec<_> = std::mem::take(&mut *self.current.borrow_mut()).collect();
+        if rest.is_empty() {
+            self.chunks.recv()
+        } else {
+            Ok(rest)
+        }
     }
 
     /// A blocking iterator that yields until the workload is exhausted.
@@ -381,6 +383,7 @@ mod tests {
     use super::*;
     use hammer_chain::smallbank::Op;
     use std::collections::HashSet;
+    use std::time::Duration;
 
     fn batch(n: u64) -> Vec<Transaction> {
         (0..n)
@@ -480,8 +483,8 @@ mod tests {
         let kp = Keypair::from_seed(1);
         let params = SigParams::with_cost(50);
         let rx = sign_pipelined(batch(500), kp, params, 2);
-        let first = rx.recv_timeout(std::time::Duration::from_secs(5));
-        assert!(first.is_ok(), "no streamed result");
+        let first = rx.recv_chunk().expect("a streamed chunk");
+        assert_eq!(first.len(), CHUNK, "one chunk, not the batch");
         drop(rx); // consumer leaves; workers must exit quietly
     }
 

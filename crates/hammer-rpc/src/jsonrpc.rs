@@ -86,6 +86,31 @@ impl RpcError {
     pub fn application(code: i64, message: impl Into<String>) -> Self {
         Self::new(RpcErrorCode::Application(code), message)
     }
+
+    /// The error object as it travels: `code`, `message` and, when set,
+    /// `data`.
+    pub fn to_value(&self) -> Value {
+        let mut fields = vec![
+            ("code".to_owned(), Value::from(self.code.code())),
+            ("message".to_owned(), Value::from(self.message.as_str())),
+        ];
+        fields.extend(self.data.clone().map(|data| ("data".to_owned(), data)));
+        Value::Object(fields)
+    }
+
+    /// Reads an error object; `None` without an integer `code`. A missing
+    /// `message` reads as empty.
+    pub fn from_value(v: &Value) -> Option<Self> {
+        Some(RpcError {
+            code: RpcErrorCode::from_code(v.get("code").and_then(Value::as_i64)?),
+            message: v
+                .get("message")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_owned(),
+            data: v.get("data").cloned(),
+        })
+    }
 }
 
 impl fmt::Display for RpcError {
@@ -196,20 +221,11 @@ impl RpcResponse {
                 ("id", Value::from(self.id)),
                 ("result", result.clone()),
             ]),
-            Err(err) => {
-                let mut error_obj = vec![
-                    ("code".to_owned(), Value::from(err.code.code())),
-                    ("message".to_owned(), Value::from(err.message.clone())),
-                ];
-                if let Some(data) = &err.data {
-                    error_obj.push(("data".to_owned(), data.clone()));
-                }
-                Value::object([
-                    ("jsonrpc", Value::from("2.0")),
-                    ("id", Value::from(self.id)),
-                    ("error", Value::Object(error_obj)),
-                ])
-            }
+            Err(err) => Value::object([
+                ("jsonrpc", Value::from("2.0")),
+                ("id", Value::from(self.id)),
+                ("error", err.to_value()),
+            ]),
         }
     }
 
@@ -226,23 +242,9 @@ impl RpcResponse {
             .and_then(Value::as_u64)
             .ok_or_else(|| RpcError::new(RpcErrorCode::InvalidRequest, "missing id"))?;
         if let Some(err) = v.get("error") {
-            let code = err
-                .get("code")
-                .and_then(Value::as_i64)
+            let err = RpcError::from_value(err)
                 .ok_or_else(|| RpcError::new(RpcErrorCode::InvalidRequest, "missing error code"))?;
-            let message = err
-                .get("message")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_owned();
-            return Ok(RpcResponse::error(
-                id,
-                RpcError {
-                    code: RpcErrorCode::from_code(code),
-                    message,
-                    data: err.get("data").cloned(),
-                },
-            ));
+            return Ok(RpcResponse::error(id, err));
         }
         let result = v
             .get("result")

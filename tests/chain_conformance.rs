@@ -18,16 +18,24 @@
 //! 4. A bounded ingress under stalled sealing overflows to
 //!    [`ErrorKind::Backpressure`], not a panic or silent drop.
 //! 5. Dropping a deployment joins every node thread — no leaks.
+//! 6. A batch of submissions is answered once per transaction, in order,
+//!    each answer one a lone submission could get: a repeat inside the
+//!    batch is a duplicate, and a pool that fills mid-batch refuses with
+//!    backpressure.
 //!
-//! Contracts 1–4 are checked under **both deploy modes**: the backend
+//! Contracts 1–4 and 6 are checked under **both deploy modes**: the backend
 //! in-process on the simulated network, and the same backend as a
 //! supervised `node-host` OS process behind loopback TCP. The generic
 //! interface promises identical behaviour either way.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hammer::chain::client::{BlockchainClient, ErrorKind};
+use hammer::chain::client::{BlockchainClient, ChainError, ErrorKind};
+use hammer::chain::mempool::MempoolError;
+use hammer::chain::remote::RemoteChain;
+use hammer::chain::rpc_adapter::serve_sim;
 use hammer::chain::smallbank::Op;
 use hammer::chain::types::{Address, Block, SignedTransaction, Transaction, TxId};
 use hammer::core::chaos::live_threads;
@@ -182,8 +190,8 @@ fn every_backend_seals_submissions_into_matching_commit_events() {
                 .verify_ledgers()
                 .unwrap_or_else(|e| panic!("{name} ({}): ledger audit failed: {e}", mode.name()));
             // The range read the monitor polls through (the node's shared
-            // read in process, the trait's per-height default over TCP)
-            // returns the blocks `block_at` does, in height order.
+            // read in process, `get_blocks` calls over TCP) returns the
+            // blocks `block_at` does, in height order.
             for shard in 0..client.architecture().shard_count() {
                 let h = client.latest_height(shard).unwrap();
                 let shared: Vec<Block> = client
@@ -336,6 +344,96 @@ fn bounded_ingress_overflows_to_backpressure() {
                 err.kind(),
                 ErrorKind::Backpressure,
                 "{name} ({}): overflow must be backpressure, got {err}",
+                mode.name()
+            );
+            deployment.down();
+            drop(deployment);
+        }
+    }
+}
+
+/// The chain clients one deployment offers a driver: in process, the
+/// backend's own handle and `RemoteChain` over the in-process transport;
+/// multi-process, `RemoteChain` over TCP.
+fn batch_routes(
+    deployment: &Deployment,
+    mode: DeployMode,
+) -> Vec<(&'static str, Arc<dyn BlockchainClient>)> {
+    match mode {
+        DeployMode::InProcess => {
+            let served = serve_sim(Arc::clone(deployment.chain())).client();
+            let remote = RemoteChain::connect(served).expect("connect in process");
+            vec![
+                ("handle", deployment.client()),
+                ("remote in process", remote),
+            ]
+        }
+        DeployMode::MultiProcess => vec![("remote over tcp", deployment.client())],
+    }
+}
+
+#[test]
+fn submit_batch_answers_what_submit_would_for_every_backend() {
+    let _guard = common::serial_guard();
+    let registry = BackendRegistry::builtin();
+    // Sealing stalled: what is pooled stays pooled, so a repeat is a
+    // duplicate and a bounded pool fills.
+    let stalled = BackendOptions {
+        mempool_capacity: None,
+        stall_sealing: true,
+    };
+    let bounded = BackendOptions {
+        mempool_capacity: Some(4),
+        ..stalled
+    };
+    for mode in BOTH_MODES {
+        for name in registry.names() {
+            let deployment = deploy_in_mode(&registry, name, &stalled, 1000.0, mode);
+            for (i, (route, client)) in (0u64..).zip(batch_routes(&deployment, mode)) {
+                let (a, b) = (deposit(name, 10 * i), deposit(name, 10 * i + 1));
+                let answers = client.submit_batch(vec![a.clone(), b.clone(), a.clone()]);
+                assert_eq!(
+                    answers,
+                    [
+                        Ok(a.id),
+                        Ok(b.id),
+                        Err(ChainError::rejected(MempoolError::Duplicate))
+                    ],
+                    "{name} ({route})"
+                );
+            }
+            deployment.down();
+            drop(deployment);
+
+            // A pool of four fills within a batch of 32 (Fabric's endorsers
+            // may take a few first); each answer is the one a lone
+            // submission could get, and what was admitted is pooled.
+            let deployment = deploy_in_mode(&registry, name, &bounded, 1000.0, mode);
+            let mut admitted = 0;
+            for (i, (route, client)) in (0u64..).zip(batch_routes(&deployment, mode)) {
+                let batch: Vec<_> = (0..32).map(|n| deposit(name, 100 * (i + 1) + n)).collect();
+                let answers = client.submit_batch(batch.clone());
+                assert_eq!(answers.len(), batch.len(), "{name} ({route})");
+                let mut refused = 0;
+                for (tx, answer) in batch.into_iter().zip(answers) {
+                    match answer {
+                        Ok(id) => {
+                            assert_eq!(id, tx.id, "{name} ({route})");
+                            admitted += 1;
+                        }
+                        Err(e) => {
+                            assert_eq!(e.kind(), ErrorKind::Backpressure, "{name} ({route}): {e}");
+                            refused += 1;
+                        }
+                    }
+                }
+                assert!(refused > 0, "{name} ({route}): 32 never filled a pool of 4");
+            }
+            let pooled = deployment.client().pending_txs().unwrap();
+            assert_eq!(
+                pooled,
+                admitted,
+                "{name} ({}): admitted but not pooled",
                 mode.name()
             );
             deployment.down();

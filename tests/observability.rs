@@ -23,6 +23,7 @@ fn run_neuchain(
     plan: Option<FaultPlan>,
     retry: RetryPolicy,
     total: u32,
+    slices: usize,
 ) -> (EvalReport, Obs) {
     let clock = SimClock::with_speedup(100.0);
     let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
@@ -47,7 +48,6 @@ fn run_neuchain(
         chain_name: "neuchain-sim".to_owned(),
         ..WorkloadConfig::default()
     };
-    let slices = 4usize;
     let control = ControlSequence::constant(total / slices as u32, slices, Duration::from_secs(1));
     let config = EvalConfig::builder()
         .machine(ClientMachine::unconstrained())
@@ -65,7 +65,7 @@ fn run_neuchain(
 #[test]
 fn instrumented_run_produces_spans_metrics_and_exposition() {
     let _guard = common::serial_guard();
-    let (report, obs) = run_neuchain(Some(Obs::new()), None, RetryPolicy::disabled(), 200);
+    let (report, obs) = run_neuchain(Some(Obs::new()), None, RetryPolicy::disabled(), 200, 4);
     assert!(obs.enabled());
     assert!(report.committed > 150, "committed = {}", report.committed);
 
@@ -124,14 +124,19 @@ fn instrumented_run_produces_spans_metrics_and_exposition() {
 #[test]
 fn fault_plan_transitions_are_journaled() {
     let _guard = common::serial_guard();
-    // Crash the ingress gate for [2 s, 4 s) of a 4-slice run: the driver's
-    // monitor polls the plan and must journal the enter and exit edges.
+    // Crash the ingress gate for [2 s, 4 s) of a 6-slice run: the driver's
+    // monitor polls the plan and must journal the enter and exit edges. Two
+    // slices follow the window: a chunk's transactions retry side by side,
+    // so what is submitted in it expires within the retry deadline (one
+    // slice), and a run that ended inside the window would be over before
+    // its exit edge.
     let plan = FaultPlan::new().crash(
         "neuchain-client-proxy",
         Duration::from_secs(2),
         Duration::from_secs(4),
     );
-    let (report, obs) = run_neuchain(Some(Obs::new()), Some(plan), RetryPolicy::standard(), 200);
+    let retry = RetryPolicy::standard();
+    let (report, obs) = run_neuchain(Some(Obs::new()), Some(plan), retry, 300, 6);
     assert!(obs.enabled());
     assert!(
         obs.journal().count_of(EventKind::FaultEnter) >= 1,
@@ -155,7 +160,7 @@ fn fault_plan_transitions_are_journaled() {
 #[test]
 fn uninstrumented_run_records_nothing() {
     let _guard = common::serial_guard();
-    let (_, obs) = run_neuchain(None, None, RetryPolicy::disabled(), 100);
+    let (_, obs) = run_neuchain(None, None, RetryPolicy::disabled(), 100, 4);
     assert!(!obs.enabled());
     assert_eq!(obs.spans().histogram(Stage::Signed).count(), 0);
     assert!(obs.journal().is_empty());

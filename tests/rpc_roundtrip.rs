@@ -7,7 +7,7 @@ use std::time::Duration;
 use hammer::chain::client::{Architecture, BlockchainClient};
 use hammer::chain::kernel::SimChain;
 use hammer::chain::remote::RemoteChain;
-use hammer::chain::rpc_adapter::{serve, serve_sim, SUBMIT_TRANSACTION};
+use hammer::chain::rpc_adapter::{serve, serve_sim, SUBMIT_BATCH};
 use hammer::chain::smallbank::Op;
 use hammer::chain::types::{Address, Transaction};
 use hammer::crypto::sig::SigParams;
@@ -101,7 +101,7 @@ fn rpc_rejects_malformed_submissions() {
     // Garbage params must produce InvalidParams, not a crash.
     let err = raw
         .call(
-            SUBMIT_TRANSACTION.name,
+            SUBMIT_BATCH.name,
             hammer::rpc::json::Value::object([("nope", hammer::rpc::json::Value::from(1))]),
         )
         .unwrap_err();

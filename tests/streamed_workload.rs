@@ -5,7 +5,7 @@
 //!
 //! Nor does a run of exactly its declared total rotate or expand the tracker,
 //! and pipelined signing of a batch already in memory starts no thread
-//! beside its signers.
+//! beside its signers. A fast client hands the chain whole chunks.
 //!
 //! The tests are heavy (thousands of transactions per run) and the last
 //! counts the process's threads, so they take the binary's serial guard.
@@ -24,6 +24,7 @@ use hammer::core::chaos::{live_threads, LeakProbe};
 use hammer::core::checkpoint::RecoveryConfig;
 use hammer::core::deploy::Deployment;
 use hammer::core::driver::{EvalConfig, EvalError, Evaluation, SigningStrategy};
+use hammer::core::machine::ClientMachine;
 use hammer::core::signer::sign_pipelined;
 use hammer::crypto::sig::SigParams;
 use hammer::crypto::Keypair;
@@ -35,6 +36,8 @@ use hammer::workload::{ControlSequence, SmallBankGenerator, WorkloadConfig};
 #[derive(Default)]
 struct SilentChain {
     submitted: Mutex<Vec<TxId>>,
+    /// The length of every `submit_batch` call, in order.
+    batches: Mutex<Vec<usize>>,
     dies_at: Option<Instant>,
 }
 
@@ -48,6 +51,10 @@ impl BlockchainClient for SilentChain {
     fn submit(&self, tx: SignedTransaction) -> Result<TxId, ChainError> {
         self.submitted.lock().unwrap().push(tx.id);
         Ok(tx.id)
+    }
+    fn submit_batch(&self, txs: Vec<SignedTransaction>) -> Vec<Result<TxId, ChainError>> {
+        self.batches.lock().unwrap().push(txs.len());
+        txs.into_iter().map(|tx| self.submit(tx)).collect()
     }
     fn latest_height(&self, _shard: u32) -> Result<u64, ChainError> {
         Ok(u64::from(
@@ -135,6 +142,46 @@ fn every_strategy_submits_exactly_the_generated_workload() {
             "{signing:?} with {signer_threads} signers"
         );
     }
+}
+
+#[test]
+fn an_unconstrained_closed_loop_hands_the_chain_whole_chunks() {
+    let _guard = common::serial_guard();
+    const N: usize = 10_000;
+    let workload = WorkloadConfig {
+        accounts: 50,
+        total_txs: N,
+        clients: 2,
+        threads_per_client: 2,
+        ..WorkloadConfig::default()
+    };
+    let signers = 4;
+    let config = EvalConfig::builder()
+        .machine(ClientMachine::unconstrained())
+        .signer_threads(signers)
+        .poll_interval(Duration::from_millis(20))
+        .drain_timeout(Duration::from_secs(1))
+        .build()
+        .unwrap();
+    let control = ControlSequence::constant(N as u32, 1, Duration::from_secs(1));
+    let chain = Arc::new(SilentChain::default());
+    let report = Evaluation::new(config)
+        .run(&deploy(&chain, 1000.0), &workload, &control)
+        .unwrap();
+    assert_eq!(report.submitted, N as u64);
+    let batches = chain.batches.lock().unwrap().clone();
+    assert_eq!(batches.iter().sum::<usize>(), N);
+    // N is under one 32 Ki segment per signer: each signer's one segment
+    // ends in a short chunk, and each worker's first submission is one
+    // transaction. Nothing else splits a chunk, so one call per transaction
+    // would be far over this bound.
+    let workers = (workload.clients * workload.threads_per_client) as usize;
+    let bound = N.div_ceil(128) + workers * signers;
+    assert!(
+        batches.len() <= bound,
+        "{} calls for {N} transactions (bound {bound})",
+        batches.len()
+    );
 }
 
 #[test]
