@@ -111,7 +111,8 @@ fn bench_sha256(c: &mut Criterion) {
     group.finish();
 }
 
-/// A chain that seals only when told: no sealer loop, no workers.
+/// A chain that seals only when told: its loop waits for a round that
+/// never comes due.
 struct SealOnCall;
 
 impl ConsensusPolicy for SealOnCall {
@@ -123,8 +124,8 @@ impl ConsensusPolicy for SealOnCall {
         "bench-node-0".to_owned()
     }
 
-    fn drives_sealer(&self) -> bool {
-        false
+    fn seal_wait(&self, _shard: u32) -> Duration {
+        Duration::MAX
     }
 }
 

@@ -7,12 +7,12 @@
 //! observability, and replication-traffic accounting on the simulated
 //! network. The kernel owns that scaffolding once:
 //!
-//! * **Lifecycle** — [`NodeKernelBuilder::start`] spawns every node
-//!   thread (the per-shard sealer loop, policy workers) and records the
-//!   join handles; [`ChainNode::shutdown_and_join`] stops
-//!   *and joins* them, so dropping a chain never leaks a live thread.
-//!   They wait for simulated time in one way,
-//!   [`Kernel::sleep_interruptible`], which shutdown ends by a wake.
+//! * **Lifecycle** — a chain is one loop over simulated time, on one thread
+//!   named after it: per shard a deadline, a crash gate on the sealer node,
+//!   a policy round sealed at its build instant plus
+//!   [`ConsensusPolicy::round_cost`]. A stop or a [`Kernel::ring`] ends its
+//!   wait; [`ChainNode::shutdown_and_join`] stops and joins it, so dropping
+//!   a chain never leaks a live thread. A policy never waits.
 //! * **Ingress** — [`BlockchainClient::submit`] is implemented once:
 //!   shutdown check, [`check_node_ingress`] fault gating on the shard's
 //!   ingress node (names asked of the policy once, at start; no lock taken
@@ -108,27 +108,6 @@ pub struct Round {
     pub mempool_depth: Option<usize>,
 }
 
-/// A named background thread a policy asks the kernel to run (endorser
-/// pools, orderers, committers, ...). The kernel spawns it and joins it
-/// at shutdown; the closure must exit promptly once
-/// [`Kernel::is_shutdown`] turns true: it waits only through
-/// [`Kernel::sleep_interruptible`] and on channels that
-/// [`ConsensusPolicy::stop`] disconnects.
-pub struct Worker {
-    name: String,
-    run: Box<dyn FnOnce() + Send + 'static>,
-}
-
-impl Worker {
-    /// Creates a worker with a thread name and body.
-    pub fn new(name: impl Into<String>, run: impl FnOnce() + Send + 'static) -> Self {
-        Worker {
-            name: name.into(),
-            run: Box::new(run),
-        }
-    }
-}
-
 /// The chain-agnostic node runtime: clock, network, per-shard storage,
 /// stop signal, and activity counters.
 pub struct Kernel {
@@ -178,6 +157,17 @@ impl Kernel {
         self.shutdown.is_raised()
     }
 
+    /// The height of `shard`'s ledger: the number of blocks sealed on it.
+    pub fn height(&self, shard: u32) -> u64 {
+        self.shard(shard).ledger.read().height()
+    }
+
+    /// Ends the loop's wait: it asks `seal_wait` again of every shard with
+    /// no round built. Ring only when an arrival moved a next round earlier.
+    pub fn ring(&self) {
+        self.shutdown.ring();
+    }
+
     /// Snapshot of the activity counters.
     pub fn stats(&self) -> KernelStats {
         KernelStats {
@@ -188,37 +178,16 @@ impl Kernel {
         }
     }
 
-    /// Sleeps for `sim` of simulated time, woken early by shutdown: how
-    /// every sealer, policy worker and modelled cost waits. Returns `false`
-    /// when the sleep was cut short (the caller's loop should exit). Both
-    /// the precision and the wake are [`SimClock::sleep_unless`]'s.
-    pub fn sleep_interruptible(&self, sim: Duration) -> bool {
-        self.clock.sleep_unless(sim, &self.shutdown)
-    }
-
     /// Batch-verifies `txs` in place, dropping (and counting) the ones
     /// with bad signatures. One shared-table batch pass instead of a full
     /// modexp per transaction.
     pub fn verify_retain(&self, txs: &mut Vec<SignedTransaction>, params: &SigParams) {
-        self.verify_retain_with(txs, params, |_| {});
-    }
-
-    /// [`Kernel::verify_retain`] with a callback per rejected transaction
-    /// (policies that track pending ids outside the kernel mempool use it
-    /// to release them).
-    pub fn verify_retain_with(
-        &self,
-        txs: &mut Vec<SignedTransaction>,
-        params: &SigParams,
-        mut on_bad: impl FnMut(&SignedTransaction),
-    ) {
         let verdicts = verify_signed_batch(txs, params);
         let mut verdicts = verdicts.iter();
-        txs.retain(|tx| {
+        txs.retain(|_| {
             let ok = *verdicts.next().expect("one verdict per tx");
             if !ok {
                 self.bad_sig.fetch_add(1, Ordering::Relaxed);
-                on_bad(tx);
             }
             ok
         });
@@ -354,45 +323,30 @@ pub trait ConsensusPolicy: Send + Sync + 'static {
         kernel.shards().iter().map(|s| s.mempool.len()).sum()
     }
 
-    /// Whether the kernel should drive a sealer loop per shard (sleep
-    /// [`ConsensusPolicy::seal_wait`] → crash-gate → round). Pipelines
-    /// that seal from their own workers return `false`.
-    fn drives_sealer(&self) -> bool {
-        true
-    }
-
-    /// How long the sealer loop waits before the next round on `shard`
-    /// (fixed epochs, sampled PoW intervals, ...). Only called when
-    /// [`ConsensusPolicy::drives_sealer`] is true.
+    /// How long from now until the loop next asks for a round on `shard`
+    /// (fixed epochs, sampled PoW intervals, a pipeline's next block, ...):
+    /// asked after every round, skip and [`Kernel::ring`]. `Duration::MAX`
+    /// is never: only a ring or a stop ends that wait.
     fn seal_wait(&self, _shard: u32) -> Duration {
         Duration::from_millis(100)
     }
 
     /// Produces the next round for `shard`: drain/order/validate however
     /// the consensus design dictates, and return `None` to seal nothing
-    /// this wait. Only called when [`ConsensusPolicy::drives_sealer`] is
-    /// true.
+    /// this wait.
     fn build_round(&self, _kernel: &Kernel, _shard: u32) -> Option<Round> {
         None
     }
 
-    /// Extra background threads (endorser pools, orderers, ...) the
-    /// kernel spawns at start and joins at shutdown.
-    fn workers(self: &Arc<Self>, _kernel: &Arc<Kernel>) -> Vec<Worker>
-    where
-        Self: Sized,
-    {
-        Vec::new()
+    /// Simulated time from a round's build to its seal (execution, say);
+    /// the loop serves the other shards meanwhile.
+    fn round_cost(&self, _shard: u32, _txs: usize) -> Duration {
+        Duration::ZERO
     }
-
-    /// Called at shutdown, before the workers are joined: a policy whose
-    /// workers block on channels it owns drops the sending ends here, so
-    /// they leave by disconnection.
-    fn stop(&self) {}
 }
 
-/// Builds and starts a [`ChainNode`]: endpoints, sealers, and policy
-/// workers in one call.
+/// Builds and starts a [`ChainNode`]: endpoints and the chain's loop in
+/// one call.
 pub struct NodeKernelBuilder {
     clock: SimClock,
     net: SimNetwork,
@@ -435,8 +389,8 @@ impl NodeKernelBuilder {
         self
     }
 
-    /// Starts the node: registers endpoints, spawns sealers and policy
-    /// workers, and returns the running chain handle.
+    /// Starts the node: registers endpoints, starts the chain's loop, and
+    /// returns the running chain handle.
     pub fn start<P: ConsensusPolicy>(self, policy: P) -> Arc<ChainNode<P>> {
         let policy = Arc::new(policy);
         let shard_count = policy.architecture().shard_count().max(1);
@@ -463,57 +417,84 @@ impl NodeKernelBuilder {
         // Asked once, not per submission or sealer tick: a name is a `String`.
         let ingress: Vec<String> = (0..shard_count).map(|s| policy.ingress_node(s)).collect();
         let sealers: Vec<String> = (0..shard_count).map(|s| policy.sealer_node(s)).collect();
-        let mut threads = Vec::new();
-        for worker in policy.workers(&kernel) {
-            threads.push(thread::spawn(worker.name, worker.run).expect("spawn policy worker"));
-        }
-        if policy.drives_sealer() {
-            for shard in 0..shard_count {
-                let sealer_kernel = Arc::clone(&kernel);
-                let sealer_policy = Arc::clone(&policy);
-                let node = sealers[shard as usize].clone();
-                let name = format!("{}-sealer-{shard}", kernel.chain_name);
-                let sealer = move || sealer_loop(sealer_kernel, sealer_policy, shard, &node);
-                threads.push(thread::spawn(name, sealer).expect("spawn sealer"));
-            }
-        }
+        let (loop_kernel, loop_policy) = (Arc::clone(&kernel), Arc::clone(&policy));
+        let loop_sealers = sealers.clone();
+        let run = move || run_loop(&loop_kernel, &*loop_policy, &loop_sealers);
+        let handle = thread::spawn(kernel.chain_name.clone(), run).expect("spawn the chain loop");
         Arc::new(ChainNode {
             kernel,
             policy,
             ingress,
             sealers,
-            threads: Mutex::new(threads),
+            thread: Mutex::new(Some(handle)),
         })
     }
 }
 
-/// The kernel-driven sealer: wait → crash-gate on the sealer node →
-/// policy round → seal.
-fn sealer_loop<P: ConsensusPolicy>(kernel: Arc<Kernel>, policy: Arc<P>, shard: u32, node: &str) {
+/// A shard's next deadline, and the round built to seal there, if any.
+type Next = (Duration, Option<Round>);
+
+/// The shard whose deadline comes first; a tie goes to the lower shard.
+fn earliest(next: &[Next]) -> usize {
+    (0..next.len())
+        .min_by_key(|&shard| (next[shard].0, shard))
+        .expect("a chain has a shard")
+}
+
+/// The chain's one loop: wait to the earliest shard deadline →
+/// crash-gate on the sealer node → policy round → seal at the build
+/// instant plus the round's cost. A shard's next deadline is its
+/// `seal_wait` from the moment it is asked.
+fn run_loop<P: ConsensusPolicy>(kernel: &Kernel, policy: &P, sealers: &[String]) {
+    let (clock, signal) = (&kernel.clock, &kernel.shutdown);
+    let after_wait = |shard: u32| -> Next {
+        let wait = policy.seal_wait(shard);
+        (clock.now().saturating_add(wait), None)
+    };
+    let mut next: Vec<Next> = (0..kernel.shards.len() as u32).map(after_wait).collect();
     loop {
-        if !kernel.sleep_interruptible(policy.seal_wait(shard)) {
+        let shard = earliest(&next);
+        clock.sleep_until_signalled(next[shard].0, signal);
+        if signal.is_raised() {
             return;
         }
-        // A crashed sealer seals nothing this round; pooled transactions
-        // wait out the fault window.
-        if kernel.net.node_crashed(node) {
+        if signal.take_ring() {
+            for (id, next) in (0u32..).zip(&mut next) {
+                if next.1.is_none() {
+                    *next = after_wait(id);
+                }
+            }
             continue;
         }
-        if let Some(round) = policy.build_round(&kernel, shard) {
-            kernel.seal_block(shard, round);
-        }
+        let id = shard as u32;
+        next[shard] = match next[shard].1.take() {
+            Some(round) => {
+                kernel.seal_block(id, round);
+                after_wait(id)
+            }
+            // A crashed sealer seals nothing this round; pooled
+            // transactions wait out the fault window.
+            None if kernel.net.node_crashed(&sealers[shard]) => after_wait(id),
+            None => match policy.build_round(kernel, id) {
+                Some(round) => {
+                    let cost = policy.round_cost(id, round.tx_ids.len());
+                    (clock.now().saturating_add(cost), Some(round))
+                }
+                None => after_wait(id),
+            },
+        };
     }
 }
 
-/// A running chain: the kernel plus its policy and the join handles of
-/// every thread the kernel spawned.
+/// A running chain: the kernel plus its policy and the join handle of the
+/// chain's loop.
 pub struct ChainNode<P: ConsensusPolicy> {
     kernel: Arc<Kernel>,
     policy: Arc<P>,
     /// Per shard, the policy's ingress and sealer endpoint names.
     ingress: Vec<String>,
     sealers: Vec<String>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl<P: ConsensusPolicy> ChainNode<P> {
@@ -562,19 +543,13 @@ impl<P: ConsensusPolicy> ChainNode<P> {
         rpc_adapter::serve_sim(Arc::clone(self) as Arc<dyn SimChain>)
     }
 
-    /// Requests shutdown (waking every thread in
-    /// [`Kernel::sleep_interruptible`]) and joins every kernel-spawned
-    /// thread. Idempotent; never joins the calling thread (a policy worker
-    /// may itself trigger shutdown).
+    /// Requests shutdown, which ends the loop's wait, and joins the loop.
+    /// Idempotent.
     pub fn shutdown_and_join(&self) {
         self.kernel.shutdown.raise();
-        self.policy.stop();
-        let me = std::thread::current().id();
-        let handles: Vec<_> = self.threads.lock().drain(..).collect();
-        for handle in handles {
-            if handle.thread().id() != me {
-                let _ = handle.join();
-            }
+        let handle = self.thread.lock().take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
         }
     }
 }
@@ -613,7 +588,8 @@ impl<P: ConsensusPolicy> BlockchainClient for ChainNode<P> {
     }
 
     fn latest_height(&self, shard: u32) -> Result<u64, ChainError> {
-        Ok(self.shard_ctx(shard)?.ledger.read().height())
+        self.shard_ctx(shard)?;
+        Ok(self.kernel.height(shard))
     }
 
     fn block_at(&self, shard: u32, height: u64) -> Result<Option<Block>, ChainError> {
@@ -725,6 +701,7 @@ impl<P: ConsensusPolicy> SimChain for ChainNode<P> {
 mod tests {
     use super::*;
     use hammer_net::LinkConfig;
+    use std::sync::atomic::AtomicBool;
     use std::time::Instant;
 
     /// A minimal policy: one node, fixed 20 ms epochs, FIFO order.
@@ -778,7 +755,7 @@ mod tests {
 
     /// The `(id, valid)` entries of the blocks sealed on shard 0 above
     /// `after`, waiting up to five seconds of wall time for the first.
-    fn sealed_after(chain: &ChainNode<FifoPolicy>, after: u64) -> Vec<(TxId, bool)> {
+    fn sealed_after<P: ConsensusPolicy>(chain: &ChainNode<P>, after: u64) -> Vec<(TxId, bool)> {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let height = chain.latest_height(0).unwrap();
@@ -883,44 +860,151 @@ mod tests {
         chain.shutdown();
     }
 
-    #[test]
-    fn a_started_node_owns_exactly_its_sealers_and_workers() {
-        /// Two shards on kernel-driven sealers plus one policy worker.
-        struct TwoShardPolicy;
+    /// Two shards, each sealing a one-id round every `wait`, shard 0's
+    /// at a cost of `cost`; every build is logged with its shard and the
+    /// clock's reading.
+    struct CostlyShard {
+        wait: Duration,
+        cost: Duration,
+        builds: Mutex<Vec<(u32, Duration)>>,
+    }
 
-        impl ConsensusPolicy for TwoShardPolicy {
-            fn chain_name(&self) -> &'static str {
-                "two-shard-sim"
-            }
-
-            fn architecture(&self) -> Architecture {
-                Architecture::Sharded { shards: 2 }
-            }
-
-            fn ingress_node(&self, shard: u32) -> String {
-                format!("two-shard-node-{shard}")
-            }
-
-            fn workers(self: &Arc<Self>, kernel: &Arc<Kernel>) -> Vec<Worker> {
-                let kernel = Arc::clone(kernel);
-                vec![Worker::new("two-shard-worker", move || {
-                    while kernel.sleep_interruptible(Duration::from_secs(1)) {}
-                })]
-            }
+    impl ConsensusPolicy for CostlyShard {
+        fn chain_name(&self) -> &'static str {
+            "two-shard-sim"
         }
 
-        let clock = SimClock::with_speedup(1000.0);
+        fn architecture(&self) -> Architecture {
+            Architecture::Sharded { shards: 2 }
+        }
+
+        fn ingress_node(&self, shard: u32) -> String {
+            format!("two-shard-node-{shard}")
+        }
+
+        fn seal_wait(&self, _shard: u32) -> Duration {
+            self.wait
+        }
+
+        fn build_round(&self, kernel: &Kernel, shard: u32) -> Option<Round> {
+            let mut builds = self.builds.lock();
+            builds.push((shard, kernel.clock().now()));
+            Some(Round {
+                proposer: self.ingress_node(shard),
+                tx_ids: vec![signed(builds.len() as u64).id],
+                valid: vec![true],
+                gossip_to: Vec::new(),
+                mempool_depth: None,
+            })
+        }
+
+        fn round_cost(&self, shard: u32, _txs: usize) -> Duration {
+            if shard == 0 {
+                self.cost
+            } else {
+                Duration::ZERO
+            }
+        }
+    }
+
+    fn start_two_shards(
+        speedup: f64,
+        wait: Duration,
+        cost: Duration,
+    ) -> Arc<ChainNode<CostlyShard>> {
+        let clock = SimClock::with_speedup(speedup);
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         // Endpoints are names, not threads: five of them add none.
-        let chain = NodeKernelBuilder::new(clock, net)
+        NodeKernelBuilder::new(clock, net)
             .endpoint("two-shard-node-0")
             .endpoint("two-shard-node-1")
             .endpoint("two-shard-replica-0")
             .endpoint("two-shard-replica-1")
             .endpoint("two-shard-replica-2")
-            .start(TwoShardPolicy);
-        assert_eq!(chain.threads.lock().len(), 3);
+            .start(CostlyShard {
+                wait,
+                cost,
+                builds: Mutex::new(Vec::new()),
+            })
+    }
+
+    /// Live threads of this process named `name`; `None` where `/proc`
+    /// does not say.
+    fn threads_named(name: &str) -> Option<usize> {
+        let tasks = std::fs::read_dir("/proc/self/task").ok()?.flatten();
+        let comm = |task: &std::fs::DirEntry| std::fs::read_to_string(task.path().join("comm"));
+        Some(
+            tasks
+                .filter(|task| comm(task).is_ok_and(|c| c.trim() == name))
+                .count(),
+        )
+    }
+
+    /// [`threads_named`] once the count is not 0: a new thread sets its
+    /// own name once it runs.
+    fn threads_named_once_started(name: &str) -> Option<usize> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let named = threads_named(name)?;
+            if named > 0 || Instant::now() > deadline {
+                return Some(named);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_two_shard_node_owns_exactly_one_thread() {
+        let chain = start_two_shards(1000.0, Duration::from_millis(100), Duration::ZERO);
+        assert!(chain.thread.lock().is_some());
+        if let Some(named) = threads_named_once_started("two-shard-sim") {
+            assert_eq!(named, 1, "one loop serves both shards");
+        }
         chain.shutdown();
+        assert!(chain.thread.lock().is_none());
+        if let Some(named) = threads_named("two-shard-sim") {
+            assert_eq!(named, 0, "joined at shutdown");
+        }
+    }
+
+    #[test]
+    fn a_costly_round_seals_after_its_cost_while_the_other_shard_keeps_its_cadence() {
+        let (wait, cost) = (Duration::from_millis(100), Duration::from_secs(1));
+        // 100×: the cost is 10 ms of wall time, shard 1's wait 1 ms.
+        let chain = start_two_shards(100.0, wait, cost);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while chain.latest_height(0).unwrap() == 0 {
+            assert!(Instant::now() < deadline, "shard 0 never sealed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        chain.shutdown();
+        let built = chain.policy().builds.lock()[..]
+            .iter()
+            .find(|(shard, _)| *shard == 0)
+            .map(|(_, at)| *at)
+            .expect("shard 0 built its round");
+        let sealed = chain.block_at(0, 1).unwrap().unwrap().header.timestamp;
+        assert!(
+            sealed >= built + cost,
+            "sealed at {sealed:?}, built at {built:?}"
+        );
+        // Shard 1 sealed every `wait` inside shard 0's cost window, about
+        // nine times; a loop held up by the cost would seal none there.
+        let heights = 1..=chain.latest_height(1).unwrap();
+        let inside = (chain.blocks(1, heights).unwrap().iter())
+            .filter(|block| (built..sealed).contains(&block.header.timestamp))
+            .count();
+        assert!(
+            inside >= 5,
+            "shard 1 sealed {inside} blocks inside the window"
+        );
+    }
+
+    #[test]
+    fn equal_deadlines_go_to_the_lower_shard() {
+        let (at, later) = (Duration::from_millis(7), Duration::from_millis(9));
+        assert_eq!(earliest(&[(later, None), (at, None), (at, None)]), 1);
+        assert_eq!(earliest(&[(at, None), (later, None), (at, None)]), 0);
     }
 
     #[test]
@@ -1001,75 +1085,84 @@ mod tests {
         let chain = start_fifo();
         chain.submit(signed(1)).unwrap();
         chain.shutdown_and_join();
-        assert!(chain.threads.lock().is_empty());
+        assert!(chain.thread.lock().is_none());
         // Idempotent, and submissions now fail cleanly.
         chain.shutdown_and_join();
         assert!(chain.submit(signed(2)).unwrap_err().is_shutdown());
     }
 
-    #[test]
-    fn a_worker_that_shuts_its_own_node_down_is_not_self_joined() {
-        use crossbeam::channel::{bounded, Receiver, Sender};
+    /// One shard that waits for ever unless an admission rang it, then
+    /// seals what the mempool holds.
+    struct Rung {
+        due: AtomicBool,
+        asked: AtomicU64,
+    }
 
-        /// One sealer plus a worker that is handed its own node and shuts
-        /// it down from inside.
-        struct SelfStopPolicy {
-            node: Receiver<Arc<ChainNode<SelfStopPolicy>>>,
-            done: Sender<()>,
+    impl ConsensusPolicy for Rung {
+        fn chain_name(&self) -> &'static str {
+            "rung-sim"
         }
 
-        impl ConsensusPolicy for SelfStopPolicy {
-            fn chain_name(&self) -> &'static str {
-                "self-stop-sim"
-            }
+        fn ingress_node(&self, _shard: u32) -> String {
+            "fifo-node-0".to_owned()
+        }
 
-            fn ingress_node(&self, _shard: u32) -> String {
-                "self-stop-node-0".to_owned()
-            }
+        fn admit(
+            &self,
+            kernel: &Kernel,
+            shard: u32,
+            tx: SignedTransaction,
+        ) -> Result<TxId, ChainError> {
+            let id = tx.id;
+            kernel
+                .shard(shard)
+                .mempool
+                .push(tx)
+                .map_err(ChainError::rejected)?;
+            self.due.store(true, Ordering::Release);
+            kernel.ring();
+            Ok(id)
+        }
 
-            fn workers(self: &Arc<Self>, _kernel: &Arc<Kernel>) -> Vec<Worker> {
-                let policy = Arc::clone(self);
-                vec![Worker::new("self-stop-worker", move || {
-                    let node = policy.node.recv().expect("the test hands the node over");
-                    node.shutdown_and_join(); // joins the sealer, skips itself
-                    let _ = policy.done.send(());
-                })]
+        fn seal_wait(&self, _shard: u32) -> Duration {
+            self.asked.fetch_add(1, Ordering::Relaxed);
+            if self.due.swap(false, Ordering::AcqRel) {
+                Duration::ZERO
+            } else {
+                Duration::MAX
             }
         }
 
-        let (node_tx, node) = bounded(1);
-        let (done, done_rx) = bounded(1);
-        let clock = SimClock::with_speedup(1000.0);
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-        let chain = NodeKernelBuilder::new(clock, net)
-            .endpoint("self-stop-node-0")
-            .start(SelfStopPolicy { node, done });
-        assert_eq!(chain.threads.lock().len(), 2);
-        node_tx.send(Arc::clone(&chain)).unwrap();
-        done_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("a self-join would have parked the worker on its own handle");
-        assert!(chain.kernel().is_shutdown());
-        assert!(chain.threads.lock().is_empty());
+        fn build_round(&self, kernel: &Kernel, shard: u32) -> Option<Round> {
+            FifoPolicy.build_round(kernel, shard)
+        }
     }
 
     #[test]
-    fn interruptible_sleep_cut_short_by_shutdown() {
-        let chain = start_fifo();
-        let kernel = Arc::clone(chain.kernel());
-        // 1 hour of simulated time at 1000× is 3.6 s of wall time; the
-        // shutdown below must cut it to the 30 ms it waited before.
-        let waiter = thread::spawn("kernel-test-sleeper", move || {
-            let started = Instant::now();
-            let completed = kernel.sleep_interruptible(Duration::from_secs(3600));
-            (completed, started.elapsed())
-        })
-        .unwrap();
+    fn a_shard_waiting_for_ever_is_woken_by_a_ring_and_a_stop() {
+        let clock = SimClock::with_speedup(1000.0);
+        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let chain = NodeKernelBuilder::new(clock, net)
+            .endpoint("fifo-node-0")
+            .start(Rung {
+                due: AtomicBool::new(false),
+                asked: AtomicU64::new(0),
+            });
+        chain.seed_account(Address::from_name("k"), 100, 0);
+        // Asked once at start, then parked: a second of wall time is a
+        // quarter of an hour of simulated time, and nothing asks again.
         std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(chain.policy().asked.load(Ordering::Relaxed), 1);
+        assert_eq!(chain.latest_height(0).unwrap(), 0);
+        // The ring moves the deadline to now: the round is built at once.
+        let id = chain.submit(signed(1)).unwrap();
+        assert_eq!(sealed_after(&chain, 0), [(id, true)]);
+        // Parked on a deadline that never comes, the loop is stopped by a
+        // wake, not by the rest of a wait.
+        let started = Instant::now();
         chain.shutdown();
-        let (completed, elapsed) = waiter.join().unwrap();
-        assert!(!completed, "sleep should have been interrupted");
-        assert!(elapsed < Duration::from_millis(250), "took {elapsed:?}");
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(250), "took {took:?}");
     }
 
     #[test]

@@ -25,10 +25,10 @@
 //!   re-imported over either transport (in-process, or real TCP to a
 //!   `node-host` process), with restart-aware height virtualisation and
 //!   graceful degradation during fault windows.
-//! * [`kernel`] — the chain-node runtime: thread lifecycle with joined
-//!   shutdown, fault-gated mempool ingress, sealed-block accounting and
-//!   observability, and gossip accounting — everything chain-agnostic, so a
-//!   simulator reduces to a [`kernel::ConsensusPolicy`].
+//! * [`kernel`] — the chain-node runtime: one loop over simulated time per
+//!   chain, fault-gated mempool ingress, sealed-block and gossip accounting
+//!   — everything chain-agnostic, so a simulator reduces to a
+//!   [`kernel::ConsensusPolicy`].
 
 #![warn(missing_docs)]
 
@@ -48,7 +48,6 @@ pub use client::{
 };
 pub use kernel::{
     ChainNode, ConsensusPolicy, Kernel, KernelStats, NodeKernelBuilder, Round, ShardCtx, SimChain,
-    Worker,
 };
 pub use ledger::Ledger;
 pub use mempool::Mempool;

@@ -452,7 +452,7 @@ impl Drop for Supervisor {
 /// is open it runs (spawn + replay, backing off after a failure — which
 /// also restarts a node that exited unplanned). Every deadline it keeps is
 /// simulated: the next window edge and the next restart attempt; between
-/// them it blocks in the channel, as the Fabric orderer does.
+/// them it blocks in the channel, as a chain's loop blocks in its wait.
 fn supervise(shared: &SupervisorShared, mut node: Option<Incarnation>, inbox: &Receiver<Event>) {
     let clock = &shared.command.clock;
     let mut next_id = 1;

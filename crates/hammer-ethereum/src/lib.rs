@@ -21,10 +21,10 @@
 //! * **Block gossip** — every sealed block's replication to the other
 //!   worker nodes is accounted on the simulated network.
 //!
-//! Node scaffolding (threads, ingress gating, sealing, observability)
-//! comes from the [`hammer_chain::kernel`]; this crate only contributes
-//! the PoW [`ConsensusPolicy`], and [`start`] returns the running
-//! [`ChainNode`] itself.
+//! Node scaffolding (the chain's loop, ingress gating, sealing,
+//! observability) comes from the [`hammer_chain::kernel`]; this crate only
+//! contributes the PoW [`ConsensusPolicy`], whose execution cost is a
+//! `round_cost`, and [`start`] returns the running [`ChainNode`] itself.
 //!
 //! ```no_run
 //! use hammer_chain::client::BlockchainClient;
@@ -142,11 +142,6 @@ impl ConsensusPolicy for EthereumPolicy {
         // state lock: repeated sender keys share a precomputed table, and
         // the lock is never held across signature checks.
         kernel.verify_retain(&mut txs, &self.config.sig_params);
-        // Model aggregate EVM execution time; cut short by shutdown, the
-        // round is abandoned (nothing reads the ledger afterwards).
-        if !kernel.sleep_interruptible(self.config.exec_cost_per_tx * txs.len() as u32) {
-            return None;
-        }
 
         let mut tx_ids = Vec::with_capacity(txs.len());
         let mut valid = Vec::with_capacity(txs.len());
@@ -170,10 +165,15 @@ impl ConsensusPolicy for EthereumPolicy {
             mempool_depth: None,
         })
     }
+
+    /// Aggregate EVM execution time.
+    fn round_cost(&self, _shard: u32, txs: usize) -> Duration {
+        self.config.exec_cost_per_tx * txs as u32
+    }
 }
 
 /// Starts the chain on the kernel runtime: registers node endpoints
-/// and spawns the miner (sealer) thread.
+/// and starts the chain's loop, which mines.
 pub fn start(
     config: EthereumConfig,
     clock: SimClock,

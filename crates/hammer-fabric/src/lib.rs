@@ -1,50 +1,43 @@
 //! A Hyperledger-Fabric-style execute-order-validate blockchain simulator.
 //!
 //! Reproduces the performance-relevant mechanics of a permissioned Fabric
-//! network (the paper's primary correctness/usability target, §V-C/V-D):
+//! network (the paper's primary correctness/usability target, §V-C/V-D)
+//! as a tandem line of three service stages in simulated time:
 //!
-//! * **Endorsement** — a pool of endorser threads *simulates* each
-//!   transaction against current state, producing a read/write set
+//! * **Endorsement** — [`FabricConfig::endorser_threads`] FIFO servers; an
+//!   arrival takes the earliest-free one. At its completion instant an
+//!   endorsement *simulates* the transaction against the state committed
+//!   before that instant, producing a read/write set
 //!   ([`hammer_chain::state::RwSet`]) without committing.
-//! * **Ordering** — an orderer thread batches endorsed transactions into
-//!   blocks by count ([`FabricConfig::max_batch`]) or timeout
+//! * **Ordering** — the orderer batches endorsed transactions into blocks
+//!   by count ([`FabricConfig::max_batch`]) or timeout
 //!   ([`FabricConfig::batch_timeout`]), like a Raft ordering service.
-//! * **Validation (MVCC)** — a committer thread re-checks every read
-//!   version and marks conflicting transactions invalid *inside the block*
-//!   (Fabric commits invalid transactions with a validation-failure flag;
-//!   they are visible on the ledger). Conflicts grow with client
-//!   concurrency on hot accounts, which is exactly the effect behind the
-//!   paper's Fig. 10.
+//! * **Validation (MVCC)** — one server re-checks every read version and
+//!   marks conflicting transactions invalid *inside the block* (Fabric
+//!   commits invalid transactions with a validation-failure flag). Conflicts
+//!   grow with the endorse-to-commit window on hot accounts, which is
+//!   exactly the effect behind the paper's Fig. 10.
 //! * **Block distribution** — the push of each sealed block from the
 //!   orderer to the peer endpoints is accounted on the simulated network.
 //!
-//! Node scaffolding (thread lifecycle, ingress gating, sealed-block
-//! accounting) comes from the [`hammer_chain::kernel`]. Unlike the
-//! epoch-driven sims, Fabric's [`ConsensusPolicy`] does not use the
-//! kernel's sealer loop: the endorse → order → validate pipeline runs as
-//! policy workers, and the committer seals through
-//! [`hammer_chain::kernel::Kernel::seal_block`] when a validated batch is
-//! ready. The workers pay every modelled cost through
-//! `Kernel::sleep_interruptible` and block otherwise in a plain `recv`
-//! (the orderer's open batch has the one timed receive, its deadline kept
-//! in simulated time), so shutdown is a cascade of disconnections, not a
-//! polled flag: [`ConsensusPolicy::stop`] drops the inbox sender, the
-//! endorsers' exit disconnects the orderer, and the orderer's the
-//! committer. [`start`] returns the running [`ChainNode`] itself; the
-//! policy's own counters are read through `node.policy()`.
+//! The line is one struct with no clock and no thread. Events run in
+//! simulated-time order, ties by stage (endorse, order, validate), then by
+//! arrival, so which transactions conflict depends on the arrival instants
+//! alone. The kernel's loop drives it through `seal_wait` (the time to the
+//! next cut or validated block) and `build_round`; an arrival rings the loop
+//! only when it moves that event earlier. [`start`] returns the running
+//! [`ChainNode`]; the policy's counters are read through `node.policy()`.
 
 #![warn(missing_docs)]
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use hammer_chain::client::ChainError;
-use hammer_chain::kernel::{ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round, Worker};
+use hammer_chain::kernel::{ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round};
 use hammer_chain::mempool::MempoolError;
-use hammer_chain::state::RwSet;
+use hammer_chain::state::{RwSet, VersionedState};
 use hammer_chain::types::{SignedTransaction, TxId};
 use hammer_crypto::sig::SigParams;
 use hammer_net::{SimClock, SimNetwork};
@@ -55,7 +48,8 @@ use parking_lot::Mutex;
 pub struct FabricConfig {
     /// Number of peer nodes (the paper uses 4 peers + 1 orderer).
     pub peers: usize,
-    /// Endorser worker threads (one per peer by default).
+    /// Endorsement servers (one per peer by default): queues of the model
+    /// that endorse side by side in simulated time, not OS threads.
     pub endorser_threads: usize,
     /// Simulated cost of endorsing one transaction (execute + sign).
     pub endorse_cost: Duration,
@@ -65,13 +59,15 @@ pub struct FabricConfig {
     pub batch_timeout: Duration,
     /// Simulated cost of validating/committing one transaction.
     pub validate_cost: Duration,
-    /// Capacity of the endorsement inbox; beyond it submissions are
-    /// rejected (the node-overload rejection seen in the paper's Fig. 10).
+    /// How many arrivals may wait for an endorsement server; beyond it
+    /// submissions are rejected (the node-overload rejection seen in the
+    /// paper's Fig. 10).
     pub inbox_capacity: usize,
-    /// CPU the node spends turning away one over-capacity request
-    /// (gRPC handling + error response). Overload is not free: heavy
-    /// rejection traffic eats into endorsement capacity, which is what
-    /// makes throughput *decline* past the saturation point in Fig. 10.
+    /// Endorsement-server time the node spends turning away one
+    /// over-capacity request (gRPC handling + error response). Overload is
+    /// not free: heavy rejection traffic eats into endorsement capacity,
+    /// which is what makes throughput *decline* past the saturation point
+    /// in Fig. 10.
     pub reject_handling_cost: Duration,
     /// Signature scheme parameters.
     pub sig_params: SigParams,
@@ -96,53 +92,222 @@ impl Default for FabricConfig {
     }
 }
 
-/// An endorsed transaction waiting for ordering.
-struct Endorsed {
-    tx_id: TxId,
-    /// `None` = endorsement failed (still ordered, marked invalid).
-    rwset: Option<RwSet>,
-}
-
-/// The admission side of the endorsement inbox, under the one lock `admit`
-/// takes.
-struct Inbox {
-    pending_ids: HashSet<TxId>,
-    /// Set when the workers are made; `None` again once the node stops,
-    /// which is what releases endorsers blocked on an empty inbox.
-    endorse_tx: Option<Sender<SignedTransaction>>,
-}
+const ORDERER: &str = "fabric-orderer";
 
 fn peer_name(i: usize) -> String {
     format!("fabric-peer-{i}")
 }
 
-/// The execute-order-validate consensus core: an endorsement inbox with
-/// overload rejection, and the endorser/orderer/committer pipeline run as
-/// kernel workers.
-pub struct FabricPolicy {
+/// An admitted transaction, the instant its server takes it (it waits in
+/// the inbox until then) and the instant its endorsement completes.
+struct Endorsing {
+    start: Duration,
+    done: Duration,
+    tx: SignedTransaction,
+}
+
+/// An ordered transaction and its read/write set; `None` when endorsement
+/// failed (still ordered, marked invalid).
+type Endorsed = (TxId, Option<RwSet>);
+
+/// A validated block: ids in block order and their validity flags.
+type Validated = (Vec<TxId>, Vec<bool>);
+
+/// The endorse → order → validate line over simulated instants.
+#[derive(Default)]
+struct Pipeline {
     config: FabricConfig,
-    inbox: Mutex<Inbox>,
-    /// Rejected requests whose handling cost the endorser pool still owes.
-    reject_debt: AtomicU64,
-    mvcc_conflicts: AtomicU64,
-    endorse_failures: AtomicU64,
-    rejected_overload: AtomicU64,
+    /// The latest instant stamped or advanced to: no arrival lands before.
+    now: Duration,
+    /// When each endorsement server is next free.
+    servers: Vec<Duration>,
+    /// Admitted, not yet endorsed, in arrival order. Starts and so
+    /// completions never decrease along it: an arrival takes the
+    /// earliest-free server, whose free instant only grows, at an instant
+    /// that only grows.
+    endorsing: VecDeque<Endorsing>,
+    /// The orderer's open batch, and when it is next cut: its timeout, or
+    /// a crashed orderer's retry.
+    batch: Vec<Endorsed>,
+    cut_at: Option<Duration>,
+    /// A cut found the orderer crashed: the batch takes every endorsement,
+    /// past `max_batch` too, until a retry cuts it.
+    held: bool,
+    /// Cut batches in order, each with its validation completion.
+    validating: VecDeque<(Duration, Vec<Endorsed>)>,
+    validator_free: Duration,
+    /// Admitted and not yet validated.
+    pending: HashSet<TxId>,
+    /// The next block event the loop was last told of.
+    armed: Duration,
+    endorsed: u64,
+    mvcc_conflicts: u64,
+    endorse_failures: u64,
+    rejected_overload: u64,
+}
+
+impl Pipeline {
+    fn new(config: FabricConfig) -> Self {
+        Pipeline {
+            servers: vec![Duration::ZERO; config.endorser_threads],
+            armed: Duration::MAX,
+            config,
+            ..Pipeline::default()
+        }
+    }
+
+    /// Admits `tx` arriving at `at` (raised to the latest instant seen)
+    /// onto the earliest-free endorsement server, lowest index first. A
+    /// pending id is a duplicate; with `inbox_capacity` arrivals already
+    /// waiting for a server the request is turned away, which costs that
+    /// server `reject_handling_cost`.
+    fn admit(&mut self, at: Duration, tx: SignedTransaction) -> Result<TxId, MempoolError> {
+        let at = at.max(self.now);
+        self.now = at;
+        let id = tx.id;
+        if self.pending.contains(&id) {
+            return Err(MempoolError::Duplicate);
+        }
+        let (server, free) = (self.servers.iter().copied().enumerate())
+            .min_by_key(|&(server, free)| (free, server))
+            .expect("at least one endorsement server");
+        let waiting = self.endorsing.len() - self.endorsing.partition_point(|e| e.start <= at);
+        if waiting >= self.config.inbox_capacity {
+            self.rejected_overload += 1;
+            self.servers[server] = free.max(at) + self.config.reject_handling_cost;
+            return Err(MempoolError::Full);
+        }
+        let start = free.max(at);
+        let done = start + self.config.endorse_cost;
+        self.servers[server] = done;
+        self.endorsing.push_back(Endorsing { start, done, tx });
+        self.pending.insert(id);
+        Ok(id)
+    }
+
+    /// The next cut or validated block, `Duration::MAX` for none.
+    fn next_event(&self) -> Duration {
+        let cut = if self.held {
+            self.cut_at
+        } else {
+            // The endorsement that fills the batch, or the timeout of the
+            // open batch or of the one the next endorsement opens.
+            let fill = self.config.max_batch.saturating_sub(self.batch.len() + 1);
+            let by_count = self.endorsing.get(fill).map(|e| e.done);
+            let first = self.endorsing.front();
+            let by_time =
+                (self.cut_at).or_else(|| first.map(|e| e.done + self.config.batch_timeout));
+            by_count.into_iter().chain(by_time).min()
+        };
+        let validated = self.validating.front().map(|(done, _)| *done);
+        cut.into_iter()
+            .chain(validated)
+            .min()
+            .unwrap_or(Duration::MAX)
+    }
+
+    /// Whether the next block event moved earlier than the loop was told.
+    fn rearm(&mut self) -> bool {
+        let next = self.next_event();
+        let earlier = next < self.armed;
+        self.armed = self.armed.min(next);
+        earlier
+    }
+
+    /// Runs every event due by `to` in order — at one instant endorsements
+    /// (in arrival order), then the orderer's cut, then a validation — and
+    /// returns the first block validated, leaving later events for the
+    /// next call. `orderer_down(t)`: whether the orderer is crashed at `t`.
+    fn advance(
+        &mut self,
+        to: Duration,
+        state: &mut VersionedState,
+        orderer_down: impl Fn(Duration) -> bool,
+    ) -> Option<Validated> {
+        self.now = self.now.max(to);
+        loop {
+            let endorse = self.endorsing.front().map(|e| (e.done, 0));
+            let order = self.cut_at.map(|at| (at, 1));
+            let validate = self.validating.front().map(|(done, _)| (*done, 2));
+            let (at, stage) = endorse.into_iter().chain(order).chain(validate).min()?;
+            if at > to {
+                return None;
+            }
+            match stage {
+                0 => self.endorse(state, &orderer_down),
+                1 => self.cut(at, &orderer_down),
+                _ => return Some(self.validate(state)),
+            }
+        }
+    }
+
+    /// The front endorsement completes: its read set is taken now, and it
+    /// joins the open batch, which it may fill.
+    fn endorse(&mut self, state: &VersionedState, orderer_down: &impl Fn(Duration) -> bool) {
+        let Endorsing { done, tx, .. } = self.endorsing.pop_front().expect("an endorsement is due");
+        let rwset = state.simulate(&tx.tx.op).ok();
+        self.endorsed += 1;
+        self.endorse_failures += u64::from(rwset.is_none());
+        if self.batch.is_empty() {
+            self.cut_at = Some(done + self.config.batch_timeout);
+        }
+        self.batch.push((tx.id, rwset));
+        if !self.held && self.batch.len() >= self.config.max_batch {
+            self.cut(done, orderer_down);
+        }
+    }
+
+    /// The orderer cuts the open batch at `at` onto the validation server;
+    /// crashed, it keeps the batch and tries again a timeout later.
+    fn cut(&mut self, at: Duration, orderer_down: &impl Fn(Duration) -> bool) {
+        if orderer_down(at) {
+            self.held = true;
+            self.cut_at = Some(at + self.config.batch_timeout);
+            return;
+        }
+        let batch = std::mem::take(&mut self.batch);
+        (self.held, self.cut_at) = (false, None);
+        let start = at.max(self.validator_free);
+        self.validator_free = start + self.config.validate_cost * batch.len() as u32;
+        self.validating.push_back((self.validator_free, batch));
+    }
+
+    /// The front batch is validated: each read set is checked against the
+    /// state and committed, in block order.
+    fn validate(&mut self, state: &mut VersionedState) -> Validated {
+        let (_, batch) = self.validating.pop_front().expect("a batch is due");
+        let validated = batch.into_iter().map(|(id, rwset)| {
+            let ok = rwset.map(|rw| state.validate_and_commit(&rw));
+            self.mvcc_conflicts += u64::from(ok == Some(false));
+            self.pending.remove(&id);
+            (id, ok == Some(true))
+        });
+        validated.unzip()
+    }
+}
+
+/// The execute-order-validate consensus core: the endorse → order →
+/// validate line under one lock, driven by the kernel's loop.
+pub struct FabricPolicy {
+    net: SimNetwork,
+    sig_params: SigParams,
+    pipeline: Mutex<Pipeline>,
 }
 
 impl FabricPolicy {
     /// Transactions invalidated by MVCC conflicts.
     pub fn mvcc_conflicts(&self) -> u64 {
-        self.mvcc_conflicts.load(Ordering::Relaxed)
+        self.pipeline.lock().mvcc_conflicts
     }
 
     /// Transactions that failed endorsement (execution error).
     pub fn endorse_failures(&self) -> u64 {
-        self.endorse_failures.load(Ordering::Relaxed)
+        self.pipeline.lock().endorse_failures
     }
 
     /// Submissions rejected because the inbox was full.
     pub fn rejected_overload(&self) -> u64 {
-        self.rejected_overload.load(Ordering::Relaxed)
+        self.pipeline.lock().rejected_overload
     }
 }
 
@@ -159,271 +324,94 @@ impl ConsensusPolicy for FabricPolicy {
 
     /// The orderer cuts the blocks; its crash halts sealing.
     fn sealer_node(&self, _shard: u32) -> String {
-        "fabric-orderer".to_owned()
+        ORDERER.to_owned()
     }
 
-    /// The EOV pipeline has its own inbox, not the kernel mempool.
+    /// The EOV pipeline has its own inbox, not the kernel mempool. The
+    /// endorser's signature check runs first, outside the lock: a bad
+    /// signature is accepted, counted and never endorsed. A full inbox is
+    /// backpressure, not a verdict: the submitter may back off and retry.
     fn admit(
         &self,
-        _kernel: &Kernel,
+        kernel: &Kernel,
         _shard: u32,
         tx: SignedTransaction,
     ) -> Result<TxId, ChainError> {
         let id = tx.id;
-        let mut inbox = self.inbox.lock();
-        let Some(endorse_tx) = &inbox.endorse_tx else {
-            return Err(ChainError::shutdown());
+        let mut checked = vec![tx];
+        kernel.verify_retain(&mut checked, &self.sig_params);
+        let Some(tx) = checked.pop() else {
+            return Ok(id);
         };
-        if inbox.pending_ids.contains(&id) {
-            return Err(ChainError::rejected(MempoolError::Duplicate));
+        let mut pipeline = self.pipeline.lock();
+        let at = kernel.clock().now();
+        pipeline.admit(at, tx).map_err(ChainError::rejected)?;
+        if pipeline.rearm() {
+            kernel.ring();
         }
-        match endorse_tx.try_send(tx) {
-            Ok(()) => {
-                inbox.pending_ids.insert(id);
-                Ok(id)
-            }
-            Err(_) => {
-                self.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                self.reject_debt.fetch_add(1, Ordering::Relaxed);
-                // Backpressure, not a verdict on the transaction: the
-                // submitter may back off and retry.
-                Err(ChainError::rejected(MempoolError::Full))
-            }
-        }
+        Ok(id)
     }
 
     fn pending(&self, _kernel: &Kernel) -> usize {
-        self.inbox.lock().pending_ids.len()
+        self.pipeline.lock().pending.len()
     }
 
-    /// Blocks are cut by the committer worker, not a kernel sealer loop.
-    fn drives_sealer(&self) -> bool {
-        false
+    /// The time to the next cut or validated block. While the orderer is
+    /// crashed the loop holds every round, looking again once per batch
+    /// timeout.
+    fn seal_wait(&self, _shard: u32) -> Duration {
+        let mut pipeline = self.pipeline.lock();
+        if self.net.node_crashed(ORDERER) {
+            return pipeline.config.batch_timeout;
+        }
+        pipeline.armed = pipeline.next_event();
+        pipeline.armed.saturating_sub(self.net.clock().now())
     }
 
-    fn workers(self: &Arc<Self>, kernel: &Arc<Kernel>) -> Vec<Worker> {
-        let (ordered_tx, ordered_rx) = bounded::<Endorsed>(self.config.inbox_capacity.max(1024));
-        let (block_tx, block_rx) = bounded::<Vec<Endorsed>>(64);
-        let (endorse_tx, endorse_rx) = bounded(self.config.inbox_capacity);
-        self.inbox.lock().endorse_tx = Some(endorse_tx);
-        let mut workers = Vec::new();
-        for t in 0..self.config.endorser_threads {
-            let policy = Arc::clone(self);
-            let kernel = Arc::clone(kernel);
-            let rx = endorse_rx.clone();
-            let out = ordered_tx.clone();
-            workers.push(Worker::new(format!("fabric-endorser-{t}"), move || {
-                endorser_loop(policy, kernel, rx, out)
-            }));
-        }
-        drop(ordered_tx);
-        {
-            let policy = Arc::clone(self);
-            let kernel = Arc::clone(kernel);
-            workers.push(Worker::new("fabric-orderer", move || {
-                orderer_loop(policy, kernel, ordered_rx, block_tx)
-            }));
-        }
-        {
-            let policy = Arc::clone(self);
-            let kernel = Arc::clone(kernel);
-            workers.push(Worker::new("fabric-committer", move || {
-                committer_loop(policy, kernel, block_rx)
-            }));
-        }
-        workers
-    }
-
-    /// Closes the inbox; the pipeline drains out behind it.
-    fn stop(&self) {
-        self.inbox.lock().endorse_tx = None;
-    }
-}
-
-fn endorser_loop(
-    policy: Arc<FabricPolicy>,
-    kernel: Arc<Kernel>,
-    rx: Receiver<SignedTransaction>,
-    out: Sender<Endorsed>,
-) {
-    let config = &policy.config;
-    loop {
-        // Pay for any requests the node turned away since the last pass:
-        // rejection is not free for the endorsement pool.
-        let owed = policy.reject_debt.swap(0, Ordering::Relaxed);
-        if owed > 0
-            && !kernel.sleep_interruptible(config.reject_handling_cost * owed.min(10_000) as u32)
-        {
-            return;
-        }
-        let Ok(first) = rx.recv() else {
-            return; // inbox closed and drained
-        };
-        // Greedily drain whatever burst is already queued so signature
-        // checks run through the batch verifier (shared per-key tables)
-        // instead of one full modexp per transaction. The drain is capped
-        // at a pool share of a block so a deep queue is still endorsed by
-        // every endorser thread in parallel — one thread swallowing a
-        // whole block serialises its endorsement cost, which inflates
-        // read-set staleness and MVCC conflicts downstream.
-        let burst_cap = (config.max_batch / config.endorser_threads).max(8);
-        let mut burst = vec![first];
-        while burst.len() < burst_cap {
-            match rx.try_recv() {
-                Ok(tx) => burst.push(tx),
-                Err(_) => break,
-            }
-        }
-        kernel.verify_retain_with(&mut burst, &config.sig_params, |tx| {
-            policy.inbox.lock().pending_ids.remove(&tx.id);
-        });
-        // Per-burst (not per-tx) observability.
-        let obs = kernel.net().obs();
-        if obs.enabled() {
+    fn build_round(&self, kernel: &Kernel, _shard: u32) -> Option<Round> {
+        let plan = kernel.net().fault_plan();
+        let orderer_down = |at| plan.as_ref().is_some_and(|plan| plan.crashed(ORDERER, at));
+        let mut pipeline = self.pipeline.lock();
+        let endorsed = pipeline.endorsed;
+        let to = kernel.clock().now();
+        let validated = pipeline.advance(to, &mut kernel.shard(0).state.lock(), orderer_down);
+        // Per wake (not per tx) observability.
+        let (obs, newly) = (kernel.net().obs(), pipeline.endorsed - endorsed);
+        if obs.enabled() && newly > 0 {
             obs.registry()
                 .counter_with("hammer_fabric_endorsed_total", &[("chain", "fabric-sim")])
-                .add(burst.len() as u64);
+                .add(newly);
         }
-        for tx in burst {
-            // Endorsement = simulated execution cost + rwset.
-            if !kernel.sleep_interruptible(config.endorse_cost) {
-                return;
-            }
-            let rwset = kernel.shard(0).state.lock().simulate(&tx.tx.op).ok();
-            if rwset.is_none() {
-                policy.endorse_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            if out
-                .send(Endorsed {
-                    tx_id: tx.id,
-                    rwset,
-                })
-                .is_err()
-            {
-                return;
-            }
-        }
+        let (tx_ids, valid) = validated?;
+        // In-flight endorsement depth stands in for a mempool here.
+        Some(Round {
+            proposer: ORDERER.to_owned(),
+            tx_ids,
+            valid,
+            gossip_to: (0..pipeline.config.peers).map(peer_name).collect(),
+            mempool_depth: Some(pipeline.pending.len()),
+        })
     }
 }
 
-fn orderer_loop(
-    policy: Arc<FabricPolicy>,
-    kernel: Arc<Kernel>,
-    rx: Receiver<Endorsed>,
-    out: Sender<Vec<Endorsed>>,
-) {
-    let config = &policy.config;
-    let clock = kernel.clock();
-    let peers: Vec<String> = (0..config.peers).map(peer_name).collect();
-    loop {
-        // The first transaction opens a batch and sets its deadline, in
-        // simulated time; until then there is nothing to time out.
-        let Ok(first) = rx.recv() else {
-            return; // every endorser is gone
-        };
-        let deadline = clock.now() + config.batch_timeout;
-        let mut batch = vec![first];
-        while batch.len() < config.max_batch {
-            let left = deadline.saturating_sub(clock.now());
-            match rx.recv_timeout(clock.to_wall(left)) {
-                Ok(endorsed) => batch.push(endorsed),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        }
-        // A crashed orderer cuts no blocks; endorsed transactions pile up
-        // in the batch until the restart. It looks again once per
-        // `batch_timeout`, as a crashed sealer does once per `seal_wait`.
-        while kernel.net().node_crashed("fabric-orderer") {
-            if !kernel.sleep_interruptible(config.batch_timeout) {
-                return;
-            }
-            while let Ok(endorsed) = rx.try_recv() {
-                batch.push(endorsed);
-            }
-        }
-        // Block distribution traffic: orderer -> every peer, sent at
-        // ordering time (before validation), as Fabric delivers raw
-        // blocks to peers for local validation.
-        kernel.gossip("fabric-orderer", &peers, batch.len());
-        if out.send(batch).is_err() {
-            return;
-        }
-    }
-}
-
-fn committer_loop(policy: Arc<FabricPolicy>, kernel: Arc<Kernel>, rx: Receiver<Vec<Endorsed>>) {
-    let config = &policy.config;
-    loop {
-        let Ok(batch) = rx.recv() else {
-            return; // the orderer is gone
-        };
-        // Validation cost for the whole block; cut short by shutdown, the
-        // block is abandoned (nothing reads the ledger afterwards).
-        if !kernel.sleep_interruptible(config.validate_cost * batch.len() as u32) {
-            return;
-        }
-        let mut tx_ids = Vec::with_capacity(batch.len());
-        let mut valid = Vec::with_capacity(batch.len());
-        {
-            let mut state = kernel.shard(0).state.lock();
-            for endorsed in &batch {
-                let ok = match &endorsed.rwset {
-                    Some(rwset) => state.validate_and_commit(rwset),
-                    None => false,
-                };
-                tx_ids.push(endorsed.tx_id);
-                valid.push(ok);
-                if !ok && endorsed.rwset.is_some() {
-                    policy.mvcc_conflicts.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let depth = {
-            let mut inbox = policy.inbox.lock();
-            for id in &tx_ids {
-                inbox.pending_ids.remove(id);
-            }
-            inbox.pending_ids.len()
-        };
-        // Distribution already happened at ordering time; in-flight
-        // endorsement depth stands in for a mempool on this EOV pipeline.
-        kernel.seal_block(
-            0,
-            Round {
-                proposer: "fabric-orderer".to_owned(),
-                tx_ids,
-                valid,
-                gossip_to: Vec::new(),
-                mempool_depth: Some(depth),
-            },
-        );
-    }
-}
-
-/// Starts the network: endorser pool, orderer, committer, peers.
+/// Starts the network: the orderer and peer endpoints, and the pipeline
+/// on the chain's loop.
 pub fn start(
     config: FabricConfig,
     clock: SimClock,
     net: SimNetwork,
 ) -> Arc<ChainNode<FabricPolicy>> {
     assert!(config.peers >= 1 && config.endorser_threads >= 1);
-    let mut builder = NodeKernelBuilder::new(clock, net)
+    let mut builder = NodeKernelBuilder::new(clock, net.clone())
         .gossip_sizing(200, 150)
-        .endpoint("fabric-orderer");
+        .endpoint(ORDERER);
     for i in 0..config.peers {
         builder = builder.endpoint(&peer_name(i));
     }
     builder.start(FabricPolicy {
-        config,
-        inbox: Mutex::new(Inbox {
-            pending_ids: HashSet::new(),
-            endorse_tx: None,
-        }),
-        reject_debt: AtomicU64::new(0),
-        mvcc_conflicts: AtomicU64::new(0),
-        endorse_failures: AtomicU64::new(0),
-        rejected_overload: AtomicU64::new(0),
+        net,
+        sig_params: config.sig_params,
+        pipeline: Mutex::new(Pipeline::new(config)),
     })
 }
 
@@ -471,6 +459,250 @@ mod tests {
         false
     }
 
+    // ---- The pipeline alone: simulated instants, no clock, no thread. ----
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    fn write_check(nonce: u64, account: &str) -> SignedTransaction {
+        let account = Address::from_name(account);
+        signed(nonce, Op::WriteCheck { account, amount: 1 })
+    }
+
+    fn deposit(nonce: u64, account: &str) -> SignedTransaction {
+        let account = Address::from_name(account);
+        signed(nonce, Op::DepositChecking { account, amount: 1 })
+    }
+
+    /// 2 ms endorsements, batches of 3 or 10 ms, 1 ms validation per
+    /// transaction, on `servers` endorsement servers.
+    fn line(servers: usize) -> FabricConfig {
+        FabricConfig {
+            endorser_threads: servers,
+            endorse_cost: ms(2),
+            max_batch: 3,
+            batch_timeout: ms(10),
+            validate_cost: ms(1),
+            inbox_capacity: 100,
+            reject_handling_cost: ms(1),
+            ..FabricConfig::default()
+        }
+    }
+
+    /// State with `hot`, `a`, `b` and `h0`..`h4` seeded.
+    fn seeded() -> VersionedState {
+        let mut state = VersionedState::new();
+        let names = ["hot", "a", "b", "h0", "h1", "h2", "h3", "h4"];
+        for name in names {
+            state.seed_account(Address::from_name(name), 1_000, 0);
+        }
+        state
+    }
+
+    /// Endorsed, MVCC conflicts, endorsement failures, rejections.
+    type Counters = [u64; 4];
+
+    fn counters(pipeline: &Pipeline) -> Counters {
+        let p = pipeline;
+        [
+            p.endorsed,
+            p.mvcc_conflicts,
+            p.endorse_failures,
+            p.rejected_overload,
+        ]
+    }
+
+    /// Runs arrivals `(instant, tx)` (instants ascending) through a fresh
+    /// pipeline the way the chain's loop does, waking at each next event,
+    /// until nothing is left: each validated block with the instant it was
+    /// sealed at, and the final counters.
+    fn run(
+        config: FabricConfig,
+        arrivals: Vec<(Duration, SignedTransaction)>,
+    ) -> (Vec<(Duration, Validated)>, Counters) {
+        let (mut pipeline, mut state) = (Pipeline::new(config), seeded());
+        let mut arrivals = arrivals.into_iter().peekable();
+        let mut blocks = Vec::new();
+        loop {
+            let event = pipeline.next_event();
+            match arrivals.peek() {
+                Some(&(at, _)) if at <= event => {
+                    let (at, tx) = arrivals.next().unwrap();
+                    let _ = pipeline.admit(at, tx);
+                }
+                _ if event == Duration::MAX => return (blocks, counters(&pipeline)),
+                _ => {
+                    while let Some(block) = pipeline.advance(event, &mut state, |_| false) {
+                        blocks.push((event, block));
+                    }
+                }
+            }
+        }
+    }
+
+    fn ids(txs: &[&SignedTransaction]) -> Vec<TxId> {
+        txs.iter().map(|tx| tx.id).collect()
+    }
+
+    #[test]
+    fn a_hand_worked_trace_gives_its_blocks_flags_and_conflicts() {
+        let tx = [
+            write_check(0, "hot"),
+            deposit(1, "a"),
+            write_check(2, "hot"),
+            deposit(3, "b"),
+            write_check(4, "hot"),
+            write_check(5, "ghost"),
+        ];
+        let arrivals = [0, 0, 1, 1, 20, 20].map(ms).into_iter();
+        let (blocks, counters) = run(line(2), arrivals.zip(tx.clone()).collect());
+        // Servers: tx0, tx1 endorse over [0, 2]; tx2, tx3 over [2, 4].
+        // At 4 tx2 fills the batch [tx0 tx1 tx2]: validated over [4, 7],
+        // where tx2's read of `hot`, taken at 4, lost to tx0's commit at 7.
+        // tx3 opens a batch that times out at 14: validated at 15. tx4 and
+        // tx5 endorse over [20, 22], tx5 failing (no such account); their
+        // batch times out at 32 and is validated at 34.
+        let expect = [
+            (7, ids(&[&tx[0], &tx[1], &tx[2]]), vec![true, true, false]),
+            (15, ids(&[&tx[3]]), vec![true]),
+            (34, ids(&[&tx[4], &tx[5]]), vec![true, false]),
+        ];
+        let expect: Vec<(Duration, Validated)> = (expect.into_iter())
+            .map(|(at, tx_ids, valid)| (ms(at), (tx_ids, valid)))
+            .collect();
+        assert_eq!(blocks, expect);
+        assert_eq!(counters, [6, 1, 1, 0]);
+    }
+
+    #[test]
+    fn the_same_trace_gives_the_same_blocks_and_counters() {
+        // 600 arrivals 0.7 ms apart onto five hot accounts: the four
+        // servers and the batches interleave, and many reads go stale.
+        let trace = || -> Vec<(Duration, SignedTransaction)> {
+            (0..600u64)
+                .map(|i| {
+                    let at = Duration::from_micros(700 * i);
+                    (at, write_check(i, &format!("h{}", i * 7 % 5)))
+                })
+                .collect()
+        };
+        let config = FabricConfig {
+            max_batch: 40,
+            ..line(4)
+        };
+        let first = run(config.clone(), trace());
+        let second = run(config, trace());
+        assert_eq!(first, second);
+        let (blocks, counters) = first;
+        assert_eq!(blocks.iter().map(|(_, b)| b.0.len()).sum::<usize>(), 600);
+        assert!(counters[1] > 0, "{counters:?}");
+    }
+
+    #[test]
+    fn an_endorsement_at_a_commit_instant_reads_the_state_before_it() {
+        // One server, a batch per endorsement, 2 ms validation: tx0 is
+        // endorsed at 2 and committed at 4. The second write endorsed at
+        // exactly 4 (endorse before validate) reads the old version and
+        // conflicts; one endorsed a nanosecond later reads the new one.
+        let config = FabricConfig {
+            max_batch: 1,
+            validate_cost: ms(2),
+            ..line(1)
+        };
+        for (late, second_valid) in [(Duration::ZERO, false), (Duration::from_nanos(1), true)] {
+            let arrivals = vec![
+                (ms(0), write_check(0, "hot")),
+                (ms(2) + late, write_check(1, "hot")),
+            ];
+            let (blocks, _) = run(config.clone(), arrivals);
+            let valid: Vec<bool> = blocks.iter().flat_map(|(_, b)| b.1.clone()).collect();
+            assert_eq!(valid, [true, second_valid], "second arrival {late:?} late");
+        }
+    }
+
+    #[test]
+    fn an_endorsement_at_the_timeout_instant_joins_the_batch_being_cut() {
+        // tx0's batch opens at 2 and times out at 12. tx1, endorsed at
+        // exactly 12 (endorse before order), rides in it; endorsed a
+        // nanosecond later, it opens the next batch.
+        for (late, blocks_expected) in [(Duration::ZERO, 1), (Duration::from_nanos(1), 2)] {
+            let arrivals = vec![(ms(0), deposit(0, "a")), (ms(10) + late, deposit(1, "b"))];
+            let (blocks, _) = run(line(1), arrivals);
+            assert_eq!(
+                blocks.len(),
+                blocks_expected,
+                "second arrival {late:?} late"
+            );
+        }
+    }
+
+    #[test]
+    fn endorsements_completing_together_are_ordered_by_arrival() {
+        // Two servers, two writes to one account arriving at one instant:
+        // both complete at 2, and the first to arrive is first in the
+        // block (cut at 12, validated at 14), commits, and makes the other
+        // conflict.
+        let (x, y) = (write_check(0, "hot"), write_check(1, "hot"));
+        for (first, second) in [(&x, &y), (&y, &x)] {
+            let arrivals = vec![(ms(0), first.clone()), (ms(0), second.clone())];
+            let (blocks, counters) = run(line(2), arrivals);
+            let expect = (ids(&[first, second]), vec![true, false]);
+            assert_eq!(blocks, [(ms(14), expect)]);
+            assert_eq!(counters[1], 1);
+        }
+    }
+
+    #[test]
+    fn each_rejection_delays_the_next_endorsement_by_its_handling_cost() {
+        // One 10 ms server, two may wait: at 0 tx0 is served over [0, 10],
+        // tx1 and tx2 wait, and every further arrival is turned away, each
+        // costing the server 1 ms. The arrival at 25 (tx1 and tx2 served by
+        // then) would be served over [30, 40]; it ends 1 ms later per
+        // rejection.
+        let config = FabricConfig {
+            endorse_cost: ms(10),
+            inbox_capacity: 2,
+            ..line(1)
+        };
+        for rejections in 0..4u64 {
+            let (mut pipeline, mut state) = (Pipeline::new(config.clone()), seeded());
+            for nonce in 0..3 + rejections {
+                let admitted = pipeline.admit(ms(0), deposit(nonce, "a"));
+                let expect = if nonce < 3 {
+                    Ok(())
+                } else {
+                    Err(MempoolError::Full)
+                };
+                assert_eq!(admitted.map(|_| ()), expect, "arrival {nonce}");
+            }
+            while pipeline.advance(ms(25), &mut state, |_| false).is_some() {}
+            pipeline.admit(ms(25), deposit(99, "b")).unwrap();
+            let done = pipeline.endorsing.back().unwrap().done;
+            assert_eq!(done, ms(40 + rejections), "{rejections} rejections");
+            assert_eq!(pipeline.rejected_overload, rejections);
+        }
+    }
+
+    #[test]
+    fn a_crashed_orderer_keeps_its_batch_and_retries_once_per_timeout() {
+        // The cut due at 12 finds the orderer down over [5, 31): it holds
+        // the batch, which takes the endorsements at 14, 16 and 18 although
+        // max_batch is 3, retries at 22 and 32, and cuts at 32.
+        let mut pipeline = Pipeline::new(line(1));
+        let mut state = seeded();
+        let txs: Vec<SignedTransaction> = (0..4).map(|n| deposit(n, "a")).collect();
+        for (at, tx) in [0, 12, 12, 12].map(ms).into_iter().zip(txs.clone()) {
+            pipeline.admit(at, tx).unwrap();
+        }
+        let down = |at: Duration| (ms(5)..ms(31)).contains(&at);
+        let (tx_ids, _) = pipeline.advance(ms(40), &mut state, down).unwrap();
+        assert_eq!(tx_ids, ids(&txs.iter().collect::<Vec<_>>()));
+        assert_eq!(pipeline.validator_free, ms(32 + 4));
+    }
+
+    // ---- The chain: the pipeline on the kernel's loop. ----
+
     #[test]
     fn endorse_order_validate_commits() {
         let chain = fast_chain(FabricConfig::default());
@@ -504,32 +736,25 @@ mod tests {
 
     #[test]
     fn conflicting_txs_are_invalidated() {
-        // One endorser, batched together: both endorsed against the same
-        // snapshot -> later ones conflict at validation.
+        // One server; the fifth endorsement fills the batch, so all five
+        // are read before any commits, whatever the host's timing: the
+        // first commits and the other four conflict.
         let chain = fast_chain(FabricConfig {
             endorser_threads: 1,
-            max_batch: 10,
+            max_batch: 5,
             ..FabricConfig::default()
         });
         chain.seed_account(Address::from_name("hot"), 1000, 0);
-        for i in 0..5 {
-            chain
-                .submit(signed(
-                    i,
-                    Op::WriteCheck {
-                        account: Address::from_name("hot"),
-                        amount: 1,
-                    },
-                ))
-                .unwrap();
+        let txs: Vec<SignedTransaction> = (0..5).map(|i| write_check(i, "hot")).collect();
+        for tx in txs {
+            chain.submit(tx).unwrap();
         }
         assert!(wait_until(
             || chain.stats().committed + chain.policy().mvcc_conflicts() >= 5,
             8000
         ));
-        let conflicts = chain.policy().mvcc_conflicts();
-        assert!(conflicts >= 1, "expected conflicts, got {conflicts}");
-        assert!(chain.stats().committed >= 1);
+        assert_eq!(chain.policy().mvcc_conflicts(), 4);
+        assert_eq!(chain.stats().committed, 1);
         chain.shutdown();
     }
 
@@ -545,8 +770,8 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.policy().endorse_failures() == 1, 5000));
         assert!(wait_until(|| chain.latest_height(0).unwrap() >= 1, 5000));
+        assert_eq!(chain.policy().endorse_failures(), 1);
         let b = chain.block_at(0, 1).unwrap().unwrap();
         let pos = b.tx_ids.iter().position(|t| *t == id).unwrap();
         assert!(!b.valid[pos]);
@@ -706,13 +931,13 @@ mod tests {
             drop(chain);
             start.elapsed()
         };
-        // Idle: every worker is blocked on an empty channel.
+        // Idle: the loop waits for an event that never comes.
         let idle = timed_drop(fast_chain(FabricConfig::default()));
         assert!(idle < Duration::from_millis(20), "idle drop took {idle:?}");
 
         // Busy: at 100× a burst of 300 is 12 ms of validation alone, so the
-        // drop finds endorsers mid-burst, an open batch at the orderer and
-        // the committer inside its validation wait.
+        // drop finds endorsements in service, an open batch at the orderer
+        // and a batch in validation.
         let chain = chain_at(100.0, FabricConfig::default());
         for tx in deposits(&chain, 300) {
             chain.submit(tx).unwrap();
@@ -755,12 +980,12 @@ mod tests {
     }
 
     /// CPU time (user + system, in 10 ms ticks) of every live thread named
-    /// `fabric-orderer`; `None` where `/proc` does not say.
-    fn orderer_cpu_ticks() -> Option<u64> {
+    /// `fabric-sim`, the chain's loop; `None` where `/proc` does not say.
+    fn chain_cpu_ticks() -> Option<u64> {
         let mut ticks = 0;
         for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
             let read = |file| std::fs::read_to_string(task.path().join(file));
-            if read("comm").is_ok_and(|name| name.trim() == "fabric-orderer") {
+            if read("comm").is_ok_and(|name| name.trim() == "fabric-sim") {
                 // Fields 14 and 15; the thread name in field 2 has no space.
                 let stat = read("stat").ok()?;
                 let mut fields = stat.split(' ').skip(13);
@@ -785,7 +1010,7 @@ mod tests {
         for tx in deposits(&chain, 3) {
             chain.submit(tx).unwrap();
         }
-        let cpu_before = orderer_cpu_ticks();
+        let cpu_before = chain_cpu_ticks();
         // Well inside the window the batch's deadline is long past, and
         // nothing has been cut.
         chain
@@ -793,9 +1018,9 @@ mod tests {
             .sleep_until(window_end - Duration::from_secs(5));
         assert_eq!(chain.latest_height(0).unwrap(), 0);
         assert_eq!(chain.pending_txs().unwrap(), 3);
-        if let (Some(before), Some(after)) = (cpu_before, orderer_cpu_ticks()) {
-            // One look per batch timeout costs the orderer a few percent of
-            // a core; holding an expired deadline in a loop, all 35 ticks.
+        if let (Some(before), Some(after)) = (cpu_before, chain_cpu_ticks()) {
+            // One look per batch timeout costs the loop a few percent of a
+            // core; holding an expired deadline in a loop, all 35 ticks.
             let spent = after.saturating_sub(before);
             assert!(spent <= 10, "the crashed orderer burnt {spent} ticks");
         }

@@ -13,18 +13,17 @@
 //! * **Cross-epoch settlement** — a transfer whose sender and receiver
 //!   live on different shards executes its debit in the source shard's
 //!   block, relays the credit, and the destination shard applies it at its
-//!   next epoch boundary. The transaction is reported committed at the
-//!   source block (the relay is deterministic), matching the paper's
-//!   decision not to distinguish intra-/inter-shard transactions.
+//!   first epoch boundary after that block is sealed. The transaction is
+//!   reported committed at the source block (the relay is deterministic),
+//!   as the paper does not distinguish intra-/inter-shard transactions.
 //!
 //! Throughput lands between Fabric and Neuchain, with high confirmation
 //! latency from the long consortium epochs — the shape Fig. 6 shows.
 //!
-//! Node scaffolding (per-shard sealer loops, ingress gating, sealed-block
-//! and gossip accounting) comes from the [`hammer_chain::kernel`]; this
-//! crate contributes the sharded-routing [`ConsensusPolicy`] and the
-//! cross-epoch relay, and [`start`] returns the running [`ChainNode`]
-//! itself.
+//! Node scaffolding (one loop for both shards' epochs, ingress gating,
+//! sealed-block and gossip accounting) comes from [`hammer_chain::kernel`];
+//! this crate contributes the sharded-routing [`ConsensusPolicy`] and the
+//! cross-epoch relay, and [`start`] returns the running [`ChainNode`].
 
 #![warn(missing_docs)]
 
@@ -82,6 +81,9 @@ struct Credit {
     amount: u64,
 }
 
+/// A relayed credit behind the `(shard, height)` of its debiting block.
+type Relayed = ((u32, u64), Credit);
+
 fn node_name(shard: u32, i: usize) -> String {
     format!("meepo-s{shard}-node-{i}")
 }
@@ -91,7 +93,7 @@ fn node_name(shard: u32, i: usize) -> String {
 pub struct MeepoPolicy {
     config: MeepoConfig,
     /// Inbound cross-epoch credits, one inbox per shard.
-    relay_in: Vec<Mutex<Vec<Credit>>>,
+    relay_in: Vec<Mutex<Vec<Relayed>>>,
     cross_shard: AtomicU64,
 }
 
@@ -134,11 +136,14 @@ impl ConsensusPolicy for MeepoPolicy {
     fn build_round(&self, kernel: &Kernel, shard_id: u32) -> Option<Round> {
         let shard = kernel.shard(shard_id);
 
-        // 1. Apply cross-epoch credits relayed from other shards.
-        let credits: Vec<Credit> = std::mem::take(&mut *self.relay_in[shard_id as usize].lock());
+        // 1. Apply the cross-epoch credits whose source block is sealed.
+        let inbox = &self.relay_in[shard_id as usize];
+        let sealed = |((source, height), _): &Relayed| kernel.height(*source) >= *height;
+        let (credits, waiting): (Vec<_>, _) = inbox.lock().drain(..).partition(sealed);
+        *inbox.lock() = waiting;
         if !credits.is_empty() {
             let mut state = shard.state.lock();
-            for c in &credits {
+            for (_, c) in &credits {
                 let (checking, savings) = state
                     .get(c.account)
                     .map(|a| (a.checking, a.savings))
@@ -153,11 +158,8 @@ impl ConsensusPolicy for MeepoPolicy {
             return None;
         }
         kernel.verify_retain(&mut txs, &self.config.sig_params);
-        // Cut short by shutdown, the round is abandoned.
-        if !kernel.sleep_interruptible(self.config.exec_cost_per_tx * txs.len() as u32) {
-            return None;
-        }
 
+        let debited_in = (shard_id, kernel.height(shard_id) + 1);
         let mut tx_ids = Vec::with_capacity(txs.len());
         let mut valid = Vec::with_capacity(txs.len());
         {
@@ -168,7 +170,8 @@ impl ConsensusPolicy for MeepoPolicy {
                     ExecOutcome::Ok => true,
                     ExecOutcome::OkCrossShard(dest, credit) => {
                         self.cross_shard.fetch_add(1, Ordering::Relaxed);
-                        self.relay_in[dest as usize].lock().push(credit);
+                        let inbox = &self.relay_in[dest as usize];
+                        inbox.lock().push((debited_in, credit));
                         // Cross-epoch relay traffic to one node of the
                         // destination shard.
                         let _ = kernel
@@ -196,6 +199,10 @@ impl ConsensusPolicy for MeepoPolicy {
                 .collect(),
             mempool_depth: None,
         })
+    }
+
+    fn round_cost(&self, _shard: u32, txs: usize) -> Duration {
+        self.config.exec_cost_per_tx * txs as u32
     }
 }
 
@@ -271,8 +278,8 @@ impl MeepoPolicy {
     }
 }
 
-/// Starts the deployment: per-shard sealer threads and node endpoints
-/// on the kernel runtime.
+/// Starts the deployment: node endpoints and the chain's loop on the
+/// kernel runtime.
 pub fn start(config: MeepoConfig, clock: SimClock, net: SimNetwork) -> Arc<ChainNode<MeepoPolicy>> {
     assert!(config.shards >= 1 && config.nodes_per_shard >= 1);
     let mut builder = NodeKernelBuilder::new(clock, net).mempool_capacity(config.mempool_capacity);
@@ -397,6 +404,46 @@ mod tests {
             8000
         ));
         assert_eq!(total_funds(&chain), before);
+        chain.shutdown();
+    }
+
+    #[test]
+    fn a_cross_shard_credit_waits_for_its_source_block_to_seal() {
+        // At 100× a second of execution is 10 ms of wall time, in which
+        // shard 1 cuts about ten epochs of its own.
+        let clock = SimClock::with_speedup(100.0);
+        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let config = MeepoConfig {
+            epoch_interval: Duration::from_millis(100),
+            exec_cost_per_tx: Duration::from_secs(1),
+            ..MeepoConfig::default()
+        };
+        let chain = start(config, clock.clone(), net);
+        let a = addr_on_shard(0, 0);
+        let b = addr_on_shard(1, 200);
+        chain.seed_account(a, 100, 0);
+        chain.seed_account(b, 5, 0);
+        let payment = Op::SendPayment {
+            from: a,
+            to: b,
+            amount: 40,
+        };
+        chain.submit(signed(1, payment)).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(8);
+        // The balance is read before the height: a credit seen applied
+        // was applied before that height was read.
+        let credited_at = loop {
+            let credited = chain.account(b).unwrap().checking == 45;
+            let sealed = chain.latest_height(0).unwrap() >= 1;
+            if credited {
+                assert!(sealed, "credited before its source block sealed");
+                break clock.now();
+            }
+            assert!(std::time::Instant::now() < deadline, "never credited");
+            std::thread::yield_now();
+        };
+        let source = chain.block_at(0, 1).unwrap().unwrap();
+        assert!(credited_at >= source.header.timestamp);
         chain.shutdown();
     }
 

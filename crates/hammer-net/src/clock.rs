@@ -14,7 +14,7 @@
 //! deadline, so an idle instrument burns no CPU; in *scaled mode* (> 1) it
 //! wakes early and yields through the tail, because there an OS wake-up's
 //! lateness is multiplied into simulated time. [`StopSignal`] is how
-//! teardown ends a wait by a wake instead of a poll.
+//! teardown, or news of an earlier deadline, ends a wait by a wake.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 /// `YIELD_TAIL` before its deadline to yield through the rest.
 const OS_WAIT_ABOVE: Duration = Duration::from_micros(500);
 const YIELD_TAIL: Duration = Duration::from_micros(200);
+const YEAR: Duration = Duration::from_secs(365 * 24 * 3600);
 
 /// How long the next step of a wait blocks in the OS, or `None` to yield —
 /// the whole decision of `SimClock::wait_until`: yield at or under
@@ -138,11 +139,10 @@ impl SimClock {
         self.wait_until(sim_deadline, None)
     }
 
-    /// [`SimClock::sleep`], cut short by `stop`: `false` as soon as the
-    /// signal is raised (at once if it already is), `true` when served out.
-    pub fn sleep_unless(&self, sim_duration: Duration, stop: &StopSignal) -> bool {
-        self.wait_until(self.now() + sim_duration, Some(stop));
-        !stop.is_raised()
+    /// [`SimClock::sleep_until`], ended as soon as `signal` is raised or
+    /// rung (at once if it already is); returns the reading that ended it.
+    pub fn sleep_until_signalled(&self, sim_deadline: Duration, signal: &StopSignal) -> Duration {
+        self.wait_until(sim_deadline, Some(signal))
     }
 
     /// The one wait, in steps chosen by `os_wait`. An OS wait overshoots
@@ -153,14 +153,16 @@ impl SimClock {
     /// overshoot (~0.1 ms of simulated time there): on an idle host the
     /// tail is a busy loop with nobody to yield to.
     /// Returns the reading that ended the wait: at or past `sim_deadline`,
-    /// or earlier if `stop` was raised.
+    /// or earlier if `stop` was raised or rung.
     fn wait_until(&self, sim_deadline: Duration, stop: Option<&StopSignal>) -> Duration {
         loop {
             let now = self.now();
-            if now >= sim_deadline || stop.is_some_and(StopSignal::is_raised) {
+            if now >= sim_deadline || stop.is_some_and(StopSignal::is_signalled) {
                 return now;
             }
-            let remaining_wall = self.to_wall(sim_deadline - now);
+            // A far deadline is waited for a year at a time: below a
+            // speed-up of 1 its wall remainder overflows a `Duration`.
+            let remaining_wall = self.to_wall((sim_deadline - now).min(YEAR));
             match (os_wait(remaining_wall, self.inner.speedup), stop) {
                 (None, _) => std::thread::yield_now(),
                 (Some(wall), Some(stop)) => stop.wait(wall),
@@ -180,14 +182,17 @@ impl SimClock {
     }
 }
 
-/// A one-way stop flag that threads can block on: reading it is one atomic
-/// load, raising it wakes every thread in [`SimClock::sleep_unless`]. Teardown paths raise it before they join,
-/// so a thread parked on a long interval is released by the wake itself.
+/// A one-way stop flag and a re-armable ring that threads can block on:
+/// reading either is one atomic load, and setting either wakes every
+/// thread in [`SimClock::sleep_until_signalled`]. Teardown raises it before
+/// it joins; a producer rings it when it moved the waiter's deadline.
 #[derive(Debug, Default)]
 pub struct StopSignal {
     /// Publishes nothing but itself: `raise` stores with `Release`,
     /// `is_raised` loads with `Acquire`.
     raised: AtomicBool,
+    /// Set by `ring`, cleared by `take_ring`.
+    rung: AtomicBool,
     lock: Mutex<()>,
     wake: Condvar,
 }
@@ -200,21 +205,40 @@ impl StopSignal {
 
     /// Raises the signal and wakes every waiter. Idempotent.
     pub fn raise(&self) {
-        self.raised.store(true, Ordering::Release);
-        // Through the lock, a waiter that saw the flag down either sees it
-        // up now or is parked by the time the notify is sent.
+        self.set(&self.raised);
+    }
+
+    /// Rings the signal: the wait in progress, or the next one, ends at
+    /// once. The ring stays set until [`StopSignal::take_ring`].
+    pub fn ring(&self) {
+        self.set(&self.rung);
+    }
+
+    /// Whether the signal was rung since the last take, clearing it.
+    pub fn take_ring(&self) -> bool {
+        self.rung.swap(false, Ordering::AcqRel)
+    }
+
+    fn is_signalled(&self) -> bool {
+        self.is_raised() || self.rung.load(Ordering::Acquire)
+    }
+
+    fn set(&self, flag: &AtomicBool) {
+        flag.store(true, Ordering::Release);
+        // Through the lock, a waiter that saw the flags down either sees
+        // one up now or is parked by the time the notify is sent.
         drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
         self.wake.notify_all();
     }
 
-    /// Blocks for `wall` of wall-clock time or until the signal is raised:
-    /// the OS wait of [`SimClock::sleep_unless`].
+    /// Blocks for `wall` of wall-clock time or until the signal is raised
+    /// or rung: the OS wait of [`SimClock::sleep_until_signalled`].
     fn wait(&self, wall: Duration) {
         // The lock guards no data, so a poisoned one is as good as new.
         let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
         drop(
             self.wake
-                .wait_timeout_while(guard, wall, |()| !self.is_raised()),
+                .wait_timeout_while(guard, wall, |()| !self.is_signalled()),
         );
     }
 }
@@ -335,10 +359,10 @@ mod spin_tests {
             ("sleep_until", &|| {
                 clock.sleep_until(clock.now() + step);
             }),
-            (
-                "sleep_unless",
-                &|| assert!(clock.sleep_unless(step, &never)),
-            ),
+            ("sleep_until_signalled", &|| {
+                let deadline = clock.now() + step;
+                assert!(clock.sleep_until_signalled(deadline, &never) >= deadline);
+            }),
         ];
         for (entry, wait) in entries {
             let start = Instant::now();
@@ -385,12 +409,13 @@ mod spin_tests {
             assert!(woke >= deadline, "{woke:?} < {deadline:?}");
         }
         let stop = StopSignal::default();
+        let hour = clock.now() + Duration::from_secs(3600);
         std::thread::scope(|scope| {
-            let wait = || clock.sleep_unless(Duration::from_secs(3600), &stop);
+            let wait = || clock.sleep_until_signalled(hour, &stop) < hour;
             let waiter = crate::thread::spawn_scoped(scope, "clock-test-waiter", wait).unwrap();
             std::thread::sleep(Duration::from_millis(30));
             stop.raise();
-            assert!(!waiter.join().unwrap(), "the raise should end the hour");
+            assert!(waiter.join().unwrap(), "the raise should end the hour");
         });
     }
 
@@ -400,24 +425,49 @@ mod spin_tests {
         let stop = StopSignal::default();
         // An hour of simulated time is 3.6 s of wall time at 1000×.
         let hour = Duration::from_secs(3600);
+        let deadline = clock.now() + hour;
         std::thread::scope(|scope| {
-            let wait = || (clock.sleep_unless(hour, &stop), Instant::now());
+            let wait = || (clock.sleep_until_signalled(deadline, &stop), Instant::now());
             let waiter = crate::thread::spawn_scoped(scope, "clock-test-waiter", wait).unwrap();
             std::thread::sleep(Duration::from_millis(30));
             let raised_at = Instant::now();
             stop.raise();
-            let (served, woke_at) = waiter.join().unwrap();
-            assert!(!served, "the wait should have been cut short");
+            let (woke, woke_at) = waiter.join().unwrap();
+            assert!(woke < deadline, "the wait should have been cut short");
             let lag = woke_at.saturating_duration_since(raised_at);
             assert!(
                 lag < Duration::from_millis(20),
                 "woke {lag:?} after the raise"
             );
         });
-        // Already raised: both waits return at once.
+        // Already raised: both waits return at once, even a never-ending one.
         let start = Instant::now();
-        assert!(!clock.sleep_unless(hour, &stop));
+        clock.sleep_until_signalled(Duration::MAX, &stop);
         stop.wait(hour);
+        assert!(start.elapsed() < Duration::from_millis(20));
+    }
+
+    #[test]
+    fn a_ring_ends_one_wait_and_is_taken_once() {
+        let clock = SimClock::with_speedup(1000.0);
+        let signal = StopSignal::default();
+        std::thread::scope(|scope| {
+            let wait = || clock.sleep_until_signalled(Duration::MAX, &signal);
+            let waiter = crate::thread::spawn_scoped(scope, "clock-test-waiter", wait).unwrap();
+            std::thread::sleep(Duration::from_millis(30));
+            signal.ring();
+            waiter.join().unwrap();
+        });
+        assert!(!signal.is_raised(), "a ring is not a stop");
+        assert!(signal.take_ring());
+        assert!(!signal.take_ring(), "taken once");
+        // Taken, it no longer ends a wait: this one is served out.
+        let deadline = clock.now() + Duration::from_millis(300);
+        assert!(clock.sleep_until_signalled(deadline, &signal) >= deadline);
+        // Rung before the wait: the wait ends at once, far deadline or not.
+        signal.ring();
+        let start = Instant::now();
+        clock.sleep_until_signalled(Duration::MAX, &signal);
         assert!(start.elapsed() < Duration::from_millis(20));
     }
 }

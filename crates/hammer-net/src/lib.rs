@@ -10,7 +10,8 @@
 //!   clock maps them onto wall time with a configurable speed-up, so a full
 //!   evaluation runs in seconds while inter-system *ratios* are preserved.
 //!   Its module holds the simulation's only timed-wait loop and
-//!   [`clock::StopSignal`], which teardown raises to wake what waits.
+//!   [`clock::StopSignal`], which teardown raises and a producer rings to
+//!   wake what waits.
 //! * [`link::LinkConfig`] — the testbed's link quality. Only
 //!   `loss_probability` is simulated; latency, jitter and bandwidth
 //!   describe the links and delay nothing.

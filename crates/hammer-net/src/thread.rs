@@ -1,5 +1,5 @@
 //! The one place a thread is started: [`spawn`] and [`spawn_scoped`] name
-//! it after its role (`hammer-submit`, `fabric-orderer`), and `clippy.toml`
+//! it after its role (`hammer-submit`, `fabric-sim`), and `clippy.toml`
 //! disallows the std spawns everywhere else. Both return what the std
 //! builder returns, so a caller that survives a failed spawn still sees it.
 

@@ -12,10 +12,10 @@
 //! the remaining nodes as **block servers** replicating blocks (the
 //! replication traffic is accounted on the simulated network).
 //!
-//! Node scaffolding (threads, ingress gating, sealing, observability)
-//! comes from the [`hammer_chain::kernel`]; this crate only contributes
-//! the epoch-cut [`ConsensusPolicy`], and [`start`] returns the running
-//! [`ChainNode`] itself.
+//! Node scaffolding (the chain's loop, ingress gating, sealing,
+//! observability) comes from the [`hammer_chain::kernel`]; this crate only
+//! contributes the epoch-cut [`ConsensusPolicy`], whose execution cost is a
+//! `round_cost`, and [`start`] returns the running [`ChainNode`] itself.
 
 #![warn(missing_docs)]
 
@@ -98,12 +98,6 @@ impl ConsensusPolicy for NeuchainPolicy {
 
         kernel.verify_retain(&mut txs, &self.config.sig_params);
 
-        // Deterministic execution cost; cut short by shutdown, the round
-        // is abandoned (nothing reads the ledger afterwards).
-        if !kernel.sleep_interruptible(self.config.exec_cost_per_tx * txs.len() as u32) {
-            return None;
-        }
-
         let mut tx_ids = Vec::with_capacity(txs.len());
         let mut valid = Vec::with_capacity(txs.len());
         {
@@ -121,6 +115,11 @@ impl ConsensusPolicy for NeuchainPolicy {
             gossip_to: (0..self.config.block_servers).map(server_name).collect(),
             mempool_depth: None,
         })
+    }
+
+    /// Deterministic execution cost.
+    fn round_cost(&self, _shard: u32, txs: usize) -> Duration {
+        self.config.exec_cost_per_tx * txs as u32
     }
 }
 
