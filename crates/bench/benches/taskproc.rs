@@ -1,6 +1,7 @@
 //! Criterion microbench behind Fig. 9: block matching against a large
 //! in-flight set, Hammer task processing vs the batch-testing baseline,
-//! plus the Bloom pre-filter probe in front of the table. With
+//! plus the Bloom pre-filter probe in front of the table, and the sharded
+//! tracker's grouped paths against their one-by-one twins. With
 //! `taskproc_compaction` this is the tracker layer's ledger
 //! (`BENCH_tracker.json`, written by `scripts/bench_snapshot.sh`).
 
@@ -9,10 +10,13 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hammer_chain::smallbank::Op;
-use hammer_chain::types::{Transaction, TxId};
+use hammer_chain::types::{SignedTransaction, Transaction, TxId};
 use hammer_core::baseline::BatchQueue;
 use hammer_core::bloom::BloomFilter;
-use hammer_core::index::TxTable;
+use hammer_core::index::{TxRecord, TxTable};
+use hammer_core::shard::ShardedTxTable;
+use hammer_crypto::sig::SigParams;
+use hammer_crypto::Keypair;
 
 fn tx_ids(n: usize) -> Vec<TxId> {
     (0..n as u64)
@@ -155,5 +159,141 @@ fn bench_bloom(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_matching, bench_insert, bench_bloom);
+/// Ids one sharded tracker holds while the grouped rows and their twins
+/// are timed: the in-flight depth `inproc_saturate` reaches, far past the
+/// caches.
+const HELD: usize = 1_000_000;
+/// Fresh ids the insert rows add before their table is rebuilt, untimed,
+/// so every sample inserts into a table holding between `HELD` and
+/// `HELD + FRESH` ids.
+const FRESH: usize = 200_000;
+/// A fixed shard count, so the rows do not depend on the host's cores.
+const SHARDS: usize = 4;
+
+/// A row's name and how it records one chunk.
+type InsertRow<'a> = (&'a str, &'a dyn Fn(&ShardedTxTable, &[SignedTransaction]));
+/// A row's name and how it matches one block, copying out what completed.
+type MatchRow<'a> = (
+    &'a str,
+    &'a dyn Fn(&ShardedTxTable, &[TxId], &mut Vec<TxRecord>),
+);
+
+/// A tracker holding `ids`, sized for them plus twice `FRESH`, so no
+/// insert a row times expands a shard, rotates its filter or grows its
+/// vector list: a shard sized for exactly its share of the ids hashed to it
+/// reallocates its list near the end.
+fn held_tracker(ids: &[TxId]) -> ShardedTxTable {
+    let table = ShardedTxTable::new(SHARDS, ids.len() + 2 * FRESH);
+    for id in ids {
+        table.insert(*id, 0, 0, Duration::ZERO);
+    }
+    table
+}
+
+fn bench_grouped(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tracker_grouped");
+    group.sample_size(10);
+    let ids = tx_ids(HELD + FRESH);
+    let (held, fresh) = ids.split_at(HELD);
+
+    // The submit path's 128-transaction chunks: clones of one signed
+    // transaction with their ids replaced, as the tracker reads no
+    // signature.
+    let template = Transaction {
+        client_id: 0,
+        server_id: 0,
+        nonce: 0,
+        op: Op::KvGet { key: 0 },
+        chain_name: "bench".to_owned(),
+        contract_name: "kv".to_owned(),
+    }
+    .sign(&Keypair::from_seed(1), &SigParams::fast());
+    let chunks: Vec<Vec<SignedTransaction>> = fresh
+        .chunks(128)
+        .map(|ids| {
+            let with_id = |id: &TxId| SignedTransaction {
+                id: *id,
+                ..template.clone()
+            };
+            ids.iter().map(with_id).collect()
+        })
+        .collect();
+    group.throughput(Throughput::Elements(128));
+    // Each row takes the next chunk of fresh ids; once all of them are in,
+    // the table is rebuilt from the held ids, untimed.
+    let insert_rows: [InsertRow; 2] = [
+        ("insert_chunk_128", &|table, chunk| {
+            table.insert_chunk(chunk, Duration::ZERO);
+        }),
+        ("insert_loop_128", &|table, chunk| {
+            for signed in chunk {
+                table.insert(signed.id, 0, 0, Duration::ZERO);
+            }
+        }),
+    ];
+    for (name, insert) in insert_rows {
+        let table = RefCell::new(held_tracker(held));
+        let mut next = 0;
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    if next == chunks.len() {
+                        (next, *table.borrow_mut()) = (0, held_tracker(held));
+                    }
+                    next += 1;
+                    &chunks[next - 1]
+                },
+                |chunk| insert(&table.borrow(), chunk),
+                criterion::BatchSize::LargeInput,
+            );
+        });
+    }
+
+    // Each row matches the next block of held ids, copying out what
+    // completed; once all of them have matched, the table is rebuilt,
+    // untimed.
+    let block_n = 5_000;
+    let valid = vec![true; block_n];
+    group.throughput(Throughput::Elements(block_n as u64));
+    let match_rows: [MatchRow; 2] = [
+        ("complete_block_5000", &|table, block, out| {
+            let end = Duration::from_secs(1);
+            table.complete_block_with(block, &valid, end, &mut |r| out.push(r.clone()));
+        }),
+        ("complete_loop_5000", &|table, block, out| {
+            let end = Duration::from_secs(1);
+            out.extend(block.iter().filter_map(|id| table.complete(id, end, true)));
+        }),
+    ];
+    for (name, complete) in match_rows {
+        let table = RefCell::new(held_tracker(held));
+        let mut out = Vec::with_capacity(block_n);
+        let mut next = 0;
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    if next == HELD {
+                        (next, *table.borrow_mut()) = (0, held_tracker(held));
+                    }
+                    next += block_n;
+                    &held[next - block_n..next]
+                },
+                |block| {
+                    out.clear();
+                    complete(&table.borrow(), block, &mut out)
+                },
+                criterion::BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_matching,
+    bench_insert,
+    bench_bloom,
+    bench_grouped
+);
 criterion_main!(benches);

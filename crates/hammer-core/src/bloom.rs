@@ -101,6 +101,16 @@ impl BloomFilter {
         self.inserted += 1;
     }
 
+    /// Reads the fingerprint's block, so the insert or lookup that follows
+    /// finds its one line in cache.
+    #[inline]
+    pub(crate) fn touch(&self, fingerprint: u64) {
+        let (block, _) = self.locate(fingerprint);
+        // Read only to bring the line into cache: `black_box` keeps a load
+        // whose value nothing reads.
+        std::hint::black_box(self.blocks[block].0[0]);
+    }
+
     /// Whether the fingerprint *may* have been inserted (no false
     /// negatives; false positives at roughly the design rate).
     pub fn contains(&self, fingerprint: u64) -> bool {

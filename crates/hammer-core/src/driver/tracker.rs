@@ -22,14 +22,16 @@ pub(super) trait Tracker: Send + Sync {
     fn insert(&self, id: TxId, client: u32, server: u32, start: Duration);
     /// Records a chunk of submissions that share `start`, before the chain
     /// sees any of them. The sharded tracker locks each touched shard once
-    /// per 128 (a piece is at most 128).
+    /// per 128 (a piece is at most 128) and reads a group's Bloom blocks and
+    /// home slots before it inserts any of the group.
     fn insert_chunk(&self, chunk: &[SignedTransaction], start: Duration);
     fn complete(&self, id: &TxId, end: Duration, ok: bool) -> Option<TxRecord>;
     /// Matches a whole sealed block, read from its two columns
     /// (`valid[i]` belongs to `tx_ids[i]`), showing `visit` every record
     /// that completed, in place and under the tracker's lock. The sharded
-    /// tracker groups the entries by shard and locks each shard once per
-    /// block.
+    /// tracker groups the entries by shard, locks each shard once per
+    /// block, and reads a group's Bloom blocks, home slots and records
+    /// before it settles any of the group.
     fn complete_block_with(
         &self,
         tx_ids: &[TxId],

@@ -13,7 +13,7 @@
 //!
 //! The paper's stated limitation — the table only ever grows, inflating
 //! storage on long runs — is addressed by [`TxTable::compact`]
-//! (future-work feature; see DESIGN.md §6 and the `taskproc_compaction`
+//! (future-work feature; see DESIGN.md §7 and the `taskproc_compaction`
 //! ablation bench).
 
 use std::time::Duration;
@@ -52,8 +52,9 @@ pub struct IndexStats {
     pub expansions: u64,
     /// Lookups short-circuited by the Bloom filter.
     pub bloom_rejections: u64,
-    /// Lookups that passed the Bloom filter but were not in the index
-    /// (Bloom false positives or already-completed duplicates).
+    /// Lookups that passed the Bloom filter but found no record: Bloom
+    /// false positives and ids compacted away. An already-completed
+    /// duplicate resolves through the index, so it is not a miss.
     pub misses: u64,
     /// Times the Bloom filter was rebuilt: rotations forced by
     /// saturation (insertions past the design capacity would silently
@@ -124,7 +125,7 @@ impl TxTable {
     }
 
     /// Like [`TxTable::with_capacity`], optionally without the Bloom
-    /// filter front (the ablation in DESIGN.md §6).
+    /// filter front (the ablation in DESIGN.md §7).
     pub fn with_capacity_and_bloom(expected: usize, use_bloom: bool) -> Self {
         let expected = expected.max(16);
         let slot_count = (expected * 2).next_power_of_two();
@@ -220,16 +221,14 @@ impl TxTable {
         self.stats.bloom_rebuilds += 1;
     }
 
-    /// Looks up a record index by id (Bloom filter first, then the hash
-    /// index; collisions walk the probe chain — Algorithm 1 lines 14–19).
-    fn find(&mut self, tx_id: &TxId) -> Option<usize> {
+    /// Walks `tx_id`'s probe chain from its home slot without writing
+    /// (Algorithm 1 lines 14–19 after the filter): the record's index when
+    /// the id is indexed, and the steps walked past the home slot either way.
+    fn probe(&self, tx_id: &TxId) -> (Option<usize>, u64) {
         let fingerprint = tx_id.fingerprint();
-        if self.use_bloom && !self.bloom.contains(fingerprint) {
-            self.stats.bloom_rejections += 1;
-            return None;
-        }
         let mask = self.slots.len() - 1;
         let mut slot = fingerprint as usize & mask;
+        let mut steps = 0;
         // A full walk of a table without a free slot ends as a miss too.
         for _ in 0..self.slots.len() {
             let entry = self.slots[slot];
@@ -238,13 +237,45 @@ impl TxTable {
             }
             let idx = entry as u32 as usize;
             if entry & TAG == fingerprint & TAG && self.records[idx].tx_id == *tx_id {
-                return Some(idx);
+                return (Some(idx), steps);
             }
-            self.stats.probe_steps += 1;
+            steps += 1;
             slot = (slot + 1) & mask;
         }
-        self.stats.misses += 1;
-        None
+        (None, steps)
+    }
+
+    /// Looks up a record index by id for a settle: the Bloom filter first,
+    /// then the probe walk, each counted in [`IndexStats`].
+    fn find(&mut self, tx_id: &TxId) -> Option<usize> {
+        if self.use_bloom && !self.bloom.contains(tx_id.fingerprint()) {
+            self.stats.bloom_rejections += 1;
+            return None;
+        }
+        let (idx, steps) = self.probe(tx_id);
+        self.stats.probe_steps += steps;
+        self.stats.misses += u64::from(idx.is_none());
+        idx
+    }
+
+    /// Reads, and writes nothing, the lines an `insert` or a settle of
+    /// `tx_id` reads first: its Bloom block, its home slot and, where the
+    /// slot's tag is the id's, the record it points to. Touching a group of
+    /// ids before working any of them lets their cache misses overlap;
+    /// `hammer-core` has no `unsafe`, so there is no prefetch intrinsic
+    /// (DESIGN.md §5, "Sharded in-flight tracker").
+    pub(crate) fn touch(&self, tx_id: &TxId) {
+        let fingerprint = tx_id.fingerprint();
+        if self.use_bloom {
+            self.bloom.touch(fingerprint);
+        }
+        // These loads are made only to bring their lines into cache:
+        // `black_box` keeps each one though no result depends on it.
+        let entry = self.slots[fingerprint as usize & (self.slots.len() - 1)];
+        std::hint::black_box(entry);
+        if entry != EMPTY && entry & TAG == fingerprint & TAG {
+            std::hint::black_box(self.records[entry as u32 as usize].tx_id.0[0]);
+        }
     }
 
     /// Algorithm 1, lines 10–19: marks a transaction complete with the
@@ -311,9 +342,10 @@ impl TxTable {
         n
     }
 
-    /// Reads a record by id (diagnostics).
-    pub fn get(&mut self, tx_id: &TxId) -> Option<&TxRecord> {
-        self.find(tx_id).map(|idx| &self.records[idx])
+    /// Reads a record by id (diagnostics). A read moves no counter: it
+    /// walks the index without the filter in front and counts nothing.
+    pub fn get(&self, tx_id: &TxId) -> Option<&TxRecord> {
+        self.probe(tx_id).0.map(|idx| &self.records[idx])
     }
 
     /// All records (checkpoint snapshots).
@@ -344,7 +376,7 @@ impl TxTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hammer_chain::smallbank::Op;
     use hammer_chain::types::Transaction;
@@ -574,7 +606,7 @@ mod tests {
     /// in a small table and part in a larger one, under four tags (the
     /// all-ones tag included), and four ids per fingerprint that differ
     /// only from byte 8 on.
-    fn colliding_id(k: usize) -> TxId {
+    pub(crate) fn colliding_id(k: usize) -> TxId {
         let low = [0u64, 1, 32, 64, 96, 5][k % 6];
         let high = [0u64, 1, 0x8000_0000, 0xffff_ffff][k / 6 % 4];
         let mut bytes = [0u8; 32];
@@ -652,7 +684,10 @@ mod tests {
             }
             TableOp::Get(k) => {
                 let id = colliding_id(k);
+                let stats = table.stats();
                 assert_eq!(table.get(&id), model.get(&id));
+                // A diagnostic read moves no counter.
+                assert_eq!(table.stats(), stats);
             }
             TableOp::TimeoutPending => {
                 let expect = model.values_mut().filter(|r| pending(r)).map(|r| {

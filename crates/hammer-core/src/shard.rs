@@ -15,6 +15,11 @@
 //!   so a 10k-transaction block costs N lock acquisitions, and blocks
 //!   touching disjoint shards match fully in parallel. Completed records
 //!   are shown to a visitor in place, not copied out.
+//! * **Two passes per group.** Under a shard's lock, a chunk's inserts and a
+//!   block's matches are taken `GROUP` (16) at a time: first every entry's
+//!   Bloom block, home slot and tag-matching record are read, then the
+//!   unchanged per-entry insert or settle runs in the unchanged order. The
+//!   reads of a group miss the cache side by side instead of one at a time.
 //! * **Per-shard rejection state.** Each shard also owns its slice of the
 //!   rejected-id set, so a terminal rejection updates the record *and*
 //!   the set under one shard lock (the old driver took two global locks).
@@ -34,6 +39,11 @@ use hammer_chain::types::{SignedTransaction, TxId, TxStatus};
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::index::{IndexStats, TxRecord, TxTable, Visit};
+
+/// How many of a shard's entries are touched ([`TxTable::touch`]) before
+/// the first of them is inserted or settled: their Bloom blocks, slots and
+/// records then miss the cache side by side instead of one at a time.
+const GROUP: usize = 16;
 
 /// One shard: a vector-list segment with its own hash index and Bloom
 /// filter, plus this shard's slice of the rejected-id set.
@@ -101,7 +111,8 @@ impl ShardedTxTable {
     }
 
     /// Records a chunk of submissions that share `start`, locking each
-    /// touched shard once per 128 of them. The submit path's grouping is
+    /// touched shard once per 128 of them and touching each group of a
+    /// shard's entries before inserting it. The submit path's grouping is
     /// sorted on the stack: it allocates nothing.
     pub fn insert_chunk(&self, chunk: &[SignedTransaction], start: Duration) {
         const WINDOW: usize = 128;
@@ -114,13 +125,16 @@ impl ShardedTxTable {
             }
             order.sort_unstable();
             for run in order.chunk_by(|a, b| a.0 == b.0) {
-                let mut shard = self.shards[run[0].0 as usize].lock();
-                for &(_, i) in run {
-                    let signed = &window[usize::from(i)];
-                    let tx = &signed.tx;
-                    shard
-                        .table
-                        .insert(signed.id, tx.client_id, tx.server_id, start);
+                let table = &mut self.shards[run[0].0 as usize].lock().table;
+                for group in run.chunks(GROUP) {
+                    for &(_, i) in group {
+                        table.touch(&window[usize::from(i)].id);
+                    }
+                    for &(_, i) in group {
+                        let signed = &window[usize::from(i)];
+                        let tx = &signed.tx;
+                        table.insert(signed.id, tx.client_id, tx.server_id, start);
+                    }
                 }
             }
         }
@@ -164,7 +178,8 @@ impl ShardedTxTable {
 
     /// The one block-matching loop, over `len` entries read by `entry`:
     /// one pass buckets the entry indices by shard, then each touched
-    /// shard is locked once and its entries completed in block order.
+    /// shard is locked once and its entries completed in block order, each
+    /// group touched before it is settled.
     fn match_grouped<'e>(
         &self,
         len: usize,
@@ -181,11 +196,16 @@ impl ShardedTxTable {
             if bucket.is_empty() {
                 continue;
             }
-            let mut shard = self.shards[shard].lock();
-            for &i in bucket {
-                let (tx_id, ok) = entry(i as usize);
-                if let Some(record) = shard.table.complete_record(tx_id, end, ok) {
-                    visit(record);
+            let table = &mut self.shards[shard].lock().table;
+            for group in bucket.chunks(GROUP) {
+                for &i in group {
+                    table.touch(entry(i as usize).0);
+                }
+                for &i in group {
+                    let (tx_id, ok) = entry(i as usize);
+                    if let Some(record) = table.complete_record(tx_id, end, ok) {
+                        visit(record);
+                    }
                 }
             }
         }
@@ -279,6 +299,8 @@ impl ShardedTxTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bloom::splitmix64;
+    use crate::index::tests::colliding_id;
     use hammer_chain::smallbank::Op;
     use hammer_chain::types::Transaction;
     use hammer_net::thread;
@@ -421,6 +443,196 @@ mod tests {
                 prop_assert!(seen.iter().all(|r| r.end == Some(end)));
                 prop_assert_eq!(copied.stats(), visited.stats());
             }
+        }
+    }
+
+    /// A cheap id for the grouped-vs-one-by-one sequences: four mixes of
+    /// `n`, no SHA-256.
+    fn mixed_id(n: u64) -> TxId {
+        let mut bytes = [0u8; 32];
+        let mut x = n;
+        for word in bytes.chunks_mut(8) {
+            x = splitmix64(x);
+            word.copy_from_slice(&x.to_be_bytes());
+        }
+        TxId(bytes)
+    }
+
+    /// The ids chunks insert, in order: the first 72 fingerprint-colliding
+    /// ids, so probe chains form inside groups, then mixed ones. Colliding
+    /// ids 72..96 share a fingerprint with one of the first 24 and are
+    /// never inserted: the Bloom filter passes them and the index misses.
+    fn stream_id(p: u64) -> TxId {
+        if p < 72 {
+            colliding_id(p as usize)
+        } else {
+            mixed_id(p)
+        }
+    }
+
+    /// Ids inserted one at a time before a sequence starts, and ids never
+    /// inserted at all: two ranges of mixed ids apart from the stream's.
+    const PREFILLED: u64 = 1 << 40;
+    const FOREIGN: u64 = 2 << 40;
+
+    /// What a block entry `sel` names, with `next` stream ids inserted
+    /// after `prefill` one-at-a-time ones: an inserted id (pending or
+    /// settled), a Bloom false positive, or a foreign id (rejected by the
+    /// filter almost always).
+    fn pick(sel: u64, next: u64, prefill: u64) -> TxId {
+        let k = sel / 4;
+        match sel % 4 {
+            0 => stream_id(k % next),
+            1 => mixed_id(PREFILLED | (k % prefill)),
+            2 => colliding_id(72 + (k % 24) as usize),
+            _ => mixed_id(FOREIGN | (k % 1_000)),
+        }
+    }
+
+    /// How long a chunk or block is: one group's edges, a whole window,
+    /// or anything up to one.
+    fn run_len() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(1),
+            Just(GROUP - 1),
+            Just(GROUP),
+            Just(GROUP + 1),
+            Just(128),
+            2usize..128,
+        ]
+    }
+
+    #[derive(Clone, Debug)]
+    enum GroupedOp {
+        /// The next `n` stream ids, as one chunk.
+        Chunk(usize),
+        /// A block of `(sel, valid)` entries, the one at `dup % len` sighted
+        /// a second time at its end.
+        Block(Vec<(u64, bool)>, usize),
+        Reject(u64),
+        Abandon(u64),
+    }
+
+    fn grouped_ops() -> impl Strategy<Value = Vec<GroupedOp>> {
+        let block = (
+            run_len(),
+            proptest::collection::vec((any::<u64>(), any::<bool>()), 128),
+            any::<usize>(),
+        )
+            .prop_map(|(len, mut entries, dup)| {
+                entries.truncate(len);
+                GroupedOp::Block(entries, dup)
+            })
+            .boxed();
+        let op = prop_oneof![
+            run_len().prop_map(GroupedOp::Chunk),
+            block.clone(),
+            block,
+            any::<u64>().prop_map(GroupedOp::Reject),
+            any::<u64>().prop_map(GroupedOp::Abandon),
+        ];
+        proptest::collection::vec(op, 1..24)
+    }
+
+    proptest! {
+        /// A chunk inserted through `insert_chunk` and a block matched
+        /// through `complete_block_with` leave what their entries inserted
+        /// and completed one by one leave: the same records in the same
+        /// order, pending count, rejected set and all five `IndexStats`
+        /// counters, and the visitor sees the one-by-one completions shard
+        /// by shard. The sequences take in colliding ids, Bloom false
+        /// positives and rejections, a second sighting in one block, and a
+        /// lead chunk that crosses an expansion (716 records) or a filter
+        /// rotation (1 024) of a one-shard tracker part way into a group.
+        #[test]
+        fn grouped_paths_equal_one_by_one(
+            shards in prop_oneof![Just(1usize), Just(1), Just(2), Just(4)],
+            prefill in prop_oneof![690u64..716, 1_000u64..1_024],
+            ops in grouped_ops(),
+        ) {
+            use hammer_crypto::sig::SigParams;
+            use hammer_crypto::Keypair;
+            let template = Transaction {
+                client_id: 0,
+                server_id: 0,
+                nonce: 0,
+                op: Op::KvGet { key: 0 },
+                chain_name: "t".to_owned(),
+                contract_name: "k".to_owned(),
+            }
+            .sign(&Keypair::from_seed(1), &SigParams::fast());
+            let grouped = ShardedTxTable::new(shards, 64);
+            let single = ShardedTxTable::new(shards, 64);
+            for i in 0..prefill {
+                for table in [&grouped, &single] {
+                    table.insert(mixed_id(PREFILLED | i), 0, 1, Duration::ZERO);
+                }
+            }
+            let before = single.stats();
+            let mut next = 0u64;
+            let lead = GroupedOp::Chunk(128);
+            for (step, op) in std::iter::once(&lead).chain(&ops).enumerate() {
+                let at = Duration::from_millis(step as u64 + 1);
+                match op {
+                    GroupedOp::Chunk(n) => {
+                        let chunk: Vec<SignedTransaction> = (next..next + *n as u64)
+                            .map(|p| {
+                                let mut signed = template.clone();
+                                signed.id = stream_id(p);
+                                signed.tx.client_id = p as u32;
+                                signed
+                            })
+                            .collect();
+                        next += *n as u64;
+                        grouped.insert_chunk(&chunk, at);
+                        for signed in &chunk {
+                            single.insert(signed.id, signed.tx.client_id, signed.tx.server_id, at);
+                        }
+                    }
+                    GroupedOp::Block(entries, dup) => {
+                        let mut block: Vec<(TxId, bool)> = entries
+                            .iter()
+                            .map(|&(sel, ok)| (pick(sel, next, prefill), ok))
+                            .collect();
+                        block.push(block[dup % block.len()]);
+                        let (tx_ids, valid): (Vec<TxId>, Vec<bool>) = block.iter().copied().unzip();
+                        let mut seen = Vec::new();
+                        grouped.complete_block_with(&tx_ids, &valid, at, &mut |r| seen.push(r.clone()));
+                        let mut expect: Vec<TxRecord> = block
+                            .iter()
+                            .filter_map(|(id, ok)| single.complete(id, at, *ok))
+                            .collect();
+                        expect.sort_by_key(|r| single.shard_of(&r.tx_id));
+                        prop_assert_eq!(seen, expect);
+                    }
+                    GroupedOp::Reject(sel) => {
+                        let id = pick(*sel, next, prefill);
+                        grouped.reject(&id, at);
+                        single.reject(&id, at);
+                    }
+                    GroupedOp::Abandon(sel) => {
+                        let id = pick(*sel, next, prefill);
+                        let a = grouped.abandon(&id, at, TxStatus::Expired);
+                        prop_assert_eq!(a, single.abandon(&id, at, TxStatus::Expired));
+                    }
+                }
+                if step == 0 && shards == 1 {
+                    let after = single.stats();
+                    prop_assert!(
+                        after.expansions + after.bloom_rebuilds
+                            > before.expansions + before.bloom_rebuilds,
+                        "the lead chunk crosses no threshold: {before:?} -> {after:?}"
+                    );
+                }
+            }
+            prop_assert_eq!(grouped.pending(), single.pending());
+            prop_assert_eq!(grouped.stats(), single.stats());
+            let (records, mut rejected) = grouped.snapshot();
+            let (expect, mut expect_rejected) = single.snapshot();
+            prop_assert_eq!(records, expect);
+            rejected.sort();
+            expect_rejected.sort();
+            prop_assert_eq!(rejected, expect_rejected);
         }
     }
 

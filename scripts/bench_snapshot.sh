@@ -37,6 +37,11 @@
 #   * inserting a key into the Bloom filter costs more than 1.4x looking
 #     one up (best samples; both touch one 64-byte block and allocate
 #     nothing: 0.9-1.2x here, 1.4-2.0x with a probe Vec per insert), or
+#   * inserting 128-id chunks through ShardedTxTable::insert_chunk, or
+#     matching 5000-id blocks through complete_block_with, costs more than
+#     its bound against the same entries inserted or completed one by one,
+#     on one tracker holding 1M ids (best samples; the grouped paths read a
+#     group's lines before writing any, so their cache misses overlap), or
 #   * the driver_ceiling sweep fails its accounting identity or cannot
 #     sustain the million-record in-flight depth.
 #
@@ -237,6 +242,34 @@ awk -v i="$bloom_insert" -v h="$bloom_hit" 'BEGIN {
         exit 1
     }
 }'
+# The sharded tracker's grouped paths read a group's Bloom blocks, home
+# slots and records before they write any, so the group's cache misses
+# overlap; each is gated against its one-by-one twin on one tracker holding
+# 1M ids (best samples). Ten runs on a 2-core host read 0.55-1.18x for
+# inserts (0.60-1.15x without the touch pass) and 0.37-0.70x for matches
+# (0.43-0.76x without it; the one-by-one twin also locks and clones per
+# entry). The twins are timed apart and that host's memory speed wanders
+# over seconds, so the bounds catch a grouped path gone far slower than its
+# twin (a touch that walks, allocates or writes), not a lost overlap alone.
+while read -r grouped single bound; do
+    g=$(awk -F'"min_ns":' -v id="\"tracker_grouped/$grouped\"" 'index($0, id) { split($2, a, ","); print a[1] }' "$TRACKER_OUT_ABS")
+    o=$(awk -F'"min_ns":' -v id="\"tracker_grouped/$single\"" 'index($0, id) { split($2, a, ","); print a[1] }' "$TRACKER_OUT_ABS")
+    if [ -z "$g" ] || [ -z "$o" ]; then
+        echo "bench_snapshot: tracker_grouped/$grouped / $single results missing from $TRACKER_OUT" >&2
+        exit 1
+    fi
+    awk -v g="$g" -v o="$o" -v b="$bound" -v name="$grouped / $single" 'BEGIN {
+        r = g / o
+        printf "tracker at 1M ids, %s (best samples): %.2fx (%.0f ns / %.0f ns, limit %.2fx)\n", name, r, g, o, b
+        if (r > b) {
+            print "bench_snapshot: a grouped tracker path above its limit against one-by-one (are its misses serial again?)" > "/dev/stderr"
+            exit 1
+        }
+    }'
+done <<EOF
+insert_chunk_128 insert_loop_128 1.3
+complete_block_5000 complete_loop_5000 0.9
+EOF
 echo "snapshot written to $TRACKER_OUT"
 
 PREDICT_OUT_ABS="$(abspath "$PREDICT_OUT")"
