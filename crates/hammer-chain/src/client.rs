@@ -23,7 +23,7 @@ use crate::types::{Block, SignedTransaction, TxId};
 /// ([`ChainError::Transport`]). Chain simulators call this at the top of
 /// [`BlockchainClient::submit`] so scripted outages surface as transient,
 /// retryable errors instead of silent acceptance.
-pub fn check_node_ingress(net: &SimNetwork, node: &str) -> Result<(), ChainError> {
+pub(crate) fn check_node_ingress(net: &SimNetwork, node: &str) -> Result<(), ChainError> {
     match net.node_fault(node) {
         Some(NodeFault::Crashed) => Err(ChainError::unavailable(node)),
         Some(NodeFault::Unreachable) => Err(ChainError::transport(format!(
@@ -117,12 +117,12 @@ impl ChainError {
     }
 
     /// A signature-verification failure.
-    pub fn bad_signature() -> Self {
+    pub(crate) fn bad_signature() -> Self {
         ChainError::BadSignature
     }
 
     /// A request for a shard the chain does not have.
-    pub fn unknown_shard(shard: u32) -> Self {
+    pub(crate) fn unknown_shard(shard: u32) -> Self {
         ChainError::UnknownShard(shard)
     }
 
@@ -137,7 +137,7 @@ impl ChainError {
     }
 
     /// The target node is down (crash fault window).
-    pub fn unavailable(node: impl Into<String>) -> Self {
+    pub(crate) fn unavailable(node: impl Into<String>) -> Self {
         ChainError::Unavailable { node: node.into() }
     }
 

@@ -35,7 +35,7 @@ fn hex<const N: usize>(v: &Value) -> Result<[u8; N], ReadError> {
 }
 
 /// Encodes an operation.
-pub fn encode_op(op: &Op) -> Value {
+pub(crate) fn encode_op(op: &Op) -> Value {
     match *op {
         Op::CreateAccount {
             account,
@@ -89,7 +89,7 @@ pub fn encode_op(op: &Op) -> Value {
 }
 
 /// Decodes an operation.
-pub fn decode_op(v: &Value) -> Result<Op, ReadError> {
+pub(crate) fn decode_op(v: &Value) -> Result<Op, ReadError> {
     let f = Fields::of(v);
     let address = |key| f.req(key, decode_u64s).map(Address);
     let op = match f.req("type", string)? {
@@ -151,7 +151,7 @@ pub fn encode_signed_tx(tx: &SignedTransaction) -> Value {
 
 /// Decodes a signed transaction, re-checking that the embedded id matches
 /// the body.
-pub fn decode_signed_tx(v: &Value) -> Result<SignedTransaction, ReadError> {
+pub(crate) fn decode_signed_tx(v: &Value) -> Result<SignedTransaction, ReadError> {
     let f = Fields::of(v);
     let owned = |s| string(s).map(str::to_owned);
     let tx = Transaction {
@@ -196,7 +196,7 @@ pub fn decode_signed_tx_bytes(bytes: &[u8]) -> Result<SignedTransaction, ReadErr
 }
 
 /// Encodes a block (ids + validity + header).
-pub fn encode_block(block: &Block) -> Value {
+pub(crate) fn encode_block(block: &Block) -> Value {
     Value::object([
         ("height", Value::from(block.header.height)),
         ("prev_hash", Value::from(to_hex(&block.header.prev_hash))),
@@ -238,12 +238,12 @@ pub fn decode_block_bytes(bytes: &[u8]) -> Result<Block, ReadError> {
 }
 
 /// Decodes a transaction id from its 64-hex-digit wire form.
-pub fn decode_tx_id(v: &Value) -> Result<TxId, ReadError> {
+pub(crate) fn decode_tx_id(v: &Value) -> Result<TxId, ReadError> {
     hex(v).map(TxId)
 }
 
 /// Decodes a block and verifies its Merkle root.
-pub fn decode_block(v: &Value) -> Result<Block, ReadError> {
+pub(crate) fn decode_block(v: &Value) -> Result<Block, ReadError> {
     let f = Fields::of(v);
     let tx_ids = f.req("tx_ids", list(decode_tx_id))?;
     let valid = f.req("valid", list(boolean))?;

@@ -14,7 +14,7 @@
 //!   wait; [`ChainNode::shutdown_and_join`] stops and joins it, so dropping
 //!   a chain never leaks a live thread. A policy never waits.
 //! * **Ingress** — [`BlockchainClient::submit`] is implemented once:
-//!   shutdown check, [`check_node_ingress`] fault gating on the shard's
+//!   shutdown check, `check_node_ingress` fault gating on the shard's
 //!   ingress node (names asked of the policy once, at start; no lock taken
 //!   until a fault plan is installed, the locked path from then on), then
 //!   policy-controlled admission (bounded mempool by default, so overload
@@ -136,11 +136,6 @@ impl Kernel {
         &self.net
     }
 
-    /// The chain's display name.
-    pub fn chain_name(&self) -> &str {
-        &self.chain_name
-    }
-
     /// Storage for one shard (panics on an out-of-range id; use
     /// [`Kernel::shards`] for fallible access).
     pub fn shard(&self, shard: u32) -> &ShardCtx {
@@ -153,7 +148,7 @@ impl Kernel {
     }
 
     /// Whether shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
+    pub(crate) fn is_shutdown(&self) -> bool {
         self.shutdown.is_raised()
     }
 
@@ -169,7 +164,7 @@ impl Kernel {
     }
 
     /// Snapshot of the activity counters.
-    pub fn stats(&self) -> KernelStats {
+    pub(crate) fn stats(&self) -> KernelStats {
         KernelStats {
             blocks: self.blocks.load(Ordering::Relaxed),
             committed: self.committed.load(Ordering::Relaxed),
@@ -196,7 +191,7 @@ impl Kernel {
     /// Accounts a sealed block's replication from `from` to every
     /// endpoint in `to`, approximating the wire size from the transaction
     /// count.
-    pub fn gossip(&self, from: &str, to: &[String], txs: usize) {
+    pub(crate) fn gossip(&self, from: &str, to: &[String], txs: usize) {
         let approx = self.gossip_base + txs * self.gossip_per_tx;
         for target in to {
             let _ = self.net.send(from, target, approx);

@@ -1,12 +1,10 @@
 //! An append-only block store with hash-chain verification.
 //!
-//! A block reaches a ledger as a [`Verified`], made with no lock held in
-//! one of two ways. A block from outside goes through [`Verified::new`],
-//! which recomputes its Merkle root against the header; the kernel's
-//! sealer builds one from its ids with `Verified::seal`, which computes
-//! the root once and so has nothing to re-check. Either way the header is
-//! hashed there, and [`Ledger::append`] only compares the height and
-//! `prev_hash` against its cached tip and pushes a pointer.
+//! A block reaches a ledger as a `Verified`, made with no lock held:
+//! the kernel's sealer builds one from its ids with `Verified::seal`,
+//! which computes the Merkle root once and hashes the header, and
+//! `Ledger::append` only compares the height and `prev_hash` against
+//! its cached tip and pushes a pointer.
 //! Blocks are stored as `Arc<Block>`, so a reader takes a pointer copy, not
 //! the block.
 
@@ -48,35 +46,20 @@ impl std::fmt::Display for LedgerError {
 
 impl std::error::Error for LedgerError {}
 
-/// A block whose Merkle root matches its transactions — checked against
-/// them, or computed from them — with its header hash computed: the only
-/// thing [`Ledger::append`] accepts, so no block reaches a ledger
-/// unchecked. Built with no lock held.
+/// A block whose Merkle root is computed from its transactions, with its
+/// header hash computed: the only thing [`Ledger::append`] accepts, so no
+/// block reaches a ledger unchecked. Built with no lock held.
 #[derive(Debug)]
-pub struct Verified {
+pub(crate) struct Verified {
     block: Arc<Block>,
     hash: Hash32,
 }
 
 impl Verified {
-    /// Recomputes `block`'s Merkle root and refuses the block when it does
-    /// not match the header.
-    pub fn new(block: Block) -> Result<Self, LedgerError> {
-        if !block.verify_merkle_root() {
-            return Err(LedgerError::BadMerkleRoot);
-        }
-        let hash = block.header.hash();
-        Ok(Verified {
-            block: Arc::new(block),
-            hash,
-        })
-    }
-
     /// Builds a block from its ids through [`Block::new`], which computes
     /// the Merkle root, and hashes the header. The root is right by
     /// construction, so it is not computed a second time: this is the
-    /// sealer's one Merkle pass. Crate-private, so a block built outside
-    /// `hammer-chain` still goes through [`Verified::new`].
+    /// sealer's one Merkle pass.
     pub(crate) fn seal(
         height: u64,
         prev_hash: Hash32,
@@ -95,7 +78,7 @@ impl Verified {
     }
 
     /// The checked block, shared with the ledger once appended.
-    pub fn block(&self) -> &Arc<Block> {
+    pub(crate) fn block(&self) -> &Arc<Block> {
         &self.block
     }
 }
@@ -105,7 +88,7 @@ impl Verified {
 /// Heights start at 1; "height 0" denotes the implicit genesis whose hash
 /// is all zeroes.
 #[derive(Clone, Debug, Default)]
-pub struct Ledger {
+pub(crate) struct Ledger {
     blocks: Vec<Arc<Block>>,
     /// Hash of the newest block header, cached at append.
     tip_hash: Hash32,
@@ -113,23 +96,23 @@ pub struct Ledger {
 
 impl Ledger {
     /// An empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Height of the newest block (0 when empty).
-    pub fn height(&self) -> u64 {
+    pub(crate) fn height(&self) -> u64 {
         self.blocks.len() as u64
     }
 
     /// Hash of the newest block header (all-zero when empty).
-    pub fn tip_hash(&self) -> Hash32 {
+    pub(crate) fn tip_hash(&self) -> Hash32 {
         self.tip_hash
     }
 
     /// Appends a verified block after checking its height and hash link
     /// against the tip: two comparisons and a push.
-    pub fn append(&mut self, block: Verified) -> Result<(), LedgerError> {
+    pub(crate) fn append(&mut self, block: Verified) -> Result<(), LedgerError> {
         let expected = self.height() + 1;
         if block.block.header.height != expected {
             return Err(LedgerError::HeightMismatch {
@@ -146,13 +129,13 @@ impl Ledger {
     }
 
     /// The block at `height` (1-based), if present.
-    pub fn block_at(&self, height: u64) -> Option<&Arc<Block>> {
+    pub(crate) fn block_at(&self, height: u64) -> Option<&Arc<Block>> {
         let index = height.checked_sub(1)?;
         self.blocks.get(usize::try_from(index).ok()?)
     }
 
     /// The blocks at `heights` that exist, in height order.
-    pub fn blocks(&self, heights: RangeInclusive<u64>) -> &[Arc<Block>] {
+    pub(crate) fn blocks(&self, heights: RangeInclusive<u64>) -> &[Arc<Block>] {
         let first = (*heights.start()).max(1);
         let last = (*heights.end()).min(self.height());
         if first > last {
@@ -162,7 +145,7 @@ impl Ledger {
     }
 
     /// Verifies the whole chain: heights, hash links, Merkle roots.
-    pub fn verify_chain(&self) -> Result<(), LedgerError> {
+    pub(crate) fn verify_chain(&self) -> Result<(), LedgerError> {
         let mut prev_hash: Hash32 = [0u8; 32];
         for (i, block) in self.blocks.iter().enumerate() {
             let expected = i as u64 + 1;
@@ -189,6 +172,22 @@ mod tests {
     use super::*;
     use crate::smallbank::Op;
     use crate::types::Transaction;
+
+    impl Verified {
+        /// The checking twin `seal` is compared against: recomputes
+        /// `block`'s Merkle root and refuses the block when it does not
+        /// match the header.
+        fn new(block: Block) -> Result<Self, LedgerError> {
+            if !block.verify_merkle_root() {
+                return Err(LedgerError::BadMerkleRoot);
+            }
+            let hash = block.header.hash();
+            Ok(Verified {
+                block: Arc::new(block),
+                hash,
+            })
+        }
+    }
 
     fn tx_id(nonce: u64) -> TxId {
         Transaction {

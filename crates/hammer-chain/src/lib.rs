@@ -43,15 +43,9 @@ pub mod smallbank;
 pub mod state;
 pub mod types;
 
-pub use client::{
-    check_node_ingress, Architecture, BlockchainClient, ChainError, CommitEvent, ErrorKind,
-};
-pub use kernel::{
-    ChainNode, ConsensusPolicy, Kernel, KernelStats, NodeKernelBuilder, Round, ShardCtx, SimChain,
-};
-pub use ledger::Ledger;
-pub use mempool::Mempool;
+pub use client::{Architecture, BlockchainClient, ChainError, CommitEvent, ErrorKind};
+pub use kernel::{ChainNode, ConsensusPolicy, Kernel, NodeKernelBuilder, Round, SimChain};
 pub use remote::RemoteChain;
-pub use smallbank::{ExecError, Op, OpOutput};
+pub use smallbank::Op;
 pub use state::{RwSet, VersionedState};
-pub use types::{Address, Block, BlockHeader, SignedTransaction, Transaction, TxId, TxStatus};
+pub use types::{Address, Block, SignedTransaction, Transaction, TxId, TxStatus};

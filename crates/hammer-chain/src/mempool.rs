@@ -61,7 +61,7 @@ impl Mempool {
     /// # Panics
     ///
     /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "mempool capacity must be positive");
         Mempool {
             inner: Mutex::new(Inner {
@@ -76,22 +76,12 @@ impl Mempool {
     }
 
     /// Current number of pooled transactions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().queue.len()
     }
 
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Adds a transaction, enforcing capacity and uniqueness.
-    pub fn push(&self, tx: SignedTransaction) -> Result<(), MempoolError> {
+    pub(crate) fn push(&self, tx: SignedTransaction) -> Result<(), MempoolError> {
         let mut inner = self.inner.lock();
         if inner.queue.len() >= self.capacity {
             inner.rejected_full += 1;
@@ -118,12 +108,6 @@ impl Mempool {
         }
         out
     }
-
-    /// `(accepted, rejected_full, rejected_duplicate)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        let inner = self.inner.lock();
-        (inner.accepted, inner.rejected_full, inner.rejected_dup)
-    }
 }
 
 #[cfg(test)]
@@ -133,6 +117,19 @@ mod tests {
     use crate::types::Transaction;
     use hammer_crypto::sig::SigParams;
     use hammer_crypto::Keypair;
+
+    impl Mempool {
+        /// Whether the pool is empty.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+
+        /// `(accepted, rejected_full, rejected_duplicate)` counters.
+        fn stats(&self) -> (u64, u64, u64) {
+            let inner = self.inner.lock();
+            (inner.accepted, inner.rejected_full, inner.rejected_dup)
+        }
+    }
 
     fn signed(nonce: u64) -> SignedTransaction {
         Transaction {

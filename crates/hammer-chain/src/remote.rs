@@ -136,7 +136,7 @@ impl<C: Transport> BlockchainClient for RemoteChain<C> {
         answer.pop().expect("one result per transaction")
     }
 
-    /// One [`wire::SUBMIT_BATCH`] call per [`wire::MAX_SUBMIT_BATCH`]
+    /// One [`wire::SUBMIT_BATCH`] call per `wire::MAX_SUBMIT_BATCH`
     /// transactions. A failed call answers its error for each of them; an
     /// answer of the wrong length is a protocol error for each.
     fn submit_batch(&self, mut txs: Vec<SignedTransaction>) -> Vec<Result<TxId, ChainError>> {
@@ -178,10 +178,10 @@ impl<C: Transport> BlockchainClient for RemoteChain<C> {
         Ok(blocks.pop().map(Arc::unwrap_or_clone))
     }
 
-    /// [`wire::GET_BLOCKS`] calls of at most [`wire::MAX_BLOCKS_PER_CALL`]
+    /// `wire::GET_BLOCKS` calls of at most `wire::MAX_BLOCKS_PER_CALL`
     /// heights, asked at the peer's own heights and answered at virtual
     /// ones. An answer that stops short of its range (the peer cut it at
-    /// [`wire::MAX_BLOCKS_BYTES`]) is followed by a call for the rest.
+    /// `wire::MAX_BLOCKS_BYTES`) is followed by a call for the rest.
     fn blocks(
         &self,
         shard: u32,

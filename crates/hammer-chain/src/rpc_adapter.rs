@@ -65,15 +65,15 @@ impl Transport for TcpRpcClient {
 
 /// Application error codes used on the wire.
 mod codes {
-    pub const REJECTED_FULL: i64 = -1001;
-    pub const REJECTED_DUP: i64 = -1002;
-    pub const BAD_SIGNATURE: i64 = -1003;
-    pub const UNKNOWN_SHARD: i64 = -1004;
-    pub const SHUTDOWN: i64 = -1005;
-    pub const UNAVAILABLE: i64 = -1006;
-    pub const PROTOCOL: i64 = -1007;
-    pub const REJECTED_BAD_SIGNATURE: i64 = -1008;
-    pub const TRANSPORT: i64 = -1099;
+    pub(crate) const REJECTED_FULL: i64 = -1001;
+    pub(crate) const REJECTED_DUP: i64 = -1002;
+    pub(crate) const BAD_SIGNATURE: i64 = -1003;
+    pub(crate) const UNKNOWN_SHARD: i64 = -1004;
+    pub(crate) const SHUTDOWN: i64 = -1005;
+    pub(crate) const UNAVAILABLE: i64 = -1006;
+    pub(crate) const PROTOCOL: i64 = -1007;
+    pub(crate) const REJECTED_BAD_SIGNATURE: i64 = -1008;
+    pub(crate) const TRANSPORT: i64 = -1099;
 }
 
 // The wire mapping is the one place direct variant matching is allowed:
@@ -148,11 +148,11 @@ const MAX_SHARDS: u32 = 1 << 16;
 /// Transactions one [`SUBMIT_BATCH`] call carries at most: eight of the
 /// driver's 128-transaction chunks. A longer batch is split by the client
 /// and refused by the server.
-pub const MAX_SUBMIT_BATCH: usize = 1024;
+pub(crate) const MAX_SUBMIT_BATCH: usize = 1024;
 
 /// Heights one [`GET_BLOCKS`] call asks for at most. A longer range is
 /// split by the client and refused by the server.
-pub const MAX_BLOCKS_PER_CALL: u64 = 64;
+pub(crate) const MAX_BLOCKS_PER_CALL: u64 = 64;
 
 /// Bytes of encoded blocks one [`GET_BLOCKS`] answer carries at most, as
 /// `block_len_bound` counts them: half a frame, so the answer's envelope always
@@ -160,7 +160,7 @@ pub const MAX_BLOCKS_PER_CALL: u64 = 64;
 /// longest ascending prefix of the range that fits the budget (always at
 /// least one block) and the client asks again from the next height. At
 /// Neuchain's 2 000 transactions per block that is 28 blocks an answer.
-pub const MAX_BLOCKS_BYTES: usize = hammer_rpc::MAX_FRAME_LEN / 2;
+pub(crate) const MAX_BLOCKS_BYTES: usize = hammer_rpc::MAX_FRAME_LEN / 2;
 
 /// An upper bound on the length of `block`'s JSON: keys, punctuation,
 /// three numbers of at most 20 digits and two quoted 64-digit hashes fit
@@ -422,39 +422,40 @@ const fn method<P, R>(name: &'static str, params: Codec<P>, result: Codec<R>) ->
 }
 
 /// The chain's display name.
-pub const CHAIN_NAME: Method<(), String> = method("chain_name", NONE, NAME);
+pub(crate) const CHAIN_NAME: Method<(), String> = method("chain_name", NONE, NAME);
 /// The chain's sharding model.
-pub const ARCHITECTURE: Method<(), Architecture> = method("architecture", NONE, ARCHITECTURE_SHAPE);
+pub(crate) const ARCHITECTURE: Method<(), Architecture> =
+    method("architecture", NONE, ARCHITECTURE_SHAPE);
 /// Submits a batch of signed transactions in order; answers one result
 /// per transaction, in the same order. A lone submission is a batch of one.
 pub const SUBMIT_BATCH: Method<Vec<SignedTransaction>, Vec<Result<TxId, ChainError>>> =
     method("submit_batch", SIGNED_TXS, SUBMIT_RESULTS);
 /// The height of the newest sealed block on a shard, as the peer counts.
-pub const LATEST_HEIGHT: Method<u32, u64> = method("latest_height", SHARD, COUNT);
+pub(crate) const LATEST_HEIGHT: Method<u32, u64> = method("latest_height", SHARD, COUNT);
 /// The blocks the peer has at a range of heights on a shard, in height
 /// order, cut at [`MAX_BLOCKS_BYTES`].
-pub const GET_BLOCKS: Method<(u32, RangeInclusive<u64>), Vec<Arc<Block>>> =
+pub(crate) const GET_BLOCKS: Method<(u32, RangeInclusive<u64>), Vec<Arc<Block>>> =
     method("get_blocks", SHARD_RANGE, BLOCKS);
 /// Transactions pooled but not yet sealed.
-pub const PENDING_TXS: Method<(), u64> = method("pending_txs", NONE, COUNT);
+pub(crate) const PENDING_TXS: Method<(), u64> = method("pending_txs", NONE, COUNT);
 /// Installs a genesis allocation `(account, checking, savings)`.
 pub const SEED_ACCOUNT: Method<(Address, u64, u64), ()> = method("seed_account", SEED, NONE);
 /// Reads one account's state; `None` when the peer has no such account.
-pub const GET_ACCOUNT: Method<Address, Option<AccountState>> =
+pub(crate) const GET_ACCOUNT: Method<Address, Option<AccountState>> =
     method("get_account", ACCOUNT, ACCOUNT_STATE);
 /// The peer's ingress endpoint names.
-pub const INGRESS_NODES: Method<(), Vec<String>> = method("ingress_nodes", NONE, NODES);
+pub(crate) const INGRESS_NODES: Method<(), Vec<String>> = method("ingress_nodes", NONE, NODES);
 /// The peer's sealer endpoint names.
-pub const SEALER_NODES: Method<(), Vec<String>> = method("sealer_nodes", NONE, NODES);
+pub(crate) const SEALER_NODES: Method<(), Vec<String>> = method("sealer_nodes", NONE, NODES);
 /// Asks the peer to verify every shard's hash chain.
-pub const VERIFY_LEDGERS: Method<(), Result<(), LedgerError>> =
+pub(crate) const VERIFY_LEDGERS: Method<(), Result<(), LedgerError>> =
     method("verify_ledgers", NONE, LEDGER_CHECK);
 /// The peer's monotone progress probe.
-pub const PROGRESS_MARK: Method<(), u64> = method("progress_mark", NONE, COUNT);
+pub(crate) const PROGRESS_MARK: Method<(), u64> = method("progress_mark", NONE, COUNT);
 /// Stops block production on the peer. Named `shutdown_chain` (not
 /// `shutdown`) so a typo'd method list can never confuse stopping the
 /// chain with closing a connection.
-pub const SHUTDOWN_CHAIN: Method<(), ()> = method("shutdown_chain", NONE, NONE);
+pub(crate) const SHUTDOWN_CHAIN: Method<(), ()> = method("shutdown_chain", NONE, NONE);
 /// Installs a resolved fault plan on the network the peer's chain runs on.
 /// Not part of [`serve_sim`]: a chain does not own its network, so whoever
 /// hosts both (`node-host`) serves it.

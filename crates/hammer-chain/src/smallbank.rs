@@ -81,7 +81,7 @@ pub enum Op {
 
 impl Op {
     /// Stable numeric tag used in the byte encoding.
-    pub fn tag(&self) -> u8 {
+    pub(crate) fn tag(&self) -> u8 {
         match self {
             Op::CreateAccount { .. } => 0,
             Op::DepositChecking { .. } => 1,
@@ -92,21 +92,6 @@ impl Op {
             Op::Balance { .. } => 6,
             Op::KvPut { .. } => 7,
             Op::KvGet { .. } => 8,
-        }
-    }
-
-    /// Human-readable operation name (matches the paper's terminology).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Op::CreateAccount { .. } => "create_account",
-            Op::DepositChecking { .. } => "deposit",
-            Op::WriteCheck { .. } => "withdraw",
-            Op::SendPayment { .. } => "transfer",
-            Op::Amalgamate { .. } => "amalgamate",
-            Op::TransactSavings { .. } => "transact_savings",
-            Op::Balance { .. } => "balance",
-            Op::KvPut { .. } => "kv_put",
-            Op::KvGet { .. } => "kv_get",
         }
     }
 
@@ -126,7 +111,7 @@ impl Op {
     }
 
     /// Appends the canonical byte encoding (used for hashing/signing).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(self.tag());
         match self {
             Op::CreateAccount {
@@ -222,6 +207,23 @@ impl std::error::Error for ExecError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Op {
+        /// Human-readable operation name (matches the paper's terminology).
+        fn name(&self) -> &'static str {
+            match self {
+                Op::CreateAccount { .. } => "create_account",
+                Op::DepositChecking { .. } => "deposit",
+                Op::WriteCheck { .. } => "withdraw",
+                Op::SendPayment { .. } => "transfer",
+                Op::Amalgamate { .. } => "amalgamate",
+                Op::TransactSavings { .. } => "transact_savings",
+                Op::Balance { .. } => "balance",
+                Op::KvPut { .. } => "kv_put",
+                Op::KvGet { .. } => "kv_get",
+            }
+        }
+    }
 
     fn addr(n: &str) -> Address {
         Address::from_name(n)

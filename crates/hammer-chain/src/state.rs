@@ -44,28 +44,12 @@ pub struct RwSet {
 #[derive(Clone, Debug, Default)]
 pub struct VersionedState {
     accounts: HashMap<Address, AccountState>,
-    committed_writes: u64,
 }
 
 impl VersionedState {
     /// An empty state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of existing accounts.
-    pub fn len(&self) -> usize {
-        self.accounts.len()
-    }
-
-    /// Whether no accounts exist.
-    pub fn is_empty(&self) -> bool {
-        self.accounts.is_empty()
-    }
-
-    /// Total committed writes (for monitoring).
-    pub fn committed_writes(&self) -> u64 {
-        self.committed_writes
     }
 
     /// Reads an account's state.
@@ -102,7 +86,6 @@ impl VersionedState {
                 version,
             },
         );
-        self.committed_writes += 1;
     }
 
     /// Sum of all balances (conservation-of-money invariant checks).
@@ -120,7 +103,6 @@ impl VersionedState {
             let old_version = self.accounts.get(&addr).map(|a| a.version).unwrap_or(0);
             new_state.version = old_version + 1;
             self.accounts.insert(addr, new_state);
-            self.committed_writes += 1;
         }
         Ok(rwset.output)
     }
@@ -146,7 +128,6 @@ impl VersionedState {
             let mut state = *new_state;
             state.version = old_version + 1;
             self.accounts.insert(*addr, state);
-            self.committed_writes += 1;
         }
         true
     }

@@ -40,12 +40,12 @@ pub struct TxId(pub Hash32);
 
 impl TxId {
     /// The raw bytes.
-    pub fn as_bytes(&self) -> &[u8; 32] {
+    pub(crate) fn as_bytes(&self) -> &[u8; 32] {
         &self.0
     }
 
     /// A short printable prefix (first 8 hex chars).
-    pub fn short(&self) -> String {
+    pub(crate) fn short(&self) -> String {
         to_hex(&self.0[..4])
     }
 
@@ -125,7 +125,7 @@ impl Transaction {
     /// Appends the canonical byte encoding to `out`, letting hot paths
     /// (signing pools, batch verifiers) reuse one buffer across
     /// transactions instead of allocating per call.
-    pub fn signable_bytes_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn signable_bytes_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.client_id.to_be_bytes());
         out.extend_from_slice(&self.server_id.to_be_bytes());
         out.extend_from_slice(&self.nonce.to_be_bytes());
@@ -247,7 +247,7 @@ pub struct BlockHeader {
 
 impl BlockHeader {
     /// Hash of this header.
-    pub fn hash(&self) -> Hash32 {
+    pub(crate) fn hash(&self) -> Hash32 {
         let mut h = Sha256::new();
         h.update(&self.height.to_be_bytes());
         h.update(&self.prev_hash);

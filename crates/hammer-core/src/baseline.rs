@@ -36,11 +36,6 @@ impl BatchQueue {
         self.queue.len()
     }
 
-    /// Number of matched transactions.
-    pub fn completed(&self) -> usize {
-        self.done.len()
-    }
-
     /// Records a submitted transaction.
     pub fn insert(&mut self, tx_id: TxId, client_id: u32, server_id: u32, start: Duration) {
         self.queue.push(TxRecord {
@@ -92,7 +87,7 @@ impl BatchQueue {
     /// path (`Dropped` / `Expired`): removes it from the unconfirmed
     /// queue with the given terminal status. Returns `true` when the
     /// transaction was pending.
-    pub fn abandon(&mut self, tx_id: &TxId, end: Duration, status: TxStatus) -> bool {
+    pub(crate) fn abandon(&mut self, tx_id: &TxId, end: Duration, status: TxStatus) -> bool {
         debug_assert!(
             matches!(status, TxStatus::Dropped | TxStatus::Expired),
             "abandon is for submission-side terminal statuses"
@@ -111,7 +106,7 @@ impl BatchQueue {
 
     /// Marks all still-pending transactions as timed out and returns how
     /// many there were.
-    pub fn timeout_pending(&mut self) -> usize {
+    pub(crate) fn timeout_pending(&mut self) -> usize {
         let n = self.queue.len();
         for mut record in self.queue.drain(..) {
             record.status = TxStatus::TimedOut;
@@ -121,12 +116,12 @@ impl BatchQueue {
     }
 
     /// All completed/timed-out records.
-    pub fn records(&self) -> &[TxRecord] {
+    pub(crate) fn records(&self) -> &[TxRecord] {
         &self.done
     }
 
     /// Gives up the completed/timed-out records (end-of-run hand-over).
-    pub fn into_records(self) -> Vec<TxRecord> {
+    pub(crate) fn into_records(self) -> Vec<TxRecord> {
         self.done
     }
 }
@@ -136,6 +131,13 @@ mod tests {
     use super::*;
     use hammer_chain::smallbank::Op;
     use hammer_chain::types::Transaction;
+
+    impl BatchQueue {
+        /// Number of matched transactions.
+        fn completed(&self) -> usize {
+            self.done.len()
+        }
+    }
 
     fn tx_id(n: u64) -> TxId {
         Transaction {

@@ -68,17 +68,12 @@ impl BloomFilter {
     }
 
     /// Items inserted so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inserted
     }
 
-    /// Whether nothing has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.inserted == 0
-    }
-
     /// The design capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -129,6 +124,13 @@ impl BloomFilter {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl BloomFilter {
+        /// Whether nothing has been inserted.
+        fn is_empty(&self) -> bool {
+            self.inserted == 0
+        }
+    }
 
     #[test]
     fn no_false_negatives() {

@@ -1,6 +1,6 @@
 //! The run-level invariant oracle and the leak probes that wrap a run.
 //!
-//! The oracle ([`check_report`], [`check_journal`]) verifies properties
+//! The oracle ([`check_report`], `check_journal`) verifies properties
 //! that must hold for *every* run, whatever faults were injected:
 //!
 //! 1. **Accounting identity** — `committed + failed + timed_out +
@@ -8,7 +8,7 @@
 //!    or double-counted, even when retries, drops, and watchdog aborts
 //!    interleave.
 //! 2. **Fault-window attribution exactness** — every
-//!    [`crate::FaultWindowStats`] entry matches an independent recount of
+//!    [`crate::driver::FaultWindowStats`] entry matches an independent recount of
 //!    the commit times against the installed plan, and the windowed
 //!    entries plus the `nominal` entry cover each commit exactly once.
 //! 3. **Journal monotonicity** — per-node block-seal timestamps and the
@@ -201,7 +201,7 @@ fn attribution_check(report: &EvalReport, plan: Option<&FaultPlan>) -> Invariant
 /// single writer guarantees an order: per-node block seals, and the
 /// fault enter/exit stream (both emitted by one thread each). A global
 /// all-events check would be unsound — threads race into the ring.
-pub fn check_journal(events: &[JournalEvent]) -> InvariantCheck {
+pub(crate) fn check_journal(events: &[JournalEvent]) -> InvariantCheck {
     const NAME: &str = "journal_monotonicity";
     let mut per_node_seal: HashMap<&str, Duration> = HashMap::new();
     let mut last_fault = Duration::ZERO;
@@ -304,7 +304,7 @@ impl LeakProbe {
     /// Compares against the baseline after the cell's teardown and
     /// returns the `no_thread_leak` and `no_child_leak` rows.
     ///
-    /// [`Scenario::run_on`](crate::scenario::Scenario::run_on) joins every
+    /// `Scenario::run_on` joins every
     /// framework thread before it returns; the five-second grace loop
     /// only covers unrelated process threads still unwinding underneath
     /// the probe. Children get no grace: the supervisor must have killed

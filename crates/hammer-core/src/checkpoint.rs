@@ -103,7 +103,7 @@ pub struct DriverCheckpoint {
 
 impl DriverCheckpoint {
     /// Serialises the checkpoint.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.records.len() * 61);
         out.extend_from_slice(MAGIC);
         put_u16(&mut out, VERSION);
@@ -140,7 +140,7 @@ impl DriverCheckpoint {
 
     /// Deserialises a checkpoint; `None` on any structural mismatch
     /// (wrong magic/version, truncation, an unknown status byte).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
         let mut c = Cursor { bytes, pos: 0 };
         if c.take(4)? != MAGIC.as_slice() || c.u16()? != VERSION {
             return None;

@@ -58,7 +58,7 @@ pub struct BackendOptions {
 
 /// How a registered backend is constructed: from the generic options plus
 /// the shared clock and network.
-pub type BackendBuilder =
+pub(crate) type BackendBuilder =
     Box<dyn Fn(&BackendOptions, SimClock, SimNetwork) -> Deployment + Send + Sync>;
 
 /// The name was not registered.
@@ -361,7 +361,7 @@ impl std::fmt::Debug for Supervisor {
 impl Supervisor {
     /// Spawns a `node-host` for `backend`, waits for its handshake, then
     /// starts the supervision loop.
-    pub fn launch(
+    pub(crate) fn launch(
         backend: &str,
         options: &BackendOptions,
         clock: SimClock,
@@ -409,7 +409,7 @@ impl Supervisor {
     /// gate its ingress; partition / latency windows only move its
     /// traffic accounting), and arms the crash windows this supervisor
     /// realises as SIGKILL + restart.
-    pub fn install_plan(&self, plan: FaultPlan) -> Result<(), DeployError> {
+    pub(crate) fn install_plan(&self, plan: FaultPlan) -> Result<(), DeployError> {
         let crashes = plan.crash_windows();
         self.shared.install_faults(&plan)?;
         *self.shared.plan.lock() = Some(plan);
@@ -433,7 +433,7 @@ impl Supervisor {
     /// Stops the supervision loop, which kills and reaps the node process
     /// and joins its reader. Idempotent; called by `Drop` (panic-safe: an
     /// unwinding test still reaps its children).
-    pub fn shutdown(&self) {
+    pub(crate) fn shutdown(&self) {
         let _ = self.shared.events.send(Event::Stop);
         if let Some(handle) = self.thread.lock().take() {
             let _ = handle.join();
@@ -559,7 +559,7 @@ const STALL_INTERVAL: std::time::Duration = std::time::Duration::from_secs(3600)
 
 impl BackendRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BackendRegistry {
             builders: Vec::new(),
         }

@@ -387,11 +387,6 @@ impl Evaluation {
         Evaluation { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &EvalConfig {
-        &self.config
-    }
-
     /// Runs the full preparation → execution → report flow.
     pub fn run(
         &self,

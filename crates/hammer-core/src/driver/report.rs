@@ -101,15 +101,8 @@ fn pairs(pairs: &[(u32, usize)]) -> Value {
 }
 
 impl EvalReport {
-    /// Serialises the report (minus the raw per-transaction records) as a
-    /// single JSON object, suitable for experiment bins that aggregate
-    /// many runs into one machine-readable file.
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// The record-free report as a JSON value (what [`EvalReport::to_json`]
-    /// serialises; a verdict embeds it as a field).
+    /// The record-free report as a JSON value: its `to_json` is the
+    /// report's text form, and a verdict embeds it as a field.
     pub fn to_value(&self) -> Value {
         let latency = Value::object([
             ("count", Value::from(self.latency.count)),
@@ -348,6 +341,13 @@ fn fault_window_stats(
 mod tests {
     use super::*;
     use hammer_store::TableStore;
+
+    impl EvalReport {
+        /// The report (minus the raw per-transaction records) as JSON text.
+        pub(crate) fn to_json(&self) -> String {
+            self.to_value().to_json()
+        }
+    }
 
     fn rec(i: u8, end_ms: u64, status: TxStatus) -> TxRecord {
         TxRecord {

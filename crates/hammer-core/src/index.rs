@@ -41,7 +41,7 @@ pub struct TxRecord {
 }
 
 /// What a block match shows every record it completed, in place.
-pub type Visit<'a> = dyn FnMut(&TxRecord) + 'a;
+pub(crate) type Visit<'a> = dyn FnMut(&TxRecord) + 'a;
 
 /// Counters describing index behaviour (for the Fig. 9 analysis).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,7 +65,7 @@ pub struct IndexStats {
 impl IndexStats {
     /// Accumulates another table's counters into this one — how a
     /// sharded tracker presents a single-table view of its shards.
-    pub fn merge(&mut self, other: &IndexStats) {
+    pub(crate) fn merge(&mut self, other: &IndexStats) {
         self.probe_steps += other.probe_steps;
         self.expansions += other.expansions;
         self.bloom_rejections += other.bloom_rejections;
@@ -94,12 +94,18 @@ fn place(slots: &mut [u64], fingerprint: u64, idx: usize) -> u64 {
     steps
 }
 
-/// The filter for a table expecting `expected` records, with an eighth of
-/// headroom: ids hashed over N shards always leave one shard above
-/// `total / N`, and a filter sized for exactly that rotates at the end of
-/// every run. The eighth bounds the overshoot a shard has before it rotates.
-fn bloom_for(expected: usize) -> BloomFilter {
-    BloomFilter::new((expected + expected / 8).max(1024), 0.01)
+/// What a table expecting `expected` records is built for: an eighth of
+/// headroom. Ids hashed over N shards always leave one shard above
+/// `total / N`; a vector list and a filter sized for exactly that would
+/// copy the one and rotate the other at the end of every run. The eighth
+/// bounds the overshoot a shard has before either happens.
+fn with_headroom(expected: usize) -> usize {
+    expected + expected / 8
+}
+
+/// The filter for a table built for `capacity` records.
+fn bloom_for(capacity: usize) -> BloomFilter {
+    BloomFilter::new(capacity.max(1024), 0.01)
 }
 
 /// The vector list with its dynamic hash index and Bloom filter.
@@ -129,10 +135,11 @@ impl TxTable {
     pub fn with_capacity_and_bloom(expected: usize, use_bloom: bool) -> Self {
         let expected = expected.max(16);
         let slot_count = (expected * 2).next_power_of_two();
+        let capacity = with_headroom(expected);
         TxTable {
-            records: Vec::with_capacity(expected),
+            records: Vec::with_capacity(capacity),
             slots: vec![EMPTY; slot_count],
-            bloom: bloom_for(expected),
+            bloom: bloom_for(capacity),
             use_bloom,
             stats: IndexStats::default(),
             live: 0,
@@ -150,7 +157,7 @@ impl TxTable {
     }
 
     /// Number of still-pending records.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.live
     }
 
@@ -285,11 +292,11 @@ impl TxTable {
         self.complete_record(tx_id, end, success).is_some()
     }
 
-    /// Like [`TxTable::complete`], but returns the finished record so
-    /// callers (the driver's live-sync pipeline) can publish it without a
-    /// second index lookup. `None` when the transaction was not pending
-    /// here (foreign, unknown, or a duplicate sighting).
-    pub fn complete_record(
+    /// Like [`TxTable::complete`], but returns the finished record so the
+    /// sharded tracker can hand it on without a second index lookup.
+    /// `None` when the transaction was not pending here (foreign, unknown,
+    /// or a duplicate sighting).
+    pub(crate) fn complete_record(
         &mut self,
         tx_id: &TxId,
         end: Duration,
@@ -321,7 +328,7 @@ impl TxTable {
     /// path — `Dropped` (retry budget exhausted) or `Expired` (per-slice
     /// retry deadline passed) — without it ever reaching the chain.
     /// Returns `true` when the transaction was pending in this table.
-    pub fn abandon(&mut self, tx_id: &TxId, end: Duration, status: TxStatus) -> bool {
+    pub(crate) fn abandon(&mut self, tx_id: &TxId, end: Duration, status: TxStatus) -> bool {
         debug_assert!(
             matches!(status, TxStatus::Dropped | TxStatus::Expired),
             "abandon is for submission-side terminal statuses"
@@ -329,32 +336,13 @@ impl TxTable {
         self.settle(tx_id, end, status).is_some()
     }
 
-    /// Marks every still-pending transaction as timed out.
-    pub fn timeout_pending(&mut self) -> usize {
-        let mut n = 0;
-        for record in &mut self.records {
-            if record.status == TxStatus::Pending {
-                record.status = TxStatus::TimedOut;
-                n += 1;
-            }
-        }
-        self.live = 0;
-        n
-    }
-
-    /// Reads a record by id (diagnostics). A read moves no counter: it
-    /// walks the index without the filter in front and counts nothing.
-    pub fn get(&self, tx_id: &TxId) -> Option<&TxRecord> {
-        self.probe(tx_id).0.map(|idx| &self.records[idx])
-    }
-
     /// All records (checkpoint snapshots).
-    pub fn records(&self) -> &[TxRecord] {
+    pub(crate) fn records(&self) -> &[TxRecord] {
         &self.records
     }
 
     /// Gives up the vector list (the hand-over to the report at end of run).
-    pub fn into_records(self) -> Vec<TxRecord> {
+    pub(crate) fn into_records(self) -> Vec<TxRecord> {
         self.records
     }
 
@@ -370,7 +358,7 @@ impl TxTable {
         }
         // Rebuild slots and Bloom filter over the survivors.
         self.reindex((self.records.len().max(16) * 2).next_power_of_two());
-        self.rebuild_bloom(bloom_for(self.records.len()));
+        self.rebuild_bloom(bloom_for(with_headroom(self.records.len())));
         dropped
     }
 }
@@ -382,6 +370,14 @@ pub(crate) mod tests {
     use hammer_chain::types::Transaction;
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    impl TxTable {
+        /// Reads a record by id (diagnostics). A read moves no counter: it
+        /// walks the index without the filter in front and counts nothing.
+        fn get(&self, tx_id: &TxId) -> Option<&TxRecord> {
+            self.probe(tx_id).0.map(|idx| &self.records[idx])
+        }
+    }
 
     fn tx_id(n: u64) -> TxId {
         Transaction {
@@ -470,15 +466,15 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn timeout_pending_marks_remaining() {
-        let mut table = TxTable::with_capacity(16);
-        for i in 0..5 {
+    fn a_table_takes_an_eighth_over_its_expectation_without_growing() {
+        let n = 10_000;
+        let mut table = TxTable::with_capacity(n);
+        let capacity = table.records.capacity();
+        for i in 0..(n + n / 8) as u64 {
             table.insert(tx_id(i), 0, 0, Duration::ZERO);
+            assert_eq!(table.records.capacity(), capacity, "insert {i}");
         }
-        table.complete(&tx_id(0), Duration::from_secs(1), true);
-        assert_eq!(table.timeout_pending(), 4);
-        assert_eq!(table.get(&tx_id(1)).unwrap().status, TxStatus::TimedOut);
-        assert_eq!(table.get(&tx_id(0)).unwrap().status, TxStatus::Committed);
+        assert_eq!(table.stats().bloom_rebuilds, 0);
     }
 
     #[test]
@@ -621,7 +617,6 @@ pub(crate) mod tests {
         Complete(usize, bool),
         Abandon(usize),
         Get(usize),
-        TimeoutPending,
         Compact,
     }
 
@@ -632,11 +627,7 @@ pub(crate) mod tests {
             ((0usize..96), any::<bool>()).prop_map(|(k, ok)| TableOp::Complete(k, ok)),
             (0usize..96).prop_map(TableOp::Abandon),
             (0usize..96).prop_map(TableOp::Get),
-            (0usize..8).prop_map(|n| if n == 0 {
-                TableOp::TimeoutPending
-            } else {
-                TableOp::Get(n)
-            }),
+            (0usize..8).prop_map(TableOp::Get),
             (0usize..4).prop_map(|n| if n == 0 {
                 TableOp::Compact
             } else {
@@ -688,12 +679,6 @@ pub(crate) mod tests {
                 assert_eq!(table.get(&id), model.get(&id));
                 // A diagnostic read moves no counter.
                 assert_eq!(table.stats(), stats);
-            }
-            TableOp::TimeoutPending => {
-                let expect = model.values_mut().filter(|r| pending(r)).map(|r| {
-                    r.status = TxStatus::TimedOut;
-                });
-                assert_eq!(table.timeout_pending(), expect.count());
             }
             TableOp::Compact => {
                 let before = model.len();

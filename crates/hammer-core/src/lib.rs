@@ -71,15 +71,13 @@ pub use bloom::BloomFilter;
 pub use chaos::{InvariantCheck, LeakProbe};
 pub use checkpoint::{DriverCheckpoint, RecoveryConfig};
 pub use deploy::{
-    BackendOptions, BackendRegistry, DeployError, DeployMode, Deployment, ProcessFaultStats,
-    Supervisor, SupervisorConfig, UnknownBackend,
+    BackendOptions, BackendRegistry, DeployMode, Deployment, ProcessFaultStats, SupervisorConfig,
+    UnknownBackend,
 };
-pub use driver::{
-    EvalConfig, EvalConfigBuilder, EvalReport, Evaluation, FaultWindowStats, TestingMode,
-};
+pub use driver::{EvalConfig, EvalReport, Evaluation, TestingMode};
 pub use index::{TxRecord, TxTable};
 pub use machine::ClientMachine;
-pub use multi::{run_distributed, MultiDriverReport};
+pub use multi::run_distributed;
 pub use retry::RetryPolicy;
 pub use scenario::{Expectation, Scenario, ScenarioBuilder, ScenarioError, Verdict};
 pub use shard::ShardedTxTable;

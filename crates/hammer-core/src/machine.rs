@@ -59,7 +59,7 @@ impl ClientMachine {
     /// * beyond that, threads time-share cores
     ///   (`active_threads / vcpus` slowdown) and pay scheduling overhead
     ///   per excess thread.
-    pub fn submit_delay(&self, active_threads: u32) -> Duration {
+    pub(crate) fn submit_delay(&self, active_threads: u32) -> Duration {
         let threads = active_threads.max(1) as f64;
         let vcpus = self.vcpus.max(1) as f64;
         let share = (threads / vcpus).max(1.0);
@@ -69,7 +69,7 @@ impl ClientMachine {
     }
 
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.vcpus == 0 {
             return Err("vcpus must be positive".to_owned());
         }

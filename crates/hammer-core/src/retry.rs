@@ -21,7 +21,7 @@ use crate::bloom::splitmix64;
 /// [`RetryPolicy::decide`] is the single decision point the submission
 /// workers use, so its semantics can be property-tested without a chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RetryDecision {
+pub(crate) enum RetryDecision {
     /// Pause for the contained duration, then attempt again.
     Retry(Duration),
     /// The attempt budget is exhausted: abandon as `Dropped`.
@@ -91,13 +91,13 @@ impl RetryPolicy {
     }
 
     /// Whether any retrying happens at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.max_retries > 0
     }
 
     /// Checks internal consistency. Returns a human-readable complaint for
     /// the driver/builder to wrap into their own error types.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !self.enabled() {
             return Ok(());
         }
@@ -128,7 +128,7 @@ impl RetryPolicy {
     /// The pause before retry number `attempt` (0-based), jittered
     /// deterministically by `seed` (the transaction id fingerprint): the
     /// same transaction backs off identically across runs.
-    pub fn backoff(&self, attempt: u32, seed: u64) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32, seed: u64) -> Duration {
         let exp = self.multiplier.powi(attempt.min(63) as i32);
         let raw = self
             .base_backoff
@@ -151,7 +151,7 @@ impl RetryPolicy {
     /// current simulated time and `seed` the transaction fingerprint —
     /// both the driver's retry loop and property tests route through
     /// here, so what is tested is what runs.
-    pub fn decide(
+    pub(crate) fn decide(
         &self,
         attempt: u32,
         seed: u64,

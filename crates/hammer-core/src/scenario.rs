@@ -133,7 +133,7 @@ enum Chaos {
 /// checkpoint in the drive's run directory and let the resumed run finish
 /// the report.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RecoverySpec {
+pub(crate) struct RecoverySpec {
     /// Checkpoint cadence (simulated time).
     pub interval: Duration,
     /// When the driver kills itself (simulated time); kills land between
@@ -275,12 +275,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replaces the workload profile wholesale.
-    pub fn workload(mut self, workload: WorkloadConfig) -> Self {
-        self.workload = workload;
-        self
-    }
-
     /// Tweaks the workload profile in place.
     pub fn workload_with(mut self, f: impl FnOnce(&mut WorkloadConfig)) -> Self {
         f(&mut self.workload);
@@ -288,7 +282,7 @@ impl ScenarioBuilder {
     }
 
     /// The run window: an explicit control sequence.
-    pub fn control(mut self, control: ControlSequence) -> Self {
+    pub(crate) fn control(mut self, control: ControlSequence) -> Self {
         self.control = Some(control);
         self
     }
@@ -324,25 +318,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Stall watchdog budget (must exceed the SUT's longest quiet gap).
-    pub fn stall_budget(mut self, budget: Duration) -> Self {
-        self.stall_budget = budget;
-        self
-    }
-
-    /// How long the driver waits for in-flight transactions after the
-    /// last slice.
-    pub fn drain_timeout(mut self, timeout: Duration) -> Self {
-        self.drain_timeout = timeout;
-        self
-    }
-
-    /// Monitor poll interval.
-    pub fn poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
-        self
-    }
-
     /// In-flight tracker shard count override.
     pub fn tracker_shards(mut self, shards: usize) -> Self {
         self.tracker_shards = Some(shards);
@@ -358,7 +333,7 @@ impl ScenarioBuilder {
     }
 
     /// Adds any expectation.
-    pub fn expect(mut self, expectation: Expectation) -> Self {
+    pub(crate) fn expect(mut self, expectation: Expectation) -> Self {
         self.expectations.push(expectation);
         self
     }
@@ -404,7 +379,7 @@ impl ScenarioBuilder {
 
     /// [`ScenarioBuilder::build`] against a custom registry (e.g. one
     /// with extra backends registered).
-    pub fn build_for(self, registry: &BackendRegistry) -> Result<Scenario, ScenarioError> {
+    pub(crate) fn build_for(self, registry: &BackendRegistry) -> Result<Scenario, ScenarioError> {
         if !registry.names().contains(&self.backend.as_str()) {
             return Err(ScenarioError::UnknownBackend {
                 name: self.backend,
@@ -661,7 +636,7 @@ impl Scenario {
     /// Teardown is deterministic: the deployment comes down, every node
     /// thread joined, before this returns, so callers can probe for
     /// leaked threads/processes immediately.
-    pub fn run_on(&self, registry: &BackendRegistry) -> Result<Verdict, ScenarioError> {
+    pub(crate) fn run_on(&self, registry: &BackendRegistry) -> Result<Verdict, ScenarioError> {
         let clock = SimClock::with_speedup(self.spec.speedup);
         let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         net.install_obs(Obs::new());
@@ -895,7 +870,7 @@ impl Scenario {
     /// a key the format does not define, or a value that does not fit its
     /// field, is [`ScenarioError::Spec`] naming its JSON path, never a
     /// silent default.
-    pub fn builder_from_json(spec: &str) -> Result<ScenarioBuilder, ScenarioError> {
+    pub(crate) fn builder_from_json(spec: &str) -> Result<ScenarioBuilder, ScenarioError> {
         let value = Value::parse(spec).map_err(ReadError::from)?;
         let f = Fields::known_keys(
             &value,
@@ -1141,7 +1116,7 @@ pub mod corpus {
     use super::{Scenario, ScenarioError};
 
     /// Name → embedded JSON spec.
-    pub const SPECS: &[(&str, &str)] = &[
+    pub(crate) const SPECS: &[(&str, &str)] = &[
         (
             "nft-flash-crowd-mint",
             include_str!("../../../scenarios/nft_flash_crowd_mint.json"),

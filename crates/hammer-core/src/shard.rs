@@ -83,14 +83,9 @@ impl ShardedTxTable {
         }
     }
 
-    /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard a transaction id maps to.
     #[inline]
-    pub fn shard_of(&self, tx_id: &TxId) -> usize {
+    pub(crate) fn shard_of(&self, tx_id: &TxId) -> usize {
         // Multiply-shift over the fingerprint: bits 33.. of fp·φ64 are
         // well mixed and independent of the low bits the per-shard home
         // slot consumes (fingerprint & (slot_count - 1)).
@@ -213,7 +208,7 @@ impl ShardedTxTable {
 
     /// Marks a still-pending transaction abandoned by the submission path
     /// (`Dropped` / `Expired`). Returns `true` when it was pending here.
-    pub fn abandon(&self, tx_id: &TxId, end: Duration, status: TxStatus) -> bool {
+    pub(crate) fn abandon(&self, tx_id: &TxId, end: Duration, status: TxStatus) -> bool {
         self.shard(tx_id).table.abandon(tx_id, end, status)
     }
 
@@ -228,7 +223,7 @@ impl ShardedTxTable {
     /// Replays a checkpointed rejected-id set into the per-shard state
     /// (resume path). Ids are routed to their shards; records are not
     /// touched.
-    pub fn restore_rejected(&self, ids: &[TxId]) {
+    pub(crate) fn restore_rejected(&self, ids: &[TxId]) {
         for id in ids {
             self.shard(id).rejected.insert(*id);
         }
@@ -237,16 +232,6 @@ impl ShardedTxTable {
     /// Still-pending records, summed across shards.
     pub fn pending(&self) -> usize {
         self.shards.iter().map(|s| s.lock().table.pending()).sum()
-    }
-
-    /// Total records across shards, completed included.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().table.len()).sum()
-    }
-
-    /// Whether no transaction was ever inserted.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Aggregate index statistics: the per-shard [`IndexStats`] summed
@@ -305,6 +290,20 @@ mod tests {
     use hammer_chain::types::Transaction;
     use hammer_net::thread;
     use proptest::prelude::*;
+
+    impl ShardedTxTable {
+        /// Total records across shards, completed included.
+        fn len(&self) -> usize {
+            self.shards.iter().map(|s| s.lock().table.len()).sum()
+        }
+    }
+
+    impl ShardedTxTable {
+        /// Number of shards (always a power of two).
+        fn shard_count(&self) -> usize {
+            self.shards.len()
+        }
+    }
 
     fn tx_id(n: u64) -> TxId {
         Transaction {

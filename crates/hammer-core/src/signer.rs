@@ -24,7 +24,7 @@
 //! (hand-off to submission): a channel operation costs a lock hand-off and,
 //! when the peer is parked, a syscall, so it is paid once per 128
 //! transactions instead of once each. The chunk is also the submission
-//! unit: a submit worker takes it whole ([`SignedStream::recv_chunk`]) and
+//! unit: a submit worker takes it whole (`SignedStream::recv_chunk`) and
 //! hands the chain as much of it as has come due — one token take, one
 //! clock reading, one tracker pass and one `submit_batch` call each time.
 
@@ -67,11 +67,6 @@ impl SignObs {
             clock: SimClock::realtime(),
             enabled: false,
         }
-    }
-
-    /// Whether signing durations are recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     #[inline]
@@ -133,7 +128,7 @@ pub fn sign_async(
 }
 
 /// [`sign_async`] with per-transaction span recording on every worker.
-pub fn sign_async_obs(
+pub(crate) fn sign_async_obs(
     txs: Vec<Transaction>,
     keypair: &Keypair,
     params: &SigParams,
@@ -245,7 +240,7 @@ impl SignedStream {
     /// The rest of the chunk this consumer holds, or else the next chunk,
     /// blocking until one is ready; an error once the workload is
     /// exhausted. Never empty.
-    pub fn recv_chunk(&self) -> Result<Vec<SignedTransaction>, RecvError> {
+    pub(crate) fn recv_chunk(&self) -> Result<Vec<SignedTransaction>, RecvError> {
         let rest: Vec<_> = std::mem::take(&mut *self.current.borrow_mut()).collect();
         if rest.is_empty() {
             self.chunks.recv()
@@ -297,17 +292,6 @@ pub fn sign_pipelined(
     params: SigParams,
     threads: usize,
 ) -> SignedStream {
-    sign_pipelined_obs(txs, keypair, params, threads, SignObs::disabled())
-}
-
-/// [`sign_pipelined`] with per-transaction span recording on every worker.
-pub fn sign_pipelined_obs(
-    txs: Vec<Transaction>,
-    keypair: Keypair,
-    params: SigParams,
-    threads: usize,
-    obs: SignObs,
-) -> SignedStream {
     // The signers claim their segments from the batch itself.
     let (n, threads) = (txs.len(), threads.max(1));
     let len = segment_len(n, threads);
@@ -317,7 +301,7 @@ pub fn sign_pipelined_obs(
         (!segment.is_empty()).then_some(segment)
     };
     let signers = threads.min(n.div_ceil(len));
-    sign_segments(next_segment, signers, keypair, params, obs)
+    sign_segments(next_segment, signers, keypair, params, SignObs::disabled())
 }
 
 /// Starts the generator thread of a run of `n` transactions and `threads`
@@ -384,6 +368,13 @@ mod tests {
     use hammer_chain::smallbank::Op;
     use std::collections::HashSet;
     use std::time::Duration;
+
+    impl SignObs {
+        /// Whether signing durations are recorded.
+        fn is_enabled(&self) -> bool {
+            self.enabled
+        }
+    }
 
     fn batch(n: u64) -> Vec<Transaction> {
         (0..n)
@@ -581,7 +572,8 @@ mod tests {
         assert_eq!(parallel.len(), 30);
         assert_eq!(obs.spans().histogram(Stage::Signed).count(), 50);
 
-        let rx = sign_pipelined_obs(batch(25), kp, params, 3, sign_obs);
+        let segment = parking_lot::Mutex::new(Some(batch(25)));
+        let rx = sign_segments(move || segment.lock().take(), 3, kp, params, sign_obs);
         assert_eq!(rx.iter().count(), 25);
         assert_eq!(obs.spans().histogram(Stage::Signed).count(), 75);
     }

@@ -10,7 +10,7 @@ use crate::sig::{self, SigParams, Signature, GROUP_ORDER};
 /// Deliberately does not implement `Display`; `Debug` redacts the scalar so
 /// keys never leak through logs.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct SecretKey {
+pub(crate) struct SecretKey {
     x: u64,
     /// The nonce HMAC's key with its pad blocks compressed, so a
     /// signature hashes only the message's blocks.
@@ -43,13 +43,8 @@ impl SecretKey {
     }
 
     /// Derives the matching public key.
-    pub fn public(&self) -> PublicKey {
+    pub(crate) fn public(&self) -> PublicKey {
         PublicKey(sig::pow_g(self.x))
-    }
-
-    /// Signs a message.
-    pub fn sign(&self, msg: &[u8], params: &SigParams) -> Signature {
-        sig::sign_with_key(self.x, &self.nonce_key, self.public().0, msg, params)
     }
 }
 
@@ -99,11 +94,6 @@ impl Keypair {
         Keypair { secret, public }
     }
 
-    /// The secret half.
-    pub fn secret(&self) -> &SecretKey {
-        &self.secret
-    }
-
     /// The public half.
     pub fn public(&self) -> PublicKey {
         self.public
@@ -122,6 +112,14 @@ impl Keypair {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl SecretKey {
+        /// Signs with the key's own cached nonce key and a freshly
+        /// derived public key.
+        fn sign(&self, msg: &[u8], params: &SigParams) -> Signature {
+            sig::sign_with_key(self.x, &self.nonce_key, self.public().0, msg, params)
+        }
+    }
 
     #[test]
     fn generate_and_roundtrip() {
@@ -154,16 +152,16 @@ mod tests {
         let params = SigParams::with_cost(3);
         let kp = Keypair::from_seed(11);
         for msg in [b"".as_slice(), b"short", &[0x5a; 200]] {
-            let expect = sig::sign(kp.secret().x, msg, &params);
+            let expect = sig::sign(kp.secret.x, msg, &params);
             assert_eq!(kp.sign(msg, &params), expect);
-            assert_eq!(kp.secret().sign(msg, &params), expect);
+            assert_eq!(kp.secret.sign(msg, &params), expect);
         }
     }
 
     #[test]
     fn debug_redacts_secret() {
         let kp = Keypair::from_seed(3);
-        assert_eq!(format!("{:?}", kp.secret()), "SecretKey(<redacted>)");
+        assert_eq!(format!("{:?}", kp.secret), "SecretKey(<redacted>)");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   function runs on the x86-64 SHA extensions when the CPU reports them
 //!   and on portable rounds otherwise; the choice is the CPU's alone (see
 //!   [`sha256::hardware_accelerated`]) and the output is bit-identical.
-//! * [`hmac`] — HMAC-SHA-256 message authentication.
-//! * [`merkle`] — binary Merkle trees with inclusion proofs, used by the
-//!   chain simulators to commit to block transaction lists.
+//! * `hmac` (crate-private) — HMAC-SHA-256, which derives the signature
+//!   scheme's deterministic nonces.
+//! * [`merkle`] — the binary Merkle root the chain simulators commit to
+//!   block transaction lists with.
 //! * [`sig`] — a Schnorr-style signature scheme over a prime field. It is
 //!   *educational strength* (61-bit modulus), but it has the same
 //!   sign/verify API and, via [`sig::SigParams::cost_factor`], a tunable
@@ -33,15 +34,14 @@
 
 #![warn(missing_docs)]
 
-pub mod hmac;
+mod hmac;
 pub mod keys;
 pub mod merkle;
 pub mod sha256;
 pub mod sig;
 
-pub use keys::{Keypair, PublicKey, SecretKey};
-pub use merkle::MerkleTree;
-pub use sha256::{sha256, Digest, Sha256};
+pub use keys::{Keypair, PublicKey};
+pub use sha256::{sha256, Sha256};
 pub use sig::{SigParams, Signature};
 
 /// A 32-byte hash value, the common digest type of the whole workspace.

@@ -5,10 +5,10 @@
 //! on the stack is folded in one kernel call.
 
 /// The SHA-256 digest length in bytes.
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 
 /// A SHA-256 digest.
-pub type Digest = [u8; DIGEST_LEN];
+pub(crate) type Digest = [u8; DIGEST_LEN];
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -339,7 +339,7 @@ impl Sha256 {
 ///
 /// A 32-byte input — a digest being re-hashed: Merkle leaves over
 /// transaction ids, hash-hardening loops, proof-of-work burns — takes
-/// the fixed-size path of [`sha256_digest`].
+/// the fixed-size path of `sha256_digest`.
 ///
 /// ```
 /// let digest = hammer_crypto::sha256(b"abc");
@@ -357,7 +357,7 @@ pub fn sha256(data: &[u8]) -> Digest {
 
 /// SHA-256 of a 32-byte value: one compression over the value and a
 /// constant padding half-block, with no hasher state to set up.
-pub fn sha256_digest(input: &Digest) -> Digest {
+pub(crate) fn sha256_digest(input: &Digest) -> Digest {
     let mut block = [0u8; 64];
     block[..32].copy_from_slice(input);
     block[32..].copy_from_slice(&PAD_AFTER_32);

@@ -36,7 +36,7 @@ use crate::hmac::HmacKey;
 use crate::sha256::{finish, sha256_digest, H0};
 
 /// The Mersenne prime modulus `2^61 - 1`.
-pub const P: u64 = (1u64 << 61) - 1;
+pub(crate) const P: u64 = (1u64 << 61) - 1;
 /// Order of the full multiplicative group, `p - 1`.
 pub const GROUP_ORDER: u64 = P - 1;
 /// The group generator.
@@ -112,7 +112,7 @@ impl Signature {
 /// Multiplication modulo the Mersenne prime `P`, exploiting
 /// `2^61 ≡ 1 (mod p)` for a division-free reduction.
 #[inline]
-pub fn mul_mod(a: u64, b: u64) -> u64 {
+pub(crate) fn mul_mod(a: u64, b: u64) -> u64 {
     debug_assert!(a < P && b < P);
     let wide = (a as u128) * (b as u128);
     let lo = (wide & ((1u128 << 61) - 1)) as u64;
@@ -152,7 +152,7 @@ pub fn pow_mod(mut base: u64, mut exp: u64) -> u64 {
 /// Tables cover the full 64-bit exponent range, so [`FixedBaseTable::pow`]
 /// agrees with [`pow_mod`] for every `u64` exponent.
 #[derive(Clone, Debug)]
-pub struct FixedBaseTable {
+pub(crate) struct FixedBaseTable {
     window: u32,
     /// `rows × 2^window` entries, flattened row-major.
     entries: Vec<u64>,
@@ -162,7 +162,7 @@ impl FixedBaseTable {
     /// Builds the table for `base` with the given window width
     /// (1..=16; 8 is the sweet spot for a shared long-lived table,
     /// 4 keeps build cost low for per-key throwaway tables).
-    pub fn new(base: u64, window: u32) -> Self {
+    pub(crate) fn new(base: u64, window: u32) -> Self {
         assert!((1..=16).contains(&window), "window width out of range");
         let rows = 64u32.div_ceil(window) as usize;
         let width = 1usize << window;
@@ -184,7 +184,7 @@ impl FixedBaseTable {
 
     /// `base^exp mod P` via table lookups; equals `pow_mod(base, exp)`.
     #[inline]
-    pub fn pow(&self, mut exp: u64) -> u64 {
+    pub(crate) fn pow(&self, mut exp: u64) -> u64 {
         let mask = (1u64 << self.window) - 1;
         let width = 1usize << self.window;
         let mut acc = 1u64;
@@ -272,17 +272,8 @@ fn derive_nonce(key: &HmacKey, msg: &[u8]) -> u64 {
     }
 }
 
-/// Signs `msg` with secret scalar `x` (must be in `[1, GROUP_ORDER)`).
-///
-/// Derives the public key and hashes the nonce key's pad blocks on every
-/// call; a [`crate::Keypair`] keeps both and signs without either.
-pub fn sign(x: u64, msg: &[u8], params: &SigParams) -> Signature {
-    sign_with_key(x, &nonce_key(x), pow_g(x), msg, params)
-}
-
 /// Signs `msg` with secret scalar `x`, its nonce key ([`nonce_key`]`(x)`)
-/// and its public key `y = g^x`: identical output to [`sign`], minus the
-/// per-call exponentiation and pad-block hashing.
+/// and its public key `y = g^x`.
 pub(crate) fn sign_with_key(
     x: u64,
     nonce_key: &HmacKey,
@@ -307,7 +298,7 @@ fn in_range(y: u64, sig: &Signature) -> bool {
 }
 
 /// Verifies a signature over `msg` against public key `y`.
-pub fn verify(y: u64, msg: &[u8], sig: &Signature, params: &SigParams) -> bool {
+pub(crate) fn verify(y: u64, msg: &[u8], sig: &Signature, params: &SigParams) -> bool {
     if !in_range(y, sig) {
         return false;
     }
@@ -331,7 +322,7 @@ pub struct VerifyItem<'a> {
 /// Verifies many signatures, amortising shared work.
 ///
 /// Returns one verdict per item, exactly equal to what
-/// [`verify`] would return for it — including for corrupted entries —
+/// `verify` would return for it — including for corrupted entries —
 /// so callers can mix keys freely. Speedup comes from two sources: the
 /// `g^s` side always goes through the shared generator table, and any
 /// public key appearing `BATCH_KEY_MIN_USES`+ times gets a throwaway
@@ -362,6 +353,14 @@ pub fn verify_batch(items: &[VerifyItem<'_>], params: &SigParams) -> Vec<bool> {
             pow_g(sig.s) == mul_mod(sig.r, y_pow_e)
         })
         .collect()
+}
+
+/// The reference the keyed path is compared against: signs `msg` with
+/// secret scalar `x` (in `[1, GROUP_ORDER)`), deriving the public key and
+/// hashing the nonce key's pad blocks on every call.
+#[cfg(test)]
+pub(crate) fn sign(x: u64, msg: &[u8], params: &SigParams) -> Signature {
+    sign_with_key(x, &nonce_key(x), pow_g(x), msg, params)
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ impl Default for EthereumConfig {
 
 impl EthereumConfig {
     /// Maximum transactions per block under the gas limit.
-    pub fn max_txs_per_block(&self) -> usize {
+    pub(crate) fn max_txs_per_block(&self) -> usize {
         (self.block_gas_limit / self.tx_gas.max(1)) as usize
     }
 }

@@ -294,23 +294,6 @@ pub struct FabricPolicy {
     pipeline: Mutex<Pipeline>,
 }
 
-impl FabricPolicy {
-    /// Transactions invalidated by MVCC conflicts.
-    pub fn mvcc_conflicts(&self) -> u64 {
-        self.pipeline.lock().mvcc_conflicts
-    }
-
-    /// Transactions that failed endorsement (execution error).
-    pub fn endorse_failures(&self) -> u64 {
-        self.pipeline.lock().endorse_failures
-    }
-
-    /// Submissions rejected because the inbox was full.
-    pub fn rejected_overload(&self) -> u64 {
-        self.pipeline.lock().rejected_overload
-    }
-}
-
 impl ConsensusPolicy for FabricPolicy {
     fn chain_name(&self) -> &'static str {
         "fabric-sim"
@@ -424,6 +407,25 @@ mod tests {
     use hammer_chain::types::{Address, Transaction, TxId};
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
+
+    /// The pipeline's counters: what the tests observe of the chain's
+    /// semantics.
+    impl FabricPolicy {
+        /// Transactions invalidated by MVCC conflicts.
+        fn mvcc_conflicts(&self) -> u64 {
+            self.pipeline.lock().mvcc_conflicts
+        }
+
+        /// Transactions that failed endorsement (execution error).
+        fn endorse_failures(&self) -> u64 {
+            self.pipeline.lock().endorse_failures
+        }
+
+        /// Submissions rejected because the inbox was full.
+        fn rejected_overload(&self) -> u64 {
+            self.pipeline.lock().rejected_overload
+        }
+    }
 
     fn chain_at(speedup: f64, config: FabricConfig) -> Arc<ChainNode<FabricPolicy>> {
         let clock = SimClock::with_speedup(speedup);

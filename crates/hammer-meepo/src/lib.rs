@@ -214,11 +214,6 @@ enum ExecOutcome {
 }
 
 impl MeepoPolicy {
-    /// Cross-shard transactions settled.
-    pub fn cross_shard(&self) -> u64 {
-        self.cross_shard.load(Ordering::Relaxed)
-    }
-
     /// Executes `op` on its source shard; cross-shard transfers debit
     /// locally and emit a relay credit.
     fn execute_on_shard(&self, state: &mut VersionedState, op: &Op, shard_id: u32) -> ExecOutcome {
@@ -304,6 +299,14 @@ mod tests {
     use hammer_chain::types::Transaction;
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
+
+    impl MeepoPolicy {
+        /// Cross-shard transactions settled: what the tests observe of
+        /// the chain's relay.
+        fn cross_shard(&self) -> u64 {
+            self.cross_shard.load(Ordering::Relaxed)
+        }
+    }
 
     fn fast_chain(config: MeepoConfig) -> Arc<ChainNode<MeepoPolicy>> {
         let clock = SimClock::with_speedup(1000.0);

@@ -1,5 +1,4 @@
-//! Seeded randomized fault-schedule generation ("chaos") and schedule
-//! shrinking.
+//! Seeded randomized fault-schedule generation ("chaos").
 //!
 //! Hand-written [`FaultPlan`]s only probe the handful of schedules someone
 //! thought to script. This module *generates* them instead: [`generate`]
@@ -9,13 +8,6 @@
 //! [`FaultPlan::validate`] — every generated plan is installable and every
 //! run under it is reproducible from `(seed, targets, horizon)` alone.
 //! The generator has no options: its bounds are the constants below.
-//!
-//! When a generated schedule makes a run violate an invariant, the
-//! schedule itself is the repro — but a 4-window schedule is a poor bug
-//! report. [`shrink_to_failing_prefix`] re-runs the failing predicate on
-//! successively longer prefixes (windows ordered by start time) and
-//! returns the shortest one that still fails, the property-testing shrink
-//! idiom applied to fault schedules.
 
 use std::time::Duration;
 
@@ -40,7 +32,7 @@ impl ChaosTargets {
     }
 
     /// Every distinct target node, ingress first, insertion order kept.
-    pub fn all(&self) -> Vec<String> {
+    pub(crate) fn all(&self) -> Vec<String> {
         let mut all: Vec<String> = Vec::with_capacity(self.ingress.len() + self.sealers.len());
         for name in self.ingress.iter().chain(self.sealers.iter()) {
             if !all.contains(name) {
@@ -48,11 +40,6 @@ impl ChaosTargets {
             }
         }
         all
-    }
-
-    /// Whether there is anything to fault at all.
-    pub fn is_empty(&self) -> bool {
-        self.ingress.is_empty() && self.sealers.is_empty()
     }
 }
 
@@ -87,9 +74,8 @@ const MAX_SPIKE_MS: u64 = 200;
 ///   overlap, overlapping partitions and stacking latency spikes stay
 ///   possible: they are defined behaviour worth probing);
 /// * only discovered target names are referenced, so
-///   [`FaultPlan::validate_against`] the deployed topology holds too;
-/// * windows are emitted sorted by start time, which is what makes
-///   prefix shrinking meaningful.
+///   `FaultPlan::validate_against` the deployed topology holds too;
+/// * windows are emitted sorted by start time.
 ///
 /// With empty `targets`, or a horizon too tight for any window, the plan
 /// is empty (nothing to fault).
@@ -114,26 +100,6 @@ pub fn generate(seed: u64, targets: &ChaosTargets, horizon: Duration) -> FaultPl
     }
     plan.windows.sort_by_key(|w| w.start);
     plan
-}
-
-/// Minimizes a failing schedule: returns the shortest prefix of `plan`'s
-/// windows (in order, so sorted-by-start for generated plans) on which
-/// `fails` still returns `true`, re-running the predicate once per prefix
-/// length from the empty plan upward. Returns `None` when not even the
-/// full plan fails — the original failure did not reproduce.
-///
-/// The predicate typically re-runs a whole evaluation under the candidate
-/// plan and re-checks the violated invariant, so expect one evaluation
-/// per window plus one for the empty plan.
-pub fn shrink_to_failing_prefix(
-    plan: &FaultPlan,
-    mut fails: impl FnMut(&FaultPlan) -> bool,
-) -> Option<FaultPlan> {
-    (0..=plan.windows.len())
-        .map(|len| FaultPlan {
-            windows: plan.windows[..len].to_vec(),
-        })
-        .find(|prefix| fails(prefix))
 }
 
 /// `plan` with one more drawn window; `None` when the horizon leaves no
@@ -212,8 +178,14 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::Fault;
     use hammer_rpc::json::Value;
+
+    impl ChaosTargets {
+        /// Whether there is anything to fault at all.
+        fn is_empty(&self) -> bool {
+            self.ingress.is_empty() && self.sealers.is_empty()
+        }
+    }
 
     const HORIZON: Duration = Duration::from_secs(20);
 
@@ -383,39 +355,5 @@ mod tests {
             plan.validate().unwrap();
             assert!(plan.is_empty());
         }
-    }
-
-    #[test]
-    fn shrinker_finds_the_smallest_failing_prefix() {
-        let plan = FaultPlan::new()
-            .crash("a", Duration::from_secs(1), Duration::from_secs(2))
-            .blackhole("b", Duration::from_secs(3), Duration::from_secs(4))
-            .crash("a", Duration::from_secs(5), Duration::from_secs(6))
-            .latency_spike(
-                Duration::from_millis(50),
-                Duration::from_secs(7),
-                Duration::from_secs(8),
-            );
-        // "Fails" whenever the plan contains the second crash on `a` —
-        // the minimal failing prefix is the first three windows.
-        let mut evaluations = 0usize;
-        let shrunk = shrink_to_failing_prefix(&plan, |p| {
-            evaluations += 1;
-            p.windows()
-                .iter()
-                .filter(|w| matches!(&w.fault, Fault::Crash { node } if node == "a"))
-                .count()
-                >= 2
-        })
-        .expect("full plan fails");
-        assert_eq!(shrunk.windows().len(), 3);
-        assert_eq!(evaluations, 4, "prefixes 0..=3 evaluated once each");
-
-        // A predicate that never fails yields None.
-        assert!(shrink_to_failing_prefix(&plan, |_| false).is_none());
-
-        // A failure independent of the plan shrinks to the empty plan.
-        let empty = shrink_to_failing_prefix(&plan, |_| true).unwrap();
-        assert!(empty.is_empty());
     }
 }

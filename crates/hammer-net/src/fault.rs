@@ -27,7 +27,7 @@
 //! Four fault shapes cover the scenarios robustness-oriented drivers
 //! (Gromit-style) inject. **Only the first two reach anything a run
 //! measures** — ingress gating (`check_node_ingress`) and the sealer's
-//! crash gate read [`FaultPlan::node_fault`], which knows crashes and
+//! crash gate read `FaultPlan::node_fault`, which knows crashes and
 //! blackholes only:
 //!
 //! * [`Fault::Crash`] — the node is down: chain simulators stop sealing
@@ -40,7 +40,7 @@
 //! * [`Fault::Partition`] — endpoints listed in different groups cannot
 //!   exchange messages for the window; unlisted endpoints talk to
 //!   everyone. **Today this moves only the accounting**
-//!   ([`FaultPlan::link_cut`] ⇒ `NetStats::faulted`,
+//!   (`FaultPlan::link_cut` ⇒ `NetStats::faulted`,
 //!   `hammer_net_dropped_total{reason="fault"}`): the simulated network
 //!   delivers nothing, so no ingress is turned away and no block goes
 //!   unsealed because of a partition. The window is still validated,
@@ -140,7 +140,7 @@ impl FaultWindow {
     }
 
     /// Whether `now` falls inside the window.
-    pub fn contains(&self, now: Duration) -> bool {
+    pub(crate) fn contains(&self, now: Duration) -> bool {
         self.start <= now && now < self.end
     }
 
@@ -155,7 +155,7 @@ impl FaultWindow {
 /// All but [`FaultPlanError::UnknownNode`] are intrinsic to the plan and
 /// come from [`FaultPlan::validate`]; `UnknownNode` arises where names meet
 /// a topology — a placeholder [`FaultPlan::resolve`] cannot resolve, or an
-/// endpoint [`FaultPlan::validate_against`] does not find.
+/// endpoint `FaultPlan::validate_against` does not find.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FaultPlanError {
     /// A window's `start >= end`, so it can never be active.
@@ -411,7 +411,7 @@ impl FaultPlan {
     /// included — listed twice, and no two same-kind state faults
     /// (crash/crash, blackhole/blackhole) overlapping on one node.
     /// Cross-kind overlap stays legal — a crash dominating a concurrent
-    /// blackhole is defined behaviour ([`FaultPlan::node_fault`]), and
+    /// blackhole is defined behaviour (`FaultPlan::node_fault`), and
     /// latency spikes and partitions stack by design.
     pub fn validate(&self) -> Result<(), FaultPlanError> {
         // What a JSON integer of milliseconds carries without loss.
@@ -474,7 +474,7 @@ impl FaultPlan {
     /// members) must appear in `topology`, so a typo'd node name — or a
     /// placeholder nobody resolved — fails loudly instead of producing a
     /// fault that never fires.
-    pub fn validate_against(&self, topology: &[String]) -> Result<(), FaultPlanError> {
+    pub(crate) fn validate_against(&self, topology: &[String]) -> Result<(), FaultPlanError> {
         self.validate()?;
         let known = |name: &str| topology.iter().any(|t| t == name);
         for w in &self.windows {
@@ -506,7 +506,7 @@ impl FaultPlan {
     }
 
     /// Whether a blackhole window covers `node` at `now`.
-    pub fn blackholed(&self, node: &str, now: Duration) -> bool {
+    pub(crate) fn blackholed(&self, node: &str, now: Duration) -> bool {
         self.windows.iter().any(|w| {
             w.contains(now) && matches!(&w.fault, Fault::Blackhole { node: n } if n == node)
         })
@@ -514,7 +514,7 @@ impl FaultPlan {
 
     /// The strongest impairment on `node` at `now`, if any. A crash
     /// dominates a blackhole when both windows overlap.
-    pub fn node_fault(&self, node: &str, now: Duration) -> Option<NodeFault> {
+    pub(crate) fn node_fault(&self, node: &str, now: Duration) -> Option<NodeFault> {
         if self.crashed(node, now) {
             Some(NodeFault::Crashed)
         } else if self.blackholed(node, now) {
@@ -527,7 +527,7 @@ impl FaultPlan {
     /// Whether the plan severs the directed link `from -> to` at `now`
     /// (either endpoint crashed or blackholed, or a partition window puts
     /// the endpoints in different groups).
-    pub fn link_cut(&self, from: &str, to: &str, now: Duration) -> bool {
+    pub(crate) fn link_cut(&self, from: &str, to: &str, now: Duration) -> bool {
         self.windows
             .iter()
             .filter(|w| w.contains(now))

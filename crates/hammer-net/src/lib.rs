@@ -28,9 +28,7 @@
 //!   window type, its one JSON form, and the one resolver of `ingress:N` /
 //!   `sealer:N` / `rest` placeholders against a deployed chain.
 //! * [`chaos::generate`] — a seeded generator of valid randomized fault
-//!   plans over discovered fault targets, with no options, plus
-//!   [`chaos::shrink_to_failing_prefix`], which reduces a failing schedule
-//!   to its smallest failing prefix.
+//!   plans over discovered fault targets, with no options.
 //! * [`tcp`] — the one *real* transport: length-prefixed JSON-RPC over
 //!   TCP ([`tcp::TcpRpcServer`] / [`tcp::TcpRpcClient`]), used by the
 //!   multi-process deploy mode where each chain node runs as its own OS
@@ -74,10 +72,9 @@ pub mod thread;
 
 pub use chaos::ChaosTargets;
 pub use clock::{SimClock, StopSignal};
-pub use fault::{Fault, FaultPlan, FaultPlanError, FaultWindow, NodeFault};
+pub use fault::{FaultPlan, NodeFault};
 pub use link::LinkConfig;
-pub use network::{FaultObserver, NetError, SimNetwork, DEFAULT_NET_SEED};
+pub use network::{FaultObserver, SimNetwork};
 pub use tcp::{
-    RawHandler, ReconnectPolicy, TcpClientConfig, TcpError, TcpRpcClient, TcpRpcServer,
-    TcpServerConfig,
+    RawHandler, ReconnectPolicy, TcpClientConfig, TcpRpcClient, TcpRpcServer, TcpServerConfig,
 };

@@ -46,7 +46,7 @@ impl LinkConfig {
     }
 
     /// An ideal link with zero delay and no loss, for pure-logic tests.
-    pub fn ideal() -> Self {
+    pub(crate) fn ideal() -> Self {
         LinkConfig {
             base_latency: Duration::ZERO,
             jitter: Duration::ZERO,
@@ -57,7 +57,7 @@ impl LinkConfig {
 
     /// Validates the configuration, returning a description of the first
     /// problem found.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.loss_probability) {
             return Err(format!(
                 "loss_probability must be in [0, 1], got {}",
@@ -71,7 +71,7 @@ impl LinkConfig {
     }
 
     /// Samples whether this message is lost.
-    pub fn sample_loss<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    pub(crate) fn sample_loss<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         self.loss_probability > 0.0 && rng.gen::<f64>() < self.loss_probability
     }
 }

@@ -25,7 +25,7 @@ use crate::link::LinkConfig;
 /// Default RNG seed for loss sampling. One fixed seed (rather than
 /// per-call-site entropy) keeps probabilistic loss reproducible; override
 /// it per run with [`SimNetwork::with_seed`].
-pub const DEFAULT_NET_SEED: u64 = 0xbeef_cafe;
+pub(crate) const DEFAULT_NET_SEED: u64 = 0xbeef_cafe;
 
 /// Errors from network operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,15 +125,15 @@ impl std::fmt::Debug for SimNetwork {
 
 impl SimNetwork {
     /// Creates a network with the given clock and default link quality.
-    /// Uses [`DEFAULT_NET_SEED`] for loss sampling; see
-    /// [`SimNetwork::with_seed`].
+    /// Uses `DEFAULT_NET_SEED` for loss sampling; see
+    /// `SimNetwork::with_seed`.
     pub fn new(clock: SimClock, default_link: LinkConfig) -> Self {
         Self::with_seed(clock, default_link, DEFAULT_NET_SEED)
     }
 
     /// Creates a network whose probabilistic loss sampling is driven by
     /// `seed`, so lossy-link and fault runs are reproducible end to end.
-    pub fn with_seed(clock: SimClock, default_link: LinkConfig, seed: u64) -> Self {
+    pub(crate) fn with_seed(clock: SimClock, default_link: LinkConfig, seed: u64) -> Self {
         default_link
             .validate()
             .expect("default link configuration must be valid");
@@ -251,7 +251,7 @@ impl SimNetwork {
     }
 
     /// Whether an enabled observability bundle is installed.
-    pub fn obs_on(&self) -> bool {
+    pub(crate) fn obs_on(&self) -> bool {
         self.shared.obs_enabled.load(Ordering::Relaxed)
     }
 

@@ -165,7 +165,7 @@ impl TcpRpcServer {
     }
 
     /// Total requests dispatched across all connections so far.
-    pub fn served(&self) -> u64 {
+    pub(crate) fn served(&self) -> u64 {
         self.served.load(Ordering::Relaxed)
     }
 
@@ -363,7 +363,7 @@ impl ReconnectPolicy {
 
     /// The backoff to sleep after failed attempt number `attempt`
     /// (0-based).
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> Duration {
         let factor = self.multiplier.max(1.0).powi(attempt.min(24) as i32);
         self.base_backoff.mul_f64(factor).min(self.max_backoff)
     }

@@ -17,7 +17,7 @@ use crate::mat::Mat;
 /// concatenation `[x_{t}, x_{t-d}, ..., x_{t-(k-1)d}]` (zero-padded before
 /// the sequence start), so the convolution becomes one matrix product.
 #[derive(Clone, Debug)]
-pub struct CausalConv1d {
+pub(crate) struct CausalConv1d {
     in_channels: usize,
     kernel: usize,
     dilation: usize,
@@ -34,7 +34,7 @@ impl CausalConv1d {
     /// # Panics
     ///
     /// Panics when `kernel` or `dilation` is zero.
-    pub fn new<R: Rng + ?Sized>(
+    pub(crate) fn new<R: Rng + ?Sized>(
         in_channels: usize,
         out_channels: usize,
         kernel: usize,

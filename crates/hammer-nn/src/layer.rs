@@ -16,13 +16,13 @@ pub struct Param {
 
 impl Param {
     /// A parameter with zeroed gradient.
-    pub fn new(value: Mat) -> Self {
+    pub(crate) fn new(value: Mat) -> Self {
         let grad = Mat::zeros(value.rows(), value.cols());
         Param { value, grad }
     }
 
     /// Zeroes the gradient.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad = Mat::zeros(self.value.rows(), self.value.cols());
     }
 }

@@ -33,9 +33,9 @@ pub mod optim;
 pub mod rnn;
 
 pub use attention::MultiHeadAttention;
-pub use conv::{CausalConv1d, TcnBlock};
+pub use conv::TcnBlock;
 pub use layer::{Layer, Linear, Param, Relu, Sequential};
 pub use loss::mae_loss;
 pub use mat::Mat;
 pub use optim::Adam;
-pub use rnn::{BiGru, Gru, VanillaRnn};
+pub use rnn::{BiGru, VanillaRnn};

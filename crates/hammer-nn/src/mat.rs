@@ -34,7 +34,7 @@ impl Mat {
     }
 
     /// Xavier/Glorot-uniform initialisation for a `rows × cols` weight.
-    pub fn xavier<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Self {
+    pub(crate) fn xavier<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Self {
         let bound = (6.0 / (rows + cols) as f32).sqrt();
         let data = (0..rows * cols)
             .map(|_| rng.gen_range(-bound..bound))
@@ -58,7 +58,7 @@ impl Mat {
     }
 
     /// Mutable raw data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
@@ -91,7 +91,7 @@ impl Mat {
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Mat) -> Mat {
+    pub(crate) fn matmul(&self, other: &Mat) -> Mat {
         assert_eq!(
             self.cols, other.rows,
             "matmul dimension mismatch: {}x{} · {}x{}",
@@ -115,7 +115,7 @@ impl Mat {
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> Mat {
+    pub(crate) fn transpose(&self) -> Mat {
         let mut out = Mat::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -126,7 +126,7 @@ impl Mat {
     }
 
     /// Elementwise sum (same shape).
-    pub fn add(&self, other: &Mat) -> Mat {
+    pub(crate) fn add(&self, other: &Mat) -> Mat {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let data = self
             .data
@@ -142,7 +142,7 @@ impl Mat {
     }
 
     /// Elementwise difference (same shape).
-    pub fn sub(&self, other: &Mat) -> Mat {
+    pub(crate) fn sub(&self, other: &Mat) -> Mat {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let data = self
             .data
@@ -158,7 +158,7 @@ impl Mat {
     }
 
     /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, other: &Mat) -> Mat {
+    pub(crate) fn hadamard(&self, other: &Mat) -> Mat {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         let data = self
             .data
@@ -174,7 +174,7 @@ impl Mat {
     }
 
     /// Adds `other` in place.
-    pub fn add_assign(&mut self, other: &Mat) {
+    pub(crate) fn add_assign(&mut self, other: &Mat) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
@@ -182,7 +182,7 @@ impl Mat {
     }
 
     /// Multiplies every element by a scalar.
-    pub fn scale(&self, k: f32) -> Mat {
+    pub(crate) fn scale(&self, k: f32) -> Mat {
         let data = self.data.iter().map(|a| a * k).collect();
         Mat {
             rows: self.rows,
@@ -192,7 +192,7 @@ impl Mat {
     }
 
     /// Applies `f` elementwise.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Mat {
+    pub(crate) fn map(&self, f: impl Fn(f32) -> f32) -> Mat {
         let data = self.data.iter().map(|a| f(*a)).collect();
         Mat {
             rows: self.rows,
@@ -202,7 +202,7 @@ impl Mat {
     }
 
     /// Adds a row vector (`1 × cols`) to every row.
-    pub fn add_row_broadcast(&self, bias: &Mat) -> Mat {
+    pub(crate) fn add_row_broadcast(&self, bias: &Mat) -> Mat {
         assert_eq!(bias.rows, 1);
         assert_eq!(bias.cols, self.cols);
         let mut out = self.clone();
@@ -215,7 +215,7 @@ impl Mat {
     }
 
     /// Sums all rows into a `1 × cols` vector (bias-gradient reduction).
-    pub fn sum_rows(&self) -> Mat {
+    pub(crate) fn sum_rows(&self) -> Mat {
         let mut out = Mat::zeros(1, self.cols);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -226,7 +226,7 @@ impl Mat {
     }
 
     /// Horizontal concatenation `[self | other]`.
-    pub fn hcat(&self, other: &Mat) -> Mat {
+    pub(crate) fn hcat(&self, other: &Mat) -> Mat {
         assert_eq!(self.rows, other.rows);
         let cols = self.cols + other.cols;
         let mut out = Mat::zeros(self.rows, cols);
@@ -238,7 +238,7 @@ impl Mat {
     }
 
     /// Column slice `[c0, c1)` as a new matrix.
-    pub fn col_slice(&self, c0: usize, c1: usize) -> Mat {
+    pub(crate) fn col_slice(&self, c0: usize, c1: usize) -> Mat {
         assert!(c0 <= c1 && c1 <= self.cols);
         let mut out = Mat::zeros(self.rows, c1 - c0);
         for r in 0..self.rows {
@@ -248,7 +248,7 @@ impl Mat {
     }
 
     /// Reverses the row order (time reversal for the backward GRU).
-    pub fn reverse_rows(&self) -> Mat {
+    pub(crate) fn reverse_rows(&self) -> Mat {
         let mut out = Mat::zeros(self.rows, self.cols);
         for r in 0..self.rows {
             out.row_mut(self.rows - 1 - r).copy_from_slice(self.row(r));
@@ -257,7 +257,7 @@ impl Mat {
     }
 
     /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
+    pub(crate) fn norm(&self) -> f32 {
         self.data.iter().map(|a| a * a).sum::<f32>().sqrt()
     }
 }

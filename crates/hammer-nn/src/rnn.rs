@@ -108,7 +108,7 @@ impl Layer for VanillaRnn {
 /// h_t = (1 - z_t) ⊙ h_{t-1} + z_t ⊙ h̃_t
 /// ```
 #[derive(Clone, Debug)]
-pub struct Gru {
+pub(crate) struct Gru {
     wz: Param,
     uz: Param,
     bz: Param,
@@ -135,7 +135,7 @@ struct GruStep {
 
 impl Gru {
     /// Creates a GRU with the given input and hidden sizes.
-    pub fn new<R: Rng + ?Sized>(input: usize, hidden: usize, rng: &mut R) -> Self {
+    pub(crate) fn new<R: Rng + ?Sized>(input: usize, hidden: usize, rng: &mut R) -> Self {
         Gru {
             wz: Param::new(Mat::xavier(input, hidden, rng)),
             uz: Param::new(Mat::xavier(hidden, hidden, rng)),

@@ -16,7 +16,7 @@ const JOURNAL_TAIL: usize = 8;
 
 /// Render a one-line sparkline for `points` (empty input → empty
 /// string; a constant series renders mid-height).
-pub fn sparkline(points: &[f64]) -> String {
+pub(crate) fn sparkline(points: &[f64]) -> String {
     if points.is_empty() {
         return String::new();
     }

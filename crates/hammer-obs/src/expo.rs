@@ -19,7 +19,7 @@ fn le_bounds() -> impl Iterator<Item = u64> {
 
 /// Render every metric in `registry` in Prometheus text format. A
 /// disabled registry renders to an empty string.
-pub fn render(registry: &Registry) -> String {
+pub(crate) fn render(registry: &Registry) -> String {
     let mut out = String::new();
     for (name, value) in registry.counters() {
         family_header(&mut out, &name, "counter");

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 /// Default ring capacity, sized for a full evaluation run's seals and
 /// fault transitions with headroom.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
 /// Discrete event classes recorded in the journal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +42,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable snake_case label used in the JSONL sink.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             EventKind::FaultEnter => "fault_enter",
             EventKind::FaultExit => "fault_exit",
@@ -88,7 +88,7 @@ pub struct Journal {
 
 impl Journal {
     /// Live journal with the given ring capacity (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         Journal {
             inner: Arc::new(JournalInner {
                 events: Mutex::new(VecDeque::new()),
@@ -99,13 +99,13 @@ impl Journal {
         }
     }
 
-    /// Live journal with [`DEFAULT_JOURNAL_CAPACITY`].
+    /// Live journal with `DEFAULT_JOURNAL_CAPACITY`.
     pub fn new() -> Self {
         Journal::with_capacity(DEFAULT_JOURNAL_CAPACITY)
     }
 
     /// Disabled journal: every push is a no-op.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Journal {
             inner: Arc::new(JournalInner {
                 events: Mutex::new(VecDeque::new()),
@@ -116,13 +116,8 @@ impl Journal {
         }
     }
 
-    /// Whether pushes take effect.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Append an event, evicting the oldest entry when full.
-    pub fn push(&self, event: JournalEvent) {
+    pub(crate) fn push(&self, event: JournalEvent) {
         if !self.enabled {
             return;
         }
@@ -234,23 +229,13 @@ impl Journal {
     }
 
     /// Number of buffered events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.events.lock().len()
     }
 
     /// Whether the ring is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Ring capacity (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity * usize::from(self.enabled)
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
     }
 
     /// Copy of the buffered events, oldest first.
@@ -286,11 +271,6 @@ impl Journal {
         }
         out
     }
-
-    /// Write the JSONL serialisation to `path`.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
 }
 
 impl Default for Journal {
@@ -302,6 +282,23 @@ impl Default for Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Journal {
+        /// Whether pushes take effect.
+        fn is_enabled(&self) -> bool {
+            self.enabled
+        }
+
+        /// Ring capacity (0 when disabled).
+        fn capacity(&self) -> usize {
+            self.inner.capacity * usize::from(self.enabled)
+        }
+
+        /// Events evicted because the ring was full.
+        fn dropped(&self) -> u64 {
+            self.inner.dropped.load(Ordering::Relaxed)
+        }
+    }
 
     #[test]
     fn ring_buffer_bounds_hold_and_oldest_is_evicted() {

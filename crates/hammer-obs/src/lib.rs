@@ -32,11 +32,13 @@ pub mod journal;
 pub mod metrics;
 pub mod span;
 
-pub use dash::{render_dashboard, sparkline};
-pub use expo::{parse as parse_prometheus, render as render_prometheus, Sample};
-pub use journal::{EventKind, Journal, JournalEvent, DEFAULT_JOURNAL_CAPACITY};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-pub use span::{LifecycleSpans, Stage, SPAN_METRIC};
+pub use dash::render_dashboard;
+pub use expo::parse as parse_prometheus;
+pub use journal::{EventKind, Journal, JournalEvent};
+pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use span::Stage;
+
+use span::LifecycleSpans;
 
 /// The observability bundle: one registry, one journal, one set of
 /// lifecycle spans. Cloning shares all underlying state (handles are
@@ -52,16 +54,11 @@ pub struct Obs {
 impl Obs {
     /// Live bundle with the default journal capacity.
     pub fn new() -> Self {
-        Obs::with_journal_capacity(DEFAULT_JOURNAL_CAPACITY)
-    }
-
-    /// Live bundle with an explicit journal ring capacity.
-    pub fn with_journal_capacity(capacity: usize) -> Self {
         let registry = Registry::new();
         let spans = LifecycleSpans::new(&registry);
         Obs {
             registry,
-            journal: Journal::with_capacity(capacity),
+            journal: Journal::new(),
             spans,
         }
     }

@@ -30,7 +30,7 @@ const SUB_BITS: usize = 5;
 const SUB: usize = 1 << SUB_BITS;
 /// Total bucket count covering the full `u64` range: buckets `0..32`
 /// hold exact values `0..32`, then 59 octaves of 32 sub-buckets each.
-pub const BUCKETS: usize = SUB + (64 - SUB_BITS) * SUB;
+pub(crate) const BUCKETS: usize = SUB + (64 - SUB_BITS) * SUB;
 
 /// Map a recorded value to its bucket index.
 #[inline]
@@ -80,7 +80,7 @@ impl Counter {
     }
 
     /// Detached handle that ignores every increment.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Counter::new(false)
     }
 
@@ -102,11 +102,6 @@ impl Counter {
     pub fn value(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
-
-    /// Whether records on this handle take effect.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
 }
 
 /// Settable gauge handle.
@@ -125,7 +120,7 @@ impl Gauge {
     }
 
     /// Detached handle that ignores every write.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Gauge::new(false)
     }
 
@@ -137,22 +132,9 @@ impl Gauge {
         }
     }
 
-    /// Add to the value (useful for free-running tallies).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if self.enabled {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Current value.
     pub fn value(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-
-    /// Whether writes on this handle take effect.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 }
 
@@ -261,11 +243,6 @@ impl Histogram {
         self.inner.count.load(Ordering::Relaxed)
     }
 
-    /// Whether records on this handle take effect.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Immutable point-in-time copy for quantile computation.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let inner = &*self.inner;
@@ -326,33 +303,24 @@ impl HistogramSnapshot {
     }
 
     /// Median.
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.quantile(0.50)
     }
 
     /// 95th percentile.
-    pub fn p95(&self) -> u64 {
+    pub(crate) fn p95(&self) -> u64 {
         self.quantile(0.95)
     }
 
     /// 99th percentile.
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Cumulative count of values recorded in buckets whose
     /// representative value is `<= bound` (Prometheus `le` semantics
     /// over bucket midpoints).
-    pub fn cumulative_le(&self, bound: u64) -> u64 {
+    pub(crate) fn cumulative_le(&self, bound: u64) -> u64 {
         let mut total = 0u64;
         for (idx, &n) in self.buckets.iter().enumerate() {
             if n != 0 && bucket_mid(idx) <= bound {
@@ -360,20 +328,6 @@ impl HistogramSnapshot {
             }
         }
         total
-    }
-
-    /// Fold another snapshot into this one (bucket-wise addition).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (d, s) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *d += s;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
     }
 }
 
@@ -404,7 +358,7 @@ impl Registry {
     }
 
     /// Disabled registry: every minted handle is a no-op.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         Registry {
             enabled: false,
             inner: Arc::new(RegistryInner::default()),
@@ -412,7 +366,7 @@ impl Registry {
     }
 
     /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -459,7 +413,7 @@ impl Registry {
     }
 
     /// Histogram handle for `name`, creating it on first use.
-    pub fn histogram(&self, name: &str) -> Histogram {
+    pub(crate) fn histogram(&self, name: &str) -> Histogram {
         if !self.enabled {
             return Histogram::disabled();
         }
@@ -475,12 +429,12 @@ impl Registry {
     }
 
     /// Histogram handle for `name` qualified by `labels`.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+    pub(crate) fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         self.histogram(&qualified(name, labels))
     }
 
     /// All counters, sorted by full name.
-    pub fn counters(&self) -> Vec<(String, u64)> {
+    pub(crate) fn counters(&self) -> Vec<(String, u64)> {
         self.inner
             .counters
             .read()
@@ -490,7 +444,7 @@ impl Registry {
     }
 
     /// All gauges, sorted by full name.
-    pub fn gauges(&self) -> Vec<(String, u64)> {
+    pub(crate) fn gauges(&self) -> Vec<(String, u64)> {
         self.inner
             .gauges
             .read()
@@ -500,7 +454,7 @@ impl Registry {
     }
 
     /// Snapshots of all histograms, sorted by full name.
-    pub fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
+    pub(crate) fn histograms(&self) -> Vec<(String, HistogramSnapshot)> {
         self.inner
             .histograms
             .read()
@@ -536,6 +490,34 @@ fn qualified(name: &str, labels: &[(&str, &str)]) -> String {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+
+    impl Histogram {
+        /// Whether records take effect.
+        pub(crate) fn is_enabled(&self) -> bool {
+            self.enabled
+        }
+    }
+
+    impl HistogramSnapshot {
+        /// Mean of recorded values (0 when empty).
+        fn mean(&self) -> f64 {
+            if self.count == 0 {
+                0.0
+            } else {
+                self.sum as f64 / self.count as f64
+            }
+        }
+    }
+
+    impl Gauge {
+        /// Add to the value (useful for free-running tallies).
+        #[inline]
+        fn add(&self, n: u64) {
+            if self.enabled {
+                self.cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
 
     #[test]
     fn bucket_index_is_monotone_and_in_range() {
@@ -638,22 +620,6 @@ mod tests {
         assert_eq!(left.snapshot(), right.snapshot());
         assert_eq!(left.snapshot(), rev.snapshot());
         assert_eq!(left.count(), 2100);
-    }
-
-    #[test]
-    fn snapshot_merge_matches_histogram_merge() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in 0..100u64 {
-            a.record(v * 7);
-            b.record(v * 13 + 5);
-        }
-        let merged = Histogram::new();
-        merged.merge(&a);
-        merged.merge(&b);
-        let mut snap = a.snapshot();
-        snap.merge(&b.snapshot());
-        assert_eq!(snap, merged.snapshot());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::time::Duration;
 
-use crate::metrics::{Histogram, HistogramSnapshot, Registry};
+use crate::metrics::{Histogram, Registry};
 
 /// Pipeline stage of a transaction's life. Each stage has a duration
 /// histogram measuring the interval that *ends* at that stage.
@@ -40,7 +40,7 @@ pub enum Stage {
 
 impl Stage {
     /// All stages in pipeline order.
-    pub const ALL: [Stage; 6] = [
+    pub(crate) const ALL: [Stage; 6] = [
         Stage::Generated,
         Stage::Signed,
         Stage::Submitted,
@@ -50,7 +50,7 @@ impl Stage {
     ];
 
     /// Stable lowercase label used in metric names.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Stage::Generated => "generated",
             Stage::Signed => "signed",
@@ -75,37 +75,27 @@ impl Stage {
 
 /// Base metric name of the per-stage duration histograms; the stage is
 /// attached as a `stage` label.
-pub const SPAN_METRIC: &str = "hammer_span_stage_ns";
+pub(crate) const SPAN_METRIC: &str = "hammer_span_stage_ns";
 
 /// Bundle of per-stage duration histograms registered on a
 /// [`Registry`]. Cloning shares the underlying histograms.
 #[derive(Clone)]
 pub struct LifecycleSpans {
     stages: [Histogram; 6],
-    enabled: bool,
 }
 
 impl LifecycleSpans {
     /// Register one histogram per stage on `registry` (disabled
     /// registries yield disabled spans).
-    pub fn new(registry: &Registry) -> Self {
+    pub(crate) fn new(registry: &Registry) -> Self {
         let stages =
             Stage::ALL.map(|s| registry.histogram_with(SPAN_METRIC, &[("stage", s.as_str())]));
-        LifecycleSpans {
-            enabled: registry.is_enabled(),
-            stages,
-        }
+        LifecycleSpans { stages }
     }
 
     /// Disabled spans: every record is a no-op.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         LifecycleSpans::new(&Registry::disabled())
-    }
-
-    /// Whether records take effect. Callers on hot paths should gate
-    /// timestamp capture on this to avoid paying for `clock.now()`.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Record a duration sample for `stage`.
@@ -118,16 +108,18 @@ impl LifecycleSpans {
     pub fn histogram(&self, stage: Stage) -> &Histogram {
         &self.stages[stage.index()]
     }
-
-    /// Snapshot of one stage's histogram.
-    pub fn snapshot(&self, stage: Stage) -> HistogramSnapshot {
-        self.stages[stage.index()].snapshot()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LifecycleSpans {
+        /// Whether records take effect.
+        fn is_enabled(&self) -> bool {
+            self.stages.iter().all(Histogram::is_enabled)
+        }
+    }
 
     #[test]
     fn stages_record_into_distinct_histograms() {

@@ -20,7 +20,7 @@ pub struct Normalizer {
 
 impl Normalizer {
     /// Fits on a series.
-    pub fn fit(series: &[f64]) -> Self {
+    pub(crate) fn fit(series: &[f64]) -> Self {
         if series.is_empty() {
             return Normalizer {
                 mean: 0.0,
@@ -36,12 +36,12 @@ impl Normalizer {
     }
 
     /// Normalises one value.
-    pub fn normalize(&self, v: f64) -> f64 {
+    pub(crate) fn normalize(&self, v: f64) -> f64 {
         (v - self.mean) / self.std
     }
 
     /// Inverts the normalisation.
-    pub fn denormalize(&self, v: f64) -> f64 {
+    pub(crate) fn denormalize(&self, v: f64) -> f64 {
         v * self.std + self.mean
     }
 }
@@ -101,7 +101,7 @@ impl Dataset {
 }
 
 /// Sliding `(window, next)` samples over a series.
-pub fn windows(series: &[f64], window: usize) -> Vec<(&[f64], f64)> {
+pub(crate) fn windows(series: &[f64], window: usize) -> Vec<(&[f64], f64)> {
     if series.len() <= window {
         return Vec::new();
     }

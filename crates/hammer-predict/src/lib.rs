@@ -23,7 +23,7 @@ pub mod generate;
 pub mod metrics;
 pub mod models;
 
-pub use dataset::{Dataset, Normalizer, WINDOW};
+pub use dataset::{Dataset, WINDOW};
 pub use generate::generate_sequence;
 pub use metrics::{evaluate, Metrics};
 pub use models::{Model, TrainConfig};

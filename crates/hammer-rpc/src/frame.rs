@@ -29,7 +29,7 @@
 //! sockets.
 
 /// Size of the length prefix, in bytes.
-pub const HEADER_LEN: usize = 4;
+pub(crate) const HEADER_LEN: usize = 4;
 
 /// Maximum payload length a frame may carry (8 MiB).
 ///
@@ -135,11 +135,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet returned as part of a frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Returns the next complete frame's payload, `Ok(None)` if more
     /// bytes are needed, or the poisoning [`FrameError`] on a protocol
     /// violation.
@@ -197,6 +192,13 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FrameDecoder {
+        /// Bytes buffered but not yet returned as part of a frame.
+        pub(crate) fn buffered(&self) -> usize {
+            self.buf.len() - self.pos
+        }
+    }
 
     fn framed(payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 /// Maximum nesting depth [`Value::parse`] accepts before returning a
 /// [`JsonError`]. Bounds stack use on adversarial inputs like `[[[[…]]]]`.
-pub const MAX_PARSE_DEPTH: usize = 128;
+pub(crate) const MAX_PARSE_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,14 +124,6 @@ impl Value {
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Indexes into an array; `None` out of range or for non-arrays.
-    pub fn at(&self, index: usize) -> Option<&Value> {
-        match self {
-            Value::Array(items) => items.get(index),
             _ => None,
         }
     }
@@ -263,7 +255,7 @@ impl Value {
     /// use hammer_rpc::json::Value;
     /// let v = Value::parse(r#"{"n": 42, "xs": [1, 2.5, "three"]}"#).unwrap();
     /// assert_eq!(v.get("n").unwrap().as_i64(), Some(42));
-    /// assert_eq!(v.get("xs").unwrap().at(2).unwrap().as_str(), Some("three"));
+    /// assert_eq!(v.get("xs").unwrap().as_array().unwrap()[2].as_str(), Some("three"));
     /// ```
     pub fn parse(input: &str) -> Result<Value, JsonError> {
         Value::parse_bytes(input.as_bytes())
@@ -273,7 +265,7 @@ impl Value {
     /// avoiding an up-front UTF-8 pass over the whole input: the parser is
     /// byte-oriented and only validates UTF-8 inside string literals.
     ///
-    /// Nesting deeper than [`MAX_PARSE_DEPTH`] is rejected with an error
+    /// Nesting deeper than `MAX_PARSE_DEPTH` is rejected with an error
     /// rather than overflowing the stack.
     pub fn parse_bytes(input: &[u8]) -> Result<Value, JsonError> {
         let mut p = Parser {
@@ -835,6 +827,16 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Value {
+        /// Indexes into an array; `None` out of range or for non-arrays.
+        fn at(&self, index: usize) -> Option<&Value> {
+            match self {
+                Value::Array(items) => items.get(index),
+                _ => None,
+            }
+        }
+    }
 
     #[test]
     fn parse_scalars() {

@@ -36,7 +36,7 @@ impl RpcErrorCode {
     }
 
     /// Reconstructs from a numeric wire code.
-    pub fn from_code(code: i64) -> Self {
+    pub(crate) fn from_code(code: i64) -> Self {
         match code {
             -32700 => RpcErrorCode::ParseError,
             -32600 => RpcErrorCode::InvalidRequest,
@@ -61,7 +61,7 @@ pub struct RpcError {
 
 impl RpcError {
     /// Convenience constructor without data.
-    pub fn new(code: RpcErrorCode, message: impl Into<String>) -> Self {
+    pub(crate) fn new(code: RpcErrorCode, message: impl Into<String>) -> Self {
         RpcError {
             code,
             message: message.into(),
@@ -70,7 +70,7 @@ impl RpcError {
     }
 
     /// A `MethodNotFound` error for `method`.
-    pub fn method_not_found(method: &str) -> Self {
+    pub(crate) fn method_not_found(method: &str) -> Self {
         Self::new(
             RpcErrorCode::MethodNotFound,
             format!("method not found: {method}"),
@@ -164,23 +164,13 @@ impl RpcRequest {
         Ok(RpcRequest { id, method, params })
     }
 
-    /// Serialises to JSON text.
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
     /// Serialises to JSON text, appending to a reusable buffer.
     pub fn to_json_into(&self, out: &mut String) {
         self.to_value().to_json_into(out);
     }
 
-    /// Parses from JSON text.
-    pub fn parse(text: &str) -> Result<Self, RpcError> {
-        Self::parse_bytes(text.as_bytes())
-    }
-
     /// Parses from raw JSON bytes (e.g. a reused receive buffer).
-    pub fn parse_bytes(bytes: &[u8]) -> Result<Self, RpcError> {
+    pub(crate) fn parse_bytes(bytes: &[u8]) -> Result<Self, RpcError> {
         let v = Value::parse_bytes(bytes)
             .map_err(|e| RpcError::new(RpcErrorCode::ParseError, e.to_string()))?;
         Self::from_value(&v)
@@ -198,7 +188,7 @@ pub struct RpcResponse {
 
 impl RpcResponse {
     /// A success response.
-    pub fn success(id: u64, result: Value) -> Self {
+    pub(crate) fn success(id: u64, result: Value) -> Self {
         RpcResponse {
             id,
             outcome: Ok(result),
@@ -259,7 +249,7 @@ impl RpcResponse {
     }
 
     /// Serialises to JSON text, appending to a reusable buffer.
-    pub fn to_json_into(&self, out: &mut String) {
+    pub(crate) fn to_json_into(&self, out: &mut String) {
         self.to_value().to_json_into(out);
     }
 
@@ -279,6 +269,18 @@ impl RpcResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RpcRequest {
+        /// Parses from JSON text.
+        fn parse(text: &str) -> Result<Self, RpcError> {
+            Self::parse_bytes(text.as_bytes())
+        }
+
+        /// Serialises to JSON text.
+        fn to_json(&self) -> String {
+            self.to_value().to_json()
+        }
+    }
 
     #[test]
     fn request_roundtrip() {

@@ -40,6 +40,6 @@ pub mod jsonrpc;
 pub mod transport;
 
 pub use frame::{FrameDecoder, FrameError, MAX_FRAME_LEN};
-pub use json::{JsonError, Value};
-pub use jsonrpc::{RpcError, RpcErrorCode, RpcRequest, RpcResponse};
+pub use json::Value;
+pub use jsonrpc::{RpcError, RpcRequest, RpcResponse};
 pub use transport::{RpcClient, RpcServer};

@@ -17,7 +17,7 @@ use crate::json::Value;
 use crate::jsonrpc::{RpcError, RpcRequest, RpcResponse};
 
 /// A method handler: receives the params value, returns a result or error.
-pub type Handler = Box<dyn Fn(Value) -> Result<Value, RpcError> + Send + Sync>;
+pub(crate) type Handler = Box<dyn Fn(Value) -> Result<Value, RpcError> + Send + Sync>;
 
 struct ServerInner {
     name: String,
@@ -50,11 +50,6 @@ impl RpcServer {
         }
     }
 
-    /// The server's display name.
-    pub fn name(&self) -> &str {
-        &self.inner.name
-    }
-
     /// Registers (or replaces) a handler for `method`.
     pub fn register<F>(&self, method: &str, handler: F)
     where
@@ -73,18 +68,8 @@ impl RpcServer {
         names
     }
 
-    /// Handles raw JSON-RPC request text, returning response text.
-    ///
-    /// This is the wire entry point a TCP listener would call.
-    pub fn handle_text(&self, text: &str) -> String {
-        let mut out = String::new();
-        self.handle_bytes_into(text.as_bytes(), &mut out);
-        out
-    }
-
     /// Handles raw JSON-RPC request bytes, appending the response text to a
-    /// caller-supplied buffer — the allocation-free twin of
-    /// [`RpcServer::handle_text`] for transports that reuse wire buffers.
+    /// caller-supplied buffer that a transport reuses across requests.
     pub fn handle_bytes_into(&self, request: &[u8], out: &mut String) {
         let response = match RpcRequest::parse_bytes(request) {
             Ok(req) => self.handle(req),
@@ -94,7 +79,7 @@ impl RpcServer {
     }
 
     /// Handles a parsed request.
-    pub fn handle(&self, req: RpcRequest) -> RpcResponse {
+    pub(crate) fn handle(&self, req: RpcRequest) -> RpcResponse {
         let handlers = self.inner.handlers.read();
         match handlers.get(&req.method) {
             Some(handler) => match handler(req.params) {
@@ -208,7 +193,8 @@ mod tests {
     #[test]
     fn malformed_wire_text_yields_parse_error() {
         let server = RpcServer::new("test");
-        let resp_text = server.handle_text("this is not json");
+        let mut resp_text = String::new();
+        server.handle_bytes_into(b"this is not json", &mut resp_text);
         let resp = RpcResponse::parse(&resp_text).unwrap();
         assert!(matches!(
             resp.outcome,

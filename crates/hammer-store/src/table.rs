@@ -52,12 +52,12 @@ pub struct PerfRow {
 
 impl PerfRow {
     /// Transaction latency, when completed.
-    pub fn latency(&self) -> Option<Duration> {
+    pub(crate) fn latency(&self) -> Option<Duration> {
         self.end_time.map(|e| e.saturating_sub(self.start_time))
     }
 
     /// The paper's boolean STATUS flag: committed successfully.
-    pub fn status_ok(&self) -> bool {
+    pub(crate) fn status_ok(&self) -> bool {
         self.outcome == RowOutcome::Committed
     }
 
@@ -70,7 +70,7 @@ impl PerfRow {
 
 /// What the aggregate queries read of a row: `(client_id, start, end,
 /// committed)`. Anything that has these can be summarised without a table.
-pub type RowView = (u32, Duration, Option<Duration>, bool);
+pub(crate) type RowView = (u32, Duration, Option<Duration>, bool);
 
 /// An append-mostly analytic table with the paper's queries.
 #[derive(Debug, Default)]
@@ -408,7 +408,7 @@ mod tests {
     mod reference {
         use super::*;
 
-        pub fn overall_tps(rows: &[PerfRow]) -> f64 {
+        pub(super) fn overall_tps(rows: &[PerfRow]) -> f64 {
             let committed: Vec<&PerfRow> = rows.iter().filter(|r| r.status_ok()).collect();
             if committed.is_empty() {
                 return 0.0;
@@ -422,7 +422,7 @@ mod tests {
             committed.len() as f64 / span
         }
 
-        pub fn latency_summary(rows: &[PerfRow]) -> LatencySummary {
+        pub(super) fn latency_summary(rows: &[PerfRow]) -> LatencySummary {
             let mut lats: Vec<f64> = rows
                 .iter()
                 .filter(|r| r.status_ok())
@@ -444,7 +444,7 @@ mod tests {
             }
         }
 
-        pub fn tps_series(rows: &[PerfRow], bucket: Duration) -> Vec<usize> {
+        pub(super) fn tps_series(rows: &[PerfRow], bucket: Duration) -> Vec<usize> {
             let commits = || {
                 rows.iter()
                     .filter(|r| r.status_ok())
@@ -462,7 +462,7 @@ mod tests {
             series
         }
 
-        pub fn per_client_committed(rows: &[PerfRow]) -> Vec<(u32, usize)> {
+        pub(super) fn per_client_committed(rows: &[PerfRow]) -> Vec<(u32, usize)> {
             let mut map: BTreeMap<u32, usize> = BTreeMap::new();
             for r in rows.iter().filter(|r| r.status_ok()) {
                 *map.entry(r.client_id).or_default() += 1;

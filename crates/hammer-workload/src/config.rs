@@ -107,40 +107,6 @@ impl WorkloadConfig {
         Ok(())
     }
 
-    /// Serialises to the JSON profile format.
-    pub fn to_json(&self) -> Value {
-        let dist = match self.distribution {
-            AccessDistribution::Uniform => Value::object([("type", Value::from("uniform"))]),
-            AccessDistribution::Zipfian { theta } => Value::object([
-                ("type", Value::from("zipfian")),
-                ("theta", Value::from(theta)),
-            ]),
-        };
-        Value::object([
-            (
-                "kind",
-                Value::from(match self.kind {
-                    WorkloadKind::SmallBank => "smallbank",
-                    WorkloadKind::Ycsb => "ycsb",
-                }),
-            ),
-            ("chain_name", Value::from(self.chain_name.clone())),
-            ("contract_name", Value::from(self.contract_name.clone())),
-            ("accounts", Value::from(self.accounts)),
-            ("read_ratio", Value::from(self.read_ratio)),
-            ("distribution", dist),
-            ("total_txs", Value::from(self.total_txs)),
-            ("clients", Value::from(self.clients as u64)),
-            (
-                "threads_per_client",
-                Value::from(self.threads_per_client as u64),
-            ),
-            ("initial_checking", Value::from(self.initial_checking)),
-            ("initial_savings", Value::from(self.initial_savings)),
-            ("seed", Value::from(self.seed)),
-        ])
-    }
-
     /// Reads the JSON profile format onto `base`: a missing field keeps
     /// `base`'s value; a key the format does not define, or a value that
     /// does not fit its field (a negative, fractional or too-large
@@ -195,17 +161,53 @@ impl WorkloadConfig {
         config.validate().map_err(|e| ReadError::new(e.0))?;
         Ok(config)
     }
-
-    /// Parses from JSON text, over [`WorkloadConfig::default`].
-    pub fn parse(text: &str) -> Result<Self, ConfigError> {
-        let read = |text| Self::from_json(&Value::parse(text)?, Self::default());
-        read(text).map_err(|e| ConfigError(e.to_string()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl WorkloadConfig {
+        /// Serialises to the JSON profile format.
+        fn to_json(&self) -> Value {
+            let dist = match self.distribution {
+                AccessDistribution::Uniform => Value::object([("type", Value::from("uniform"))]),
+                AccessDistribution::Zipfian { theta } => Value::object([
+                    ("type", Value::from("zipfian")),
+                    ("theta", Value::from(theta)),
+                ]),
+            };
+            Value::object([
+                (
+                    "kind",
+                    Value::from(match self.kind {
+                        WorkloadKind::SmallBank => "smallbank",
+                        WorkloadKind::Ycsb => "ycsb",
+                    }),
+                ),
+                ("chain_name", Value::from(self.chain_name.clone())),
+                ("contract_name", Value::from(self.contract_name.clone())),
+                ("accounts", Value::from(self.accounts)),
+                ("read_ratio", Value::from(self.read_ratio)),
+                ("distribution", dist),
+                ("total_txs", Value::from(self.total_txs)),
+                ("clients", Value::from(self.clients as u64)),
+                (
+                    "threads_per_client",
+                    Value::from(self.threads_per_client as u64),
+                ),
+                ("initial_checking", Value::from(self.initial_checking)),
+                ("initial_savings", Value::from(self.initial_savings)),
+                ("seed", Value::from(self.seed)),
+            ])
+        }
+
+        /// Parses from JSON text, over [`WorkloadConfig::default`].
+        fn parse(text: &str) -> Result<Self, ConfigError> {
+            let read = |text| Self::from_json(&Value::parse(text)?, Self::default());
+            read(text).map_err(|e| ConfigError(e.to_string()))
+        }
+    }
 
     #[test]
     fn default_validates() {

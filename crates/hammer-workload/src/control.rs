@@ -108,7 +108,7 @@ impl ControlSequence {
     }
 
     /// Mean budget per slice.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.budgets.is_empty() {
             return 0.0;
         }

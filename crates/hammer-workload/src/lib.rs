@@ -12,7 +12,8 @@
 //!   operations.
 //! * [`ycsb`] — a YCSB-style key/value workload (the "self-defined
 //!   workloads" extension point).
-//! * [`zipf`] — a from-scratch Zipfian sampler for skewed account access.
+//! * `zipf` (crate-private) — a from-scratch Zipfian sampler for skewed
+//!   account access, selected by [`AccessDistribution::Zipfian`].
 //! * [`control`] — control sequences: per-slice concurrency budgets that
 //!   make synthetic load follow real temporal shapes.
 //! * [`traces`] — seeded synthetic equivalents of the paper's three
@@ -26,11 +27,10 @@ pub mod control;
 pub mod smallbank;
 pub mod traces;
 pub mod ycsb;
-pub mod zipf;
+mod zipf;
 
 pub use config::{AccessDistribution, WorkloadConfig, WorkloadKind};
 pub use control::ControlSequence;
 pub use smallbank::SmallBankGenerator;
 pub use traces::{TraceKind, TraceSpec};
 pub use ycsb::YcsbGenerator;
-pub use zipf::Zipfian;

@@ -91,7 +91,7 @@ impl SmallBankGenerator {
 
     /// Generates the next unsigned transaction. `client_id`/`server_id`
     /// are stamped by the driver when it assigns work.
-    pub fn next_tx(&mut self, client_id: u32, server_id: u32) -> Transaction {
+    pub(crate) fn next_tx(&mut self, client_id: u32, server_id: u32) -> Transaction {
         let op = self.next_op();
         let nonce = self.next_nonce;
         self.next_nonce += 1;
@@ -106,7 +106,7 @@ impl SmallBankGenerator {
     }
 
     /// Generates the next operation following the configured mix.
-    pub fn next_op(&mut self) -> Op {
+    pub(crate) fn next_op(&mut self) -> Op {
         if self.config.read_ratio > 0.0 && self.rng.gen::<f64>() < self.config.read_ratio {
             return Op::Balance {
                 account: self.pick_account(),

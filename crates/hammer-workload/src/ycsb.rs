@@ -58,7 +58,7 @@ impl YcsbGenerator {
     }
 
     /// Generates the next operation following the configured read mix.
-    pub fn next_op(&mut self) -> Op {
+    pub(crate) fn next_op(&mut self) -> Op {
         if self.rng.gen::<f64>() < self.config.read_ratio {
             Op::KvGet {
                 key: self.pick_key(),
@@ -72,7 +72,7 @@ impl YcsbGenerator {
     }
 
     /// Generates the next unsigned transaction.
-    pub fn next_tx(&mut self, client_id: u32, server_id: u32) -> Transaction {
+    pub(crate) fn next_tx(&mut self, client_id: u32, server_id: u32) -> Transaction {
         let op = self.next_op();
         let nonce = self.next_nonce;
         self.next_nonce += 1;
@@ -96,14 +96,21 @@ impl YcsbGenerator {
             .map(|_| self.next_tx((self.next_nonce as u32) % self.config.clients, 0))
             .collect()
     }
+}
 
-    /// Generates the configured batch.
-    pub fn generate_all(&mut self) -> Vec<Transaction> {
-        self.next_segment(usize::MAX)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl YcsbGenerator {
+        /// Generates the configured batch.
+        fn generate_all(&mut self) -> Vec<Transaction> {
+            self.next_segment(usize::MAX)
+        }
     }
 
     /// The classic YCSB-A profile (50/50 read/update, uniform keys).
-    pub fn workload_a(keys: usize, seed: u64) -> WorkloadConfig {
+    fn workload_a(keys: usize, seed: u64) -> WorkloadConfig {
         WorkloadConfig {
             kind: WorkloadKind::Ycsb,
             contract_name: "kv".to_owned(),
@@ -114,15 +121,10 @@ impl YcsbGenerator {
             ..WorkloadConfig::default()
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn workload_a_mix() {
-        let mut generator = YcsbGenerator::new(YcsbGenerator::workload_a(100, 1));
+        let mut generator = YcsbGenerator::new(workload_a(100, 1));
         let reads = (0..10_000)
             .filter(|_| matches!(generator.next_op(), Op::KvGet { .. }))
             .count();
@@ -134,7 +136,7 @@ mod tests {
     fn workload_c_is_read_only() {
         let mut generator = YcsbGenerator::new(WorkloadConfig {
             read_ratio: 1.0,
-            ..YcsbGenerator::workload_a(100, 1)
+            ..workload_a(100, 1)
         });
         assert!((0..5_000).all(|_| matches!(generator.next_op(), Op::KvGet { .. })));
     }
@@ -144,7 +146,7 @@ mod tests {
         let mut generator = YcsbGenerator::new(WorkloadConfig {
             read_ratio: 0.95,
             distribution: AccessDistribution::Zipfian { theta: 0.99 },
-            ..YcsbGenerator::workload_a(100, 1)
+            ..workload_a(100, 1)
         });
         let mut reads = 0;
         let mut key_counts = std::collections::HashMap::new();
@@ -168,8 +170,8 @@ mod tests {
 
     #[test]
     fn deterministic_generation() {
-        let a = YcsbGenerator::new(YcsbGenerator::workload_a(100, 9)).generate_all();
-        let b = YcsbGenerator::new(YcsbGenerator::workload_a(100, 9)).generate_all();
+        let a = YcsbGenerator::new(workload_a(100, 9)).generate_all();
+        let b = YcsbGenerator::new(workload_a(100, 9)).generate_all();
         assert_eq!(a, b);
     }
 
@@ -180,7 +182,7 @@ mod tests {
             let config = WorkloadConfig {
                 clients: 3,
                 total_txs: n,
-                ..YcsbGenerator::workload_a(100, 9)
+                ..workload_a(100, 9)
             };
             let whole = YcsbGenerator::new(config.clone()).generate_all();
             assert_eq!(whole.len(), n);

@@ -9,7 +9,7 @@ use rand::Rng;
 ///
 /// `theta = 0` degenerates to uniform; classic YCSB uses `theta = 0.99`.
 #[derive(Clone, Debug)]
-pub struct Zipfian {
+pub(crate) struct Zipfian {
     /// Cumulative distribution, cdf[i] = P(X <= i).
     cdf: Vec<f64>,
 }
@@ -20,7 +20,7 @@ impl Zipfian {
     /// # Panics
     ///
     /// Panics when `n == 0` or `theta` is negative/non-finite.
-    pub fn new(n: usize, theta: f64) -> Self {
+    pub(crate) fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "Zipfian needs at least one item");
         assert!(
             theta.is_finite() && theta >= 0.0,
@@ -39,18 +39,8 @@ impl Zipfian {
         Zipfian { cdf: weights }
     }
 
-    /// Number of items.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Always false (construction requires `n > 0`).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Draws one item index.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         // Binary search for the first cdf entry >= u.
         match self

@@ -25,12 +25,16 @@ cargo fmt --all --check
 
 echo "==> architecture rules: [lints] inherited, scripts/grep_gates.tsv, four bespoke checks"
 # Every first-party manifest inherits the workspace's `unsafe_code =
-# "forbid"`; hammer-crypto, whose sha256::x86 holds the one allow, denies
-# it in its own [lints.rust] instead.
+# "forbid"` and `unreachable_pub = "warn"`; hammer-crypto, whose
+# sha256::x86 holds the one allow, denies unsafe_code in its own
+# [lints.rust] instead and names unreachable_pub there too.
+grep -qx 'unreachable_pub = "warn"' Cargo.toml \
+    || fail_on "Cargo.toml's [workspace.lints.rust] does not warn on unreachable_pub"
 for manifest in Cargo.toml crates/*/Cargo.toml; do
     grep -A1 -x '\[lints\]' "$manifest" | grep -qx 'workspace = true' \
-        || grep -qx 'unsafe_code = "deny"' "$manifest" \
-        || fail_on "$manifest has no [lints] workspace = true: unsafe_code is not forbidden there"
+        || { grep -qx 'unsafe_code = "deny"' "$manifest" \
+            && grep -qx 'unreachable_pub = "warn"' "$manifest"; } \
+        || fail_on "$manifest has no [lints] workspace = true and does not set both unsafe_code = \"deny\" and unreachable_pub = \"warn\""
 done
 # One row, one rule (the file's header gives the columns). A row fails
 # closed: a missing path, a pattern or except grep cannot compile (exit 2),
@@ -77,12 +81,14 @@ done <scripts/grep_gates.tsv
 
 echo "==> cargo clippy (-D warnings)"
 # The [lints] tables: the workspace forbids unsafe_code, hammer-crypto
-# denies it and clippy::undocumented_unsafe_blocks. The driver module opts
-# into clippy::too_many_lines (threshold 150, clippy.toml), so no stage
-# function can grow back into a monolith. clippy.toml's disallowed-methods
-# rejects the four std thread spawns (std::thread::spawn, Builder::spawn,
-# Builder::spawn_scoped, Scope::spawn) in every target, tests included: a
-# thread starts through hammer_net::thread, which names it.
+# denies it and clippy::undocumented_unsafe_blocks; both warn on
+# unreachable_pub, so a `pub` item no other crate can reach fails here.
+# The driver module opts into clippy::too_many_lines (threshold 150,
+# clippy.toml), so no stage function can grow back into a monolith.
+# clippy.toml's disallowed-methods rejects the four std thread spawns
+# (std::thread::spawn, Builder::spawn, Builder::spawn_scoped, Scope::spawn)
+# in every target, tests included: a thread starts through
+# hammer_net::thread, which names it.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo doc (-D warnings)"

@@ -28,7 +28,7 @@ static GUARD: Mutex<()> = Mutex::new(());
 /// (`LeakProbe::start`, `live_threads`) taken inside that hand-over is
 /// off by one for the rest of the test, so this waits until two reads
 /// of the thread count 20 ms apart agree.
-pub fn serial_guard() -> MutexGuard<'static, ()> {
+pub(crate) fn serial_guard() -> MutexGuard<'static, ()> {
     let guard = GUARD.lock();
     let mut threads = live_threads();
     loop {
@@ -45,11 +45,11 @@ pub fn serial_guard() -> MutexGuard<'static, ()> {
 /// and call, removed with everything in it on drop: a recoverable run's
 /// directory. Not every test binary makes one.
 #[allow(dead_code)]
-pub struct TempDir(PathBuf);
+pub(crate) struct TempDir(PathBuf);
 
 #[allow(dead_code)]
 impl TempDir {
-    pub fn new(label: &str) -> Self {
+    pub(crate) fn new(label: &str) -> Self {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let name = format!("hammer-test-{label}-{}-{n}", std::process::id());
@@ -60,7 +60,7 @@ impl TempDir {
         TempDir(path)
     }
 
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.0
     }
 }
