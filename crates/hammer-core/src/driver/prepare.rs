@@ -1,13 +1,14 @@
-//! The **Prepare** stage (Fig. 3, steps 1-3): validate, seed, start the
-//! generator and the signer, and on a resumed run restore the checkpoint.
+//! The **Prepare** stage (Fig. 3, steps 1-3): validate, seed, hand the
+//! workload generator to the signers, and on a resumed run restore the
+//! checkpoint.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::Ordering;
 
-use crossbeam::channel::Receiver;
 use hammer_chain::types::{Transaction, TxId, TxStatus};
 use hammer_crypto::sig::SigParams;
 use hammer_crypto::Keypair;
+use hammer_net::SimClock;
 use hammer_obs::{Obs, Stage};
 use hammer_workload::{SmallBankGenerator, WorkloadKind, YcsbGenerator};
 
@@ -60,23 +61,18 @@ impl Inputs<'_> {
         Ok(Some(cp))
     }
 
-    /// Seeds the SmallBank account fixtures on this thread, then starts the
-    /// generator thread; returns the queue of unsigned segments it fills.
-    /// Transactions whose id is in `owned` (the ones a checkpoint settled)
-    /// are dropped before they reach a signer: an id hashes the signable
-    /// bytes, not the signature.
+    /// Seeds the SmallBank account fixtures on this thread and returns the
+    /// workload's claim function ([`claims`]); nothing is generated until a
+    /// signer claims it.
     fn generate(
         &self,
-        threads: usize,
         obs: &Obs,
         owned: HashSet<TxId>,
-    ) -> Receiver<Vec<Transaction>> {
+    ) -> impl FnMut(usize) -> Vec<Transaction> + Send + 'static {
         let workload = self.workload;
-        let total = self.control.total() as usize;
         let mut generation_config = workload.clone();
-        generation_config.total_txs = total;
-        let mut next_segment: Box<dyn FnMut(usize) -> Vec<Transaction> + Send> = match workload.kind
-        {
+        generation_config.total_txs = self.control.total() as usize;
+        let next: Box<dyn FnMut(usize) -> Vec<Transaction> + Send> = match workload.kind {
             WorkloadKind::SmallBank => {
                 let mut generator = SmallBankGenerator::new(generation_config);
                 for account in generator.accounts() {
@@ -93,53 +89,64 @@ impl Inputs<'_> {
                 Box::new(move |len| generator.next_segment(len))
             }
         };
-        let (obs, clock) = (obs.clone(), self.deployment.clock().clone());
-        // An empty segment ends the workload, so one the filter empties is
-        // followed by the next until a segment survives or the generator is
-        // dry.
-        signer::generate_segments(total, threads, move |len| loop {
-            let start = clock.now();
-            let mut unsigned = next_segment(len);
-            let dry = unsigned.is_empty();
-            if obs.enabled() && !dry {
-                // A segment is generated as a batch; attribute its cost
-                // evenly so the span count matches the transaction count.
-                let per_tx = clock.now().saturating_sub(start) / unsigned.len() as u32;
-                for _ in 0..unsigned.len() {
-                    obs.spans().record(Stage::Generated, per_tx);
-                }
-            }
-            if !owned.is_empty() {
-                unsigned.retain(|tx| !owned.contains(&tx.id()));
-            }
-            if dry || !unsigned.is_empty() {
-                return unsigned;
-            }
-        })
+        claims(next, owned, obs.clone(), self.deployment.clock().clone())
     }
 }
 
-/// Starts the configured signing strategy on the generator's segments: the
-/// pipelined one streams while execution runs, the batch strategies collect
-/// the whole workload and finish before returning.
+/// The generator's `next(max)` as the signers claim it: each claim records
+/// its `generated` spans and drops the ids in `owned` (the ones a
+/// checkpoint settled) before they reach a signer — an id hashes the
+/// signable bytes, not the signature. An empty claim ends the workload, so
+/// one the filter empties is followed by the next until a claim survives or
+/// the generator is dry.
+fn claims(
+    mut next: impl FnMut(usize) -> Vec<Transaction> + Send,
+    owned: HashSet<TxId>,
+    obs: Obs,
+    clock: SimClock,
+) -> impl FnMut(usize) -> Vec<Transaction> + Send {
+    move |len| loop {
+        let start = clock.now();
+        let mut unsigned = next(len);
+        let dry = unsigned.is_empty();
+        if obs.enabled() && !dry {
+            // A claim is generated as a batch; attribute its cost evenly so
+            // the span count matches the transaction count.
+            let per_tx = clock.now().saturating_sub(start) / unsigned.len() as u32;
+            for _ in 0..unsigned.len() {
+                obs.spans().record(Stage::Generated, per_tx);
+            }
+        }
+        if !owned.is_empty() {
+            unsigned.retain(|tx| !owned.contains(&tx.id()));
+        }
+        if dry || !unsigned.is_empty() {
+            return unsigned;
+        }
+    }
+}
+
+/// Starts the configured signing strategy on the workload's claims: the
+/// pipelined one streams while execution runs, the batch strategies claim
+/// the whole workload at once and finish before returning.
 fn start_signer(
     config: &EvalConfig,
-    segments: Receiver<Vec<Transaction>>,
+    mut claim: impl FnMut(usize) -> Vec<Transaction> + Send + 'static,
     keypair: Keypair,
     sign_obs: signer::SignObs,
 ) -> SignedStream {
     // The SUT verifies with these parameters, so they are not a knob.
     let params = SigParams::fast();
     let threads = config.signer_threads;
-    let batch = || segments.iter().flatten().collect();
     let signed = match config.signing {
         SigningStrategy::Pipelined => {
-            let next_segment = move || segments.recv().ok();
-            return signer::sign_segments(next_segment, threads, keypair, params, sign_obs);
+            return signer::sign_chunks(claim, threads, keypair, params, sign_obs);
         }
-        SigningStrategy::Serial => signer::sign_serial_obs(batch(), &keypair, &params, &sign_obs),
+        SigningStrategy::Serial => {
+            signer::sign_serial_obs(claim(usize::MAX), &keypair, &params, &sign_obs)
+        }
         SigningStrategy::Async => {
-            signer::sign_async_obs(batch(), &keypair, &params, threads, &sign_obs)
+            signer::sign_async_obs(claim(usize::MAX), &keypair, &params, threads, &sign_obs)
         }
     };
     SignedStream::from_batch(signed)
@@ -199,11 +206,10 @@ pub(super) fn restore(state: &RunState, cp: &DriverCheckpoint) {
 /// Runs the stage; returns the signed-transaction stream (minus anything a
 /// checkpoint has settled: it is never signed) and where the monitor
 /// starts. The checkpoint guard comes first so a refused resume costs
-/// nothing; only its settled id set is needed before generation starts,
+/// nothing; only its settled id set is needed before the signers start,
 /// and signing is already under way while the checkpoint is replayed into
-/// `state`. A fresh run starts at
-/// the chain's heights now, before any of its transactions is submitted:
-/// none of them can sit in an earlier block.
+/// `state`. A fresh run starts at the chain's heights now, before any of its
+/// transactions is submitted: none of them can sit in an earlier block.
 pub(super) fn prepare(
     config: &EvalConfig,
     inputs: &Inputs<'_>,
@@ -221,10 +227,10 @@ pub(super) fn prepare(
             .map_err(EvalError::Chain)?,
     };
     let owned = checkpoint.as_ref().map(settled).unwrap_or_default();
-    let segments = inputs.generate(config.signer_threads, obs, owned);
+    let claim = inputs.generate(obs, owned);
     let keypair = Keypair::from_seed(inputs.workload.seed);
     let sign_obs = signer::SignObs::new(obs, inputs.deployment.clock());
-    let signed = start_signer(config, segments, keypair, sign_obs);
+    let signed = start_signer(config, claim, keypair, sign_obs);
     let Some(cp) = checkpoint else {
         let fresh = Progress {
             last_seen,
@@ -256,6 +262,55 @@ mod tests {
         records.sort_by_key(|r| r.tx_id);
         rejected.sort();
         (records, rejected)
+    }
+
+    #[test]
+    fn claims_skip_what_a_checkpoint_settled_and_yield_the_rest() {
+        const CLAIM: usize = 128;
+        let config = hammer_workload::WorkloadConfig {
+            accounts: 50,
+            total_txs: 10 * CLAIM + 5,
+            ..Default::default()
+        };
+        let ids: Vec<TxId> = SmallBankGenerator::new(config.clone())
+            .next_segment(usize::MAX)
+            .iter()
+            .map(Transaction::id)
+            .collect();
+        // The first three claims are settled whole, the fourth all but
+        // its last transaction, and every seventh one of the claims after.
+        let owned: HashSet<TxId> = ids
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i < 4 * CLAIM - 1 || (i >= 4 * CLAIM && i % 7 == 0))
+            .map(|(_, id)| *id)
+            .collect();
+        let rest: Vec<TxId> = ids
+            .iter()
+            .filter(|id| !owned.contains(id))
+            .copied()
+            .collect();
+
+        let obs = Obs::new();
+        let mut generator = SmallBankGenerator::new(config);
+        let next = move |len| generator.next_segment(len);
+        let mut claim = claims(next, owned, obs.clone(), SimClock::realtime());
+        let first = claim(CLAIM);
+        assert_eq!(first.len(), 1, "three emptied claims are passed over");
+        let mut yielded: Vec<TxId> = first.iter().map(Transaction::id).collect();
+        loop {
+            let unsigned = claim(CLAIM);
+            if unsigned.is_empty() {
+                break;
+            }
+            assert!(unsigned.len() <= CLAIM);
+            yielded.extend(unsigned.iter().map(Transaction::id));
+        }
+        assert_eq!(yielded, rest);
+        assert!(claim(CLAIM).is_empty(), "stays dry");
+        // Every generated transaction has its span, settled or not.
+        let spans = obs.spans().histogram(Stage::Generated).count();
+        assert_eq!(spans, ids.len() as u64);
     }
 
     #[test]

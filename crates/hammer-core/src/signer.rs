@@ -15,18 +15,19 @@
 //!   overlap. This combination is Fig. 8's "Asynchronous Pipeline" (~6.9×
 //!   over serial on multi-core clients).
 //!
-//! The overlap is chunk-wise, not item-wise. Signers claim the unsigned
-//! workload in segments of 32 Ki transactions, from one shared source: the
-//! driver's generator thread keeps a bounded queue filled while they drain
-//! it, so generating overlaps with signing, and a batch already in memory
-//! is cut as they claim it, with no thread of its own. They sign,
-//! and send 128 signed transactions per message on a [`SignedStream`]
-//! (hand-off to submission): a channel operation costs a lock hand-off and,
-//! when the peer is parked, a syscall, so it is paid once per 128
-//! transactions instead of once each. The chunk is also the submission
-//! unit: a submit worker takes it whole (`SignedStream::recv_chunk`) and
-//! hands the chain as much of it as has come due — one token take, one
-//! clock reading, one tracker pass and one `submit_batch` call each time.
+//! The overlap is chunk-wise, not item-wise. Each signer claims the next
+//! 128 unsigned transactions from one shared source, under one lock: the
+//! workload generator itself, or a batch already in memory. It signs them
+//! into the chunk it sends on a [`SignedStream`] (hand-off to submission), so
+//! generating overlaps with signing without a thread of its own and at most
+//! one chunk per signer is unsigned at a time. A channel operation costs a
+//! lock hand-off and, when the peer is parked, a syscall, so it is paid once
+//! per 128 transactions instead of once each. The chunk is also the
+//! submission unit: a submit worker takes it whole
+//! (`SignedStream::recv_chunk`) and hands the chain as much of it as has
+//! come due — one token take, one clock reading, one tracker pass and one
+//! `submit_batch` call each time. A chunk is generated, signed and submitted
+//! as one unit.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -156,34 +157,13 @@ pub(crate) fn sign_async_obs(
     })
 }
 
-/// Signed transactions per message on a [`SignedStream`].
+/// Unsigned transactions per claim, and signed ones per message on a
+/// [`SignedStream`].
 const CHUNK: usize = 128;
 
 /// Signed transactions a stream buffers before the signers wait (the
 /// back-pressure bound when execution is the bottleneck).
 const STREAM_BOUND: usize = 4096;
-
-/// Unsigned transactions a signer claims at a time. Coarse, so the queue is
-/// touched a few dozen times per million transactions; still far smaller
-/// than the workload, so a segment's memory is freed as soon as it is
-/// signed and a descheduled signer leaves at most one segment — not half
-/// the run — to a single thread. (Chunk-sized segments were tried: the
-/// allocator fragments, +0.3 µs of CPU per transaction.)
-const SEGMENT: usize = 32 * 1024;
-
-/// Unsigned segments the generator may queue per signer before it waits: a
-/// bound on memory, not a buffer to tune. Generating costs a fifth of
-/// signing, so the queue is full all run whatever its length; these, one in
-/// each signer's hands and one in the generator's are all that is unsigned.
-const SEGMENTS_AHEAD: usize = 2;
-
-/// Segments of at most [`SEGMENT`], equal in size and a whole number per
-/// thread: when every signer gets its share of the cores they finish
-/// together (a small batch is simply split evenly).
-fn segment_len(n: usize, threads: usize) -> usize {
-    let count = n.div_ceil(SEGMENT).next_multiple_of(threads);
-    n.div_ceil(count.max(1)).max(1)
-}
 
 /// Cuts `items` into consecutive vectors of `size` (the last may be
 /// shorter). The source allocation is freed when the last piece is cut.
@@ -292,69 +272,41 @@ pub fn sign_pipelined(
     params: SigParams,
     threads: usize,
 ) -> SignedStream {
-    // The signers claim their segments from the batch itself.
-    let (n, threads) = (txs.len(), threads.max(1));
-    let len = segment_len(n, threads);
-    let rest = parking_lot::Mutex::new(txs.into_iter());
-    let next_segment = move || {
-        let segment: Vec<Transaction> = rest.lock().by_ref().take(len).collect();
-        (!segment.is_empty()).then_some(segment)
-    };
-    let signers = threads.min(n.div_ceil(len));
-    sign_segments(next_segment, signers, keypair, params, SignObs::disabled())
+    // The signers claim their chunks from the batch itself.
+    let signers = threads.max(1).min(txs.len().div_ceil(CHUNK));
+    let mut rest = txs.into_iter();
+    let claim = move |len| rest.by_ref().take(len).collect();
+    sign_chunks(claim, signers, keypair, params, SignObs::disabled())
 }
 
-/// Starts the generator thread of a run of `n` transactions and `threads`
-/// signers: it queues what `next_segment(len)` returns, [`SEGMENTS_AHEAD`]
-/// per signer at most, until that is empty or every receiver is gone.
-pub(crate) fn generate_segments(
-    n: usize,
-    threads: usize,
-    mut next_segment: impl FnMut(usize) -> Vec<Transaction> + Send + 'static,
-) -> Receiver<Vec<Transaction>> {
-    let threads = threads.max(1);
-    let len = segment_len(n, threads);
-    let (queue, segments) = bounded(SEGMENTS_AHEAD * threads);
-    thread::spawn("hammer-generator", move || loop {
-        let unsigned = next_segment(len);
-        if unsigned.is_empty() || queue.send(unsigned).is_err() {
-            return;
-        }
-    })
-    .expect("spawn generator");
-    segments
-}
-
-/// The one pipelined signing path: `signers` threads claim segments from
-/// `next_segment` until it answers `None`, and stream what they sign. The
-/// source is dropped, with whatever it holds, when the last signer leaves.
-pub(crate) fn sign_segments(
-    next_segment: impl Fn() -> Option<Vec<Transaction>> + Send + Sync + 'static,
+/// The one pipelined signing path: `signers` threads take turns at one lock
+/// around `claim`, each drawing [`CHUNK`] transactions at a time (`claim(max)`
+/// answers at most `max`, and nothing once the workload is exhausted), and
+/// send each claim signed as one chunk. A signer leaves on an empty claim or
+/// once every consumer is gone; the last one to leave drops the source, with
+/// whatever it holds.
+pub(crate) fn sign_chunks(
+    claim: impl FnMut(usize) -> Vec<Transaction> + Send + 'static,
     signers: usize,
     keypair: Keypair,
     params: SigParams,
     obs: SignObs,
 ) -> SignedStream {
     let (out, chunks) = bounded::<Vec<SignedTransaction>>(STREAM_BOUND / CHUNK);
-    let next_segment = Arc::new(next_segment);
+    let claim = Arc::new(parking_lot::Mutex::new(claim));
     for _ in 0..signers {
-        let next_segment = Arc::clone(&next_segment);
-        let out = out.clone();
-        let obs = obs.clone();
+        let (claim, out, obs) = (Arc::clone(&claim), out.clone(), obs.clone());
         thread::spawn("hammer-signer", move || {
             let mut buf = Vec::with_capacity(64);
-            let mut chunk = Vec::with_capacity(CHUNK);
-            for tx in std::iter::from_fn(|| next_segment()).flatten() {
-                chunk.push(obs.sign_one(tx, &keypair, &params, &mut buf));
-                if chunk.len() == CHUNK {
-                    let full = std::mem::replace(&mut chunk, Vec::with_capacity(CHUNK));
-                    if out.send(full).is_err() {
-                        return; // consumer gone
-                    }
+            loop {
+                let unsigned = (*claim.lock())(CHUNK);
+                if unsigned.is_empty() {
+                    return;
                 }
-            }
-            if !chunk.is_empty() {
-                let _ = out.send(chunk);
+                let sign = |tx| obs.sign_one(tx, &keypair, &params, &mut buf);
+                if out.send(unsigned.into_iter().map(sign).collect()).is_err() {
+                    return; // consumer gone
+                }
             }
         })
         .expect("spawn signer");
@@ -432,10 +384,10 @@ mod tests {
     #[test]
     fn every_tx_reaches_exactly_one_of_four_consumers() {
         // Empty, a lone transaction, one short of / exactly / one past a
-        // chunk, many chunks, and more than one segment per signer.
+        // chunk, and many chunks.
         let kp = Keypair::from_seed(1);
         let params = SigParams::fast();
-        for n in [0, 1, 127, 128, 129, 5_000, 2 * SEGMENT as u64 + 129] {
+        for n in [0, 1, 127, 128, 129, 5_000] {
             let stream = sign_pipelined(batch(n), kp, params, 2);
             let consumers: Vec<_> = (0..4)
                 .map(|_| {
@@ -480,58 +432,46 @@ mod tests {
     }
 
     #[test]
-    fn the_generator_waits_at_the_queue_bound() {
+    fn an_unread_stream_stops_the_source_one_chunk_per_signer_past_its_bound() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        // Fifty one-transaction segments, nobody consuming: the generator
-        // queues `bound` of them and parks holding one more.
-        let (threads, total) = (2, 50);
-        let bound = SEGMENTS_AHEAD * threads;
-        let produced = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&produced);
-        let segments = generate_segments(total, threads, move |_len| {
-            if counter.fetch_add(1, Ordering::SeqCst) < total {
-                batch(1)
-            } else {
-                Vec::new()
-            }
-        });
-        let ahead_of = |consumed: usize| {
-            while produced.load(Ordering::SeqCst) < consumed + bound + 1 {
+        // A workload without end and nobody consuming: the stream fills,
+        // each signer signs one more chunk and waits to send it, and
+        // nothing else is claimed. Each chunk taken lets one more be claimed.
+        let signers = 2;
+        let bound = STREAM_BOUND + signers * CHUNK;
+        let handed = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&handed);
+        let claim = move |len| {
+            counter.fetch_add(len, Ordering::SeqCst);
+            batch(len as u64)
+        };
+        let (kp, params) = (Keypair::from_seed(1), SigParams::fast());
+        let stream = sign_chunks(claim, signers, kp, params, SignObs::disabled());
+        for taken in 0..3 {
+            let expected = bound + taken * CHUNK;
+            while handed.load(Ordering::SeqCst) < expected {
                 std::thread::yield_now();
             }
-            // Time for a generator that ignored the bound to show itself.
+            // Time for a source drawn ahead of the stream to show itself.
             std::thread::sleep(Duration::from_millis(5));
-            produced.load(Ordering::SeqCst) - consumed
-        };
-        for consumed in 0..10 {
-            assert_eq!(ahead_of(consumed), bound + 1, "after {consumed}");
-            assert_eq!(segments.recv().unwrap().len(), 1);
+            assert_eq!(handed.load(Ordering::SeqCst), expected, "after {taken}");
+            assert_eq!(stream.recv_chunk().unwrap().len(), CHUNK);
         }
-        assert_eq!(segments.iter().count(), total - 10);
     }
 
     #[test]
-    fn dropping_every_consumer_sends_generator_and_signers_home() {
-        use std::sync::Arc;
-        // A workload without end: the generator can only leave because
-        // every signer has dropped its end of the segment queue, and it
-        // drops `held` on its way out.
+    fn dropping_every_consumer_sends_the_signers_home() {
+        // A workload without end: the signers can only leave because every
+        // consumer is gone, and the last of them drops the source, `held`
+        // with it.
         let alive = Arc::new(());
         let held = Arc::clone(&alive);
-        let segments = generate_segments(usize::MAX, 2, move |len| {
+        let claim = move |len| {
             let _ = &held;
-            batch(len.min(3 * CHUNK) as u64)
-        });
-        let params = SigParams::fast();
-        let kp = Keypair::from_seed(1);
-        let stream = sign_segments(
-            move || segments.recv().ok(),
-            2,
-            kp,
-            params,
-            SignObs::disabled(),
-        );
+            batch(len as u64)
+        };
+        let (kp, params) = (Keypair::from_seed(1), SigParams::fast());
+        let stream = sign_chunks(claim, 2, kp, params, SignObs::disabled());
         let second = stream.clone();
         assert!(stream.recv().is_ok() && second.recv().is_ok());
         drop((stream, second));
@@ -572,8 +512,9 @@ mod tests {
         assert_eq!(parallel.len(), 30);
         assert_eq!(obs.spans().histogram(Stage::Signed).count(), 50);
 
-        let segment = parking_lot::Mutex::new(Some(batch(25)));
-        let rx = sign_segments(move || segment.lock().take(), 3, kp, params, sign_obs);
+        let mut rest = batch(25).into_iter();
+        let claim = move |len| rest.by_ref().take(len).collect();
+        let rx = sign_chunks(claim, 3, kp, params, sign_obs);
         assert_eq!(rx.iter().count(), 25);
         assert_eq!(obs.spans().histogram(Stage::Signed).count(), 75);
     }

@@ -72,7 +72,7 @@ impl PublicKey {
 
 impl Keypair {
     /// Generates a fresh random keypair.
-    pub fn generate<R: Rng + ?Sized>(_params: &SigParams, rng: &mut R) -> Self {
+    pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
         let secret = SecretKey::new(rng.gen_range(1..GROUP_ORDER));
         let public = secret.public();
         Keypair { secret, public }
@@ -125,7 +125,7 @@ mod tests {
     fn generate_and_roundtrip() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let params = SigParams::fast();
-        let kp = Keypair::generate(&params, &mut rng);
+        let kp = Keypair::generate(&mut rng);
         let sig = kp.sign(b"payload", &params);
         assert!(kp.public().verify(b"payload", &sig, &params));
         assert!(!kp.public().verify(b"other", &sig, &params));

@@ -26,7 +26,7 @@
 //! use hammer_crypto::{keys::Keypair, sig::SigParams};
 //!
 //! let params = SigParams::fast();
-//! let keypair = Keypair::generate(&params, &mut rand::thread_rng());
+//! let keypair = Keypair::generate(&mut rand::thread_rng());
 //! let sig = keypair.sign(b"transfer 10 from alice to bob", &params);
 //! assert!(keypair.public().verify(b"transfer 10 from alice to bob", &sig, &params));
 //! assert!(!keypair.public().verify(b"transfer 99 from alice to bob", &sig, &params));

@@ -1,7 +1,7 @@
-//! The workload streams from a generator thread through the signers to the
-//! workers. Whatever the strategy and signer count, the chain is handed
-//! exactly the transactions `generate_all` yields for the seed; and an
-//! aborted run leaves nothing parked on the segment queue.
+//! The workload streams from the generator through the signers, which claim
+//! it a chunk at a time, to the workers. Whatever the strategy and signer
+//! count, the chain is handed exactly the transactions `generate_all`
+//! yields for the seed; and an aborted run leaves no signer parked.
 //!
 //! Nor does a run of exactly its declared total rotate or expand the tracker,
 //! and pipelined signing of a batch already in memory starts no thread
@@ -95,7 +95,7 @@ fn deploy(chain: &Arc<SilentChain>, speedup: f64) -> Deployment {
 #[test]
 fn every_strategy_submits_exactly_the_generated_workload() {
     let _guard = common::serial_guard();
-    // Two full segments and a ragged third, released in one slice.
+    // Many chunks and a ragged last one, released in one slice.
     let total = 2 * 32 * 1024 + 129;
     let workload = WorkloadConfig {
         accounts: 50,
@@ -171,12 +171,11 @@ fn an_unconstrained_closed_loop_hands_the_chain_whole_chunks() {
     assert_eq!(report.submitted, N as u64);
     let batches = chain.batches.lock().unwrap().clone();
     assert_eq!(batches.iter().sum::<usize>(), N);
-    // N is under one 32 Ki segment per signer: each signer's one segment
-    // ends in a short chunk, and each worker's first submission is one
-    // transaction. Nothing else splits a chunk, so one call per transaction
-    // would be far over this bound.
+    // Every claim is a whole chunk but the workload's last, and each
+    // worker's first submission is one transaction. Nothing else splits a
+    // chunk, so one call per transaction would be far over this bound.
     let workers = (workload.clients * workload.threads_per_client) as usize;
-    let bound = N.div_ceil(128) + workers * signers;
+    let bound = N.div_ceil(128) + workers;
     assert!(
         batches.len() <= bound,
         "{} calls for {N} transactions (bound {bound})",
@@ -223,13 +222,12 @@ fn no_thread_leak(probe: LeakProbe, what: &str) {
 }
 
 #[test]
-fn aborted_runs_leave_nothing_parked_on_the_segment_queue() {
+fn aborted_runs_leave_no_signer_parked_on_the_stream() {
     let _guard = common::serial_guard();
-    // Sixteen segments released a hundred transactions a second: within a
-    // fraction of a second the signed stream is full, each signer holds a
-    // segment it cannot finish, the queue behind them is full and the
-    // generator is parked on it — and stays there until the abort, which
-    // comes one wall second in (ten times wall speed).
+    // Half a million transactions released a hundred a second: within a
+    // fraction of a second the signed stream is full and each signer is
+    // parked sending the chunk it signed — and stays there until the
+    // abort, which comes one wall second in (ten times wall speed).
     let total = 16 * 32 * 1024;
     let workload = WorkloadConfig {
         accounts: 50,
@@ -273,9 +271,9 @@ fn aborted_runs_leave_nothing_parked_on_the_segment_queue() {
 #[test]
 fn pipelined_signing_of_a_batch_starts_only_its_signers() {
     let _guard = common::serial_guard();
-    // Ten segments for two signers and nobody draining the stream: a
-    // generator thread queueing them four ahead would still be parked on
-    // its queue when the threads are counted.
+    // A batch far larger than the stream and nobody draining it: a thread
+    // that cut the batch for the signers would still be parked when the
+    // threads are counted.
     let batch = SmallBankGenerator::new(WorkloadConfig {
         accounts: 50,
         total_txs: 9 * 32 * 1024,
