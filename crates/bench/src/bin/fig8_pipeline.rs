@@ -1,20 +1,17 @@
 //! **Fig. 8** — Workload generation time: serial vs asynchronous pipeline.
 //!
 //! The paper reports ≈6.88× speed-up for asynchronous signatures combined
-//! with pipelined preparation/execution over naive serial generation,
-//! measured on a multi-core client. This reproduction measures the same
-//! three strategies as *simulated-time makespans*: each signature costs a
-//! fixed amount of modelled client CPU (2 ms — an ECDSA-class signature on
-//! a weak cloud core, paid via the simulation clock so concurrency
-//! behaves like a multi-core client even on a single-core CI host), and
-//! the execution phase pays a smaller per-transaction ingestion cost.
-//!
-//! * **Serial** — one thread signs everything, then execution ingests
-//!   everything (Fig. 4a).
-//! * **Async** — a pool signs concurrently; execution still waits for the
-//!   whole batch (Fig. 4b).
-//! * **Async Pipeline** — signed transactions stream into execution as
-//!   they are produced (Fig. 4c).
+//! with pipelined preparation/execution over naive serial generation, on a
+//! multi-core client. This times the library's three signing paths as
+//! *simulated-time makespans*, each signature paying 2 ms of modelled client
+//! CPU (an ECDSA-class signature on a weak cloud core) on the simulation
+//! clock through [`SignObs::paying`], so eight signers behave as eight
+//! cores even on a small CI host; execution pays a smaller cost per
+//! transaction. Serial is `sign_serial_obs` (Fig. 4a); async is
+//! `sign_async_obs`, a pool that execution still waits for (Fig. 4b); the
+//! async pipeline is `sign_chunks`, the path the driver's `prepare` takes
+//! (Fig. 4c). Exits non-zero unless the pipeline is at least 6× serial and
+//! async lies between the two at every batch size.
 //!
 //! Real-crypto wall-clock numbers (host-core dependent) live in the
 //! `roundtrip` Criterion group (`sign_serial_4096`, `sign_pipelined_4096`).
@@ -22,11 +19,11 @@
 use std::time::Duration;
 
 use bench::save_csv;
-use crossbeam::channel::bounded;
 use hammer_chain::types::{SignedTransaction, Transaction};
+use hammer_core::signer::{sign_async_obs, sign_chunks, sign_serial_obs, SignObs};
 use hammer_crypto::sig::SigParams;
 use hammer_crypto::Keypair;
-use hammer_net::{thread, SimClock};
+use hammer_net::SimClock;
 use hammer_store::report::{render_table, to_csv};
 use hammer_workload::{SmallBankGenerator, WorkloadConfig};
 
@@ -36,6 +33,8 @@ const SIGN_COST: Duration = Duration::from_millis(2);
 const CONSUME_COST: Duration = Duration::from_micros(330);
 /// Signer pool width (the client's core count in the paper's setup).
 const SIGNER_THREADS: usize = 8;
+/// The checked claim: the pipeline's speed-up over serial at every size.
+const MIN_PIPELINE_SPEEDUP: f64 = 6.0;
 
 fn make_batch(n: usize) -> Vec<Transaction> {
     SmallBankGenerator::new(WorkloadConfig {
@@ -46,216 +45,68 @@ fn make_batch(n: usize) -> Vec<Transaction> {
     .generate_all()
 }
 
-/// Accumulates modelled CPU cost and pays it with plain OS sleeps,
-/// tracking a *signed* debt: the OS's coarse timer granularity makes each
-/// sleep overshoot, and the overshoot is credited against future charges,
-/// so long-run makespans are exact without any busy-waiting (which on a
-/// single-core host would starve the other pipeline stages).
-struct CostMeter {
-    clock: SimClock,
-    /// Outstanding simulated nanoseconds; negative = slept ahead.
-    debt_ns: i128,
-}
-
-impl CostMeter {
-    /// Pay once the debt reaches this much simulated time.
-    const CHUNK_NS: i128 = 8_000_000; // 8 ms
-
-    fn new(clock: &SimClock) -> Self {
-        CostMeter {
-            clock: clock.clone(),
-            debt_ns: 0,
-        }
-    }
-
-    fn pay(&mut self) {
-        let owed = Duration::from_nanos(self.debt_ns as u64);
-        let start = std::time::Instant::now();
-        std::thread::sleep(self.clock.to_wall(owed));
-        let slept_sim = self.clock.to_sim(start.elapsed());
-        self.debt_ns -= slept_sim.as_nanos() as i128;
-    }
-
-    fn charge(&mut self, cost: Duration) {
-        self.debt_ns += cost.as_nanos() as i128;
-        if self.debt_ns >= Self::CHUNK_NS {
-            self.pay();
-        }
-    }
-
-    fn settle(&mut self) {
-        if self.debt_ns > 0 {
-            self.pay();
-        }
-    }
-}
-
-fn sign_one(
-    meter: &mut CostMeter,
-    tx: Transaction,
-    kp: &Keypair,
-    params: &SigParams,
-) -> SignedTransaction {
-    meter.charge(SIGN_COST);
-    tx.sign(kp, params)
-}
-
-fn consume(meter: &mut CostMeter, _tx: &SignedTransaction) {
-    meter.charge(CONSUME_COST);
-}
-
-/// Serial baseline: sign all, then consume all, on one thread.
-fn serial_makespan(
-    clock: &SimClock,
-    batch: Vec<Transaction>,
-    kp: &Keypair,
-    p: &SigParams,
-) -> Duration {
+/// The simulated time from calling `sign` (a signing path) to the last of
+/// its transactions ingested. Ingestion pays `CONSUME_COST` each to a due
+/// time that, like a paying signer's, credits a late wake-up and skips what
+/// waiting for the next transaction blocked for.
+fn makespan<I>(clock: &SimClock, sign: impl FnOnce() -> I) -> Duration
+where
+    I: IntoIterator<Item = SignedTransaction>,
+{
     let start = clock.now();
-    let mut meter = CostMeter::new(clock);
-    let signed: Vec<SignedTransaction> = batch
-        .into_iter()
-        .map(|tx| sign_one(&mut meter, tx, kp, p))
-        .collect();
-    for tx in &signed {
-        consume(&mut meter, tx);
+    let mut signed = sign().into_iter();
+    let mut due = clock.now();
+    loop {
+        let asked = clock.now();
+        if signed.next().is_none() {
+            return clock.now() - start;
+        }
+        due += clock.now().saturating_sub(asked) + CONSUME_COST;
+        clock.sleep_until(due);
     }
-    meter.settle();
-    clock.now() - start
-}
-
-/// Async signatures: a pool signs concurrently; execution waits for all.
-fn async_makespan(
-    clock: &SimClock,
-    batch: Vec<Transaction>,
-    kp: &Keypair,
-    p: &SigParams,
-) -> Duration {
-    let start = clock.now();
-    let signed = pooled_sign(clock, batch, kp, p, None);
-    let mut meter = CostMeter::new(clock);
-    for tx in &signed {
-        consume(&mut meter, tx);
-    }
-    meter.settle();
-    clock.now() - start
-}
-
-/// Async + pipeline: the consumer drains a channel while the pool signs.
-fn pipeline_makespan(
-    clock: &SimClock,
-    batch: Vec<Transaction>,
-    kp: &Keypair,
-    p: &SigParams,
-) -> Duration {
-    let start = clock.now();
-    let (out_tx, out_rx) = bounded::<SignedTransaction>(4096);
-    std::thread::scope(|scope| {
-        let n = batch.len();
-        let chunk = n.div_ceil(SIGNER_THREADS).max(1);
-        let mut batch = batch;
-        for _ in 0..SIGNER_THREADS {
-            if batch.is_empty() {
-                break;
-            }
-            let take = chunk.min(batch.len());
-            let part: Vec<Transaction> = batch.drain(..take).collect();
-            let out = out_tx.clone();
-            let clock = clock.clone();
-            let sign = move || {
-                let mut meter = CostMeter::new(&clock);
-                for tx in part {
-                    let signed = sign_one(&mut meter, tx, kp, p);
-                    if out.send(signed).is_err() {
-                        return;
-                    }
-                }
-                meter.settle();
-            };
-            thread::spawn_scoped(scope, "fig8-signer", sign).expect("spawn signer");
-        }
-        drop(out_tx);
-        let mut meter = CostMeter::new(clock);
-        for tx in out_rx {
-            consume(&mut meter, &tx);
-        }
-        meter.settle();
-    });
-    clock.now() - start
-}
-
-/// Signs on the pool and returns everything (barrier at the end).
-fn pooled_sign(
-    clock: &SimClock,
-    batch: Vec<Transaction>,
-    kp: &Keypair,
-    p: &SigParams,
-    _marker: Option<()>,
-) -> Vec<SignedTransaction> {
-    let mut out: Vec<SignedTransaction> = Vec::with_capacity(batch.len());
-    std::thread::scope(|scope| {
-        let n = batch.len();
-        let chunk = n.div_ceil(SIGNER_THREADS).max(1);
-        let mut batch = batch;
-        let mut handles = Vec::new();
-        while !batch.is_empty() {
-            let take = chunk.min(batch.len());
-            let part: Vec<Transaction> = batch.drain(..take).collect();
-            let clock = clock.clone();
-            let sign = move || {
-                let mut meter = CostMeter::new(&clock);
-                let signed: Vec<SignedTransaction> = part
-                    .into_iter()
-                    .map(|tx| sign_one(&mut meter, tx, kp, p))
-                    .collect();
-                meter.settle();
-                signed
-            };
-            handles.push(thread::spawn_scoped(scope, "fig8-signer", sign).expect("spawn signer"));
-        }
-        for h in handles {
-            out.extend(h.join().expect("signer panicked"));
-        }
-    });
-    out
 }
 
 fn main() {
     println!("=== Fig. 8: workload generation — serial vs async vs async pipeline ===\n");
-    println!(
-        "model: {SIGNER_THREADS}-thread signer pool, {} ms simulated CPU per signature,",
-        SIGN_COST.as_millis()
-    );
-    println!(
-        "{} us ingestion per transaction; makespans in simulated time\n",
-        CONSUME_COST.as_micros()
-    );
+    let (sign_ms, consume_us) = (SIGN_COST.as_millis(), CONSUME_COST.as_micros());
+    println!("model: {SIGNER_THREADS} signers, {sign_ms} ms simulated CPU per signature,");
+    println!("{consume_us} us ingestion per transaction; makespans in simulated time\n");
 
-    let params = SigParams::fast();
-    let keypair = Keypair::from_seed(1);
+    let (keypair, params) = (Keypair::from_seed(1), SigParams::fast());
     // Modest speed-up: each modelled 2 ms signature occupies ~130 us of
     // wall time, so the real crypto (~3 us) cannot distort concurrency
     // even with 9 threads sharing one host core.
     let clock = SimClock::with_speedup(15.0);
+    let obs = SignObs::paying(&clock, SIGN_COST);
 
-    let sizes = [10_000usize, 25_000, 50_000, 100_000];
     let mut rows = Vec::new();
-    for &n in &sizes {
+    let mut holds = true;
+    for n in [10_000, 25_000, 50_000, 100_000] {
         eprintln!("batch of {n}...");
-        let serial = serial_makespan(&clock, make_batch(n), &keypair, &params);
-        let asynchronous = async_makespan(&clock, make_batch(n), &keypair, &params);
-        let pipelined = pipeline_makespan(&clock, make_batch(n), &keypair, &params);
+        let batch = make_batch(n);
+        let serial = makespan(&clock, || sign_serial_obs(batch, &keypair, &params, &obs));
+        let batch = make_batch(n);
+        let threads = SIGNER_THREADS;
+        let asynchronous = makespan(&clock, || {
+            sign_async_obs(batch, &keypair, &params, threads, &obs)
+        });
+        let mut rest = make_batch(n).into_iter();
+        let claim = move |len| rest.by_ref().take(len).collect();
+        let pipelined = makespan(&clock, || {
+            sign_chunks(claim, threads, keypair, params, obs.clone())
+        });
 
-        let speedup_async = serial.as_secs_f64() / asynchronous.as_secs_f64();
-        let speedup_pipe = serial.as_secs_f64() / pipelined.as_secs_f64();
-        rows.push(vec![
-            n.to_string(),
-            format!("{:.2}", serial.as_secs_f64()),
-            format!("{:.2}", asynchronous.as_secs_f64()),
-            format!("{:.2}", pipelined.as_secs_f64()),
-            format!("{speedup_async:.2}x"),
-            format!("{speedup_pipe:.2}x"),
-        ]);
+        // Speed-ups over serial: async's and the pipeline's.
+        let speedup = |d: Duration| serial.as_secs_f64() / d.as_secs_f64();
+        let (a, p) = (speedup(asynchronous), speedup(pipelined));
+        if p < MIN_PIPELINE_SPEEDUP || !(1.0..p).contains(&a) {
+            eprintln!("fig8_pipeline: shape broken at {n} txs: async {a:.2}x, pipeline {p:.2}x");
+            holds = false;
+        }
+        let mut row = vec![n.to_string()];
+        row.extend([serial, asynchronous, pipelined].map(|d| format!("{:.2}", d.as_secs_f64())));
+        row.extend([a, p].map(|x| format!("{x:.2}x")));
+        rows.push(row);
     }
 
     let header = [
@@ -269,4 +120,10 @@ fn main() {
     println!("{}", render_table(&header, &rows));
     save_csv("fig8_pipeline", &to_csv(&header, &rows));
     println!("Paper reference: Asynchronous Pipeline ~ 6.88x over Serial.");
+    if !holds {
+        std::process::exit(1);
+    }
+    println!(
+        "\nshape holds: pipeline >= {MIN_PIPELINE_SPEEDUP}x serial, async between, at every size"
+    );
 }

@@ -5,10 +5,10 @@
 //!
 //! 1. **Preparation** — seed the account fixtures, then generate the
 //!    unsigned transactions and sign them with the configured strategy
-//!    ([`SigningStrategy`]). Generation streams: a thread keeps a few
-//!    32 Ki-transaction segments ahead of the signers, so with
-//!    [`SigningStrategy::Pipelined`] the execution phase starts while
-//!    generation and signing are still running (§III-D2).
+//!    ([`SigningStrategy`]). Generation streams: each signer claims the
+//!    next 128 transactions from the generator under one lock and signs
+//!    them, so with [`SigningStrategy::Pipelined`] the execution phase
+//!    starts while generation and signing are still running (§III-D2).
 //! 2. **Execution** — `clients × threads` submission workers drain the
 //!    signed-transaction stream under the control sequence's per-slice
 //!    budgets, each paying the modelled client-machine cost per
@@ -36,10 +36,11 @@
 //!
 //! The code is cut along the same lines: one submodule per stage
 //! (`prepare`, `submit` — pacer and workers —, `monitor`, `report`), each
-//! owning its state, all borrowing one `RunState`, joined by bounded
-//! hand-offs that move work in chunks: unsigned segments from generator to
-//! signers, a chunked signed stream from signers to workers, a token counter
-//! from pacer to workers. `DESIGN.md` §5 has the stage table.
+//! owning its state, all borrowing one `RunState`, joined by hand-offs that
+//! move work in chunks: 128-transaction claims from generator to signers,
+//! under one lock; a bounded, chunked signed stream from signers to workers;
+//! a token counter from pacer to workers. `DESIGN.md` §5 has the stage
+//! table.
 
 #![warn(clippy::too_many_lines)]
 

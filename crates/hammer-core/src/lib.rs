@@ -12,7 +12,7 @@
 //!    Blockbench-style batch testing ([`baseline::BatchQueue`]).
 //! 2. **Asynchronous signatures + pipelined preparation/execution**
 //!    (§III-D, Fig. 4) — workload signing is parallelised
-//!    ([`signer::sign_async`]) and overlapped with execution
+//!    ([`signer::sign_async_obs`]) and overlapped with execution
 //!    ([`signer::sign_pipelined`]), removing the serial preparation
 //!    bottleneck (Fig. 8's ≈6.9× speed-up).
 //!

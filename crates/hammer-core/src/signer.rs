@@ -7,7 +7,7 @@
 //!
 //! * [`sign_serial`] — the Caliper-style baseline (Fig. 4a): one thread
 //!   signs everything before execution begins.
-//! * [`sign_async`] — asynchronous signatures (Fig. 4b): a thread pool
+//! * [`sign_async_obs`] — asynchronous signatures (Fig. 4b): a thread pool
 //!   signs in parallel, but execution still waits for the whole batch.
 //! * [`sign_pipelined`] — asynchronous signatures **plus** pipelined
 //!   preparation/execution (Fig. 4c): signed transactions stream to the
@@ -31,6 +31,7 @@
 
 use std::cell::RefCell;
 use std::sync::Arc;
+use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvError};
 use hammer_chain::types::{SignedTransaction, Transaction};
@@ -41,13 +42,17 @@ use hammer_obs::{Histogram, Obs, Stage};
 
 /// Per-transaction timing context for the signing pool: records each
 /// signing duration (in simulated time) into the lifecycle `signed`
-/// stage histogram. Cheap to clone into worker threads. A disabled
-/// context skips timestamp capture entirely, so the plain entry points
-/// pay one predictable branch per transaction.
+/// stage histogram, and may make each signature pay a modelled cost.
+/// Cheap to clone into worker threads. A disabled context skips timestamp
+/// capture entirely, so the plain entry points pay one predictable branch
+/// per transaction.
 #[derive(Clone)]
 pub struct SignObs {
     hist: Histogram,
     clock: SimClock,
+    /// Simulated client CPU per signature; zero but from [`SignObs::paying`].
+    cost: Duration,
+    /// Whether a signature reads the clock: it records a span or pays a cost.
     enabled: bool,
 }
 
@@ -57,6 +62,7 @@ impl SignObs {
         SignObs {
             hist: obs.spans().histogram(Stage::Signed).clone(),
             clock: clock.clone(),
+            cost: Duration::ZERO,
             enabled: obs.enabled(),
         }
     }
@@ -66,7 +72,24 @@ impl SignObs {
         SignObs {
             hist: Histogram::disabled(),
             clock: SimClock::realtime(),
+            cost: Duration::ZERO,
             enabled: false,
+        }
+    }
+
+    /// Context that records nothing and makes every signature take `cost`
+    /// of simulated time on `clock`, as on a client core busy signing (how
+    /// Fig. 8 times the three paths on a host with fewer cores). Each
+    /// signing thread sleeps to a due time of its own that advances by
+    /// `cost` per signature: a wake-up's lateness is credited to the next
+    /// signature, and time blocked on a full [`SignedStream`] is not
+    /// counted as signing.
+    pub fn paying(clock: &SimClock, cost: Duration) -> Self {
+        SignObs {
+            hist: Histogram::disabled(),
+            clock: clock.clone(),
+            cost,
+            enabled: true,
         }
     }
 
@@ -76,24 +99,48 @@ impl SignObs {
         tx: Transaction,
         keypair: &Keypair,
         params: &SigParams,
-        buf: &mut Vec<u8>,
+        state: &mut SignerState,
     ) -> SignedTransaction {
         if self.enabled {
             let start = self.clock.now();
-            let signed = tx.sign_with_buf(keypair, params, buf);
+            if !self.cost.is_zero() {
+                let due = state.paid_to.unwrap_or(start) + self.cost;
+                state.paid_to = Some(due);
+                self.clock.sleep_until(due);
+            }
+            let signed = tx.sign_with_buf(keypair, params, &mut state.buf);
             self.hist
                 .record_duration(self.clock.now().saturating_sub(start));
             signed
         } else {
-            tx.sign_with_buf(keypair, params, buf)
+            tx.sign_with_buf(keypair, params, &mut state.buf)
         }
+    }
+
+    /// Runs `wait`, which is not signing, and moves a paying thread's due
+    /// time on by what it blocked for, so that no signature is paid with it.
+    fn excluding<R>(&self, state: &mut SignerState, wait: impl FnOnce() -> R) -> R {
+        let Some(paid_to) = state.paid_to.as_mut() else {
+            return wait();
+        };
+        let start = self.clock.now();
+        let waited = wait();
+        *paid_to += self.clock.now().saturating_sub(start);
+        waited
     }
 }
 
+/// What one signing thread keeps from one signature to the next: the
+/// scratch buffer for the signable encoding, so steady-state signing does
+/// no per-transaction allocation, and, when signing pays a cost, the
+/// simulated time it has paid up to.
+#[derive(Default)]
+struct SignerState {
+    buf: Vec<u8>,
+    paid_to: Option<Duration>,
+}
+
 /// Signs the batch on the calling thread (the serial baseline).
-///
-/// One scratch buffer serves the whole batch, so steady-state signing does
-/// no per-transaction allocations for the signable encoding.
 pub fn sign_serial(
     txs: Vec<Transaction>,
     keypair: &Keypair,
@@ -109,27 +156,18 @@ pub fn sign_serial_obs(
     params: &SigParams,
     obs: &SignObs,
 ) -> Vec<SignedTransaction> {
-    let mut buf = Vec::with_capacity(64);
+    let mut state = SignerState::default();
     txs.into_iter()
-        .map(|tx| obs.sign_one(tx, keypair, params, &mut buf))
+        .map(|tx| obs.sign_one(tx, keypair, params, &mut state))
         .collect()
 }
 
 /// Signs the batch on `threads` worker threads and waits for all of them
-/// (asynchronous signatures without pipelining).
+/// (asynchronous signatures without pipelining), each recording its spans
+/// into `obs`.
 ///
 /// The output preserves the input order.
-pub fn sign_async(
-    txs: Vec<Transaction>,
-    keypair: &Keypair,
-    params: &SigParams,
-    threads: usize,
-) -> Vec<SignedTransaction> {
-    sign_async_obs(txs, keypair, params, threads, &SignObs::disabled())
-}
-
-/// [`sign_async`] with per-transaction span recording on every worker.
-pub(crate) fn sign_async_obs(
+pub fn sign_async_obs(
     txs: Vec<Transaction>,
     keypair: &Keypair,
     params: &SigParams,
@@ -141,9 +179,9 @@ pub(crate) fn sign_async_obs(
         let workers: Vec<_> = cut(txs, share)
             .map(|batch| {
                 let (kp, p, obs) = (*keypair, *params, obs.clone());
-                let mut buf = Vec::with_capacity(64);
+                let mut state = SignerState::default();
                 let sign = move || -> Vec<_> {
-                    let sign_one = |tx| obs.sign_one(tx, &kp, &p, &mut buf);
+                    let sign_one = |tx| obs.sign_one(tx, &kp, &p, &mut state);
                     batch.into_iter().map(sign_one).collect()
                 };
                 thread::spawn_scoped(scope, "hammer-signer", sign).expect("spawn signer")
@@ -280,12 +318,12 @@ pub fn sign_pipelined(
 }
 
 /// The one pipelined signing path: `signers` threads take turns at one lock
-/// around `claim`, each drawing [`CHUNK`] transactions at a time (`claim(max)`
+/// around `claim`, each drawing 128 transactions at a time (`claim(max)`
 /// answers at most `max`, and nothing once the workload is exhausted), and
 /// send each claim signed as one chunk. A signer leaves on an empty claim or
 /// once every consumer is gone; the last one to leave drops the source, with
 /// whatever it holds.
-pub(crate) fn sign_chunks(
+pub fn sign_chunks(
     claim: impl FnMut(usize) -> Vec<Transaction> + Send + 'static,
     signers: usize,
     keypair: Keypair,
@@ -297,14 +335,15 @@ pub(crate) fn sign_chunks(
     for _ in 0..signers {
         let (claim, out, obs) = (Arc::clone(&claim), out.clone(), obs.clone());
         thread::spawn("hammer-signer", move || {
-            let mut buf = Vec::with_capacity(64);
+            let mut state = SignerState::default();
             loop {
                 let unsigned = (*claim.lock())(CHUNK);
                 if unsigned.is_empty() {
                     return;
                 }
-                let sign = |tx| obs.sign_one(tx, &keypair, &params, &mut buf);
-                if out.send(unsigned.into_iter().map(sign).collect()).is_err() {
+                let sign = |tx| obs.sign_one(tx, &keypair, &params, &mut state);
+                let signed: Vec<_> = unsigned.into_iter().map(sign).collect();
+                if obs.excluding(&mut state, || out.send(signed)).is_err() {
                     return; // consumer gone
                 }
             }
@@ -319,10 +358,9 @@ mod tests {
     use super::*;
     use hammer_chain::smallbank::Op;
     use std::collections::HashSet;
-    use std::time::Duration;
 
     impl SignObs {
-        /// Whether signing durations are recorded.
+        /// Whether a signature reads the clock.
         fn is_enabled(&self) -> bool {
             self.enabled
         }
@@ -356,7 +394,7 @@ mod tests {
         let params = SigParams::fast();
         let serial = sign_serial(batch(101), &kp, &params);
         for threads in [1, 2, 4, 7] {
-            let parallel = sign_async(batch(101), &kp, &params, threads);
+            let parallel = sign_async_obs(batch(101), &kp, &params, threads, &SignObs::disabled());
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
@@ -364,7 +402,9 @@ mod tests {
     #[test]
     fn async_empty_batch() {
         let kp = Keypair::from_seed(1);
-        assert!(sign_async(vec![], &kp, &SigParams::fast(), 4).is_empty());
+        assert!(
+            sign_async_obs(vec![], &kp, &SigParams::fast(), 4, &SignObs::disabled()).is_empty()
+        );
     }
 
     #[test]
@@ -481,6 +521,51 @@ mod tests {
     }
 
     #[test]
+    fn a_paying_serial_signer_takes_its_cost_per_transaction() {
+        let clock = SimClock::with_speedup(100.0);
+        let cost = Duration::from_millis(10); // 100 us of wall time
+        let obs = SignObs::paying(&clock, cost);
+        let (kp, params) = (Keypair::from_seed(1), SigParams::fast());
+        let start = clock.now();
+        assert_eq!(sign_serial_obs(batch(100), &kp, &params, &obs).len(), 100);
+        assert!(
+            clock.now() - start >= cost * 100,
+            "{:?}",
+            clock.now() - start
+        );
+    }
+
+    #[test]
+    fn a_signer_held_by_an_unread_stream_banks_none_of_the_wait() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // One transaction per claim: the stream holds `held - 1` of them and
+        // the signer signs one more, then waits to send it for ~50 costs.
+        let clock = SimClock::with_speedup(100.0);
+        let cost = Duration::from_millis(100); // 1 ms of wall time
+        let held = STREAM_BOUND / CHUNK + 1;
+        let handed = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&handed);
+        let claim = move |_| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            batch(1)
+        };
+        let (kp, params) = (Keypair::from_seed(1), SigParams::fast());
+        let stream = sign_chunks(claim, 1, kp, params, SignObs::paying(&clock, cost));
+        while handed.load(Ordering::SeqCst) < held {
+            std::thread::yield_now();
+        }
+        clock.sleep(cost * 50);
+        // Once read, the stream's next 20 transactions are each signed and
+        // paid for anew; a wait banked as paid signing would send them at once.
+        let start = clock.now();
+        for _ in 0..held + 20 {
+            stream.recv().unwrap();
+        }
+        let took = clock.now() - start;
+        assert!(took >= cost * 10, "20 signatures in {took:?}");
+    }
+
+    #[test]
     fn pipelined_empty_batch_closes_channel() {
         let kp = Keypair::from_seed(1);
         let rx = sign_pipelined(vec![], kp, SigParams::fast(), 4);
@@ -491,7 +576,7 @@ mod tests {
     fn more_threads_than_txs() {
         let kp = Keypair::from_seed(1);
         let params = SigParams::fast();
-        let signed = sign_async(batch(3), &kp, &params, 16);
+        let signed = sign_async_obs(batch(3), &kp, &params, 16, &SignObs::disabled());
         assert_eq!(signed.len(), 3);
     }
 

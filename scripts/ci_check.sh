@@ -178,6 +178,16 @@ table3_out=$(cargo run --release --offline -p bench --bin table3_models)
 echo "$table3_out" | tail -n 2
 echo "$table3_out" | grep -q '^shape holds: ' || fail_on "table3_models printed no shape verdict"
 
+echo "==> Fig. 8 shape: the library's pipelined signing is >= 6x serial"
+# fig8_pipeline times signer::sign_serial_obs, sign_async_obs and
+# sign_chunks, each signature paying 2 ms of simulated client CPU (about
+# 600 s of simulated time at 15x: ~40 s), and exits non-zero unless the
+# pipeline is >= 6x serial and async lies between the two at every batch
+# size. A signer that holds its chunks until the batch ends reads ~4x.
+fig8_out=$(cargo run --release --offline -p bench --bin fig8_pipeline)
+echo "$fig8_out" | tail -n 2
+echo "$fig8_out" | grep -q '^shape holds: ' || fail_on "fig8_pipeline printed no shape verdict"
+
 echo "==> non-test lines of code (scripts/loc.sh)"
 scripts/loc.sh
 

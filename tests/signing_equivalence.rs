@@ -5,13 +5,16 @@
 use std::collections::HashSet;
 use std::time::Duration;
 
-use hammer::chain::types::Transaction;
+use hammer::chain::types::{SignedTransaction, Transaction};
 use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, Evaluation, SigningStrategy};
 use hammer::core::machine::ClientMachine;
-use hammer::core::signer::{sign_async, sign_pipelined, sign_serial};
+use hammer::core::signer::{
+    sign_async_obs, sign_chunks, sign_pipelined, sign_serial, sign_serial_obs, SignObs,
+};
 use hammer::crypto::sig::SigParams;
 use hammer::crypto::Keypair;
+use hammer::net::SimClock;
 use hammer::workload::{ControlSequence, SmallBankGenerator, WorkloadConfig};
 
 mod common;
@@ -31,18 +34,31 @@ fn all_strategies_produce_identical_signatures() {
     let keypair = Keypair::from_seed(3);
     let params = SigParams::fast();
     let n = 500;
+    let by_nonce = |mut signed: Vec<SignedTransaction>| {
+        signed.sort_by_key(|tx| tx.tx.nonce);
+        signed
+    };
 
     let serial = sign_serial(batch(n), &keypair, &params);
-    let parallel = sign_async(batch(n), &keypair, &params, 4);
-    assert_eq!(serial, parallel, "async differs from serial");
-
-    let mut streamed: Vec<_> = sign_pipelined(batch(n), keypair, params, 4)
+    let streamed = sign_pipelined(batch(n), keypair, params, 4)
         .iter()
         .collect();
-    streamed.sort_by_key(|tx| tx.tx.nonce);
-    let mut ordered = serial;
-    ordered.sort_by_key(|tx| tx.tx.nonce);
-    assert_eq!(streamed, ordered, "pipelined differs from serial");
+    let ordered = by_nonce(serial.clone());
+    assert_eq!(by_nonce(streamed), ordered, "pipelined differs from serial");
+
+    // A modelled signing cost is paid in simulated time and changes no
+    // signature.
+    let paying = SignObs::paying(&SimClock::with_speedup(100.0), Duration::from_millis(2));
+    for obs in [SignObs::disabled(), paying] {
+        let signed = sign_serial_obs(batch(n), &keypair, &params, &obs);
+        assert_eq!(signed, serial, "sign_serial_obs differs from serial");
+        let parallel = sign_async_obs(batch(n), &keypair, &params, 4, &obs);
+        assert_eq!(parallel, serial, "sign_async_obs differs from serial");
+        let mut rest = batch(n).into_iter();
+        let claim = move |len| rest.by_ref().take(len).collect();
+        let chunked = sign_chunks(claim, 4, keypair, params, obs).iter().collect();
+        assert_eq!(by_nonce(chunked), ordered, "chunked differs from serial");
+    }
 }
 
 #[test]
