@@ -2,11 +2,14 @@
 //! event costs when enabled, and — the number the driver cares about —
 //! that a *disabled* registry costs nearly nothing on the signing hot
 //! path (the `sign_obs_disabled`/`sign_plain` pair must stay within
-//! noise; `scripts/bench_snapshot.sh` gates the ratio).
+//! noise; `scripts/ci_check.sh` and `scripts/bench_snapshot.sh` gate the
+//! ratio). `sign_plain` signs with `Transaction::sign_with_buf` itself,
+//! not through `signer::sign_serial`, which is `sign_serial_obs` with a
+//! disabled context and so would pay any tax the disabled branch grew.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use hammer_chain::types::Transaction;
-use hammer_core::signer::{sign_serial, sign_serial_obs, SignObs};
+use hammer_core::signer::{sign_serial_obs, SignObs};
 use hammer_crypto::sig::SigParams;
 use hammer_crypto::Keypair;
 use hammer_net::SimClock;
@@ -95,7 +98,15 @@ fn bench_signing_overhead(c: &mut Criterion) {
     group.bench_function("sign_plain", |b| {
         b.iter_batched(
             || txs.clone(),
-            |txs| sign_serial(txs, &keypair, &params).len(),
+            |txs| {
+                // One scratch buffer per batch, as `sign_serial_obs` has.
+                let mut buf = Vec::new();
+                let signed: Vec<_> = txs
+                    .into_iter()
+                    .map(|tx| tx.sign_with_buf(&keypair, &params, &mut buf))
+                    .collect();
+                signed.len()
+            },
             BatchSize::SmallInput,
         );
     });

@@ -173,20 +173,22 @@ pub(super) struct Finished {
     pub wall_start: Instant,
 }
 
-/// Builds the report. One pass over the records settles the stragglers
-/// (anything still pending after the drain deadline timed out), tallies
-/// the statuses and finds the run span, a second folds the aggregates;
-/// rejected ids count under `rejected`, not `failed`, and get no row.
+/// Builds the report in one walk over the records: each is settled
+/// (anything still pending after the drain deadline timed out), tallied
+/// under its status, stretched into the run span and, unless its id was
+/// refused, folded into the aggregates ([`summarize`]) as it goes. Rejected
+/// ids count under `rejected`, not `failed`, and get no row.
 pub(super) fn build(run: Finished) -> EvalReport {
     let mut records = run.records;
     let rejected_ids = run.rejected_ids;
     let (mut committed, mut failed, mut timed_out, mut dropped, mut expired) = (0, 0, 0, 0, 0);
     let mut first_start: Option<Duration> = None;
     let mut last_end: Option<Duration> = None;
-    for record in &mut records {
+    let rows = records.iter_mut().filter_map(|record| {
+        let refused = rejected_ids.contains(&record.tx_id);
         match record.status {
             TxStatus::Committed => committed += 1,
-            TxStatus::Failed if rejected_ids.contains(&record.tx_id) => {}
+            TxStatus::Failed if refused => {}
             TxStatus::Failed => failed += 1,
             TxStatus::Dropped => dropped += 1,
             TxStatus::Expired => expired += 1,
@@ -197,15 +199,12 @@ pub(super) fn build(run: Finished) -> EvalReport {
         }
         first_start = Some(first_start.map_or(record.start, |s| s.min(record.start)));
         last_end = last_end.max(record.end);
-    }
+        let ok = record.status == TxStatus::Committed;
+        (!refused).then_some((record.client_id, record.start, record.end, ok))
+    });
+    let summary = summarize(rows, Duration::from_secs(1));
     let first_start = first_start.unwrap_or_default();
     let last_end = last_end.unwrap_or(first_start);
-
-    let view = |r: &TxRecord| (r.client_id, r.start, r.end, r.status == TxStatus::Committed);
-    let summary = summarize(
-        rows(&records, &rejected_ids).map(view),
-        Duration::from_secs(1),
-    );
 
     EvalReport {
         submitted: run.submitted,
@@ -234,14 +233,6 @@ pub(super) fn build(run: Finished) -> EvalReport {
         chain: run.chain,
         records,
     }
-}
-
-/// The records that get a Performance-table row: all but the refused.
-fn rows<'r>(
-    records: &'r [TxRecord],
-    rejected_ids: &'r HashSet<TxId>,
-) -> impl Iterator<Item = &'r TxRecord> {
-    records.iter().filter(|r| !rejected_ids.contains(&r.tx_id))
 }
 
 /// The Performance-table row of one of a report's records on `chain`: the
@@ -347,6 +338,14 @@ mod tests {
         pub(crate) fn to_json(&self) -> String {
             self.to_value().to_json()
         }
+    }
+
+    /// The records that get a Performance-table row: all but the refused.
+    fn rows<'r>(
+        records: &'r [TxRecord],
+        rejected_ids: &'r HashSet<TxId>,
+    ) -> impl Iterator<Item = &'r TxRecord> {
+        records.iter().filter(|r| !rejected_ids.contains(&r.tx_id))
     }
 
     fn rec(i: u8, end_ms: u64, status: TxStatus) -> TxRecord {
