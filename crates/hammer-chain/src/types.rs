@@ -147,9 +147,10 @@ impl Transaction {
         self.sign_with_buf(keypair, params, &mut buf)
     }
 
-    /// Signs the transaction using a caller-supplied scratch buffer for the
-    /// signable bytes, so signing pools reuse one buffer per worker instead
-    /// of allocating per transaction.
+    /// Signs the transaction's id (hash-then-sign, as ECDSA clients do),
+    /// using a caller-supplied scratch buffer for the signable bytes the id
+    /// hashes, so signing pools reuse one buffer per worker instead of
+    /// allocating per transaction.
     pub fn sign_with_buf(
         self,
         keypair: &hammer_crypto::Keypair,
@@ -159,7 +160,7 @@ impl Transaction {
         buf.clear();
         self.signable_bytes_into(buf);
         let id = TxId(sha256(buf));
-        let signature = keypair.sign(buf, params);
+        let signature = keypair.sign(&id.0, params);
         SignedTransaction {
             tx: self,
             id,
@@ -176,25 +177,24 @@ pub struct SignedTransaction {
     pub tx: Transaction,
     /// Cached id (hash of the signable bytes).
     pub id: TxId,
-    /// Client signature over the signable bytes.
+    /// Client signature over the id.
     pub signature: Signature,
     /// The signer's public key.
     pub public_key: PublicKey,
 }
 
 impl SignedTransaction {
-    /// Verifies the signature and that the cached id matches the body.
+    /// Verifies that the cached id is the hash of the body and that the
+    /// signature is over that id.
     pub fn verify(&self, params: &SigParams) -> bool {
-        let bytes = self.tx.signable_bytes();
-        if TxId(sha256(&bytes)) != self.id {
-            return false;
-        }
-        self.public_key.verify(&bytes, &self.signature, params)
+        self.tx.id() == self.id && self.public_key.verify(&self.id.0, &self.signature, params)
     }
 }
 
 /// Verifies a batch of signed transactions, returning one verdict per
-/// transaction, each exactly equal to [`SignedTransaction::verify`].
+/// transaction, each exactly equal to [`SignedTransaction::verify`]: the
+/// id is rehashed from the body through one reused buffer, and the
+/// signature checked over the id.
 ///
 /// Chain simulators validate block-sized bursts signed by a handful of
 /// client keys; routing them through
@@ -204,20 +204,20 @@ impl SignedTransaction {
 pub fn verify_signed_batch(txs: &[SignedTransaction], params: &SigParams) -> Vec<bool> {
     use hammer_crypto::sig::{verify_batch, VerifyItem};
 
-    let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(txs.len());
-    let mut id_ok: Vec<bool> = Vec::with_capacity(txs.len());
-    for tx in txs {
-        let mut bytes = Vec::with_capacity(64);
-        tx.tx.signable_bytes_into(&mut bytes);
-        id_ok.push(TxId(sha256(&bytes)) == tx.id);
-        bufs.push(bytes);
-    }
+    let mut buf = Vec::with_capacity(64);
+    let id_ok: Vec<bool> = txs
+        .iter()
+        .map(|tx| {
+            buf.clear();
+            tx.tx.signable_bytes_into(&mut buf);
+            TxId(sha256(&buf)) == tx.id
+        })
+        .collect();
     let items: Vec<VerifyItem<'_>> = txs
         .iter()
-        .zip(&bufs)
-        .map(|(tx, bytes)| VerifyItem {
+        .map(|tx| VerifyItem {
             y: tx.public_key.as_u64(),
-            msg: bytes,
+            msg: &tx.id.0,
             sig: tx.signature,
         })
         .collect();
@@ -442,6 +442,8 @@ mod tests {
 
     /// Ids, roots and block hashes as the parent commit produced them:
     /// the hash kernel and the Merkle fold may change, their output not.
+    /// The signature over the id is an independent SHA-256 reference's
+    /// (the script is in CHANGES.md).
     #[test]
     fn id_root_and_block_hash_golden_vectors() {
         let tx = sample_tx(3);
@@ -452,7 +454,7 @@ mod tests {
         let signed = tx.sign(&Keypair::from_seed(5), &SigParams::realistic());
         assert_eq!(
             (signed.signature.r, signed.signature.s),
-            (0x18ea_8f1c_28f2_312b, 0x1601_3140_00f6_5345)
+            (0x15d2_de5a_278e_937c, 0x0044_69a7_5188_3ef2)
         );
         let ids: Vec<TxId> = (0..5).map(|i| sample_tx(i).id()).collect();
         let block = Block::new(
@@ -471,6 +473,28 @@ mod tests {
         assert_eq!(
             to_hex(&block.header.hash()),
             "cc2d59211a771e3f448d686dd71648a06cb9bb098de317af385c4aedc0672ae7"
+        );
+    }
+
+    /// A body changed with its id recomputed to match keeps a signature
+    /// over the old id: both verifiers refuse it. The signature is over
+    /// the id itself.
+    #[test]
+    fn the_signature_is_over_the_id() {
+        let params = SigParams::fast();
+        let kp = Keypair::from_seed(5);
+        let mut buf = Vec::new();
+        let mut txs: Vec<SignedTransaction> = (0..5)
+            .map(|i| sample_tx(i).sign_with_buf(&kp, &params, &mut buf))
+            .collect();
+        for s in &txs {
+            assert!(kp.public().verify(&s.id.0, &s.signature, &params));
+        }
+        txs[2].tx.nonce = 99;
+        txs[2].id = txs[2].tx.id();
+        assert_eq!(
+            (txs[2].verify(&params), verify_signed_batch(&txs, &params)),
+            (false, vec![true, true, false, true, true])
         );
     }
 

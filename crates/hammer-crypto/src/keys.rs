@@ -2,7 +2,6 @@
 
 use rand::Rng;
 
-use crate::hmac::HmacKey;
 use crate::sig::{self, SigParams, Signature, GROUP_ORDER};
 
 /// A secret signing key (a scalar in `[1, GROUP_ORDER)`).
@@ -12,9 +11,9 @@ use crate::sig::{self, SigParams, Signature, GROUP_ORDER};
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SecretKey {
     x: u64,
-    /// The nonce HMAC's key with its pad blocks compressed, so a
-    /// signature hashes only the message's blocks.
-    nonce_key: HmacKey,
+    /// The hash state after the key's secret nonce block, so a nonce
+    /// hashes only the message and its counter.
+    nonce_state: [u32; 8],
 }
 
 impl std::fmt::Debug for SecretKey {
@@ -38,7 +37,7 @@ impl SecretKey {
     fn new(x: u64) -> Self {
         SecretKey {
             x,
-            nonce_key: sig::nonce_key(x),
+            nonce_state: sig::nonce_state(x),
         }
     }
 
@@ -100,11 +99,11 @@ impl Keypair {
     }
 
     /// Signs a message with the secret key, reusing the cached public
-    /// key and nonce-key midstates — the keypair signing hot path never
-    /// re-derives `g^x` or re-hashes a key pad.
+    /// key and nonce-block midstate — the keypair signing hot path never
+    /// re-derives `g^x` or re-hashes the nonce block.
     pub fn sign(&self, msg: &[u8], params: &SigParams) -> Signature {
         let secret = &self.secret;
-        sig::sign_with_key(secret.x, &secret.nonce_key, self.public.0, msg, params)
+        sig::sign_with_key(secret.x, &secret.nonce_state, self.public.0, msg, params)
     }
 }
 
@@ -114,10 +113,10 @@ mod tests {
     use rand::SeedableRng;
 
     impl SecretKey {
-        /// Signs with the key's own cached nonce key and a freshly
+        /// Signs with the key's own cached nonce state and a freshly
         /// derived public key.
         fn sign(&self, msg: &[u8], params: &SigParams) -> Signature {
-            sig::sign_with_key(self.x, &self.nonce_key, self.public().0, msg, params)
+            sig::sign_with_key(self.x, &self.nonce_state, self.public().0, msg, params)
         }
     }
 

@@ -10,11 +10,10 @@
 //!   function runs on the x86-64 SHA extensions when the CPU reports them
 //!   and on portable rounds otherwise; the choice is the CPU's alone (see
 //!   [`sha256::hardware_accelerated`]) and the output is bit-identical.
-//! * `hmac` (crate-private) — HMAC-SHA-256, which derives the signature
-//!   scheme's deterministic nonces.
 //! * [`merkle`] — the binary Merkle root the chain simulators commit to
 //!   block transaction lists with.
-//! * [`sig`] — a Schnorr-style signature scheme over a prime field. It is
+//! * [`sig`] — a Schnorr-style signature scheme over a prime field, its
+//!   deterministic nonce one keyed SHA-256 from a per-key midstate. It is
 //!   *educational strength* (61-bit modulus), but it has the same
 //!   sign/verify API and, via [`sig::SigParams::cost_factor`], a tunable
 //!   computational cost so experiments see a realistic signing workload.
@@ -34,7 +33,6 @@
 
 #![warn(missing_docs)]
 
-mod hmac;
 pub mod keys;
 pub mod merkle;
 pub mod sha256;

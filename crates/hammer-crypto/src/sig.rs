@@ -18,12 +18,20 @@
 //! Classic Schnorr in the multiplicative group of `Z_p`:
 //!
 //! * secret `x`, public `y = g^x mod p`
-//! * sign: deterministic nonce `k` (HMAC of secret and message, RFC-6979
-//!   style), `r = g^k`, challenge `e = H*(r || m || y)`,
+//! * sign: deterministic nonce `k = H(N_x || m || ctr) mod (p-1)`, one
+//!   keyed hash in the shape of RFC 8032 §5.1.6, where `N_x` is the secret
+//!   nonce block `"hammer-nonce-v1" || x` (big-endian) zero-padded to 64
+//!   bytes and `ctr` a 4-byte big-endian counter counting up from 0 until
+//!   `k` is nonzero; `r = g^k`, challenge `e = H*(r || m || y) mod (p-1)`,
 //!   `s = k + e·x mod (p-1)`
 //! * verify: `g^s == r · y^e (mod p)`
 //!
-//! where `H*` is SHA-256 iterated [`SigParams::cost_factor`] times.
+//! where `H` is SHA-256 and `H*` is SHA-256 iterated
+//! [`SigParams::cost_factor`] times. `N_x` fills exactly one block, so a
+//! key keeps the hash state after it, and a nonce over a message of up to
+//! 51 bytes costs one compression. Transactions sign their 32-byte id
+//! (hash-then-sign), so a signature's nonce and a one-round challenge
+//! (`8 + 32 + 8` bytes) take one compression each.
 //!
 //! Reducing exponents modulo `p-1` is valid for any base because the group
 //! order divides `p-1` (Fermat), so correctness does not depend on the order
@@ -32,8 +40,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use crate::hmac::HmacKey;
-use crate::sha256::{finish, sha256_digest, H0};
+use crate::sha256::{compress, finish, sha256_digest, H0};
 
 /// The Mersenne prime modulus `2^61 - 1`.
 pub(crate) const P: u64 = (1u64 << 61) - 1;
@@ -228,17 +235,36 @@ pub fn pow_g(exp: u64) -> u64 {
     g_table().pow(exp)
 }
 
-/// Addition modulo `GROUP_ORDER`.
+/// Addition modulo `GROUP_ORDER`, for `a, b < GROUP_ORDER`: one
+/// conditional subtract.
 #[inline]
 fn add_mod_order(a: u64, b: u64) -> u64 {
-    let sum = (a as u128) + (b as u128);
-    (sum % GROUP_ORDER as u128) as u64
+    debug_assert!(a < GROUP_ORDER && b < GROUP_ORDER);
+    let sum = a + b;
+    if sum >= GROUP_ORDER {
+        sum - GROUP_ORDER
+    } else {
+        sum
+    }
 }
 
-/// Multiplication modulo `GROUP_ORDER`.
+/// Multiplication modulo `GROUP_ORDER = 2^61 - 2`, for `a, b <
+/// GROUP_ORDER`, without a 128-bit division: `2^61 ≡ 2`, so the product's
+/// bits above 61 fold back in doubled, twice, and one conditional subtract
+/// finishes.
 #[inline]
 fn mul_mod_order(a: u64, b: u64) -> u64 {
-    ((a as u128 * b as u128) % GROUP_ORDER as u128) as u64
+    debug_assert!(a < GROUP_ORDER && b < GROUP_ORDER);
+    const MASK: u64 = (1 << 61) - 1;
+    let wide = a as u128 * b as u128;
+    // Below 2^61 + 2^62, then below 2^61 + 4: past the order by at most 5.
+    let t = (wide as u64 & MASK) + ((wide >> 61) as u64) * 2;
+    let t = (t & MASK) + (t >> 61) * 2;
+    if t >= GROUP_ORDER {
+        t - GROUP_ORDER
+    } else {
+        t
+    }
 }
 
 /// Derives the hardened challenge `e` for message `msg` under commitment `r`
@@ -252,19 +278,28 @@ fn challenge(r: u64, msg: &[u8], y: u64, params: &SigParams) -> u64 {
     e % GROUP_ORDER
 }
 
-/// The nonce HMAC's key for secret scalar `x` (its 8 big-endian bytes),
-/// pad blocks compressed: [`crate::SecretKey`] keeps it beside `x`.
-pub(crate) fn nonce_key(x: u64) -> HmacKey {
-    HmacKey::new(&x.to_be_bytes())
+/// Domain tag at the head of every secret nonce block.
+const NONCE_TAG: &[u8; 15] = b"hammer-nonce-v1";
+
+/// The hash state after secret scalar `x`'s nonce block `N_x` (the tag,
+/// `x`'s 8 big-endian bytes, zeros to 64): [`crate::SecretKey`] keeps it
+/// beside `x`, so a nonce hashes only the message and the counter.
+pub(crate) fn nonce_state(x: u64) -> [u32; 8] {
+    let mut block = [0u8; 64];
+    block[..NONCE_TAG.len()].copy_from_slice(NONCE_TAG);
+    block[NONCE_TAG.len()..NONCE_TAG.len() + 8].copy_from_slice(&x.to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &[block]);
+    state
 }
 
-/// Deterministic nonce derivation (RFC-6979 style): `k = HMAC(x, msg ‖
-/// ctr)`, the counter counting up from 0 until `k` is nonzero.
-fn derive_nonce(key: &HmacKey, msg: &[u8]) -> u64 {
+/// Deterministic nonce derivation: `k = H(N_x ‖ msg ‖ ctr)` from the state
+/// after `N_x`, the counter counting up from 0 until `k` is nonzero.
+fn derive_nonce(nonce_state: &[u32; 8], msg: &[u8]) -> u64 {
     let mut counter: u32 = 0;
     loop {
-        let mac = key.mac(&[msg, &counter.to_be_bytes()]);
-        let k = u64::from_be_bytes(mac[..8].try_into().expect("8 bytes")) % GROUP_ORDER;
+        let digest = finish(*nonce_state, 64, &[msg, &counter.to_be_bytes()]);
+        let k = u64::from_be_bytes(digest[..8].try_into().expect("8 bytes")) % GROUP_ORDER;
         if k != 0 {
             return k;
         }
@@ -272,18 +307,18 @@ fn derive_nonce(key: &HmacKey, msg: &[u8]) -> u64 {
     }
 }
 
-/// Signs `msg` with secret scalar `x`, its nonce key ([`nonce_key`]`(x)`)
-/// and its public key `y = g^x`.
+/// Signs `msg` with secret scalar `x`, the state after its nonce block
+/// ([`nonce_state`]`(x)`) and its public key `y = g^x`.
 pub(crate) fn sign_with_key(
     x: u64,
-    nonce_key: &HmacKey,
+    nonce_state: &[u32; 8],
     y: u64,
     msg: &[u8],
     params: &SigParams,
 ) -> Signature {
     debug_assert!((1..GROUP_ORDER).contains(&x));
     debug_assert_eq!(y, pow_g(x), "public key does not match secret");
-    let k = derive_nonce(nonce_key, msg);
+    let k = derive_nonce(nonce_state, msg);
     let r = pow_g(k);
     let e = challenge(r, msg, y, params);
     let s = add_mod_order(k, mul_mod_order(e, x));
@@ -357,10 +392,10 @@ pub fn verify_batch(items: &[VerifyItem<'_>], params: &SigParams) -> Vec<bool> {
 
 /// The reference the keyed path is compared against: signs `msg` with
 /// secret scalar `x` (in `[1, GROUP_ORDER)`), deriving the public key and
-/// hashing the nonce key's pad blocks on every call.
+/// hashing its nonce block on every call.
 #[cfg(test)]
 pub(crate) fn sign(x: u64, msg: &[u8], params: &SigParams) -> Signature {
-    sign_with_key(x, &nonce_key(x), pow_g(x), msg, params)
+    sign_with_key(x, &nonce_state(x), pow_g(x), msg, params)
 }
 
 #[cfg(test)]
@@ -472,33 +507,34 @@ mod tests {
         assert_ne!(sign(7, b"same", &params), sign(7, b"diff", &params));
     }
 
-    /// `(r, s)` as the parent commit produced them: the nonce HMAC and the
+    /// `(r, s)` as an independent SHA-256 of the documented construction
+    /// computes them (the script is in CHANGES.md): the keyed nonce and the
     /// hardened challenge must stay bit-identical under any hash kernel.
     #[test]
     fn sign_golden_vectors() {
-        let long = b"a message that is longer than one sha-256 block so the nonce hmac \
+        let long = b"a message that is longer than one sha-256 block so the nonce hash \
 and the challenge both span blocks";
         let golden: [(u64, &[u8], u32, u64, u64); 3] = [
             (
                 0x1234_5678_9abc,
                 b"hello",
                 1,
-                0x1ee8_24fe_72f1_b7b3,
-                0x0449_1abc_280d_019b,
+                0x01d0_8da1_44a2_7982,
+                0x0e13_653d_6c47_c1b4,
             ),
             (
                 42,
                 b"transfer 10 from alice to bob",
                 5,
-                0x0460_9c06_9db5_6a33,
-                0x1ef4_9334_0dec_744f,
+                0x0392_33f4_a93c_7c48,
+                0x1768_9110_4f71_f0ae,
             ),
             (
                 0x0dea_dbee_f123_4567,
                 long,
                 200,
-                0x08f0_f81d_688b_c765,
-                0x1abe_6f30_731e_0ec3,
+                0x11c9_75aa_8464_1e15,
+                0x1cb5_95f5_d915_ab00,
             ),
         ];
         for (x, msg, cost, r, s) in golden {
@@ -530,7 +566,7 @@ and the challenge both span blocks";
         let x = 0xdead_beef_u64;
         let y = pow_g(x);
         assert_eq!(
-            sign_with_key(x, &nonce_key(x), y, b"msg", &params),
+            sign_with_key(x, &nonce_state(x), y, b"msg", &params),
             sign(x, b"msg", &params)
         );
     }
@@ -638,6 +674,16 @@ and the challenge both span blocks";
             let y = pow_mod(G, x);
             let sig = sign(x, &msg, &params);
             prop_assert!(verify(y, &msg, &sig, &params));
+        }
+
+        #[test]
+        fn prop_order_arithmetic_matches_u128(
+            a in prop_oneof![Just(0u64), Just(1), Just(GROUP_ORDER - 1), 0u64..GROUP_ORDER],
+            b in prop_oneof![Just(0u64), Just(1), Just(GROUP_ORDER - 1), 0u64..GROUP_ORDER],
+        ) {
+            let n = GROUP_ORDER as u128;
+            prop_assert_eq!(add_mod_order(a, b) as u128, (a as u128 + b as u128) % n);
+            prop_assert_eq!(mul_mod_order(a, b) as u128, (a as u128 * b as u128) % n);
         }
 
         #[test]

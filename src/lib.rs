@@ -44,7 +44,7 @@
 //! | [`store`] | `hammer-store` | KV store, Performance table, reports |
 //! | [`workload`] | `hammer-workload` | SmallBank/YCSB generators, control sequences, traces |
 //! | [`nn`] / [`predict`] | `hammer-nn`, `hammer-predict` | the §IV prediction model |
-//! | [`crypto`] | `hammer-crypto` | SHA-256, HMAC, Merkle, signatures |
+//! | [`crypto`] | `hammer-crypto` | SHA-256, Merkle, signatures |
 
 #![warn(missing_docs)]
 
