@@ -3,15 +3,16 @@
 //! The paper reports ≈6.88× speed-up for asynchronous signatures combined
 //! with pipelined preparation/execution over naive serial generation, on a
 //! multi-core client. This times the library's three signing paths as
-//! *simulated-time makespans*, each signature paying 2 ms of modelled client
-//! CPU (an ECDSA-class signature on a weak cloud core) on the simulation
-//! clock through [`SignObs::paying`], so eight signers behave as eight
-//! cores even on a small CI host; execution pays a smaller cost per
-//! transaction. Serial is `sign_serial_obs` (Fig. 4a); async is
-//! `sign_async_obs`, a pool that execution still waits for (Fig. 4b); the
-//! async pipeline is `sign_chunks`, the path the driver's `prepare` takes
-//! (Fig. 4c). Exits non-zero unless the pipeline is at least 6× serial and
-//! async lies between the two at every batch size.
+//! *simulated-time makespans* on a virtual clock, each signature paying 2 ms
+//! of modelled client CPU (an ECDSA-class signature on a weak cloud core)
+//! through [`SignObs::paying`], so eight signers behave as eight cores even
+//! on a small CI host; execution pays a smaller cost per transaction. Real
+//! CPU costs no virtual time, so every reading is the model's exactly and
+//! two runs print the same table. Serial is `sign_serial_obs` (Fig. 4a);
+//! async is `sign_async_obs`, a pool that execution still waits for
+//! (Fig. 4b); the async pipeline is `sign_chunks`, the path the driver's
+//! `prepare` takes (Fig. 4c). Exits non-zero unless the pipeline is at least
+//! 6× serial and async lies between the two at every batch size.
 //!
 //! Real-crypto wall-clock numbers (host-core dependent) live in the
 //! `roundtrip` Criterion group (`sign_serial_4096`, `sign_pipelined_4096`).
@@ -46,24 +47,35 @@ fn make_batch(n: usize) -> Vec<Transaction> {
 }
 
 /// The simulated time from calling `sign` (a signing path) to the last of
-/// its transactions ingested. Ingestion pays `CONSUME_COST` each to a due
-/// time that, like a paying signer's, credits a late wake-up and skips what
-/// waiting for the next transaction blocked for.
+/// its transactions ingested, each paying `CONSUME_COST` once it arrives.
 fn makespan<I>(clock: &SimClock, sign: impl FnOnce() -> I) -> Duration
 where
     I: IntoIterator<Item = SignedTransaction>,
 {
     let start = clock.now();
     let mut signed = sign().into_iter();
-    let mut due = clock.now();
-    loop {
-        let asked = clock.now();
-        if signed.next().is_none() {
-            return clock.now() - start;
-        }
-        due += clock.now().saturating_sub(asked) + CONSUME_COST;
-        clock.sleep_until(due);
+    while signed.next().is_some() {
+        clock.sleep(CONSUME_COST);
     }
+    clock.now() - start
+}
+
+/// The makespans of serial, async and pipelined signing of `n` transactions.
+fn makespans(clock: &SimClock, n: usize) -> [Duration; 3] {
+    let (keypair, params) = (Keypair::from_seed(1), SigParams::fast());
+    let obs = SignObs::paying(clock, SIGN_COST);
+    let batch = make_batch(n);
+    let serial = makespan(clock, || sign_serial_obs(batch, &keypair, &params, &obs));
+    let batch = make_batch(n);
+    let asynchronous = makespan(clock, || {
+        sign_async_obs(batch, &keypair, &params, SIGNER_THREADS, &obs)
+    });
+    let mut rest = make_batch(n).into_iter();
+    let claim = move |len| rest.by_ref().take(len).collect();
+    let pipelined = makespan(clock, || {
+        sign_chunks(claim, SIGNER_THREADS, keypair, params, obs.clone())
+    });
+    [serial, asynchronous, pipelined]
 }
 
 fn main() {
@@ -72,29 +84,12 @@ fn main() {
     println!("model: {SIGNER_THREADS} signers, {sign_ms} ms simulated CPU per signature,");
     println!("{consume_us} us ingestion per transaction; makespans in simulated time\n");
 
-    let (keypair, params) = (Keypair::from_seed(1), SigParams::fast());
-    // Modest speed-up: each modelled 2 ms signature occupies ~130 us of
-    // wall time, so the real crypto (~3 us) cannot distort concurrency
-    // even with 9 threads sharing one host core.
-    let clock = SimClock::with_speedup(15.0);
-    let obs = SignObs::paying(&clock, SIGN_COST);
-
+    let clock = SimClock::virtual_time();
     let mut rows = Vec::new();
     let mut holds = true;
     for n in [10_000, 25_000, 50_000, 100_000] {
         eprintln!("batch of {n}...");
-        let batch = make_batch(n);
-        let serial = makespan(&clock, || sign_serial_obs(batch, &keypair, &params, &obs));
-        let batch = make_batch(n);
-        let threads = SIGNER_THREADS;
-        let asynchronous = makespan(&clock, || {
-            sign_async_obs(batch, &keypair, &params, threads, &obs)
-        });
-        let mut rest = make_batch(n).into_iter();
-        let claim = move |len| rest.by_ref().take(len).collect();
-        let pipelined = makespan(&clock, || {
-            sign_chunks(claim, threads, keypair, params, obs.clone())
-        });
+        let [serial, asynchronous, pipelined] = makespans(&clock, n);
 
         // Speed-ups over serial: async's and the pipeline's.
         let speedup = |d: Duration| serial.as_secs_f64() / d.as_secs_f64();
@@ -126,4 +121,22 @@ fn main() {
     println!(
         "\nshape holds: pipeline >= {MIN_PIPELINE_SPEEDUP}x serial, async between, at every size"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_model_is_read_exactly_at_ten_thousand_transactions() {
+        // Serial signs every transaction, then ingests each: 10 000 x
+        // (2 ms + 330 us). Async: eight signers share 1 250 each, then
+        // ingest. Pipeline: the first chunks arrive after 128 signatures,
+        // and from then on ingestion, the slower stage, never waits.
+        let ms = Duration::from_millis;
+        let [serial, asynchronous, pipelined] = makespans(&SimClock::virtual_time(), 10_000);
+        assert_eq!(serial, ms(23_300));
+        assert_eq!(asynchronous, ms(1_250 * 2 + 3_300));
+        assert_eq!(pipelined, ms(128 * 2 + 3_300));
+    }
 }

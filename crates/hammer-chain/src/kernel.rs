@@ -489,7 +489,7 @@ pub struct ChainNode<P: ConsensusPolicy> {
     /// Per shard, the policy's ingress and sealer endpoint names.
     ingress: Vec<String>,
     sealers: Vec<String>,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    thread: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl<P: ConsensusPolicy> ChainNode<P> {

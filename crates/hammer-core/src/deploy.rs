@@ -22,7 +22,6 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
@@ -282,7 +281,7 @@ fn parse_listening(line: &str) -> Result<u16, String> {
 struct Incarnation {
     id: u64,
     child: Child,
-    reader: Option<JoinHandle<()>>,
+    reader: Option<thread::JoinHandle<()>>,
 }
 
 impl Drop for Incarnation {
@@ -345,7 +344,7 @@ impl SupervisorShared {
 /// reap on shutdown or drop, so no child outlives the driver, panics included).
 pub struct Supervisor {
     shared: Arc<SupervisorShared>,
-    thread: Mutex<Option<JoinHandle<()>>>,
+    thread: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for Supervisor {

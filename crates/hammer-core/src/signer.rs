@@ -79,11 +79,10 @@ impl SignObs {
 
     /// Context that records nothing and makes every signature take `cost`
     /// of simulated time on `clock`, as on a client core busy signing (how
-    /// Fig. 8 times the three paths on a host with fewer cores). Each
-    /// signing thread sleeps to a due time of its own that advances by
-    /// `cost` per signature: a wake-up's lateness is credited to the next
-    /// signature, and time blocked on a full [`SignedStream`] is not
-    /// counted as signing.
+    /// Fig. 8 times the three paths on a host with fewer cores): each
+    /// signature sleeps `cost` first. Exact on a virtual clock
+    /// ([`SimClock::virtual_time`]), where real CPU and time blocked on a
+    /// full [`SignedStream`] cost nothing and a sleep ends at its deadline.
     pub fn paying(clock: &SimClock, cost: Duration) -> Self {
         SignObs {
             hist: Histogram::disabled(),
@@ -99,45 +98,21 @@ impl SignObs {
         tx: Transaction,
         keypair: &Keypair,
         params: &SigParams,
-        state: &mut SignerState,
+        buf: &mut Vec<u8>,
     ) -> SignedTransaction {
         if self.enabled {
             let start = self.clock.now();
             if !self.cost.is_zero() {
-                let due = state.paid_to.unwrap_or(start) + self.cost;
-                state.paid_to = Some(due);
-                self.clock.sleep_until(due);
+                self.clock.sleep(self.cost);
             }
-            let signed = tx.sign_with_buf(keypair, params, &mut state.buf);
+            let signed = tx.sign_with_buf(keypair, params, buf);
             self.hist
                 .record_duration(self.clock.now().saturating_sub(start));
             signed
         } else {
-            tx.sign_with_buf(keypair, params, &mut state.buf)
+            tx.sign_with_buf(keypair, params, buf)
         }
     }
-
-    /// Runs `wait`, which is not signing, and moves a paying thread's due
-    /// time on by what it blocked for, so that no signature is paid with it.
-    fn excluding<R>(&self, state: &mut SignerState, wait: impl FnOnce() -> R) -> R {
-        let Some(paid_to) = state.paid_to.as_mut() else {
-            return wait();
-        };
-        let start = self.clock.now();
-        let waited = wait();
-        *paid_to += self.clock.now().saturating_sub(start);
-        waited
-    }
-}
-
-/// What one signing thread keeps from one signature to the next: the
-/// scratch buffer for the signable encoding, so steady-state signing does
-/// no per-transaction allocation, and, when signing pays a cost, the
-/// simulated time it has paid up to.
-#[derive(Default)]
-struct SignerState {
-    buf: Vec<u8>,
-    paid_to: Option<Duration>,
 }
 
 /// Signs the batch on the calling thread (the serial baseline).
@@ -156,9 +131,11 @@ pub fn sign_serial_obs(
     params: &SigParams,
     obs: &SignObs,
 ) -> Vec<SignedTransaction> {
-    let mut state = SignerState::default();
+    // One scratch buffer for the signable encoding per signing thread, so
+    // steady-state signing allocates nothing per transaction.
+    let mut buf = Vec::new();
     txs.into_iter()
-        .map(|tx| obs.sign_one(tx, keypair, params, &mut state))
+        .map(|tx| obs.sign_one(tx, keypair, params, &mut buf))
         .collect()
 }
 
@@ -179,9 +156,9 @@ pub fn sign_async_obs(
         let workers: Vec<_> = cut(txs, share)
             .map(|batch| {
                 let (kp, p, obs) = (*keypair, *params, obs.clone());
-                let mut state = SignerState::default();
+                let mut buf = Vec::new();
                 let sign = move || -> Vec<_> {
-                    let sign_one = |tx| obs.sign_one(tx, &kp, &p, &mut state);
+                    let sign_one = |tx| obs.sign_one(tx, &kp, &p, &mut buf);
                     batch.into_iter().map(sign_one).collect()
                 };
                 thread::spawn_scoped(scope, "hammer-signer", sign).expect("spawn signer")
@@ -335,15 +312,15 @@ pub fn sign_chunks(
     for _ in 0..signers {
         let (claim, out, obs) = (Arc::clone(&claim), out.clone(), obs.clone());
         thread::spawn("hammer-signer", move || {
-            let mut state = SignerState::default();
+            let mut buf = Vec::new();
             loop {
                 let unsigned = (*claim.lock())(CHUNK);
                 if unsigned.is_empty() {
                     return;
                 }
-                let sign = |tx| obs.sign_one(tx, &keypair, &params, &mut state);
+                let sign = |tx| obs.sign_one(tx, &keypair, &params, &mut buf);
                 let signed: Vec<_> = unsigned.into_iter().map(sign).collect();
-                if obs.excluding(&mut state, || out.send(signed)).is_err() {
+                if out.send(signed).is_err() {
                     return; // consumer gone
                 }
             }
@@ -522,26 +499,22 @@ mod tests {
 
     #[test]
     fn a_paying_serial_signer_takes_its_cost_per_transaction() {
-        let clock = SimClock::with_speedup(100.0);
-        let cost = Duration::from_millis(10); // 100 us of wall time
+        let clock = SimClock::virtual_time();
+        let cost = Duration::from_millis(2);
         let obs = SignObs::paying(&clock, cost);
         let (kp, params) = (Keypair::from_seed(1), SigParams::fast());
-        let start = clock.now();
-        assert_eq!(sign_serial_obs(batch(100), &kp, &params, &obs).len(), 100);
-        assert!(
-            clock.now() - start >= cost * 100,
-            "{:?}",
-            clock.now() - start
-        );
+        assert_eq!(sign_serial_obs(batch(20), &kp, &params, &obs).len(), 20);
+        assert_eq!(clock.now(), cost * 20);
     }
 
     #[test]
     fn a_signer_held_by_an_unread_stream_banks_none_of_the_wait() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         // One transaction per claim: the stream holds `held - 1` of them and
-        // the signer signs one more, then waits to send it for ~50 costs.
-        let clock = SimClock::with_speedup(100.0);
-        let cost = Duration::from_millis(100); // 1 ms of wall time
+        // the signer signs one more, then waits to send it for the rest of
+        // the hundred costs.
+        let clock = SimClock::virtual_time();
+        let cost = Duration::from_millis(2);
         let held = STREAM_BOUND / CHUNK + 1;
         let handed = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&handed);
@@ -551,18 +524,15 @@ mod tests {
         };
         let (kp, params) = (Keypair::from_seed(1), SigParams::fast());
         let stream = sign_chunks(claim, 1, kp, params, SignObs::paying(&clock, cost));
-        while handed.load(Ordering::SeqCst) < held {
-            std::thread::yield_now();
-        }
-        clock.sleep(cost * 50);
+        clock.sleep(cost * 100);
+        assert_eq!(handed.load(Ordering::SeqCst), held, "claims while unread");
         // Once read, the stream's next 20 transactions are each signed and
         // paid for anew; a wait banked as paid signing would send them at once.
         let start = clock.now();
         for _ in 0..held + 20 {
             stream.recv().unwrap();
         }
-        let took = clock.now() - start;
-        assert!(took >= cost * 10, "20 signatures in {took:?}");
+        assert_eq!(clock.now() - start, cost * 20);
     }
 
     #[test]

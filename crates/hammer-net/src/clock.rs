@@ -1,24 +1,33 @@
-//! A scalable simulation clock, and the one place the simulation waits.
+//! The simulation clock, and the one place the simulation waits.
 //!
 //! All chain simulators express their timing (block intervals, consensus
-//! rounds, network RTTs) in *simulated* durations. The [`SimClock`] maps a
-//! simulated duration onto wall time divided by a speed-up factor, so the
-//! same configuration can run in real time (speed-up 1) for demos or 1000×
-//! accelerated for tests and benchmarks while preserving every ratio between
-//! the systems under test.
+//! rounds, network RTTs) in *simulated* durations, and every timed wait of
+//! simulated code ends in one private function, `SimClock::wait_until`
+//! (DESIGN.md §6). A [`SimClock`] has one of three modes:
 //!
-//! Every timed wait of simulated code ends in one private function,
-//! `SimClock::wait_until` (DESIGN.md §6); a scheduler that owns simulated
-//! time replaces that one function. Its mode follows from the speed-up
-//! alone: in *wall mode* (≤ 1) a wait is one block in the OS to its
-//! deadline, so an idle instrument burns no CPU; in *scaled mode* (> 1) it
-//! wakes early and yields through the tail, because there an OS wake-up's
-//! lateness is multiplied into simulated time. [`StopSignal`] is how
-//! teardown, or news of an earlier deadline, ends a wait by a wake.
+//! * *Wall mode* ([`SimClock::realtime`], or a speed-up ≤ 1): simulated time
+//!   is wall time, scaled down at most. A wait is one block in the OS to its
+//!   deadline, so an idle instrument burns no CPU.
+//! * *Scaled mode* (a speed-up > 1): simulated time is wall time multiplied,
+//!   so the same configuration runs 1000× accelerated with every ratio
+//!   between the systems under test preserved. A wait wakes early and yields
+//!   through the tail, because an OS wake-up's lateness is multiplied into
+//!   simulated time.
+//! * *Virtual mode* ([`SimClock::virtual_time`]): a scheduler owns the time.
+//!   It runs the clock's participants one at a time, and when every one of
+//!   them waits, time jumps to the earliest deadline; real CPU costs no
+//!   simulated time, and a wait touches no OS timer. Two runs of the same
+//!   inputs read the same times.
+//!
+//! The mode of a scaled or wall clock follows from its speed-up alone.
+//! [`StopSignal`] is how teardown, or news of an earlier deadline, ends a
+//! wait by a wake.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+use crate::sched::Sched;
 
 /// The one pair of wait thresholds, in wall time: a wait blocks in the OS
 /// only while more than `OS_WAIT_ABOVE` remains, and in scaled mode wakes
@@ -60,6 +69,9 @@ struct ClockInner {
     /// driver's current simulated time here so its clock resumes where
     /// the run is, instead of restarting from zero.
     base: Duration,
+    /// The scheduler that owns a virtual clock's time; `None` in wall and
+    /// scaled mode.
+    sched: Option<Arc<Sched>>,
 }
 
 impl Default for SimClock {
@@ -105,11 +117,34 @@ impl SimClock {
                 epoch: Instant::now(),
                 speedup,
                 base,
+                sched: None,
             }),
         }
     }
 
-    /// The configured speed-up factor.
+    /// A clock whose time a scheduler owns, starting at zero: virtual mode.
+    ///
+    /// The calling thread is its first participant, and so is every thread
+    /// that a participant starts through [`crate::thread`]. One participant
+    /// runs at a time; it hands on when it waits — on this clock, on a
+    /// vendored channel or in a join — and when all of them wait, time
+    /// jumps to the earliest deadline. A wait that no peer can end fails
+    /// every participant with a panic that names each one and its wait.
+    /// A thread takes part in one virtual clock at a time: building a second
+    /// leaves the first.
+    pub fn virtual_time() -> Self {
+        SimClock {
+            inner: Arc::new(ClockInner {
+                epoch: Instant::now(),
+                speedup: f64::INFINITY,
+                base: Duration::ZERO,
+                sched: Some(Sched::start()),
+            }),
+        }
+    }
+
+    /// The configured speed-up factor; infinite for a virtual clock, to
+    /// which no wall time maps.
     pub fn speedup(&self) -> f64 {
         self.inner.speedup
     }
@@ -117,6 +152,9 @@ impl SimClock {
     /// Simulated time elapsed since the clock's epoch (plus any restart
     /// base set by [`SimClock::with_speedup_from`]).
     pub fn now(&self) -> Duration {
+        if let Some(sched) = &self.inner.sched {
+            return sched.now();
+        }
         let wall = self.inner.epoch.elapsed();
         self.inner.base + wall.mul_f64(self.inner.speedup)
     }
@@ -141,6 +179,10 @@ impl SimClock {
 
     /// [`SimClock::sleep_until`], ended as soon as `signal` is raised or
     /// rung (at once if it already is); returns the reading that ended it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a virtual clock, whose scheduler does not serve it yet.
     pub fn sleep_until_signalled(&self, sim_deadline: Duration, signal: &StopSignal) -> Duration {
         self.wait_until(sim_deadline, Some(signal))
     }
@@ -153,8 +195,17 @@ impl SimClock {
     /// overshoot (~0.1 ms of simulated time there): on an idle host the
     /// tail is a busy loop with nobody to yield to.
     /// Returns the reading that ended the wait: at or past `sim_deadline`,
-    /// or earlier if `stop` was raised or rung.
+    /// or earlier if `stop` was raised or rung. A virtual clock's scheduler
+    /// serves the wait instead.
     fn wait_until(&self, sim_deadline: Duration, stop: Option<&StopSignal>) -> Duration {
+        if let Some(sched) = &self.inner.sched {
+            assert!(
+                stop.is_none(),
+                "a StopSignal wait on a virtual clock: the scheduler does not serve \
+                 them yet (ROADMAP item 1(a))"
+            );
+            return sched.sleep_until(sim_deadline);
+        }
         loop {
             let now = self.now();
             if now >= sim_deadline || stop.is_some_and(StopSignal::is_signalled) {

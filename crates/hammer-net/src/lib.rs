@@ -11,7 +11,9 @@
 //!   evaluation runs in seconds while inter-system *ratios* are preserved.
 //!   Its module holds the simulation's only timed-wait loop and
 //!   [`clock::StopSignal`], which teardown raises and a producer rings to
-//!   wake what waits.
+//!   wake what waits. [`SimClock::virtual_time`] builds a clock whose time
+//!   a scheduler owns instead: it runs the clock's threads one at a time
+//!   and jumps time to the next deadline when all of them wait.
 //! * [`link::LinkConfig`] — the testbed's link quality. Only
 //!   `loss_probability` is simulated; latency, jitter and bandwidth
 //!   describe the links and delay nothing.
@@ -67,6 +69,7 @@ pub mod clock;
 pub mod fault;
 pub mod link;
 pub mod network;
+mod sched;
 pub mod tcp;
 pub mod thread;
 

@@ -122,13 +122,13 @@ pub struct TcpRpcServer {
     shutdown: Arc<AtomicBool>,
     listener: TcpListener,
     conns: Arc<Mutex<Vec<ConnSlot>>>,
-    accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    accept_thread: Mutex<Option<thread::JoinHandle<()>>>,
     served: Arc<AtomicU64>,
 }
 
 struct ConnSlot {
     stream: TcpStream,
-    handle: Option<std::thread::JoinHandle<()>>,
+    handle: Option<thread::JoinHandle<()>>,
 }
 
 impl TcpRpcServer {

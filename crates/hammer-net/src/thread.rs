@@ -1,10 +1,70 @@
 //! The one place a thread is started: [`spawn`] and [`spawn_scoped`] name
 //! it after its role (`hammer-submit`, `fabric-sim`), and `clippy.toml`
-//! disallows the std spawns everywhere else. Both return what the std
-//! builder returns, so a caller that survives a failed spawn still sees it.
+//! disallows the std spawns everywhere else. A thread started by a
+//! participant of a virtual clock ([`crate::SimClock::virtual_time`]) is one
+//! too, and a participant that joins it waits for its exit through the
+//! clock's scheduler, so the handles wrap the std ones. A failed spawn is
+//! returned as the std builder returns it, so a caller that survives one
+//! still sees it.
 
 use std::io;
-use std::thread::{Builder, JoinHandle, Scope, ScopedJoinHandle};
+use std::thread::{Builder, Scope};
+
+use crate::sched::Child;
+
+/// An owned permission to join a thread started by [`spawn`].
+#[derive(Debug)]
+pub struct JoinHandle<T> {
+    inner: std::thread::JoinHandle<T>,
+    child: Option<Child>,
+}
+
+impl<T> JoinHandle<T> {
+    /// Waits for the thread to finish, as [`std::thread::JoinHandle::join`].
+    pub fn join(self) -> std::thread::Result<T> {
+        if let Some(child) = &self.child {
+            child.await_exit();
+        }
+        self.inner.join()
+    }
+
+    /// Whether the thread has finished running its closure.
+    pub fn is_finished(&self) -> bool {
+        self.inner.is_finished()
+    }
+}
+
+/// An owned permission to join a thread started by [`spawn_scoped`].
+#[derive(Debug)]
+pub struct ScopedJoinHandle<'scope, T> {
+    inner: std::thread::ScopedJoinHandle<'scope, T>,
+    child: Option<Child>,
+}
+
+impl<T> ScopedJoinHandle<'_, T> {
+    /// Waits for the thread to finish, as
+    /// [`std::thread::ScopedJoinHandle::join`].
+    pub fn join(self) -> std::thread::Result<T> {
+        if let Some(child) = &self.child {
+            child.await_exit();
+        }
+        self.inner.join()
+    }
+
+    /// Whether the thread has finished running its closure.
+    pub fn is_finished(&self) -> bool {
+        self.inner.is_finished()
+    }
+}
+
+/// The std spawn's result, with a participant whose thread never started
+/// taken off its scheduler.
+fn started<H>(spawned: io::Result<H>, child: Option<&Child>) -> io::Result<H> {
+    if let (Err(_), Some(child)) = (&spawned, child) {
+        child.abandon();
+    }
+    spawned
+}
 
 /// Starts a thread named `name` running `f`.
 #[allow(clippy::disallowed_methods)] // the sanctioned std spawn
@@ -12,7 +72,12 @@ pub fn spawn<T: Send + 'static>(
     name: impl Into<String>,
     f: impl FnOnce() -> T + Send + 'static,
 ) -> io::Result<JoinHandle<T>> {
-    Builder::new().name(name.into()).spawn(f)
+    let name = name.into();
+    let child = Child::register(&name);
+    let run = child.clone();
+    let spawned = Builder::new().name(name).spawn(move || Child::run(run, f));
+    let inner = started(spawned, child.as_ref())?;
+    Ok(JoinHandle { inner, child })
 }
 
 /// Starts a thread named `name` running `f` inside `scope`.
@@ -22,7 +87,14 @@ pub fn spawn_scoped<'scope, T: Send + 'scope>(
     name: impl Into<String>,
     f: impl FnOnce() -> T + Send + 'scope,
 ) -> io::Result<ScopedJoinHandle<'scope, T>> {
-    Builder::new().name(name.into()).spawn_scoped(scope, f)
+    let name = name.into();
+    let child = Child::register(&name);
+    let run = child.clone();
+    let spawned = Builder::new()
+        .name(name)
+        .spawn_scoped(scope, move || Child::run(run, f));
+    let inner = started(spawned, child.as_ref())?;
+    Ok(ScopedJoinHandle { inner, child })
 }
 
 #[cfg(test)]

@@ -39,6 +39,9 @@ pub mod json;
 pub mod jsonrpc;
 pub mod transport;
 
+/// The vendored channel's scheduler hook, for `hammer-net`'s virtual-time
+/// scheduler: this crate is that crate's one path to the channel.
+pub use crossbeam::sched as channel_sched;
 pub use frame::{FrameDecoder, FrameError, MAX_FRAME_LEN};
 pub use json::Value;
 pub use jsonrpc::{RpcError, RpcRequest, RpcResponse};

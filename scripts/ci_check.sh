@@ -178,18 +178,37 @@ table3_out=$(cargo run --release --offline -p bench --bin table3_models)
 echo "$table3_out" | tail -n 2
 echo "$table3_out" | grep -q '^shape holds: ' || fail_on "table3_models printed no shape verdict"
 
-echo "==> Fig. 8 shape: the library's pipelined signing is >= 6x serial"
+echo "==> Fig. 8 shape: the library's pipelined signing is >= 6x serial, and reads the same twice"
 # fig8_pipeline times signer::sign_serial_obs, sign_async_obs and
-# sign_chunks, each signature paying 2 ms of simulated client CPU (about
-# 600 s of simulated time at 15x: ~40 s), and exits non-zero unless the
-# pipeline is >= 6x serial and async lies between the two at every batch
-# size. A signer that holds its chunks until the batch ends reads ~4x.
-fig8_out=$(cargo run --release --offline -p bench --bin fig8_pipeline)
-echo "$fig8_out" | tail -n 2
-echo "$fig8_out" | grep -q '^shape holds: ' || fail_on "fig8_pipeline printed no shape verdict"
+# sign_chunks on a virtual clock, each signature paying 2 ms of simulated
+# client CPU: about 600 s of simulated time in a few seconds, one baton pass
+# per paid wait. It exits non-zero unless the pipeline is >= 6x serial and
+# async lies between the two at every batch size (a signer that holds its
+# chunks until the batch ends reads ~4x). Virtual time owes nothing to the
+# host's scheduler, so the second run must print the same bytes: a tie
+# broken by thread id or hash order fails here.
+fig8_dir=$(mktemp -d)
+cargo run --release --offline -p bench --bin fig8_pipeline >"$fig8_dir/first"
+cargo run --release --offline -p bench --bin fig8_pipeline >"$fig8_dir/second"
+tail -n 2 "$fig8_dir/first"
+grep -q '^shape holds: ' "$fig8_dir/first" || fail_on "fig8_pipeline printed no shape verdict"
+fig8_diff=$(diff "$fig8_dir/first" "$fig8_dir/second") || true
+cmp -s "$fig8_dir/first" "$fig8_dir/second" \
+    || fail_on "fig8_pipeline printed two different tables: a reading depends on the host's scheduler" "$fig8_diff"
+rm -r "$fig8_dir"
 
 echo "==> non-test lines of code (scripts/loc.sh)"
 scripts/loc.sh
+
+echo "==> driver_e2e's Cargo.lock: no dependency edge changed under the frozen package"
+# ci_smoke.sh builds the benchmark without --locked, so a new edge between
+# the crates it builds (hammer-net gaining crossbeam, say) would rewrite its
+# lock without an error. The lock is not tracked (the root .gitignore): a
+# checkout that never built the package has none to hold yet.
+driver_lock=crates/bench/src/bin/driver_e2e/Cargo.lock
+[ ! -e "$driver_lock" ] || cargo metadata --locked --offline --format-version 1 \
+    --manifest-path crates/bench/src/bin/driver_e2e/Cargo.toml >/dev/null \
+    || fail_on "the crates driver_e2e builds changed their dependencies: $driver_lock would be rewritten"
 
 echo "==> driver_e2e smoke: the benchmark's tests and every workload at 1/50 size"
 crates/bench/src/bin/driver_e2e/ci_smoke.sh

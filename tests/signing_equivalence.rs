@@ -48,7 +48,7 @@ fn all_strategies_produce_identical_signatures() {
 
     // A modelled signing cost is paid in simulated time and changes no
     // signature.
-    let paying = SignObs::paying(&SimClock::with_speedup(100.0), Duration::from_millis(2));
+    let paying = SignObs::paying(&SimClock::virtual_time(), Duration::from_millis(2));
     for obs in [SignObs::disabled(), paying] {
         let signed = sign_serial_obs(batch(n), &keypair, &params, &obs);
         assert_eq!(signed, serial, "sign_serial_obs differs from serial");
