@@ -699,6 +699,8 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::time::Instant;
 
+    const MS: Duration = Duration::from_millis(1);
+
     /// A minimal policy: one node, fixed 20 ms epochs, FIFO order.
     struct FifoPolicy;
 
@@ -739,8 +741,10 @@ mod tests {
         }
     }
 
+    /// A FIFO chain on a virtual clock, which the calling test thread takes
+    /// part in: the loop runs only while the test waits on the clock.
     fn start_fifo() -> Arc<ChainNode<FifoPolicy>> {
-        let clock = SimClock::with_speedup(1000.0);
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         NodeKernelBuilder::new(clock, net)
             .mempool_capacity(100)
@@ -749,21 +753,11 @@ mod tests {
     }
 
     /// The `(id, valid)` entries of the blocks sealed on shard 0 above
-    /// `after`, waiting up to five seconds of wall time for the first.
+    /// `after`.
     fn sealed_after<P: ConsensusPolicy>(chain: &ChainNode<P>, after: u64) -> Vec<(TxId, bool)> {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let height = chain.latest_height(0).unwrap();
-            if height > after {
-                let blocks = chain.blocks(0, after + 1..=height).unwrap();
-                return blocks.iter().flat_map(|block| block.entries()).collect();
-            }
-            assert!(
-                Instant::now() < deadline,
-                "nothing sealed above height {after}"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let height = chain.latest_height(0).unwrap();
+        let blocks = chain.blocks(0, after + 1..=height).unwrap();
+        blocks.iter().flat_map(|block| block.entries()).collect()
     }
 
     fn signed(nonce: u64) -> SignedTransaction {
@@ -788,7 +782,11 @@ mod tests {
         let chain = start_fifo();
         chain.seed_account(Address::from_name("k"), 100, 0);
         let id = chain.submit(signed(1)).unwrap();
+        // The first epoch ends at 20 ms; a tie would go to the test thread.
+        chain.clock().sleep_until(30 * MS);
         assert_eq!(sealed_after(&chain, 0), [(id, true)]);
+        let block = chain.block_at(0, 1).unwrap().unwrap();
+        assert_eq!(block.header.timestamp, 20 * MS);
         assert_eq!(chain.stats().committed, 1);
         chain.verify_ledgers().unwrap();
         chain.shutdown();
@@ -902,12 +900,8 @@ mod tests {
         }
     }
 
-    fn start_two_shards(
-        speedup: f64,
-        wait: Duration,
-        cost: Duration,
-    ) -> Arc<ChainNode<CostlyShard>> {
-        let clock = SimClock::with_speedup(speedup);
+    fn start_two_shards(wait: Duration, cost: Duration) -> Arc<ChainNode<CostlyShard>> {
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         // Endpoints are names, not threads: five of them add none.
         NodeKernelBuilder::new(clock, net)
@@ -923,76 +917,43 @@ mod tests {
             })
     }
 
-    /// Live threads of this process named `name`; `None` where `/proc`
-    /// does not say.
-    fn threads_named(name: &str) -> Option<usize> {
-        let tasks = std::fs::read_dir("/proc/self/task").ok()?.flatten();
-        let comm = |task: &std::fs::DirEntry| std::fs::read_to_string(task.path().join("comm"));
-        Some(
-            tasks
-                .filter(|task| comm(task).is_ok_and(|c| c.trim() == name))
-                .count(),
-        )
-    }
-
-    /// [`threads_named`] once the count is not 0: a new thread sets its
-    /// own name once it runs.
-    fn threads_named_once_started(name: &str) -> Option<usize> {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let named = threads_named(name)?;
-            if named > 0 || Instant::now() > deadline {
-                return Some(named);
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
     #[test]
     fn a_two_shard_node_owns_exactly_one_thread() {
-        let chain = start_two_shards(1000.0, Duration::from_millis(100), Duration::ZERO);
-        assert!(chain.thread.lock().is_some());
-        if let Some(named) = threads_named_once_started("two-shard-sim") {
-            assert_eq!(named, 1, "one loop serves both shards");
-        }
+        let chain = start_two_shards(100 * MS, Duration::ZERO);
+        let clock = chain.clock().clone();
+        // The test thread, and one loop for both shards, which seal ten
+        // blocks each meanwhile.
+        assert_eq!(clock.participants(), 2);
+        clock.sleep_until(1050 * MS);
+        assert_eq!(clock.participants(), 2);
+        assert_eq!(
+            (chain.latest_height(0), chain.latest_height(1)),
+            (Ok(10), Ok(10))
+        );
         chain.shutdown();
         assert!(chain.thread.lock().is_none());
-        if let Some(named) = threads_named("two-shard-sim") {
-            assert_eq!(named, 0, "joined at shutdown");
-        }
+        assert_eq!(clock.participants(), 1, "joined at shutdown");
     }
 
     #[test]
     fn a_costly_round_seals_after_its_cost_while_the_other_shard_keeps_its_cadence() {
-        let (wait, cost) = (Duration::from_millis(100), Duration::from_secs(1));
-        // 100×: the cost is 10 ms of wall time, shard 1's wait 1 ms.
-        let chain = start_two_shards(100.0, wait, cost);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while chain.latest_height(0).unwrap() == 0 {
-            assert!(Instant::now() < deadline, "shard 0 never sealed");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let (wait, cost) = (100 * MS, Duration::from_secs(1));
+        let chain = start_two_shards(wait, cost);
+        // Shard 0 builds at 100 ms and seals at 1.1 s; shard 1 builds and
+        // seals every 100 ms meanwhile, ten times from 100 ms to 1 s.
+        chain.clock().sleep_until(1150 * MS);
         chain.shutdown();
-        let built = chain.policy().builds.lock()[..]
-            .iter()
-            .find(|(shard, _)| *shard == 0)
-            .map(|(_, at)| *at)
-            .expect("shard 0 built its round");
+        let builds = chain.policy().builds.lock().clone();
+        let built = builds.iter().find(|(shard, _)| *shard == 0).unwrap().1;
+        assert_eq!(built, wait);
+        assert_eq!(chain.latest_height(0).unwrap(), 1);
         let sealed = chain.block_at(0, 1).unwrap().unwrap().header.timestamp;
-        assert!(
-            sealed >= built + cost,
-            "sealed at {sealed:?}, built at {built:?}"
-        );
-        // Shard 1 sealed every `wait` inside shard 0's cost window, about
-        // nine times; a loop held up by the cost would seal none there.
+        assert_eq!(sealed, built + cost);
         let heights = 1..=chain.latest_height(1).unwrap();
         let inside = (chain.blocks(1, heights).unwrap().iter())
             .filter(|block| (built..sealed).contains(&block.header.timestamp))
             .count();
-        assert!(
-            inside >= 5,
-            "shard 1 sealed {inside} blocks inside the window"
-        );
+        assert_eq!(inside, 10, "shard 1's blocks inside shard 0's cost");
     }
 
     #[test]
@@ -1005,7 +966,7 @@ mod tests {
     #[test]
     fn sealing_accounts_one_gossip_message_per_follower() {
         use hammer_net::FaultPlan;
-        let clock = SimClock::with_speedup(1000.0);
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         let chain = NodeKernelBuilder::new(clock, net.clone())
             .gossip_sizing(40, 7)
@@ -1054,6 +1015,7 @@ mod tests {
         };
         // No plan was ever installed: the gate answers from its flag.
         let first = chain.submit(signed(1)).unwrap();
+        chain.clock().sleep_until(30 * MS);
         assert_eq!(sealed(0), [first]);
         let forever = Duration::from_secs(1 << 40);
         chain
@@ -1069,6 +1031,8 @@ mod tests {
         // An empty plan in its place: served again, and sealed again.
         chain.net().install_faults(FaultPlan::new());
         let third = chain.submit(signed(3)).unwrap();
+        // Sealed at the next epoch, 40 ms.
+        chain.clock().sleep_until(50 * MS);
         assert_eq!(sealed(1), [third]);
         assert_eq!(chain.ingress_nodes(), ["fifo-node-0"]);
         assert_eq!(chain.sealer_nodes(), ["fifo-node-0"]);
@@ -1133,9 +1097,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_shard_waiting_for_ever_is_woken_by_a_ring_and_a_stop() {
-        let clock = SimClock::with_speedup(1000.0);
+    fn start_rung(clock: SimClock) -> Arc<ChainNode<Rung>> {
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         let chain = NodeKernelBuilder::new(clock, net)
             .endpoint("fifo-node-0")
@@ -1144,16 +1106,41 @@ mod tests {
                 asked: AtomicU64::new(0),
             });
         chain.seed_account(Address::from_name("k"), 100, 0);
-        // Asked once at start, then parked: a second of wall time is a
-        // quarter of an hour of simulated time, and nothing asks again.
-        std::thread::sleep(Duration::from_millis(30));
+        chain
+    }
+
+    #[test]
+    fn a_shard_waiting_for_ever_is_woken_by_a_ring_and_a_stop() {
+        let chain = start_rung(SimClock::virtual_time());
+        let clock = chain.clock().clone();
+        // Asked once at start, then parked: an hour on, nothing asked again.
+        clock.sleep(Duration::from_secs(3600));
         assert_eq!(chain.policy().asked.load(Ordering::Relaxed), 1);
         assert_eq!(chain.latest_height(0).unwrap(), 0);
-        // The ring moves the deadline to now: the round is built at once.
+        // The ring moves the deadline to its instant: asked again, the round
+        // is built and sealed there, and the loop is asked once more.
+        let rung_at = clock.now();
         let id = chain.submit(signed(1)).unwrap();
+        clock.sleep(MS);
         assert_eq!(sealed_after(&chain, 0), [(id, true)]);
-        // Parked on a deadline that never comes, the loop is stopped by a
-        // wake, not by the rest of a wait.
+        let block = chain.block_at(0, 1).unwrap().unwrap();
+        assert_eq!(block.header.timestamp, rung_at);
+        assert_eq!(chain.policy().asked.load(Ordering::Relaxed), 3);
+        // Parked on no deadline, the loop is stopped by the raise, and
+        // joined at its instant.
+        let raised_at = clock.now();
+        chain.shutdown();
+        assert_eq!(clock.now(), raised_at);
+        assert_eq!(clock.participants(), 1);
+    }
+
+    #[test]
+    fn a_stop_ends_a_wall_mode_wait_for_ever_by_a_wake() {
+        let chain = start_rung(SimClock::with_speedup(1000.0));
+        chain.submit(signed(1)).unwrap();
+        // 30 ms of wall time: the ring is served, and the loop parks on no
+        // deadline.
+        chain.clock().sleep(Duration::from_secs(30));
         let started = Instant::now();
         chain.shutdown();
         let took = started.elapsed();
@@ -1163,23 +1150,17 @@ mod tests {
     #[test]
     fn mempool_full_is_backpressure() {
         use crate::client::ErrorKind;
-        let clock = SimClock::with_speedup(1000.0);
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         let chain = NodeKernelBuilder::new(clock, net)
             .mempool_capacity(2)
             .endpoint("fifo-node-0")
             .start(FifoPolicy);
-        // Stall-free window is tiny; submit fast enough to overflow.
-        let mut saw_backpressure = false;
-        for nonce in 1..200 {
-            if let Err(err) = chain.submit(signed(nonce)) {
-                if err.kind() == ErrorKind::Backpressure {
-                    saw_backpressure = true;
-                    break;
-                }
-            }
-        }
-        assert!(saw_backpressure);
+        // No time passes between submissions: the loop drains nothing.
+        let answers: Vec<_> = (1..=3).map(|nonce| chain.submit(signed(nonce))).collect();
+        assert!(answers[..2].iter().all(Result::is_ok), "{answers:?}");
+        let refused = answers[2].as_ref().unwrap_err();
+        assert_eq!(refused.kind(), ErrorKind::Backpressure);
         chain.shutdown();
     }
 }

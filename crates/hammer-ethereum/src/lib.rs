@@ -204,8 +204,9 @@ mod tests {
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
 
+    /// The chain on a virtual clock: it mines while the test waits on it.
     fn fast_chain(config: EthereumConfig) -> (Arc<ChainNode<EthereumPolicy>>, SimClock) {
-        let clock = SimClock::with_speedup(2000.0);
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         (start(config, clock.clone(), net), clock)
     }
@@ -222,32 +223,18 @@ mod tests {
         .sign(&Keypair::from_seed(1), &SigParams::fast())
     }
 
-    fn wait_for_height(chain: &ChainNode<EthereumPolicy>, h: u64, wall_ms: u64) -> bool {
-        let deadline = std::time::Instant::now() + Duration::from_millis(wall_ms);
-        while std::time::Instant::now() < deadline {
-            if chain.latest_height(0).unwrap() >= h {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        false
-    }
-
-    /// Whether `id` executed successfully, from the block that holds it;
-    /// `None` when no block holds it within five seconds of wall time.
-    fn sealed(chain: &ChainNode<EthereumPolicy>, id: TxId) -> Option<bool> {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let height = chain.latest_height(0).unwrap();
-            let blocks = chain.blocks(0, 1..=height).unwrap();
-            let entry = blocks
-                .iter()
-                .find_map(|b| b.entries().find(|(tx, _)| *tx == id));
-            if entry.is_some() || std::time::Instant::now() >= deadline {
-                return entry.map(|(_, valid)| valid);
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+    /// The `(id, valid)` entries of the first block, which holds one
+    /// transaction, slept past: it is sealed at the seeded sampler's first
+    /// draw (the loop asks at zero) plus one transaction's execution.
+    fn first_block(chain: &ChainNode<EthereumPolicy>) -> Vec<(TxId, bool)> {
+        let config = &chain.policy().config;
+        let mean = config.block_interval.as_secs_f64();
+        let first = sample_exponential(&mut StdRng::seed_from_u64(config.seed), mean);
+        let sealed = Duration::from_secs_f64(first) + config.exec_cost_per_tx;
+        chain.clock().sleep_until(sealed + Duration::from_millis(1));
+        let block = chain.block_at(0, 1).unwrap().expect("the first block");
+        assert_eq!(block.header.timestamp, sealed);
+        block.entries().collect()
     }
 
     #[test]
@@ -266,7 +253,7 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert_eq!(sealed(&chain, id), Some(true), "tx never included");
+        assert_eq!(first_block(&chain), [(id, true)]);
         assert_eq!(
             chain.account(Address::from_name("a")).unwrap().checking,
             1005
@@ -290,8 +277,7 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert_eq!(sealed(&chain, id), Some(false));
-        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(first_block(&chain), [(id, false)]);
         assert_eq!(chain.stats().failed, 1);
         chain.shutdown();
     }
@@ -311,13 +297,13 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert_eq!(sealed(&chain, id), Some(true));
+        assert_eq!(first_block(&chain), [(id, true)]);
         chain.shutdown();
     }
 
     #[test]
     fn gas_limit_caps_block_size() {
-        let (chain, _clock) = fast_chain(EthereumConfig {
+        let (chain, clock) = fast_chain(EthereumConfig {
             block_interval: Duration::from_secs(2),
             block_gas_limit: 210_000, // 10 txs max
             ..EthereumConfig::default()
@@ -334,11 +320,12 @@ mod tests {
                 ))
                 .unwrap();
         }
-        assert!(wait_for_height(&chain, 1, 5000));
-        for h in 1..=chain.latest_height(0).unwrap() {
-            let b = chain.block_at(0, h).unwrap().unwrap();
-            assert!(b.len() <= 10, "block has {} txs", b.len());
-        }
+        // A minute is thirty mean intervals: the pool drains ten at a time,
+        // and PoW seals empty blocks after.
+        clock.sleep(Duration::from_secs(60));
+        let blocks = chain.blocks(0, 1..=u64::MAX).unwrap();
+        let sizes: Vec<usize> = blocks.iter().map(|b| b.len()).collect();
+        assert_eq!(sizes[..4], [10, 10, 5, 0]);
         chain.shutdown();
     }
 
@@ -390,7 +377,7 @@ mod tests {
 
     #[test]
     fn ledger_chain_verifies() {
-        let (chain, _clock) = fast_chain(EthereumConfig {
+        let (chain, clock) = fast_chain(EthereumConfig {
             block_interval: Duration::from_millis(500),
             ..EthereumConfig::default()
         });
@@ -404,8 +391,9 @@ mod tests {
                 },
             ));
         }
-        assert!(wait_for_height(&chain, 3, 8000));
+        clock.sleep(Duration::from_secs(10)); // twenty mean intervals
         chain.shutdown();
+        assert_eq!(chain.stats().committed, 10);
         chain.verify_ledgers().unwrap();
     }
 

@@ -427,15 +427,17 @@ mod tests {
         }
     }
 
-    fn chain_at(speedup: f64, config: FabricConfig) -> Arc<ChainNode<FabricPolicy>> {
-        let clock = SimClock::with_speedup(speedup);
+    fn chain_on(clock: SimClock, config: FabricConfig) -> Arc<ChainNode<FabricPolicy>> {
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         start(config, clock, net)
     }
 
+    /// The chain with 200 ms batch timeouts on a virtual clock, which the
+    /// calling test thread takes part in: the line runs only while the test
+    /// waits on the clock.
     fn fast_chain(mut config: FabricConfig) -> Arc<ChainNode<FabricPolicy>> {
         config.batch_timeout = Duration::from_millis(200);
-        chain_at(1000.0, config)
+        chain_on(SimClock::virtual_time(), config)
     }
 
     fn signed(nonce: u64, op: Op) -> SignedTransaction {
@@ -448,17 +450,6 @@ mod tests {
             contract_name: "smallbank".to_owned(),
         }
         .sign(&Keypair::from_seed(2), &SigParams::fast())
-    }
-
-    fn wait_until(pred: impl Fn() -> bool, wall_ms: u64) -> bool {
-        let deadline = std::time::Instant::now() + Duration::from_millis(wall_ms);
-        while std::time::Instant::now() < deadline {
-            if pred() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        false
     }
 
     // ---- The pipeline alone: simulated instants, no clock, no thread. ----
@@ -718,29 +709,23 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.stats().committed == 1, 5000));
+        // Endorsed at 2 ms, cut at the timeout, validated 4 ms later.
+        chain.clock().sleep_until(ms(300));
+        let block = chain.block_at(0, 1).unwrap().unwrap();
+        assert_eq!(block.header.timestamp, ms(206));
+        assert_eq!(block.entries().collect::<Vec<_>>(), [(id, true)]);
         assert_eq!(
             chain.account(Address::from_name("a")).unwrap().checking,
             111
         );
-        let height = chain.latest_height(0).unwrap();
-        let mut found = false;
-        for h in 1..=height {
-            let b = chain.block_at(0, h).unwrap().unwrap();
-            if let Some(pos) = b.tx_ids.iter().position(|t| *t == id) {
-                assert!(b.valid[pos]);
-                found = true;
-            }
-        }
-        assert!(found);
         chain.shutdown();
     }
 
     #[test]
     fn conflicting_txs_are_invalidated() {
-        // One server; the fifth endorsement fills the batch, so all five
-        // are read before any commits, whatever the host's timing: the
-        // first commits and the other four conflict.
+        // One server; the fifth endorsement (10 ms) fills the batch, so all
+        // five are read before any commits (30 ms): the first commits and
+        // the other four conflict.
         let chain = fast_chain(FabricConfig {
             endorser_threads: 1,
             max_batch: 5,
@@ -751,10 +736,7 @@ mod tests {
         for tx in txs {
             chain.submit(tx).unwrap();
         }
-        assert!(wait_until(
-            || chain.stats().committed + chain.policy().mvcc_conflicts() >= 5,
-            8000
-        ));
+        chain.clock().sleep_until(ms(100));
         assert_eq!(chain.policy().mvcc_conflicts(), 4);
         assert_eq!(chain.stats().committed, 1);
         chain.shutdown();
@@ -772,11 +754,10 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.latest_height(0).unwrap() >= 1, 5000));
+        chain.clock().sleep_until(ms(300));
         assert_eq!(chain.policy().endorse_failures(), 1);
         let b = chain.block_at(0, 1).unwrap().unwrap();
-        let pos = b.tx_ids.iter().position(|t| *t == id).unwrap();
-        assert!(!b.valid[pos]);
+        assert_eq!(b.entries().collect::<Vec<_>>(), [(id, false)]);
         chain.shutdown();
     }
 
@@ -803,7 +784,9 @@ mod tests {
                 rejected += 1;
             }
         }
-        assert!(rejected > 0, "expected overload rejections");
+        // No time passes between submissions: four are in service, four
+        // wait, and the other 42 are turned away.
+        assert_eq!(rejected, 42);
         assert_eq!(chain.policy().rejected_overload(), rejected);
         chain.shutdown();
     }
@@ -838,15 +821,14 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let sealed = || -> Vec<(TxId, bool)> {
-            let height = chain.latest_height(0).unwrap();
-            let blocks = chain.blocks(0, 1..=height).unwrap();
-            blocks.iter().flat_map(|b| b.entries()).collect()
-        };
-        assert!(wait_until(|| sealed().len() >= ids.len(), 5000), "sealed");
-        let entries = sealed();
-        assert_eq!(entries.len(), ids.len(), "{entries:?}");
-        assert!(entries.iter().all(|(id, ok)| ids.contains(id) && *ok));
+        // Endorsed side by side: one block, in arrival order.
+        chain.clock().sleep_until(ms(300));
+        let blocks = chain.blocks(0, 1..=u64::MAX).unwrap();
+        let entries: Vec<_> = blocks.iter().flat_map(|b| b.entries()).collect();
+        assert_eq!(
+            entries,
+            ids.iter().map(|&id| (id, true)).collect::<Vec<_>>()
+        );
         chain.shutdown();
     }
 
@@ -854,19 +836,12 @@ mod tests {
     fn ledger_verifies_after_run() {
         let chain = fast_chain(FabricConfig::default());
         // Distinct accounts: concurrent endorsement must not conflict.
-        for i in 0..40 {
-            chain.seed_account(Address::from_name(&format!("a{i}")), 10_000, 0);
+        for tx in deposits(&chain, 40) {
+            chain.submit(tx).unwrap();
         }
-        for i in 0..40 {
-            let _ = chain.submit(signed(
-                i,
-                Op::DepositChecking {
-                    account: Address::from_name(&format!("a{i}")),
-                    amount: 1,
-                },
-            ));
-        }
-        assert!(wait_until(|| chain.stats().committed >= 40, 8000));
+        // One batch: cut at its timeout, validated 160 ms later.
+        chain.clock().sleep_until(Duration::from_secs(1));
+        assert_eq!(chain.stats().committed, 40);
         chain.verify_ledgers().unwrap();
         chain.shutdown();
     }
@@ -877,42 +852,25 @@ mod tests {
             max_batch: 5,
             ..FabricConfig::default()
         });
-        for i in 0..23 {
-            chain.seed_account(Address::from_name(&format!("b{i}")), 10_000, 0);
+        for tx in deposits(&chain, 23) {
+            chain.submit(tx).unwrap();
         }
-        for i in 0..23 {
-            let _ = chain.submit(signed(
-                i,
-                Op::DepositChecking {
-                    account: Address::from_name(&format!("b{i}")),
-                    amount: 1,
-                },
-            ));
-        }
-        assert!(wait_until(|| chain.stats().committed >= 23, 8000));
-        for h in 1..=chain.latest_height(0).unwrap() {
-            let b = chain.block_at(0, h).unwrap().unwrap();
-            assert!(b.len() <= 5);
-        }
+        chain.clock().sleep_until(Duration::from_secs(1));
+        let blocks = chain.blocks(0, 1..=u64::MAX).unwrap();
+        let sizes: Vec<usize> = blocks.iter().map(|b| b.len()).collect();
+        assert_eq!(sizes, [5, 5, 5, 5, 3]);
         chain.shutdown();
     }
 
     #[test]
     fn pending_count_drains() {
         let chain = fast_chain(FabricConfig::default());
-        for i in 0..10 {
-            chain.seed_account(Address::from_name(&format!("c{i}")), 10_000, 0);
+        for tx in deposits(&chain, 10) {
+            chain.submit(tx).unwrap();
         }
-        for i in 0..10 {
-            let _ = chain.submit(signed(
-                i,
-                Op::DepositChecking {
-                    account: Address::from_name(&format!("c{i}")),
-                    amount: 1,
-                },
-            ));
-        }
-        assert!(wait_until(|| chain.pending_txs().unwrap() == 0, 8000));
+        assert_eq!(chain.pending_txs().unwrap(), 10);
+        chain.clock().sleep_until(Duration::from_secs(1));
+        assert_eq!(chain.pending_txs().unwrap(), 0);
         chain.shutdown();
     }
 
@@ -933,14 +891,15 @@ mod tests {
             drop(chain);
             start.elapsed()
         };
+        let wall = |speedup| chain_on(SimClock::with_speedup(speedup), FabricConfig::default());
         // Idle: the loop waits for an event that never comes.
-        let idle = timed_drop(fast_chain(FabricConfig::default()));
+        let idle = timed_drop(wall(1000.0));
         assert!(idle < Duration::from_millis(20), "idle drop took {idle:?}");
 
         // Busy: at 100× a burst of 300 is 12 ms of validation alone, so the
         // drop finds endorsements in service, an open batch at the orderer
         // and a batch in validation.
-        let chain = chain_at(100.0, FabricConfig::default());
+        let chain = wall(100.0);
         for tx in deposits(&chain, 300) {
             chain.submit(tx).unwrap();
         }
@@ -950,35 +909,47 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_node_in_virtual_time_joins_it_at_the_raise() {
+        let clock = SimClock::virtual_time();
+        let drop_at_its_instant = |chain: Arc<ChainNode<FabricPolicy>>| {
+            let raised_at = clock.now();
+            drop(chain);
+            assert_eq!(clock.now(), raised_at);
+            assert_eq!(clock.participants(), 1, "the loop is joined");
+        };
+        let idle = chain_on(clock.clone(), FabricConfig::default());
+        clock.sleep(Duration::from_secs(1));
+        drop_at_its_instant(idle);
+        // Busy: at 100 ms the burst of 300 is still being endorsed (until
+        // 150 ms), its first batch of 120 is in validation (60 ms to 540 ms)
+        // and the second is open at the orderer.
+        let chain = chain_on(clock.clone(), FabricConfig::default());
+        for tx in deposits(&chain, 300) {
+            chain.submit(tx).unwrap();
+        }
+        clock.sleep(ms(100));
+        assert_eq!(chain.latest_height(0).unwrap(), 0);
+        assert_eq!(chain.pending_txs().unwrap(), 300, "the burst is in flight");
+        drop_at_its_instant(chain);
+    }
+
+    #[test]
     fn a_partial_batch_is_cut_at_the_timeout_in_simulated_time() {
         let batch_timeout = Duration::from_secs(20);
-        for speedup in [100.0, 1000.0] {
-            let config = FabricConfig {
-                batch_timeout,
-                ..FabricConfig::default()
-            };
-            let chain = chain_at(speedup, config);
-            let submitted_at = chain.clock().now();
-            for tx in deposits(&chain, 3) {
-                chain.submit(tx).unwrap();
-            }
-            assert!(
-                wait_until(|| chain.latest_height(0).unwrap() > 0, 5000),
-                "{speedup}×: nothing sealed"
-            );
-            let block = chain.block_at(0, 1).unwrap().unwrap();
-            // The block's timestamp is simulated time: the timeout plus a
-            // few milliseconds of endorsement and validation, at any
-            // speed-up. The slack is 20 ms of wall time at 1000×.
-            let waited = block.header.timestamp - submitted_at;
-            assert!(waited >= batch_timeout, "{speedup}×: cut after {waited:?}");
-            assert!(
-                waited < batch_timeout * 2,
-                "{speedup}×: cut after {waited:?}"
-            );
-            assert_eq!(chain.latest_height(0).unwrap(), 1, "one block of three");
-            chain.shutdown();
+        let config = FabricConfig {
+            batch_timeout,
+            ..FabricConfig::default()
+        };
+        let chain = chain_on(SimClock::virtual_time(), config);
+        for tx in deposits(&chain, 3) {
+            chain.submit(tx).unwrap();
         }
+        chain.clock().sleep_until(Duration::from_secs(30));
+        assert_eq!(chain.latest_height(0).unwrap(), 1, "one block of three");
+        // Endorsed at 2 ms, cut a timeout later, three validations after.
+        let block = chain.block_at(0, 1).unwrap().unwrap();
+        assert_eq!(block.header.timestamp, ms(2) + batch_timeout + ms(12));
+        chain.shutdown();
     }
 
     /// CPU time (user + system, in 10 ms ticks) of every live thread named
@@ -998,20 +969,41 @@ mod tests {
         Some(ticks)
     }
 
-    #[test]
-    fn a_crashed_orderer_neither_spins_nor_loses_its_open_batch() {
+    /// A chain on `clock` whose orderer is crashed for its first 40 s,
+    /// holding three deposits submitted at zero.
+    fn crashed_orderer(clock: SimClock) -> Arc<ChainNode<FabricPolicy>> {
         use hammer_net::FaultPlan;
-        // The crash window is 400 ms of wall time, eighty batch timeouts.
-        let window_end = Duration::from_secs(40);
-        let chain = chain_at(100.0, FabricConfig::default());
-        chain.net().install_faults(FaultPlan::new().crash(
-            "fabric-orderer",
-            Duration::ZERO,
-            window_end,
-        ));
+        let chain = chain_on(clock, FabricConfig::default());
+        let window = (Duration::ZERO, Duration::from_secs(40));
+        let plan = FaultPlan::new().crash("fabric-orderer", window.0, window.1);
+        chain.net().install_faults(plan);
         for tx in deposits(&chain, 3) {
             chain.submit(tx).unwrap();
         }
+        chain
+    }
+
+    #[test]
+    fn a_crashed_orderer_keeps_its_open_batch_and_cuts_it_at_the_first_retry_after() {
+        let chain = crashed_orderer(SimClock::virtual_time());
+        chain.clock().sleep_until(Duration::from_secs(39));
+        assert_eq!(chain.latest_height(0).unwrap(), 0);
+        assert_eq!(chain.pending_txs().unwrap(), 3);
+        // The cut due at 502 ms is retried every 500 ms: the first retry
+        // after the window, at 40.002 s, cuts the batch whole.
+        chain.clock().sleep_until(Duration::from_secs(41));
+        assert_eq!(chain.stats().committed, 3);
+        assert_eq!(chain.latest_height(0).unwrap(), 1);
+        let block = chain.block_at(0, 1).unwrap().unwrap();
+        assert_eq!(block.header.timestamp, ms(40_002 + 12));
+        chain.shutdown();
+    }
+
+    #[test]
+    fn a_crashed_orderer_does_not_spin_in_wall_mode() {
+        // The crash window is 400 ms of wall time, eighty batch timeouts.
+        let window_end = Duration::from_secs(40);
+        let chain = crashed_orderer(SimClock::with_speedup(100.0));
         let cpu_before = chain_cpu_ticks();
         // Well inside the window the batch's deadline is long past, and
         // nothing has been cut.
@@ -1026,9 +1018,6 @@ mod tests {
             let spent = after.saturating_sub(before);
             assert!(spent <= 10, "the crashed orderer burnt {spent} ticks");
         }
-        // The window ends; the batch it held is cut whole.
-        assert!(wait_until(|| chain.stats().committed == 3, 5000));
-        assert_eq!(chain.latest_height(0).unwrap(), 1);
         chain.shutdown();
     }
 

@@ -308,8 +308,14 @@ mod tests {
         }
     }
 
+    const MS: Duration = Duration::from_millis(1);
+
+    /// The chain on a virtual clock, which the calling test thread takes
+    /// part in: each shard cuts its first epoch at `epoch_interval`, the
+    /// next an interval after its seal, and only while the test waits on the
+    /// clock.
     fn fast_chain(config: MeepoConfig) -> Arc<ChainNode<MeepoPolicy>> {
-        let clock = SimClock::with_speedup(1000.0);
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         start(config, clock, net)
     }
@@ -330,17 +336,6 @@ mod tests {
             contract_name: "smallbank".to_owned(),
         }
         .sign(&Keypair::from_seed(6), &SigParams::fast())
-    }
-
-    fn wait_until(pred: impl Fn() -> bool, wall_ms: u64) -> bool {
-        let deadline = std::time::Instant::now() + Duration::from_millis(wall_ms);
-        while std::time::Instant::now() < deadline {
-            if pred() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        false
     }
 
     /// Finds addresses on specific shards (2-shard default config).
@@ -373,7 +368,8 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.stats().committed == 1, 8000));
+        chain.clock().sleep_until(900 * MS);
+        assert_eq!(chain.stats().committed, 1);
         assert_eq!(chain.account(a).unwrap().checking, 70);
         assert_eq!(chain.account(b).unwrap().checking, 30);
         assert_eq!(chain.policy().cross_shard(), 0);
@@ -398,23 +394,23 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.policy().cross_shard() == 1, 8000));
-        // Debit is immediate; the credit lands at the destination's next
-        // epoch.
+        // The debit is in shard 0's first block (800 ms); the credit lands
+        // at shard 1's next epoch (1.6 s), the first after that block.
+        chain.clock().sleep_until(900 * MS);
+        assert_eq!(chain.policy().cross_shard(), 1);
         assert_eq!(chain.account(a).unwrap().checking, 60);
-        assert!(wait_until(
-            || chain.account(b).unwrap().checking == 45,
-            8000
-        ));
+        assert_eq!(chain.account(b).unwrap().checking, 5);
+        chain.clock().sleep_until(1700 * MS);
+        assert_eq!(chain.account(b).unwrap().checking, 45);
         assert_eq!(total_funds(&chain), before);
         chain.shutdown();
     }
 
     #[test]
     fn a_cross_shard_credit_waits_for_its_source_block_to_seal() {
-        // At 100× a second of execution is 10 ms of wall time, in which
-        // shard 1 cuts about ten epochs of its own.
-        let clock = SimClock::with_speedup(100.0);
+        // Shard 0 builds the payment at 100 ms and seals it a second of
+        // execution later, while shard 1 cuts ten epochs of its own.
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         let config = MeepoConfig {
             epoch_interval: Duration::from_millis(100),
@@ -432,21 +428,18 @@ mod tests {
             amount: 40,
         };
         chain.submit(signed(1, payment)).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(8);
-        // The balance is read before the height: a credit seen applied
-        // was applied before that height was read.
-        let credited_at = loop {
-            let credited = chain.account(b).unwrap().checking == 45;
-            let sealed = chain.latest_height(0).unwrap() >= 1;
-            if credited {
-                assert!(sealed, "credited before its source block sealed");
-                break clock.now();
-            }
-            assert!(std::time::Instant::now() < deadline, "never credited");
-            std::thread::yield_now();
-        };
+        let sealed = 100 * MS + Duration::from_secs(1);
+        // A nanosecond before the seal: every epoch of shard 1 so far found
+        // the credit's source unsealed.
+        clock.sleep_until(sealed - Duration::from_nanos(1));
+        assert_eq!(chain.latest_height(0).unwrap(), 0);
+        assert_eq!(chain.account(b).unwrap().checking, 5);
+        // Shard 1's epoch at the seal's instant comes after it (a tie goes
+        // to the lower shard), and applies the credit.
+        clock.sleep_until(sealed + MS);
         let source = chain.block_at(0, 1).unwrap().unwrap();
-        assert!(credited_at >= source.header.timestamp);
+        assert_eq!(source.header.timestamp, sealed);
+        assert_eq!(chain.account(b).unwrap().checking, 45);
         chain.shutdown();
     }
 
@@ -460,12 +453,11 @@ mod tests {
         chain
             .submit(signed(1, Op::Amalgamate { from: a, to: b }))
             .unwrap();
-        assert!(wait_until(|| chain.policy().cross_shard() == 1, 8000));
+        chain.clock().sleep_until(900 * MS);
+        assert_eq!(chain.policy().cross_shard(), 1);
         assert_eq!(chain.account(a).unwrap().savings, 0);
-        assert!(wait_until(
-            || chain.account(b).unwrap().checking == 71,
-            8000
-        ));
+        chain.clock().sleep_until(1700 * MS);
+        assert_eq!(chain.account(b).unwrap().checking, 71);
         chain.shutdown();
     }
 
@@ -486,7 +478,8 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.stats().failed == 1, 8000));
+        chain.clock().sleep_until(900 * MS);
+        assert_eq!(chain.stats().failed, 1);
         assert_eq!(chain.policy().cross_shard(), 0);
         assert_eq!(chain.account(a).unwrap().checking, 10);
         chain.shutdown();
@@ -517,7 +510,8 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.stats().committed == 2, 8000));
+        chain.clock().sleep_until(900 * MS);
+        assert_eq!(chain.stats().committed, 2);
         let b0 = chain.block_at(0, 1).unwrap().unwrap();
         let b1 = chain.block_at(1, 1).unwrap().unwrap();
         assert!(b0.tx_ids.contains(&id0));
@@ -571,8 +565,10 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.stats().committed >= 1, 5000));
+        chain.clock().sleep_until(300 * MS);
+        assert_eq!(chain.stats().committed, 1);
         assert_eq!(chain.latest_height(0).unwrap(), 0);
+        assert_eq!(chain.latest_height(1).unwrap(), 1);
         chain.shutdown();
     }
 
@@ -613,15 +609,12 @@ mod tests {
                 .unwrap();
             n += 1;
         }
-        assert!(wait_until(
-            || {
-                let s = chain.stats();
-                s.committed + s.failed >= n
-            },
-            10_000
-        ));
-        // Let relays settle: wait until funds balance again.
-        assert!(wait_until(|| total_funds(&chain) == before, 10_000));
+        // Every payment is in each shard's first block (200 ms), and every
+        // relayed credit is applied by the epoch after it.
+        chain.clock().sleep_until(Duration::from_secs(1));
+        let s = chain.stats();
+        assert_eq!(s.committed + s.failed, n);
+        assert_eq!(total_funds(&chain), before);
         chain.verify_ledgers().unwrap();
         chain.shutdown();
     }

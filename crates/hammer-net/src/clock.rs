@@ -21,13 +21,14 @@
 //!
 //! The mode of a scaled or wall clock follows from its speed-up alone.
 //! [`StopSignal`] is how teardown, or news of an earlier deadline, ends a
-//! wait by a wake.
+//! wait by a wake, in every mode: on a virtual clock, the participant that
+//! raises or rings it makes the waiter ready at that instant.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::sched::Sched;
+use crate::sched::{self, Sched};
 
 /// The one pair of wait thresholds, in wall time: a wait blocks in the OS
 /// only while more than `OS_WAIT_ABOVE` remains, and in scaled mode wakes
@@ -149,6 +150,12 @@ impl SimClock {
         self.inner.speedup
     }
 
+    /// How many threads take part in a virtual clock and have not left; 0
+    /// for a wall or scaled clock.
+    pub fn participants(&self) -> usize {
+        self.inner.sched.as_ref().map_or(0, |sched| sched.live())
+    }
+
     /// Simulated time elapsed since the clock's epoch (plus any restart
     /// base set by [`SimClock::with_speedup_from`]).
     pub fn now(&self) -> Duration {
@@ -179,10 +186,8 @@ impl SimClock {
 
     /// [`SimClock::sleep_until`], ended as soon as `signal` is raised or
     /// rung (at once if it already is); returns the reading that ended it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a virtual clock, whose scheduler does not serve it yet.
+    /// On a virtual clock a deadline of `Duration::MAX` is no deadline: only
+    /// the signal ends that wait.
     pub fn sleep_until_signalled(&self, sim_deadline: Duration, signal: &StopSignal) -> Duration {
         self.wait_until(sim_deadline, Some(signal))
     }
@@ -196,15 +201,15 @@ impl SimClock {
     /// tail is a busy loop with nobody to yield to.
     /// Returns the reading that ended the wait: at or past `sim_deadline`,
     /// or earlier if `stop` was raised or rung. A virtual clock's scheduler
-    /// serves the wait instead.
+    /// serves the wait instead, keyed on the signal.
     fn wait_until(&self, sim_deadline: Duration, stop: Option<&StopSignal>) -> Duration {
         if let Some(sched) = &self.inner.sched {
-            assert!(
-                stop.is_none(),
-                "a StopSignal wait on a virtual clock: the scheduler does not serve \
-                 them yet (ROADMAP item 1(a))"
-            );
-            return sched.sleep_until(sim_deadline);
+            // A signal already set ends the wait with no time passing.
+            let due = match stop {
+                Some(stop) if stop.is_signalled() => Duration::ZERO,
+                _ => sim_deadline,
+            };
+            return sched.sleep_until(due, stop.map(StopSignal::key));
         }
         loop {
             let now = self.now();
@@ -235,8 +240,9 @@ impl SimClock {
 
 /// A one-way stop flag and a re-armable ring that threads can block on:
 /// reading either is one atomic load, and setting either wakes every
-/// thread in [`SimClock::sleep_until_signalled`]. Teardown raises it before
-/// it joins; a producer rings it when it moved the waiter's deadline.
+/// thread in [`SimClock::sleep_until_signalled`] — on a virtual clock,
+/// through the setter's scheduler. Teardown raises it before it joins; a
+/// producer rings it when it moved the waiter's deadline.
 #[derive(Debug, Default)]
 pub struct StopSignal {
     /// Publishes nothing but itself: `raise` stores with `Release`,
@@ -280,6 +286,12 @@ impl StopSignal {
         // one up now or is parked by the time the notify is sent.
         drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
         self.wake.notify_all();
+        sched::notify_signal(self.key());
+    }
+
+    /// The key a virtual clock's waiter parks on: the signal's address.
+    fn key(&self) -> usize {
+        std::ptr::from_ref(self) as usize
     }
 
     /// Blocks for `wall` of wall-clock time or until the signal is raised

@@ -13,7 +13,9 @@
 //!   [`clock::StopSignal`], which teardown raises and a producer rings to
 //!   wake what waits. [`SimClock::virtual_time`] builds a clock whose time
 //!   a scheduler owns instead: it runs the clock's threads one at a time
-//!   and jumps time to the next deadline when all of them wait.
+//!   and jumps time to the next deadline when all of them wait; a raise or
+//!   a ring there readies the waiter at the setter's instant, so a chain
+//!   deployed on such a clock runs in virtual time too.
 //! * [`link::LinkConfig`] — the testbed's link quality. Only
 //!   `loss_probability` is simulated; latency, jitter and bandwidth
 //!   describe the links and delay nothing.

@@ -1,11 +1,11 @@
 //! The scheduler behind [`SimClock::virtual_time`](crate::SimClock::virtual_time)
 //! (DESIGN.md §6): it owns a virtual clock's time and runs the clock's
 //! participants one at a time. The runner holds the baton until it waits —
-//! on the clock, on a vendored channel or in a join — and hands it to the
-//! next ready participant in registration order; when every one waits, time
-//! jumps to the earliest deadline and the first participant waiting for it
-//! runs. A wait that no peer can end fails every participant with one report
-//! that names each of them and its wait.
+//! on the clock or a `StopSignal`, on a vendored channel or in a join — and
+//! hands it to the next ready participant in registration order; when every
+//! one waits, time jumps to the earliest deadline and the first participant
+//! waiting for it runs. A wait that no peer can end fails every participant
+//! with one report that names each of them and its wait.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -44,7 +44,9 @@ struct Part {
 enum Wait {
     /// Running, or ready to run.
     Ready,
-    Until(Duration),
+    /// Until the deadline (none at `Duration::MAX`) or a notify of the key,
+    /// the address of a `StopSignal`.
+    Until(Duration, Option<usize>),
     /// On a channel, until a peer notifies the key.
     Channel(usize, &'static str),
     /// Until the participant with this id exits.
@@ -87,21 +89,27 @@ impl Sched {
         self.lock().now
     }
 
-    /// Parks the calling participant until virtual time reaches `deadline`,
-    /// and returns the reading then.
+    /// Parks the calling participant until virtual time reaches `due` or a
+    /// peer notifies `key`, and returns the reading then.
     ///
     /// # Panics
     ///
     /// Panics if the calling thread is not a participant of this clock.
-    pub(crate) fn sleep_until(self: &Arc<Self>, deadline: Duration) -> Duration {
+    pub(crate) fn sleep_until(self: &Arc<Self>, due: Duration, key: Option<usize>) -> Duration {
         let me = member_of(self).expect(
             "a thread that is not a participant waits on a virtual clock: \
              start it through hammer_net::thread from a participant",
         );
-        if deadline > self.now() {
-            self.park(me, Wait::Until(deadline));
+        if due > self.now() {
+            self.park(me, Wait::Until(due, key));
         }
         self.now()
+    }
+
+    /// How many participants have not exited.
+    pub(crate) fn live(&self) -> usize {
+        let parts = &self.lock().parts;
+        parts.iter().filter(|p| p.wait != Wait::Exited).count()
     }
 
     /// Parks `me`, the runner, in `wait`, hands the baton on, and returns
@@ -133,11 +141,14 @@ impl Sched {
         }
     }
 
-    /// Makes the first participant parked on channel `key`, or every one,
-    /// ready; the caller keeps the baton.
+    /// Makes the first participant parked on `key` (a channel's, or a
+    /// signal's), or every one, ready; the caller keeps the baton.
     fn notify(&self, key: usize, all: bool) {
         let mut state = self.lock();
-        let parked = |part: &&mut Part| matches!(part.wait, Wait::Channel(k, _) if k == key);
+        let parked = |part: &&mut Part| match part.wait {
+            Wait::Channel(k, _) | Wait::Until(_, Some(k)) => k == key,
+            _ => false,
+        };
         let woken = state.parts.iter_mut().filter(parked);
         for part in woken.take(if all { usize::MAX } else { 1 }) {
             part.wait = Wait::Ready;
@@ -189,7 +200,7 @@ fn hand_on(state: &mut State, me: usize) -> Option<Thread> {
     let next = ready.or_else(|| {
         let (due, first) = (state.parts.iter().enumerate())
             .filter_map(|(id, part)| match part.wait {
-                Wait::Until(due) => Some((due, id)),
+                Wait::Until(due, _) if due < Duration::MAX => Some((due, id)),
                 _ => None,
             })
             .min()?;
@@ -218,7 +229,8 @@ fn fail(state: &mut State, why: &str) {
         .filter_map(|id| {
             let wait = match state.parts[id].wait {
                 Wait::Ready => "ready".to_owned(),
-                Wait::Until(due) => format!("until {due:?}"),
+                Wait::Until(due, None) => format!("until {due:?}"),
+                Wait::Until(_, Some(key)) => format!("signal {key:#x}"),
                 Wait::Channel(key, what) => format!("{what} on channel {key:#x}"),
                 Wait::Join(child) => format!("join {}", label(child)),
                 Wait::Lock(lock) => format!("lock {lock:#x}"),
@@ -281,6 +293,14 @@ fn leave() {
     channel_sched::install(None);
     parking_lot::sched::install(None);
     drop(MEMBER.try_with(|slot| slot.borrow_mut().take()));
+}
+
+/// A signal at `key` was set: its waiters in the calling participant's
+/// scheduler, if the thread is one, are ready.
+pub(crate) fn notify_signal(key: usize) {
+    if let Some(member) = MEMBER.try_with(|slot| slot.borrow().clone()).ok().flatten() {
+        member.sched.notify(key, true);
+    }
 }
 
 /// The calling thread's id in `sched`, if it is one of its participants.
@@ -437,12 +457,65 @@ mod tests {
     }
 
     #[test]
-    fn a_stop_signal_wait_on_a_virtual_clock_fails_loudly() {
+    fn a_raise_ends_an_hour_wait_exactly_at_its_instant() {
         let clock = SimClock::virtual_time();
         let stop = StopSignal::default();
-        let report = panic_of(|| {
-            clock.sleep_until_signalled(Duration::from_secs(1), &stop);
+        let seven = Duration::from_secs(7);
+        std::thread::scope(|scope| {
+            let wait = || clock.sleep_until_signalled(Duration::from_secs(3600), &stop);
+            let waiter = thread::spawn_scoped(scope, "sched-test-waiter", wait).unwrap();
+            clock.sleep(seven);
+            stop.raise();
+            assert_eq!(waiter.join().unwrap(), seven);
         });
-        assert!(report.contains("ROADMAP item 1(a)"), "{report}");
+        assert_eq!(clock.now(), seven);
+    }
+
+    #[test]
+    fn a_ring_ends_one_wait_and_is_taken_once() {
+        let clock = SimClock::virtual_time();
+        let signal = StopSignal::default();
+        let ms = Duration::from_millis;
+        std::thread::scope(|scope| {
+            let wait = || clock.sleep_until_signalled(Duration::MAX, &signal);
+            let waiter = thread::spawn_scoped(scope, "sched-test-waiter", wait).unwrap();
+            clock.sleep(ms(3));
+            signal.ring();
+            assert_eq!(waiter.join().unwrap(), ms(3));
+        });
+        assert!(!signal.is_raised(), "a ring is not a stop");
+        assert!(signal.take_ring());
+        assert!(!signal.take_ring(), "taken once");
+        // Taken, it no longer ends a wait: this one is served out.
+        assert_eq!(clock.sleep_until_signalled(ms(5), &signal), ms(5));
+    }
+
+    #[test]
+    fn a_signal_set_before_the_wait_ends_it_with_no_time_passing() {
+        let clock = SimClock::virtual_time();
+        let two = Duration::from_millis(2);
+        clock.sleep(two);
+        let (raised, rung) = (StopSignal::default(), StopSignal::default());
+        raised.raise();
+        rung.ring();
+        for signal in [&raised, &rung] {
+            let hour = Duration::from_secs(3600);
+            assert_eq!(clock.sleep_until_signalled(hour, signal), two);
+            assert_eq!(clock.sleep_until_signalled(Duration::MAX, signal), two);
+        }
+        assert_eq!(clock.now(), two);
+    }
+
+    #[test]
+    fn a_lone_wait_on_a_signal_alone_is_reported_not_jumped_to() {
+        let clock = SimClock::virtual_time();
+        let signal = StopSignal::default();
+        let report = panic_of(|| {
+            clock.sleep_until_signalled(Duration::MAX, &signal);
+        });
+        let why = "every participant waits and none until a deadline";
+        assert!(report.contains(why), "{report}");
+        assert!(report.contains("#0 (signal 0x"), "{report}");
+        assert_eq!(clock.now(), Duration::ZERO);
     }
 }

@@ -151,8 +151,10 @@ mod tests {
     use hammer_crypto::Keypair;
     use hammer_net::LinkConfig;
 
+    /// The chain on a virtual clock: epochs are cut while the test waits on
+    /// it, the first at `epoch_interval`, each next an interval after a seal.
     fn fast_chain(config: NeuchainConfig) -> Arc<ChainNode<NeuchainPolicy>> {
-        let clock = SimClock::with_speedup(1000.0);
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         start(config, clock, net)
     }
@@ -169,17 +171,6 @@ mod tests {
         .sign(&Keypair::from_seed(4), &SigParams::fast())
     }
 
-    fn wait_until(pred: impl Fn() -> bool, wall_ms: u64) -> bool {
-        let deadline = std::time::Instant::now() + Duration::from_millis(wall_ms);
-        while std::time::Instant::now() < deadline {
-            if pred() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        false
-    }
-
     #[test]
     fn commits_within_an_epoch() {
         let chain = fast_chain(NeuchainConfig::default());
@@ -193,7 +184,11 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.stats().committed == 1, 5000));
+        chain.clock().sleep_until(Duration::from_millis(150));
+        assert_eq!(chain.stats().committed, 1);
+        // Built at the first epoch, sealed one execution later.
+        let sealed = chain.block_at(0, 1).unwrap().unwrap().header.timestamp;
+        assert_eq!(sealed, Duration::from_micros(100_008));
         assert_eq!(
             chain.account(Address::from_name("a")).unwrap().checking,
             101
@@ -222,14 +217,11 @@ mod tests {
                     .unwrap(),
             );
         }
-        assert!(wait_until(|| chain.stats().committed >= 20, 5000));
-        // All landed in one (or few) blocks; within each block ids are sorted.
-        for h in 1..=chain.latest_height(0).unwrap() {
-            let b = chain.block_at(0, h).unwrap().unwrap();
-            let mut sorted = b.tx_ids.clone();
-            sorted.sort();
-            assert_eq!(b.tx_ids, sorted, "block {h} not deterministically ordered");
-        }
+        // All land in the first epoch's block, sorted by id.
+        chain.clock().sleep_until(Duration::from_millis(600));
+        let b = chain.block_at(0, 1).unwrap().unwrap();
+        ids.sort();
+        assert_eq!(b.tx_ids, ids, "not deterministically ordered");
         chain.shutdown();
     }
 
@@ -239,7 +231,7 @@ mod tests {
             epoch_interval: Duration::from_millis(50),
             ..NeuchainConfig::default()
         });
-        std::thread::sleep(Duration::from_millis(300));
+        chain.clock().sleep(Duration::from_millis(300));
         assert_eq!(chain.latest_height(0).unwrap(), 0);
         chain.shutdown();
     }
@@ -255,11 +247,12 @@ mod tests {
                 amount: 1,
             },
         );
-        tx.tx.nonce = 999; // break the signature/id linkage
-                           // The mempool accepts it (stateless), the epoch cut drops it.
-                           // Note: tx.id no longer matches the body, so verify() fails.
+        // The id no longer matches the body: the mempool accepts it
+        // (stateless), the epoch cut drops it.
+        tx.tx.nonce = 999;
         chain.submit(tx).unwrap();
-        assert!(wait_until(|| chain.stats().bad_sig == 1, 5000));
+        chain.clock().sleep_until(Duration::from_millis(150));
+        assert_eq!(chain.stats().bad_sig, 1);
         assert_eq!(chain.stats().committed, 0);
         chain.shutdown();
     }
@@ -276,16 +269,16 @@ mod tests {
                 },
             ))
             .unwrap();
-        assert!(wait_until(|| chain.stats().failed == 1, 5000));
+        chain.clock().sleep_until(Duration::from_millis(150));
+        assert_eq!(chain.stats().failed, 1);
         let b = chain.block_at(0, 1).unwrap().unwrap();
-        let pos = b.tx_ids.iter().position(|t| *t == id).unwrap();
-        assert!(!b.valid[pos]);
+        assert_eq!(b.entries().collect::<Vec<_>>(), [(id, false)]);
         chain.shutdown();
     }
 
     #[test]
     fn sustains_high_throughput() {
-        // 2000 txs committed in well under a simulated second.
+        // 2000 txs in one block: built at 100 ms, sealed 16 ms later.
         let chain = fast_chain(NeuchainConfig::default());
         chain.seed_account(Address::from_name("a"), 10_000_000, 0);
         for i in 0..2000 {
@@ -299,7 +292,10 @@ mod tests {
                 ))
                 .unwrap();
         }
-        assert!(wait_until(|| chain.stats().committed >= 2000, 10_000));
+        chain.clock().sleep_until(Duration::from_secs(1));
+        assert_eq!(chain.stats().committed, 2000);
+        let sealed = chain.block_at(0, 1).unwrap().unwrap().header.timestamp;
+        assert_eq!(sealed, Duration::from_millis(116));
         chain.verify_ledgers().unwrap();
         chain.shutdown();
     }
@@ -307,7 +303,7 @@ mod tests {
     #[test]
     fn crash_window_halts_epochs_and_fails_ingress() {
         use hammer_net::FaultPlan;
-        let clock = SimClock::with_speedup(1000.0);
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         let chain = start(NeuchainConfig::default(), clock.clone(), net.clone());
         chain.seed_account(Address::from_name("a"), 10_000, 0);
@@ -338,9 +334,13 @@ mod tests {
         assert!(err.is_unavailable(), "expected outage error, got {err}");
         assert!(err.is_retryable());
         assert_eq!(chain.latest_height(0).unwrap(), 0);
-        // After the restart the same transaction goes through and commits.
-        assert!(wait_until(|| chain.submit(deposit(2)).is_ok(), 5000));
-        assert!(wait_until(|| chain.stats().committed >= 1, 5000));
+        // Restarted at 2 s, the epoch there seals it (the test runs first).
+        clock.sleep_until(Duration::from_secs(2));
+        chain.submit(deposit(2)).unwrap();
+        clock.sleep(Duration::from_millis(50));
+        assert_eq!(chain.stats().committed, 1);
+        let sealed = chain.block_at(0, 1).unwrap().unwrap().header.timestamp;
+        assert_eq!(sealed, Duration::from_secs(2) + Duration::from_micros(8));
         chain.shutdown();
     }
 
@@ -363,11 +363,10 @@ mod tests {
                 ))
                 .unwrap();
         }
-        assert!(wait_until(|| chain.stats().committed >= 30, 8000));
-        for h in 1..=chain.latest_height(0).unwrap() {
-            let b = chain.block_at(0, h).unwrap().unwrap();
-            assert!(b.len() <= 7);
-        }
+        chain.clock().sleep_until(Duration::from_secs(1));
+        let blocks = chain.blocks(0, 1..=u64::MAX).unwrap();
+        let sizes: Vec<usize> = blocks.iter().map(|b| b.len()).collect();
+        assert_eq!(sizes, [7, 7, 7, 7, 2], "seven an epoch");
         chain.shutdown();
     }
 

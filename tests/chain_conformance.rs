@@ -22,15 +22,22 @@
 //!    each answer one a lone submission could get: a repeat inside the
 //!    batch is a duplicate, and a pool that fills mid-batch refuses with
 //!    backpressure.
+//! 7. Deployed twice from one seed and driven by one submission schedule,
+//!    a backend seals the same blocks, byte for byte, on every shard.
 //!
 //! Contracts 1–4 and 6 are checked under **both deploy modes**: the backend
 //! in-process on the simulated network, and the same backend as a
 //! supervised `node-host` OS process behind loopback TCP. The generic
 //! interface promises identical behaviour either way.
+//!
+//! In process, every contract but the driver's (2) runs on a virtual clock:
+//! the test thread and the chain's loop take turns, so each reading is the
+//! model's, and the counts below are equalities. The multi-process cells
+//! and contract 2 run on scaled clocks, one at a time.
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hammer::chain::client::{BlockchainClient, ChainError, ErrorKind};
 use hammer::chain::mempool::MempoolError;
@@ -38,7 +45,6 @@ use hammer::chain::remote::RemoteChain;
 use hammer::chain::rpc_adapter::serve_sim;
 use hammer::chain::smallbank::Op;
 use hammer::chain::types::{Address, Block, SignedTransaction, Transaction, TxId};
-use hammer::core::chaos::live_threads;
 use hammer::core::deploy::{
     reconnect_policy_for, BackendOptions, BackendRegistry, DeployMode, Deployment, SupervisorConfig,
 };
@@ -48,14 +54,33 @@ use hammer::core::machine::ClientMachine;
 use hammer::core::retry::RetryPolicy;
 use hammer::crypto::sig::SigParams;
 use hammer::crypto::Keypair;
-use hammer::net::{FaultPlan, LinkConfig, SimClock, SimNetwork};
+use hammer::net::{thread, FaultPlan, LinkConfig, SimClock, SimNetwork};
 use hammer::workload::{ControlSequence, WorkloadConfig};
+use parking_lot::MutexGuard;
 
 mod common;
 
-const BOTH_MODES: [DeployMode; 2] = [DeployMode::InProcess, DeployMode::MultiProcess];
+/// Multi-process first: a test thread that has taken part in a virtual
+/// clock stays in it, and would fail that clock's run if it then waited for
+/// a held lock, such as the serial guard.
+const BOTH_MODES: [DeployMode; 2] = [DeployMode::MultiProcess, DeployMode::InProcess];
 
-/// Deploys `name` under `mode` on a fresh clock/net pair. Multi-process
+/// A clock for a cell that runs no driver: virtual in process, 1000×
+/// multi-process (a node-host process keeps scaled time).
+fn cell_clock(mode: DeployMode) -> SimClock {
+    match mode {
+        DeployMode::InProcess => SimClock::virtual_time(),
+        DeployMode::MultiProcess => SimClock::with_speedup(1000.0),
+    }
+}
+
+/// The serialisation guard for a multi-process cell; an in-process cell on
+/// a virtual clock needs none.
+fn guard_for(mode: DeployMode) -> Option<MutexGuard<'static, ()>> {
+    (mode == DeployMode::MultiProcess).then(common::serial_guard)
+}
+
+/// Deploys `name` under `mode` on `clock` and a fresh net. Multi-process
 /// deployments point the supervisor at the test build's own `node-host`
 /// artifact and derive the TCP reconnect policy from the standard retry
 /// policy, exactly as the scenario runner does.
@@ -63,10 +88,9 @@ fn deploy_in_mode(
     registry: &BackendRegistry,
     name: &str,
     opts: &BackendOptions,
-    speedup: f64,
+    clock: SimClock,
     mode: DeployMode,
 ) -> Deployment {
-    let clock = SimClock::with_speedup(speedup);
     let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
     match mode {
         DeployMode::InProcess => registry.deploy_on(name, opts, clock, net).unwrap(),
@@ -109,9 +133,15 @@ fn conformance_account(nonce: u64) -> Address {
 
 /// The commit events of the blocks sealed on each shard above `cursor`,
 /// which it advances: `(id, success)` per transaction, in block order.
-/// Waits up to 30 s of wall time for the first; `None` if none came.
-fn next_events(client: &dyn BlockchainClient, cursor: &mut [u64]) -> Option<Vec<(TxId, bool)>> {
-    let deadline = Instant::now() + Duration::from_secs(30);
+/// Sleeps on `clock` a second at a time until the first is sealed, for up to
+/// 30 000 s of simulated time (30 s of wall time at 1000×); `None` if none
+/// was.
+fn next_events(
+    client: &dyn BlockchainClient,
+    clock: &SimClock,
+    cursor: &mut [u64],
+) -> Option<Vec<(TxId, bool)>> {
+    let deadline = clock.now() + Duration::from_secs(30_000);
     loop {
         let mut events = Vec::new();
         for (shard, seen) in (0u32..).zip(cursor.iter_mut()) {
@@ -125,21 +155,21 @@ fn next_events(client: &dyn BlockchainClient, cursor: &mut [u64]) -> Option<Vec<
         if !events.is_empty() {
             return Some(events);
         }
-        if Instant::now() >= deadline {
+        if clock.now() >= deadline {
             return None;
         }
-        std::thread::sleep(Duration::from_millis(1));
+        clock.sleep(Duration::from_secs(1));
     }
 }
 
 #[test]
 fn every_backend_seals_submissions_into_matching_commit_events() {
-    let _guard = common::serial_guard();
     let registry = BackendRegistry::builtin();
     for mode in BOTH_MODES {
+        let _guard = guard_for(mode);
         for name in registry.names() {
-            let deployment =
-                deploy_in_mode(&registry, name, &BackendOptions::default(), 1000.0, mode);
+            let opts = BackendOptions::default();
+            let deployment = deploy_in_mode(&registry, name, &opts, cell_clock(mode), mode);
             const TOTAL: u64 = 40;
             for nonce in 0..TOTAL {
                 deployment.seed_account(conformance_account(nonce), 1_000, 1_000);
@@ -159,14 +189,15 @@ fn every_backend_seals_submissions_into_matching_commit_events() {
             }
             let mut seen = HashSet::new();
             while seen.len() < ids.len() {
-                let events = next_events(&*client, &mut cursor).unwrap_or_else(|| {
-                    panic!(
-                        "{name} ({}): commit events dried up at {}/{}",
-                        mode.name(),
-                        seen.len(),
-                        ids.len()
-                    )
-                });
+                let events =
+                    next_events(&*client, deployment.clock(), &mut cursor).unwrap_or_else(|| {
+                        panic!(
+                            "{name} ({}): commit events dried up at {}/{}",
+                            mode.name(),
+                            seen.len(),
+                            ids.len()
+                        )
+                    });
                 for (tx_id, success) in events {
                     assert!(
                         ids.contains(&tx_id),
@@ -234,8 +265,9 @@ fn accounting_identity_holds_for_every_backend() {
             DeployMode::MultiProcess => 100.0,
         };
         for name in registry.names() {
+            let clock = SimClock::with_speedup(speedup);
             let deployment =
-                deploy_in_mode(&registry, name, &BackendOptions::default(), speedup, mode);
+                deploy_in_mode(&registry, name, &BackendOptions::default(), clock, mode);
             let workload = WorkloadConfig {
                 accounts: 1_000,
                 chain_name: name.to_owned(),
@@ -285,12 +317,12 @@ fn accounting_identity_holds_for_every_backend() {
 
 #[test]
 fn blackholed_ingress_rejects_with_a_transient_error() {
-    let _guard = common::serial_guard();
     let registry = BackendRegistry::builtin();
     for mode in BOTH_MODES {
+        let _guard = guard_for(mode);
         for name in registry.names() {
-            let deployment =
-                deploy_in_mode(&registry, name, &BackendOptions::default(), 1000.0, mode);
+            let opts = BackendOptions::default();
+            let deployment = deploy_in_mode(&registry, name, &opts, cell_clock(mode), mode);
             // Blackhole every ingress endpoint the chain reports (sharded
             // chains report one per shard) for the whole run. In multi
             // mode the plan is forwarded over the wire and acts on the
@@ -316,25 +348,43 @@ fn blackholed_ingress_rejects_with_a_transient_error() {
     }
 }
 
+/// Per builtin backend, in process, with its pool bounded at four and
+/// sealing stalled: how many transactions the ingress holds before it
+/// refuses — four per pool, eight over Meepo's two shard pools, and Fabric's
+/// four endorsement servers besides its inbox of four.
+const HOLDS: [(&str, usize); 4] = [
+    ("ethereum-sim", 4),
+    ("fabric-sim", 8),
+    ("meepo-sim", 8),
+    ("neuchain-sim", 4),
+];
+
+fn holds(name: &str) -> usize {
+    let row = HOLDS.iter().find(|row| row.0 == name);
+    row.unwrap_or_else(|| panic!("{name}: no row in HOLDS")).1
+}
+
 #[test]
 fn bounded_ingress_overflows_to_backpressure() {
-    let _guard = common::serial_guard();
     let registry = BackendRegistry::builtin();
     // Tiny pool, sealing stalled for an hour: the pool cannot drain, so a
-    // burst of submissions must hit the bound within a few multiples of
-    // the capacity (Fabric's endorsers may swallow one burst first). The
-    // multi-process pass proves the options survive the trip through the
-    // node-host command line.
+    // burst of submissions hits the bound; in process, where no time
+    // passes between submissions, once the ingress holds what `HOLDS` says.
+    // The multi-process pass proves the options survive the trip through
+    // the node-host command line.
     let opts = BackendOptions {
         mempool_capacity: Some(4),
         stall_sealing: true,
     };
     for mode in BOTH_MODES {
+        let _guard = guard_for(mode);
         for name in registry.names() {
-            let deployment = deploy_in_mode(&registry, name, &opts, 1000.0, mode);
-            let overflow =
-                (0..64u64).find_map(|nonce| deployment.client().submit(deposit(name, nonce)).err());
-            let err = overflow.unwrap_or_else(|| {
+            let deployment = deploy_in_mode(&registry, name, &opts, cell_clock(mode), mode);
+            let overflow = (0..64u64).find_map(|nonce| {
+                let refused = deployment.client().submit(deposit(name, nonce)).err();
+                refused.map(|err| (nonce, err))
+            });
+            let (at, err) = overflow.unwrap_or_else(|| {
                 panic!(
                     "{name} ({}): 64 submissions never overflowed a pool of 4",
                     mode.name()
@@ -346,6 +396,10 @@ fn bounded_ingress_overflows_to_backpressure() {
                 "{name} ({}): overflow must be backpressure, got {err}",
                 mode.name()
             );
+            if mode == DeployMode::InProcess {
+                // Meepo's deposits 0–7 route four to each shard.
+                assert_eq!(at as usize, holds(name), "{name}: the first refusal");
+            }
             deployment.down();
             drop(deployment);
         }
@@ -374,7 +428,6 @@ fn batch_routes(
 
 #[test]
 fn submit_batch_answers_what_submit_would_for_every_backend() {
-    let _guard = common::serial_guard();
     let registry = BackendRegistry::builtin();
     // Sealing stalled: what is pooled stays pooled, so a repeat is a
     // duplicate and a bounded pool fills.
@@ -382,13 +435,14 @@ fn submit_batch_answers_what_submit_would_for_every_backend() {
         mempool_capacity: None,
         stall_sealing: true,
     };
-    let bounded = BackendOptions {
+    let bounded_opts = BackendOptions {
         mempool_capacity: Some(4),
         ..stalled
     };
     for mode in BOTH_MODES {
+        let _guard = guard_for(mode);
         for name in registry.names() {
-            let deployment = deploy_in_mode(&registry, name, &stalled, 1000.0, mode);
+            let deployment = deploy_in_mode(&registry, name, &stalled, cell_clock(mode), mode);
             for (i, (route, client)) in (0u64..).zip(batch_routes(&deployment, mode)) {
                 let (a, b) = (deposit(name, 10 * i), deposit(name, 10 * i + 1));
                 let answers = client.submit_batch(vec![a.clone(), b.clone(), a.clone()]);
@@ -405,10 +459,10 @@ fn submit_batch_answers_what_submit_would_for_every_backend() {
             deployment.down();
             drop(deployment);
 
-            // A pool of four fills within a batch of 32 (Fabric's endorsers
-            // may take a few first); each answer is the one a lone
-            // submission could get, and what was admitted is pooled.
-            let deployment = deploy_in_mode(&registry, name, &bounded, 1000.0, mode);
+            // A pool of four fills within a batch of 32 (in process, to what
+            // `HOLDS` says); each answer is the one a lone submission could
+            // get, and what was admitted is pooled.
+            let deployment = deploy_in_mode(&registry, name, &bounded_opts, cell_clock(mode), mode);
             let mut admitted = 0;
             for (i, (route, client)) in (0u64..).zip(batch_routes(&deployment, mode)) {
                 let batch: Vec<_> = (0..32).map(|n| deposit(name, 100 * (i + 1) + n)).collect();
@@ -429,6 +483,9 @@ fn submit_batch_answers_what_submit_would_for_every_backend() {
                 }
                 assert!(refused > 0, "{name} ({route}): 32 never filled a pool of 4");
             }
+            if mode == DeployMode::InProcess {
+                assert_eq!(admitted, holds(name), "{name}: admitted");
+            }
             let pooled = deployment.client().pending_txs().unwrap();
             assert_eq!(
                 pooled,
@@ -444,35 +501,84 @@ fn submit_batch_answers_what_submit_would_for_every_backend() {
 
 #[test]
 fn dropping_a_deployment_joins_every_node_thread() {
-    let _guard = common::serial_guard();
     let registry = BackendRegistry::builtin();
-    // Warm-up run so process-wide lazily started threads (signature
-    // verification pools etc.) are already alive when the baseline is
-    // taken.
-    {
-        let warmup = registry
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
-            .unwrap();
-        warmup.seed_account(conformance_account(0), 1_000, 1_000);
-        warmup.client().submit(deposit("neuchain-sim", 0)).unwrap();
-        next_events(&*warmup.client(), &mut [0]).expect("warm-up commit");
-    }
-    let baseline = live_threads();
     for name in registry.names() {
-        let deployment = registry
-            .deploy(name, &BackendOptions::default(), 1000.0)
-            .unwrap();
-        assert!(
-            live_threads() > baseline,
-            "{name}: a running deployment must hold live node threads"
-        );
+        let clock = SimClock::virtual_time();
+        let opts = BackendOptions::default();
+        let deployment =
+            deploy_in_mode(&registry, name, &opts, clock.clone(), DeployMode::InProcess);
+        // Every thread a participant starts takes part in its clock: the
+        // test thread and the chain's one loop.
+        assert_eq!(clock.participants(), 2, "{name}: a running deployment");
         deployment.seed_account(conformance_account(1), 1_000, 1_000);
         deployment.client().submit(deposit(name, 1)).unwrap();
+        clock.sleep(Duration::from_secs(1));
         drop(deployment);
         assert_eq!(
-            live_threads(),
-            baseline,
+            clock.participants(),
+            1,
             "{name}: dropped deployment leaked threads"
+        );
+    }
+}
+
+/// Every shard's sealed blocks — headers, `prev_hash` and so the hash chain
+/// included, ids and flags — after a minute of `name` on a virtual clock,
+/// driven by two submitters, each a participant started after the chain's
+/// loop: every 100 ms from 0 to 1.9 s each submits three deposits. So at
+/// each of those instants both submitters are due, and at Neuchain's first
+/// epoch (100 ms) and Meepo's (800 ms) the loop is too: which of them runs
+/// first decides a block's order or contents, and the scheduler's tie order
+/// (registration order) is all that decides it.
+fn sealed_under_one_schedule(registry: &BackendRegistry, name: &str) -> Vec<Vec<Block>> {
+    let clock = SimClock::virtual_time();
+    let opts = BackendOptions::default();
+    let deployment = deploy_in_mode(registry, name, &opts, clock.clone(), DeployMode::InProcess);
+    const STEPS: u64 = 20;
+    for nonce in 0..STEPS * 6 {
+        deployment.seed_account(conformance_account(nonce), 1_000, 1_000);
+    }
+    std::thread::scope(|scope| {
+        let submitter = |who: u64| {
+            let (clock, client) = (&clock, deployment.client());
+            let submit = move || {
+                for step in 0..STEPS {
+                    clock.sleep_until(Duration::from_millis(100 * step));
+                    for nonce in step * 6 + who * 3..step * 6 + who * 3 + 3 {
+                        client.submit(deposit(name, nonce)).unwrap();
+                    }
+                }
+            };
+            thread::spawn_scoped(scope, format!("conformance-test-submit-{who}"), submit)
+        };
+        let submitters = [submitter(0).unwrap(), submitter(1).unwrap()];
+        for handle in submitters {
+            handle.join().unwrap();
+        }
+    });
+    clock.sleep_until(Duration::from_secs(60));
+    let client = deployment.client();
+    (0..client.architecture().shard_count())
+        .map(|shard| {
+            let blocks = client.blocks(shard, 1..=u64::MAX).unwrap();
+            blocks.iter().map(|block| Block::clone(block)).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn one_seed_and_one_schedule_seal_the_same_blocks_twice() {
+    let registry = BackendRegistry::builtin();
+    for name in registry.names() {
+        let first = sealed_under_one_schedule(&registry, name);
+        assert!(
+            first.iter().all(|shard| !shard.is_empty()),
+            "{name}: a shard sealed nothing"
+        );
+        let second = sealed_under_one_schedule(&registry, name);
+        assert!(
+            first == second,
+            "{name}: the second run sealed other blocks"
         );
     }
 }
