@@ -38,8 +38,10 @@
 //! (`prepare`, `submit` — pacer and workers —, `monitor`, `report`), each
 //! owning its state, all borrowing one `RunState`, joined by hand-offs that
 //! move work in chunks: 128-transaction claims from generator to signers,
-//! under one lock; a bounded, chunked signed stream from signers to workers;
-//! a token counter from pacer to workers. `DESIGN.md` §5 has the stage
+//! under one lock; a bounded, chunked signed stream from signers to workers.
+//! The pacer is no thread but a value the workers share under one lock:
+//! a take at a clock reading answers how many tokens the schedule has
+//! released by then, or until when to sleep. `DESIGN.md` §5 has the stage
 //! table.
 
 #![warn(clippy::too_many_lines)]
@@ -68,7 +70,7 @@ pub use report::{perf_row, EvalReport, FaultWindowStats};
 
 use monitor::Monitor;
 use report::Finished;
-use submit::{Submitter, Tokens};
+use submit::{Pacer, Submitter};
 use tracker::{BatchTracker, Tracker};
 
 /// How commitment is observed.
@@ -325,9 +327,9 @@ struct RunState {
     rejected: AtomicU64,
     retried: AtomicU64,
     /// Graceful-abort plumbing: the stall watchdog, the kill switch and a
-    /// failed monitor raise `abort`; the pacer and the workers poll it and
-    /// wind down, leaving in-flight transactions to be reported as timed
-    /// out.
+    /// failed monitor raise `abort`; the workers check it before each
+    /// piece and after each wait for tokens, and wind down, leaving
+    /// in-flight transactions to be reported as timed out.
     abort: AtomicBool,
     stalled: AtomicBool,
     killed: AtomicBool,
@@ -424,8 +426,9 @@ impl Evaluation {
         self.execute(deployment, workload, control, Some(recovery))
     }
 
-    /// The one run path: Prepare, then Pacer + Submit workers + Monitor
-    /// side by side, then Report.
+    /// The one run path: Prepare, then the Submit workers, pacing
+    /// themselves on one shared pacer, and the Monitor side by side, then
+    /// Report.
     fn execute(
         &self,
         deployment: &Deployment,
@@ -457,9 +460,10 @@ impl Evaluation {
         let interactive = config.mode == TestingMode::Interactive;
         let active_threads = workload.threads_per_client + u32::from(interactive);
         let monitor = Monitor::new(&state, config, &inputs, active_threads, progress);
-        // Per-slice budget tokens; the pacer may run this far ahead of the
-        // workers.
-        let tokens = Tokens::new(u64::from(control.peak()) * 2 + 16);
+        // Per-slice budget tokens, released from now on; the pacer may run
+        // this far ahead of the workers.
+        let cap = u64::from(control.peak()) * 2 + 16;
+        let pacer = parking_lot::Mutex::new(Pacer::new(control, cap, clock.now()));
         let submitter = Submitter {
             state: &state,
             chain: Arc::clone(&chain),
@@ -467,7 +471,7 @@ impl Evaluation {
             submitted_total: obs.registry().counter("hammer_driver_submitted_total"),
             retried_total: obs.registry().counter("hammer_driver_retried_total"),
             obs,
-            tokens: tokens.taker(),
+            pacer: &pacer,
             signed,
             submit_delay: config.machine.submit_delay(active_threads),
             retry: config.retry,
@@ -478,8 +482,6 @@ impl Evaluation {
         };
 
         let monitored = std::thread::scope(|scope| {
-            let pace = || submit::pace(control, &clock, &state, &tokens);
-            thread::spawn_scoped(scope, "hammer-pacer", pace).expect("spawn pacer");
             let worker_handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let worker = submitter.clone();
@@ -487,8 +489,7 @@ impl Evaluation {
                         .expect("spawn submission worker")
                 })
                 .collect();
-            // Only the workers hold a token taker and the signed stream from
-            // here on.
+            // Only the workers hold the signed stream from here on.
             drop(submitter);
             let monitor = thread::spawn_scoped(scope, "hammer-monitor", move || monitor.run())
                 .expect("spawn monitor");
@@ -996,6 +997,50 @@ mod tests {
     }
 
     #[test]
+    fn a_virtual_clock_submits_each_slice_at_its_instant() {
+        // One paper-client worker (a 900 µs slot per submission) against
+        // budgets of 3, 0, 5 and 2 a second: each slice goes out one
+        // transaction a slot from its own instant, and the empty one sends
+        // nothing. On a virtual clock every start is the model's.
+        let clock = hammer_net::SimClock::virtual_time();
+        let net = hammer_net::SimNetwork::new(clock.clone(), hammer_net::LinkConfig::lan());
+        let chain = Arc::new(StubChain::default());
+        let deployment = Deployment::from_chain(Arc::clone(&chain) as _, clock, net);
+        let config = fast_builder()
+            .machine(ClientMachine::paper_client())
+            .build()
+            .unwrap();
+        let workload = WorkloadConfig {
+            clients: 1,
+            threads_per_client: 1,
+            ..small_workload(10)
+        };
+        let control = ControlSequence::from_budgets(vec![3, 0, 5, 2], Duration::from_secs(1));
+        let report = Evaluation::new(config)
+            .run(&deployment, &workload, &control)
+            .unwrap();
+        assert_eq!((report.submitted, report.committed), (10, 10));
+        let mut starts: Vec<Duration> = report.records.iter().map(|r| r.start).collect();
+        starts.sort();
+        let us = Duration::from_micros;
+        let slot = |second: u64, n: u64| Duration::from_secs(second) + us(900 * n);
+        let expect = [
+            slot(0, 0),
+            slot(0, 1),
+            slot(0, 2),
+            slot(2, 0),
+            slot(2, 1),
+            slot(2, 2),
+            slot(2, 3),
+            slot(2, 4),
+            slot(3, 0),
+            slot(3, 1),
+        ];
+        assert_eq!(starts, expect);
+        assert_eq!(*chain.batches.lock().unwrap(), vec![1; 10]);
+    }
+
+    #[test]
     fn a_failed_first_attempt_of_each_item_is_retried_alone() {
         let chain = StubChain {
             fail_first_attempts: true,
@@ -1067,12 +1112,12 @@ mod tests {
     }
 
     #[test]
-    fn a_resumed_run_with_tokens_to_spare_releases_a_pacer_parked_at_the_bound() {
+    fn a_resumed_run_with_tokens_to_spare_ends_with_its_workers() {
         use crate::index::TxRecord;
         use hammer_chain::types::TxStatus;
 
-        // 40 slices of 50: the pacer may run 116 tokens ahead, and parks in
-        // the third slice unless workers take them.
+        // 40 slices of 50: the pacer may run 116 tokens ahead, and holds
+        // the third slice back unless workers take them.
         let control = ControlSequence::constant(50, 40, Duration::from_secs(1));
         let workload = small_workload(2000);
         // The checkpoint owns every transaction but the last five.
@@ -1108,7 +1153,7 @@ mod tests {
 
         // Every submission waits for the tenth slice, so the workers are
         // still alive when the pacer reaches the bound; once the five are
-        // in they leave 1995 tokens behind.
+        // in they leave 1995 tokens behind, and nothing waits for them.
         let clock = hammer_net::SimClock::with_speedup(1000.0);
         let net = hammer_net::SimNetwork::new(clock.clone(), hammer_net::LinkConfig::lan());
         let submit_clock = clock.clone();
@@ -1135,7 +1180,8 @@ mod tests {
             .histogram(Stage::Signed)
             .count();
         assert_eq!(signed, 5);
-        // The pacer was let go; it did not sit out the remaining slices.
+        // The run ended with its workers; it did not sit out the remaining
+        // slices.
         assert!(
             deployment.clock().now() < Duration::from_secs(30),
             "run ended at {:?}",
@@ -1223,7 +1269,7 @@ mod tests {
             matches!(&err, EvalError::Checkpoint(msg) if msg.starts_with(&path)),
             "{err:?}"
         );
-        // The abort reached the pacer and the workers.
+        // The abort reached the workers.
         assert!(deployment.clock().now() < Duration::from_secs(20));
     }
 
@@ -1269,7 +1315,7 @@ mod tests {
         assert_eq!(err, EvalError::Chain(ChainError::shutdown()));
         assert!(
             deployment.clock().now() < Duration::from_secs(600),
-            "the abort did not reach the pacer and the workers"
+            "the abort did not reach the workers"
         );
         let journal = deployment.net().obs().journal().clone();
         assert_eq!(journal.count_of(hammer_obs::EventKind::MonitorFailed), 1);

@@ -1,11 +1,13 @@
-//! The **Pacer** and **Submit** stages (Fig. 3, steps 4-5): the pacer
-//! releases each control slice's budget into a token counter; each worker
-//! pairs the signed transactions of the chunk it holds with tokens and
-//! hands the chain as many as have come due, in one call.
+//! The **Pacer** and **Submit** stages (Fig. 3, steps 4-5): the pacer is a
+//! value that answers, at a worker's clock reading, how many of the
+//! control slices' budget tokens have been released; each worker pairs the
+//! signed transactions of the chunk it holds with tokens and hands the
+//! chain as many as have come due, in one call. A worker with no token to
+//! take sleeps on the clock until the next release.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 use hammer_chain::client::{BlockchainClient, ChainError, ErrorKind};
@@ -14,180 +16,108 @@ use hammer_chain::types::{SignedTransaction, TxId, TxStatus};
 use hammer_net::SimClock;
 use hammer_obs::{Obs, Stage};
 use hammer_workload::ControlSequence;
+use parking_lot::Mutex;
 
 use super::RunState;
 use crate::retry::{RetryDecision, RetryPolicy};
 use crate::signer::SignedStream;
 
-/// The budget tokens between the pacer and the workers, as a counter: the
-/// pacer adds a slice's whole budget in one call and a worker takes what
-/// its piece needs with one compare-exchange, so tokens cost no lock and
-/// no syscall. Either side parks only when it cannot proceed — a worker on
-/// an empty counter, the pacer when `cap` tokens sit unclaimed — and, like
-/// a channel, each side learns when the other is gone: [`Tokens::close`]
-/// sends parked workers home once the counter is empty, and the pacer stops
-/// waiting when the last [`Taker`] is dropped.
-///
-/// All atomics are `SeqCst`: the park/wake handshakes below rely on one
-/// total order between a store to one of them and a load of another.
-pub(super) struct Tokens {
-    /// Released and not yet taken. Only the pacer adds, so a reading can
-    /// only be too high by the time it is used: `cap` is never exceeded.
-    available: AtomicU64,
+/// The Pacer stage as a value: the control sequence's budgets, released on
+/// the clock. Nothing runs it; each take first releases what the schedule
+/// has released by its reading. Every slice is released at its own
+/// instant whether or not a worker asks, and unclaimed tokens pile up to
+/// `cap`. A release that would pass `cap` is held back and finishes at the
+/// take that makes room for its last token. The workers share one pacer
+/// behind a lock that no wait is made under.
+pub(super) struct Pacer<'a> {
+    control: &'a ControlSequence,
     cap: u64,
-    /// No further release will come.
-    closed: AtomicBool,
-    /// Live [`Taker`] handles.
-    takers: AtomicUsize,
-    /// The pacer is waiting at `cap`; a take must wake it.
-    pacer_parked: AtomicBool,
-    /// Held around every wait and taken before every notify.
-    park: Mutex<()>,
-    released: Condvar,
-    taken: Condvar,
+    /// The next slice to release.
+    next: usize,
+    /// What a release held back at `cap` has still to add.
+    held: u64,
+    /// Released and not yet taken; never above `cap`.
+    available: u64,
+    /// When slice `next` is released; while a release is held back, when
+    /// that one was. Once every slice is out, when the pacer closes.
+    at: Duration,
 }
 
-impl Tokens {
-    pub(super) fn new(cap: u64) -> Self {
-        Tokens {
-            available: AtomicU64::new(0),
+/// What a take from the [`Pacer`] answers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Take {
+    /// This many tokens, at least one and at most the ask.
+    Took(u64),
+    /// None is available before this instant: ask again then.
+    Until(Duration),
+    /// The last slice is out and a full slice has passed since: no token
+    /// will come.
+    Closed,
+}
+
+impl<'a> Pacer<'a> {
+    /// A pacer that releases `control`'s first slice at `start` and holds
+    /// at most `cap` tokens unclaimed.
+    pub(super) fn new(control: &'a ControlSequence, cap: u64, start: Duration) -> Self {
+        Pacer {
+            control,
             cap,
-            closed: AtomicBool::new(false),
-            takers: AtomicUsize::new(0),
-            pacer_parked: AtomicBool::new(false),
-            park: Mutex::new(()),
-            released: Condvar::new(),
-            taken: Condvar::new(),
+            next: 0,
+            held: 0,
+            available: 0,
+            at: start,
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, ()> {
-        // The mutex guards no data, so a poisoned one is as good as new.
-        self.park.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// A worker's handle; clones and drops are counted.
-    pub(super) fn taker(&self) -> Taker<'_> {
-        self.takers.fetch_add(1, Ordering::SeqCst);
-        Taker(self)
-    }
-
-    /// Pacer side: adds `budget` tokens, waiting whenever `cap` are
-    /// unclaimed. Returns `false` once every taker has left.
-    pub(super) fn release(&self, mut budget: u64) -> bool {
-        loop {
-            if self.takers.load(Ordering::SeqCst) == 0 {
-                return false;
-            }
-            let room = self
-                .cap
-                .saturating_sub(self.available.load(Ordering::SeqCst));
-            let grant = room.min(budget);
-            if grant > 0 {
-                self.available.fetch_add(grant, Ordering::SeqCst);
-                budget -= grant;
-                self.wake_takers();
-            }
-            if budget == 0 {
-                return true;
-            }
-            let mut guard = self.lock();
-            self.pacer_parked.store(true, Ordering::SeqCst);
-            while self.available.load(Ordering::SeqCst) >= self.cap
-                && self.takers.load(Ordering::SeqCst) > 0
-            {
-                guard = self.taken.wait(guard).unwrap_or_else(|e| e.into_inner());
-            }
-            self.pacer_parked.store(false, Ordering::SeqCst);
-        }
-    }
-
-    /// Pacer side: nothing more will be released. Workers drain what is
-    /// left and then [`Taker::take_up_to`] takes none.
-    pub(super) fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        self.wake_takers();
-    }
-
-    /// Takes `min(n, available)` tokens if any are available.
-    fn try_take_up_to(&self, n: u64) -> u64 {
-        self.available
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |available| {
-                (available > 0).then(|| available - available.min(n))
-            })
-            .map_or(0, |available| available.min(n))
-    }
-
-    /// Parks until tokens could be taken (how many) or the counter is
-    /// closed and empty (0).
-    fn take_parked(&self, n: u64) -> u64 {
-        let mut guard = self.lock();
-        loop {
-            // `closed` first: read as set, every release is already
-            // counted, so a failed take after it means empty for good.
-            let closed = self.closed.load(Ordering::SeqCst);
-            let took = self.try_take_up_to(n);
-            if took > 0 || closed {
-                return took;
-            }
-            guard = self.released.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Both wakes pass through the lock first: a waiter that checked its
-    /// condition before the change is inside its wait by the time the lock
-    /// is granted, so the signal cannot fall between its check and its wait.
-    fn wake_takers(&self) {
-        drop(self.lock());
-        self.released.notify_all();
-    }
-
-    fn wake_pacer(&self) {
-        drop(self.lock());
-        self.taken.notify_one();
-    }
-}
-
-/// A worker's end of [`Tokens`].
-pub(super) struct Taker<'a>(&'a Tokens);
-
-impl Taker<'_> {
-    /// Takes up to `n` tokens, as many as are available, parking while
-    /// none is. Answers how many it took — 0 once the control sequence is
-    /// exhausted (or the pacer aborted) — and whether it had to park.
-    pub(super) fn take_up_to(&self, n: u64) -> (u64, bool) {
+    /// Takes up to `n` tokens at the reading `now`, as many as have been
+    /// released and not taken.
+    pub(super) fn take_up_to(&mut self, n: u64, now: Duration) -> Take {
         debug_assert!(n > 0, "a take asks for at least one token");
-        let tokens = self.0;
-        let (took, parked) = match tokens.try_take_up_to(n) {
-            0 => (tokens.take_parked(n), true),
-            took => (took, false),
-        };
-        if took > 0 && tokens.pacer_parked.load(Ordering::SeqCst) {
-            tokens.wake_pacer();
+        self.release(now);
+        if self.available == 0 {
+            // Nothing is held back either: a held release keeps `cap` out.
+            if self.next == self.control.len() && now >= self.at {
+                return Take::Closed;
+            }
+            return Take::Until(self.at);
         }
-        (took, parked)
+        let took = self.available.min(n);
+        self.available -= took;
+        // The room this take made goes to a release held back at the cap.
+        self.release(now);
+        Take::Took(took)
     }
-}
 
-impl Clone for Taker<'_> {
-    fn clone(&self) -> Self {
-        self.0.taker()
-    }
-}
-
-impl Drop for Taker<'_> {
-    fn drop(&mut self) {
-        if self.0.takers.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.0.wake_pacer();
+    /// Releases every slice due by `now`, as far as `cap` lets it.
+    fn release(&mut self, now: Duration) {
+        loop {
+            // The reading the release finishes at: a held-back one at this
+            // take's, one that fits at its own instant.
+            let reading = if self.held > 0 {
+                now
+            } else if self.next < self.control.len() && self.at <= now {
+                self.held = self.control.budget(self.next).into();
+                self.next += 1;
+                self.at
+            } else {
+                return;
+            };
+            let grant = self.held.min(self.cap - self.available);
+            self.available += grant;
+            self.held -= grant;
+            if self.held > 0 {
+                return;
+            }
+            self.at = next_release(self.at, self.control.slice_duration(), reading);
         }
     }
 }
 
-/// When the pacer releases the next slice: one slice after the last, so
-/// the time a release took and a small oversleep are absorbed by the next
-/// sleep instead of stretching the schedule. After a stall longer than a
-/// slice the schedule restarts from `now` — the slices that fell into the
-/// stall are not released in a catch-up burst.
+/// When the pacer releases the next slice: one slice after the last,
+/// read at `now`. After a stall longer than a slice — a release held back
+/// at the cap until a take made room — the schedule restarts from `now`:
+/// the slices that fell into the stall are not released in a catch-up
+/// burst.
 fn next_release(previous: Duration, slice: Duration, now: Duration) -> Duration {
     (previous + slice).max(now)
 }
@@ -211,24 +141,9 @@ fn due_slots(previous: Option<Duration>, delay: Duration, now: Duration, held: u
         .clamp(1, held.max(1))
 }
 
-/// Pacer: releases each slice's budget on the simulated clock. Returning
-/// closes the token counter, which wakes any worker parked on it — at the
-/// end of the control sequence, or early on abort.
-pub(super) fn pace(control: &ControlSequence, clock: &SimClock, state: &RunState, tokens: &Tokens) {
-    let mut next = clock.now();
-    for i in 0..control.len() {
-        if state.aborted() || !tokens.release(control.budget(i).into()) {
-            break;
-        }
-        next = next_release(next, control.slice_duration(), clock.now());
-        clock.sleep_until(next);
-    }
-    tokens.close();
-}
-
-/// One submission worker. Every worker owns a clone, so the pacer and the
-/// signer pool are released — the token counter loses its last taker, the
-/// signed stream its last consumer — as soon as the last worker exits.
+/// One submission worker. Every worker owns a clone, so the signer pool is
+/// released — the signed stream loses its last consumer — as soon as the
+/// last worker exits.
 #[derive(Clone)]
 pub(super) struct Submitter<'a> {
     pub state: &'a RunState,
@@ -240,7 +155,7 @@ pub(super) struct Submitter<'a> {
     pub obs: Obs,
     pub submitted_total: hammer_obs::Counter,
     pub retried_total: hammer_obs::Counter,
-    pub tokens: Taker<'a>,
+    pub pacer: &'a Mutex<Pacer<'a>>,
     pub signed: SignedStream,
     /// Client-machine cost of preparing one submission.
     pub submit_delay: Duration,
@@ -281,14 +196,11 @@ impl Submitter<'_> {
             let next_slot = previous.map_or(Duration::ZERO, |p| p + self.submit_delay);
             let now = self.clock.sleep_until(next_slot);
             let due = due_slots(previous, self.submit_delay, now, held.len());
-            let (taken, parked) = self.tokens.take_up_to(due as u64);
-            if taken == 0 {
-                return; // control sequence exhausted
-            }
-            // One clock reading per piece: the one that ended the pacing
-            // wait is every member's submission time and the next wait's
-            // base, unless the tokens came later.
-            let start = if parked { self.clock.now() } else { now };
+            // One clock reading per piece: the one that ended the last wait
+            // is every member's submission time and the next wait's base.
+            let Some((taken, start)) = self.take(due as u64, now) else {
+                return; // control sequence exhausted, or the run aborted
+            };
             previous = Some(start);
             let piece: Vec<_> = if taken as usize == held.len() {
                 std::mem::take(&mut held).into()
@@ -304,6 +216,24 @@ impl Submitter<'_> {
             ids.extend(piece.iter().map(|tx| tx.id));
             if !self.send(piece, &ids, start) {
                 return;
+            }
+        }
+    }
+
+    /// Takes up to `n` tokens at the reading `now`, sleeping on the clock
+    /// to the next release while none is there. Answers how many it took
+    /// and the reading they came at; `None` once the pacer has closed, or
+    /// when the run aborted during a wait.
+    fn take(&self, n: u64, mut now: Duration) -> Option<(u64, Duration)> {
+        loop {
+            let take = self.pacer.lock().take_up_to(n, now);
+            match take {
+                Take::Took(took) => return Some((took, now)),
+                Take::Closed => return None,
+                Take::Until(at) => now = self.clock.sleep_until(at),
+            }
+            if self.state.aborted() {
+                return None;
             }
         }
     }
@@ -446,143 +376,158 @@ struct Retry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hammer_net::thread;
 
-    fn spin_until(condition: impl Fn() -> bool) {
-        while !condition() {
-            std::thread::yield_now();
+    const SLICE: Duration = Duration::from_secs(1);
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// Asks `pacer` each `(ask, now)` in turn and checks each answer.
+    fn check(pacer: &mut Pacer<'_>, table: &[((u64, Duration), Take)]) {
+        for (row, &((ask, now), answer)) in table.iter().enumerate() {
+            assert_eq!(
+                pacer.take_up_to(ask, now),
+                answer,
+                "row {row}: ask {ask} at {now:?}"
+            );
+            assert!(pacer.available <= pacer.cap, "row {row}");
         }
     }
 
-    fn parked_at_cap(tokens: &Tokens) -> bool {
-        tokens.pacer_parked.load(Ordering::SeqCst)
-            && tokens.available.load(Ordering::SeqCst) == tokens.cap
-    }
-
     #[test]
-    fn four_takers_take_exactly_what_uneven_budgets_release() {
-        let budgets = [0u64, 1, 1000, 3, 0, 517, 64, 65, 2, 4096];
-        let tokens = Tokens::new(64);
-        let first = tokens.taker();
-        let taken: u64 = std::thread::scope(|scope| {
-            // Each taker asks for another amount each time.
-            let takers: Vec<_> = [1u64, 3, 64, 128]
-                .into_iter()
-                .map(|ask| {
-                    let taker = first.clone();
-                    let take_all = move || {
-                        let mut n = 0u64;
-                        loop {
-                            match taker.take_up_to(ask) {
-                                (0, _) => return n,
-                                (took, _) => {
-                                    assert!(took <= ask);
-                                    n += took;
-                                }
-                            }
-                        }
-                    };
-                    thread::spawn_scoped(scope, "submit-test-taker", take_all).unwrap()
-                })
-                .collect();
-            drop(first);
-            for budget in budgets {
-                assert!(tokens.release(budget));
-                assert!(tokens.available.load(Ordering::SeqCst) <= tokens.cap);
+    fn four_askers_take_exactly_what_uneven_budgets_release() {
+        // Four askers, each with its own amount, take in turn at one reading
+        // until it has nothing left, then wait for the next release: each
+        // slice's whole budget goes out at its own instant, through a cap
+        // of 64, and the pacer closes a slice after the last one.
+        let budgets = [0u32, 1, 1000, 3, 0, 517, 64, 65, 2, 4096];
+        let control = ControlSequence::from_budgets(budgets.to_vec(), SLICE);
+        let mut pacer = Pacer::new(&control, 64, Duration::ZERO);
+        let asks = [1u64, 3, 64, 128];
+        let (mut now, mut turn) = (Duration::ZERO, 0);
+        let mut taken_at = vec![0u64; budgets.len() + 1];
+        let mut waits = Vec::new();
+        loop {
+            let ask = asks[turn % asks.len()];
+            turn += 1;
+            match pacer.take_up_to(ask, now) {
+                Take::Took(took) => {
+                    assert!((1..=ask).contains(&took), "took {took} of {ask}");
+                    taken_at[now.as_secs() as usize] += took;
+                }
+                Take::Until(at) => {
+                    waits.push(at);
+                    now = at;
+                }
+                Take::Closed => break,
             }
-            tokens.close();
-            takers.into_iter().map(|t| t.join().unwrap()).sum()
-        });
-        assert_eq!(taken, budgets.iter().sum::<u64>());
-        assert_eq!(tokens.available.load(Ordering::SeqCst), 0);
+            assert!(pacer.available <= pacer.cap);
+        }
+        let released: Vec<u64> = budgets.iter().map(|&b| b.into()).chain([0]).collect();
+        assert_eq!(taken_at, released);
+        let instants: Vec<Duration> = (1..=10).map(|s| SLICE * s).collect();
+        assert_eq!(waits, instants);
+        assert_eq!(now, SLICE * 10, "closed a slice after the last release");
     }
 
     #[test]
-    fn close_sends_takers_home_once_the_counter_is_empty() {
-        let tokens = Tokens::new(8);
-        let first = tokens.taker();
-        std::thread::scope(|scope| {
-            let takers: Vec<_> = (0..4)
-                .map(|_| {
-                    let taker = first.clone();
-                    let take_all = move || {
-                        std::iter::from_fn(|| Some(taker.take_up_to(2).0).filter(|&n| n > 0))
-                            .sum::<u64>()
-                    };
-                    thread::spawn_scoped(scope, "submit-test-taker", take_all).unwrap()
-                })
-                .collect();
-            assert!(tokens.release(3));
-            spin_until(|| tokens.available.load(Ordering::SeqCst) == 0);
-            // Gives the takers time to park; the assertions hold whether
-            // close finds them parked or still on their way there.
-            std::thread::sleep(Duration::from_millis(20));
-            tokens.close();
-            let taken: u64 = takers.into_iter().map(|t| t.join().unwrap()).sum();
-            assert_eq!(taken, 3);
-        });
-        let nothing = first.take_up_to(1);
-        assert_eq!(nothing.0, 0, "a closed, empty counter gives nothing");
+    fn a_release_held_back_at_the_cap_stretches_the_schedule() {
+        // 25 through a cap of 10: the first slice is held back until the
+        // take at 3.5 s makes room for its last token, so the second is
+        // released then, not at 1 s, and is itself held back until 4 s.
+        let control = ControlSequence::from_budgets(vec![25, 5], SLICE);
+        let mut pacer = Pacer::new(&control, 10, Duration::ZERO);
+        check(
+            &mut pacer,
+            &[
+                ((4, ms(500)), Take::Took(4)),
+                ((10, ms(3_000)), Take::Took(10)),
+                ((1, ms(3_500)), Take::Took(1)),
+                ((10, ms(4_000)), Take::Took(10)),
+                ((10, ms(4_000)), Take::Took(5)),
+                ((10, ms(4_200)), Take::Until(ms(4_500))),
+                ((10, ms(4_500)), Take::Closed),
+            ],
+        );
+        assert_eq!((pacer.held, pacer.available), (0, 0));
     }
 
     #[test]
-    fn the_pacer_parks_at_the_bound_and_resumes_after_takes() {
-        let tokens = Tokens::new(10);
-        let taker = tokens.taker();
-        std::thread::scope(|scope| {
-            let pacer = thread::spawn_scoped(scope, "submit-test-pacer", || tokens.release(25));
-            let pacer = pacer.unwrap();
-            let mut taken = 0;
-            // 25 released through a bound of 10: the pacer parks with the
-            // counter full, and every take lets exactly as many more in.
-            for ask in [1, 2, 3, 4, 5] {
-                spin_until(|| parked_at_cap(&tokens));
-                assert!(!pacer.is_finished());
-                assert_eq!(taker.take_up_to(ask), (ask, false));
-                taken += ask;
-            }
-            assert_eq!(taken, 15);
-            assert!(pacer.join().unwrap(), "the whole budget was released");
-            assert_eq!(tokens.available.load(Ordering::SeqCst), 10);
-        });
+    fn tokens_pile_up_while_nobody_asks() {
+        // Nobody asks for 3.5 s: the four slices released meanwhile wait
+        // for the first take, up to the cap.
+        let control = ControlSequence::constant(10, 5, SLICE);
+        let mut pacer = Pacer::new(&control, 64, Duration::ZERO);
+        check(
+            &mut pacer,
+            &[
+                ((100, ms(3_500)), Take::Took(40)),
+                ((100, ms(3_500)), Take::Until(ms(4_000))),
+                ((100, ms(4_000)), Take::Took(10)),
+                ((100, ms(4_000)), Take::Until(ms(5_000))),
+            ],
+        );
+        // At the cap, the slice that does not fit is held back, and the
+        // take that makes room for it finishes it at its own reading.
+        let mut pacer = Pacer::new(&control, 36, Duration::ZERO);
+        check(
+            &mut pacer,
+            &[
+                ((100, ms(3_500)), Take::Took(36)),
+                ((100, ms(3_500)), Take::Took(4)),
+                ((100, ms(3_500)), Take::Until(ms(4_000))),
+            ],
+        );
     }
 
     #[test]
-    fn a_take_gets_what_is_there_and_parks_only_on_an_empty_counter() {
-        let tokens = Tokens::new(64);
-        let taker = tokens.taker();
-        assert!(tokens.release(5));
-        assert_eq!(taker.take_up_to(3), (3, false));
-        assert_eq!(taker.take_up_to(3), (2, false), "the two that were left");
-        std::thread::scope(|scope| {
-            let waiting = thread::spawn_scoped(scope, "submit-test-taker", || taker.take_up_to(3));
-            let waiting = waiting.unwrap();
-            // Released while the taker is parked or still on its way there.
-            assert!(tokens.release(1));
-            assert_eq!(waiting.join().unwrap().0, 1);
-        });
-        tokens.close();
-        // An empty counter is always a wait, even one that ends at once.
-        assert_eq!(taker.take_up_to(3), (0, true), "closed and empty");
+    fn a_zero_budget_slice_releases_nothing_and_keeps_its_slice() {
+        let control = ControlSequence::from_budgets(vec![0, 0, 5, 0], SLICE);
+        let mut pacer = Pacer::new(&control, 64, Duration::ZERO);
+        check(
+            &mut pacer,
+            &[
+                ((3, ms(0)), Take::Until(ms(1_000))),
+                ((3, ms(1_000)), Take::Until(ms(2_000))),
+                ((3, ms(2_000)), Take::Took(3)),
+                ((3, ms(2_000)), Take::Took(2)),
+                ((3, ms(2_000)), Take::Until(ms(3_000))),
+                ((3, ms(3_000)), Take::Until(ms(4_000))),
+                ((3, ms(4_000)), Take::Closed),
+            ],
+        );
     }
 
     #[test]
-    fn a_pacer_parked_at_the_bound_returns_when_the_last_taker_leaves() {
-        let tokens = Tokens::new(4);
-        let taker = tokens.taker();
-        let other = taker.clone();
-        std::thread::scope(|scope| {
-            let pacer = thread::spawn_scoped(scope, "submit-test-pacer", || tokens.release(10));
-            let pacer = pacer.unwrap();
-            spin_until(|| parked_at_cap(&tokens));
-            drop(other);
-            // One taker is left: still parked.
-            std::thread::sleep(Duration::from_millis(10));
-            assert!(!pacer.is_finished());
-            drop(taker);
-            assert!(!pacer.join().unwrap(), "nobody is left to take the rest");
-        });
-        assert!(!tokens.release(1), "and no later release is attempted");
+    fn the_pacer_closes_one_slice_after_its_last_release() {
+        let control = ControlSequence::constant(5, 2, SLICE);
+        let start = ms(250);
+        let just_before_close = ms(2_250) - Duration::from_nanos(1);
+        let mut pacer = Pacer::new(&control, 64, start);
+        check(
+            &mut pacer,
+            &[
+                ((1, ms(0)), Take::Until(start)),
+                ((5, start), Take::Took(5)),
+                ((5, start), Take::Until(ms(1_250))),
+                ((5, ms(1_250)), Take::Took(5)),
+                ((5, ms(1_250)), Take::Until(ms(2_250))),
+                ((5, just_before_close), Take::Until(ms(2_250))),
+                ((5, ms(2_250)), Take::Closed),
+                ((5, ms(9_000)), Take::Closed),
+            ],
+        );
+        // An asker that comes late gets every released token before the
+        // pacer closes.
+        let mut late = Pacer::new(&control, 64, start);
+        check(
+            &mut late,
+            &[
+                ((64, ms(9_000)), Take::Took(10)),
+                ((64, ms(9_000)), Take::Closed),
+            ],
+        );
     }
 
     #[test]

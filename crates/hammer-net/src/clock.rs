@@ -75,6 +75,14 @@ struct ClockInner {
     sched: Option<Arc<Sched>>,
 }
 
+impl Drop for ClockInner {
+    fn drop(&mut self) {
+        if let Some(sched) = &self.sched {
+            sched.orphan();
+        }
+    }
+}
+
 impl Default for SimClock {
     fn default() -> Self {
         Self::realtime()
@@ -132,7 +140,9 @@ impl SimClock {
     /// jumps to the earliest deadline. A wait that no peer can end fails
     /// every participant with a panic that names each one and its wait.
     /// A thread takes part in one virtual clock at a time: building a second
-    /// leaves the first.
+    /// leaves the first. Once the clock's last handle is dropped, each
+    /// participant leaves at its next spawn, join, channel wait or contended
+    /// lock, and from there on waits as a thread outside any clock does.
     pub fn virtual_time() -> Self {
         SimClock {
             inner: Arc::new(ClockInner {

@@ -29,6 +29,9 @@ struct State {
     running: Option<usize>,
     /// Why the run failed; once set, every wait panics with it.
     failed: Option<String>,
+    /// The clock's last handle is gone: no thread can read or wait on its
+    /// time, and each participant leaves at its next hooked step.
+    orphaned: bool,
 }
 
 #[derive(Debug)]
@@ -64,6 +67,7 @@ impl Sched {
             parts: Vec::new(),
             running: Some(0),
             failed: None,
+            orphaned: false,
         })));
         let me = std::thread::current();
         let id = sched.register(me.name().unwrap_or("unnamed"), Some(me.clone()));
@@ -104,6 +108,11 @@ impl Sched {
             self.park(me, Wait::Until(due, key));
         }
         self.now()
+    }
+
+    /// The clock's last handle was dropped.
+    pub(crate) fn orphan(&self) {
+        self.lock().orphaned = true;
     }
 
     /// How many participants have not exited.
@@ -155,11 +164,18 @@ impl Sched {
         }
     }
 
-    /// Fails the run: `me` asked for the lock at `lock`, which a parked
-    /// participant holds, and no turn of `me` can change that.
-    fn contended(&self, me: usize, lock: usize) -> ! {
+    /// `me` asked for the lock at `lock`, and it is held. With no other
+    /// live participant, a thread outside the clock holds it, and `me`
+    /// returns to block in the OS as such a thread would. Otherwise the run
+    /// fails: a parked participant holds it, and no turn of `me` can change
+    /// that.
+    fn contended(&self, me: usize, lock: usize) {
         let mut state = self.lock();
         if state.failed.is_none() {
+            let mut parts = state.parts.iter().enumerate();
+            if parts.all(|(id, part)| id == me || part.wait == Wait::Exited) {
+                return;
+            }
             state.parts[me].wait = Wait::Lock(lock);
             fail(&mut state, "a lock is held by a parked participant");
         }
@@ -252,9 +268,24 @@ struct Member {
     id: usize,
 }
 
+impl Member {
+    /// Whether the clock's last handle is gone; the thread then leaves it,
+    /// and waits in the OS from here on, as a thread outside any clock.
+    fn left_orphan(&self) -> bool {
+        let orphaned = self.sched.lock().orphaned;
+        if orphaned {
+            leave();
+        }
+        orphaned
+    }
+}
+
 impl channel_sched::Hook for Member {
     fn park(&self, key: usize, what: &'static str) {
-        self.sched.park(self.id, Wait::Channel(key, what));
+        // Left, the thread's channel wait loops back to the OS's.
+        if !self.left_orphan() {
+            self.sched.park(self.id, Wait::Channel(key, what));
+        }
     }
 
     fn notify(&self, key: usize, all: bool) {
@@ -264,7 +295,9 @@ impl channel_sched::Hook for Member {
 
 impl parking_lot::sched::Hook for Member {
     fn contended(&self, lock: usize) {
-        self.sched.contended(self.id, lock);
+        if !self.left_orphan() {
+            self.sched.contended(self.id, lock);
+        }
     }
 }
 
@@ -295,17 +328,24 @@ fn leave() {
     drop(MEMBER.try_with(|slot| slot.borrow_mut().take()));
 }
 
+/// The calling thread's membership, if it takes part in a clock that
+/// still has a handle.
+fn membership() -> Option<Rc<Member>> {
+    let member = MEMBER.try_with(|slot| slot.borrow().clone()).ok().flatten();
+    member.filter(|member| !member.left_orphan())
+}
+
 /// A signal at `key` was set: its waiters in the calling participant's
 /// scheduler, if the thread is one, are ready.
 pub(crate) fn notify_signal(key: usize) {
-    if let Some(member) = MEMBER.try_with(|slot| slot.borrow().clone()).ok().flatten() {
+    if let Some(member) = membership() {
         member.sched.notify(key, true);
     }
 }
 
 /// The calling thread's id in `sched`, if it is one of its participants.
 fn member_of(sched: &Arc<Sched>) -> Option<usize> {
-    let member = MEMBER.with(|slot| slot.borrow().clone())?;
+    let member = membership()?;
     Arc::ptr_eq(&member.sched, sched).then_some(member.id)
 }
 
@@ -330,7 +370,7 @@ impl Child {
     /// Registers the thread about to start as `name`, ready to run, if the
     /// calling thread is a participant.
     pub(crate) fn register(name: &str) -> Option<Child> {
-        let sched = MEMBER.with(|slot| Some(Arc::clone(&slot.borrow().as_ref()?.sched)))?;
+        let sched = Arc::clone(&membership()?.sched);
         let id = sched.register(name, None);
         Some(Child { sched, id })
     }
@@ -443,6 +483,42 @@ mod tests {
         );
         assert!(report.contains("sched-test-taker#1 (lock "), "{report}");
         assert!(report.contains("#0 (until 1ms)"), "{report}");
+    }
+
+    #[test]
+    fn a_participant_left_alone_waits_in_the_os_for_a_lock_held_outside() {
+        let clock = SimClock::virtual_time();
+        let child = thread::spawn("sched-test-child", || {}).unwrap();
+        child.join().unwrap();
+        assert_eq!(clock.participants(), 1);
+        let lock = parking_lot::Mutex::new(0);
+        let held = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            #[allow(clippy::disallowed_methods)] // a thread the scheduler must not know
+            scope.spawn(|| {
+                let mut guard = lock.lock();
+                held.wait();
+                std::thread::sleep(Duration::from_millis(50));
+                *guard = 1;
+            });
+            held.wait();
+            assert_eq!(
+                *lock.lock(),
+                1,
+                "the lock was taken after its holder let go"
+            );
+        });
+    }
+
+    #[test]
+    fn a_dropped_clock_lets_its_builder_go_at_its_next_spawn() {
+        // The child of a thread whose clock is gone runs outside any clock,
+        // so a wait no hook sees (here an mpsc channel's) still ends.
+        drop(SimClock::virtual_time());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let child = thread::spawn("sched-test-child", move || tx.send(7)).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(7));
+        child.join().unwrap().unwrap();
     }
 
     #[test]
