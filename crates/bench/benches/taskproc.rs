@@ -1,8 +1,8 @@
 //! Criterion microbench behind Fig. 9: block matching against a large
 //! in-flight set, Hammer task processing vs the batch-testing baseline,
 //! plus the Bloom pre-filter probe in front of the table, and the sharded
-//! tracker's grouped paths against their one-by-one twins. With
-//! `taskproc_compaction` this is the tracker layer's ledger
+//! tracker's grouped paths against their one-by-one twins and on the
+//! stream a run makes. This is the tracker layer's ledger
 //! (`BENCH_tracker.json`, written by `scripts/bench_snapshot.sh`).
 
 use std::cell::RefCell;
@@ -40,8 +40,9 @@ fn bench_matching(c: &mut Criterion) {
     group.sample_size(10);
     let block_m = 1_000usize;
 
-    // A million records is what `inproc_saturate` holds; 50k fit in L2 and
-    // hide the cache misses. The baseline's O(n·m) scan stops at 100k.
+    // A million records in flight is the `inproc_deep`-style depth; 50k fit
+    // in L2 and hide the cache misses. The baseline's O(n·m) scan stops at
+    // 100k.
     for &n in &[10_000usize, 50_000, 100_000, 1_000_000] {
         let ids = tx_ids(n);
         let block: Vec<TxId> = ids[n - block_m..].to_vec();
@@ -160,8 +161,8 @@ fn bench_bloom(c: &mut Criterion) {
 }
 
 /// Ids one sharded tracker holds while the grouped rows and their twins
-/// are timed: the in-flight depth `inproc_saturate` reaches, far past the
-/// caches.
+/// are timed, far past the caches: an `inproc_deep`-style stress, twenty
+/// times the 40 000–50 000 in flight `inproc_saturate` peaks at.
 const HELD: usize = 1_000_000;
 /// Fresh ids the insert rows add before their table is rebuilt, untimed,
 /// so every sample inserts into a table holding between `HELD` and
@@ -169,6 +170,11 @@ const HELD: usize = 1_000_000;
 const FRESH: usize = 200_000;
 /// A fixed shard count, so the rows do not depend on the host's cores.
 const SHARDS: usize = 4;
+/// Ids the stream row sends through a tracker of the driver's one shard.
+const STREAM: usize = 1_000_000;
+/// How far behind the newest id the stream row matches each block: about
+/// what `inproc_saturate` holds in flight.
+const LAG: usize = 40_000;
 
 /// A row's name and how it records one chunk.
 type InsertRow<'a> = (&'a str, &'a dyn Fn(&ShardedTxTable, &[SignedTransaction]));
@@ -286,6 +292,48 @@ fn bench_grouped(c: &mut Criterion) {
             );
         });
     }
+
+    // The shape a run has: each sample inserts the stream's next block of
+    // ids in 128-transaction chunks and matches the block `LAG` behind
+    // them, on a tracker built for the whole stream. Once the stream is
+    // through, a fresh tracker is filled to the lag, untimed.
+    let stream = &ids[..STREAM];
+    let lagging = || {
+        let table = ShardedTxTable::new(1, STREAM);
+        for id in &stream[..LAG] {
+            table.insert(*id, 0, 0, Duration::ZERO);
+        }
+        table
+    };
+    let table = RefCell::new(lagging());
+    let block = RefCell::new(vec![template.clone(); block_n]);
+    let mut next = LAG;
+    group.bench_function("stream_1m_lag_40k", |b| {
+        b.iter_batched(
+            || {
+                if next == STREAM {
+                    (next, *table.borrow_mut()) = (LAG, lagging());
+                }
+                let fresh = &stream[next..next + block_n];
+                for (signed, id) in block.borrow_mut().iter_mut().zip(fresh) {
+                    signed.id = *id;
+                }
+                next += block_n;
+                &stream[next - LAG - block_n..next - LAG]
+            },
+            |settled| {
+                let table = table.borrow();
+                for chunk in block.borrow().chunks(128) {
+                    table.insert_chunk(chunk, Duration::ZERO);
+                }
+                let mut matched = 0;
+                let end = Duration::from_secs(1);
+                table.complete_block_with(settled, &valid, end, &mut |_| matched += 1);
+                matched
+            },
+            criterion::BatchSize::LargeInput,
+        );
+    });
     group.finish();
 }
 

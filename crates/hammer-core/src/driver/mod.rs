@@ -341,7 +341,9 @@ struct RunState {
 impl RunState {
     /// The tracker has `config.tracker_shards` shards, one unless a caller
     /// pins more: the count is not sized to the host, because the one
-    /// measured end-to-end reading, on two cores, favoured one shard.
+    /// measured end-to-end reading, on two cores, favoured one shard. The
+    /// run's `total` sizes its vector list and Bloom filter; its hash index
+    /// grows with what is in flight.
     fn new(config: &EvalConfig, total: usize) -> Self {
         RunState {
             tracker: match config.mode {

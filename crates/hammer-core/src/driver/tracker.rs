@@ -1,4 +1,6 @@
 //! The in-flight status tracker behind one internally-locked interface.
+//! The task tracker's vector list and Bloom filter are sized for the run's
+//! total; its hash index holds only the records in flight.
 
 use std::collections::HashSet;
 use std::time::Duration;

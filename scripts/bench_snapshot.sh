@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Runs the `roundtrip`, `obs_overhead`, `rpc_loopback`, tracker
-# (`taskproc` + `taskproc_compaction`) and `predict` Criterion groups and
+# (`taskproc`) and `predict` Criterion groups and
 # the `driver_ceiling` sweep, snapshotting machine-readable results (one
 # JSON object per line, appended by the harness via CRITERION_JSON) to
 # BENCH_roundtrip.json, BENCH_obs_overhead.json, BENCH_rpc_loopback.json,
@@ -211,7 +211,6 @@ echo "snapshot written to $RPC_OUT"
 TRACKER_OUT_ABS="$(abspath "$TRACKER_OUT")"
 : > "$TRACKER_OUT_ABS"
 CRITERION_JSON="$TRACKER_OUT_ABS" cargo bench --offline -p bench --bench taskproc
-CRITERION_JSON="$TRACKER_OUT_ABS" cargo bench --offline -p bench --bench taskproc_compaction
 
 baseline=$(awk -F'"mean_ns":' '/"block_matching\/batch_baseline\/100000"/ { split($2, a, ","); print a[1] }' "$TRACKER_OUT_ABS")
 taskproc=$(awk -F'"mean_ns":' '/"block_matching\/hammer_taskproc\/100000"/ { split($2, a, ","); print a[1] }' "$TRACKER_OUT_ABS")
