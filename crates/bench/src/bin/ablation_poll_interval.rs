@@ -33,9 +33,8 @@ fn main() {
             let mut spec = RunSpec::peak("fabric-sim", 150, 30);
             spec.mode = mode;
             spec.accounts = 20_000;
-            spec.speedup = 100.0;
             let deployment = BackendRegistry::builtin()
-                .deploy(&spec.chain, &BackendOptions::default(), spec.speedup)
+                .deploy(&spec.chain, &BackendOptions::default())
                 .expect("registered backend");
             let workload = hammer_workload::WorkloadConfig {
                 accounts: spec.accounts,

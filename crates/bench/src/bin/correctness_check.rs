@@ -45,7 +45,7 @@ fn main() {
         Deployment::from_chain(chain, clock, net)
     });
     let deployment = registry
-        .deploy("fabric-sim", &BackendOptions::default(), 200.0)
+        .deploy("fabric-sim", &BackendOptions::default())
         .expect("registered above");
     let workload = WorkloadConfig {
         accounts: 10_000,

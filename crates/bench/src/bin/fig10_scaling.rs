@@ -35,16 +35,13 @@ fn paper_client() -> ClientMachine {
 }
 
 fn run(fabric: FabricConfig, clients: u32, threads: u32, workload: WorkloadConfig) -> EvalReport {
-    // Moderate speed-up: the sweep compares 4-11 concurrent driver threads
-    // on a 1-core host, so give every modelled delay enough wall time to
-    // be scheduled accurately.
     let mut registry = BackendRegistry::builtin();
     registry.register("fabric-sim", move |_, clock, net| {
         let chain = hammer_fabric::start(fabric.clone(), clock.clone(), net.clone());
         Deployment::from_chain(chain, clock, net)
     });
     let deployment = registry
-        .deploy("fabric-sim", &BackendOptions::default(), 30.0)
+        .deploy("fabric-sim", &BackendOptions::default())
         .expect("registered above");
     let workload = WorkloadConfig {
         clients,

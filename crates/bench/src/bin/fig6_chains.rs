@@ -8,9 +8,9 @@
 //! `Neuchain ≫ Meepo > Fabric ≫ Ethereum` on TPS, Ethereum worst latency.
 //!
 //! Each chain is driven just above its capacity so measured TPS is its
-//! peak without building an unbounded backlog. Speed-ups are tuned per
-//! chain so the real CPU the simulators burn (PoW hashing, signature
-//! verification) fits inside the simulated-time budget.
+//! peak without building an unbounded backlog. Every run is on a virtual
+//! clock, so the table is a function of the code alone: two runs print the
+//! same bytes.
 
 use std::time::Duration;
 
@@ -35,23 +35,22 @@ fn main() {
         Deployment::from_chain(chain, clock, net)
     });
 
-    // (backend, rate tx/s, seconds, speedup): rates ~10% above each
-    // system's capacity; Ethereum gets a long window to average over PoW
-    // blocks. The other three run at their registry defaults.
+    // (backend, rate tx/s, seconds): rates ~10% above each system's
+    // capacity; Ethereum gets a long window to average over PoW blocks.
+    // The other three run at their registry defaults.
     let runs = [
-        ("ethereum-sim", 17u32, 240usize, 400.0),
-        ("fabric-sim", 245, 60, 100.0),
-        ("meepo-sim", 3_300, 30, 10.0),
-        ("neuchain-sim", 9_000, 20, 5.0),
+        ("ethereum-sim", 17u32, 240usize),
+        ("fabric-sim", 245, 60),
+        ("meepo-sim", 3_300, 30),
+        ("neuchain-sim", 9_000, 20),
     ];
 
     let mut rows = Vec::new();
     let mut tps_points = Vec::new();
     let mut lat_points = Vec::new();
-    for (name, rate, seconds, speedup) in runs {
-        eprintln!("running {name} at {rate} tx/s for {seconds}s (sim, {speedup}x)...");
+    for (name, rate, seconds) in runs {
+        eprintln!("running {name} at {rate} tx/s for {seconds}s (sim)...");
         let mut spec = RunSpec::peak(name, rate, seconds);
-        spec.speedup = speedup;
         // A realistically sized SmallBank pool keeps incidental MVCC
         // conflicts on Fabric at the few-percent level seen in practice.
         spec.accounts = 30_000;

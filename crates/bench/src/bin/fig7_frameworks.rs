@@ -55,11 +55,6 @@ fn main() {
             // 2-vCPU client) and a 500-event buffer.
             spec.listen_cost = std::time::Duration::from_millis(4);
             spec.event_buffer = 500;
-            spec.speedup = if chain_name == "ethereum-sim" {
-                400.0
-            } else {
-                100.0
-            };
             let report = spec.run(&BackendRegistry::builtin());
             let label = format!("{}/{}", chain_name, mode_label(mode));
             chart.push((label, report.overall_tps));

@@ -102,7 +102,6 @@ fn crash_smoke() -> Scenario {
     Scenario::builder("multi-process-crash-smoke")
         .describe("crash window SIGKILLs the node-host process; the supervisor restarts it")
         .backend("neuchain-sim")
-        .speedup(10.0)
         .deploy_mode(DeployMode::MultiProcess)
         .workload_with(|w| w.accounts = 100)
         .constant_load(30, 8)
@@ -134,12 +133,12 @@ fn sweep_cells(args: &Args) -> Vec<Scenario> {
         }
         let native_rate =
             scenario.control().total() as f64 / scenario.control().duration().as_secs_f64();
-        for (backend, rate, speedup) in OPERATING_POINTS {
+        for (backend, rate) in OPERATING_POINTS {
             if !selected(&args.backend, &SMOKE_BACKENDS, backend) {
                 continue;
             }
             let mut cell = scenario
-                .retarget(backend, speedup, f64::from(rate) / native_rate)
+                .retarget(backend, f64::from(rate) / native_rate)
                 .expect("retargeting a valid scenario must validate");
             if let Some(mode) = args.deploy_mode {
                 cell = cell

@@ -37,8 +37,6 @@ pub struct RunSpec {
     pub accounts: usize,
     /// Client machine model.
     pub machine: ClientMachine,
-    /// Clock speed-up.
-    pub speedup: f64,
     /// Simulated drain timeout after the last submission.
     pub drain_timeout: Duration,
     /// Interactive mode: per-event listener cost.
@@ -60,22 +58,21 @@ impl RunSpec {
             threads_per_client: 2,
             accounts: 5_000,
             machine: ClientMachine::unconstrained(),
-            speedup: 100.0,
             drain_timeout: Duration::from_secs(120),
             listen_cost: Duration::from_micros(400),
             event_buffer: 1_000,
         }
     }
 
-    /// Deploys the chain from `registry`, executes the run and returns
-    /// the report.
+    /// Deploys the chain from `registry` on a virtual clock, executes the
+    /// run and returns the report: a pure function of the spec.
     ///
     /// # Panics
     ///
     /// Panics when the chain is not a registered backend.
     pub fn run(&self, registry: &BackendRegistry) -> EvalReport {
         let deployment = registry
-            .deploy(&self.chain, &BackendOptions::default(), self.speedup)
+            .deploy(&self.chain, &BackendOptions::default())
             .unwrap_or_else(|e| panic!("{e}"));
         let workload = WorkloadConfig {
             accounts: self.accounts,
@@ -173,15 +170,15 @@ pub fn save_csv(name: &str, csv: &str) {
     save_result(&format!("{name}.csv"), csv);
 }
 
-/// (backend, average rate tx/s, speedup) — the sweep's operating points:
-/// moderate rates well under capacity so a scenario's own shape and
-/// faults, not saturation, decide the verdict. The registry's Ethereum
-/// keeps its 15 s PoW blocks; the 30 s stall budget clears that.
-pub const OPERATING_POINTS: [(&str, u32, f64); 4] = [
-    ("ethereum-sim", 40, 100.0),
-    ("fabric-sim", 150, 100.0),
-    ("meepo-sim", 300, 50.0),
-    ("neuchain-sim", 500, 100.0),
+/// (backend, average rate tx/s) — the sweep's operating points: moderate
+/// rates well under capacity so a scenario's own shape and faults, not
+/// saturation, decide the verdict. The registry's Ethereum keeps its 15 s
+/// PoW blocks; the 30 s stall budget clears that.
+pub const OPERATING_POINTS: [(&str, u32); 4] = [
+    ("ethereum-sim", 40),
+    ("fabric-sim", 150),
+    ("meepo-sim", 300),
+    ("neuchain-sim", 500),
 ];
 
 /// A seeded-chaos cell as an ordinary scenario: twenty one-second slices
@@ -219,8 +216,8 @@ pub fn run_cells(cells: &[Scenario]) -> Vec<Verdict> {
         let (name, backend) = (cell.name(), cell.backend());
         let rate = cell.control().total() as f64 / cell.control().duration().as_secs_f64();
         eprintln!(
-            "running {name} on {backend} at ~{rate:.0} tx/s ({}x)...",
-            cell.speedup()
+            "running {name} on {backend} at ~{rate:.0} tx/s ({})...",
+            cell.deploy_mode().name()
         );
         let probe = LeakProbe::start();
         let run = cell.run();
@@ -290,7 +287,6 @@ mod tests {
     #[test]
     fn peak_runspec_runs_quickly_on_neuchain() {
         let mut spec = RunSpec::peak("neuchain-sim", 200, 2);
-        spec.speedup = 1000.0;
         spec.accounts = 100;
         let report = spec.run(&BackendRegistry::builtin());
         assert!(report.committed > 100, "committed = {}", report.committed);
@@ -299,7 +295,6 @@ mod tests {
     #[test]
     fn summary_row_matches_header_len() {
         let mut spec = RunSpec::peak("neuchain-sim", 100, 2);
-        spec.speedup = 1000.0;
         spec.accounts = 50;
         let report = spec.run(&BackendRegistry::builtin());
         assert_eq!(summary_row(&report).len(), summary_header().len());

@@ -9,7 +9,7 @@
 //! deploy: backends are selected *by name* (from config files, CLI flags,
 //! or conformance sweeps), so the driver, `multi`, and the bench binaries
 //! never hard-code a constructor. [`BackendRegistry::deploy`] builds the
-//! simulated cluster (clock, network, nodes) and hands back a
+//! simulated cluster (a virtual clock, network, nodes) and hands back a
 //! [`Deployment`] with a ready [`BlockchainClient`]. A chain with a
 //! non-default configuration, or a new backend, is one
 //! [`BackendRegistry::register`] call with a builder closure over
@@ -631,14 +631,13 @@ impl BackendRegistry {
         self.builders.iter().map(|(n, _)| n.as_str()).collect()
     }
 
-    /// Deploys `name` on a fresh simulated network at `speedup`×.
-    pub fn deploy(
-        &self,
-        name: &str,
-        opts: &BackendOptions,
-        speedup: f64,
-    ) -> Result<Deployment, UnknownBackend> {
-        let clock = SimClock::with_speedup(speedup);
+    /// Deploys `name` on a fresh simulated network over a fresh virtual
+    /// clock ([`SimClock::virtual_time`]), which makes the calling thread
+    /// its first participant: the run is exact, and the host's speed is not
+    /// in it. A caller that needs wall or scaled time passes its clock to
+    /// [`BackendRegistry::deploy_on`].
+    pub fn deploy(&self, name: &str, opts: &BackendOptions) -> Result<Deployment, UnknownBackend> {
+        let clock = SimClock::virtual_time();
         let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
         self.deploy_on(name, opts, clock, net)
     }
@@ -672,6 +671,12 @@ impl BackendRegistry {
     /// names are registered on the local `net` so fault-target resolution,
     /// fault-plan validation and attribution all work exactly as in
     /// in-process mode.
+    ///
+    /// `clock` must be a wall or scaled clock, and the calling thread must
+    /// take part in no virtual clock: the node process keeps a clock of its
+    /// own, and the handshake with it is an OS wait that no virtual clock's
+    /// scheduler sees, so either would hang the deploy until the handshake
+    /// timed out. Both are a [`DeployError::Spawn`] at once instead.
     pub fn deploy_multi(
         &self,
         name: &str,
@@ -682,6 +687,13 @@ impl BackendRegistry {
         reconnect: ReconnectPolicy,
     ) -> Result<Deployment, DeployError> {
         self.builder(name)?;
+        if !clock.speedup().is_finite() || thread::in_virtual_time() {
+            return Err(DeployError::Spawn(
+                "a node process cannot join virtual time: deploy it on a wall or scaled \
+                 clock, from a thread outside any virtual clock"
+                    .to_owned(),
+            ));
+        }
         let supervisor = Supervisor::launch(name, opts, clock.clone(), supervisor_config)?;
         let chain = RemoteChain::connect(TcpRpcClient::new(
             supervisor.addr(),
@@ -836,7 +848,7 @@ mod tests {
     #[test]
     fn seeding_reaches_the_chain() {
         let deployment = BackendRegistry::builtin()
-            .deploy("fabric-sim", &BackendOptions::default(), 1000.0)
+            .deploy("fabric-sim", &BackendOptions::default())
             .unwrap();
         let account = Address::from_name("seeded");
         deployment.seed_account(account, 123, 456);
@@ -852,9 +864,7 @@ mod tests {
             vec!["ethereum-sim", "fabric-sim", "meepo-sim", "neuchain-sim"]
         );
         for name in registry.names() {
-            let deployment = registry
-                .deploy(name, &BackendOptions::default(), 1000.0)
-                .unwrap();
+            let deployment = registry.deploy(name, &BackendOptions::default()).unwrap();
             assert_eq!(deployment.client().chain_name(), name);
             assert_eq!(deployment.client().latest_height(0).unwrap(), 0);
             deployment.down();
@@ -865,7 +875,7 @@ mod tests {
     fn registry_rejects_unknown_names() {
         let registry = BackendRegistry::builtin();
         let err = registry
-            .deploy("tendermint", &BackendOptions::default(), 1000.0)
+            .deploy("tendermint", &BackendOptions::default())
             .unwrap_err();
         assert!(err.to_string().contains("tendermint"));
         assert!(err.to_string().contains("neuchain-sim"));
@@ -884,7 +894,7 @@ mod tests {
             mempool_capacity: Some(2),
             stall_sealing: true,
         };
-        let deployment = registry.deploy("neuchain-sim", &opts, 1000.0).unwrap();
+        let deployment = registry.deploy("neuchain-sim", &opts).unwrap();
         let client = deployment.client();
         let mut saw_backpressure = false;
         for nonce in 0..10 {

@@ -567,7 +567,7 @@ mod tests {
     #[test]
     fn evaluates_neuchain_end_to_end() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(100, 3, Duration::from_secs(1));
         let report = Evaluation::new(fast_config())
@@ -584,7 +584,7 @@ mod tests {
     #[test]
     fn batch_baseline_also_completes() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let report = Evaluation::new(
@@ -601,7 +601,7 @@ mod tests {
     #[test]
     fn interactive_mode_tracks_events() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let report = Evaluation::new(
@@ -618,7 +618,7 @@ mod tests {
     #[test]
     fn sharded_chain_evaluated_through_same_driver() {
         let deployment = BackendRegistry::builtin()
-            .deploy("meepo-sim", &BackendOptions::default(), 1000.0)
+            .deploy("meepo-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(60, 3, Duration::from_secs(1));
         let report = Evaluation::new(fast_config())
@@ -691,7 +691,7 @@ mod tests {
         // the report carries zero retried/dropped/expired and no
         // fault-window breakdown.
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let report = Evaluation::new(
@@ -712,7 +712,7 @@ mod tests {
     #[test]
     fn retry_deadline_longer_than_slice_rejected() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let err = Evaluation::new(
@@ -732,7 +732,7 @@ mod tests {
     #[test]
     fn invalid_retry_policy_rejected() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         // The builder is the only public entry and rejects this policy at
@@ -752,7 +752,7 @@ mod tests {
     #[test]
     fn empty_control_sequence_rejected() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::from_budgets(vec![], Duration::from_secs(1));
         let err = Evaluation::new(fast_config())
@@ -769,7 +769,7 @@ mod tests {
             SigningStrategy::Pipelined,
         ] {
             let deployment = BackendRegistry::builtin()
-                .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+                .deploy("neuchain-sim", &BackendOptions::default())
                 .unwrap();
             let control = ControlSequence::constant(40, 2, Duration::from_secs(1));
             let report = Evaluation::new(fast_builder().signing(signing).build().unwrap())
@@ -786,7 +786,7 @@ mod tests {
     #[test]
     fn ycsb_workload_runs() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
         let workload = WorkloadConfig {
@@ -804,7 +804,7 @@ mod tests {
     #[test]
     fn report_to_json_is_well_formed() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(40, 2, Duration::from_secs(1));
         let report = Evaluation::new(fast_config())
@@ -1327,7 +1327,7 @@ mod tests {
     fn obs_installed_run_emits_spans_metrics_and_journal() {
         use hammer_obs::EventKind;
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         deployment.net().install_obs(Obs::new());
         let control = ControlSequence::constant(50, 2, Duration::from_secs(1));
@@ -1359,7 +1359,7 @@ mod tests {
     #[test]
     fn default_run_keeps_obs_disabled() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 1000.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::constant(40, 2, Duration::from_secs(1));
         Evaluation::new(fast_config())
@@ -1374,10 +1374,9 @@ mod tests {
     #[test]
     fn control_sequence_paces_submission() {
         // A bursty control sequence should shape the tps series: the
-        // burst slice dominates. Run at a modest speed-up so scheduling
-        // noise on loaded single-core hosts cannot smear the burst.
+        // burst slice dominates.
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let control = ControlSequence::from_budgets(vec![10, 200, 10], Duration::from_secs(1));
         let report = Evaluation::new(fast_config())

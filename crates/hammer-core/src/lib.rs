@@ -33,8 +33,9 @@
 //! use hammer_core::driver::{EvalConfig, Evaluation};
 //! use hammer_workload::{ControlSequence, WorkloadConfig};
 //!
-//! // 1. Deploy a simulated SUT (1000x accelerated clock).
-//! let deployment = BackendRegistry::builtin().deploy("neuchain-sim", &BackendOptions::default(), 1000.0).unwrap();
+//! // 1. Deploy a simulated SUT on a virtual clock: exact, and as fast as
+//! //    the CPU it takes.
+//! let deployment = BackendRegistry::builtin().deploy("neuchain-sim", &BackendOptions::default()).unwrap();
 //! // 2. Describe the workload and control sequence.
 //! let workload = WorkloadConfig {
 //!     accounts: 100,

@@ -113,11 +113,7 @@ mod tests {
         // Distributed runs pick the shared SUT by registry name, the way
         // a driver-server config file would.
         let deployment = crate::deploy::BackendRegistry::builtin()
-            .deploy(
-                "neuchain-sim",
-                &crate::deploy::BackendOptions::default(),
-                500.0,
-            )
+            .deploy("neuchain-sim", &crate::deploy::BackendOptions::default())
             .expect("neuchain-sim is a builtin backend");
         let workload = WorkloadConfig {
             accounts: 100,
@@ -147,7 +143,7 @@ mod tests {
     #[test]
     fn zero_drivers_rejected() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 500.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let workload = WorkloadConfig::default();
         let control = ControlSequence::constant(10, 1, Duration::from_secs(1));
@@ -160,7 +156,7 @@ mod tests {
     #[test]
     fn batch_baseline_drivers_have_no_index_stats() {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 500.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let workload = WorkloadConfig {
             accounts: 50,

@@ -34,7 +34,6 @@
 //!
 //! let verdict = Scenario::builder("smoke")
 //!     .backend("neuchain-sim")
-//!     .speedup(1000.0)
 //!     .constant_load(50, 2)
 //!     .workload_with(|w| w.accounts = 100)
 //!     .expect_consensus_liveness(1)
@@ -74,6 +73,11 @@ const MAX_SLICES: usize = 1_000_000;
 /// The most transactions a run window may carry: what one tracker shard
 /// can index (`TxTable::insert` asserts its slot indices stay 32-bit).
 const MAX_TOTAL: u64 = u32::MAX as u64;
+
+/// The speed-up of a [`DeployMode::MultiProcess`] scenario's scaled clock.
+/// A node process keeps a clock of its own and cannot join virtual time
+/// (ROADMAP item 12), so the driver side runs scaled too.
+const MULTI_PROCESS_SPEEDUP: f64 = 10.0;
 
 /// What a scenario demands of its run. Each expectation grades into one
 /// (or, for the oracle-backed ones, a few) [`InvariantCheck`] evidence
@@ -209,7 +213,6 @@ pub struct ScenarioBuilder {
     name: String,
     description: String,
     backend: String,
-    speedup: f64,
     deploy_mode: DeployMode,
     workload: WorkloadConfig,
     control: Option<ControlSequence>,
@@ -229,7 +232,6 @@ impl ScenarioBuilder {
             name: name.to_owned(),
             description: String::new(),
             backend: "neuchain-sim".to_owned(),
-            speedup: 100.0,
             deploy_mode: DeployMode::default(),
             workload: WorkloadConfig {
                 accounts: 200,
@@ -258,12 +260,6 @@ impl ScenarioBuilder {
     /// Target backend, by registry name.
     pub fn backend(mut self, name: &str) -> Self {
         self.backend = name.to_owned();
-        self
-    }
-
-    /// Clock speedup (simulated seconds per wall second).
-    pub fn speedup(mut self, speedup: f64) -> Self {
-        self.speedup = speedup;
         self
     }
 
@@ -385,12 +381,6 @@ impl ScenarioBuilder {
                 name: self.backend,
                 known: registry.names().iter().map(|s| (*s).to_owned()).collect(),
             });
-        }
-        if !(self.speedup.is_finite() && self.speedup > 0.0) {
-            return Err(ScenarioError::Spec(format!(
-                "speedup must be positive and finite, got {}",
-                self.speedup
-            )));
         }
         let mut workload = self.workload.clone();
         workload.chain_name = self.backend.clone();
@@ -561,11 +551,6 @@ impl Scenario {
         &self.spec.backend
     }
 
-    /// The clock speedup.
-    pub fn speedup(&self) -> f64 {
-        self.spec.speedup
-    }
-
     /// The deploy mode.
     pub fn deploy_mode(&self) -> DeployMode {
         self.spec.deploy_mode
@@ -598,16 +583,10 @@ impl Scenario {
     }
 
     /// Re-aims a scenario at another backend/operating point: swaps the
-    /// backend and speedup, scales the run window's total by
-    /// `load_scale` (shape preserved), and re-validates. Expectation
-    /// overrides keyed by the new backend name take effect at check
-    /// time.
-    pub fn retarget(
-        &self,
-        backend: &str,
-        speedup: f64,
-        load_scale: f64,
-    ) -> Result<Scenario, ScenarioError> {
+    /// backend, scales the run window's total by `load_scale` (shape
+    /// preserved), and re-validates. Expectation overrides keyed by the new
+    /// backend name take effect at check time.
+    pub fn retarget(&self, backend: &str, load_scale: f64) -> Result<Scenario, ScenarioError> {
         if !(load_scale.is_finite() && load_scale > 0.0) {
             return Err(ScenarioError::Spec(format!(
                 "load scale must be positive and finite, got {load_scale}"
@@ -615,7 +594,6 @@ impl Scenario {
         }
         let mut spec = self.spec.clone();
         spec.backend = backend.to_owned();
-        spec.speedup = speedup;
         let total = (self.control.total() as f64 * load_scale).round().max(1.0) as usize;
         spec.control = Some(self.control.scaled_to_total(total));
         spec.build()
@@ -627,8 +605,9 @@ impl Scenario {
     }
 
     /// Deploys the backend ([`DeployMode::InProcess`] on a fresh
-    /// simulated network, [`DeployMode::MultiProcess`] as a supervised
-    /// `node-host` OS process behind real TCP), installs the compiled
+    /// simulated network over a virtual clock, [`DeployMode::MultiProcess`]
+    /// as a supervised `node-host` OS process behind real TCP, on a clock
+    /// scaled `MULTI_PROCESS_SPEEDUP` times), installs the compiled
     /// fault plan, drives the unmodified driver (the checkpointing
     /// variant when a recovery spec is set — including the kill and the
     /// resume), and grades the expectations into a [`Verdict`].
@@ -637,7 +616,10 @@ impl Scenario {
     /// thread joined, before this returns, so callers can probe for
     /// leaked threads/processes immediately.
     pub(crate) fn run_on(&self, registry: &BackendRegistry) -> Result<Verdict, ScenarioError> {
-        let clock = SimClock::with_speedup(self.spec.speedup);
+        let clock = match self.spec.deploy_mode {
+            DeployMode::InProcess => SimClock::virtual_time(),
+            DeployMode::MultiProcess => SimClock::with_speedup(MULTI_PROCESS_SPEEDUP),
+        };
         let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         net.install_obs(Obs::new());
         let deployment = match self.spec.deploy_mode {
@@ -879,7 +861,6 @@ impl Scenario {
                 "name",
                 "description",
                 "backend",
-                "speedup",
                 "deploy_mode",
                 "workload",
                 "control",
@@ -898,7 +879,6 @@ impl Scenario {
             string(d).map(str::to_owned)
         })?;
         b.backend = f.req("backend", string)?.to_owned();
-        f.set(&mut b.speedup, "speedup", float)?;
         f.set(&mut b.deploy_mode, "deploy_mode", |m| {
             DeployMode::parse(string(m)?)
                 .ok_or_else(|| ReadError::want("\"in_process\" or \"multi_process\"", m))
@@ -1267,7 +1247,7 @@ mod tests {
                 ),
             ];
             let deployment = registry
-                .deploy(backend, &BackendOptions::default(), 1000.0)
+                .deploy(backend, &BackendOptions::default())
                 .expect("registered backend");
             let targets = ChaosTargets::new(
                 deployment.chain().ingress_nodes(),
@@ -1275,7 +1255,7 @@ mod tests {
             );
             for (name, expected) in golden {
                 let authored = corpus::load(name).expect("corpus scenario");
-                let scenario = authored.retarget(backend, 1000.0, 1.0).expect("retarget");
+                let scenario = authored.retarget(backend, 1.0).expect("retarget");
                 let Some(Chaos::Scripted(written)) = &scenario.spec.chaos else {
                     panic!("{name} scripts its faults");
                 };

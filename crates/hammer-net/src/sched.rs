@@ -335,6 +335,14 @@ fn membership() -> Option<Rc<Member>> {
     member.filter(|member| !member.left_orphan())
 }
 
+/// Whether the calling thread takes part in a virtual clock
+/// ([`crate::SimClock::virtual_time`]) that still has a handle: a wait of
+/// its that the clock's scheduler does not see (an OS read, a timed
+/// receive) holds the baton, and no peer runs until it ends.
+pub fn in_virtual_time() -> bool {
+    membership().is_some()
+}
+
 /// A signal at `key` was set: its waiters in the calling participant's
 /// scheduler, if the thread is one, are ready.
 pub(crate) fn notify_signal(key: usize) {

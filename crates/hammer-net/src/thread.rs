@@ -10,6 +10,7 @@
 use std::io;
 use std::thread::{Builder, Scope};
 
+pub use crate::sched::in_virtual_time;
 use crate::sched::Child;
 
 /// An owned permission to join a thread started by [`spawn`].

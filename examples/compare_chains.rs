@@ -25,7 +25,7 @@ fn main() {
     for name in registry.names() {
         eprintln!("evaluating {name}...");
         let deployment = registry
-            .deploy(name, &BackendOptions::default(), 200.0)
+            .deploy(name, &BackendOptions::default())
             .expect("listed by the registry");
         let workload = WorkloadConfig {
             accounts: 2_000,

@@ -73,7 +73,7 @@ fn main() {
     println!("registered backends: {:?}\n", registry.names());
 
     let deployment = registry
-        .deploy("instant-chain", &BackendOptions::default(), 500.0)
+        .deploy("instant-chain", &BackendOptions::default())
         .expect("just registered");
 
     // The generic JSON-RPC facade works unchanged, exactly as a non-Rust

@@ -18,7 +18,7 @@ use hammer::workload::{ControlSequence, WorkloadConfig};
 fn main() {
     // Run a short evaluation on the Fabric simulator.
     let deployment = BackendRegistry::builtin()
-        .deploy("fabric-sim", &BackendOptions::default(), 200.0)
+        .deploy("fabric-sim", &BackendOptions::default())
         .expect("registered backend");
     let workload = WorkloadConfig {
         accounts: 2_000,

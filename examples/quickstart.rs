@@ -15,12 +15,13 @@ use hammer::obs::{render_dashboard, Obs};
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
 fn main() {
-    // 1. Preparation: bring up the SUT (Ansible role). The clock runs
-    //    200x faster than wall time; all configured delays keep their
-    //    ratios. Installing an `Obs` bundle on the network before the
+    // 1. Preparation: bring up the SUT (Ansible role). The clock is
+    //    virtual: simulated time jumps from one modelled delay to the
+    //    next, so the run takes only the CPU it needs and reads the same
+    //    every time. Installing an `Obs` bundle on the network before the
     //    deployment turns on metrics, lifecycle spans, and the journal
     //    for every component that touches the network.
-    let clock = SimClock::with_speedup(200.0);
+    let clock = SimClock::virtual_time();
     let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
     net.install_obs(Obs::new());
     let deployment = BackendRegistry::builtin()

@@ -59,7 +59,7 @@ fn main() {
 
     // 5. Evaluate Neuchain under the predicted load shape.
     let deployment = BackendRegistry::builtin()
-        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .deploy("neuchain-sim", &BackendOptions::default())
         .expect("registered backend");
     let workload = WorkloadConfig {
         accounts: 2_000,

@@ -19,9 +19,11 @@
 //! use hammer::core::driver::{EvalConfig, Evaluation};
 //! use hammer::workload::{ControlSequence, WorkloadConfig};
 //!
-//! // Deploy a simulated SUT at 1000x real time, describe a workload,
-//! // shape it with a control sequence, and run the evaluation.
-//! let deployment = BackendRegistry::builtin().deploy("neuchain-sim", &BackendOptions::default(), 1000.0).unwrap();
+//! // Deploy a simulated SUT on a virtual clock (simulated time jumps
+//! // from one modelled delay to the next, so the same inputs read the
+//! // same report), describe a workload, shape it with a control
+//! // sequence, and run the evaluation.
+//! let deployment = BackendRegistry::builtin().deploy("neuchain-sim", &BackendOptions::default()).unwrap();
 //! let workload = WorkloadConfig { accounts: 100, ..WorkloadConfig::default() };
 //! let control = ControlSequence::constant(100, 2, Duration::from_secs(1));
 //! let config = EvalConfig::builder().build().unwrap();

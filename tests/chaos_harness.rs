@@ -44,7 +44,6 @@ fn oracle_passes_under_seeded_chaos_on_every_backend() {
         for seed in [7u64, 1312] {
             let scenario = Scenario::builder("seeded-chaos")
                 .backend(backend)
-                .speedup(100.0)
                 .constant_load(50, 10)
                 .workload_with(|w| w.seed = seed)
                 .chaos_seeded(seed)
@@ -242,7 +241,7 @@ fn killed_driver_resumes_and_matches_the_uninterrupted_run() {
 
     // Uninterrupted baseline on a fresh deployment.
     let baseline_deploy = registry
-        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .deploy("neuchain-sim", &BackendOptions::default())
         .unwrap();
     let baseline = Evaluation::new(recovery_config())
         .run(&baseline_deploy, &workload, &control)
@@ -260,7 +259,7 @@ fn killed_driver_resumes_and_matches_the_uninterrupted_run() {
     let dir = common::TempDir::new("resume-test");
     let checkpoint = dir.path().join("checkpoint");
     let deployment = registry
-        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .deploy("neuchain-sim", &BackendOptions::default())
         .unwrap();
     let killed = Evaluation::new(recovery_config()).run_recoverable(
         &deployment,
@@ -307,7 +306,7 @@ fn assert_resume_matches_uninterrupted(config: fn() -> EvalConfig, label: &str, 
     let control = ControlSequence::constant(100, 4, Duration::from_secs(1));
 
     let baseline_deploy = registry
-        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .deploy("neuchain-sim", &BackendOptions::default())
         .unwrap();
     let baseline = Evaluation::new(config())
         .run(&baseline_deploy, &workload, &control)
@@ -318,7 +317,7 @@ fn assert_resume_matches_uninterrupted(config: fn() -> EvalConfig, label: &str, 
     let dir = common::TempDir::new(label);
     let recovery = || RecoveryConfig::new(dir.path(), Duration::from_millis(200));
     let deployment = registry
-        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .deploy("neuchain-sim", &BackendOptions::default())
         .unwrap();
     let killed = Evaluation::new(config()).run_recoverable(
         &deployment,
@@ -396,7 +395,7 @@ fn checkpoint_from_a_different_run_is_refused() {
     let dir = common::TempDir::new("mismatch");
 
     let deployment = registry
-        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .deploy("neuchain-sim", &BackendOptions::default())
         .unwrap();
     let killed = Evaluation::new(recovery_config()).run_recoverable(
         &deployment,
@@ -437,7 +436,7 @@ fn a_checkpoint_damaged_after_a_kill_fails_the_resume() {
     let dir = common::TempDir::new("damaged");
     let recovery = RecoveryConfig::new(dir.path(), Duration::from_millis(200));
     let deployment = BackendRegistry::builtin()
-        .deploy("neuchain-sim", &BackendOptions::default(), 200.0)
+        .deploy("neuchain-sim", &BackendOptions::default())
         .unwrap();
     let evaluation = Evaluation::new(recovery_config());
     let killed = evaluation.run_recoverable(
@@ -634,7 +633,9 @@ fn a_save_killed_at_any_instant_leaves_a_complete_snapshot() {
 }
 
 /// Simulated speed of the process-kill test: its 4 s of schedule take
-/// 200 ms of wall time, time enough to aim kills inside the run.
+/// 200 ms of wall time, time enough to aim kills inside the run. The chain
+/// runs on a scaled clock, not a virtual one: it serves the child over
+/// TCP, whose waits no virtual clock's scheduler sees.
 const PROCESS_SPEEDUP: f64 = 20.0;
 
 /// The child of the process-kill test: a driver in its own process
@@ -685,8 +686,11 @@ fn a_driver_killed_as_a_process_resumes_from_its_directory() {
     let workload = recovery_workload();
     let control = ControlSequence::constant(100, 4, Duration::from_secs(1));
     let deploy = || {
+        let clock = SimClock::with_speedup(PROCESS_SPEEDUP);
+        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let options = BackendOptions::default();
         registry
-            .deploy("neuchain-sim", &BackendOptions::default(), PROCESS_SPEEDUP)
+            .deploy_on("neuchain-sim", &options, clock, net)
             .unwrap()
     };
     let baseline = Evaluation::new(recovery_config())

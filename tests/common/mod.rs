@@ -6,12 +6,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hammer::core::chaos::live_threads;
 use parking_lot::{Mutex, MutexGuard};
 
-/// Chain simulations are timing-sensitive; on small CI hosts running them
-/// concurrently within one test binary starves the simulator threads, so
-/// timing-sensitive tests serialise on this guard. The static is
-/// per-binary (each integration test crate compiles its own copy), which
-/// matches how the harness parallelises: threads within a binary, not
-/// across binaries.
+/// Serialises the tests of one binary that either count the process's
+/// threads (`LeakProbe`, `live_threads`), which a concurrent test's
+/// threads would throw off, or run a chain on a scaled clock, whose
+/// simulated time a concurrent test's CPU would skew (the multi-process
+/// cells and the process-kill test). A test on a virtual clock that counts
+/// no threads needs neither: its time owes nothing to the host. The static
+/// is per-binary (each integration test crate compiles its own copy),
+/// which matches how the harness parallelises: threads within a binary,
+/// not across binaries.
 static GUARD: Mutex<()> = Mutex::new(());
 
 /// Takes the binary-wide serialisation guard. Hold the returned guard for
@@ -70,30 +73,3 @@ impl Drop for TempDir {
         let _ = std::fs::remove_dir_all(&self.0);
     }
 }
-
-// # Fabric commit band (referenced by tests/cross_chain.rs)
-//
-// The zipf-0.99 SmallBank workload on `fabric_default()` (100 tx/s x 6 s
-// = 600 txs at 400x speed-up) commits fewer than 600: the EOV pipeline
-// loses hot-account transactions to intra-block MVCC conflicts, and the
-// exact block composition jitters with wall-clock scheduling noise, so
-// the commit count is a band, not a constant.
-//
-// Derivation of the asserted floor: run the fabric cross-chain test in
-// release mode N>=10 times and read the printed `fabric committed =`
-// lines, e.g.
-//
-//   for i in $(seq 1 10); do \
-//     cargo test --release --test cross_chain fabric -- --nocapture \
-//       2>&1 | grep 'fabric committed'; done
-//
-// Measured bands, oldest first:
-//
-// * pre-watchdog driver (PR 3): [503, 526]
-// * watchdog-instrumented driver (PR 5, stall probe in the monitor
-//   loop): [510, 529] — the probe reads three atomics and a block
-//   counter per poll tick, which does not shift the band's floor.
-//
-// The assertion uses `> 480`: ~6% below every observed floor, so
-// scheduling noise cannot flake it, while a real sealing or validation
-// regression (which commits far less than the band) still trips it.

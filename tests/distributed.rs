@@ -13,7 +13,7 @@ use hammer::workload::{ControlSequence, WorkloadConfig};
 #[test]
 fn two_driver_servers_one_chain() {
     let deployment = BackendRegistry::builtin()
-        .deploy("neuchain-sim", &BackendOptions::default(), 400.0)
+        .deploy("neuchain-sim", &BackendOptions::default())
         .unwrap();
     let workload = WorkloadConfig {
         accounts: 200,
@@ -34,21 +34,16 @@ fn two_driver_servers_one_chain() {
     // Both drivers completed their disjoint 160-tx workloads.
     assert_eq!(report.per_driver.len(), 2);
     assert_eq!(report.combined_submitted(), 320);
-    assert!(
-        report.combined_committed() > 280,
-        "combined = {}",
-        report.combined_committed()
-    );
+    assert_eq!(report.combined_committed(), 320, "combined committed");
 
-    // Every driver observed the *other* driver's transactions in the
-    // shared blocks and rejected them via the Bloom filter without
+    // Every driver observed all 160 of the *other* driver's transactions
+    // in the shared blocks and rejected each via the Bloom filter without
     // touching its hash index.
     for (i, stats) in report.index_stats().iter().enumerate() {
         let stats = stats.expect("task-processing mode exposes index stats");
-        assert!(
-            stats.bloom_rejections >= 100,
-            "driver {i}: only {} foreign rejections",
-            stats.bloom_rejections
+        assert_eq!(
+            stats.bloom_rejections, 160,
+            "driver {i}: foreign rejections"
         );
     }
 

@@ -15,35 +15,26 @@ use hammer::core::deploy::{BackendOptions, BackendRegistry};
 use hammer::core::driver::{EvalConfig, EvalReport, Evaluation};
 use hammer::core::machine::ClientMachine;
 use hammer::core::retry::RetryPolicy;
-use hammer::net::{FaultPlan, LinkConfig, SimClock, SimNetwork};
+use hammer::net::FaultPlan;
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
-mod common;
-
-/// Runs SmallBank on Neuchain with the given plan and retry policy:
-/// `rate` transactions per slice for `slices` slices of `slice` each.
+/// Runs SmallBank on Neuchain, on a virtual clock, with the given plan
+/// and retry policy: `rate` transactions per slice for `slices` slices of
+/// `slice` each.
 fn run_neuchain(
     plan: Option<FaultPlan>,
     retry: RetryPolicy,
     rate: u32,
     slices: usize,
     slice: Duration,
-    speedup: f64,
 ) -> EvalReport {
-    let clock = SimClock::with_speedup(speedup);
-    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
     // Deploy first: install_faults validates the plan against the live
     // topology, so the node endpoints must already be registered.
     let deployment = BackendRegistry::builtin()
-        .deploy_on(
-            "neuchain-sim",
-            &BackendOptions::default(),
-            clock,
-            net.clone(),
-        )
+        .deploy("neuchain-sim", &BackendOptions::default())
         .unwrap();
     if let Some(plan) = plan {
-        net.install_faults(plan);
+        deployment.net().install_faults(plan);
     }
     let workload = WorkloadConfig {
         accounts: 500,
@@ -70,8 +61,8 @@ fn crash_plan(start: Duration, end: Duration) -> FaultPlan {
         .crash("neuchain-epoch-server", start, end)
 }
 
-/// The hard invariants that must hold on *every* crash-restart run,
-/// regardless of host scheduling: Neuchain neither aborts nor rejects,
+/// The hard invariants that must hold on *every* crash-restart run:
+/// Neuchain neither aborts nor rejects,
 /// the generous drain leaves nothing pending, and every submitted
 /// transaction lands in exactly one terminal bucket.
 fn assert_accounting_identity(report: &EvalReport) {
@@ -85,84 +76,66 @@ fn assert_accounting_identity(report: &EvalReport) {
     );
 }
 
-/// The load-sensitive expectations: the fault window actually intersected
-/// the submission schedule. A badly descheduled host can skew the whole
-/// (sub-second wall time) run past the window, so the test retries once
-/// before failing on these.
-fn fault_activity(report: &EvalReport) -> Result<(), String> {
-    if report.retried == 0 {
-        return Err("no retries under a 3s crash".to_owned());
-    }
-    if report.dropped + report.expired == 0 {
-        return Err("a 3s outage with a 1s retry deadline must exhaust some txs".to_owned());
-    }
-    if report.committed == 0 {
-        return Err("recovery after restart committed nothing".to_owned());
-    }
+/// The fault window intersected the submission schedule: retries, losses,
+/// recovery and two degraded windows.
+fn assert_fault_activity(report: &EvalReport) {
+    assert!(
+        report.retried > 0,
+        "no retries under a 3s crash: {report:?}"
+    );
+    assert!(
+        report.dropped + report.expired > 0,
+        "a 3s outage with a 1s retry deadline must exhaust some txs: {report:?}"
+    );
+    assert!(
+        report.committed > 0,
+        "recovery after restart committed nothing"
+    );
     // Per-window breakdown: both crash windows report degraded TPS
     // relative to the nominal (outside-window) rate.
-    let nominal = report
-        .fault_windows
-        .iter()
-        .find(|w| w.label == "nominal")
-        .ok_or("nominal entry missing")?;
-    let crash_windows: Vec<_> = report
-        .fault_windows
-        .iter()
+    let windows = &report.fault_windows;
+    let nominal = windows.iter().find(|w| w.label == "nominal");
+    let nominal = nominal.expect("nominal entry missing");
+    let crash_windows: Vec<_> = (windows.iter())
         .filter(|w| w.label.starts_with("crash:"))
         .collect();
-    if crash_windows.len() != 2 {
-        return Err(format!(
-            "expected 2 crash windows: {:?}",
-            report.fault_windows
-        ));
-    }
+    assert_eq!(
+        crash_windows.len(),
+        2,
+        "expected 2 crash windows: {windows:?}"
+    );
     for w in crash_windows {
-        if nominal.tps <= 0.0 || w.tps >= nominal.tps / 2.0 {
-            return Err(format!(
-                "window {} not degraded: {} vs nominal {}",
-                w.label, w.tps, nominal.tps
-            ));
-        }
+        assert!(
+            nominal.tps > 0.0 && w.tps < nominal.tps / 2.0,
+            "window {} not degraded: {} vs nominal {}",
+            w.label,
+            w.tps,
+            nominal.tps
+        );
     }
-    Ok(())
 }
 
 #[test]
 fn crash_restart_accounting_identity() {
-    let _guard = common::serial_guard();
-    let run = || {
-        run_neuchain(
-            Some(crash_plan(Duration::from_secs(1), Duration::from_secs(4))),
-            RetryPolicy::standard(),
-            200,
-            7,
-            Duration::from_secs(1),
-            50.0,
-        )
-    };
-    let mut report = run();
+    let report = run_neuchain(
+        Some(crash_plan(Duration::from_secs(1), Duration::from_secs(4))),
+        RetryPolicy::standard(),
+        200,
+        7,
+        Duration::from_secs(1),
+    );
     assert_accounting_identity(&report);
-    if let Err(why) = fault_activity(&report) {
-        eprintln!("crash window skewed by host scheduling ({why}); retrying once");
-        report = run();
-        assert_accounting_identity(&report);
-    }
-    if let Err(why) = fault_activity(&report) {
-        panic!("{why}: {report:?}");
-    }
+    assert_fault_activity(&report);
 }
 
 #[test]
 fn no_fault_plan_is_inert() {
-    let _guard = common::serial_guard();
     let report = run_neuchain(
         None,
         RetryPolicy::standard(),
         150,
         3,
         Duration::from_secs(1),
-        500.0,
     );
     assert_eq!(report.retried, 0);
     assert_eq!(report.dropped, 0);
@@ -173,14 +146,11 @@ fn no_fault_plan_is_inert() {
 
 #[test]
 fn budget_exhaustion_drops_transactions() {
-    let _guard = common::serial_guard();
     // The whole run is inside the outage and backoff is tiny, so every
     // transaction burns its full attempt budget (2 retries) and is
-    // dropped — never expired, never committed. Skew-resistant: the
-    // window outlasts any possible schedule, and the single 60 s slice
-    // puts the default deadline far beyond any host-descheduling gap
-    // (which would otherwise expire a tx mid-backoff and break the
-    // exact dropped/retried counts).
+    // dropped — never expired, never committed: the window outlasts the
+    // run, and the single 60 s slice puts the default deadline far beyond
+    // the backoffs.
     let policy = RetryPolicy {
         max_retries: 2,
         base_backoff: Duration::from_millis(1),
@@ -195,7 +165,6 @@ fn budget_exhaustion_drops_transactions() {
         200,
         1,
         Duration::from_secs(60),
-        100.0,
     );
     assert!(report.submitted > 0);
     assert_eq!(report.committed, 0);
@@ -210,7 +179,6 @@ fn budget_exhaustion_drops_transactions() {
 
 #[test]
 fn deadline_clamp_expires_transactions() {
-    let _guard = common::serial_guard();
     // Ample attempt budget but backoff pauses that overrun the 500 ms
     // deadline after one retry: every transaction expires instead of
     // exhausting its budget.
@@ -228,7 +196,6 @@ fn deadline_clamp_expires_transactions() {
         100,
         2,
         Duration::from_secs(1),
-        100.0,
     );
     assert!(report.submitted > 0);
     assert_eq!(report.committed, 0);

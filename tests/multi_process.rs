@@ -218,7 +218,6 @@ fn scenario_dsl_drives_multi_process_crash_runs() {
     let spec = r#"{
         "name": "multi-process-crash-smoke",
         "backend": "neuchain-sim",
-        "speedup": 10,
         "deploy_mode": "multi_process",
         "workload": {"accounts": 100},
         "control": {"shape": "constant", "rate": 30, "slices": 8},
@@ -350,4 +349,35 @@ fn node_host_pid() -> Option<u32> {
             host.then_some(pid)
         })
         .next()
+}
+
+/// A thread that takes part in a virtual clock cannot wait for a node
+/// process's handshake: no scheduler sees that OS wait, so it would hold
+/// the clock's turn, and the reader it waits for would never run, until
+/// the 30 s handshake timeout. The deploy is refused at once, with the
+/// cause named, and no process is started.
+#[test]
+fn a_multi_process_deploy_from_virtual_time_is_refused_at_once() {
+    let _guard = serial();
+    let children_before = live_children();
+    let _virtual = SimClock::virtual_time();
+    let started = Instant::now();
+    let clock = SimClock::with_speedup(10.0);
+    let err = BackendRegistry::builtin()
+        .deploy_multi(
+            "neuchain-sim",
+            &BackendOptions::default(),
+            clock.clone(),
+            SimNetwork::new(clock.clone(), LinkConfig::lan()),
+            supervisor_config(),
+            reconnect_policy_for(&RetryPolicy::standard(), &clock),
+        )
+        .expect_err("a deploy from virtual time must fail");
+    assert!(err.to_string().contains("virtual time"), "{err}");
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "{:?}",
+        started.elapsed()
+    );
+    assert!(live_children() <= children_before, "a node process started");
 }

@@ -14,10 +14,8 @@ use hammer::net::{FaultPlan, LinkConfig, SimClock, SimNetwork};
 use hammer::obs::{parse_prometheus, render_dashboard, EventKind, Obs, Stage};
 use hammer::workload::{ControlSequence, WorkloadConfig};
 
-mod common;
-
-/// Runs SmallBank on Neuchain with observability installed (unless
-/// `obs` is `None`) and an optional fault plan.
+/// Runs SmallBank on Neuchain, on a virtual clock, with observability
+/// installed (unless `obs` is `None`) and an optional fault plan.
 fn run_neuchain(
     obs: Option<Obs>,
     plan: Option<FaultPlan>,
@@ -25,7 +23,7 @@ fn run_neuchain(
     total: u32,
     slices: usize,
 ) -> (EvalReport, Obs) {
-    let clock = SimClock::with_speedup(100.0);
+    let clock = SimClock::virtual_time();
     let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
     if let Some(obs) = obs {
         net.install_obs(obs);
@@ -64,10 +62,9 @@ fn run_neuchain(
 
 #[test]
 fn instrumented_run_produces_spans_metrics_and_exposition() {
-    let _guard = common::serial_guard();
     let (report, obs) = run_neuchain(Some(Obs::new()), None, RetryPolicy::disabled(), 200, 4);
     assert!(obs.enabled());
-    assert!(report.committed > 150, "committed = {}", report.committed);
+    assert_eq!(report.committed, 200, "committed");
 
     // Lifecycle spans: every generated transaction was timed through the
     // preparation stages, and every matched one through the chain stages.
@@ -123,7 +120,6 @@ fn instrumented_run_produces_spans_metrics_and_exposition() {
 
 #[test]
 fn fault_plan_transitions_are_journaled() {
-    let _guard = common::serial_guard();
     // Crash the ingress gate for [2 s, 4 s) of a 6-slice run: the driver's
     // monitor polls the plan and must journal the enter and exit edges. Two
     // slices follow the window: a chunk's transactions retry side by side,
@@ -159,7 +155,6 @@ fn fault_plan_transitions_are_journaled() {
 
 #[test]
 fn uninstrumented_run_records_nothing() {
-    let _guard = common::serial_guard();
     let (_, obs) = run_neuchain(None, None, RetryPolicy::disabled(), 100, 4);
     assert!(!obs.enabled());
     assert_eq!(obs.spans().histogram(Stage::Signed).count(), 0);

@@ -65,7 +65,7 @@ fn trace_to_evaluation_pipeline() {
     assert!((total as i64 - 2_000).abs() <= 30, "total = {total}");
 
     let deployment = BackendRegistry::builtin()
-        .deploy("neuchain-sim", &BackendOptions::default(), 400.0)
+        .deploy("neuchain-sim", &BackendOptions::default())
         .unwrap();
     let workload = WorkloadConfig {
         accounts: 500,

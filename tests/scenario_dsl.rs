@@ -10,15 +10,12 @@ use hammer::core::retry::RetryPolicy;
 use hammer::core::scenario::{corpus, Scenario, ScenarioError};
 use hammer::net::FaultPlan;
 
-mod common;
-
 /// A small fault-free scenario for determinism runs: well under
 /// neuchain's capacity, so every transaction commits and the verdict is
 /// a pure function of the seed.
 fn small_scenario() -> Scenario {
     Scenario::builder("dsl-determinism")
         .backend("neuchain-sim")
-        .speedup(1000.0)
         .constant_load(100, 3)
         .workload_with(|w| {
             w.accounts = 100;
@@ -33,14 +30,13 @@ fn small_scenario() -> Scenario {
 }
 
 /// ScenarioBuilder -> EvalConfig -> run -> Verdict is deterministic per
-/// seed: the same built scenario, run twice, grades identically and
-/// reports the same transaction accounting.
+/// seed: the same built scenario, run twice on its virtual clock, gives
+/// the same verdict, byte for byte, but for the wall time it took.
 #[test]
 fn built_scenario_runs_deterministically() {
-    let _guard = common::serial_guard();
     let scenario = small_scenario();
-    let first = scenario.run().expect("run must complete");
-    let second = scenario.run().expect("run must complete");
+    let mut first = scenario.run().expect("run must complete");
+    let mut second = scenario.run().expect("run must complete");
 
     assert!(first.passed(), "violations: {:?}", first.violations());
     // Journal monotonicity is graded on every run, asked for or not.
@@ -48,19 +44,11 @@ fn built_scenario_runs_deterministically() {
         .checks
         .iter()
         .any(|c| c.name == "journal_monotonicity"));
-    let grade = |v: &hammer::core::scenario::Verdict| {
-        v.checks
-            .iter()
-            .map(|c| (c.name, c.passed))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(grade(&first), grade(&second));
-    assert_eq!(first.report.submitted, second.report.submitted);
-    assert_eq!(first.report.committed, second.report.committed);
-    assert_eq!(first.report.rejected, second.report.rejected);
-    assert_eq!(first.stalled, second.stalled);
     assert_eq!(first.report.submitted, 300);
     assert_eq!(first.report.committed, 300);
+    first.report.wall_time = Duration::ZERO;
+    second.report.wall_time = Duration::ZERO;
+    assert_eq!(first.to_value().to_json(), second.to_value().to_json());
 }
 
 /// The same builder composition compiles to the same scenario: backend,
@@ -109,10 +97,9 @@ fn retarget_scales_the_window_and_revalidates() {
     let authored = corpus::load("partition-then-heal").expect("corpus scenario");
     let native_total = authored.control().total();
     let retargeted = authored
-        .retarget("fabric-sim", 200.0, 0.1)
+        .retarget("fabric-sim", 0.1)
         .expect("retargeting onto a registered backend must validate");
     assert_eq!(retargeted.backend(), "fabric-sim");
-    assert_eq!(retargeted.speedup(), 200.0);
     assert_eq!(
         retargeted.control().duration(),
         authored.control().duration(),
@@ -124,7 +111,7 @@ fn retarget_scales_the_window_and_revalidates() {
         "total {native_total} scaled by 0.1 gave {scaled_total}"
     );
 
-    let err = authored.retarget("fabric-sim", 200.0, 0.0).unwrap_err();
+    let err = authored.retarget("fabric-sim", 0.0).unwrap_err();
     assert!(matches!(err, ScenarioError::Spec(_)), "got {err:?}");
 }
 

@@ -17,8 +17,6 @@ use hammer::crypto::Keypair;
 use hammer::net::SimClock;
 use hammer::workload::{ControlSequence, SmallBankGenerator, WorkloadConfig};
 
-mod common;
-
 fn batch(n: usize) -> Vec<Transaction> {
     SmallBankGenerator::new(WorkloadConfig {
         accounts: 200,
@@ -30,7 +28,6 @@ fn batch(n: usize) -> Vec<Transaction> {
 
 #[test]
 fn all_strategies_produce_identical_signatures() {
-    let _guard = common::serial_guard();
     let keypair = Keypair::from_seed(3);
     let params = SigParams::fast();
     let n = 500;
@@ -63,7 +60,6 @@ fn all_strategies_produce_identical_signatures() {
 
 #[test]
 fn evaluations_commit_the_same_set_under_every_strategy() {
-    let _guard = common::serial_guard();
     let mut committed_sets: Vec<HashSet<u64>> = Vec::new();
     for signing in [
         SigningStrategy::Serial,
@@ -71,7 +67,7 @@ fn evaluations_commit_the_same_set_under_every_strategy() {
         SigningStrategy::Pipelined,
     ] {
         let deployment = BackendRegistry::builtin()
-            .deploy("neuchain-sim", &BackendOptions::default(), 400.0)
+            .deploy("neuchain-sim", &BackendOptions::default())
             .unwrap();
         let workload = WorkloadConfig {
             accounts: 300,

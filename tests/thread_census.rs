@@ -30,9 +30,7 @@ fn a_builtin_backend_runs_on_exactly_one_thread() {
     assert_eq!(registry.names().len(), 4);
     let baseline = live_threads();
     for name in registry.names() {
-        let deployment = registry
-            .deploy(name, &BackendOptions::default(), 1000.0)
-            .unwrap();
+        let deployment = registry.deploy(name, &BackendOptions::default()).unwrap();
         assert_eq!(threads_named(name), 1, "{name}: its loop");
         assert_eq!(live_threads(), baseline + 1, "{name}: and nothing else");
         drop(deployment);
