@@ -6,6 +6,10 @@
 //! Meepo mid-range TPS with high latency, Neuchain 8 688 TPS with low
 //! latency. The shape to reproduce:
 //! `Neuchain ≫ Meepo > Fabric ≫ Ethereum` on TPS, Ethereum worst latency.
+//! The binary checks the ends of it ([`shape_breaks`]) and exits non-zero
+//! when they break: Neuchain has the highest TPS and the lowest mean and
+//! p95 latency, Ethereum the lowest TPS and the highest p95 (not the
+//! highest mean: Meepo's cross-shard commits average longer).
 //!
 //! Each chain is driven just above its capacity so measured TPS is its
 //! peak without building an unbounded backlog. Every run is on a virtual
@@ -46,6 +50,7 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
+    let mut points = Vec::new();
     let mut tps_points = Vec::new();
     let mut lat_points = Vec::new();
     for (name, rate, seconds) in runs {
@@ -61,6 +66,8 @@ fn main() {
                 report.per_shard_committed
             );
         }
+        let latency = &report.latency;
+        points.push((name, report.overall_tps, latency.mean_s, latency.p95_s));
         tps_points.push((name.to_owned(), report.overall_tps));
         lat_points.push((name.to_owned(), report.latency.mean_s));
         rows.push(summary_row(&report));
@@ -77,4 +84,100 @@ fn main() {
 
     println!("Paper reference: Ethereum 18.6 TPS (worst, latency 4.8s);");
     println!("Neuchain 8688 TPS (best, lowest latency); Meepo between, high latency.");
+    let breaks = shape_breaks(&points);
+    for broken in &breaks {
+        eprintln!("fig6_chains: shape broken: {broken}");
+    }
+    if !breaks.is_empty() {
+        std::process::exit(1);
+    }
+    println!(
+        "\nshape holds: neuchain-sim has the highest TPS and the lowest mean and p95 latency, \
+         ethereum-sim the lowest TPS and the highest p95"
+    );
+}
+
+/// One chain's reading: (backend, TPS, mean latency s, p95 latency s).
+type Point<'a> = (&'a str, f64, f64, f64);
+
+/// The claims of Fig. 6's shape that `points` break, one line each; empty
+/// when it holds. The ends are checked on every column they are claimed
+/// on: Neuchain on TPS (highest), mean and p95 latency (lowest); Ethereum
+/// on TPS (lowest) and p95 latency (highest).
+fn shape_breaks(points: &[Point<'_>]) -> Vec<String> {
+    type Column = fn(&Point<'_>) -> f64;
+    let columns: [(&str, Column); 3] = [
+        ("TPS", |p| p.1),
+        ("mean latency", |p| p.2),
+        ("p95 latency", |p| p.3),
+    ];
+    // (chain, column, whether it must be the highest (else the lowest)).
+    let claims = [
+        ("neuchain-sim", 0, true),
+        ("neuchain-sim", 1, false),
+        ("neuchain-sim", 2, false),
+        ("ethereum-sim", 0, false),
+        ("ethereum-sim", 2, true),
+    ];
+    let mut breaks = Vec::new();
+    for (chain, column, highest) in claims {
+        let (label, value) = columns[column];
+        let Some(own) = points.iter().find(|p| p.0 == chain).map(value) else {
+            breaks.push(format!("no {chain} row"));
+            continue;
+        };
+        let beaten = points.iter().filter(|p| p.0 != chain).find(|p| {
+            if highest {
+                value(p) >= own
+            } else {
+                value(p) <= own
+            }
+        });
+        if let Some(other) = beaten {
+            let end = if highest { "highest" } else { "lowest" };
+            breaks.push(format!(
+                "{chain} does not have the {end} {label}: {own} against {} on {}",
+                value(other),
+                other.0
+            ));
+        }
+    }
+    breaks
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// EXPERIMENTS' virtual-clock table.
+    const TABLE: [Point<'static>; 4] = [
+        ("ethereum-sim", 16.1, 3.740, 9.214),
+        ("fabric-sim", 241.9, 0.784, 1.020),
+        ("meepo-sim", 2705.6, 3.923, 6.752),
+        ("neuchain-sim", 9211.9, 0.275, 0.531),
+    ];
+
+    #[test]
+    fn the_recorded_table_holds_the_shape() {
+        assert_eq!(shape_breaks(&TABLE), Vec::<String>::new());
+    }
+
+    #[test]
+    fn each_claim_breaks_on_its_own() {
+        let broken = |chain: &str, edit: fn(&mut Point<'_>)| {
+            let mut points = TABLE;
+            edit(points.iter_mut().find(|p| p.0 == chain).expect("row"));
+            shape_breaks(&points)
+        };
+        // Neuchain at Meepo's throughput, latencies or p95; Ethereum at
+        // Fabric's throughput or its p95 below Meepo's.
+        assert_eq!(broken("neuchain-sim", |p| p.1 = 2705.6).len(), 1);
+        assert_eq!(broken("neuchain-sim", |p| p.2 = 0.784).len(), 1);
+        assert_eq!(broken("neuchain-sim", |p| p.3 = 1.5).len(), 1);
+        assert_eq!(broken("ethereum-sim", |p| p.1 = 300.0).len(), 1);
+        assert_eq!(broken("ethereum-sim", |p| p.3 = 6.0).len(), 1);
+        // Ethereum's mean is not claimed: Meepo's is above it already.
+        assert!(broken("ethereum-sim", |p| p.2 = 0.5).is_empty());
+        assert_eq!(shape_breaks(&TABLE[..3]), ["no neuchain-sim row"; 3]);
+    }
 }

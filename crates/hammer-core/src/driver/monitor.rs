@@ -296,7 +296,7 @@ impl<'a> Monitor<'a> {
             _ => self.clock.now(),
         };
         // Batched fan-out: the tracker reads the block's two columns where
-        // they lie, groups them by shard, takes each shard lock once per
+        // they lie, walks them once per shard, takes each shard lock once per
         // block, and shows every completed record where it lies, under
         // that lock (`on_matched` takes no lock of its own).
         let mut committed = 0usize;

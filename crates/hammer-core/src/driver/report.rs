@@ -1,6 +1,6 @@
 //! The **Report** stage (Fig. 3, step 7): drained tracker records plus the
 //! run's counters become an [`EvalReport`], its aggregates folded straight
-//! from the records ([`hammer_store::table::summarize`]). [`build`] touches
+//! from the records ([`hammer_store::table::Fold`]). [`build`] touches
 //! no chain, clock or tracker, so it is testable over hand-built records.
 
 use std::collections::{BTreeMap, HashSet};
@@ -8,9 +8,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hammer_chain::types::{TxId, TxStatus};
+use hammer_net::fault::FaultWindow;
 use hammer_net::FaultPlan;
 use hammer_rpc::json::Value;
-use hammer_store::table::{summarize, LatencySummary, PerfRow, RowOutcome};
+use hammer_store::table::{Fold, LatencySummary, PerfRow, RowOutcome};
 
 use crate::index::{IndexStats, TxRecord};
 
@@ -175,19 +176,32 @@ pub(super) struct Finished {
 
 /// Builds the report in one walk over the records: each is settled
 /// (anything still pending after the drain deadline timed out), tallied
-/// under its status, stretched into the run span and, unless its id was
-/// refused, folded into the aggregates ([`summarize`]) as it goes. Rejected
-/// ids count under `rejected`, not `failed`, and get no row.
+/// under its status and its fault window, stretched into the run span and,
+/// unless its id was refused, folded into the aggregates ([`Fold`]) as it
+/// goes. A second, read-only walk over the committed rows gathers the
+/// latencies the percentiles are selected from. Rejected ids count under
+/// `rejected`, not `failed`, and get no row.
 pub(super) fn build(run: Finished) -> EvalReport {
     let mut records = run.records;
     let rejected_ids = run.rejected_ids;
+    let windows = run
+        .fault_plan
+        .as_deref()
+        .map_or(&[][..], FaultPlan::windows);
+    let mut tally = WindowTally::new(windows);
+    let mut fold = Fold::new(Duration::from_secs(1));
     let (mut committed, mut failed, mut timed_out, mut dropped, mut expired) = (0, 0, 0, 0, 0);
     let mut first_start: Option<Duration> = None;
     let mut last_end: Option<Duration> = None;
-    let rows = records.iter_mut().filter_map(|record| {
+    for record in &mut records {
         let refused = rejected_ids.contains(&record.tx_id);
         match record.status {
-            TxStatus::Committed => committed += 1,
+            TxStatus::Committed => {
+                committed += 1;
+                if let Some(end) = record.end {
+                    tally.count(end);
+                }
+            }
             TxStatus::Failed if refused => {}
             TxStatus::Failed => failed += 1,
             TxStatus::Dropped => dropped += 1,
@@ -199,10 +213,16 @@ pub(super) fn build(run: Finished) -> EvalReport {
         }
         first_start = Some(first_start.map_or(record.start, |s| s.min(record.start)));
         last_end = last_end.max(record.end);
-        let ok = record.status == TxStatus::Committed;
-        (!refused).then_some((record.client_id, record.start, record.end, ok))
-    });
-    let summary = summarize(rows, Duration::from_secs(1));
+        if !refused {
+            let ok = record.status == TxStatus::Committed;
+            fold.add((record.client_id, record.start, record.end, ok));
+        }
+    }
+    let committed_rows = records
+        .iter()
+        .filter(|r| r.status == TxStatus::Committed && !rejected_ids.contains(&r.tx_id))
+        .map(|r| (r.client_id, r.start, r.end, true));
+    let summary = fold.finish(committed_rows);
     let first_start = first_start.unwrap_or_default();
     let last_end = last_end.unwrap_or(first_start);
 
@@ -223,12 +243,7 @@ pub(super) fn build(run: Finished) -> EvalReport {
         sim_duration: last_end.saturating_sub(first_start),
         wall_time: run.wall_start.elapsed(),
         index_stats: run.index_stats,
-        fault_windows: fault_window_stats(
-            run.fault_plan.as_deref(),
-            &records,
-            first_start,
-            last_end,
-        ),
+        fault_windows: tally.stats(first_start, last_end),
         stalled: run.stalled,
         chain: run.chain,
         records,
@@ -258,74 +273,85 @@ pub fn perf_row(record: &TxRecord, chain: &str) -> PerfRow {
     }
 }
 
-/// Computes the per-fault-window TPS breakdown: one entry per window of
-/// the installed plan, plus a `nominal` entry over the run time outside
-/// every window. Empty when no plan is installed (so fault-free reports
-/// are unchanged). Overlapping windows each count commits independently;
-/// the nominal entry subtracts each window's overlap with the run span,
-/// so heavily-overlapping plans can undercount its duration.
-fn fault_window_stats(
-    plan: Option<&FaultPlan>,
-    records: &[TxRecord],
-    first_start: Duration,
-    last_end: Duration,
-) -> Vec<FaultWindowStats> {
-    let Some(plan) = plan else {
-        return Vec::new();
-    };
-    if plan.is_empty() {
-        return Vec::new();
+/// Commits per fault window, counted as the report walks its records:
+/// each window counts the commits that end inside it, independently of the
+/// others, and `outside` those inside none. Windows are few; nothing is
+/// kept per commit.
+struct WindowTally<'p> {
+    windows: &'p [FaultWindow],
+    inside: Vec<usize>,
+    outside: usize,
+}
+
+impl<'p> WindowTally<'p> {
+    fn new(windows: &'p [FaultWindow]) -> Self {
+        WindowTally {
+            windows,
+            inside: vec![0; windows.len()],
+            outside: 0,
+        }
     }
-    let commits: Vec<Duration> = records
-        .iter()
-        .filter(|r| r.status == TxStatus::Committed)
-        .filter_map(|r| r.end)
-        .collect();
-    let mut stats: Vec<FaultWindowStats> = plan
-        .windows()
-        .iter()
-        .map(|w| {
-            let committed = commits
-                .iter()
-                .filter(|&&end| end >= w.start && end < w.end)
-                .count();
-            let secs = w.duration().as_secs_f64();
-            FaultWindowStats {
+
+    /// Counts one commit that ended at `end`.
+    fn count(&mut self, end: Duration) {
+        if self.windows.is_empty() {
+            return;
+        }
+        let mut inside_any = false;
+        for (w, n) in self.windows.iter().zip(&mut self.inside) {
+            if end >= w.start && end < w.end {
+                *n += 1;
+                inside_any = true;
+            }
+        }
+        self.outside += usize::from(!inside_any);
+    }
+
+    /// The per-fault-window TPS breakdown: one entry per window of the
+    /// plan, plus a `nominal` entry over the run time outside every
+    /// window. Empty without windows (so fault-free reports are
+    /// unchanged). The nominal entry subtracts each window's overlap with
+    /// the run span, so heavily-overlapping plans can undercount its
+    /// duration.
+    fn stats(self, first_start: Duration, last_end: Duration) -> Vec<FaultWindowStats> {
+        if self.windows.is_empty() {
+            return Vec::new();
+        }
+        let tps = |committed: usize, span: Duration| {
+            let secs = span.as_secs_f64();
+            if secs > 0.0 {
+                committed as f64 / secs
+            } else {
+                0.0
+            }
+        };
+        let mut stats: Vec<FaultWindowStats> = self
+            .windows
+            .iter()
+            .zip(&self.inside)
+            .map(|(w, &committed)| FaultWindowStats {
                 label: w.label.clone(),
                 start: w.start,
                 end: w.end,
                 committed,
-                tps: if secs > 0.0 {
-                    committed as f64 / secs
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect();
-    let outside = commits
-        .iter()
-        .filter(|&&end| !plan.windows().iter().any(|w| end >= w.start && end < w.end))
-        .count();
-    let span = last_end.saturating_sub(first_start);
-    let covered: Duration = plan
-        .windows()
-        .iter()
-        .map(|w| w.end.min(last_end).saturating_sub(w.start.max(first_start)))
-        .sum();
-    let nominal = span.saturating_sub(covered).as_secs_f64();
-    stats.push(FaultWindowStats {
-        label: "nominal".to_owned(),
-        start: first_start,
-        end: last_end,
-        committed: outside,
-        tps: if nominal > 0.0 {
-            outside as f64 / nominal
-        } else {
-            0.0
-        },
-    });
-    stats
+                tps: tps(committed, w.duration()),
+            })
+            .collect();
+        let covered: Duration = self
+            .windows
+            .iter()
+            .map(|w| w.end.min(last_end).saturating_sub(w.start.max(first_start)))
+            .sum();
+        let nominal = last_end.saturating_sub(first_start).saturating_sub(covered);
+        stats.push(FaultWindowStats {
+            label: "nominal".to_owned(),
+            start: first_start,
+            end: last_end,
+            committed: self.outside,
+            tps: tps(self.outside, nominal),
+        });
+        stats
+    }
 }
 
 #[cfg(test)]
@@ -544,6 +570,62 @@ mod tests {
         );
     }
 
+    /// The per-window counts as they were before the report's walk counted
+    /// them: every commit's end collected, then one scan per window and one
+    /// for the commits outside all of them.
+    fn fault_window_reference(plan: &FaultPlan, records: &[TxRecord]) -> (Vec<usize>, usize) {
+        let commits: Vec<Duration> = records
+            .iter()
+            .filter(|r| r.status == TxStatus::Committed)
+            .filter_map(|r| r.end)
+            .collect();
+        let inside = |w: &FaultWindow, end: Duration| end >= w.start && end < w.end;
+        let per_window = plan
+            .windows()
+            .iter()
+            .map(|w| commits.iter().filter(|&&end| inside(w, end)).count())
+            .collect();
+        let outside = commits
+            .iter()
+            .filter(|&&end| !plan.windows().iter().any(|w| inside(w, end)))
+            .count();
+        (per_window, outside)
+    }
+
+    /// The fault-window breakdown of a report over `records` under `plan`,
+    /// checked against [`fault_window_reference`].
+    fn fault_windows(plan: FaultPlan, records: Vec<TxRecord>) -> Vec<FaultWindowStats> {
+        let (per_window, outside) = fault_window_reference(&plan, &records);
+        let report = build(Finished {
+            chain: "stub".to_owned(),
+            records,
+            rejected_ids: HashSet::new(),
+            index_stats: None,
+            submitted: 0,
+            rejected: 0,
+            retried: 0,
+            stalled: false,
+            shard_commits: BTreeMap::new(),
+            fault_plan: Some(Arc::new(plan)),
+            wall_start: Instant::now(),
+        });
+        let stats = report.fault_windows;
+        let counted: Vec<usize> = stats.iter().map(|s| s.committed).collect();
+        assert_eq!(counted, [per_window, vec![outside]].concat(), "{stats:?}");
+        stats
+    }
+
+    fn window_rec(i: u8, end_ms: u64, status: TxStatus) -> TxRecord {
+        TxRecord {
+            tx_id: TxId([i; 32]),
+            client_id: 0,
+            server_id: 0,
+            start: Duration::ZERO,
+            end: (status != TxStatus::Pending).then(|| Duration::from_millis(end_ms)),
+            status,
+        }
+    }
+
     #[test]
     fn fault_window_stats_attributes_commits_exactly() {
         // Two scripted windows: [2s, 4s) and [6s, 8s). Commit end times are
@@ -556,14 +638,8 @@ mod tests {
                 Duration::from_secs(6),
                 Duration::from_secs(8),
             );
-        let rec = |i: u8, end_ms: u64, status: TxStatus| TxRecord {
-            tx_id: TxId([i; 32]),
-            client_id: 0,
-            server_id: 0,
-            start: Duration::ZERO,
-            end: (status != TxStatus::Pending).then(|| Duration::from_millis(end_ms)),
-            status,
-        };
+        let labels: Vec<String> = plan.windows().iter().map(|w| w.label.clone()).collect();
+        let rec = window_rec;
         let records = vec![
             // First window: boundary inclusion at the start, exclusion at
             // the end (half-open [start, end)).
@@ -582,17 +658,13 @@ mod tests {
             rec(10, 2_500, TxStatus::Failed),
             rec(11, 0, TxStatus::Pending),
         ];
-        let stats = fault_window_stats(
-            Some(&plan),
-            &records,
-            Duration::ZERO,
-            Duration::from_secs(9),
-        );
+        // The run spans 0 s (every start) to 9 s (the last end).
+        let stats = fault_windows(plan, records);
         assert_eq!(stats.len(), 3, "{stats:?}");
-        assert_eq!(stats[0].label, plan.windows()[0].label);
+        assert_eq!(stats[0].label, labels[0]);
         assert_eq!(stats[0].committed, 3);
         assert!((stats[0].tps - 1.5).abs() < 1e-9, "{stats:?}");
-        assert_eq!(stats[1].label, plan.windows()[1].label);
+        assert_eq!(stats[1].label, labels[1]);
         assert_eq!(stats[1].committed, 2);
         assert!((stats[1].tps - 1.0).abs() < 1e-9, "{stats:?}");
         // Nominal: 4 commits over the 9s span minus the 4s covered by
@@ -603,5 +675,32 @@ mod tests {
         // Every committed record is attributed exactly once.
         let attributed: usize = stats.iter().map(|s| s.committed).sum();
         assert_eq!(attributed, 9);
+
+        // Overlapping windows [2s, 5s), [4s, 8s) and [4s, 5s) each count
+        // their own commits; a commit at one window's end and another's
+        // start counts only in the one it starts.
+        let plan = FaultPlan::new()
+            .crash("n0", Duration::from_secs(2), Duration::from_secs(5))
+            .crash("n1", Duration::from_secs(4), Duration::from_secs(8))
+            .latency_spike(
+                Duration::from_millis(10),
+                Duration::from_secs(4),
+                Duration::from_secs(5),
+            );
+        let records = vec![
+            rec(1, 2_000, TxStatus::Committed), // == w1 start: w1
+            rec(2, 4_000, TxStatus::Committed), // == w2, w3 start: w1, w2, w3
+            rec(3, 4_999, TxStatus::Committed), // w1, w2, w3
+            rec(4, 5_000, TxStatus::Committed), // == w1, w3 end: w2 only
+            rec(5, 8_000, TxStatus::Committed), // == w2 end: outside
+            rec(6, 1_999, TxStatus::Committed), // outside
+            rec(7, 4_500, TxStatus::Expired),
+            rec(8, 0, TxStatus::Pending),
+        ];
+        let stats = fault_windows(plan, records);
+        let counted: Vec<usize> = stats.iter().map(|s| s.committed).collect();
+        assert_eq!(counted, [3, 3, 2, 2]);
+        // The nominal time is the 8 s span less 3 + 4 + 1 s of overlaps.
+        assert_eq!(stats[3].tps, 0.0);
     }
 }

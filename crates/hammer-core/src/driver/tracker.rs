@@ -31,8 +31,8 @@ pub(super) trait Tracker: Send + Sync {
     /// Matches a whole sealed block, read from its two columns
     /// (`valid[i]` belongs to `tx_ids[i]`), showing `visit` every record
     /// that completed, in place and under the tracker's lock. The sharded
-    /// tracker groups the entries by shard, locks each shard once per
-    /// block, and reads a group's Bloom blocks, home slots and records
+    /// tracker walks the block once per shard it touches, locks each of
+    /// them once per block, and reads a group's Bloom blocks, home slots and records
     /// before it settles any of the group.
     fn complete_block_with(
         &self,

@@ -108,79 +108,201 @@ pub struct Summary {
     pub per_client_committed: Vec<(u32, usize)>,
 }
 
-/// Folds `rows` into every aggregate in one pass, with a `bucket`-wide
-/// series (panics on a zero `bucket`). All arithmetic on timestamps is in
-/// integer nanoseconds, so the result does not depend on the row order.
-pub fn summarize(rows: impl IntoIterator<Item = RowView>, bucket: Duration) -> Summary {
-    assert!(!bucket.is_zero(), "bucket must be positive");
-    let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    let bucket_ns = nanos(bucket);
-    let mut committed = 0usize;
-    let mut first_start = Duration::MAX;
-    let mut last_commit = Duration::ZERO;
-    let mut latencies_ns: Vec<u64> = Vec::new();
-    let mut latency_sum_ns = 0u128;
-    let mut tps_series: Vec<usize> = Vec::new();
-    let mut per_client: BTreeMap<u32, usize> = BTreeMap::new();
-    for (client_id, start, end, ok) in rows {
-        first_start = first_start.min(start);
-        if !ok {
-            continue;
-        }
-        committed += 1;
-        *per_client.entry(client_id).or_default() += 1;
-        let Some(end) = end else {
-            continue;
-        };
-        last_commit = last_commit.max(end);
-        let latency_ns = nanos(end.saturating_sub(start));
-        latency_sum_ns += u128::from(latency_ns);
-        latencies_ns.push(latency_ns);
-        let bucket = (nanos(end) / bucket_ns) as usize;
-        if bucket >= tps_series.len() {
-            tps_series.resize(bucket + 1, 0);
-        }
-        tps_series[bucket] += 1;
-    }
-    if last_commit.is_zero() {
-        tps_series.clear();
-    }
-    let mut span = last_commit.saturating_sub(first_start);
-    if span.is_zero() {
-        span = Duration::from_secs(1); // a run without a span counts as a second long
-    }
-    Summary {
-        overall_tps: committed as f64 / span.as_secs_f64(),
-        latency: latency_summary(latencies_ns, latency_sum_ns),
-        tps_series,
-        per_client_committed: per_client.into_iter().collect(),
-    }
+/// Folds `rows` into every aggregate ([`Fold`]), walking them twice: once
+/// to fold, once to gather the few latencies the percentiles are selected
+/// from (panics on a zero `bucket`). The result does not depend on the row
+/// order.
+pub fn summarize<I>(rows: I, bucket: Duration) -> Summary
+where
+    I: IntoIterator<Item = RowView>,
+    I::IntoIter: Clone,
+{
+    let rows = rows.into_iter();
+    let mut fold = Fold::new(bucket);
+    rows.clone().for_each(|row| fold.add(row));
+    fold.finish(rows)
 }
 
-/// Percentiles at rank `((n − 1)·p).round()` of the ascending order, by
-/// selection; each one only orders what the one before left above it.
-fn latency_summary(mut latencies_ns: Vec<u64>, sum_ns: u128) -> LatencySummary {
-    let count = latencies_ns.len();
-    if count == 0 {
-        return LatencySummary::default();
+/// Sub-buckets per power of two above the exact range: a bucket spans at
+/// most 1/64 of its lower bound.
+const SUB_BITS: u32 = 6;
+
+/// The histogram bucket of a latency of `ns` nanoseconds: exact below
+/// 128 ns, then 64 equal buckets per power of two. Monotone in `ns`.
+const fn bucket_of(ns: u64) -> usize {
+    let shift = (u64::BITS - ns.leading_zeros()).saturating_sub(SUB_BITS + 1);
+    ((shift as usize) << SUB_BITS) + (ns >> shift) as usize
+}
+
+/// Buckets from 0 ns to `u64::MAX` ns.
+const BUCKETS: usize = bucket_of(u64::MAX) + 1;
+
+/// The percentiles a [`LatencySummary`] reports.
+const PERCENTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+/// The aggregates of [`summarize`], folded one row at a time. All
+/// arithmetic on timestamps is in integer nanoseconds.
+///
+/// Latencies are not kept: [`Fold::add`] counts each committed one in a
+/// log-linear histogram (3 776 counters) and keeps their sum and
+/// maximum; [`Fold::finish`] walks the rows once more and keeps only the
+/// latencies in the (at most three) buckets that hold the percentile
+/// ranks `((n − 1)·p).round()`, and selects each percentile among those.
+/// The values are exactly those of the sorted column; what is held is the
+/// histogram and those buckets' latencies, which is all of them only when
+/// every latency falls in one bucket.
+#[derive(Debug)]
+pub struct Fold {
+    bucket_ns: u64,
+    committed: usize,
+    first_start: Duration,
+    last_commit: Duration,
+    histogram: Vec<usize>,
+    latency_sum_ns: u128,
+    latency_max_ns: u64,
+    tps_series: Vec<usize>,
+    per_client: BTreeMap<u32, usize>,
+    /// Committed rows of the client of the last committed row, not yet in
+    /// `per_client`: runs of one client cost no map lookup per row.
+    client_run: Option<(u32, usize)>,
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+impl Fold {
+    /// An empty fold with a `bucket`-wide series (panics on a zero
+    /// `bucket`).
+    pub fn new(bucket: Duration) -> Self {
+        assert!(!bucket.is_zero(), "bucket must be positive");
+        Fold {
+            bucket_ns: nanos(bucket),
+            committed: 0,
+            first_start: Duration::MAX,
+            last_commit: Duration::ZERO,
+            histogram: vec![0; BUCKETS],
+            latency_sum_ns: 0,
+            latency_max_ns: 0,
+            tps_series: Vec::new(),
+            per_client: BTreeMap::new(),
+            client_run: None,
+        }
     }
-    let secs = |ns: u64| Duration::from_nanos(ns).as_secs_f64();
-    let mut settled = 0;
-    let mut pct = |p: f64| -> f64 {
-        let rank = ((count as f64 - 1.0) * p).round() as usize;
-        let (_, &mut value, _) = latencies_ns[settled..].select_nth_unstable(rank - settled);
-        settled = rank;
-        secs(value)
-    };
-    let (p50_s, p95_s, p99_s) = (pct(0.50), pct(0.95), pct(0.99));
-    let max_ns = latencies_ns[settled..].iter().max().expect("nonempty");
-    LatencySummary {
-        count,
-        mean_s: sum_ns as f64 / (count as f64 * 1e9),
-        p50_s,
-        p95_s,
-        p99_s,
-        max_s: secs(*max_ns),
+
+    /// Folds one row in.
+    pub fn add(&mut self, (client_id, start, end, ok): RowView) {
+        self.first_start = self.first_start.min(start);
+        if !ok {
+            return;
+        }
+        self.committed += 1;
+        match &mut self.client_run {
+            Some((client, run)) if *client == client_id => *run += 1,
+            run => {
+                if let Some((client, n)) = run.replace((client_id, 1)) {
+                    *self.per_client.entry(client).or_default() += n;
+                }
+            }
+        }
+        let Some(end) = end else {
+            return;
+        };
+        self.last_commit = self.last_commit.max(end);
+        let latency_ns = nanos(end.saturating_sub(start));
+        self.latency_sum_ns += u128::from(latency_ns);
+        self.latency_max_ns = self.latency_max_ns.max(latency_ns);
+        self.histogram[bucket_of(latency_ns)] += 1;
+        let bucket = (nanos(end) / self.bucket_ns) as usize;
+        if bucket >= self.tps_series.len() {
+            self.tps_series.resize(bucket + 1, 0);
+        }
+        self.tps_series[bucket] += 1;
+    }
+
+    /// The summary, given the rows [`Fold::add`] saw once more (in any
+    /// order) to gather the percentiles from; panics when they are not
+    /// the same committed rows.
+    pub fn finish(mut self, rows: impl IntoIterator<Item = RowView>) -> Summary {
+        if let Some((client, n)) = self.client_run.take() {
+            *self.per_client.entry(client).or_default() += n;
+        }
+        if self.last_commit.is_zero() {
+            self.tps_series.clear();
+        }
+        let mut span = self.last_commit.saturating_sub(self.first_start);
+        if span.is_zero() {
+            span = Duration::from_secs(1); // a run without a span counts as a second long
+        }
+        Summary {
+            overall_tps: self.committed as f64 / span.as_secs_f64(),
+            latency: self.latency_summary(rows),
+            tps_series: self.tps_series,
+            per_client_committed: self.per_client.into_iter().collect(),
+        }
+    }
+
+    /// Percentiles at rank `((n − 1)·p).round()` of the ascending order:
+    /// the histogram names the bucket each rank falls in and how many
+    /// latencies lie below it, one walk over `rows` gathers those buckets'
+    /// latencies, and each percentile is selected among them.
+    fn latency_summary(&self, rows: impl IntoIterator<Item = RowView>) -> LatencySummary {
+        let count: usize = self.histogram.iter().sum();
+        if count == 0 {
+            return LatencySummary::default();
+        }
+        // (rank, its bucket, latencies in lower buckets), ranks ascending.
+        let mut targets = PERCENTILES.map(|p| (((count - 1) as f64 * p).round() as usize, 0, 0));
+        let (mut target, mut below) = (0, 0);
+        for (bucket, &n) in self.histogram.iter().enumerate() {
+            while target < targets.len() && targets[target].0 < below + n {
+                targets[target] = (targets[target].0, bucket, below);
+                target += 1;
+            }
+            below += n;
+        }
+        let mut buckets: Vec<usize> = targets.iter().map(|&(_, bucket, _)| bucket).collect();
+        buckets.dedup();
+        let gathering = |ns: u64| buckets.contains(&bucket_of(ns));
+        let expected = buckets.iter().map(|&b| self.histogram[b]).sum();
+        let mut gathered: Vec<u64> = Vec::with_capacity(expected);
+        for (_, start, end, ok) in rows {
+            if let (true, Some(end)) = (ok, end) {
+                let latency_ns = nanos(end.saturating_sub(start));
+                if gathering(latency_ns) {
+                    gathered.push(latency_ns);
+                }
+            }
+        }
+        assert_eq!(
+            gathered.len(),
+            expected,
+            "the gather pass saw other committed rows than the fold"
+        );
+        // The gathered buckets lie side by side in the ascending order: a
+        // rank's index among them is its index in its bucket plus every
+        // gathered latency of a lower bucket.
+        let secs = |ns: u64| Duration::from_nanos(ns).as_secs_f64();
+        let mut settled = 0;
+        let [p50_s, p95_s, p99_s] = targets.map(|(rank, bucket, below)| {
+            let lower: usize = buckets
+                .iter()
+                .take_while(|&&b| b < bucket)
+                .map(|&b| self.histogram[b])
+                .sum();
+            let index = lower + rank - below;
+            let (_, &mut value, _) = gathered[settled..].select_nth_unstable(index - settled);
+            settled = index;
+            secs(value)
+        });
+        LatencySummary {
+            count,
+            mean_s: self.latency_sum_ns as f64 / (count as f64 * 1e9),
+            p50_s,
+            p95_s,
+            p99_s,
+            max_s: secs(self.latency_max_ns),
+        }
     }
 }
 
@@ -402,6 +524,90 @@ mod tests {
         assert!(!t.is_empty());
     }
 
+    #[test]
+    fn buckets_are_monotone_across_every_power_of_two() {
+        let edges = (0..64).map(|e| 1u64 << e);
+        let around = edges
+            .flat_map(|v| [v - 1, v, v + 1])
+            .chain([u64::MAX - 1, u64::MAX]);
+        let mut values: Vec<u64> = around.collect();
+        values.sort_unstable();
+        for pair in values.windows(2) {
+            assert!(bucket_of(pair[0]) <= bucket_of(pair[1]), "{pair:?}");
+        }
+        for e in 1..64 {
+            let v = 1u64 << e;
+            assert_eq!(bucket_of(v - 1) + 1, bucket_of(v), "a new bucket at 2^{e}");
+        }
+        // Exact below 128 ns; above, a bucket spans 1/64 of its lower end.
+        assert!((0..128).all(|v| bucket_of(v) == v as usize));
+        for e in 7..64 {
+            let (v, width) = (1u64 << e, 1u64 << (e - 6));
+            assert_eq!(bucket_of(v + width - 1), bucket_of(v), "2^{e}");
+            assert_eq!(bucket_of(v + width), bucket_of(v) + 1, "2^{e}");
+        }
+        assert_eq!((bucket_of(u64::MAX), BUCKETS), (3_775, 3_776));
+    }
+
+    /// A million rows whose latencies run from a nanosecond to an hour, a
+    /// quarter of them on a few tied values: the fold's percentiles are
+    /// those of the sorted column, exactly.
+    #[test]
+    fn a_million_seeded_rows_summarize_as_the_sorted_column() {
+        let mix = |i: u64| {
+            let mut z = i
+                .wrapping_add(0x9e37_79b9_7f4a_7c15)
+                .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let view = move |i: u64| -> RowView {
+            let h = mix(i);
+            let start = Duration::from_micros(i);
+            let latency_ns = if h % 4 == 0 {
+                [5_000_000, 5_000_001, 10_000_000][(h >> 8) as usize % 3]
+            } else {
+                let e = (h >> 8) % 42; // up to 2^42 ns, 73 min
+                (1u64 << e) | ((h >> 16) & ((1u64 << e) - 1))
+            };
+            let ended = h % 53 != 0;
+            let end = ended.then(|| start + Duration::from_nanos(latency_ns));
+            ((h >> 2) as u32 % 16, start, end, h % 10 != 0)
+        };
+        const ROWS: u64 = 1_000_000;
+        let summary = summarize((0..ROWS).map(view), Duration::from_secs(1));
+        let mut column: Vec<u64> = (0..ROWS)
+            .map(view)
+            .filter_map(|(_, start, end, ok)| Some(nanos(end.filter(|_| ok)? - start)))
+            .collect();
+        column.sort_unstable();
+        let n = column.len();
+        let secs = |ns: u64| Duration::from_nanos(ns).as_secs_f64();
+        let pct = |p: f64| secs(column[((n as f64 - 1.0) * p).round() as usize]);
+        let sum: u128 = column.iter().map(|&ns| u128::from(ns)).sum();
+        assert_eq!(
+            summary.latency,
+            LatencySummary {
+                count: n,
+                mean_s: sum as f64 / (n as f64 * 1e9),
+                p50_s: pct(0.50),
+                p95_s: pct(0.95),
+                p99_s: pct(0.99),
+                max_s: secs(column[n - 1]),
+            }
+        );
+        assert!((870_000..900_000).contains(&n), "{n} committed with an end");
+    }
+
+    #[test]
+    #[should_panic(expected = "the gather pass saw other committed rows than the fold")]
+    fn finishing_over_other_rows_panics() {
+        let row = |ms: u64| (0, Duration::ZERO, Some(Duration::from_millis(ms)), true);
+        let mut fold = Fold::new(Duration::from_secs(1));
+        fold.add(row(5));
+        let _ = fold.finish([row(500)]);
+    }
+
     /// The four queries as they were before [`summarize`]: one pass (or
     /// two) each, latencies sorted as `f64` seconds. Only the series differs
     /// from what it replaced, in that it buckets in integer nanoseconds.
@@ -501,13 +707,68 @@ mod tests {
         )
     }
 
+    /// A latency of 1 ns to hours: under 128 ns (the exact buckets), at a
+    /// power of two or one either side of it, or log-uniform up to 2^44 ns
+    /// (4.9 h).
+    fn latency_ns() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            1u64..128,
+            (0u32..45, 0u64..3).prop_map(|(e, d)| ((1u64 << e) + d).saturating_sub(1).max(1)),
+            (0u32..44, any::<u64>()).prop_map(|(e, m)| (1u64 << e) | (m & ((1u64 << e) - 1))),
+        ]
+    }
+
+    /// A row that committed (mostly) `latency_ns()` after its start.
+    fn latency_row() -> impl Strategy<Value = PerfRow> {
+        (arbitrary_row(), latency_ns(), 0u8..8).prop_map(|(row, latency, committed)| PerfRow {
+            end_time: Some(row.start_time + Duration::from_nanos(latency)),
+            outcome: if committed > 0 {
+                RowOutcome::Committed
+            } else {
+                row.outcome
+            },
+            ..row
+        })
+    }
+
+    /// Tables of rows: grid timestamps (ties, exact bucket edges, ends
+    /// before starts), latencies across the whole range, one latency for
+    /// every row (the one-bucket worst case), a single row, and rows of
+    /// which none committed.
+    fn table_rows() -> impl Strategy<Value = Vec<PerfRow>> {
+        prop_oneof![
+            proptest::collection::vec(arbitrary_row(), 0..120),
+            proptest::collection::vec(latency_row(), 0..120),
+            (
+                latency_ns(),
+                proptest::collection::vec(latency_row(), 1..200)
+            )
+                .prop_map(|(latency, rows)| {
+                    let latency = Duration::from_nanos(latency);
+                    let same = |row: PerfRow| PerfRow {
+                        end_time: Some(row.start_time + latency),
+                        ..row
+                    };
+                    rows.into_iter().map(same).collect()
+                }),
+            latency_row().prop_map(|row| vec![row]),
+            proptest::collection::vec(arbitrary_row(), 0..40).prop_map(|rows| {
+                let failed = |row: PerfRow| PerfRow {
+                    outcome: RowOutcome::Failed,
+                    ..row
+                };
+                rows.into_iter().map(failed).collect()
+            }),
+        ]
+    }
+
     proptest! {
         /// The fold, the table's four queries and the queries it replaced
         /// agree on every field — exactly, except that the mean is now the
         /// integer nanosecond sum divided once.
         #[test]
         fn prop_fold_matches_the_four_queries(
-            rows in proptest::collection::vec(arbitrary_row(), 0..120),
+            rows in table_rows(),
             fine in any::<bool>(),
         ) {
             let bucket = Duration::from_millis(if fine { 100 } else { 1000 });
