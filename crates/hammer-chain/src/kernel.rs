@@ -3,9 +3,8 @@
 //! The paper evaluates four very different consensus designs through one
 //! generic driver, and the simulators for those designs used to duplicate
 //! all of the chain-*agnostic* node scaffolding: named-thread spawn loops,
-//! mempool ingress with fault gating, sealed-block accounting and
-//! observability, and replication-traffic accounting on the simulated
-//! network. The kernel owns that scaffolding once:
+//! mempool ingress with fault gating, and sealed-block accounting and
+//! observability. The kernel owns that scaffolding once:
 //!
 //! * **Lifecycle** — a chain is one loop over simulated time, on one thread
 //!   named after it: per shard a deadline, a crash gate on the sealer node,
@@ -21,11 +20,11 @@
 //!   surfaces as [`ErrorKind::Backpressure`]).
 //! * **Sealing** — [`Kernel::seal_block`] builds the block on the shard
 //!   ledger's tip with no lock held (one Merkle pass, one header hash),
-//!   appends it under the write lock (a push), accounts its replication
-//!   traffic on `hammer-net`, updates the activity counters, emits the
-//!   per-block observability (sealed counters, mempool-depth gauge,
-//!   journal `block_seal`). Nothing is pushed to the driver: it reads the
-//!   sealed blocks.
+//!   appends it under the write lock (a push), updates the activity
+//!   counters, emits the per-block observability (sealed counters,
+//!   mempool-depth gauge, journal `block_seal`). Nothing is pushed to the
+//!   driver: it reads the sealed blocks, and nothing is replicated: no
+//!   simulated node reads another's blocks.
 //! * **RPC wiring** — [`ChainNode::serve_rpc_sim`] exposes any
 //!   kernel-hosted chain over the JSON-RPC adapter.
 //!
@@ -92,15 +91,14 @@ pub struct KernelStats {
 /// One sealed round, handed from a [`ConsensusPolicy`] to
 /// [`Kernel::seal_block`].
 pub struct Round {
-    /// Endpoint name of the proposing node (block author and gossip
-    /// source).
+    /// Endpoint name of the proposing node (the block author).
     pub proposer: String,
     /// Transactions in block order.
     pub tx_ids: Vec<TxId>,
     /// Per-transaction validity flags (`valid[i]` belongs to `tx_ids[i]`).
     pub valid: Vec<bool>,
-    /// Endpoints the sealed block is replicated to (accounted on the
-    /// network, one message each).
+    /// Read by nothing: no block is replicated. Kept because the frozen
+    /// benchmark package builds a `Round` with it; leave it empty.
     pub gossip_to: Vec<String>,
     /// Pending-depth reported to the mempool gauge; `None` uses the
     /// shard's kernel mempool length (policies with their own pending set
@@ -117,8 +115,6 @@ pub struct Kernel {
     net: SimNetwork,
     shards: Vec<ShardCtx>,
     shutdown: StopSignal,
-    gossip_base: usize,
-    gossip_per_tx: usize,
     blocks: AtomicU64,
     committed: AtomicU64,
     failed: AtomicU64,
@@ -188,20 +184,10 @@ impl Kernel {
         });
     }
 
-    /// Accounts a sealed block's replication from `from` to every
-    /// endpoint in `to`, approximating the wire size from the transaction
-    /// count.
-    pub(crate) fn gossip(&self, from: &str, to: &[String], txs: usize) {
-        let approx = self.gossip_base + txs * self.gossip_per_tx;
-        for target in to {
-            let _ = self.net.send(from, target, approx);
-        }
-    }
-
     /// Seals one round into a block on `shard`: builds the block on the
-    /// shard ledger's tip, accounts its gossip, appends it, updates the
-    /// counters and emits the per-block observability. One obs-bundle
-    /// fetch per sealed block, never per tx. The block's one Merkle pass
+    /// shard ledger's tip, appends it, updates the counters and emits the
+    /// per-block observability. One obs-bundle fetch per sealed block,
+    /// never per tx. The block's one Merkle pass
     /// and its header hash run before the write lock, which is held for a
     /// push; the root is built from the round's ids, so nothing re-checks
     /// it (a received block is checked where it is decoded).
@@ -210,8 +196,8 @@ impl Kernel {
             proposer,
             tx_ids,
             valid,
-            gossip_to,
             mempool_depth,
+            ..
         } = round;
         debug_assert_eq!(tx_ids.len(), valid.len());
         let shard = &self.shards[shard_id as usize];
@@ -222,8 +208,6 @@ impl Kernel {
         };
         let verified = Verified::seal(height, tip, timestamp, &proposer, shard_id, tx_ids, valid);
         let block = verified.block();
-        self.gossip(&proposer, &gossip_to, block.len());
-
         let sealed_txs = block.len();
         let ok = block.valid.iter().filter(|v| **v).count() as u64;
         shard
@@ -346,8 +330,6 @@ pub struct NodeKernelBuilder {
     clock: SimClock,
     net: SimNetwork,
     mempool_capacity: usize,
-    gossip_base: usize,
-    gossip_per_tx: usize,
     endpoints: Vec<String>,
 }
 
@@ -358,8 +340,6 @@ impl NodeKernelBuilder {
             clock,
             net,
             mempool_capacity: 10_000,
-            gossip_base: 200,
-            gossip_per_tx: 110,
             endpoints: Vec::new(),
         }
     }
@@ -370,15 +350,7 @@ impl NodeKernelBuilder {
         self
     }
 
-    /// Approximate gossip wire size: `base + txs * per_tx` bytes.
-    pub fn gossip_sizing(mut self, base: usize, per_tx: usize) -> Self {
-        self.gossip_base = base;
-        self.gossip_per_tx = per_tx;
-        self
-    }
-
-    /// Registers a network endpoint: a node name gossip can be addressed
-    /// to and a fault plan can target.
+    /// Registers a network endpoint: a node name a fault plan can target.
     pub fn endpoint(mut self, name: &str) -> Self {
         self.endpoints.push(name.to_owned());
         self
@@ -398,8 +370,6 @@ impl NodeKernelBuilder {
                 .map(|_| ShardCtx::new(self.mempool_capacity))
                 .collect(),
             shutdown: StopSignal::default(),
-            gossip_base: self.gossip_base,
-            gossip_per_tx: self.gossip_per_tx,
             blocks: AtomicU64::new(0),
             committed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -745,7 +715,7 @@ mod tests {
     /// part in: the loop runs only while the test waits on the clock.
     fn start_fifo() -> Arc<ChainNode<FifoPolicy>> {
         let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         NodeKernelBuilder::new(clock, net)
             .mempool_capacity(100)
             .endpoint("fifo-node-0")
@@ -902,7 +872,7 @@ mod tests {
 
     fn start_two_shards(wait: Duration, cost: Duration) -> Arc<ChainNode<CostlyShard>> {
         let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         // Endpoints are names, not threads: five of them add none.
         NodeKernelBuilder::new(clock, net)
             .endpoint("two-shard-node-0")
@@ -961,45 +931,6 @@ mod tests {
         let (at, later) = (Duration::from_millis(7), Duration::from_millis(9));
         assert_eq!(earliest(&[(later, None), (at, None), (at, None)]), 1);
         assert_eq!(earliest(&[(at, None), (later, None), (at, None)]), 0);
-    }
-
-    #[test]
-    fn sealing_accounts_one_gossip_message_per_follower() {
-        use hammer_net::FaultPlan;
-        let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
-        let chain = NodeKernelBuilder::new(clock, net.clone())
-            .gossip_sizing(40, 7)
-            .endpoint("fifo-node-0")
-            .endpoint("fifo-node-1")
-            .endpoint("fifo-node-2")
-            .start(FifoPolicy);
-        let round = |first_nonce: u64| Round {
-            proposer: "fifo-node-0".to_owned(),
-            tx_ids: (first_nonce..first_nonce + 5)
-                .map(|n| signed(n).id)
-                .collect(),
-            valid: vec![true; 5],
-            gossip_to: vec!["fifo-node-1".to_owned(), "fifo-node-2".to_owned()],
-            mempool_depth: None,
-        };
-        chain.kernel().seal_block(0, round(0));
-        let stats = net.stats();
-        assert_eq!((stats.sent, stats.bytes_sent), (2, 2 * (40 + 7 * 5)));
-        assert_eq!(stats.faulted + stats.lost, 0);
-
-        // Cut the proposer off from one follower: both messages are
-        // still accepted, one is booked as dropped by the fault.
-        net.install_faults(FaultPlan::new().partition(
-            &[&["fifo-node-0", "fifo-node-1"], &["fifo-node-2"]],
-            Duration::ZERO,
-            Duration::from_secs(3600),
-        ));
-        chain.kernel().seal_block(0, round(100));
-        let stats = net.stats();
-        assert_eq!((stats.sent, stats.bytes_sent), (4, 4 * (40 + 7 * 5)));
-        assert_eq!((stats.faulted, stats.lost), (1, 0));
-        chain.shutdown();
     }
 
     #[test]
@@ -1098,7 +1029,7 @@ mod tests {
     }
 
     fn start_rung(clock: SimClock) -> Arc<ChainNode<Rung>> {
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         let chain = NodeKernelBuilder::new(clock, net)
             .endpoint("fifo-node-0")
             .start(Rung {
@@ -1151,7 +1082,7 @@ mod tests {
     fn mempool_full_is_backpressure() {
         use crate::client::ErrorKind;
         let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         let chain = NodeKernelBuilder::new(clock, net)
             .mempool_capacity(2)
             .endpoint("fifo-node-0")

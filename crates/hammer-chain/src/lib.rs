@@ -26,8 +26,8 @@
 //!   `node-host` process), with restart-aware height virtualisation and
 //!   graceful degradation during fault windows.
 //! * [`kernel`] — the chain-node runtime: one loop over simulated time per
-//!   chain, fault-gated mempool ingress, sealed-block and gossip accounting
-//!   — everything chain-agnostic, so a simulator reduces to a
+//!   chain, fault-gated mempool ingress, sealed-block accounting —
+//!   everything chain-agnostic, so a simulator reduces to a
 //!   [`kernel::ConsensusPolicy`].
 
 #![warn(missing_docs)]

@@ -405,9 +405,9 @@ impl Supervisor {
     }
 
     /// Stores the fault plan, forwards it to the node (blackhole windows
-    /// gate its ingress; partition / latency windows only move its
-    /// traffic accounting), and arms the crash windows this supervisor
-    /// realises as SIGKILL + restart.
+    /// gate its ingress; nothing reads partition / latency windows), and
+    /// arms the crash windows this supervisor realises as SIGKILL +
+    /// restart.
     pub(crate) fn install_plan(&self, plan: FaultPlan) -> Result<(), DeployError> {
         let crashes = plan.crash_windows();
         self.shared.install_faults(&plan)?;
@@ -638,7 +638,7 @@ impl BackendRegistry {
     /// [`BackendRegistry::deploy_on`].
     pub fn deploy(&self, name: &str, opts: &BackendOptions) -> Result<Deployment, UnknownBackend> {
         let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         self.deploy_on(name, opts, clock, net)
     }
 

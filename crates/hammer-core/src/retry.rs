@@ -128,12 +128,15 @@ impl RetryPolicy {
     /// The pause before retry number `attempt` (0-based), jittered
     /// deterministically by `seed` (the transaction id fingerprint): the
     /// same transaction backs off identically across runs.
+    ///
+    /// Both products are taken in seconds and saturate: `Duration::mul_f64`
+    /// panics past `Duration::MAX`, which a valid policy reaches (a
+    /// multiplier of 4 at attempt 39). Below that the pause is exactly
+    /// what `mul_f64` gives.
     pub(crate) fn backoff(&self, attempt: u32, seed: u64) -> Duration {
         let exp = self.multiplier.powi(attempt.min(63) as i32);
-        let raw = self
-            .base_backoff
-            .mul_f64(exp)
-            .min(self.max_backoff)
+        let raw = Duration::try_from_secs_f64(exp * self.base_backoff.as_secs_f64())
+            .map_or(self.max_backoff, |d| d.min(self.max_backoff))
             .max(self.base_backoff.min(self.max_backoff));
         if self.jitter == 0.0 {
             return raw;
@@ -142,7 +145,7 @@ impl RetryPolicy {
         let mixed = splitmix64(seed ^ ((attempt as u64) << 32));
         let unit = (mixed >> 11) as f64 / (1u64 << 53) as f64;
         let factor = 1.0 + self.jitter * (2.0 * unit - 1.0);
-        raw.mul_f64(factor)
+        Duration::try_from_secs_f64(factor * raw.as_secs_f64()).unwrap_or(Duration::MAX)
     }
 
     /// The worker-loop decision after transient failure number `attempt`
@@ -162,7 +165,7 @@ impl RetryPolicy {
             return RetryDecision::Drop;
         }
         let pause = self.backoff(attempt, seed);
-        if now + pause >= give_up_at {
+        if now.saturating_add(pause) >= give_up_at {
             return RetryDecision::Expire;
         }
         RetryDecision::Retry(pause)
@@ -201,6 +204,36 @@ mod tests {
         assert_eq!(p.backoff(10, 7), Duration::from_secs(2));
         // Huge attempt numbers neither overflow nor panic.
         assert_eq!(p.backoff(u32::MAX, 7), Duration::from_secs(2));
+    }
+
+    #[test]
+    fn an_exponential_past_duration_max_pauses_at_the_clamp() {
+        let quadruple = RetryPolicy {
+            multiplier: 4.0,
+            ..RetryPolicy::standard()
+        };
+        let ten_s = RetryPolicy {
+            base_backoff: Duration::from_secs(10),
+            max_backoff: Duration::from_secs(60),
+            jitter: 0.0,
+            ..RetryPolicy::standard()
+        };
+        for (policy, attempt) in [(quadruple, 39), (ten_s, 63)] {
+            assert_eq!(policy.validate(), Ok(()));
+            let nominal = RetryPolicy {
+                jitter: 0.0,
+                ..policy
+            }
+            .backoff(attempt, 7);
+            assert_eq!(nominal, policy.max_backoff);
+        }
+        let widest = RetryPolicy {
+            max_backoff: Duration::MAX,
+            jitter: 0.5,
+            ..quadruple
+        };
+        // A jitter factor above 1 saturates instead of panicking.
+        assert!((0..64).any(|seed| widest.backoff(63, seed) == Duration::MAX));
     }
 
     #[test]
@@ -331,7 +364,7 @@ mod tests {
         for attempt in 0.. {
             match policy.decide(attempt, seed, now, give_up_at) {
                 RetryDecision::Retry(pause) => {
-                    now += pause;
+                    now = now.saturating_add(pause);
                     pauses.push(pause);
                 }
                 terminal => return (terminal, pauses),
@@ -398,6 +431,37 @@ mod tests {
             let (end, pauses) = walk(&policy, seed, Duration::ZERO, far);
             prop_assert_eq!(end, RetryDecision::Drop);
             prop_assert_eq!(pauses.len() as u32, max_retries);
+        }
+
+        /// Any policy `validate` accepts decides without panicking, however
+        /// far `base_backoff · multiplier^attempt` runs past `max_backoff`
+        /// or `Duration::MAX`, and no pause exceeds
+        /// `max_backoff · (1 + jitter)`.
+        #[test]
+        fn prop_every_valid_policy_pauses_within_its_clamp(
+            seed in any::<u64>(),
+            max_retries in 1u32..=200,
+            base_ms in 1u64..=3_600_000,
+            multiplier in 1.0f64..=1e6,
+            extra_s in prop_oneof![0u64..86_400, any::<u64>()],
+            jitter in 0.0f64..0.9,
+        ) {
+            let base_backoff = Duration::from_millis(base_ms);
+            let policy = RetryPolicy {
+                max_retries,
+                base_backoff,
+                multiplier,
+                max_backoff: base_backoff.saturating_add(Duration::from_secs(extra_s)),
+                jitter,
+                deadline: None,
+            };
+            prop_assert_eq!(policy.validate(), Ok(()));
+            let bound = policy.max_backoff.as_secs_f64() * (1.0 + jitter) * (1.0 + 1e-12);
+            let (end, pauses) = walk(&policy, seed, Duration::ZERO, Duration::MAX);
+            prop_assert!(matches!(end, RetryDecision::Drop | RetryDecision::Expire));
+            for pause in pauses {
+                prop_assert!(pause.as_secs_f64() <= bound, "{pause:?} > {bound} s");
+            }
         }
 
         /// With a finite deadline, the walk still terminates, never

@@ -5,12 +5,9 @@
 //! paper's Fig. 6:
 //!
 //! * **PoW mining** — blocks are produced at exponentially distributed
-//!   intervals (mean [`EthereumConfig::block_interval`], the classic 15 s);
-//!   a configurable amount of real hash work
-//!   ([`EthereumConfig::pow_hashes_per_block`]) is performed per block.
-//!   Nothing reads that burn since the resource monitor was deleted; it
-//!   stays until the next Fig. 6 re-measure because removing it shifts
-//!   the seeded block-interval sequence (ROADMAP, correctness).
+//!   intervals (mean [`EthereumConfig::block_interval`], the classic 15 s)
+//!   by a seeded proposer. No hash work is done: mining costs simulated
+//!   time only.
 //! * **Gas-limited blocks** — each block packs transactions until
 //!   [`EthereumConfig::block_gas_limit`] is reached, capping throughput at
 //!   roughly `gas_limit / tx_gas / interval` TPS (~19 TPS with defaults,
@@ -18,8 +15,6 @@
 //! * **Order-execute** — transactions execute in block order against the
 //!   world state; failed executions are included with `valid = false`
 //!   (they still consumed gas).
-//! * **Block gossip** — every sealed block's replication to the other
-//!   worker nodes is accounted on the simulated network.
 //!
 //! Node scaffolding (the chain's loop, ingress gating, sealing,
 //! observability) comes from the [`hammer_chain::kernel`]; this crate only
@@ -32,7 +27,7 @@
 //! use hammer_net::{LinkConfig, SimClock, SimNetwork};
 //!
 //! let clock = SimClock::with_speedup(100.0);
-//! let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+//! let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
 //! let chain = hammer_ethereum::start(EthereumConfig::default(), clock, net);
 //! // ... submit transactions through the BlockchainClient trait ...
 //! chain.shutdown();
@@ -65,9 +60,6 @@ pub struct EthereumConfig {
     pub mempool_capacity: usize,
     /// Signature scheme parameters (must match the submitting clients).
     pub sig_params: SigParams,
-    /// SHA-256 evaluations of real hash work per sealed block (models the
-    /// miner's CPU burn; keep small under high speed-ups).
-    pub pow_hashes_per_block: u32,
     /// Simulated EVM execution cost per transaction.
     pub exec_cost_per_tx: Duration,
     /// RNG seed for block-interval sampling and proposer choice.
@@ -83,7 +75,6 @@ impl Default for EthereumConfig {
             tx_gas: 21_000,
             mempool_capacity: 20_000,
             sig_params: SigParams::fast(),
-            pow_hashes_per_block: 5_000,
             exec_cost_per_tx: Duration::from_micros(300),
             seed: 7,
         }
@@ -101,8 +92,8 @@ fn node_name(i: usize) -> String {
     format!("eth-node-{i}")
 }
 
-/// The PoW consensus core: exponential block intervals, a real hash burn
-/// per block, gas-capped packing, and order-execute semantics.
+/// The PoW consensus core: exponential block intervals, a seeded
+/// proposer, gas-capped packing, and order-execute semantics.
 pub struct EthereumPolicy {
     config: EthereumConfig,
     rng: Mutex<StdRng>,
@@ -124,16 +115,15 @@ impl ConsensusPolicy for EthereumPolicy {
     }
 
     fn build_round(&self, kernel: &Kernel, shard: u32) -> Option<Round> {
-        // Real hash work: the PoW burn.
-        let (mut digest, proposer_idx) = {
+        // 32 bytes are drawn and dropped before the proposer: Fig. 6,
+        // `cross_chain`'s `committed == 120` and the two pinned red corpus
+        // cells read the seeded interval and proposer sequence this order
+        // gives, and skipping the draw would shift it.
+        let proposer_idx = {
             let mut rng = self.rng.lock();
-            let mut pow_input = [0u8; 32];
-            rng.fill(&mut pow_input);
-            (pow_input, rng.gen_range(0..self.config.nodes))
+            rng.fill(&mut [0u8; 32]);
+            rng.gen_range(0..self.config.nodes)
         };
-        for _ in 0..self.config.pow_hashes_per_block {
-            digest = hammer_crypto::sha256(&digest);
-        }
 
         // Pack the block under the gas limit.
         let ctx = kernel.shard(shard);
@@ -153,15 +143,12 @@ impl ConsensusPolicy for EthereumPolicy {
             }
         }
 
-        // PoW seals empty blocks too; gossip goes to every other worker.
+        // PoW seals empty blocks too.
         Some(Round {
             proposer: node_name(proposer_idx),
             tx_ids,
             valid,
-            gossip_to: (0..self.config.nodes)
-                .filter(|i| *i != proposer_idx)
-                .map(node_name)
-                .collect(),
+            gossip_to: Vec::new(),
             mempool_depth: None,
         })
     }
@@ -207,7 +194,7 @@ mod tests {
     /// The chain on a virtual clock: it mines while the test waits on it.
     fn fast_chain(config: EthereumConfig) -> (Arc<ChainNode<EthereumPolicy>>, SimClock) {
         let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         (start(config, clock.clone(), net), clock)
     }
 
@@ -395,6 +382,50 @@ mod tests {
         chain.shutdown();
         assert_eq!(chain.stats().committed, 10);
         chain.verify_ledgers().unwrap();
+    }
+
+    /// The default seed's first twenty blocks on a virtual clock, as
+    /// (timestamp in ns, proposer index). Fig. 6, `cross_chain`'s Ethereum
+    /// count and the corpus cells read this sequence: each round draws its
+    /// interval, then 32 nonce bytes, then the proposer, and a change to
+    /// those draws moves every one of them.
+    #[test]
+    fn the_default_seed_seals_a_pinned_sequence() {
+        const PINNED: [(u128, usize); 20] = [
+            (29642241645, 1),
+            (44028576911, 2),
+            (55896833744, 3),
+            (57436543092, 0),
+            (61425321094, 1),
+            (67464809032, 0),
+            (75355768941, 4),
+            (108037339152, 1),
+            (117891650358, 3),
+            (123162381663, 0),
+            (131729367712, 4),
+            (136350360891, 3),
+            (148574270764, 4),
+            (150339715390, 0),
+            (160046802126, 1),
+            (162835957188, 4),
+            (174746827929, 1),
+            (179276778600, 0),
+            (185042941860, 4),
+            (191913361556, 1),
+        ];
+        let (chain, clock) = fast_chain(EthereumConfig::default());
+        clock.sleep(Duration::from_secs(600));
+        chain.shutdown();
+        let sealed: Vec<(u128, usize)> = chain
+            .blocks(0, 1..=20)
+            .unwrap()
+            .iter()
+            .map(|b| {
+                let author = b.header.proposer.strip_prefix("eth-node-").unwrap();
+                (b.header.timestamp.as_nanos(), author.parse().unwrap())
+            })
+            .collect();
+        assert_eq!(sealed, PINNED, "{sealed:?}");
     }
 
     #[test]

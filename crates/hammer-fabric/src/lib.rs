@@ -17,8 +17,6 @@
 //!   commits invalid transactions with a validation-failure flag). Conflicts
 //!   grow with the endorse-to-commit window on hot accounts, which is
 //!   exactly the effect behind the paper's Fig. 10.
-//! * **Block distribution** — the push of each sealed block from the
-//!   orderer to the peer endpoints is accounted on the simulated network.
 //!
 //! The line is one struct with no clock and no thread. Events run in
 //! simulated-time order, ties by stage (endorse, order, validate), then by
@@ -371,7 +369,7 @@ impl ConsensusPolicy for FabricPolicy {
             proposer: ORDERER.to_owned(),
             tx_ids,
             valid,
-            gossip_to: (0..pipeline.config.peers).map(peer_name).collect(),
+            gossip_to: Vec::new(),
             mempool_depth: Some(pipeline.pending.len()),
         })
     }
@@ -385,9 +383,7 @@ pub fn start(
     net: SimNetwork,
 ) -> Arc<ChainNode<FabricPolicy>> {
     assert!(config.peers >= 1 && config.endorser_threads >= 1);
-    let mut builder = NodeKernelBuilder::new(clock, net.clone())
-        .gossip_sizing(200, 150)
-        .endpoint(ORDERER);
+    let mut builder = NodeKernelBuilder::new(clock, net.clone()).endpoint(ORDERER);
     for i in 0..config.peers {
         builder = builder.endpoint(&peer_name(i));
     }
@@ -428,7 +424,7 @@ mod tests {
     }
 
     fn chain_on(clock: SimClock, config: FabricConfig) -> Arc<ChainNode<FabricPolicy>> {
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         start(config, clock, net)
     }
 

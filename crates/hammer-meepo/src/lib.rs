@@ -21,7 +21,7 @@
 //! latency from the long consortium epochs — the shape Fig. 6 shows.
 //!
 //! Node scaffolding (one loop for both shards' epochs, ingress gating,
-//! sealed-block and gossip accounting) comes from [`hammer_chain::kernel`];
+//! sealed-block accounting) comes from [`hammer_chain::kernel`];
 //! this crate contributes the sharded-routing [`ConsensusPolicy`] and the
 //! cross-epoch relay, and [`start`] returns the running [`ChainNode`].
 
@@ -172,11 +172,6 @@ impl ConsensusPolicy for MeepoPolicy {
                         self.cross_shard.fetch_add(1, Ordering::Relaxed);
                         let inbox = &self.relay_in[dest as usize];
                         inbox.lock().push((debited_in, credit));
-                        // Cross-epoch relay traffic to one node of the
-                        // destination shard.
-                        let _ = kernel
-                            .net()
-                            .send(&node_name(shard_id, 0), &node_name(dest, 0), 96);
                         true
                     }
                     ExecOutcome::Failed => false,
@@ -189,14 +184,11 @@ impl ConsensusPolicy for MeepoPolicy {
         if tx_ids.is_empty() {
             return None;
         }
-        // Intra-shard block distribution from the shard leader.
         Some(Round {
             proposer: node_name(shard_id, 0),
             tx_ids,
             valid,
-            gossip_to: (1..self.config.nodes_per_shard)
-                .map(|i| node_name(shard_id, i))
-                .collect(),
+            gossip_to: Vec::new(),
             mempool_depth: None,
         })
     }
@@ -316,7 +308,7 @@ mod tests {
     /// clock.
     fn fast_chain(config: MeepoConfig) -> Arc<ChainNode<MeepoPolicy>> {
         let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         start(config, clock, net)
     }
 
@@ -411,7 +403,7 @@ mod tests {
         // Shard 0 builds the payment at 100 ms and seals it a second of
         // execution later, while shard 1 cuts ten epochs of its own.
         let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         let config = MeepoConfig {
             epoch_interval: Duration::from_millis(100),
             exec_cost_per_tx: Duration::from_secs(1),

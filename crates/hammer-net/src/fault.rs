@@ -5,10 +5,7 @@
 //! between `start` and `end` the window's [`Fault`] is active. Plans are
 //! immutable once installed on a [`crate::SimNetwork`], so a run under
 //! faults is exactly reproducible — same clock, same seed, same plan, same
-//! outcome. In the traffic accounting of [`crate::SimNetwork::send`],
-//! faults compose with the probabilistic [`crate::LinkConfig`] loss
-//! model: a message must first survive the plan (partition, blackhole,
-//! crash) and then the link's own loss sample.
+//! outcome.
 //!
 //! **A window is written once.** The same type serves a scenario author, a
 //! spec file, the socket and the network, and a window's node names are
@@ -31,30 +28,27 @@
 //! blackholes only:
 //!
 //! * [`Fault::Crash`] — the node is down: chain simulators stop sealing
-//!   on a crashed node and fail ingress to it with a transient error;
-//!   replication traffic to or from it is booked as dropped.
+//!   on a crashed node and fail ingress to it with a transient error.
 //! * [`Fault::Blackhole`] — the node's process is alive but all its
 //!   traffic is silently dropped (the classic "switch ate my port"
 //!   failure). Ingress to a blackholed node times out at the RPC layer;
 //!   sealing goes on.
 //! * [`Fault::Partition`] — endpoints listed in different groups cannot
 //!   exchange messages for the window; unlisted endpoints talk to
-//!   everyone. **Today this moves only the accounting**
-//!   (`FaultPlan::link_cut` ⇒ `NetStats::faulted`,
-//!   `hammer_net_dropped_total{reason="fault"}`): the simulated network
-//!   delivers nothing, so no ingress is turned away and no block goes
-//!   unsealed because of a partition. The window is still validated,
-//!   journaled and given its per-window report row.
+//!   everyone. **Today nothing reads it**: the simulated network carries
+//!   no messages, so no ingress is turned away and no block goes unsealed
+//!   because of a partition. The window is validated, journaled and
+//!   reported like any other.
 //! * [`Fault::LatencySpike`] — deliveries involving the target (or all
 //!   of them, if no target is named) are meant to take `extra` longer.
 //!   **Today nothing reads it**: there are no deliveries to slow, and
 //!   ingress pays no simulated delay. The window is validated, journaled
 //!   and reported like any other.
 //!
-//! Giving the last two their documented meaning on the path that exists
-//! is an open correctness item in ROADMAP.md (an edit to this file alone);
-//! until then a schedule's partition and latency windows (half of what the
-//! seeded chaos generator draws) exercise bookkeeping, not the chain.
+//! Giving the last two their documented meaning on the ingress and sealer
+//! path is an open correctness item in ROADMAP.md; until then a
+//! schedule's partition and latency windows (half of what the seeded chaos
+//! generator draws) exercise bookkeeping, not the chain.
 
 use std::time::Duration;
 
@@ -82,16 +76,16 @@ pub enum Fault {
         /// The blackholed node.
         node: String,
     },
-    /// Endpoints in different groups cannot exchange messages. Moves only
-    /// the traffic accounting today — no ingress or sealing path consults
-    /// it (module docs).
+    /// Endpoints in different groups cannot exchange messages. Read by
+    /// nothing today — no ingress or sealing path consults it (module
+    /// docs).
     Partition {
         /// Partition groups; endpoints not listed anywhere are unaffected.
         groups: Vec<Vec<String>>,
     },
-    /// Deliveries are meant to take `extra` longer than the link alone
-    /// would impose. Read by nothing today — the network delivers
-    /// nothing and ingress pays no simulated delay (module docs).
+    /// Deliveries are meant to take `extra` longer. Read by nothing
+    /// today — the network delivers nothing and ingress pays no simulated
+    /// delay (module docs).
     LatencySpike {
         /// Additional one-way delay (simulated time).
         extra: Duration,
@@ -524,24 +518,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan severs the directed link `from -> to` at `now`
-    /// (either endpoint crashed or blackholed, or a partition window puts
-    /// the endpoints in different groups).
-    pub(crate) fn link_cut(&self, from: &str, to: &str, now: Duration) -> bool {
-        self.windows
-            .iter()
-            .filter(|w| w.contains(now))
-            .any(|w| match &w.fault {
-                Fault::Crash { node } | Fault::Blackhole { node } => node == from || node == to,
-                Fault::Partition { groups } => {
-                    let group_of =
-                        |name: &str| groups.iter().position(|g| g.iter().any(|m| m == name));
-                    matches!((group_of(from), group_of(to)), (Some(a), Some(b)) if a != b)
-                }
-                Fault::LatencySpike { .. } => false,
-            })
-    }
-
     /// The plan as JSON, in the form a scenario spec's `"chaos"` object
     /// has: `{"faults": [{kind, node, start_ms, end_ms, extra_ms,
     /// groups}]}`, each window carrying the keys its kind uses. What a
@@ -710,7 +686,6 @@ mod tests {
     fn empty_plan_injects_nothing() {
         let plan = FaultPlan::new();
         assert!(plan.is_empty());
-        assert!(!plan.link_cut("a", "b", secs(0)));
         assert_eq!(plan.node_fault("a", secs(0)), None);
     }
 
@@ -725,19 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn crash_cuts_both_directions() {
-        let plan = FaultPlan::new().crash("n", secs(1), secs(3));
-        assert!(plan.link_cut("n", "peer", secs(2)));
-        assert!(plan.link_cut("peer", "n", secs(2)));
-        assert!(!plan.link_cut("peer", "other", secs(2)));
-    }
-
-    #[test]
     fn blackhole_is_unreachable_not_crashed() {
         let plan = FaultPlan::new().blackhole("n", secs(0), secs(5));
         assert_eq!(plan.node_fault("n", secs(1)), Some(NodeFault::Unreachable));
         assert!(!plan.crashed("n", secs(1)));
-        assert!(plan.link_cut("n", "peer", secs(1)));
     }
 
     #[test]
@@ -800,17 +766,6 @@ mod tests {
             let expected: Vec<_> = union.iter().map(|&(s, e)| (secs(s), secs(e))).collect();
             assert_eq!(plan.crash_windows(), expected, "{case}");
         }
-    }
-
-    #[test]
-    fn partition_groups_follow_listing() {
-        let plan = FaultPlan::new().partition(&[&["a", "b"], &["c"]], secs(1), secs(2));
-        assert!(plan.link_cut("a", "c", Duration::from_millis(1500)));
-        assert!(!plan.link_cut("a", "b", Duration::from_millis(1500)));
-        // Unlisted endpoints talk to everyone.
-        assert!(!plan.link_cut("a", "x", Duration::from_millis(1500)));
-        // Outside the window nothing is cut.
-        assert!(!plan.link_cut("a", "c", secs(3)));
     }
 
     #[test]

@@ -16,18 +16,15 @@
 //!   and jumps time to the next deadline when all of them wait; a raise or
 //!   a ring there readies the waiter at the setter's instant, so a chain
 //!   deployed on such a clock runs in virtual time too.
-//! * [`link::LinkConfig`] — the testbed's link quality. Only
-//!   `loss_probability` is simulated; latency, jitter and bandwidth
-//!   describe the links and delay nothing.
 //! * [`network::SimNetwork`] — what a deployment shares: the clock, the
-//!   registry of endpoint names, the installed fault plan, the obs bundle,
-//!   and traffic *accounting*. `send` books a message (counters, per-link
-//!   bytes, fault and loss drops) and returns; nothing is delivered,
-//!   because no simulated node reads replicated blocks.
+//!   registry of endpoint names, the installed fault plan and the obs
+//!   bundle. Nothing travels over it, because no simulated node reads
+//!   replicated blocks; so no link is modelled either, and
+//!   [`link::LinkConfig`] is a fieldless preset.
 //! * [`fault::FaultPlan`] — scripted, clock-driven fault windows (node
 //!   crash/restart, blackhole, partition, latency spike) for robustness
-//!   evaluations. Crash and blackhole gate ingress and sealing; partition
-//!   and latency spike move only the accounting today (see [`fault`]).
+//!   evaluations. Crash and blackhole gate ingress and sealing; nothing
+//!   reads partition and latency spike today (see [`fault`]).
 //!   [`fault`] is the one place the four kinds are enumerated: the one
 //!   window type, its one JSON form, and the one resolver of `ingress:N` /
 //!   `sealer:N` / `rest` placeholders against a deployed chain.
@@ -42,26 +39,26 @@
 //!   role; `clippy.toml` disallows the std spawns everywhere else.
 //!
 //! The network also carries the run's observability bundle
-//! ([`SimNetwork::install_obs`]): per-link byte and drop counters are
-//! recorded on every send, and every component holding the network
-//! (chain simulators, driver) fetches the same
-//! [`hammer_obs::Obs`] from it, so instrumentation needs no extra
-//! plumbing. [`network::FaultObserver`] turns fault-plan window
+//! ([`SimNetwork::install_obs`]): every component holding the network
+//! (chain simulators, driver) fetches the same [`hammer_obs::Obs`] from
+//! it, so instrumentation needs no extra plumbing. [`network::FaultObserver`] turns fault-plan window
 //! transitions into journal events.
 //!
 //! # Example
 //!
 //! ```
-//! use hammer_net::{clock::SimClock, link::LinkConfig, network::SimNetwork};
+//! use std::time::Duration;
+//!
+//! use hammer_net::{clock::SimClock, link::LinkConfig, network::SimNetwork, FaultPlan};
 //!
 //! let clock = SimClock::with_speedup(1000.0); // 1000x faster than real time
 //! let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
 //! net.register("node-a");
 //! net.register("node-b");
-//! net.send("node-a", "node-b", 4).unwrap();
-//! let stats = net.stats();
-//! assert_eq!((stats.sent, stats.bytes_sent), (1, 4));
-//! assert_eq!(stats.lost + stats.faulted, 0);
+//! let hour = Duration::from_secs(3600);
+//! net.install_faults(FaultPlan::new().crash("node-b", Duration::ZERO, hour));
+//! assert!(net.node_crashed("node-b"));
+//! assert!(!net.node_crashed("node-a"));
 //! ```
 
 #![warn(missing_docs)]

@@ -1,111 +1,29 @@
 //! What a simulated deployment shares: the clock, the registry of
-//! endpoint names, the installed fault plan, the observability bundle,
-//! and traffic accounting.
+//! endpoint names, the installed fault plan and the observability bundle.
 //!
-//! [`SimNetwork::send`] *accounts* a message — counters, per-link bytes,
-//! whether an active fault window or the link's seeded loss sample would
-//! have dropped it — and returns. Nothing is delivered: no node of the
-//! simulated chains reads replicated blocks, so there is no inbox to
-//! deliver into and no thread to carry the bytes.
+//! Nothing travels over it: no node of the simulated chains reads
+//! replicated blocks, so there is no message to deliver, count or drop.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hammer_obs::{Counter, Obs};
+use hammer_obs::Obs;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::clock::SimClock;
 use crate::fault::{FaultPlan, FaultPlanError, NodeFault};
 use crate::link::LinkConfig;
 
-/// Default RNG seed for loss sampling. One fixed seed (rather than
-/// per-call-site entropy) keeps probabilistic loss reproducible; override
-/// it per run with [`SimNetwork::with_seed`].
-pub(crate) const DEFAULT_NET_SEED: u64 = 0xbeef_cafe;
-
-/// Errors from network operations.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum NetError {
-    /// The named endpoint was never registered.
-    UnknownEndpoint(String),
-}
-
-impl std::fmt::Display for NetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NetError::UnknownEndpoint(name) => write!(f, "unknown endpoint: {name}"),
-        }
-    }
-}
-
-impl std::error::Error for NetError {}
-
 struct Shared {
     clock: SimClock,
-    default_link: LinkConfig,
     endpoints: Mutex<BTreeSet<String>>,
-    /// Scripted fault schedule, consulted against the clock on every send.
+    /// Scripted fault schedule, consulted against the clock by `node_fault`.
     faults: Mutex<Option<Arc<FaultPlan>>>,
     /// A plan has been stored in `faults` (never cleared): see `node_fault`.
     faults_installed: AtomicBool,
-    rng: Mutex<StdRng>,
-    stats: Mutex<NetStats>,
-    /// Fast-path flag mirroring `obs` being an enabled bundle, so the
-    /// disabled case costs one relaxed load per send.
-    obs_enabled: AtomicBool,
-    obs: Mutex<ObsState>,
-}
-
-/// Observability state carried by the network: the installed bundle
-/// plus interned per-link byte counters and drop counters, so the send
-/// path never rebuilds label strings.
-struct ObsState {
-    obs: Obs,
-    link_bytes: HashMap<(String, String), Counter>,
-    drop_lost: Counter,
-    drop_faulted: Counter,
-}
-
-impl ObsState {
-    fn new(obs: Obs) -> Self {
-        let reg = obs.registry();
-        ObsState {
-            drop_lost: reg.counter_with("hammer_net_dropped_total", &[("reason", "loss")]),
-            drop_faulted: reg.counter_with("hammer_net_dropped_total", &[("reason", "fault")]),
-            link_bytes: HashMap::new(),
-            obs,
-        }
-    }
-
-    /// The accepted-bytes counter of the directed link, interned on
-    /// first use.
-    fn link_bytes(&mut self, from: &str, to: &str) -> &Counter {
-        self.link_bytes
-            .entry((from.to_owned(), to.to_owned()))
-            .or_insert_with(|| {
-                self.obs
-                    .registry()
-                    .counter_with("hammer_net_link_bytes_total", &[("from", from), ("to", to)])
-            })
-    }
-}
-
-/// Counters describing everything the network has done so far.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages accepted by `send`.
-    pub sent: u64,
-    /// Messages dropped by link loss.
-    pub lost: u64,
-    /// Messages dropped by an active fault window (crash, blackhole, or
-    /// scripted partition).
-    pub faulted: u64,
-    /// Total payload bytes accepted.
-    pub bytes_sent: u64,
+    obs: Mutex<Obs>,
 }
 
 /// The simulated network. Cheap to clone; all clones share state.
@@ -118,47 +36,31 @@ impl std::fmt::Debug for SimNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimNetwork")
             .field("endpoints", &self.shared.endpoints.lock().len())
-            .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl SimNetwork {
-    /// Creates a network with the given clock and default link quality.
-    /// Uses `DEFAULT_NET_SEED` for loss sampling; see
-    /// `SimNetwork::with_seed`.
-    pub fn new(clock: SimClock, default_link: LinkConfig) -> Self {
-        Self::with_seed(clock, default_link, DEFAULT_NET_SEED)
-    }
-
-    /// Creates a network whose probabilistic loss sampling is driven by
-    /// `seed`, so lossy-link and fault runs are reproducible end to end.
-    pub(crate) fn with_seed(clock: SimClock, default_link: LinkConfig, seed: u64) -> Self {
-        default_link
-            .validate()
-            .expect("default link configuration must be valid");
+    /// Creates a network on `clock`. The link preset is ignored (see
+    /// [`crate::link`]).
+    pub fn new(clock: SimClock, _link: LinkConfig) -> Self {
         SimNetwork {
             shared: Arc::new(Shared {
                 clock,
-                default_link,
                 endpoints: Mutex::new(BTreeSet::new()),
                 faults: Mutex::new(None),
                 faults_installed: AtomicBool::new(false),
-                rng: Mutex::new(StdRng::seed_from_u64(seed)),
-                stats: Mutex::new(NetStats::default()),
-                obs_enabled: AtomicBool::new(false),
-                obs: Mutex::new(ObsState::new(Obs::disabled())),
+                obs: Mutex::new(Obs::disabled()),
             }),
         }
     }
 
-    /// Creates an ideal network on a realtime clock — handy in tests.
+    /// Creates a network on a realtime clock — handy in tests.
     pub fn ideal() -> Self {
-        Self::new(SimClock::realtime(), LinkConfig::ideal())
+        Self::new(SimClock::realtime(), LinkConfig::lan())
     }
 
-    /// Registers a named endpoint: a name fault plans may target and
-    /// [`SimNetwork::send`] accepts as a destination.
+    /// Registers a named endpoint: a name a fault plan may target.
     ///
     /// # Panics
     ///
@@ -170,9 +72,9 @@ impl SimNetwork {
         }
     }
 
-    /// Installs a scripted fault schedule. Windows are evaluated against
-    /// this network's clock on every send; chain simulators additionally
-    /// consult [`SimNetwork::node_fault`] to gate production and ingress.
+    /// Installs a scripted fault schedule. Chain simulators consult
+    /// [`SimNetwork::node_fault`], which reads it against this network's
+    /// clock, to gate production and ingress.
     ///
     /// This is the infallible convenience for hand-written fixtures: it
     /// is exactly [`SimNetwork::try_install_faults`] with the error
@@ -237,63 +139,14 @@ impl SimNetwork {
     /// installed bundle; without one, the default disabled bundle makes
     /// all instrumentation a no-op.
     pub fn install_obs(&self, obs: Obs) {
-        self.shared
-            .obs_enabled
-            .store(obs.enabled(), Ordering::Relaxed);
-        *self.shared.obs.lock() = ObsState::new(obs);
+        *self.shared.obs.lock() = obs;
     }
 
     /// The installed observability bundle (a disabled bundle when none
     /// was installed). Cheap to call off the hot path; hot loops should
     /// fetch once and reuse the handles.
     pub fn obs(&self) -> Obs {
-        self.shared.obs.lock().obs.clone()
-    }
-
-    /// Whether an enabled observability bundle is installed.
-    pub(crate) fn obs_on(&self) -> bool {
-        self.shared.obs_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Accounts one message of `bytes` from `from` to `to` and returns:
-    /// the counters and the per-link byte metric move, and the message
-    /// is booked as dropped when an active fault window severs the pair
-    /// or the link's seeded loss sample says so. Nothing is delivered.
-    pub fn send(&self, from: &str, to: &str, bytes: usize) -> Result<(), NetError> {
-        if !self.shared.endpoints.lock().contains(to) {
-            return Err(NetError::UnknownEndpoint(to.to_owned()));
-        }
-        // A message must first survive the plan (crash, blackhole,
-        // partition) and then the link's own loss sample.
-        let plan = self.shared.faults.lock().clone();
-        let cut = plan.is_some_and(|plan| plan.link_cut(from, to, self.shared.clock.now()));
-        let lost = !cut
-            && self
-                .shared
-                .default_link
-                .sample_loss(&mut *self.shared.rng.lock());
-        {
-            let mut stats = self.shared.stats.lock();
-            stats.sent += 1;
-            stats.bytes_sent += bytes as u64;
-            stats.faulted += u64::from(cut);
-            stats.lost += u64::from(lost);
-        }
-        if self.obs_on() {
-            let mut state = self.shared.obs.lock();
-            state.link_bytes(from, to).add(bytes as u64);
-            if cut {
-                state.drop_faulted.inc();
-            } else if lost {
-                state.drop_lost.inc();
-            }
-        }
-        Ok(())
-    }
-
-    /// A snapshot of the network counters.
-    pub fn stats(&self) -> NetStats {
-        *self.shared.stats.lock()
+        self.shared.obs.lock().clone()
     }
 
     /// The clock this network runs on.
@@ -340,7 +193,7 @@ impl FaultObserver {
     /// Diff active windows against the previous poll and record the
     /// transitions. A no-op when no enabled bundle is installed.
     pub fn poll(&mut self) {
-        if self.net.obs_on() {
+        if self.net.obs().enabled() {
             self.poll_at(self.net.clock().now());
         }
     }
@@ -377,18 +230,7 @@ mod tests {
     use super::*;
 
     fn fast_net() -> SimNetwork {
-        SimNetwork::new(SimClock::with_speedup(1000.0), LinkConfig::cloud_100mbps())
-    }
-
-    #[test]
-    fn unknown_destination_errors() {
-        let net = fast_net();
-        net.register("a");
-        assert_eq!(
-            net.send("a", "nobody", 0),
-            Err(NetError::UnknownEndpoint("nobody".to_owned()))
-        );
-        assert_eq!(net.stats(), NetStats::default());
+        SimNetwork::new(SimClock::with_speedup(1000.0), LinkConfig::lan())
     }
 
     #[test]
@@ -400,84 +242,17 @@ mod tests {
     }
 
     #[test]
-    fn lossy_link_drops_some() {
-        let clock = SimClock::with_speedup(1000.0);
-        let cfg = LinkConfig {
-            base_latency: Duration::ZERO,
-            jitter: Duration::ZERO,
-            bandwidth_bps: None,
-            loss_probability: 0.5,
-        };
-        let net = SimNetwork::with_seed(clock, cfg, 123);
-        net.register("a");
-        net.register("b");
-        for _ in 0..200 {
-            net.send("a", "b", 1).unwrap();
-        }
-        let stats = net.stats();
-        assert_eq!(stats.sent, 200);
-        assert!(stats.lost > 50, "lost = {}", stats.lost);
-        assert!(stats.lost < 150, "lost = {}", stats.lost);
-        assert_eq!(stats.faulted, 0);
-    }
-
-    #[test]
-    fn stats_count_bytes() {
-        let net = fast_net();
-        net.register("a");
-        net.register("b");
-        net.send("a", "b", 100).unwrap();
-        net.send("a", "b", 50).unwrap();
-        assert_eq!(
-            net.stats(),
-            NetStats {
-                sent: 2,
-                bytes_sent: 150,
-                ..NetStats::default()
-            }
-        );
-    }
-
-    #[test]
-    fn fault_plan_cuts_links_inside_window() {
+    fn a_crash_window_crashes_only_its_node() {
         use crate::fault::FaultPlan;
         // Start the window at zero so no clock race is possible.
         let net = fast_net();
         net.register("a");
         net.register("b");
         net.install_faults(FaultPlan::new().crash("b", Duration::ZERO, Duration::from_secs(3600)));
-        net.send("a", "b", 7).unwrap();
-        assert_eq!(net.stats().faulted, 1);
         assert!(net.node_crashed("b"));
         assert!(!net.node_crashed("a"));
         net.install_faults(FaultPlan::new());
-        net.send("a", "b", 7).unwrap();
-        let stats = net.stats();
-        assert_eq!((stats.sent, stats.faulted), (2, 1));
-    }
-
-    #[test]
-    fn identical_seeds_reproduce_loss_pattern() {
-        let lossy = LinkConfig {
-            base_latency: Duration::ZERO,
-            jitter: Duration::ZERO,
-            bandwidth_bps: None,
-            loss_probability: 0.3,
-        };
-        let run = |seed: u64| {
-            let net = SimNetwork::with_seed(SimClock::with_speedup(1000.0), lossy, seed);
-            net.register("a");
-            net.register("b");
-            // The running `lost` count after every send is the pattern.
-            (0..100)
-                .map(|_| {
-                    net.send("a", "b", 1).unwrap();
-                    net.stats().lost
-                })
-                .collect::<Vec<u64>>()
-        };
-        assert_eq!(run(7), run(7));
-        assert_ne!(run(7), run(8), "distinct seeds should diverge");
+        assert!(!net.node_crashed("b"));
     }
 
     #[test]
@@ -529,43 +304,9 @@ mod tests {
     #[test]
     fn obs_defaults_to_disabled_and_installs() {
         let net = fast_net();
-        assert!(!net.obs_on());
         assert!(!net.obs().enabled());
-        net.register("a");
-        net.register("b");
-        // Sends without a bundle record nothing and cost one flag load.
-        net.send("a", "b", 10).unwrap();
-        assert!(net.obs().render_prometheus().is_empty());
-
         net.install_obs(hammer_obs::Obs::new());
-        assert!(net.obs_on());
-        net.send("a", "b", 64).unwrap();
-        net.send("a", "b", 36).unwrap();
-        let obs = net.obs();
-        let bytes = obs
-            .registry()
-            .counter_with("hammer_net_link_bytes_total", &[("from", "a"), ("to", "b")]);
-        assert_eq!(bytes.value(), 100);
-    }
-
-    #[test]
-    fn obs_counts_fault_drops() {
-        use crate::fault::FaultPlan;
-        let net = fast_net();
-        net.register("a");
-        net.register("b");
-        net.install_obs(hammer_obs::Obs::new());
-        net.install_faults(FaultPlan::new().crash("b", Duration::ZERO, Duration::from_secs(3600)));
-        net.send("a", "b", 1).unwrap();
-        let obs = net.obs();
-        let registry = obs.registry();
-        let dropped = registry.counter_with("hammer_net_dropped_total", &[("reason", "fault")]);
-        assert_eq!(dropped.value(), 1);
-        // The byte counter is *accepted* traffic: it moves before the
-        // fault check, so a dropped message is in it too.
-        let bytes =
-            registry.counter_with("hammer_net_link_bytes_total", &[("from", "a"), ("to", "b")]);
-        assert_eq!(bytes.value(), 1);
+        assert!(net.obs().enabled());
     }
 
     #[test]
@@ -575,7 +316,7 @@ mod tests {
         // A generous window (50–100 ms of wall time) so thread-spawn and
         // setup overhead on a busy 1-core host cannot outrun it.
         let clock = SimClock::with_speedup(100.0);
-        let net = SimNetwork::new(clock.clone(), LinkConfig::ideal());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         net.install_obs(hammer_obs::Obs::new());
         net.register("n");
         net.install_faults(FaultPlan::new().crash(

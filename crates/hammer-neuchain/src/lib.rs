@@ -9,8 +9,8 @@
 //!
 //! Roles, mirroring the paper's deployment (§V *Environment*): one **epoch
 //! server** cutting epochs, one **client proxy** accepting submissions, and
-//! the remaining nodes as **block servers** replicating blocks (the
-//! replication traffic is accounted on the simulated network).
+//! the remaining nodes as **block servers**, registered as endpoints a
+//! fault plan can target; no block is replicated to them.
 //!
 //! Node scaffolding (the chain's loop, ingress gating, sealing,
 //! observability) comes from the [`hammer_chain::kernel`]; this crate only
@@ -112,7 +112,7 @@ impl ConsensusPolicy for NeuchainPolicy {
             proposer: "neuchain-epoch-server".to_owned(),
             tx_ids,
             valid,
-            gossip_to: (0..self.config.block_servers).map(server_name).collect(),
+            gossip_to: Vec::new(),
             mempool_depth: None,
         })
     }
@@ -155,7 +155,7 @@ mod tests {
     /// it, the first at `epoch_interval`, each next an interval after a seal.
     fn fast_chain(config: NeuchainConfig) -> Arc<ChainNode<NeuchainPolicy>> {
         let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         start(config, clock, net)
     }
 
@@ -304,7 +304,7 @@ mod tests {
     fn crash_window_halts_epochs_and_fails_ingress() {
         use hammer_net::FaultPlan;
         let clock = SimClock::virtual_time();
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         let chain = start(NeuchainConfig::default(), clock.clone(), net.clone());
         chain.seed_account(Address::from_name("a"), 10_000, 0);
         // Crash both roles from the epoch start; restart at 2s (simulated).

@@ -1,6 +1,6 @@
 //! Plugging a *new* blockchain into Hammer: since the chain-node runtime
 //! ("node kernel") owns all the node scaffolding — threads, mempool,
-//! fault-gated ingress, sealed-block accounting, gossip — a new backend
+//! fault-gated ingress, sealed-block accounting — a new backend
 //! is ~40 lines of [`ConsensusPolicy`] plus one registry entry, not a
 //! full crate. The unmodified driver then evaluates it by name, and the
 //! JSON-RPC facade exposes it exactly like the four built-in systems —

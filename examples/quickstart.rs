@@ -22,7 +22,7 @@ fn main() {
     //    deployment turns on metrics, lifecycle spans, and the journal
     //    for every component that touches the network.
     let clock = SimClock::virtual_time();
-    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
     net.install_obs(Obs::new());
     let deployment = BackendRegistry::builtin()
         .deploy_on("neuchain-sim", &BackendOptions::default(), clock, net)

@@ -31,9 +31,8 @@
 //! this node's ingress (crash windows are realised by the supervisor as
 //! SIGKILL; forwarding them too keeps ingress-refusal attribution during
 //! the instants before the kill lands). Partition and latency windows
-//! arrive with the plan but move only this process's traffic accounting —
-//! nothing a run measures reads them today (`hammer_net::fault` module
-//! docs).
+//! arrive with the plan, but nothing reads them today (`hammer_net::fault`
+//! module docs).
 
 use std::io::{Read, Write};
 use std::process::ExitCode;
@@ -117,7 +116,7 @@ fn main() -> ExitCode {
     // Rejoin the run's simulated timeline at the supervisor-provided
     // offset: a restart must not rewind simulated time.
     let clock = SimClock::with_speedup_from(args.speedup, args.epoch_offset);
-    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
     let deployment = match BackendRegistry::builtin().deploy_on(
         &args.backend,
         &args.options,

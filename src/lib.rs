@@ -40,7 +40,7 @@
 //! | [`core`] | `hammer-core` | the framework: driver, Algorithm 1, signing pipeline, deployment |
 //! | [`chain`] | `hammer-chain` | common chain types, SmallBank contract, generic client trait |
 //! | [`ethereum`] / [`fabric`] / [`neuchain`] / [`meepo`] | chain simulators | the four systems under test: a config, a consensus policy and `start` each |
-//! | [`net`] | `hammer-net` | scaled clock, endpoint names, fault plans, traffic accounting, TCP transport |
+//! | [`net`] | `hammer-net` | scaled clock, endpoint names, fault plans, TCP transport |
 //! | [`obs`] | `hammer-obs` | metrics registry, lifecycle spans, journal, Prometheus exposition, ASCII dashboard |
 //! | [`rpc`] | `hammer-rpc` | JSON + JSON-RPC 2.0 interface layer |
 //! | [`store`] | `hammer-store` | KV store, Performance table, reports |

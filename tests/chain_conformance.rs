@@ -88,7 +88,7 @@ fn deploy_in_mode(
     clock: SimClock,
     mode: DeployMode,
 ) -> Deployment {
-    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
     match mode {
         DeployMode::InProcess => registry.deploy_on(name, opts, clock, net).unwrap(),
         DeployMode::MultiProcess => registry

@@ -687,7 +687,7 @@ fn a_driver_killed_as_a_process_resumes_from_its_directory() {
     let control = ControlSequence::constant(100, 4, Duration::from_secs(1));
     let deploy = || {
         let clock = SimClock::with_speedup(PROCESS_SPEEDUP);
-        let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+        let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
         let options = BackendOptions::default();
         registry
             .deploy_on("neuchain-sim", &options, clock, net)

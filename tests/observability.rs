@@ -24,7 +24,7 @@ fn run_neuchain(
     slices: usize,
 ) -> (EvalReport, Obs) {
     let clock = SimClock::virtual_time();
-    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
     if let Some(obs) = obs {
         net.install_obs(obs);
     }

@@ -29,7 +29,7 @@ fn wait_until(pred: impl Fn() -> bool, wall_ms: u64) -> bool {
 #[test]
 fn evaluation_through_json_rpc_matches_direct_access() {
     let clock = SimClock::with_speedup(500.0);
-    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
     let chain = hammer::neuchain::start(NeuchainConfig::default(), clock, net);
     chain.seed_account(Address::from_name("acct"), 1_000_000, 0);
 
@@ -93,7 +93,7 @@ fn evaluation_through_json_rpc_matches_direct_access() {
 #[test]
 fn rpc_rejects_malformed_submissions() {
     let clock = SimClock::with_speedup(500.0);
-    let net = SimNetwork::new(clock.clone(), LinkConfig::cloud_100mbps());
+    let net = SimNetwork::new(clock.clone(), LinkConfig::lan());
     let chain = hammer::neuchain::start(NeuchainConfig::default(), clock, net);
     let server = serve(chain.clone() as Arc<dyn BlockchainClient>);
     let raw = server.client();
